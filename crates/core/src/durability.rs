@@ -3,8 +3,9 @@
 //! helpers, and the storage metric emitters.
 //!
 //! The durable unit everywhere is the **document payload** — one JSON
-//! object bundling the three stored documents a report produces
-//! (`reports`, `annotations`, `extractions`):
+//! object bundling the three documents a report contributes to its
+//! shard's in-memory document store (`reports`, `annotations`,
+//! `extractions`):
 //!
 //! ```json
 //! {"report": {...}, "ann": {...}, "extraction": {...}}
@@ -13,10 +14,13 @@
 //! A WAL `doc` record wraps the payload with the report's global ingest
 //! ordinal; a sealed segment stores the identical payload per document
 //! (fetched back from the document store at seal time, so later updates
-//! — e.g. PDF metadata attachment — are baked in). Recovery re-applies
-//! payloads through the same store/graph/index plumbing live ingestion
-//! uses, which is what makes post-crash rankings bit-identical.
+//! — e.g. PDF metadata attachment — are baked in). These two are the
+//! only durable copies: the document store is refilled from them at
+//! open. Recovery re-applies payloads through the same store/graph/index
+//! plumbing live ingestion uses, which is what makes post-crash rankings
+//! bit-identical.
 
+use crate::pipeline::ExtractedAnnotations;
 use create_docstore::json::{parse_json, Value};
 use create_docstore::DocStore;
 use create_index::codec;
@@ -66,11 +70,54 @@ impl StorageRoot {
 
 /// The three stored documents one report contributes, as recovered from
 /// a WAL record or a segment payload. `ann`/`extraction` are absent for
-/// documents that never had them (e.g. externally inserted rows).
+/// documents that never had them.
 pub(crate) struct DocPayload {
     pub report: Value,
     pub ann: Option<Value>,
     pub extraction: Option<Value>,
+}
+
+/// The core fields of a stored report, borrowed from its document.
+pub(crate) struct ReportFields<'a> {
+    pub id: &'a str,
+    pub title: &'a str,
+    pub text: &'a str,
+    pub year: u32,
+    pub category: &'a str,
+}
+
+/// Reads the core fields of a stored report. Ingest always writes all
+/// five; `category` and `year` still default (`"other"`, 2020) because
+/// segments sealed by earlier versions may hold rows that lack them.
+pub(crate) fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
+    let field = |key: &str| {
+        report
+            .get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("stored report missing {key:?}"))
+    };
+    Ok(ReportFields {
+        id: field("_id")?,
+        title: field("title")?,
+        text: field("text")?,
+        year: report
+            .get("year")
+            .and_then(Value::as_i64)
+            .map_or(2020, |y| y as u32),
+        category: report
+            .get("category")
+            .and_then(Value::as_str)
+            .unwrap_or("other"),
+    })
+}
+
+/// The extraction a stored `extractions` document carries (empty when
+/// the report has none).
+pub(crate) fn stored_annotations(extraction: Option<&Value>) -> ExtractedAnnotations {
+    extraction
+        .and_then(|e| e.get("extraction"))
+        .and_then(ExtractedAnnotations::from_json)
+        .unwrap_or_default()
 }
 
 /// A parsed WAL record.
@@ -120,28 +167,28 @@ pub(crate) fn update_record(collection: &str, id: &str, set: &Value) -> Value {
     record
 }
 
-fn parse_payload(value: &Value) -> Result<DocPayload, String> {
+/// Moves the three documents out of a parsed payload object.
+fn take_payload(value: &mut Value) -> Result<DocPayload, String> {
+    let map = value.as_object_mut().ok_or("payload is not an object")?;
     Ok(DocPayload {
-        report: value
-            .get("report")
-            .cloned()
-            .ok_or("payload missing report")?,
-        ann: value.get("ann").cloned(),
-        extraction: value.get("extraction").cloned(),
+        report: map.remove("report").ok_or("payload missing report")?,
+        ann: map.remove("ann"),
+        extraction: map.remove("extraction"),
     })
 }
 
 /// Parses a segment stored-doc payload.
 pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<DocPayload, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "payload is not UTF-8".to_string())?;
-    let value = parse_json(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
-    parse_payload(&value)
+    let mut value = parse_json(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
+    take_payload(&mut value)
 }
 
 /// Parses one WAL record.
 pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<WalRecord, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "WAL record is not UTF-8".to_string())?;
-    let value = parse_json(text).map_err(|e| format!("WAL record is not valid JSON: {e}"))?;
+    let mut value =
+        parse_json(text).map_err(|e| format!("WAL record is not valid JSON: {e}"))?;
     match value.get("t").and_then(Value::as_str) {
         Some("doc") => {
             let ordinal = value
@@ -150,7 +197,7 @@ pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<WalRecord, String> {
                 .ok_or("doc record missing ordinal")? as u64;
             Ok(WalRecord::Doc {
                 ordinal,
-                payload: parse_payload(&value)?,
+                payload: take_payload(&mut value)?,
             })
         }
         Some("update") => Ok(WalRecord::Update {
@@ -164,7 +211,10 @@ pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<WalRecord, String> {
                 .and_then(Value::as_str)
                 .ok_or("update record missing id")?
                 .to_string(),
-            set: value.get("set").cloned().ok_or("update record missing set")?,
+            set: value
+                .as_object_mut()
+                .and_then(|map| map.remove("set"))
+                .ok_or("update record missing set")?,
         }),
         other => Err(format!("unknown WAL record type {other:?}")),
     }

@@ -1,7 +1,7 @@
 //! Deriving facet values for the ingest-time facet bitmaps.
 //!
-//! Every ingest path — single-document, batch, WAL replay, segment
-//! repair, legacy rebuild, compaction — must assign a document the same
+//! Every ingest path — single-document, batch, WAL replay, format-2
+//! segment recovery, compaction — must assign a document the same
 //! facet values, because the cohort planner's bitmap pushdown and the
 //! crash-recovery recomputation have to agree bit-for-bit with the
 //! facet region persisted in sealed segments. That is why everything
@@ -103,33 +103,24 @@ pub(crate) fn age_band(surface: &str) -> Option<String> {
     Some(format!("{lo}-{}", lo + 9))
 }
 
-/// Recomputes a stored payload's facet values — the recovery path for
-/// format-2 segments (sealed before the facet region existed) and for
-/// compaction over mixed-format segment sets. Field defaults mirror the
-/// open path (`category` → `"other"`, malformed `year` → 2020) so a
-/// recomputed bitmap matches what ingest would have produced.
+/// Recomputes a stored payload's facet values — compaction's path for
+/// format-2 segments (sealed before the facet region existed). The
+/// field defaults are the open path's (both read
+/// [`report_fields`](crate::durability::report_fields): `category` →
+/// `"other"`, malformed `year` → 2020), so a recomputed bitmap matches
+/// what recovery derives for the same payload.
 pub(crate) fn payload_facets(
     report: &Value,
     extraction: Option<&Value>,
 ) -> Result<Vec<(FacetField, String)>, String> {
-    let text = report
-        .get("text")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "stored report missing \"text\"".to_string())?;
-    let category = report
-        .get("category")
-        .and_then(Value::as_str)
-        .unwrap_or("other");
-    let year = report
-        .get("year")
-        .and_then(Value::as_i64)
-        .map(|y| y as u32)
-        .unwrap_or(2020);
-    let annotations = extraction
-        .and_then(|e| e.get("extraction"))
-        .and_then(ExtractedAnnotations::from_json)
-        .unwrap_or_default();
-    Ok(facet_values(category, year, text, &annotations))
+    let fields = crate::durability::report_fields(report)?;
+    let annotations = crate::durability::stored_annotations(extraction);
+    Ok(facet_values(
+        fields.category,
+        fields.year,
+        fields.text,
+        &annotations,
+    ))
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use create_ontology::Ontology;
 use create_obs::names as obs_names;
 use create_obs::{QueryCapture, Span, StageLog};
 use create_storage::manifest::{segment_file_name, shard_dir_name, sweep_orphans};
-use create_storage::segment::{read_segment, read_segment_index, write_segment};
+use create_storage::segment::{read_segment, write_segment};
 use create_storage::{Manifest, SegmentMeta, ShardManifest, StorageError, Wal};
 use create_util::{ArcCell, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
@@ -69,7 +69,9 @@ pub struct CreateConfig {
     /// Number of independent shards. Defaults to the machine's available
     /// cores. `Create::new` clamps out-of-range values (with a warning and
     /// a `create_open_bad_config_total` tick); `Create::open` rejects `0`
-    /// outright, since a zero-shard layout cannot describe stored data.
+    /// outright, sizes a fresh data directory with the value, and on an
+    /// existing one ignores it in favour of the count the manifest
+    /// recorded.
     pub shards: usize,
 }
 
@@ -92,8 +94,8 @@ fn default_shards() -> usize {
 }
 
 /// FNV-1a — deterministic across processes and platforms, unlike the
-/// std `RandomState` hasher, so a store written at shard count N reopens
-/// with every document routed to the same shard.
+/// std `RandomState` hasher, so a data directory reopens with every
+/// document routed to the shard that sealed it.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -254,9 +256,9 @@ impl Writer {
     }
 }
 
-fn empty_writer(store: DocStore) -> Writer {
+fn empty_writer() -> Writer {
     Writer {
-        store,
+        store: DocStore::in_memory(),
         graph: PropertyGraph::new(),
         graph_builder: GraphBuilder::new(),
         index: Index::clinical(),
@@ -385,7 +387,6 @@ fn register_metrics() {
         obs_names::GRAPH_EXEC_NODES_VISITED_TOTAL,
         obs_names::GRAPH_EXEC_EDGES_TRAVERSED_TOTAL,
         obs_names::SNAPSHOT_PUBLISH_TOTAL,
-        obs_names::OPEN_MALFORMED_FIELDS_TOTAL,
         obs_names::OPEN_BAD_CONFIG_TOTAL,
         obs_names::WAL_APPENDED_BYTES_TOTAL,
         obs_names::COMPACTION_RUNS_TOTAL,
@@ -490,6 +491,19 @@ struct ShardWork {
     segments: Vec<(IndexSegment, FacetIndex)>,
 }
 
+/// What recovery must still derive for a document beyond its stored
+/// documents and graph projection (see [`Create::recover_doc`]).
+enum Derive {
+    /// Format-3 segment: postings and facets were decoded from the file.
+    Nothing,
+    /// Format-2 segment: postings decoded, facets recomputed at this
+    /// doc id.
+    Facets(u32),
+    /// WAL record: nothing was sealed — index the text and derive the
+    /// facets at the new doc id.
+    All,
+}
+
 impl Create {
     /// Builds an empty in-memory platform over the built-in clinical
     /// ontology. An out-of-range `shards` value is clamped into
@@ -499,9 +513,7 @@ impl Create {
         let mut config = config;
         config.shards = clamp_shards(config.shards);
         register_shard_metrics(config.shards);
-        let writers = (0..config.shards)
-            .map(|_| empty_writer(DocStore::in_memory()))
-            .collect();
+        let writers = (0..config.shards).map(|_| empty_writer()).collect();
         Create::build(
             config,
             Arc::new(create_ontology::clinical_ontology()),
@@ -536,28 +548,31 @@ impl Create {
         }
     }
 
-    /// Opens a disk-backed platform: shard 0's document store loads from
-    /// `dir` itself (the pre-sharding flat layout, so single-shard
-    /// deployments keep their files), shard `i > 0` from `dir/shard-i`,
-    /// and the durable storage engine from `dir/storage`.
+    /// Opens a disk-backed platform whose only on-disk state is
+    /// `dir/storage`: the manifest, each shard's sealed segments, and
+    /// each shard's WAL tail. Recovery is three steps:
     ///
-    /// When a storage manifest matching the configured shard count
-    /// exists, each shard recovers from its sealed segments (decoded
-    /// postings merged directly — no re-tokenization) plus a WAL-tail
-    /// replay of anything a flush had not yet sealed, so a kill-and-
-    /// reopen loses no acknowledged write and cold-open cost scales with
-    /// sealed bytes, not pipeline work. Without a manifest (a legacy
-    /// store) the graphs and indexes are rebuilt from the persisted
-    /// documents and their stored extractions, then sealed so the next
-    /// open takes the fast path. Documents found in a store whose hash
-    /// routes them elsewhere — a shard-count change, or a file written
-    /// by an external tool — are moved to their owning shard; a
-    /// shard-count change also folds the old layout's payloads back
-    /// into the stores before re-sealing under the new routing.
+    /// 1. **Load the manifest.** Its shard count is authoritative:
+    ///    `config.shards` sizes a fresh directory only, and a differing
+    ///    value is logged and ignored — documents never change shards.
+    /// 2. **Per shard, decode and merge each segment** in manifest order
+    ///    (the original ingest order, so internal doc ids and ordinals
+    ///    come out exactly as the writing process assigned them):
+    ///    postings and facet bitmaps are merged as decoded — no
+    ///    re-tokenization — and every stored payload refills the
+    ///    in-memory document store and the graph.
+    /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
+    ///    through the live ingest plumbing, then seal every tail so the
+    ///    whole acknowledged corpus is segment-durable and the WALs
+    ///    start empty before the instance accepts writes.
     ///
-    /// A zero shard count is rejected ([`IngestError::Config`]): unlike
-    /// [`Create::new`], silently clamping here could silently re-route a
-    /// store laid out under a different intent.
+    /// A kill-and-reopen therefore loses no acknowledged write, and
+    /// cold-open cost scales with sealed bytes plus the unflushed tail.
+    ///
+    /// Rejected with [`IngestError::Config`]: a zero shard count (unlike
+    /// [`Create::new`], nothing is clamped silently here), and a
+    /// directory that holds a pre-storage-engine `reports.jsonl` but no
+    /// manifest — that layout is no longer read.
     pub fn open(
         dir: impl AsRef<std::path::Path>,
         config: CreateConfig,
@@ -578,409 +593,113 @@ impl Create {
             ));
         }
         config.shards = clamp_shards(config.shards);
-        register_shard_metrics(config.shards);
         let dir = dir.as_ref();
         let storage_dir = dir.join(create_storage::STORAGE_DIR);
         let prior = Manifest::load(&storage_dir).map_err(IngestError::Storage)?;
-        let recovering = prior
-            .as_ref()
-            .is_some_and(|m| m.shard_count == config.shards);
-        let mut stores = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
-            let store = if i == 0 {
-                DocStore::open(dir)
-            } else {
-                DocStore::open(dir.join(format!("shard-{i}")))
-            }
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-            stores.push(store);
-        }
-        // Drain stores persisted by a wider deployment (`dir/shard-i`
-        // for i >= N) into the configured shards, then remove them —
-        // reopening narrower must not orphan documents. The drained
-        // documents are flushed into their new stores before the stale
-        // directory is deleted, so a crash mid-migration loses nothing.
-        let mut stale = config.shards;
-        loop {
-            let stale_dir = dir.join(format!("shard-{stale}"));
-            if !stale_dir.is_dir() {
-                break;
-            }
-            let source =
-                DocStore::open(&stale_dir).map_err(|e| IngestError::Store(e.to_string()))?;
-            let ids: Vec<String> = source
-                .find("reports", &Filter::All)
-                .iter()
-                .filter_map(|d| d.get("_id").and_then(Value::as_str).map(str::to_string))
-                .collect();
-            for id in &ids {
-                let target = shard_index(id, stores.len());
-                for coll in ["reports", "annotations", "extractions"] {
-                    if let Some(doc) = source.get(coll, id) {
-                        stores[target]
-                            .insert(coll, doc)
-                            .map_err(|e| IngestError::Store(e.to_string()))?;
-                    }
-                }
-            }
-            if !ids.is_empty() {
-                for store in &stores {
-                    store.flush().map_err(|e| IngestError::Store(e.to_string()))?;
-                }
-            }
-            drop(source);
-            std::fs::remove_dir_all(&stale_dir).map_err(|e| IngestError::Store(e.to_string()))?;
-            stale += 1;
-        }
-        // Re-route misplaced documents to their hash-owning shard so the
-        // per-shard lookup paths (report fetch, duplicate checks) stay
-        // complete without cross-shard scans.
-        for j in 0..stores.len() {
-            // Collect only the ids that actually need to move — borrowing
-            // from a snapshot, since `DocStore::find` would deep-clone
-            // every report just to read its `_id`.
-            let ids: Vec<String> = stores[j]
-                .snapshot()
-                .find("reports", &Filter::All)
-                .iter()
-                .filter_map(|d| d.get("_id").and_then(Value::as_str))
-                .filter(|id| shard_index(id, stores.len()) != j)
-                .map(str::to_string)
-                .collect();
-            for id in ids {
-                let target = shard_index(&id, stores.len());
-                for coll in ["reports", "annotations", "extractions"] {
-                    if let Some(doc) = stores[j].get(coll, &id) {
-                        stores[target]
-                            .insert(coll, doc)
-                            .map_err(|e| IngestError::Store(e.to_string()))?;
-                        stores[j].delete(coll, &Filter::eq("_id", id.as_str()));
-                    }
-                }
-            }
-        }
-        // A storage layout sealed under a different shard count routes
-        // documents differently than this configuration will. Fold every
-        // payload it holds into the (re-routed) document stores — the WAL
-        // tails may hold acknowledged documents the stores never flushed —
-        // then drop the old layout; everything is re-sealed below.
-        if let Some(m) = &prior {
-            if !recovering {
-                for s in 0..m.shard_count {
-                    let shard_dir = storage_dir.join(shard_dir_name(s));
-                    for meta in &m.shards[s].segments {
-                        let data = read_segment(&shard_dir.join(&meta.file))
-                            .map_err(IngestError::Storage)?;
-                        for stored in &data.docs {
-                            let payload = durability::parse_payload_bytes(&stored.payload)
-                                .map_err(IngestError::Store)?;
-                            upsert_payload(&stores, payload)?;
-                        }
-                    }
-                    let wal_path = shard_dir.join(create_storage::WAL_FILE);
-                    if wal_path.exists() {
-                        let (_wal, replay) =
-                            Wal::open(&wal_path).map_err(IngestError::Storage)?;
-                        for record in &replay.records {
-                            match durability::parse_wal_record(record)
-                                .map_err(IngestError::Store)?
-                            {
-                                WalRecord::Doc { payload, .. } => {
-                                    upsert_payload(&stores, payload)?
-                                }
-                                WalRecord::Update {
-                                    collection,
-                                    id,
-                                    set,
-                                } => {
-                                    let target = shard_index(&id, stores.len());
-                                    stores[target]
-                                        .update(
-                                            &collection,
-                                            &Filter::eq("_id", id.as_str()),
-                                            &set,
-                                        )
-                                        .map_err(|e| IngestError::Store(e.to_string()))?;
-                                }
-                            }
-                        }
-                    }
-                }
-                for store in &stores {
-                    store.flush().map_err(|e| IngestError::Store(e.to_string()))?;
-                }
-                std::fs::remove_dir_all(&storage_dir)
-                    .map_err(|e| IngestError::Storage(StorageError::io(&storage_dir)(e)))?;
-            }
-        }
-        let ontology = Arc::new(create_ontology::clinical_ontology());
-        let mut writers: Vec<Writer> = stores.into_iter().map(empty_writer).collect();
-        let mut next_ordinal = 0u64;
+        let fresh = prior.is_none();
         let mut manifest = match prior {
-            Some(m) if recovering => m,
-            _ => Manifest::new(config.shards),
+            Some(m) => {
+                if m.shard_count == 0 || m.shard_count > MAX_SHARDS {
+                    return Err(IngestError::Storage(StorageError::Corrupt {
+                        path: storage_dir.join(create_storage::manifest::MANIFEST_FILE),
+                        message: format!("shard count {} out of range", m.shard_count),
+                    }));
+                }
+                if m.shard_count != config.shards {
+                    create_obs::log(
+                        create_obs::Level::Warn,
+                        "create-core",
+                        format!(
+                            "configured shard count {} ignored: {} was written with {}",
+                            config.shards,
+                            dir.display(),
+                            m.shard_count
+                        ),
+                    );
+                    config.shards = m.shard_count;
+                }
+                m
+            }
+            None => {
+                let legacy = dir.join("reports.jsonl");
+                if legacy.exists() {
+                    return Err(IngestError::Config(format!(
+                        "{} is a JSONL-only data directory ({} without {}/{}), \
+                         which is no longer read",
+                        dir.display(),
+                        legacy.display(),
+                        create_storage::STORAGE_DIR,
+                        create_storage::manifest::MANIFEST_FILE,
+                    )));
+                }
+                Manifest::new(config.shards)
+            }
         };
-        // Shards whose document store was modified in memory during
-        // recovery (payload repair, WAL replay). Those stores are
-        // re-flushed before their WAL resets, preserving the invariant
-        // the segment fast path depends on: a reset WAL implies the
-        // JSONL files already hold everything the segments seal.
-        let mut store_dirty = vec![false; config.shards];
-        if recovering {
-            // Recovery: rebuild each shard from its sealed segments in
-            // manifest order — the original ingest order, so internal doc
-            // ids and ordinals come out exactly as the crashed process
-            // assigned them — then replay the WAL tail for everything a
-            // flush had not yet sealed. Cost is O(sealed bytes) to decode
-            // plus O(unflushed tail) to re-run the pipeline; no
-            // tokenization or extraction re-runs for sealed documents.
-            let mut replayed = 0u64;
-            for (i, writer) in writers.iter_mut().enumerate() {
-                let shard_dir = storage_dir.join(shard_dir_name(i));
-                for meta in &manifest.shards[i].segments {
-                    let path = shard_dir.join(&meta.file);
-                    let corrupt = |message: String| {
-                        IngestError::Storage(StorageError::Corrupt {
-                            path: path.clone(),
-                            message,
-                        })
-                    };
-                    let seg_index = read_segment_index(&path).map_err(IngestError::Storage)?;
-                    let segment =
-                        create_index::codec::decode_segment(&seg_index.postings, &writer.index)
-                            .map_err(|e| corrupt(e.to_string()))?;
-                    if segment.num_docs() != seg_index.docs.len() {
-                        return Err(corrupt(format!(
-                            "segment stores {} docs but indexes {}",
-                            seg_index.docs.len(),
-                            segment.num_docs()
-                        )));
+        register_shard_metrics(config.shards);
+        let ontology = Arc::new(create_ontology::clinical_ontology());
+        let mut writers = Vec::with_capacity(config.shards);
+        let mut next_ordinal = 0u64;
+        let mut replayed = 0u64;
+        for (i, entry) in manifest.shards.iter().enumerate() {
+            let mut writer = empty_writer();
+            let shard_dir = storage_dir.join(shard_dir_name(i));
+            for meta in &entry.segments {
+                Self::recover_segment(&ontology, &mut writer, &shard_dir.join(&meta.file))?;
+            }
+            let sealed_docs = writer.index.num_docs();
+            let sealed_max = entry.segments.last().map(|s| s.max_ordinal);
+            let (wal, wal_replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
+                .map_err(IngestError::Storage)?;
+            for record in &wal_replay.records {
+                match durability::parse_wal_record(record).map_err(IngestError::Store)? {
+                    WalRecord::Doc { ordinal, payload } => {
+                        // Already sealed: the crash hit between a seal
+                        // and its WAL reset.
+                        if sealed_max.is_some_and(|max| ordinal <= max) {
+                            continue;
+                        }
+                        Self::recover_doc(&ontology, &mut writer, payload, ordinal, Derive::All)
+                            .map_err(IngestError::Store)?;
                     }
-                    // Fast path: when the JSONL store already holds every
-                    // document this segment seals (the common case — WALs
-                    // are only reset after a store flush lands, so a
-                    // sealed doc missing from the store means the store
-                    // files were damaged or removed), the payloads are
-                    // redundant: rebuild the graph straight from the
-                    // store's already-parsed values and never decompress
-                    // the stored-fields region.
-                    let snapshot = writer.store.snapshot();
-                    let in_sync = seg_index.docs.iter().all(|e| {
-                        snapshot.get("reports", &e.id).is_some()
-                            && snapshot.get("extractions", &e.id).is_some()
-                    });
-                    if in_sync {
-                        for entry in &seg_index.docs {
-                            let report =
-                                snapshot.get("reports", &entry.id).expect("checked above");
-                            let meta = parse_report_meta(report)?;
-                            let annotations = snapshot
-                                .get("extractions", &entry.id)
-                                .and_then(|e| {
-                                    e.get("extraction")
-                                        .and_then(ExtractedAnnotations::from_json)
-                                })
-                                .unwrap_or_default();
-                            writer.graph_builder.add_report(
-                                &mut writer.graph,
-                                &ontology,
-                                &meta,
-                                &annotations,
-                            );
-                            writer.ordinals.push(entry.ordinal);
-                            next_ordinal = next_ordinal.max(entry.ordinal + 1);
-                        }
-                    } else {
-                        // Repair path: the store is missing sealed
-                        // documents, so re-read the segment eagerly and
-                        // upsert every payload back into it.
-                        let data = read_segment(&path).map_err(IngestError::Storage)?;
-                        for stored in data.docs {
-                            let payload = durability::parse_payload_bytes(&stored.payload)
-                                .map_err(&corrupt)?;
-                            Self::recover_doc(&ontology, writer, payload, stored.ordinal, false)?;
-                            next_ordinal = next_ordinal.max(stored.ordinal + 1);
-                        }
-                        store_dirty[i] = true;
-                    }
-                    let facet_base = writer.index.num_docs() as u32;
-                    writer
-                        .index
-                        .merge_segment(segment)
-                        .map_err(|e| IngestError::Store(e.to_string()))?;
-                    if seg_index.facets.is_empty() {
-                        // Format-2 segment (sealed before the facet
-                        // region existed): recompute from the stored
-                        // payloads — by now in the document store on
-                        // both the fast and repair paths.
-                        let snapshot = writer.store.snapshot();
-                        for (pos, entry) in seg_index.docs.iter().enumerate() {
-                            let report = snapshot.get("reports", &entry.id).ok_or_else(|| {
-                                corrupt(format!(
-                                    "recovered doc {:?} missing from the reports store",
-                                    entry.id
-                                ))
-                            })?;
-                            let values = crate::facet_build::payload_facets(
-                                report,
-                                snapshot.get("extractions", &entry.id),
-                            )
-                            .map_err(&corrupt)?;
-                            writer.facets.add_doc(facet_base + pos as u32, values);
-                        }
+                    WalRecord::Update {
+                        collection,
+                        id,
+                        set,
+                    } => {
                         writer
-                            .facets
-                            .align_to(facet_base + seg_index.docs.len() as u32);
-                    } else {
-                        let decoded = FacetIndex::decode(&seg_index.facets)
-                            .map_err(|e| corrupt(e.to_string()))?;
-                        if decoded.num_docs() as usize != seg_index.docs.len() {
-                            return Err(corrupt(format!(
-                                "segment stores {} docs but facets cover {}",
-                                seg_index.docs.len(),
-                                decoded.num_docs()
-                            )));
-                        }
-                        writer.facets.merge(decoded, facet_base);
+                            .store
+                            .update(&collection, &Filter::eq("_id", id.as_str()), &set)
+                            .map_err(|e| IngestError::Store(e.to_string()))?;
                     }
                 }
-                let sealed_docs = writer.index.num_docs();
-                let sealed_max = manifest.shards[i].segments.last().map(|s| s.max_ordinal);
-                let (wal, wal_replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
-                    .map_err(IngestError::Storage)?;
-                for record in &wal_replay.records {
-                    match durability::parse_wal_record(record).map_err(IngestError::Store)? {
-                        WalRecord::Doc { ordinal, payload } => {
-                            if sealed_max.is_some_and(|max| ordinal <= max) {
-                                // Already durable in a sealed segment (the
-                                // crash hit between a seal and its WAL
-                                // reset); the replay is idempotent either
-                                // way, but skipping keeps recovery
-                                // O(unflushed tail).
-                                continue;
-                            }
-                            Self::recover_doc(&ontology, writer, payload, ordinal, true)?;
-                            next_ordinal = next_ordinal.max(ordinal + 1);
-                            replayed += 1;
-                            store_dirty[i] = true;
-                        }
-                        WalRecord::Update {
-                            collection,
-                            id,
-                            set,
-                        } => {
-                            writer
-                                .store
-                                .update(&collection, &Filter::eq("_id", id.as_str()), &set)
-                                .map_err(|e| IngestError::Store(e.to_string()))?;
-                            replayed += 1;
-                            store_dirty[i] = true;
-                        }
-                    }
-                }
-                writer.storage = Some(ShardStorage {
-                    wal,
-                    dir: shard_dir,
-                    sealed_docs,
-                });
+                replayed += 1;
             }
-            durability::note_recovery(replayed);
+            if let Some(&last) = writer.ordinals.last() {
+                next_ordinal = next_ordinal.max(last + 1);
+            }
+            writer.storage = Some(ShardStorage {
+                wal,
+                dir: shard_dir,
+                sealed_docs,
+            });
+            writers.push(writer);
         }
-        // Index every stored report the segments and WAL did not cover:
-        // the whole corpus for a legacy (pre-manifest) store, externally
-        // inserted documents otherwise. Ordinals continue in scan order
-        // (shard 0's documents, then shard 1's, …), which is
-        // deterministic for a given on-disk state.
-        for writer in writers.iter_mut() {
-            // Borrow from a snapshot: `DocStore::find` would deep-clone
-            // every report just to discover (in the common case) that
-            // recovery already indexed all of them.
-            let snapshot = writer.store.snapshot();
-            for doc in snapshot.find("reports", &Filter::All) {
-                if doc
-                    .get("_id")
-                    .and_then(Value::as_str)
-                    .is_some_and(|id| writer.index.internal_id(id).is_some())
-                {
-                    continue;
-                }
-                let fields = parse_report_fields(doc)?;
-                let annotations = snapshot
-                    .get("extractions", &fields.id)
-                    .and_then(|e| {
-                        e.get("extraction")
-                            .and_then(ExtractedAnnotations::from_json)
-                    })
-                    .unwrap_or_default();
-                writer.graph_builder.add_report(
-                    &mut writer.graph,
-                    &ontology,
-                    &ReportMeta {
-                        report_id: fields.id.clone(),
-                        title: fields.title.clone(),
-                        year: fields.year,
-                        category: fields.category.clone(),
-                    },
-                    &annotations,
-                );
-                writer
-                    .index
-                    .add_document(
-                        &fields.id,
-                        &[
-                            ("title", fields.title.as_str()),
-                            ("body", fields.text.as_str()),
-                            ("body_ngram", fields.text.as_str()),
-                        ],
-                    )
-                    .map_err(|e| IngestError::Store(e.to_string()))?;
-                let doc_id = writer.index.num_docs() as u32 - 1;
-                writer.facets.add_doc(
-                    doc_id,
-                    facet_values(&fields.category, fields.year, &fields.text, &annotations),
-                );
-                writer.ordinals.push(next_ordinal);
-                next_ordinal += 1;
-            }
-        }
-        // Attach fresh durable state where recovery did not (legacy and
-        // migrated layouts), then seal every unsealed tail so the whole
-        // acknowledged corpus is segment-durable — and the WALs can start
-        // empty — before the instance accepts writes.
-        let mut dirty = !recovering;
-        for (i, writer) in writers.iter_mut().enumerate() {
-            if writer.storage.is_none() {
-                let shard_dir = storage_dir.join(shard_dir_name(i));
-                let (wal, _replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
-                    .map_err(IngestError::Storage)?;
-                writer.storage = Some(ShardStorage {
-                    wal,
-                    dir: shard_dir,
-                    sealed_docs: 0,
-                });
-            }
-            if Self::seal_shard_tail(writer, &mut manifest.shards[i])? {
-                dirty = true;
-            }
+        durability::note_recovery(replayed);
+        // Seal every unsealed tail, register the new segments in one
+        // manifest swap, and only then reset the WALs.
+        let mut dirty = fresh;
+        for (writer, entry) in writers.iter_mut().zip(&mut manifest.shards) {
+            dirty |= Self::seal_shard_tail(writer, entry)?;
         }
         if dirty {
             manifest.store(&storage_dir).map_err(IngestError::Storage)?;
         }
-        for (i, writer) in writers.iter_mut().enumerate() {
-            // Resetting a WAL implies its shard's JSONL store is durable
-            // and current — flush first when recovery changed it, or the
-            // next open's fast path could trust stale files.
-            if store_dirty[i] {
-                writer
-                    .store
-                    .flush()
-                    .map_err(|e| IngestError::Store(e.to_string()))?;
-            }
+        for (writer, entry) in writers.iter_mut().zip(&manifest.shards) {
             let num_docs = writer.index.num_docs();
             let storage = writer.storage.as_mut().expect("storage attached above");
             storage.wal.reset().map_err(IngestError::Storage)?;
             storage.sealed_docs = num_docs;
-            sweep_orphans(&storage.dir, &manifest.shards[i]);
+            sweep_orphans(&storage.dir, entry);
         }
         durability::refresh_segment_gauges(&manifest);
         Ok(Create::build(
@@ -995,78 +714,127 @@ impl Create {
         ))
     }
 
+    /// Recovers one sealed segment into a shard writer: the decoded
+    /// postings and facet bitmaps merge at the writer's current doc
+    /// count, and every stored payload goes through
+    /// [`Create::recover_doc`]. A format-2 segment (sealed before the
+    /// facet region existed) has its facets recomputed from the
+    /// payloads.
+    fn recover_segment(
+        ontology: &Ontology,
+        writer: &mut Writer,
+        path: &std::path::Path,
+    ) -> Result<(), IngestError> {
+        let corrupt = |message: String| {
+            IngestError::Storage(StorageError::Corrupt {
+                path: path.to_path_buf(),
+                message,
+            })
+        };
+        let data = read_segment(path).map_err(IngestError::Storage)?;
+        let docs = data.docs.len();
+        let segment = create_index::codec::decode_segment(&data.postings, &writer.index)
+            .map_err(|e| corrupt(e.to_string()))?;
+        if segment.num_docs() != docs {
+            return Err(corrupt(format!(
+                "segment stores {docs} docs but indexes {}",
+                segment.num_docs()
+            )));
+        }
+        let base = writer.index.num_docs() as u32;
+        let legacy_facets = data.facets.is_empty();
+        if !legacy_facets {
+            let decoded =
+                FacetIndex::decode(&data.facets).map_err(|e| corrupt(e.to_string()))?;
+            if decoded.num_docs() as usize != docs {
+                return Err(corrupt(format!(
+                    "segment stores {docs} docs but facets cover {}",
+                    decoded.num_docs()
+                )));
+            }
+            writer.facets.merge(decoded, base);
+        }
+        for (pos, stored) in data.docs.into_iter().enumerate() {
+            let payload = durability::parse_payload_bytes(&stored.payload).map_err(&corrupt)?;
+            let derive = if legacy_facets {
+                Derive::Facets(base + pos as u32)
+            } else {
+                Derive::Nothing
+            };
+            Self::recover_doc(ontology, writer, payload, stored.ordinal, derive)
+                .map_err(&corrupt)?;
+        }
+        if legacy_facets {
+            writer.facets.align_to(base + docs as u32);
+        }
+        writer
+            .index
+            .merge_segment(segment)
+            .map_err(|e| IngestError::Store(e.to_string()))
+    }
+
     /// Re-applies one recovered document payload to a shard writer: the
-    /// stored documents (upserted — a crash between a store flush and a
-    /// WAL reset can leave the JSONL copy alongside the WAL record), the
-    /// graph projection, and — for WAL records, whose postings were
-    /// never sealed — the inverted index. Segment-recovered documents
-    /// get their postings via [`Index::merge_segment`] instead.
+    /// three stored documents move into the document store, the graph
+    /// projection is rebuilt from them, and `derive` names what else
+    /// the payload's source did not carry.
     fn recover_doc(
         ontology: &Ontology,
         writer: &mut Writer,
         payload: durability::DocPayload,
         ordinal: u64,
-        index_too: bool,
-    ) -> Result<(), IngestError> {
-        let fields = parse_report_fields(&payload.report)?;
-        let id_filter = Filter::eq("_id", fields.id.as_str());
-        writer.store.delete("reports", &id_filter);
-        writer
-            .store
-            .insert("reports", payload.report)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-        if let Some(ann) = payload.ann {
-            writer.store.delete("annotations", &id_filter);
-            writer
-                .store
-                .insert("annotations", ann)
-                .map_err(|e| IngestError::Store(e.to_string()))?;
-        }
-        let annotations = payload
-            .extraction
-            .as_ref()
-            .and_then(|e| {
-                e.get("extraction")
-                    .and_then(ExtractedAnnotations::from_json)
-            })
-            .unwrap_or_default();
-        if let Some(extraction) = payload.extraction {
-            writer.store.delete("extractions", &id_filter);
-            writer
-                .store
-                .insert("extractions", extraction)
-                .map_err(|e| IngestError::Store(e.to_string()))?;
-        }
+        derive: Derive,
+    ) -> Result<(), String> {
+        let fields = durability::report_fields(&payload.report)?;
+        let annotations = durability::stored_annotations(payload.extraction.as_ref());
         writer.graph_builder.add_report(
             &mut writer.graph,
             ontology,
             &ReportMeta {
-                report_id: fields.id.clone(),
-                title: fields.title.clone(),
+                report_id: fields.id.to_string(),
+                title: fields.title.to_string(),
                 year: fields.year,
-                category: fields.category.clone(),
+                category: fields.category.to_string(),
             },
             &annotations,
         );
-        if index_too {
-            writer
-                .index
-                .add_document(
-                    &fields.id,
-                    &[
-                        ("title", fields.title.as_str()),
-                        ("body", fields.text.as_str()),
-                        ("body_ngram", fields.text.as_str()),
-                    ],
-                )
-                .map_err(|e| IngestError::Store(e.to_string()))?;
-            let doc_id = writer.index.num_docs() as u32 - 1;
+        let facet_doc = match derive {
+            Derive::Nothing => None,
+            Derive::Facets(doc_id) => Some(doc_id),
+            Derive::All => {
+                writer
+                    .index
+                    .add_document(
+                        fields.id,
+                        &[
+                            ("title", fields.title),
+                            ("body", fields.text),
+                            ("body_ngram", fields.text),
+                        ],
+                    )
+                    .map_err(|e| e.to_string())?;
+                Some(writer.index.num_docs() as u32 - 1)
+            }
+        };
+        if let Some(doc_id) = facet_doc {
             writer.facets.add_doc(
                 doc_id,
-                facet_values(&fields.category, fields.year, &fields.text, &annotations),
+                facet_values(fields.category, fields.year, fields.text, &annotations),
             );
         }
         writer.ordinals.push(ordinal);
+        let docs = [
+            ("reports", Some(payload.report)),
+            ("annotations", payload.ann),
+            ("extractions", payload.extraction),
+        ];
+        for (collection, doc) in docs {
+            if let Some(doc) = doc {
+                writer
+                    .store
+                    .insert(collection, doc)
+                    .map_err(|e| e.to_string())?;
+            }
+        }
         Ok(())
     }
 
@@ -1192,8 +960,8 @@ impl Create {
             .collect()
     }
 
-    /// Persists every shard: flushes the JSONL document stores, fsyncs
-    /// the WALs, seals each shard's unsealed tail into an immutable
+    /// Persists every shard: fsyncs the WALs, seals each shard's
+    /// unsealed tail (postings, facets, stored documents) into an immutable
     /// on-disk segment registered by an atomic manifest swap (after
     /// which the WALs reset — recovery cost returns to zero), and
     /// compacts shards that accumulated enough segments. No-op for
@@ -1203,10 +971,6 @@ impl Create {
         let mut guards: Vec<MutexGuard<'_, Writer>> =
             self.shards.iter().map(|s| s.lock_writer()).collect();
         for writer in guards.iter_mut() {
-            writer
-                .store
-                .flush()
-                .map_err(|e| IngestError::Store(e.to_string()))?;
             writer.wal_sync()?;
         }
         let Some(root) = self.storage.as_ref() else {
@@ -2228,118 +1992,6 @@ pub struct StorageStats {
     pub segment_bytes: u64,
 }
 
-/// The core fields of a stored report document, with the same
-/// malformed-year defaulting (and `create_open_malformed_fields_total`
-/// counting) the open path has always applied.
-struct ReportFields {
-    id: String,
-    title: String,
-    text: String,
-    year: u32,
-    category: String,
-}
-
-fn parse_report_year(doc: &Value, id: &str) -> u32 {
-    match doc.get("year").and_then(Value::as_i64) {
-        Some(y) => y as u32,
-        None => {
-            // A recoverable corruption: the report is still usable, but
-            // the silent default must be visible to operators.
-            if create_obs::enabled() {
-                create_obs::counter(obs_names::OPEN_MALFORMED_FIELDS_TOTAL).inc();
-                create_obs::log(
-                    create_obs::Level::Warn,
-                    "create-core",
-                    format!(
-                        "stored report {id:?} has a missing or malformed \"year\"; \
-                         defaulting to 2020"
-                    ),
-                );
-            }
-            2020
-        }
-    }
-}
-
-fn parse_report_fields(doc: &Value) -> Result<ReportFields, IngestError> {
-    let (Some(id), Some(title), Some(text)) = (
-        doc.get("_id").and_then(Value::as_str),
-        doc.get("title").and_then(Value::as_str),
-        doc.get("text").and_then(Value::as_str),
-    ) else {
-        return Err(IngestError::Store("malformed stored report".to_string()));
-    };
-    Ok(ReportFields {
-        id: id.to_string(),
-        title: title.to_string(),
-        text: text.to_string(),
-        year: parse_report_year(doc, id),
-        category: doc
-            .get("category")
-            .and_then(Value::as_str)
-            .unwrap_or("other")
-            .to_string(),
-    })
-}
-
-/// [`parse_report_fields`] minus the body text: the recovery graph
-/// rebuild never touches the text, and skipping its per-document
-/// allocation is measurable at corpus scale.
-fn parse_report_meta(doc: &Value) -> Result<ReportMeta, IngestError> {
-    let (Some(id), Some(title), Some(_)) = (
-        doc.get("_id").and_then(Value::as_str),
-        doc.get("title").and_then(Value::as_str),
-        doc.get("text").and_then(Value::as_str),
-    ) else {
-        return Err(IngestError::Store("malformed stored report".to_string()));
-    };
-    Ok(ReportMeta {
-        report_id: id.to_string(),
-        title: title.to_string(),
-        year: parse_report_year(doc, id),
-        category: doc
-            .get("category")
-            .and_then(Value::as_str)
-            .unwrap_or("other")
-            .to_string(),
-    })
-}
-
-/// Replaces a recovered payload's documents in their (re-)routed owning
-/// store — used when a storage layout from a different shard count is
-/// folded back into the document stores.
-fn upsert_payload(stores: &[DocStore], payload: durability::DocPayload) -> Result<(), IngestError> {
-    let Some(id) = payload
-        .report
-        .get("_id")
-        .and_then(Value::as_str)
-        .map(str::to_string)
-    else {
-        return Err(IngestError::Store(
-            "recovered payload report missing _id".to_string(),
-        ));
-    };
-    let target = shard_index(&id, stores.len());
-    let filter = Filter::eq("_id", id.as_str());
-    stores[target].delete("reports", &filter);
-    stores[target]
-        .insert("reports", payload.report)
-        .map_err(|e| IngestError::Store(e.to_string()))?;
-    if let Some(ann) = payload.ann {
-        stores[target].delete("annotations", &filter);
-        stores[target]
-            .insert("annotations", ann)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-    }
-    if let Some(extraction) = payload.extraction {
-        stores[target].delete("extractions", &filter);
-        stores[target]
-            .insert("extractions", extraction)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-    }
-    Ok(())
-}
-
 /// A raw-text document queued for batch submission.
 #[derive(Debug, Clone)]
 pub struct TextSubmission {
@@ -2581,16 +2233,19 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn open_flush_round_trip_and_malformed_year_defaults() {
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "create-core-open-test-{}-{:?}",
+            "create-core-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
-        // Ingest into a disk-backed system and flush it.
+    #[test]
+    fn open_flush_round_trip() {
+        let dir = temp_dir("open-test");
         let reports = Generator::new(CorpusConfig {
             num_reports: 3,
             seed: 11,
@@ -2605,41 +2260,51 @@ mod tests {
             system.flush().unwrap();
         }
 
-        // Corrupt the persisted store with a report missing its `year`,
-        // as an older writer (or a partial migration) could leave behind.
-        {
-            let store = DocStore::open(&dir).unwrap();
-            store
-                .insert(
-                    "reports",
-                    obj([
-                        ("_id", "broken-year".into()),
-                        ("title", "Report without a year".into()),
-                        ("text", "A patient was admitted with fever.".into()),
-                    ]),
-                )
-                .unwrap();
-            store.flush().unwrap();
-        }
-
-        let malformed_before =
-            create_obs::counter(obs_names::OPEN_MALFORMED_FIELDS_TOTAL).get();
+        // Every report comes back from the sealed segments alone, and
+        // the reopened system answers searches.
         let system = Create::open(&dir, CreateConfig::default()).unwrap();
-        assert_eq!(
-            create_obs::counter(obs_names::OPEN_MALFORMED_FIELDS_TOTAL).get(),
-            malformed_before + 1,
-            "the malformed year is counted, not silently defaulted"
-        );
-
-        // The recovery is non-fatal: all reports (including the broken
-        // one) are served, and the reopened system answers searches.
-        assert_eq!(system.stats().reports, reports.len() + 1);
-        assert!(system.report("broken-year").is_some());
+        assert_eq!(system.stats().reports, reports.len());
+        for r in &reports {
+            assert!(system.report(&r.id).is_some(), "report {} lost", r.id);
+        }
         assert!(system
             .search(&reports[0].title, 5)
             .iter()
             .any(|h| h.report_id == reports[0].id));
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn jsonl_only_directory_is_refused_with_a_typed_error() {
+        let dir = temp_dir("jsonl-only");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("reports.jsonl"),
+            "{\"_id\":\"a\",\"title\":\"t\",\"text\":\"fever\",\"year\":2020}\n",
+        )
+        .unwrap();
+        match Create::open(&dir, CreateConfig::default()) {
+            Err(IngestError::Config(message)) => {
+                assert!(message.contains("reports.jsonl"), "names the file: {message}")
+            }
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+        assert!(
+            !dir.join(create_storage::STORAGE_DIR).exists(),
+            "a refused open writes nothing"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_with_an_impossible_shard_count_is_corruption() {
+        let dir = temp_dir("zero-manifest");
+        Manifest::new(0)
+            .store(&dir.join(create_storage::STORAGE_DIR))
+            .unwrap();
+        let err = Create::open(&dir, CreateConfig::default()).unwrap_err();
+        assert!(err.is_corruption(), "got {err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2960,12 +2625,7 @@ mod tests {
             create_obs::counter(obs_names::OPEN_BAD_CONFIG_TOTAL).get() > bad_before,
             "the clamp is counted"
         );
-        let dir = std::env::temp_dir().join(format!(
-            "create-core-badcfg-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("badcfg");
         let err = Create::open(
             &dir,
             CreateConfig {
@@ -2992,59 +2652,60 @@ mod tests {
     }
 
     #[test]
-    fn reopening_at_a_different_shard_count_reroutes_documents() {
-        let dir = std::env::temp_dir().join(format!(
-            "create-core-reshard-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn reopening_with_a_different_configured_count_keeps_the_persisted_count() {
+        let dir = temp_dir("reshard");
         let reports = Generator::new(CorpusConfig {
             num_reports: 10,
             seed: 42,
             ..Default::default()
         })
         .generate();
-        let reference_ranking = {
-            let system = Create::open(
-                &dir,
-                CreateConfig {
-                    shards: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(system.ingest_gold_batch(&reports, 2).unwrap(), 10);
-            system.flush().unwrap();
+        let bits = |system: &Create| -> Vec<(String, u64)> {
             system
                 .search(&reports[0].title, 5)
                 .into_iter()
                 .map(|h| (h.report_id, h.score.to_bits()))
-                .collect::<Vec<_>>()
+                .collect()
         };
-        // Reopen at a different width: every document whose hash routes
-        // it elsewhere is moved to its new owning shard; nothing is lost
-        // and searches still rank identically.
-        let system = Create::open(
+        let written = Create::open(
             &dir,
             CreateConfig {
-                shards: 2,
+                shards: 3,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(system.shard_count(), 2);
-        assert_eq!(system.stats().reports, 10);
-        for r in &reports {
-            assert!(system.report(&r.id).is_some(), "report {} lost", r.id);
-            assert!(system.annotations(&r.id).is_some());
+        assert_eq!(written.ingest_gold_batch(&reports, 2).unwrap(), 10);
+        written.flush().unwrap();
+        // The manifest's count wins over the configured one: nothing is
+        // re-routed, nothing is lost, and searches rank bit-identically.
+        for configured in [2, 8] {
+            let system = Create::open(
+                &dir,
+                CreateConfig {
+                    shards: configured,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(system.shard_count(), 3, "configured {configured}");
+            assert_eq!(system.stats().reports, 10);
+            for r in &reports {
+                assert_eq!(
+                    system.report(&r.id).map(|v| v.to_json()),
+                    written.report(&r.id).map(|v| v.to_json()),
+                    "report {}",
+                    r.id
+                );
+                assert_eq!(
+                    system.annotations(&r.id).map(|a| a.serialize()),
+                    written.annotations(&r.id).map(|a| a.serialize()),
+                    "annotations of {}",
+                    r.id
+                );
+            }
+            assert_eq!(bits(&system), bits(&written));
         }
-        let reopened: Vec<(String, u64)> = system
-            .search(&reports[0].title, 5)
-            .into_iter()
-            .map(|h| (h.report_id, h.score.to_bits()))
-            .collect();
-        assert_eq!(reopened, reference_ranking);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

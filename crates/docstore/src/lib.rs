@@ -9,8 +9,8 @@
 //! * [`collection`] — schemaless collections with Mongo-style filters
 //!   (equality, ranges, `$in`-style membership, conjunction/disjunction)
 //!   over dot-separated field paths;
-//! * [`store`] — a named-collection store with JSONL disk persistence and
-//!   reload.
+//! * [`store`] — the in-memory named-collection store with copy-on-write
+//!   snapshots (persistence is `create-storage`'s stored fields).
 
 pub mod collection;
 pub mod json;

@@ -1,17 +1,16 @@
-//! The named-collection store with disk persistence.
+//! The named-collection store.
 //!
-//! Plays MongoDB's role in the CREATe architecture (Fig. 3): the persistent
-//! source of truth that the backend queries. Collections are persisted as
-//! JSONL files (`<collection>.jsonl`, one document per line) under a data
-//! directory and reloaded on open. Access is guarded by a `std::sync`
-//! `RwLock` per store so the HTTP layer can serve concurrent readers.
+//! Plays MongoDB's role in the CREATe architecture (Fig. 3): the
+//! id/filter layer the backend queries. The store is in-memory only;
+//! durability belongs to `create-storage`, whose segments keep every
+//! document as a stored field and refill this store at open. Access is
+//! guarded by a `std::sync` `RwLock` per store so the HTTP layer can
+//! serve concurrent readers.
 
 use crate::collection::{Collection, CollectionError, Filter, UpdateResult};
-use crate::json::{parse_json, Value};
+use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
-use std::io::{BufRead, BufWriter, Write};
-use std::path::{Path, PathBuf};
 
 /// A multi-collection document store.
 ///
@@ -22,7 +21,6 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct DocStore {
     inner: RwLock<BTreeMap<String, Arc<Collection>>>,
-    data_dir: Option<PathBuf>,
 }
 
 /// An immutable point-in-time view of every collection.
@@ -71,17 +69,6 @@ impl StoreSnapshot {
 /// Errors from store operations.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A persisted line failed to parse.
-    Corrupt {
-        /// Collection file involved.
-        collection: String,
-        /// 1-based line number.
-        line: usize,
-        /// Parser message.
-        message: String,
-    },
     /// Invalid document shape.
     Collection(CollectionError),
 }
@@ -89,24 +76,12 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "I/O error: {e}"),
-            StoreError::Corrupt {
-                collection,
-                line,
-                message,
-            } => write!(f, "corrupt document in {collection} line {line}: {message}"),
             StoreError::Collection(e) => write!(f, "collection error: {e}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
 
 impl From<CollectionError> for StoreError {
     fn from(e: CollectionError) -> Self {
@@ -115,52 +90,11 @@ impl From<CollectionError> for StoreError {
 }
 
 impl DocStore {
-    /// Creates a purely in-memory store (no persistence).
+    /// Creates an empty store.
     pub fn in_memory() -> DocStore {
         DocStore {
             inner: RwLock::new(BTreeMap::new()),
-            data_dir: None,
         }
-    }
-
-    /// Opens a store backed by `dir`, loading any existing `*.jsonl`
-    /// collection files.
-    pub fn open(dir: impl AsRef<Path>) -> Result<DocStore, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut collections = BTreeMap::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-                continue;
-            }
-            let name = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string();
-            let mut collection = Collection::new();
-            let file = std::fs::File::open(&path)?;
-            let reader = std::io::BufReader::new(file);
-            for (i, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let doc = parse_json(&line).map_err(|e| StoreError::Corrupt {
-                    collection: name.clone(),
-                    line: i + 1,
-                    message: e.to_string(),
-                })?;
-                collection.insert(doc)?;
-            }
-            collections.insert(name, Arc::new(collection));
-        }
-        Ok(DocStore {
-            inner: RwLock::new(collections),
-            data_dir: Some(dir),
-        })
     }
 
     /// Lists collection names.
@@ -239,30 +173,6 @@ impl DocStore {
             .map(|c| Arc::make_mut(c).delete(filter))
             .unwrap_or(0)
     }
-
-    /// Persists every collection to the data directory (no-op for
-    /// in-memory stores). Writes are atomic per collection via a temp file
-    /// rename.
-    pub fn flush(&self) -> Result<(), StoreError> {
-        let Some(dir) = &self.data_dir else {
-            return Ok(());
-        };
-        let inner = self.inner.read().expect("docstore lock poisoned");
-        for (name, collection) in inner.iter() {
-            let tmp = dir.join(format!("{name}.jsonl.tmp"));
-            let final_path = dir.join(format!("{name}.jsonl"));
-            {
-                let file = std::fs::File::create(&tmp)?;
-                let mut w = BufWriter::new(file);
-                for doc in collection.iter() {
-                    writeln!(w, "{}", doc.to_json())?;
-                }
-                w.flush()?;
-            }
-            std::fs::rename(&tmp, &final_path)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -300,50 +210,6 @@ mod tests {
         assert_eq!(store.count("nope", &Filter::All), 0);
         assert!(store.find("nope", &Filter::All).is_empty());
         assert_eq!(store.delete("nope", &Filter::All), 0);
-    }
-
-    #[test]
-    fn flush_and_reload_round_trip() {
-        let dir = std::env::temp_dir().join(format!(
-            "create-docstore-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let store = DocStore::open(&dir).unwrap();
-            store
-                .insert("reports", obj([("title", "a \"quoted\" title".into())]))
-                .unwrap();
-            store
-                .insert("annotations", obj([("kind", "T1".into())]))
-                .unwrap();
-            store.flush().unwrap();
-        }
-        let store = DocStore::open(&dir).unwrap();
-        assert_eq!(store.collection_names(), vec!["annotations", "reports"]);
-        assert_eq!(store.count("reports", &Filter::All), 1);
-        let doc = store.find_one("reports", &Filter::All).unwrap();
-        assert_eq!(
-            doc.get("title").unwrap().as_str(),
-            Some("a \"quoted\" title")
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_file_is_reported() {
-        let dir = std::env::temp_dir().join(format!(
-            "create-docstore-corrupt-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("bad.jsonl"), "{not json}\n").unwrap();
-        let err = DocStore::open(&dir).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { line: 1, .. }));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -69,10 +69,6 @@ pub const LOCK_POISONED_TOTAL: &str = "create_lock_poisoned_total";
 pub const SNAPSHOT_PUBLISH_TOTAL: &str = "create_snapshot_publish_total";
 pub const SNAPSHOT_PUBLISH_SECONDS: &str = "create_snapshot_publish_seconds";
 
-/// Stored documents whose fields failed to parse on `Create::open` and
-/// fell back to a default (e.g. a missing or non-integer `year`).
-pub const OPEN_MALFORMED_FIELDS_TOTAL: &str = "create_open_malformed_fields_total";
-
 /// Config values rejected or clamped at `Create::open`/`Create::new`
 /// (e.g. a zero or absurd shard count).
 pub const OPEN_BAD_CONFIG_TOTAL: &str = "create_open_bad_config_total";

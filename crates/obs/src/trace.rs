@@ -644,75 +644,6 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn carry_context_reinstalls_on_pool_workers() {
-        use std::sync::atomic::AtomicU64;
-
-        let pool = create_util::ThreadPool::new(2);
-        let _guard = install_context(Some(TraceContext {
-            trace_id: 0xdead_beef,
-            span_id: 1,
-            sink: None,
-        }));
-        let seen = AtomicU64::new(0);
-        pool.scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    if current_trace_raw() == Some(0xdead_beef) {
-                        seen.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            seen.load(Ordering::Relaxed),
-            4,
-            "every pooled job ran under the submitter's trace context"
-        );
-        assert_eq!(current_trace_raw(), Some(0xdead_beef));
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn request_trace_records_spans_from_pool_workers() {
-        let _serial = crate::recorder::test_lock();
-        let pool = create_util::ThreadPool::new(2);
-        let hex;
-        {
-            let mut trace = RequestTrace::begin(Some("feedface"));
-            hex = trace.hex().to_string();
-            assert_eq!(hex, "00000000feedface");
-            pool.scope(|scope| {
-                for shard in 0..3u32 {
-                    scope.spawn(move || {
-                        let _span = shard_span(names::SPAN_KEYWORD_SHARD, shard);
-                        add_span_counter("postings_advanced", 7);
-                    });
-                }
-            });
-            trace.set_root("/search");
-        }
-        let record = crate::recorder::find_trace(&hex).expect("trace recorded on drop");
-        assert_eq!(record.root, "/search");
-        assert_eq!(record.spans[0].id, 1);
-        assert_eq!(record.spans[0].name, "/search");
-        let shards: Vec<_> = record
-            .spans
-            .iter()
-            .filter(|s| s.name == names::SPAN_KEYWORD_SHARD)
-            .collect();
-        assert_eq!(shards.len(), 3, "one span per pooled shard job");
-        for span in &shards {
-            assert_eq!(span.parent, 1, "pool workers inherit the root span as parent");
-            assert!(span.duration_seconds >= 0.0);
-            assert_eq!(span.counters, vec![("postings_advanced".to_string(), 7)]);
-        }
-        let mut shard_ids: Vec<_> = shards.iter().filter_map(|s| s.shard).collect();
-        shard_ids.sort_unstable();
-        assert_eq!(shard_ids, vec![0, 1, 2]);
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
     fn tree_spans_nest_and_restore_context() {
         let _serial = crate::recorder::test_lock();
         let mut trace = RequestTrace::begin(None);

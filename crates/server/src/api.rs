@@ -14,7 +14,7 @@
 //! | POST   | `/submit`                     | raw-text submission (JSON) |
 //! | POST   | `/search_batch`               | batched queries, answered in parallel |
 //! | POST   | `/submit_batch`               | batched raw-text submissions, extracted in parallel |
-//! | POST   | `/flush`                      | persist the document store to disk |
+//! | POST   | `/flush`                      | seal WAL tails into segments |
 //! | GET    | `/metrics`                    | Prometheus text exposition of the obs registry |
 //! | GET    | `/slowlog`                    | captured slow queries (trace ID, stages, DAAT stats) |
 //! | GET    | `/trace/:id`                  | recorded span tree for one request (flight recorder) |

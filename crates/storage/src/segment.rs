@@ -34,12 +34,8 @@
 //! rolled-back segment file without reading it fully. Files are written
 //! once, fsynced, and never modified.
 //!
-//! The directory region exists so recovery can decide *whether* it
-//! needs a segment's payloads without decompressing them: when the
-//! JSONL document store already holds every doc id the directory lists,
-//! [`read_segment_index`] skips the stored-fields region entirely
-//! (its block CRCs are still verified) and cold open pays only for the
-//! directory, the postings, and one sequential file read.
+//! The directory region lists `(ordinal, doc id)` apart from the
+//! payloads; [`read_segment`] joins the two back into [`StoredDoc`]s.
 
 use crate::block;
 use crate::checksum::crc32;
@@ -78,25 +74,6 @@ pub struct SegmentData {
     pub postings: Vec<u8>,
     /// Facet-bitmap tail for these documents (opaque; empty when the
     /// file predates format 3).
-    pub facets: Vec<u8>,
-}
-
-/// One directory entry: everything known about a stored document
-/// without touching the stored-fields region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DocEntry {
-    pub ordinal: u64,
-    pub id: String,
-}
-
-/// A segment read without its payloads: the doc directory plus the
-/// decoded postings. The stored-fields blocks were CRC-verified but
-/// never decompressed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentIndex {
-    pub docs: Vec<DocEntry>,
-    pub postings: Vec<u8>,
-    /// Facet-bitmap tail (empty for format-2 files).
     pub facets: Vec<u8>,
 }
 
@@ -182,8 +159,7 @@ fn write_region(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Validated segment framing: the byte ranges of the regions, ready to
-/// be decompressed (or merely CRC-checked) independently. `facets` is
-/// absent for format-2 files.
+/// be decompressed independently. `facets` is absent for format-2 files.
 struct Frame<'a> {
     directory: Region<'a>,
     stored: Region<'a>,
@@ -267,7 +243,7 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
     let entries = parse_directory(&directory).map_err(|m| corrupt(m))?;
     let mut docs = Vec::with_capacity(entries.len());
     let mut at = 0usize;
-    for entry in entries {
+    for (ordinal, id) in entries {
         let len = varint::read_u64(&stored, &mut at).ok_or_else(|| corrupt("doc payload length"))?
             as usize;
         let payload = stored
@@ -276,8 +252,8 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
             .to_vec();
         at += len;
         docs.push(StoredDoc {
-            ordinal: entry.ordinal,
-            id: entry.id,
+            ordinal,
+            id,
             payload,
         });
     }
@@ -291,34 +267,8 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
     })
 }
 
-/// Reads a segment's doc directory and postings, verifying every block
-/// CRC (including the stored-fields blocks) but decompressing only what
-/// it returns. This is the cold-open fast path: when the document store
-/// already holds every id the directory lists, the payload bytes are
-/// never needed.
-pub fn read_segment_index(path: &Path) -> Result<SegmentIndex, StorageError> {
-    let bytes = std::fs::read(path).map_err(StorageError::io(path))?;
-    let corrupt = |message: &str| StorageError::Corrupt {
-        path: path.to_path_buf(),
-        message: message.to_string(),
-    };
-    let regions = frame(path, &bytes)?;
-    verify_region(&regions.stored).map_err(|m| corrupt(m))?;
-    let directory = decompress_region(&regions.directory).map_err(|m| corrupt(m))?;
-    let postings = decompress_region(&regions.postings).map_err(|m| corrupt(m))?;
-    let facets = match &regions.facets {
-        Some(region) => decompress_region(region).map_err(|m| corrupt(m))?,
-        None => Vec::new(),
-    };
-    let docs = parse_directory(&directory).map_err(|m| corrupt(m))?;
-    Ok(SegmentIndex {
-        docs,
-        postings,
-        facets,
-    })
-}
-
-fn parse_directory(directory: &[u8]) -> Result<Vec<DocEntry>, &'static str> {
+/// Parses the directory region into `(ordinal, doc id)` entries.
+fn parse_directory(directory: &[u8]) -> Result<Vec<(u64, String)>, &'static str> {
     let mut at = 0usize;
     let count = varint::read_u64(directory, &mut at).ok_or("doc count")? as usize;
     let mut entries = Vec::with_capacity(count);
@@ -330,7 +280,7 @@ fn parse_directory(directory: &[u8]) -> Result<Vec<DocEntry>, &'static str> {
         let id = std::str::from_utf8(id_bytes)
             .map_err(|_| "doc id not utf-8")?
             .to_string();
-        entries.push(DocEntry { ordinal, id });
+        entries.push((ordinal, id));
     }
     if at != directory.len() {
         return Err("trailing bytes after directory");
@@ -338,14 +288,11 @@ fn parse_directory(directory: &[u8]) -> Result<Vec<DocEntry>, &'static str> {
     Ok(entries)
 }
 
-/// Walks one region's blocks, calling `on_block` with each verified
-/// compressed block and its uncompressed length.
-fn walk_region(
-    region: &Region<'_>,
-    mut on_block: impl FnMut(&[u8], usize) -> Result<(), &'static str>,
-) -> Result<(), &'static str> {
+/// Decompresses one region, verifying every block's CRC and length.
+fn decompress_region(region: &Region<'_>) -> Result<Vec<u8>, &'static str> {
     let body = region.body;
     let mut pos = region.start;
+    let mut out = Vec::new();
     let blocks = varint::read_u64(body, &mut pos).ok_or("region block count")? as usize;
     for _ in 0..blocks {
         let uncompressed = varint::read_u64(body, &mut pos).ok_or("block uncompressed length")? as usize;
@@ -361,9 +308,11 @@ fn walk_region(
         if uncompressed > BLOCK_TARGET {
             return Err("block larger than target");
         }
-        on_block(packed, uncompressed)?;
+        let unpacked =
+            block::decompress(packed, uncompressed).map_err(|_| "block decompression failed")?;
+        out.extend_from_slice(&unpacked);
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Used by `frame` to find region boundaries without verifying content.
@@ -379,21 +328,6 @@ fn skip_region(body: &[u8], pos: &mut usize) -> Result<(), &'static str> {
         *pos += compressed;
     }
     Ok(())
-}
-
-fn decompress_region(region: &Region<'_>) -> Result<Vec<u8>, &'static str> {
-    let mut out = Vec::new();
-    walk_region(region, |packed, uncompressed| {
-        let unpacked =
-            block::decompress(packed, uncompressed).map_err(|_| "block decompression failed")?;
-        out.extend_from_slice(&unpacked);
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-fn verify_region(region: &Region<'_>) -> Result<(), &'static str> {
-    walk_region(region, |_, _| Ok(()))
 }
 
 #[cfg(test)]
@@ -436,9 +370,6 @@ mod tests {
         assert_eq!(back.docs, data.docs);
         assert_eq!(back.postings, data.postings);
         assert!(back.facets.is_empty(), "v2 files carry no facet region");
-        let index = read_segment_index(&path).unwrap();
-        assert!(index.facets.is_empty());
-        assert_eq!(index.postings, data.postings);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -459,21 +390,6 @@ mod tests {
         let data = SegmentData::default();
         write_segment(&path, &data).unwrap();
         assert_eq!(read_segment(&path).unwrap(), data);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn index_read_skips_payloads_but_matches_directory() {
-        let path = temp_path("indexread");
-        let data = sample(40);
-        write_segment(&path, &data).unwrap();
-        let index = read_segment_index(&path).unwrap();
-        assert_eq!(index.postings, data.postings);
-        assert_eq!(index.docs.len(), data.docs.len());
-        for (entry, doc) in index.docs.iter().zip(&data.docs) {
-            assert_eq!(entry.ordinal, doc.ordinal);
-            assert_eq!(entry.id, doc.id);
-        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -509,19 +425,13 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         // Flip one bit at a spread of positions across the file; every
         // flip must surface as Corrupt, never as wrong data or a panic.
-        // Both readers must catch it: the index read skips payload
-        // decompression but still CRC-checks every block.
         for at in (0..clean.len()).step_by(97).chain([clean.len() - 1]) {
             let mut bad = clean.clone();
             bad[at] ^= 0x20;
             std::fs::write(&path, &bad).unwrap();
             assert!(
                 matches!(read_segment(&path), Err(StorageError::Corrupt { .. })),
-                "flip at {at} was not detected by read_segment"
-            );
-            assert!(
-                matches!(read_segment_index(&path), Err(StorageError::Corrupt { .. })),
-                "flip at {at} was not detected by read_segment_index"
+                "flip at {at} was not detected"
             );
         }
         std::fs::remove_file(&path).unwrap();

@@ -84,9 +84,9 @@ fn main() {
 
     let shared = Arc::new(system);
     let server = Server::bind(addr_arg.as_str(), build_api(Arc::clone(&shared))).expect("bind");
-    // Graceful shutdown persists the document store (a no-op for this
-    // in-memory demo, but the wiring is what a disk-backed deployment
-    // relies on).
+    // Graceful shutdown seals the WAL tails into segments (a no-op for
+    // an in-memory instance; a disk-backed one restarts with nothing to
+    // replay).
     let flusher = Arc::clone(&shared);
     server.on_shutdown(move || {
         if let Err(e) = flusher.flush() {
@@ -145,7 +145,7 @@ fn main() {
         "GET /search?q=chest+pain (finds the submission)",
         http_get(addr, "/search?q=chest+pain+myocardial+infarction&k=3"),
     );
-    show("POST /flush (persist document store)", http_post(addr, "/flush", ""));
+    show("POST /flush (seal WAL tails into segments)", http_post(addr, "/flush", ""));
     show("GET /metrics (Prometheus exposition)", http_get(addr, "/metrics"));
     show("GET /slowlog", http_get(addr, "/slowlog"));
 

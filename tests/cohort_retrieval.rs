@@ -269,7 +269,11 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn mixed_format_segments_reopen_and_answer_cohorts() {
     let reports = corpus(40, 20260819);
     let dir = fresh_dir("migrate");
-    let config = CreateConfig::default(); // single shard: both formats land in shard-0
+    // Single shard: both formats land in shard-0.
+    let config = CreateConfig {
+        shards: 1,
+        ..Default::default()
+    };
 
     // Seal two format-3 segments, then crash without a shutdown flush.
     {

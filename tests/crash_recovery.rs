@@ -15,6 +15,11 @@
 //! record before it survives, nothing after it does, and the reopened
 //! system is indistinguishable from one that only ever saw the
 //! surviving prefix.
+//!
+//! The stored documents are held to the same standard as the rankings:
+//! `report(id)` and `annotations(id)` come back byte-equal from sealed
+//! segments and WAL tail alike — `storage/` is the only copy on disk —
+//! and a PDF submission keeps its extracted metadata either way.
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
@@ -72,6 +77,29 @@ fn fresh_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Every `*.jsonl` file and top-level `shard-*` directory under `dir`:
+/// the pre-segment layouts that must never reappear.
+fn legacy_store_files(dir: &Path) -> Vec<PathBuf> {
+    fn jsonl_under(dir: &Path, found: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("read data dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                jsonl_under(&path, found);
+            } else if path.extension().is_some_and(|e| e == "jsonl") {
+                found.push(path);
+            }
+        }
+    }
+    let mut found = Vec::new();
+    jsonl_under(dir, &mut found);
+    for entry in std::fs::read_dir(dir).expect("read data dir").flatten() {
+        if entry.file_name().to_string_lossy().starts_with("shard-") {
+            found.push(entry.path());
+        }
+    }
+    found
 }
 
 fn assert_same_rankings(recovered: &Create, reference: &Create, queries: &[String], label: &str) {
@@ -139,6 +167,27 @@ fn kill_and_reopen_recovers_every_acknowledged_write() {
                 &queries,
                 &format!("{shards} shards, cycle {cycle}"),
             );
+            // The stored documents — sealed and WAL-tail alike — come
+            // back byte-equal, from `storage/` and nothing else.
+            for r in &reports {
+                assert_eq!(
+                    recovered.report(&r.id).map(|v| v.to_json()),
+                    never_crashed.report(&r.id).map(|v| v.to_json()),
+                    "{shards} shards, cycle {cycle}: report {} differs",
+                    r.id
+                );
+                assert_eq!(
+                    recovered.annotations(&r.id).map(|a| a.serialize()),
+                    never_crashed.annotations(&r.id).map(|a| a.serialize()),
+                    "{shards} shards, cycle {cycle}: annotations of {} differ",
+                    r.id
+                );
+            }
+            assert_eq!(
+                legacy_store_files(&dir),
+                Vec::<PathBuf>::new(),
+                "{shards} shards, cycle {cycle}: a second on-disk copy appeared"
+            );
             // Recovery sealed the WAL tail into segments, so the
             // manifest must now account for every document.
             let stats = recovered.storage_stats().expect("disk-backed");
@@ -171,10 +220,19 @@ fn shard0_wal(dir: &Path) -> PathBuf {
         .join(create::storage::WAL_FILE)
 }
 
+/// The torn-tail scenarios aim at frames of shard 0's WAL, so they run
+/// single-shard whatever the host's core count.
+fn single_shard() -> CreateConfig {
+    CreateConfig {
+        shards: 1,
+        ..Default::default()
+    }
+}
+
 /// Build a single-shard durable system whose WAL holds exactly the
 /// last `wal_docs` documents, then crash it.
 fn crash_with_wal_tail(dir: &Path, reports: &[CaseReport], wal_docs: usize) {
-    let system = Create::open(dir, CreateConfig::default()).expect("open");
+    let system = Create::open(dir, single_shard()).expect("open");
     let sealed = reports.len() - wal_docs;
     for r in &reports[..sealed] {
         system.ingest_gold(r).expect("ingest sealed prefix");
@@ -212,7 +270,7 @@ fn torn_wal_tail_loses_only_the_torn_suffix() {
         f.set_len(cut as u64).expect("truncate");
         drop(f);
 
-        let recovered = Create::open(&dir, CreateConfig::default()).expect("reopen after tear");
+        let recovered = Create::open(&dir, single_shard()).expect("reopen after tear");
         assert_eq!(
             recovered.stats().reports,
             19,
@@ -245,7 +303,7 @@ fn corrupt_wal_byte_truncates_from_the_damage_point() {
     bytes[at + 8 + 3] ^= 0x40; // payload byte: CRC mismatch, not a length lie
     std::fs::write(&wal, &bytes).expect("write corrupted WAL");
 
-    let recovered = Create::open(&dir, CreateConfig::default()).expect("reopen after flip");
+    let recovered = Create::open(&dir, single_shard()).expect("reopen after flip");
     let survivors = 12 + 5; // sealed prefix + clean WAL records before the damage
     assert_eq!(recovered.stats().reports, survivors);
     for r in &reports[..survivors] {
@@ -260,4 +318,76 @@ fn corrupt_wal_byte_truncates_from_the_damage_point() {
     assert_same_rankings(&recovered, &never_crashed, &queries, "flipped byte");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tagger just good enough for `ingest_pdf` to run its extraction.
+fn tiny_tagger(system: &Create) -> create::ner::CrfTagger {
+    let dataset = create::ner::NerDataset::from_reports(
+        &corpus(15, 20260813),
+        create::ner::LabelSet::ner_targets(),
+    );
+    create::ner::CrfTagger::train(
+        &dataset,
+        create::ner::CrfTaggerConfig {
+            feature_bits: 16,
+            train: create::ml::CrfTrainConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+            gazetteer_features: true,
+        },
+        Some(system.ontology()),
+        None,
+    )
+}
+
+#[test]
+fn pdf_metadata_survives_reopen_from_wal_tail_and_from_segment() {
+    let pdf = create::grobid::write_pdf(&create::grobid::PdfSource {
+        title: "Myocarditis after infection: a case report".into(),
+        authors: "Chen W, Smith J".into(),
+        affiliation: "Department of Cardiology, Example University".into(),
+        body_lines: vec![
+            "Abstract".into(),
+            "A patient presented with fever and chest pain.".into(),
+            "Case report".into(),
+            "An echocardiogram revealed myocarditis. The patient recovered.".into(),
+        ],
+    });
+    // Without a flush the metadata rides the `t: "update"` WAL record;
+    // with one it is baked into the sealed payload.
+    for flush in [false, true] {
+        let dir = fresh_dir(&format!("pdf-{flush}"));
+        let served = {
+            let system = Create::open(&dir, single_shard()).expect("open");
+            system.attach_tagger(tiny_tagger(&system));
+            system.ingest_pdf("user:pdf1", &pdf).expect("ingest pdf");
+            if flush {
+                system.flush().expect("flush");
+            }
+            system.report("user:pdf1").expect("served before the crash").to_json()
+        };
+        let reopened = Create::open(&dir, single_shard()).expect("reopen");
+        let report = reopened.report("user:pdf1").expect("pdf report recovered");
+        assert_eq!(report.to_json(), served, "flush={flush}");
+        let authors: Vec<&str> = report
+            .get("authors")
+            .and_then(|a| a.as_array())
+            .expect("authors array")
+            .iter()
+            .filter_map(|a| a.as_str())
+            .collect();
+        assert_eq!(authors, ["Chen W", "Smith J"], "flush={flush}");
+        assert_eq!(
+            report.get("affiliation").and_then(|a| a.as_str()),
+            Some("Department of Cardiology, Example University"),
+            "flush={flush}"
+        );
+        assert_eq!(
+            report.get("source").and_then(|s| s.as_str()),
+            Some("pdf"),
+            "flush={flush}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -154,45 +154,9 @@ fn rest_api_serves_the_whole_surface() {
 }
 
 #[test]
-fn docstore_persistence_survives_reload() {
-    use create::docstore::{json::obj, DocStore, Filter};
-    let dir = std::env::temp_dir().join(format!("create-e2e-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let store = DocStore::open(&dir).unwrap();
-        let reports = Generator::new(CorpusConfig {
-            num_reports: 5,
-            seed: 11,
-            ..Default::default()
-        })
-        .generate();
-        for r in &reports {
-            store
-                .insert(
-                    "reports",
-                    obj([
-                        ("_id", r.id.clone().into()),
-                        ("title", r.title.clone().into()),
-                        ("text", r.text.clone().into()),
-                    ]),
-                )
-                .unwrap();
-        }
-        store.flush().unwrap();
-    }
-    let store = DocStore::open(&dir).unwrap();
-    assert_eq!(store.count("reports", &Filter::All), 5);
-    let doc = store
-        .find_one("reports", &Filter::contains("title", "case"))
-        .unwrap();
-    assert!(doc.get("text").is_some());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn platform_persistence_round_trip() {
     // Ingest into a disk-backed platform, flush, reopen, and verify the
-    // graph/index rebuild reproduces search behaviour.
+    // recovered graph/index reproduce search behaviour.
     let dir = std::env::temp_dir().join(format!("create-e2e-platform-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let reports = Generator::new(CorpusConfig {
@@ -202,9 +166,13 @@ fn platform_persistence_round_trip() {
     })
     .generate();
     let query = "A patient was admitted to the hospital because of fever and cough.";
+    let config = CreateConfig {
+        shards: 1,
+        ..Default::default()
+    };
     let before_hits: Vec<String>;
     {
-        let system = Create::open(&dir, CreateConfig::default()).unwrap();
+        let system = Create::open(&dir, config.clone()).unwrap();
         for r in &reports {
             system.ingest_gold(r).unwrap();
         }
@@ -215,7 +183,7 @@ fn platform_persistence_round_trip() {
             .collect();
         system.flush().unwrap();
     }
-    let reopened = Create::open(&dir, CreateConfig::default()).unwrap();
+    let reopened = Create::open(&dir, config).unwrap();
     let stats = reopened.stats();
     assert_eq!(stats.reports, 25);
     assert!(stats.graph_nodes > 25, "graph not rebuilt: {stats:?}");

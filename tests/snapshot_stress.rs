@@ -32,6 +32,15 @@ fn corpus(n: usize, seed: u64) -> Vec<CaseReport> {
     .generate()
 }
 
+/// The generation arithmetic below (one bump per batch) assumes one
+/// shard, whatever the host's core count.
+fn single_shard() -> CreateConfig {
+    CreateConfig {
+        shards: 1,
+        ..Default::default()
+    }
+}
+
 fn ranking(system: &Create, query: &str) -> Ranking {
     system
         .search(query, K)
@@ -52,7 +61,7 @@ fn concurrent_readers_never_observe_torn_results() {
     // Reference pass: replay the exact batch schedule on a quiescent
     // system and record the expected rankings at every generation.
     // `expected[g][qi]` is the panel's ranking with g batches applied.
-    let reference = Create::new(CreateConfig::default());
+    let reference = Create::new(single_shard());
     let mut expected: Vec<Vec<Ranking>> = Vec::with_capacity(BATCHES + 1);
     expected.push(queries.iter().map(|q| ranking(&reference, q)).collect());
     for (i, batch) in reports.chunks(PER_BATCH).enumerate() {
@@ -67,7 +76,7 @@ fn concurrent_readers_never_observe_torn_results() {
 
     // Live pass: one writer applying the same schedule, READERS threads
     // searching concurrently against whatever snapshot is current.
-    let system = Arc::new(Create::new(CreateConfig::default()));
+    let system = Arc::new(Create::new(single_shard()));
     let done = Arc::new(AtomicBool::new(false));
     let expected = Arc::new(expected);
     let queries = Arc::new(queries);
@@ -144,7 +153,7 @@ fn concurrent_readers_never_observe_torn_results() {
 #[test]
 fn stale_cache_entries_die_on_first_touch_after_publish() {
     let reports = corpus(30, 99);
-    let system = Create::new(CreateConfig::default());
+    let system = Create::new(single_shard());
     system
         .ingest_gold_batch(&reports[..20], 0)
         .expect("initial ingest");
