@@ -33,9 +33,10 @@
 //! the decoder also uses them as an integrity cross-check.
 
 use crate::index::{FieldIndex, Index};
+use crate::postings::PostingList;
 use crate::segment::IndexSegment;
-use create_util::varint;
 use create_util::fxhash::{map_with_capacity, FxHashMap};
+use create_util::varint;
 use std::sync::Arc;
 
 /// One skip entry per this many postings.
@@ -75,6 +76,10 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
     let mut field_names: Vec<&String> = index.fields.keys().collect();
     field_names.sort();
     varint::write_u64(&mut out, field_names.len() as u64);
+    // Per-term scratch: the postings stream is encoded aside so skip
+    // entries can carry byte offsets into it.
+    let mut blob = Vec::new();
+    let mut skips: Vec<(u32, usize)> = Vec::new();
     for name in field_names {
         let fi = &index.fields[name];
         varint::write_u64(&mut out, name.len() as u64);
@@ -83,25 +88,26 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
             varint::write_u32(&mut out, len);
         }
 
-        // Terms whose posting lists reach into the tail. Postings are
-        // sorted by doc, so "last doc >= base" is the complete filter.
-        let mut terms: Vec<(&String, &[crate::index::Posting])> = fi
+        // Terms whose posting lists reach into the tail, with the index
+        // of their first tail posting. Postings are sorted by doc, so
+        // "last doc >= base" is the complete filter.
+        let mut terms: Vec<(&str, &PostingList, usize)> = fi
             .dict
             .iter()
             .filter_map(|(term, postings)| {
-                if postings.last().is_some_and(|p| p.doc as usize >= base) {
-                    let cut = postings.partition_point(|p| (p.doc as usize) < base);
-                    Some((term, &postings[cut..]))
-                } else {
-                    None
-                }
+                let docs = postings.docs();
+                let reaches = docs.last().is_some_and(|&doc| doc as usize >= base);
+                reaches.then(|| {
+                    let cut = docs.partition_point(|&doc| (doc as usize) < base);
+                    (&**term, &**postings, cut)
+                })
             })
             .collect();
         terms.sort_by(|a, b| a.0.cmp(b.0));
 
         varint::write_u64(&mut out, terms.len() as u64);
         let mut prev_term = "";
-        for (term, postings) in terms {
+        for (term, postings, cut) in terms {
             let shared = common_prefix_len(prev_term, term);
             varint::write_u64(&mut out, shared as u64);
             let suffix = &term.as_bytes()[shared..];
@@ -109,31 +115,29 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
             out.extend_from_slice(suffix);
             prev_term = term;
 
-            varint::write_u64(&mut out, postings.len() as u64);
+            varint::write_u64(&mut out, (postings.len() - cut) as u64);
 
-            // Encode postings into a scratch buffer first so skip
-            // entries can carry byte offsets into it.
-            let mut blob = Vec::new();
-            let mut skips: Vec<(u32, usize)> = Vec::new();
+            blob.clear();
+            skips.clear();
             let mut prev_doc: u64 = 0;
-            for (i, posting) in postings.iter().enumerate() {
-                let local = (posting.doc as usize - base) as u64;
+            for (i, (doc, positions)) in postings.iter_from(cut).enumerate() {
+                let local = (doc as usize - base) as u64;
                 if i > 0 && i % SKIP_INTERVAL == 0 {
                     skips.push((local as u32, blob.len()));
                 }
                 let gap = if i == 0 { local } else { local - prev_doc };
                 prev_doc = local;
                 varint::write_u64(&mut blob, gap);
-                varint::write_u64(&mut blob, posting.positions.len() as u64);
+                varint::write_u64(&mut blob, positions.len() as u64);
                 let mut prev_pos: u64 = 0;
-                for (j, &pos) in posting.positions.iter().enumerate() {
+                for (j, &pos) in positions.iter().enumerate() {
                     let delta = if j == 0 { pos as u64 } else { pos as u64 - prev_pos };
                     prev_pos = pos as u64;
                     varint::write_u64(&mut blob, delta);
                 }
             }
             varint::write_u64(&mut out, skips.len() as u64);
-            for (doc, offset) in skips {
+            for &(doc, offset) in &skips {
                 varint::write_u32(&mut out, doc);
                 varint::write_u64(&mut out, offset as u64);
             }
@@ -152,149 +156,214 @@ fn common_prefix_len(a: &str, b: &str) -> usize {
         .count()
 }
 
+/// A bounds-checked read position in an untrusted blob.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A canonical LEB128 integer: the shortest encoding of its value,
+    /// which is the only one [`encode_index_tail`] writes.
+    fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
+        let start = self.pos;
+        let value = varint::read_u64(self.bytes, &mut self.pos)
+            .ok_or_else(|| err(format!("truncated {what}")))?;
+        if self.pos - start > 1 && self.bytes[self.pos - 1] == 0 {
+            return Err(err(format!("overlong {what}")));
+        }
+        Ok(value)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
+        u32::try_from(self.varint(what)?).map_err(|_| err(format!("{what} overflows u32")))
+    }
+
+    /// A count of items that each take at least `min_bytes` of the
+    /// remaining input — the cap that makes it safe to reserve for.
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, CodecError> {
+        let count = self.varint(what)?;
+        let fits = (self.bytes.len() - self.pos) / min_bytes;
+        match usize::try_from(count) {
+            Ok(count) if count <= fits => Ok(count),
+            _ => Err(err(format!("{what} exceeds the remaining input"))),
+        }
+    }
+
+    /// A length-prefixed byte run.
+    fn run(&mut self, what: &str) -> Result<&'a [u8], CodecError> {
+        let len = self.count(1, what)?;
+        let run = &self.bytes[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(run)
+    }
+
+    fn utf8(&mut self, what: &str) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.run(what)?).map_err(|_| err(format!("{what} is not UTF-8")))
+    }
+}
+
 /// Decodes a blob produced by [`encode_index_tail`] into a segment with
 /// `template`'s field configuration, ready for
 /// [`Index::merge_segment`].
+///
+/// The input is untrusted: every count is capped by what the remaining
+/// bytes can hold before anything is reserved for it, and only the
+/// canonical encoding is accepted (shortest varints, every template
+/// field in name order, strictly ascending maximally prefix-shared
+/// terms, ascending docs, one skip entry per [`SKIP_INTERVAL`]
+/// postings) — a blob that decodes re-encodes to the same bytes.
 pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, CodecError> {
-    let mut pos = 0usize;
-    let read = |pos: &mut usize, what: &str| -> Result<u64, CodecError> {
-        varint::read_u64(bytes, pos).ok_or_else(|| err(format!("truncated {what}")))
-    };
-    let read_bytes = |pos: &mut usize, len: usize, what: &str| -> Result<&[u8], CodecError> {
-        let slice = bytes
-            .get(*pos..*pos + len)
-            .ok_or_else(|| err(format!("truncated {what}")))?;
-        *pos += len;
-        Ok(slice)
-    };
+    let mut r = Reader { bytes, pos: 0 };
 
-    let doc_count = read(&mut pos, "doc count")? as usize;
+    // A document takes its id's length byte plus one length byte per
+    // field.
+    let doc_count = r.count(1 + template.fields.len(), "doc count")?;
     let mut external_ids = Vec::with_capacity(doc_count);
     let mut id_map = map_with_capacity(doc_count);
     for i in 0..doc_count {
-        let len = read(&mut pos, "external id length")? as usize;
-        let id = std::str::from_utf8(read_bytes(&mut pos, len, "external id")?)
-            .map_err(|_| err("external id is not UTF-8"))?
-            .to_string();
+        let id = r.utf8("external id")?.to_string();
         if id_map.insert(id.clone(), i as u32).is_some() {
             return Err(err(format!("duplicate external id {id:?}")));
         }
         external_ids.push(id);
     }
 
-    let field_count = read(&mut pos, "field count")? as usize;
+    let field_count = r.count(1, "field count")?;
+    if field_count != template.fields.len() {
+        return Err(err("field count differs from the index configuration"));
+    }
     let mut fields: FxHashMap<String, FieldIndex> = map_with_capacity(field_count);
-    for _ in 0..field_count {
-        let len = read(&mut pos, "field name length")? as usize;
-        let name = std::str::from_utf8(read_bytes(&mut pos, len, "field name")?)
-            .map_err(|_| err("field name is not UTF-8"))?
-            .to_string();
+    let mut prev_name = "";
+    // Skip entries of the term being decoded, reused across terms.
+    let mut skips: Vec<(u32, u64)> = Vec::new();
+    for f in 0..field_count {
+        let name = r.utf8("field name")?;
+        if f > 0 && name <= prev_name {
+            return Err(err("fields out of order"));
+        }
+        prev_name = name;
         let config = template
             .fields
-            .get(&name)
+            .get(name)
             .ok_or_else(|| err(format!("field {name:?} not in index configuration")))?;
         let mut fi = FieldIndex::empty(config.analyzer.clone(), config.boost);
 
         fi.doc_len = Vec::with_capacity(doc_count);
         for _ in 0..doc_count {
-            let len = varint::read_u32(bytes, &mut pos)
-                .ok_or_else(|| err("truncated doc length"))?;
-            fi.doc_len.push(len);
+            fi.doc_len.push(r.u32("doc length")?);
         }
         fi.total_len = fi.doc_len.iter().map(|&l| l as u64).sum();
         fi.docs_with_field = fi.doc_len.iter().filter(|&&l| l > 0).count();
 
-        let term_count = read(&mut pos, "term count")? as usize;
+        // A term takes at least five bytes: prefix and suffix lengths,
+        // posting and skip counts, postings length.
+        let term_count = r.count(5, "term count")?;
+        fi.dict = map_with_capacity(term_count);
         // Terms are reconstructed in a reused scratch buffer so each one
         // costs exactly one allocation (the dictionary key); ngram
         // fields make the vocabulary large enough for this to matter.
         let mut prev_term: Vec<u8> = Vec::new();
-        for _ in 0..term_count {
-            let shared = read(&mut pos, "term prefix length")? as usize;
-            if shared > prev_term.len() {
-                return Err(err("term prefix longer than previous term"));
+        for t in 0..term_count {
+            // Indexes the previous term, not the input, and reserves
+            // nothing: the previous term's length is its only bound.
+            let shared = match usize::try_from(r.varint("term prefix length")?) {
+                Ok(shared) if shared <= prev_term.len() => shared,
+                _ => return Err(err("term prefix longer than previous term")),
+            };
+            let suffix = r.run("term suffix")?;
+            // Ascending order and a maximal shared prefix both come down
+            // to the first suffix byte beating the byte it replaces.
+            let ascends = match (suffix.first(), prev_term.get(shared)) {
+                (Some(new), Some(old)) => new > old,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if t > 0 && !ascends {
+                return Err(err("terms out of order or prefix not maximal"));
             }
-            let suffix_len = read(&mut pos, "term suffix length")? as usize;
-            let suffix = read_bytes(&mut pos, suffix_len, "term suffix")?;
             prev_term.truncate(shared);
             prev_term.extend_from_slice(suffix);
-            let term = std::str::from_utf8(&prev_term)
+            let term: Arc<str> = std::str::from_utf8(&prev_term)
                 .map_err(|_| err("term is not UTF-8"))?
-                .to_string();
+                .into();
 
-            let posting_count = read(&mut pos, "posting count")? as usize;
-            let skip_count = read(&mut pos, "skip count")? as usize;
-            let mut skips = Vec::with_capacity(skip_count);
+            // A posting takes at least three bytes: doc gap, position
+            // count, one position.
+            let posting_count = r.count(3, "posting count")?;
+            if posting_count == 0 {
+                return Err(err("term without postings"));
+            }
+            let skip_count = r.count(2, "skip count")?;
+            if skip_count != (posting_count - 1) / SKIP_INTERVAL {
+                return Err(err("skip count disagrees with posting count"));
+            }
+            skips.clear();
             for _ in 0..skip_count {
-                let doc = varint::read_u32(bytes, &mut pos)
-                    .ok_or_else(|| err("truncated skip doc"))?;
-                let offset = read(&mut pos, "skip offset")? as usize;
-                skips.push((doc, offset));
+                skips.push((r.u32("skip doc")?, r.varint("skip offset")?));
             }
-            let blob_len = read(&mut pos, "postings length")? as usize;
-            let blob = read_bytes(&mut pos, blob_len, "postings blob")?;
+            let blob = r.run("postings blob")?;
 
-            let mut postings = Vec::with_capacity(posting_count);
-            let mut at = 0usize;
-            let mut prev_doc: u64 = 0;
+            // Every varint ends in exactly one byte below 0x80 and the
+            // stream is gap, position count, positions — so the bytes
+            // below 0x80 count the positions exactly, and the three
+            // arrays are allocated once at their final size.
+            let varints = blob.iter().filter(|&&b| b < 0x80).count();
+            let mut docs = Vec::with_capacity(posting_count);
+            let mut ends = Vec::with_capacity(posting_count);
+            let mut positions: Vec<u32> =
+                Vec::with_capacity(varints.saturating_sub(2 * posting_count));
+            let mut b = Reader {
+                bytes: blob,
+                pos: 0,
+            };
+            let mut prev_doc: u32 = 0;
             for i in 0..posting_count {
-                if i > 0 && i % SKIP_INTERVAL == 0 {
-                    let (skip_doc, skip_offset) = skips
-                        .get(i / SKIP_INTERVAL - 1)
-                        .copied()
-                        .ok_or_else(|| err("missing skip entry"))?;
-                    if skip_offset != at {
-                        return Err(err("skip offset disagrees with postings stream"));
-                    }
-                    // The doc recorded in the skip is validated against
-                    // the decoded stream below.
-                    let _ = skip_doc;
+                let at = b.pos as u64;
+                let gap = b.u32("doc gap")?;
+                if i > 0 && gap == 0 {
+                    return Err(err("posting docs not ascending"));
                 }
-                let gap = varint::read_u64(blob, &mut at)
-                    .ok_or_else(|| err("truncated doc gap"))?;
-                let doc = if i == 0 { gap } else { prev_doc + gap };
+                // The first gap is the doc id itself.
+                let doc = prev_doc
+                    .checked_add(gap)
+                    .filter(|&doc| (doc as usize) < doc_count)
+                    .ok_or_else(|| err("posting doc id past segment doc count"))?;
                 prev_doc = doc;
-                if doc >= doc_count as u64 {
-                    return Err(err("posting doc id past segment doc count"));
+                if i % SKIP_INTERVAL == 0 && i > 0 && skips[i / SKIP_INTERVAL - 1] != (doc, at) {
+                    return Err(err("skip entry disagrees with postings stream"));
                 }
-                if i > 0 && i % SKIP_INTERVAL == 0 && skips[i / SKIP_INTERVAL - 1].0 as u64 != doc
-                {
-                    return Err(err("skip doc disagrees with postings stream"));
+                let n_pos = b.count(1, "position count")?;
+                if n_pos == 0 {
+                    return Err(err("posting without positions"));
                 }
-                let n_pos = varint::read_u64(blob, &mut at)
-                    .ok_or_else(|| err("truncated position count"))?
-                    as usize;
-                let mut positions = Vec::with_capacity(n_pos);
-                let mut prev_pos: u64 = 0;
-                for j in 0..n_pos {
-                    let delta = varint::read_u64(blob, &mut at)
-                        .ok_or_else(|| err("truncated position delta"))?;
-                    let p = if j == 0 { delta } else { prev_pos + delta };
-                    prev_pos = p;
-                    positions.push(
-                        u32::try_from(p).map_err(|_| err("position overflows u32"))?,
-                    );
+                let mut prev_pos: u32 = 0;
+                for _ in 0..n_pos {
+                    // The first delta is the absolute position.
+                    prev_pos = prev_pos
+                        .checked_add(b.u32("position delta")?)
+                        .ok_or_else(|| err("position overflows u32"))?;
+                    positions.push(prev_pos);
                 }
-                postings.push(crate::index::Posting {
-                    doc: doc as u32,
-                    positions,
-                });
+                docs.push(doc);
+                ends.push(
+                    u32::try_from(positions.len())
+                        .map_err(|_| err("term position count overflows u32"))?,
+                );
             }
-            if at != blob.len() {
+            if b.pos != blob.len() {
                 return Err(err("trailing bytes in postings blob"));
             }
-            if fi.dict.insert(term, Arc::new(postings)).is_some() {
-                return Err(err(format!(
-                    "duplicate term {:?}",
-                    String::from_utf8_lossy(&prev_term)
-                )));
-            }
+            fi.dict.insert(
+                term,
+                Arc::new(PostingList::from_parts(docs, ends, positions)),
+            );
         }
         // term_buckets stay empty: merge_segment buckets new terms on
         // the index side and never reads the segment's own buckets.
-        fields.insert(name, fi);
+        fields.insert(name.to_string(), fi);
     }
-    if pos != bytes.len() {
+    if r.pos != bytes.len() {
         return Err(err("trailing bytes after last field"));
     }
     Ok(IndexSegment {
@@ -404,6 +473,25 @@ mod tests {
         assert_identical(&idx, &rebuilt);
     }
 
+    /// The blob's last term shares more bytes with its predecessor than
+    /// the input has left: the prefix length is bounded by the previous
+    /// term alone.
+    #[test]
+    fn final_term_may_share_more_than_the_remaining_input() {
+        let mut idx = Index::clinical();
+        for (id, title) in [("a", "12345678901"), ("b", "123456789012")] {
+            idx.add_document(id, &[("title", title)]).unwrap();
+        }
+        let blob = encode_index_tail(&idx, 0);
+        // shared 11 | suffix "2" | 1 posting | 0 skips | 3 bytes: doc 1,
+        // 1 position, position 0.
+        assert!(blob.ends_with(&[11, 1, b'2', 1, 0, 3, 1, 1, 0]));
+        let segment = decode_segment(&blob, &Index::clinical()).unwrap();
+        let mut rebuilt = Index::clinical();
+        rebuilt.merge_segment(segment).unwrap();
+        assert_identical(&idx, &rebuilt);
+    }
+
     #[test]
     fn compresses_against_in_memory_representation() {
         let mut idx = Index::clinical();
@@ -446,5 +534,79 @@ mod tests {
             boost: 1.0,
         }]);
         assert!(decode_segment(&blob, &other).is_err());
+    }
+
+    #[test]
+    fn hostile_counts_and_lengths_are_errors_not_aborts() {
+        let idx = Index::clinical();
+        // doc_count = 2^40 in six bytes: reserving for it would abort.
+        let mut huge_count = Vec::new();
+        varint::write_u64(&mut huge_count, 1 << 40);
+        assert_eq!(huge_count.len(), 6);
+        assert!(decode_segment(&huge_count, &idx).is_err());
+        // One document whose id claims u64::MAX bytes: `pos + len` must
+        // not overflow.
+        let mut huge_len = vec![1u8];
+        varint::write_u64(&mut huge_len, u64::MAX);
+        assert!(decode_segment(&huge_len, &idx).is_err());
+        // An overlong varint (0 in two bytes) is not what the encoder
+        // writes, so it is refused rather than normalised.
+        assert!(decode_segment(&[0x80, 0x00], &idx).is_err());
+    }
+
+    /// A fixed pseudo-random corpus: lists long enough for skip entries,
+    /// repeated words (multi-position postings) and empty documents.
+    fn golden_corpus() -> Index {
+        const WORDS: &str = "fever cough amiodarone toxicity pulmonary patient myocarditis \
+            echocardiogram admission resolved chest pain troponin elevated biopsy confirmed \
+            sarcoidosis prednisone dyspnea recurrent";
+        let vocabulary: Vec<&str> = WORDS.split(' ').collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut idx = Index::clinical();
+        for i in 0..300 {
+            let words: Vec<&str> = (0..next() % 24)
+                .map(|_| vocabulary[next() % vocabulary.len()])
+                .collect();
+            let text = words.join(" ");
+            let title = format!("case {i}");
+            idx.add_document(
+                &format!("pmid:{i}"),
+                &[("title", &title), ("body", &text), ("body_ngram", &text)],
+            )
+            .unwrap();
+        }
+        idx
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The on-disk bytes are pinned: these digests were computed from
+    /// the encoder over the one-`Vec`-per-posting layout this one
+    /// replaced (commit ea0f7f5), so a change of in-RAM layout cannot
+    /// move the segment format.
+    #[test]
+    fn encoding_matches_the_golden_digests() {
+        let idx = golden_corpus();
+        for (base, len, digest) in [
+            (0, 274_858, 0x95f3_3102_071a_1772u64),
+            (137, 149_266, 0xd79b_915c_6847_7ea3),
+        ] {
+            let blob = encode_index_tail(&idx, base);
+            assert_eq!(
+                (blob.len(), fnv1a(&blob)),
+                (len, digest),
+                "tail from {base}"
+            );
+        }
     }
 }

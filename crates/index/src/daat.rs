@@ -26,7 +26,8 @@
 //! `fl(U + u_i) ≥ fl(S + s_i)` because rounding is monotone — so the
 //! bound provably dominates the score it stands in for, ULPs included.
 
-use crate::index::{Index, Posting};
+use crate::index::Index;
+use crate::postings::PostingList;
 use crate::query::QueryNode;
 use crate::score::{doc_score, top_k, Entry, ScoredDoc, Scorer};
 use crate::stats::CorpusStats;
@@ -84,7 +85,9 @@ pub(crate) fn search_daat(
 
 /// One scoring cursor over a term's postings.
 struct TermCursor<'a> {
-    postings: &'a [Posting],
+    list: &'a PostingList,
+    /// `list.docs()`, the contiguous run the cursor walks and gallops.
+    docs: &'a [u32],
     pos: usize,
     doc_len: &'a [u32],
     idf: f64,
@@ -110,13 +113,14 @@ impl<'a> TermCursor<'a> {
         global: Option<&CorpusStats>,
     ) -> Option<Self> {
         let fi = index.fields.get(field)?;
-        let postings: &[Posting] = fi.dict.get(term)?;
+        let list: &PostingList = fi.dict.get(term)?;
         let (idf, avg_len) = match global {
             Some(g) => (g.idf(field, term), g.avg_len(field)),
             None => (index.idf(field, term), fi.avg_len()),
         };
         Some(TermCursor {
-            postings,
+            list,
+            docs: list.docs(),
             pos: 0,
             doc_len: &fi.doc_len,
             idf,
@@ -129,7 +133,7 @@ impl<'a> TermCursor<'a> {
 
     #[inline]
     fn current(&self) -> Option<u32> {
-        self.postings.get(self.pos).map(|p| p.doc)
+        self.docs.get(self.pos).copied()
     }
 
     #[inline]
@@ -142,40 +146,39 @@ impl<'a> TermCursor<'a> {
     /// by galloping out of the current position, then binary-searching
     /// the bracketed window.
     fn seek(&mut self, target: u32) {
-        let ps = self.postings;
-        if self.pos >= ps.len() || ps[self.pos].doc >= target {
+        let docs = self.docs;
+        if self.pos >= docs.len() || docs[self.pos] >= target {
             return;
         }
         let start = self.pos;
         let mut step = 1;
-        let mut lo = self.pos; // invariant: ps[lo].doc < target
+        let mut lo = self.pos; // invariant: docs[lo] < target
         let mut hi = lo + step;
-        while hi < ps.len() && ps[hi].doc < target {
+        while hi < docs.len() && docs[hi] < target {
             lo = hi;
             step *= 2;
             hi = lo + step;
         }
-        let hi = hi.min(ps.len());
-        self.pos = lo + ps[lo..hi].partition_point(|p| p.doc < target);
+        let hi = hi.min(docs.len());
+        self.pos = lo + docs[lo..hi].partition_point(|&d| d < target);
         self.moves += (self.pos - start) as u64;
     }
 
     /// Term positions in the current document.
     #[inline]
     fn positions(&self) -> &'a [u32] {
-        &self.postings[self.pos].positions
+        self.list.positions(self.pos)
     }
 
-    /// This term's score contribution for the current document — the same
-    /// expression `term_scores` evaluates, so the bits match.
+    /// The score of a posting of this term with frequency `tf` in `doc`
+    /// — the same expression `term_scores` evaluates, so the bits match.
     #[inline]
-    fn score_at(&self, scorer: Scorer) -> f64 {
-        let p = &self.postings[self.pos];
+    fn score(&self, scorer: Scorer, doc: u32, tf: u32) -> f64 {
         let s = doc_score(
             scorer,
             self.idf,
-            p.tf() as f64,
-            self.doc_len[p.doc as usize] as f64,
+            tf as f64,
+            self.doc_len[doc as usize] as f64,
             self.avg_len,
             self.boost,
         );
@@ -185,23 +188,20 @@ impl<'a> TermCursor<'a> {
         }
     }
 
+    /// This term's score contribution for the current document.
+    #[inline]
+    fn score_at(&self, scorer: Scorer) -> f64 {
+        self.score(scorer, self.docs[self.pos], self.list.tf(self.pos))
+    }
+
     /// Exact per-term score upper bound: the maximum per-doc score over
     /// the posting list (one cheap pass, same formula as `score_at`).
     fn max_score(&self, scorer: Scorer) -> f64 {
         let mut ub = 0.0_f64;
-        for p in self.postings {
-            let s = doc_score(
-                scorer,
-                self.idf,
-                p.tf() as f64,
-                self.doc_len[p.doc as usize] as f64,
-                self.avg_len,
-                self.boost,
-            );
-            let s = match self.damp {
-                Some(d) => s * d,
-                None => s,
-            };
+        let mut start = 0;
+        for (&doc, &end) in self.docs.iter().zip(self.list.ends()) {
+            let s = self.score(scorer, doc, end - start);
+            start = end;
             if s > ub {
                 ub = s;
             }
@@ -289,7 +289,15 @@ fn max_score_top_k(
         return Vec::new();
     }
     let n = cursors.len();
-    let ubs: Vec<f64> = cursors.iter().map(|c| c.max_score(scorer)).collect();
+    // A lone list's bound is the score of one of its own postings: it
+    // could only ever prune docs that tie the k-th entry at that maximum
+    // and lose on doc id, which the heap drops anyway. So the pre-pass
+    // is skipped and an infinite bound keeps the cursor essential.
+    let ubs: Vec<f64> = if n == 1 {
+        vec![f64::INFINITY]
+    } else {
+        cursors.iter().map(|c| c.max_score(scorer)).collect()
+    };
     // Ascending upper-bound order decides which cursors become
     // non-essential first; ties break on clause index for determinism.
     let mut by_ub: Vec<usize> = (0..n).collect();
@@ -494,7 +502,7 @@ fn neg_docs(
     match node {
         QueryNode::Term { field, term } => {
             if let Some(postings) = index.postings(field, term) {
-                out.extend(postings.iter().map(|p| p.doc));
+                out.extend_from_slice(postings.docs());
             }
         }
         QueryNode::Fuzzy {
@@ -506,7 +514,7 @@ fn neg_docs(
             stats.fuzzy_expansions += expansions.len() as u64;
             for (expanded, _) in expansions {
                 if let Some(postings) = index.postings(field, expanded) {
-                    out.extend(postings.iter().map(|p| p.doc));
+                    out.extend_from_slice(postings.docs());
                 }
             }
         }

@@ -4,25 +4,10 @@
 //! postings. Documents are addressed internally by dense `u32` ids and
 //! externally by caller-supplied string ids (`pmid:…`).
 
+use crate::postings::PostingList;
 use create_text::Analyzer;
 use create_util::fxhash::FxHashMap;
 use std::sync::Arc;
-
-/// One posting: a document and the term's occurrences in it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Posting {
-    /// Internal document id.
-    pub doc: u32,
-    /// Token positions of the term within the field.
-    pub positions: Vec<u32>,
-}
-
-impl Posting {
-    /// Term frequency in the document.
-    pub fn tf(&self) -> u32 {
-        self.positions.len() as u32
-    }
-}
 
 /// A field's configuration.
 pub struct FieldConfig {
@@ -36,18 +21,20 @@ pub struct FieldConfig {
 
 /// Per-field index data.
 ///
-/// Posting lists and fuzzy buckets sit behind `Arc` so a `clone()` of
-/// the field (and thus of the whole [`Index`]) is structural sharing:
-/// only the dictionary's pointer table is copied, never the postings
-/// themselves. The writer mutates through [`Arc::make_mut`], which
-/// copies a single term's list on first touch after a snapshot was
-/// published and mutates in place otherwise.
+/// Terms, posting lists and fuzzy buckets sit behind `Arc` so a
+/// `clone()` of the field (and thus of the whole [`Index`]) is
+/// structural sharing: only the dictionary's pointer table is copied,
+/// never a term string or the postings themselves. The writer mutates
+/// through [`Arc::make_mut`], which copies a single term's three arrays
+/// on first touch after a snapshot was published and mutates in place
+/// otherwise.
 #[derive(Clone)]
 pub(crate) struct FieldIndex {
     pub(crate) analyzer: Arc<Analyzer>,
     pub(crate) boost: f64,
-    /// term → postings sorted by doc id.
-    pub(crate) dict: FxHashMap<String, Arc<Vec<Posting>>>,
+    /// term → postings sorted by doc id (`Borrow<str>` keeps `&str`
+    /// lookups working).
+    pub(crate) dict: FxHashMap<Arc<str>, Arc<PostingList>>,
     /// token count per document (0 when the doc lacks the field).
     pub(crate) doc_len: Vec<u32>,
     pub(crate) total_len: u64,
@@ -55,11 +42,12 @@ pub(crate) struct FieldIndex {
     /// incrementally — `avg_len` sits on the BM25 hot path for every
     /// query term, so it must not rescan `doc_len`.
     pub(crate) docs_with_field: usize,
-    /// `(char length, first char)` → the field's distinct terms, appended
-    /// on first insertion. Fuzzy expansion scans only the buckets within
-    /// `max_edits` of the query term's length instead of the whole
-    /// vocabulary (see [`Index::fuzzy_candidates`]).
-    pub(crate) term_buckets: FxHashMap<(u16, char), Arc<Vec<String>>>,
+    /// `(char length, first char)` → the field's distinct terms (the
+    /// dictionary's own `Arc<str>` keys), appended on first insertion.
+    /// Fuzzy expansion scans only the buckets within `max_edits` of the
+    /// query term's length instead of the whole vocabulary (see
+    /// [`Index::fuzzy_candidates`]).
+    pub(crate) term_buckets: FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
 }
 
 impl FieldIndex {
@@ -85,18 +73,17 @@ impl FieldIndex {
 
     /// Records a term new to this field's dictionary in its fuzzy bucket.
     pub(crate) fn bucket_new_term(
-        buckets: &mut FxHashMap<(u16, char), Arc<Vec<String>>>,
-        term: &str,
+        buckets: &mut FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
+        term: &Arc<str>,
     ) {
         let len = term.chars().count().min(u16::MAX as usize) as u16;
         let first = term.chars().next().unwrap_or('\0');
-        Arc::make_mut(buckets.entry((len, first)).or_default()).push(term.to_string());
+        Arc::make_mut(buckets.entry((len, first)).or_default()).push(Arc::clone(term));
     }
 
     /// Tokenizes `text` as document `doc` and appends its postings.
     /// `doc` must be the newest id (postings stay sorted by doc).
     pub(crate) fn index_text(&mut self, doc: u32, text: &str) {
-        use std::collections::hash_map::Entry;
         let tokens = self.analyzer.analyze(text);
         self.doc_len[doc as usize] = tokens.len() as u32;
         self.total_len += tokens.len() as u64;
@@ -109,25 +96,16 @@ impl FieldIndex {
             // phrase queries then respect the original word distance
             // (Lucene's position-increment behaviour).
             let pos = token.position as u32;
-            match self.dict.entry(token.text) {
-                Entry::Occupied(mut entry) => {
-                    // Copy-on-write: clones this one term's list only if a
-                    // published snapshot still shares it.
-                    let postings = Arc::make_mut(entry.get_mut());
-                    match postings.last_mut() {
-                        Some(last) if last.doc == doc => last.positions.push(pos),
-                        _ => postings.push(Posting {
-                            doc,
-                            positions: vec![pos],
-                        }),
-                    }
-                }
-                Entry::Vacant(entry) => {
-                    Self::bucket_new_term(&mut self.term_buckets, entry.key());
-                    entry.insert(Arc::new(vec![Posting {
-                        doc,
-                        positions: vec![pos],
-                    }]));
+            match self.dict.get_mut(token.text.as_str()) {
+                // Copy-on-write: clones this one term's list only if a
+                // published snapshot still shares it.
+                Some(postings) => Arc::make_mut(postings).push(doc, pos),
+                None => {
+                    let term: Arc<str> = Arc::from(token.text);
+                    Self::bucket_new_term(&mut self.term_buckets, &term);
+                    let mut postings = PostingList::default();
+                    postings.push(doc, pos);
+                    self.dict.insert(term, Arc::new(postings));
                 }
             }
         }
@@ -137,9 +115,9 @@ impl FieldIndex {
 /// The inverted index.
 ///
 /// `Clone` is structural sharing (see [`FieldIndex`]): the id tables
-/// clone `Arc<str>` handles and the dictionaries clone `Arc` posting
-/// lists, so snapshotting the index costs pointer copies, not a deep
-/// copy of the postings.
+/// and dictionaries clone `Arc<str>` handles and `Arc` posting lists, so
+/// snapshotting the index allocates its tables and copies pointers, not
+/// strings or postings.
 #[derive(Clone)]
 pub struct Index {
     pub(crate) fields: FxHashMap<String, FieldIndex>,
@@ -258,40 +236,34 @@ impl Index {
     }
 
     /// Postings accessor (analyzed term).
-    pub fn postings(&self, field: &str, term: &str) -> Option<&[Posting]> {
+    pub fn postings(&self, field: &str, term: &str) -> Option<&PostingList> {
         self.fields
             .get(field)
             .and_then(|f| f.dict.get(term))
-            .map(|p| p.as_slice())
+            .map(|p| &**p)
     }
 
-    /// Approximate memory footprint of the postings (bytes) — used by the
-    /// E8 index-size comparison.
+    /// Bytes the postings hold in RAM: per term its text and the three
+    /// [`PostingList`] arrays — 4 B doc id and 4 B end per posting, 4 B
+    /// per position. This is what the arrays occupy, not an estimate;
+    /// the dictionary's table and the `Arc` headers come on top. Used by
+    /// the E8 index-size comparison and the benchmark's
+    /// `index.ram_postings_bytes_per_doc`.
     pub fn postings_bytes(&self) -> usize {
         self.fields
             .values()
-            .map(|f| {
-                f.dict
-                    .iter()
-                    .map(|(term, postings)| {
-                        term.len()
-                            + postings
-                                .iter()
-                                .map(|p| 8 + 4 * p.positions.len())
-                                .sum::<usize>()
-                    })
-                    .sum::<usize>()
-            })
+            .flat_map(|f| &f.dict)
+            .map(|(term, postings)| term.len() + 8 * postings.len() + 4 * postings.num_positions())
             .sum()
     }
 
     /// Terms of a field — the exhaustive fuzzy-expansion sweep (kept as
     /// the reference baseline; see [`Index::fuzzy_candidates`]).
-    pub(crate) fn terms_of_field(&self, field: &str) -> impl Iterator<Item = &String> {
+    pub(crate) fn terms_of_field(&self, field: &str) -> impl Iterator<Item = &str> {
         self.fields
             .get(field)
             .into_iter()
-            .flat_map(|f| f.dict.keys())
+            .flat_map(|f| f.dict.keys().map(|term| &**term))
     }
 
     /// Dictionary terms within `max_edits` of `term`, with their exact
@@ -350,7 +322,7 @@ impl Index {
                     levenshtein_bounded_slices(&q, &t_chars, max_edits)
                 };
                 if let Some(d) = dist {
-                    out.push((t.as_str(), d));
+                    out.push((&**t, d));
                 }
             }
         }
@@ -413,8 +385,8 @@ mod tests {
         idx.add_document("d", &[("body", "fever then fever again")])
             .unwrap();
         let postings = idx.postings("body", "fever").unwrap();
-        assert_eq!(postings[0].tf(), 2);
-        assert_eq!(postings[0].positions, vec![0, 2]);
+        assert_eq!(postings.tf(0), 2);
+        assert_eq!(postings.positions(0), [0, 2]);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //!
 //! * [`index`] — multi-field inverted index with positional postings,
 //!   built over `create-text` analyzers;
+//! * [`postings`] — the one in-RAM posting representation: a flat
+//!   struct-of-arrays list per term, shared by writer, merge, codec and
+//!   cursors;
 //! * [`segment`] — shard-local segments for parallel ingestion, merged
 //!   deterministically into one searchable index (the Lucene-segment
 //!   analogue);
@@ -29,6 +32,7 @@ pub mod codec;
 pub mod daat;
 pub mod facets;
 pub mod index;
+pub mod postings;
 pub mod query;
 pub mod score;
 pub mod segment;
@@ -36,6 +40,7 @@ pub mod stats;
 
 pub use facets::{FacetField, FacetIndex};
 pub use index::{FieldConfig, Index};
+pub use postings::PostingList;
 pub use query::QueryNode;
 pub use score::{ScoredDoc, Scorer};
 pub use segment::IndexSegment;

@@ -117,7 +117,7 @@ impl QueryNode {
     ) -> Vec<(&'a str, usize)> {
         let mut out: Vec<(&str, usize)> = index
             .terms_of_field(field)
-            .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (t.as_str(), d)))
+            .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (t, d)))
             .collect();
         out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
         out

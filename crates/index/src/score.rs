@@ -11,7 +11,8 @@
 //! gap. Both paths score through [`doc_score`], the single source of truth
 //! for the per-(term, doc) expression, so their floats cannot drift apart.
 
-use crate::index::{Index, Posting};
+use crate::index::Index;
+use crate::postings::PostingList;
 use crate::query::QueryNode;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -302,14 +303,14 @@ impl Index {
         let avg_len = avg_len.max(1.0);
         postings
             .iter()
-            .map(|p| {
+            .map(|(doc, positions)| {
                 (
-                    p.doc,
+                    doc,
                     doc_score(
                         scorer,
                         idf,
-                        p.tf() as f64,
-                        fi.doc_len[p.doc as usize] as f64,
+                        positions.len() as f64,
+                        fi.doc_len[doc as usize] as f64,
                         avg_len,
                         fi.boost,
                     ),
@@ -331,24 +332,23 @@ impl Index {
         let Some(fi) = self.fields.get(field) else {
             return Vec::new();
         };
-        let mut postings_lists: Vec<&[Posting]> = Vec::with_capacity(terms.len());
+        let mut postings_lists: Vec<&PostingList> = Vec::with_capacity(terms.len());
         for t in terms {
-            match fi.dict.get(t) {
-                Some(p) => postings_lists.push(p.as_slice()),
+            match fi.dict.get(t.as_str()) {
+                Some(p) => postings_lists.push(p),
                 None => return Vec::new(),
             }
         }
         // Intersect docs; check consecutive positions.
         let mut out = Vec::new();
-        let first = postings_lists[0];
-        for posting in first {
-            let doc = posting.doc;
-            let mut doc_postings = Vec::with_capacity(terms.len());
-            doc_postings.push(posting);
+        for (doc, first_positions) in postings_lists[0].iter() {
+            // The doc's positions under each member term, in phrase order.
+            let mut doc_positions = Vec::with_capacity(terms.len());
+            doc_positions.push(first_positions);
             let mut all = true;
             for list in &postings_lists[1..] {
-                match list.iter().find(|p| p.doc == doc) {
-                    Some(p) => doc_postings.push(p),
+                match list.iter().find(|(d, _)| *d == doc) {
+                    Some((_, positions)) => doc_positions.push(positions),
                     None => {
                         all = false;
                         break;
@@ -358,14 +358,13 @@ impl Index {
             if !all {
                 continue;
             }
-            let matches = doc_postings[0]
-                .positions
+            let matches = doc_positions[0]
                 .iter()
                 .filter(|&&start| {
-                    doc_postings[1..]
+                    doc_positions[1..]
                         .iter()
                         .enumerate()
-                        .all(|(offset, p)| p.positions.contains(&(start + offset as u32 + 1)))
+                        .all(|(offset, positions)| positions.contains(&(start + offset as u32 + 1)))
                 })
                 .count();
             if matches > 0 {
@@ -539,6 +538,26 @@ mod tests {
         idx.add_document("b", &[("body", "fever")]).unwrap();
         let hits = checked_search(&idx, &QueryNode::term("body", "fever"), 10, Scorer::default());
         assert_eq!(hits[0].external_id, "a", "ties break by doc id");
+    }
+
+    #[test]
+    fn single_term_ties_beyond_k_keep_the_lowest_doc_ids() {
+        let mut idx = Index::new(vec![FieldConfig {
+            name: "body".to_string(),
+            analyzer: Arc::new(Analyzer::clinical_standard()),
+            boost: 1.0,
+        }]);
+        for id in ["a", "b", "c", "d"] {
+            idx.add_document(id, &[("body", "fever")]).unwrap();
+        }
+        // One cursor, every posting at the list's maximum score: the
+        // short-circuit has no bound to prune with and must still drop
+        // the later docs on the tie-break.
+        let q = QueryNode::term("body", "fever");
+        let hits = checked_search(&idx, &q, 2, Scorer::default());
+        assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), [0, 1]);
+        let filtered = idx.search_filtered(&q, 2, Scorer::default(), None, &[1, 3]);
+        assert_eq!(filtered.iter().map(|h| h.doc).collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]

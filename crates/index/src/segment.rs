@@ -25,6 +25,7 @@
 //! rejected before any mutation, keeping the merge atomic.
 
 use crate::index::{FieldConfig, FieldIndex, Index, IndexError};
+use crate::postings::PostingList;
 use create_util::fxhash::FxHashMap;
 use std::sync::Arc;
 
@@ -140,38 +141,23 @@ impl Index {
             fi.doc_len.extend(seg_field.doc_len);
             fi.total_len += seg_field.total_len;
             fi.docs_with_field += seg_field.docs_with_field;
-            for (term, seg_postings) in seg_field.dict {
+            for (term, mut seg_postings) in seg_field.dict {
                 match fi.dict.entry(term) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         FieldIndex::bucket_new_term(&mut fi.term_buckets, v.key());
-                        if base == 0 {
-                            // First merge into an empty index (the
-                            // recovery path): ids need no remap, so the
-                            // segment's list is adopted wholesale.
-                            v.insert(seg_postings);
-                        } else {
-                            // Segment postings are worker-local, so the
-                            // unwrap never deep-copies; remap in place
-                            // and adopt the same buffer.
-                            let mut postings = Arc::try_unwrap(seg_postings)
-                                .unwrap_or_else(|shared| (*shared).clone());
-                            for p in &mut postings {
-                                p.doc += base;
-                            }
-                            v.insert(Arc::new(postings));
+                        // A first merge into an empty index (the recovery
+                        // path) needs no remap and adopts the segment's
+                        // list wholesale; otherwise the list is
+                        // worker-local, so `make_mut` remaps in place.
+                        if base > 0 {
+                            Arc::make_mut(&mut seg_postings).shift_docs(base);
                         }
+                        v.insert(seg_postings);
                     }
+                    // The index side copies-on-write only when a
+                    // published snapshot still shares the term's list.
                     std::collections::hash_map::Entry::Occupied(mut o) => {
-                        let seg_postings = Arc::try_unwrap(seg_postings)
-                            .unwrap_or_else(|shared| (*shared).clone());
-                        // The index side copies-on-write only when a
-                        // published snapshot still shares the term's list.
-                        Arc::make_mut(o.get_mut()).extend(seg_postings.into_iter().map(
-                            |mut p| {
-                                p.doc += base;
-                                p
-                            },
-                        ));
+                        PostingList::append_shifted(o.get_mut(), &seg_postings, base)
                     }
                 }
             }
@@ -264,8 +250,7 @@ mod tests {
         assert_eq!(idx.doc_freq("body", "fever"), 3);
         assert_eq!(idx.internal_id("pmid:4"), Some(3));
         let postings = idx.postings("body", "fever").unwrap();
-        let docs: Vec<u32> = postings.iter().map(|p| p.doc).collect();
-        assert_eq!(docs, vec![0, 1, 3]);
+        assert_eq!(postings.docs(), [0, 1, 3]);
     }
 
     #[test]

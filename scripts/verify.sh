@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Offline verification gate: tier-1 build + the whole workspace's tests
-# and the benchmark package's, the determinism / equivalence suites by
-# name, bench smoke runs, the observability smoke check, the
+# and the benchmark package's, the determinism / equivalence suites, the
+# allocation budgets and the codec mutation fuzz by name, the benchmark
+# smoke (`create-benchmark all --quick`, every in-run check), bench
+# smoke runs, the observability smoke check, the
 # instrumentation-overhead gate, and the SIGKILL recovery smoke (which
 # also asserts the data directory holds no JSONL copy). No network
 # access required.
@@ -30,6 +32,17 @@ cargo test -q --test shard_equivalence
 
 echo "== evented server: keep-alive, backpressure, drain under load =="
 cargo test -q --test server_storm
+
+echo "== allocation budgets: allocations per submit, index heap vs postings_bytes, snapshot drop =="
+cargo test -q --test alloc_budget
+
+echo "== codec mutation fuzz: hostile segment blobs are errors or round-trip, never abort =="
+cargo test -q -p create-index --test codec_mutation
+
+echo "== benchmark smoke: four workloads at 500 reports, every in-run check =="
+# Exits non-zero when any check fails (non-2xx, unequal round digests,
+# a gold cohort, a hit ratio, compaction counts, reopen after ingest).
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
 
 echo "== bench smoke: ingest throughput (200 docs) =="
 out="$(mktemp)"
