@@ -72,6 +72,12 @@ fn main() {
         names::QUERY_SECONDS
     );
 
+    // The resident-bytes gauges refresh when the stats are read (the
+    // server does so per `/metrics` scrape).
+    for (component, bytes) in system.memory_stats().components() {
+        assert!(bytes > 0, "{component} should hold resident bytes");
+    }
+
     eprintln!(
         "metrics_smoke: {} searches + 1 cohort query ({} matched) over {} reports, all layers recorded",
         queries.len() + 1,

@@ -19,9 +19,17 @@
 //! open. Recovery re-applies payloads through the same store/graph/index
 //! plumbing live ingestion uses, which is what makes post-crash rankings
 //! bit-identical.
+//!
+//! The document store holds each document as serialized text, and the
+//! payload is those texts spliced together: ingest serializes a document
+//! once and hands the same text to the WAL record and the store, seal
+//! copies the stored texts into the payload, and open splits a payload
+//! back into its members' texts — nobody re-serializes a parsed tree,
+//! and the bytes are what serializing the whole object would give (its
+//! keys come out in the same sorted order).
 
 use crate::pipeline::ExtractedAnnotations;
-use create_docstore::json::{parse_json, Value};
+use create_docstore::json::{object_members, Member, Value};
 use create_docstore::DocStore;
 use create_index::codec;
 use create_index::facets::FacetIndex;
@@ -68,12 +76,22 @@ impl StorageRoot {
     }
 }
 
-/// The three stored documents one report contributes, as recovered from
-/// a WAL record or a segment payload. `ann`/`extraction` are absent for
-/// documents that never had them.
-pub(crate) struct DocPayload {
+/// The three stored documents one report contributes, as serialized
+/// text. `ann` / `extraction` are absent for documents that never had
+/// them.
+#[derive(Default)]
+pub(crate) struct DocPayload<'a> {
+    pub report: &'a str,
+    pub ann: Option<&'a str>,
+    pub extraction: Option<&'a str>,
+}
+
+/// A payload read back from a WAL record or a segment: its documents'
+/// texts, borrowed from the record, and the two of them recovery reads —
+/// parsed in the pass that split the payload. `ann` is never parsed.
+pub(crate) struct RecoveredDoc<'a> {
+    pub texts: DocPayload<'a>,
     pub report: Value,
-    pub ann: Option<Value>,
     pub extraction: Option<Value>,
 }
 
@@ -121,9 +139,12 @@ pub(crate) fn stored_annotations(extraction: Option<&Value>) -> ExtractedAnnotat
 }
 
 /// A parsed WAL record.
-pub(crate) enum WalRecord {
+pub(crate) enum WalRecord<'a> {
     /// One ingested report (the common record).
-    Doc { ordinal: u64, payload: DocPayload },
+    Doc {
+        ordinal: u64,
+        payload: RecoveredDoc<'a>,
+    },
     /// A post-ingest document-store update (PDF metadata attachment).
     Update {
         collection: String,
@@ -132,89 +153,116 @@ pub(crate) enum WalRecord {
     },
 }
 
-fn payload_fields(report: &Value, ann: Option<&Value>, extraction: Option<&Value>) -> Value {
-    let mut value = Value::object();
-    value.set("report", report.clone());
-    if let Some(ann) = ann {
-        value.set("ann", ann.clone());
+/// Serializes an object whose members' values are already serialized:
+/// `{"key":text,…}`, absent members left out. Given in key order — and
+/// only then — the bytes are what serializing the parsed object gives.
+fn splice_object(members: &[(&str, Option<&str>)]) -> String {
+    debug_assert!(members.is_sorted_by_key(|(key, _)| key));
+    let mut out = String::from("{");
+    for (key, text) in members {
+        if let Some(text) = text {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            out.push_str(text);
+        }
     }
-    if let Some(extraction) = extraction {
-        value.set("extraction", extraction.clone());
-    }
-    value
+    out.push('}');
+    out
+}
+
+/// Builds a segment stored-doc payload.
+fn payload_text(payload: &DocPayload<'_>) -> String {
+    splice_object(&[
+        ("ann", payload.ann),
+        ("extraction", payload.extraction),
+        ("report", Some(payload.report)),
+    ])
 }
 
 /// Builds a WAL `doc` record.
-pub(crate) fn doc_record(
-    ordinal: u64,
-    report: &Value,
-    ann: Option<&Value>,
-    extraction: Option<&Value>,
-) -> Value {
-    let mut record = payload_fields(report, ann, extraction);
-    record.set("t", "doc");
-    record.set("ordinal", ordinal as i64);
-    record
+pub(crate) fn doc_record(ordinal: u64, payload: &DocPayload<'_>) -> String {
+    splice_object(&[
+        ("ann", payload.ann),
+        ("extraction", payload.extraction),
+        ("ordinal", Some(&ordinal.to_string())),
+        ("report", Some(payload.report)),
+        ("t", Some("\"doc\"")),
+    ])
 }
 
 /// Builds a WAL `update` record.
-pub(crate) fn update_record(collection: &str, id: &str, set: &Value) -> Value {
+pub(crate) fn update_record(collection: &str, id: &str, set: &Value) -> String {
     let mut record = Value::object();
     record.set("t", "update");
     record.set("collection", collection);
     record.set("id", id);
     record.set("set", set.clone());
-    record
+    record.to_json()
 }
 
-/// Moves the three documents out of a parsed payload object.
-fn take_payload(value: &mut Value) -> Result<DocPayload, String> {
-    let map = value.as_object_mut().ok_or("payload is not an object")?;
-    Ok(DocPayload {
-        report: map.remove("report").ok_or("payload missing report")?,
-        ann: map.remove("ann"),
-        extraction: map.remove("extraction"),
+/// Picks the three documents out of a split payload object (a repeated
+/// key's last member wins, as in a parse).
+fn take_payload(members: Vec<Member<'_>>) -> Result<RecoveredDoc<'_>, String> {
+    let mut texts = DocPayload::default();
+    let mut report = None;
+    let mut extraction = None;
+    for member in members {
+        match member.key.as_str() {
+            "report" => (texts.report, report) = (member.text, member.value),
+            "ann" => texts.ann = Some(member.text),
+            "extraction" => (texts.extraction, extraction) = (Some(member.text), member.value),
+            _ => {}
+        }
+    }
+    Ok(RecoveredDoc {
+        texts,
+        report: report.ok_or("payload missing report")?,
+        extraction,
     })
 }
 
-/// Parses a segment stored-doc payload.
-pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<DocPayload, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "payload is not UTF-8".to_string())?;
-    let mut value = parse_json(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
-    take_payload(&mut value)
+/// Splits a serialized payload or WAL record into its members, building
+/// all but `ann` — the one document recovery only stores.
+fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<Vec<Member<'a>>, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))?;
+    object_members(text, |key| key != "ann")
+        .map_err(|e| format!("{what} is not a JSON object: {e}"))
+}
+
+/// Splits a segment stored-doc payload into its documents.
+pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
+    take_payload(split_record(bytes, "payload")?)
 }
 
 /// Parses one WAL record.
-pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<WalRecord, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "WAL record is not UTF-8".to_string())?;
-    let mut value =
-        parse_json(text).map_err(|e| format!("WAL record is not valid JSON: {e}"))?;
-    match value.get("t").and_then(Value::as_str) {
-        Some("doc") => {
-            let ordinal = value
-                .get("ordinal")
+pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<WalRecord<'_>, String> {
+    let mut members = split_record(bytes, "WAL record")?;
+    let mut take = |key: &str| {
+        let at = members.iter().rposition(|m| m.key == key)?;
+        members[at].value.take()
+    };
+    let mut string = |key: &str| {
+        take(key)
+            .as_ref()
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
+    match string("t").as_deref() {
+        Some("doc") => Ok(WalRecord::Doc {
+            ordinal: take("ordinal")
+                .as_ref()
                 .and_then(Value::as_i64)
-                .ok_or("doc record missing ordinal")? as u64;
-            Ok(WalRecord::Doc {
-                ordinal,
-                payload: take_payload(&mut value)?,
-            })
-        }
+                .ok_or("doc record missing ordinal")? as u64,
+            payload: take_payload(members)?,
+        }),
         Some("update") => Ok(WalRecord::Update {
-            collection: value
-                .get("collection")
-                .and_then(Value::as_str)
-                .ok_or("update record missing collection")?
-                .to_string(),
-            id: value
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or("update record missing id")?
-                .to_string(),
-            set: value
-                .as_object_mut()
-                .and_then(|map| map.remove("set"))
-                .ok_or("update record missing set")?,
+            collection: string("collection").ok_or("update record missing collection")?,
+            id: string("id").ok_or("update record missing id")?,
+            set: take("set").ok_or("update record missing set")?,
         }),
         other => Err(format!("unknown WAL record type {other:?}")),
     }
@@ -243,17 +291,19 @@ pub(crate) fn seal_data(
             .external_id(local as u32)
             .ok_or("doc id out of range")?;
         let report = store
-            .get("reports", id)
+            .get_json("reports", id)
             .ok_or_else(|| format!("indexed doc {id:?} missing from the reports store"))?;
-        let payload = payload_fields(
-            &report,
-            store.get("annotations", id).as_ref(),
-            store.get("extractions", id).as_ref(),
-        );
+        let ann = store.get_json("annotations", id);
+        let extraction = store.get_json("extractions", id);
+        let payload = payload_text(&DocPayload {
+            report: &report,
+            ann: ann.as_deref(),
+            extraction: extraction.as_deref(),
+        });
         docs.push(StoredDoc {
             ordinal: ordinals[local],
             id: id.to_string(),
-            payload: payload.to_json().into_bytes(),
+            payload: payload.into_bytes(),
         });
     }
     Ok(SegmentData {

@@ -17,6 +17,26 @@ use create_graphdb::{NodeId, PropertyGraph};
 use create_ontology::{ConceptId, Ontology, RelationType};
 use create_util::fxhash::{FxHashMap, FxHashSet};
 
+/// The node of report `report_id`, from the `(Report, reportId)`
+/// property index.
+pub fn find_report(graph: &PropertyGraph, report_id: &str) -> Option<NodeId> {
+    let value = Value::String(report_id.to_string());
+    graph
+        .nodes_with_prop("Report", "reportId", &value)
+        .last()
+        .copied()
+}
+
+/// The node of a concept, from the `(Concept, cui)` property index —
+/// the spelling [`GraphBuilder`] writes.
+pub fn find_concept(graph: &PropertyGraph, cui: ConceptId) -> Option<NodeId> {
+    let value = Value::String(cui.to_string());
+    graph
+        .nodes_with_prop("Concept", "cui", &value)
+        .last()
+        .copied()
+}
+
 /// Maintains the concept-node registry while reports are ingested.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
@@ -191,7 +211,7 @@ mod tests {
         let mentions: Vec<_> = graph
             .outgoing(report_node)
             .into_iter()
-            .filter(|e| e.rel_type == "MENTIONS")
+            .filter(|e| &*e.rel_type == "MENTIONS")
             .map(|e| e.target)
             .collect();
         let mut dedup = mentions.clone();
@@ -222,7 +242,7 @@ mod tests {
     #[test]
     fn events_carry_steps() {
         let (graph, ..) = sample();
-        for id in graph.nodes_with_label("Event") {
+        for &id in graph.nodes_with_label("Event") {
             let node = graph.node(id).unwrap();
             assert!(node.props.contains_key("step"));
             assert!(node.props.contains_key("cui"));

@@ -43,6 +43,6 @@ pub use plan::{
 };
 pub use search::{MergePolicy, SearchHit, SearchSource};
 pub use system::{
-    Create, CreateConfig, FacetStats, GraphWriteGuard, IngestError, Snapshot, StorageStats,
-    SystemStats, TextSubmission,
+    Create, CreateConfig, FacetStats, GraphWriteGuard, IngestError, MemoryStats, Snapshot,
+    StorageStats, SystemStats, TextSubmission,
 };

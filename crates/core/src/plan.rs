@@ -30,6 +30,7 @@
 //!    per-shard top-k gather under `(score desc, ingest ordinal asc)` —
 //!    the same tie-break `shard_equivalence` locks in for search.
 
+use crate::graph_build::find_report;
 use crate::search::{MergePolicy, SearchHit, SearchSource};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
@@ -558,136 +559,110 @@ struct ReportEvent {
     step: Option<f64>,
 }
 
-/// The per-shard temporal checker: resolves reports to graph nodes once,
-/// then evaluates constraints per candidate document.
-struct TemporalChecker<'a> {
-    shard: &'a ShardSnapshot,
-    report_nodes: HashMap<String, NodeId>,
-}
-
-impl<'a> TemporalChecker<'a> {
-    fn new(shard: &'a ShardSnapshot) -> TemporalChecker<'a> {
-        let graph = &shard.graph;
-        let mut report_nodes = HashMap::new();
-        for id in graph.nodes_with_label("Report") {
-            if let Some(rid) = graph
-                .node(id)
-                .and_then(|n| n.props.get("reportId"))
-                .and_then(|v| v.as_str())
-            {
-                report_nodes.insert(rid.to_string(), id);
-            }
-        }
-        TemporalChecker {
-            shard,
-            report_nodes,
-        }
-    }
-
-    /// Loads a document's events and the temporal graph over them.
-    fn events_of(&self, doc: u32) -> Option<(Vec<ReportEvent>, TemporalGraph)> {
-        let rid = self.shard.index.external_id(doc)?;
-        let graph = &self.shard.graph;
-        let &report = self.report_nodes.get(rid)?;
-        let event_nodes: Vec<NodeId> = graph
-            .outgoing(report)
-            .into_iter()
-            .filter(|e| e.rel_type == "CONTAINS")
-            .map(|e| e.target)
-            .collect();
-        let index_of: HashMap<NodeId, usize> = event_nodes
+/// Loads a document's events and the temporal graph over them. The
+/// report's node comes from the `(Report, reportId)` property index.
+fn events_of(shard: &ShardSnapshot, doc: u32) -> Option<(Vec<ReportEvent>, TemporalGraph)> {
+    let rid = shard.index.external_id(doc)?;
+    let graph = &shard.graph;
+    let report = find_report(graph, rid)?;
+    let event_nodes: Vec<NodeId> = graph
+        .outgoing(report)
+        .into_iter()
+        .filter(|e| &*e.rel_type == "CONTAINS")
+        .map(|e| e.target)
+        .collect();
+    let index_of: HashMap<NodeId, usize> = event_nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (n, i))
+        .collect();
+    let mut events = Vec::with_capacity(event_nodes.len());
+    let mut tg = TemporalGraph::new(
+        event_nodes
             .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        let mut events = Vec::with_capacity(event_nodes.len());
-        let mut tg = TemporalGraph::new(
-            event_nodes
-                .iter()
-                .map(|&n| format!("event-{n:?}"))
-                .collect(),
-        );
-        for (i, &node) in event_nodes.iter().enumerate() {
-            let n = graph.node(node)?;
-            events.push(ReportEvent {
-                cui: n
-                    .props
-                    .get("cui")
-                    .and_then(|v| v.as_str())
-                    .and_then(ConceptId::parse),
-                step: n.props.get("step").and_then(|v| v.as_f64()),
-            });
-            for edge in graph.outgoing(node) {
-                let rel = match edge.rel_type.as_str() {
-                    "BEFORE" => RelationType::Before,
-                    "OVERLAP" => RelationType::Overlap,
-                    _ => continue,
-                };
-                if let Some(&j) = index_of.get(&edge.target) {
-                    if i != j {
-                        tg.add_edge(i, j, rel);
-                    }
+            .map(|&n| format!("event-{n:?}"))
+            .collect(),
+    );
+    for (i, &node) in event_nodes.iter().enumerate() {
+        let n = graph.node(node)?;
+        events.push(ReportEvent {
+            cui: n
+                .props
+                .get("cui")
+                .and_then(|v| v.as_str())
+                .and_then(ConceptId::parse),
+            step: n.props.get("step").and_then(|v| v.as_f64()),
+        });
+        for edge in graph.outgoing(node) {
+            let rel = match &*edge.rel_type {
+                "BEFORE" => RelationType::Before,
+                "OVERLAP" => RelationType::Overlap,
+                _ => continue,
+            };
+            if let Some(&j) = index_of.get(&edge.target) {
+                if i != j {
+                    tg.add_edge(i, j, rel);
                 }
             }
         }
-        Some((events, tg))
     }
+    Some((events, tg))
+}
 
-    /// True when the document realizes every constraint: for each, some
-    /// event pair mentioning the two concepts must satisfy the operator —
-    /// derived transitively through the temporal graph when possible,
-    /// falling back to the events' timeline steps (the ground truth the
-    /// graph's edges were built from) when the relation is not derivable
-    /// from explicit edges.
-    fn satisfies_all(&self, doc: u32, constraints: &[&TemporalConstraint]) -> bool {
-        let Some((events, tg)) = self.events_of(doc) else {
-            return false;
+/// True when the document realizes every constraint: for each, some
+/// event pair mentioning the two concepts must satisfy the operator —
+/// derived transitively through the temporal graph when possible,
+/// falling back to the events' timeline steps (the ground truth the
+/// graph's edges were built from) when the relation is not derivable
+/// from explicit edges.
+fn satisfies_all(shard: &ShardSnapshot, doc: u32, constraints: &[&TemporalConstraint]) -> bool {
+    let Some((events, tg)) = events_of(shard, doc) else {
+        return false;
+    };
+    constraints.iter().all(|c| {
+        let of = |concept: ConceptId| -> Vec<usize> {
+            events
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.cui == Some(concept))
+                .map(|(i, _)| i)
+                .collect()
         };
-        constraints.iter().all(|c| {
-            let of = |concept: ConceptId| -> Vec<usize> {
-                events
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.cui == Some(concept))
-                    .map(|(i, _)| i)
-                    .collect()
-            };
-            let az = of(c.a);
-            let bz = of(c.b);
-            az.iter().any(|&ia| {
-                bz.iter().any(|&ib| match c.op {
-                    TemporalOp::Within(days) => match (events[ia].step, events[ib].step) {
-                        (Some(sa), Some(sb)) => {
-                            (sa - sb).abs() * f64::from(STEP_DAYS) <= f64::from(days)
-                        }
-                        _ => false,
-                    },
-                    op => {
-                        let rel = match op {
-                            TemporalOp::Before => RelationType::Before,
-                            TemporalOp::After => RelationType::After,
-                            TemporalOp::Overlaps => RelationType::Overlap,
-                            TemporalOp::Within(_) => unreachable!("handled above"),
-                        };
-                        if ia != ib {
-                            if let Some(derived) = tg.infer(ia, ib) {
-                                return derived == rel;
-                            }
-                        }
-                        match (events[ia].step, events[ib].step) {
-                            (Some(sa), Some(sb)) => match rel {
-                                RelationType::Before => sa < sb,
-                                RelationType::After => sa > sb,
-                                RelationType::Overlap => (sa - sb).abs() < f64::EPSILON,
-                                _ => false,
-                            },
-                            _ => false,
+        let az = of(c.a);
+        let bz = of(c.b);
+        az.iter().any(|&ia| {
+            bz.iter().any(|&ib| match c.op {
+                TemporalOp::Within(days) => match (events[ia].step, events[ib].step) {
+                    (Some(sa), Some(sb)) => {
+                        (sa - sb).abs() * f64::from(STEP_DAYS) <= f64::from(days)
+                    }
+                    _ => false,
+                },
+                op => {
+                    let rel = match op {
+                        TemporalOp::Before => RelationType::Before,
+                        TemporalOp::After => RelationType::After,
+                        TemporalOp::Overlaps => RelationType::Overlap,
+                        TemporalOp::Within(_) => unreachable!("handled above"),
+                    };
+                    if ia != ib {
+                        if let Some(derived) = tg.infer(ia, ib) {
+                            return derived == rel;
                         }
                     }
-                })
+                    match (events[ia].step, events[ib].step) {
+                        (Some(sa), Some(sb)) => match rel {
+                            RelationType::Before => sa < sb,
+                            RelationType::After => sa > sb,
+                            RelationType::Overlap => (sa - sb).abs() < f64::EPSILON,
+                            _ => false,
+                        },
+                        _ => false,
+                    }
+                }
             })
         })
-    }
+    })
 }
 
 /// Counts a bitmap intersection into `create_bitmap_intersections_total`.
@@ -771,8 +746,7 @@ pub(crate) fn execute_cohort(
         let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_TEMPORAL);
         for (no, shard) in shards.iter().enumerate() {
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-            let checker = TemporalChecker::new(shard);
-            eligible[no].retain(|&doc| checker.satisfies_all(doc, &temporals));
+            eligible[no].retain(|&doc| satisfies_all(shard, doc, &temporals));
         }
     }
 

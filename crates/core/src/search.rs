@@ -11,12 +11,12 @@
 //!   CREATe-IR. The results returned by Neo4j will be placed on top,
 //!   followed by results from ElasticSearch" (Section III-D).
 
+use crate::graph_build::find_concept;
 use crate::pipeline::QueryIE;
 use crate::system::ShardSnapshot;
 use create_graphdb::{NodeId, PropertyGraph};
 use create_index::{CorpusStats, Index, QueryNode, Scorer};
 use create_ontology::{ConceptId, RelationType};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which engine produced a hit.
@@ -79,167 +79,136 @@ struct Traversal {
     edges: u64,
 }
 
-/// The graph-side searcher. Holds the concept→node registry shared with
-/// [`crate::graph_build::GraphBuilder`].
-#[derive(Debug)]
-pub struct GraphSearcher {
-    concept_nodes: HashMap<ConceptId, NodeId>,
+/// Reports (by node) mentioning a concept.
+fn reports_mentioning(
+    graph: &PropertyGraph,
+    concept: ConceptId,
+    traversal: &mut Traversal,
+) -> Vec<NodeId> {
+    let Some(cnode) = find_concept(graph, concept) else {
+        return Vec::new();
+    };
+    let incoming = graph.incoming(cnode);
+    traversal.edges += incoming.len() as u64;
+    incoming
+        .into_iter()
+        .filter(|e| &*e.rel_type == "MENTIONS")
+        .map(|e| e.source)
+        .collect()
 }
 
-impl GraphSearcher {
-    /// Builds the searcher by scanning the graph's concept nodes.
-    pub fn from_graph(graph: &PropertyGraph) -> GraphSearcher {
-        let mut concept_nodes = HashMap::new();
-        for id in graph.nodes_with_label("Concept") {
-            let node = graph.node(id).expect("listed node exists");
-            if let Some(cui) = node
+/// Timeline steps at which `concept` occurs in the report.
+fn concept_steps(
+    graph: &PropertyGraph,
+    report: NodeId,
+    concept: ConceptId,
+    traversal: &mut Traversal,
+) -> Vec<f64> {
+    let cui = concept.to_string();
+    let outgoing = graph.outgoing(report);
+    traversal.edges += outgoing.len() as u64;
+    outgoing
+        .into_iter()
+        .filter(|e| &*e.rel_type == "CONTAINS")
+        .filter_map(|e| {
+            traversal.nodes += 1;
+            graph.node(e.target)
+        })
+        .filter(|event| {
+            event
                 .props
                 .get("cui")
                 .and_then(|v| v.as_str())
-                .and_then(ConceptId::parse)
-            {
-                concept_nodes.insert(cui, id);
-            }
-        }
-        GraphSearcher { concept_nodes }
-    }
+                .is_some_and(|c| c == cui)
+        })
+        .filter_map(|event| event.props.get("step").and_then(|v| v.as_f64()))
+        .collect()
+}
 
-    /// Reports (by node) mentioning a concept.
-    fn reports_mentioning(
-        &self,
-        graph: &PropertyGraph,
-        concept: ConceptId,
-        traversal: &mut Traversal,
-    ) -> Vec<NodeId> {
-        let Some(&cnode) = self.concept_nodes.get(&concept) else {
-            return Vec::new();
-        };
-        let incoming = graph.incoming(cnode);
-        traversal.edges += incoming.len() as u64;
-        incoming
-            .into_iter()
-            .filter(|e| e.rel_type == "MENTIONS")
-            .map(|e| e.source)
-            .collect()
-    }
-
-    /// Timeline steps at which `concept` occurs in the report.
-    fn concept_steps(
-        &self,
-        graph: &PropertyGraph,
-        report: NodeId,
-        concept: ConceptId,
-        traversal: &mut Traversal,
-    ) -> Vec<f64> {
-        let cui = concept.to_string();
-        let outgoing = graph.outgoing(report);
-        traversal.edges += outgoing.len() as u64;
-        outgoing
-            .into_iter()
-            .filter(|e| e.rel_type == "CONTAINS")
-            .filter_map(|e| {
-                traversal.nodes += 1;
-                graph.node(e.target)
-            })
-            .filter(|event| {
-                event
-                    .props
-                    .get("cui")
-                    .and_then(|v| v.as_str())
-                    .is_some_and(|c| c == cui)
-            })
-            .filter_map(|event| event.props.get("step").and_then(|v| v.as_f64()))
-            .collect()
-    }
-
-    /// True when the report realizes `rel` between the two concepts.
-    fn pattern_matches(
-        &self,
-        graph: &PropertyGraph,
-        report: NodeId,
-        c1: ConceptId,
-        c2: ConceptId,
-        rel: RelationType,
-        traversal: &mut Traversal,
-    ) -> bool {
-        let s1 = self.concept_steps(graph, report, c1, traversal);
-        let s2 = self.concept_steps(graph, report, c2, traversal);
-        for &a in &s1 {
-            for &b in &s2 {
-                let ok = match rel {
-                    RelationType::Before => a < b,
-                    RelationType::After => a > b,
-                    RelationType::Overlap => (a - b).abs() < f64::EPSILON,
-                    _ => false,
-                };
-                if ok {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Runs the graph query: all concepts required; pattern scored on top.
-    pub fn search(&self, graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<SearchHit> {
-        let concepts = query.event_concepts();
-        if concepts.is_empty() {
-            return Vec::new();
-        }
-        let mut traversal = Traversal::default();
-        // Candidate reports: intersection over per-concept mention lists,
-        // seeded from the rarest concept.
-        let mut lists: Vec<Vec<NodeId>> = concepts
-            .iter()
-            .map(|&c| self.reports_mentioning(graph, c, &mut traversal))
-            .collect();
-        lists.sort_by_key(Vec::len);
-        let Some((seed, rest)) = lists.split_first() else {
-            return Vec::new();
-        };
-        let mut hits = Vec::new();
-        for &report in seed {
-            traversal.nodes += 1;
-            if !rest.iter().all(|l| l.contains(&report)) {
-                continue;
-            }
-            let pattern_matched = match query.pattern {
-                Some((c1, c2, rel)) => {
-                    self.pattern_matches(graph, report, c1, c2, rel, &mut traversal)
-                }
-                None => false,
+/// True when the report realizes `rel` between the two concepts.
+fn pattern_matches(
+    graph: &PropertyGraph,
+    report: NodeId,
+    c1: ConceptId,
+    c2: ConceptId,
+    rel: RelationType,
+    traversal: &mut Traversal,
+) -> bool {
+    let s1 = concept_steps(graph, report, c1, traversal);
+    let s2 = concept_steps(graph, report, c2, traversal);
+    for &a in &s1 {
+        for &b in &s2 {
+            let ok = match rel {
+                RelationType::Before => a < b,
+                RelationType::After => a > b,
+                RelationType::Overlap => (a - b).abs() < f64::EPSILON,
+                _ => false,
             };
-            let node = graph.node(report).expect("report node exists");
-            let report_id = node
-                .props
-                .get("reportId")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_string();
-            let year = node
-                .props
-                .get("year")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            // Pattern dominates; recency is a mild tiebreak.
-            let score = if pattern_matched { 10.0 } else { 1.0 } + year / 10_000.0;
-            hits.push(SearchHit {
-                report_id,
-                score,
-                source: SearchSource::Graph,
-                pattern_matched,
-            });
+            if ok {
+                return true;
+            }
         }
-        create_obs::record_graph_exec(traversal.nodes, traversal.edges);
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then_with(|| a.report_id.cmp(&b.report_id))
-        });
-        hits.truncate(k);
-        hits
     }
+    false
+}
+
+/// Runs the graph query: all concepts required; pattern scored on top.
+pub fn graph_search(graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<SearchHit> {
+    let concepts = query.event_concepts();
+    if concepts.is_empty() {
+        return Vec::new();
+    }
+    let mut traversal = Traversal::default();
+    // Candidate reports: intersection over per-concept mention lists,
+    // seeded from the rarest concept.
+    let mut lists: Vec<Vec<NodeId>> = concepts
+        .iter()
+        .map(|&c| reports_mentioning(graph, c, &mut traversal))
+        .collect();
+    lists.sort_by_key(Vec::len);
+    let Some((seed, rest)) = lists.split_first() else {
+        return Vec::new();
+    };
+    let mut hits = Vec::new();
+    for &report in seed {
+        traversal.nodes += 1;
+        if !rest.iter().all(|l| l.contains(&report)) {
+            continue;
+        }
+        let pattern_matched = match query.pattern {
+            Some((c1, c2, rel)) => pattern_matches(graph, report, c1, c2, rel, &mut traversal),
+            None => false,
+        };
+        let node = graph.node(report).expect("report node exists");
+        let report_id = node
+            .props
+            .get("reportId")
+            .and_then(|v| v.as_str())
+            .unwrap_or_default()
+            .to_string();
+        let year = node
+            .props
+            .get("year")
+            .and_then(|v| v.as_f64())
+            .unwrap_or(0.0);
+        // Pattern dominates; recency is a mild tiebreak.
+        let score = if pattern_matched { 10.0 } else { 1.0 } + year / 10_000.0;
+        hits.push(SearchHit {
+            report_id,
+            score,
+            source: SearchSource::Graph,
+            pattern_matched,
+        });
+    }
+    create_obs::record_graph_exec(traversal.nodes, traversal.edges);
+    hits.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .expect("finite scores")
+            .then_with(|| a.report_id.cmp(&b.report_id))
+    });
+    hits.truncate(k);
+    hits
 }
 
 /// Builds the standard multi-field keyword query over title/body (+ the
@@ -349,12 +318,12 @@ pub(crate) fn scatter_graph_search(
 ) -> Vec<SearchHit> {
     if shards.len() == 1 {
         let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, 0);
-        return GraphSearcher::from_graph(&shards[0].graph).search(&shards[0].graph, query, k);
+        return graph_search(&shards[0].graph, query, k);
     }
     let mut hits: Vec<SearchHit> = Vec::new();
     for (shard_no, shard) in shards.iter().enumerate() {
         let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, shard_no as u32);
-        hits.extend(GraphSearcher::from_graph(&shard.graph).search(&shard.graph, query, k));
+        hits.extend(graph_search(&shard.graph, query, k));
     }
     hits.sort_by(|a, b| {
         b.score

@@ -18,9 +18,9 @@
 //! report/annotation retrieval, and Fig-7 visualization.
 
 use crate::cache::{CacheStats, QueryCache};
-use crate::durability::{self, ShardStorage, StorageRoot, WalRecord};
+use crate::durability::{self, DocPayload, RecoveredDoc, ShardStorage, StorageRoot, WalRecord};
 use crate::facet_build::facet_values;
-use crate::graph_build::{GraphBuilder, ReportMeta};
+use crate::graph_build::{find_report, GraphBuilder, ReportMeta};
 use crate::pipeline::{ExtractedAnnotations, QueryIE};
 use crate::plan::{self, CohortCriteria, CohortResult, PlanMode, QueryPlan};
 use crate::search::{scatter_graph_search, scatter_keyword_search, MergePolicy, SearchHit};
@@ -229,16 +229,58 @@ impl Writer {
     /// Appends one record to the shard's WAL. Called *before* the
     /// corresponding in-memory apply, so any write the system goes on
     /// to acknowledge is already recoverable from the log.
-    fn wal_log(&mut self, record: &Value) -> Result<(), IngestError> {
+    fn wal_log(&mut self, record: &str) -> Result<(), IngestError> {
         let Some(storage) = self.storage.as_mut() else {
             return Ok(());
         };
         let started = Instant::now();
         let bytes = storage
             .wal
-            .append(record.to_json().as_bytes())
+            .append(record.as_bytes())
             .map_err(IngestError::Storage)?;
         durability::note_wal_append(bytes, started.elapsed().as_secs_f64());
+        Ok(())
+    }
+
+    /// Inserts report `id`'s documents into the shard's store, each text
+    /// as it is: the caller has them from the serializer or from the
+    /// parse that split a recovered payload.
+    fn store_payload(&mut self, id: &str, payload: &DocPayload<'_>) {
+        let docs = [
+            ("reports", Some(payload.report)),
+            ("annotations", payload.ann),
+            ("extractions", payload.extraction),
+        ];
+        for (collection, text) in docs {
+            if let Some(text) = text {
+                self.store.insert_serialized(collection, id, text);
+            }
+        }
+    }
+
+    /// Logs report `id`'s documents to the shard's WAL under `ordinal`,
+    /// then inserts them into its store. Each document is serialized
+    /// once, here; the WAL record and the store get the same text.
+    fn log_and_store(
+        &mut self,
+        ordinal: u64,
+        id: &str,
+        report: &Value,
+        ann: Option<&Value>,
+        extraction: &Value,
+    ) -> Result<(), IngestError> {
+        let report = report.to_json();
+        let ann = ann.map(Value::to_json);
+        let extraction = extraction.to_json();
+        let payload = DocPayload {
+            report: &report,
+            ann: ann.as_deref(),
+            extraction: Some(&extraction),
+        };
+        if self.storage.is_some() {
+            self.wal_log(&durability::doc_record(ordinal, &payload))?;
+        }
+        self.store_payload(id, &payload);
         Ok(())
     }
 
@@ -271,10 +313,11 @@ fn empty_writer() -> Writer {
 }
 
 /// Clones one shard writer's state into a fresh immutable snapshot. The
-/// clones are structural: postings lists, graph nodes, and stored
-/// documents all sit behind `Arc`s, so the cost scales with the *shard's*
-/// pointer-table sizes, not corpus bytes — untouched shards are not even
-/// visited (their published `Arc`s are reused).
+/// clones are structural: posting lists, the graph's node and edge
+/// chunks and index vectors, and stored documents' texts all sit behind
+/// `Arc`s, so the cost scales with the *shard's* pointer-table sizes,
+/// not corpus bytes — untouched shards are not even visited (their
+/// published `Arc`s are reused).
 fn snapshot_of(writer: &Writer) -> Arc<ShardSnapshot> {
     Arc::new(ShardSnapshot {
         generation: writer.generation,
@@ -401,6 +444,9 @@ fn register_metrics() {
     create_obs::histogram(obs_names::SEGMENT_SEAL_SECONDS);
     create_obs::gauge(obs_names::SEGMENT_COUNT_GAUGE);
     create_obs::gauge(obs_names::SEGMENT_BYTES_GAUGE);
+    for (component, _) in MemoryStats::default().components() {
+        create_obs::gauge_with(obs_names::RESIDENT_BYTES_GAUGE, &[("component", component)]);
+    }
     for policy in ALL_POLICIES {
         create_obs::counter_with(obs_names::SEARCH_POLICY_TOTAL, &[("policy", policy.label())]);
     }
@@ -658,7 +704,7 @@ impl Create {
                         if sealed_max.is_some_and(|max| ordinal <= max) {
                             continue;
                         }
-                        Self::recover_doc(&ontology, &mut writer, payload, ordinal, Derive::All)
+                        Self::recover_doc(&ontology, &mut writer, &payload, ordinal, Derive::All)
                             .map_err(IngestError::Store)?;
                     }
                     WalRecord::Update {
@@ -761,7 +807,7 @@ impl Create {
             } else {
                 Derive::Nothing
             };
-            Self::recover_doc(ontology, writer, payload, stored.ordinal, derive)
+            Self::recover_doc(ontology, writer, &payload, stored.ordinal, derive)
                 .map_err(&corrupt)?;
         }
         if legacy_facets {
@@ -774,13 +820,14 @@ impl Create {
     }
 
     /// Re-applies one recovered document payload to a shard writer: the
-    /// three stored documents move into the document store, the graph
-    /// projection is rebuilt from them, and `derive` names what else
-    /// the payload's source did not carry.
+    /// three stored documents' texts go into the document store as they
+    /// are, the graph projection is rebuilt from the parsed report and
+    /// extraction, and `derive` names what else the payload's source did
+    /// not carry.
     fn recover_doc(
         ontology: &Ontology,
         writer: &mut Writer,
-        payload: durability::DocPayload,
+        payload: &RecoveredDoc<'_>,
         ordinal: u64,
         derive: Derive,
     ) -> Result<(), String> {
@@ -822,19 +869,7 @@ impl Create {
             );
         }
         writer.ordinals.push(ordinal);
-        let docs = [
-            ("reports", Some(payload.report)),
-            ("annotations", payload.ann),
-            ("extractions", payload.extraction),
-        ];
-        for (collection, doc) in docs {
-            if let Some(doc) = doc {
-                writer
-                    .store
-                    .insert(collection, doc)
-                    .map_err(|e| e.to_string())?;
-            }
-        }
+        writer.store_payload(fields.id, &payload.texts);
         Ok(())
     }
 
@@ -1273,7 +1308,7 @@ impl Create {
             self.shards.iter().map(|s| s.lock_writer()).collect();
         let mut seen = HashSet::new();
         for (id, &route) in ids.iter().zip(routes) {
-            if guards[route].store.get("reports", id).is_some() || !seen.insert(*id) {
+            if guards[route].store.contains("reports", id) || !seen.insert(*id) {
                 return Err(IngestError::Duplicate(id.to_string()));
             }
         }
@@ -1502,23 +1537,7 @@ impl Create {
             ("_id", doc.id.clone().into()),
             ("extraction", doc.annotations.to_json()),
         ]);
-        if writer.storage.is_some() {
-            let record =
-                durability::doc_record(ordinal, &stored, Some(&ann_doc), Some(&extraction_doc));
-            writer.wal_log(&record)?;
-        }
-        writer
-            .store
-            .insert("reports", stored)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-        writer
-            .store
-            .insert("annotations", ann_doc)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-        writer
-            .store
-            .insert("extractions", extraction_doc)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
+        writer.log_and_store(ordinal, &doc.id, &stored, Some(&ann_doc), &extraction_doc)?;
         let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
         writer.graph_builder.add_report(
             &mut writer.graph,
@@ -1548,7 +1567,7 @@ impl Create {
         annotations: ExtractedAnnotations,
         brat: Option<BratDocument>,
     ) -> Result<(), IngestError> {
-        if writer.store.get("reports", id).is_some() {
+        if writer.store.contains("reports", id) {
             return Err(IngestError::Duplicate(id.to_string()));
         }
         let doc = obj([
@@ -1571,33 +1590,11 @@ impl Create {
             .as_ref()
             .map(|b| obj([("_id", id.into()), ("ann", b.serialize().into())]));
         let extraction_doc = obj([("_id", id.into()), ("extraction", annotations.to_json())]);
-        // 1) WAL — the record is appended (and later fsynced by the
-        //    caller) before any in-memory apply, so every write the
-        //    system acknowledges is recoverable from the log.
-        if writer.storage.is_some() {
-            let record = durability::doc_record(
-                *next_ordinal,
-                &doc,
-                ann_doc.as_ref(),
-                Some(&extraction_doc),
-            );
-            writer.wal_log(&record)?;
-        }
-        // 2) Document store.
-        writer
-            .store
-            .insert("reports", doc)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-        if let Some(ann_doc) = ann_doc {
-            writer
-                .store
-                .insert("annotations", ann_doc)
-                .map_err(|e| IngestError::Store(e.to_string()))?;
-        }
-        writer
-            .store
-            .insert("extractions", extraction_doc)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
+        // 1) WAL, then 2) document store — the record is appended (and
+        //    later fsynced by the caller) before any in-memory apply, so
+        //    every write the system acknowledges is recoverable from the
+        //    log.
+        writer.log_and_store(*next_ordinal, id, &doc, ann_doc.as_ref(), &extraction_doc)?;
         // 3) Property graph.
         {
             let _span =
@@ -1834,10 +1831,7 @@ impl Create {
     /// Fetches a stored report document from its owning shard.
     pub fn report(&self, id: &str) -> Option<Value> {
         let snapshot = self.current.load();
-        snapshot.shards[self.shard_of(id)]
-            .store
-            .get("reports", id)
-            .cloned()
+        snapshot.shards[self.shard_of(id)].store.get("reports", id)
     }
 
     /// Fetches a report's BRAT annotation export from its owning shard.
@@ -1856,20 +1850,11 @@ impl Create {
     pub fn visualize(&self, id: &str) -> Option<String> {
         let snapshot = self.current.load();
         let graph = &snapshot.shards[self.shard_of(id)].graph;
-        let report_node = graph
-            .nodes_with_label("Report")
-            .into_iter()
-            .find(|&n| {
-                graph
-                    .node(n)
-                    .and_then(|node| node.props.get("reportId"))
-                    .and_then(|v| v.as_str())
-                    .is_some_and(|rid| rid == id)
-            })?;
+        let report_node = find_report(graph, id)?;
         let events: Vec<_> = graph
             .outgoing(report_node)
             .into_iter()
-            .filter(|e| e.rel_type == "CONTAINS")
+            .filter(|e| &*e.rel_type == "CONTAINS")
             .map(|e| e.target)
             .collect();
         if events.is_empty() {
@@ -1897,7 +1882,7 @@ impl Create {
         }
         for &ev in &events {
             for edge in graph.outgoing(ev) {
-                if edge.rel_type != "BEFORE" && edge.rel_type != "OVERLAP" {
+                if &*edge.rel_type != "BEFORE" && &*edge.rel_type != "OVERLAP" {
                     continue;
                 }
                 let (Some(&s), Some(&t)) = (node_index.get(&ev), node_index.get(&edge.target))
@@ -1907,7 +1892,7 @@ impl Create {
                 viz.edges.push(VizEdge {
                     source: s,
                     target: t,
-                    label: edge.rel_type.clone(),
+                    label: edge.rel_type.to_string(),
                 });
             }
         }
@@ -1957,6 +1942,33 @@ impl Create {
         stats
     }
 
+    /// Heap bytes the published snapshot holds, by component and summed
+    /// across shards, from the structures' own lengths and capacities
+    /// (see [`PropertyGraph::heap_bytes`]). Walks every shard's graph,
+    /// store, dictionary and bitmaps, so it is for the stats and scrape
+    /// paths; it takes no writer lock. Also refreshes the
+    /// `create_resident_bytes` gauges.
+    pub fn memory_stats(&self) -> MemoryStats {
+        let snapshot = self.current.load();
+        let mut stats = MemoryStats::default();
+        for shard in &snapshot.shards {
+            stats.postings_bytes += shard.index.postings_bytes();
+            stats.graph_bytes += shard.graph.heap_bytes();
+            stats.docstore_bytes += shard.store.heap_bytes();
+            stats.facet_bytes += shard.facets.postings_bytes();
+        }
+        if create_obs::enabled() {
+            for (component, bytes) in stats.components() {
+                create_obs::gauge_with(
+                    obs_names::RESIDENT_BYTES_GAUGE,
+                    &[("component", component)],
+                )
+                .set(bytes as i64);
+            }
+        }
+        stats
+    }
+
     /// Sealed-segment totals from the live manifest (`None` for
     /// in-memory instances). Takes only the manifest lock — never a
     /// writer lock — so the metrics scrape path can call it while
@@ -1981,6 +1993,33 @@ pub struct FacetStats {
     pub postings_bytes: usize,
     /// Documents covered (equals the report count).
     pub docs: usize,
+}
+
+/// Resident heap bytes by component (see [`Create::memory_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryStats {
+    /// The inverted indexes' terms and posting arrays
+    /// ([`Index::postings_bytes`]).
+    pub postings_bytes: usize,
+    /// The property graphs.
+    pub graph_bytes: usize,
+    /// The document stores' texts, ids and maps.
+    pub docstore_bytes: usize,
+    /// The facet bitmaps' values and runs.
+    pub facet_bytes: usize,
+}
+
+impl MemoryStats {
+    /// `(component, bytes)` — the `component` label of
+    /// `create_resident_bytes`, and `<component>_bytes` in `/stats`.
+    pub fn components(&self) -> [(&'static str, usize); 4] {
+        [
+            ("postings", self.postings_bytes),
+            ("graph", self.graph_bytes),
+            ("docstore", self.docstore_bytes),
+            ("facet", self.facet_bytes),
+        ]
+    }
 }
 
 /// Sealed on-disk segment totals (see [`Create::storage_stats`]).

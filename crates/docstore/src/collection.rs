@@ -6,7 +6,8 @@
 //! backend needs: field equality and comparisons over dot paths, substring
 //! and membership tests, and boolean combinators.
 
-use crate::json::Value;
+use crate::json::{parse_json, Value};
+use create_util::arc_slice_bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -99,15 +100,26 @@ pub struct UpdateResult {
 
 /// An in-memory ordered collection of JSON documents.
 ///
-/// Documents sit behind `Arc`, so `Clone` shares them structurally: a
-/// snapshot of the collection copies the id → pointer map, never the
-/// JSON trees. Mutations go through [`Arc::make_mut`], copying only the
-/// touched document when a snapshot still shares it.
+/// Each document is held as its serialized JSON text and parsed on the
+/// way out, so a stored report costs one allocation of its own size
+/// instead of a tree of maps, strings and vectors. Every text comes out
+/// of the serializer or has been through the parser on the way in —
+/// [`Collection::insert`] serializes a [`Value`],
+/// [`Collection::insert_serialized`] takes its caller's word for it —
+/// so the accessors have no failure of their own to report. Ids and texts
+/// sit behind `Arc`, so `Clone` shares them structurally: a snapshot of
+/// the collection copies the id → text map's nodes, never a document,
+/// and an update replaces one text and leaves the rest shared.
 #[derive(Debug, Default, Clone)]
 pub struct Collection {
-    docs: BTreeMap<String, Arc<Value>>,
+    docs: BTreeMap<Arc<str>, Arc<str>>,
     next_id: u64,
 }
+
+/// What the id → text map's nodes cost per entry: a 368-byte leaf holds
+/// up to 11 entries and runs about two-thirds full, plus the inner
+/// nodes above it.
+const MAP_ENTRY_BYTES: usize = 56;
 
 impl Collection {
     /// Creates an empty collection.
@@ -141,28 +153,56 @@ impl Collection {
                 id
             }
         };
-        self.docs.insert(id.clone(), Arc::new(doc));
+        self.insert_serialized(&id, &doc.to_json());
         Ok(id)
     }
 
+    /// Inserts (or replaces) the document `id` given as its serialized
+    /// text, stored as it is — neither parsed nor serialized again. The
+    /// caller vouches that `text` has been through the parser or come
+    /// out of the serializer (a [`Value::to_json`] result, a text from
+    /// [`object_members`](crate::json::object_members)) and is an object
+    /// whose `_id` is `id`; text that is not reads back as a missing
+    /// document.
+    pub fn insert_serialized(&mut self, id: &str, text: &str) {
+        debug_assert!(
+            parse_json(text).is_ok_and(|doc| doc.get("_id").and_then(Value::as_str) == Some(id)),
+            "not a serialized document with _id {id:?}: {text}"
+        );
+        self.docs.insert(Arc::from(id), Arc::from(text));
+    }
+
+    /// Whether a document with this id is stored. Parses nothing.
+    pub fn contains(&self, id: &str) -> bool {
+        self.docs.contains_key(id)
+    }
+
     /// Fetches a document by id.
-    pub fn get(&self, id: &str) -> Option<&Value> {
-        self.docs.get(id).map(|d| &**d)
+    pub fn get(&self, id: &str) -> Option<Value> {
+        self.docs.get(id).and_then(|text| parse_json(text).ok())
+    }
+
+    /// A document's serialized text, as stored.
+    pub fn get_json(&self, id: &str) -> Option<&Arc<str>> {
+        self.docs.get(id)
     }
 
     /// Returns all matching documents in id order.
-    pub fn find(&self, filter: &Filter) -> Vec<&Value> {
+    pub fn find(&self, filter: &Filter) -> Vec<Value> {
         self.iter().filter(|d| filter.matches(d)).collect()
     }
 
     /// Returns the first matching document.
-    pub fn find_one(&self, filter: &Filter) -> Option<&Value> {
+    pub fn find_one(&self, filter: &Filter) -> Option<Value> {
         self.iter().find(|d| filter.matches(d))
     }
 
-    /// Counts matching documents.
+    /// Counts matching documents ([`Filter::All`] without parsing any).
     pub fn count(&self, filter: &Filter) -> usize {
-        self.iter().filter(|d| filter.matches(d)).count()
+        match filter {
+            Filter::All => self.len(),
+            _ => self.iter().filter(|d| filter.matches(d)).count(),
+        }
     }
 
     /// Applies `set` fields (shallow merge of top-level keys) to every
@@ -175,24 +215,27 @@ impl Collection {
         let set_map = set.as_object().ok_or(CollectionError::NotAnObject)?;
         let mut matched = 0;
         let mut modified = 0;
-        // Same `_id` fast path as `delete`: point updates touch exactly
-        // one map entry instead of scanning every document.
+        // Same `_id` fast path as `delete`: a point update parses and
+        // re-serializes exactly one document instead of every one.
         let point_target = match filter {
-            Filter::Eq(path, Value::String(id)) if path == "_id" => Some(id.clone()),
+            Filter::Eq(path, Value::String(id)) if path == "_id" => Some(id.as_str()),
             _ => None,
         };
-        let docs: &mut dyn Iterator<Item = &mut Arc<Value>> = match &point_target {
+        let texts: &mut dyn Iterator<Item = &mut Arc<str>> = match point_target {
             Some(id) => &mut self.docs.get_mut(id).into_iter(),
             None => &mut self.docs.values_mut(),
         };
-        for doc in docs {
-            if point_target.is_none() && !filter.matches(doc) {
+        for text in texts {
+            let Ok(mut doc) = parse_json(text) else {
+                continue;
+            };
+            if point_target.is_none() && !filter.matches(&doc) {
                 continue;
             }
+            let Some(map) = doc.as_object_mut() else {
+                continue;
+            };
             matched += 1;
-            let map = Arc::make_mut(doc)
-                .as_object_mut()
-                .expect("stored docs are objects");
             let mut changed = false;
             for (k, v) in set_map {
                 if k == "_id" {
@@ -204,6 +247,7 @@ impl Collection {
                 }
             }
             if changed {
+                *text = Arc::from(doc.to_json());
                 modified += 1;
             }
         }
@@ -214,30 +258,36 @@ impl Collection {
     ///
     /// An equality filter on `_id` is answered straight from the id
     /// map (documents are keyed by their `_id`), so point deletes stay
-    /// `O(log n)` instead of scanning the collection — the ingest
+    /// `O(log n)` instead of parsing the collection — the ingest
     /// upsert and crash-recovery paths delete by id in a loop, where a
     /// scan would make reopening a large store quadratic.
     pub fn delete(&mut self, filter: &Filter) -> usize {
         if let Filter::Eq(path, Value::String(id)) = filter {
             if path == "_id" {
-                return usize::from(self.docs.remove(id).is_some());
+                return usize::from(self.docs.remove(id.as_str()).is_some());
             }
         }
-        let ids: Vec<String> = self
-            .docs
-            .iter()
-            .filter(|(_, d)| filter.matches(d))
-            .map(|(id, _)| id.clone())
-            .collect();
-        for id in &ids {
-            self.docs.remove(id);
-        }
-        ids.len()
+        let before = self.docs.len();
+        self.docs
+            .retain(|_, text| !parse_json(text).is_ok_and(|d| filter.matches(&d)));
+        before - self.docs.len()
     }
 
-    /// Iterates documents in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        self.docs.values().map(|d| &**d)
+    /// Iterates documents in id order, parsing each as it is reached.
+    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
+        self.docs.values().filter_map(|text| parse_json(text).ok())
+    }
+
+    /// Heap bytes the collection holds: every id and text with its `Arc`
+    /// header, exactly, plus the map's nodes at [`MAP_ENTRY_BYTES`] an
+    /// entry.
+    pub fn heap_bytes(&self) -> usize {
+        self.docs
+            .iter()
+            .map(|(id, text)| {
+                arc_slice_bytes(id.len()) + arc_slice_bytes(text.len()) + MAP_ENTRY_BYTES
+            })
+            .sum()
     }
 }
 
@@ -320,6 +370,48 @@ mod tests {
             c.get("pmid:123").unwrap().get("v").unwrap().as_i64(),
             Some(2)
         );
+    }
+
+    #[test]
+    fn insert_serialized_stores_the_text_as_given() {
+        let mut c = Collection::new();
+        // Not the serializer's spelling (spaces, an escape it would not
+        // write): kept byte for byte, parsed on the way out.
+        let text = r#"{"_id": "a", "n": [1, 2, {}], "s": "x\u00e9"}"#;
+        c.insert_serialized("a", text);
+        assert_eq!(&**c.get_json("a").unwrap(), text);
+        assert_eq!(c.get("a").unwrap(), parse_json(text).unwrap());
+        assert!(c.contains("a") && !c.contains("b"));
+        assert_eq!(c.count(&Filter::All), 1);
+        // The same id again replaces the document.
+        c.insert_serialized("a", r#"{"_id":"a"}"#);
+        assert_eq!(c.find(&Filter::All), [obj([("_id", "a".into())])]);
+    }
+
+    #[test]
+    fn point_update_replaces_one_text_and_shares_the_rest() {
+        let mut c = sample();
+        let snapshot = c.clone();
+        let r = c
+            .update(
+                &Filter::eq("_id", "doc00000001"),
+                &obj([("reviewed", true.into())]),
+            )
+            .unwrap();
+        assert_eq!(
+            r,
+            UpdateResult {
+                matched: 1,
+                modified: 1
+            }
+        );
+        for ((old_id, old_text), (id, text)) in snapshot.docs.iter().zip(&c.docs) {
+            assert!(Arc::ptr_eq(old_id, id));
+            assert_eq!(Arc::ptr_eq(old_text, text), &**id != "doc00000001");
+        }
+        let reviewed = |c: &Collection| c.get("doc00000001").unwrap().get("reviewed").cloned();
+        assert_eq!(reviewed(&snapshot), None);
+        assert_eq!(reviewed(&c), Some(Value::Bool(true)));
     }
 
     #[test]

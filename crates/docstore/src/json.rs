@@ -312,7 +312,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects the parser accepts. The parser
+/// recurses once per level, so without a cap a request body of a few
+/// hundred kilobytes of `[` overflows the stack and aborts the process;
+/// nothing this system writes nests ten deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 ///
 /// ```
 /// use create_docstore::parse_json;
@@ -320,25 +327,89 @@ impl std::error::Error for JsonError {}
 /// assert_eq!(v.get("year").unwrap().as_i64(), Some(2020));
 /// ```
 pub fn parse_json(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
+    let mut p = Parser::new(input);
     let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.finish()?;
     Ok(value)
+}
+
+/// One top-level member of a serialized object (see [`object_members`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Member<'a> {
+    /// The key, unescaped.
+    pub key: String,
+    /// The value's text as it stands in the input.
+    pub text: &'a str,
+    /// The value, for a key the caller asked to have built.
+    pub value: Option<Value>,
+}
+
+/// Splits a serialized JSON object into its top-level members in one
+/// pass: each member's key and the text of its value, borrowed from
+/// `input`, in input order (a repeated key appears twice; [`parse_json`]
+/// keeps the last). A member whose key `build` accepts is parsed into a
+/// tree on the way; the others are only checked. Either way the whole
+/// input goes through the same grammar and depth cap as [`parse_json`],
+/// so every returned text parses.
+///
+/// ```
+/// use create_docstore::json::object_members;
+/// let members = object_members(r#"{"a": [1, 2], "b": "x"}"#, |key| key == "b").unwrap();
+/// assert_eq!((members[0].text, &members[0].value), ("[1, 2]", &None));
+/// assert_eq!((members[1].text, &members[1].value), ("\"x\"", &Some("x".into())));
+/// ```
+pub fn object_members(
+    input: &str,
+    build: impl Fn(&str) -> bool,
+) -> Result<Vec<Member<'_>>, JsonError> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    if p.peek() != Some(b'{') {
+        return Err(p.err("expected an object"));
+    }
+    let mut members = Vec::new();
+    p.object(|p| {
+        let key = p.buf.clone();
+        p.skip_ws();
+        let start = p.pos;
+        let value = if build(&key) {
+            Some(p.parse_value()?)
+        } else {
+            p.skip_value()?;
+            None
+        };
+        members.push(Member {
+            key,
+            text: &input[start..p.pos],
+            value,
+        });
+        Ok(())
+    })?;
+    p.finish()?;
+    Ok(members)
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays and objects around `pos`.
+    depth: usize,
+    /// The string most recently parsed, unescaped. Reused from string to
+    /// string, so skipping a value allocates nothing and a built string
+    /// is copied out once at its exact size.
+    buf: String,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            buf: String::new(),
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -371,18 +442,57 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Only whitespace may follow the document's value.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|p| {
+                    let key = p.buf.clone();
+                    map.insert(key, p.parse_value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.parse_value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => {
+                self.parse_string()?;
+                Ok(Value::String(self.buf.clone()))
+            }
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'n') => self.parse_keyword("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Checks one value against the grammar without building it.
+    fn skip_value(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(|p| p.skip_value()),
+            Some(b'[') => self.array(|p| p.skip_value()),
+            Some(b'"') => self.parse_string(),
+            // Scalars build nothing on the heap.
+            _ => self.parse_value().map(drop),
         }
     }
 
@@ -395,52 +505,74 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, JsonError> {
+    /// One level deeper, or an error at the cap.
+    fn descend(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Walks an object's members: `member` runs with the key in `buf`
+    /// and the cursor after the colon, and consumes the value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        self.descend()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
+        } else {
+            loop {
+                self.skip_ws();
+                self.parse_string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                member(self)?;
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b'}') => break,
+                    _ => return Err(self.err("expected ',' or '}' in object")),
+                }
             }
         }
+        self.depth -= 1;
+        Ok(())
     }
 
-    fn parse_array(&mut self) -> Result<Value, JsonError> {
+    /// Walks an array's items: `item` consumes one value.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        self.descend()?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
+        } else {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b']') => break,
+                    _ => return Err(self.err("expected ',' or ']' in array")),
+                }
             }
         }
+        self.depth -= 1;
+        Ok(())
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// Parses a string into `buf`.
+    fn parse_string(&mut self) -> Result<(), JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        self.buf.clear();
         loop {
             // Bulk-copy the longest run free of terminators and escapes.
             // The input is a `&str` and the delimiters are all ASCII, so
@@ -457,64 +589,53 @@ impl<'a> Parser<'a> {
             if self.pos > start {
                 let run = std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| self.err("invalid UTF-8"))?;
-                out.push_str(run);
+                self.buf.push_str(run);
             }
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.parse_hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require \uXXXX low surrogate.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("missing low surrogate"));
-                            }
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let code =
-                                0x10000 + (((hi - 0xD800) as u32) << 10) + (lo - 0xDC00) as u32;
-                            char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err(self.err("unexpected low surrogate"));
-                        } else {
-                            char::from_u32(hi as u32)
-                                .ok_or_else(|| self.err("invalid code point"))?
-                        };
-                        out.push(c);
-                    }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
-                        let start = self.pos - 1;
-                        let end = start + len;
-                        if end > self.bytes.len() {
-                            return Err(self.err("truncated UTF-8"));
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid UTF-8"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
+                Some(b'"') => return Ok(()),
+                Some(b'\\') => {
+                    let c = match self.bump() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{08}',
+                        Some(b'f') => '\u{0C}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.parse_unicode_escape()?,
+                        _ => return Err(self.err("invalid escape")),
+                    };
+                    self.buf.push(c);
                 }
+                // The run above stops only at a quote, a backslash or a
+                // control byte.
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
+    }
+
+    /// The code point of a `\uXXXX` escape (the `\u` already consumed),
+    /// joining a surrogate pair.
+    fn parse_unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.parse_hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            // Surrogate pair: require \uXXXX low surrogate.
+            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                return Err(self.err("missing low surrogate"));
+            }
+            let lo = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + (((hi - 0xD800) as u32) << 10) + (lo - 0xDC00) as u32
+        } else if (0xDC00..0xE000).contains(&hi) {
+            return Err(self.err("unexpected low surrogate"));
+        } else {
+            hi as u32
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid code point"))
     }
 
     fn parse_hex4(&mut self) -> Result<u16, JsonError> {
@@ -559,15 +680,6 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0xC0..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF7 => Some(4),
-        _ => None,
     }
 }
 
@@ -644,6 +756,65 @@ mod tests {
             "01x",
         ] {
             assert!(parse_json(bad).is_err(), "should reject: {bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        // (opener, innermost value, closer)
+        for (open, inner, close) in [("[", "", "]"), ("{\"a\":", "1", "}")] {
+            let nest =
+                |depth: usize| format!("{}{inner}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+            let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("MAX_DEPTH"), "{err}");
+            // `object_members` counts the object it splits as a level,
+            // whether it builds the member or only checks it.
+            for build in [false, true] {
+                let wrap = |depth| format!("{{\"k\":{}}}", nest(depth));
+                assert!(object_members(&wrap(MAX_DEPTH - 1), |_| build).is_ok());
+                assert!(object_members(&wrap(MAX_DEPTH), |_| build).is_err());
+            }
+            // A megabyte of openers is an error, not a stack overflow.
+            let flood = open.repeat((1 << 20) / open.len());
+            assert!(parse_json(&flood).is_err());
+            assert!(object_members(&format!("{{\"k\":{flood}"), |_| false).is_err());
+        }
+    }
+
+    #[test]
+    fn object_members_borrows_each_value_text() {
+        let text =
+            r#" {"report": {"_id": "a\"b", "n": [1, {"x": null}]}, "t" : "doc" ,"ordinal":7} "#;
+        let members = object_members(text, |key| key != "report").unwrap();
+        let keys: Vec<&str> = members.iter().map(|m| m.key.as_str()).collect();
+        assert_eq!(keys, ["report", "t", "ordinal"]);
+        assert_eq!(members[0].text, r#"{"_id": "a\"b", "n": [1, {"x": null}]}"#);
+        assert_eq!(members[1].text, "\"doc\"");
+        assert_eq!(members[2].text, "7");
+        // Every text parses to the member `parse_json` sees, and so does
+        // every value that was asked for.
+        let whole = parse_json(text).unwrap();
+        for member in &members {
+            let parsed = parse_json(member.text).unwrap();
+            assert_eq!(Some(&parsed), whole.get(&member.key));
+            assert_eq!(member.value, (member.key != "report").then_some(parsed));
+        }
+        assert_eq!(object_members("{}", |_| true).unwrap(), []);
+        for bad in [
+            "[1]",
+            "7",
+            "{\"a\":}",
+            "{\"a\":1} x",
+            "{\"a\":\"\\q\"}",
+            "{\"a\":tru}",
+        ] {
+            for build in [false, true] {
+                assert!(
+                    object_members(bad, |_| build).is_err(),
+                    "should reject: {bad}"
+                );
+            }
         }
     }
 

@@ -6,7 +6,8 @@
 //!
 //! * [`json`] — a JSON value model with a full parser and serializer (no
 //!   external serialization crates; the document model *is* the substrate);
-//! * [`collection`] — schemaless collections with Mongo-style filters
+//! * [`collection`] — schemaless collections, each document held as its
+//!   serialized text and parsed on the way out, with Mongo-style filters
 //!   (equality, ranges, `$in`-style membership, conjunction/disjunction)
 //!   over dot-separated field paths;
 //! * [`store`] — the in-memory named-collection store with copy-on-write

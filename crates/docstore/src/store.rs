@@ -10,7 +10,11 @@
 use crate::collection::{Collection, CollectionError, Filter, UpdateResult};
 use crate::json::Value;
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
+
+/// Collections by name. Names are `Arc<str>` so cloning the map for a
+/// snapshot bumps reference counts and allocates only the map's node.
+type Collections = BTreeMap<Arc<str>, Arc<Collection>>;
 
 /// A multi-collection document store.
 ///
@@ -20,32 +24,35 @@ use std::sync::{Arc, RwLock};
 /// structure only when a live snapshot still shares it.
 #[derive(Debug)]
 pub struct DocStore {
-    inner: RwLock<BTreeMap<String, Arc<Collection>>>,
+    inner: RwLock<Collections>,
 }
 
 /// An immutable point-in-time view of every collection.
 ///
 /// Reads need no lock: the snapshot owns `Arc` handles to the
-/// collections as they were at [`DocStore::snapshot`] time, so accessors
-/// can return borrowed documents instead of cloning them out of a lock.
+/// collections as they were at [`DocStore::snapshot`] time. Documents
+/// are parsed out of their stored text per call.
 #[derive(Debug, Default, Clone)]
 pub struct StoreSnapshot {
-    collections: BTreeMap<String, Arc<Collection>>,
+    collections: Collections,
 }
 
 impl StoreSnapshot {
     /// Lists collection names.
     pub fn collection_names(&self) -> Vec<String> {
-        self.collections.keys().cloned().collect()
+        self.collections
+            .keys()
+            .map(|name| name.to_string())
+            .collect()
     }
 
     /// Fetches a document by id.
-    pub fn get(&self, collection: &str, id: &str) -> Option<&Value> {
+    pub fn get(&self, collection: &str, id: &str) -> Option<Value> {
         self.collections.get(collection)?.get(id)
     }
 
-    /// Runs a filter query, borrowing matches from the snapshot.
-    pub fn find(&self, collection: &str, filter: &Filter) -> Vec<&Value> {
+    /// Runs a filter query.
+    pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Value> {
         self.collections
             .get(collection)
             .map(|c| c.find(filter))
@@ -53,7 +60,7 @@ impl StoreSnapshot {
     }
 
     /// First match, if any.
-    pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<&Value> {
+    pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<Value> {
         self.collections.get(collection)?.find_one(filter)
     }
 
@@ -63,6 +70,13 @@ impl StoreSnapshot {
             .get(collection)
             .map(|c| c.count(filter))
             .unwrap_or(0)
+    }
+
+    /// Heap bytes the snapshot's collections hold (see
+    /// [`Collection::heap_bytes`]); collections shared with other
+    /// snapshots are counted in each.
+    pub fn heap_bytes(&self) -> usize {
+        self.collections.values().map(|c| c.heap_bytes()).sum()
     }
 }
 
@@ -97,55 +111,81 @@ impl DocStore {
         }
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, Collections> {
+        self.inner.read().expect("docstore lock poisoned")
+    }
+
+    /// Runs `write` on a collection, creating it on demand and copying
+    /// its map first when a snapshot still shares it.
+    fn with_collection<T>(&self, collection: &str, write: impl FnOnce(&mut Collection) -> T) -> T {
+        let mut inner = self.inner.write().expect("docstore lock poisoned");
+        if !inner.contains_key(collection) {
+            inner.insert(Arc::from(collection), Arc::default());
+        }
+        let shared = inner.get_mut(collection).expect("inserted above");
+        write(Arc::make_mut(shared))
+    }
+
     /// Lists collection names.
     pub fn collection_names(&self) -> Vec<String> {
-        self.inner.read().expect("docstore lock poisoned").keys().cloned().collect()
+        self.read().keys().map(|name| name.to_string()).collect()
     }
 
     /// A point-in-time view of every collection (cheap: clones the
     /// name → `Arc` map, not the documents).
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
-            collections: self.inner.read().expect("docstore lock poisoned").clone(),
+            collections: self.read().clone(),
         }
     }
 
     /// Inserts a document, creating the collection on demand. Returns the
     /// assigned id.
     pub fn insert(&self, collection: &str, doc: Value) -> Result<String, StoreError> {
-        let mut inner = self.inner.write().expect("docstore lock poisoned");
-        let c = Arc::make_mut(inner.entry(collection.to_string()).or_default());
-        Ok(c.insert(doc)?)
+        Ok(self.with_collection(collection, |c| c.insert(doc))?)
     }
 
-    /// Fetches a document by id (cloned out of the lock).
+    /// Inserts a document given as its serialized text (see
+    /// [`Collection::insert_serialized`]), creating the collection on
+    /// demand.
+    pub fn insert_serialized(&self, collection: &str, id: &str, text: &str) {
+        self.with_collection(collection, |c| c.insert_serialized(id, text));
+    }
+
+    /// Whether the collection stores a document with this id.
+    pub fn contains(&self, collection: &str, id: &str) -> bool {
+        self.read().get(collection).is_some_and(|c| c.contains(id))
+    }
+
+    /// Fetches a document by id.
     pub fn get(&self, collection: &str, id: &str) -> Option<Value> {
-        self.inner.read().expect("docstore lock poisoned").get(collection)?.get(id).cloned()
+        self.read().get(collection)?.get(id)
     }
 
-    /// Runs a filter query, cloning matches out of the lock.
+    /// A document's serialized text, as stored.
+    pub fn get_json(&self, collection: &str, id: &str) -> Option<Arc<str>> {
+        self.read().get(collection)?.get_json(id).cloned()
+    }
+
+    /// Runs a filter query.
     pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Value> {
-        self.inner
-            .read()
-            .expect("docstore lock poisoned")
-            .get(collection)
-            .map(|c| c.find(filter).into_iter().cloned().collect())
-            .unwrap_or_default()
+        self.snapshot().find(collection, filter)
     }
 
     /// First match, if any.
     pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<Value> {
-        self.inner.read().expect("docstore lock poisoned").get(collection)?.find_one(filter).cloned()
+        self.snapshot().find_one(collection, filter)
     }
 
     /// Counts matches.
     pub fn count(&self, collection: &str, filter: &Filter) -> usize {
-        self.inner
-            .read()
-            .expect("docstore lock poisoned")
-            .get(collection)
-            .map(|c| c.count(filter))
-            .unwrap_or(0)
+        self.snapshot().count(collection, filter)
+    }
+
+    /// Heap bytes the store's collections hold (see
+    /// [`Collection::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.snapshot().heap_bytes()
     }
 
     /// Applies a shallow `$set`-style update.

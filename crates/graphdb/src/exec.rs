@@ -140,7 +140,7 @@ fn node_matches(graph: &PropertyGraph, id: NodeId, pattern: &NodePattern) -> boo
     pattern
         .labels
         .iter()
-        .all(|l| node.labels.iter().any(|nl| nl == l))
+        .all(|l| node.labels.iter().any(|nl| **nl == **l))
         && pattern
             .props
             .iter()
@@ -153,18 +153,21 @@ fn seed_candidates(
     stats: &mut ExecStats,
 ) -> Vec<NodeId> {
     // Best index: (label, prop) pair; then label; then full scan.
-    let candidates: Vec<NodeId> = if let Some(label) = pattern.labels.first() {
+    let all: Vec<NodeId>;
+    let candidates: &[NodeId] = if let Some(label) = pattern.labels.first() {
         if let Some((k, v)) = pattern.props.first() {
             graph.nodes_with_prop(label, k, v)
         } else {
             graph.nodes_with_label(label)
         }
     } else {
-        graph.nodes().map(|n| n.id).collect()
+        all = graph.nodes().map(|n| n.id).collect();
+        &all
     };
     stats.nodes_visited += candidates.len() as u64;
     candidates
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&id| node_matches(graph, id, pattern))
         .collect()
 }
@@ -210,7 +213,7 @@ fn match_hops(
     for (edge_id, next_node) in candidates {
         let edge = graph.edge(edge_id).expect("edge exists");
         if let Some(required) = &rel.rel_type {
-            if &edge.rel_type != required {
+            if *edge.rel_type != **required {
                 continue;
             }
         }
@@ -272,7 +275,7 @@ fn prop_of(graph: &PropertyGraph, binding: Binding, key: &str) -> Value {
         Binding::Edge(id) => {
             let edge = graph.edge(id).expect("bound edge exists");
             if key == "type" {
-                Value::String(edge.rel_type.clone())
+                Value::String(edge.rel_type.to_string())
             } else {
                 edge.props.get(key).cloned().unwrap_or(Value::Null)
             }

@@ -6,7 +6,8 @@
 //! implements that role from scratch:
 //!
 //! * [`store`] — the property graph: labeled nodes/edges with JSON
-//!   property maps, label and property indexes, adjacency lists;
+//!   properties in flat id-indexed arrays, interned labels, types and
+//!   keys, label and property indexes, adjacency chains;
 //! * [`ast`], [`lexer`], [`parser`] — a Cypher-like query language
 //!   (`MATCH (a:Label {k: v})-[r:TYPE]->(b) WHERE … RETURN … LIMIT n`,
 //!   plus `CREATE`);

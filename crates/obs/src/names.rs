@@ -153,6 +153,11 @@ pub const COMPACTION_RUNS_TOTAL: &str = "create_compaction_runs_total";
 pub const COMPACTION_MERGED_DOCS_TOTAL: &str = "create_compaction_merged_docs_total";
 pub const RECOVERY_REPLAYED_RECORDS_TOTAL: &str = "create_recovery_replayed_records_total";
 
+/// Heap bytes the published snapshot holds, labelled `component=`
+/// (`postings`, `graph`, `docstore`, `facet`), computed from the
+/// structures' own lengths at `/metrics` scrape and `/stats` time.
+pub const RESIDENT_BYTES_GAUGE: &str = "create_resident_bytes";
+
 /// Corpus/system size gauges, refreshed at `/metrics` scrape time.
 pub const REPORTS_GAUGE: &str = "create_reports";
 pub const GRAPH_NODES_GAUGE: &str = "create_graph_nodes";

@@ -80,11 +80,16 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 .map(|g| Value::from(g as i64))
                 .collect();
             let storage = system.storage_stats();
+            let mut memory = Value::object();
+            for (component, bytes) in system.memory_stats().components() {
+                memory.set(format!("{component}_bytes"), bytes);
+            }
             let doc = obj([
                 ("reports", (stats.reports as i64).into()),
                 ("graph_nodes", (stats.graph_nodes as i64).into()),
                 ("graph_edges", (stats.graph_edges as i64).into()),
                 ("index_terms", (stats.index_terms as i64).into()),
+                ("memory", memory),
                 ("cache_hits", (cache.hits as i64).into()),
                 ("cache_misses", (cache.misses as i64).into()),
                 ("cache_entries", (cache.entries as i64).into()),
@@ -418,8 +423,10 @@ pub fn build_api(system: Arc<Create>) -> Router {
                     .set(entries as i64);
                 }
                 // Refreshes the segment count/bytes gauges from the
-                // live manifest (no-op for in-memory instances).
+                // live manifest (no-op for in-memory instances) and the
+                // resident-bytes gauges from the published snapshot.
                 let _ = system.storage_stats();
+                let _ = system.memory_stats();
             }
             let mut resp = Response::text(Status::Ok, create_obs::render_prometheus());
             resp.content_type = "text/plain; version=0.0.4; charset=utf-8".to_string();
@@ -812,6 +819,7 @@ mod tests {
             "graph_nodes",
             "index_generation",
             "index_terms",
+            "memory",
             "reports",
             "segment_bytes",
             "segments",
@@ -1091,6 +1099,14 @@ mod tests {
         req.method = "POST".to_string();
         req.body = b"{not json".to_vec();
         assert_eq!(api.dispatch(&req).status, Status::BadRequest);
+        // A megabyte of `[` — well under the body cap — stops at the
+        // parser's nesting cap instead of overflowing the stack and
+        // aborting the process, and the next request is answered.
+        req.body = vec![b'['; 1 << 20];
+        let resp = api.dispatch(&req);
+        assert_eq!(resp.status, Status::BadRequest);
+        assert!(String::from_utf8(resp.body).unwrap().contains("MAX_DEPTH"));
+        assert_eq!(api.dispatch(&get("/health", &[])).status, Status::Ok);
         // Criteria must constrain something.
         req.body = br#"{"k": 5}"#.to_vec();
         assert_eq!(api.dispatch(&req).status, Status::BadRequest);

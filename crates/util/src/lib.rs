@@ -14,6 +14,13 @@ pub mod rng;
 pub mod stats;
 pub mod varint;
 
+/// Bytes of an `Arc<str>` / `Arc<[T]>` allocation holding `payload`
+/// bytes: two counters in front, padded to their alignment. For the
+/// stores' `heap_bytes` accounting.
+pub fn arc_slice_bytes(payload: usize) -> usize {
+    (2 * std::mem::size_of::<usize>() + payload).next_multiple_of(std::mem::align_of::<usize>())
+}
+
 pub use arc_cell::ArcCell;
 pub use pool::ThreadPool;
 pub use rng::Rng;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Offline verification gate: tier-1 build + the whole workspace's tests
 # and the benchmark package's, the determinism / equivalence suites, the
-# allocation budgets and the codec mutation fuzz by name, the benchmark
-# smoke (`create-benchmark all --quick`, every in-run check), bench
-# smoke runs, the observability smoke check, the
+# allocation budgets and the codec and JSON mutation fuzzes by name, the
+# benchmark smoke (`create-benchmark all --quick`, every in-run check),
+# bench smoke runs, the observability smoke check, the
 # instrumentation-overhead gate, and the SIGKILL recovery smoke (which
 # also asserts the data directory holds no JSONL copy). No network
 # access required.
@@ -33,11 +33,14 @@ cargo test -q --test shard_equivalence
 echo "== evented server: keep-alive, backpressure, drain under load =="
 cargo test -q --test server_storm
 
-echo "== allocation budgets: allocations per submit, index heap vs postings_bytes, snapshot drop =="
+echo "== allocation budgets: allocations per submit, index heap vs postings_bytes, snapshot drop, resident bytes, heap_bytes vs allocator =="
 cargo test -q --test alloc_budget
 
 echo "== codec mutation fuzz: hostile segment blobs are errors or round-trip, never abort =="
 cargo test -q -p create-index --test codec_mutation
+
+echo "== JSON mutation fuzz: hostile documents are errors or round-trip; stored text is canonical =="
+cargo test -q -p create-docstore --test json_mutation
 
 echo "== benchmark smoke: four workloads at 500 reports, every in-run check =="
 # Exits non-zero when any check fails (non-2xx, unequal round digests,
@@ -222,6 +225,10 @@ for series in \
     'create_shard_publish_total{shard="0"' \
     'create_shard_cache_entries{shard="0"' \
     'create_open_bad_config_total' \
+    'create_resident_bytes{component="postings"' \
+    'create_resident_bytes{component="graph"' \
+    'create_resident_bytes{component="docstore"' \
+    'create_resident_bytes{component="facet"' \
     'create_pool_workers' \
     'create_pool_queue_depth' \
     'create_pool_jobs_executed_total'

@@ -20,10 +20,23 @@
 //!   to a 32-byte chunk) is printed and the per-term remainder is what
 //!   is gated;
 //! * (c) dropping the previous snapshot after a publish gives back what
-//!   the copy-on-write copied.
+//!   the copy-on-write copied;
+//! * (d) everything the loaded `Create` holds — index, graph, document
+//!   store, facets, ordinals, its published snapshot — stays under a
+//!   fixed number of live bytes. With every stored document a tree of
+//!   `BTreeMap`s and `String`s and every graph node and edge an `Arc` of
+//!   its own it held 30.8 MB;
+//! * (e) `PropertyGraph::heap_bytes()` and `DocStore::heap_bytes()` —
+//!   what `/stats` and the `create_resident_bytes` gauges report — are
+//!   within a tenth of what the allocator says building the same graph
+//!   and the same store added.
 
-use create::core::{Create, CreateConfig};
+use create::annotate::case_report_to_brat;
+use create::core::graph_build::{GraphBuilder, ReportMeta};
+use create::core::{Create, CreateConfig, ExtractedAnnotations};
 use create::corpus::{CorpusConfig, Generator};
+use create::docstore::{json::obj, DocStore};
+use create::graphdb::PropertyGraph;
 use create::index::codec::{decode_segment, encode_index_tail};
 use create::index::Index;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,11 +94,17 @@ const REPORTS: usize = 500;
 /// lengths included), and the figure repeats exactly. One more `u32`
 /// per posting would add about 80.
 const TERM_OVERHEAD: usize = 190;
-/// Allocations one 2-document batch may make at 500 reports: about
-/// twice the 25 524 it makes (tokens, the batch's own segment, the
-/// touched lists' copies, the snapshot's tables), a quarter of the
-/// 209 179 it made with a `Vec` per posting.
-const SUBMIT_BUDGET: usize = 50_000;
+/// Allocations one 2-document batch may make at 500 reports: a fifth
+/// over the 16 257 it makes (tokens, the batch's own segment, the
+/// touched lists' copies, the snapshot's tables). It made 25 524 while a
+/// publish cloned a `String` per graph index key and a node per
+/// 11 stored documents, 209 179 with a `Vec` per posting.
+const SUBMIT_BUDGET: usize = 20_000;
+/// Live bytes the loaded one-shard `Create` may hold at 500 reports:
+/// 17.63 MB measured — 19.13 MB with the generated corpus beside it,
+/// the figure that read 32.28 MB before documents were text and the
+/// graph flat.
+const RESIDENT_BUDGET: isize = 23_000_000;
 
 #[test]
 fn submit_and_index_stay_inside_their_allocation_budgets() {
@@ -95,6 +114,7 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         ..Default::default()
     })
     .generate();
+    let empty = live_bytes();
     let system = Create::new(CreateConfig {
         shards: 1,
         ..Default::default()
@@ -120,7 +140,58 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     let after_drop = live_bytes();
     println!(
         "2-document submit at {REPORTS} reports: {submit_allocations} allocations; \
-         live bytes {single_copy} -> {both_copies} with the old snapshot pinned -> {after_drop} after its drop"
+         live bytes {single_copy} -> {both_copies} with the old snapshot pinned -> {after_drop} after its drop; \
+         the loaded system holds {} of them",
+        single_copy - empty
+    );
+
+    // (e) the graph and the store as ingest builds them, on their own.
+    let ontology = system.ontology();
+    let before = live_bytes();
+    let mut graph = PropertyGraph::new();
+    let mut builder = GraphBuilder::new();
+    for report in &reports {
+        let meta = ReportMeta {
+            report_id: report.id.clone(),
+            title: report.title.clone(),
+            year: report.metadata.year,
+            category: report.category.coarse_label().to_string(),
+        };
+        let annotations = ExtractedAnnotations::from_gold(report);
+        builder.add_report(&mut graph, &ontology, &meta, &annotations);
+    }
+    drop(builder);
+    let graph_held = live_bytes() - before;
+    let before = live_bytes();
+    let store = DocStore::in_memory();
+    for report in &reports {
+        let id = || report.id.as_str().into();
+        let ann = case_report_to_brat(report).serialize();
+        let extraction = ExtractedAnnotations::from_gold(report).to_json();
+        let docs = [
+            (
+                "reports",
+                system.report(&report.id).expect("ingested above"),
+            ),
+            ("annotations", obj([("_id", id()), ("ann", ann.into())])),
+            (
+                "extractions",
+                obj([("_id", id()), ("extraction", extraction)]),
+            ),
+        ];
+        for (collection, doc) in docs {
+            store.insert(collection, doc).unwrap();
+        }
+    }
+    let store_held = live_bytes() - before;
+    println!(
+        "graph of {} nodes / {} edges: {graph_held} live bytes, heap_bytes {}; \
+         store of 3 x {} documents: {store_held} live bytes, heap_bytes {}",
+        graph.node_count(),
+        graph.edge_count(),
+        graph.heap_bytes(),
+        reports.len(),
+        store.heap_bytes()
     );
 
     // (b) the index as `Create::open` builds it: decode + merge.
@@ -158,4 +229,19 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         both_copies > after_drop && after_drop as f64 <= 1.03 * single_copy as f64,
         "dropping the old snapshot left {after_drop} bytes live, single copy was {single_copy}"
     );
+    assert!(
+        single_copy - empty <= RESIDENT_BUDGET,
+        "the loaded system holds {} live bytes, budget {RESIDENT_BUDGET}",
+        single_copy - empty
+    );
+    for (what, held, counted) in [
+        ("graph", graph_held, graph.heap_bytes()),
+        ("store", store_held, store.heap_bytes()),
+    ] {
+        let ratio = counted as f64 / held as f64;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "the {what} holds {held} live bytes but heap_bytes() says {counted} ({ratio:.3}x)"
+        );
+    }
 }
