@@ -1,14 +1,16 @@
-//! Observability smoke check: ingest a small corpus, run a few facade
-//! searches, then assert the obs registry saw every layer (pipeline
-//! stages, DAAT executor, query cache, graph executor) and print the
+//! Observability smoke check: ingest a small corpus (gold and raw text),
+//! run a few facade searches, then assert the obs registry saw every
+//! layer (every pipeline and query stage, snapshot publishes, DAAT
+//! executor, query cache, graph executor) and print the
 //! Prometheus exposition to stdout for `scripts/verify.sh` to grep.
 //!
 //! ```bash
 //! cargo run --release -p create-bench --bin metrics_smoke
 //! ```
 
-use create_core::{Create, CreateConfig};
+use create_core::{Create, CreateConfig, TextSubmission};
 use create_corpus::QuerySet;
+use create_ner::{LabelSet, NerDataset};
 use create_obs::names;
 
 fn main() {
@@ -19,6 +21,28 @@ fn main() {
     let reports = create_bench::corpus(60, 99);
     let system = Create::new(CreateConfig::default());
     system.ingest_gold_batch(&reports, 0).expect("ingest");
+    // Gold ingest bypasses the text stages (its annotations are already
+    // curated), so a raw-text batch goes through section split, CRF NER
+    // and temporal RE as well.
+    let dataset = NerDataset::from_reports(&reports, LabelSet::ner_targets());
+    system.attach_tagger(create_bench::train_tagger(
+        &dataset,
+        Some(system.ontology()),
+        None,
+        2,
+    ));
+    let submissions: Vec<TextSubmission> = reports[..10]
+        .iter()
+        .map(|r| TextSubmission {
+            id: format!("text:{}", r.id),
+            title: r.title.clone(),
+            text: r.text.clone(),
+            year: r.metadata.year,
+        })
+        .collect();
+    system
+        .ingest_text_batch(&submissions, 0)
+        .expect("text batch ingest");
 
     let queries = QuerySet::generate(&reports, 7, 12).queries;
     for q in &queries {
@@ -56,7 +80,7 @@ fn main() {
             "{counter} should be nonzero: {why}"
         );
     }
-    for stage in [names::STAGE_GRAPH_BUILD, names::STAGE_INDEX_WRITE] {
+    for stage in names::PIPELINE_STAGES {
         let h = registry.histogram_with(names::PIPELINE_STAGE_SECONDS, &[("stage", stage)]);
         assert!(h.count() > 0, "pipeline stage {stage} should have samples");
     }
@@ -64,6 +88,8 @@ fn main() {
         let h = registry.histogram_with(names::QUERY_STAGE_SECONDS, &[("stage", stage)]);
         assert!(h.count() > 0, "query stage {stage} should have samples");
     }
+    let publishes = registry.histogram(names::SNAPSHOT_PUBLISH_SECONDS);
+    assert!(publishes.count() > 0, "every write publishes a snapshot");
     let total = registry.histogram(names::QUERY_SECONDS);
     assert_eq!(
         total.count(),
@@ -79,10 +105,11 @@ fn main() {
     }
 
     eprintln!(
-        "metrics_smoke: {} searches + 1 cohort query ({} matched) over {} reports, all layers recorded",
+        "metrics_smoke: {} searches + 1 cohort query ({} matched) over {} gold + {} text reports, all layers recorded",
         queries.len() + 1,
         cohort.total_matched,
-        reports.len()
+        reports.len(),
+        submissions.len()
     );
     print!("{}", create_obs::render_prometheus());
 }

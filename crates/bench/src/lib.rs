@@ -1,5 +1,6 @@
 //! Shared harness for the experiment binaries (`src/bin/exp_*.rs`) and the
-//! criterion benches (`benches/`).
+//! smoke checks `scripts/verify.sh` runs (`src/bin/*_smoke.rs`). Timing
+//! lives in the repository's one benchmark, `benchmark/`.
 //!
 //! Each experiment in DESIGN.md's index (E1–E10) has a binary that prints
 //! the paper-shaped table; this module centralizes corpus/system/tagger
@@ -8,77 +9,9 @@
 
 use create_core::{Create, CreateConfig};
 use create_corpus::{CaseReport, CorpusConfig, Generator};
-use create_docstore::json::obj;
-use create_docstore::Value;
 use create_ner::{CrfTagger, CrfTaggerConfig, FlairFeatures, NerDataset};
 use create_ontology::Ontology;
 use std::sync::Arc;
-
-/// The git revision for provenance stamps: the `GIT_REV` env var when
-/// set (`scripts/verify.sh` exports it), otherwise `git rev-parse
-/// --short HEAD` run directly, otherwise `"unknown"` (e.g. outside a
-/// checkout).
-pub fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("GIT_REV") {
-        let rev = rev.trim().to_string();
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Provenance block for bench JSON reports: host size, pool width, git
-/// revision (see [`git_rev`]), and whether the obs instrumentation was
-/// compiled in.
-pub fn meta_json(n_docs: usize) -> Value {
-    let cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    obj([
-        ("cpus", (cpus as i64).into()),
-        (
-            "pool_threads",
-            (create_util::ThreadPool::global().threads() as i64).into(),
-        ),
-        ("git_rev", git_rev().into()),
-        ("n_docs", (n_docs as i64).into()),
-        ("obs_enabled", create_obs::enabled().into()),
-        (
-            "shards",
-            (CreateConfig::default().shards as i64).into(),
-        ),
-    ])
-}
-
-/// Reads `metric{stage=...}` latency histograms out of the global obs
-/// registry: per stage, the observation count and p50/p95/p99 in
-/// seconds. Stages with no observations report zeros; with the obs
-/// feature compiled out every stage reads zero.
-pub fn stage_histograms_json(metric: &str, stages: &[&str]) -> Value {
-    let rows: Vec<Value> = stages
-        .iter()
-        .map(|stage| {
-            let h = create_obs::histogram_with(metric, &[("stage", stage)]);
-            obj([
-                ("stage", (*stage).into()),
-                ("count", (h.count() as i64).into()),
-                ("p50_seconds", h.quantile(0.50).into()),
-                ("p95_seconds", h.quantile(0.95).into()),
-                ("p99_seconds", h.quantile(0.99).into()),
-            ])
-        })
-        .collect();
-    Value::Array(rows)
-}
 
 /// Generates the standard experiment corpus.
 pub fn corpus(num_reports: usize, seed: u64) -> Vec<CaseReport> {
@@ -222,14 +155,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f4(0.12345), "0.1235");
         assert_eq!(pct(0.2), "20.0%");
-    }
-
-    #[test]
-    fn git_rev_is_never_empty() {
-        // Whether GIT_REV is exported, git resolves HEAD, or neither,
-        // the provenance stamp must carry *something*.
-        let rev = git_rev();
-        assert!(!rev.is_empty());
-        assert_eq!(rev, rev.trim());
     }
 }

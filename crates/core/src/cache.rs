@@ -1,44 +1,43 @@
-//! Generation-stamped LRU cache for merged search results.
+//! The one memo on the search path: a generation-stamped LRU from
+//! `(query text, k, policy)` to the whole [`SearchAnswer`].
 //!
-//! [`Create::search_with_policy`](crate::Create::search_with_policy) is a
-//! pure function of its lowered query plan and the system state — which
-//! only changes on ingest or graph mutation. The cache exploits both
-//! halves: entries are keyed by the plan's **canonical key** (the
-//! deterministic rendering of the full normalized plan — see
-//! [`QueryPlan::canonical_key`](crate::plan::QueryPlan::canonical_key) —
-//! so equivalent plan spellings share an entry and distinct plans never
-//! collide) plus `k` and the merge policy, and every entry is stamped
-//! with the *index generation* current when it was computed; the
+//! An answer — the IE parse of the query, the merged hits, the rendered
+//! `/search` body — is a pure function of the query text, `k`, the merge
+//! policy and the system state, which only changes on a write (ingest,
+//! graph mutation, tagger attachment). The cache exploits both halves:
+//! entries are keyed by the first three, verbatim, and every entry is
+//! stamped with the *index generation* current when it was computed; the
 //! [`Create`](crate::Create) facade bumps the generation on every write
 //! path. A lookup whose stamp no longer matches is treated as a miss and
-//! evicted, so a cached result can never outlive the state it was
-//! computed from — no TTLs, no explicit flushes.
+//! evicted, so a cached answer can never outlive the state it was
+//! computed from — no TTLs, no explicit flushes. A hit hands out one
+//! more reference to the stored answer: nothing is parsed, planned or
+//! copied.
 //!
 //! Eviction is least-recently-used via an intrusive doubly-linked list
 //! threaded through a slab of entries: the list head is the most recently
 //! touched entry and the tail is the eviction victim, so every cache
-//! operation — lookup, touch, insert, evict — is O(1).
+//! operation — lookup, touch, insert, evict — is O(1). Strict LRU is also
+//! what makes a cyclic pass over more distinct queries than the capacity
+//! never hit.
 
-use crate::search::{MergePolicy, SearchHit};
+use crate::search::{MergePolicy, SearchAnswer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Cache key: everything the merged result depends on besides system
-/// state. The string element is the plan's canonical key, not the raw
-/// query text — `k` and the policy also appear inside it, but they stay
-/// explicit tuple elements so lookups stay type-checked.
+/// Cache key: everything the answer depends on besides system state.
 type CacheKey = (String, usize, MergePolicy);
 
 /// Sentinel slab index for "no neighbour" / "empty list".
 const NIL: usize = usize::MAX;
 
-/// A slab slot: the cached result plus its recency-list links. The key is
+/// A slab slot: the cached answer plus its recency-list links. The key is
 /// `Arc`-shared with the lookup map so it is stored once.
 struct CacheEntry {
     key: Arc<CacheKey>,
     /// Index generation at compute time; a mismatch invalidates the entry.
     generation: u64,
-    hits: Vec<SearchHit>,
+    answer: Arc<SearchAnswer>,
     /// More recently used neighbour (`NIL` at the head).
     prev: usize,
     /// Less recently used neighbour (`NIL` at the tail).
@@ -159,23 +158,22 @@ impl QueryCache {
         self.free.push(slot);
     }
 
-    /// Returns the cached hits for the key when present *and* computed at
-    /// `generation`; stale entries are dropped and counted as misses.
+    /// Returns the cached answer for the key when present *and* computed
+    /// at `generation`; stale entries are dropped and counted as misses.
     pub(crate) fn get(
         &mut self,
-        plan_key: &str,
+        query: &str,
         k: usize,
         policy: MergePolicy,
         generation: u64,
-    ) -> Option<Vec<SearchHit>> {
-        let key = (plan_key.to_string(), k, policy);
+    ) -> Option<Arc<SearchAnswer>> {
+        let key = (query.to_string(), k, policy);
         match self.map.get(&key).copied() {
             Some(slot) if self.entry(slot).generation == generation => {
                 self.unlink(slot);
                 self.push_front(slot);
-                let hits = self.entry(slot).hits.clone();
                 self.count_hit();
-                Some(hits)
+                Some(Arc::clone(&self.entry(slot).answer))
             }
             Some(slot) => {
                 self.remove(slot);
@@ -189,25 +187,25 @@ impl QueryCache {
         }
     }
 
-    /// Stores a computed result stamped with the generation it was
+    /// Stores a computed answer stamped with the generation it was
     /// computed under, evicting the least-recently-used entry on overflow.
     pub(crate) fn insert(
         &mut self,
-        plan_key: &str,
+        query: &str,
         k: usize,
         policy: MergePolicy,
         generation: u64,
-        hits: Vec<SearchHit>,
+        answer: Arc<SearchAnswer>,
     ) {
         if self.capacity == 0 {
             return;
         }
-        let key = (plan_key.to_string(), k, policy);
+        let key = (query.to_string(), k, policy);
         if let Some(slot) = self.map.get(&key).copied() {
             // Refresh in place and move to the front.
             let e = self.entry_mut(slot);
             e.generation = generation;
-            e.hits = hits;
+            e.answer = answer;
             self.unlink(slot);
             self.push_front(slot);
             return;
@@ -221,7 +219,7 @@ impl QueryCache {
         let entry = CacheEntry {
             key: Arc::clone(&key),
             generation,
-            hits,
+            answer,
             prev: NIL,
             next: NIL,
         };
@@ -252,25 +250,36 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::SearchSource;
+    use crate::pipeline::QueryIE;
+    use crate::search::{SearchHit, SearchSource};
 
-    fn hit(id: &str) -> SearchHit {
-        SearchHit {
-            report_id: id.to_string(),
-            score: 1.0,
-            source: SearchSource::Keyword,
-            pattern_matched: false,
-        }
+    /// An answer whose hits are the given report ids.
+    fn answer(ids: &[&str]) -> Arc<SearchAnswer> {
+        let hits = ids
+            .iter()
+            .map(|id| SearchHit {
+                report_id: id.to_string(),
+                score: 1.0,
+                source: SearchSource::Keyword,
+                pattern_matched: false,
+            })
+            .collect();
+        Arc::new(SearchAnswer::new(QueryIE::default(), hits))
     }
 
     #[test]
     fn hit_after_insert_same_generation() {
         let mut cache = QueryCache::new(4);
         assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 0).is_none());
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
+        let stored = answer(&["a"]);
+        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, Arc::clone(&stored));
         let got = cache.get("q", 5, MergePolicy::Neo4jFirst, 0).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].report_id, "a");
+        assert!(
+            Arc::ptr_eq(&got, &stored),
+            "a hit is the stored answer, not a copy"
+        );
+        assert_eq!(got.hits.len(), 1);
+        assert_eq!(got.hits[0].report_id, "a");
         let stats = cache.stats(0);
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
@@ -278,7 +287,7 @@ mod tests {
     #[test]
     fn generation_mismatch_is_a_miss_and_evicts() {
         let mut cache = QueryCache::new(4);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
+        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, answer(&["a"]));
         assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 1).is_none());
         assert_eq!(cache.stats(1).entries, 0, "stale entry dropped");
     }
@@ -286,7 +295,7 @@ mod tests {
     #[test]
     fn key_includes_k_and_policy() {
         let mut cache = QueryCache::new(8);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
+        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, answer(&["a"]));
         assert!(cache.get("q", 6, MergePolicy::Neo4jFirst, 0).is_none());
         assert!(cache.get("q", 5, MergePolicy::EsOnly, 0).is_none());
         assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 0).is_some());
@@ -295,11 +304,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut cache = QueryCache::new(2);
-        cache.insert("a", 5, MergePolicy::Neo4jFirst, 0, vec![]);
-        cache.insert("b", 5, MergePolicy::Neo4jFirst, 0, vec![]);
+        cache.insert("a", 5, MergePolicy::Neo4jFirst, 0, answer(&[]));
+        cache.insert("b", 5, MergePolicy::Neo4jFirst, 0, answer(&[]));
         // Touch "a" so "b" becomes the eviction victim.
         assert!(cache.get("a", 5, MergePolicy::Neo4jFirst, 0).is_some());
-        cache.insert("c", 5, MergePolicy::Neo4jFirst, 0, vec![]);
+        cache.insert("c", 5, MergePolicy::Neo4jFirst, 0, answer(&[]));
         assert!(cache.get("a", 5, MergePolicy::Neo4jFirst, 0).is_some());
         assert!(cache.get("b", 5, MergePolicy::Neo4jFirst, 0).is_none());
         assert!(cache.get("c", 5, MergePolicy::Neo4jFirst, 0).is_some());
@@ -308,18 +317,18 @@ mod tests {
     #[test]
     fn zero_capacity_never_stores() {
         let mut cache = QueryCache::new(0);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
+        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, answer(&["a"]));
         assert!(cache.get("q", 5, MergePolicy::Neo4jFirst, 0).is_none());
     }
 
     #[test]
     fn reinsert_same_key_refreshes_in_place() {
         let mut cache = QueryCache::new(2);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, vec![hit("a")]);
-        cache.insert("q", 5, MergePolicy::Neo4jFirst, 1, vec![hit("b")]);
+        cache.insert("q", 5, MergePolicy::Neo4jFirst, 0, answer(&["a"]));
+        cache.insert("q", 5, MergePolicy::Neo4jFirst, 1, answer(&["b"]));
         assert_eq!(cache.stats(1).entries, 1, "refresh does not duplicate");
         let got = cache.get("q", 5, MergePolicy::Neo4jFirst, 1).unwrap();
-        assert_eq!(got[0].report_id, "b");
+        assert_eq!(got.hits[0].report_id, "b");
     }
 
     #[test]
@@ -330,14 +339,14 @@ mod tests {
         for round in 0u64..5 {
             for name in ["x", "y", "z"] {
                 let q = format!("{name}{round}");
-                cache.insert(&q, 1, MergePolicy::Neo4jFirst, 0, vec![]);
+                cache.insert(&q, 1, MergePolicy::Neo4jFirst, 0, answer(&[]));
             }
             // Touch in reverse so "z{round}" is LRU, then overflow once.
             for name in ["y", "x"] {
                 let q = format!("{name}{round}");
                 assert!(cache.get(&q, 1, MergePolicy::Neo4jFirst, 0).is_some());
             }
-            cache.insert("overflow", 1, MergePolicy::Neo4jFirst, 0, vec![]);
+            cache.insert("overflow", 1, MergePolicy::Neo4jFirst, 0, answer(&[]));
             let z = format!("z{round}");
             assert!(
                 cache.get(&z, 1, MergePolicy::Neo4jFirst, 0).is_none(),
@@ -345,5 +354,25 @@ mod tests {
             );
             assert_eq!(cache.stats(0).entries, 3);
         }
+    }
+
+    #[test]
+    fn cyclic_pass_over_more_keys_than_capacity_never_hits() {
+        // The facade's miss path: look up, compute, insert. One key more
+        // than fits is enough for strict LRU to evict each entry just
+        // before its turn comes round again.
+        let mut cache = QueryCache::new(8);
+        let queries: Vec<String> = (0..9).map(|i| format!("q{i}")).collect();
+        for _pass in 0..4 {
+            for q in &queries {
+                assert!(
+                    cache.get(q, 10, MergePolicy::Neo4jFirst, 0).is_none(),
+                    "{q}"
+                );
+                cache.insert(q, 10, MergePolicy::Neo4jFirst, 0, answer(&[]));
+            }
+        }
+        let stats = cache.stats(0);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 36, 8));
     }
 }

@@ -17,8 +17,8 @@
 //! * [`graph_build`] — report → property-graph projection;
 //! * [`search`] — keyword engine, graph engine, merge policies;
 //! * [`eval`] — retrieval metrics (P@k, MRR, nDCG@k);
-//! * [`cache`] — generation-stamped LRU cache over merged search results,
-//!   keyed by the canonical plan;
+//! * [`cache`] — the one memo on the search path: a generation-stamped
+//!   LRU from `(query text, k, policy)` to the whole answer;
 //! * [`plan`] — the typed query-plan IR: lowering, normalization, and the
 //!   cohort-retrieval executor (filter pushdown over facet bitmaps plus
 //!   temporal-interval constraints);
@@ -41,7 +41,7 @@ pub use plan::{
     CohortCriteria, CohortResult, FacetCounts, FacetFilter, PlanMode, PlanNode, QueryPlan,
     TemporalConstraint, TemporalOp,
 };
-pub use search::{MergePolicy, SearchHit, SearchSource};
+pub use search::{MergePolicy, SearchAnswer, SearchHit, SearchSource};
 pub use system::{
     Create, CreateConfig, FacetStats, GraphWriteGuard, IngestError, MemoryStats, Snapshot,
     StorageStats, SystemStats, TextSubmission,

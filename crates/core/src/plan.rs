@@ -7,9 +7,9 @@
 //! planner then **normalizes** the plan — filters are sorted into
 //! canonical field order with deduplicated values and pushed ahead of
 //! scoring, so two criteria documents that mean the same thing produce
-//! the same plan — and renders a [`QueryPlan::canonical_key`] used as the
-//! query-cache key (two spellings of one plan share a cache entry; two
-//! plans that differ anywhere never collide).
+//! the same plan, which [`QueryPlan::canonical_key`] renders as one
+//! string (two spellings of one plan render alike; two plans that differ
+//! anywhere never do).
 //!
 //! Execution is per shard and bit-deterministic across shard counts:
 //!
@@ -31,7 +31,7 @@
 //!    the same tie-break `shard_equivalence` locks in for search.
 
 use crate::graph_build::find_report;
-use crate::search::{MergePolicy, SearchHit, SearchSource};
+use crate::search::{MergePolicy, SearchHit};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
@@ -244,10 +244,10 @@ impl QueryPlan {
         self
     }
 
-    /// The canonical cache key: a deterministic rendering of the
-    /// (optimized) plan. Every semantic element of the plan — filters,
-    /// concepts, operators, `k`, policy — appears in the key, so no two
-    /// distinct plans collide and equivalent spellings share.
+    /// The canonical key: a deterministic rendering of the (optimized)
+    /// plan. Every semantic element of the plan — filters, concepts,
+    /// operators, keyword text, `k`, policy — appears in the key, so no
+    /// two distinct plans render alike and equivalent spellings do.
     pub fn canonical_key(&self) -> String {
         let mut out = String::from("plan/1|");
         for (i, node) in self.nodes.iter().enumerate() {
@@ -829,20 +829,9 @@ pub(crate) fn execute_cohort(
         }
     }
 
-    // 5) Merge: the shard_equivalence tie-break — score descending by
-    // total_cmp, global ingest ordinal ascending.
+    // 5) Merge: the shard_equivalence tie-break, shared with search.
     let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
-    gathered.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    gathered.truncate(k);
-    let hits = gathered
-        .into_iter()
-        .map(|(score, _, report_id)| SearchHit {
-            report_id,
-            score,
-            source: SearchSource::Keyword,
-            pattern_matched: false,
-        })
-        .collect();
+    let hits = crate::search::gather_keyword_hits(gathered, k);
     let facets = facet_fields
         .iter()
         .map(|&field| FacetCounts {
@@ -1049,7 +1038,7 @@ mod tests {
             hits: vec![SearchHit {
                 report_id: "pmid:1".into(),
                 score: 1.5,
-                source: SearchSource::Keyword,
+                source: crate::search::SearchSource::Keyword,
                 pattern_matched: false,
             }],
             total_matched: 3,

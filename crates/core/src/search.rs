@@ -10,14 +10,19 @@
 //! * **Merge** — "By default, Neo4j is the primary search engine in
 //!   CREATe-IR. The results returned by Neo4j will be placed on top,
 //!   followed by results from ElasticSearch" (Section III-D).
+//! * **Answer** — [`SearchAnswer`]: the query's IE parse, the merged hits
+//!   and the `/search` body rendered from them, the unit the query cache
+//!   holds.
 
 use crate::graph_build::find_concept;
 use crate::pipeline::QueryIE;
 use crate::system::ShardSnapshot;
+use create_docstore::json::obj;
+use create_docstore::Value;
 use create_graphdb::{NodeId, PropertyGraph};
 use create_index::{CorpusStats, Index, QueryNode, Scorer};
 use create_ontology::{ConceptId, RelationType};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which engine produced a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +44,96 @@ pub struct SearchHit {
     pub source: SearchSource,
     /// True when the query's temporal pattern was realized in the report.
     pub pattern_matched: bool,
+}
+
+impl SearchHit {
+    /// Renders the hit as the REST surfaces (`/search`, `/search_batch`)
+    /// serve it.
+    pub fn to_json(&self) -> Value {
+        obj([
+            ("reportId", self.report_id.as_str().into()),
+            ("score", self.score.into()),
+            (
+                "source",
+                match self.source {
+                    SearchSource::Graph => "graph".into(),
+                    SearchSource::Keyword => "keyword".into(),
+                },
+            ),
+            ("patternMatched", self.pattern_matched.into()),
+        ])
+    }
+}
+
+/// The whole answer to one `(query text, k, policy)` — what the query
+/// cache holds and `GET /search` serves: the IE parse of the query, the
+/// merged hits, and the rendered response body. All three come from the
+/// one snapshot the query executed against.
+#[derive(Debug)]
+pub struct SearchAnswer {
+    /// The IE parse of the query (its `text` is the query as submitted).
+    pub parsed: QueryIE,
+    /// The merged, ranked hits.
+    pub hits: Vec<SearchHit>,
+    /// The `/search` body, rendered on the first request for it: facade
+    /// callers that only want `hits` never pay for it.
+    body: OnceLock<String>,
+}
+
+impl SearchAnswer {
+    pub(crate) fn new(parsed: QueryIE, hits: Vec<SearchHit>) -> SearchAnswer {
+        SearchAnswer {
+            parsed,
+            hits,
+            body: OnceLock::new(),
+        }
+    }
+
+    /// The `GET /search` response body: the query, its mentions and
+    /// temporal pattern, and the hits.
+    pub fn body(&self) -> &str {
+        self.body.get_or_init(|| self.to_json().to_json())
+    }
+
+    fn to_json(&self) -> Value {
+        let mentions: Vec<Value> = self
+            .parsed
+            .mentions
+            .iter()
+            .map(|m| {
+                obj([
+                    ("text", m.text.clone().into()),
+                    ("type", m.etype.label().into()),
+                    (
+                        "concept",
+                        m.concept
+                            .map(|c| Value::String(c.to_string()))
+                            .unwrap_or(Value::Null),
+                    ),
+                ])
+            })
+            .collect();
+        let pattern = self
+            .parsed
+            .pattern
+            .map(|(c1, c2, rel)| {
+                obj([
+                    ("from", c1.to_string().into()),
+                    ("to", c2.to_string().into()),
+                    ("relation", rel.label().into()),
+                ])
+            })
+            .unwrap_or(Value::Null);
+        obj([
+            ("query", self.parsed.text.as_str().into()),
+            ("mentions", Value::Array(mentions)),
+            ("pattern", pattern),
+            (
+                "hits",
+                Value::Array(self.hits.iter().map(SearchHit::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 /// Result-merge policies (Fig. 6 and its ablation, experiment E6).
@@ -250,31 +345,19 @@ pub fn keyword_search(index: &Index, query_text: &str, k: usize) -> Vec<SearchHi
 /// every shard computes exactly the idf and average-length terms a
 /// single global index would — per-document BM25 scores come out
 /// bit-identical to the unsharded engine. The per-shard top-k lists are
-/// then merged under `(score descending by total_cmp, global ingest
-/// ordinal ascending)`. The ordinal tie-break reproduces the
-/// single-index internal-doc-id tie-break exactly (internal ids are
-/// assigned in ingest order), so the gathered ranking is bit-identical
-/// for any shard count — including the trivial N=1 deployment, which
-/// short-circuits to the plain single-index path.
+/// then gathered by [`gather_keyword_hits`]. One shard takes the same
+/// path, so the scoring formula's inputs are shard-count-invariant by
+/// construction.
 pub(crate) fn scatter_keyword_search(
     shards: &[Arc<ShardSnapshot>],
     query_text: &str,
     k: usize,
 ) -> Vec<SearchHit> {
-    if shards.len() == 1 {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_KEYWORD_SHARD, 0);
-        return keyword_search(&shards[0].index, query_text, k);
-    }
     let q = keyword_query(&shards[0].index, query_text);
     let mut stats = CorpusStats::default();
     for shard in shards {
         stats.merge(&CorpusStats::collect(&shard.index, &q));
     }
-    // (score, global ordinal, report id) per shard-local hit. Each
-    // shard's top-k under its local internal-id tie-break equals its
-    // top-k under the ordinal tie-break: routing preserves ingest order
-    // within a shard, so local internal ids are ordered exactly like the
-    // ordinals they map to.
     let mut gathered: Vec<(f64, u64, String)> = Vec::with_capacity(shards.len() * k);
     for (shard_no, shard) in shards.iter().enumerate() {
         let _span = create_obs::shard_span(create_obs::names::SPAN_KEYWORD_SHARD, shard_no as u32);
@@ -289,6 +372,21 @@ pub(crate) fn scatter_keyword_search(
             ));
         }
     }
+    gather_keyword_hits(gathered, k)
+}
+
+/// Gathers per-shard `(score, global ingest ordinal, report id)` rows
+/// into the top-k keyword hits under `(score descending by total_cmp,
+/// ordinal ascending)` — the one merge order of the search scatter and
+/// the cohort executor. The ordinal tie-break reproduces the
+/// single-index internal-doc-id tie-break exactly (internal ids are
+/// assigned in ingest order, and routing preserves ingest order within a
+/// shard, so each shard's local top-k is its top-k under this order
+/// too): the gathered ranking is bit-identical for any shard count.
+pub(crate) fn gather_keyword_hits(
+    mut gathered: Vec<(f64, u64, String)>,
+    k: usize,
+) -> Vec<SearchHit> {
     gathered.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     gathered.truncate(k);
     gathered
@@ -316,10 +414,6 @@ pub(crate) fn scatter_graph_search(
     query: &QueryIE,
     k: usize,
 ) -> Vec<SearchHit> {
-    if shards.len() == 1 {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, 0);
-        return graph_search(&shards[0].graph, query, k);
-    }
     let mut hits: Vec<SearchHit> = Vec::new();
     for (shard_no, shard) in shards.iter().enumerate() {
         let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, shard_no as u32);

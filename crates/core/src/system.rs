@@ -2,8 +2,8 @@
 //!
 //! State is partitioned into independent **shards** keyed by
 //! `hash(report_id) % N`: each shard owns its own document store, property
-//! graph, inverted index, generation stamp, and query-cache partition,
-//! behind its own writer `Mutex`. A global write gate serializes write
+//! graph, inverted index and generation stamp behind its own writer
+//! `Mutex`. A global write gate serializes write
 //! *operations* (and hands out global ingest ordinals), but the heavy
 //! per-shard apply work of a batch fans out across the pool with no
 //! cross-shard contention. Readers run against an immutable composite
@@ -22,8 +22,10 @@ use crate::durability::{self, DocPayload, RecoveredDoc, ShardStorage, StorageRoo
 use crate::facet_build::facet_values;
 use crate::graph_build::{find_report, GraphBuilder, ReportMeta};
 use crate::pipeline::{ExtractedAnnotations, QueryIE};
-use crate::plan::{self, CohortCriteria, CohortResult, PlanMode, QueryPlan};
-use crate::search::{scatter_graph_search, scatter_keyword_search, MergePolicy, SearchHit};
+use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
+use crate::search::{
+    scatter_graph_search, scatter_keyword_search, MergePolicy, SearchAnswer, SearchHit,
+};
 use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
 use create_docstore::{json::obj, DocStore, Filter, StoreSnapshot, Value};
@@ -46,14 +48,10 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Per-shard query-cache capacity: enough for a busy console session's
-/// working set; every cache operation is O(1) so the cap is purely a
-/// memory bound.
-const QUERY_CACHE_CAPACITY: usize = 256;
-
-/// Parsed-query cache capacity. Entries are small (a handful of resolved
-/// mentions), so this is a memory bound, not a tuning knob.
-const PARSE_CACHE_CAPACITY: usize = 512;
+/// Answers the query cache keeps, whatever the shard count: enough for a
+/// busy console session's working set; every cache operation is O(1) so
+/// the cap is purely a memory bound.
+const QUERY_CACHE_CAPACITY: usize = 512;
 
 /// Upper bound on the shard count: beyond this the per-query scatter cost
 /// dwarfs any write-parallelism win, so larger requests are clamped.
@@ -330,17 +328,15 @@ fn snapshot_of(writer: &Writer) -> Arc<ShardSnapshot> {
     })
 }
 
-/// One shard: its serialized write half and its query-cache partition.
+/// One shard: its serialized write half.
 struct Shard {
     writer: Mutex<Writer>,
-    cache: Mutex<QueryCache>,
 }
 
 impl Shard {
     fn new(writer: Writer) -> Shard {
         Shard {
             writer: Mutex::new(writer),
-            cache: Mutex::new(QueryCache::new(QUERY_CACHE_CAPACITY)),
         }
     }
 
@@ -376,21 +372,13 @@ pub struct Create {
     /// (lock-free with respect to writers — a load never waits on an
     /// in-flight batch).
     current: ArcCell<Snapshot>,
-    /// Parsed-query memo. A query's IE result depends only on the query
-    /// text, the attached tagger, and the (immutable) ontology, so
-    /// entries stay valid across ingests and are dropped wholesale when
-    /// a different tagger is attached.
-    parse_cache: Mutex<ParseCache>,
+    /// The one memo on the search path: `(query text, k, policy)` → the
+    /// whole answer, stamped with the composite generation (see
+    /// [`crate::cache`]).
+    cache: Mutex<QueryCache>,
     /// Durable storage root (`None` for in-memory instances): the
     /// storage directory and the live segment manifest.
     storage: Option<StorageRoot>,
-}
-
-/// See [`Create::parse_cache`]. `stamp` identifies the tagger the cached
-/// entries were parsed with (the `Arc` pointer, `0` for gazetteer-only).
-struct ParseCache {
-    stamp: usize,
-    map: std::collections::HashMap<String, QueryIE>,
 }
 
 impl std::fmt::Debug for Create {
@@ -462,7 +450,6 @@ fn register_shard_metrics(shards: usize) {
         let label = i.to_string();
         create_obs::gauge_with(obs_names::SHARD_GENERATION_GAUGE, &[("shard", &label)]);
         create_obs::counter_with(obs_names::SHARD_PUBLISH_TOTAL, &[("shard", &label)]);
-        create_obs::gauge_with(obs_names::SHARD_CACHE_ENTRIES_GAUGE, &[("shard", &label)]);
     }
 }
 
@@ -586,10 +573,7 @@ impl Create {
             shards: writers.into_iter().map(Shard::new).collect(),
             gate: Mutex::new(next_ordinal),
             current: ArcCell::new(Arc::new(Snapshot { shards: published })),
-            parse_cache: Mutex::new(ParseCache {
-                stamp: 0,
-                map: std::collections::HashMap::new(),
-            }),
+            cache: Mutex::new(QueryCache::new(QUERY_CACHE_CAPACITY)),
             storage,
         }
     }
@@ -920,13 +904,6 @@ impl Create {
         shard_index(id, self.shards.len())
     }
 
-    /// The query-cache partition for a query string. Merged results are
-    /// cached whole (stamped with the composite generation); partitioning
-    /// only spreads lock contention across shards.
-    fn cache_partition(&self, query: &str) -> usize {
-        (fnv1a(query.as_bytes()) % self.shards.len() as u64) as usize
-    }
-
     /// Locks the global write gate, recovering (and counting) poisoned
     /// locks. The guarded value is the next global ingest ordinal.
     fn lock_gate(&self) -> MutexGuard<'_, u64> {
@@ -986,15 +963,6 @@ impl Create {
         self.current.load().shard_generations()
     }
 
-    /// Live query-cache entries per shard partition (for the `/metrics`
-    /// per-shard gauges).
-    pub fn shard_cache_entries(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.cache.lock().map(|c| c.stats(0).entries).unwrap_or(0))
-            .collect()
-    }
-
     /// Persists every shard: fsyncs the WALs, seals each shard's
     /// unsealed tail (postings, facets, stored documents) into an immutable
     /// on-disk segment registered by an atomic manifest swap (after
@@ -1002,6 +970,21 @@ impl Create {
     /// compacts shards that accumulated enough segments. No-op for
     /// in-memory instances.
     pub fn flush(&self) -> Result<(), IngestError> {
+        if self.flush_shards()? {
+            // A compaction decodes whole segments: tens of MiB of small
+            // short-lived objects on whichever thread took the call,
+            // which glibc then keeps in that thread's arena. Left there,
+            // resident memory grows by one such working set per thread
+            // that ever compacted, in an order the scheduler picks. The
+            // locks are released by now.
+            create_util::release_free_heap();
+        }
+        Ok(())
+    }
+
+    /// [`Create::flush`] under the write gate; whether a shard was
+    /// compacted.
+    fn flush_shards(&self) -> Result<bool, IngestError> {
         let _gate = self.lock_gate();
         let mut guards: Vec<MutexGuard<'_, Writer>> =
             self.shards.iter().map(|s| s.lock_writer()).collect();
@@ -1009,7 +992,7 @@ impl Create {
             writer.wal_sync()?;
         }
         let Some(root) = self.storage.as_ref() else {
-            return Ok(());
+            return Ok(false);
         };
         let mut manifest = root.lock_manifest();
         let mut dirty = false;
@@ -1059,7 +1042,7 @@ impl Create {
             }
         }
         durability::refresh_segment_gauges(&manifest);
-        Ok(())
+        Ok(compacted)
     }
 
     /// The shared ontology (for training taggers against the same concept
@@ -1069,9 +1052,10 @@ impl Create {
     }
 
     /// Attaches a trained NER tagger, enabling automatic extraction for
-    /// raw-text/PDF ingestion and model-based query parsing. Published
-    /// without a generation bump: cached results stay valid, exactly as
-    /// reads observed tagger attachment before the snapshot split.
+    /// raw-text/PDF ingestion and model-based query parsing. A query
+    /// parses differently under the new tagger, so this is a write like
+    /// any other: every shard's generation is bumped and answers cached
+    /// before the attachment die on first touch.
     pub fn attach_tagger(&self, tagger: CrfTagger) {
         let tagger = Arc::new(tagger);
         let _gate = self.lock_gate();
@@ -1079,6 +1063,7 @@ impl Create {
             self.shards.iter().map(|s| s.lock_writer()).collect();
         for guard in guards.iter_mut() {
             guard.tagger = Some(Arc::clone(&tagger));
+            guard.generation += 1;
         }
         let touched: Vec<(usize, &Writer)> =
             guards.iter().enumerate().map(|(i, g)| (i, &**g)).collect();
@@ -1637,34 +1622,12 @@ impl Create {
     }
 
     /// Query parsing against an explicit snapshot's tagger, so search and
-    /// parse see the same state. Memoized per tagger: CRF decoding a
-    /// query costs hundreds of microseconds, which would dominate a
-    /// cache-hit search many times over on a hot repeated query.
+    /// parse see the same state.
     fn parse_query_against(&self, snapshot: &Snapshot, query: &str) -> QueryIE {
-        let tagger = &snapshot.shards[0].tagger;
-        let stamp = tagger.as_ref().map_or(0, |t| Arc::as_ptr(t) as usize);
-        if let Ok(cache) = self.parse_cache.lock() {
-            if cache.stamp == stamp {
-                if let Some(hit) = cache.map.get(query) {
-                    return hit.clone();
-                }
-            }
-        }
-        let parsed = match tagger {
+        match &snapshot.shards[0].tagger {
             Some(t) => QueryIE::parse(query, t, &self.ontology),
             None => QueryIE::parse_gazetteer(query, &self.ontology),
-        };
-        if let Ok(mut cache) = self.parse_cache.lock() {
-            if cache.stamp != stamp {
-                cache.map.clear();
-                cache.stamp = stamp;
-            }
-            if cache.map.len() >= PARSE_CACHE_CAPACITY {
-                cache.map.clear();
-            }
-            cache.map.insert(query.to_string(), parsed.clone());
         }
-        parsed
     }
 
     /// CREATe-IR search with the configured default policy.
@@ -1672,26 +1635,72 @@ impl Create {
         self.search_with_policy(query, k, self.config.merge_policy)
     }
 
-    /// CREATe-IR search with an explicit merge policy (Fig. 6 ablation).
-    ///
-    /// The whole search runs against one loaded composite snapshot, so a
-    /// concurrent ingest can never produce a torn result (graph hits from
-    /// one generation, keyword hits from another). The query is parsed
-    /// and lowered into its typed plan up front; results are cached by
-    /// the plan's **canonical key** (plus `k` and policy) in the query's
-    /// cache partition and stamped with the composite generation; any
-    /// publish anywhere invalidates them wholesale on first touch (see
-    /// [`crate::cache`]). The cache lock is dropped during execution, so
-    /// concurrent `search_many` workers never serialize while computing.
+    /// CREATe-IR search with an explicit merge policy (Fig. 6 ablation):
+    /// the hits of [`Create::search_answer`], copied out.
     pub fn search_with_policy(&self, query: &str, k: usize, policy: MergePolicy) -> Vec<SearchHit> {
+        self.search_answer(query, k, policy).hits.clone()
+    }
+
+    /// The whole answer to a query — its IE parse, the merged hits and
+    /// the rendered `/search` body — under an explicit merge policy.
+    ///
+    /// Answers are cached by `(query text, k, policy)` and stamped with
+    /// the composite generation of the snapshot they were computed from;
+    /// any publish anywhere invalidates them wholesale on first touch
+    /// (see [`crate::cache`]). A hit is one lock, one probe and one
+    /// reference count. A miss runs against the one snapshot loaded
+    /// here, so a concurrent ingest can never produce a torn answer
+    /// (mentions from one tagger, graph hits from one generation,
+    /// keyword hits from another). The cache lock is dropped during
+    /// execution, so concurrent `search_many` workers never serialize
+    /// while computing.
+    pub fn search_answer(&self, query: &str, k: usize, policy: MergePolicy) -> Arc<SearchAnswer> {
         let capture = QueryCapture::begin();
         let span = create_obs::child_span(obs_names::SPAN_SEARCH);
         count_policy(policy);
         let snapshot = self.current.load();
         let generation = snapshot.generation();
+        let cached = self
+            .cache
+            .lock()
+            .ok()
+            .and_then(|mut cache| cache.get(query, k, policy, generation));
+        let answer = match cached {
+            Some(answer) => {
+                create_obs::add_span_counter("cache_hit", 1);
+                answer
+            }
+            None => {
+                create_obs::add_span_counter("cache_miss", 1);
+                let answer = Arc::new(self.execute_search(&snapshot, query, k, policy));
+                if let Ok(mut cache) = self.cache.lock() {
+                    cache.insert(query, k, policy, generation, Arc::clone(&answer));
+                }
+                answer
+            }
+        };
+        // Close the search span before `finish` so the query histogram
+        // exemplar attaches while the context is still this request's.
+        drop(span);
+        capture.finish(query, k, policy.label());
+        answer
+    }
+
+    /// The uncached execution path behind [`Create::search_answer`]: the
+    /// query is parsed and lowered into its typed plan, the plan decides
+    /// which engine legs run, and each leg scatters over every shard of
+    /// the given snapshot and gathers deterministically (see
+    /// [`crate::search`]).
+    fn execute_search(
+        &self,
+        snapshot: &Snapshot,
+        query: &str,
+        k: usize,
+        policy: MergePolicy,
+    ) -> SearchAnswer {
         let parsed = {
             let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_PARSE);
-            self.parse_query_against(&snapshot, query)
+            self.parse_query_against(snapshot, query)
         };
         let plan = {
             let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_PLAN);
@@ -1699,49 +1708,9 @@ impl Create {
             plan.note_nodes();
             plan
         };
-        let plan_key = plan.canonical_key();
-        let cache = &self.shards[self.cache_partition(query)].cache;
-        let cached = cache
-            .lock()
-            .ok()
-            .and_then(|mut cache| cache.get(&plan_key, k, policy, generation));
-        let hits = match cached {
-            Some(hits) => {
-                create_obs::add_span_counter("cache_hit", 1);
-                hits
-            }
-            None => {
-                create_obs::add_span_counter("cache_miss", 1);
-                let hits = self.execute_search(&snapshot, query, &parsed, &plan, k, policy);
-                if let Ok(mut cache) = cache.lock() {
-                    cache.insert(&plan_key, k, policy, generation, hits.clone());
-                }
-                hits
-            }
-        };
-        // Close the search span before `finish` so the query histogram
-        // exemplar attaches while the context is still this request's.
-        drop(span);
-        capture.finish(query, k, policy.label());
-        hits
-    }
-
-    /// The uncached execution path behind [`Create::search_with_policy`]:
-    /// the lowered plan decides which engine legs run; each leg scatters
-    /// over every shard of the given snapshot and gathers
-    /// deterministically (see [`crate::search`]).
-    fn execute_search(
-        &self,
-        snapshot: &Snapshot,
-        query: &str,
-        parsed: &QueryIE,
-        plan: &QueryPlan,
-        k: usize,
-        policy: MergePolicy,
-    ) -> Vec<SearchHit> {
         let graph_hits = if plan.has_graph() {
             let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_GRAPH_SEARCH);
-            scatter_graph_search(&snapshot.shards, parsed, k)
+            scatter_graph_search(&snapshot.shards, &parsed, k)
         } else {
             Vec::new()
         };
@@ -1752,8 +1721,11 @@ impl Create {
         } else {
             Vec::new()
         };
-        let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
-        crate::search::merge(graph_hits, keyword_hits, policy, k)
+        let hits = {
+            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
+            crate::search::merge(graph_hits, keyword_hits, policy, k)
+        };
+        SearchAnswer::new(parsed, hits)
     }
 
     /// Cohort retrieval: answers a criteria set (facet filters, optional
@@ -1899,26 +1871,16 @@ impl Create {
         Some(render_svg(&viz, &SvgOptions::default()))
     }
 
-    /// Query-cache counters (hits, misses, live entries — summed across
-    /// the shard partitions) and the current composite generation, for
-    /// the REST stats surface.
+    /// Query-cache counters (hits, misses, live entries) and the current
+    /// composite generation, for the REST stats surface.
     pub fn cache_stats(&self) -> CacheStats {
         let generation = self.current.load().generation();
-        let mut stats = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            generation,
-        };
-        for shard in &self.shards {
-            if let Ok(cache) = shard.cache.lock() {
-                let s = cache.stats(generation);
-                stats.hits += s.hits;
-                stats.misses += s.misses;
-                stats.entries += s.entries;
-            }
-        }
-        stats
+        // Reading the counters is sound whatever a panicking holder left
+        // half-done.
+        self.cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .stats(generation)
     }
 
     /// System counters, read from one composite snapshot (mutually

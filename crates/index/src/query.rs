@@ -107,8 +107,8 @@ impl QueryNode {
 
     /// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
     /// every term of the field, sorted by `(distance, term)`. Kept as the
-    /// reference baseline for the equivalence suite and `bench_search`;
-    /// production queries use [`QueryNode::expand_fuzzy`].
+    /// reference baseline for the equivalence suite; production queries
+    /// use [`QueryNode::expand_fuzzy`].
     pub fn expand_fuzzy_sweep<'a>(
         index: &'a Index,
         field: &str,

@@ -7,9 +7,9 @@
 //! cursor intersection for `must` and phrases, MaxScore pruning for flat
 //! disjunctions. [`Index::search_exhaustive`] is the original map-based
 //! walker, kept as the reference baseline — the equivalence suite asserts
-//! the two return bit-identical rankings, and `bench_search` measures the
-//! gap. Both paths score through [`doc_score`], the single source of truth
-//! for the per-(term, doc) expression, so their floats cannot drift apart.
+//! the two return bit-identical rankings. Both paths score through
+//! [`doc_score`], the single source of truth for the per-(term, doc)
+//! expression, so their floats cannot drift apart.
 
 use crate::index::Index;
 use crate::postings::PostingList;
@@ -163,7 +163,7 @@ impl Index {
     /// The original exhaustive executor: walks the query tree accumulating
     /// per-document scores into a map, then heap-selects the top-k. Kept
     /// as the reference baseline the DAAT path is verified against (the
-    /// equivalence suite and `bench_search` both run it).
+    /// equivalence suite runs it).
     pub fn search_exhaustive(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
         let mut scores: HashMap<u32, f64> = HashMap::new();
         let mut exclusions: HashSet<u32> = HashSet::new();

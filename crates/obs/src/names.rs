@@ -74,11 +74,10 @@ pub const SNAPSHOT_PUBLISH_SECONDS: &str = "create_snapshot_publish_seconds";
 pub const OPEN_BAD_CONFIG_TOTAL: &str = "create_open_bad_config_total";
 
 /// Per-shard write-path series, labelled `shard=...`: the shard's
-/// current generation stamp, its completed publishes, and its query
-/// cache partition's entry count (gauges refreshed at scrape time).
+/// current generation stamp (a gauge refreshed at scrape time) and its
+/// completed publishes.
 pub const SHARD_GENERATION_GAUGE: &str = "create_shard_generation";
 pub const SHARD_PUBLISH_TOTAL: &str = "create_shard_publish_total";
-pub const SHARD_CACHE_ENTRIES_GAUGE: &str = "create_shard_cache_entries";
 
 /// HTTP layer, labelled `route=...` (+ `status=...` on the counter).
 pub const HTTP_REQUESTS_TOTAL: &str = "create_http_requests_total";

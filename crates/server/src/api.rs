@@ -29,26 +29,7 @@ use crate::http::{Response, Status};
 use crate::router::Router;
 use create_core::{Create, MergePolicy};
 use create_docstore::json::{obj, parse_json, Value};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// Rendered-response memo for `GET /search`: the body for
-/// `(q, k, policy)` is deterministic at a fixed snapshot generation, so
-/// the JSON tree build + serialization (the dominant handler cost on a
-/// cache-hit search) runs once per generation. The underlying
-/// `search_with_policy` still runs on every request — its query cache and
-/// `/stats` counters behave exactly as without this memo.
-struct SearchBodyCache {
-    generation: u64,
-    /// Query text → rendered bodies per `(k, policy)` (a handful per
-    /// query, so a linear scan beats hashing a compound key — and lookup
-    /// by `&str` avoids allocating a key on the hot path).
-    map: HashMap<String, Vec<((usize, MergePolicy), String)>>,
-    entries: usize,
-}
-
-/// Rendered-body entries kept per generation (memory bound, not a knob).
-const SEARCH_BODY_CACHE_CAPACITY: usize = 512;
+use std::sync::Arc;
 
 fn policy_from(name: Option<&str>) -> Result<MergePolicy, String> {
     match name.unwrap_or("neo4j_first") {
@@ -111,11 +92,6 @@ pub fn build_api(system: Arc<Create>) -> Router {
 
     {
         let system = Arc::clone(&system);
-        let body_cache = Mutex::new(SearchBodyCache {
-            generation: 0,
-            map: HashMap::new(),
-            entries: 0,
-        });
         router.route("GET", "/search", move |req, _| {
             let Some(q) = req.param("q") else {
                 return Response::error(Status::BadRequest, "missing q parameter");
@@ -129,67 +105,8 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 Ok(p) => p,
                 Err(m) => return Response::error(Status::BadRequest, &m),
             };
-            let generation = system.snapshot().generation();
-            let hits = system.search_with_policy(q, k, policy);
-            if let Ok(cache) = body_cache.lock() {
-                if cache.generation == generation {
-                    if let Some(bodies) = cache.map.get(q) {
-                        if let Some((_, body)) =
-                            bodies.iter().find(|(kp, _)| *kp == (k, policy))
-                        {
-                            return Response::json(Status::Ok, body.clone());
-                        }
-                    }
-                }
-            }
-            let parsed = system.parse_query(q);
-            let hits_json: Vec<Value> = hits.iter().map(hit_json).collect();
-            let mentions: Vec<Value> = parsed
-                .mentions
-                .iter()
-                .map(|m| {
-                    obj([
-                        ("text", m.text.clone().into()),
-                        ("type", m.etype.label().into()),
-                        (
-                            "concept",
-                            m.concept
-                                .map(|c| Value::String(c.to_string()))
-                                .unwrap_or(Value::Null),
-                        ),
-                    ])
-                })
-                .collect();
-            let doc = obj([
-                ("query", q.into()),
-                ("mentions", Value::Array(mentions)),
-                (
-                    "pattern",
-                    parsed
-                        .pattern
-                        .map(|(c1, c2, rel)| {
-                            obj([
-                                ("from", c1.to_string().into()),
-                                ("to", c2.to_string().into()),
-                                ("relation", rel.label().into()),
-                            ])
-                        })
-                        .unwrap_or(Value::Null),
-                ),
-                ("hits", Value::Array(hits_json)),
-            ]);
-            let body = doc.to_json();
-            if let Ok(mut cache) = body_cache.lock() {
-                if cache.generation != generation || cache.entries >= SEARCH_BODY_CACHE_CAPACITY
-                {
-                    cache.map.clear();
-                    cache.entries = 0;
-                    cache.generation = generation;
-                }
-                cache.map.entry(q.to_string()).or_default().push(((k, policy), body.clone()));
-                cache.entries += 1;
-            }
-            Response::json(Status::Ok, body)
+            let answer = system.search_answer(q, k, policy);
+            Response::json(Status::Ok, answer.body().to_string())
         });
     }
 
@@ -304,7 +221,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 .iter()
                 .zip(all_hits)
                 .map(|(q, hits)| {
-                    let hits_json: Vec<Value> = hits.iter().map(hit_json).collect();
+                    let hits_json: Vec<Value> = hits.iter().map(|h| h.to_json()).collect();
                     obj([
                         ("query", (*q).into()),
                         ("hits", Value::Array(hits_json)),
@@ -414,13 +331,6 @@ pub fn build_api(system: Arc<Create>) -> Router {
                         &[("shard", &i.to_string())],
                     )
                     .set(gen as i64);
-                }
-                for (i, entries) in system.shard_cache_entries().into_iter().enumerate() {
-                    create_obs::gauge_with(
-                        n::SHARD_CACHE_ENTRIES_GAUGE,
-                        &[("shard", &i.to_string())],
-                    )
-                    .set(entries as i64);
                 }
                 // Refreshes the segment count/bytes gauges from the
                 // live manifest (no-op for in-memory instances) and the
@@ -553,21 +463,6 @@ fn trace_json(t: &create_obs::TraceRecord) -> Value {
         ("totalSeconds", t.total_seconds.into()),
         ("slow", t.slow.into()),
         ("spans", Value::Array(spans)),
-    ])
-}
-
-fn hit_json(h: &create_core::SearchHit) -> Value {
-    obj([
-        ("reportId", h.report_id.clone().into()),
-        ("score", h.score.into()),
-        (
-            "source",
-            match h.source {
-                create_core::SearchSource::Graph => "graph".into(),
-                create_core::SearchSource::Keyword => "keyword".into(),
-            },
-        ),
-        ("patternMatched", h.pattern_matched.into()),
     ])
 }
 

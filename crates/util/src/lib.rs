@@ -21,6 +21,24 @@ pub fn arc_slice_bytes(payload: usize) -> usize {
     (2 * std::mem::size_of::<usize>() + payload).next_multiple_of(std::mem::align_of::<usize>())
 }
 
+/// Hands the allocator's free pages back to the operating system. glibc
+/// keeps freed memory in the arena of the thread that allocated it, so a
+/// large short-lived working set stays resident once per thread that ever
+/// built one; call this when such a working set has just been dropped.
+/// Costs a walk over every arena (milliseconds on a few hundred MiB of
+/// heap). A no-op where the C library has no `malloc_trim`.
+pub fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: takes no pointer, and glibc allows the call from any
+        // thread at any time (it locks each arena in turn).
+        unsafe { malloc_trim(0) };
+    }
+}
+
 pub use arc_cell::ArcCell;
 pub use pool::ThreadPool;
 pub use rng::Rng;

@@ -1,8 +1,9 @@
-//! Allocation budgets of the write path and the in-RAM index.
+//! Allocation budgets of the write path, the in-RAM index and a
+//! cache-hit search.
 //!
 //! A counting `GlobalAlloc` (hence a test binary of its own, holding one
-//! test so nothing else allocates beside it) over an in-memory `Create`
-//! pinned to one shard and 500 generated reports:
+//! test so nothing else allocates, or searches, beside it) over an
+//! in-memory `Create` pinned to one shard and 500 generated reports:
 //!
 //! * (a) a 2-document `ingest_gold_batch` after a publish — the
 //!   copy-on-write case, every touched term shared with the published
@@ -29,18 +30,32 @@
 //! * (e) `PropertyGraph::heap_bytes()` and `DocStore::heap_bytes()` —
 //!   what `/stats` and the `create_resident_bytes` gauges report — are
 //!   within a tenth of what the allocator says building the same graph
-//!   and the same store added.
+//!   and the same store added;
+//! * (f) on a two-shard copy of the same corpus, a warmed query is
+//!   answered without parsing or planning anything — the `parse` and
+//!   `plan` stage histograms and `create_plan_nodes_total` stay where
+//!   they were while `cache_hits` counts every repeat — and inside a
+//!   fixed number of allocations: for `Create::search_answer` (the call
+//!   `GET /search` makes), for `Create::search_with_policy` (the same
+//!   plus a copy of the ten hits) and for the whole request through
+//!   `Router::dispatch`. With a parse memo, a plan-keyed hit cache and a
+//!   body memo in a row, `search_with_policy` made 33–36 and the request
+//!   62–66.
 
 use create::annotate::case_report_to_brat;
 use create::core::graph_build::{GraphBuilder, ReportMeta};
-use create::core::{Create, CreateConfig, ExtractedAnnotations};
+use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
 use create::corpus::{CorpusConfig, Generator};
 use create::docstore::{json::obj, DocStore};
 use create::graphdb::PropertyGraph;
 use create::index::codec::{decode_segment, encode_index_tail};
 use create::index::Index;
+use create::obs::names;
+use create::server::{build_api, Request, Status};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// `System`, counting calls that allocate and the bytes currently live.
 struct Counting;
@@ -105,6 +120,19 @@ const SUBMIT_BUDGET: usize = 20_000;
 /// the figure that read 32.28 MB before documents were text and the
 /// graph flat.
 const RESIDENT_BUDGET: isize = 23_000_000;
+/// Allocations a cache-hit `search_answer` may make: the lookup key's
+/// copy of the query text, which is all it makes.
+const HIT_ANSWER_BUDGET: usize = 1;
+/// Allocations a cache-hit `search_with_policy` may make at `k` = 10: a
+/// fifth over the 12 it makes (the key, the `Vec` and ten report ids).
+const HIT_HITS_BUDGET: usize = 14;
+/// Allocations a cache-hit `GET /search` may make through
+/// `Router::dispatch`: a fifth over the 28–29 it makes, of which the
+/// handler's are two (the key and the body's copy into the response)
+/// and the rest the router's trace id, spans and headers.
+const HIT_REQUEST_BUDGET: usize = 34;
+/// Repeats of the warmed query per measured call.
+const HIT_REPEATS: usize = 40;
 
 #[test]
 fn submit_and_index_stay_inside_their_allocation_budgets() {
@@ -216,6 +244,80 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         index.num_docs(),
         held / counted
     );
+    // (f) a warmed query on two shards: what a hit does not do, and
+    // what it allocates.
+    let served = Arc::new(Create::new(CreateConfig {
+        shards: 2,
+        ..Default::default()
+    }));
+    served.ingest_gold_batch(&reports[..REPORTS], 1).unwrap();
+    let api = build_api(Arc::clone(&served));
+    let (query, k, policy) = ("fever and cough", 10, MergePolicy::Neo4jFirst);
+    let request = Request {
+        method: "GET".to_string(),
+        path: "/search".to_string(),
+        query: [("q", query), ("k", "10")]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        headers: Default::default(),
+        body: Vec::new(),
+    };
+    // The miss, the body's one rendering, and lazily created metric and
+    // recorder state all happen here.
+    for _ in 0..3 {
+        assert_eq!(served.search_with_policy(query, k, policy).len(), k);
+        assert_eq!(api.dispatch(&request).status, Status::Ok);
+    }
+    let planned = || {
+        let stage = |stage| {
+            create::obs::histogram_with(names::QUERY_STAGE_SECONDS, &[("stage", stage)]).count()
+        };
+        (
+            stage(names::QSTAGE_PARSE),
+            stage(names::QSTAGE_PLAN),
+            create::obs::counter(names::PLAN_NODES_TOTAL).get(),
+        )
+    };
+    let (planned_before, hits_before) = (planned(), served.cache_stats().hits);
+    // The most allocations any one of the repeats of `call` made.
+    let most = |call: &dyn Fn()| {
+        (0..HIT_REPEATS)
+            .map(|_| {
+                let before = allocations();
+                call();
+                allocations() - before
+            })
+            .max()
+            .expect("at least one repeat")
+    };
+    let hit_answer = most(&|| drop(black_box(served.search_answer(query, k, policy))));
+    let hit_hits = most(&|| drop(black_box(served.search_with_policy(query, k, policy))));
+    let hit_request = most(&|| drop(black_box(api.dispatch(&request))));
+    println!(
+        "a cache-hit search at {REPORTS} reports / 2 shards: {hit_answer} allocations in search_answer, \
+         {hit_hits} in search_with_policy, {hit_request} in GET /search through Router::dispatch"
+    );
+    assert_eq!(
+        planned(),
+        planned_before,
+        "a hit parsed or planned: (parse, plan, plan nodes) observations moved"
+    );
+    assert_eq!(
+        served.cache_stats().hits - hits_before,
+        3 * HIT_REPEATS as u64,
+        "every repeat of the warmed query is one cache hit"
+    );
+    for (what, made, budget) in [
+        ("search_answer", hit_answer, HIT_ANSWER_BUDGET),
+        ("search_with_policy", hit_hits, HIT_HITS_BUDGET),
+        ("GET /search", hit_request, HIT_REQUEST_BUDGET),
+    ] {
+        assert!(
+            made <= budget,
+            "a cache-hit {what} made {made} allocations, budget {budget}"
+        );
+    }
     assert!(
         submit_allocations <= SUBMIT_BUDGET,
         "a 2-document submit made {submit_allocations} allocations, budget {SUBMIT_BUDGET}"

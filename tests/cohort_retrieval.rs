@@ -46,6 +46,11 @@ fn sharded(reports: &[CaseReport], shards: usize) -> Create {
         ..Default::default()
     });
     system.ingest_gold_batch(reports, 0).expect("ingest");
+    assert_eq!(
+        system.facet_stats().docs,
+        reports.len(),
+        "facet bitmaps cover every ingested document at {shards} shard(s)"
+    );
     system
 }
 

@@ -8,13 +8,16 @@
 //! score-bit and order equality, pins the phrase path against captured
 //! expected output on a 200-document corpus (the quadratic-blowup
 //! regression), checks the bucketed fuzzy expansion against the
-//! full-dictionary sweep, and proves the facade's query cache never
-//! serves stale results across an ingest.
+//! full-dictionary sweep, proves the facade's query cache never serves
+//! stale results across an ingest or a tagger attachment, and pins the
+//! `/search` response bodies of all five merge policies to digests
+//! captured before the cache consolidation.
 
-use create::corpus::{CaseReport, CorpusConfig, Generator};
+use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use create::core::{Create, CreateConfig};
 use create::index::score::Scorer;
 use create::index::{Index, QueryNode};
+use create::server::{build_api, Request, Status};
 use create::text::Analyzer;
 use create::util::Rng;
 
@@ -295,5 +298,120 @@ fn query_cache_never_serves_stale_results() {
     for (a, b) in fresh.iter().zip(&expected) {
         assert_eq!(a.report_id, b.report_id);
         assert_eq!(a.score.to_bits(), b.score.to_bits());
+    }
+}
+
+/// A small CRF tagger over the gold annotations of `reports`; training
+/// is seeded, so two calls give the same model.
+fn tiny_tagger(system: &Create, reports: &[CaseReport]) -> create::ner::CrfTagger {
+    create::ner::CrfTagger::train(
+        &create::ner::NerDataset::from_reports(reports, create::ner::LabelSet::ner_targets()),
+        create::ner::CrfTaggerConfig {
+            feature_bits: 16,
+            train: create::ml::CrfTrainConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+            gazetteer_features: true,
+        },
+        Some(system.ontology()),
+        None,
+    )
+}
+
+/// A query parses differently once a tagger is attached, and the cache
+/// is keyed on the query text: attachment must invalidate like any
+/// other write, and the recomputed answer — hits, mentions, pattern —
+/// must be what an instance that had the tagger from the start gives.
+#[test]
+fn attaching_a_tagger_invalidates_cached_answers() {
+    let reports = corpus(20, 1414);
+    let load = || {
+        let system = Create::new(CreateConfig::default());
+        system.ingest_gold_batch(&reports, 0).unwrap();
+        system
+    };
+    let system = load();
+    let query = "A 45-year-old male was admitted to the emergency department with fever and cough";
+    let policy = create::core::MergePolicy::Neo4jFirst;
+    let before = system.search_answer(query, 10, policy);
+    let _ = system.search_answer(query, 10, policy);
+    let warmed = system.cache_stats();
+    assert_eq!((warmed.hits, warmed.misses), (1, 1));
+
+    system.attach_tagger(tiny_tagger(&system, &reports));
+    let after = system.search_answer(query, 10, policy);
+    let stats = system.cache_stats();
+    assert!(
+        stats.generation > warmed.generation,
+        "attachment is a write"
+    );
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (1, 2),
+        "the answer cached before the attachment is not served after it"
+    );
+
+    let fresh = load();
+    fresh.attach_tagger(tiny_tagger(&fresh, &reports));
+    let expected = fresh.search_answer(query, 10, policy);
+    assert_eq!(after.parsed.mentions, expected.parsed.mentions);
+    assert_eq!(after.parsed.pattern, expected.parsed.pattern);
+    assert_eq!(after.hits, expected.hits);
+    assert_eq!(after.body(), expected.body());
+    assert_ne!(
+        after.parsed.mentions, before.parsed.mentions,
+        "the probe query is one the tagger reads differently from the gazetteer"
+    );
+}
+
+/// `GET /search` bodies are pinned: these digests were computed at
+/// commit 050b861, where a body was assembled in the handler from a
+/// plan-keyed hit cache, a parse memo and a body memo, and a one-shard
+/// deployment scored without merged corpus statistics. Every query is
+/// asked twice, so the miss and the hit both serve the pinned bytes.
+#[test]
+fn search_bodies_match_the_golden_digests() {
+    let reports = corpus(60, 20260902);
+    let queries = QuerySet::generate(&reports, 11, 24).queries;
+    for shards in [1usize, 2] {
+        let system = Create::new(CreateConfig {
+            shards,
+            ..Default::default()
+        });
+        system.ingest_gold_batch(&reports, 0).unwrap();
+        let api = build_api(std::sync::Arc::new(system));
+        for (policy, golden) in [
+            ("neo4j_first", 0xcd73_68ed_2fda_40ffu64),
+            ("es_first", 0xac16_d65e_c501_95e9),
+            ("es_only", 0xf437_4c0b_bc6f_4f49),
+            ("graph_only", 0x779f_cab1_aaf7_d3dd),
+            ("interleave", 0x6379_95ad_6715_067b),
+        ] {
+            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            for (i, q) in queries.iter().enumerate() {
+                let k = ["3", "10", "100"][i % 3];
+                for _ in 0..2 {
+                    let response = api.dispatch(&Request {
+                        method: "GET".to_string(),
+                        path: "/search".to_string(),
+                        query: [("q", q.text.as_str()), ("k", k), ("policy", policy)]
+                            .into_iter()
+                            .map(|(k, v)| (k.to_string(), v.to_string()))
+                            .collect(),
+                        headers: Default::default(),
+                        body: Vec::new(),
+                    });
+                    assert_eq!(response.status, Status::Ok, "{policy}: {:?}", q.text);
+                    for &b in &response.body {
+                        digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            assert_eq!(
+                digest, golden,
+                "{policy} at {shards} shard(s): bodies digest to {digest:#018x}"
+            );
+        }
     }
 }

@@ -6,9 +6,10 @@
 //! one generation would return — a ranking mixing graph hits from one
 //! generation with keyword hits from another (a torn read) matches no
 //! generation and fails the test. Readers also check that the generations
-//! they observe never roll backwards, and a separate test pins the cache
+//! they observe never roll backwards, a separate test pins the cache
 //! contract: entries stamped with an old snapshot's generation survive the
-//! publish itself but die (as misses) on first touch afterwards.
+//! publish itself but die (as misses) on first touch afterwards, and a
+//! third shows that a read finishes while a write operation is open.
 
 use create::core::{Create, CreateConfig};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
@@ -139,6 +140,14 @@ fn concurrent_readers_never_observe_torn_results() {
         handle.join().expect("reader thread");
     }
 
+    // Every batch of both passes went through the timed publish.
+    let publishes = create::obs::histogram(create::obs::names::SNAPSHOT_PUBLISH_SECONDS).count();
+    assert!(
+        publishes >= 2 * BATCHES as u64,
+        "publish histogram holds {publishes} observations for {} batches",
+        2 * BATCHES
+    );
+
     // The fully-ingested live system converges on the reference.
     assert_eq!(system.cache_stats().generation, BATCHES as u64);
     for (qi, query) in queries.iter().enumerate() {
@@ -192,4 +201,37 @@ fn stale_cache_entries_die_on_first_touch_after_publish() {
     let refreshed = system.cache_stats();
     assert_eq!(refreshed.hits, touched.hits + 1);
     assert_eq!(refreshed.misses, touched.misses);
+}
+
+#[test]
+fn a_read_completes_while_a_write_operation_is_open() {
+    let reports = corpus(20, 99);
+    let system = Arc::new(Create::new(single_shard()));
+    system.ingest_gold_batch(&reports, 0).expect("ingest");
+    let expected = ranking(&system, "fever cough");
+
+    // The guard holds what a batch ingest holds from start to publish:
+    // the write gate and the shard's writer lock.
+    let guard = system.graph_mut();
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let reader = {
+        let system = Arc::clone(&system);
+        std::thread::spawn(move || {
+            // One answer from the cache, one computed against the
+            // published snapshot.
+            let cached = ranking(&system, "fever cough");
+            let computed = ranking(&system, "chest pain");
+            sender
+                .send((cached, computed))
+                .expect("test thread is waiting");
+        })
+    };
+    // A read that waited for the writer would never send: fail, not hang.
+    let (cached, computed) = receiver
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("searches block on an open write operation");
+    drop(guard);
+    reader.join().expect("reader thread");
+    assert_eq!(cached, expected);
+    assert!(!computed.is_empty(), "the uncached search ran both engines");
 }
