@@ -1,6 +1,6 @@
 //! Glue between the [`Create`](crate::Create) facade and the
-//! `create-storage` engine: WAL record shapes, segment seal/compaction
-//! helpers, and the storage metric emitters.
+//! `create-storage` engine: the WAL record shape, the segment seal, load
+//! and compaction helpers, and the storage metric emitters.
 //!
 //! The durable unit everywhere is the **document payload** — one JSON
 //! object bundling the three documents a report contributes to its
@@ -11,14 +11,16 @@
 //! {"report": {...}, "ann": {...}, "extraction": {...}}
 //! ```
 //!
-//! A WAL `doc` record wraps the payload with the report's global ingest
-//! ordinal; a sealed segment stores the identical payload per document
-//! (fetched back from the document store at seal time, so later updates
-//! — e.g. PDF metadata attachment — are baked in). These two are the
-//! only durable copies: the document store is refilled from them at
-//! open. Recovery re-applies payloads through the same store/graph/index
-//! plumbing live ingestion uses, which is what makes post-crash rankings
-//! bit-identical.
+//! A WAL `doc` record — the only record type — wraps the payload with
+//! the report's global ingest ordinal; a sealed segment stores the
+//! identical payload per document (fetched back from the document store
+//! at seal time). These two are the only durable copies: the document
+//! store is refilled from them at open. Recovery re-applies payloads
+//! through the same `Writer::apply` / `Writer::merge` live ingestion
+//! uses (see [`crate::system`]), which is what makes post-crash rankings
+//! bit-identical. What recovery cannot read it refuses: every content
+//! error of a record or a payload is reported by the caller as
+//! [`StorageError::Corrupt`] naming the file.
 //!
 //! The document store holds each document as serialized text, and the
 //! payload is those texts spliced together: ingest serializes a document
@@ -33,7 +35,7 @@ use create_docstore::json::{object_members, Member, Value};
 use create_docstore::DocStore;
 use create_index::codec;
 use create_index::facets::FacetIndex;
-use create_index::Index;
+use create_index::{Index, IndexSegment};
 use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
 use create_storage::{
@@ -91,8 +93,19 @@ pub(crate) struct DocPayload<'a> {
 /// parsed in the pass that split the payload. `ann` is never parsed.
 pub(crate) struct RecoveredDoc<'a> {
     pub texts: DocPayload<'a>,
-    pub report: Value,
-    pub extraction: Option<Value>,
+    report: Value,
+    extraction: Option<Value>,
+}
+
+impl RecoveredDoc<'_> {
+    /// The report's core fields and its extraction — what `index_doc`
+    /// and `Writer::apply` read of a document.
+    pub(crate) fn parts(&self) -> Result<(ReportFields<'_>, ExtractedAnnotations), String> {
+        Ok((
+            report_fields(&self.report)?,
+            stored_annotations(self.extraction.as_ref())?,
+        ))
+    }
 }
 
 /// The core fields of a stored report, borrowed from its document.
@@ -107,7 +120,7 @@ pub(crate) struct ReportFields<'a> {
 /// Reads the core fields of a stored report. Ingest always writes all
 /// five; `category` and `year` still default (`"other"`, 2020) because
 /// segments sealed by earlier versions may hold rows that lack them.
-pub(crate) fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
+fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
     let field = |key: &str| {
         report
             .get(key)
@@ -129,28 +142,17 @@ pub(crate) fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> 
     })
 }
 
-/// The extraction a stored `extractions` document carries (empty when
-/// the report has none).
-pub(crate) fn stored_annotations(extraction: Option<&Value>) -> ExtractedAnnotations {
-    extraction
-        .and_then(|e| e.get("extraction"))
+/// The extraction a stored `extractions` document carries: empty when
+/// the report has no such document, an error when it has one that does
+/// not read back.
+fn stored_annotations(extraction: Option<&Value>) -> Result<ExtractedAnnotations, String> {
+    let Some(document) = extraction else {
+        return Ok(ExtractedAnnotations::default());
+    };
+    document
+        .get("extraction")
         .and_then(ExtractedAnnotations::from_json)
-        .unwrap_or_default()
-}
-
-/// A parsed WAL record.
-pub(crate) enum WalRecord<'a> {
-    /// One ingested report (the common record).
-    Doc {
-        ordinal: u64,
-        payload: RecoveredDoc<'a>,
-    },
-    /// A post-ingest document-store update (PDF metadata attachment).
-    Update {
-        collection: String,
-        id: String,
-        set: Value,
-    },
+        .ok_or_else(|| "stored extraction does not deserialize".to_string())
 }
 
 /// Serializes an object whose members' values are already serialized:
@@ -194,16 +196,6 @@ pub(crate) fn doc_record(ordinal: u64, payload: &DocPayload<'_>) -> String {
     ])
 }
 
-/// Builds a WAL `update` record.
-pub(crate) fn update_record(collection: &str, id: &str, set: &Value) -> String {
-    let mut record = Value::object();
-    record.set("t", "update");
-    record.set("collection", collection);
-    record.set("id", id);
-    record.set("set", set.clone());
-    record.to_json()
-}
-
 /// Picks the three documents out of a split payload object (a repeated
 /// key's last member wins, as in a parse).
 fn take_payload(members: Vec<Member<'_>>) -> Result<RecoveredDoc<'_>, String> {
@@ -238,40 +230,29 @@ pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, Stri
     take_payload(split_record(bytes, "payload")?)
 }
 
-/// Parses one WAL record.
-pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<WalRecord<'_>, String> {
+/// Parses one WAL record — a `doc` record, the only type there is — into
+/// its global ingest ordinal and its payload.
+pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<(u64, RecoveredDoc<'_>), String> {
     let mut members = split_record(bytes, "WAL record")?;
     let mut take = |key: &str| {
         let at = members.iter().rposition(|m| m.key == key)?;
         members[at].value.take()
     };
-    let mut string = |key: &str| {
-        take(key)
-            .as_ref()
-            .and_then(Value::as_str)
-            .map(str::to_string)
-    };
-    match string("t").as_deref() {
-        Some("doc") => Ok(WalRecord::Doc {
-            ordinal: take("ordinal")
-                .as_ref()
-                .and_then(Value::as_i64)
-                .ok_or("doc record missing ordinal")? as u64,
-            payload: take_payload(members)?,
-        }),
-        Some("update") => Ok(WalRecord::Update {
-            collection: string("collection").ok_or("update record missing collection")?,
-            id: string("id").ok_or("update record missing id")?,
-            set: take("set").ok_or("update record missing set")?,
-        }),
-        other => Err(format!("unknown WAL record type {other:?}")),
+    match take("t").as_ref().and_then(Value::as_str) {
+        Some("doc") => {}
+        other => return Err(format!("unknown WAL record type {other:?}")),
     }
+    let ordinal = take("ordinal")
+        .as_ref()
+        .and_then(Value::as_i64)
+        .and_then(|ordinal| u64::try_from(ordinal).ok())
+        .ok_or("doc record's ordinal is not a non-negative integer")?;
+    Ok((ordinal, take_payload(members)?))
 }
 
 /// Assembles the segment data for index docs `[base..num_docs)`:
-/// payloads fetched from the live document store (so post-ingest
-/// updates are baked in), the codec-encoded postings tail, and the
-/// facet-bitmap tail over the same doc range (format-3 segments).
+/// payloads fetched from the live document store, the codec-encoded
+/// postings tail, and the facet-bitmap tail over the same doc range.
 pub(crate) fn seal_data(
     index: &Index,
     facets: &FacetIndex,
@@ -313,7 +294,39 @@ pub(crate) fn seal_data(
     })
 }
 
-/// Rewrites a shard's segments as one: decode each file, merge through
+/// Adapter for `map_err`: a content error found in the file at `path`,
+/// as [`StorageError::Corrupt`] naming the file.
+pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageError + '_ {
+    move |e| StorageError::Corrupt {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    }
+}
+
+/// Reads one sealed segment file back into what it was sealed from:
+/// postings and facet bitmaps over segment-local doc ids (`template`
+/// gives the field configuration) and the stored documents, each
+/// covering the same documents. The one reader of segment files, for
+/// recovery and compaction alike.
+pub(crate) fn load_segment(
+    path: &Path,
+    template: &Index,
+) -> Result<(IndexSegment, FacetIndex, Vec<StoredDoc>), StorageError> {
+    let data = segment::read_segment(path)?;
+    let postings = codec::decode_segment(&data.postings, template).map_err(corrupt_at(path))?;
+    let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
+    let docs = data.docs.len();
+    if postings.num_docs() != docs || facets.num_docs() as usize != docs {
+        return Err(corrupt_at(path)(format!(
+            "segment stores {docs} docs but indexes {} and its facets cover {}",
+            postings.num_docs(),
+            facets.num_docs()
+        )));
+    }
+    Ok((postings, facets, data.docs))
+}
+
+/// Rewrites a shard's segments as one: load each file, merge through
 /// [`Index::merge_segment`] in manifest order (the same deterministic
 /// order recovery uses), re-encode, and replace the manifest entry.
 /// The old files stay on disk until the caller swaps the manifest and
@@ -328,52 +341,11 @@ pub(crate) fn compact_shard(
     let mut docs: Vec<StoredDoc> = Vec::new();
     for meta in &entry.segments {
         let path = shard_dir.join(&meta.file);
-        let data = segment::read_segment(&path)?;
-        let corrupt = |message: String| StorageError::Corrupt {
-            path: path.clone(),
-            message,
-        };
-        let seg = codec::decode_segment(&data.postings, &merged)
-            .map_err(|e| corrupt(e.to_string()))?;
-        if seg.num_docs() != data.docs.len() {
-            return Err(corrupt(format!(
-                "segment has {} stored docs but {} indexed docs",
-                data.docs.len(),
-                seg.num_docs()
-            )));
-        }
+        let (postings, facets, stored) = load_segment(&path, &merged)?;
         let base = merged.num_docs() as u32;
-        if data.facets.is_empty() {
-            // A format-2 segment sealed before the facet region existed:
-            // recompute each doc's facets from its payload — the same
-            // derivation ingest runs, so the rewritten segment carries
-            // the bitmaps a fresh ingest would have produced.
-            for (pos, stored) in data.docs.iter().enumerate() {
-                let payload = parse_payload_bytes(&stored.payload).map_err(&corrupt)?;
-                let values = crate::facet_build::payload_facets(
-                    &payload.report,
-                    payload.extraction.as_ref(),
-                )
-                .map_err(&corrupt)?;
-                merged_facets.add_doc(base + pos as u32, values);
-            }
-            merged_facets.align_to(base + data.docs.len() as u32);
-        } else {
-            let seg_facets =
-                FacetIndex::decode(&data.facets).map_err(|e| corrupt(e.to_string()))?;
-            if seg_facets.num_docs() as usize != data.docs.len() {
-                return Err(corrupt(format!(
-                    "segment has {} stored docs but {} facet docs",
-                    data.docs.len(),
-                    seg_facets.num_docs()
-                )));
-            }
-            merged_facets.merge(seg_facets, base);
-        }
-        merged
-            .merge_segment(seg)
-            .map_err(|e| corrupt(e.to_string()))?;
-        docs.extend(data.docs);
+        merged.merge_segment(postings).map_err(corrupt_at(&path))?;
+        merged_facets.merge(facets, base);
+        docs.extend(stored);
     }
     let postings = codec::encode_index_tail(&merged, 0);
     let facets = merged_facets.encode_tail(0);

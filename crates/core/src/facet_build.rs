@@ -1,12 +1,16 @@
-//! Deriving facet values for the ingest-time facet bitmaps.
+//! What a document contributes to its shard's index: postings under the
+//! indexed fields and the facet values of the ingest-time facet bitmaps.
 //!
-//! Every ingest path — single-document, batch, WAL replay, format-2
-//! segment recovery, compaction — must assign a document the same
-//! facet values, because the cohort planner's bitmap pushdown and the
-//! crash-recovery recomputation have to agree bit-for-bit with the
-//! facet region persisted in sealed segments. That is why everything
-//! here is a pure function of the ingest-time payload (metadata + body
-//! text + extracted mentions), never of post-hoc store state.
+//! [`index_doc`] is the one place that names the indexed fields and
+//! derives facet values. A document submitted alone or in a batch and a
+//! document replayed from the WAL all pass through it, into an
+//! [`IndexSegment`] and its [`FacetIndex`] twin that the shard's writer
+//! then merges; a sealed segment carries both already encoded, and
+//! recovery and compaction decode them without coming here. The cohort
+//! planner's bitmap pushdown has to agree bit-for-bit with the facet
+//! region persisted in sealed segments, which is why everything here is
+//! a pure function of the ingest-time payload (metadata + body text +
+//! extracted mentions), never of post-hoc store state.
 //!
 //! Facet inventory (see [`create_index::facets::FacetField`]):
 //! * `category` — the report's coarse disease category;
@@ -21,14 +25,39 @@
 //!   ICD-10 codes from the body text
 //!   (see [`create_annotate::facets`]).
 
+use crate::durability::ReportFields;
 use crate::pipeline::ExtractedAnnotations;
-use create_docstore::Value;
-use create_index::facets::FacetField;
+use create_index::facets::{FacetField, FacetIndex};
+use create_index::index::IndexError;
+use create_index::IndexSegment;
 use create_ontology::EntityType;
+
+/// Adds one document to a segment under construction and to the
+/// segment's facet twin, under the same segment-local doc id.
+pub(crate) fn index_doc(
+    segment: &mut IndexSegment,
+    facets: &mut FacetIndex,
+    fields: &ReportFields<'_>,
+    annotations: &ExtractedAnnotations,
+) -> Result<(), IndexError> {
+    let doc = segment.add_document(
+        fields.id,
+        &[
+            ("title", fields.title),
+            ("body", fields.text),
+            ("body_ngram", fields.text),
+        ],
+    )?;
+    facets.add_doc(
+        doc,
+        facet_values(fields.category, fields.year, fields.text, annotations),
+    );
+    Ok(())
+}
 
 /// Computes the full facet-value list for one document, in canonical
 /// field order. Deterministic: same inputs, same output, always.
-pub(crate) fn facet_values(
+fn facet_values(
     category: &str,
     year: u32,
     text: &str,
@@ -103,31 +132,10 @@ pub(crate) fn age_band(surface: &str) -> Option<String> {
     Some(format!("{lo}-{}", lo + 9))
 }
 
-/// Recomputes a stored payload's facet values — compaction's path for
-/// format-2 segments (sealed before the facet region existed). The
-/// field defaults are the open path's (both read
-/// [`report_fields`](crate::durability::report_fields): `category` →
-/// `"other"`, malformed `year` → 2020), so a recomputed bitmap matches
-/// what recovery derives for the same payload.
-pub(crate) fn payload_facets(
-    report: &Value,
-    extraction: Option<&Value>,
-) -> Result<Vec<(FacetField, String)>, String> {
-    let fields = crate::durability::report_fields(report)?;
-    let annotations = crate::durability::stored_annotations(extraction);
-    Ok(facet_values(
-        fields.category,
-        fields.year,
-        fields.text,
-        &annotations,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::ResolvedMention;
-    use create_docstore::json::obj;
 
     fn mention(text: &str, etype: EntityType) -> ResolvedMention {
         ResolvedMention {
@@ -189,36 +197,5 @@ mod tests {
             .filter(|(f, v)| *f == FacetField::EntityType && v == "Sign_symptom")
             .count();
         assert_eq!(st, 1);
-    }
-
-    #[test]
-    fn payload_recompute_matches_direct_computation() {
-        let ann = ExtractedAnnotations {
-            mentions: vec![mention("fever", EntityType::SignSymptom)],
-            relations: Vec::new(),
-        };
-        let report = obj([
-            ("_id", "pmid:1".into()),
-            ("title", "t".into()),
-            ("text", "fever with J18.9".into()),
-            ("year", 2021_i64.into()),
-            ("category", "infectious".into()),
-        ]);
-        let extraction = obj([("_id", "pmid:1".into()), ("extraction", ann.to_json())]);
-        let direct = facet_values("infectious", 2021, "fever with J18.9", &ann);
-        let recomputed = payload_facets(&report, Some(&extraction)).unwrap();
-        assert_eq!(direct, recomputed);
-    }
-
-    #[test]
-    fn payload_recompute_defaults_mirror_open_path() {
-        let report = obj([
-            ("_id", "pmid:2".into()),
-            ("title", "t".into()),
-            ("text", "plain".into()),
-        ]);
-        let values = payload_facets(&report, None).unwrap();
-        assert!(values.contains(&(FacetField::Category, "other".into())));
-        assert!(values.contains(&(FacetField::Year, "2020".into())));
     }
 }

@@ -18,8 +18,8 @@
 //! report/annotation retrieval, and Fig-7 visualization.
 
 use crate::cache::{CacheStats, QueryCache};
-use crate::durability::{self, DocPayload, RecoveredDoc, ShardStorage, StorageRoot, WalRecord};
-use crate::facet_build::facet_values;
+use crate::durability::{self, corrupt_at, DocPayload, ReportFields, ShardStorage, StorageRoot};
+use crate::facet_build::index_doc;
 use crate::graph_build::{find_report, GraphBuilder, ReportMeta};
 use crate::pipeline::{ExtractedAnnotations, QueryIE};
 use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
@@ -32,6 +32,7 @@ use create_docstore::{json::obj, DocStore, Filter, StoreSnapshot, Value};
 use create_graphdb::PropertyGraph;
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
 use create_index::facets::FacetIndex;
+use create_index::index::IndexError;
 use create_index::Index;
 use create_index::IndexSegment;
 use create_ner::CrfTagger;
@@ -39,7 +40,7 @@ use create_ontology::Ontology;
 use create_obs::names as obs_names;
 use create_obs::{QueryCapture, Span, StageLog};
 use create_storage::manifest::{segment_file_name, shard_dir_name, sweep_orphans};
-use create_storage::segment::{read_segment, write_segment};
+use create_storage::segment::write_segment;
 use create_storage::{Manifest, SegmentMeta, ShardManifest, StorageError, Wal};
 use create_util::{ArcCell, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
@@ -60,10 +61,6 @@ pub const MAX_SHARDS: usize = 64;
 /// System configuration.
 #[derive(Debug, Clone)]
 pub struct CreateConfig {
-    /// Default merge policy (the paper's default is Neo4j-first).
-    pub merge_policy: MergePolicy,
-    /// Default result count.
-    pub default_k: usize,
     /// Number of independent shards. Defaults to the machine's available
     /// cores. `Create::new` clamps out-of-range values (with a warning and
     /// a `create_open_bad_config_total` tick); `Create::open` rejects `0`
@@ -76,8 +73,6 @@ pub struct CreateConfig {
 impl Default for CreateConfig {
     fn default() -> Self {
         CreateConfig {
-            merge_policy: MergePolicy::Neo4jFirst,
-            default_k: 10,
             shards: default_shards(),
         }
     }
@@ -224,13 +219,15 @@ struct Writer {
 }
 
 impl Writer {
-    /// Appends one record to the shard's WAL. Called *before* the
-    /// corresponding in-memory apply, so any write the system goes on
-    /// to acknowledge is already recoverable from the log.
-    fn wal_log(&mut self, record: &str) -> Result<(), IngestError> {
+    /// Appends one document's record to the shard's WAL (nothing, for an
+    /// in-memory instance). Called *before* the corresponding in-memory
+    /// apply, so any write the system goes on to acknowledge is already
+    /// recoverable from the log.
+    fn wal_log(&mut self, ordinal: u64, payload: &DocPayload<'_>) -> Result<(), IngestError> {
         let Some(storage) = self.storage.as_mut() else {
             return Ok(());
         };
+        let record = durability::doc_record(ordinal, payload);
         let started = Instant::now();
         let bytes = storage
             .wal
@@ -240,10 +237,21 @@ impl Writer {
         Ok(())
     }
 
-    /// Inserts report `id`'s documents into the shard's store, each text
-    /// as it is: the caller has them from the serializer or from the
-    /// parse that split a recovered payload.
-    fn store_payload(&mut self, id: &str, payload: &DocPayload<'_>) {
+    /// Puts one document into the shard: its three stored texts as they
+    /// are (the caller has them from the serializer or from the parse
+    /// that split a recovered payload), its graph projection and its
+    /// ordinal. Every document enters a shard here — the batch apply
+    /// phase logs it to the WAL first, segment recovery and WAL replay
+    /// call this alone — and its postings and facet bitmaps enter through
+    /// [`Writer::merge`].
+    fn apply(
+        &mut self,
+        ontology: &Ontology,
+        ordinal: u64,
+        fields: &ReportFields<'_>,
+        annotations: &ExtractedAnnotations,
+        payload: &DocPayload<'_>,
+    ) {
         let docs = [
             ("reports", Some(payload.report)),
             ("annotations", payload.ann),
@@ -251,35 +259,95 @@ impl Writer {
         ];
         for (collection, text) in docs {
             if let Some(text) = text {
-                self.store.insert_serialized(collection, id, text);
+                self.store.insert_serialized(collection, fields.id, text);
             }
         }
+        {
+            let _span =
+                Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
+            self.graph_builder.add_report(
+                &mut self.graph,
+                ontology,
+                &ReportMeta {
+                    report_id: fields.id.to_string(),
+                    title: fields.title.to_string(),
+                    year: fields.year,
+                    category: fields.category.to_string(),
+                },
+                annotations,
+            );
+        }
+        self.ordinals.push(ordinal);
     }
 
-    /// Logs report `id`'s documents to the shard's WAL under `ordinal`,
-    /// then inserts them into its store. Each document is serialized
-    /// once, here; the WAL record and the store get the same text.
-    fn log_and_store(
-        &mut self,
-        ordinal: u64,
-        id: &str,
-        report: &Value,
-        ann: Option<&Value>,
-        extraction: &Value,
-    ) -> Result<(), IngestError> {
-        let report = report.to_json();
-        let ann = ann.map(Value::to_json);
-        let extraction = extraction.to_json();
-        let payload = DocPayload {
-            report: &report,
-            ann: ann.as_deref(),
-            extraction: Some(&extraction),
-        };
-        if self.storage.is_some() {
-            self.wal_log(&durability::doc_record(ordinal, &payload))?;
-        }
-        self.store_payload(id, &payload);
+    /// Merges a segment's postings and its facet twin at the shard's
+    /// current doc count, which keeps bitmap ids aligned with index ids.
+    /// Postings and facets enter a writer in no other form: workers
+    /// built the pair, WAL replay built it, or a segment file decoded to
+    /// it.
+    fn merge(&mut self, segment: IndexSegment, facets: FacetIndex) -> Result<(), IndexError> {
+        let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_INDEX_WRITE);
+        let base = self.index.num_docs() as u32;
+        self.index.merge_segment(segment)?;
+        self.facets.merge(facets, base);
         Ok(())
+    }
+
+    /// Recovers one sealed segment: every stored payload is applied, and
+    /// the postings and facet bitmaps merge as decoded — no
+    /// re-tokenization.
+    fn recover_segment(
+        &mut self,
+        ontology: &Ontology,
+        path: &std::path::Path,
+    ) -> Result<(), StorageError> {
+        let (segment, facets, docs) = durability::load_segment(path, &self.index)?;
+        // By value: a payload is freed once its texts are in the store,
+        // so the file's stored fields are never resident twice over.
+        for stored in docs {
+            let payload =
+                durability::parse_payload_bytes(&stored.payload).map_err(corrupt_at(path))?;
+            let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
+            self.apply(
+                ontology,
+                stored.ordinal,
+                &fields,
+                &annotations,
+                &payload.texts,
+            );
+        }
+        self.merge(segment, facets).map_err(corrupt_at(path))
+    }
+
+    /// Replays the records of the WAL at `path` whose ordinal is past
+    /// `sealed_max`, as one segment for the whole tail. A record that
+    /// does not read back is corruption, never skipped. Returns the
+    /// number of records replayed.
+    fn replay_wal(
+        &mut self,
+        ontology: &Ontology,
+        path: &std::path::Path,
+        records: &[Vec<u8>],
+        sealed_max: Option<u64>,
+    ) -> Result<u64, StorageError> {
+        let (mut segment, mut facets) = (self.index.segment(), FacetIndex::new());
+        let mut replayed = 0u64;
+        for record in records {
+            let (ordinal, payload) =
+                durability::parse_wal_record(record).map_err(corrupt_at(path))?;
+            // Already sealed: the crash hit between a seal and its WAL
+            // reset.
+            if sealed_max.is_some_and(|max| ordinal <= max) {
+                continue;
+            }
+            let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
+            index_doc(&mut segment, &mut facets, &fields, &annotations)
+                .map_err(corrupt_at(path))?;
+            self.apply(ontology, ordinal, &fields, &annotations, &payload.texts);
+            replayed += 1;
+        }
+        self.merge(segment, facets).map_err(corrupt_at(path))?;
+        Ok(replayed)
     }
 
     /// Fsyncs the shard's WAL — the durability point of the write path,
@@ -360,7 +428,6 @@ impl Shard {
 
 /// The CREATe platform.
 pub struct Create {
-    config: CreateConfig,
     ontology: Arc<Ontology>,
     /// The shards, routing key `fnv1a(report_id) % shards.len()`.
     shards: Vec<Shard>,
@@ -524,31 +591,16 @@ struct ShardWork {
     segments: Vec<(IndexSegment, FacetIndex)>,
 }
 
-/// What recovery must still derive for a document beyond its stored
-/// documents and graph projection (see [`Create::recover_doc`]).
-enum Derive {
-    /// Format-3 segment: postings and facets were decoded from the file.
-    Nothing,
-    /// Format-2 segment: postings decoded, facets recomputed at this
-    /// doc id.
-    Facets(u32),
-    /// WAL record: nothing was sealed — index the text and derive the
-    /// facets at the new doc id.
-    All,
-}
-
 impl Create {
     /// Builds an empty in-memory platform over the built-in clinical
     /// ontology. An out-of-range `shards` value is clamped into
     /// `1..=MAX_SHARDS` (with a warning and a bad-config tick).
     pub fn new(config: CreateConfig) -> Create {
         register_metrics();
-        let mut config = config;
-        config.shards = clamp_shards(config.shards);
-        register_shard_metrics(config.shards);
-        let writers = (0..config.shards).map(|_| empty_writer()).collect();
+        let shards = clamp_shards(config.shards);
+        register_shard_metrics(shards);
+        let writers = (0..shards).map(|_| empty_writer()).collect();
         Create::build(
-            config,
             Arc::new(create_ontology::clinical_ontology()),
             writers,
             0,
@@ -560,7 +612,6 @@ impl Create {
     /// ingest ordinal, and (for disk-backed instances) the durable
     /// storage root.
     fn build(
-        config: CreateConfig,
         ontology: Arc<Ontology>,
         writers: Vec<Writer>,
         next_ordinal: u64,
@@ -568,7 +619,6 @@ impl Create {
     ) -> Create {
         let published: Vec<Arc<ShardSnapshot>> = writers.iter().map(snapshot_of).collect();
         Create {
-            config,
             ontology,
             shards: writers.into_iter().map(Shard::new).collect(),
             gate: Mutex::new(next_ordinal),
@@ -585,16 +635,17 @@ impl Create {
     /// 1. **Load the manifest.** Its shard count is authoritative:
     ///    `config.shards` sizes a fresh directory only, and a differing
     ///    value is logged and ignored — documents never change shards.
-    /// 2. **Per shard, decode and merge each segment** in manifest order
-    ///    (the original ingest order, so internal doc ids and ordinals
-    ///    come out exactly as the writing process assigned them):
-    ///    postings and facet bitmaps are merged as decoded — no
-    ///    re-tokenization — and every stored payload refills the
-    ///    in-memory document store and the graph.
+    /// 2. **Per shard, recover each segment** in manifest order (the
+    ///    original ingest order, so internal doc ids and ordinals come
+    ///    out exactly as the writing process assigned them): every
+    ///    stored payload goes through `Writer::apply` — refilling the
+    ///    in-memory document store and the graph — and the postings and
+    ///    facet bitmaps go through `Writer::merge` as decoded.
     /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
-    ///    through the live ingest plumbing, then seal every tail so the
-    ///    whole acknowledged corpus is segment-durable and the WALs
-    ///    start empty before the instance accepts writes.
+    ///    through the same two functions, its postings and facets built
+    ///    by the `index_doc` live ingestion uses; then seal every tail
+    ///    so the whole acknowledged corpus is segment-durable and the
+    ///    WALs start empty before the instance accepts writes.
     ///
     /// A kill-and-reopen therefore loses no acknowledged write, and
     /// cold-open cost scales with sealed bytes plus the unflushed tail.
@@ -674,36 +725,17 @@ impl Create {
             let mut writer = empty_writer();
             let shard_dir = storage_dir.join(shard_dir_name(i));
             for meta in &entry.segments {
-                Self::recover_segment(&ontology, &mut writer, &shard_dir.join(&meta.file))?;
+                writer
+                    .recover_segment(&ontology, &shard_dir.join(&meta.file))
+                    .map_err(IngestError::Storage)?;
             }
             let sealed_docs = writer.index.num_docs();
             let sealed_max = entry.segments.last().map(|s| s.max_ordinal);
             let (wal, wal_replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
                 .map_err(IngestError::Storage)?;
-            for record in &wal_replay.records {
-                match durability::parse_wal_record(record).map_err(IngestError::Store)? {
-                    WalRecord::Doc { ordinal, payload } => {
-                        // Already sealed: the crash hit between a seal
-                        // and its WAL reset.
-                        if sealed_max.is_some_and(|max| ordinal <= max) {
-                            continue;
-                        }
-                        Self::recover_doc(&ontology, &mut writer, &payload, ordinal, Derive::All)
-                            .map_err(IngestError::Store)?;
-                    }
-                    WalRecord::Update {
-                        collection,
-                        id,
-                        set,
-                    } => {
-                        writer
-                            .store
-                            .update(&collection, &Filter::eq("_id", id.as_str()), &set)
-                            .map_err(|e| IngestError::Store(e.to_string()))?;
-                    }
-                }
-                replayed += 1;
-            }
+            replayed += writer
+                .replay_wal(&ontology, wal.path(), &wal_replay.records, sealed_max)
+                .map_err(IngestError::Storage)?;
             if let Some(&last) = writer.ordinals.last() {
                 next_ordinal = next_ordinal.max(last + 1);
             }
@@ -733,7 +765,6 @@ impl Create {
         }
         durability::refresh_segment_gauges(&manifest);
         Ok(Create::build(
-            config,
             ontology,
             writers,
             next_ordinal,
@@ -742,119 +773,6 @@ impl Create {
                 manifest: Mutex::new(manifest),
             }),
         ))
-    }
-
-    /// Recovers one sealed segment into a shard writer: the decoded
-    /// postings and facet bitmaps merge at the writer's current doc
-    /// count, and every stored payload goes through
-    /// [`Create::recover_doc`]. A format-2 segment (sealed before the
-    /// facet region existed) has its facets recomputed from the
-    /// payloads.
-    fn recover_segment(
-        ontology: &Ontology,
-        writer: &mut Writer,
-        path: &std::path::Path,
-    ) -> Result<(), IngestError> {
-        let corrupt = |message: String| {
-            IngestError::Storage(StorageError::Corrupt {
-                path: path.to_path_buf(),
-                message,
-            })
-        };
-        let data = read_segment(path).map_err(IngestError::Storage)?;
-        let docs = data.docs.len();
-        let segment = create_index::codec::decode_segment(&data.postings, &writer.index)
-            .map_err(|e| corrupt(e.to_string()))?;
-        if segment.num_docs() != docs {
-            return Err(corrupt(format!(
-                "segment stores {docs} docs but indexes {}",
-                segment.num_docs()
-            )));
-        }
-        let base = writer.index.num_docs() as u32;
-        let legacy_facets = data.facets.is_empty();
-        if !legacy_facets {
-            let decoded =
-                FacetIndex::decode(&data.facets).map_err(|e| corrupt(e.to_string()))?;
-            if decoded.num_docs() as usize != docs {
-                return Err(corrupt(format!(
-                    "segment stores {docs} docs but facets cover {}",
-                    decoded.num_docs()
-                )));
-            }
-            writer.facets.merge(decoded, base);
-        }
-        for (pos, stored) in data.docs.into_iter().enumerate() {
-            let payload = durability::parse_payload_bytes(&stored.payload).map_err(&corrupt)?;
-            let derive = if legacy_facets {
-                Derive::Facets(base + pos as u32)
-            } else {
-                Derive::Nothing
-            };
-            Self::recover_doc(ontology, writer, &payload, stored.ordinal, derive)
-                .map_err(&corrupt)?;
-        }
-        if legacy_facets {
-            writer.facets.align_to(base + docs as u32);
-        }
-        writer
-            .index
-            .merge_segment(segment)
-            .map_err(|e| IngestError::Store(e.to_string()))
-    }
-
-    /// Re-applies one recovered document payload to a shard writer: the
-    /// three stored documents' texts go into the document store as they
-    /// are, the graph projection is rebuilt from the parsed report and
-    /// extraction, and `derive` names what else the payload's source did
-    /// not carry.
-    fn recover_doc(
-        ontology: &Ontology,
-        writer: &mut Writer,
-        payload: &RecoveredDoc<'_>,
-        ordinal: u64,
-        derive: Derive,
-    ) -> Result<(), String> {
-        let fields = durability::report_fields(&payload.report)?;
-        let annotations = durability::stored_annotations(payload.extraction.as_ref());
-        writer.graph_builder.add_report(
-            &mut writer.graph,
-            ontology,
-            &ReportMeta {
-                report_id: fields.id.to_string(),
-                title: fields.title.to_string(),
-                year: fields.year,
-                category: fields.category.to_string(),
-            },
-            &annotations,
-        );
-        let facet_doc = match derive {
-            Derive::Nothing => None,
-            Derive::Facets(doc_id) => Some(doc_id),
-            Derive::All => {
-                writer
-                    .index
-                    .add_document(
-                        fields.id,
-                        &[
-                            ("title", fields.title),
-                            ("body", fields.text),
-                            ("body_ngram", fields.text),
-                        ],
-                    )
-                    .map_err(|e| e.to_string())?;
-                Some(writer.index.num_docs() as u32 - 1)
-            }
-        };
-        if let Some(doc_id) = facet_doc {
-            writer.facets.add_doc(
-                doc_id,
-                facet_values(fields.category, fields.year, fields.text, &annotations),
-            );
-        }
-        writer.ordinals.push(ordinal);
-        writer.store_payload(fields.id, &payload.texts);
-        Ok(())
     }
 
     /// Seals a shard's unsealed tail (`[sealed_docs..num_docs)`) into a
@@ -1098,36 +1016,15 @@ impl Create {
 
     /// Ingests a gold-annotated corpus report (the curated literature
     /// path): stores the document and its BRAT export, projects the graph,
-    /// and indexes the text — all in the report's owning shard.
+    /// and indexes the text — all in the report's owning shard. A batch
+    /// of one.
     pub fn ingest_gold(&self, report: &CaseReport) -> Result<(), IngestError> {
-        let annotations = ExtractedAnnotations::from_gold(report);
-        let brat = case_report_to_brat(report);
-        let mut gate = self.lock_gate();
-        let shard = self.shard_of(&report.id);
-        let mut writer = self.shards[shard].lock_writer();
-        self.ingest_common(
-            &mut writer,
-            &mut gate,
-            &report.id,
-            &report.title,
-            &report.text,
-            report.metadata.year,
-            report.category.coarse_label(),
-            &report
-                .metadata
-                .authors
-                .iter()
-                .map(String::as_str)
-                .collect::<Vec<_>>(),
-            annotations,
-            Some(brat),
-        )?;
-        writer.wal_sync()?;
-        self.publish_shards(&[(shard, &writer)]);
+        self.ingest_gold_batch(std::slice::from_ref(report), 1)?;
         Ok(())
     }
 
-    /// Ingests raw text with automatic extraction (requires a tagger).
+    /// Ingests raw text with automatic extraction (requires a tagger). A
+    /// batch of one.
     pub fn ingest_text(
         &self,
         id: &str,
@@ -1135,82 +1032,35 @@ impl Create {
         text: &str,
         year: u32,
     ) -> Result<(), IngestError> {
-        let mut gate = self.lock_gate();
-        let shard = self.shard_of(id);
-        let mut writer = self.shards[shard].lock_writer();
-        self.ingest_text_locked(&mut writer, &mut gate, id, title, text, year)?;
-        writer.wal_sync()?;
-        self.publish_shards(&[(shard, &writer)]);
+        let tagger = self.tagger()?;
+        self.ingest_batch(&[id], 1, |_| {
+            PreparedDoc::from_text(id, title, text, year, &tagger, &self.ontology)
+        })?;
         Ok(())
     }
 
-    /// The raw-text pipeline body, run under an already-held shard writer
-    /// lock (shared by [`Create::ingest_text`] and [`Create::ingest_pdf`]
-    /// so the PDF path can fold its metadata update into the same
-    /// publish).
-    fn ingest_text_locked(
-        &self,
-        writer: &mut Writer,
-        next_ordinal: &mut u64,
-        id: &str,
-        title: &str,
-        text: &str,
-        year: u32,
-    ) -> Result<(), IngestError> {
-        let tagger = writer.tagger.clone().ok_or(IngestError::NoTagger)?;
-        let annotations = ExtractedAnnotations::from_text(text, &tagger, &self.ontology);
-        let brat = annotations.to_brat();
-        self.ingest_common(
-            writer,
-            next_ordinal,
-            id,
-            title,
-            text,
-            year,
-            "user",
-            &[],
-            annotations,
-            Some(brat),
-        )
-    }
-
     /// Ingests a PDF submission: Grobid-style extraction, then the raw
-    /// text path. Returns the extracted header/sections for display.
+    /// text path as a batch of one, the header's authors and affiliation
+    /// stored as fields of the report. Returns the extracted
+    /// header/sections for display.
     pub fn ingest_pdf(&self, id: &str, bytes: &[u8]) -> Result<ExtractedDocument, IngestError> {
         let doc = process_pdf(bytes).map_err(IngestError::Pdf)?;
         let body = doc.body_text();
-        let mut gate = self.lock_gate();
-        let shard = self.shard_of(id);
-        let mut writer = self.shards[shard].lock_writer();
-        self.ingest_text_locked(&mut writer, &mut gate, id, &doc.title, &body, 2020)?;
-        // Attach extracted metadata to the stored document before the
-        // publish so the snapshot includes it. The update is WAL-logged
-        // ahead of the apply (like the document itself) and covered by
-        // the same fsync, so recovery reattaches it.
-        let set = obj([
-            (
-                "authors",
-                Value::Array(
-                    doc.authors
-                        .iter()
-                        .map(|a| Value::String(a.clone()))
-                        .collect(),
-                ),
-            ),
-            ("affiliation", doc.affiliation.clone().into()),
-            ("source", "pdf".into()),
-        ]);
-        if writer.storage.is_some() {
-            let record = durability::update_record("reports", id, &set);
-            writer.wal_log(&record)?;
-        }
-        writer
-            .store
-            .update("reports", &Filter::eq("_id", id), &set)
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-        writer.wal_sync()?;
-        self.publish_shards(&[(shard, &writer)]);
+        let tagger = self.tagger()?;
+        self.ingest_batch(&[id], 1, |_| PreparedDoc {
+            authors: doc.authors.clone(),
+            pdf_affiliation: Some(doc.affiliation.clone()),
+            ..PreparedDoc::from_text(id, &doc.title, &body, 2020, &tagger, &self.ontology)
+        })?;
         Ok(doc)
+    }
+
+    /// The attached tagger, which raw-text ingestion needs.
+    fn tagger(&self) -> Result<Arc<CrfTagger>, IngestError> {
+        self.current.load().shards[0]
+            .tagger
+            .clone()
+            .ok_or(IngestError::NoTagger)
     }
 
     /// Parallel batch ingestion of gold-annotated reports.
@@ -1245,6 +1095,7 @@ impl Create {
                 year: report.metadata.year,
                 category: report.category.coarse_label().to_string(),
                 authors: report.metadata.authors.clone(),
+                pdf_affiliation: None,
                 annotations: ExtractedAnnotations::from_gold(report),
                 brat: case_report_to_brat(report),
             }
@@ -1261,26 +1112,18 @@ impl Create {
         docs: &[TextSubmission],
         threads: usize,
     ) -> Result<usize, IngestError> {
-        let tagger = self.current.load().shards[0]
-            .tagger
-            .clone()
-            .ok_or(IngestError::NoTagger)?;
-        let ontology = Arc::clone(&self.ontology);
+        let tagger = self.tagger()?;
         let ids: Vec<&str> = docs.iter().map(|d| d.id.as_str()).collect();
         self.ingest_batch(&ids, threads, |i| {
             let doc = &docs[i];
-            let annotations = ExtractedAnnotations::from_text(&doc.text, &tagger, &ontology);
-            let brat = annotations.to_brat();
-            PreparedDoc {
-                id: doc.id.clone(),
-                title: doc.title.clone(),
-                text: doc.text.clone(),
-                year: doc.year,
-                category: "user".to_string(),
-                authors: Vec::new(),
-                annotations,
-                brat,
-            }
+            PreparedDoc::from_text(
+                &doc.id,
+                &doc.title,
+                &doc.text,
+                doc.year,
+                &tagger,
+                &self.ontology,
+            )
         })
     }
 
@@ -1300,16 +1143,19 @@ impl Create {
         Ok(())
     }
 
-    /// The shared batch machinery, in two pool phases under one held
-    /// gate:
+    /// The one write route — a lone submit is a batch of one — in two
+    /// pool phases under one held gate:
     ///
     /// 1. **Prepare** — `prepare` and per-(worker, shard) segment builds
-    ///    fan across contiguous batch ranges; workers buffer their stage
-    ///    observations locally ([`create_obs::buffered_stages`]) so the
-    ///    histograms are flushed once, atomically, at apply time.
+    ///    ([`index_doc`]) fan across contiguous batch ranges; workers
+    ///    buffer their stage observations locally
+    ///    ([`create_obs::buffered_stages`]) so the histograms are flushed
+    ///    once, atomically, at apply time.
     /// 2. **Apply** — the prepared documents are regrouped by owning
-    ///    shard and applied by one pool task per shard; each task locks
-    ///    only its own shard's writer, so shards never contend.
+    ///    shard and applied by one pool task per shard that received any
+    ///    (WAL record, [`Writer::apply`], then [`Writer::merge`] of the
+    ///    shard's segments); each task locks only its own shard's
+    ///    writer, so shards never contend.
     ///
     /// Global ingest ordinals are `base + batch position`, independent of
     /// both the worker count and the shard count.
@@ -1352,21 +1198,8 @@ impl Create {
                         let t0 = Instant::now();
                         let (segment, facets) = segments[routes[i]]
                             .get_or_insert_with(|| (template.segment(), FacetIndex::new()));
-                        segment
-                            .add_document(
-                                &doc.id,
-                                &[
-                                    ("title", doc.title.as_str()),
-                                    ("body", doc.text.as_str()),
-                                    ("body_ngram", doc.text.as_str()),
-                                ],
-                            )
+                        index_doc(segment, facets, &doc.fields(), &doc.annotations)
                             .map_err(|e| IngestError::Store(e.to_string()))?;
-                        let local = segment.num_docs() as u32 - 1;
-                        facets.add_doc(
-                            local,
-                            facet_values(&doc.category, doc.year, &doc.text, &doc.annotations),
-                        );
                         index_elapsed += t0.elapsed();
                         prepared.push((i, doc));
                     }
@@ -1409,68 +1242,65 @@ impl Create {
             return Err(e);
         }
 
-        // Phase 2: per-shard apply — ownership of each shard's work moves
-        // to the pool task that locks that shard's writer.
+        // Phase 2: per-shard apply, over the shards that received
+        // documents — ownership of each one's work moves to the pool
+        // task that locks that shard's writer.
         let base = *gate;
-        let work: Vec<Mutex<Option<ShardWork>>> = per_shard
+        let touched: Vec<(usize, Mutex<Option<ShardWork>>)> = per_shard
             .into_iter()
-            .map(|w| Mutex::new((!w.docs.is_empty()).then_some(w)))
+            .enumerate()
+            .filter(|(_, work)| !work.docs.is_empty())
+            .map(|(s, work)| (s, Mutex::new(Some(work))))
             .collect();
-        let shard_ids: Vec<usize> = (0..nshards).collect();
-        let applied: Vec<(Result<usize, IngestError>, StageLog)> =
-            pool.parallel_map(&shard_ids, |_, &s| {
+        let applied: Vec<(Result<(), IngestError>, StageLog)> =
+            pool.parallel_map(&touched, |_, (s, slot)| {
                 create_obs::buffered_stages(|| {
-                    let taken = work[s]
+                    let work = slot
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .take();
-                    let Some(work) = taken else {
-                        return Ok(0usize);
-                    };
-                    let mut writer = self.shards[s].lock_writer();
-                    let mut count = 0usize;
-                    for (i, doc) in work.docs {
-                        self.apply_prepared(&mut writer, doc, base + i as u64)?;
-                        writer.ordinals.push(base + i as u64);
-                        count += 1;
+                        .take()
+                        .expect("each shard's work is taken once");
+                    let mut writer = self.shards[*s].lock_writer();
+                    for &(i, ref doc) in &work.docs {
+                        // WAL first: the record is appended (and fsynced
+                        // below) before any in-memory apply, so every
+                        // write the system acknowledges is recoverable
+                        // from the log. The record and the store get the
+                        // same texts.
+                        let ordinal = base + i as u64;
+                        let [report, ann, extraction] = doc.stored_texts();
+                        let payload = DocPayload {
+                            report: &report,
+                            ann: Some(&ann),
+                            extraction: Some(&extraction),
+                        };
+                        writer.wal_log(ordinal, &payload)?;
+                        writer.apply(
+                            &self.ontology,
+                            ordinal,
+                            &doc.fields(),
+                            &doc.annotations,
+                            &payload,
+                        );
                     }
                     for (segment, facets) in work.segments {
-                        let _span = Span::enter(
-                            obs_names::PIPELINE_STAGE_SECONDS,
-                            obs_names::STAGE_INDEX_WRITE,
-                        );
-                        // The segment's docs land at the current doc
-                        // count; its facet twin merges at the same base,
-                        // keeping bitmap ids aligned with index ids.
-                        let facet_base = writer.index.num_docs() as u32;
                         writer
-                            .index
-                            .merge_segment(segment)
+                            .merge(segment, facets)
                             .map_err(|e| IngestError::Store(e.to_string()))?;
-                        writer.facets.merge(facets, facet_base);
                     }
                     // One fsync covers the shard's whole batch slice —
                     // the records are on disk before the composite
                     // publish acknowledges the batch.
                     writer.wal_sync()?;
                     writer.generation += 1;
-                    Ok(count)
+                    Ok(())
                 })
             });
-        let mut count = 0usize;
-        let mut touched = Vec::new();
         let mut failed = None;
-        for (s, (result, log)) in applied.into_iter().enumerate() {
+        for (result, log) in applied {
             stage_log.merge(log);
-            match result {
-                Ok(0) => {}
-                Ok(c) => {
-                    count += c;
-                    touched.push(s);
-                }
-                Err(e) => {
-                    failed.get_or_insert(e);
-                }
+            if let Err(e) = result {
+                failed.get_or_insert(e);
             }
         }
         create_obs::flush_stages(stage_log);
@@ -1480,139 +1310,13 @@ impl Create {
         *gate = base + n as u64;
         // One composite publish for the whole batch: re-snapshot exactly
         // the touched shards, reuse the rest.
-        let guards: Vec<MutexGuard<'_, Writer>> = touched
+        let guards: Vec<(usize, MutexGuard<'_, Writer>)> = touched
             .iter()
-            .map(|&s| self.shards[s].lock_writer())
+            .map(|(s, _)| (*s, self.shards[*s].lock_writer()))
             .collect();
-        let touched_refs: Vec<(usize, &Writer)> = touched
-            .iter()
-            .zip(&guards)
-            .map(|(&s, g)| (s, &**g))
-            .collect();
-        self.publish_shards(&touched_refs);
-        Ok(count)
-    }
-
-    /// Applies one prepared document to a shard's store and graph
-    /// (everything but the index, which arrives via segment merge),
-    /// WAL-logging it first under the document's global ordinal. The
-    /// apply task fsyncs once per shard after its last document.
-    fn apply_prepared(
-        &self,
-        writer: &mut Writer,
-        doc: PreparedDoc,
-        ordinal: u64,
-    ) -> Result<(), IngestError> {
-        let stored = obj([
-            ("_id", doc.id.clone().into()),
-            ("title", doc.title.clone().into()),
-            ("text", doc.text.into()),
-            ("year", (doc.year as i64).into()),
-            ("category", doc.category.clone().into()),
-            (
-                "authors",
-                Value::Array(doc.authors.into_iter().map(Value::String).collect()),
-            ),
-        ]);
-        let ann_doc = obj([
-            ("_id", doc.id.clone().into()),
-            ("ann", doc.brat.serialize().into()),
-        ]);
-        let extraction_doc = obj([
-            ("_id", doc.id.clone().into()),
-            ("extraction", doc.annotations.to_json()),
-        ]);
-        writer.log_and_store(ordinal, &doc.id, &stored, Some(&ann_doc), &extraction_doc)?;
-        let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
-        writer.graph_builder.add_report(
-            &mut writer.graph,
-            &self.ontology,
-            &ReportMeta {
-                report_id: doc.id,
-                title: doc.title,
-                year: doc.year,
-                category: doc.category,
-            },
-            &doc.annotations,
-        );
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn ingest_common(
-        &self,
-        writer: &mut Writer,
-        next_ordinal: &mut u64,
-        id: &str,
-        title: &str,
-        text: &str,
-        year: u32,
-        category: &str,
-        authors: &[&str],
-        annotations: ExtractedAnnotations,
-        brat: Option<BratDocument>,
-    ) -> Result<(), IngestError> {
-        if writer.store.contains("reports", id) {
-            return Err(IngestError::Duplicate(id.to_string()));
-        }
-        let doc = obj([
-            ("_id", id.into()),
-            ("title", title.into()),
-            ("text", text.into()),
-            ("year", (year as i64).into()),
-            ("category", category.into()),
-            (
-                "authors",
-                Value::Array(
-                    authors
-                        .iter()
-                        .map(|a| Value::String(a.to_string()))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let ann_doc = brat
-            .as_ref()
-            .map(|b| obj([("_id", id.into()), ("ann", b.serialize().into())]));
-        let extraction_doc = obj([("_id", id.into()), ("extraction", annotations.to_json())]);
-        // 1) WAL, then 2) document store — the record is appended (and
-        //    later fsynced by the caller) before any in-memory apply, so
-        //    every write the system acknowledges is recoverable from the
-        //    log.
-        writer.log_and_store(*next_ordinal, id, &doc, ann_doc.as_ref(), &extraction_doc)?;
-        // 3) Property graph.
-        {
-            let _span =
-                Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
-            writer.graph_builder.add_report(
-                &mut writer.graph,
-                &self.ontology,
-                &ReportMeta {
-                    report_id: id.to_string(),
-                    title: title.to_string(),
-                    year,
-                    category: category.to_string(),
-                },
-                &annotations,
-            );
-        }
-        // 4) Inverted index + facet bitmaps (same doc id).
-        let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_INDEX_WRITE);
-        writer
-            .index
-            .add_document(
-                id,
-                &[("title", title), ("body", text), ("body_ngram", text)],
-            )
-            .map_err(|e| IngestError::Store(e.to_string()))?;
-        let doc_id = writer.index.num_docs() as u32 - 1;
-        writer
-            .facets
-            .add_doc(doc_id, facet_values(category, year, text, &annotations));
-        writer.ordinals.push(*next_ordinal);
-        *next_ordinal += 1;
-        writer.generation += 1;
-        Ok(())
+        let writers: Vec<(usize, &Writer)> = guards.iter().map(|(s, g)| (*s, &**g)).collect();
+        self.publish_shards(&writers);
+        Ok(n)
     }
 
     /// Parses a query through the IE pipeline (model-based when a tagger is
@@ -1630,9 +1334,9 @@ impl Create {
         }
     }
 
-    /// CREATe-IR search with the configured default policy.
+    /// CREATe-IR search with the paper's default policy, Neo4j-first.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.search_with_policy(query, k, self.config.merge_policy)
+        self.search_with_policy(query, k, MergePolicy::Neo4jFirst)
     }
 
     /// CREATe-IR search with an explicit merge policy (Fig. 6 ablation):
@@ -1780,12 +1484,12 @@ impl Create {
     }
 
     /// Answers a batch of queries in parallel over the global pool with
-    /// the configured default policy. Results are in query order and
+    /// the default policy. Results are in query order and
     /// identical to calling [`Create::search`] per query — search is
     /// read-only, so the fan-out needs no coordination beyond the pool.
     /// This is how the server amortizes concurrent user queries.
     pub fn search_many<S: AsRef<str> + Sync>(&self, queries: &[S], k: usize) -> Vec<Vec<SearchHit>> {
-        self.search_many_with_policy(queries, k, self.config.merge_policy)
+        self.search_many_with_policy(queries, k, MergePolicy::Neo4jFirst)
     }
 
     /// Batch search with an explicit merge policy.
@@ -2014,8 +1718,73 @@ struct PreparedDoc {
     year: u32,
     category: String,
     authors: Vec<String>,
+    /// The header affiliation of a PDF submission; its presence also
+    /// marks the stored report `source: "pdf"`.
+    pdf_affiliation: Option<String>,
     annotations: ExtractedAnnotations,
     brat: BratDocument,
+}
+
+impl PreparedDoc {
+    /// Automatic extraction over one raw-text submission.
+    fn from_text(
+        id: &str,
+        title: &str,
+        text: &str,
+        year: u32,
+        tagger: &CrfTagger,
+        ontology: &Ontology,
+    ) -> PreparedDoc {
+        let annotations = ExtractedAnnotations::from_text(text, tagger, ontology);
+        let brat = annotations.to_brat();
+        PreparedDoc {
+            id: id.to_string(),
+            title: title.to_string(),
+            text: text.to_string(),
+            year,
+            category: "user".to_string(),
+            authors: Vec::new(),
+            pdf_affiliation: None,
+            annotations,
+            brat,
+        }
+    }
+
+    fn fields(&self) -> ReportFields<'_> {
+        ReportFields {
+            id: &self.id,
+            title: &self.title,
+            text: &self.text,
+            year: self.year,
+            category: &self.category,
+        }
+    }
+
+    /// The three documents the report contributes to its shard's store
+    /// (`reports`, `annotations`, `extractions`), each serialized once:
+    /// objects serialize key-sorted, so a text is the same whichever
+    /// order its fields were set in.
+    fn stored_texts(&self) -> [String; 3] {
+        let id = || Value::from(self.id.as_str());
+        let mut report = obj([
+            ("_id", id()),
+            ("title", self.title.as_str().into()),
+            ("text", self.text.as_str().into()),
+            ("year", (self.year as i64).into()),
+            ("category", self.category.as_str().into()),
+            (
+                "authors",
+                Value::Array(self.authors.iter().map(|a| a.as_str().into()).collect()),
+            ),
+        ]);
+        if let Some(affiliation) = &self.pdf_affiliation {
+            report.set("affiliation", affiliation.as_str());
+            report.set("source", "pdf");
+        }
+        let ann = obj([("_id", id()), ("ann", self.brat.serialize().into())]);
+        let extraction = obj([("_id", id()), ("extraction", self.annotations.to_json())]);
+        [report.to_json(), ann.to_json(), extraction.to_json()]
+    }
 }
 
 /// Splits `0..n` into up to `shards` contiguous, near-equal ranges in

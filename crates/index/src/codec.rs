@@ -156,16 +156,17 @@ fn common_prefix_len(a: &str, b: &str) -> usize {
         .count()
 }
 
-/// A bounds-checked read position in an untrusted blob.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A bounds-checked read position in an untrusted blob (this codec's,
+/// and the facet codec's in [`crate::facets`]).
+pub(crate) struct Reader<'a> {
+    pub(crate) bytes: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A canonical LEB128 integer: the shortest encoding of its value,
-    /// which is the only one [`encode_index_tail`] writes.
-    fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
+    /// which is the only one the encoders write.
+    pub(crate) fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
         let start = self.pos;
         let value = varint::read_u64(self.bytes, &mut self.pos)
             .ok_or_else(|| err(format!("truncated {what}")))?;
@@ -175,13 +176,13 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
         u32::try_from(self.varint(what)?).map_err(|_| err(format!("{what} overflows u32")))
     }
 
     /// A count of items that each take at least `min_bytes` of the
     /// remaining input — the cap that makes it safe to reserve for.
-    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, CodecError> {
+    pub(crate) fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, CodecError> {
         let count = self.varint(what)?;
         let fits = (self.bytes.len() - self.pos) / min_bytes;
         match usize::try_from(count) {
@@ -198,7 +199,7 @@ impl<'a> Reader<'a> {
         Ok(run)
     }
 
-    fn utf8(&mut self, what: &str) -> Result<&'a str, CodecError> {
+    pub(crate) fn utf8(&mut self, what: &str) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.run(what)?).map_err(|_| err(format!("{what} is not UTF-8")))
     }
 }

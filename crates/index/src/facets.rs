@@ -21,6 +21,8 @@
 //! mirroring [`crate::codec::encode_index_tail`], so each storage
 //! segment carries exactly its own documents' facets.
 
+use crate::codec::{CodecError, Reader};
+use create_util::varint;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -104,6 +106,12 @@ impl std::fmt::Display for FacetCodecError {
 }
 
 impl std::error::Error for FacetCodecError {}
+
+impl From<CodecError> for FacetCodecError {
+    fn from(e: CodecError) -> FacetCodecError {
+        FacetCodecError(e.0)
+    }
+}
 
 /// Sorted-run facet postings over a shard's documents.
 #[derive(Debug, Clone, Default)]
@@ -195,17 +203,11 @@ impl FacetIndex {
         self.num_docs = self.num_docs.max(base + other.num_docs);
     }
 
-    /// Notes that documents up to `num_docs` exist even if none carried
-    /// facet values (keeps alignment with the index doc count).
-    pub fn align_to(&mut self, num_docs: u32) {
-        self.num_docs = self.num_docs.max(num_docs);
-    }
-
     /// Encodes documents `>= base` rebased to zero. Deterministic:
     /// entries in `(field, value)` order, delta-varint ids.
     pub fn encode_tail(&self, base: u32) -> Vec<u8> {
         let mut out = Vec::new();
-        write_varint(&mut out, (self.num_docs.saturating_sub(base)) as u64);
+        varint::write_u64(&mut out, (self.num_docs.saturating_sub(base)) as u64);
         let mut entries = Vec::new();
         for ((field, value), run) in &self.runs {
             let start = run.partition_point(|&d| d < base);
@@ -213,17 +215,17 @@ impl FacetIndex {
                 entries.push((*field, value.as_str(), &run[start..]));
             }
         }
-        write_varint(&mut out, entries.len() as u64);
+        varint::write_u64(&mut out, entries.len() as u64);
         for (field, value, ids) in entries {
             out.push(field.tag());
-            write_varint(&mut out, value.len() as u64);
+            varint::write_u64(&mut out, value.len() as u64);
             out.extend_from_slice(value.as_bytes());
-            write_varint(&mut out, ids.len() as u64);
+            varint::write_u64(&mut out, ids.len() as u64);
             let mut prev = 0u32;
             for (i, &d) in ids.iter().enumerate() {
                 let rebased = d - base;
                 let delta = if i == 0 { rebased } else { rebased - prev - 1 };
-                write_varint(&mut out, delta as u64);
+                varint::write_u64(&mut out, delta as u64);
                 prev = rebased;
             }
         }
@@ -232,46 +234,54 @@ impl FacetIndex {
 
     /// Decodes a segment-local facet index (ids from zero) previously
     /// produced by [`FacetIndex::encode_tail`].
+    ///
+    /// The input is untrusted: every count is capped by what the
+    /// remaining bytes can hold before anything is reserved for it, ids
+    /// are summed with checked arithmetic, and only the canonical
+    /// encoding is accepted (shortest varints, strictly ascending
+    /// `(field, value)` entries, no empty run) — a blob that decodes
+    /// re-encodes through `encode_tail(0)` to the same bytes.
     pub fn decode(bytes: &[u8]) -> Result<FacetIndex, FacetCodecError> {
-        let mut pos = 0usize;
-        let num_docs = read_varint(bytes, &mut pos)? as u32;
-        let entries = read_varint(bytes, &mut pos)?;
+        let mut r = Reader { bytes, pos: 0 };
+        let num_docs = r.u32("doc count")?;
+        // An entry takes its tag, its value's length, its id count and
+        // at least one id.
+        let entries = r.count(4, "entry count")?;
         let mut runs = BTreeMap::new();
+        let mut prev: Option<(FacetField, &str)> = None;
         for _ in 0..entries {
             let tag = *bytes
-                .get(pos)
+                .get(r.pos)
                 .ok_or_else(|| FacetCodecError("truncated field tag".into()))?;
-            pos += 1;
+            r.pos += 1;
             let field = FacetField::from_tag(tag)
                 .ok_or_else(|| FacetCodecError(format!("unknown field tag {tag}")))?;
-            let vlen = read_varint(bytes, &mut pos)? as usize;
-            let vend = pos
-                .checked_add(vlen)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| FacetCodecError("truncated value".into()))?;
-            let value = std::str::from_utf8(&bytes[pos..vend])
-                .map_err(|_| FacetCodecError("value not utf-8".into()))?
-                .to_string();
-            pos = vend;
-            let n = read_varint(bytes, &mut pos)? as usize;
+            let value = r.utf8("value")?;
+            if prev.is_some_and(|prev| (field, value) <= prev) {
+                return Err(FacetCodecError("entries out of order".into()));
+            }
+            prev = Some((field, value));
+            let n = r.count(1, "id count")?;
+            if n == 0 {
+                return Err(FacetCodecError("empty run".into()));
+            }
             let mut ids = Vec::with_capacity(n);
-            let mut prev = 0u32;
-            for i in 0..n {
-                let delta = read_varint(bytes, &mut pos)? as u32;
-                let doc = if i == 0 { delta } else { prev + 1 + delta };
-                if doc >= num_docs {
-                    return Err(FacetCodecError(format!(
-                        "doc {doc} out of range (num_docs {num_docs})"
-                    )));
-                }
+            // The smallest id the next delta can name.
+            let mut floor = 0u32;
+            for _ in 0..n {
+                let doc = r
+                    .u32("doc delta")?
+                    .checked_add(floor)
+                    .filter(|&doc| doc < num_docs)
+                    .ok_or_else(|| {
+                        FacetCodecError(format!("doc out of range (num_docs {num_docs})"))
+                    })?;
                 ids.push(doc);
-                prev = doc;
+                floor = doc + 1;
             }
-            if runs.insert((field, value), Arc::new(ids)).is_some() {
-                return Err(FacetCodecError("duplicate facet entry".into()));
-            }
+            runs.insert((field, value.to_string()), Arc::new(ids));
         }
-        if pos != bytes.len() {
+        if r.pos != bytes.len() {
             return Err(FacetCodecError("trailing bytes".into()));
         }
         Ok(FacetIndex { num_docs, runs })
@@ -369,37 +379,6 @@ fn gallop(slice: &[u32], target: u32) -> usize {
     lo + slice[lo..hi].partition_point(|&d| d < target)
 }
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, FacetCodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes
-            .get(*pos)
-            .ok_or_else(|| FacetCodecError("truncated varint".into()))?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err(FacetCodecError("varint overflow".into()));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,12 +451,10 @@ mod tests {
         let tail = FacetIndex::decode(&fx.encode_tail(2)).unwrap();
         assert_eq!(tail.num_docs(), 2);
         assert_eq!(tail.run(FacetField::Category, "oncology"), Some(&[0u32][..]));
-        let mut head = FacetIndex::decode(&fx.encode_tail(0)).unwrap();
         // rebuild by splitting at 2 and merging back
         let mut rebuilt = FacetIndex::new();
         rebuilt.merge(FacetIndex::decode(&head_tail(&fx, 0, 2)).unwrap(), 0);
         rebuilt.merge(tail, 2);
-        head.align_to(4);
         for field in ALL_FACET_FIELDS {
             let a: Vec<_> = fx.values(field).map(|(v, r)| (v.to_string(), r.to_vec())).collect();
             let b: Vec<_> = rebuilt
@@ -503,7 +480,6 @@ mod tests {
             }
             clipped.add_doc(d, values);
         }
-        clipped.align_to(end);
         clipped.encode_tail(base)
     }
 
@@ -548,6 +524,15 @@ mod tests {
         let mut bytes = fx.encode_tail(0);
         bytes.push(7);
         assert!(FacetIndex::decode(&bytes).is_err());
+        // One doc, one entry (category, ""), a run of 2^40 ids: the count
+        // must be refused before anything is reserved for it.
+        let mut huge_run = vec![1, 1, 0, 0];
+        varint::write_u64(&mut huge_run, 1 << 40);
+        assert!(FacetIndex::decode(&huge_run).is_err());
+        // Ids 1 then 1 + 1 + (u32::MAX - 1): the sum overflows `u32`.
+        let mut overflow = vec![5, 1, 0, 0, 2, 1];
+        varint::write_u64(&mut overflow, u64::from(u32::MAX) - 1);
+        assert!(FacetIndex::decode(&overflow).is_err());
     }
 
     #[test]

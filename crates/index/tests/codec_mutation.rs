@@ -1,13 +1,15 @@
-//! Seeded mutation fuzz of the postings codec (`tests/invariants.rs`
-//! style: std-only, fixed printed seed). A valid segment blob is
+//! Seeded mutation fuzz of the postings codec and the facet codec — the
+//! two blobs a sealed segment hands `create-index` (`tests/invariants.rs`
+//! style: std-only, fixed printed seed). A valid blob of each is
 //! flipped, truncated and spliced a few thousand times; every mutant
-//! must decode to `Err`, or to a segment that re-encodes to the mutant's
+//! must decode to `Err`, or to a value that re-encodes to the mutant's
 //! own bytes — never a panic, and never a reservation beyond a small
 //! multiple of the input length (the counts in the blob are untrusted).
 //!
 //! Its own test binary because it installs a global allocator.
 
 use create_index::codec::{decode_segment, encode_index_tail, SKIP_INTERVAL};
+use create_index::facets::{FacetField, FacetIndex, ALL_FACET_FIELDS};
 use create_index::Index;
 use create_util::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,6 +92,33 @@ fn valid_blob() -> Vec<u8> {
     blob
 }
 
+/// A facet blob with every field, values that share prefixes, runs with
+/// gaps and without, a value only the last document carries, and
+/// documents that carry nothing.
+fn valid_facet_blob() -> Vec<u8> {
+    let mut facets = FacetIndex::new();
+    for doc in 0..90u32 {
+        let mut values = vec![
+            (
+                FacetField::Category,
+                ["cancer", "cardiovascular", "card"][doc as usize % 3],
+            ),
+            (FacetField::Year, if doc < 50 { "2019" } else { "2020" }),
+        ];
+        if doc % 7 == 0 {
+            values.extend(ALL_FACET_FIELDS[2..].iter().map(|&f| (f, "T2")));
+        }
+        if doc == 89 {
+            values.push((FacetField::Icd, "C50.9"));
+        }
+        if doc % 11 == 5 {
+            values.clear();
+        }
+        facets.add_doc(doc, values.into_iter().map(|(f, v)| (f, v.to_string())));
+    }
+    facets.encode_tail(0)
+}
+
 fn mutate(rng: &mut Rng, blob: &[u8]) -> Vec<u8> {
     let mut out = blob.to_vec();
     for _ in 0..1 + rng.below(3) {
@@ -120,48 +149,75 @@ fn mutate(rng: &mut Rng, blob: &[u8]) -> Vec<u8> {
     out
 }
 
-#[test]
-fn mutated_blobs_decode_to_err_or_round_trip() {
-    println!("codec_mutation seed {SEED:#x}");
-    let template = Index::clinical();
-    let blob = valid_blob();
+/// Runs the mutants of `blob` through `decode` and, for those it
+/// accepts, `reencode` (which also gets the failure label to panic
+/// with).
+fn fuzz<D>(
+    what: &str,
+    blob: &[u8],
+    decode: impl Fn(&[u8]) -> Option<D>,
+    reencode: impl Fn(D, &str) -> Vec<u8>,
+) {
     let mut accepted = 0u32;
     for i in 0..=MUTANTS {
+        let label = format!("seed {SEED:#x} {what} mutant {i}");
         // Mutant 0 is the valid blob itself.
         let mut rng = Rng::seed_from_u64(SEED + i);
         let mutant = if i == 0 {
-            blob.clone()
+            blob.to_vec()
         } else {
-            mutate(&mut rng, &blob)
+            mutate(&mut rng, blob)
         };
         MAX_REQUEST.store(0, Ordering::Relaxed);
-        // The template is only read, so observing it after a panic is fine.
-        let decode = std::panic::AssertUnwindSafe(|| decode_segment(&mutant, &template));
-        let decoded = std::panic::catch_unwind(decode)
-            .unwrap_or_else(|_| panic!("seed {SEED:#x} mutant {i}: decode_segment panicked"));
+        // What `decode` captures is only read, so observing it after a
+        // panic is fine.
+        let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(&mutant)))
+            .unwrap_or_else(|_| panic!("{label}: decode panicked"));
         let reserved = MAX_REQUEST.load(Ordering::Relaxed);
         assert!(
             reserved <= RESERVE_PER_INPUT_BYTE * mutant.len() + 4096,
-            "seed {SEED:#x} mutant {i}: one request of {reserved} bytes for {} input bytes",
+            "{label}: one request of {reserved} bytes for {} input bytes",
             mutant.len()
         );
-        if let Ok(segment) = decoded {
-            let mut rebuilt = Index::clinical();
-            rebuilt
-                .merge_segment(segment)
-                .unwrap_or_else(|e| panic!("seed {SEED:#x} mutant {i}: merge refused: {e}"));
+        if let Some(decoded) = decoded {
             assert!(
-                encode_index_tail(&rebuilt, 0) == mutant,
-                "seed {SEED:#x} mutant {i}: accepted blob re-encodes to different bytes"
+                reencode(decoded, &label) == mutant,
+                "{label}: accepted blob re-encodes to different bytes"
             );
             accepted += 1;
         }
     }
-    println!("{accepted} of {MUTANTS} mutants accepted");
+    println!("{accepted} of {MUTANTS} {what} mutants accepted");
     // The valid blob and the many value-only mutations (a position, a doc
-    // length) must survive, or the test exercises nothing past the header.
+    // length, a facet value's bytes) must survive, or the fuzz exercises
+    // nothing past the header.
     assert!(
         accepted > MUTANTS as u32 / 20,
-        "only {accepted} mutants decoded"
+        "only {accepted} {what} mutants decoded"
+    );
+}
+
+/// One test for both blobs: they share the allocator's high-water mark.
+#[test]
+fn mutated_blobs_decode_to_err_or_round_trip() {
+    println!("codec_mutation seed {SEED:#x}");
+    let template = Index::clinical();
+    fuzz(
+        "postings",
+        &valid_blob(),
+        |mutant| decode_segment(mutant, &template).ok(),
+        |segment, label| {
+            let mut rebuilt = Index::clinical();
+            rebuilt
+                .merge_segment(segment)
+                .unwrap_or_else(|e| panic!("{label}: merge refused: {e}"));
+            encode_index_tail(&rebuilt, 0)
+        },
+    );
+    fuzz(
+        "facets",
+        &valid_facet_blob(),
+        |mutant| FacetIndex::decode(mutant).ok(),
+        |facets, _| facets.encode_tail(0),
     );
 }

@@ -13,17 +13,16 @@
 //! stored-fields region: block framing, content is per doc
 //!     payload_len varint | payload bytes
 //! postings region:      block framing
-//! facets region:        block framing (format >= 3 only)
+//! facets region:        block framing
 //! footer: crc32(everything above) u32 LE | magic "GESC"
 //! ```
 //!
-//! **Format history.** Format 2 had three regions. Format 3 appends a
-//! fourth region holding the facet-bitmap tail for the segment's doc
-//! range (opaque here; `create-index::facets` encodes it). Readers
-//! accept both: a format-2 file simply yields empty facet bytes and the
-//! caller rebuilds facets from the stored payloads, so pre-upgrade data
-//! directories open unchanged. Writers always emit format 3
-//! ([`write_segment_legacy_v2`] exists for tests and migration smokes).
+//! The facets region holds the facet-bitmap tail for the segment's doc
+//! range (opaque here; `create-index::facets` encodes it). Format 3 is
+//! the only format written and the only one read: a file whose header
+//! names another — format 2, the three-region layout without a facets
+//! region that nothing has written since format 3 appeared — is refused
+//! as [`StorageError::Corrupt`] ("unsupported segment format 2").
 //!
 //! Block framing is `block_count varint`, then per block
 //! `uncompressed_len varint | compressed_len varint | crc32(compressed)
@@ -47,10 +46,8 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"CSEG";
 const FOOTER_MAGIC: &[u8; 4] = b"GESC";
-/// Current segment format: four regions (facets appended).
+/// The segment format: four regions.
 pub const FORMAT: u32 = 3;
-/// The previous three-region format, still readable.
-pub const FORMAT_V2: u32 = 2;
 /// Maximum uncompressed bytes per block.
 pub const BLOCK_TARGET: usize = 256 * 1024;
 
@@ -72,8 +69,7 @@ pub struct SegmentData {
     /// Codec-encoded postings for exactly these documents (opaque to
     /// the storage layer; `create-index` encodes and decodes it).
     pub postings: Vec<u8>,
-    /// Facet-bitmap tail for these documents (opaque; empty when the
-    /// file predates format 3).
+    /// Facet-bitmap tail for these documents (opaque).
     pub facets: Vec<u8>,
 }
 
@@ -88,25 +84,6 @@ pub struct SegmentFileInfo {
 /// Serializes `data`, writes it to `path`, and fsyncs the file. The
 /// file only becomes live once the manifest names it.
 pub fn write_segment(path: &Path, data: &SegmentData) -> Result<SegmentFileInfo, StorageError> {
-    write_segment_format(path, data, FORMAT)
-}
-
-/// Writes the legacy three-region format-2 layout (facet bytes are
-/// dropped). Kept so tests and the migration smoke can fabricate
-/// pre-upgrade data directories; production sealing always writes
-/// format 3.
-pub fn write_segment_legacy_v2(
-    path: &Path,
-    data: &SegmentData,
-) -> Result<SegmentFileInfo, StorageError> {
-    write_segment_format(path, data, FORMAT_V2)
-}
-
-fn write_segment_format(
-    path: &Path,
-    data: &SegmentData,
-    format: u32,
-) -> Result<SegmentFileInfo, StorageError> {
     let mut directory = Vec::new();
     varint::write_u64(&mut directory, data.docs.len() as u64);
     for doc in &data.docs {
@@ -122,13 +99,11 @@ fn write_segment_format(
 
     let mut image = Vec::with_capacity(stored.len() / 2 + data.postings.len() / 2 + 64);
     image.extend_from_slice(MAGIC);
-    image.extend_from_slice(&format.to_le_bytes());
+    image.extend_from_slice(&FORMAT.to_le_bytes());
     write_region(&mut image, &directory);
     write_region(&mut image, &stored);
     write_region(&mut image, &data.postings);
-    if format >= FORMAT {
-        write_region(&mut image, &data.facets);
-    }
+    write_region(&mut image, &data.facets);
     let file_crc = crc32(&image);
     image.extend_from_slice(&file_crc.to_le_bytes());
     image.extend_from_slice(FOOTER_MAGIC);
@@ -159,12 +134,12 @@ fn write_region(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Validated segment framing: the byte ranges of the regions, ready to
-/// be decompressed independently. `facets` is absent for format-2 files.
+/// be decompressed independently.
 struct Frame<'a> {
     directory: Region<'a>,
     stored: Region<'a>,
     postings: Region<'a>,
-    facets: Option<Region<'a>>,
+    facets: Region<'a>,
 }
 
 struct Region<'a> {
@@ -181,7 +156,7 @@ fn frame<'a>(path: &Path, bytes: &'a [u8]) -> Result<Frame<'a>, StorageError> {
         return Err(corrupt("missing segment magic"));
     }
     let format = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if format != FORMAT && format != FORMAT_V2 {
+    if format != FORMAT {
         return Err(corrupt(&format!("unsupported segment format {format}")));
     }
     let footer_at = bytes.len() - 8;
@@ -204,11 +179,7 @@ fn frame<'a>(path: &Path, bytes: &'a [u8]) -> Result<Frame<'a>, StorageError> {
     let directory = next_region()?;
     let stored = next_region()?;
     let postings = next_region()?;
-    let facets = if format >= FORMAT {
-        Some(next_region()?)
-    } else {
-        None
-    };
+    let facets = next_region()?;
     if pos != body.len() {
         return Err(corrupt("trailing bytes after final region"));
     }
@@ -235,10 +206,7 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
     let directory = decompress_region(&regions.directory).map_err(|m| corrupt(m))?;
     let stored = decompress_region(&regions.stored).map_err(|m| corrupt(m))?;
     let postings = decompress_region(&regions.postings).map_err(|m| corrupt(m))?;
-    let facets = match &regions.facets {
-        Some(region) => decompress_region(region).map_err(|m| corrupt(m))?,
-        None => Vec::new(),
-    };
+    let facets = decompress_region(&regions.facets).map_err(|m| corrupt(m))?;
 
     let entries = parse_directory(&directory).map_err(|m| corrupt(m))?;
     let mut docs = Vec::with_capacity(entries.len());
@@ -359,18 +327,6 @@ mod tests {
             postings: (0..9000u32).flat_map(|v| (v % 251).to_le_bytes()).collect(),
             facets: (0..700u32).flat_map(|v| (v % 13).to_le_bytes()).collect(),
         }
-    }
-
-    #[test]
-    fn legacy_v2_files_open_with_empty_facets() {
-        let path = temp_path("legacyv2");
-        let data = sample(12);
-        write_segment_legacy_v2(&path, &data).unwrap();
-        let back = read_segment(&path).unwrap();
-        assert_eq!(back.docs, data.docs);
-        assert_eq!(back.postings, data.postings);
-        assert!(back.facets.is_empty(), "v2 files carry no facet region");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -272,7 +272,8 @@ impl ThreadPool {
 
     /// Maps `f` over `items` in parallel, returning results in input
     /// order. Items self-schedule at index granularity, so uneven item
-    /// costs balance across workers. `f` receives `(index, &item)`.
+    /// costs balance across workers. `f` receives `(index, &item)`. A
+    /// single item runs on the calling thread: a hop buys it nothing.
     pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -282,6 +283,9 @@ impl ThreadPool {
         let n = items.len();
         if n == 0 {
             return Vec::new();
+        }
+        if n == 1 {
+            return vec![f(0, &items[0])];
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -414,7 +418,12 @@ mod tests {
         let pool = ThreadPool::new(2);
         let empty: Vec<u32> = Vec::new();
         assert!(pool.parallel_map(&empty, |_, &x| x).is_empty());
-        assert_eq!(pool.parallel_map(&[7], |i, &x| (i, x)), vec![(0, 7)]);
+        let caller = std::thread::current().id();
+        assert_eq!(
+            pool.parallel_map(&[7], |i, &x| (i, x, std::thread::current().id())),
+            vec![(0, 7, caller)],
+            "a single item runs on the calling thread"
+        );
     }
 
     #[test]

@@ -1,52 +1,33 @@
 #!/usr/bin/env bash
-# Offline verification gate: tier-1 build + the whole workspace's tests
-# and the benchmark package's, the determinism / equivalence suites, the
-# allocation budgets and the codec and JSON mutation fuzzes by name, the
+# Offline verification gate: tier-1 build, then every test binary once —
+# the whole workspace's (`cargo test --workspace`: the root suites —
+# parallel_determinism, query_equivalence, shard_equivalence,
+# cohort_retrieval, crash_recovery, snapshot_stress, server_storm,
+# alloc_budget, end_to_end, trace_propagation, ... — and every crate's
+# unit and integration tests, the create-index codec and create-docstore
+# JSON mutation fuzzes among them) and the benchmark package's — then the
 # benchmark smoke (`create-benchmark all --quick`, every in-run check),
 # the server, trace and observability smoke checks, the stripped
-# (`--no-default-features`) build, and the SIGKILL recovery smoke (which
-# also asserts the data directory holds no JSONL copy). No step gates on
-# a timing: those are `benchmark/`'s. No network access required.
+# (`--no-default-features`) build, and the SIGKILL recovery smoke (a
+# sealed document, a `/submit` and a `/submit_batch` document in the WAL
+# tail; also asserts the data directory holds no JSONL copy). No step
+# gates on a timing: those are `benchmark/`'s. No network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
 cargo build --release
 
-echo "== tier-1: test suite (every workspace crate) =="
+echo "== tier-1: test suite (every workspace crate, each test binary once) =="
 cargo test -q --workspace
 
 echo "== benchmark package: unit tests (BENCHMARK.json in step with the code) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== determinism: parallel batch ingestion =="
-cargo test -q --test parallel_determinism
-
-echo "== equivalence: DAAT vs exhaustive query execution =="
-cargo test -q --test query_equivalence
-
-echo "== equivalence: scatter-gather across shard counts {1,2,4,7} =="
-cargo test -q --test shard_equivalence
-
-echo "== evented server: keep-alive, backpressure, drain under load =="
-cargo test -q --test server_storm
-
-echo "== allocation budgets: allocations per submit and per cache-hit search, index heap vs postings_bytes, snapshot drop, resident bytes, heap_bytes vs allocator =="
-cargo test -q --test alloc_budget
-
-echo "== codec mutation fuzz: hostile segment blobs are errors or round-trip, never abort =="
-cargo test -q -p create-index --test codec_mutation
-
-echo "== JSON mutation fuzz: hostile documents are errors or round-trip; stored text is canonical =="
-cargo test -q -p create-docstore --test json_mutation
-
 echo "== benchmark smoke: four workloads at 500 reports, every in-run check =="
 # Exits non-zero when any check fails (non-2xx, unequal round digests,
 # a gold cohort, a hit ratio, compaction counts, reopen after ingest).
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
-
-echo "== cohort retrieval: gold P/R, plan equivalence, v2/v3 migration smoke =="
-cargo test -q --test cohort_retrieval
 
 echo "== server smoke: keep-alive, pipelining, close, 400/413 (raw sockets) =="
 cargo run -q --release -p create-bench --bin server_smoke
@@ -66,9 +47,6 @@ do
     }
 done
 rm -f "$trace"
-
-echo "== snapshot isolation: concurrent readers, torn-read + cache checks =="
-cargo test -q --test snapshot_stress
 
 echo "== obs smoke: /metrics series from every instrumented layer =="
 metrics="$(mktemp)"
@@ -140,13 +118,16 @@ start_rest() { # boots the example against $data and waits for /health
     exit 1
 }
 start_rest
-# One submission sealed into a segment by /flush, one acknowledged but
-# left in the WAL tail — SIGKILL must lose neither.
+# One submission sealed into a segment by /flush, then one lone and one
+# batched submission acknowledged but left in the WAL tail — SIGKILL must
+# lose none, and both entries are replayed through the one write route.
 curl -fsS -o /dev/null -X POST "$base/submit" -d \
     '{"id": "user:smoke-flushed", "title": "Flushed case", "text": "Spontaneous pneumomediastinum was noted after vigorous coughing.", "year": 2022}'
 curl -fsS -o /dev/null -X POST "$base/flush" -d ''
 curl -fsS -o /dev/null -X POST "$base/submit" -d \
     '{"id": "user:smoke-walonly", "title": "WAL-tail case", "text": "Severe hypoglycemia followed an accidental insulin overdose.", "year": 2022}'
+curl -fsS -o /dev/null -X POST "$base/submit_batch" -d \
+    '{"documents": [{"id": "user:smoke-walbatch", "title": "WAL-tail batch case", "text": "Acute rhabdomyolysis developed after a marathon run.", "year": 2022}]}'
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 start_rest
@@ -154,8 +135,8 @@ stats="$(curl -fsS "$base/stats")"
 python3 - "$stats" <<'EOF'
 import json, sys
 stats = json.loads(sys.argv[1])
-if stats["reports"] != 82:  # 80 seeded + 2 submitted
-    print(f"verify: FAIL — reopened store has {stats['reports']} reports, expected 82", file=sys.stderr)
+if stats["reports"] != 83:  # 80 seeded + 3 submitted
+    print(f"verify: FAIL — reopened store has {stats['reports']} reports, expected 83", file=sys.stderr)
     sys.exit(1)
 print(f"  reopened with {stats['reports']} reports")
 EOF
@@ -167,7 +148,8 @@ if [ -n "$stray" ]; then
 fi
 for probe in \
     'pneumomediastinum+vigorous+coughing|user:smoke-flushed' \
-    'hypoglycemia+insulin+overdose|user:smoke-walonly'
+    'hypoglycemia+insulin+overdose|user:smoke-walonly' \
+    'rhabdomyolysis+marathon|user:smoke-walbatch'
 do
     query="${probe%%|*}"; want="${probe##*|}"
     hits="$(curl -fsS "$base/search?q=$query&k=3")"
@@ -193,9 +175,9 @@ do
         exit 1
     }
 done
-# The WAL-tail submission must have been replayed on reopen.
-echo "$metrics" | grep -E '^create_recovery_replayed_records_total [1-9]' >/dev/null || {
-    echo "verify: FAIL — reopen replayed no WAL records" >&2
+# Both WAL-tail submissions must have been replayed on reopen.
+echo "$metrics" | grep -E '^create_recovery_replayed_records_total 2$' >/dev/null || {
+    echo "verify: FAIL — reopen did not replay exactly the two WAL-tail records" >&2
     exit 1
 }
 kill -9 "$rest_pid"

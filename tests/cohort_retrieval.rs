@@ -16,15 +16,13 @@
 //!   physical plans — sharding and plan choice are invisible;
 //! * **Staging/coding cohorts** answer from the rule extractors' `tnm`
 //!   and `icd` facets on crafted texts;
-//! * **Mixed-format data dirs** (a format-2 segment sealed before the
-//!   facet region existed, next to a format-3 one) reopen and answer
-//!   cohorts identically to a never-migrated reference.
+//! * **Sealed segments** reopen and answer cohorts from their decoded
+//!   facet regions identically to an in-memory reference.
 
 use create::core::{Create, CreateConfig, PlanMode};
 use create::corpus::{gold_cohorts, CaseReport, CorpusConfig, Generator};
 use create::docstore::json::parse_json;
 use create::ontology::clinical_ontology;
-use create::storage::segment::{read_segment, write_segment_legacy_v2};
 use create::storage::Manifest;
 use std::path::PathBuf;
 
@@ -270,11 +268,14 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Both segments are format 3, the only format read: the name dates
+/// from the format-2 segment this directory once mixed in, and is what
+/// the test lists know this test by.
 #[test]
 fn mixed_format_segments_reopen_and_answer_cohorts() {
     let reports = corpus(40, 20260819);
     let dir = fresh_dir("migrate");
-    // Single shard: both formats land in shard-0.
+    // Single shard: both segments land in shard-0.
     let config = CreateConfig {
         shards: 1,
         ..Default::default()
@@ -293,32 +294,18 @@ fn mixed_format_segments_reopen_and_answer_cohorts() {
         system.flush().expect("second seal");
     }
 
-    // Downgrade the FIRST sealed segment to the legacy format-2 layout
-    // (no facet region) and re-register its new size/checksum — the
-    // moral equivalent of a data directory written before the upgrade,
-    // with a post-upgrade segment sealed next to it.
-    let storage_dir = dir.join(create::storage::STORAGE_DIR);
-    let mut manifest = Manifest::load(&storage_dir)
+    let manifest = Manifest::load(&dir.join(create::storage::STORAGE_DIR))
         .expect("manifest readable")
         .expect("manifest present");
     assert!(
         manifest.shards[0].segments.len() >= 2,
         "two flushes seal two segments"
     );
-    let shard_dir = storage_dir.join("shard-0");
-    let meta = &mut manifest.shards[0].segments[0];
-    let seg_path = shard_dir.join(&meta.file);
-    let data = read_segment(&seg_path).expect("segment readable");
-    let info = write_segment_legacy_v2(&seg_path, &data).expect("rewrite as v2");
-    meta.bytes = info.bytes;
-    meta.crc = info.crc;
-    manifest.store(&storage_dir).expect("manifest swap");
 
-    // Reopen: the v2 segment's facets are recomputed from its stored
-    // payloads, the v3 segment's are decoded from its facet region, and
-    // every cohort answer is bit-identical to a never-migrated
-    // in-memory reference.
-    let reopened = Create::open(&dir, config).expect("mixed-format open");
+    // Reopen: both segments' facets are decoded from their facet
+    // regions — the only place they are read back — and every cohort
+    // answer is bit-identical to an in-memory reference.
+    let reopened = Create::open(&dir, config).expect("reopen");
     assert_eq!(reopened.stats().reports, reports.len(), "no document lost");
     let reference = sharded(&reports, 1);
     let mut panel: Vec<String> = gold_cohorts().iter().map(|s| s.criteria_json()).collect();
@@ -331,7 +318,7 @@ fn mixed_format_segments_reopen_and_answer_cohorts() {
         assert_eq!(
             cohort_body(&reopened, criteria),
             cohort_body(&reference, criteria),
-            "migrated data dir diverged for {criteria}"
+            "reopened data dir diverged for {criteria}"
         );
     }
 

@@ -20,9 +20,17 @@
 //! `report(id)` and `annotations(id)` come back byte-equal from sealed
 //! segments and WAL tail alike — `storage/` is the only copy on disk —
 //! and a PDF submission keeps its extracted metadata either way.
+//!
+//! What recovery cannot read it refuses: a WAL record whose frame is
+//! intact but whose content does not read back (an extraction that does
+//! not deserialize, a negative ordinal, an unknown record type, a
+//! missing member), the retired `update` record and a format-2 segment
+//! header each fail the open as corruption naming the file, and the
+//! refused open changes nothing on disk.
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
+use create::storage::Wal;
 use std::path::{Path, PathBuf};
 
 const K: usize = 10;
@@ -354,8 +362,18 @@ fn pdf_metadata_survives_reopen_from_wal_tail_and_from_segment() {
             "An echocardiogram revealed myocarditis. The patient recovered.".into(),
         ],
     });
-    // Without a flush the metadata rides the `t: "update"` WAL record;
-    // with one it is baked into the sealed payload.
+    // The stored `reports` text, captured at the commit before the PDF's
+    // metadata became fields of the one document it submits (it was an
+    // insert, then an update).
+    const STORED: &str = concat!(
+        r#"{"_id":"user:pdf1","affiliation":"Department of Cardiology, Example University","#,
+        r#""authors":["Chen W","Smith J"],"category":"user","source":"pdf","#,
+        r#""text":"A patient presented with fever and chest pain.\n\n"#,
+        r#"An echocardiogram revealed myocarditis. The patient recovered.","#,
+        r#""title":"Myocarditis after infection: a case report","year":2020}"#
+    );
+    // Without a flush the metadata rides the submission's one `doc` WAL
+    // record; with one it is in the sealed payload.
     for flush in [false, true] {
         let dir = fresh_dir(&format!("pdf-{flush}"));
         let served = {
@@ -365,8 +383,15 @@ fn pdf_metadata_survives_reopen_from_wal_tail_and_from_segment() {
             if flush {
                 system.flush().expect("flush");
             }
+            let frames = wal_frame_offsets(&std::fs::read(shard0_wal(&dir)).expect("read WAL"));
+            assert_eq!(
+                frames.len(),
+                usize::from(!flush),
+                "flush={flush}: one frame a submit"
+            );
             system.report("user:pdf1").expect("served before the crash").to_json()
         };
+        assert_eq!(served, STORED, "flush={flush}");
         let reopened = Create::open(&dir, single_shard()).expect("reopen");
         let report = reopened.report("user:pdf1").expect("pdf report recovered");
         assert_eq!(report.to_json(), served, "flush={flush}");
@@ -390,4 +415,135 @@ fn pdf_metadata_survives_reopen_from_wal_tail_and_from_segment() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Crashes a single-shard system with `reports` in its WAL tail, passes
+/// the tail's records through `edit` and writes them back through the
+/// public `Wal` API — every frame's CRC is valid, so whatever `edit`
+/// broke is a content error. Returns the data directory.
+fn crash_then_edit_wal(
+    tag: &str,
+    reports: &[CaseReport],
+    edit: impl FnOnce(&mut Vec<String>),
+) -> PathBuf {
+    let dir = fresh_dir(tag);
+    crash_with_wal_tail(&dir, reports, reports.len());
+    let (mut wal, replay) = Wal::open(shard0_wal(&dir)).expect("open WAL");
+    let mut records: Vec<String> = replay
+        .records
+        .into_iter()
+        .map(|r| String::from_utf8(r).expect("records are JSON text"))
+        .collect();
+    assert_eq!(records.len(), reports.len(), "one record per WAL-tail doc");
+    edit(&mut records);
+    wal.reset().expect("reset WAL");
+    for record in &records {
+        wal.append(record.as_bytes()).expect("append");
+    }
+    wal.sync().expect("sync");
+    dir
+}
+
+/// The open must fail as corruption naming shard 0's WAL, and leave the
+/// WAL and the rest of the directory as they were: nothing sealed,
+/// nothing reset.
+fn assert_open_refuses_the_wal(dir: &Path, label: &str) {
+    let wal = shard0_wal(dir);
+    let before = std::fs::read(&wal).expect("read WAL");
+    let err = Create::open(dir, single_shard()).expect_err(label);
+    assert!(
+        err.is_corruption(),
+        "{label}: {err} is not typed as corruption"
+    );
+    assert!(
+        err.to_string().contains(create::storage::WAL_FILE),
+        "{label}: {err} does not name the WAL"
+    );
+    assert_eq!(
+        std::fs::read(&wal).expect("read WAL"),
+        before,
+        "{label}: WAL changed"
+    );
+    let segments = std::fs::read_dir(wal.parent().expect("shard dir"))
+        .expect("read shard dir")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "seg"))
+        .count();
+    assert_eq!(segments, 0, "{label}: the refused open sealed a segment");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn unreadable_extraction_in_a_wal_record_is_corruption_not_an_empty_extraction() {
+    let reports = corpus(3, 20261002);
+    let dir = crash_then_edit_wal("bad-extraction", &reports, |records| {
+        assert!(records[1].contains(r#""mentions":"#));
+        records[1] = records[1].replacen(r#""mentions":"#, r#""mentionz":"#, 1);
+    });
+    assert_open_refuses_the_wal(&dir, "renamed mentions");
+}
+
+#[test]
+fn negative_ordinal_in_a_wal_record_is_corruption() {
+    let reports = corpus(3, 20261003);
+    let dir = crash_then_edit_wal("bad-ordinal", &reports, |records| {
+        assert!(records[2].contains(r#""ordinal":2,"#));
+        records[2] = records[2].replacen(r#""ordinal":2,"#, r#""ordinal":-1,"#, 1);
+    });
+    assert_open_refuses_the_wal(&dir, "ordinal -1");
+}
+
+#[test]
+fn wal_record_content_errors_are_corruption_naming_the_file() {
+    let reports = corpus(2, 20261004);
+    let cases: [(&str, fn(&str) -> String); 4] = [
+        ("unknown record type", |r| {
+            r.replacen(r#""t":"doc""#, r#""t":"nope""#, 1)
+        }),
+        ("no record type", |r| r.replacen(r#","t":"doc""#, "", 1)),
+        ("no report member", |_| {
+            r#"{"ordinal":1,"t":"doc"}"#.to_string()
+        }),
+        ("not an object", |_| "[1,2]".to_string()),
+    ];
+    for (label, damage) in cases {
+        let dir = crash_then_edit_wal("bad-record", &reports, |records| {
+            let damaged = damage(&records[1]);
+            assert_ne!(damaged, records[1], "{label}: the damage applied");
+            records[1] = damaged;
+        });
+        assert_open_refuses_the_wal(&dir, label);
+    }
+}
+
+#[test]
+fn retired_formats_are_refused_as_corruption() {
+    // A WAL holding the `update` record PDF submissions used to log
+    // after their `doc` record: refused, never skipped.
+    let reports = corpus(2, 20261005);
+    let dir = crash_then_edit_wal("update-record", &reports, |records| {
+        records.push(
+            r#"{"collection":"reports","id":"x","set":{"source":"pdf"},"t":"update"}"#.to_string(),
+        );
+    });
+    assert_open_refuses_the_wal(&dir, "update record");
+
+    // A segment whose header names format 2 (the footer checksum redone,
+    // so the header is the only thing wrong with the file).
+    let dir = fresh_dir("format-2");
+    crash_with_wal_tail(&dir, &reports, 0);
+    let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let footer = bytes.len() - 8;
+    let crc = create::storage::checksum::crc32(&bytes[..footer]);
+    bytes[footer..footer + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&segment, &bytes).expect("write segment");
+    let err = Create::open(&dir, single_shard()).expect_err("format-2 header");
+    assert!(err.is_corruption(), "{err} is not typed as corruption");
+    assert!(
+        err.to_string().contains("unsupported segment format 2"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
