@@ -163,9 +163,23 @@ fn cohort_results_are_bit_identical_across_shard_counts() {
             "facets":["category","sex"],"k":5}"#
             .to_string(),
     );
+    // Keyword-only: no filter or temporal node, so the keyword leg ranks
+    // over every document.
+    panel.push(r#"{"keywords":"fever and cough","k":10}"#.to_string());
 
     let baseline = sharded(&reports, 1);
     let expected: Vec<String> = panel.iter().map(|c| cohort_body(&baseline, c)).collect();
+    // The baseline itself is pinned: this FNV-1a digest of its bodies was
+    // computed at commit 5881757, before `/search` and `/cohort` shared
+    // one executor.
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in expected.iter().flat_map(|body| body.as_bytes()) {
+        digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(
+        digest, 0xe6de_ef8a_4547_44f3,
+        "one-shard cohort bodies digest to {digest:#018x}"
+    );
     for &shards in &SHARD_COUNTS[1..] {
         let system = sharded(&reports, shards);
         for (criteria, want) in panel.iter().zip(&expected) {
@@ -188,6 +202,7 @@ fn optimized_and_naive_plans_return_identical_results() {
             "keywords":"fever and malaise","facets":["sex"],"k":8}"#
             .to_string(),
     );
+    panel.push(r#"{"keywords":"fever and cough","k":10}"#.to_string());
 
     for &shards in &[1usize, 4] {
         let system = sharded(&reports, shards);
