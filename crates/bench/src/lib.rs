@@ -23,10 +23,15 @@ pub fn corpus(num_reports: usize, seed: u64) -> Vec<CaseReport> {
     .generate()
 }
 
-/// Builds a platform pre-loaded with `n` gold reports.
+/// Builds a platform pre-loaded with `n` gold reports, on one shard. The
+/// experiments measure one corpus through single-index views of it
+/// (`Create::index()` is shard 0's index; `Create::stats()` sums graph
+/// nodes over shards that each hold their own copy of a concept node),
+/// so the default of one shard per core would make their tables depend
+/// on the host's core count. Sharding has its own equivalence suites.
 pub fn loaded_create(num_reports: usize, seed: u64) -> (Create, Vec<CaseReport>) {
     let reports = corpus(num_reports, seed);
-    let system = Create::new(CreateConfig::default());
+    let system = Create::new(CreateConfig { shards: 1 });
     for r in &reports {
         system.ingest_gold(r).expect("gold reports always ingest");
     }

@@ -20,8 +20,9 @@
 //! * [`cache`] — the one memo on the search path: a generation-stamped
 //!   LRU from `(query text, k, policy)` to the whole answer;
 //! * [`plan`] — the typed query-plan IR: lowering, normalization, and the
-//!   cohort-retrieval executor (filter pushdown over facet bitmaps plus
-//!   temporal-interval constraints);
+//!   one executor both `/search` and `/cohort` run (filter pushdown over
+//!   facet bitmaps, temporal-interval constraints, the graph and keyword
+//!   legs, and the merge);
 //! * [`durability`] — WAL/segment/manifest glue onto `create-storage`;
 //! * [`system`] — the [`Create`] facade tying it all together.
 

@@ -11,27 +11,29 @@
 //! string (two spellings of one plan render alike; two plans that differ
 //! anywhere never do).
 //!
-//! Execution is per shard and bit-deterministic across shard counts:
+//! One executor (`execute`) runs every plan, `/search` and `/cohort`
+//! alike; the nodes alone pick the stages, `k` and merge policy. It is
+//! per shard and bit-deterministic across shard counts:
 //!
-//! 1. **Filter** — each [`PlanNode::Filter`] unions its value runs from
-//!    the shard's [`FacetIndex`] and the filters intersect into one
-//!    sorted eligibility run (counted by
-//!    `create_bitmap_intersections_total`);
-//! 2. **Temporal** — each candidate report's events are lifted into a
-//!    [`TemporalGraph`] and every [`PlanNode::Temporal`] constraint must
+//! 1. **Filter** — [`PlanNode::Filter`] value runs from the shard's
+//!    [`FacetIndex`] union per field and intersect across fields into one
+//!    eligible run. With no filter or temporal node (every `/search`),
+//!    every document is eligible and no run is built;
+//! 2. **Temporal** — a candidate's events are lifted into a
+//!    [`TemporalGraph`] where every [`PlanNode::Temporal`] constraint must
 //!    be realized (transitively, Fig. 5) by some event pair;
-//! 3. **Keyword** — when the plan scores by keywords, each shard runs
-//!    BM25 under *merged* corpus statistics restricted to its eligible
-//!    run ([`Index::search_filtered`] — the pushdown). The naive mode
-//!    ([`PlanMode::Naive`]) ranks exhaustively and post-filters instead;
-//!    the two are bit-identical, which the equivalence suite asserts.
-//! 4. **FacetCount / Merge** — facet counts aggregate over the criteria-
-//!    eligible set (filters + temporal, independent of `k`), and the
-//!    per-shard top-k gather under `(score desc, ingest ordinal asc)` —
-//!    the same tie-break `shard_equivalence` locks in for search.
+//! 3. **GraphMatch / Keyword** — the graph engine's concept match, and
+//!    the one keyword leg: BM25 under *merged* corpus statistics over
+//!    every document or pushed down onto the eligible run;
+//!    [`PlanMode::Naive`] ranks exhaustively and post-filters instead,
+//!    bit-identically. With neither leg, eligible documents list in
+//!    ingest order;
+//! 4. **FacetCount / Merge** — counts over the eligible set (independent
+//!    of `k`); keyword rows gather under `(score desc, ingest ordinal
+//!    asc)`, then the [`PlanNode::Merge`] policy merges the two legs.
 
 use crate::graph_build::find_report;
-use crate::search::{MergePolicy, SearchHit};
+use crate::search::{self, MergePolicy, SearchHit};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
@@ -260,24 +262,10 @@ impl QueryPlan {
     }
 
     /// Counts this plan's nodes into `create_plan_nodes_total`.
-    pub(crate) fn note_nodes(&self) {
+    fn note_nodes(&self) {
         if create_obs::enabled() {
             create_obs::counter(obs_names::PLAN_NODES_TOTAL).inc_by(self.nodes.len() as u64);
         }
-    }
-
-    /// True when the plan has a graph-engine leg.
-    pub(crate) fn has_graph(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n, PlanNode::GraphMatch { .. }))
-    }
-
-    /// True when the plan has a keyword-scoring leg.
-    pub(crate) fn has_keyword(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n, PlanNode::Keyword { .. }))
     }
 }
 
@@ -701,12 +689,60 @@ fn shard_filter_run(facets: &FacetIndex, num_docs: u32, filters: &[&FacetFilter]
     acc.unwrap_or_default()
 }
 
-/// Executes a cohort plan over a snapshot's shards.
-///
-/// Stage spans (`filter`, `temporal`, `keyword_search`, `facet_count`,
-/// `merge`) record into the shared query-stage histogram; per-shard work
-/// runs under `cohort_shard` spans, mirroring the search scatter.
-pub(crate) fn execute_cohort(
+/// The one keyword leg: each shard's BM25 top-k as `(score, ingest
+/// ordinal, report id)` rows, scored under corpus statistics merged over
+/// every shard (even one, so the formula's inputs are shard-count-
+/// invariant by construction). `eligible: None` ranks every document;
+/// a run is pushed below scoring, or under [`PlanMode::Naive`] applied
+/// after an exhaustive ranking — bit-identically.
+fn keyword_rows(
+    shards: &[Arc<ShardSnapshot>],
+    text: &str,
+    k: usize,
+    eligible: Option<&[Vec<u32>]>,
+    mode: PlanMode,
+) -> Vec<(f64, u64, String)> {
+    let q = search::keyword_query(&shards[0].index, text);
+    let mut stats = CorpusStats::default();
+    for shard in shards {
+        stats.merge(&CorpusStats::collect(&shard.index, &q));
+    }
+    let mut rows = Vec::new();
+    for (no, shard) in shards.iter().enumerate() {
+        let _shard = create_obs::shard_span(obs_names::SPAN_KEYWORD_SHARD, no as u32);
+        let index = &shard.index;
+        let scored = match eligible.map(|runs| &runs[no]) {
+            None => index.search_with_stats(&q, k, Scorer::default(), Some(&stats)),
+            Some(run) => {
+                note_intersections(1);
+                match mode {
+                    PlanMode::Optimized => {
+                        index.search_filtered(&q, k, Scorer::default(), Some(&stats), run)
+                    }
+                    PlanMode::Naive => index
+                        .search_with_stats(&q, index.num_docs(), Scorer::default(), Some(&stats))
+                        .into_iter()
+                        .filter(|s| run.binary_search(&s.doc).is_ok())
+                        .take(k)
+                        .collect(),
+                }
+            }
+        };
+        rows.extend(
+            scored
+                .into_iter()
+                .map(|s| (s.score, shard.ordinals[s.doc as usize], s.external_id)),
+        );
+    }
+    rows
+}
+
+/// Executes a plan over a snapshot's shards, `/search` and `/cohort`
+/// alike. A stage runs only when the plan has a node for it, each under
+/// its query-stage span (`filter`, `temporal`, `graph_search`,
+/// `keyword_search`, `facet_count`, `merge`); per-shard work runs under
+/// `graph_shard` / `keyword_shard` / `cohort_shard` spans.
+pub(crate) fn execute(
     shards: &[Arc<ShardSnapshot>],
     plan: &QueryPlan,
     mode: PlanMode,
@@ -714,103 +750,84 @@ pub(crate) fn execute_cohort(
     plan.note_nodes();
     let mut filters: Vec<&FacetFilter> = Vec::new();
     let mut temporals: Vec<&TemporalConstraint> = Vec::new();
+    let mut graph = None;
     let mut keyword: Option<&str> = None;
     let mut facet_fields: Vec<FacetField> = Vec::new();
-    let mut k = DEFAULT_COHORT_K;
+    let (mut policy, mut k) = (MergePolicy::EsOnly, DEFAULT_COHORT_K);
     for node in &plan.nodes {
         match node {
             PlanNode::Filter(f) => filters.push(f),
             PlanNode::Temporal(t) => temporals.push(t),
+            PlanNode::GraphMatch { concepts, pattern } => graph = Some((&concepts[..], *pattern)),
             PlanNode::Keyword { text } => keyword = Some(text),
             PlanNode::FacetCount { field } => facet_fields.push(*field),
-            PlanNode::Merge { k: cap, .. } => k = *cap,
-            PlanNode::GraphMatch { .. } => {}
+            PlanNode::Merge { policy: p, k: cap } => (policy, k) = (*p, *cap),
         }
     }
 
-    // 1) Filter: one sorted eligibility run per shard.
-    let mut eligible: Vec<Vec<u32>> = {
-        let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_FILTER);
-        shards
-            .iter()
-            .enumerate()
-            .map(|(no, shard)| {
-                let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-                shard_filter_run(&shard.facets, shard.index.num_docs() as u32, &filters)
-            })
-            .collect()
-    };
+    // 1) Filter: one sorted eligibility run per shard; `None` when every
+    // document is eligible, never a materialized `0..num_docs`.
+    let mut eligible: Option<Vec<Vec<u32>>> =
+        (!filters.is_empty() || !temporals.is_empty()).then(|| {
+            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_FILTER);
+            shards
+                .iter()
+                .enumerate()
+                .map(|(no, shard)| {
+                    let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
+                    shard_filter_run(&shard.facets, shard.index.num_docs() as u32, &filters)
+                })
+                .collect()
+        });
 
     // 2) Temporal: prune candidates that fail any interval constraint.
-    if !temporals.is_empty() {
+    if let (Some(runs), false) = (&mut eligible, temporals.is_empty()) {
         let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_TEMPORAL);
         for (no, shard) in shards.iter().enumerate() {
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-            eligible[no].retain(|&doc| satisfies_all(shard, doc, &temporals));
+            runs[no].retain(|&doc| satisfies_all(shard, doc, &temporals));
         }
     }
 
-    // 3) Rank: BM25 under merged corpus statistics restricted to the
-    // eligible runs (pushdown), or exhaustively-then-filter (naive) —
-    // bit-identical by construction. Without keywords, ingest order.
-    let mut gathered: Vec<(f64, u64, String)> = Vec::new();
-    match keyword {
+    // 3) Graph leg.
+    let graph_hits = match graph {
+        Some((concepts, pattern)) => {
+            let _span = Span::enter(
+                obs_names::QUERY_STAGE_SECONDS,
+                obs_names::QSTAGE_GRAPH_SEARCH,
+            );
+            search::scatter_graph_search(shards, concepts, pattern, k)
+        }
+        None => Vec::new(),
+    };
+
+    // 4) Keyword leg, or with no scoring leg the eligible documents.
+    let rows = match keyword {
         Some(text) => {
             let _span = Span::enter(
                 obs_names::QUERY_STAGE_SECONDS,
                 obs_names::QSTAGE_KEYWORD_SEARCH,
             );
-            let q = crate::search::keyword_query(&shards[0].index, text);
-            // Merged stats even at N=1 so the scoring formula's inputs
-            // are shard-count-invariant by construction.
-            let mut stats = CorpusStats::default();
-            for shard in shards {
-                stats.merge(&CorpusStats::collect(&shard.index, &q));
-            }
+            keyword_rows(shards, text, k, eligible.as_deref(), mode)
+        }
+        None if graph.is_none() => {
+            let mut rows = Vec::new();
             for (no, shard) in shards.iter().enumerate() {
-                let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-                note_intersections(1);
-                let scored = match mode {
-                    PlanMode::Optimized => shard.index.search_filtered(
-                        &q,
-                        k,
-                        Scorer::default(),
-                        Some(&stats),
-                        &eligible[no],
-                    ),
-                    PlanMode::Naive => {
-                        let all = shard.index.search_with_stats(
-                            &q,
-                            shard.index.num_docs(),
-                            Scorer::default(),
-                            Some(&stats),
-                        );
-                        all.into_iter()
-                            .filter(|s| eligible[no].binary_search(&s.doc).is_ok())
-                            .take(k)
-                            .collect()
-                    }
+                let docs: Vec<u32> = match &eligible {
+                    Some(runs) => runs[no].iter().take(k).copied().collect(),
+                    None => (0..shard.index.num_docs() as u32).take(k).collect(),
                 };
-                for s in scored {
-                    gathered.push((s.score, shard.ordinals[s.doc as usize], s.external_id));
+                for doc in docs {
+                    let id = shard.index.external_id(doc).unwrap_or_default();
+                    rows.push((0.0, shard.ordinals[doc as usize], id.to_string()));
                 }
             }
+            rows
         }
-        None => {
-            for (no, shard) in shards.iter().enumerate() {
-                for &doc in eligible[no].iter().take(k) {
-                    let id = shard
-                        .index
-                        .external_id(doc)
-                        .unwrap_or_default()
-                        .to_string();
-                    gathered.push((0.0, shard.ordinals[doc as usize], id));
-                }
-            }
-        }
-    }
+        None => Vec::new(),
+    };
 
-    // 4) Facet counts over the full criteria-eligible set (independent
+    // 5) Facet counts over the full criteria-eligible set (independent
     // of k and of the keyword ranking).
     let mut counts: BTreeMap<(FacetField, String), u64> = BTreeMap::new();
     if !facet_fields.is_empty() {
@@ -819,8 +836,13 @@ pub(crate) fn execute_cohort(
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
             for &field in &facet_fields {
                 for (value, run) in shard.facets.values(field) {
-                    note_intersections(1);
-                    let c = intersect_count(run, &eligible[no]);
+                    let c = match &eligible {
+                        Some(runs) => {
+                            note_intersections(1);
+                            intersect_count(run, &runs[no])
+                        }
+                        None => run.len() as u64,
+                    };
                     if c > 0 {
                         *counts.entry((field, value.to_string())).or_insert(0) += c;
                     }
@@ -829,9 +851,14 @@ pub(crate) fn execute_cohort(
         }
     }
 
-    // 5) Merge: the shard_equivalence tie-break, shared with search.
+    // 6) Merge: the shard_equivalence tie-break, then the policy.
     let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
-    let hits = crate::search::gather_keyword_hits(gathered, k);
+    let keyword_hits = search::gather_keyword_hits(rows, k);
+    let hits = search::merge(graph_hits, keyword_hits, policy, k);
+    let total_matched = match &eligible {
+        Some(runs) => runs.iter().map(|run| run.len() as u64).sum(),
+        None => shards.iter().map(|s| s.index.num_docs() as u64).sum(),
+    };
     let facets = facet_fields
         .iter()
         .map(|&field| FacetCounts {
@@ -845,7 +872,7 @@ pub(crate) fn execute_cohort(
         .collect();
     CohortResult {
         hits,
-        total_matched: eligible.iter().map(|e| e.len() as u64).sum(),
+        total_matched,
         facets,
     }
 }
@@ -1024,12 +1051,19 @@ mod tests {
     fn lowering_search_respects_policy() {
         let ontology = clinical_ontology();
         let parsed = crate::pipeline::QueryIE::parse_gazetteer("fever then cough", &ontology);
-        let both = lower_search("fever then cough", &parsed, 10, MergePolicy::Neo4jFirst);
-        assert!(both.has_graph() && both.has_keyword());
-        let es = lower_search("fever then cough", &parsed, 10, MergePolicy::EsOnly);
-        assert!(!es.has_graph() && es.has_keyword());
-        let graph = lower_search("fever then cough", &parsed, 10, MergePolicy::GraphOnly);
-        assert!(graph.has_graph() && !graph.has_keyword());
+        // (has a GraphMatch node, has a Keyword node) per policy.
+        let legs = |policy| {
+            let nodes = lower_search("fever then cough", &parsed, 10, policy).nodes;
+            (
+                nodes
+                    .iter()
+                    .any(|n| matches!(n, PlanNode::GraphMatch { .. })),
+                nodes.iter().any(|n| matches!(n, PlanNode::Keyword { .. })),
+            )
+        };
+        assert_eq!(legs(MergePolicy::Neo4jFirst), (true, true));
+        assert_eq!(legs(MergePolicy::EsOnly), (false, true));
+        assert_eq!(legs(MergePolicy::GraphOnly), (true, false));
     }
 
     #[test]

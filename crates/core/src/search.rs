@@ -13,6 +13,10 @@
 //! * **Answer** — [`SearchAnswer`]: the query's IE parse, the merged hits
 //!   and the `/search` body rendered from them, the unit the query cache
 //!   holds.
+//!
+//! These are operators: the plan executor (`plan::execute`) runs them
+//! for `/search` and `/cohort` alike, as its plan's `GraphMatch`,
+//! `Keyword` and `Merge` nodes say.
 
 use crate::graph_build::find_concept;
 use crate::pipeline::QueryIE;
@@ -20,7 +24,7 @@ use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
 use create_graphdb::{NodeId, PropertyGraph};
-use create_index::{CorpusStats, Index, QueryNode, Scorer};
+use create_index::{Index, QueryNode, Scorer};
 use create_ontology::{ConceptId, RelationType};
 use std::sync::{Arc, OnceLock};
 
@@ -247,9 +251,14 @@ fn pattern_matches(
     false
 }
 
-/// Runs the graph query: all concepts required; pattern scored on top.
-pub fn graph_search(graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<SearchHit> {
-    let concepts = query.event_concepts();
+/// Runs the graph query (a `GraphMatch` plan node): all concepts
+/// required; the temporal pattern, when there is one, scored on top.
+pub fn graph_search(
+    graph: &PropertyGraph,
+    concepts: &[ConceptId],
+    pattern: Option<(ConceptId, ConceptId, RelationType)>,
+    k: usize,
+) -> Vec<SearchHit> {
     if concepts.is_empty() {
         return Vec::new();
     }
@@ -270,7 +279,7 @@ pub fn graph_search(graph: &PropertyGraph, query: &QueryIE, k: usize) -> Vec<Sea
         if !rest.iter().all(|l| l.contains(&report)) {
             continue;
         }
-        let pattern_matched = match query.pattern {
+        let pattern_matched = match pattern {
             Some((c1, c2, rel)) => pattern_matches(graph, report, c1, c2, rel, &mut traversal),
             None => false,
         };
@@ -337,52 +346,16 @@ pub fn keyword_search(index: &Index, query_text: &str, k: usize) -> Vec<SearchHi
         .collect()
 }
 
-/// Scatter-gather keyword search over every shard.
-///
-/// Each shard runs DAAT top-k against its own postings, but under
-/// **merged corpus statistics** ([`CorpusStats`]): document frequencies,
-/// document counts, and field lengths are summed across shards first, so
-/// every shard computes exactly the idf and average-length terms a
-/// single global index would — per-document BM25 scores come out
-/// bit-identical to the unsharded engine. The per-shard top-k lists are
-/// then gathered by [`gather_keyword_hits`]. One shard takes the same
-/// path, so the scoring formula's inputs are shard-count-invariant by
-/// construction.
-pub(crate) fn scatter_keyword_search(
-    shards: &[Arc<ShardSnapshot>],
-    query_text: &str,
-    k: usize,
-) -> Vec<SearchHit> {
-    let q = keyword_query(&shards[0].index, query_text);
-    let mut stats = CorpusStats::default();
-    for shard in shards {
-        stats.merge(&CorpusStats::collect(&shard.index, &q));
-    }
-    let mut gathered: Vec<(f64, u64, String)> = Vec::with_capacity(shards.len() * k);
-    for (shard_no, shard) in shards.iter().enumerate() {
-        let _span = create_obs::shard_span(create_obs::names::SPAN_KEYWORD_SHARD, shard_no as u32);
-        for scored in shard
-            .index
-            .search_with_stats(&q, k, Scorer::default(), Some(&stats))
-        {
-            gathered.push((
-                scored.score,
-                shard.ordinals[scored.doc as usize],
-                scored.external_id,
-            ));
-        }
-    }
-    gather_keyword_hits(gathered, k)
-}
-
 /// Gathers per-shard `(score, global ingest ordinal, report id)` rows
 /// into the top-k keyword hits under `(score descending by total_cmp,
-/// ordinal ascending)` — the one merge order of the search scatter and
-/// the cohort executor. The ordinal tie-break reproduces the
-/// single-index internal-doc-id tie-break exactly (internal ids are
-/// assigned in ingest order, and routing preserves ingest order within a
-/// shard, so each shard's local top-k is its top-k under this order
-/// too): the gathered ranking is bit-identical for any shard count.
+/// ordinal ascending)` — the one cross-shard order of the plan
+/// executor's keyword leg and of its ingest-order listing (every row
+/// scores 0 there, so the ordinal decides). The ordinal tie-break
+/// reproduces the single-index internal-doc-id tie-break exactly
+/// (internal ids are assigned in ingest order, and routing preserves
+/// ingest order within a shard, so each shard's local top-k is its top-k
+/// under this order too): the gathered ranking is bit-identical for any
+/// shard count.
 pub(crate) fn gather_keyword_hits(
     mut gathered: Vec<(f64, u64, String)>,
     k: usize,
@@ -411,13 +384,14 @@ pub(crate) fn gather_keyword_hits(
 /// exactly the single-graph ranking.
 pub(crate) fn scatter_graph_search(
     shards: &[Arc<ShardSnapshot>],
-    query: &QueryIE,
+    concepts: &[ConceptId],
+    pattern: Option<(ConceptId, ConceptId, RelationType)>,
     k: usize,
 ) -> Vec<SearchHit> {
     let mut hits: Vec<SearchHit> = Vec::new();
     for (shard_no, shard) in shards.iter().enumerate() {
         let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, shard_no as u32);
-        hits.extend(graph_search(&shard.graph, query, k));
+        hits.extend(graph_search(&shard.graph, concepts, pattern, k));
     }
     hits.sort_by(|a, b| {
         b.score
@@ -459,7 +433,7 @@ pub fn merge(
         }
     };
     let mut seen = std::collections::HashSet::new();
-    let mut merged = Vec::with_capacity(k);
+    let mut merged = Vec::with_capacity(k.min(ordered.len()));
     for hit in ordered {
         if seen.insert(hit.report_id.clone()) {
             merged.push(hit);

@@ -23,9 +23,7 @@ use crate::facet_build::index_doc;
 use crate::graph_build::{find_report, GraphBuilder, ReportMeta};
 use crate::pipeline::{ExtractedAnnotations, QueryIE};
 use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
-use crate::search::{
-    scatter_graph_search, scatter_keyword_search, MergePolicy, SearchAnswer, SearchHit,
-};
+use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
 use create_docstore::{json::obj, DocStore, Filter, StoreSnapshot, Value};
@@ -1391,10 +1389,9 @@ impl Create {
     }
 
     /// The uncached execution path behind [`Create::search_answer`]: the
-    /// query is parsed and lowered into its typed plan, the plan decides
-    /// which engine legs run, and each leg scatters over every shard of
-    /// the given snapshot and gathers deterministically (see
-    /// [`crate::search`]).
+    /// query is parsed, lowered into its typed plan, and the plan run by
+    /// the one executor over every shard of the given snapshot (see
+    /// [`crate::plan`]).
     fn execute_search(
         &self,
         snapshot: &Snapshot,
@@ -1408,27 +1405,9 @@ impl Create {
         };
         let plan = {
             let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_PLAN);
-            let plan = plan::lower_search(query, &parsed, k, policy).optimize();
-            plan.note_nodes();
-            plan
+            plan::lower_search(query, &parsed, k, policy).optimize()
         };
-        let graph_hits = if plan.has_graph() {
-            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_GRAPH_SEARCH);
-            scatter_graph_search(&snapshot.shards, &parsed, k)
-        } else {
-            Vec::new()
-        };
-        let keyword_hits = if plan.has_keyword() {
-            let _span =
-                Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_KEYWORD_SEARCH);
-            scatter_keyword_search(&snapshot.shards, query, k)
-        } else {
-            Vec::new()
-        };
-        let hits = {
-            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_MERGE);
-            crate::search::merge(graph_hits, keyword_hits, policy, k)
-        };
+        let hits = plan::execute(&snapshot.shards, &plan, PlanMode::Optimized).hits;
         SearchAnswer::new(parsed, hits)
     }
 
@@ -1456,7 +1435,7 @@ impl Create {
                 PlanMode::Naive => plan::lower_cohort(criteria),
             }
         };
-        plan::execute_cohort(&snapshot.shards, &plan, mode)
+        plan::execute(&snapshot.shards, &plan, mode)
     }
 
     /// Parses a criteria JSON document against this instance's ontology

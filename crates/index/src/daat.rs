@@ -305,7 +305,10 @@ fn max_score_top_k(
     let mut non_essential = vec![false; n];
     let mut selected = vec![false; n];
     let mut partition_theta = f64::NEG_INFINITY;
-    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k + 1);
+    // Sized by what can be returned, never by `k` alone: a caller's `k`
+    // may be far beyond the index (a `/cohort` asking for every match).
+    let mut heap: BinaryHeap<Reverse<Entry>> =
+        BinaryHeap::with_capacity(k.min(index.num_docs()) + 1);
     // Monotone cursor into the allowed run: candidates only increase.
     let mut allowed_pos = 0usize;
     loop {

@@ -8,7 +8,7 @@
 //! close framing.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// HTTP status codes used by the API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,12 +179,6 @@ impl Response {
         let _ = write!(out, "Connection: {disposition}\r\n\r\n");
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Serializes a one-shot (`Connection: close`) response to a writer.
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        out.write_all(&self.serialize(false))?;
-        out.flush()
     }
 }
 
@@ -427,40 +421,21 @@ pub fn try_parse(buf: &[u8], limits: &HttpLimits) -> Parse {
     })
 }
 
-/// Parses one request from a blocking stream (the `serve_one` path and
-/// the tests' byte-slice fixtures).
-pub fn parse_request(stream: &mut impl Read) -> Result<Request, String> {
-    let limits = HttpLimits::default();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match try_parse(&buf, &limits) {
-            Parse::Ready(parsed) => return Ok(parsed.request),
-            Parse::Failed { message, .. } => return Err(message),
-            Parse::Incomplete { .. } => {}
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("read error: {e}"))?;
-        if n == 0 {
-            return Err(if buf.is_empty() {
-                "empty request".to_string()
-            } else {
-                "truncated request".to_string()
-            });
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A complete request fixture, parsed as the event loop parses it.
+    fn parse(raw: &[u8]) -> Request {
+        match try_parse(raw, &HttpLimits::default()) {
+            Parse::Ready(parsed) => parsed.request,
+            other => panic!("expected a complete request, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_get_with_query() {
-        let raw = b"GET /search?q=fever+and%20cough&k=5 HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = parse_request(&mut &raw[..]).unwrap();
+        let req = parse(b"GET /search?q=fever+and%20cough&k=5 HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/search");
         assert_eq!(req.param("q"), Some("fever and cough"));
@@ -469,16 +444,14 @@ mod tests {
 
     #[test]
     fn parses_post_body() {
-        let raw = b"POST /submit HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world";
-        let req = parse_request(&mut &raw[..]).unwrap();
+        let req = parse(b"POST /submit HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world");
         assert_eq!(req.method, "POST");
         assert_eq!(req.body_str(), Some("hello world"));
     }
 
     #[test]
     fn header_names_lowercased() {
-        let raw = b"GET / HTTP/1.1\r\nX-Custom-Header: Value\r\n\r\n";
-        let req = parse_request(&mut &raw[..]).unwrap();
+        let req = parse(b"GET / HTTP/1.1\r\nX-Custom-Header: Value\r\n\r\n");
         assert_eq!(req.headers.get("x-custom-header").unwrap(), "Value");
     }
 
@@ -491,10 +464,7 @@ mod tests {
 
     #[test]
     fn response_serializes() {
-        let mut out = Vec::new();
-        Response::json(Status::Ok, "{\"ok\":true}")
-            .write_to(&mut out)
-            .unwrap();
+        let out = Response::json(Status::Ok, "{\"ok\":true}").serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json"));
@@ -523,8 +493,10 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        let raw = b"\r\n";
-        assert!(parse_request(&mut &raw[..]).is_err());
+        assert!(matches!(
+            try_parse(b"\r\n", &HttpLimits::default()),
+            Parse::Failed { .. }
+        ));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   [`ServerConfig::drain_timeout`]), then flushes and exits.
 
 use crate::conn::{Conn, Phase};
-use crate::http::{parse_request, HttpLimits, Parse, ParseErrorKind, Response, Status};
+use crate::http::{HttpLimits, Parse, ParseErrorKind, Response, Status};
 use crate::router::Router;
 use create_util::poller::{wake_pipe, Interest, Poller, WakeRx, Waker};
 use create_util::ThreadPool;
@@ -232,26 +232,6 @@ impl Server {
         self.listener.set_nonblocking(false)?;
         result
     }
-
-    /// Handles exactly one connection on the current thread with
-    /// one-shot `Connection: close` semantics (useful in tests and
-    /// benches; does not start the event loop).
-    pub fn serve_one(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(false)?;
-        let (stream, _) = self.listener.accept()?;
-        handle_connection(stream, &self.router);
-        Ok(())
-    }
-}
-
-/// Blocking one-shot handler backing [`Server::serve_one`].
-fn handle_connection(mut stream: TcpStream, router: &Router) {
-    let response = match parse_request(&mut stream) {
-        Ok(request) => router.dispatch(&request),
-        Err(message) => Response::error(Status::BadRequest, &message),
-    };
-    let _ = response.write_to(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 const LISTENER_TOKEN: u64 = 0;
@@ -856,19 +836,6 @@ mod tests {
             Response::text(Status::Ok, String::from_utf8_lossy(&req.body).into_owned())
         });
         r
-    }
-
-    #[test]
-    fn serves_one_request() {
-        let server = Server::bind("127.0.0.1:0", test_router()).unwrap();
-        let addr = server.local_addr();
-        let t = std::thread::spawn(move || {
-            server.serve_one().unwrap();
-        });
-        let (status, body) = http_get(addr, "/ping").unwrap();
-        t.join().unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, "pong");
     }
 
     #[test]

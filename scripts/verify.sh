@@ -7,7 +7,9 @@
 # unit and integration tests, the create-index codec and create-docstore
 # JSON mutation fuzzes among them) and the benchmark package's — then the
 # benchmark smoke (`create-benchmark all --quick`, every in-run check),
-# the server, trace and observability smoke checks, the stripped
+# the server, trace and observability smoke checks, E4's ranking-ablation
+# quality cells (`exp_ir_vs_solr`, ~15 s: the BM25 default and TF-IDF
+# rows EXPERIMENTS.md quotes, exactly), the stripped
 # (`--no-default-features`) build, and the SIGKILL recovery smoke (a
 # sealed document, a `/submit` and a `/submit_batch` document in the WAL
 # tail; also asserts the data directory holds no JSONL copy). No step
@@ -87,6 +89,22 @@ do
     }
 done
 rm -f "$metrics"
+
+echo "== E4 quality: the ranking-ablation cells EXPERIMENTS.md quotes =="
+# Seeded and deterministic, on any core count (`loaded_create` pins one
+# shard): a moved cell is a retrieval change, not noise.
+e4="$(mktemp)"
+cargo run -q --release -p create-bench --bin exp_ir_vs_solr > "$e4"
+for cell in \
+    'BM25 (k1=1.2, b=0.75)  0.4421' \
+    'TF-IDF                 0.3813'
+do
+    grep -qxF "$cell" "$e4" || {
+        echo "verify: FAIL — exp_ir_vs_solr ablation row is not '$cell'" >&2
+        exit 1
+    }
+done
+rm -f "$e4"
 
 echo "== stripped build: the server and everything under it without the obs feature =="
 cargo check -q --offline -p create-server --no-default-features

@@ -23,6 +23,7 @@ use create::core::{Create, CreateConfig, PlanMode};
 use create::corpus::{gold_cohorts, CaseReport, CorpusConfig, Generator};
 use create::docstore::json::parse_json;
 use create::ontology::clinical_ontology;
+use create::server::{build_api, Request, Status};
 use create::storage::Manifest;
 use std::path::PathBuf;
 
@@ -216,6 +217,56 @@ fn optimized_and_naive_plans_return_identical_results() {
                 optimized.to_json().to_json(),
                 naive.to_json().to_json(),
                 "pushdown changed answers at {shards} shards for {criteria}"
+            );
+        }
+    }
+}
+
+/// `/cohort` passes `k` through unclamped (the gold specs ask for 2000
+/// to get every match), so a hostile `k` must cost no more than the
+/// corpus: at `5881757` these requests aborted the process on a
+/// `k`-sized reservation.
+#[test]
+fn hostile_k_answers_like_k_equal_to_the_doc_count() {
+    let reports = corpus(N_DOCS, 20260820);
+    for shards in [1usize, 2] {
+        let api = build_api(std::sync::Arc::new(sharded(&reports, shards)));
+        let cohort = |criteria: String| {
+            let resp = api.dispatch(&Request {
+                method: "POST".to_string(),
+                path: "/cohort".to_string(),
+                query: Default::default(),
+                headers: Default::default(),
+                body: criteria.into_bytes(),
+            });
+            assert_eq!(
+                resp.status,
+                Status::Ok,
+                "{}",
+                String::from_utf8_lossy(&resp.body)
+            );
+            resp.body
+        };
+        for (criteria, hostile) in [
+            (
+                r#"{"filters":[{"field":"sex","values":["female"]}],"keywords":"fever","k":K}"#,
+                "1000000000000",
+            ),
+            (
+                r#"{"filters":[{"field":"sex","values":["female"]}],"keywords":"fever","k":K}"#,
+                "9223372036854775807",
+            ),
+            (r#"{"keywords":"fever","k":K}"#, "1000000000000"),
+            (
+                r#"{"filters":[{"field":"sex","values":["female"]}],"k":K}"#,
+                "1000000000000",
+            ),
+        ] {
+            let want = cohort(criteria.replace('K', &N_DOCS.to_string()));
+            assert_eq!(
+                cohort(criteria.replace('K', hostile)),
+                want,
+                "{criteria} with k={hostile} at {shards} shard(s)"
             );
         }
     }

@@ -85,6 +85,25 @@ fn rankings_are_bit_identical_across_shard_counts() {
     }
 }
 
+/// A `k` far beyond the corpus is the corpus: no read-path allocation is
+/// sized by `k` alone (at `5881757` this asked for 40 TB and aborted).
+#[test]
+fn search_at_usize_max_k_returns_the_hits_of_k_equal_to_the_doc_count() {
+    let reports = corpus(N_DOCS, 20260809);
+    for shards in [1usize, 2] {
+        let system = sharded(&reports, shards);
+        for q in ["fever and cough", "chest pain"] {
+            let want = system.search(q, N_DOCS);
+            assert!(!want.is_empty(), "{q:?} hits at {shards} shard(s)");
+            assert_eq!(
+                system.search(q, usize::MAX),
+                want,
+                "{q:?} at {shards} shard(s)"
+            );
+        }
+    }
+}
+
 #[test]
 fn stats_and_lookups_match_the_single_shard_baseline() {
     let reports = corpus(N_DOCS, 20260808);

@@ -5,8 +5,9 @@
 //! global pool, and `/search_batch` additionally dispatches each query
 //! to a pool worker. At shard counts {1, 2, 4} the recorded tree must
 //! carry exactly one keyword-shard (and graph-shard) span per shard
-//! per query, every span must chain up to the root through parent
-//! links, and the trace ID in the `X-Trace-Id` response header must
+//! per query — and a keyword `/cohort`, which runs the same keyword leg,
+//! one keyword-shard span per shard — every span must chain up to the
+//! root through parent links, and the trace ID in the `X-Trace-Id` response header must
 //! resolve in the flight recorder. Tracing itself must be inert:
 //! rankings are bit-identical whether span recording is sampled in or
 //! out.
@@ -147,6 +148,26 @@ fn one_span_tree_per_request_at_every_shard_count() {
             let want: Vec<i64> = (0..shards as i64).collect();
             assert_eq!(seen, want, "{name} spans cover every shard index once");
         }
+
+        // A keyword cohort runs the same keyword leg as `/search`: one
+        // keyword-shard span per shard.
+        let resp = api.dispatch(&post(
+            "/cohort",
+            r#"{"filters":[{"field":"sex","values":["female"]}],"keywords":"fever","k":5}"#,
+        ));
+        assert_eq!(resp.status, Status::Ok);
+        let (_, spans) = fetch_trace(&api, &resp);
+        assert_parent_linkage(&spans);
+        let mut seen: Vec<i64> = spans_named(&spans, "keyword_shard")
+            .iter()
+            .map(|s| s.get("shard").and_then(Value::as_i64).unwrap())
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..shards as i64).collect::<Vec<_>>(),
+            "/cohort: one keyword_shard span per shard at {shards} shards: {spans:?}"
+        );
 
         // Batch search through the pool: each query's worker inherits
         // the dispatching request's context, so the one tree holds a
