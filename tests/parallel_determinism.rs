@@ -181,3 +181,81 @@ fn every_route_into_a_shard_seals_the_same_segment_bytes() {
         let _ = std::fs::remove_dir_all(&base);
     }
 }
+
+/// FNV-1a 64 of each shard's one segment file, in shard order (a shard
+/// holding any other number of segments fails).
+fn only_segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
+    (0..shards)
+        .map(|s| {
+            let shard = dir
+                .join(create::storage::STORAGE_DIR)
+                .join(format!("shard-{s}"));
+            let segments: Vec<std::path::PathBuf> = std::fs::read_dir(&shard)
+                .expect("shard directory")
+                .map(|entry| entry.expect("directory entry").path())
+                .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+                .collect();
+            assert_eq!(segments.len(), 1, "shard {s} holds {segments:?}");
+            format!(
+                "{:016x}",
+                fnv1a64(&std::fs::read(&segments[0]).expect("segment file"))
+            )
+        })
+        .collect()
+}
+
+/// A compaction rewrites a shard's segments into the file one seal of the
+/// same documents writes: the 300-report corpus of
+/// `every_route_into_a_shard_seals_the_same_segment_bytes`, ingested in
+/// four batches with a flush after each (the fourth flush reaches
+/// `COMPACT_SEGMENT_THRESHOLD` and compacts), leaves that test's
+/// single-seal digests. The splits put a 128-posting skip boundary
+/// inside a later input (100/100/50/50) and make the last input one
+/// document per shard.
+#[test]
+fn a_compacted_shard_holds_the_single_seal_bytes() {
+    const EXPECTED: [(usize, &[&str], &[&[usize]]); 2] = [
+        (
+            1,
+            &["7c25b1a39e42b8f1"],
+            &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 39, 1]],
+        ),
+        (
+            2,
+            &["7a2c8f594d863efd", "91858ae9a646f9e4"],
+            &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 38, 2]],
+        ),
+    ];
+    let reports = corpus(300, 20261002);
+    for (shards, expected, splits) in EXPECTED {
+        for split in splits {
+            let dir = std::env::temp_dir().join(format!(
+                "create-compacted-{}-{shards}-{}",
+                std::process::id(),
+                split[0]
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = CreateConfig {
+                shards,
+                ..Default::default()
+            };
+            let system = Create::open(&dir, config).expect("open");
+            let mut from = 0;
+            for &len in split.iter() {
+                system
+                    .ingest_gold_batch(&reports[from..from + len], 2)
+                    .expect("batch ingest");
+                system.flush().expect("flush");
+                from += len;
+            }
+            assert_eq!(from, reports.len());
+            assert_eq!(
+                only_segment_digests(&dir, shards),
+                expected,
+                "{shards} shards, split {split:?}"
+            );
+            drop(system);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
