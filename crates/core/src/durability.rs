@@ -1,6 +1,7 @@
 //! Glue between the [`Create`](crate::Create) facade and the
-//! `create-storage` engine: the WAL record shape, the segment seal, load
-//! and compaction helpers, and the storage metric emitters.
+//! `create-storage` engine: the WAL record shape, the segment seal, the
+//! recovery load, the streaming compaction, and the storage metric
+//! emitters.
 //!
 //! The durable unit everywhere is the **document payload** — one JSON
 //! object bundling the three documents a report contributes to its
@@ -33,20 +34,23 @@
 use crate::pipeline::ExtractedAnnotations;
 use create_docstore::json::{object_members, Member, Value};
 use create_docstore::DocStore;
-use create_index::codec;
+use create_index::codec::{self, MergeError};
 use create_index::facets::FacetIndex;
 use create_index::{Index, IndexSegment};
 use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
+use create_storage::segment::{Region, SegmentReader, SegmentWriter};
 use create_storage::{
     segment, Manifest, SegmentData, SegmentMeta, ShardManifest, StorageError, StoredDoc, Wal,
 };
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// A flush compacts a shard once it holds this many segments: every
-/// segment is decoded, merged through the deterministic
-/// [`Index::merge_segment`] order, and rewritten as one file.
+/// A flush compacts a shard once it holds this many segments: they are
+/// merged, block by block and term by term, into one file
+/// ([`compact_shard`]) — the file one seal of the same documents would
+/// have written.
 pub(crate) const COMPACT_SEGMENT_THRESHOLD: usize = 4;
 
 /// Per-shard durable state, owned by the shard's writer (so it shares
@@ -306,8 +310,8 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
 /// Reads one sealed segment file back into what it was sealed from:
 /// postings and facet bitmaps over segment-local doc ids (`template`
 /// gives the field configuration) and the stored documents, each
-/// covering the same documents. The one reader of segment files, for
-/// recovery and compaction alike.
+/// covering the same documents. Recovery's reader of segment files;
+/// compaction streams them instead ([`compact_shard`]).
 pub(crate) fn load_segment(
     path: &Path,
     template: &Index,
@@ -315,52 +319,75 @@ pub(crate) fn load_segment(
     let data = segment::read_segment(path)?;
     let postings = codec::decode_segment(&data.postings, template).map_err(corrupt_at(path))?;
     let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
-    let docs = data.docs.len();
-    if postings.num_docs() != docs || facets.num_docs() as usize != docs {
-        return Err(corrupt_at(path)(format!(
-            "segment stores {docs} docs but indexes {} and its facets cover {}",
-            postings.num_docs(),
-            facets.num_docs()
-        )));
-    }
+    check_doc_counts(path, data.docs.len(), postings.num_docs(), facets.num_docs())?;
     Ok((postings, facets, data.docs))
 }
 
-/// Rewrites a shard's segments as one: load each file, merge through
-/// [`Index::merge_segment`] in manifest order (the same deterministic
-/// order recovery uses), re-encode, and replace the manifest entry.
-/// The old files stay on disk until the caller swaps the manifest and
-/// sweeps orphans — a crash mid-compaction changes nothing. Returns the
-/// number of documents rewritten.
+/// A segment's three regions must cover the same documents.
+fn check_doc_counts(
+    path: &Path,
+    stored: usize,
+    indexed: usize,
+    faceted: u32,
+) -> Result<(), StorageError> {
+    if indexed != stored || faceted as usize != stored {
+        return Err(corrupt_at(path)(format!(
+            "segment stores {stored} docs but indexes {indexed} and its facets cover {faceted}"
+        )));
+    }
+    Ok(())
+}
+
+/// Rewrites a shard's segments as one file, streaming: a k-way merge of
+/// the encoded segments that holds one block per input and one term's
+/// postings, never a decoded index or the shard's documents. Directory
+/// entries and stored payloads are copied through, postings merge term
+/// by term ([`codec::merge_postings`], with `template`'s field
+/// configuration), and the facets — a few KB a segment — are decoded,
+/// merged and re-encoded. The file is byte for byte what one seal of the
+/// same documents writes.
+///
+/// The format's forward references — each region's leading block count
+/// and each field's term count — come from running the same
+/// [`write_compacted`] once into a counting writer before the pass that
+/// writes the file. The old files stay on disk until the caller swaps
+/// the manifest and sweeps orphans — a crash mid-compaction changes
+/// nothing. Returns the number of documents rewritten.
 pub(crate) fn compact_shard(
     shard_dir: &Path,
     entry: &mut ShardManifest,
+    template: &Index,
 ) -> Result<u64, StorageError> {
-    let mut merged = Index::clinical();
-    let mut merged_facets = FacetIndex::new();
-    let mut docs: Vec<StoredDoc> = Vec::new();
-    for meta in &entry.segments {
-        let path = shard_dir.join(&meta.file);
-        let (postings, facets, stored) = load_segment(&path, &merged)?;
-        let base = merged.num_docs() as u32;
-        merged.merge_segment(postings).map_err(corrupt_at(&path))?;
-        merged_facets.merge(facets, base);
-        docs.extend(stored);
+    let inputs = entry
+        .segments
+        .iter()
+        .map(|meta| SegmentReader::open(&shard_dir.join(&meta.file)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut facets = FacetIndex::new();
+    let mut faceted = Vec::with_capacity(inputs.len());
+    for input in &inputs {
+        let region = input.read_region(Region::Facets)?;
+        let decoded = FacetIndex::decode(&region).map_err(corrupt_at(input.path()))?;
+        faceted.push(decoded.num_docs());
+        facets.merge(decoded, facets.num_docs());
     }
-    let postings = codec::encode_index_tail(&merged, 0);
-    let facets = merged_facets.encode_tail(0);
-    let count = docs.len() as u64;
-    let min_ordinal = docs.first().map(|d| d.ordinal).unwrap_or(0);
-    let max_ordinal = docs.last().map(|d| d.ordinal).unwrap_or(0);
+    let facets = facets.encode_tail(0);
+
+    let mut counter = SegmentWriter::counting();
+    let counted = write_compacted(&inputs, template, &facets, None, &mut counter)?;
+    for (i, input) in inputs.iter().enumerate() {
+        let stored = counted.ranges[i].docs as usize;
+        check_doc_counts(input.path(), stored, counted.indexed[i], faceted[i])?;
+    }
     let file = segment_file_name(entry.next_segment_id);
-    let info = segment::write_segment(
-        &shard_dir.join(&file),
-        &SegmentData {
-            docs,
-            postings,
-            facets,
-        },
-    )?;
+    let mut out = SegmentWriter::create(&shard_dir.join(&file), counter.region_lens())?;
+    write_compacted(&inputs, template, &facets, Some(&counted.term_counts), &mut out)?;
+    let info = out.finish()?;
+
+    let filled = || counted.ranges.iter().filter(|range| range.docs > 0);
+    let min_ordinal = filled().next().map_or(0, |range| range.min_ordinal);
+    let max_ordinal = filled().last().map_or(0, |range| range.max_ordinal);
+    let count = counted.ranges.iter().map(|range| range.docs).sum();
     entry.segments = vec![SegmentMeta {
         file,
         docs: count,
@@ -371,6 +398,55 @@ pub(crate) fn compact_shard(
     }];
     entry.next_segment_id += 1;
     Ok(count)
+}
+
+/// What one [`write_compacted`] pass learned of its inputs.
+struct Compacted {
+    /// Each input's documents, as its directory lists them.
+    ranges: Vec<segment::DocRange>,
+    /// Each input's documents, as its postings count them.
+    indexed: Vec<usize>,
+    /// The merged dictionary size of each field.
+    term_counts: Vec<u64>,
+}
+
+/// Writes the segment that concatenates `inputs` into `out`, one region
+/// after another: directory and stored fields copied through, postings
+/// merged, then the merged `facets`. `term_counts` as
+/// [`codec::merge_postings`] takes them.
+fn write_compacted(
+    inputs: &[SegmentReader],
+    template: &Index,
+    facets: &[u8],
+    term_counts: Option<&[u64]>,
+    out: &mut SegmentWriter,
+) -> Result<Compacted, StorageError> {
+    out.next_region().map_err(|e| out.error(e))?;
+    let ranges = segment::copy_directory(inputs, out)?;
+    out.next_region().map_err(|e| out.error(e))?;
+    segment::copy_stored(inputs, &ranges, out)?;
+    out.next_region().map_err(|e| out.error(e))?;
+    let postings = inputs
+        .iter()
+        .map(|input| {
+            let region = input.region(Region::Postings);
+            let len = region.remaining();
+            (region, len)
+        })
+        .collect();
+    let merged =
+        codec::merge_postings(postings, template, term_counts, out).map_err(|e| match e {
+            MergeError::Input(i, e) => inputs[i].error(e),
+            MergeError::Output(e) => out.error(e),
+        })?;
+    out.next_region()
+        .and_then(|()| out.write_all(facets))
+        .map_err(|e| out.error(e))?;
+    Ok(Compacted {
+        ranges,
+        indexed: merged.docs,
+        term_counts: merged.term_counts,
+    })
 }
 
 /// Counts a WAL append (framed bytes + latency, with a trace exemplar

@@ -944,8 +944,9 @@ impl Create {
             if manifest.shards[i].segments.len() < durability::COMPACT_SEGMENT_THRESHOLD {
                 continue;
             }
-            let merged = durability::compact_shard(&storage.dir, &mut manifest.shards[i])
-                .map_err(IngestError::Storage)?;
+            let merged =
+                durability::compact_shard(&storage.dir, &mut manifest.shards[i], &writer.index)
+                    .map_err(IngestError::Storage)?;
             durability::note_compaction(merged);
             compacted = true;
         }

@@ -37,6 +37,7 @@ use crate::postings::PostingList;
 use crate::segment::IndexSegment;
 use create_util::fxhash::{map_with_capacity, FxHashMap};
 use create_util::varint;
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 /// One skip entry per this many postings.
@@ -156,51 +157,317 @@ fn common_prefix_len(a: &str, b: &str) -> usize {
         .count()
 }
 
-/// A bounds-checked read position in an untrusted blob (this codec's,
-/// and the facet codec's in [`crate::facets`]).
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
+/// A bounds-checked read position in an untrusted stream of known
+/// length — this codec's blobs, the postings streams inside them, and
+/// the facet codec's blobs in [`crate::facets`]. Every count is checked
+/// against the bytes left before anything is reserved for it. A failure
+/// of the stream itself (an unreadable or corrupt block under a segment
+/// region) is kept in `failed` for [`merge_postings`] to report as what
+/// it is.
+pub(crate) struct Reader<R> {
+    src: R,
+    left: u64,
+    failed: Option<io::Error>,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> Reader<&'a [u8]> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Reader::over(bytes, bytes.len() as u64)
+    }
+}
+
+impl<R: BufRead> Reader<R> {
+    fn over(src: R, len: u64) -> Self {
+        Reader {
+            src,
+            left: len,
+            failed: None,
+        }
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn left(&self) -> u64 {
+        self.left
+    }
+
+    fn unreadable(&mut self, e: io::Error) -> CodecError {
+        let message = format!("unreadable input: {e}");
+        self.failed = Some(e);
+        err(message)
+    }
+
     /// A canonical LEB128 integer: the shortest encoding of its value,
     /// which is the only one the encoders write.
     pub(crate) fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
-        let start = self.pos;
-        let value = varint::read_u64(self.bytes, &mut self.pos)
-            .ok_or_else(|| err(format!("truncated {what}")))?;
-        if self.pos - start > 1 && self.bytes[self.pos - 1] == 0 {
-            return Err(err(format!("overlong {what}")));
+        match varint::read_u64_from(&mut self.src).map_err(|e| self.unreadable(e))? {
+            Some((value, len)) if len as u64 <= self.left => {
+                self.left -= len as u64;
+                if len != varint::len_u64(value) {
+                    return Err(err(format!("overlong {what}")));
+                }
+                Ok(value)
+            }
+            _ => Err(err(format!("truncated {what}"))),
         }
-        Ok(value)
     }
 
     pub(crate) fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
         u32::try_from(self.varint(what)?).map_err(|_| err(format!("{what} overflows u32")))
     }
 
+    pub(crate) fn byte(&mut self, what: &str) -> Result<u8, CodecError> {
+        let next = match self.src.fill_buf() {
+            Ok(buf) => buf.first().copied(),
+            Err(e) => return Err(self.unreadable(e)),
+        };
+        match next {
+            Some(byte) if self.left > 0 => {
+                self.src.consume(1);
+                self.left -= 1;
+                Ok(byte)
+            }
+            _ => Err(err(format!("truncated {what}"))),
+        }
+    }
+
     /// A count of items that each take at least `min_bytes` of the
     /// remaining input — the cap that makes it safe to reserve for.
     pub(crate) fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, CodecError> {
         let count = self.varint(what)?;
-        let fits = (self.bytes.len() - self.pos) / min_bytes;
         match usize::try_from(count) {
-            Ok(count) if count <= fits => Ok(count),
+            Ok(count) if count as u64 <= self.left / min_bytes as u64 => Ok(count),
             _ => Err(err(format!("{what} exceeds the remaining input"))),
         }
     }
 
-    /// A length-prefixed byte run.
-    fn run(&mut self, what: &str) -> Result<&'a [u8], CodecError> {
+    /// A length-prefixed byte run, into `out`.
+    fn run(&mut self, what: &str, out: &mut Vec<u8>) -> Result<(), CodecError> {
         let len = self.count(1, what)?;
-        let run = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(run)
+        out.clear();
+        out.reserve(len);
+        while out.len() < len {
+            let available = match self.src.fill_buf() {
+                Ok(available) => available,
+                Err(e) => return Err(self.unreadable(e)),
+            };
+            if available.is_empty() {
+                return Err(err(format!("truncated {what}")));
+            }
+            let n = available.len().min(len - out.len());
+            out.extend_from_slice(&available[..n]);
+            self.src.consume(n);
+        }
+        self.left -= len as u64;
+        Ok(())
     }
 
-    pub(crate) fn utf8(&mut self, what: &str) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(self.run(what)?).map_err(|_| err(format!("{what} is not UTF-8")))
+    /// A length-prefixed UTF-8 string, read into `out`.
+    pub(crate) fn utf8<'o>(&mut self, what: &str, out: &'o mut Vec<u8>) -> Result<&'o str, CodecError> {
+        self.run(what, out)?;
+        std::str::from_utf8(out).map_err(|_| err(format!("{what} is not UTF-8")))
+    }
+}
+
+/// The leading document count of a blob: a document takes its id's
+/// length byte plus one length byte per field.
+fn doc_count<R: BufRead>(r: &mut Reader<R>, template: &Index) -> Result<usize, CodecError> {
+    r.count(1 + template.fields.len(), "doc count")
+}
+
+/// Reads `count` external ids, refusing one already in `ids` (which maps
+/// each id to its position in `ids`), and hands each to `each`.
+fn read_ids<R: BufRead>(
+    r: &mut Reader<R>,
+    count: usize,
+    ids: &mut FxHashMap<String, u32>,
+    mut each: impl FnMut(&str),
+) -> Result<(), CodecError> {
+    let mut scratch = Vec::new();
+    for _ in 0..count {
+        let id = r.utf8("external id", &mut scratch)?;
+        if ids.contains_key(id) {
+            return Err(err(format!("duplicate external id {id:?}")));
+        }
+        ids.insert(id.to_string(), ids.len() as u32);
+        each(id);
+    }
+    Ok(())
+}
+
+/// The field count, which must be the configuration's.
+fn field_count<R: BufRead>(r: &mut Reader<R>, template: &Index) -> Result<(), CodecError> {
+    if r.count(1, "field count")? != template.fields.len() {
+        return Err(err("field count differs from the index configuration"));
+    }
+    Ok(())
+}
+
+/// A field's name, which must follow `prev` and be configured in
+/// `template`; the configuration's own name and field.
+fn field<'t, R: BufRead>(
+    r: &mut Reader<R>,
+    template: &'t Index,
+    prev: Option<&str>,
+) -> Result<(&'t str, &'t FieldIndex), CodecError> {
+    let mut scratch = Vec::new();
+    let name = r.utf8("field name", &mut scratch)?;
+    if prev.is_some_and(|prev| name <= prev) {
+        return Err(err("fields out of order"));
+    }
+    template
+        .fields
+        .get_key_value(name)
+        .map(|(name, config)| (name.as_str(), config))
+        .ok_or_else(|| err(format!("field {name:?} not in index configuration")))
+}
+
+/// One posting of a term's stream, as [`Terms::walk`] found it.
+struct Posting {
+    doc: u32,
+    /// Where its doc gap ends and its position count starts.
+    gap_end: usize,
+    /// Where it ends.
+    end: usize,
+    /// Positions pushed so far, this posting's included.
+    positions: usize,
+}
+
+/// One field's dictionary, read a term at a time: the reconstructed
+/// term, its posting count, skip entries and postings stream.
+#[derive(Default)]
+struct Terms {
+    left: usize,
+    /// Whether a term was read and not yet passed: the current one.
+    has: bool,
+    read: usize,
+    text: Vec<u8>,
+    suffix: Vec<u8>,
+    postings: usize,
+    skips: Vec<(u32, u64)>,
+    blob: Vec<u8>,
+}
+
+impl Terms {
+    /// Reads the field's term count: a term takes at least five bytes
+    /// (prefix and suffix lengths, posting and skip counts, postings
+    /// length).
+    fn begin<R: BufRead>(r: &mut Reader<R>) -> Result<Terms, CodecError> {
+        Ok(Terms {
+            left: r.count(5, "term count")?,
+            ..Terms::default()
+        })
+    }
+
+    /// Reads the next term; `false` once the dictionary is done. Terms
+    /// must be strictly ascending and maximally prefix-shared, and a
+    /// term's skip entries one per [`SKIP_INTERVAL`] postings.
+    fn next<R: BufRead>(&mut self, r: &mut Reader<R>) -> Result<bool, CodecError> {
+        self.has = self.left > 0;
+        if !self.has {
+            return Ok(false);
+        }
+        // Indexes the previous term, not the input, and reserves
+        // nothing: the previous term's length is its only bound.
+        let shared = match usize::try_from(r.varint("term prefix length")?) {
+            Ok(shared) if shared <= self.text.len() => shared,
+            _ => return Err(err("term prefix longer than previous term")),
+        };
+        r.run("term suffix", &mut self.suffix)?;
+        // Ascending order and a maximal shared prefix both come down to
+        // the first suffix byte beating the byte it replaces.
+        let ascends = match (self.suffix.first(), self.text.get(shared)) {
+            (Some(new), Some(old)) => new > old,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if self.read > 0 && !ascends {
+            return Err(err("terms out of order or prefix not maximal"));
+        }
+        self.text.truncate(shared);
+        self.text.extend_from_slice(&self.suffix);
+        if std::str::from_utf8(&self.text).is_err() {
+            return Err(err("term is not UTF-8"));
+        }
+        // A posting takes at least three bytes: doc gap, position count,
+        // one position.
+        self.postings = r.count(3, "posting count")?;
+        if self.postings == 0 {
+            return Err(err("term without postings"));
+        }
+        let skip_count = r.count(2, "skip count")?;
+        if skip_count != (self.postings - 1) / SKIP_INTERVAL {
+            return Err(err("skip count disagrees with posting count"));
+        }
+        self.skips.clear();
+        for _ in 0..skip_count {
+            self.skips.push((r.u32("skip doc")?, r.varint("skip offset")?));
+        }
+        r.run("postings blob", &mut self.blob)?;
+        self.left -= 1;
+        self.read += 1;
+        Ok(true)
+    }
+
+    fn term(&self) -> &str {
+        std::str::from_utf8(&self.text).expect("checked by next")
+    }
+
+    /// Walks the current term's postings stream over a segment of
+    /// `doc_count` documents — ascending docs, each with at least one
+    /// position, the skip entries where the stream puts them — pushing
+    /// each posting's positions onto `positions` and handing it to
+    /// `each`.
+    fn walk(
+        &self,
+        doc_count: usize,
+        positions: &mut Vec<u32>,
+        mut each: impl FnMut(Posting) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        let len = self.blob.len();
+        let mut b = Reader::new(&self.blob[..]);
+        let mut prev_doc: u32 = 0;
+        for i in 0..self.postings {
+            let at = len - b.left() as usize;
+            let gap = b.u32("doc gap")?;
+            if i > 0 && gap == 0 {
+                return Err(err("posting docs not ascending"));
+            }
+            // The first gap is the doc id itself.
+            let doc = prev_doc
+                .checked_add(gap)
+                .filter(|&doc| (doc as usize) < doc_count)
+                .ok_or_else(|| err("posting doc id past segment doc count"))?;
+            prev_doc = doc;
+            if i % SKIP_INTERVAL == 0
+                && i > 0
+                && self.skips[i / SKIP_INTERVAL - 1] != (doc, at as u64)
+            {
+                return Err(err("skip entry disagrees with postings stream"));
+            }
+            let gap_end = len - b.left() as usize;
+            let n_pos = b.count(1, "position count")?;
+            if n_pos == 0 {
+                return Err(err("posting without positions"));
+            }
+            let mut prev_pos: u32 = 0;
+            for _ in 0..n_pos {
+                // The first delta is the absolute position.
+                prev_pos = prev_pos
+                    .checked_add(b.u32("position delta")?)
+                    .ok_or_else(|| err("position overflows u32"))?;
+                positions.push(prev_pos);
+            }
+            each(Posting {
+                doc,
+                gap_end,
+                end: len - b.left() as usize,
+                positions: positions.len(),
+            })?;
+        }
+        if b.left() != 0 {
+            return Err(err("trailing bytes in postings blob"));
+        }
+        Ok(())
     }
 }
 
@@ -214,42 +481,21 @@ impl<'a> Reader<'a> {
 /// field in name order, strictly ascending maximally prefix-shared
 /// terms, ascending docs, one skip entry per [`SKIP_INTERVAL`]
 /// postings) — a blob that decodes re-encodes to the same bytes.
+/// [`merge_postings`] applies the same checks through the same readers.
 pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, CodecError> {
-    let mut r = Reader { bytes, pos: 0 };
-
-    // A document takes its id's length byte plus one length byte per
-    // field.
-    let doc_count = r.count(1 + template.fields.len(), "doc count")?;
+    let mut r = Reader::new(bytes);
+    let doc_count = doc_count(&mut r, template)?;
     let mut external_ids = Vec::with_capacity(doc_count);
     let mut id_map = map_with_capacity(doc_count);
-    for i in 0..doc_count {
-        let id = r.utf8("external id")?.to_string();
-        if id_map.insert(id.clone(), i as u32).is_some() {
-            return Err(err(format!("duplicate external id {id:?}")));
-        }
-        external_ids.push(id);
-    }
+    read_ids(&mut r, doc_count, &mut id_map, |id| external_ids.push(id.to_string()))?;
+    field_count(&mut r, template)?;
 
-    let field_count = r.count(1, "field count")?;
-    if field_count != template.fields.len() {
-        return Err(err("field count differs from the index configuration"));
-    }
-    let mut fields: FxHashMap<String, FieldIndex> = map_with_capacity(field_count);
-    let mut prev_name = "";
-    // Skip entries of the term being decoded, reused across terms.
-    let mut skips: Vec<(u32, u64)> = Vec::new();
-    for f in 0..field_count {
-        let name = r.utf8("field name")?;
-        if f > 0 && name <= prev_name {
-            return Err(err("fields out of order"));
-        }
-        prev_name = name;
-        let config = template
-            .fields
-            .get(name)
-            .ok_or_else(|| err(format!("field {name:?} not in index configuration")))?;
+    let mut fields: FxHashMap<String, FieldIndex> = map_with_capacity(template.fields.len());
+    let mut prev = None;
+    for _ in 0..template.fields.len() {
+        let (name, config) = field(&mut r, template, prev)?;
+        prev = Some(name);
         let mut fi = FieldIndex::empty(config.analyzer.clone(), config.boost);
-
         fi.doc_len = Vec::with_capacity(doc_count);
         for _ in 0..doc_count {
             fi.doc_len.push(r.u32("doc length")?);
@@ -257,106 +503,28 @@ pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, Co
         fi.total_len = fi.doc_len.iter().map(|&l| l as u64).sum();
         fi.docs_with_field = fi.doc_len.iter().filter(|&&l| l > 0).count();
 
-        // A term takes at least five bytes: prefix and suffix lengths,
-        // posting and skip counts, postings length.
-        let term_count = r.count(5, "term count")?;
-        fi.dict = map_with_capacity(term_count);
-        // Terms are reconstructed in a reused scratch buffer so each one
-        // costs exactly one allocation (the dictionary key); ngram
-        // fields make the vocabulary large enough for this to matter.
-        let mut prev_term: Vec<u8> = Vec::new();
-        for t in 0..term_count {
-            // Indexes the previous term, not the input, and reserves
-            // nothing: the previous term's length is its only bound.
-            let shared = match usize::try_from(r.varint("term prefix length")?) {
-                Ok(shared) if shared <= prev_term.len() => shared,
-                _ => return Err(err("term prefix longer than previous term")),
-            };
-            let suffix = r.run("term suffix")?;
-            // Ascending order and a maximal shared prefix both come down
-            // to the first suffix byte beating the byte it replaces.
-            let ascends = match (suffix.first(), prev_term.get(shared)) {
-                (Some(new), Some(old)) => new > old,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if t > 0 && !ascends {
-                return Err(err("terms out of order or prefix not maximal"));
-            }
-            prev_term.truncate(shared);
-            prev_term.extend_from_slice(suffix);
-            let term: Arc<str> = std::str::from_utf8(&prev_term)
-                .map_err(|_| err("term is not UTF-8"))?
-                .into();
-
-            // A posting takes at least three bytes: doc gap, position
-            // count, one position.
-            let posting_count = r.count(3, "posting count")?;
-            if posting_count == 0 {
-                return Err(err("term without postings"));
-            }
-            let skip_count = r.count(2, "skip count")?;
-            if skip_count != (posting_count - 1) / SKIP_INTERVAL {
-                return Err(err("skip count disagrees with posting count"));
-            }
-            skips.clear();
-            for _ in 0..skip_count {
-                skips.push((r.u32("skip doc")?, r.varint("skip offset")?));
-            }
-            let blob = r.run("postings blob")?;
-
+        let mut terms = Terms::begin(&mut r)?;
+        fi.dict = map_with_capacity(terms.left);
+        while terms.next(&mut r)? {
             // Every varint ends in exactly one byte below 0x80 and the
             // stream is gap, position count, positions — so the bytes
             // below 0x80 count the positions exactly, and the three
             // arrays are allocated once at their final size.
-            let varints = blob.iter().filter(|&&b| b < 0x80).count();
-            let mut docs = Vec::with_capacity(posting_count);
-            let mut ends = Vec::with_capacity(posting_count);
+            let varints = terms.blob.iter().filter(|&&b| b < 0x80).count();
+            let mut docs = Vec::with_capacity(terms.postings);
+            let mut ends = Vec::with_capacity(terms.postings);
             let mut positions: Vec<u32> =
-                Vec::with_capacity(varints.saturating_sub(2 * posting_count));
-            let mut b = Reader {
-                bytes: blob,
-                pos: 0,
-            };
-            let mut prev_doc: u32 = 0;
-            for i in 0..posting_count {
-                let at = b.pos as u64;
-                let gap = b.u32("doc gap")?;
-                if i > 0 && gap == 0 {
-                    return Err(err("posting docs not ascending"));
-                }
-                // The first gap is the doc id itself.
-                let doc = prev_doc
-                    .checked_add(gap)
-                    .filter(|&doc| (doc as usize) < doc_count)
-                    .ok_or_else(|| err("posting doc id past segment doc count"))?;
-                prev_doc = doc;
-                if i % SKIP_INTERVAL == 0 && i > 0 && skips[i / SKIP_INTERVAL - 1] != (doc, at) {
-                    return Err(err("skip entry disagrees with postings stream"));
-                }
-                let n_pos = b.count(1, "position count")?;
-                if n_pos == 0 {
-                    return Err(err("posting without positions"));
-                }
-                let mut prev_pos: u32 = 0;
-                for _ in 0..n_pos {
-                    // The first delta is the absolute position.
-                    prev_pos = prev_pos
-                        .checked_add(b.u32("position delta")?)
-                        .ok_or_else(|| err("position overflows u32"))?;
-                    positions.push(prev_pos);
-                }
-                docs.push(doc);
+                Vec::with_capacity(varints.saturating_sub(2 * terms.postings));
+            terms.walk(doc_count, &mut positions, |posting| {
+                docs.push(posting.doc);
                 ends.push(
-                    u32::try_from(positions.len())
+                    u32::try_from(posting.positions)
                         .map_err(|_| err("term position count overflows u32"))?,
                 );
-            }
-            if b.pos != blob.len() {
-                return Err(err("trailing bytes in postings blob"));
-            }
+                Ok(())
+            })?;
             fi.dict.insert(
-                term,
+                terms.term().into(),
                 Arc::new(PostingList::from_parts(docs, ends, positions)),
             );
         }
@@ -364,13 +532,225 @@ pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, Co
         // the index side and never reads the segment's own buckets.
         fields.insert(name.to_string(), fi);
     }
-    if r.pos != bytes.len() {
+    if r.left() != 0 {
         return Err(err("trailing bytes after last field"));
     }
     Ok(IndexSegment {
         fields,
         external_ids,
         id_map,
+    })
+}
+
+/// Where a [`merge_postings`] failed.
+#[derive(Debug)]
+pub enum MergeError {
+    /// Input `i` could not be read, or does not decode (kind
+    /// `InvalidData`, carrying the [`CodecError`]).
+    Input(usize, io::Error),
+    /// Writing the merged blob failed.
+    Output(io::Error),
+}
+
+impl std::fmt::Display for MergeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MergeError::Input(i, e) => write!(f, "merge input {i}: {e}"),
+            MergeError::Output(e) => write!(f, "merge output: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
+
+/// What a [`merge_postings`] pass learned: the merged dictionary size of
+/// each field, in name order, and each input's document count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Merged {
+    pub term_counts: Vec<u64>,
+    pub docs: Vec<usize>,
+}
+
+/// Merges the blobs of consecutive segments — `inputs`, each a stream of
+/// the given length holding what [`encode_index_tail`] wrote — into the
+/// blob of their concatenation, written to `out` as it is produced.
+///
+/// The bytes are exactly `encode_index_tail` of the index that
+/// [`decode_segment`] + [`Index::merge_segment`] of the inputs in order
+/// would build, but no index is built: the inputs' dictionaries of each
+/// field are walked in step like sorted runs, and a term's postings are
+/// the inputs' postings concatenated — the first doc gap of each input
+/// rebased by the documents before it, the skip entries recomputed over
+/// the whole list — in one per-term buffer. Memory is one term's
+/// postings per input plus the inputs' external ids (checked for
+/// duplicates, as `merge_segment` checks them). Every input gets
+/// `decode_segment`'s checks, by the same code.
+///
+/// The format puts each field's term count before its terms, and the
+/// merged count is only known after them. With `term_counts` `None` the
+/// count is written *after* the terms instead — a pass into a byte
+/// counter, which needs only the length — and returned; a second pass
+/// given those counts writes the blob.
+pub fn merge_postings<R: BufRead>(
+    inputs: Vec<(R, u64)>,
+    template: &Index,
+    term_counts: Option<&[u64]>,
+    out: &mut impl Write,
+) -> Result<Merged, MergeError> {
+    let mut readers: Vec<Reader<R>> = inputs
+        .into_iter()
+        .map(|(src, len)| Reader::over(src, len))
+        .collect();
+    let input = |i: usize, readers: &mut [Reader<R>], e: CodecError| {
+        let e = readers[i]
+            .failed
+            .take()
+            .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidData, e));
+        MergeError::Input(i, e)
+    };
+    let mut record = Vec::new();
+    let mut emit = |record: &mut Vec<u8>| {
+        let written = out.write_all(record).map_err(MergeError::Output);
+        record.clear();
+        written
+    };
+
+    let mut docs = Vec::with_capacity(readers.len());
+    for i in 0..readers.len() {
+        docs.push(doc_count(&mut readers[i], template).map_err(|e| input(i, &mut readers, e))?);
+    }
+    let total: usize = docs.iter().sum();
+    varint::write_u64(&mut record, total as u64);
+    let mut ids = map_with_capacity(total);
+    for i in 0..readers.len() {
+        read_ids(&mut readers[i], docs[i], &mut ids, |id| {
+            varint::write_u64(&mut record, id.len() as u64);
+            record.extend_from_slice(id.as_bytes());
+        })
+        .map_err(|e| input(i, &mut readers, e))?;
+        emit(&mut record)?;
+    }
+    drop(ids);
+    for i in 0..readers.len() {
+        field_count(&mut readers[i], template).map_err(|e| input(i, &mut readers, e))?;
+    }
+    varint::write_u64(&mut record, template.fields.len() as u64);
+
+    let mut names: Vec<&str> = template.fields.keys().map(String::as_str).collect();
+    names.sort_unstable();
+    let mut counts = Vec::with_capacity(names.len());
+    let mut terms: Vec<Terms> = Vec::with_capacity(readers.len());
+    let bases: Vec<u64> = docs
+        .iter()
+        .scan(0u64, |base, &n| {
+            let at = *base;
+            *base += n as u64;
+            Some(at)
+        })
+        .collect();
+    let (mut blob, mut skips, mut positions) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut prev_term, mut holders) = (Vec::new(), Vec::new());
+    for (f, name) in names.iter().enumerate() {
+        varint::write_u64(&mut record, name.len() as u64);
+        record.extend_from_slice(name.as_bytes());
+        let prev = f.checked_sub(1).map(|p| names[p]);
+        for i in 0..readers.len() {
+            let r = &mut readers[i];
+            let read = field(r, template, prev).and_then(|_| {
+                for _ in 0..docs[i] {
+                    varint::write_u32(&mut record, r.u32("doc length")?);
+                }
+                Ok(())
+            });
+            read.map_err(|e| input(i, &mut readers, e))?;
+            emit(&mut record)?;
+        }
+        terms.clear();
+        for i in 0..readers.len() {
+            let begun = Terms::begin(&mut readers[i]).and_then(|mut t| {
+                t.next(&mut readers[i])?;
+                Ok(t)
+            });
+            terms.push(begun.map_err(|e| input(i, &mut readers, e))?);
+        }
+        if let Some(term_counts) = term_counts {
+            varint::write_u64(&mut record, term_counts[f]);
+        }
+
+        // Each round writes the smallest current term of any input, its
+        // postings gathered from every input holding it, in input order.
+        let mut count = 0u64;
+        prev_term.clear();
+        while let Some(first) = (0..terms.len())
+            .filter(|&i| terms[i].has)
+            .min_by(|&a, &b| terms[a].text.cmp(&terms[b].text))
+        {
+            holders.clear();
+            holders.extend((first..terms.len()).filter(|&i| {
+                terms[i].has && terms[i].text == terms[first].text
+            }));
+            let (mut n, mut prev_doc) = (0usize, 0u64);
+            blob.clear();
+            skips.clear();
+            for &i in &holders {
+                let t = &terms[i];
+                positions.clear();
+                t.walk(docs[i], &mut positions, |posting| {
+                    let doc = bases[i] + u64::from(posting.doc);
+                    if n > 0 && n % SKIP_INTERVAL == 0 {
+                        let doc = u32::try_from(doc).map_err(|_| err("merged doc id overflows u32"))?;
+                        skips.push((doc, blob.len() as u64));
+                    }
+                    // Only an input's first gap changes: the rest are
+                    // already relative to the posting before them.
+                    varint::write_u64(&mut blob, if n == 0 { doc } else { doc - prev_doc });
+                    blob.extend_from_slice(&t.blob[posting.gap_end..posting.end]);
+                    (n, prev_doc) = (n + 1, doc);
+                    Ok(())
+                })
+                .map_err(|e| input(i, &mut readers, e))?;
+            }
+            let text = &terms[first].text;
+            let shared = text.iter().zip(&prev_term).take_while(|(a, b)| a == b).count();
+            varint::write_u64(&mut record, shared as u64);
+            varint::write_u64(&mut record, (text.len() - shared) as u64);
+            record.extend_from_slice(&text[shared..]);
+            prev_term.clone_from(text);
+            varint::write_u64(&mut record, n as u64);
+            varint::write_u64(&mut record, skips.len() as u64);
+            for &(doc, offset) in &skips {
+                varint::write_u32(&mut record, doc);
+                varint::write_u64(&mut record, offset);
+            }
+            varint::write_u64(&mut record, blob.len() as u64);
+            record.extend_from_slice(&blob);
+            emit(&mut record)?;
+            count += 1;
+            for &i in &holders {
+                terms[i].next(&mut readers[i]).map_err(|e| input(i, &mut readers, e))?;
+            }
+        }
+        match term_counts {
+            None => varint::write_u64(&mut record, count),
+            Some(term_counts) if term_counts[f] != count => {
+                return Err(MergeError::Output(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "a field's term count differs between the passes",
+                )))
+            }
+            Some(_) => {}
+        }
+        counts.push(count);
+    }
+    for i in 0..readers.len() {
+        if readers[i].left() != 0 {
+            return Err(input(i, &mut readers, err("trailing bytes after last field")));
+        }
+    }
+    emit(&mut record)?;
+    Ok(Merged {
+        term_counts: counts,
+        docs,
     })
 }
 
@@ -557,7 +937,7 @@ mod tests {
 
     /// A fixed pseudo-random corpus: lists long enough for skip entries,
     /// repeated words (multi-position postings) and empty documents.
-    fn golden_corpus() -> Index {
+    fn golden_docs() -> Vec<(String, String, String)> {
         const WORDS: &str = "fever cough amiodarone toxicity pulmonary patient myocarditis \
             echocardiogram admission resolved chest pain troponin elevated biopsy confirmed \
             sarcoidosis prednisone dyspnea recurrent";
@@ -569,20 +949,86 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
+        (0..300)
+            .map(|i| {
+                let words: Vec<&str> = (0..next() % 24)
+                    .map(|_| vocabulary[next() % vocabulary.len()])
+                    .collect();
+                (format!("pmid:{i}"), format!("case {i}"), words.join(" "))
+            })
+            .collect()
+    }
+
+    fn index_of(docs: &[(String, String, String)]) -> Index {
         let mut idx = Index::clinical();
-        for i in 0..300 {
-            let words: Vec<&str> = (0..next() % 24)
-                .map(|_| vocabulary[next() % vocabulary.len()])
-                .collect();
-            let text = words.join(" ");
-            let title = format!("case {i}");
-            idx.add_document(
-                &format!("pmid:{i}"),
-                &[("title", &title), ("body", &text), ("body_ngram", &text)],
-            )
-            .unwrap();
+        for (id, title, text) in docs {
+            idx.add_document(id, &[("title", title), ("body", text), ("body_ngram", text)])
+                .unwrap();
         }
         idx
+    }
+
+    fn golden_corpus() -> Index {
+        index_of(&golden_docs())
+    }
+
+    /// Both passes of [`merge_postings`] over in-memory blobs: the
+    /// counting pass's counts, then the blob the second pass writes.
+    fn merged(blobs: &[&[u8]]) -> Result<Vec<u8>, MergeError> {
+        let template = Index::clinical();
+        let inputs = || blobs.iter().map(|b| (*b, b.len() as u64)).collect();
+        let shape = merge_postings(inputs(), &template, None, &mut io::sink())?;
+        let mut out = Vec::new();
+        let again = merge_postings(inputs(), &template, Some(&shape.term_counts), &mut out)?;
+        assert_eq!(again, shape, "the passes disagree");
+        Ok(out)
+    }
+
+    /// Merging the blobs of consecutive document ranges writes the blob
+    /// of the whole range — with skip boundaries inside later inputs,
+    /// one-document and empty inputs.
+    #[test]
+    fn merged_blobs_equal_the_blob_of_the_concatenation() {
+        let docs = golden_docs();
+        let whole = encode_index_tail(&index_of(&docs), 0);
+        for cuts in [
+            &[0, 300][..],
+            &[0, 1, 300],
+            &[0, 100, 200, 250, 300],
+            &[0, 128, 129, 300],
+            &[0, 299, 300],
+            &[0, 0, 150, 150, 300],
+        ] {
+            let blobs: Vec<Vec<u8>> = cuts
+                .windows(2)
+                .map(|w| encode_index_tail(&index_of(&docs[w[0]..w[1]]), 0))
+                .collect();
+            let inputs: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
+            assert!(merged(&inputs).unwrap() == whole, "cuts {cuts:?}");
+        }
+        assert_eq!(merged(&[]).unwrap(), encode_index_tail(&Index::clinical(), 0));
+    }
+
+    #[test]
+    fn merge_refuses_what_decode_and_merge_segment_refuse() {
+        let docs = golden_docs();
+        let (a, b) = (
+            encode_index_tail(&index_of(&docs[..10]), 0),
+            encode_index_tail(&index_of(&docs[10..20]), 0),
+        );
+        // The same ids twice: `merge_segment` refuses the second input.
+        match merged(&[&a, &b, &a]) {
+            Err(MergeError::Input(2, e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("{other:?}"),
+        }
+        let mut padded = b.clone();
+        padded.push(0);
+        assert!(matches!(merged(&[&a, &padded]), Err(MergeError::Input(1, _))));
+        assert!(matches!(merged(&[&a[..a.len() - 1], &b]), Err(MergeError::Input(0, _))));
+        // A pass given counts the inputs do not have fails.
+        let template = Index::clinical();
+        let wrong = merge_postings(vec![(&a[..], a.len() as u64)], &template, Some(&[0, 0, 0]), &mut io::sink());
+        assert!(matches!(wrong, Err(MergeError::Output(_))));
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {

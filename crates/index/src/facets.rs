@@ -242,25 +242,24 @@ impl FacetIndex {
     /// `(field, value)` entries, no empty run) — a blob that decodes
     /// re-encodes through `encode_tail(0)` to the same bytes.
     pub fn decode(bytes: &[u8]) -> Result<FacetIndex, FacetCodecError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let num_docs = r.u32("doc count")?;
         // An entry takes its tag, its value's length, its id count and
         // at least one id.
         let entries = r.count(4, "entry count")?;
-        let mut runs = BTreeMap::new();
-        let mut prev: Option<(FacetField, &str)> = None;
+        let mut runs: BTreeMap<(FacetField, String), Arc<Vec<u32>>> = BTreeMap::new();
+        let mut scratch = Vec::new();
         for _ in 0..entries {
-            let tag = *bytes
-                .get(r.pos)
-                .ok_or_else(|| FacetCodecError("truncated field tag".into()))?;
-            r.pos += 1;
+            let tag = r.byte("field tag")?;
             let field = FacetField::from_tag(tag)
                 .ok_or_else(|| FacetCodecError(format!("unknown field tag {tag}")))?;
-            let value = r.utf8("value")?;
-            if prev.is_some_and(|prev| (field, value) <= prev) {
+            let value = r.utf8("value", &mut scratch)?;
+            if runs
+                .last_key_value()
+                .is_some_and(|((f, v), _)| (field, value) <= (*f, v.as_str()))
+            {
                 return Err(FacetCodecError("entries out of order".into()));
             }
-            prev = Some((field, value));
             let n = r.count(1, "id count")?;
             if n == 0 {
                 return Err(FacetCodecError("empty run".into()));
@@ -281,7 +280,7 @@ impl FacetIndex {
             }
             runs.insert((field, value.to_string()), Arc::new(ids));
         }
-        if r.pos != bytes.len() {
+        if r.left() != 0 {
             return Err(FacetCodecError("trailing bytes".into()));
         }
         Ok(FacetIndex { num_docs, runs })

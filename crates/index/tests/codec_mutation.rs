@@ -6,9 +6,15 @@
 //! own bytes — never a panic, and never a reservation beyond a small
 //! multiple of the input length (the counts in the blob are untrusted).
 //!
+//! The postings mutants also go through the streaming merge compaction
+//! runs, merged with a valid blob of other documents (on either side
+//! of it): it must refuse exactly the mutants
+//! that `decode_segment` + `merge_segment` refuse, and write what
+//! `encode_index_tail` writes of the index those two build for the rest.
+//!
 //! Its own test binary because it installs a global allocator.
 
-use create_index::codec::{decode_segment, encode_index_tail, SKIP_INTERVAL};
+use create_index::codec::{decode_segment, encode_index_tail, merge_postings, SKIP_INTERVAL};
 use create_index::facets::{FacetField, FacetIndex, ALL_FACET_FIELDS};
 use create_index::Index;
 use create_util::Rng;
@@ -59,7 +65,7 @@ static ALLOCATOR: MaxRequest = MaxRequest;
 /// document, one list long enough for skip entries, and — as the blob's
 /// very last term — one that shares more bytes with its predecessor
 /// than the input has left.
-fn valid_blob() -> Vec<u8> {
+fn valid_blob(id_prefix: &str) -> Vec<u8> {
     const TEXTS: &[&str] = &[
         "Fever and cough persisted; fever recurred with fever spikes.",
         "Amiodarone-induced pulmonary toxicity was confirmed.",
@@ -80,7 +86,7 @@ fn valid_blob() -> Vec<u8> {
             _ => "1",
         };
         idx.add_document(
-            &format!("pmid:{i}"),
+            &format!("{id_prefix}:{i}"),
             &[("title", title), ("body", body), ("body_ngram", ngram)],
         )
         .unwrap();
@@ -149,14 +155,14 @@ fn mutate(rng: &mut Rng, blob: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Runs the mutants of `blob` through `decode` and, for those it
-/// accepts, `reencode` (which also gets the failure label to panic
-/// with).
+/// Runs the mutants of `blob` through `decode`, then hands each mutant
+/// and what `decode` made of it to `check` (with the failure label to
+/// panic with).
 fn fuzz<D>(
     what: &str,
     blob: &[u8],
     decode: impl Fn(&[u8]) -> Option<D>,
-    reencode: impl Fn(D, &str) -> Vec<u8>,
+    check: impl Fn(&[u8], Option<D>, &str),
 ) {
     let mut accepted = 0u32;
     for i in 0..=MUTANTS {
@@ -179,13 +185,8 @@ fn fuzz<D>(
             "{label}: one request of {reserved} bytes for {} input bytes",
             mutant.len()
         );
-        if let Some(decoded) = decoded {
-            assert!(
-                reencode(decoded, &label) == mutant,
-                "{label}: accepted blob re-encodes to different bytes"
-            );
-            accepted += 1;
-        }
+        accepted += u32::from(decoded.is_some());
+        check(&mutant, decoded, &label);
     }
     println!("{accepted} of {MUTANTS} {what} mutants accepted");
     // The valid blob and the many value-only mutations (a position, a doc
@@ -197,27 +198,82 @@ fn fuzz<D>(
     );
 }
 
-/// One test for both blobs: they share the allocator's high-water mark.
+/// `check` for a codec: an accepted blob re-encodes to its own bytes.
+fn round_trips<D>(reencode: impl Fn(D, &str) -> Vec<u8>) -> impl Fn(&[u8], Option<D>, &str) {
+    move |mutant, decoded, label| {
+        if let Some(decoded) = decoded {
+            assert!(
+                reencode(decoded, label) == mutant,
+                "{label}: accepted blob re-encodes to different bytes"
+            );
+        }
+    }
+}
+
+/// A postings mutant with `other`: after it when the mutant's length is
+/// odd, before it when even — so both positions are fuzzed, and the pair
+/// is a function of the mutant alone.
+fn pair<'a>(mutant: &'a [u8], other: &'a [u8]) -> [&'a [u8]; 2] {
+    if mutant.len() % 2 == 1 {
+        [other, mutant]
+    } else {
+        [mutant, other]
+    }
+}
+
+/// One test for every blob: they share the allocator's high-water mark.
 #[test]
 fn mutated_blobs_decode_to_err_or_round_trip() {
     println!("codec_mutation seed {SEED:#x}");
     let template = Index::clinical();
+    let valid = valid_blob("pmid");
     fuzz(
         "postings",
-        &valid_blob(),
+        &valid,
         |mutant| decode_segment(mutant, &template).ok(),
-        |segment, label| {
+        round_trips(|segment, label| {
             let mut rebuilt = Index::clinical();
             rebuilt
                 .merge_segment(segment)
                 .unwrap_or_else(|e| panic!("{label}: merge refused: {e}"));
             encode_index_tail(&rebuilt, 0)
-        },
+        }),
     );
     fuzz(
         "facets",
         &valid_facet_blob(),
         |mutant| FacetIndex::decode(mutant).ok(),
-        |facets, _| facets.encode_tail(0),
+        round_trips(|facets: FacetIndex, _| facets.encode_tail(0)),
+    );
+    let other = valid_blob("other");
+    fuzz(
+        "merged postings",
+        &valid,
+        |mutant| {
+            let inputs = || pair(mutant, &other).map(|b| (b, b.len() as u64)).to_vec();
+            let counted = merge_postings(inputs(), &template, None, &mut std::io::sink()).ok()?;
+            let mut merged = Vec::new();
+            merge_postings(inputs(), &template, Some(&counted.term_counts), &mut merged).ok()?;
+            Some(merged)
+        },
+        |mutant, merged, label| {
+            let mut oracle = Index::clinical();
+            let built = pair(mutant, &other).into_iter().try_for_each(|blob| {
+                let segment = decode_segment(blob, &oracle).map_err(|e| e.to_string())?;
+                oracle.merge_segment(segment).map_err(|e| e.to_string())
+            });
+            match (merged, built) {
+                (Some(merged), Ok(())) => assert!(
+                    merged == encode_index_tail(&oracle, 0),
+                    "{label}: the merge wrote other bytes than decode + merge_segment + encode"
+                ),
+                (None, Err(_)) => {}
+                (merged, built) => panic!(
+                    "{label}: the merge {} but decode + merge_segment {}",
+                    if merged.is_some() { "accepted" } else { "refused" },
+                    if built.is_ok() { "accepted" } else { "refused" },
+                ),
+            }
+        },
     );
 }

@@ -110,46 +110,65 @@ impl std::error::Error for BlockCorrupt {}
 /// Decompresses a block produced by [`compress`] into exactly
 /// `uncompressed_len` bytes.
 pub fn decompress(block: &[u8], uncompressed_len: usize) -> Result<Vec<u8>, BlockCorrupt> {
+    let mut out = Vec::new();
+    decompress_into(block, uncompressed_len, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`] into `out`, replacing its contents (and reusing its
+/// allocation). The token stream is untrusted: every length is checked
+/// against what is left of `uncompressed_len` *before* anything is
+/// copied for it, so a hostile token costs no more than the block may
+/// hold.
+pub fn decompress_into(
+    block: &[u8],
+    uncompressed_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), BlockCorrupt> {
+    out.clear();
     let (&header, body) = block.split_first().ok_or(BlockCorrupt("empty block"))?;
     match header {
         RAW => {
             if body.len() != uncompressed_len {
                 return Err(BlockCorrupt("raw block length mismatch"));
             }
-            Ok(body.to_vec())
+            out.extend_from_slice(body);
         }
         COMPRESSED => {
-            let mut out = Vec::with_capacity(uncompressed_len);
+            out.reserve(uncompressed_len);
+            // The token's length, plus `extra`, if it fits what is left.
+            let length = |pos: &mut usize, out: &Vec<u8>, extra: u64, what| {
+                varint::read_u64(body, pos)
+                    .ok_or(BlockCorrupt(what))?
+                    .checked_add(extra)
+                    .and_then(|len| usize::try_from(len).ok())
+                    .filter(|&len| len <= uncompressed_len - out.len())
+                    .ok_or(BlockCorrupt("output overruns declared length"))
+            };
             let mut pos = 0usize;
             while pos < body.len() {
                 let tag = body[pos];
                 pos += 1;
                 match tag {
                     0x00 => {
-                        let len = varint::read_u64(body, &mut pos)
-                            .ok_or(BlockCorrupt("literal length"))?
-                            as usize
-                            + 1;
-                        let run = body
-                            .get(pos..pos + len)
+                        let len = length(&mut pos, out, 1, "literal length")?;
+                        let run = pos
+                            .checked_add(len)
+                            .and_then(|end| body.get(pos..end))
                             .ok_or(BlockCorrupt("literal run past end"))?;
                         out.extend_from_slice(run);
                         pos += len;
                     }
                     0x01 => {
-                        let len = varint::read_u64(body, &mut pos)
-                            .ok_or(BlockCorrupt("match length"))?
-                            as usize
-                            + MIN_MATCH;
+                        let len = length(&mut pos, out, MIN_MATCH as u64, "match length")?;
                         let dist = varint::read_u64(body, &mut pos)
-                            .ok_or(BlockCorrupt("match distance"))?
-                            as usize;
-                        if dist == 0 || dist > out.len() {
+                            .ok_or(BlockCorrupt("match distance"))?;
+                        if dist == 0 || dist > out.len() as u64 {
                             return Err(BlockCorrupt("match distance out of range"));
                         }
                         // Byte-at-a-time copy keeps overlapping
                         // (RLE-style) references correct.
-                        let start = out.len() - dist;
+                        let start = out.len() - dist as usize;
                         for k in 0..len {
                             let b = out[start + k];
                             out.push(b);
@@ -157,17 +176,14 @@ pub fn decompress(block: &[u8], uncompressed_len: usize) -> Result<Vec<u8>, Bloc
                     }
                     _ => return Err(BlockCorrupt("unknown token tag")),
                 }
-                if out.len() > uncompressed_len {
-                    return Err(BlockCorrupt("output overruns declared length"));
-                }
             }
             if out.len() != uncompressed_len {
                 return Err(BlockCorrupt("output shorter than declared length"));
             }
-            Ok(out)
         }
-        _ => Err(BlockCorrupt("unknown block header")),
+        _ => return Err(BlockCorrupt("unknown block header")),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -259,5 +275,46 @@ mod tests {
         let mut bad = packed.clone();
         bad[0] = 9;
         assert!(decompress(&bad, data.len()).is_err());
+    }
+
+    /// A block declaring `len` bytes: a 4-byte literal, then one match
+    /// token of length field `match_len` (the length is that plus 4).
+    fn hostile_match(match_len: u64) -> Vec<u8> {
+        let mut block = vec![COMPRESSED, 0x00, 3, b'a', b'b', b'c', b'd', 0x01];
+        varint::write_u64(&mut block, match_len);
+        block.push(4);
+        block
+    }
+
+    /// A 2^40-byte match in a block declaring 10 bytes: refused before a
+    /// byte of it is copied (it used to copy until memory ran out).
+    #[test]
+    fn a_match_longer_than_the_declared_length_is_refused_before_copying() {
+        let block = hostile_match(1 << 40);
+        assert_eq!(
+            decompress(&block, 10),
+            Err(BlockCorrupt("output overruns declared length"))
+        );
+        // The largest match that still fits is accepted.
+        assert_eq!(decompress(&hostile_match(2), 10).unwrap(), b"abcdabcdab");
+    }
+
+    /// `u64::MAX` lengths overflowed `+ 1` / `+ MIN_MATCH` and `pos +
+    /// len` (a panic in a debug build); they are corruption.
+    #[test]
+    fn u64_max_token_lengths_are_corrupt_not_overflows() {
+        assert!(decompress(&hostile_match(u64::MAX), 10).is_err());
+        let mut literal = vec![COMPRESSED, 0x00];
+        varint::write_u64(&mut literal, u64::MAX);
+        literal.push(b'x');
+        assert!(decompress(&literal, 10).is_err());
+        // A literal run that fits the declared length but not the block.
+        let mut short = vec![COMPRESSED, 0x00];
+        varint::write_u64(&mut short, 8);
+        short.push(b'x');
+        assert_eq!(
+            decompress(&short, 10),
+            Err(BlockCorrupt("literal run past end"))
+        );
     }
 }

@@ -39,8 +39,36 @@ fn tables() -> &'static [[u32; 256]; 8] {
 
 /// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::default();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A running CRC-32: [`crc32`] of everything passed to
+/// [`Crc32::update`], for input that arrives in pieces.
+#[derive(Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32(!0)
+    }
+}
+
+impl Crc32 {
+    /// Feeds the next bytes of the input.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.0 = advance(self.0, bytes);
+    }
+
+    /// The CRC of the input so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+fn advance(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = tables();
-    let mut crc = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes")) ^ crc;
@@ -57,7 +85,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -89,6 +117,17 @@ mod tests {
             for end in start..data.len() {
                 assert_eq!(crc32(&data[start..end]), scalar(&data[start..end]));
             }
+        }
+    }
+
+    #[test]
+    fn running_crc_equals_one_shot_at_every_split() {
+        let data: Vec<u8> = (0u32..100).map(|i| (i * 91 + 7) as u8).collect();
+        for split in 0..=data.len() {
+            let mut crc = Crc32::default();
+            crc.update(&data[..split]);
+            crc.update(&data[split..]);
+            assert_eq!(crc.finish(), crc32(&data), "split at {split}");
         }
     }
 

@@ -33,16 +33,30 @@
 //! rolled-back segment file without reading it fully. Files are written
 //! once, fsynced, and never modified.
 //!
+//! There is one implementation of the framing, in two streaming halves:
+//! [`SegmentWriter`] frames each region's content into blocks as they
+//! fill and keeps a running footer CRC, and [`SegmentReader`] checks the
+//! footer CRC in one pass over the file with a fixed buffer, then hands
+//! out each region as a [`RegionReader`] that decompresses one
+//! CRC-checked block at a time. Neither holds more than a block of any
+//! region, so compaction ([`copy_directory`], [`copy_stored`] and the
+//! postings merge in `create-index`) rewrites a shard in O(block)
+//! memory. [`read_segment`] / [`write_segment`] are the whole-file
+//! forms over the same two halves.
+//!
 //! The directory region lists `(ordinal, doc id)` apart from the
 //! payloads; [`read_segment`] joins the two back into [`StoredDoc`]s.
+//! Every count and length in a region is untrusted: it is checked
+//! against the bytes the region has left before anything is reserved or
+//! copied for it.
 
 use crate::block;
-use crate::checksum::crc32;
+use crate::checksum::{crc32, Crc32};
 use crate::StorageError;
 use create_util::varint;
 use std::fs::File;
-use std::io::Write;
-use std::path::Path;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"CSEG";
 const FOOTER_MAGIC: &[u8; 4] = b"GESC";
@@ -50,6 +64,11 @@ const FOOTER_MAGIC: &[u8; 4] = b"GESC";
 pub const FORMAT: u32 = 3;
 /// Maximum uncompressed bytes per block.
 pub const BLOCK_TARGET: usize = 256 * 1024;
+/// Regions per segment file.
+pub const REGIONS: usize = 4;
+/// The fewest bytes a block takes: two one-byte lengths, its CRC and the
+/// compressed body's header byte.
+const MIN_BLOCK_BYTES: u64 = 7;
 
 /// One document's durable record inside a segment: the global ingest
 /// ordinal, the external doc id, and an opaque payload (the same JSON
@@ -81,6 +100,15 @@ pub struct SegmentFileInfo {
     pub crc: u32,
 }
 
+/// The regions of a segment file, in file order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Region {
+    Directory,
+    Stored,
+    Postings,
+    Facets,
+}
+
 /// Serializes `data`, writes it to `path`, and fsyncs the file. The
 /// file only becomes live once the manifest names it.
 pub fn write_segment(path: &Path, data: &SegmentData) -> Result<SegmentFileInfo, StorageError> {
@@ -96,99 +124,14 @@ pub fn write_segment(path: &Path, data: &SegmentData) -> Result<SegmentFileInfo,
         varint::write_u64(&mut stored, doc.payload.len() as u64);
         stored.extend_from_slice(&doc.payload);
     }
-
-    let mut image = Vec::with_capacity(stored.len() / 2 + data.postings.len() / 2 + 64);
-    image.extend_from_slice(MAGIC);
-    image.extend_from_slice(&FORMAT.to_le_bytes());
-    write_region(&mut image, &directory);
-    write_region(&mut image, &stored);
-    write_region(&mut image, &data.postings);
-    write_region(&mut image, &data.facets);
-    let file_crc = crc32(&image);
-    image.extend_from_slice(&file_crc.to_le_bytes());
-    image.extend_from_slice(FOOTER_MAGIC);
-
-    let mut file = File::create(path).map_err(StorageError::io(path))?;
-    file.write_all(&image).map_err(StorageError::io(path))?;
-    file.sync_all().map_err(StorageError::io(path))?;
-    Ok(SegmentFileInfo {
-        bytes: image.len() as u64,
-        crc: file_crc,
-    })
-}
-
-fn write_region(out: &mut Vec<u8>, payload: &[u8]) {
-    let blocks: Vec<&[u8]> = if payload.is_empty() {
-        Vec::new()
-    } else {
-        payload.chunks(BLOCK_TARGET).collect()
-    };
-    varint::write_u64(out, blocks.len() as u64);
-    for chunk in blocks {
-        let packed = block::compress(chunk);
-        varint::write_u64(out, chunk.len() as u64);
-        varint::write_u64(out, packed.len() as u64);
-        out.extend_from_slice(&crc32(&packed).to_le_bytes());
-        out.extend_from_slice(&packed);
+    let regions = [&directory[..], &stored, &data.postings, &data.facets];
+    let mut out = SegmentWriter::create(path, regions.map(|content| content.len() as u64))?;
+    for content in regions {
+        out.next_region()
+            .and_then(|()| out.write_all(content))
+            .map_err(|e| out.error(e))?;
     }
-}
-
-/// Validated segment framing: the byte ranges of the regions, ready to
-/// be decompressed independently.
-struct Frame<'a> {
-    directory: Region<'a>,
-    stored: Region<'a>,
-    postings: Region<'a>,
-    facets: Region<'a>,
-}
-
-struct Region<'a> {
-    body: &'a [u8],
-    start: usize,
-}
-
-fn frame<'a>(path: &Path, bytes: &'a [u8]) -> Result<Frame<'a>, StorageError> {
-    let corrupt = |message: &str| StorageError::Corrupt {
-        path: path.to_path_buf(),
-        message: message.to_string(),
-    };
-    if bytes.len() < 8 + 8 || &bytes[0..4] != MAGIC {
-        return Err(corrupt("missing segment magic"));
-    }
-    let format = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if format != FORMAT {
-        return Err(corrupt(&format!("unsupported segment format {format}")));
-    }
-    let footer_at = bytes.len() - 8;
-    if &bytes[footer_at + 4..] != FOOTER_MAGIC {
-        return Err(corrupt("missing footer magic"));
-    }
-    let declared_crc =
-        u32::from_le_bytes(bytes[footer_at..footer_at + 4].try_into().expect("4 bytes"));
-    if crc32(&bytes[..footer_at]) != declared_crc {
-        return Err(corrupt("footer checksum mismatch"));
-    }
-
-    let body = &bytes[8..footer_at];
-    let mut pos = 0usize;
-    let mut next_region = || -> Result<Region<'a>, StorageError> {
-        let start = pos;
-        skip_region(body, &mut pos).map_err(|m| corrupt(m))?;
-        Ok(Region { body, start })
-    };
-    let directory = next_region()?;
-    let stored = next_region()?;
-    let postings = next_region()?;
-    let facets = next_region()?;
-    if pos != body.len() {
-        return Err(corrupt("trailing bytes after final region"));
-    }
-    Ok(Frame {
-        directory,
-        stored,
-        postings,
-        facets,
-    })
+    out.finish()
 }
 
 /// Reads and verifies a segment file end-to-end: footer CRC, per-block
@@ -197,105 +140,644 @@ fn frame<'a>(path: &Path, bytes: &'a [u8]) -> Result<Frame<'a>, StorageError> {
 /// manifest named it, so unlike a WAL tail, damage here is never an
 /// expected crash artifact.
 pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
-    let bytes = std::fs::read(path).map_err(StorageError::io(path))?;
-    let corrupt = |message: &str| StorageError::Corrupt {
-        path: path.to_path_buf(),
-        message: message.to_string(),
-    };
-    let regions = frame(path, &bytes)?;
-    let directory = decompress_region(&regions.directory).map_err(|m| corrupt(m))?;
-    let stored = decompress_region(&regions.stored).map_err(|m| corrupt(m))?;
-    let postings = decompress_region(&regions.postings).map_err(|m| corrupt(m))?;
-    let facets = decompress_region(&regions.facets).map_err(|m| corrupt(m))?;
-
-    let entries = parse_directory(&directory).map_err(|m| corrupt(m))?;
-    let mut docs = Vec::with_capacity(entries.len());
-    let mut at = 0usize;
-    for (ordinal, id) in entries {
-        let len = varint::read_u64(&stored, &mut at).ok_or_else(|| corrupt("doc payload length"))?
-            as usize;
-        let payload = stored
-            .get(at..at + len)
-            .ok_or_else(|| corrupt("doc payload past end"))?
-            .to_vec();
-        at += len;
-        docs.push(StoredDoc {
-            ordinal,
-            id,
-            payload,
-        });
-    }
-    if at != stored.len() {
-        return Err(corrupt("trailing bytes after stored docs"));
-    }
+    let segment = SegmentReader::open(path)?;
+    let docs = read_docs(&segment).map_err(|e| segment.error(e))?;
     Ok(SegmentData {
         docs,
-        postings,
-        facets,
+        postings: segment.read_region(Region::Postings)?,
+        facets: segment.read_region(Region::Facets)?,
     })
 }
 
-/// Parses the directory region into `(ordinal, doc id)` entries.
-fn parse_directory(directory: &[u8]) -> Result<Vec<(u64, String)>, &'static str> {
-    let mut at = 0usize;
-    let count = varint::read_u64(directory, &mut at).ok_or("doc count")? as usize;
-    let mut entries = Vec::with_capacity(count);
+/// Joins the directory and the stored payloads into documents.
+fn read_docs(segment: &SegmentReader) -> io::Result<Vec<StoredDoc>> {
+    let mut directory = Content::region(segment, Region::Directory);
+    let mut stored = Content::region(segment, Region::Stored);
+    let count = directory.doc_count()?;
+    // Not reserved for: the cap on `count` is in bytes of content, and
+    // a document here is larger than the two bytes it may take there.
+    let mut docs = Vec::new();
+    let mut id = Vec::new();
     for _ in 0..count {
-        let ordinal = varint::read_u64(directory, &mut at).ok_or("doc ordinal")?;
-        let id_len = varint::read_u64(directory, &mut at).ok_or("doc id length")? as usize;
-        let id_bytes = directory.get(at..at + id_len).ok_or("doc id past end")?;
-        at += id_len;
-        let id = std::str::from_utf8(id_bytes)
-            .map_err(|_| "doc id not utf-8")?
-            .to_string();
-        entries.push((ordinal, id));
+        let ordinal = directory.entry(&mut id)?;
+        let len = stored.count(1, "doc payload length")?;
+        let mut payload = Vec::with_capacity(len as usize);
+        stored.copy(len, &mut payload)?;
+        docs.push(StoredDoc {
+            ordinal,
+            id: String::from_utf8(std::mem::take(&mut id)).expect("checked by entry"),
+            payload,
+        });
     }
-    if at != directory.len() {
-        return Err("trailing bytes after directory");
-    }
-    Ok(entries)
+    directory.end("trailing bytes after directory")?;
+    stored.end("trailing bytes after stored docs")?;
+    Ok(docs)
 }
 
-/// Decompresses one region, verifying every block's CRC and length.
-fn decompress_region(region: &Region<'_>) -> Result<Vec<u8>, &'static str> {
-    let body = region.body;
-    let mut pos = region.start;
-    let mut out = Vec::new();
-    let blocks = varint::read_u64(body, &mut pos).ok_or("region block count")? as usize;
-    for _ in 0..blocks {
-        let uncompressed = varint::read_u64(body, &mut pos).ok_or("block uncompressed length")? as usize;
-        let compressed = varint::read_u64(body, &mut pos).ok_or("block compressed length")? as usize;
-        let crc_bytes = body.get(pos..pos + 4).ok_or("block checksum")?;
-        let declared = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        pos += 4;
-        let packed = body.get(pos..pos + compressed).ok_or("block past end")?;
-        pos += compressed;
-        if crc32(packed) != declared {
-            return Err("block checksum mismatch");
-        }
-        if uncompressed > BLOCK_TARGET {
-            return Err("block larger than target");
-        }
-        let unpacked =
-            block::decompress(packed, uncompressed).map_err(|_| "block decompression failed")?;
-        out.extend_from_slice(&unpacked);
-    }
-    Ok(out)
+/// The documents of one input of [`copy_directory`]: how many, and the
+/// first and last ordinal (both 0 when there are none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DocRange {
+    pub docs: u64,
+    pub min_ordinal: u64,
+    pub max_ordinal: u64,
 }
 
-/// Used by `frame` to find region boundaries without verifying content.
-fn skip_region(body: &[u8], pos: &mut usize) -> Result<(), &'static str> {
-    let blocks = varint::read_u64(body, pos).ok_or("region block count")? as usize;
-    for _ in 0..blocks {
-        let _ = varint::read_u64(body, pos).ok_or("block uncompressed length")?;
-        let compressed = varint::read_u64(body, pos).ok_or("block compressed length")? as usize;
-        *pos += 4; // block CRC
-        if body.get(*pos..*pos + compressed).is_none() {
-            return Err("block past end");
+/// Writes the directory region of the segment that concatenates
+/// `inputs`, in order, as `out`'s current region: the summed doc count,
+/// then every input's entries, each checked as [`read_segment`] checks
+/// it. Returns each input's documents.
+pub fn copy_directory(
+    inputs: &[SegmentReader],
+    out: &mut SegmentWriter,
+) -> Result<Vec<DocRange>, StorageError> {
+    let mut directories: Vec<Content<RegionReader<'_>>> = inputs
+        .iter()
+        .map(|segment| Content::region(segment, Region::Directory))
+        .collect();
+    let mut ranges = Vec::with_capacity(inputs.len());
+    for (segment, directory) in inputs.iter().zip(&mut directories) {
+        let docs = directory.doc_count().map_err(|e| segment.error(e))?;
+        ranges.push(DocRange {
+            docs,
+            min_ordinal: 0,
+            max_ordinal: 0,
+        });
+    }
+    let total = ranges.iter().map(|range| range.docs).sum();
+    put_varint(out, total).map_err(|e| out.error(e))?;
+    let (mut id, mut entry) = (Vec::new(), Vec::new());
+    for ((segment, directory), range) in inputs.iter().zip(&mut directories).zip(&mut ranges) {
+        for i in 0..range.docs {
+            let ordinal = directory.entry(&mut id).map_err(|e| segment.error(e))?;
+            if i == 0 {
+                range.min_ordinal = ordinal;
+            }
+            range.max_ordinal = ordinal;
+            entry.clear();
+            varint::write_u64(&mut entry, ordinal);
+            varint::write_u64(&mut entry, id.len() as u64);
+            entry.extend_from_slice(&id);
+            out.write_all(&entry).map_err(|e| out.error(e))?;
         }
-        *pos += compressed;
+        directory
+            .end("trailing bytes after directory")
+            .map_err(|e| segment.error(e))?;
+    }
+    Ok(ranges)
+}
+
+/// Writes the stored-fields region of the segment that concatenates
+/// `inputs` as `out`'s current region, one input at a time: each input's
+/// payloads, as many as its directory counted (`ranges`, from
+/// [`copy_directory`]), each checked as [`read_segment`] checks it.
+pub fn copy_stored(
+    inputs: &[SegmentReader],
+    ranges: &[DocRange],
+    out: &mut SegmentWriter,
+) -> Result<(), StorageError> {
+    let mut payload = Vec::new();
+    for (segment, range) in inputs.iter().zip(ranges) {
+        let mut stored = Content::region(segment, Region::Stored);
+        for _ in 0..range.docs {
+            let len = stored
+                .count(1, "doc payload length")
+                .map_err(|e| segment.error(e))?;
+            payload.clear();
+            stored
+                .copy(len, &mut payload)
+                .map_err(|e| segment.error(e))?;
+            put_varint(out, len)
+                .and_then(|()| out.write_all(&payload))
+                .map_err(|e| out.error(e))?;
+        }
+        stored
+            .end("trailing bytes after stored docs")
+            .map_err(|e| segment.error(e))?;
     }
     Ok(())
+}
+
+fn put_varint(out: &mut impl Write, value: u64) -> io::Result<()> {
+    let mut bytes = Vec::with_capacity(10);
+    varint::write_u64(&mut bytes, value);
+    out.write_all(&bytes)
+}
+
+/// Region content that contradicts itself, as the `io::Error` a
+/// [`RegionReader`] reports corruption with.
+fn corrupt(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// A region's content read front to back, with what is left of it
+/// known: the bound every count and length is checked against before
+/// anything is reserved or copied for it.
+struct Content<R> {
+    src: R,
+    left: u64,
+}
+
+impl<'a> Content<RegionReader<'a>> {
+    fn region(segment: &'a SegmentReader, which: Region) -> Self {
+        let src = segment.region(which);
+        let left = src.remaining();
+        Content { src, left }
+    }
+}
+
+impl<R: BufRead> Content<R> {
+    fn varint(&mut self, what: &str) -> io::Result<u64> {
+        match varint::read_u64_from(&mut self.src)? {
+            Some((value, len)) => {
+                self.left -= len as u64;
+                Ok(value)
+            }
+            None => Err(corrupt(what)),
+        }
+    }
+
+    /// A count of items that take at least `min_bytes` each of what is
+    /// left (a length is a count of one-byte items).
+    fn count(&mut self, min_bytes: u64, what: &str) -> io::Result<u64> {
+        let count = self.varint(what)?;
+        if count > self.left / min_bytes {
+            return Err(corrupt(&format!("{what} exceeds the region")));
+        }
+        Ok(count)
+    }
+
+    /// A directory's document count: an entry takes at least an ordinal
+    /// byte and an id-length byte.
+    fn doc_count(&mut self) -> io::Result<u64> {
+        self.count(2, "doc count")
+    }
+
+    /// A directory entry: its ordinal, with its UTF-8 id in `id`.
+    fn entry(&mut self, id: &mut Vec<u8>) -> io::Result<u64> {
+        let ordinal = self.varint("doc ordinal")?;
+        let len = self.count(1, "doc id length")?;
+        id.clear();
+        self.copy(len, id)?;
+        if std::str::from_utf8(id).is_err() {
+            return Err(corrupt("doc id not utf-8"));
+        }
+        Ok(ordinal)
+    }
+
+    /// Copies the next `len` bytes (checked by [`Content::count`]) to
+    /// `out`.
+    fn copy(&mut self, len: u64, out: &mut impl Write) -> io::Result<()> {
+        let copied = io::copy(&mut (&mut self.src).take(len), out)?;
+        if copied != len {
+            return Err(corrupt("region shorter than its blocks declare"));
+        }
+        self.left -= len;
+        Ok(())
+    }
+
+    fn end(&self, message: &str) -> io::Result<()> {
+        match self.left {
+            0 => Ok(()),
+            _ => Err(corrupt(message)),
+        }
+    }
+}
+
+/// Writes a segment file one region at a time, framing each region's
+/// content into blocks as they fill. The regions' content lengths are
+/// given up front — they are the leading block counts — and the writer
+/// holds back at most one block of content.
+///
+/// A *counting* writer ([`SegmentWriter::counting`]) writes nothing: it
+/// measures each region's content, which is how a caller that produces
+/// content in one streamed pass learns the lengths for the real one.
+pub struct SegmentWriter {
+    /// The file, when writing; `None` when counting.
+    file: Option<BufWriter<File>>,
+    path: PathBuf,
+    crc: Crc32,
+    bytes: u64,
+    /// Each region's content length: declared when writing, counted so
+    /// far when counting.
+    lens: [u64; REGIONS],
+    /// Regions begun; the current one is `begun - 1`.
+    begun: usize,
+    /// Content the current region still expects.
+    left: u64,
+    /// The current block's content.
+    block: Vec<u8>,
+}
+
+impl SegmentWriter {
+    /// Creates the file at `path` for regions of exactly `lens` content
+    /// bytes each, in [`Region`] order.
+    pub fn create(path: &Path, lens: [u64; REGIONS]) -> Result<SegmentWriter, StorageError> {
+        let file = File::create(path).map_err(StorageError::io(path))?;
+        let largest = lens.iter().copied().max().unwrap_or(0);
+        let mut writer = SegmentWriter {
+            file: Some(BufWriter::new(file)),
+            path: path.to_path_buf(),
+            crc: Crc32::default(),
+            bytes: 0,
+            lens,
+            begun: 0,
+            left: 0,
+            block: Vec::with_capacity(largest.min(BLOCK_TARGET as u64) as usize),
+        };
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&FORMAT.to_le_bytes());
+        writer.emit(&header).map_err(|e| writer.error(e))?;
+        Ok(writer)
+    }
+
+    /// A writer that only counts each region's content.
+    pub fn counting() -> SegmentWriter {
+        SegmentWriter {
+            file: None,
+            path: PathBuf::new(),
+            crc: Crc32::default(),
+            bytes: 0,
+            lens: [0; REGIONS],
+            begun: 0,
+            left: 0,
+            block: Vec::new(),
+        }
+    }
+
+    /// The content lengths of the regions (what a counting writer
+    /// counted).
+    pub fn region_lens(&self) -> [u64; REGIONS] {
+        self.lens
+    }
+
+    /// Ends the current region, which must be complete, and begins the
+    /// next.
+    pub fn next_region(&mut self) -> io::Result<()> {
+        if self.begun == REGIONS || self.left > 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "segment region begun before the previous one was complete",
+            ));
+        }
+        self.begun += 1;
+        if self.file.is_some() {
+            self.left = self.lens[self.begun - 1];
+            let mut count = Vec::new();
+            varint::write_u64(&mut count, self.left.div_ceil(BLOCK_TARGET as u64));
+            self.emit(&count)?;
+        }
+        Ok(())
+    }
+
+    /// A failure writing this file, naming it.
+    pub fn error(&self, e: io::Error) -> StorageError {
+        StorageError::Io {
+            path: self.path.clone(),
+            source: e,
+        }
+    }
+
+    fn emit(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc.update(bytes);
+        self.bytes += bytes.len() as u64;
+        self.file.as_mut().expect("writing").write_all(bytes)
+    }
+
+    fn emit_block(&mut self) -> io::Result<()> {
+        let packed = block::compress(&self.block);
+        let mut header = Vec::with_capacity(24);
+        varint::write_u64(&mut header, self.block.len() as u64);
+        varint::write_u64(&mut header, packed.len() as u64);
+        header.extend_from_slice(&crc32(&packed).to_le_bytes());
+        self.emit(&header)?;
+        self.emit(&packed)?;
+        self.block.clear();
+        Ok(())
+    }
+
+    /// Writes the footer and fsyncs the file. Every region must be
+    /// complete.
+    pub fn finish(mut self) -> Result<SegmentFileInfo, StorageError> {
+        if self.begun != REGIONS || self.left > 0 {
+            return Err(self.error(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "segment finished before its last region was complete",
+            )));
+        }
+        let crc = self.crc.finish();
+        let mut footer = crc.to_le_bytes().to_vec();
+        footer.extend_from_slice(FOOTER_MAGIC);
+        self.emit(&footer).map_err(|e| self.error(e))?;
+        let file = self.file.take().expect("writing");
+        let file = file.into_inner().map_err(|e| self.error(e.into_error()))?;
+        file.sync_all().map_err(|e| self.error(e))?;
+        Ok(SegmentFileInfo {
+            bytes: self.bytes,
+            crc,
+        })
+    }
+}
+
+impl Write for SegmentWriter {
+    /// Appends to the current region's content.
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.begun == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "segment content written before the first region",
+            ));
+        }
+        if self.file.is_none() {
+            self.lens[self.begun - 1] += buf.len() as u64;
+            return Ok(buf.len());
+        }
+        if buf.len() as u64 > self.left {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "segment region content overruns its declared length",
+            ));
+        }
+        let n = buf.len().min(BLOCK_TARGET - self.block.len());
+        self.block.extend_from_slice(&buf[..n]);
+        self.left -= n as u64;
+        if self.block.len() == BLOCK_TARGET || self.left == 0 {
+            self.emit_block()?;
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Where a region's first block starts, how many there are, and the content
+/// they declare.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    at: u64,
+    blocks: u64,
+    len: u64,
+}
+
+/// An open, footer-verified segment file whose regions can be read as
+/// streams.
+pub struct SegmentReader {
+    path: PathBuf,
+    file: File,
+    regions: [Span; REGIONS],
+}
+
+impl SegmentReader {
+    /// Opens the file at `path` and verifies what does not need a
+    /// region's content: magic, format, the footer CRC over the whole
+    /// file (one pass, a fixed buffer) and the block framing of every
+    /// region. Block CRCs and content are checked as the regions are
+    /// read.
+    pub fn open(path: &Path) -> Result<SegmentReader, StorageError> {
+        let corrupt = |message: &str| StorageError::Corrupt {
+            path: path.to_path_buf(),
+            message: message.to_string(),
+        };
+        let mut file = File::open(path).map_err(StorageError::io(path))?;
+        let size = file.metadata().map_err(StorageError::io(path))?.len();
+        let mut header = [0u8; 8];
+        if size < 8 + 8 {
+            return Err(corrupt("missing segment magic"));
+        }
+        file.read_exact(&mut header).map_err(StorageError::io(path))?;
+        if &header[0..4] != MAGIC {
+            return Err(corrupt("missing segment magic"));
+        }
+        let format = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        if format != FORMAT {
+            return Err(corrupt(&format!("unsupported segment format {format}")));
+        }
+        let end = size - 8;
+        let mut footer = [0u8; 8];
+        file.seek(SeekFrom::Start(end))
+            .and_then(|_| file.read_exact(&mut footer))
+            .map_err(StorageError::io(path))?;
+        if &footer[4..] != FOOTER_MAGIC {
+            return Err(corrupt("missing footer magic"));
+        }
+        let declared_crc = u32::from_le_bytes(footer[..4].try_into().expect("4 bytes"));
+        let mut crc = Crc32::default();
+        let mut buf = vec![0u8; 64 * 1024];
+        file.seek(SeekFrom::Start(0)).map_err(StorageError::io(path))?;
+        let mut left = end;
+        while left > 0 {
+            let chunk = &mut buf[..left.min(64 * 1024) as usize];
+            file.read_exact(chunk).map_err(StorageError::io(path))?;
+            crc.update(chunk);
+            left -= chunk.len() as u64;
+        }
+        if crc.finish() != declared_crc {
+            return Err(corrupt("footer checksum mismatch"));
+        }
+
+        file.seek(SeekFrom::Start(8)).map_err(StorageError::io(path))?;
+        let mut framing = BufReader::with_capacity(8 * 1024, &file);
+        let mut pos = 8u64;
+        let mut regions = [Span::default(); REGIONS];
+        for region in &mut regions {
+            *region = skip_region(&mut framing, &mut pos, end).map_err(|e| match e.kind() {
+                io::ErrorKind::InvalidData => corrupt(&e.to_string()),
+                _ => StorageError::Io {
+                    path: path.to_path_buf(),
+                    source: e,
+                },
+            })?;
+        }
+        if pos != end {
+            return Err(corrupt("trailing bytes after final region"));
+        }
+        drop(framing);
+        Ok(SegmentReader {
+            path: path.to_path_buf(),
+            file,
+            regions,
+        })
+    }
+
+    /// The file this reads.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// A stream of one region's content.
+    pub fn region(&self, which: Region) -> RegionReader<'_> {
+        let span = self.regions[which as usize];
+        RegionReader {
+            file: &self.file,
+            pos: span.at,
+            blocks: span.blocks,
+            left: span.len,
+            block: Vec::new(),
+            at: 0,
+            packed: Vec::new(),
+        }
+    }
+
+    /// One region's whole content.
+    pub fn read_region(&self, which: Region) -> Result<Vec<u8>, StorageError> {
+        let mut content = Vec::new();
+        self.region(which)
+            .read_to_end(&mut content)
+            .map_err(|e| self.error(e))?;
+        Ok(content)
+    }
+
+    /// A failure reading this file: corruption (`InvalidData`, as a
+    /// [`RegionReader`] reports it) or I/O, naming the file.
+    pub fn error(&self, e: io::Error) -> StorageError {
+        match e.kind() {
+            io::ErrorKind::InvalidData => StorageError::Corrupt {
+                path: self.path.clone(),
+                message: e.to_string(),
+            },
+            _ => StorageError::Io {
+                path: self.path.clone(),
+                source: e,
+            },
+        }
+    }
+}
+
+/// Walks one region's block headers from `*pos` (the framing stream's
+/// position), checking each against the bytes before `end`, and skips
+/// the blocks' bodies.
+fn skip_region(framing: &mut BufReader<&File>, pos: &mut u64, end: u64) -> io::Result<Span> {
+    let blocks = framing_varint(framing, pos, end, "region block count")?;
+    let at = *pos;
+    if blocks > (end - *pos) / MIN_BLOCK_BYTES {
+        return Err(corrupt("region block count exceeds the file"));
+    }
+    let mut len = 0u64;
+    for _ in 0..blocks {
+        let uncompressed = framing_varint(framing, pos, end, "block uncompressed length")?;
+        if uncompressed > BLOCK_TARGET as u64 {
+            return Err(corrupt("block larger than target"));
+        }
+        let compressed = framing_varint(framing, pos, end, "block compressed length")?;
+        // `compress` never adds more than its header byte.
+        if compressed > uncompressed + 1 || compressed + 4 > end - *pos {
+            return Err(corrupt("block past end"));
+        }
+        framing.seek_relative(4 + compressed as i64)?;
+        *pos += 4 + compressed;
+        len += uncompressed;
+    }
+    Ok(Span { at, blocks, len })
+}
+
+fn framing_varint(
+    framing: &mut BufReader<&File>,
+    pos: &mut u64,
+    end: u64,
+    what: &str,
+) -> io::Result<u64> {
+    match varint::read_u64_from(framing)? {
+        Some((value, len)) if *pos + len as u64 <= end => {
+            *pos += len as u64;
+            Ok(value)
+        }
+        _ => Err(corrupt(what)),
+    }
+}
+
+/// One region's content as a stream, one CRC-checked block in memory
+/// at a time. Corruption is an `io::Error` of kind `InvalidData`.
+pub struct RegionReader<'a> {
+    file: &'a File,
+    /// The next block's header.
+    pos: u64,
+    /// Blocks not yet loaded.
+    blocks: u64,
+    /// Content not yet consumed.
+    left: u64,
+    block: Vec<u8>,
+    /// Consumed bytes of `block`.
+    at: usize,
+    packed: Vec<u8>,
+}
+
+impl RegionReader<'_> {
+    /// Content bytes not yet read.
+    pub fn remaining(&self) -> u64 {
+        self.left
+    }
+
+    fn load(&mut self) -> io::Result<()> {
+        let mut header = [0u8; 24];
+        let got = read_at(self.file, self.pos, &mut header)?;
+        let header = &header[..got];
+        let mut at = 0;
+        let uncompressed = varint::read_u64(header, &mut at)
+            .filter(|&len| len <= BLOCK_TARGET as u64)
+            .ok_or_else(|| corrupt("block uncompressed length"))?;
+        let compressed = varint::read_u64(header, &mut at)
+            .filter(|&len| len <= uncompressed + 1)
+            .ok_or_else(|| corrupt("block compressed length"))?;
+        let declared = header
+            .get(at..at + 4)
+            .ok_or_else(|| corrupt("block checksum"))?;
+        let declared = u32::from_le_bytes(declared.try_into().expect("4 bytes"));
+        let body = self.pos + at as u64 + 4;
+        self.packed.resize(compressed as usize, 0);
+        if read_at(self.file, body, &mut self.packed)? != self.packed.len() {
+            return Err(corrupt("block past end"));
+        }
+        if crc32(&self.packed) != declared {
+            return Err(corrupt("block checksum mismatch"));
+        }
+        block::decompress_into(&self.packed, uncompressed as usize, &mut self.block)
+            .map_err(|_| corrupt("block decompression failed"))?;
+        self.pos = body + compressed;
+        self.blocks -= 1;
+        self.at = 0;
+        Ok(())
+    }
+}
+
+/// Reads into `buf` from offset `at` until it is full or the file ends.
+fn read_at(mut file: &File, at: u64, buf: &mut [u8]) -> io::Result<usize> {
+    file.seek(SeekFrom::Start(at))?;
+    let mut got = 0;
+    while got < buf.len() {
+        match file.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+impl Read for RegionReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(buf.len());
+        buf[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for RegionReader<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        while self.at == self.block.len() && self.blocks > 0 {
+            self.load()?;
+        }
+        Ok(&self.block[self.at..])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.at += n;
+        self.left -= n as u64;
+    }
 }
 
 #[cfg(test)]
@@ -406,5 +888,164 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes `regions` as a segment file's region contents, framed with
+    /// valid block and footer CRCs, whatever they hold.
+    fn framed(path: &Path, regions: [&[u8]; REGIONS]) {
+        let mut out = SegmentWriter::create(path, regions.map(|r| r.len() as u64)).unwrap();
+        for content in regions {
+            out.next_region().unwrap();
+            out.write_all(content).unwrap();
+        }
+        out.finish().unwrap();
+    }
+
+    fn assert_corrupt(path: &Path, what: &str) {
+        match read_segment(path) {
+            Err(StorageError::Corrupt { message, .. }) => println!("{what}: {message}"),
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    /// A directory declaring 2^40 documents behind valid CRCs: refused,
+    /// not reserved for (it aborted on a 32 TiB allocation).
+    #[test]
+    fn a_directory_count_past_the_region_is_corrupt() {
+        let path = temp_path("hugecount");
+        let mut directory = Vec::new();
+        varint::write_u64(&mut directory, 1 << 40);
+        framed(&path, [&directory, b"", b"", b""]);
+        assert_corrupt(&path, "2^40 docs");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `u64::MAX` id and payload lengths overflowed `at + len` (a panic
+    /// in a debug build); they are corruption.
+    #[test]
+    fn u64_max_id_and_payload_lengths_are_corrupt() {
+        let path = temp_path("hugelens");
+        // One doc, ordinal 0, an id of u64::MAX bytes.
+        let mut directory = vec![1, 0];
+        varint::write_u64(&mut directory, u64::MAX);
+        framed(&path, [&directory, b"", b"", b""]);
+        assert_corrupt(&path, "id length");
+        // One doc with id "a" whose payload claims u64::MAX bytes.
+        let mut stored = Vec::new();
+        varint::write_u64(&mut stored, u64::MAX);
+        framed(&path, [&[1, 0, 1, b'a'], &stored, b"", b""]);
+        assert_corrupt(&path, "payload length");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A block whose compressed length is `u64::MAX`, with a valid footer
+    /// CRC: `pos + compressed` overflowed (a panic in a debug build).
+    #[test]
+    fn a_u64_max_compressed_length_is_corrupt() {
+        let path = temp_path("hugeblock");
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&FORMAT.to_le_bytes());
+        // Directory region: one block of 1 byte, compressed u64::MAX.
+        image.extend_from_slice(&[1, 1]);
+        varint::write_u64(&mut image, u64::MAX);
+        image.extend_from_slice(&crc32(&[0, 0]).to_le_bytes());
+        image.extend_from_slice(&[0, 0, 0, 0, 0, 0]);
+        let crc = crc32(&image);
+        image.extend_from_slice(&crc.to_le_bytes());
+        image.extend_from_slice(FOOTER_MAGIC);
+        std::fs::write(&path, &image).unwrap();
+        assert_corrupt(&path, "compressed length");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A counting writer measures what a writer given those lengths
+    /// frames into the bytes `write_segment` writes.
+    #[test]
+    fn counted_lengths_frame_the_same_bytes() {
+        let path = temp_path("counted");
+        let data = sample(30);
+        let info = write_segment(&path, &data).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        let segment = SegmentReader::open(&path).unwrap();
+        let regions = [Region::Directory, Region::Stored, Region::Postings, Region::Facets]
+            .map(|which| segment.read_region(which).unwrap());
+        let mut counter = SegmentWriter::counting();
+        for content in &regions {
+            counter.next_region().unwrap();
+            // In uneven pieces, as a merge writes.
+            for piece in content.chunks(7) {
+                counter.write_all(piece).unwrap();
+            }
+        }
+        let copy = temp_path("counted-copy");
+        let mut out = SegmentWriter::create(&copy, counter.region_lens()).unwrap();
+        for content in &regions {
+            out.next_region().unwrap();
+            for piece in content.chunks(7) {
+                out.write_all(piece).unwrap();
+            }
+        }
+        let copied = out.finish().unwrap();
+        assert_eq!(std::fs::read(&copy).unwrap(), whole);
+        assert_eq!((copied.bytes, copied.crc), (info.bytes, info.crc));
+        // Content past a declared length, and a short last region, are
+        // refused.
+        let mut out = SegmentWriter::create(&copy, [1, 0, 0, 0]).unwrap();
+        out.next_region().unwrap();
+        assert!(out.write_all(b"ab").is_err());
+        let mut out = SegmentWriter::create(&copy, [1, 0, 0, 0]).unwrap();
+        out.next_region().unwrap();
+        assert!(out.next_region().is_err());
+        for file in [&path, &copy] {
+            std::fs::remove_file(file).unwrap();
+        }
+    }
+
+    /// Copying the directories and stored fields of several files, then
+    /// their postings and facets, writes the file one `write_segment` of
+    /// all their documents writes.
+    #[test]
+    fn copied_documents_equal_one_write_of_them_all() {
+        let all = sample(40);
+        let (mut paths, mut inputs) = (Vec::new(), Vec::new());
+        for (i, docs) in [&all.docs[..1], &all.docs[1..25], &all.docs[25..]].into_iter().enumerate() {
+            let path = temp_path(&format!("part{i}"));
+            let part = SegmentData {
+                docs: docs.to_vec(),
+                postings: all.postings.clone(),
+                facets: all.facets.clone(),
+            };
+            write_segment(&path, &part).unwrap();
+            inputs.push(SegmentReader::open(&path).unwrap());
+            paths.push(path);
+        }
+        let write = |out: &mut SegmentWriter| {
+            out.next_region().unwrap();
+            let ranges = copy_directory(&inputs, out).unwrap();
+            out.next_region().unwrap();
+            copy_stored(&inputs, &ranges, out).unwrap();
+            for content in [&all.postings, &all.facets] {
+                out.next_region().unwrap();
+                out.write_all(content).unwrap();
+            }
+            ranges
+        };
+        let mut counter = SegmentWriter::counting();
+        let ranges = write(&mut counter);
+        assert_eq!(
+            ranges.iter().map(|r| (r.docs, r.min_ordinal, r.max_ordinal)).collect::<Vec<_>>(),
+            [(1, 100, 100), (24, 101, 124), (15, 125, 139)]
+        );
+        let merged = temp_path("merged");
+        let mut out = SegmentWriter::create(&merged, counter.region_lens()).unwrap();
+        write(&mut out);
+        out.finish().unwrap();
+        let one = temp_path("one");
+        write_segment(&one, &all).unwrap();
+        assert_eq!(std::fs::read(&merged).unwrap(), std::fs::read(&one).unwrap());
+        drop(inputs);
+        for path in paths.iter().chain([&merged, &one]) {
+            std::fs::remove_file(path).unwrap();
+        }
     }
 }

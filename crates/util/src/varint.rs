@@ -64,6 +64,46 @@ pub fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
     u32::try_from(v).ok()
 }
 
+/// [`read_u64`] from a buffered stream: the value and the bytes it took,
+/// `None` where `read_u64` would say it (the stream ends inside the
+/// integer, or it does not fit a `u64`). An integer that straddles the
+/// end of the stream's buffer is read a byte at a time.
+#[inline]
+pub fn read_u64_from(r: &mut impl std::io::BufRead) -> std::io::Result<Option<(u64, usize)>> {
+    let buf = r.fill_buf()?;
+    let mut pos = 0;
+    if let Some(value) = read_u64(buf, &mut pos) {
+        r.consume(pos);
+        return Ok(Some((value, pos)));
+    }
+    // Ten bytes hold any valid encoding, so `None` from that many is a
+    // verdict, not a buffer boundary.
+    if buf.len() >= 10 {
+        return Ok(None);
+    }
+    let mut bytes = [0u8; 10];
+    let mut len = 0;
+    while len < bytes.len() {
+        let Some(&byte) = r.fill_buf()?.first() else {
+            return Ok(None);
+        };
+        r.consume(1);
+        bytes[len] = byte;
+        len += 1;
+        if byte < 0x80 {
+            break;
+        }
+    }
+    let mut pos = 0;
+    Ok(read_u64(&bytes[..len], &mut pos).map(|value| (value, len)))
+}
+
+/// Bytes [`write_u64`] takes for `v`.
+#[inline]
+pub fn len_u64(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +130,33 @@ mod tests {
             assert_eq!(read_u64(&buf, &mut pos), Some(v), "value {v}");
         }
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn stream_reads_agree_with_slice_reads_across_buffer_boundaries() {
+        let values = [0u64, 0x7f, 0x80, 0x3fff, u32::MAX as u64, u64::MAX];
+        let mut buf = Vec::new();
+        for &v in &values {
+            write_u64(&mut buf, v);
+            assert_eq!(len_u64(v), {
+                let mut one = Vec::new();
+                write_u64(&mut one, v);
+                one.len()
+            });
+        }
+        // A two-byte buffer splits every multi-byte integer.
+        let mut r = std::io::BufReader::with_capacity(2, &buf[..]);
+        for &v in &values {
+            assert_eq!(read_u64_from(&mut r).unwrap(), Some((v, len_u64(v))));
+        }
+        assert_eq!(read_u64_from(&mut r).unwrap(), None, "end of stream");
+        let mut truncated = std::io::BufReader::with_capacity(3, &buf[buf.len() - 10..buf.len() - 1]);
+        assert_eq!(read_u64_from(&mut truncated).unwrap(), None);
+        let overflow = [0xffu8; 11];
+        for capacity in [2, 64] {
+            let mut r = std::io::BufReader::with_capacity(capacity, &overflow[..]);
+            assert_eq!(read_u64_from(&mut r).unwrap(), None, "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -40,7 +40,14 @@
 //!   plus a copy of the ten hits) and for the whole request through
 //!   `Router::dispatch`. With a parse memo, a plan-keyed hit cache and a
 //!   body memo in a row, `search_with_policy` made 33–36 and the request
-//!   62–66.
+//!   62–66;
+//! * (g) a compacting `flush()` on a disk-backed one-shard instance —
+//!   the reports sealed by a first flush, two 2-document batches flushed
+//!   after it, then a third whose flush reaches the fourth segment and
+//!   compacts — needs a heap high-water mark above what was live when
+//!   it started that does not grow with the shard: the same bound at
+//!   250, 500 and 1000 reports. Decoding the shard into a scratch index
+//!   took 14.1 / 24.1 / 43.5 MB — more than the whole loaded system.
 
 use create::annotate::case_report_to_brat;
 use create::core::graph_build::{GraphBuilder, ReportMeta};
@@ -62,6 +69,13 @@ struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// The most bytes live at once since it was last reset.
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+fn add_live(bytes: isize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded to `System` with its arguments
 // unchanged, so `System`'s guarantees are this allocator's; the only
@@ -69,7 +83,7 @@ static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        add_live(layout.size() as isize);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -82,10 +96,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
+        add_live(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from `System` through this allocator and the
         // caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -131,6 +142,12 @@ const HIT_HITS_BUDGET: usize = 14;
 /// handler's are two (the key and the body's copy into the response)
 /// and the rest the router's trace id, spans and headers.
 const HIT_REQUEST_BUDGET: usize = 34;
+/// Shard sizes, in reports, of the compacting flushes of (g).
+const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
+/// Heap a compacting flush may hold above what was live when it began,
+/// at any shard size: a block of each input and of the output, one
+/// term's postings, the shard's ids and its facets.
+const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Repeats of the warmed query per measured call.
 const HIT_REPEATS: usize = 40;
 
@@ -318,6 +335,21 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
             "a cache-hit {what} made {made} allocations, budget {budget}"
         );
     }
+    // (g) the heap a compacting flush needs, at three shard sizes.
+    let corpus = Generator::new(CorpusConfig {
+        num_reports: COMPACT_SIZES[2] + 6,
+        seed: 20261015,
+        ..Default::default()
+    })
+    .generate();
+    let compaction_peaks: Vec<isize> = COMPACT_SIZES
+        .iter()
+        .map(|&size| compaction_peak(&corpus[..size + 6]))
+        .collect();
+    println!(
+        "a compacting flush at {COMPACT_SIZES:?} reports: heap high-water {compaction_peaks:?} bytes \
+         above the live bytes before it"
+    );
     assert!(
         submit_allocations <= SUBMIT_BUDGET,
         "a 2-document submit made {submit_allocations} allocations, budget {SUBMIT_BUDGET}"
@@ -346,4 +378,59 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
             "the {what} holds {held} live bytes but heap_bytes() says {counted} ({ratio:.3}x)"
         );
     }
+    for (size, peak) in COMPACT_SIZES.iter().zip(&compaction_peaks) {
+        assert!(
+            *peak <= COMPACTION_HEAP_BUDGET,
+            "a compacting flush at {size} reports reached {peak} bytes above its start, \
+             budget {COMPACTION_HEAP_BUDGET}"
+        );
+    }
+}
+
+/// Seals all but the last six of `reports` into a fresh disk-backed
+/// one-shard instance, then the rest two at a time, flushing after each;
+/// the last flush compacts. Its heap high-water mark above the bytes
+/// live before it.
+fn compaction_peak(reports: &[create::corpus::CaseReport]) -> isize {
+    let dir = std::env::temp_dir().join(format!(
+        "create-alloc-compact-{}-{}",
+        std::process::id(),
+        reports.len()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let system = Create::open(
+        &dir,
+        CreateConfig {
+            shards: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (bulk, small) = reports.split_at(reports.len() - 6);
+    system.ingest_gold_batch(bulk, 1).unwrap();
+    system.flush().unwrap();
+    let mut peak = 0;
+    for (i, pair) in small.chunks(2).enumerate() {
+        system.ingest_gold_batch(pair, 1).unwrap();
+        if i < 2 {
+            system.flush().unwrap();
+            continue;
+        }
+        let before = live_bytes();
+        PEAK_BYTES.store(before, Ordering::Relaxed);
+        system.flush().unwrap();
+        peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    }
+    let shard = dir.join(create::storage::STORAGE_DIR).join("shard-0");
+    let segments = std::fs::read_dir(&shard)
+        .unwrap()
+        .filter(|entry| {
+            let path = entry.as_ref().unwrap().path();
+            path.extension().is_some_and(|ext| ext == "seg")
+        })
+        .count();
+    assert_eq!(segments, 1, "the fourth flush compacts the shard");
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+    peak
 }
