@@ -887,12 +887,14 @@ impl Create {
     /// in-memory instances.
     pub fn flush(&self) -> Result<(), IngestError> {
         if self.flush_shards()? {
-            // A compaction decodes whole segments: tens of MiB of small
-            // short-lived objects on whichever thread took the call,
-            // which glibc then keeps in that thread's arena. Left there,
-            // resident memory grows by one such working set per thread
-            // that ever compacted, in an order the scheduler picks. The
-            // locks are released by now.
+            // The publishes between compactions copy what each write
+            // touches (ROADMAP item 1) on whichever worker took the
+            // call, and glibc keeps what those copies free in that
+            // thread's arena; left there, resident memory grows by one
+            // such working set per thread, in an order the scheduler
+            // picks. A compaction (which streams, holding a few blocks)
+            // is the point where trimming pays for its walk. The locks
+            // are released by now.
             create_util::release_free_heap();
         }
         Ok(())

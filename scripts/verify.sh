@@ -4,16 +4,19 @@
 # parallel_determinism, query_equivalence, shard_equivalence,
 # cohort_retrieval, crash_recovery, snapshot_stress, server_storm,
 # alloc_budget, end_to_end, trace_propagation, ... — and every crate's
-# unit and integration tests, the create-index codec and create-docstore
-# JSON mutation fuzzes among them) and the benchmark package's — then the
+# unit and integration tests, the create-index codec, create-storage
+# segment and create-docstore JSON mutation fuzzes among them) and the benchmark package's — then the
 # benchmark smoke (`create-benchmark all --quick`, every in-run check),
 # the server, trace and observability smoke checks, E4's ranking-ablation
 # quality cells (`exp_ir_vs_solr`, ~15 s: the BM25 default and TF-IDF
 # rows EXPERIMENTS.md quotes, exactly), the stripped
 # (`--no-default-features`) build, and the SIGKILL recovery smoke (a
 # sealed document, a `/submit` and a `/submit_batch` document in the WAL
-# tail; also asserts the data directory holds no JSONL copy). No step
-# gates on a timing: those are `benchmark/`'s. No network access required.
+# tail; also asserts the data directory holds no JSONL copy; then
+# `/submit_batch` + `/flush` rounds until every shard has compacted, a
+# second SIGKILL, and the same report count and `/search` body after
+# reopen). No step gates on a timing: those are `benchmark/`'s. No
+# network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -198,6 +201,39 @@ echo "$metrics" | grep -E '^create_recovery_replayed_records_total 2$' >/dev/nul
     echo "verify: FAIL — reopen did not replay exactly the two WAL-tail records" >&2
     exit 1
 }
+# Recovery through a compaction: /submit_batch + /flush rounds until
+# every shard has compacted (create_compaction_runs_total reaches the
+# shard count), then SIGKILL and reopen — the compacted segments must
+# serve the same report count and the same /search body.
+stat_of() { curl -fsS "$base/stats" | python3 -c "import json,sys; print(json.load(sys.stdin)['$1'])"; }
+shards="$(stat_of shards)"
+compactions=0
+for round in $(seq 1 12); do
+    docs=""
+    for n in 1 2 3 4 5 6; do
+        docs="$docs{\"id\": \"user:compact-$round-$n\", \"title\": \"Compaction case $round.$n\", \"text\": \"Recurrent fever and cough after round $round of chemotherapy.\", \"year\": 2023},"
+    done
+    curl -fsS -o /dev/null -X POST "$base/submit_batch" -d "{\"documents\": [${docs%,}]}"
+    curl -fsS -o /dev/null -X POST "$base/flush" -d ''
+    compactions="$(curl -fsS "$base/metrics" | awk '$1 == "create_compaction_runs_total" {print $2}')"
+    [ "${compactions:-0}" -ge "$shards" ] && break
+done
+if [ "${compactions:-0}" -lt "$shards" ]; then
+    echo "verify: FAIL — $compactions compaction runs for $shards shards after 12 flushes" >&2
+    exit 1
+fi
+reports_before="$(stat_of reports)"
+search_before="$(curl -fsS "$base/search?q=fever+and+cough&k=10")"
+kill -9 "$rest_pid"
+wait "$rest_pid" 2>/dev/null || true
+start_rest
+reports_after="$(stat_of reports)"
+search_after="$(curl -fsS "$base/search?q=fever+and+cough&k=10")"
+if [ "$reports_after" != "$reports_before" ] || [ "$search_after" != "$search_before" ]; then
+    echo "verify: FAIL — after $compactions compactions and a SIGKILL: $reports_after reports (was $reports_before), /search body equal: $([ "$search_after" = "$search_before" ] && echo yes || echo no)" >&2
+    exit 1
+fi
+echo "  $compactions compactions on $shards shards, reopened with $reports_after reports and the same /search body"
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 rest_pid=""
