@@ -319,7 +319,12 @@ pub(crate) fn load_segment(
     let data = segment::read_segment(path)?;
     let postings = codec::decode_segment(&data.postings, template).map_err(corrupt_at(path))?;
     let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
-    check_doc_counts(path, data.docs.len(), postings.num_docs(), facets.num_docs())?;
+    check_doc_counts(
+        path,
+        data.docs.len(),
+        postings.num_docs(),
+        facets.num_docs(),
+    )?;
     Ok((postings, facets, data.docs))
 }
 
@@ -381,12 +386,18 @@ pub(crate) fn compact_shard(
     }
     let file = segment_file_name(entry.next_segment_id);
     let mut out = SegmentWriter::create(&shard_dir.join(&file), counter.region_lens())?;
-    write_compacted(&inputs, template, &facets, Some(&counted.term_counts), &mut out)?;
+    write_compacted(
+        &inputs,
+        template,
+        &facets,
+        Some(&counted.term_counts),
+        &mut out,
+    )?;
     let info = out.finish()?;
 
     let filled = || counted.ranges.iter().filter(|range| range.docs > 0);
     let min_ordinal = filled().next().map_or(0, |range| range.min_ordinal);
-    let max_ordinal = filled().last().map_or(0, |range| range.max_ordinal);
+    let max_ordinal = filled().next_back().map_or(0, |range| range.max_ordinal);
     let count = counted.ranges.iter().map(|range| range.docs).sum();
     entry.segments = vec![SegmentMeta {
         file,

@@ -80,7 +80,7 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
     // Per-term scratch: the postings stream is encoded aside so skip
     // entries can carry byte offsets into it.
     let mut blob = Vec::new();
-    let mut skips: Vec<(u32, usize)> = Vec::new();
+    let mut skips: Vec<(u32, u64)> = Vec::new();
     for name in field_names {
         let fi = &index.fields[name];
         varint::write_u64(&mut out, name.len() as u64);
@@ -109,22 +109,13 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
         varint::write_u64(&mut out, terms.len() as u64);
         let mut prev_term = "";
         for (term, postings, cut) in terms {
-            let shared = common_prefix_len(prev_term, term);
-            varint::write_u64(&mut out, shared as u64);
-            let suffix = &term.as_bytes()[shared..];
-            varint::write_u64(&mut out, suffix.len() as u64);
-            out.extend_from_slice(suffix);
-            prev_term = term;
-
-            varint::write_u64(&mut out, (postings.len() - cut) as u64);
-
             blob.clear();
             skips.clear();
             let mut prev_doc: u64 = 0;
             for (i, (doc, positions)) in postings.iter_from(cut).enumerate() {
                 let local = (doc as usize - base) as u64;
                 if i > 0 && i % SKIP_INTERVAL == 0 {
-                    skips.push((local as u32, blob.len()));
+                    skips.push((local as u32, blob.len() as u64));
                 }
                 let gap = if i == 0 { local } else { local - prev_doc };
                 prev_doc = local;
@@ -132,29 +123,52 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
                 varint::write_u64(&mut blob, positions.len() as u64);
                 let mut prev_pos: u64 = 0;
                 for (j, &pos) in positions.iter().enumerate() {
-                    let delta = if j == 0 { pos as u64 } else { pos as u64 - prev_pos };
+                    let delta = if j == 0 {
+                        pos as u64
+                    } else {
+                        pos as u64 - prev_pos
+                    };
                     prev_pos = pos as u64;
                     varint::write_u64(&mut blob, delta);
                 }
             }
-            varint::write_u64(&mut out, skips.len() as u64);
-            for &(doc, offset) in &skips {
-                varint::write_u32(&mut out, doc);
-                varint::write_u64(&mut out, offset as u64);
-            }
-            varint::write_u64(&mut out, blob.len() as u64);
-            out.extend_from_slice(&blob);
+            let count = postings.len() - cut;
+            write_term(
+                &mut out,
+                prev_term.as_bytes(),
+                term.as_bytes(),
+                count,
+                &skips,
+                &blob,
+            );
+            prev_term = term;
         }
     }
     out
 }
 
-fn common_prefix_len(a: &str, b: &str) -> usize {
-    a.as_bytes()
-        .iter()
-        .zip(b.as_bytes())
-        .take_while(|(x, y)| x == y)
-        .count()
+/// Appends one dictionary entry: `term` front-coded against `prev`, its
+/// posting count, skip entries and postings stream.
+fn write_term(
+    out: &mut Vec<u8>,
+    prev: &[u8],
+    term: &[u8],
+    postings: usize,
+    skips: &[(u32, u64)],
+    blob: &[u8],
+) {
+    let shared = term.iter().zip(prev).take_while(|(a, b)| a == b).count();
+    varint::write_u64(out, shared as u64);
+    varint::write_u64(out, (term.len() - shared) as u64);
+    out.extend_from_slice(&term[shared..]);
+    varint::write_u64(out, postings as u64);
+    varint::write_u64(out, skips.len() as u64);
+    for &(doc, offset) in skips {
+        varint::write_u32(out, doc);
+        varint::write_u64(out, offset);
+    }
+    varint::write_u64(out, blob.len() as u64);
+    out.extend_from_slice(blob);
 }
 
 /// A bounds-checked read position in an untrusted stream of known
@@ -198,7 +212,17 @@ impl<R: BufRead> Reader<R> {
 
     /// A canonical LEB128 integer: the shortest encoding of its value,
     /// which is the only one the encoders write.
+    #[inline]
     pub(crate) fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
+        // Fast path: one-byte values dominate postings streams (doc gaps
+        // and position deltas are mostly below 128).
+        if let Ok(&[byte, ..]) = self.src.fill_buf() {
+            if byte < 0x80 && self.left > 0 {
+                self.src.consume(1);
+                self.left -= 1;
+                return Ok(u64::from(byte));
+            }
+        }
         match varint::read_u64_from(&mut self.src).map_err(|e| self.unreadable(e))? {
             Some((value, len)) if len as u64 <= self.left => {
                 self.left -= len as u64;
@@ -262,7 +286,11 @@ impl<R: BufRead> Reader<R> {
     }
 
     /// A length-prefixed UTF-8 string, read into `out`.
-    pub(crate) fn utf8<'o>(&mut self, what: &str, out: &'o mut Vec<u8>) -> Result<&'o str, CodecError> {
+    pub(crate) fn utf8<'o>(
+        &mut self,
+        what: &str,
+        out: &'o mut Vec<u8>,
+    ) -> Result<&'o str, CodecError> {
         self.run(what, out)?;
         std::str::from_utf8(out).map_err(|_| err(format!("{what} is not UTF-8")))
     }
@@ -400,7 +428,8 @@ impl Terms {
         }
         self.skips.clear();
         for _ in 0..skip_count {
-            self.skips.push((r.u32("skip doc")?, r.varint("skip offset")?));
+            self.skips
+                .push((r.u32("skip doc")?, r.varint("skip offset")?));
         }
         r.run("postings blob", &mut self.blob)?;
         self.left -= 1;
@@ -487,7 +516,9 @@ pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, Co
     let doc_count = doc_count(&mut r, template)?;
     let mut external_ids = Vec::with_capacity(doc_count);
     let mut id_map = map_with_capacity(doc_count);
-    read_ids(&mut r, doc_count, &mut id_map, |id| external_ids.push(id.to_string()))?;
+    read_ids(&mut r, doc_count, &mut id_map, |id| {
+        external_ids.push(id.to_string())
+    })?;
     field_count(&mut r, template)?;
 
     let mut fields: FxHashMap<String, FieldIndex> = map_with_capacity(template.fields.len());
@@ -686,9 +717,10 @@ pub fn merge_postings<R: BufRead>(
             .min_by(|&a, &b| terms[a].text.cmp(&terms[b].text))
         {
             holders.clear();
-            holders.extend((first..terms.len()).filter(|&i| {
-                terms[i].has && terms[i].text == terms[first].text
-            }));
+            holders.extend(
+                (first..terms.len())
+                    .filter(|&i| terms[i].has && terms[i].text == terms[first].text),
+            );
             let (mut n, mut prev_doc) = (0usize, 0u64);
             blob.clear();
             skips.clear();
@@ -698,7 +730,8 @@ pub fn merge_postings<R: BufRead>(
                 t.walk(docs[i], &mut positions, |posting| {
                     let doc = bases[i] + u64::from(posting.doc);
                     if n > 0 && n % SKIP_INTERVAL == 0 {
-                        let doc = u32::try_from(doc).map_err(|_| err("merged doc id overflows u32"))?;
+                        let doc =
+                            u32::try_from(doc).map_err(|_| err("merged doc id overflows u32"))?;
                         skips.push((doc, blob.len() as u64));
                     }
                     // Only an input's first gap changes: the rest are
@@ -711,23 +744,14 @@ pub fn merge_postings<R: BufRead>(
                 .map_err(|e| input(i, &mut readers, e))?;
             }
             let text = &terms[first].text;
-            let shared = text.iter().zip(&prev_term).take_while(|(a, b)| a == b).count();
-            varint::write_u64(&mut record, shared as u64);
-            varint::write_u64(&mut record, (text.len() - shared) as u64);
-            record.extend_from_slice(&text[shared..]);
+            write_term(&mut record, &prev_term, text, n, &skips, &blob);
             prev_term.clone_from(text);
-            varint::write_u64(&mut record, n as u64);
-            varint::write_u64(&mut record, skips.len() as u64);
-            for &(doc, offset) in &skips {
-                varint::write_u32(&mut record, doc);
-                varint::write_u64(&mut record, offset);
-            }
-            varint::write_u64(&mut record, blob.len() as u64);
-            record.extend_from_slice(&blob);
             emit(&mut record)?;
             count += 1;
             for &i in &holders {
-                terms[i].next(&mut readers[i]).map_err(|e| input(i, &mut readers, e))?;
+                terms[i]
+                    .next(&mut readers[i])
+                    .map_err(|e| input(i, &mut readers, e))?;
             }
         }
         match term_counts {
@@ -744,7 +768,11 @@ pub fn merge_postings<R: BufRead>(
     }
     for i in 0..readers.len() {
         if readers[i].left() != 0 {
-            return Err(input(i, &mut readers, err("trailing bytes after last field")));
+            return Err(input(
+                i,
+                &mut readers,
+                err("trailing bytes after last field"),
+            ));
         }
     }
     emit(&mut record)?;
@@ -762,7 +790,10 @@ mod tests {
     const DOCS: &[(&str, &str)] = &[
         ("pmid:1", "Fever and cough persisted for three days."),
         ("pmid:2", "The patient developed fever after admission."),
-        ("pmid:3", "Amiodarone-induced pulmonary toxicity was confirmed."),
+        (
+            "pmid:3",
+            "Amiodarone-induced pulmonary toxicity was confirmed.",
+        ),
         ("pmid:4", "Cough resolved; fever recurred on day five."),
         ("pmid:5", "Echocardiogram revealed myocarditis."),
         ("pmid:6", ""),
@@ -881,8 +912,11 @@ mod tests {
                 "patient {i} presented with fever cough and chest pain on day {}",
                 i % 9
             );
-            idx.add_document(&format!("pmid:{i}"), &[("body", &text), ("body_ngram", &text)])
-                .unwrap();
+            idx.add_document(
+                &format!("pmid:{i}"),
+                &[("body", &text), ("body_ngram", &text)],
+            )
+            .unwrap();
         }
         let blob = encode_index_tail(&idx, 0);
         assert!(
@@ -962,8 +996,11 @@ mod tests {
     fn index_of(docs: &[(String, String, String)]) -> Index {
         let mut idx = Index::clinical();
         for (id, title, text) in docs {
-            idx.add_document(id, &[("title", title), ("body", text), ("body_ngram", text)])
-                .unwrap();
+            idx.add_document(
+                id,
+                &[("title", title), ("body", text), ("body_ngram", text)],
+            )
+            .unwrap();
         }
         idx
     }
@@ -1006,7 +1043,10 @@ mod tests {
             let inputs: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
             assert!(merged(&inputs).unwrap() == whole, "cuts {cuts:?}");
         }
-        assert_eq!(merged(&[]).unwrap(), encode_index_tail(&Index::clinical(), 0));
+        assert_eq!(
+            merged(&[]).unwrap(),
+            encode_index_tail(&Index::clinical(), 0)
+        );
     }
 
     #[test]
@@ -1023,11 +1063,22 @@ mod tests {
         }
         let mut padded = b.clone();
         padded.push(0);
-        assert!(matches!(merged(&[&a, &padded]), Err(MergeError::Input(1, _))));
-        assert!(matches!(merged(&[&a[..a.len() - 1], &b]), Err(MergeError::Input(0, _))));
+        assert!(matches!(
+            merged(&[&a, &padded]),
+            Err(MergeError::Input(1, _))
+        ));
+        assert!(matches!(
+            merged(&[&a[..a.len() - 1], &b]),
+            Err(MergeError::Input(0, _))
+        ));
         // A pass given counts the inputs do not have fails.
         let template = Index::clinical();
-        let wrong = merge_postings(vec![(&a[..], a.len() as u64)], &template, Some(&[0, 0, 0]), &mut io::sink());
+        let wrong = merge_postings(
+            vec![(&a[..], a.len() as u64)],
+            &template,
+            Some(&[0, 0, 0]),
+            &mut io::sink(),
+        );
         assert!(matches!(wrong, Err(MergeError::Output(_))));
     }
 

@@ -270,7 +270,11 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
                 (None, Err(_)) => {}
                 (merged, built) => panic!(
                     "{label}: the merge {} but decode + merge_segment {}",
-                    if merged.is_some() { "accepted" } else { "refused" },
+                    if merged.is_some() {
+                        "accepted"
+                    } else {
+                        "refused"
+                    },
                     if built.is_ok() { "accepted" } else { "refused" },
                 ),
             }

@@ -236,7 +236,10 @@ mod tests {
         let mut rng = Rng::seed_from_u64(7);
         let data: Vec<u8> = (0..4096).map(|_| rng.below(256) as u8).collect();
         let packed = compress(&data);
-        assert!(packed.len() <= data.len() + 1, "raw fallback caps inflation");
+        assert!(
+            packed.len() <= data.len() + 1,
+            "raw fallback caps inflation"
+        );
         round_trip(&data);
     }
 

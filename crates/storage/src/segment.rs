@@ -151,8 +151,8 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
 
 /// Joins the directory and the stored payloads into documents.
 fn read_docs(segment: &SegmentReader) -> io::Result<Vec<StoredDoc>> {
-    let mut directory = Content::region(segment, Region::Directory);
-    let mut stored = Content::region(segment, Region::Stored);
+    let mut directory = segment.region(Region::Directory);
+    let mut stored = segment.region(Region::Stored);
     let count = directory.doc_count()?;
     // Not reserved for: the cap on `count` is in bytes of content, and
     // a document here is larger than the two bytes it may take there.
@@ -191,9 +191,9 @@ pub fn copy_directory(
     inputs: &[SegmentReader],
     out: &mut SegmentWriter,
 ) -> Result<Vec<DocRange>, StorageError> {
-    let mut directories: Vec<Content<RegionReader<'_>>> = inputs
+    let mut directories: Vec<RegionReader<'_>> = inputs
         .iter()
-        .map(|segment| Content::region(segment, Region::Directory))
+        .map(|segment| segment.region(Region::Directory))
         .collect();
     let mut ranges = Vec::with_capacity(inputs.len());
     for (segment, directory) in inputs.iter().zip(&mut directories) {
@@ -238,7 +238,7 @@ pub fn copy_stored(
 ) -> Result<(), StorageError> {
     let mut payload = Vec::new();
     for (segment, range) in inputs.iter().zip(ranges) {
-        let mut stored = Content::region(segment, Region::Stored);
+        let mut stored = segment.region(Region::Stored);
         for _ in 0..range.docs {
             let len = stored
                 .count(1, "doc payload length")
@@ -268,80 +268,6 @@ fn put_varint(out: &mut impl Write, value: u64) -> io::Result<()> {
 /// [`RegionReader`] reports corruption with.
 fn corrupt(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// A region's content read front to back, with what is left of it
-/// known: the bound every count and length is checked against before
-/// anything is reserved or copied for it.
-struct Content<R> {
-    src: R,
-    left: u64,
-}
-
-impl<'a> Content<RegionReader<'a>> {
-    fn region(segment: &'a SegmentReader, which: Region) -> Self {
-        let src = segment.region(which);
-        let left = src.remaining();
-        Content { src, left }
-    }
-}
-
-impl<R: BufRead> Content<R> {
-    fn varint(&mut self, what: &str) -> io::Result<u64> {
-        match varint::read_u64_from(&mut self.src)? {
-            Some((value, len)) => {
-                self.left -= len as u64;
-                Ok(value)
-            }
-            None => Err(corrupt(what)),
-        }
-    }
-
-    /// A count of items that take at least `min_bytes` each of what is
-    /// left (a length is a count of one-byte items).
-    fn count(&mut self, min_bytes: u64, what: &str) -> io::Result<u64> {
-        let count = self.varint(what)?;
-        if count > self.left / min_bytes {
-            return Err(corrupt(&format!("{what} exceeds the region")));
-        }
-        Ok(count)
-    }
-
-    /// A directory's document count: an entry takes at least an ordinal
-    /// byte and an id-length byte.
-    fn doc_count(&mut self) -> io::Result<u64> {
-        self.count(2, "doc count")
-    }
-
-    /// A directory entry: its ordinal, with its UTF-8 id in `id`.
-    fn entry(&mut self, id: &mut Vec<u8>) -> io::Result<u64> {
-        let ordinal = self.varint("doc ordinal")?;
-        let len = self.count(1, "doc id length")?;
-        id.clear();
-        self.copy(len, id)?;
-        if std::str::from_utf8(id).is_err() {
-            return Err(corrupt("doc id not utf-8"));
-        }
-        Ok(ordinal)
-    }
-
-    /// Copies the next `len` bytes (checked by [`Content::count`]) to
-    /// `out`.
-    fn copy(&mut self, len: u64, out: &mut impl Write) -> io::Result<()> {
-        let copied = io::copy(&mut (&mut self.src).take(len), out)?;
-        if copied != len {
-            return Err(corrupt("region shorter than its blocks declare"));
-        }
-        self.left -= len;
-        Ok(())
-    }
-
-    fn end(&self, message: &str) -> io::Result<()> {
-        match self.left {
-            0 => Ok(()),
-            _ => Err(corrupt(message)),
-        }
-    }
 }
 
 /// Writes a segment file one region at a time, framing each region's
@@ -546,7 +472,8 @@ impl SegmentReader {
         if size < 8 + 8 {
             return Err(corrupt("missing segment magic"));
         }
-        file.read_exact(&mut header).map_err(StorageError::io(path))?;
+        file.read_exact(&mut header)
+            .map_err(StorageError::io(path))?;
         if &header[0..4] != MAGIC {
             return Err(corrupt("missing segment magic"));
         }
@@ -565,7 +492,8 @@ impl SegmentReader {
         let declared_crc = u32::from_le_bytes(footer[..4].try_into().expect("4 bytes"));
         let mut crc = Crc32::default();
         let mut buf = vec![0u8; 64 * 1024];
-        file.seek(SeekFrom::Start(0)).map_err(StorageError::io(path))?;
+        file.seek(SeekFrom::Start(0))
+            .map_err(StorageError::io(path))?;
         let mut left = end;
         while left > 0 {
             let chunk = &mut buf[..left.min(64 * 1024) as usize];
@@ -577,7 +505,8 @@ impl SegmentReader {
             return Err(corrupt("footer checksum mismatch"));
         }
 
-        file.seek(SeekFrom::Start(8)).map_err(StorageError::io(path))?;
+        file.seek(SeekFrom::Start(8))
+            .map_err(StorageError::io(path))?;
         let mut framing = BufReader::with_capacity(8 * 1024, &file);
         let mut pos = 8u64;
         let mut regions = [Span::default(); REGIONS];
@@ -707,6 +636,55 @@ impl RegionReader<'_> {
     /// Content bytes not yet read.
     pub fn remaining(&self) -> u64 {
         self.left
+    }
+
+    fn varint(&mut self, what: &str) -> io::Result<u64> {
+        varint::read_u64_from(self)?
+            .map(|(value, _)| value)
+            .ok_or_else(|| corrupt(what))
+    }
+
+    /// A count of items that take at least `min_bytes` each of what is
+    /// left of the region (a length is a count of one-byte items).
+    fn count(&mut self, min_bytes: u64, what: &str) -> io::Result<u64> {
+        let count = self.varint(what)?;
+        if count > self.left / min_bytes {
+            return Err(corrupt(&format!("{what} exceeds the region")));
+        }
+        Ok(count)
+    }
+
+    /// A directory's document count: an entry takes at least an ordinal
+    /// byte and an id-length byte.
+    fn doc_count(&mut self) -> io::Result<u64> {
+        self.count(2, "doc count")
+    }
+
+    /// A directory entry: its ordinal, with its UTF-8 id in `id`.
+    fn entry(&mut self, id: &mut Vec<u8>) -> io::Result<u64> {
+        let ordinal = self.varint("doc ordinal")?;
+        let len = self.count(1, "doc id length")?;
+        id.clear();
+        self.copy(len, id)?;
+        if std::str::from_utf8(id).is_err() {
+            return Err(corrupt("doc id not utf-8"));
+        }
+        Ok(ordinal)
+    }
+
+    /// Copies the next `len` bytes (checked by [`RegionReader::count`])
+    /// to `out`.
+    fn copy(&mut self, len: u64, out: &mut impl Write) -> io::Result<()> {
+        // Every block decompressed to its declared length, so the region
+        // holds the `len` bytes the count was checked against.
+        io::copy(&mut self.by_ref().take(len), out).map(drop)
+    }
+
+    fn end(&self, message: &str) -> io::Result<()> {
+        match self.left {
+            0 => Ok(()),
+            _ => Err(corrupt(message)),
+        }
     }
 
     fn load(&mut self) -> io::Result<()> {
@@ -967,8 +945,13 @@ mod tests {
         let info = write_segment(&path, &data).unwrap();
         let whole = std::fs::read(&path).unwrap();
         let segment = SegmentReader::open(&path).unwrap();
-        let regions = [Region::Directory, Region::Stored, Region::Postings, Region::Facets]
-            .map(|which| segment.read_region(which).unwrap());
+        let regions = [
+            Region::Directory,
+            Region::Stored,
+            Region::Postings,
+            Region::Facets,
+        ]
+        .map(|which| segment.read_region(which).unwrap());
         let mut counter = SegmentWriter::counting();
         for content in &regions {
             counter.next_region().unwrap();
@@ -1008,7 +991,10 @@ mod tests {
     fn copied_documents_equal_one_write_of_them_all() {
         let all = sample(40);
         let (mut paths, mut inputs) = (Vec::new(), Vec::new());
-        for (i, docs) in [&all.docs[..1], &all.docs[1..25], &all.docs[25..]].into_iter().enumerate() {
+        for (i, docs) in [&all.docs[..1], &all.docs[1..25], &all.docs[25..]]
+            .into_iter()
+            .enumerate()
+        {
             let path = temp_path(&format!("part{i}"));
             let part = SegmentData {
                 docs: docs.to_vec(),
@@ -1033,7 +1019,10 @@ mod tests {
         let mut counter = SegmentWriter::counting();
         let ranges = write(&mut counter);
         assert_eq!(
-            ranges.iter().map(|r| (r.docs, r.min_ordinal, r.max_ordinal)).collect::<Vec<_>>(),
+            ranges
+                .iter()
+                .map(|r| (r.docs, r.min_ordinal, r.max_ordinal))
+                .collect::<Vec<_>>(),
             [(1, 100, 100), (24, 101, 124), (15, 125, 139)]
         );
         let merged = temp_path("merged");
@@ -1042,7 +1031,10 @@ mod tests {
         out.finish().unwrap();
         let one = temp_path("one");
         write_segment(&one, &all).unwrap();
-        assert_eq!(std::fs::read(&merged).unwrap(), std::fs::read(&one).unwrap());
+        assert_eq!(
+            std::fs::read(&merged).unwrap(),
+            std::fs::read(&one).unwrap()
+        );
         drop(inputs);
         for path in paths.iter().chain([&merged, &one]) {
             std::fs::remove_file(path).unwrap();

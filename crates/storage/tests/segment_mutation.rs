@@ -98,10 +98,7 @@ fn sealed_regions(scratch: &Path) -> [Vec<u8>; REGIONS] {
         ..Default::default()
     })
     .generate();
-    let config = CreateConfig {
-        shards: 1,
-        ..Default::default()
-    };
+    let config = CreateConfig { shards: 1 };
     let system = Create::open(&dir, config).expect("open a fresh directory");
     system.ingest_gold_batch(&reports, 1).expect("ingest");
     system.flush().expect("flush");
@@ -149,8 +146,8 @@ fn mutate(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
 /// Frames `regions` with `SegmentWriter`: valid block and footer CRCs
 /// whatever the content.
 fn frame(path: &Path, regions: &[Vec<u8>; REGIONS]) {
-    let mut out = SegmentWriter::create(path, regions.each_ref().map(|r| r.len() as u64))
-        .expect("create");
+    let mut out =
+        SegmentWriter::create(path, regions.each_ref().map(|r| r.len() as u64)).expect("create");
     for content in regions {
         out.next_region().expect("next region");
         out.write_all(content).expect("write");
@@ -263,7 +260,10 @@ fn mutated_segments_read_back_or_are_corrupt() {
     frame(&path, &regions);
     let original = read_segment(&path).expect("the valid segment reads");
     assert_eq!(original.docs.len(), REPORTS);
-    assert!(regions.iter().all(|r| r.len() < BLOCK_TARGET), "one block a region");
+    assert!(
+        regions.iter().all(|r| r.len() < BLOCK_TARGET),
+        "one block a region"
+    );
 
     // Content: the reader returns exactly what was framed, and the
     // documents read back by both parsers or by neither.
@@ -281,9 +281,17 @@ fn mutated_segments_read_back_or_are_corrupt() {
             let framed = read_regions(&path).expect("valid framing reads");
             let read = corrupt_or(label, read_segment(&path));
             let copied = corrupt_or(label, copy_documents(&path));
-            assert_eq!(read.is_some(), copied.is_some(), "{label}: the parsers disagree");
+            assert_eq!(
+                read.is_some(),
+                copied.is_some(),
+                "{label}: the parsers disagree"
+            );
             let Some(data) = read else { return false };
-            assert_eq!((&data.postings, &data.facets), (&framed[2], &framed[3]), "{label}");
+            assert_eq!(
+                (&data.postings, &data.facets),
+                (&framed[2], &framed[3]),
+                "{label}"
+            );
             if framed[..2] == regions[..2] {
                 assert_eq!(data.docs, original.docs, "{label}: other documents");
             }
@@ -300,7 +308,10 @@ fn mutated_segments_read_back_or_are_corrupt() {
     });
     frame(&path, &regions);
     let valid = assemble(&blocks);
-    assert!(std::fs::read(&path).unwrap() == valid, "assembled like the writer");
+    assert!(
+        std::fs::read(&path).unwrap() == valid,
+        "assembled like the writer"
+    );
     let block_mutants = fuzz(
         "block",
         &path,

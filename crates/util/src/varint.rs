@@ -150,7 +150,8 @@ mod tests {
             assert_eq!(read_u64_from(&mut r).unwrap(), Some((v, len_u64(v))));
         }
         assert_eq!(read_u64_from(&mut r).unwrap(), None, "end of stream");
-        let mut truncated = std::io::BufReader::with_capacity(3, &buf[buf.len() - 10..buf.len() - 1]);
+        let mut truncated =
+            std::io::BufReader::with_capacity(3, &buf[buf.len() - 10..buf.len() - 1]);
         assert_eq!(read_u64_from(&mut truncated).unwrap(), None);
         let overflow = [0xffu8; 11];
         for capacity in [2, 64] {
