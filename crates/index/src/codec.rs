@@ -31,6 +31,11 @@
 //! Skip entries record `(local doc id, byte offset)` every
 //! [`SKIP_INTERVAL`] postings so long lists can be entered mid-stream;
 //! the decoder also uses them as an integrity cross-check.
+//!
+//! [`merge_postings`] is compaction's form of the codec: it merges the
+//! blobs of consecutive segments, streamed, into the blob of their
+//! concatenation without decoding them into an index, through the same
+//! readers and checks as [`decode_segment`].
 
 use crate::index::{FieldIndex, Index};
 use crate::postings::PostingList;

@@ -270,6 +270,26 @@ fn corrupt(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
+/// A [`SegmentWriter`] used against its contract.
+fn misuse(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, message)
+}
+
+/// A failure reading the file at `path`: corruption (`InvalidData`) or
+/// I/O.
+fn read_error(path: &Path, e: io::Error) -> StorageError {
+    match e.kind() {
+        io::ErrorKind::InvalidData => StorageError::Corrupt {
+            path: path.to_path_buf(),
+            message: e.to_string(),
+        },
+        _ => StorageError::Io {
+            path: path.to_path_buf(),
+            source: e,
+        },
+    }
+}
+
 /// Writes a segment file one region at a time, framing each region's
 /// content into blocks as they fill. The regions' content lengths are
 /// given up front — they are the leading block counts — and the writer
@@ -300,17 +320,9 @@ impl SegmentWriter {
     /// bytes each, in [`Region`] order.
     pub fn create(path: &Path, lens: [u64; REGIONS]) -> Result<SegmentWriter, StorageError> {
         let file = File::create(path).map_err(StorageError::io(path))?;
+        let mut writer = SegmentWriter::new(Some(BufWriter::new(file)), path, lens);
         let largest = lens.iter().copied().max().unwrap_or(0);
-        let mut writer = SegmentWriter {
-            file: Some(BufWriter::new(file)),
-            path: path.to_path_buf(),
-            crc: Crc32::default(),
-            bytes: 0,
-            lens,
-            begun: 0,
-            left: 0,
-            block: Vec::with_capacity(largest.min(BLOCK_TARGET as u64) as usize),
-        };
+        writer.block = Vec::with_capacity(largest.min(BLOCK_TARGET as u64) as usize);
         let mut header = MAGIC.to_vec();
         header.extend_from_slice(&FORMAT.to_le_bytes());
         writer.emit(&header).map_err(|e| writer.error(e))?;
@@ -319,12 +331,16 @@ impl SegmentWriter {
 
     /// A writer that only counts each region's content.
     pub fn counting() -> SegmentWriter {
+        SegmentWriter::new(None, Path::new(""), [0; REGIONS])
+    }
+
+    fn new(file: Option<BufWriter<File>>, path: &Path, lens: [u64; REGIONS]) -> SegmentWriter {
         SegmentWriter {
-            file: None,
-            path: PathBuf::new(),
+            file,
+            path: path.to_path_buf(),
             crc: Crc32::default(),
             bytes: 0,
-            lens: [0; REGIONS],
+            lens,
             begun: 0,
             left: 0,
             block: Vec::new(),
@@ -341,8 +357,7 @@ impl SegmentWriter {
     /// next.
     pub fn next_region(&mut self) -> io::Result<()> {
         if self.begun == REGIONS || self.left > 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
+            return Err(misuse(
                 "segment region begun before the previous one was complete",
             ));
         }
@@ -386,8 +401,7 @@ impl SegmentWriter {
     /// complete.
     pub fn finish(mut self) -> Result<SegmentFileInfo, StorageError> {
         if self.begun != REGIONS || self.left > 0 {
-            return Err(self.error(io::Error::new(
-                io::ErrorKind::InvalidInput,
+            return Err(self.error(misuse(
                 "segment finished before its last region was complete",
             )));
         }
@@ -409,18 +423,14 @@ impl Write for SegmentWriter {
     /// Appends to the current region's content.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if self.begun == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "segment content written before the first region",
-            ));
+            return Err(misuse("segment content written before the first region"));
         }
         if self.file.is_none() {
             self.lens[self.begun - 1] += buf.len() as u64;
             return Ok(buf.len());
         }
         if buf.len() as u64 > self.left {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
+            return Err(misuse(
                 "segment region content overruns its declared length",
             ));
         }
@@ -452,6 +462,8 @@ struct Span {
 pub struct SegmentReader {
     path: PathBuf,
     file: File,
+    /// Where the footer starts.
+    end: u64,
     regions: [Span; REGIONS],
 }
 
@@ -511,13 +523,7 @@ impl SegmentReader {
         let mut pos = 8u64;
         let mut regions = [Span::default(); REGIONS];
         for region in &mut regions {
-            *region = skip_region(&mut framing, &mut pos, end).map_err(|e| match e.kind() {
-                io::ErrorKind::InvalidData => corrupt(&e.to_string()),
-                _ => StorageError::Io {
-                    path: path.to_path_buf(),
-                    source: e,
-                },
-            })?;
+            *region = skip_region(&mut framing, &mut pos, end).map_err(|e| read_error(path, e))?;
         }
         if pos != end {
             return Err(corrupt("trailing bytes after final region"));
@@ -526,6 +532,7 @@ impl SegmentReader {
         Ok(SegmentReader {
             path: path.to_path_buf(),
             file,
+            end,
             regions,
         })
     }
@@ -539,7 +546,7 @@ impl SegmentReader {
     pub fn region(&self, which: Region) -> RegionReader<'_> {
         let span = self.regions[which as usize];
         RegionReader {
-            file: &self.file,
+            segment: self,
             pos: span.at,
             blocks: span.blocks,
             left: span.len,
@@ -561,22 +568,12 @@ impl SegmentReader {
     /// A failure reading this file: corruption (`InvalidData`, as a
     /// [`RegionReader`] reports it) or I/O, naming the file.
     pub fn error(&self, e: io::Error) -> StorageError {
-        match e.kind() {
-            io::ErrorKind::InvalidData => StorageError::Corrupt {
-                path: self.path.clone(),
-                message: e.to_string(),
-            },
-            _ => StorageError::Io {
-                path: self.path.clone(),
-                source: e,
-            },
-        }
+        read_error(&self.path, e)
     }
 }
 
 /// Walks one region's block headers from `*pos` (the framing stream's
-/// position), checking each against the bytes before `end`, and skips
-/// the blocks' bodies.
+/// position) and skips the blocks' bodies.
 fn skip_region(framing: &mut BufReader<&File>, pos: &mut u64, end: u64) -> io::Result<Span> {
     let blocks = framing_varint(framing, pos, end, "region block count")?;
     let at = *pos;
@@ -585,15 +582,7 @@ fn skip_region(framing: &mut BufReader<&File>, pos: &mut u64, end: u64) -> io::R
     }
     let mut len = 0u64;
     for _ in 0..blocks {
-        let uncompressed = framing_varint(framing, pos, end, "block uncompressed length")?;
-        if uncompressed > BLOCK_TARGET as u64 {
-            return Err(corrupt("block larger than target"));
-        }
-        let compressed = framing_varint(framing, pos, end, "block compressed length")?;
-        // `compress` never adds more than its header byte.
-        if compressed > uncompressed + 1 || compressed + 4 > end - *pos {
-            return Err(corrupt("block past end"));
-        }
+        let (uncompressed, compressed) = block_header(framing, pos, end)?;
         framing.seek_relative(4 + compressed as i64)?;
         *pos += 4 + compressed;
         len += uncompressed;
@@ -601,8 +590,24 @@ fn skip_region(framing: &mut BufReader<&File>, pos: &mut u64, end: u64) -> io::R
     Ok(Span { at, blocks, len })
 }
 
+/// A block's declared uncompressed and compressed lengths, read from
+/// `*pos` and checked against the bytes before `end`; the CRC and the
+/// body follow.
+fn block_header(framing: &mut impl BufRead, pos: &mut u64, end: u64) -> io::Result<(u64, u64)> {
+    let uncompressed = framing_varint(framing, pos, end, "block uncompressed length")?;
+    if uncompressed > BLOCK_TARGET as u64 {
+        return Err(corrupt("block larger than target"));
+    }
+    let compressed = framing_varint(framing, pos, end, "block compressed length")?;
+    // `compress` never adds more than its header byte.
+    if compressed > uncompressed + 1 || compressed + 4 > end - *pos {
+        return Err(corrupt("block past end"));
+    }
+    Ok((uncompressed, compressed))
+}
+
 fn framing_varint(
-    framing: &mut BufReader<&File>,
+    framing: &mut impl BufRead,
     pos: &mut u64,
     end: u64,
     what: &str,
@@ -619,7 +624,7 @@ fn framing_varint(
 /// One region's content as a stream, one CRC-checked block in memory
 /// at a time. Corruption is an `io::Error` of kind `InvalidData`.
 pub struct RegionReader<'a> {
-    file: &'a File,
+    segment: &'a SegmentReader,
     /// The next block's header.
     pos: u64,
     /// Blocks not yet loaded.
@@ -688,50 +693,27 @@ impl RegionReader<'_> {
     }
 
     fn load(&mut self) -> io::Result<()> {
-        let mut header = [0u8; 24];
-        let got = read_at(self.file, self.pos, &mut header)?;
-        let header = &header[..got];
-        let mut at = 0;
-        let uncompressed = varint::read_u64(header, &mut at)
-            .filter(|&len| len <= BLOCK_TARGET as u64)
-            .ok_or_else(|| corrupt("block uncompressed length"))?;
-        let compressed = varint::read_u64(header, &mut at)
-            .filter(|&len| len <= uncompressed + 1)
-            .ok_or_else(|| corrupt("block compressed length"))?;
-        let declared = header
-            .get(at..at + 4)
-            .ok_or_else(|| corrupt("block checksum"))?;
-        let declared = u32::from_le_bytes(declared.try_into().expect("4 bytes"));
-        let body = self.pos + at as u64 + 4;
+        let mut file = &self.segment.file;
+        file.seek(SeekFrom::Start(self.pos))?;
+        // Small: the header is a few bytes, and the body is read past
+        // the buffer straight into `packed`.
+        let mut framing = BufReader::with_capacity(32, file);
+        let (uncompressed, compressed) =
+            block_header(&mut framing, &mut self.pos, self.segment.end)?;
+        let mut declared = [0u8; 4];
+        framing.read_exact(&mut declared)?;
         self.packed.resize(compressed as usize, 0);
-        if read_at(self.file, body, &mut self.packed)? != self.packed.len() {
-            return Err(corrupt("block past end"));
-        }
-        if crc32(&self.packed) != declared {
+        framing.read_exact(&mut self.packed)?;
+        if crc32(&self.packed) != u32::from_le_bytes(declared) {
             return Err(corrupt("block checksum mismatch"));
         }
         block::decompress_into(&self.packed, uncompressed as usize, &mut self.block)
             .map_err(|_| corrupt("block decompression failed"))?;
-        self.pos = body + compressed;
+        self.pos += 4 + compressed;
         self.blocks -= 1;
         self.at = 0;
         Ok(())
     }
-}
-
-/// Reads into `buf` from offset `at` until it is full or the file ends.
-fn read_at(mut file: &File, at: u64, buf: &mut [u8]) -> io::Result<usize> {
-    file.seek(SeekFrom::Start(at))?;
-    let mut got = 0;
-    while got < buf.len() {
-        match file.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
 }
 
 impl Read for RegionReader<'_> {
