@@ -120,7 +120,7 @@ pub fn decompress(block: &[u8], uncompressed_len: usize) -> Result<Vec<u8>, Bloc
 /// against what is left of `uncompressed_len` *before* anything is
 /// copied for it, so a hostile token costs no more than the block may
 /// hold.
-pub fn decompress_into(
+pub(crate) fn decompress_into(
     block: &[u8],
     uncompressed_len: usize,
     out: &mut Vec<u8>,

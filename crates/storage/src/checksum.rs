@@ -51,7 +51,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// A running CRC-32: [`crc32`] of everything passed to
 /// [`Crc32::update`], for input that arrives in pieces.
 #[derive(Clone, Copy)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Default for Crc32 {
     fn default() -> Crc32 {
@@ -61,12 +61,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// Feeds the next bytes of the input.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         self.0 = advance(self.0, bytes);
     }
 
     /// The CRC of the input so far.
-    pub fn finish(self) -> u32 {
+    pub(crate) fn finish(self) -> u32 {
         !self.0
     }
 }
