@@ -17,10 +17,7 @@ use std::time::Duration;
 
 fn main() {
     let reports = create_bench::corpus(30, 11);
-    let system = Arc::new(Create::new(CreateConfig {
-        shards: 2,
-        ..Default::default()
-    }));
+    let system = Arc::new(Create::new(CreateConfig { shards: 2 }));
     system.ingest_gold_batch(&reports, 0).expect("ingest");
 
     let server = Server::bind_with("127.0.0.1:0", build_api(system), ServerConfig::default())

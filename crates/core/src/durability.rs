@@ -271,7 +271,7 @@ pub(crate) fn seal_data(
         "facet index must cover every indexed doc at seal time"
     );
     let mut docs = Vec::with_capacity(num - base);
-    for local in base..num {
+    for (local, &ordinal) in (base..).zip(&ordinals[base..num]) {
         let id = index
             .external_id(local as u32)
             .ok_or("doc id out of range")?;
@@ -286,7 +286,7 @@ pub(crate) fn seal_data(
             extraction: extraction.as_deref(),
         });
         docs.push(StoredDoc {
-            ordinal: ordinals[local],
+            ordinal,
             id: id.to_string(),
             payload: payload.into_bytes(),
         });

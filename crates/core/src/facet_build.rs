@@ -161,8 +161,8 @@ mod tests {
         assert_eq!(age_band("63-year-old").as_deref(), Some("60-69"));
         assert_eq!(age_band("7").as_deref(), Some("0-9"));
         assert_eq!(age_band("104-year-old").as_deref(), Some("100-109"));
-        assert_eq!(age_band("year-old").is_none(), true);
-        assert_eq!(age_band("1234x").is_none(), true);
+        assert!(age_band("year-old").is_none());
+        assert!(age_band("1234x").is_none());
     }
 
     #[test]

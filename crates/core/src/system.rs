@@ -8,14 +8,17 @@
 //! per-shard apply work of a batch fans out across the pool with no
 //! cross-shard contention. Readers run against an immutable composite
 //! [`Snapshot`] — one `Arc` per shard — published through a single
-//! [`ArcCell`], so a publish clones only the touched shards' spines while
-//! reads stay lock-free and can never observe a torn mix of shard
-//! generations. Scatter-gather search (see [`crate::search`]) merges
-//! per-shard top-k lists under globally merged corpus statistics, so
-//! rankings are bit-identical for any shard count. The facade exposes the
-//! user-facing operations of the demo: ingest (gold corpus entries, raw
-//! text, or PDF submissions), CREATe-IR search with a merge policy,
-//! report/annotation retrieval, and Fig-7 visualization.
+//! [`ArcCell`]. A shard's writer holds the very `ShardSnapshot` it
+//! publishes, its tables behind `Arc`s: a publish bumps reference
+//! counts, and the first write after it copies the tables it touches
+//! (`Arc::make_mut`). Reads stay lock-free and can never observe a torn
+//! mix of shard generations. Scatter-gather search (see
+//! [`crate::search`]) merges per-shard top-k lists under globally merged
+//! corpus statistics, so rankings are bit-identical for any shard count.
+//! The facade exposes the user-facing operations of the demo: ingest
+//! (gold corpus entries, raw text, or PDF submissions), CREATe-IR search
+//! with a merge policy, report/annotation retrieval, and Fig-7
+//! visualization.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::durability::{self, corrupt_at, DocPayload, ReportFields, ShardStorage, StorageRoot};
@@ -26,7 +29,7 @@ use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
-use create_docstore::{json::obj, DocStore, Filter, StoreSnapshot, Value};
+use create_docstore::{json::obj, DocStore, Filter, Value};
 use create_graphdb::PropertyGraph;
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
 use create_index::facets::FacetIndex;
@@ -129,11 +132,16 @@ pub struct SystemStats {
     pub index_terms: usize,
 }
 
-/// One shard's immutable view at a single shard generation.
+/// One shard's state at a single shard generation: what its [`Writer`]
+/// holds and, cloned into an `Arc`, what a publish hands readers. The
+/// clone copies the document store's name map and bumps reference
+/// counts; the tables stay shared until a write copies them.
+#[derive(Clone)]
 pub(crate) struct ShardSnapshot {
-    /// This shard's write generation at publish time.
+    /// This shard's write generation, bumped by every write operation
+    /// that touches the shard.
     pub(crate) generation: u64,
-    pub(crate) store: StoreSnapshot,
+    pub(crate) store: DocStore,
     pub(crate) graph: Arc<PropertyGraph>,
     pub(crate) index: Arc<Index>,
     pub(crate) tagger: Option<Arc<CrfTagger>>,
@@ -194,23 +202,16 @@ impl Snapshot {
     }
 }
 
-/// The mutable half of one shard: owns its live stores and pipeline
-/// state. Exactly one write operation runs at a time (the facade's write
-/// gate is the serialization point); nothing reads these fields outside
-/// the shard's lock.
+/// The write half of one shard. Exactly one write operation runs at a
+/// time (the facade's write gate is the serialization point); nothing
+/// reads these fields outside the shard's lock.
 struct Writer {
-    store: DocStore,
-    graph: PropertyGraph,
+    /// The shard's state. After a publish its tables are shared with the
+    /// published snapshot, and every write reaches them through
+    /// `Arc::make_mut`, so the first write copies what it touches and
+    /// readers never see a change.
+    shard: ShardSnapshot,
     graph_builder: GraphBuilder,
-    index: Index,
-    tagger: Option<Arc<CrfTagger>>,
-    /// Bumped on every write operation touching this shard; copied into
-    /// the published shard snapshot.
-    generation: u64,
-    /// Shard-local internal doc id → global ingest ordinal.
-    ordinals: Vec<u64>,
-    /// Facet bitmaps, maintained in lockstep with the index doc ids.
-    facets: FacetIndex,
     /// Durable state (WAL + sealed segments) — `None` for in-memory
     /// instances, which skip the log entirely.
     storage: Option<ShardStorage>,
@@ -257,14 +258,16 @@ impl Writer {
         ];
         for (collection, text) in docs {
             if let Some(text) = text {
-                self.store.insert_serialized(collection, fields.id, text);
+                self.shard
+                    .store
+                    .insert_serialized(collection, fields.id, text);
             }
         }
         {
             let _span =
                 Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
             self.graph_builder.add_report(
-                &mut self.graph,
+                Arc::make_mut(&mut self.shard.graph),
                 ontology,
                 &ReportMeta {
                     report_id: fields.id.to_string(),
@@ -275,7 +278,7 @@ impl Writer {
                 annotations,
             );
         }
-        self.ordinals.push(ordinal);
+        Arc::make_mut(&mut self.shard.ordinals).push(ordinal);
     }
 
     /// Merges a segment's postings and its facet twin at the shard's
@@ -285,9 +288,9 @@ impl Writer {
     /// it.
     fn merge(&mut self, segment: IndexSegment, facets: FacetIndex) -> Result<(), IndexError> {
         let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_INDEX_WRITE);
-        let base = self.index.num_docs() as u32;
-        self.index.merge_segment(segment)?;
-        self.facets.merge(facets, base);
+        let base = self.shard.index.num_docs() as u32;
+        Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
+        Arc::make_mut(&mut self.shard.facets).merge(facets, base);
         Ok(())
     }
 
@@ -299,7 +302,7 @@ impl Writer {
         ontology: &Ontology,
         path: &std::path::Path,
     ) -> Result<(), StorageError> {
-        let (segment, facets, docs) = durability::load_segment(path, &self.index)?;
+        let (segment, facets, docs) = durability::load_segment(path, &self.shard.index)?;
         // By value: a payload is freed once its texts are in the store,
         // so the file's stored fields are never resident twice over.
         for stored in docs {
@@ -328,7 +331,7 @@ impl Writer {
         records: &[Vec<u8>],
         sealed_max: Option<u64>,
     ) -> Result<u64, StorageError> {
-        let (mut segment, mut facets) = (self.index.segment(), FacetIndex::new());
+        let (mut segment, mut facets) = (self.shard.index.segment(), FacetIndex::new());
         let mut replayed = 0u64;
         for record in records {
             let (ordinal, payload) =
@@ -364,34 +367,18 @@ impl Writer {
 
 fn empty_writer() -> Writer {
     Writer {
-        store: DocStore::in_memory(),
-        graph: PropertyGraph::new(),
+        shard: ShardSnapshot {
+            generation: 0,
+            store: DocStore::in_memory(),
+            graph: Arc::default(),
+            index: Arc::new(Index::clinical()),
+            tagger: None,
+            ordinals: Arc::default(),
+            facets: Arc::default(),
+        },
         graph_builder: GraphBuilder::new(),
-        index: Index::clinical(),
-        tagger: None,
-        generation: 0,
-        ordinals: Vec::new(),
-        facets: FacetIndex::new(),
         storage: None,
     }
-}
-
-/// Clones one shard writer's state into a fresh immutable snapshot. The
-/// clones are structural: posting lists, the graph's node and edge
-/// chunks and index vectors, and stored documents' texts all sit behind
-/// `Arc`s, so the cost scales with the *shard's* pointer-table sizes,
-/// not corpus bytes — untouched shards are not even visited (their
-/// published `Arc`s are reused).
-fn snapshot_of(writer: &Writer) -> Arc<ShardSnapshot> {
-    Arc::new(ShardSnapshot {
-        generation: writer.generation,
-        store: writer.store.snapshot(),
-        graph: Arc::new(writer.graph.clone()),
-        index: Arc::new(writer.index.clone()),
-        tagger: writer.tagger.clone(),
-        ordinals: Arc::new(writer.ordinals.clone()),
-        facets: Arc::new(writer.facets.clone()),
-    })
 }
 
 /// One shard: its serialized write half.
@@ -548,9 +535,10 @@ fn count_policy(policy: MergePolicy) {
 
 /// Write access to the property graph, for the Cypher executor (which may
 /// `CREATE`). Targets shard 0's graph and holds the write gate for its
-/// lifetime; dropping the guard bumps shard 0's generation (the borrow
-/// may have written) and publishes a fresh composite snapshot so readers
-/// observe the mutation.
+/// lifetime; the first mutable borrow copies the graph if the published
+/// snapshot shares it, and dropping the guard bumps shard 0's generation
+/// (the borrow may have written) and publishes a fresh composite snapshot
+/// so readers observe the mutation.
 pub struct GraphWriteGuard<'a> {
     system: &'a Create,
     _gate: MutexGuard<'a, u64>,
@@ -560,19 +548,19 @@ pub struct GraphWriteGuard<'a> {
 impl Deref for GraphWriteGuard<'_> {
     type Target = PropertyGraph;
     fn deref(&self) -> &PropertyGraph {
-        &self.writer.graph
+        &self.writer.shard.graph
     }
 }
 
 impl DerefMut for GraphWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut PropertyGraph {
-        &mut self.writer.graph
+        Arc::make_mut(&mut self.writer.shard.graph)
     }
 }
 
 impl Drop for GraphWriteGuard<'_> {
     fn drop(&mut self) {
-        self.writer.generation += 1;
+        self.writer.shard.generation += 1;
         self.system.publish_shards(&[(0, &self.writer)]);
     }
 }
@@ -615,7 +603,7 @@ impl Create {
         next_ordinal: u64,
         storage: Option<StorageRoot>,
     ) -> Create {
-        let published: Vec<Arc<ShardSnapshot>> = writers.iter().map(snapshot_of).collect();
+        let published = writers.iter().map(|w| Arc::new(w.shard.clone())).collect();
         Create {
             ontology,
             shards: writers.into_iter().map(Shard::new).collect(),
@@ -727,14 +715,14 @@ impl Create {
                     .recover_segment(&ontology, &shard_dir.join(&meta.file))
                     .map_err(IngestError::Storage)?;
             }
-            let sealed_docs = writer.index.num_docs();
+            let sealed_docs = writer.shard.index.num_docs();
             let sealed_max = entry.segments.last().map(|s| s.max_ordinal);
             let (wal, wal_replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
                 .map_err(IngestError::Storage)?;
             replayed += writer
                 .replay_wal(&ontology, wal.path(), &wal_replay.records, sealed_max)
                 .map_err(IngestError::Storage)?;
-            if let Some(&last) = writer.ordinals.last() {
+            if let Some(&last) = writer.shard.ordinals.last() {
                 next_ordinal = next_ordinal.max(last + 1);
             }
             writer.storage = Some(ShardStorage {
@@ -755,7 +743,7 @@ impl Create {
             manifest.store(&storage_dir).map_err(IngestError::Storage)?;
         }
         for (writer, entry) in writers.iter_mut().zip(&manifest.shards) {
-            let num_docs = writer.index.num_docs();
+            let num_docs = writer.shard.index.num_docs();
             let storage = writer.storage.as_mut().expect("storage attached above");
             storage.wal.reset().map_err(IngestError::Storage)?;
             storage.sealed_docs = num_docs;
@@ -782,7 +770,8 @@ impl Create {
         writer: &mut Writer,
         entry: &mut ShardManifest,
     ) -> Result<bool, IngestError> {
-        let num = writer.index.num_docs();
+        let shard = &writer.shard;
+        let num = shard.index.num_docs();
         let Some(storage) = writer.storage.as_ref() else {
             return Ok(false);
         };
@@ -792,10 +781,10 @@ impl Create {
         let started = Instant::now();
         let base = storage.sealed_docs;
         let data = durability::seal_data(
-            &writer.index,
-            &writer.facets,
-            &writer.store,
-            &writer.ordinals,
+            &shard.index,
+            &shard.facets,
+            &shard.store,
+            &shard.ordinals,
             base,
         )
         .map_err(IngestError::Store)?;
@@ -807,8 +796,8 @@ impl Create {
             docs: (num - base) as u64,
             bytes: info.bytes,
             crc: info.crc,
-            min_ordinal: writer.ordinals[base],
-            max_ordinal: writer.ordinals[num - 1],
+            min_ordinal: shard.ordinals[base],
+            max_ordinal: shard.ordinals[num - 1],
         });
         entry.next_segment_id += 1;
         durability::note_seal(started.elapsed().as_secs_f64());
@@ -836,16 +825,17 @@ impl Create {
         })
     }
 
-    /// Rebuilds the composite snapshot — re-snapshotting exactly the
-    /// shards in `touched` and reusing the published `Arc`s for the
-    /// rest — and swaps it in atomically. One call per write operation,
-    /// so readers always observe a complete generation vector, never a
-    /// torn mix. Callers hold the write gate.
+    /// Rebuilds the composite snapshot — sharing the state of exactly the
+    /// shards in `touched` (reference counts, no table is copied) and
+    /// reusing the published `Arc`s for the rest — and swaps it in
+    /// atomically. One call per write operation, so readers always
+    /// observe a complete generation vector, never a torn mix. Callers
+    /// hold the write gate.
     fn publish_shards(&self, touched: &[(usize, &Writer)]) {
         let started = Instant::now();
         let mut shards = self.current.load().shards.clone();
         for &(i, writer) in touched {
-            shards[i] = snapshot_of(writer);
+            shards[i] = Arc::new(writer.shard.clone());
             if create_obs::enabled() {
                 create_obs::counter_with(
                     obs_names::SHARD_PUBLISH_TOTAL,
@@ -887,14 +877,14 @@ impl Create {
     /// in-memory instances.
     pub fn flush(&self) -> Result<(), IngestError> {
         if self.flush_shards()? {
-            // The publishes between compactions copy what each write
-            // touches (ROADMAP item 1) on whichever worker took the
-            // call, and glibc keeps what those copies free in that
-            // thread's arena; left there, resident memory grows by one
-            // such working set per thread, in an order the scheduler
-            // picks. A compaction (which streams, holding a few blocks)
-            // is the point where trimming pays for its walk. The locks
-            // are released by now.
+            // Between compactions the first write after each publish
+            // copies the tables it touches (ROADMAP item 1) on
+            // whichever worker took the call, and glibc keeps what
+            // those copies free in that thread's arena; left there,
+            // resident memory grows by one such working set per thread,
+            // in an order the scheduler picks. A compaction (which
+            // streams, holding a few blocks) is the point where trimming
+            // pays for its walk. The locks are released by now.
             create_util::release_free_heap();
         }
         Ok(())
@@ -926,7 +916,7 @@ impl Create {
             // crash after it skips the (now sealed) records by ordinal.
             manifest.store(&root.dir).map_err(IngestError::Storage)?;
             for (i, writer) in guards.iter_mut().enumerate() {
-                let num_docs = writer.index.num_docs();
+                let num_docs = writer.shard.index.num_docs();
                 let Some(storage) = writer.storage.as_mut() else {
                     continue;
                 };
@@ -946,9 +936,9 @@ impl Create {
             if manifest.shards[i].segments.len() < durability::COMPACT_SEGMENT_THRESHOLD {
                 continue;
             }
-            let merged =
-                durability::compact_shard(&storage.dir, &mut manifest.shards[i], &writer.index)
-                    .map_err(IngestError::Storage)?;
+            let entry = &mut manifest.shards[i];
+            let merged = durability::compact_shard(&storage.dir, entry, &writer.shard.index)
+                .map_err(IngestError::Storage)?;
             durability::note_compaction(merged);
             compacted = true;
         }
@@ -981,8 +971,8 @@ impl Create {
         let mut guards: Vec<MutexGuard<'_, Writer>> =
             self.shards.iter().map(|s| s.lock_writer()).collect();
         for guard in guards.iter_mut() {
-            guard.tagger = Some(Arc::clone(&tagger));
-            guard.generation += 1;
+            guard.shard.tagger = Some(Arc::clone(&tagger));
+            guard.shard.generation += 1;
         }
         let touched: Vec<(usize, &Writer)> =
             guards.iter().enumerate().map(|(i, g)| (i, &**g)).collect();
@@ -1137,7 +1127,7 @@ impl Create {
             self.shards.iter().map(|s| s.lock_writer()).collect();
         let mut seen = HashSet::new();
         for (id, &route) in ids.iter().zip(routes) {
-            if guards[route].store.contains("reports", id) || !seen.insert(*id) {
+            if guards[route].shard.store.contains("reports", id) || !seen.insert(*id) {
                 return Err(IngestError::Duplicate(id.to_string()));
             }
         }
@@ -1293,7 +1283,7 @@ impl Create {
                     // the records are on disk before the composite
                     // publish acknowledges the batch.
                     writer.wal_sync()?;
-                    writer.generation += 1;
+                    writer.shard.generation += 1;
                     Ok(())
                 })
             });
@@ -1309,8 +1299,8 @@ impl Create {
             return Err(e);
         }
         *gate = base + n as u64;
-        // One composite publish for the whole batch: re-snapshot exactly
-        // the touched shards, reuse the rest.
+        // One composite publish for the whole batch: share the state of
+        // exactly the touched shards, reuse the rest.
         let guards: Vec<(usize, MutexGuard<'_, Writer>)> = touched
             .iter()
             .map(|(s, _)| (*s, self.shards[*s].lock_writer()))
@@ -2368,23 +2358,14 @@ mod tests {
     #[test]
     fn zero_shards_clamped_on_new_and_rejected_on_open() {
         let bad_before = create_obs::counter(obs_names::OPEN_BAD_CONFIG_TOTAL).get();
-        let system = Create::new(CreateConfig {
-            shards: 0,
-            ..Default::default()
-        });
+        let system = Create::new(CreateConfig { shards: 0 });
         assert_eq!(system.shard_count(), 1, "zero clamps to one shard");
         assert!(
             create_obs::counter(obs_names::OPEN_BAD_CONFIG_TOTAL).get() > bad_before,
             "the clamp is counted"
         );
         let dir = temp_dir("badcfg");
-        let err = Create::open(
-            &dir,
-            CreateConfig {
-                shards: 0,
-                ..Default::default()
-            },
-        );
+        let err = Create::open(&dir, CreateConfig { shards: 0 });
         assert!(
             matches!(err, Err(IngestError::Config(_))),
             "open rejects a zero shard count"
@@ -2395,10 +2376,7 @@ mod tests {
     #[test]
     fn absurd_shard_count_is_clamped_to_max() {
         let bad_before = create_obs::counter(obs_names::OPEN_BAD_CONFIG_TOTAL).get();
-        let system = Create::new(CreateConfig {
-            shards: 100_000,
-            ..Default::default()
-        });
+        let system = Create::new(CreateConfig { shards: 100_000 });
         assert_eq!(system.shard_count(), MAX_SHARDS);
         assert!(create_obs::counter(obs_names::OPEN_BAD_CONFIG_TOTAL).get() > bad_before);
     }
@@ -2419,27 +2397,13 @@ mod tests {
                 .map(|h| (h.report_id, h.score.to_bits()))
                 .collect()
         };
-        let written = Create::open(
-            &dir,
-            CreateConfig {
-                shards: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let written = Create::open(&dir, CreateConfig { shards: 3 }).unwrap();
         assert_eq!(written.ingest_gold_batch(&reports, 2).unwrap(), 10);
         written.flush().unwrap();
         // The manifest's count wins over the configured one: nothing is
         // re-routed, nothing is lost, and searches rank bit-identically.
         for configured in [2, 8] {
-            let system = Create::open(
-                &dir,
-                CreateConfig {
-                    shards: configured,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let system = Create::open(&dir, CreateConfig { shards: configured }).unwrap();
             assert_eq!(system.shard_count(), 3, "configured {configured}");
             assert_eq!(system.stats().reports, 10);
             for r in &reports {
@@ -2469,10 +2433,7 @@ mod tests {
             ..Default::default()
         });
         let reports = generator.generate();
-        let system = Create::new(CreateConfig {
-            shards: 3,
-            ..Default::default()
-        });
+        let system = Create::new(CreateConfig { shards: 3 });
         assert_eq!(system.shard_count(), 3);
         assert_eq!(system.ingest_gold_batch(&reports, 2).unwrap(), 12);
         assert_eq!(system.stats().reports, 12);

@@ -89,15 +89,6 @@ fn num(doc: &Value, path: &str) -> Option<f64> {
     doc.get_path(path).and_then(Value::as_f64)
 }
 
-/// Result of an update operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateResult {
-    /// Documents that matched the filter.
-    pub matched: usize,
-    /// Documents actually modified.
-    pub modified: usize,
-}
-
 /// An in-memory ordered collection of JSON documents.
 ///
 /// Each document is held as its serialized JSON text and parsed on the
@@ -107,9 +98,9 @@ pub struct UpdateResult {
 /// [`Collection::insert`] serializes a [`Value`],
 /// [`Collection::insert_serialized`] takes its caller's word for it —
 /// so the accessors have no failure of their own to report. Ids and texts
-/// sit behind `Arc`, so `Clone` shares them structurally: a snapshot of
-/// the collection copies the id → text map's nodes, never a document,
-/// and an update replaces one text and leaves the rest shared.
+/// sit behind `Arc`, so `Clone` shares them structurally: a copy of the
+/// collection copies the id → text map's nodes, never a document, and an
+/// insert into one copy leaves every other text shared.
 #[derive(Debug, Default, Clone)]
 pub struct Collection {
     docs: BTreeMap<Arc<str>, Arc<str>>,
@@ -205,74 +196,6 @@ impl Collection {
         }
     }
 
-    /// Applies `set` fields (shallow merge of top-level keys) to every
-    /// matching document.
-    pub fn update(
-        &mut self,
-        filter: &Filter,
-        set: &Value,
-    ) -> Result<UpdateResult, CollectionError> {
-        let set_map = set.as_object().ok_or(CollectionError::NotAnObject)?;
-        let mut matched = 0;
-        let mut modified = 0;
-        // Same `_id` fast path as `delete`: a point update parses and
-        // re-serializes exactly one document instead of every one.
-        let point_target = match filter {
-            Filter::Eq(path, Value::String(id)) if path == "_id" => Some(id.as_str()),
-            _ => None,
-        };
-        let texts: &mut dyn Iterator<Item = &mut Arc<str>> = match point_target {
-            Some(id) => &mut self.docs.get_mut(id).into_iter(),
-            None => &mut self.docs.values_mut(),
-        };
-        for text in texts {
-            let Ok(mut doc) = parse_json(text) else {
-                continue;
-            };
-            if point_target.is_none() && !filter.matches(&doc) {
-                continue;
-            }
-            let Some(map) = doc.as_object_mut() else {
-                continue;
-            };
-            matched += 1;
-            let mut changed = false;
-            for (k, v) in set_map {
-                if k == "_id" {
-                    continue; // ids are immutable
-                }
-                if map.get(k) != Some(v) {
-                    map.insert(k.clone(), v.clone());
-                    changed = true;
-                }
-            }
-            if changed {
-                *text = Arc::from(doc.to_json());
-                modified += 1;
-            }
-        }
-        Ok(UpdateResult { matched, modified })
-    }
-
-    /// Deletes matching documents; returns how many were removed.
-    ///
-    /// An equality filter on `_id` is answered straight from the id
-    /// map (documents are keyed by their `_id`), so point deletes stay
-    /// `O(log n)` instead of parsing the collection — the ingest
-    /// upsert and crash-recovery paths delete by id in a loop, where a
-    /// scan would make reopening a large store quadratic.
-    pub fn delete(&mut self, filter: &Filter) -> usize {
-        if let Filter::Eq(path, Value::String(id)) = filter {
-            if path == "_id" {
-                return usize::from(self.docs.remove(id.as_str()).is_some());
-            }
-        }
-        let before = self.docs.len();
-        self.docs
-            .retain(|_, text| !parse_json(text).is_ok_and(|d| filter.matches(&d)));
-        before - self.docs.len()
-    }
-
     /// Iterates documents in id order, parsing each as it is reached.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         self.docs.values().filter_map(|text| parse_json(text).ok())
@@ -294,7 +217,7 @@ impl Collection {
 /// Errors from collection operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectionError {
-    /// Documents and update specs must be JSON objects.
+    /// Documents must be JSON objects.
     NotAnObject,
 }
 
@@ -389,32 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn point_update_replaces_one_text_and_shares_the_rest() {
-        let mut c = sample();
-        let snapshot = c.clone();
-        let r = c
-            .update(
-                &Filter::eq("_id", "doc00000001"),
-                &obj([("reviewed", true.into())]),
-            )
-            .unwrap();
-        assert_eq!(
-            r,
-            UpdateResult {
-                matched: 1,
-                modified: 1
-            }
-        );
-        for ((old_id, old_text), (id, text)) in snapshot.docs.iter().zip(&c.docs) {
-            assert!(Arc::ptr_eq(old_id, id));
-            assert_eq!(Arc::ptr_eq(old_text, text), &**id != "doc00000001");
-        }
-        let reviewed = |c: &Collection| c.get("doc00000001").unwrap().get("reviewed").cloned();
-        assert_eq!(reviewed(&snapshot), None);
-        assert_eq!(reviewed(&c), Some(Value::Bool(true)));
-    }
-
-    #[test]
     fn find_eq_and_count() {
         let c = sample();
         assert_eq!(c.count(&Filter::eq("category", "cancer")), 1);
@@ -470,60 +367,5 @@ mod tests {
         let c = sample();
         // Only two documents have tags; Ne on missing is true (Mongo-like).
         assert_eq!(c.count(&Filter::Ne("tags.0".into(), "covid".into())), 2);
-    }
-
-    #[test]
-    fn update_sets_fields() {
-        let mut c = sample();
-        let r = c
-            .update(
-                &Filter::eq("category", "cardiovascular"),
-                &obj([("reviewed", true.into())]),
-            )
-            .unwrap();
-        assert_eq!(
-            r,
-            UpdateResult {
-                matched: 1,
-                modified: 1
-            }
-        );
-        let doc = c
-            .find_one(&Filter::eq("category", "cardiovascular"))
-            .unwrap();
-        assert_eq!(doc.get("reviewed").unwrap().as_bool(), Some(true));
-        // Idempotent second update modifies nothing.
-        let r2 = c
-            .update(
-                &Filter::eq("category", "cardiovascular"),
-                &obj([("reviewed", true.into())]),
-            )
-            .unwrap();
-        assert_eq!(
-            r2,
-            UpdateResult {
-                matched: 1,
-                modified: 0
-            }
-        );
-    }
-
-    #[test]
-    fn update_cannot_change_id() {
-        let mut c = sample();
-        let before: Vec<String> = c.iter().map(|d| d.get("_id").unwrap().to_json()).collect();
-        c.update(&Filter::All, &obj([("_id", "hacked".into())]))
-            .unwrap();
-        let after: Vec<String> = c.iter().map(|d| d.get("_id").unwrap().to_json()).collect();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn delete_removes_matching() {
-        let mut c = sample();
-        assert_eq!(c.delete(&Filter::eq("category", "cancer")), 1);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.delete(&Filter::All), 2);
-        assert!(c.is_empty());
     }
 }

@@ -3,215 +3,97 @@
 //! Plays MongoDB's role in the CREATe architecture (Fig. 3): the
 //! id/filter layer the backend queries. The store is in-memory only;
 //! durability belongs to `create-storage`, whose segments keep every
-//! document as a stored field and refill this store at open. Access is
-//! guarded by a `std::sync` `RwLock` per store so the HTTP layer can
-//! serve concurrent readers.
+//! document as a stored field and refill this store at open. Like the
+//! index and the graph it is a plain value: writes take `&mut self`, and
+//! whoever owns the store decides who may write it.
 
-use crate::collection::{Collection, CollectionError, Filter, UpdateResult};
+use crate::collection::{Collection, CollectionError, Filter};
 use crate::json::Value;
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
-
-/// Collections by name. Names are `Arc<str>` so cloning the map for a
-/// snapshot bumps reference counts and allocates only the map's node.
-type Collections = BTreeMap<Arc<str>, Arc<Collection>>;
+use std::sync::Arc;
 
 /// A multi-collection document store.
 ///
-/// Collections sit behind `Arc` so [`DocStore::snapshot`] can hand out a
-/// point-in-time [`StoreSnapshot`] by cloning the name → pointer map;
-/// writers mutate through [`Arc::make_mut`], copying a collection's
-/// structure only when a live snapshot still shares it.
-#[derive(Debug)]
+/// Collections sit behind `Arc` and their names are `Arc<str>`, so a
+/// clone is a point-in-time view that copies the name → pointer map and
+/// nothing else. Writes go through [`Arc::make_mut`], copying a
+/// collection's structure only while a clone still shares it.
+#[derive(Debug, Clone)]
 pub struct DocStore {
-    inner: RwLock<Collections>,
-}
-
-/// An immutable point-in-time view of every collection.
-///
-/// Reads need no lock: the snapshot owns `Arc` handles to the
-/// collections as they were at [`DocStore::snapshot`] time. Documents
-/// are parsed out of their stored text per call.
-#[derive(Debug, Default, Clone)]
-pub struct StoreSnapshot {
-    collections: Collections,
-}
-
-impl StoreSnapshot {
-    /// Lists collection names.
-    pub fn collection_names(&self) -> Vec<String> {
-        self.collections
-            .keys()
-            .map(|name| name.to_string())
-            .collect()
-    }
-
-    /// Fetches a document by id.
-    pub fn get(&self, collection: &str, id: &str) -> Option<Value> {
-        self.collections.get(collection)?.get(id)
-    }
-
-    /// Runs a filter query.
-    pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Value> {
-        self.collections
-            .get(collection)
-            .map(|c| c.find(filter))
-            .unwrap_or_default()
-    }
-
-    /// First match, if any.
-    pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<Value> {
-        self.collections.get(collection)?.find_one(filter)
-    }
-
-    /// Counts matches.
-    pub fn count(&self, collection: &str, filter: &Filter) -> usize {
-        self.collections
-            .get(collection)
-            .map(|c| c.count(filter))
-            .unwrap_or(0)
-    }
-
-    /// Heap bytes the snapshot's collections hold (see
-    /// [`Collection::heap_bytes`]); collections shared with other
-    /// snapshots are counted in each.
-    pub fn heap_bytes(&self) -> usize {
-        self.collections.values().map(|c| c.heap_bytes()).sum()
-    }
-}
-
-/// Errors from store operations.
-#[derive(Debug)]
-pub enum StoreError {
-    /// Invalid document shape.
-    Collection(CollectionError),
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Collection(e) => write!(f, "collection error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<CollectionError> for StoreError {
-    fn from(e: CollectionError) -> Self {
-        StoreError::Collection(e)
-    }
+    collections: BTreeMap<Arc<str>, Arc<Collection>>,
 }
 
 impl DocStore {
     /// Creates an empty store.
     pub fn in_memory() -> DocStore {
         DocStore {
-            inner: RwLock::new(BTreeMap::new()),
+            collections: BTreeMap::new(),
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Collections> {
-        self.inner.read().expect("docstore lock poisoned")
+    fn collection(&self, name: &str) -> Option<&Collection> {
+        self.collections.get(name).map(Arc::as_ref)
     }
 
-    /// Runs `write` on a collection, creating it on demand and copying
-    /// its map first when a snapshot still shares it.
-    fn with_collection<T>(&self, collection: &str, write: impl FnOnce(&mut Collection) -> T) -> T {
-        let mut inner = self.inner.write().expect("docstore lock poisoned");
-        if !inner.contains_key(collection) {
-            inner.insert(Arc::from(collection), Arc::default());
+    /// The collection to write, created on demand and copied first when
+    /// a clone still shares it.
+    fn collection_mut(&mut self, name: &str) -> &mut Collection {
+        if !self.collections.contains_key(name) {
+            self.collections.insert(Arc::from(name), Arc::default());
         }
-        let shared = inner.get_mut(collection).expect("inserted above");
-        write(Arc::make_mut(shared))
-    }
-
-    /// Lists collection names.
-    pub fn collection_names(&self) -> Vec<String> {
-        self.read().keys().map(|name| name.to_string()).collect()
-    }
-
-    /// A point-in-time view of every collection (cheap: clones the
-    /// name → `Arc` map, not the documents).
-    pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            collections: self.read().clone(),
-        }
+        Arc::make_mut(self.collections.get_mut(name).expect("inserted above"))
     }
 
     /// Inserts a document, creating the collection on demand. Returns the
     /// assigned id.
-    pub fn insert(&self, collection: &str, doc: Value) -> Result<String, StoreError> {
-        Ok(self.with_collection(collection, |c| c.insert(doc))?)
+    pub fn insert(&mut self, collection: &str, doc: Value) -> Result<String, CollectionError> {
+        self.collection_mut(collection).insert(doc)
     }
 
     /// Inserts a document given as its serialized text (see
     /// [`Collection::insert_serialized`]), creating the collection on
     /// demand.
-    pub fn insert_serialized(&self, collection: &str, id: &str, text: &str) {
-        self.with_collection(collection, |c| c.insert_serialized(id, text));
+    pub fn insert_serialized(&mut self, collection: &str, id: &str, text: &str) {
+        self.collection_mut(collection).insert_serialized(id, text);
     }
 
     /// Whether the collection stores a document with this id.
     pub fn contains(&self, collection: &str, id: &str) -> bool {
-        self.read().get(collection).is_some_and(|c| c.contains(id))
+        self.collection(collection).is_some_and(|c| c.contains(id))
     }
 
     /// Fetches a document by id.
     pub fn get(&self, collection: &str, id: &str) -> Option<Value> {
-        self.read().get(collection)?.get(id)
+        self.collection(collection)?.get(id)
     }
 
     /// A document's serialized text, as stored.
     pub fn get_json(&self, collection: &str, id: &str) -> Option<Arc<str>> {
-        self.read().get(collection)?.get_json(id).cloned()
+        self.collection(collection)?.get_json(id).cloned()
     }
 
     /// Runs a filter query.
     pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Value> {
-        self.snapshot().find(collection, filter)
+        self.collection(collection)
+            .map(|c| c.find(filter))
+            .unwrap_or_default()
     }
 
     /// First match, if any.
     pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<Value> {
-        self.snapshot().find_one(collection, filter)
+        self.collection(collection)?.find_one(filter)
     }
 
     /// Counts matches.
     pub fn count(&self, collection: &str, filter: &Filter) -> usize {
-        self.snapshot().count(collection, filter)
+        self.collection(collection).map_or(0, |c| c.count(filter))
     }
 
     /// Heap bytes the store's collections hold (see
-    /// [`Collection::heap_bytes`]).
+    /// [`Collection::heap_bytes`]); collections shared with a clone are
+    /// counted in each.
     pub fn heap_bytes(&self) -> usize {
-        self.snapshot().heap_bytes()
-    }
-
-    /// Applies a shallow `$set`-style update.
-    pub fn update(
-        &self,
-        collection: &str,
-        filter: &Filter,
-        set: &Value,
-    ) -> Result<UpdateResult, StoreError> {
-        let mut inner = self.inner.write().expect("docstore lock poisoned");
-        match inner.get_mut(collection) {
-            Some(c) => Ok(Arc::make_mut(c).update(filter, set)?),
-            None => Ok(UpdateResult {
-                matched: 0,
-                modified: 0,
-            }),
-        }
-    }
-
-    /// Deletes matching documents; returns the count removed.
-    pub fn delete(&self, collection: &str, filter: &Filter) -> usize {
-        let mut inner = self.inner.write().expect("docstore lock poisoned");
-        inner
-            .get_mut(collection)
-            .map(|c| Arc::make_mut(c).delete(filter))
-            .unwrap_or(0)
+        self.collections.values().map(|c| c.heap_bytes()).sum()
     }
 }
 
@@ -222,26 +104,28 @@ mod tests {
 
     #[test]
     fn in_memory_crud() {
-        let store = DocStore::in_memory();
+        let mut store = DocStore::in_memory();
         let id = store
             .insert("reports", obj([("title", "case".into())]))
             .unwrap();
         assert_eq!(store.count("reports", &Filter::All), 1);
-        assert!(store.get("reports", &id).is_some());
-        store
-            .update("reports", &Filter::All, &obj([("seen", true.into())]))
-            .unwrap();
+        assert!(store.contains("reports", &id));
         assert_eq!(
             store
                 .get("reports", &id)
                 .unwrap()
-                .get("seen")
+                .get("title")
                 .unwrap()
-                .as_bool(),
-            Some(true)
+                .as_str(),
+            Some("case")
         );
-        assert_eq!(store.delete("reports", &Filter::All), 1);
-        assert_eq!(store.count("reports", &Filter::All), 0);
+        assert_eq!(
+            store.find_one("reports", &Filter::eq("title", "case")),
+            store.get("reports", &id)
+        );
+        assert!(store
+            .find("reports", &Filter::eq("title", "other"))
+            .is_empty());
     }
 
     #[test]
@@ -249,29 +133,39 @@ mod tests {
         let store = DocStore::in_memory();
         assert_eq!(store.count("nope", &Filter::All), 0);
         assert!(store.find("nope", &Filter::All).is_empty());
-        assert_eq!(store.delete("nope", &Filter::All), 0);
+        assert!(store.get_json("nope", "x").is_none());
     }
 
     #[test]
-    fn concurrent_readers() {
-        use std::sync::Arc;
-        let store = Arc::new(DocStore::in_memory());
-        for i in 0..100 {
-            store.insert("r", obj([("n", (i as i64).into())])).unwrap();
+    fn a_clone_keeps_its_documents_and_shares_every_untouched_text() {
+        let mut store = DocStore::in_memory();
+        for n in 0..20i64 {
+            store
+                .insert(
+                    "r",
+                    obj([("_id", format!("d{n:02}").into()), ("n", n.into())]),
+                )
+                .unwrap();
         }
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let s = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                let mut total = 0;
-                for _ in 0..50 {
-                    total += s.count("r", &Filter::Gte("n".into(), 50.0));
-                }
-                total
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 50 * 50);
+        let view = store.clone();
+        store
+            .insert("r", obj([("_id", "d00".into()), ("n", (-1i64).into())]))
+            .unwrap();
+        store.insert_serialized("r", "d20", r#"{"_id":"d20"}"#);
+        store.insert("other", obj([("_id", "x".into())])).unwrap();
+
+        assert_eq!(view.count("r", &Filter::All), 20);
+        assert_eq!(store.count("r", &Filter::All), 21);
+        assert!(!view.contains("r", "d20") && view.count("other", &Filter::All) == 0);
+        assert_eq!(
+            view.get("r", "d00").unwrap().get("n").unwrap().as_i64(),
+            Some(0),
+            "the clone keeps the document the original replaced"
+        );
+        for n in 1..20 {
+            let id = format!("d{n:02}");
+            let (old, new) = (view.get_json("r", &id), store.get_json("r", &id));
+            assert!(Arc::ptr_eq(&old.unwrap(), &new.unwrap()), "{id} is shared");
         }
     }
 }

@@ -89,10 +89,7 @@ fn sealed_payloads() -> Vec<String> {
         ..Default::default()
     })
     .generate();
-    let config = CreateConfig {
-        shards: 1,
-        ..Default::default()
-    };
+    let config = CreateConfig { shards: 1 };
     let system = Create::open(&dir, config).expect("open a fresh directory");
     system.ingest_gold_batch(&reports, 1).expect("ingest");
     system.flush().expect("flush");

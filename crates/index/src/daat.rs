@@ -597,10 +597,7 @@ fn eval_phrase(
         }
     }
     let mut out = Vec::new();
-    'outer: loop {
-        let Some(mut target) = cursors[0].current() else {
-            break;
-        };
+    'outer: while let Some(mut target) = cursors[0].current() {
         let mut aligned = false;
         while !aligned {
             aligned = true;

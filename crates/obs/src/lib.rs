@@ -22,10 +22,11 @@
 //!
 //! The `enabled` feature (default on) compiles the recording paths
 //! in. Downstream crates forward it through their own `obs` feature,
-//! so `--no-default-features` builds measure the uninstrumented
-//! system — `scripts/verify.sh` gates instrumentation overhead that
-//! way. The registry itself stays live either way so `/metrics`
-//! always renders.
+//! so `--no-default-features` builds the uninstrumented system;
+//! `scripts/verify.sh` checks that the stripped server still compiles
+//! and gates no timing (the benchmark's per-layer `trace.overhead_pct`
+//! reads a traced run's wall time against an untraced one). The
+//! registry itself stays live either way so `/metrics` always renders.
 
 pub mod events;
 pub mod metrics;

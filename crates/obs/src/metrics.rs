@@ -163,7 +163,7 @@ impl Histogram {
         }
         let slot = &mut exemplars[idx];
         slot.recent = Some(Exemplar { trace_id, value: v });
-        if slot.max.map_or(true, |m| v >= m.value) {
+        if slot.max.is_none_or(|m| v >= m.value) {
             slot.max = Some(Exemplar { trace_id, value: v });
         }
     }

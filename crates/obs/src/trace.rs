@@ -98,8 +98,7 @@ impl TraceContext {
 thread_local! {
     static CURRENT: RefCell<Option<TraceContext>> = const { RefCell::new(None) };
     static CAPTURE: RefCell<Option<CaptureFrame>> = const { RefCell::new(None) };
-    static STAGE_BUFFER: RefCell<Option<Vec<(&'static str, &'static str, f64)>>> =
-        const { RefCell::new(None) };
+    static STAGE_BUFFER: RefCell<Option<Vec<StageObservation>>> = const { RefCell::new(None) };
 }
 
 /// This thread's current trace context, if one is installed.
@@ -330,10 +329,13 @@ pub fn add_span_counter(name: &str, value: u64) {
     }
 }
 
+/// One diverted stage observation: metric name, stage label, seconds.
+type StageObservation = (&'static str, &'static str, f64);
+
 /// Stage observations diverted from the registry by [`buffered_stages`],
 /// waiting to be flushed on another thread via [`flush_stages`].
 #[derive(Debug, Default)]
-pub struct StageLog(Vec<(&'static str, &'static str, f64)>);
+pub struct StageLog(Vec<StageObservation>);
 
 impl StageLog {
     /// Number of buffered observations.

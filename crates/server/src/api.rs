@@ -42,6 +42,17 @@ fn policy_from(name: Option<&str>) -> Result<MergePolicy, String> {
     }
 }
 
+/// A submitted document's `year`: 2020 when the field is absent,
+/// otherwise it must be an integer that fits `u32`.
+fn year_from(doc: &Value) -> Result<u32, &'static str> {
+    let Some(year) = doc.get("year") else {
+        return Ok(2020);
+    };
+    year.as_i64()
+        .and_then(|year| u32::try_from(year).ok())
+        .ok_or("year must be an integer from 0 to 4294967295")
+}
+
 /// Builds the API router over a shared platform instance.
 pub fn build_api(system: Arc<Create>) -> Router {
     let mut router = Router::new();
@@ -178,7 +189,10 @@ pub fn build_api(system: Arc<Create>) -> Router {
             ) else {
                 return Response::error(Status::BadRequest, "need id, title, text fields");
             };
-            let year = parsed.get("year").and_then(Value::as_i64).unwrap_or(2020) as u32;
+            let year = match year_from(&parsed) {
+                Ok(year) => year,
+                Err(m) => return Response::error(Status::BadRequest, m),
+            };
             match system.ingest_text(id, title, text, year) {
                 Ok(()) => Response::json(Status::Created, obj([("ingested", id.into())]).to_json()),
                 Err(e) => Response::error(Status::BadRequest, &e.to_string()),
@@ -257,11 +271,15 @@ pub fn build_api(system: Arc<Create>) -> Router {
                         "every document needs id, title, text fields",
                     );
                 };
+                let year = match year_from(doc) {
+                    Ok(year) => year,
+                    Err(m) => return Response::error(Status::BadRequest, m),
+                };
                 submissions.push(create_core::TextSubmission {
                     id: id.to_string(),
                     title: title.to_string(),
                     text: text.to_string(),
-                    year: doc.get("year").and_then(Value::as_i64).unwrap_or(2020) as u32,
+                    year,
                 });
             }
             match system.ingest_text_batch(&submissions, 0) {
@@ -682,6 +700,27 @@ mod tests {
         // Malformed documents are rejected before touching the system.
         req.body = br#"{"documents": [{"id": "user:2"}]}"#.to_vec();
         assert_eq!(api.dispatch(&req).status, Status::BadRequest);
+    }
+
+    #[test]
+    fn submit_routes_reject_a_year_that_is_not_a_u32() {
+        let api = build_api(system());
+        for year in ["-1", "4294967296", r#""2019""#, "2019.5"] {
+            let doc =
+                format!(r#"{{"id": "user:y", "title": "t", "text": "fever.", "year": {year}}}"#);
+            for (path, body) in [
+                ("/submit", doc.clone()),
+                ("/submit_batch", format!(r#"{{"documents": [{doc}]}}"#)),
+            ] {
+                let mut req = get(path, &[]);
+                req.method = "POST".to_string();
+                req.body = body.into_bytes();
+                let resp = api.dispatch(&req);
+                assert_eq!(resp.status, Status::BadRequest, "{path} year {year}");
+                let message = String::from_utf8(resp.body).unwrap();
+                assert!(message.contains("year"), "{path} year {year}: {message}");
+            }
+        }
     }
 
     #[test]

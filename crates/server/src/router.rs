@@ -90,7 +90,10 @@ impl Router {
         let mut trace =
             create_obs::RequestTrace::begin(request.headers.get("x-trace-id").map(String::as_str));
         let start = std::time::Instant::now();
-        let (response, route_label) = self.dispatch_inner(request);
+        let (response, route_label) = match self.lookup(request) {
+            Ok((route, params)) => ((route.handler)(request, &params), route.pattern.as_str()),
+            Err((status, message, label)) => (Response::error(status, message), label),
+        };
         trace.set_root(route_label);
         if create_obs::enabled() {
             let status = response.status.code().to_string();
@@ -117,47 +120,42 @@ impl Router {
     /// running the handler — the admission-control key for per-route
     /// in-flight limits, so `/reports/:id` shares one budget.
     pub fn route_label(&self, request: &Request) -> &str {
-        let path_segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        let mut path_matched = false;
-        for route in &self.routes {
-            if match_segments(&route.segments, &path_segments).is_none() {
-                continue;
-            }
-            path_matched = true;
-            if route.method == request.method {
-                return route.pattern.as_str();
-            }
-        }
-        if path_matched {
-            "(method_not_allowed)"
-        } else {
-            "(unmatched)"
+        match self.lookup(request) {
+            Ok((route, _)) => route.pattern.as_str(),
+            Err((_, _, label)) => label,
         }
     }
 
-    /// Routing proper; returns the response plus the route-pattern label.
-    fn dispatch_inner(&self, request: &Request) -> (Response, &str) {
+    /// The one route walk: the route a request dispatches to with its
+    /// path parameters, or the 405 when some route matches the path under
+    /// another method, else the 404.
+    fn lookup(&self, request: &Request) -> Result<(&Route, PathParams), Miss> {
         let path_segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        let mut path_matched = false;
+        let mut miss = UNMATCHED;
         for route in &self.routes {
             let Some(params) = match_segments(&route.segments, &path_segments) else {
                 continue;
             };
-            path_matched = true;
             if route.method == request.method {
-                return ((route.handler)(request, &params), route.pattern.as_str());
+                return Ok((route, params));
             }
+            miss = METHOD_NOT_ALLOWED;
         }
-        if path_matched {
-            (
-                Response::error(Status::MethodNotAllowed, "method not allowed"),
-                "(method_not_allowed)",
-            )
-        } else {
-            (Response::error(Status::NotFound, "no such route"), "(unmatched)")
-        }
+        Err(miss)
     }
 }
+
+/// A request no route answers: its status, its error message and its
+/// `route` label.
+type Miss = (Status, &'static str, &'static str);
+
+const UNMATCHED: Miss = (Status::NotFound, "no such route", "(unmatched)");
+
+const METHOD_NOT_ALLOWED: Miss = (
+    Status::MethodNotAllowed,
+    "method not allowed",
+    "(method_not_allowed)",
+);
 
 fn match_segments(pattern: &[Segment], path: &[&str]) -> Option<PathParams> {
     if pattern.len() != path.len() {

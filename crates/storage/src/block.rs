@@ -76,7 +76,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         literal_start = i;
     }
     flush_literals(&mut out, &input[literal_start..]);
-    if out.len() >= input.len() + 1 {
+    if out.len() > input.len() {
         let mut raw = Vec::with_capacity(input.len() + 1);
         raw.push(RAW);
         raw.extend_from_slice(input);
@@ -254,7 +254,7 @@ mod tests {
                 if rng.below(2) == 0 {
                     let run = rng.range(1, 40);
                     let byte = rng.below(8) as u8;
-                    data.extend(std::iter::repeat(byte).take(run.min(len - data.len())));
+                    data.extend(std::iter::repeat_n(byte, run.min(len - data.len())));
                 } else {
                     data.push(rng.below(256) as u8);
                 }

@@ -19,7 +19,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
     static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
     TABLES.get_or_init(|| {
         let mut tables = [[0u32; 256]; 8];
-        for i in 0..256usize {
+        for (i, entry) in tables[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
@@ -28,7 +28,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
                     crc >> 1
                 };
             }
-            tables[0][i] = crc;
+            *entry = crc;
         }
         for i in 0..256usize {
             let mut crc = tables[0][i];

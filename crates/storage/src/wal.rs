@@ -83,10 +83,7 @@ impl Wal {
     pub fn replay_bytes(bytes: &[u8]) -> WalReplay {
         let mut records = Vec::new();
         let mut pos = 0usize;
-        loop {
-            let Some(header) = bytes.get(pos..pos + FRAME_HEADER) else {
-                break;
-            };
+        while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
             let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
             let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
             if len > MAX_PAYLOAD {

@@ -108,13 +108,9 @@ mod tests {
 
     #[test]
     fn deterministic_across_hashers() {
-        use std::hash::{BuildHasher, Hash};
+        use std::hash::BuildHasher;
         let build = FxBuildHasher::default();
-        let hash = |s: &str| {
-            let mut h = build.build_hasher();
-            s.hash(&mut h);
-            h.finish()
-        };
+        let hash = |s: &str| build.hash_one(s);
         assert_eq!(hash("fever"), hash("fever"));
         assert_ne!(hash("fever"), hash("cough"));
         // Length folding distinguishes zero-padded tails.

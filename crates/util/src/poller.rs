@@ -142,7 +142,7 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
         Some(d) => {
-            let ms = (d.as_nanos() + 999_999) / 1_000_000;
+            let ms = d.as_nanos().div_ceil(1_000_000);
             ms.min(i32::MAX as u128) as i32
         }
     }

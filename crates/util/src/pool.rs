@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn scope_borrows_stack_data() {
         let pool = ThreadPool::new(3);
-        let data = vec![1u64, 2, 3, 4, 5, 6, 7, 8];
+        let data = [1u64, 2, 3, 4, 5, 6, 7, 8];
         let sums: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         pool.scope(|s| {
             for (i, chunk) in data.chunks(2).enumerate() {

@@ -60,7 +60,7 @@ fn main() {
     // "all nodes and edges are put into Neo4j via cypher query").
     println!("\nCypher: reports mentioning the concept 'fever':");
     let output = run(
-        &mut *system.graph_mut(),
+        &mut system.graph_mut(),
         "MATCH (r:Report)-[:MENTIONS]->(c:Concept {label: 'fever'}) RETURN r.reportId LIMIT 5",
     )
     .expect("cypher");
@@ -70,7 +70,7 @@ fn main() {
 
     println!("\nCypher: temporal chains fever → … (BEFORE edges):");
     let output = run(
-        &mut *system.graph_mut(),
+        &mut system.graph_mut(),
         "MATCH (a:Event)-[:BEFORE]->(b:Event) WHERE a.label CONTAINS 'fever' \
          RETURN a.reportId, a.label, b.label LIMIT 5",
     )

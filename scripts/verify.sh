@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Offline verification gate: tier-1 build, then every test binary once —
+# Offline verification gate: tier-1 build, clippy over every workspace
+# target with warnings denied (`benchmark/` is its own workspace and is
+# not linted), then every test binary once —
 # the whole workspace's (`cargo test --workspace`: the root suites —
 # parallel_determinism, query_equivalence, shard_equivalence,
 # cohort_retrieval, crash_recovery, snapshot_stress, server_storm,
@@ -22,6 +24,9 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
 cargo build --release
+
+echo "== clippy: every workspace target, warnings denied =="
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "== tier-1: test suite (every workspace crate, each test binary once) =="
 cargo test -q --workspace

@@ -6,9 +6,10 @@
 //! in-memory `Create` pinned to one shard and 500 generated reports:
 //!
 //! * (a) a 2-document `ingest_gold_batch` after a publish — the
-//!   copy-on-write case, every touched term shared with the published
-//!   snapshot — stays under a fixed number of allocations. With one
-//!   heap `Vec` per posting it took 209 179;
+//!   copy-on-write case: the writer's tables and every touched term are
+//!   shared with the published snapshot, so this first write copies
+//!   them — stays under a fixed number of allocations. With one heap
+//!   `Vec` per posting it took 209 179;
 //! * (b) the heap an `Index` holds, built the way `Create::open` builds
 //!   it, is `Index::postings_bytes()` plus a fixed cost per term, which
 //!   pins that figure to what the allocator really hands out: the three
@@ -23,10 +24,11 @@
 //! * (c) dropping the previous snapshot after a publish gives back what
 //!   the copy-on-write copied;
 //! * (d) everything the loaded `Create` holds — index, graph, document
-//!   store, facets, ordinals, its published snapshot — stays under a
-//!   fixed number of live bytes. With every stored document a tree of
-//!   `BTreeMap`s and `String`s and every graph node and edge an `Arc` of
-//!   its own it held 30.8 MB;
+//!   store, facets, ordinals, one copy of each, which the writer and the
+//!   published snapshot share — stays under a fixed number of live
+//!   bytes. With every stored document a tree of `BTreeMap`s and
+//!   `String`s and every graph node and edge an `Arc` of its own it held
+//!   30.8 MB, and while a publish copied the tables 17.63 MB;
 //! * (e) `PropertyGraph::heap_bytes()` and `DocStore::heap_bytes()` —
 //!   what `/stats` and the `create_resident_bytes` gauges report — are
 //!   within a tenth of what the allocator says building the same graph
@@ -47,7 +49,12 @@
 //!   compacts — needs a heap high-water mark above what was live when
 //!   it started that does not grow with the shard: the same bound at
 //!   250, 500 and 1000 reports. Decoding the shard into a scratch index
-//!   took 14.1 / 24.1 / 43.5 MB — more than the whole loaded system.
+//!   took 14.1 / 24.1 / 43.5 MB — more than the whole loaded system;
+//! * (h) a publish that follows no write — dropping an unused
+//!   `graph_mut()` guard on the loaded shard — makes a fixed handful of
+//!   allocations and holds a few hundred bytes: it shares the writer's
+//!   tables instead of copying them. Copying them made 103 allocations
+//!   and held 1 067 002 bytes above its start.
 
 use create::annotate::case_report_to_brat;
 use create::core::graph_build::{GraphBuilder, ReportMeta};
@@ -121,16 +128,18 @@ const REPORTS: usize = 500;
 /// per posting would add about 80.
 const TERM_OVERHEAD: usize = 190;
 /// Allocations one 2-document batch may make at 500 reports: a fifth
-/// over the 16 257 it makes (tokens, the batch's own segment, the
-/// touched lists' copies, the snapshot's tables). It made 25 524 while a
-/// publish cloned a `String` per graph index key and a node per
-/// 11 stored documents, 209 179 with a `Vec` per posting.
+/// over the 16 267 it makes (tokens, the batch's own segment, the
+/// touched lists' copies, the copies of the tables the published
+/// snapshot shares). It made 25 524 while a publish cloned a `String`
+/// per graph index key and a node per 11 stored documents, 209 179 with
+/// a `Vec` per posting.
 const SUBMIT_BUDGET: usize = 20_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 17.63 MB measured — 19.13 MB with the generated corpus beside it,
-/// the figure that read 32.28 MB before documents were text and the
-/// graph flat.
-const RESIDENT_BUDGET: isize = 23_000_000;
+/// 16.57 MB measured — 18.07 MB with the generated corpus beside it,
+/// the figure that read 19.13 MB while the writer and the published
+/// snapshot held a copy of the tables each, and 32.28 MB before
+/// documents were text and the graph flat.
+const RESIDENT_BUDGET: isize = 21_600_000;
 /// Allocations a cache-hit `search_answer` may make: the lookup key's
 /// copy of the query text, which is all it makes.
 const HIT_ANSWER_BUDGET: usize = 1;
@@ -150,6 +159,12 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Repeats of the warmed query per measured call.
 const HIT_REPEATS: usize = 40;
+/// Allocations a publish that follows no write may make: the composite
+/// snapshot and its shard list, the shard's `Arc` with the document
+/// store's name map, and the publish counters' label.
+const PUBLISH_BUDGET: usize = 16;
+/// Heap such a publish may hold above its start.
+const PUBLISH_HEAP_BUDGET: isize = 4 << 10;
 
 #[test]
 fn submit_and_index_stay_inside_their_allocation_budgets() {
@@ -160,10 +175,7 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     })
     .generate();
     let empty = live_bytes();
-    let system = Create::new(CreateConfig {
-        shards: 1,
-        ..Default::default()
-    });
+    let system = Create::new(CreateConfig { shards: 1 });
     system.ingest_gold_batch(&reports[..REPORTS], 1).unwrap();
     // One small batch first, so lazily created state (pool workers,
     // metric handles) is not charged to the measured one.
@@ -190,6 +202,18 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         single_copy - empty
     );
 
+    // (h) a publish with nothing written: the guard is never borrowed
+    // mutably, so its drop only bumps the generation and publishes.
+    let (before, start) = (allocations(), live_bytes());
+    PEAK_BYTES.store(start, Ordering::Relaxed);
+    drop(system.graph_mut());
+    let publish_allocations = allocations() - before;
+    let publish_peak = PEAK_BYTES.load(Ordering::Relaxed) - start;
+    println!(
+        "a publish with nothing written at {REPORTS} reports: {publish_allocations} allocations, \
+         heap high-water {publish_peak} bytes above its start"
+    );
+
     // (e) the graph and the store as ingest builds them, on their own.
     let ontology = system.ontology();
     let before = live_bytes();
@@ -208,7 +232,7 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     drop(builder);
     let graph_held = live_bytes() - before;
     let before = live_bytes();
-    let store = DocStore::in_memory();
+    let mut store = DocStore::in_memory();
     for report in &reports {
         let id = || report.id.as_str().into();
         let ann = case_report_to_brat(report).serialize();
@@ -263,10 +287,7 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     );
     // (f) a warmed query on two shards: what a hit does not do, and
     // what it allocates.
-    let served = Arc::new(Create::new(CreateConfig {
-        shards: 2,
-        ..Default::default()
-    }));
+    let served = Arc::new(Create::new(CreateConfig { shards: 2 }));
     served.ingest_gold_batch(&reports[..REPORTS], 1).unwrap();
     let api = build_api(Arc::clone(&served));
     let (query, k, policy) = ("fever and cough", 10, MergePolicy::Neo4jFirst);
@@ -368,6 +389,12 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         "the loaded system holds {} live bytes, budget {RESIDENT_BUDGET}",
         single_copy - empty
     );
+    assert!(
+        publish_allocations <= PUBLISH_BUDGET && publish_peak <= PUBLISH_HEAP_BUDGET,
+        "a publish with nothing written made {publish_allocations} allocations \
+         (budget {PUBLISH_BUDGET}) and held {publish_peak} bytes above its start \
+         (budget {PUBLISH_HEAP_BUDGET})"
+    );
     for (what, held, counted) in [
         ("graph", graph_held, graph.heap_bytes()),
         ("store", store_held, store.heap_bytes()),
@@ -398,14 +425,7 @@ fn compaction_peak(reports: &[create::corpus::CaseReport]) -> isize {
         reports.len()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let system = Create::open(
-        &dir,
-        CreateConfig {
-            shards: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let system = Create::open(&dir, CreateConfig { shards: 1 }).unwrap();
     let (bulk, small) = reports.split_at(reports.len() - 6);
     system.ingest_gold_batch(bulk, 1).unwrap();
     system.flush().unwrap();

@@ -40,10 +40,7 @@ fn corpus(n: usize, seed: u64) -> Vec<CaseReport> {
 }
 
 fn sharded(reports: &[CaseReport], shards: usize) -> Create {
-    let system = Create::new(CreateConfig {
-        shards,
-        ..Default::default()
-    });
+    let system = Create::new(CreateConfig { shards });
     system.ingest_gold_batch(reports, 0).expect("ingest");
     assert_eq!(
         system.facet_stats().docs,
@@ -342,10 +339,7 @@ fn mixed_format_segments_reopen_and_answer_cohorts() {
     let reports = corpus(40, 20260819);
     let dir = fresh_dir("migrate");
     // Single shard: both segments land in shard-0.
-    let config = CreateConfig {
-        shards: 1,
-        ..Default::default()
-    };
+    let config = CreateConfig { shards: 1 };
 
     // Seal two format-3 segments, then crash without a shutdown flush.
     {

@@ -67,10 +67,7 @@ fn ranking(system: &Create, query: &str, policy: MergePolicy) -> Ranking {
 /// An in-memory reference that never crashed: the gold standard every
 /// recovered system is held to.
 fn reference(reports: &[CaseReport], shards: usize) -> Create {
-    let system = Create::new(CreateConfig {
-        shards,
-        ..Default::default()
-    });
+    let system = Create::new(CreateConfig { shards });
     for r in reports {
         system.ingest_gold(r).expect("reference ingest");
     }
@@ -130,10 +127,7 @@ fn kill_and_reopen_recovers_every_acknowledged_write() {
 
     for &shards in &SHARD_COUNTS {
         let dir = fresh_dir(&format!("kill-{shards}"));
-        let config = CreateConfig {
-            shards,
-            ..Default::default()
-        };
+        let config = CreateConfig { shards };
 
         // Ingest with a mid-stream flush: the first 25 docs become
         // segment-durable, the last 15 are acknowledged but live only
@@ -231,10 +225,7 @@ fn shard0_wal(dir: &Path) -> PathBuf {
 /// The torn-tail scenarios aim at frames of shard 0's WAL, so they run
 /// single-shard whatever the host's core count.
 fn single_shard() -> CreateConfig {
-    CreateConfig {
-        shards: 1,
-        ..Default::default()
-    }
+    CreateConfig { shards: 1 }
 }
 
 /// Build a single-shard durable system whose WAL holds exactly the
@@ -496,7 +487,8 @@ fn negative_ordinal_in_a_wal_record_is_corruption() {
 #[test]
 fn wal_record_content_errors_are_corruption_naming_the_file() {
     let reports = corpus(2, 20261004);
-    let cases: [(&str, fn(&str) -> String); 4] = [
+    type Damage = fn(&str) -> String;
+    let cases: [(&str, Damage); 4] = [
         ("unknown record type", |r| {
             r.replacen(r#""t":"doc""#, r#""t":"nope""#, 1)
         }),

@@ -71,7 +71,7 @@ fn full_pipeline_search_quality() {
 fn graph_is_cypher_queryable_after_ingest() {
     let (system, _) = loaded(30, 7);
     let out = run(
-        &mut *system.graph_mut(),
+        &mut system.graph_mut(),
         "MATCH (r:Report)-[:MENTIONS]->(c:Concept) RETURN COUNT(*)",
     )
     .expect("cypher");
@@ -83,7 +83,7 @@ fn graph_is_cypher_queryable_after_ingest() {
 
     // A relation-style query (the Fig-6 graph path) returns rows.
     let out = run(
-        &mut *system.graph_mut(),
+        &mut system.graph_mut(),
         "MATCH (a:Event)-[:BEFORE]->(b:Event) RETURN a.reportId LIMIT 5",
     )
     .expect("cypher");
@@ -166,10 +166,7 @@ fn platform_persistence_round_trip() {
     })
     .generate();
     let query = "A patient was admitted to the hospital because of fever and cough.";
-    let config = CreateConfig {
-        shards: 1,
-        ..Default::default()
-    };
+    let config = CreateConfig { shards: 1 };
     let before_hits: Vec<String>;
     {
         let system = Create::open(&dir, config.clone()).unwrap();

@@ -129,10 +129,7 @@ fn every_route_into_a_shard_seals_the_same_segment_bytes() {
     ];
     let reports = corpus(300, 20261002);
     for (shards, expected) in EXPECTED {
-        let config = CreateConfig {
-            shards,
-            ..Default::default()
-        };
+        let config = CreateConfig { shards };
         let base =
             std::env::temp_dir().join(format!("create-routes-{}-{shards}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
@@ -214,7 +211,9 @@ fn only_segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 /// document per shard.
 #[test]
 fn a_compacted_shard_holds_the_single_seal_bytes() {
-    const EXPECTED: [(usize, &[&str], &[&[usize]]); 2] = [
+    /// Shard count, the per-shard digests, the batch splits.
+    type Case = (usize, &'static [&'static str], &'static [&'static [usize]]);
+    const EXPECTED: [Case; 2] = [
         (
             1,
             &["7c25b1a39e42b8f1"],
@@ -235,10 +234,7 @@ fn a_compacted_shard_holds_the_single_seal_bytes() {
                 split[0]
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let config = CreateConfig {
-                shards,
-                ..Default::default()
-            };
+            let config = CreateConfig { shards };
             let system = Create::open(&dir, config).expect("open");
             let mut from = 0;
             for &len in split.iter() {

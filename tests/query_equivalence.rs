@@ -375,10 +375,7 @@ fn search_bodies_match_the_golden_digests() {
     let reports = corpus(60, 20260902);
     let queries = QuerySet::generate(&reports, 11, 24).queries;
     for shards in [1usize, 2] {
-        let system = Create::new(CreateConfig {
-            shards,
-            ..Default::default()
-        });
+        let system = Create::new(CreateConfig { shards });
         system.ingest_gold_batch(&reports, 0).unwrap();
         let api = build_api(std::sync::Arc::new(system));
         for (policy, golden) in [

@@ -35,10 +35,7 @@ fn corpus(n: usize, seed: u64) -> Vec<CaseReport> {
 }
 
 fn sharded(reports: &[CaseReport], shards: usize) -> Create {
-    let system = Create::new(CreateConfig {
-        shards,
-        ..Default::default()
-    });
+    let system = Create::new(CreateConfig { shards });
     assert_eq!(system.shard_count(), shards);
     system
         .ingest_gold_batch(reports, 0)

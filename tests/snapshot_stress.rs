@@ -36,10 +36,7 @@ fn corpus(n: usize, seed: u64) -> Vec<CaseReport> {
 /// The generation arithmetic below (one bump per batch) assumes one
 /// shard, whatever the host's core count.
 fn single_shard() -> CreateConfig {
-    CreateConfig {
-        shards: 1,
-        ..Default::default()
-    }
+    CreateConfig { shards: 1 }
 }
 
 fn ranking(system: &Create, query: &str) -> Ranking {

@@ -36,10 +36,7 @@ fn corpus(n: usize, seed: u64) -> Vec<CaseReport> {
 }
 
 fn sharded(reports: &[CaseReport], shards: usize) -> Create {
-    let system = Create::new(CreateConfig {
-        shards,
-        ..Default::default()
-    });
+    let system = Create::new(CreateConfig { shards });
     system.ingest_gold_batch(reports, 0).expect("ingest");
     system
 }
@@ -103,7 +100,7 @@ fn assert_parent_linkage(spans: &[Value]) {
             )
         })
         .collect();
-    for (&id, _) in &ids {
+    for &id in ids.keys() {
         let mut current = id;
         let mut hops = 0;
         while current != 1 {
