@@ -18,9 +18,17 @@
 //!     posting_count
 //!     skip_count | per skip: local doc id, byte offset into postings
 //!     postings byte length
-//!     postings: doc gaps (first = local id), then per doc:
-//!       position count, position deltas (first absolute)
+//!     postings: per doc: doc gap (first = local id), term frequency,
+//!       then position deltas (first absolute) if the field has positions
 //! ```
+//!
+//! Whether a field has positions is not in the blob: it is the
+//! configuration's — a field's analyzer either produces word positions
+//! or not (the n-gram field's does not; see
+//! [`create_text::Tokenizer::word_positions`]) — and [`decode_segment`]
+//! and [`merge_postings`] read it from the template index they are
+//! given. Without positions a posting is two varints, mostly a byte
+//! each, which the segment's block compression then shrinks further.
 //!
 //! Doc ids are stored *segment-local* (`doc - base`), so decoding yields
 //! an [`IndexSegment`] that [`Index::merge_segment`] remaps exactly as a
@@ -117,7 +125,8 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
             blob.clear();
             skips.clear();
             let mut prev_doc: u64 = 0;
-            for (i, (doc, positions)) in postings.iter_from(cut).enumerate() {
+            // A list of a field without positions yields none.
+            for (i, (doc, tf, positions)) in postings.iter_from(cut).enumerate() {
                 let local = (doc as usize - base) as u64;
                 if i > 0 && i % SKIP_INTERVAL == 0 {
                     skips.push((local as u32, blob.len() as u64));
@@ -125,7 +134,7 @@ pub fn encode_index_tail(index: &Index, base: usize) -> Vec<u8> {
                 let gap = if i == 0 { local } else { local - prev_doc };
                 prev_doc = local;
                 varint::write_u64(&mut blob, gap);
-                varint::write_u64(&mut blob, positions.len() as u64);
+                varint::write_u32(&mut blob, tf);
                 let mut prev_pos: u64 = 0;
                 for (j, &pos) in positions.iter().enumerate() {
                     let delta = if j == 0 {
@@ -357,18 +366,21 @@ fn field<'t, R: BufRead>(
 /// One posting of a term's stream, as [`Terms::walk`] found it.
 struct Posting {
     doc: u32,
-    /// Where its doc gap ends and its position count starts.
+    /// Where its doc gap ends and its term frequency starts.
     gap_end: usize,
     /// Where it ends.
     end: usize,
-    /// Positions pushed so far, this posting's included.
-    positions: usize,
+    /// The term's occurrences so far, this posting's included (what
+    /// [`PostingList`] keeps as its `ends`).
+    tf_end: u32,
 }
 
 /// One field's dictionary, read a term at a time: the reconstructed
 /// term, its posting count, skip entries and postings stream.
 #[derive(Default)]
 struct Terms {
+    /// Whether the field's postings carry positions (the template's).
+    positions: bool,
     left: usize,
     /// Whether a term was read and not yet passed: the current one.
     has: bool,
@@ -383,9 +395,10 @@ struct Terms {
 impl Terms {
     /// Reads the field's term count: a term takes at least five bytes
     /// (prefix and suffix lengths, posting and skip counts, postings
-    /// length).
-    fn begin<R: BufRead>(r: &mut Reader<R>) -> Result<Terms, CodecError> {
+    /// length). `positions` is whether the field's postings carry them.
+    fn begin<R: BufRead>(r: &mut Reader<R>, positions: bool) -> Result<Terms, CodecError> {
         Ok(Terms {
+            positions,
             left: r.count(5, "term count")?,
             ..Terms::default()
         })
@@ -421,9 +434,9 @@ impl Terms {
         if std::str::from_utf8(&self.text).is_err() {
             return Err(err("term is not UTF-8"));
         }
-        // A posting takes at least three bytes: doc gap, position count,
-        // one position.
-        self.postings = r.count(3, "posting count")?;
+        // A posting takes at least two bytes, doc gap and term frequency,
+        // and one position more in a field with positions.
+        self.postings = r.count(2 + usize::from(self.positions), "posting count")?;
         if self.postings == 0 {
             return Err(err("term without postings"));
         }
@@ -446,20 +459,22 @@ impl Terms {
         std::str::from_utf8(&self.text).expect("checked by next")
     }
 
-    /// Walks the current term's postings stream over a segment of
-    /// `doc_count` documents — ascending docs, each with at least one
-    /// position, the skip entries where the stream puts them — pushing
-    /// each posting's positions onto `positions` and handing it to
-    /// `each`.
+    /// Walks the current term's postings stream over a segment whose
+    /// documents have the field lengths `doc_len` — ascending docs, each
+    /// with a term frequency from 1 to the document's length and, in a
+    /// field with positions, that many positions; frequencies that sum
+    /// to less than 2^32; the skip entries where the stream puts them —
+    /// pushing each posting's positions onto `positions` and handing it
+    /// to `each`.
     fn walk(
         &self,
-        doc_count: usize,
+        doc_len: &[u32],
         positions: &mut Vec<u32>,
         mut each: impl FnMut(Posting) -> Result<(), CodecError>,
     ) -> Result<(), CodecError> {
         let len = self.blob.len();
         let mut b = Reader::new(&self.blob[..]);
-        let mut prev_doc: u32 = 0;
+        let (mut prev_doc, mut tf_end) = (0u32, 0u32);
         for i in 0..self.postings {
             let at = len - b.left() as usize;
             let gap = b.u32("doc gap")?;
@@ -469,7 +484,7 @@ impl Terms {
             // The first gap is the doc id itself.
             let doc = prev_doc
                 .checked_add(gap)
-                .filter(|&doc| (doc as usize) < doc_count)
+                .filter(|&doc| (doc as usize) < doc_len.len())
                 .ok_or_else(|| err("posting doc id past segment doc count"))?;
             prev_doc = doc;
             if i % SKIP_INTERVAL == 0
@@ -479,23 +494,34 @@ impl Terms {
                 return Err(err("skip entry disagrees with postings stream"));
             }
             let gap_end = len - b.left() as usize;
-            let n_pos = b.count(1, "position count")?;
-            if n_pos == 0 {
-                return Err(err("posting without positions"));
+            let tf = b.u32("term frequency")?;
+            if tf == 0 {
+                return Err(err("posting with term frequency 0"));
             }
-            let mut prev_pos: u32 = 0;
-            for _ in 0..n_pos {
-                // The first delta is the absolute position.
-                prev_pos = prev_pos
-                    .checked_add(b.u32("position delta")?)
-                    .ok_or_else(|| err("position overflows u32"))?;
-                positions.push(prev_pos);
+            // A document holds a term at most as often as it holds
+            // tokens, which bounds a term's occurrences in a field by the
+            // field's token count (`Index::merge_segment` relies on it).
+            if tf > doc_len[doc as usize] {
+                return Err(err("term frequency exceeds the document's length"));
+            }
+            tf_end = tf_end
+                .checked_add(tf)
+                .ok_or_else(|| err("term frequencies overflow u32"))?;
+            if self.positions {
+                let mut prev_pos: u32 = 0;
+                for _ in 0..tf {
+                    // The first delta is the absolute position.
+                    prev_pos = prev_pos
+                        .checked_add(b.u32("position delta")?)
+                        .ok_or_else(|| err("position overflows u32"))?;
+                    positions.push(prev_pos);
+                }
             }
             each(Posting {
                 doc,
                 gap_end,
                 end: len - b.left() as usize,
-                positions: positions.len(),
+                tf_end,
             })?;
         }
         if b.left() != 0 {
@@ -539,24 +565,25 @@ pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, Co
         fi.total_len = fi.doc_len.iter().map(|&l| l as u64).sum();
         fi.docs_with_field = fi.doc_len.iter().filter(|&&l| l > 0).count();
 
-        let mut terms = Terms::begin(&mut r)?;
+        let mut terms = Terms::begin(&mut r, fi.positions)?;
         fi.dict = map_with_capacity(terms.left);
         while terms.next(&mut r)? {
             // Every varint ends in exactly one byte below 0x80 and the
-            // stream is gap, position count, positions — so the bytes
+            // stream is gap, term frequency, positions — so the bytes
             // below 0x80 count the positions exactly, and the three
             // arrays are allocated once at their final size.
-            let varints = terms.blob.iter().filter(|&&b| b < 0x80).count();
+            let num_positions = if terms.positions {
+                let varints = terms.blob.iter().filter(|&&b| b < 0x80).count();
+                varints.saturating_sub(2 * terms.postings)
+            } else {
+                0
+            };
             let mut docs = Vec::with_capacity(terms.postings);
             let mut ends = Vec::with_capacity(terms.postings);
-            let mut positions: Vec<u32> =
-                Vec::with_capacity(varints.saturating_sub(2 * terms.postings));
-            terms.walk(doc_count, &mut positions, |posting| {
+            let mut positions: Vec<u32> = Vec::with_capacity(num_positions);
+            terms.walk(&fi.doc_len, &mut positions, |posting| {
                 docs.push(posting.doc);
-                ends.push(
-                    u32::try_from(posting.positions)
-                        .map_err(|_| err("term position count overflows u32"))?,
-                );
+                ends.push(posting.tf_end);
                 Ok(())
             })?;
             fi.dict.insert(
@@ -686,24 +713,30 @@ pub fn merge_postings<R: BufRead>(
         .collect();
     let (mut blob, mut skips, mut positions) = (Vec::new(), Vec::new(), Vec::new());
     let (mut prev_term, mut holders) = (Vec::new(), Vec::new());
+    // Each input's document lengths in the current field.
+    let mut lens: Vec<Vec<u32>> = docs.iter().map(|&n| Vec::with_capacity(n)).collect();
     for (f, name) in names.iter().enumerate() {
         varint::write_u64(&mut record, name.len() as u64);
         record.extend_from_slice(name.as_bytes());
         let prev = f.checked_sub(1).map(|p| names[p]);
         for i in 0..readers.len() {
-            let r = &mut readers[i];
+            let (r, lens) = (&mut readers[i], &mut lens[i]);
+            lens.clear();
             let read = field(r, template, prev).and_then(|_| {
                 for _ in 0..docs[i] {
-                    varint::write_u32(&mut record, r.u32("doc length")?);
+                    let len = r.u32("doc length")?;
+                    varint::write_u32(&mut record, len);
+                    lens.push(len);
                 }
                 Ok(())
             });
             read.map_err(|e| input(i, &mut readers, e))?;
             emit(&mut record)?;
         }
+        let positional = template.fields[*name].positions;
         terms.clear();
         for i in 0..readers.len() {
-            let begun = Terms::begin(&mut readers[i]).and_then(|mut t| {
+            let begun = Terms::begin(&mut readers[i], positional).and_then(|mut t| {
                 t.next(&mut readers[i])?;
                 Ok(t)
             });
@@ -726,13 +759,14 @@ pub fn merge_postings<R: BufRead>(
                 (first..terms.len())
                     .filter(|&i| terms[i].has && terms[i].text == terms[first].text),
             );
-            let (mut n, mut prev_doc) = (0usize, 0u64);
+            let (mut n, mut prev_doc, mut tf_end) = (0usize, 0u64, 0u32);
             blob.clear();
             skips.clear();
             for &i in &holders {
                 let t = &terms[i];
                 positions.clear();
-                t.walk(docs[i], &mut positions, |posting| {
+                let mut input_tf_end = 0;
+                t.walk(&lens[i], &mut positions, |posting| {
                     let doc = bases[i] + u64::from(posting.doc);
                     if n > 0 && n % SKIP_INTERVAL == 0 {
                         let doc =
@@ -743,7 +777,14 @@ pub fn merge_postings<R: BufRead>(
                     // already relative to the posting before them.
                     varint::write_u64(&mut blob, if n == 0 { doc } else { doc - prev_doc });
                     blob.extend_from_slice(&t.blob[posting.gap_end..posting.end]);
-                    (n, prev_doc) = (n + 1, doc);
+                    (n, prev_doc, input_tf_end) = (n + 1, doc, posting.tf_end);
+                    Ok(())
+                })
+                .and_then(|()| {
+                    // `merge_segment` refuses the same sum.
+                    tf_end = tf_end
+                        .checked_add(input_tf_end)
+                        .ok_or_else(|| err("merged term frequencies overflow u32"))?;
                     Ok(())
                 })
                 .map_err(|e| input(i, &mut readers, e))?;
@@ -1093,16 +1134,19 @@ mod tests {
         })
     }
 
-    /// The on-disk bytes are pinned: these digests were computed from
-    /// the encoder over the one-`Vec`-per-posting layout this one
-    /// replaced (commit ea0f7f5), so a change of in-RAM layout cannot
-    /// move the segment format.
+    /// The on-disk bytes are pinned, so a change of in-RAM layout cannot
+    /// move the segment format. Re-pinned once, when `body_ngram`
+    /// stopped storing positions (its tokenizer numbers grams, not
+    /// words): these are the blobs of the earlier pins (274 858 and
+    /// 149 266 bytes, taken over the one-`Vec`-per-posting layout of
+    /// commit ea0f7f5) with that field's position deltas left out and
+    /// the lengths and skip offsets that frame them recomputed.
     #[test]
     fn encoding_matches_the_golden_digests() {
         let idx = golden_corpus();
         for (base, len, digest) in [
-            (0, 274_858, 0x95f3_3102_071a_1772u64),
-            (137, 149_266, 0xd79b_915c_6847_7ea3),
+            (0, 144_171, 0x34aa_1daf_fdf6_3c8bu64),
+            (137, 78_469, 0xa757_92ba_0d75_068a),
         ] {
             let blob = encode_index_tail(&idx, base);
             assert_eq!(

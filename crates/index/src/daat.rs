@@ -573,7 +573,8 @@ fn eval_fuzzy(
 /// Phrase node: leapfrog intersection over the member-term cursors, with
 /// adjacency checked by merge over the (sorted) position lists and the
 /// member scores read straight off the cursors — one pass, no per-doc
-/// `term_scores` rescan.
+/// `term_scores` rescan. A phrase of two or more terms over a field
+/// without positions matches nothing, as in the exhaustive baseline.
 fn eval_phrase(
     index: &Index,
     field: &str,
@@ -588,6 +589,9 @@ fn eval_phrase(
     }
     if terms.len() == 1 {
         return index.term_scores_with(field, &terms[0], scorer, global);
+    }
+    if !index.fields.get(field).is_some_and(|fi| fi.positions) {
+        return Vec::new();
     }
     let mut cursors = Vec::with_capacity(terms.len());
     for t in terms {

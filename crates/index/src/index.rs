@@ -1,8 +1,10 @@
 //! The multi-field inverted index.
 //!
-//! Each field owns an analyzer and a term dictionary of positional
-//! postings. Documents are addressed internally by dense `u32` ids and
-//! externally by caller-supplied string ids (`pmid:…`).
+//! Each field owns an analyzer and a term dictionary of postings —
+//! positional when the analyzer's tokens carry word positions, doc ids
+//! and term frequencies only when they do not (the n-gram field).
+//! Documents are addressed internally by dense `u32` ids and externally
+//! by caller-supplied string ids (`pmid:…`).
 
 use crate::postings::PostingList;
 use create_text::Analyzer;
@@ -32,6 +34,11 @@ pub struct FieldConfig {
 pub(crate) struct FieldIndex {
     pub(crate) analyzer: Arc<Analyzer>,
     pub(crate) boost: f64,
+    /// Whether the postings store token positions: the analyzer's
+    /// [`Analyzer::word_positions`], read once when the field is built.
+    /// Without them a posting is a doc id and a term frequency, which is
+    /// all BM25 reads; a phrase needs them.
+    pub(crate) positions: bool,
     /// term → postings sorted by doc id (`Borrow<str>` keeps `&str`
     /// lookups working).
     pub(crate) dict: FxHashMap<Arc<str>, Arc<PostingList>>,
@@ -53,6 +60,7 @@ pub(crate) struct FieldIndex {
 impl FieldIndex {
     pub(crate) fn empty(analyzer: Arc<Analyzer>, boost: f64) -> FieldIndex {
         FieldIndex {
+            positions: analyzer.word_positions(),
             analyzer,
             boost,
             dict: FxHashMap::default(),
@@ -90,21 +98,29 @@ impl FieldIndex {
         if !tokens.is_empty() {
             self.docs_with_field += 1;
         }
+        let positions = self.positions;
         for token in tokens {
             // Tokenizer-assigned positions survive filtering, so a
             // dropped stopword still advances the position counter —
             // phrase queries then respect the original word distance
             // (Lucene's position-increment behaviour).
             let pos = token.position as u32;
+            let record = |postings: &mut PostingList| {
+                if positions {
+                    postings.push(doc, pos)
+                } else {
+                    postings.push_freq(doc)
+                }
+            };
             match self.dict.get_mut(token.text.as_str()) {
                 // Copy-on-write: clones this one term's list only if a
                 // published snapshot still shares it.
-                Some(postings) => Arc::make_mut(postings).push(doc, pos),
+                Some(postings) => record(Arc::make_mut(postings)),
                 None => {
                     let term: Arc<str> = Arc::from(token.text);
                     Self::bucket_new_term(&mut self.term_buckets, &term);
                     let mut postings = PostingList::default();
-                    postings.push(doc, pos);
+                    record(&mut postings);
                     self.dict.insert(term, Arc::new(postings));
                 }
             }
@@ -245,7 +261,8 @@ impl Index {
 
     /// Bytes the postings hold in RAM: per term its text and the three
     /// [`PostingList`] arrays — 4 B doc id and 4 B end per posting, 4 B
-    /// per position. This is what the arrays occupy, not an estimate;
+    /// per position (none in a field without word positions). This is
+    /// what the arrays occupy, not an estimate;
     /// the dictionary's table and the `Arc` headers come on top. Used by
     /// the E8 index-size comparison and the benchmark's
     /// `index.ram_postings_bytes_per_doc`.
@@ -338,6 +355,8 @@ pub enum IndexError {
     UnknownField(String),
     /// External id already present.
     DuplicateDocument(String),
+    /// A merge would give the term 2^32 or more occurrences in a field.
+    FrequencyOverflow(String),
 }
 
 impl std::fmt::Display for IndexError {
@@ -345,6 +364,9 @@ impl std::fmt::Display for IndexError {
         match self {
             IndexError::UnknownField(name) => write!(f, "unknown field {name:?}"),
             IndexError::DuplicateDocument(id) => write!(f, "duplicate document {id:?}"),
+            IndexError::FrequencyOverflow(term) => {
+                write!(f, "term {term:?} would occur 2^32 or more times")
+            }
         }
     }
 }
@@ -434,6 +456,34 @@ mod tests {
         // Partial-string gram lookup hits.
         assert_eq!(idx.doc_freq("body_ngram", "amioda"), 1);
         assert_eq!(idx.doc_freq("body_ngram", "darone"), 1);
+    }
+
+    #[test]
+    fn the_ngram_field_stores_frequencies_without_positions() {
+        let mut idx = Index::clinical();
+        let text = "amiodarone then amiodarone";
+        idx.add_document("d", &[("body", text), ("body_ngram", text)])
+            .unwrap();
+        assert!(idx.fields["body"].positions && !idx.fields["body_ngram"].positions);
+        let grams = idx.postings("body_ngram", "amio").unwrap();
+        assert_eq!((grams.tf(0), grams.positions(0)), (2, &[][..]));
+        let words = idx.postings("body", "amiodaron").unwrap();
+        assert_eq!((words.tf(0), words.positions(0)), (2, &[0, 2][..]));
+        let ngram_terms = idx.vocabulary_size("body_ngram");
+        let body_terms = idx.vocabulary_size("body");
+        let term_bytes: usize = idx
+            .fields
+            .values()
+            .flat_map(|f| f.dict.keys())
+            .map(|term| term.len())
+            .sum();
+        // One posting per term, and positions only for `body`'s two
+        // occurrences of its one term ("then" is a stopword).
+        assert_eq!(body_terms, 1);
+        assert_eq!(
+            idx.postings_bytes(),
+            term_bytes + 8 * (ngram_terms + body_terms) + 4 * 2
+        );
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! N-gram tokenizer with min_gram=3, max_gram=25). This crate implements
 //! the engine from scratch:
 //!
-//! * [`index`] — multi-field inverted index with positional postings,
-//!   built over `create-text` analyzers;
+//! * [`index`] — multi-field inverted index built over `create-text`
+//!   analyzers, with positional postings where the analyzer's tokens
+//!   carry word positions and doc ids plus term frequencies where they
+//!   do not (the n-gram field: BM25 reads only the frequency, and a
+//!   phrase over grams matches nothing);
 //! * [`postings`] — the one in-RAM posting representation: a flat
 //!   struct-of-arrays list per term, shared by writer, merge, codec and
 //!   cursors;
@@ -15,8 +18,9 @@
 //!   deterministically into one searchable index (the Lucene-segment
 //!   analogue);
 //! * [`codec`] — delta/varint on-disk postings encoding of an index
-//!   tail, decoded back into a mergeable segment (used by the durable
-//!   storage engine's sealed segment files);
+//!   tail (positions only for the fields that keep them), decoded back
+//!   into a mergeable segment (used by the durable storage engine's
+//!   sealed segment files);
 //! * [`query`] — term, phrase, fuzzy, and boolean queries plus a
 //!   query-string convenience;
 //! * [`score`] — BM25 (default, k1=1.2, b=0.75) and TF-IDF scoring with

@@ -13,7 +13,10 @@ pub enum QueryNode {
         /// Analyzed term text.
         term: String,
     },
-    /// Exact phrase (consecutive positions) in a field.
+    /// Exact phrase (consecutive positions) in a field. A field whose
+    /// tokenizer does not produce word positions (the n-gram field)
+    /// stores none, so there a phrase of two or more terms matches
+    /// nothing; a one-term phrase is that term, on any field.
     Phrase {
         /// Field name.
         field: String,

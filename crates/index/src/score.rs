@@ -303,13 +303,13 @@ impl Index {
         let avg_len = avg_len.max(1.0);
         postings
             .iter()
-            .map(|(doc, positions)| {
+            .map(|(doc, tf, _)| {
                 (
                     doc,
                     doc_score(
                         scorer,
                         idf,
-                        positions.len() as f64,
+                        tf as f64,
                         fi.doc_len[doc as usize] as f64,
                         avg_len,
                         fi.boost,
@@ -321,7 +321,8 @@ impl Index {
 
     /// Phrase scoring for the exhaustive baseline: per-doc linear rescans
     /// of every member posting list (the pre-DAAT implementation the
-    /// quadratic-blowup regression test pins down).
+    /// quadratic-blowup regression test pins down). A phrase of two or
+    /// more terms over a field without positions matches nothing.
     fn phrase_scores(&self, field: &str, terms: &[String], scorer: Scorer) -> Vec<(u32, f64)> {
         if terms.is_empty() {
             return Vec::new();
@@ -329,7 +330,7 @@ impl Index {
         if terms.len() == 1 {
             return self.term_scores(field, &terms[0], scorer);
         }
-        let Some(fi) = self.fields.get(field) else {
+        let Some(fi) = self.fields.get(field).filter(|fi| fi.positions) else {
             return Vec::new();
         };
         let mut postings_lists: Vec<&PostingList> = Vec::with_capacity(terms.len());
@@ -341,14 +342,14 @@ impl Index {
         }
         // Intersect docs; check consecutive positions.
         let mut out = Vec::new();
-        for (doc, first_positions) in postings_lists[0].iter() {
+        for (doc, _, first_positions) in postings_lists[0].iter() {
             // The doc's positions under each member term, in phrase order.
             let mut doc_positions = Vec::with_capacity(terms.len());
             doc_positions.push(first_positions);
             let mut all = true;
             for list in &postings_lists[1..] {
-                match list.iter().find(|(d, _)| *d == doc) {
-                    Some((_, positions)) => doc_positions.push(positions),
+                match list.iter().find(|(d, _, _)| *d == doc) {
+                    Some((_, _, positions)) => doc_positions.push(positions),
                     None => {
                         all = false;
                         break;
@@ -457,6 +458,36 @@ mod tests {
         // d1 has "chest pain" consecutively; d4 has "pain chest" (reversed).
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].external_id, "d1");
+    }
+
+    /// `body_ngram` stores no positions: a phrase of two grams matches
+    /// nothing in either executor — not even "amio" "miod", whose grams
+    /// were emitted one after the other — and a one-gram phrase is that
+    /// gram's term query.
+    #[test]
+    fn a_phrase_over_the_ngram_field_matches_nothing() {
+        let mut idx = Index::clinical();
+        for (id, text) in [("a", "amiodarone toxicity"), ("b", "amiodarone")] {
+            idx.add_document(id, &[("body", text), ("body_ngram", text)])
+                .unwrap();
+        }
+        for terms in [&["amio", "miod"][..], &["amio", "amiod"], &["toxi", "amio"]] {
+            let q = QueryNode::phrase("body_ngram", terms);
+            assert!(
+                checked_search(&idx, &q, 10, Scorer::default()).is_empty(),
+                "{terms:?}"
+            );
+        }
+        let one = checked_search(
+            &idx,
+            &QueryNode::phrase("body_ngram", &["amio"]),
+            10,
+            Scorer::default(),
+        );
+        let q = QueryNode::term("body_ngram", "amio");
+        let term = idx.search(&q, 10, Scorer::default());
+        assert_eq!(one.len(), 2);
+        assert_eq!(one, term);
     }
 
     #[test]

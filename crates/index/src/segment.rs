@@ -118,7 +118,8 @@ impl Index {
     /// Merges a segment into the index, remapping its dense doc ids onto
     /// the end of the index's id space (see the module docs for the
     /// invariants). Fails — without mutating the index — if the segment's
-    /// fields differ or any external id is already present.
+    /// fields differ, any external id is already present, or a term would
+    /// occur 2^32 or more times in a field.
     pub fn merge_segment(&mut self, segment: IndexSegment) -> Result<(), IndexError> {
         for name in segment.fields.keys() {
             if !self.fields.contains_key(name) {
@@ -128,6 +129,27 @@ impl Index {
         for id in &segment.external_ids {
             if self.id_map.contains_key(id.as_str()) {
                 return Err(IndexError::DuplicateDocument(id.clone()));
+            }
+        }
+        // A term occurs in a field at most as often as the field has
+        // tokens (true as built, and checked by the codec), so below 2^32
+        // tokens no term's occurrences can overflow its `ends`; past it,
+        // every term the two share is checked.
+        for (name, seg_field) in &segment.fields {
+            let fi = &self.fields[name];
+            if fi.total_len + seg_field.total_len <= u64::from(u32::MAX) {
+                continue;
+            }
+            for (term, seg_postings) in &seg_field.dict {
+                let overflows = fi.dict.get(term).is_some_and(|postings| {
+                    postings
+                        .occurrences()
+                        .checked_add(seg_postings.occurrences())
+                        .is_none()
+                });
+                if overflows {
+                    return Err(IndexError::FrequencyOverflow(term.to_string()));
+                }
             }
         }
         let base = self.external_ids.len() as u32;

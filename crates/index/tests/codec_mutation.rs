@@ -12,14 +12,22 @@
 //! that `decode_segment` + `merge_segment` refuse, and write what
 //! `encode_index_tail` writes of the index those two build for the rest.
 //!
+//! Hand-built blobs pin what the checks of a stream without positions
+//! (`body_ngram`'s: a doc gap and a term frequency per posting) refuse,
+//! from `decode_segment` and `merge_postings` alike.
+//!
 //! Its own test binary because it installs a global allocator.
 
-use create_index::codec::{decode_segment, encode_index_tail, merge_postings, SKIP_INTERVAL};
+use create_index::codec::{
+    decode_segment, encode_index_tail, merge_postings, CodecError, MergeError, SKIP_INTERVAL,
+};
 use create_index::facets::{FacetField, FacetIndex, ALL_FACET_FIELDS};
-use create_index::Index;
-use create_util::Rng;
+use create_index::{FieldConfig, Index};
+use create_text::Analyzer;
+use create_util::{varint, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const SEED: u64 = 0xC0DE_C017;
 const MUTANTS: u64 = 4000;
@@ -221,11 +229,162 @@ fn pair<'a>(mutant: &'a [u8], other: &'a [u8]) -> [&'a [u8]; 2] {
     }
 }
 
+/// A hand-built postings blob of the documents `ids`, with the
+/// `body_ngram` lengths `lens` and no `title` or `body` tokens, holding
+/// one term — `body_ngram`'s "abc", of `postings` postings whose stream
+/// is the varints `stream`.
+fn ngram_blob(ids: &[&str], lens: &[u32], postings: u64, stream: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let bytes = |out: &mut Vec<u8>, b: &[u8]| {
+        varint::write_u64(out, b.len() as u64);
+        out.extend_from_slice(b);
+    };
+    varint::write_u64(&mut out, ids.len() as u64);
+    for id in ids {
+        bytes(&mut out, id.as_bytes());
+    }
+    varint::write_u64(&mut out, 3);
+    for field in ["body", "body_ngram", "title"] {
+        bytes(&mut out, field.as_bytes());
+        let ngram = field == "body_ngram";
+        for &len in lens {
+            varint::write_u32(&mut out, if ngram { len } else { 0 });
+        }
+        varint::write_u64(&mut out, u64::from(ngram));
+        if ngram {
+            // No shared prefix, suffix "abc", the posting count, no
+            // skips, the stream.
+            varint::write_u64(&mut out, 0);
+            bytes(&mut out, b"abc");
+            varint::write_u64(&mut out, postings);
+            varint::write_u64(&mut out, 0);
+            let mut blob = Vec::new();
+            for &v in stream {
+                varint::write_u64(&mut blob, v);
+            }
+            bytes(&mut out, &blob);
+        }
+    }
+    out
+}
+
+/// Both passes of [`merge_postings`] over `blobs`, into the merged blob.
+fn merge(blobs: &[&[u8]], template: &Index) -> Result<Vec<u8>, MergeError> {
+    let inputs = || blobs.iter().map(|b| (*b, b.len() as u64)).collect();
+    let counted = merge_postings(inputs(), template, None, &mut std::io::sink())?;
+    let mut merged = Vec::new();
+    merge_postings(inputs(), template, Some(&counted.term_counts), &mut merged)?;
+    Ok(merged)
+}
+
+/// The codec error `merge_postings` refused input `at` with.
+fn merge_refusal(merged: Result<Vec<u8>, MergeError>, at: usize, what: &str) -> CodecError {
+    match merged {
+        Err(MergeError::Input(i, e)) if i == at => e
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<CodecError>())
+            .unwrap_or_else(|| panic!("{what}: the merge refused input {i} untyped: {e}"))
+            .clone(),
+        other => panic!("{what}: the merge gave {other:?}, not a refusal of input {at}"),
+    }
+}
+
+/// Streams of a field without positions that only their term
+/// frequencies make wrong — a frequency of 0, one past the document's
+/// length, frequencies summing past `u32::MAX`, position bytes after a
+/// frequency (as a positional encoder writes them) — are the same typed
+/// [`CodecError`] from `decode_segment` and `merge_postings`; and a term
+/// whose occurrences pass `u32::MAX` only across two segments is refused
+/// by the merge and by `merge_segment`, with no panic in either.
+fn hostile_frequency_streams_are_refused_alike(template: &Index) {
+    let max = u64::from(u32::MAX);
+    let valid = ngram_blob(&["a"], &[2], 1, &[0, 2]);
+    let mut rebuilt = Index::clinical();
+    rebuilt
+        .merge_segment(decode_segment(&valid, template).expect("the hand-built shape decodes"))
+        .unwrap();
+    assert_eq!(encode_index_tail(&rebuilt, 0), valid);
+
+    // `body_ngram` as a positional field would write it: tf, position.
+    let mut positional = Index::new(
+        ["title", "body", "body_ngram"]
+            .into_iter()
+            .map(|name| FieldConfig {
+                name: name.to_string(),
+                analyzer: Arc::new(Analyzer::clinical_standard()),
+                boost: 1.0,
+            })
+            .collect(),
+    );
+    positional
+        .add_document("a", &[("body_ngram", "amiodarone toxicity amiodarone")])
+        .unwrap();
+    let cases = [
+        (
+            "tf 0",
+            ngram_blob(&["a"], &[1], 1, &[0, 0]),
+            "posting with term frequency 0",
+        ),
+        (
+            "tf past the document's length",
+            ngram_blob(&["a"], &[1], 1, &[0, 2]),
+            "term frequency exceeds the document's length",
+        ),
+        (
+            "cumulative tf past u32::MAX",
+            ngram_blob(&["a", "b"], &[u32::MAX; 2], 2, &[0, max, 1, 1]),
+            "term frequencies overflow u32",
+        ),
+        (
+            "a stray position delta",
+            ngram_blob(&["a"], &[1], 1, &[0, 1, 0]),
+            "trailing bytes in postings blob",
+        ),
+        (
+            "positions of a positional encoder",
+            encode_index_tail(&positional, 0),
+            "trailing bytes in postings blob",
+        ),
+    ];
+    for (what, blob, message) in cases {
+        let decoded = decode_segment(&blob, template).map(drop).expect_err(what);
+        assert_eq!(decoded.0, message, "{what}");
+        assert_eq!(
+            merge_refusal(merge(&[&blob], template), 0, what),
+            decoded,
+            "{what}: the merge refuses it as decode does"
+        );
+    }
+
+    let (a, b) = (
+        ngram_blob(&["a"], &[u32::MAX], 1, &[0, max]),
+        ngram_blob(&["b"], &[u32::MAX], 1, &[0, max]),
+    );
+    let what = "occurrences past u32::MAX across two segments";
+    assert_eq!(
+        merge_refusal(merge(&[&a, &b], template), 1, what).0,
+        "merged term frequencies overflow u32"
+    );
+    let mut oracle = Index::clinical();
+    oracle
+        .merge_segment(decode_segment(&a, template).unwrap())
+        .unwrap();
+    let refused = oracle
+        .merge_segment(decode_segment(&b, template).unwrap())
+        .expect_err(what);
+    assert_eq!(
+        refused,
+        create_index::index::IndexError::FrequencyOverflow("abc".to_string())
+    );
+    assert_eq!(encode_index_tail(&oracle, 0), a, "{what}: the refusal changed nothing");
+}
+
 /// One test for every blob: they share the allocator's high-water mark.
 #[test]
 fn mutated_blobs_decode_to_err_or_round_trip() {
     println!("codec_mutation seed {SEED:#x}");
     let template = Index::clinical();
+    hostile_frequency_streams_are_refused_alike(&template);
     let valid = valid_blob("pmid");
     fuzz(
         "postings",

@@ -18,11 +18,12 @@
 //! ```
 //!
 //! The facets region holds the facet-bitmap tail for the segment's doc
-//! range (opaque here; `create-index::facets` encodes it). Format 3 is
+//! range (opaque here; `create-index::facets` encodes it). Format 4 is
 //! the only format written and the only one read: a file whose header
-//! names another — format 2, the three-region layout without a facets
-//! region that nothing has written since format 3 appeared — is refused
-//! as [`StorageError::Corrupt`] ("unsupported segment format 2").
+//! names another is refused as [`StorageError::Corrupt`] ("unsupported
+//! segment format 3"). Format 3 had the same regions, but its postings
+//! carried positions in every field, the n-gram field's included;
+//! format 2 had no facets region.
 //!
 //! Block framing is `block_count varint`, then per block
 //! `uncompressed_len varint | compressed_len varint | crc32(compressed)
@@ -60,8 +61,9 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"CSEG";
 const FOOTER_MAGIC: &[u8; 4] = b"GESC";
-/// The segment format: four regions.
-pub const FORMAT: u32 = 3;
+/// The segment format: four regions, postings without positions in a
+/// field whose tokenizer has no word positions.
+pub const FORMAT: u32 = 4;
 /// Maximum uncompressed bytes per block.
 pub const BLOCK_TARGET: usize = 256 * 1024;
 /// Regions per segment file.

@@ -91,6 +91,13 @@ impl Analyzer {
         &self.name
     }
 
+    /// Whether the tokens' positions are word positions (see
+    /// [`Tokenizer::word_positions`]); filters keep the tokenizer's
+    /// positions, so this is the tokenizer's answer.
+    pub fn word_positions(&self) -> bool {
+        self.tokenizer.word_positions()
+    }
+
     /// Runs the full pipeline over `text`.
     pub fn analyze(&self, text: &str) -> Vec<Token> {
         // Character filters (length-preserving) first.
@@ -232,6 +239,13 @@ mod tests {
     fn empty_input_is_empty() {
         assert!(Analyzer::clinical_standard().terms("").is_empty());
         assert!(Analyzer::clinical_ngram().terms(" .. ").is_empty());
+    }
+
+    #[test]
+    fn word_positions_follow_the_tokenizer() {
+        assert!(Analyzer::clinical_standard().word_positions());
+        assert!(Analyzer::simple().word_positions());
+        assert!(!Analyzer::clinical_ngram().word_positions());
     }
 
     #[test]

@@ -42,6 +42,13 @@ impl Token {
 pub trait Tokenizer: Send + Sync {
     /// Tokenizes `text`, producing tokens with byte spans into `text`.
     fn tokenize(&self, text: &str) -> Vec<Token>;
+
+    /// Whether [`Token::position`]s are word positions — consecutive
+    /// positions are adjacent words, so a phrase query can match them.
+    /// An index stores positions only for a tokenizer that says yes.
+    fn word_positions(&self) -> bool {
+        true
+    }
 }
 
 /// Standard word tokenizer.
@@ -180,6 +187,13 @@ impl Tokenizer for NGramTokenizer {
             }
         }
         tokens
+    }
+
+    /// No: grams are numbered in emission order, so the grams of one
+    /// word take many positions and the next word's first gram does not
+    /// follow the last word's.
+    fn word_positions(&self) -> bool {
+        false
     }
 }
 

@@ -11,7 +11,9 @@
 # benchmark smoke (`create-benchmark all --quick`, every in-run check),
 # the server, trace and observability smoke checks, E4's ranking-ablation
 # quality cells (`exp_ir_vs_solr`, ~15 s: the BM25 default and TF-IDF
-# rows EXPERIMENTS.md quotes, exactly), the stripped
+# rows EXPERIMENTS.md quotes, exactly), E8's recall cells
+# (`exp_ngram_analyzer`, ~6 s: full / prefix / infix recall of the
+# standard and the paper's ngram(3,25) analyzer, exactly), the stripped
 # (`--no-default-features`) build, and the SIGKILL recovery smoke (a
 # sealed document, a `/submit` and a `/submit_batch` document in the WAL
 # tail; also asserts the data directory holds no JSONL copy; then
@@ -113,6 +115,25 @@ do
     }
 done
 rm -f "$e4"
+
+echo "== E8 quality: the n-gram analyzer recall cells EXPERIMENTS.md quotes =="
+# Full / prefix / infix recall of the standard analyzer and the paper's
+# ngram(3,25) (`exp_ngram_analyzer`, ~6 s), seeded and deterministic; the
+# index-size and timing columns are not gated.
+e8="$(mktemp)"
+cargo run -q --release -p create-bench --bin exp_ngram_analyzer > "$e8"
+for row in \
+    'standard (stemmed)|0.4867 0.0867 0.0133' \
+    'ngram(3,25) [paper]|0.5000 0.4000 0.2800'
+do
+    name="${row%%|*}"; want="${row##*|}"
+    got="$(awk -v name="$name" 'index($0, name " ") == 1 { print $(NF-3), $(NF-2), $(NF-1) }' "$e8")"
+    [ "$got" = "$want" ] || {
+        echo "verify: FAIL — exp_ngram_analyzer '$name' full / prefix / infix recall is '$got', not '$want'" >&2
+        exit 1
+    }
+done
+rm -f "$e8"
 
 echo "== stripped build: the server and everything under it without the obs feature =="
 cargo check -q --offline -p create-server --no-default-features

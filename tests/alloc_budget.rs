@@ -16,11 +16,13 @@
 //!   arrays and the term's text are exactly `postings_bytes`; what comes
 //!   on top is two `Arc` headers and the `PostingList` struct (104
 //!   bytes), a dictionary slot and a fuzzy-bucket slot. On a corpus
-//!   this small — 20 049 terms for 504 reports — those headers are 0.68x
-//!   `postings_bytes`, so the whole-heap ratio (1.68x; it was 3.45x in
-//!   requested bytes, before malloc rounded each one-position `Vec` up
-//!   to a 32-byte chunk) is printed and the per-term remainder is what
-//!   is gated;
+//!   this small — 20 049 terms for 504 reports — those headers are 1.01x
+//!   `postings_bytes`, so the whole-heap ratio (2.01x; 1.68x while
+//!   `body_ngram` stored positions, 3.45x in requested bytes before
+//!   malloc rounded each one-position `Vec` up to a 32-byte chunk) is
+//!   printed and the per-term remainder is what is gated, with
+//!   `postings_bytes` itself: 3 586 951 bytes, 5 310 279 with the n-gram
+//!   positions;
 //! * (c) dropping the previous snapshot after a publish gives back what
 //!   the copy-on-write copied;
 //! * (d) everything the loaded `Create` holds — index, graph, document
@@ -28,7 +30,8 @@
 //!   published snapshot share — stays under a fixed number of live
 //!   bytes. With every stored document a tree of `BTreeMap`s and
 //!   `String`s and every graph node and edge an `Arc` of its own it held
-//!   30.8 MB, and while a publish copied the tables 17.63 MB;
+//!   30.8 MB, while a publish copied the tables 17.63 MB, and while
+//!   `body_ngram` stored positions 16.57 MB;
 //! * (e) `PropertyGraph::heap_bytes()` and `DocStore::heap_bytes()` —
 //!   what `/stats` and the `create_resident_bytes` gauges report — are
 //!   within a tenth of what the allocator says building the same graph
@@ -127,19 +130,24 @@ const REPORTS: usize = 500;
 /// lengths included), and the figure repeats exactly. One more `u32`
 /// per posting would add about 80.
 const TERM_OVERHEAD: usize = 190;
-/// Allocations one 2-document batch may make at 500 reports: a fifth
-/// over the 16 267 it makes (tokens, the batch's own segment, the
-/// touched lists' copies, the copies of the tables the published
-/// snapshot shares). It made 25 524 while a publish cloned a `String`
-/// per graph index key and a node per 11 stored documents, 209 179 with
-/// a `Vec` per posting.
+/// Allocations one 2-document batch may make at 500 reports: 14 336
+/// measured (tokens, the batch's own segment, the touched lists' copies,
+/// the copies of the tables the published snapshot shares). The budget
+/// is a fifth over the 16 267–16 683 it made while `body_ngram` stored
+/// positions, 25 524 while a publish cloned a `String` per graph index
+/// key and a node per 11 stored documents, 209 179 with a `Vec` per
+/// posting.
 const SUBMIT_BUDGET: usize = 20_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 16.57 MB measured — 18.07 MB with the generated corpus beside it,
-/// the figure that read 19.13 MB while the writer and the published
-/// snapshot held a copy of the tables each, and 32.28 MB before
-/// documents were text and the graph flat.
-const RESIDENT_BUDGET: isize = 21_600_000;
+/// 14.46 MB measured, 16.57 MB while `body_ngram` stored positions —
+/// 18.07 MB with the generated corpus beside it, the figure that read
+/// 19.13 MB while the writer and the published snapshot held a copy of
+/// the tables each, and 32.28 MB before documents were text and the
+/// graph flat.
+const RESIDENT_BUDGET: isize = 15_500_000;
+/// `Index::postings_bytes()` of the index of (b): 3 586 951 measured,
+/// 5 310 279 while `body_ngram` stored positions.
+const POSTINGS_BUDGET: usize = 4_000_000;
 /// Allocations a cache-hit `search_answer` may make: the lookup key's
 /// copy of the query text, which is all it makes.
 const HIT_ANSWER_BUDGET: usize = 1;
@@ -155,7 +163,9 @@ const HIT_REQUEST_BUDGET: usize = 34;
 const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 /// Heap a compacting flush may hold above what was live when it began,
 /// at any shard size: a block of each input and of the output, one
-/// term's postings, the shard's ids and its facets.
+/// term's postings, the shard's ids and its facets — 1.20–1.37 MB
+/// measured at 250–1000 reports, 1.86–2.25 MB while `body_ngram` stored
+/// positions.
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Repeats of the warmed query per measured call.
 const HIT_REPEATS: usize = 40;
@@ -379,6 +389,10 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         held >= counted && per_term <= TERM_OVERHEAD as f64,
         "the index holds {held} heap bytes for postings_bytes {counted}: \
          {per_term:.1} bytes over it per term, budget {TERM_OVERHEAD}"
+    );
+    assert!(
+        index.postings_bytes() <= POSTINGS_BUDGET,
+        "the index's postings_bytes is {counted}, budget {POSTINGS_BUDGET}"
     );
     assert!(
         both_copies > after_drop && after_drop as f64 <= 1.03 * single_copy as f64,

@@ -331,7 +331,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Both segments are format 3, the only format read: the name dates
+/// Both segments are in the one format written and read: the name dates
 /// from the format-2 segment this directory once mixed in, and is what
 /// the test lists know this test by.
 #[test]
@@ -341,7 +341,7 @@ fn mixed_format_segments_reopen_and_answer_cohorts() {
     // Single shard: both segments land in shard-0.
     let config = CreateConfig { shards: 1 };
 
-    // Seal two format-3 segments, then crash without a shutdown flush.
+    // Seal two segments, then crash without a shutdown flush.
     {
         let system = Create::open(&dir, config.clone()).expect("open");
         for r in &reports[..20] {

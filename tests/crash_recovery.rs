@@ -24,9 +24,9 @@
 //! What recovery cannot read it refuses: a WAL record whose frame is
 //! intact but whose content does not read back (an extraction that does
 //! not deserialize, a negative ordinal, an unknown record type, a
-//! missing member), the retired `update` record and a format-2 segment
-//! header each fail the open as corruption naming the file, and the
-//! refused open changes nothing on disk.
+//! missing member), the retired `update` record and a format-2 or
+//! format-3 segment header each fail the open as corruption naming the
+//! file, and the refused open changes nothing on disk.
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
@@ -520,22 +520,31 @@ fn retired_formats_are_refused_as_corruption() {
     });
     assert_open_refuses_the_wal(&dir, "update record");
 
-    // A segment whose header names format 2 (the footer checksum redone,
-    // so the header is the only thing wrong with the file).
-    let dir = fresh_dir("format-2");
-    crash_with_wal_tail(&dir, &reports, 0);
-    let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");
-    let mut bytes = std::fs::read(&segment).expect("read segment");
-    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let footer = bytes.len() - 8;
-    let crc = create::storage::checksum::crc32(&bytes[..footer]);
-    bytes[footer..footer + 4].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&segment, &bytes).expect("write segment");
-    let err = Create::open(&dir, single_shard()).expect_err("format-2 header");
-    assert!(err.is_corruption(), "{err} is not typed as corruption");
-    assert!(
-        err.to_string().contains("unsupported segment format 2"),
-        "{err}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // A segment whose header names a retired format — 2, without the
+    // facets region, or 3, whose postings carried positions in every
+    // field — with the footer checksum redone, so the header is the only
+    // thing wrong with the file.
+    for format in [2u32, 3] {
+        let dir = fresh_dir(&format!("format-{format}"));
+        crash_with_wal_tail(&dir, &reports, 0);
+        let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");
+        let mut bytes = std::fs::read(&segment).expect("read segment");
+        bytes[4..8].copy_from_slice(&format.to_le_bytes());
+        let footer = bytes.len() - 8;
+        let crc = create::storage::checksum::crc32(&bytes[..footer]);
+        bytes[footer..footer + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&segment, &bytes).expect("write segment");
+        let err = Create::open(&dir, single_shard()).expect_err("retired format header");
+        assert!(err.is_corruption(), "{err} is not typed as corruption");
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported segment format {format}")),
+            "{err}"
+        );
+        assert!(
+            std::fs::read(&segment).expect("segment") == bytes,
+            "the refused open rewrote the format-{format} segment"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

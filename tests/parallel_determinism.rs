@@ -118,14 +118,17 @@ fn segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 
 /// However a document reaches a shard — submitted alone, in a batch on
 /// any number of workers, or replayed from the WAL — the shard seals the
-/// same bytes: the digests of commit `d5d30ea`, where three hand-copied
-/// routes computed them (measured there with this harness; its lone,
-/// batch and replay routes agreed).
+/// same bytes. The digests were first taken at commit `d5d30ea`, where
+/// three hand-copied routes computed them (its lone, batch and replay
+/// routes agreed), and re-pinned once, for segment format 4, when
+/// `body_ngram` stopped storing positions: they are the files the
+/// previous encoder writes once that field's position deltas are left
+/// out and the header names format 4.
 #[test]
 fn every_route_into_a_shard_seals_the_same_segment_bytes() {
     const EXPECTED: [(usize, &[&str]); 2] = [
-        (1, &["7c25b1a39e42b8f1"]),
-        (2, &["7a2c8f594d863efd", "91858ae9a646f9e4"]),
+        (1, &["694623a8c6b3f29e"]),
+        (2, &["620d1958553531a2", "b1a0babb77b3f7de"]),
     ];
     let reports = corpus(300, 20261002);
     for (shards, expected) in EXPECTED {
@@ -206,7 +209,9 @@ fn only_segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 /// `every_route_into_a_shard_seals_the_same_segment_bytes`, ingested in
 /// four batches with a flush after each (the fourth flush reaches
 /// `COMPACT_SEGMENT_THRESHOLD` and compacts), leaves that test's
-/// single-seal digests. The splits put a 128-posting skip boundary
+/// single-seal digests (re-pinned with them for format 4, unchanged
+/// here: the merge copies each posting's bytes after its doc gap as they
+/// are, positions or none). The splits put a 128-posting skip boundary
 /// inside a later input (100/100/50/50) and make the last input one
 /// document per shard.
 #[test]
@@ -216,12 +221,12 @@ fn a_compacted_shard_holds_the_single_seal_bytes() {
     const EXPECTED: [Case; 2] = [
         (
             1,
-            &["7c25b1a39e42b8f1"],
+            &["694623a8c6b3f29e"],
             &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 39, 1]],
         ),
         (
             2,
-            &["7a2c8f594d863efd", "91858ae9a646f9e4"],
+            &["620d1958553531a2", "b1a0babb77b3f7de"],
             &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 38, 2]],
         ),
     ];

@@ -181,6 +181,63 @@ fn hundred_seeded_queries_are_bit_identical() {
     }
 }
 
+/// `body_ngram` keeps doc ids and term frequencies, no positions:
+/// `Term`, `Bool` and `Fuzzy` over it score from the frequencies
+/// bit-identically in both executors, and a phrase of two grams — even
+/// two emitted one after the other — matches nothing in either.
+#[test]
+fn ngram_field_queries_are_bit_identical() {
+    let reports = corpus(120, 4242);
+    let idx = clinical_index(&reports);
+    let analyzer = Analyzer::clinical_ngram();
+    let analyzed: Vec<Vec<String>> = reports[..30]
+        .iter()
+        .map(|r| analyzer.terms(&r.text))
+        .collect();
+    let gram = |rng: &mut Rng| QueryNode::Term {
+        field: "body_ngram".to_string(),
+        term: random_term(rng, &analyzed),
+    };
+    let mut rng = Rng::seed_from_u64(240_024);
+    let ks = [1, 5, 10, 50];
+    let mut scored = 0;
+    for i in 0..40 {
+        let k = ks[rng.below(ks.len())];
+        let scorer = if rng.below(5) == 0 {
+            Scorer::TfIdf
+        } else {
+            Scorer::default()
+        };
+        let q = match i % 4 {
+            0 => gram(&mut rng),
+            1 => QueryNode::Bool {
+                must: (0..1 + rng.below(2)).map(|_| gram(&mut rng)).collect(),
+                should: (0..rng.below(3)).map(|_| gram(&mut rng)).collect(),
+                must_not: (0..rng.below(2)).map(|_| gram(&mut rng)).collect(),
+            },
+            2 => {
+                let base = random_term(&mut rng, &analyzed);
+                QueryNode::Fuzzy {
+                    field: "body_ngram".to_string(),
+                    term: typo(&mut rng, &base),
+                    max_edits: 1 + rng.below(2),
+                }
+            }
+            _ => QueryNode::Phrase {
+                field: "body_ngram".to_string(),
+                terms: random_phrase(&mut rng, &analyzed, 2),
+            },
+        };
+        let hits = assert_equivalent(&idx, &q, k, scorer, &format!("ngram query {i} ({q:?})"));
+        if matches!(q, QueryNode::Phrase { .. }) {
+            assert!(hits.is_empty(), "ngram query {i}: a phrase over grams matched");
+        } else {
+            scored += usize::from(!hits.is_empty());
+        }
+    }
+    assert!(scored >= 25, "only {scored} of 30 gram queries found anything");
+}
+
 #[test]
 fn flat_disjunctions_prune_identically() {
     // The MaxScore path proper: multi-field query_string disjunctions,
