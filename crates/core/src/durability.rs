@@ -4,39 +4,37 @@
 //! emitters.
 //!
 //! The durable unit everywhere is the **document payload** — one JSON
-//! object bundling the three documents a report contributes to its
-//! shard's in-memory document store (`reports`, `annotations`,
-//! `extractions`):
+//! object bundling the three documents a report contributes: the report
+//! itself, its BRAT export and its extraction:
 //!
 //! ```json
-//! {"report": {...}, "ann": {...}, "extraction": {...}}
+//! {"ann": {...}, "extraction": {...}, "report": {...}}
 //! ```
 //!
-//! A WAL `doc` record — the only record type — wraps the payload with
-//! the report's global ingest ordinal; a sealed segment stores the
-//! identical payload per document (fetched back from the document store
-//! at seal time). These two are the only durable copies: the document
-//! store is refilled from them at open. Recovery re-applies payloads
-//! through the same `Writer::apply` / `Writer::merge` live ingestion
-//! uses (see [`crate::system`]), which is what makes post-crash rankings
-//! bit-identical. What recovery cannot read it refuses: every content
-//! error of a record or a payload is reported by the caller as
+//! A shard keeps each report's payload as text, by internal doc id (see
+//! [`crate::system`]); a sealed segment stores exactly those bytes per
+//! document, and a WAL `doc` record — the only record type — wraps the
+//! same members with the report's global ingest ordinal. The segments
+//! and the WAL are the only durable copies, and the shard's payloads are
+//! refilled from them at open. Recovery re-applies payloads through the
+//! same `Writer::apply` / `Writer::merge` live ingestion uses, which is
+//! what makes post-crash rankings bit-identical. What recovery cannot
+//! read it refuses: every content error of a record or a payload, and a
+//! segment whose copies of a document's id disagree, is reported as
 //! [`StorageError::Corrupt`] naming the file.
 //!
-//! The document store holds each document as serialized text, and the
-//! payload is those texts spliced together: ingest serializes a document
-//! once and hands the same text to the WAL record and the store, seal
-//! copies the stored texts into the payload, and open splits a payload
-//! back into its members' texts — nobody re-serializes a parsed tree,
-//! and the bytes are what serializing the whole object would give (its
-//! keys come out in the same sorted order).
+//! Ingest serializes each member once and splices the texts into the
+//! WAL record and the payload; WAL replay splices the record's member
+//! texts into the payload; segment recovery keeps the file's payload as
+//! it is. Nobody re-serializes a parsed tree, and the bytes are what
+//! serializing the whole object would give (its keys come out in the
+//! same sorted order).
 
 use crate::pipeline::ExtractedAnnotations;
 use create_docstore::json::{object_members, Member, Value};
-use create_docstore::DocStore;
 use create_index::codec::{self, MergeError};
 use create_index::facets::FacetIndex;
-use create_index::{Index, IndexSegment};
+use create_index::Index;
 use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
 use create_storage::segment::{Region, SegmentReader, SegmentWriter};
@@ -45,7 +43,7 @@ use create_storage::{
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A flush compacts a shard once it holds this many segments: they are
 /// merged, block by block and term by term, into one file
@@ -82,9 +80,8 @@ impl StorageRoot {
     }
 }
 
-/// The three stored documents one report contributes, as serialized
-/// text. `ann` / `extraction` are absent for documents that never had
-/// them.
+/// The three members of one report's payload, as serialized text.
+/// `ann` / `extraction` are absent for documents that never had them.
 #[derive(Default)]
 pub(crate) struct DocPayload<'a> {
     pub report: &'a str,
@@ -122,8 +119,8 @@ pub(crate) struct ReportFields<'a> {
 }
 
 /// Reads the core fields of a stored report. Ingest always writes all
-/// five; `category` and `year` still default (`"other"`, 2020) because
-/// segments sealed by earlier versions may hold rows that lack them.
+/// five, so a missing one — or a `year` that is not an integer in `u32`
+/// range — is an error, never a default.
 fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
     let field = |key: &str| {
         report
@@ -131,18 +128,17 @@ fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
             .and_then(Value::as_str)
             .ok_or_else(|| format!("stored report missing {key:?}"))
     };
+    let year = report
+        .get("year")
+        .and_then(Value::as_i64)
+        .and_then(|year| u32::try_from(year).ok())
+        .ok_or("stored report's year is not an integer in 0..2^32")?;
     Ok(ReportFields {
         id: field("_id")?,
         title: field("title")?,
         text: field("text")?,
-        year: report
-            .get("year")
-            .and_then(Value::as_i64)
-            .map_or(2020, |y| y as u32),
-        category: report
-            .get("category")
-            .and_then(Value::as_str)
-            .unwrap_or("other"),
+        year,
+        category: field("category")?,
     })
 }
 
@@ -180,8 +176,8 @@ fn splice_object(members: &[(&str, Option<&str>)]) -> String {
     out
 }
 
-/// Builds a segment stored-doc payload.
-fn payload_text(payload: &DocPayload<'_>) -> String {
+/// Builds a document payload: what the shard keeps and a segment stores.
+pub(crate) fn payload_text(payload: &DocPayload<'_>) -> String {
     splice_object(&[
         ("ann", payload.ann),
         ("extraction", payload.extraction),
@@ -223,21 +219,24 @@ fn take_payload(members: Vec<Member<'_>>) -> Result<RecoveredDoc<'_>, String> {
 
 /// Splits a serialized payload or WAL record into its members, building
 /// all but `ann` — the one document recovery only stores.
-fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<Vec<Member<'a>>, String> {
+fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a str, Vec<Member<'a>>), String> {
     let text = std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))?;
-    object_members(text, |key| key != "ann")
-        .map_err(|e| format!("{what} is not a JSON object: {e}"))
+    let members = object_members(text, |key| key != "ann")
+        .map_err(|e| format!("{what} is not a JSON object: {e}"))?;
+    Ok((text, members))
 }
 
-/// Splits a segment stored-doc payload into its documents.
-pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
-    take_payload(split_record(bytes, "payload")?)
+/// Splits a segment's stored payload into its documents; also the
+/// payload's text, which the shard keeps as it is.
+pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<(&str, RecoveredDoc<'_>), String> {
+    let (text, members) = split_record(bytes, "payload")?;
+    Ok((text, take_payload(members)?))
 }
 
 /// Parses one WAL record — a `doc` record, the only type there is — into
 /// its global ingest ordinal and its payload.
 pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<(u64, RecoveredDoc<'_>), String> {
-    let mut members = split_record(bytes, "WAL record")?;
+    let (_, mut members) = split_record(bytes, "WAL record")?;
     let mut take = |key: &str| {
         let at = members.iter().rposition(|m| m.key == key)?;
         members[at].value.take()
@@ -254,48 +253,44 @@ pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<(u64, RecoveredDoc<'_>), 
     Ok((ordinal, take_payload(members)?))
 }
 
-/// Assembles the segment data for index docs `[base..num_docs)`:
-/// payloads fetched from the live document store, the codec-encoded
-/// postings tail, and the facet-bitmap tail over the same doc range.
+/// A parsed member of a stored payload (`"report"`, `"ann"`, …), or
+/// `None` when the payload has no such member.
+pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
+    let members = object_members(payload, |k| k == key).ok()?;
+    members.into_iter().rfind(|member| member.key == key)?.value
+}
+
+/// Assembles the segment data for index docs `[base..num_docs)`: each
+/// document's payload as the shard holds it (`payloads` and `ordinals`
+/// are indexed by doc id, like the index), the codec-encoded postings
+/// tail, and the facet-bitmap tail over the same doc range.
 pub(crate) fn seal_data(
     index: &Index,
     facets: &FacetIndex,
-    store: &DocStore,
+    payloads: &[Arc<str>],
     ordinals: &[u64],
     base: usize,
-) -> Result<SegmentData, String> {
+) -> SegmentData {
     let num = index.num_docs();
-    debug_assert_eq!(
-        facets.num_docs() as usize,
-        num,
-        "facet index must cover every indexed doc at seal time"
+    debug_assert!(
+        facets.num_docs() as usize == num && payloads.len() == num && ordinals.len() == num,
+        "every column must cover every indexed doc at seal time"
     );
-    let mut docs = Vec::with_capacity(num - base);
-    for (local, &ordinal) in (base..).zip(&ordinals[base..num]) {
-        let id = index
-            .external_id(local as u32)
-            .ok_or("doc id out of range")?;
-        let report = store
-            .get_json("reports", id)
-            .ok_or_else(|| format!("indexed doc {id:?} missing from the reports store"))?;
-        let ann = store.get_json("annotations", id);
-        let extraction = store.get_json("extractions", id);
-        let payload = payload_text(&DocPayload {
-            report: &report,
-            ann: ann.as_deref(),
-            extraction: extraction.as_deref(),
-        });
-        docs.push(StoredDoc {
-            ordinal,
-            id: id.to_string(),
-            payload: payload.into_bytes(),
-        });
-    }
-    Ok(SegmentData {
+    let docs = (base..num)
+        .map(|doc| StoredDoc {
+            ordinal: ordinals[doc],
+            id: index
+                .external_id(doc as u32)
+                .expect("below num_docs")
+                .to_string(),
+            payload: payloads[doc].as_bytes().to_vec(),
+        })
+        .collect();
+    SegmentData {
         docs,
         postings: codec::encode_index_tail(index, base),
         facets: facets.encode_tail(base as u32),
-    })
+    }
 }
 
 /// Adapter for `map_err`: a content error found in the file at `path`,
@@ -315,7 +310,7 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
 pub(crate) fn load_segment(
     path: &Path,
     template: &Index,
-) -> Result<(IndexSegment, FacetIndex, Vec<StoredDoc>), StorageError> {
+) -> Result<(Index, FacetIndex, Vec<StoredDoc>), StorageError> {
     let data = segment::read_segment(path)?;
     let postings = codec::decode_segment(&data.postings, template).map_err(corrupt_at(path))?;
     let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
@@ -341,6 +336,26 @@ fn check_doc_counts(
         )));
     }
     Ok(())
+}
+
+/// A segment names document `doc` three times — in its directory, its
+/// postings and its payload's `report._id` — and a shard's columns are
+/// positional, so the three must agree: a reordered region would
+/// otherwise open with every column but one misaligned.
+pub(crate) fn check_ids(
+    path: &Path,
+    doc: usize,
+    directory: &str,
+    postings: Option<&str>,
+    payload: &str,
+) -> Result<(), StorageError> {
+    if postings == Some(directory) && payload == directory {
+        return Ok(());
+    }
+    Err(corrupt_at(path)(format!(
+        "doc {doc}: directory id {directory:?}, postings id {postings:?} \
+         and payload id {payload:?} disagree"
+    )))
 }
 
 /// Rewrites a shard's segments as one file, streaming: a k-way merge of

@@ -3,14 +3,15 @@
 //!
 //! [`index_doc`] is the one place that names the indexed fields and
 //! derives facet values. A document submitted alone or in a batch and a
-//! document replayed from the WAL all pass through it, into an
-//! [`IndexSegment`] and its [`FacetIndex`] twin that the shard's writer
-//! then merges; a sealed segment carries both already encoded, and
-//! recovery and compaction decode them without coming here. The cohort
-//! planner's bitmap pushdown has to agree bit-for-bit with the facet
-//! region persisted in sealed segments, which is why everything here is
-//! a pure function of the ingest-time payload (metadata + body text +
-//! extracted mentions), never of post-hoc store state.
+//! document replayed from the WAL all pass through it, into a segment
+//! (an [`Index`] of its own) and its [`FacetIndex`] twin that the
+//! shard's writer then merges; a sealed segment carries both already
+//! encoded, and recovery and compaction decode them without coming here.
+//! The cohort planner's bitmap pushdown has to agree bit-for-bit with
+//! the facet region persisted in sealed segments, which is why
+//! everything here is a pure function of the ingest-time payload
+//! (metadata + body text + extracted mentions), never of post-hoc shard
+//! state.
 //!
 //! Facet inventory (see [`create_index::facets::FacetField`]):
 //! * `category` — the report's coarse disease category;
@@ -29,13 +30,13 @@ use crate::durability::ReportFields;
 use crate::pipeline::ExtractedAnnotations;
 use create_index::facets::{FacetField, FacetIndex};
 use create_index::index::IndexError;
-use create_index::IndexSegment;
+use create_index::Index;
 use create_ontology::EntityType;
 
 /// Adds one document to a segment under construction and to the
 /// segment's facet twin, under the same segment-local doc id.
 pub(crate) fn index_doc(
-    segment: &mut IndexSegment,
+    segment: &mut Index,
     facets: &mut FacetIndex,
     fields: &ReportFields<'_>,
     annotations: &ExtractedAnnotations,

@@ -4,9 +4,9 @@
 //! This crate wires every substrate into the system of Fig. 3: reports are
 //! ingested (from gold-annotated corpus entries, raw text, or PDF
 //! submissions via the Grobid substrate), their entities and temporal
-//! relations extracted, then stored three ways — the document store
-//! (MongoDB role), the property graph (Neo4j role), and the inverted index
-//! (ElasticSearch role). Queries run through the same information
+//! relations extracted, then stored three ways — one stored JSON payload
+//! per report (MongoDB role), the property graph (Neo4j role), and the
+//! inverted index (ElasticSearch role). Queries run through the same information
 //! extraction ("A patient was admitted to the hospital because of fever
 //! and cough." → hospital/Nonbiological_location, fever+cough/Sign_symptom,
 //! OVERLAP(fever, cough)), are answered by both engines, and merged with

@@ -1,8 +1,8 @@
 //! The [`Create`] facade — the public API of the platform.
 //!
 //! State is partitioned into independent **shards** keyed by
-//! `hash(report_id) % N`: each shard owns its own document store, property
-//! graph, inverted index and generation stamp behind its own writer
+//! `hash(report_id) % N`: each shard owns its own stored documents,
+//! property graph, inverted index and generation stamp behind its own writer
 //! `Mutex`. A global write gate serializes write
 //! *operations* (and hands out global ingest ordinals), but the heavy
 //! per-shard apply work of a batch fans out across the pool with no
@@ -29,13 +29,12 @@ use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
-use create_docstore::{json::obj, DocStore, Filter, Value};
+use create_docstore::{json::obj, Value};
 use create_graphdb::PropertyGraph;
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
 use create_index::facets::FacetIndex;
 use create_index::index::IndexError;
 use create_index::Index;
-use create_index::IndexSegment;
 use create_ner::CrfTagger;
 use create_ontology::Ontology;
 use create_obs::names as obs_names;
@@ -43,7 +42,7 @@ use create_obs::{QueryCapture, Span, StageLog};
 use create_storage::manifest::{segment_file_name, shard_dir_name, sweep_orphans};
 use create_storage::segment::write_segment;
 use create_storage::{Manifest, SegmentMeta, ShardManifest, StorageError, Wal};
-use create_util::{ArcCell, ThreadPool};
+use create_util::{arc_slice_bytes, ArcCell, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
@@ -134,14 +133,18 @@ pub struct SystemStats {
 
 /// One shard's state at a single shard generation: what its [`Writer`]
 /// holds and, cloned into an `Arc`, what a publish hands readers. The
-/// clone copies the document store's name map and bumps reference
-/// counts; the tables stay shared until a write copies them.
+/// clone bumps reference counts; the tables stay shared until a write
+/// copies them.
 #[derive(Clone)]
 pub(crate) struct ShardSnapshot {
     /// This shard's write generation, bumped by every write operation
     /// that touches the shard.
     pub(crate) generation: u64,
-    pub(crate) store: DocStore,
+    /// Shard-local internal doc id → the report's stored payload, the
+    /// exact text its segment stores (see [`crate::durability`]): the
+    /// report, its BRAT export and its extraction. Read by id through the
+    /// index's id map.
+    pub(crate) docs: Arc<Vec<Arc<str>>>,
     pub(crate) graph: Arc<PropertyGraph>,
     pub(crate) index: Arc<Index>,
     pub(crate) tagger: Option<Arc<CrfTagger>>,
@@ -236,33 +239,22 @@ impl Writer {
         Ok(())
     }
 
-    /// Puts one document into the shard: its three stored texts as they
-    /// are (the caller has them from the serializer or from the parse
-    /// that split a recovered payload), its graph projection and its
-    /// ordinal. Every document enters a shard here — the batch apply
-    /// phase logs it to the WAL first, segment recovery and WAL replay
-    /// call this alone — and its postings and facet bitmaps enter through
-    /// [`Writer::merge`].
+    /// Puts one document into the shard: its stored payload as it is
+    /// (spliced from serialized member texts, or read from a segment),
+    /// its graph projection and its ordinal. Every document enters a
+    /// shard here — the batch apply phase logs it to the WAL first,
+    /// segment recovery and WAL replay call this alone — and its postings
+    /// and facet bitmaps enter through [`Writer::merge`], at the same doc
+    /// id.
     fn apply(
         &mut self,
         ontology: &Ontology,
         ordinal: u64,
         fields: &ReportFields<'_>,
         annotations: &ExtractedAnnotations,
-        payload: &DocPayload<'_>,
+        payload: &str,
     ) {
-        let docs = [
-            ("reports", Some(payload.report)),
-            ("annotations", payload.ann),
-            ("extractions", payload.extraction),
-        ];
-        for (collection, text) in docs {
-            if let Some(text) = text {
-                self.shard
-                    .store
-                    .insert_serialized(collection, fields.id, text);
-            }
-        }
+        Arc::make_mut(&mut self.shard.docs).push(Arc::from(payload));
         {
             let _span =
                 Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
@@ -286,7 +278,7 @@ impl Writer {
     /// Postings and facets enter a writer in no other form: workers
     /// built the pair, WAL replay built it, or a segment file decoded to
     /// it.
-    fn merge(&mut self, segment: IndexSegment, facets: FacetIndex) -> Result<(), IndexError> {
+    fn merge(&mut self, segment: Index, facets: FacetIndex) -> Result<(), IndexError> {
         let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_INDEX_WRITE);
         let base = self.shard.index.num_docs() as u32;
         Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
@@ -294,28 +286,25 @@ impl Writer {
         Ok(())
     }
 
-    /// Recovers one sealed segment: every stored payload is applied, and
-    /// the postings and facet bitmaps merge as decoded — no
-    /// re-tokenization.
+    /// Recovers one sealed segment: every stored payload is applied as
+    /// the file holds it, and the postings and facet bitmaps merge as
+    /// decoded — no re-tokenization. A document whose three ids disagree
+    /// ([`durability::check_ids`]) fails the segment.
     fn recover_segment(
         &mut self,
         ontology: &Ontology,
         path: &std::path::Path,
     ) -> Result<(), StorageError> {
         let (segment, facets, docs) = durability::load_segment(path, &self.shard.index)?;
-        // By value: a payload is freed once its texts are in the store,
-        // so the file's stored fields are never resident twice over.
-        for stored in docs {
-            let payload =
+        // By value: a file payload is freed once the shard holds its
+        // copy, so the stored fields are never resident twice over.
+        for (doc, stored) in docs.into_iter().enumerate() {
+            let (text, payload) =
                 durability::parse_payload_bytes(&stored.payload).map_err(corrupt_at(path))?;
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
-            self.apply(
-                ontology,
-                stored.ordinal,
-                &fields,
-                &annotations,
-                &payload.texts,
-            );
+            let indexed = segment.external_id(doc as u32);
+            durability::check_ids(path, doc, &stored.id, indexed, fields.id)?;
+            self.apply(ontology, stored.ordinal, &fields, &annotations, text);
         }
         self.merge(segment, facets).map_err(corrupt_at(path))
     }
@@ -344,7 +333,8 @@ impl Writer {
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
             index_doc(&mut segment, &mut facets, &fields, &annotations)
                 .map_err(corrupt_at(path))?;
-            self.apply(ontology, ordinal, &fields, &annotations, &payload.texts);
+            let text = durability::payload_text(&payload.texts);
+            self.apply(ontology, ordinal, &fields, &annotations, &text);
             replayed += 1;
         }
         self.merge(segment, facets).map_err(corrupt_at(path))?;
@@ -369,7 +359,7 @@ fn empty_writer() -> Writer {
     Writer {
         shard: ShardSnapshot {
             generation: 0,
-            store: DocStore::in_memory(),
+            docs: Arc::default(),
             graph: Arc::default(),
             index: Arc::new(Index::clinical()),
             tagger: None,
@@ -574,7 +564,7 @@ struct ShardWork {
     /// Index segments paired with their facet twins: both are built over
     /// the same worker-local doc range, so the apply task merges them at
     /// the same base.
-    segments: Vec<(IndexSegment, FacetIndex)>,
+    segments: Vec<(Index, FacetIndex)>,
 }
 
 impl Create {
@@ -625,7 +615,7 @@ impl Create {
     ///    original ingest order, so internal doc ids and ordinals come
     ///    out exactly as the writing process assigned them): every
     ///    stored payload goes through `Writer::apply` — refilling the
-    ///    in-memory document store and the graph — and the postings and
+    ///    shard's stored payloads and the graph — and the postings and
     ///    facet bitmaps go through `Writer::merge` as decoded.
     /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
     ///    through the same two functions, its postings and facets built
@@ -783,11 +773,10 @@ impl Create {
         let data = durability::seal_data(
             &shard.index,
             &shard.facets,
-            &shard.store,
+            &shard.docs,
             &shard.ordinals,
             base,
-        )
-        .map_err(IngestError::Store)?;
+        );
         let file = segment_file_name(entry.next_segment_id);
         let info = write_segment(&storage.dir.join(&file), &data)
             .map_err(IngestError::Storage)?;
@@ -1059,7 +1048,7 @@ impl Create {
     /// The batch is split into `threads` contiguous worker ranges (0 =
     /// one per pool worker). Workers run the expensive per-document
     /// stages — annotation conversion, BRAT export, tokenization, and
-    /// per-shard [`IndexSegment`] construction — with no shared mutable
+    /// per-shard segment construction — with no shared mutable
     /// state; the prepared work is then redistributed by owning shard and
     /// applied by one pool task per shard, each locking only its own
     /// shard's writer — no cross-shard write contention. The result is
@@ -1127,7 +1116,7 @@ impl Create {
             self.shards.iter().map(|s| s.lock_writer()).collect();
         let mut seen = HashSet::new();
         for (id, &route) in ids.iter().zip(routes) {
-            if guards[route].shard.store.contains("reports", id) || !seen.insert(*id) {
+            if guards[route].shard.index.internal_id(id).is_some() || !seen.insert(*id) {
                 return Err(IngestError::Duplicate(id.to_string()));
             }
         }
@@ -1175,12 +1164,12 @@ impl Create {
         // apply task can merge both at the same base.
         type Prepared = (
             Vec<(usize, PreparedDoc)>,
-            Vec<Option<(IndexSegment, FacetIndex)>>,
+            Vec<Option<(Index, FacetIndex)>>,
         );
         let outputs: Vec<(Result<Prepared, IngestError>, StageLog)> =
             pool.parallel_map(&ranges, |_, range| {
                 create_obs::buffered_stages(|| {
-                    let mut segments: Vec<Option<(IndexSegment, FacetIndex)>> =
+                    let mut segments: Vec<Option<(Index, FacetIndex)>> =
                         (0..nshards).map(|_| None).collect();
                     let mut prepared = Vec::with_capacity(range.len());
                     let mut index_elapsed = std::time::Duration::ZERO;
@@ -1256,8 +1245,8 @@ impl Create {
                         // WAL first: the record is appended (and fsynced
                         // below) before any in-memory apply, so every
                         // write the system acknowledges is recoverable
-                        // from the log. The record and the store get the
-                        // same texts.
+                        // from the log. The record and the shard's
+                        // payload splice the same member texts.
                         let ordinal = base + i as u64;
                         let [report, ann, extraction] = doc.stored_texts();
                         let payload = DocPayload {
@@ -1271,7 +1260,7 @@ impl Create {
                             ordinal,
                             &doc.fields(),
                             &doc.annotations,
-                            &payload,
+                            &durability::payload_text(&payload),
                         );
                     }
                     for (segment, facets) in work.segments {
@@ -1476,20 +1465,25 @@ impl Create {
         })
     }
 
+    /// One member of a report's stored payload, parsed, from its owning
+    /// shard: the index maps the id to the doc id that indexes the
+    /// payload column.
+    fn stored_member(&self, id: &str, key: &str) -> Option<Value> {
+        let snapshot = self.current.load();
+        let shard = &snapshot.shards[self.shard_of(id)];
+        let doc = shard.index.internal_id(id)?;
+        durability::payload_member(shard.docs.get(doc as usize)?, key)
+    }
+
     /// Fetches a stored report document from its owning shard.
     pub fn report(&self, id: &str) -> Option<Value> {
-        let snapshot = self.current.load();
-        snapshot.shards[self.shard_of(id)].store.get("reports", id)
+        self.stored_member(id, "report")
     }
 
     /// Fetches a report's BRAT annotation export from its owning shard.
     pub fn annotations(&self, id: &str) -> Option<BratDocument> {
-        let snapshot = self.current.load();
-        let doc = snapshot.shards[self.shard_of(id)]
-            .store
-            .get("annotations", id)?;
-        let ann = doc.get("ann")?.as_str()?;
-        BratDocument::parse(ann).ok()
+        let doc = self.stored_member(id, "ann")?;
+        BratDocument::parse(doc.get("ann")?.as_str()?).ok()
     }
 
     /// Renders the Fig-7 network-graph visualization of a report's events
@@ -1570,7 +1564,7 @@ impl Create {
             index_terms: 0,
         };
         for shard in &snapshot.shards {
-            stats.reports += shard.store.count("reports", &Filter::All);
+            stats.reports += shard.index.num_docs();
             stats.graph_nodes += shard.graph.node_count();
             stats.graph_edges += shard.graph.edge_count();
             stats.index_terms += shard.index.vocabulary_size("body")
@@ -1583,7 +1577,7 @@ impl Create {
     /// Heap bytes the published snapshot holds, by component and summed
     /// across shards, from the structures' own lengths and capacities
     /// (see [`PropertyGraph::heap_bytes`]). Walks every shard's graph,
-    /// store, dictionary and bitmaps, so it is for the stats and scrape
+    /// payloads, dictionary and bitmaps, so it is for the stats and scrape
     /// paths; it takes no writer lock. Also refreshes the
     /// `create_resident_bytes` gauges.
     pub fn memory_stats(&self) -> MemoryStats {
@@ -1592,7 +1586,12 @@ impl Create {
         for shard in &snapshot.shards {
             stats.postings_bytes += shard.index.postings_bytes();
             stats.graph_bytes += shard.graph.heap_bytes();
-            stats.docstore_bytes += shard.store.heap_bytes();
+            stats.docstore_bytes += shard.docs.capacity() * std::mem::size_of::<Arc<str>>()
+                + shard
+                    .docs
+                    .iter()
+                    .map(|payload| arc_slice_bytes(payload.len()))
+                    .sum::<usize>();
             stats.facet_bytes += shard.facets.postings_bytes();
         }
         if create_obs::enabled() {
@@ -1641,7 +1640,8 @@ pub struct MemoryStats {
     pub postings_bytes: usize,
     /// The property graphs.
     pub graph_bytes: usize,
-    /// The document stores' texts, ids and maps.
+    /// The stored payloads, exactly: each text with its `Arc` header,
+    /// and the slot array that indexes them by doc id.
     pub docstore_bytes: usize,
     /// The facet bitmaps' values and runs.
     pub facet_bytes: usize,
@@ -1732,10 +1732,9 @@ impl PreparedDoc {
         }
     }
 
-    /// The three documents the report contributes to its shard's store
-    /// (`reports`, `annotations`, `extractions`), each serialized once:
-    /// objects serialize key-sorted, so a text is the same whichever
-    /// order its fields were set in.
+    /// The three members of the report's payload (`report`, `ann`,
+    /// `extraction`), each serialized once: objects serialize key-sorted,
+    /// so a text is the same whichever order its fields were set in.
     fn stored_texts(&self) -> [String; 3] {
         let id = || Value::from(self.id.as_str());
         let mut report = obj([

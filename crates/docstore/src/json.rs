@@ -99,20 +99,6 @@ impl Value {
         self.as_object().and_then(|m| m.get(key))
     }
 
-    /// Dot-path access: `get_path("patient.age")` descends through nested
-    /// objects; numeric segments index arrays.
-    pub fn get_path(&self, path: &str) -> Option<&Value> {
-        let mut cur = self;
-        for seg in path.split('.') {
-            cur = match cur {
-                Value::Object(m) => m.get(seg)?,
-                Value::Array(items) => items.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
     /// Inserts a field, assuming (or making) this value an object.
     /// Panics if called on a non-object.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) -> &mut Self {
@@ -719,8 +705,9 @@ mod tests {
     #[test]
     fn parse_nested_structure() {
         let v = parse_json(r#"{"a": [1, 2, {"b": null}], "c": "d"}"#).unwrap();
-        assert_eq!(v.get_path("a.2.b"), Some(&Value::Null));
-        assert_eq!(v.get_path("c").unwrap().as_str(), Some("d"));
+        let a = v.get("a").and_then(Value::as_array).unwrap();
+        assert_eq!(a[2].get("b"), Some(&Value::Null));
+        assert_eq!(v.get("c").unwrap().as_str(), Some("d"));
     }
 
     #[test]
@@ -871,14 +858,6 @@ mod tests {
         let mut v = Value::object();
         v.set("a", 1i64).set("b", "two");
         assert_eq!(v.to_json(), r#"{"a":1,"b":"two"}"#);
-    }
-
-    #[test]
-    fn get_path_misses_gracefully() {
-        let v = parse_json(r#"{"a": {"b": 1}}"#).unwrap();
-        assert!(v.get_path("a.b.c").is_none());
-        assert!(v.get_path("x").is_none());
-        assert!(v.get_path("a.0").is_none());
     }
 
     #[test]

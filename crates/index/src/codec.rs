@@ -31,7 +31,7 @@
 //! each, which the segment's block compression then shrinks further.
 //!
 //! Doc ids are stored *segment-local* (`doc - base`), so decoding yields
-//! an [`IndexSegment`] that [`Index::merge_segment`] remaps exactly as a
+//! a segment [`Index`] that [`Index::merge_segment`] remaps exactly as a
 //! live parallel-ingest segment — recovery reproduces the never-crashed
 //! index bit-for-bit. Terms and fields are sorted, making the encoding
 //! deterministic even though the live dictionaries are hash maps.
@@ -47,7 +47,6 @@
 
 use crate::index::{FieldIndex, Index};
 use crate::postings::PostingList;
-use crate::segment::IndexSegment;
 use create_util::fxhash::{map_with_capacity, FxHashMap};
 use create_util::varint;
 use std::io::{self, BufRead, Write};
@@ -321,8 +320,8 @@ fn doc_count<R: BufRead>(r: &mut Reader<R>, template: &Index) -> Result<usize, C
 fn read_ids<R: BufRead>(
     r: &mut Reader<R>,
     count: usize,
-    ids: &mut FxHashMap<String, u32>,
-    mut each: impl FnMut(&str),
+    ids: &mut FxHashMap<Arc<str>, u32>,
+    mut each: impl FnMut(&Arc<str>),
 ) -> Result<(), CodecError> {
     let mut scratch = Vec::new();
     for _ in 0..count {
@@ -330,8 +329,9 @@ fn read_ids<R: BufRead>(
         if ids.contains_key(id) {
             return Err(err(format!("duplicate external id {id:?}")));
         }
-        ids.insert(id.to_string(), ids.len() as u32);
-        each(id);
+        let id: Arc<str> = Arc::from(id);
+        each(&id);
+        ids.insert(id, ids.len() as u32);
     }
     Ok(())
 }
@@ -531,9 +531,10 @@ impl Terms {
     }
 }
 
-/// Decodes a blob produced by [`encode_index_tail`] into a segment with
-/// `template`'s field configuration, ready for
-/// [`Index::merge_segment`].
+/// Decodes a blob produced by [`encode_index_tail`] into a segment — an
+/// index over segment-local doc ids with `template`'s field
+/// configuration, each id one `Arc<str>` its two tables share — ready
+/// for [`Index::merge_segment`].
 ///
 /// The input is untrusted: every count is capped by what the remaining
 /// bytes can hold before anything is reserved for it, and only the
@@ -542,13 +543,13 @@ impl Terms {
 /// terms, ascending docs, one skip entry per [`SKIP_INTERVAL`]
 /// postings) — a blob that decodes re-encodes to the same bytes.
 /// [`merge_postings`] applies the same checks through the same readers.
-pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, CodecError> {
+pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<Index, CodecError> {
     let mut r = Reader::new(bytes);
     let doc_count = doc_count(&mut r, template)?;
     let mut external_ids = Vec::with_capacity(doc_count);
     let mut id_map = map_with_capacity(doc_count);
     read_ids(&mut r, doc_count, &mut id_map, |id| {
-        external_ids.push(id.to_string())
+        external_ids.push(Arc::clone(id))
     })?;
     field_count(&mut r, template)?;
 
@@ -598,7 +599,7 @@ pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<IndexSegment, Co
     if r.left() != 0 {
         return Err(err("trailing bytes after last field"));
     }
-    Ok(IndexSegment {
+    Ok(Index {
         fields,
         external_ids,
         id_map,

@@ -14,9 +14,9 @@
 //! * [`postings`] — the one in-RAM posting representation: a flat
 //!   struct-of-arrays list per term, shared by writer, merge, codec and
 //!   cursors;
-//! * [`segment`] — shard-local segments for parallel ingestion, merged
-//!   deterministically into one searchable index (the Lucene-segment
-//!   analogue);
+//! * [`segment`] — shard-local segments for parallel ingestion (each an
+//!   [`Index`] over its own dense doc ids), merged deterministically into
+//!   one searchable index (the Lucene-segment analogue);
 //! * [`codec`] — delta/varint on-disk postings encoding of an index
 //!   tail (positions only for the fields that keep them), decoded back
 //!   into a mergeable segment (used by the durable storage engine's
@@ -47,5 +47,4 @@ pub use index::{FieldConfig, Index};
 pub use postings::PostingList;
 pub use query::QueryNode;
 pub use score::{ScoredDoc, Scorer};
-pub use segment::IndexSegment;
 pub use stats::CorpusStats;

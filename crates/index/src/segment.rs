@@ -3,9 +3,10 @@
 //! The ElasticSearch/Solr engines the paper substitutes both build
 //! per-shard Lucene segments that merge into one searchable index; this
 //! module is our equivalent. A worker thread tokenizes its shard of the
-//! batch into an [`IndexSegment`] — postings over *segment-local* dense
-//! doc ids — with no synchronization. The single-writer apply phase then
-//! merges segments back into the [`Index`] in deterministic shard order.
+//! batch into a segment — an [`Index`] of its own, from
+//! [`Index::segment`], whose doc ids are *segment-local* — with no
+//! synchronization. The single-writer apply phase then merges segments
+//! back into the shard's index in deterministic shard order.
 //!
 //! Merge invariants (what makes parallel ingestion byte-identical to
 //! sequential):
@@ -24,82 +25,17 @@
 //! Duplicate external ids (within the segment or against the index) are
 //! rejected before any mutation, keeping the merge atomic.
 
-use crate::index::{FieldConfig, FieldIndex, Index, IndexError};
+use crate::index::{FieldIndex, Index, IndexError};
 use crate::postings::PostingList;
 use create_util::fxhash::FxHashMap;
 use std::sync::Arc;
 
-/// A shard-local partial index: same fields/analyzers as its parent
-/// [`Index`], documents addressed by segment-local dense ids.
-pub struct IndexSegment {
-    pub(crate) fields: FxHashMap<String, FieldIndex>,
-    pub(crate) external_ids: Vec<String>,
-    pub(crate) id_map: FxHashMap<String, u32>,
-}
-
-impl std::fmt::Debug for IndexSegment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexSegment")
-            .field("docs", &self.external_ids.len())
-            .field("fields", &self.fields.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl IndexSegment {
-    /// Creates a segment with the given fields (analyzer `Arc`s are
-    /// shared, not recompiled).
-    pub fn new(fields: Vec<FieldConfig>) -> IndexSegment {
-        let mut map = FxHashMap::default();
-        for f in fields {
-            map.insert(f.name.clone(), FieldIndex::empty(f.analyzer, f.boost));
-        }
-        IndexSegment {
-            fields: map,
-            external_ids: Vec::new(),
-            id_map: FxHashMap::default(),
-        }
-    }
-
-    /// Number of documents in the segment.
-    pub fn num_docs(&self) -> usize {
-        self.external_ids.len()
-    }
-
-    /// Indexes a document into the segment; same contract as
-    /// [`Index::add_document`] but ids are segment-local.
-    pub fn add_document(
-        &mut self,
-        external_id: &str,
-        field_texts: &[(&str, &str)],
-    ) -> Result<u32, IndexError> {
-        if self.id_map.contains_key(external_id) {
-            return Err(IndexError::DuplicateDocument(external_id.to_string()));
-        }
-        for (field, _) in field_texts {
-            if !self.fields.contains_key(*field) {
-                return Err(IndexError::UnknownField((*field).to_string()));
-            }
-        }
-        let doc = self.external_ids.len() as u32;
-        self.external_ids.push(external_id.to_string());
-        self.id_map.insert(external_id.to_string(), doc);
-        for fi in self.fields.values_mut() {
-            fi.doc_len.push(0);
-        }
-        for (field, text) in field_texts {
-            let fi = self.fields.get_mut(*field).expect("checked above");
-            fi.index_text(doc, text);
-        }
-        Ok(doc)
-    }
-}
-
 impl Index {
-    /// An empty segment with this index's field configuration, for a
-    /// worker to build its shard against.
-    pub fn segment(&self) -> IndexSegment {
-        IndexSegment {
+    /// An empty index with this index's field configuration (analyzer
+    /// `Arc`s shared, not recompiled), for a worker to build a segment
+    /// in.
+    pub fn segment(&self) -> Index {
+        Index {
             fields: self
                 .fields
                 .iter()
@@ -119,16 +55,17 @@ impl Index {
     /// the end of the index's id space (see the module docs for the
     /// invariants). Fails — without mutating the index — if the segment's
     /// fields differ, any external id is already present, or a term would
-    /// occur 2^32 or more times in a field.
-    pub fn merge_segment(&mut self, segment: IndexSegment) -> Result<(), IndexError> {
+    /// occur 2^32 or more times in a field. The segment's ids move in:
+    /// no id is copied.
+    pub fn merge_segment(&mut self, segment: Index) -> Result<(), IndexError> {
         for name in segment.fields.keys() {
             if !self.fields.contains_key(name) {
                 return Err(IndexError::UnknownField(name.clone()));
             }
         }
         for id in &segment.external_ids {
-            if self.id_map.contains_key(id.as_str()) {
-                return Err(IndexError::DuplicateDocument(id.clone()));
+            if self.id_map.contains_key(id) {
+                return Err(IndexError::DuplicateDocument(id.to_string()));
             }
         }
         // A term occurs in a field at most as often as the field has
@@ -154,9 +91,8 @@ impl Index {
         }
         let base = self.external_ids.len() as u32;
         for (local, id) in segment.external_ids.into_iter().enumerate() {
-            let shared: Arc<str> = Arc::from(id);
-            self.external_ids.push(Arc::clone(&shared));
-            self.id_map.insert(shared, base + local as u32);
+            self.external_ids.push(Arc::clone(&id));
+            self.id_map.insert(id, base + local as u32);
         }
         for (name, seg_field) in segment.fields {
             let fi = self.fields.get_mut(&name).expect("checked above");
@@ -191,8 +127,8 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::FieldConfig;
     use create_text::Analyzer;
-    use std::sync::Arc;
 
     const DOCS: &[(&str, &str)] = &[
         ("pmid:1", "Fever and cough persisted for three days."),
@@ -215,7 +151,7 @@ mod tests {
     fn sharded_index(shards: usize) -> Index {
         let mut idx = Index::clinical();
         let chunk = DOCS.len().div_ceil(shards);
-        let segments: Vec<IndexSegment> = DOCS
+        let segments: Vec<Index> = DOCS
             .chunks(chunk)
             .map(|docs| {
                 let mut seg = idx.segment();
@@ -314,7 +250,7 @@ mod tests {
 
     #[test]
     fn standalone_segment_construction() {
-        let mut seg = IndexSegment::new(vec![FieldConfig {
+        let mut seg = Index::new(vec![FieldConfig {
             name: "body".to_string(),
             analyzer: Arc::new(Analyzer::clinical_standard()),
             boost: 1.0,

@@ -16,10 +16,11 @@
 # standard and the paper's ngram(3,25) analyzer, exactly), the stripped
 # (`--no-default-features`) build, and the SIGKILL recovery smoke (a
 # sealed document, a `/submit` and a `/submit_batch` document in the WAL
-# tail; also asserts the data directory holds no JSONL copy; then
-# `/submit_batch` + `/flush` rounds until every shard has compacted, a
-# second SIGKILL, and the same report count and `/search` body after
-# reopen). No step gates on a timing: those are `benchmark/`'s. No
+# tail; also asserts the data directory holds no JSONL copy and that the
+# WAL-tail document's `/reports/:id` and `/annotations` bodies come back
+# byte-equal; then `/submit_batch` + `/flush` rounds until every shard has
+# compacted, a second SIGKILL, and the same report count, `/search` body
+# and sealed document's two bodies after reopen). No step gates on a timing: those are `benchmark/`'s. No
 # network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -175,6 +176,20 @@ curl -fsS -o /dev/null -X POST "$base/submit" -d \
     '{"id": "user:smoke-walonly", "title": "WAL-tail case", "text": "Severe hypoglycemia followed an accidental insulin overdose.", "year": 2022}'
 curl -fsS -o /dev/null -X POST "$base/submit_batch" -d \
     '{"documents": [{"id": "user:smoke-walbatch", "title": "WAL-tail batch case", "text": "Acute rhabdomyolysis developed after a marathon run.", "year": 2022}]}'
+# A document's stored bodies: GET /reports/:id and its /annotations.
+stored_bodies() {
+    curl -fsS "$base/reports/$1"
+    echo
+    curl -fsS "$base/reports/$1/annotations"
+}
+same_stored_bodies() { # $1 id, $2 bodies before, $3 what happened since
+    [ "$(stored_bodies "$1")" = "$2" ] || {
+        echo "verify: FAIL — $1's /reports bodies differ after $3" >&2
+        exit 1
+    }
+    echo "  $1: /reports and /annotations bodies byte-equal after $3"
+}
+walonly_before="$(stored_bodies user:smoke-walonly)"
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 start_rest
@@ -206,6 +221,7 @@ do
     }
     echo "  search $query → $want recovered"
 done
+same_stored_bodies user:smoke-walonly "$walonly_before" "WAL replay"
 metrics="$(curl -fsS "$base/metrics")"
 for series in \
     'create_wal_appended_bytes_total' \
@@ -250,6 +266,7 @@ if [ "${compactions:-0}" -lt "$shards" ]; then
 fi
 reports_before="$(stat_of reports)"
 search_before="$(curl -fsS "$base/search?q=fever+and+cough&k=10")"
+flushed_before="$(stored_bodies user:smoke-flushed)"
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 start_rest
@@ -260,6 +277,7 @@ if [ "$reports_after" != "$reports_before" ] || [ "$search_after" != "$search_be
     exit 1
 fi
 echo "  $compactions compactions on $shards shards, reopened with $reports_after reports and the same /search body"
+same_stored_bodies user:smoke-flushed "$flushed_before" "compaction and a SIGKILL"
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 rest_pid=""

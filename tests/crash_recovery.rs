@@ -24,12 +24,16 @@
 //! What recovery cannot read it refuses: a WAL record whose frame is
 //! intact but whose content does not read back (an extraction that does
 //! not deserialize, a negative ordinal, an unknown record type, a
-//! missing member), the retired `update` record and a format-2 or
-//! format-3 segment header each fail the open as corruption naming the
-//! file, and the refused open changes nothing on disk.
+//! missing member, a report without its category or with a year that is
+//! not a `u32`), the retired `update` record, a format-2 or format-3
+//! segment header, and a segment whose directory, postings and payloads
+//! disagree on a document's id each fail the open as corruption naming
+//! the file, and the refused open changes nothing on disk.
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
+use create::storage::manifest::Manifest;
+use create::storage::segment::{read_segment, write_segment, SegmentData};
 use create::storage::Wal;
 use std::path::{Path, PathBuf};
 
@@ -484,11 +488,19 @@ fn negative_ordinal_in_a_wal_record_is_corruption() {
     assert_open_refuses_the_wal(&dir, "ordinal -1");
 }
 
+/// `record` with its report's year (the last `"year"` member: the report
+/// is the record's last document) set to `year`.
+fn with_year(record: &str, year: &str) -> String {
+    let key = record.rfind(r#""year":"#).expect("the report has a year") + r#""year":"#.len();
+    let end = key + record[key..].find('}').expect("the report closes");
+    format!("{}{year}{}", &record[..key], &record[end..])
+}
+
 #[test]
 fn wal_record_content_errors_are_corruption_naming_the_file() {
     let reports = corpus(2, 20261004);
     type Damage = fn(&str) -> String;
-    let cases: [(&str, Damage); 4] = [
+    let cases: [(&str, Damage); 7] = [
         ("unknown record type", |r| {
             r.replacen(r#""t":"doc""#, r#""t":"nope""#, 1)
         }),
@@ -497,6 +509,15 @@ fn wal_record_content_errors_are_corruption_naming_the_file() {
             r#"{"ordinal":1,"t":"doc"}"#.to_string()
         }),
         ("not an object", |_| "[1,2]".to_string()),
+        ("year -1", |r| with_year(r, "-1")),
+        ("year 2019.5", |r| with_year(r, "2019.5")),
+        ("no category", |r| {
+            let at = r
+                .rfind(r#""category":""#)
+                .expect("the report has a category");
+            let end = at + r[at..].find(r#"","#).expect("more members follow") + 2;
+            format!("{}{}", &r[..at], &r[end..])
+        }),
     ];
     for (label, damage) in cases {
         let dir = crash_then_edit_wal("bad-record", &reports, |records| {
@@ -544,6 +565,60 @@ fn retired_formats_are_refused_as_corruption() {
         assert!(
             std::fs::read(&segment).expect("segment") == bytes,
             "the refused open rewrote the format-{format} segment"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_segment_whose_copies_of_an_id_disagree_is_corruption() {
+    // A sealed segment rewritten with its columns out of step, and the
+    // manifest entry updated to match the new file: two directory
+    // entries swapped with their payloads (the postings disagree), and
+    // two payloads swapped alone (the payloads disagree).
+    let reports = corpus(6, 20261006);
+    type Reorder = fn(&mut SegmentData);
+    let cases: [(&str, Reorder); 2] = [
+        ("directory entries swapped", |data| data.docs.swap(1, 4)),
+        ("payloads swapped", |data| {
+            let (head, tail) = data.docs.split_at_mut(4);
+            std::mem::swap(&mut head[1].payload, &mut tail[0].payload);
+        }),
+    ];
+    for (label, reorder) in cases {
+        let dir = fresh_dir("swapped-ids");
+        crash_with_wal_tail(&dir, &reports, 0);
+        let storage = dir.join(create::storage::STORAGE_DIR);
+        let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");
+        let mut data = read_segment(&segment).expect("read segment");
+        assert_eq!(
+            data.docs.len(),
+            reports.len(),
+            "{label}: one sealed segment"
+        );
+        reorder(&mut data);
+        let info = write_segment(&segment, &data).expect("rewrite segment");
+        let mut manifest = Manifest::load(&storage)
+            .expect("load manifest")
+            .expect("a manifest");
+        let meta = &mut manifest.shards[0].segments[0];
+        (meta.bytes, meta.crc) = (info.bytes, info.crc);
+        manifest.store(&storage).expect("store manifest");
+        let bytes = std::fs::read(&segment).expect("read segment");
+
+        let err = Create::open(&dir, single_shard()).expect_err(label);
+        assert!(
+            err.is_corruption(),
+            "{label}: {err} is not typed as corruption"
+        );
+        assert!(
+            err.to_string().contains("seg-000000.seg"),
+            "{label}: {err} does not name the segment"
+        );
+        assert_eq!(
+            std::fs::read(&segment).expect("read segment"),
+            bytes,
+            "{label}: the refused open rewrote the segment"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,8 +1,10 @@
 //! Integration tests for the database substrates working together:
-//! Cypher over graphs built from JSON documents, index/docstore
-//! consistency, and the analyzer → index → query loop.
+//! Cypher over graphs built from JSON documents, search hits read back as
+//! stored documents, and the analyzer → index → query loop.
 
-use create::docstore::{json::obj, parse_json, DocStore, Value};
+use create::core::{Create, CreateConfig};
+use create::corpus::{CaseReport, CorpusConfig, Generator};
+use create::docstore::{json::obj, parse_json, Value};
 use create::graphdb::exec::run;
 use create::graphdb::{PropertyGraph, ResultValue};
 use create::index::{Index, QueryNode, Scorer};
@@ -36,61 +38,34 @@ fn cypher_create_then_match_round_trip() {
 
 #[test]
 fn docstore_and_index_stay_consistent() {
-    // Insert the same documents into both; every index hit must be
-    // retrievable from the store, with the hit term present.
-    let mut store = DocStore::in_memory();
-    let mut index = Index::clinical();
-    let docs = [
-        (
-            "d1",
-            "Atrial fibrillation after surgery",
-            "The patient developed atrial fibrillation.",
-        ),
-        (
-            "d2",
-            "Pneumonia case",
-            "Severe pneumonia with fever and cough.",
-        ),
-        (
-            "d3",
-            "Stroke registry note",
-            "An ischemic stroke was confirmed.",
-        ),
-    ];
-    for (id, title, body) in docs {
-        store
-            .insert(
-                "reports",
-                obj([
-                    ("_id", id.into()),
-                    ("title", title.into()),
-                    ("text", body.into()),
-                ]),
-            )
-            .unwrap();
-        index
-            .add_document(
-                id,
-                &[("title", title), ("body", body), ("body_ngram", body)],
-            )
-            .unwrap();
+    // Every search hit must come back through `Create::report` as the
+    // report ingested under its id, and a report searched for by its
+    // title is among the hits.
+    let system = Create::new(CreateConfig { shards: 2 });
+    let reports: Vec<CaseReport> = Generator::new(CorpusConfig {
+        num_reports: 30,
+        seed: 20261015,
+        ..Default::default()
+    })
+    .generate();
+    system.ingest_gold_batch(&reports, 2).unwrap();
+    let wanted = &reports[7];
+    let hits = system.search(&wanted.title, 10);
+    assert!(hits.iter().any(|hit| hit.report_id == wanted.id));
+    for hit in &hits {
+        let doc = system.report(&hit.report_id).expect("a hit is stored");
+        let ingested = reports.iter().find(|r| r.id == hit.report_id).unwrap();
+        assert_eq!(doc.get("_id").and_then(Value::as_str), Some(&*ingested.id));
+        assert_eq!(
+            doc.get("title").and_then(Value::as_str),
+            Some(&*ingested.title)
+        );
+        assert_eq!(
+            doc.get("text").and_then(Value::as_str),
+            Some(&*ingested.text)
+        );
     }
-    let hits = index.search(
-        &QueryNode::query_string(&index, "body", "fever"),
-        10,
-        Scorer::default(),
-    );
-    assert_eq!(hits.len(), 1);
-    let doc = store
-        .get("reports", &hits[0].external_id)
-        .expect("in store");
-    assert!(doc
-        .get("text")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_lowercase()
-        .contains("fever"));
+    assert!(system.report("no-such-report").is_none());
 }
 
 #[test]
@@ -139,14 +114,13 @@ fn analyzer_choice_changes_match_behaviour() {
 
 #[test]
 fn stored_json_documents_reparse_identically() {
-    let mut store = DocStore::in_memory();
     let original = obj([
         ("_id", "x".into()),
         ("nested", obj([("k", vec!["a", "b"].into())])),
         ("n", 1.5.into()),
     ]);
-    store.insert("c", original.clone()).unwrap();
-    let fetched = store.get("c", "x").unwrap();
-    let reparsed = parse_json(&fetched.to_json()).unwrap();
+    let stored = original.to_json();
+    let reparsed = parse_json(&stored).unwrap();
     assert_eq!(reparsed, original);
+    assert_eq!(reparsed.to_json(), stored, "the text is canonical");
 }
