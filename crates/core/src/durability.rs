@@ -68,7 +68,7 @@ pub(crate) struct ShardStorage {
 pub(crate) struct StorageRoot {
     /// The storage directory (`<data>/storage`).
     pub dir: PathBuf,
-    /// The live manifest; mutated under the write gate only.
+    /// The live manifest; mutated under the write lock only.
     pub manifest: Mutex<Manifest>,
 }
 

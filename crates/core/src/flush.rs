@@ -1,0 +1,179 @@
+//! Making the platform durable: [`Create::flush`], the seal every flush
+//! and every open ends with ([`seal_tails`]), and the compaction a flush
+//! triggers ([`compact_shards`]).
+
+use crate::durability::{self, COMPACT_SEGMENT_THRESHOLD};
+use crate::{ingest::IngestError, system::Create, writer::Writer};
+use create_storage::manifest::{segment_file_name, sweep_orphans};
+use create_storage::{segment::write_segment, Manifest, SegmentMeta, ShardManifest};
+use std::{path::Path, time::Instant};
+
+impl Create {
+    /// Persists every shard: fsyncs the WALs, seals each shard's
+    /// unsealed tail (postings, facets, stored documents) into an immutable
+    /// on-disk segment registered by an atomic manifest swap (after
+    /// which the WALs reset — recovery cost returns to zero), and
+    /// compacts shards that accumulated enough segments. No-op for
+    /// in-memory instances.
+    pub fn flush(&self) -> Result<(), IngestError> {
+        let compacted = {
+            let mut writers = self.lock_writers();
+            for writer in &mut writers.shards {
+                writer.wal_sync()?;
+            }
+            let Some(root) = self.storage.as_ref() else {
+                return Ok(());
+            };
+            let mut manifest = root.lock_manifest();
+            seal_tails(&mut writers.shards, &mut manifest, &root.dir, false)?;
+            let compacted = compact_shards(&writers.shards, &mut manifest, &root.dir)?;
+            durability::refresh_segment_gauges(&manifest);
+            compacted
+        };
+        if compacted {
+            // The first write after each publish copies the tables it
+            // touches (ROADMAP item 2) on whichever worker took it, and
+            // glibc keeps what those copies free in that thread's arena.
+            // A compaction is where trimming pays for its walk (DESIGN.md,
+            // *Memory after a compaction*); the locks are released by now.
+            create_util::release_free_heap();
+        }
+        Ok(())
+    }
+}
+
+/// Seals every shard's unsealed tail into a new segment, then — if one
+/// was written, or `store_anyway` (a fresh data directory at open) —
+/// registers them all in one manifest swap and only after it lands
+/// resets each WAL, advances `sealed_docs` and sweeps orphans. A crash
+/// before the swap replays the tails from the old WALs; a crash after it
+/// skips the (now sealed) records by ordinal. Sealing nothing writes
+/// nothing.
+pub(crate) fn seal_tails(
+    writers: &mut [Writer],
+    manifest: &mut Manifest,
+    dir: &Path,
+    store_anyway: bool,
+) -> Result<(), IngestError> {
+    let mut sealed = false;
+    for (writer, entry) in writers.iter_mut().zip(&mut manifest.shards) {
+        sealed |= seal_tail(writer, entry)?;
+    }
+    if !sealed && !store_anyway {
+        return Ok(());
+    }
+    manifest.store(dir).map_err(IngestError::Storage)?;
+    for (writer, entry) in writers.iter_mut().zip(&manifest.shards) {
+        let num_docs = writer.shard.index.num_docs();
+        let Some(storage) = writer.storage.as_mut() else {
+            continue;
+        };
+        storage.wal.reset().map_err(IngestError::Storage)?;
+        storage.sealed_docs = num_docs;
+        sweep_orphans(&storage.dir, entry);
+    }
+    Ok(())
+}
+
+/// Seals a shard's unsealed tail (`[sealed_docs..num_docs)`) into a new
+/// on-disk segment and registers it in the shard's manifest entry.
+/// Returns whether a segment was written.
+fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<bool, IngestError> {
+    let shard = &writer.shard;
+    let num = shard.index.num_docs();
+    let Some(storage) = writer.storage.as_ref() else {
+        return Ok(false);
+    };
+    if num <= storage.sealed_docs {
+        return Ok(false);
+    }
+    let started = Instant::now();
+    let base = storage.sealed_docs;
+    let data =
+        durability::seal_data(&shard.index, &shard.facets, &shard.docs, &shard.ordinals, base);
+    let file = segment_file_name(entry.next_segment_id);
+    let info = write_segment(&storage.dir.join(&file), &data).map_err(IngestError::Storage)?;
+    entry.segments.push(SegmentMeta {
+        file,
+        docs: (num - base) as u64,
+        bytes: info.bytes,
+        crc: info.crc,
+        min_ordinal: shard.ordinals[base],
+        max_ordinal: shard.ordinals[num - 1],
+    });
+    entry.next_segment_id += 1;
+    durability::note_seal(started.elapsed().as_secs_f64());
+    Ok(true)
+}
+
+/// Compacts every shard that reached [`COMPACT_SEGMENT_THRESHOLD`]
+/// segments; the rewrites land in one manifest swap, after which the
+/// replaced files are orphans and are swept. Returns whether a shard was
+/// compacted.
+fn compact_shards(
+    writers: &[Writer],
+    manifest: &mut Manifest,
+    dir: &Path,
+) -> Result<bool, IngestError> {
+    let mut compacted = false;
+    for (writer, entry) in writers.iter().zip(&mut manifest.shards) {
+        let Some(storage) = writer.storage.as_ref() else {
+            continue;
+        };
+        if entry.segments.len() < COMPACT_SEGMENT_THRESHOLD {
+            continue;
+        }
+        let merged = durability::compact_shard(&storage.dir, entry, &writer.shard.index)
+            .map_err(IngestError::Storage)?;
+        durability::note_compaction(merged);
+        compacted = true;
+    }
+    if compacted {
+        manifest.store(dir).map_err(IngestError::Storage)?;
+        for (writer, entry) in writers.iter().zip(&manifest.shards) {
+            if let Some(storage) = writer.storage.as_ref() {
+                sweep_orphans(&storage.dir, entry);
+            }
+        }
+    }
+    Ok(compacted)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::system::tests::temp_dir;
+    use crate::{Create, CreateConfig};
+    use create_corpus::{CorpusConfig, Generator};
+
+    #[test]
+    fn open_flush_round_trip() {
+        let dir = temp_dir("open-test");
+        let reports = Generator::new(CorpusConfig {
+            num_reports: 3,
+            seed: 11,
+            ..Default::default()
+        })
+        .generate();
+        {
+            let system = Create::open(&dir, CreateConfig::default()).unwrap();
+            for r in &reports {
+                system.ingest_gold(r).unwrap();
+            }
+            system.flush().unwrap();
+        }
+
+        // Every report comes back from the sealed segments alone, and
+        // the reopened system answers searches.
+        let system = Create::open(&dir, CreateConfig::default()).unwrap();
+        assert_eq!(system.stats().reports, reports.len());
+        for r in &reports {
+            assert!(system.report(&r.id).is_some(), "report {} lost", r.id);
+        }
+        assert!(system
+            .search(&reports[0].title, 5)
+            .iter()
+            .any(|h| h.report_id == reports[0].id));
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

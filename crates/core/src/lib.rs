@@ -23,27 +23,36 @@
 //!   one executor both `/search` and `/cohort` run (filter pushdown over
 //!   facet bitmaps, temporal-interval constraints, the graph and keyword
 //!   legs, and the merge);
+//! * [`system`] — the [`Create`] facade, its [`Snapshot`] and the read
+//!   API; the write side is [`writer`] (the one write lock and the
+//!   publish), [`ingest`] (the one write route), [`recovery`]
+//!   ([`Create::open`]) and [`flush`] ([`Create::flush`]);
 //! * [`durability`] — WAL/segment/manifest glue onto `create-storage`;
-//! * [`system`] — the [`Create`] facade tying it all together.
+//! * [`stats`] — the `*Stats` readouts and metric pre-registration.
 
 pub mod cache;
 pub(crate) mod durability;
 pub mod eval;
 pub(crate) mod facet_build;
+mod flush;
 pub mod graph_build;
+mod ingest;
 pub mod pipeline;
 pub mod plan;
+mod recovery;
 pub mod search;
+mod stats;
 pub mod system;
+mod writer;
 
 pub use cache::CacheStats;
+pub use ingest::{IngestError, TextSubmission};
 pub use pipeline::{ExtractedAnnotations, QueryIE};
 pub use plan::{
     CohortCriteria, CohortResult, FacetCounts, FacetFilter, PlanMode, PlanNode, QueryPlan,
     TemporalConstraint, TemporalOp,
 };
 pub use search::{MergePolicy, SearchAnswer, SearchHit, SearchSource};
-pub use system::{
-    Create, CreateConfig, FacetStats, GraphWriteGuard, IngestError, MemoryStats, Snapshot,
-    StorageStats, SystemStats, TextSubmission,
-};
+pub use stats::{FacetStats, MemoryStats, StorageStats, SystemStats};
+pub use system::{Create, CreateConfig, Snapshot};
+pub use writer::GraphWriteGuard;

@@ -1,0 +1,235 @@
+//! What the platform reports about itself: the four `*Stats` readouts
+//! (each from the published snapshot or the live manifest, never under
+//! the write lock) and the metric series the facade pre-registers.
+
+use crate::{durability, search::MergePolicy, system::Create};
+use create_obs::names as obs_names;
+use create_storage::ShardManifest;
+use create_util::arc_slice_bytes;
+use std::sync::{Arc, OnceLock};
+
+/// Counts describing the system state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SystemStats {
+    /// Stored reports.
+    pub reports: usize,
+    /// Property-graph nodes.
+    pub graph_nodes: usize,
+    /// Property-graph edges.
+    pub graph_edges: usize,
+    /// Distinct index terms across fields.
+    pub index_terms: usize,
+}
+
+/// Facet-bitmap size totals (see [`Create::facet_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FacetStats {
+    /// Distinct `(field, value)` runs across shards.
+    pub values: usize,
+    /// Total bytes held by the runs.
+    pub postings_bytes: usize,
+    /// Documents covered (equals the report count).
+    pub docs: usize,
+}
+
+/// Resident heap bytes by component (see [`Create::memory_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryStats {
+    /// The inverted indexes' terms and posting arrays
+    /// ([`Index::postings_bytes`](create_index::Index::postings_bytes)).
+    pub postings_bytes: usize,
+    /// The property graphs.
+    pub graph_bytes: usize,
+    /// The stored payloads, exactly: each text with its `Arc` header,
+    /// and the slot array that indexes them by doc id.
+    pub docstore_bytes: usize,
+    /// The facet bitmaps' values and runs.
+    pub facet_bytes: usize,
+}
+
+impl MemoryStats {
+    /// `(component, bytes)` — the `component` label of
+    /// `create_resident_bytes`, and `<component>_bytes` in `/stats`.
+    pub fn components(&self) -> [(&'static str, usize); 4] {
+        [
+            ("postings", self.postings_bytes),
+            ("graph", self.graph_bytes),
+            ("docstore", self.docstore_bytes),
+            ("facet", self.facet_bytes),
+        ]
+    }
+}
+
+/// Sealed on-disk segment totals (see [`Create::storage_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StorageStats {
+    /// Live segment files across all shards.
+    pub segments: usize,
+    /// Their total size in bytes.
+    pub segment_bytes: u64,
+}
+
+impl Create {
+    /// System counters, read from one composite snapshot (mutually
+    /// consistent) and summed across shards.
+    pub fn stats(&self) -> SystemStats {
+        let snapshot = self.snapshot();
+        let mut stats = SystemStats::default();
+        for shard in &snapshot.shards {
+            stats.reports += shard.index.num_docs();
+            stats.graph_nodes += shard.graph.node_count();
+            stats.graph_edges += shard.graph.edge_count();
+            stats.index_terms += shard.index.vocabulary_size("body")
+                + shard.index.vocabulary_size("title")
+                + shard.index.vocabulary_size("body_ngram");
+        }
+        stats
+    }
+
+    /// Facet-bitmap totals summed across the current snapshot's shards
+    /// (the bench's bytes/doc readout).
+    pub fn facet_stats(&self) -> FacetStats {
+        let snapshot = self.snapshot();
+        let mut stats = FacetStats::default();
+        for shard in &snapshot.shards {
+            stats.values += shard.facets.num_values();
+            stats.postings_bytes += shard.facets.postings_bytes();
+            stats.docs += shard.facets.num_docs() as usize;
+        }
+        stats
+    }
+
+    /// Heap bytes the published snapshot holds, by component and summed
+    /// across shards, from the structures' own lengths and capacities
+    /// (see [`PropertyGraph::heap_bytes`](create_graphdb::PropertyGraph::heap_bytes)).
+    /// Walks every shard's graph, payloads, dictionary and bitmaps, so it
+    /// is for the stats and scrape paths. Also refreshes the
+    /// `create_resident_bytes` gauges.
+    pub fn memory_stats(&self) -> MemoryStats {
+        let snapshot = self.snapshot();
+        let mut stats = MemoryStats::default();
+        for shard in &snapshot.shards {
+            stats.postings_bytes += shard.index.postings_bytes();
+            stats.graph_bytes += shard.graph.heap_bytes();
+            stats.docstore_bytes += shard.docs.capacity() * std::mem::size_of::<Arc<str>>()
+                + shard
+                    .docs
+                    .iter()
+                    .map(|payload| arc_slice_bytes(payload.len()))
+                    .sum::<usize>();
+            stats.facet_bytes += shard.facets.postings_bytes();
+        }
+        if create_obs::enabled() {
+            for (component, bytes) in stats.components() {
+                create_obs::gauge_with(
+                    obs_names::RESIDENT_BYTES_GAUGE,
+                    &[("component", component)],
+                )
+                .set(bytes as i64);
+            }
+        }
+        stats
+    }
+
+    /// Sealed-segment totals from the live manifest (`None` for
+    /// in-memory instances). Takes only the manifest lock, so the
+    /// metrics scrape path can call it while writes are in flight. Also
+    /// refreshes the segment gauges.
+    pub fn storage_stats(&self) -> Option<StorageStats> {
+        let root = self.storage.as_ref()?;
+        let manifest = root.lock_manifest();
+        durability::refresh_segment_gauges(&manifest);
+        Some(StorageStats {
+            segments: manifest.shards.iter().map(|s| s.segments.len()).sum(),
+            segment_bytes: manifest.shards.iter().map(ShardManifest::total_bytes).sum(),
+        })
+    }
+}
+
+/// Pre-registers every instrument the facade can emit so `/metrics`
+/// renders the full series set (zero-valued) from the first scrape,
+/// before any ingest or query traffic arrives.
+pub(crate) fn register_metrics() {
+    if !create_obs::enabled() {
+        return;
+    }
+    for stage in obs_names::PIPELINE_STAGES {
+        create_obs::histogram_with(obs_names::PIPELINE_STAGE_SECONDS, &[("stage", stage)]);
+    }
+    for stage in obs_names::QUERY_STAGES {
+        create_obs::histogram_with(obs_names::QUERY_STAGE_SECONDS, &[("stage", stage)]);
+    }
+    create_obs::histogram(obs_names::QUERY_SECONDS);
+    create_obs::histogram(obs_names::SNAPSHOT_PUBLISH_SECONDS);
+    for name in [
+        obs_names::DAAT_POSTINGS_ADVANCED_TOTAL,
+        obs_names::DAAT_CANDIDATES_PRUNED_TOTAL,
+        obs_names::DAAT_FUZZY_EXPANSIONS_TOTAL,
+        obs_names::DAAT_HEAP_EVICTIONS_TOTAL,
+        obs_names::QUERY_CACHE_HITS_TOTAL,
+        obs_names::QUERY_CACHE_MISSES_TOTAL,
+        obs_names::GRAPH_EXEC_NODES_VISITED_TOTAL,
+        obs_names::GRAPH_EXEC_EDGES_TRAVERSED_TOTAL,
+        obs_names::SNAPSHOT_PUBLISH_TOTAL,
+        obs_names::OPEN_BAD_CONFIG_TOTAL,
+        obs_names::WAL_APPENDED_BYTES_TOTAL,
+        obs_names::COMPACTION_RUNS_TOTAL,
+        obs_names::COMPACTION_MERGED_DOCS_TOTAL,
+        obs_names::RECOVERY_REPLAYED_RECORDS_TOTAL,
+        obs_names::PLAN_NODES_TOTAL,
+        obs_names::BITMAP_INTERSECTIONS_TOTAL,
+    ] {
+        create_obs::counter(name);
+    }
+    create_obs::histogram(obs_names::WAL_APPEND_SECONDS);
+    create_obs::histogram(obs_names::SEGMENT_SEAL_SECONDS);
+    create_obs::gauge(obs_names::SEGMENT_COUNT_GAUGE);
+    create_obs::gauge(obs_names::SEGMENT_BYTES_GAUGE);
+    for (component, _) in MemoryStats::default().components() {
+        create_obs::gauge_with(obs_names::RESIDENT_BYTES_GAUGE, &[("component", component)]);
+    }
+    for policy in ALL_POLICIES {
+        create_obs::counter_with(obs_names::SEARCH_POLICY_TOTAL, &[("policy", policy.label())]);
+    }
+}
+
+/// Pre-registers the per-shard series for the instance's actual shard
+/// count, so `/metrics` shows every `shard=...` label from first scrape.
+pub(crate) fn register_shard_metrics(shards: usize) {
+    if !create_obs::enabled() {
+        return;
+    }
+    for i in 0..shards {
+        let label = i.to_string();
+        create_obs::gauge_with(obs_names::SHARD_GENERATION_GAUGE, &[("shard", &label)]);
+        create_obs::counter_with(obs_names::SHARD_PUBLISH_TOTAL, &[("shard", &label)]);
+    }
+}
+
+/// Every merge policy, in [`count_policy`] index order.
+const ALL_POLICIES: [MergePolicy; 5] = [
+    MergePolicy::Neo4jFirst,
+    MergePolicy::EsFirst,
+    MergePolicy::EsOnly,
+    MergePolicy::GraphOnly,
+    MergePolicy::Interleave,
+];
+
+/// Bumps `create_search_policy_total{policy=...}` through cached
+/// handles — no registry lock on the warm search path.
+pub(crate) fn count_policy(policy: MergePolicy) {
+    if !create_obs::enabled() {
+        return;
+    }
+    static COUNTERS: OnceLock<[Arc<create_obs::Counter>; 5]> = OnceLock::new();
+    let counters = COUNTERS.get_or_init(|| {
+        ALL_POLICIES.map(|p| {
+            create_obs::counter_with(obs_names::SEARCH_POLICY_TOTAL, &[("policy", p.label())])
+        })
+    });
+    let idx = ALL_POLICIES
+        .iter()
+        .position(|p| *p == policy)
+        .expect("ALL_POLICIES is exhaustive");
+    counters[idx].inc();
+}

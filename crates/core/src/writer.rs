@@ -1,0 +1,267 @@
+//! The write half of the platform: the one write lock on [`Create`],
+//! its value [`Writers`] — one [`Writer`] per shard and the next ingest
+//! ordinal — the publish that ends every write operation, and the two
+//! that are not ingests, [`Create::attach_tagger`] and
+//! [`Create::graph_mut`].
+
+use crate::durability::{self, DocPayload, ReportFields, ShardStorage};
+use crate::graph_build::{GraphBuilder, ReportMeta};
+use crate::system::{Create, ShardSnapshot, Snapshot};
+use crate::{ingest::IngestError, pipeline::ExtractedAnnotations};
+use create_graphdb::PropertyGraph;
+use create_index::{facets::FacetIndex, index::IndexError, Index};
+use create_ner::CrfTagger;
+use create_obs::{names as obs_names, Span};
+use create_ontology::Ontology;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, MutexGuard};
+use std::time::Instant;
+
+impl Create {
+    /// Takes the write lock, recovering (and counting) a poisoned one: a
+    /// panicking write leaves per-operation invariants intact, so serving
+    /// on is strictly better than wedging every future write.
+    pub(crate) fn lock_writers(&self) -> MutexGuard<'_, Writers> {
+        self.writers.lock().unwrap_or_else(|poisoned| {
+            if create_obs::enabled() {
+                create_obs::counter(obs_names::LOCK_POISONED_TOTAL).inc();
+                create_obs::log(
+                    create_obs::Level::Warn,
+                    "create-core",
+                    "recovered a poisoned write lock".to_string(),
+                );
+            }
+            poisoned.into_inner()
+        })
+    }
+
+    /// Rebuilds the composite snapshot — sharing the state of exactly the
+    /// shards in `touched` (reference counts, no table is copied) and
+    /// reusing the published `Arc`s for the rest — and swaps it in
+    /// atomically. One call per write operation, made with the write lock
+    /// held (`writers` is its value), so readers always observe a
+    /// complete generation vector, never a torn mix.
+    pub(crate) fn publish_shards(&self, writers: &Writers, touched: &[usize]) {
+        let started = Instant::now();
+        let mut shards = self.current.load().shards.clone();
+        for &i in touched {
+            shards[i] = Arc::new(writers.shards[i].shard.clone());
+            if create_obs::enabled() {
+                create_obs::counter_with(
+                    obs_names::SHARD_PUBLISH_TOTAL,
+                    &[("shard", &i.to_string())],
+                )
+                .inc();
+            }
+        }
+        self.current.store(Arc::new(Snapshot { shards }));
+        if create_obs::enabled() {
+            create_obs::counter(obs_names::SNAPSHOT_PUBLISH_TOTAL).inc();
+            create_obs::histogram(obs_names::SNAPSHOT_PUBLISH_SECONDS)
+                .observe(started.elapsed().as_secs_f64());
+        }
+    }
+
+    /// Attaches a trained NER tagger, enabling automatic extraction for
+    /// raw-text/PDF ingestion and model-based query parsing. A query
+    /// parses differently under the new tagger, so this is a write like
+    /// any other: every shard's generation is bumped and answers cached
+    /// before the attachment die on first touch.
+    pub fn attach_tagger(&self, tagger: CrfTagger) {
+        let tagger = Arc::new(tagger);
+        let mut writers = self.lock_writers();
+        for writer in &mut writers.shards {
+            writer.shard.tagger = Some(Arc::clone(&tagger));
+            writer.shard.generation += 1;
+        }
+        let all: Vec<usize> = (0..writers.shards.len()).collect();
+        self.publish_shards(&writers, &all);
+    }
+
+    /// Mutable access to shard 0's graph, for the Cypher executor (which
+    /// may `CREATE`): see [`GraphWriteGuard`]. Its drop also
+    /// conservatively invalidates the query cache.
+    pub fn graph_mut(&self) -> GraphWriteGuard<'_> {
+        GraphWriteGuard {
+            system: self,
+            writers: self.lock_writers(),
+        }
+    }
+}
+
+/// Write access to the property graph, for the Cypher executor (which may
+/// `CREATE`). Targets shard 0's graph and holds the write lock for its
+/// lifetime; the first mutable borrow copies the graph if the published
+/// snapshot shares it, and dropping the guard bumps shard 0's generation
+/// (the borrow may have written) and publishes a fresh composite snapshot
+/// so readers observe the mutation.
+pub struct GraphWriteGuard<'a> {
+    system: &'a Create,
+    writers: MutexGuard<'a, Writers>,
+}
+
+impl Deref for GraphWriteGuard<'_> {
+    type Target = PropertyGraph;
+    fn deref(&self) -> &PropertyGraph {
+        &self.writers.shards[0].shard.graph
+    }
+}
+
+impl DerefMut for GraphWriteGuard<'_> {
+    fn deref_mut(&mut self) -> &mut PropertyGraph {
+        Arc::make_mut(&mut self.writers.shards[0].shard.graph)
+    }
+}
+
+impl Drop for GraphWriteGuard<'_> {
+    fn drop(&mut self) {
+        self.writers.shards[0].shard.generation += 1;
+        self.system.publish_shards(&self.writers, &[0]);
+    }
+}
+
+/// The value of the one write lock. Every write operation holds the
+/// lock from start to publish, so writes run one at a time; readers
+/// never take it.
+pub(crate) struct Writers {
+    /// The next global ingest ordinal.
+    pub(crate) next_ordinal: u64,
+    /// One writer per shard, in shard order (see
+    /// [`shard_index`](crate::system::shard_index)).
+    pub(crate) shards: Vec<Writer>,
+}
+
+/// The write half of one shard.
+pub(crate) struct Writer {
+    /// The shard's state. After a publish its tables are shared with the
+    /// published snapshot, and every write reaches them through
+    /// `Arc::make_mut`, so the first write copies what it touches and
+    /// readers never see a change.
+    pub(crate) shard: ShardSnapshot,
+    graph_builder: GraphBuilder,
+    /// Durable state (WAL + sealed segments) — `None` for in-memory
+    /// instances, which skip the log entirely.
+    pub(crate) storage: Option<ShardStorage>,
+}
+
+impl Writer {
+    /// Appends one document's record to the shard's WAL (nothing, for an
+    /// in-memory instance). Called *before* the corresponding in-memory
+    /// apply, so any write the system goes on to acknowledge is already
+    /// recoverable from the log.
+    pub(crate) fn wal_log(
+        &mut self,
+        ordinal: u64,
+        payload: &DocPayload<'_>,
+    ) -> Result<(), IngestError> {
+        let Some(storage) = self.storage.as_mut() else {
+            return Ok(());
+        };
+        let record = durability::doc_record(ordinal, payload);
+        let started = Instant::now();
+        let bytes = storage
+            .wal
+            .append(record.as_bytes())
+            .map_err(IngestError::Storage)?;
+        durability::note_wal_append(bytes, started.elapsed().as_secs_f64());
+        Ok(())
+    }
+
+    /// Puts one document into the shard: its stored payload as it is
+    /// (spliced from serialized member texts, or read from a segment),
+    /// its graph projection and its ordinal. Every document enters a
+    /// shard here — the batch apply phase logs it to the WAL first,
+    /// segment recovery and WAL replay call this alone — and its postings
+    /// and facet bitmaps enter through [`Writer::merge`], at the same doc
+    /// id.
+    pub(crate) fn apply(
+        &mut self,
+        ontology: &Ontology,
+        ordinal: u64,
+        fields: &ReportFields<'_>,
+        annotations: &ExtractedAnnotations,
+        payload: &str,
+    ) {
+        Arc::make_mut(&mut self.shard.docs).push(Arc::from(payload));
+        {
+            let _span =
+                Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
+            self.graph_builder.add_report(
+                Arc::make_mut(&mut self.shard.graph),
+                ontology,
+                &ReportMeta {
+                    report_id: fields.id.to_string(),
+                    title: fields.title.to_string(),
+                    year: fields.year,
+                    category: fields.category.to_string(),
+                },
+                annotations,
+            );
+        }
+        Arc::make_mut(&mut self.shard.ordinals).push(ordinal);
+    }
+
+    /// Merges a segment's postings and its facet twin at the shard's
+    /// current doc count, which keeps bitmap ids aligned with index ids.
+    /// Postings and facets enter a writer in no other form: workers
+    /// built the pair, WAL replay built it, or a segment file decoded to
+    /// it.
+    pub(crate) fn merge(&mut self, segment: Index, facets: FacetIndex) -> Result<(), IndexError> {
+        let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_INDEX_WRITE);
+        let base = self.shard.index.num_docs() as u32;
+        Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
+        Arc::make_mut(&mut self.shard.facets).merge(facets, base);
+        Ok(())
+    }
+
+    /// Fsyncs the shard's WAL — the durability point of the write path,
+    /// reached once per operation before the publish that acknowledges
+    /// it.
+    pub(crate) fn wal_sync(&mut self) -> Result<(), IngestError> {
+        let Some(storage) = self.storage.as_mut() else {
+            return Ok(());
+        };
+        let started = Instant::now();
+        storage.wal.sync().map_err(IngestError::Storage)?;
+        durability::note_wal_sync(started.elapsed().as_secs_f64());
+        Ok(())
+    }
+}
+
+pub(crate) fn empty_writer() -> Writer {
+    Writer {
+        shard: ShardSnapshot {
+            generation: 0,
+            docs: Arc::default(),
+            graph: Arc::default(),
+            index: Arc::new(Index::clinical()),
+            tagger: None,
+            ordinals: Arc::default(),
+            facets: Arc::default(),
+        },
+        graph_builder: GraphBuilder::new(),
+        storage: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Create, CreateConfig};
+    use create_docstore::Value;
+
+    #[test]
+    fn graph_mut_guard_publishes_on_drop() {
+        let system = Create::new(CreateConfig::default());
+        let before = system.cache_stats().generation;
+        {
+            let mut guard = system.graph_mut();
+            guard.create_node(["Probe"], Vec::<(&str, Value)>::new());
+        }
+        assert_eq!(
+            system.cache_stats().generation,
+            before + 1,
+            "guard drop bumps the generation"
+        );
+        assert_eq!(system.stats().graph_nodes, 1, "guard drop publishes");
+    }
+}

@@ -128,10 +128,11 @@ impl Index {
     /// corpus statistics (idf / avg_len) instead of this index's own.
     ///
     /// This is the shard-local leg of a scatter-gather search: every
-    /// shard scores against the *merged* [`CorpusStats`] of all shards,
-    /// so per-document scores are bit-identical to what one monolithic
-    /// index holding the union of the shards would produce. With
-    /// `stats: None` this is exactly [`Index::search`].
+    /// shard scores against the *merged*
+    /// [`CorpusStats`](crate::stats::CorpusStats) of all shards, so
+    /// per-document scores are bit-identical to what one monolithic index
+    /// holding the union of the shards would produce. With `stats: None`
+    /// this is exactly [`Index::search`].
     pub fn search_with_stats(
         &self,
         query: &QueryNode,

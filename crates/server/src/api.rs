@@ -27,7 +27,7 @@
 
 use crate::http::{Response, Status};
 use crate::router::Router;
-use create_core::{Create, MergePolicy};
+use create_core::{Create, IngestError, MergePolicy};
 use create_docstore::json::{obj, parse_json, Value};
 use std::sync::Arc;
 
@@ -51,6 +51,26 @@ fn year_from(doc: &Value) -> Result<u32, &'static str> {
     year.as_i64()
         .and_then(|year| u32::try_from(year).ok())
         .ok_or("year must be an integer from 0 to 4294967295")
+}
+
+/// The answer to a failed write: a storage failure is the server's (500,
+/// with its class — `io` is disk-level and often transient, `corruption`
+/// needs an operator); every other error is the request's (400).
+fn ingest_error_response(e: &IngestError) -> Response {
+    match e {
+        IngestError::Storage(_) => {
+            let kind = if e.is_corruption() { "corruption" } else { "io" };
+            Response::error(
+                Status::InternalServerError,
+                &format!("storage failed ({kind}): {e}"),
+            )
+        }
+        IngestError::NoTagger
+        | IngestError::Duplicate(_)
+        | IngestError::Pdf(_)
+        | IngestError::Index(_)
+        | IngestError::Config(_) => Response::error(Status::BadRequest, &e.to_string()),
+    }
 }
 
 /// Builds the API router over a shared platform instance.
@@ -195,7 +215,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
             };
             match system.ingest_text(id, title, text, year) {
                 Ok(()) => Response::json(Status::Created, obj([("ingested", id.into())]).to_json()),
-                Err(e) => Response::error(Status::BadRequest, &e.to_string()),
+                Err(e) => ingest_error_response(&e),
             }
         });
     }
@@ -230,7 +250,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 Ok(p) => p,
                 Err(m) => return Response::error(Status::BadRequest, &m),
             };
-            let all_hits = system.search_many_with_policy(&queries, k, policy);
+            let all_hits = system.search_many(&queries, k, policy);
             let results: Vec<Value> = queries
                 .iter()
                 .zip(all_hits)
@@ -287,7 +307,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
                     Status::Created,
                     obj([("ingested", (count as i64).into())]).to_json(),
                 ),
-                Err(e) => Response::error(Status::BadRequest, &e.to_string()),
+                Err(e) => ingest_error_response(&e),
             }
         });
     }
@@ -315,16 +335,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
                     .to_json(),
                 )
             }
-            Err(e) => {
-                // The typed storage error distinguishes an I/O failure
-                // (retryable, disk-level) from detected corruption
-                // (needs operator attention); surface the class.
-                let kind = if e.is_corruption() { "corruption" } else { "io" };
-                Response::error(
-                    Status::InternalServerError,
-                    &format!("flush failed ({kind}): {e}"),
-                )
-            }
+            Err(e) => ingest_error_response(&e),
         });
     }
 
@@ -1051,6 +1062,49 @@ mod tests {
         assert!(String::from_utf8(resp.body).unwrap().contains("bogus"));
         // GET on the POST route is not allowed.
         assert_eq!(api.dispatch(&get("/cohort", &[])).status, Status::MethodNotAllowed);
+    }
+
+    #[test]
+    fn ingest_errors_answer_500_for_storage_and_400_otherwise() {
+        use create_storage::StorageError;
+        let path = std::path::PathBuf::from("storage/shard-0/wal.log");
+        let io = std::io::Error::other("no space left on device");
+        let cases = [
+            (IngestError::NoTagger, Status::BadRequest, "tagger"),
+            (IngestError::Duplicate("pmid:1".into()), Status::BadRequest, "pmid:1"),
+            (
+                IngestError::Pdf(create_grobid::PdfError {
+                    message: "missing %PDF header".into(),
+                }),
+                Status::BadRequest,
+                "%PDF",
+            ),
+            (
+                IngestError::Index(create_index::index::IndexError::UnknownField("x".into())),
+                Status::BadRequest,
+                "index error",
+            ),
+            (IngestError::Config("shards".into()), Status::BadRequest, "configuration"),
+            (
+                IngestError::Storage(StorageError::Io { path: path.clone(), source: io }),
+                Status::InternalServerError,
+                "(io)",
+            ),
+            (
+                IngestError::Storage(StorageError::Corrupt {
+                    path,
+                    message: "bad frame".into(),
+                }),
+                Status::InternalServerError,
+                "(corruption)",
+            ),
+        ];
+        for (error, status, needle) in cases {
+            let resp = ingest_error_response(&error);
+            assert_eq!(resp.status, status, "{error}");
+            let body = String::from_utf8(resp.body).unwrap();
+            assert!(body.contains(needle), "{error}: {body}");
+        }
     }
 
     #[test]

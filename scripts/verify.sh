@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Offline verification gate: tier-1 build, clippy over every workspace
 # target with warnings denied (`benchmark/` is its own workspace and is
-# not linted), then every test binary once —
+# not linted), rustdoc over every workspace crate with warnings denied (an
+# intra-doc link that no longer resolves fails it), then every test binary
+# once —
 # the whole workspace's (`cargo test --workspace`: the root suites —
 # parallel_determinism, query_equivalence, shard_equivalence,
 # cohort_retrieval, crash_recovery, snapshot_stress, server_storm,
@@ -30,6 +32,10 @@ cargo build --release
 
 echo "== clippy: every workspace target, warnings denied =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
+echo "== rustdoc: every intra-doc link resolves, private items included =="
+RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
+    cargo doc -q --offline --no-deps --workspace --document-private-items
 
 echo "== tier-1: test suite (every workspace crate, each test binary once) =="
 cargo test -q --workspace

@@ -132,10 +132,11 @@ const REPORTS: usize = 500;
 /// lengths included), and the figure repeats exactly. One more `u32`
 /// per posting would add about 80.
 const TERM_OVERHEAD: usize = 190;
-/// Allocations one 2-document batch may make at 500 reports: 13 666
+/// Allocations one 2-document batch may make at 500 reports: 13 664
 /// measured (tokens, the batch's own segment, the touched lists' copies,
-/// the copies of the tables the published snapshot shares), 13 920 while
-/// a document store filed each report three times. The budget is a
+/// the copies of the tables the published snapshot shares), 13 666 while
+/// each shard's writer had a lock of its own, 13 920 while a document
+/// store filed each report three times. The budget is a
 /// fifth over the 16 267–16 683 it made while `body_ngram` stored
 /// positions, 25 524 while a publish cloned a `String` per graph index
 /// key and a node per 11 stored documents, 209 179 with a `Vec` per

@@ -6,7 +6,7 @@
 //! seal segment files with the digests captured before the routes were
 //! folded into one.
 
-use create::core::{Create, CreateConfig};
+use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CorpusConfig, Generator, QuerySet};
 
 fn corpus(n: usize, seed: u64) -> Vec<create::corpus::CaseReport> {
@@ -82,7 +82,7 @@ fn search_many_is_deterministic() {
     let queries = QuerySet::generate(&reports, 8, 12);
     let texts: Vec<&str> = queries.queries.iter().map(|q| q.text.as_str()).collect();
 
-    let batched = system.search_many(&texts, 10);
+    let batched = system.search_many(&texts, 10, MergePolicy::Neo4jFirst);
     assert_eq!(batched.len(), texts.len());
     for (text, hits) in texts.iter().zip(&batched) {
         let individual = system.search(text, 10);

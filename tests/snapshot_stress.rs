@@ -9,7 +9,8 @@
 //! they observe never roll backwards, a separate test pins the cache
 //! contract: entries stamped with an old snapshot's generation survive the
 //! publish itself but die (as misses) on first touch afterwards, and a
-//! third shows that a read finishes while a write operation is open.
+//! third shows that every read API finishes while a write operation
+//! holds the write lock.
 
 use create::core::{Create, CreateConfig};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
@@ -203,32 +204,67 @@ fn stale_cache_entries_die_on_first_touch_after_publish() {
 #[test]
 fn a_read_completes_while_a_write_operation_is_open() {
     let reports = corpus(20, 99);
-    let system = Arc::new(Create::new(single_shard()));
+    let dir = std::env::temp_dir().join(format!("create-read-under-write-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let system = Arc::new(Create::open(&dir, CreateConfig { shards: 2 }).expect("open"));
     system.ingest_gold_batch(&reports, 0).expect("ingest");
+    system.flush().expect("flush");
     let expected = ranking(&system, "fever cough");
+    let id = reports[0].id.clone();
+    let criteria = create::docstore::json::parse_json(
+        r#"{"filters": [{"field": "sex", "values": ["female", "male"]}], "k": 5}"#,
+    )
+    .expect("criteria parse");
 
-    // The guard holds what a batch ingest holds from start to publish:
-    // the write gate and the shard's writer lock.
+    // The guard holds the one write lock, as a batch ingest does from
+    // start to publish.
     let guard = system.graph_mut();
     let (sender, receiver) = std::sync::mpsc::channel();
     let reader = {
         let system = Arc::clone(&system);
         std::thread::spawn(move || {
-            // One answer from the cache, one computed against the
-            // published snapshot.
-            let cached = ranking(&system, "fever cough");
-            let computed = ranking(&system, "chest pain");
-            sender
-                .send((cached, computed))
-                .expect("test thread is waiting");
+            // Every read API, each against the published snapshot (or,
+            // for `storage_stats`, the manifest): one search answered
+            // from the cache, one computed.
+            let lookups = (
+                ranking(&system, "fever cough"),
+                ranking(&system, "chest pain"),
+                system.cohort_from_json(&criteria).map(|c| c.total_matched),
+                system.report(&id).is_some(),
+                system.annotations(&id).is_some(),
+                system.visualize(&id).is_some(),
+            );
+            let counters = (
+                system.stats().reports,
+                system.memory_stats().postings_bytes,
+                system.storage_stats().map(|s| s.segments),
+                (system.cache_stats().generation, system.facet_stats().docs),
+                (system.shard_generations(), system.shard_count()),
+            );
+            let reads = (lookups, counters);
+            sender.send(reads).expect("test thread is waiting");
         })
     };
     // A read that waited for the writer would never send: fail, not hang.
-    let (cached, computed) = receiver
+    let reads = receiver
         .recv_timeout(std::time::Duration::from_secs(60))
-        .expect("searches block on an open write operation");
+        .expect("a read blocked on an open write operation");
+    let (cached, computed, cohort, report, annotations, svg) = reads.0;
+    let (reports, postings, segments, counts, shards) = reads.1;
     drop(guard);
     reader.join().expect("reader thread");
     assert_eq!(cached, expected);
     assert!(!computed.is_empty(), "the uncached search ran both engines");
+    assert!(cohort.expect("cohort criteria parse") > 0, "the cohort matched nothing");
+    assert!(report && annotations && svg, "the report's three lookups");
+    assert_eq!(reports, 20);
+    assert!(postings > 0);
+    assert!(segments.expect("disk-backed") > 0);
+    let (generation, faceted) = counts;
+    assert_eq!(faceted, 20);
+    let (generations, shard_count) = shards;
+    assert_eq!((generations.len(), shard_count), (2, 2));
+    assert_eq!(generation, generations.iter().sum::<u64>());
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
 }
