@@ -32,7 +32,9 @@ pub fn extract_tnm(text: &str) -> Vec<String> {
         }
         let mut j = i;
         let mut prefixes = 0;
-        while j < bytes.len() && prefixes < 2 && matches!(bytes[j], b'c' | b'p' | b'y' | b'r' | b'a')
+        while j < bytes.len()
+            && prefixes < 2
+            && matches!(bytes[j], b'c' | b'p' | b'y' | b'r' | b'a')
         {
             j += 1;
             prefixes += 1;
@@ -141,7 +143,10 @@ fn icd_at(bytes: &[u8], at: usize) -> Option<usize> {
     // Boundary: the next byte may not extend the code — either another
     // alphanumeric or a dot that itself continues into one ("1.2.3"
     // version chains). A sentence-final dot is fine.
-    if bytes.get(at + len).is_some_and(|b| b.is_ascii_alphanumeric()) {
+    if bytes
+        .get(at + len)
+        .is_some_and(|b| b.is_ascii_alphanumeric())
+    {
         return None;
     }
     if bytes.get(at + len) == Some(&b'.')
@@ -166,7 +171,10 @@ mod tests {
 
     #[test]
     fn compound_tnm_token() {
-        assert_eq!(extract_tnm("Staging was pT2N0M0 after resection."), vec!["T2", "N0", "M0"]);
+        assert_eq!(
+            extract_tnm("Staging was pT2N0M0 after resection."),
+            vec!["T2", "N0", "M0"]
+        );
         assert_eq!(extract_tnm("cT4bN1M0 disease"), vec!["T4", "N1", "M0"]);
         assert_eq!(extract_tnm("ypT1N0"), vec!["T1", "N0"]);
     }
@@ -198,7 +206,10 @@ mod tests {
 
     #[test]
     fn icd_dotted_codes() {
-        assert_eq!(extract_icd("diagnosed with C50.9 and I21.02."), vec!["C50.9", "I21.02"]);
+        assert_eq!(
+            extract_icd("diagnosed with C50.9 and I21.02."),
+            vec!["C50.9", "I21.02"]
+        );
         assert_eq!(extract_icd("(ICD-10 J18.9)"), vec!["J18.9"]);
         assert_eq!(extract_icd("code c50.9 lowercase"), vec!["C50.9"]);
     }

@@ -69,11 +69,23 @@ fn main() {
     let registry = create_obs::Registry::global();
     for (counter, why) in [
         (names::DAAT_POSTINGS_ADVANCED_TOTAL, "keyword searches ran"),
-        (names::QUERY_CACHE_MISSES_TOTAL, "cold queries missed the cache"),
-        (names::QUERY_CACHE_HITS_TOTAL, "the repeated query hit the cache"),
-        (names::GRAPH_EXEC_NODES_VISITED_TOTAL, "graph searches walked nodes"),
+        (
+            names::QUERY_CACHE_MISSES_TOTAL,
+            "cold queries missed the cache",
+        ),
+        (
+            names::QUERY_CACHE_HITS_TOTAL,
+            "the repeated query hit the cache",
+        ),
+        (
+            names::GRAPH_EXEC_NODES_VISITED_TOTAL,
+            "graph searches walked nodes",
+        ),
         (names::PLAN_NODES_TOTAL, "every query lowers to a plan"),
-        (names::BITMAP_INTERSECTIONS_TOTAL, "the cohort filter intersected bitmaps"),
+        (
+            names::BITMAP_INTERSECTIONS_TOTAL,
+            "the cohort filter intersected bitmaps",
+        ),
     ] {
         assert!(
             registry.counter(counter).get() > 0,

@@ -53,7 +53,8 @@ fn main() {
         .get(&format!("/trace/{trace_id}"))
         .expect("GET /trace/{id}");
     assert_eq!(
-        trace.status, 200,
+        trace.status,
+        200,
         "trace not recorded: {}",
         trace.body_str()
     );

@@ -121,10 +121,7 @@ pub(crate) fn normalize_sex(surface: &str) -> Option<&'static str> {
 /// Decade band from the leading integer of an Age mention
 /// (`"63-year-old"` → `"60-69"`).
 pub(crate) fn age_band(surface: &str) -> Option<String> {
-    let digits: String = surface
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
+    let digits: String = surface.chars().take_while(|c| c.is_ascii_digit()).collect();
     if digits.is_empty() || digits.len() > 3 {
         return None;
     }
@@ -178,12 +175,7 @@ mod tests {
             ],
             relations: Vec::new(),
         };
-        let values = facet_values(
-            "cancer",
-            2019,
-            "Staging was pT2N0M0, coded C50.9.",
-            &ann,
-        );
+        let values = facet_values("cancer", 2019, "Staging was pT2N0M0, coded C50.9.", &ann);
         assert!(values.contains(&(FacetField::Category, "cancer".into())));
         assert!(values.contains(&(FacetField::Year, "2019".into())));
         assert!(values.contains(&(FacetField::EntityType, "Sign_symptom".into())));

@@ -89,8 +89,13 @@ fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<bool, IngestE
     }
     let started = Instant::now();
     let base = storage.sealed_docs;
-    let data =
-        durability::seal_data(&shard.index, &shard.facets, &shard.docs, &shard.ordinals, base);
+    let data = durability::seal_data(
+        &shard.index,
+        &shard.facets,
+        &shard.docs,
+        &shard.ordinals,
+        base,
+    );
     let file = segment_file_name(entry.next_segment_id);
     let info = write_segment(&storage.dir.join(&file), &data).map_err(IngestError::Storage)?;
     entry.segments.push(SegmentMeta {

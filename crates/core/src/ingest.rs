@@ -65,7 +65,10 @@ impl Create {
 
     /// The attached tagger, which raw-text ingestion needs.
     fn tagger(&self) -> Result<Arc<CrfTagger>, IngestError> {
-        self.snapshot().shards[0].tagger.clone().ok_or(IngestError::NoTagger)
+        self.snapshot().shards[0]
+            .tagger
+            .clone()
+            .ok_or(IngestError::NoTagger)
     }
 
     /// Parallel batch ingestion of gold-annotated reports, split into
@@ -137,7 +140,11 @@ impl Create {
         }
         let mut writers = self.lock_writers();
         let routes = route_batch(&writers, ids)?;
-        let workers = if threads == 0 { ThreadPool::global().threads() } else { threads };
+        let workers = if threads == 0 {
+            ThreadPool::global().threads()
+        } else {
+            threads
+        };
         let shards = writers.shards.len();
         // Every shard's index has the same field configuration, so any
         // one can stamp out segments.
@@ -260,7 +267,9 @@ fn apply_batch(
     base: u64,
     stages: &mut StageLog,
 ) -> Result<Vec<usize>, IngestError> {
-    let touched = (0..work.len()).filter(|&s| !work[s].docs.is_empty()).collect();
+    let touched = (0..work.len())
+        .filter(|&s| !work[s].docs.is_empty())
+        .collect();
     let tasks: Vec<Mutex<Option<(&mut Writer, ShardWork)>>> = writers
         .iter_mut()
         .zip(work)
@@ -334,7 +343,10 @@ fn drain_tasks<T>(
 fn worker_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     let workers = workers.clamp(1, n.max(1));
     let chunk = n.div_ceil(workers);
-    (0..n).step_by(chunk.max(1)).map(|start| start..(start + chunk).min(n)).collect()
+    (0..n)
+        .step_by(chunk.max(1))
+        .map(|start| start..(start + chunk).min(n))
+        .collect()
 }
 
 /// A raw-text document queued for batch submission.
@@ -655,12 +667,16 @@ mod tests {
         assert_eq!(system.ingest_text_batch(&submissions, 2).unwrap(), 2);
         assert_eq!(system.stats().reports, 2);
         // Tagger survives the batch (workers share it by `Arc`).
-        assert!(system.ingest_text("user:3", "t", "More fever.", 2023).is_ok());
+        assert!(system
+            .ingest_text("user:3", "t", "More fever.", 2023)
+            .is_ok());
         // And the batch path matches the per-document text path.
         let sequential = Create::new(CreateConfig::default());
         sequential.attach_tagger(tiny_tagger(&sequential, &reports));
         for s in &submissions {
-            sequential.ingest_text(&s.id, &s.title, &s.text, s.year).unwrap();
+            sequential
+                .ingest_text(&s.id, &s.title, &s.text, s.year)
+                .unwrap();
         }
         let batched = Create::new(CreateConfig::default());
         batched.attach_tagger(tiny_tagger(&batched, &reports));
@@ -727,9 +743,6 @@ mod tests {
         // sum of per-shard generations is the composite.
         let gens = system.shard_generations();
         assert_eq!(gens.len(), 3);
-        assert_eq!(
-            gens.iter().sum::<u64>(),
-            system.snapshot().generation()
-        );
+        assert_eq!(gens.iter().sum::<u64>(), system.snapshot().generation());
     }
 }

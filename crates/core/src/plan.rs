@@ -361,8 +361,8 @@ pub fn parse_cohort_criteria(json: &Value, ontology: &Ontology) -> Result<Cohort
                 .get("field")
                 .and_then(Value::as_str)
                 .ok_or_else(|| "filter missing \"field\"".to_string())?;
-            let field = FacetField::parse(label)
-                .ok_or_else(|| format!("unknown facet field {label:?}"))?;
+            let field =
+                FacetField::parse(label).ok_or_else(|| format!("unknown facet field {label:?}"))?;
             let mut values = Vec::new();
             match (item.get("values"), item.get("value")) {
                 (Some(vs), _) => {
@@ -453,8 +453,8 @@ pub fn parse_cohort_criteria(json: &Value, ontology: &Ontology) -> Result<Cohort
             let label = v
                 .as_str()
                 .ok_or_else(|| "facet labels must be strings".to_string())?;
-            let field = FacetField::parse(label)
-                .ok_or_else(|| format!("unknown facet field {label:?}"))?;
+            let field =
+                FacetField::parse(label).ok_or_else(|| format!("unknown facet field {label:?}"))?;
             if !facet_counts.contains(&field) {
                 facet_counts.push(field);
             }
@@ -462,14 +462,17 @@ pub fn parse_cohort_criteria(json: &Value, ontology: &Ontology) -> Result<Cohort
     }
     let k = match json.get("k") {
         None => DEFAULT_COHORT_K,
-        Some(v) => v
-            .as_i64()
-            .filter(|&k| k > 0)
-            .ok_or_else(|| "\"k\" must be a positive integer".to_string())? as usize,
+        Some(v) => {
+            v.as_i64()
+                .filter(|&k| k > 0)
+                .ok_or_else(|| "\"k\" must be a positive integer".to_string())? as usize
+        }
     };
     if filters.is_empty() && keywords.is_none() && temporal.is_empty() {
-        return Err("criteria must include at least one filter, keyword, or temporal constraint"
-            .to_string());
+        return Err(
+            "criteria must include at least one filter, keyword, or temporal constraint"
+                .to_string(),
+        );
     }
     Ok(CohortCriteria {
         filters,
@@ -831,7 +834,10 @@ pub(crate) fn execute(
     // of k and of the keyword ranking).
     let mut counts: BTreeMap<(FacetField, String), u64> = BTreeMap::new();
     if !facet_fields.is_empty() {
-        let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_FACET_COUNT);
+        let _span = Span::enter(
+            obs_names::QUERY_STAGE_SECONDS,
+            obs_names::QSTAGE_FACET_COUNT,
+        );
         for (no, shard) in shards.iter().enumerate() {
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
             for &field in &facet_fields {
@@ -918,7 +924,10 @@ mod tests {
         } else {
             panic!("filter expected");
         }
-        assert!(matches!(optimized.nodes.last(), Some(PlanNode::Merge { .. })));
+        assert!(matches!(
+            optimized.nodes.last(),
+            Some(PlanNode::Merge { .. })
+        ));
         assert_eq!(optimized.clone().optimize(), optimized, "idempotent");
         // Authoring order must not leak into the canonical key.
         let reordered = QueryPlan {
@@ -1082,10 +1091,7 @@ mod tests {
             }],
         };
         let json = result.to_json();
-        assert_eq!(
-            json.get("totalMatched").and_then(Value::as_i64),
-            Some(3)
-        );
+        assert_eq!(json.get("totalMatched").and_then(Value::as_i64), Some(3));
         let hits = json.get("hits").and_then(Value::as_array).unwrap();
         assert_eq!(
             hits[0].get("reportId").and_then(Value::as_str),

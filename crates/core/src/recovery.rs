@@ -134,7 +134,10 @@ impl Create {
         durability::refresh_segment_gauges(&manifest);
         Ok(Create::build(
             ontology,
-            Writers { next_ordinal, shards },
+            Writers {
+                next_ordinal,
+                shards,
+            },
             Some(StorageRoot {
                 dir: storage_dir,
                 manifest: Mutex::new(manifest),
@@ -213,7 +216,10 @@ mod tests {
         .unwrap();
         match Create::open(&dir, CreateConfig::default()) {
             Err(IngestError::Config(message)) => {
-                assert!(message.contains("reports.jsonl"), "names the file: {message}")
+                assert!(
+                    message.contains("reports.jsonl"),
+                    "names the file: {message}"
+                )
             }
             other => panic!("expected a Config error, got {other:?}"),
         }

@@ -189,7 +189,10 @@ pub(crate) fn register_metrics() {
         create_obs::gauge_with(obs_names::RESIDENT_BYTES_GAUGE, &[("component", component)]);
     }
     for policy in ALL_POLICIES {
-        create_obs::counter_with(obs_names::SEARCH_POLICY_TOTAL, &[("policy", policy.label())]);
+        create_obs::counter_with(
+            obs_names::SEARCH_POLICY_TOTAL,
+            &[("policy", policy.label())],
+        );
     }
 }
 

@@ -27,7 +27,11 @@ use crate::durability::{self, StorageRoot};
 use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use crate::stats::{count_policy, register_metrics, register_shard_metrics};
-use crate::{graph_build::find_report, pipeline::QueryIE, writer::{empty_writer, Writers}};
+use crate::{
+    graph_build::find_report,
+    pipeline::QueryIE,
+    writer::{empty_writer, Writers},
+};
 use create_annotate::BratDocument;
 use create_docstore::Value;
 use create_graphdb::PropertyGraph;
@@ -218,7 +222,14 @@ impl Create {
         register_shard_metrics(shards);
         let shards = (0..shards).map(|_| empty_writer()).collect();
         let ontology = Arc::new(create_ontology::clinical_ontology());
-        Create::build(ontology, Writers { next_ordinal: 0, shards }, None)
+        Create::build(
+            ontology,
+            Writers {
+                next_ordinal: 0,
+                shards,
+            },
+            None,
+        )
     }
 
     /// Assembles the facade around its write state and (for disk-backed
@@ -229,7 +240,11 @@ impl Create {
         writers: Writers,
         storage: Option<StorageRoot>,
     ) -> Create {
-        let published = writers.shards.iter().map(|w| Arc::new(w.shard.clone())).collect();
+        let published = writers
+            .shards
+            .iter()
+            .map(|w| Arc::new(w.shard.clone()))
+            .collect();
         Create {
             ontology,
             writers: Mutex::new(writers),

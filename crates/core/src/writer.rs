@@ -184,8 +184,10 @@ impl Writer {
     ) {
         Arc::make_mut(&mut self.shard.docs).push(Arc::from(payload));
         {
-            let _span =
-                Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_GRAPH_BUILD);
+            let _span = Span::enter(
+                obs_names::PIPELINE_STAGE_SECONDS,
+                obs_names::STAGE_GRAPH_BUILD,
+            );
             self.graph_builder.add_report(
                 Arc::make_mut(&mut self.shard.graph),
                 ontology,
@@ -207,7 +209,10 @@ impl Writer {
     /// built the pair, WAL replay built it, or a segment file decoded to
     /// it.
     pub(crate) fn merge(&mut self, segment: Index, facets: FacetIndex) -> Result<(), IndexError> {
-        let _span = Span::enter(obs_names::PIPELINE_STAGE_SECONDS, obs_names::STAGE_INDEX_WRITE);
+        let _span = Span::enter(
+            obs_names::PIPELINE_STAGE_SECONDS,
+            obs_names::STAGE_INDEX_WRITE,
+        );
         let base = self.shard.index.num_docs() as u32;
         Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
         Arc::make_mut(&mut self.shard.facets).merge(facets, base);

@@ -73,7 +73,9 @@ impl CohortSpec {
                     Some(d) => out.push_str(&format!(
                         "{{\"a\":\"{a}\",\"op\":\"{op}\",\"days\":{d},\"b\":\"{b}\"}}"
                     )),
-                    None => out.push_str(&format!("{{\"a\":\"{a}\",\"op\":\"{op}\",\"b\":\"{b}\"}}")),
+                    None => {
+                        out.push_str(&format!("{{\"a\":\"{a}\",\"op\":\"{op}\",\"b\":\"{b}\"}}"))
+                    }
                 }
             }
             out.push_str("],");
@@ -188,7 +190,10 @@ fn resolve(ontology: &Ontology, surface: &str) -> Option<ConceptId> {
 /// female patterns checked before male — "woman" contains "man").
 fn gold_sex(surface: &str) -> Option<&'static str> {
     let lower = surface.to_lowercase();
-    if ["female", "woman", "girl"].iter().any(|p| lower.contains(p)) {
+    if ["female", "woman", "girl"]
+        .iter()
+        .any(|p| lower.contains(p))
+    {
         return Some("female");
     }
     if ["male", "man", "boy"].iter().any(|p| lower.contains(p)) {
@@ -247,12 +252,7 @@ pub fn gold_cohorts() -> Vec<CohortSpec> {
             vec![],
             vec!["category"],
         ),
-        spec(
-            "male-patients",
-            vec![("sex", vec!["male"])],
-            vec![],
-            vec![],
-        ),
+        spec("male-patients", vec![("sex", vec!["male"])], vec![], vec![]),
         spec(
             "sixties-cohort",
             vec![("age_band", vec!["60-69"])],

@@ -415,7 +415,10 @@ mod tests {
                 (FacetField::EntityType, "Medication".to_string()),
             ],
         );
-        assert_eq!(fx.run(FacetField::EntityType, "Medication"), Some(&[0u32][..]));
+        assert_eq!(
+            fx.run(FacetField::EntityType, "Medication"),
+            Some(&[0u32][..])
+        );
     }
 
     #[test]
@@ -438,8 +441,14 @@ mod tests {
         assert_eq!(back.num_docs(), fx.num_docs());
         assert_eq!(back.num_values(), fx.num_values());
         for field in ALL_FACET_FIELDS {
-            let a: Vec<_> = fx.values(field).map(|(v, r)| (v.to_string(), r.to_vec())).collect();
-            let b: Vec<_> = back.values(field).map(|(v, r)| (v.to_string(), r.to_vec())).collect();
+            let a: Vec<_> = fx
+                .values(field)
+                .map(|(v, r)| (v.to_string(), r.to_vec()))
+                .collect();
+            let b: Vec<_> = back
+                .values(field)
+                .map(|(v, r)| (v.to_string(), r.to_vec()))
+                .collect();
             assert_eq!(a, b, "{field:?}");
         }
     }
@@ -449,13 +458,19 @@ mod tests {
         let fx = sample();
         let tail = FacetIndex::decode(&fx.encode_tail(2)).unwrap();
         assert_eq!(tail.num_docs(), 2);
-        assert_eq!(tail.run(FacetField::Category, "oncology"), Some(&[0u32][..]));
+        assert_eq!(
+            tail.run(FacetField::Category, "oncology"),
+            Some(&[0u32][..])
+        );
         // rebuild by splitting at 2 and merging back
         let mut rebuilt = FacetIndex::new();
         rebuilt.merge(FacetIndex::decode(&head_tail(&fx, 0, 2)).unwrap(), 0);
         rebuilt.merge(tail, 2);
         for field in ALL_FACET_FIELDS {
-            let a: Vec<_> = fx.values(field).map(|(v, r)| (v.to_string(), r.to_vec())).collect();
+            let a: Vec<_> = fx
+                .values(field)
+                .map(|(v, r)| (v.to_string(), r.to_vec()))
+                .collect();
             let b: Vec<_> = rebuilt
                 .values(field)
                 .map(|(v, r)| (v.to_string(), r.to_vec()))
@@ -497,7 +512,10 @@ mod tests {
         let mut merged = FacetIndex::new();
         merged.merge(a, 0);
         merged.merge(b, 1);
-        assert_eq!(merged.run(FacetField::Sex, "male"), seq.run(FacetField::Sex, "male"));
+        assert_eq!(
+            merged.run(FacetField::Sex, "male"),
+            seq.run(FacetField::Sex, "male")
+        );
         assert_eq!(
             merged.run(FacetField::Sex, "female"),
             seq.run(FacetField::Sex, "female")

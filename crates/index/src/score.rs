@@ -59,7 +59,9 @@ pub(crate) fn doc_score(
     boost: f64,
 ) -> f64 {
     let score = match scorer {
-        Scorer::Bm25 { k1, b } => idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * len / avg_len)),
+        Scorer::Bm25 { k1, b } => {
+            idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * len / avg_len))
+        }
         Scorer::TfIdf => (1.0 + tf.ln()) * idf / len.max(1.0).sqrt(),
     };
     score * boost
@@ -434,7 +436,12 @@ mod tests {
     #[test]
     fn term_search_ranks_by_tf() {
         let idx = index();
-        let hits = checked_search(&idx, &QueryNode::term("body", "fever"), 10, Scorer::default());
+        let hits = checked_search(
+            &idx,
+            &QueryNode::term("body", "fever"),
+            10,
+            Scorer::default(),
+        );
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].external_id, "d1", "doc with tf=2 ranks first");
         assert!(hits[0].score > hits[1].score);
@@ -443,8 +450,9 @@ mod tests {
     #[test]
     fn missing_term_returns_empty() {
         let idx = index();
-        assert!(checked_search(&idx, &QueryNode::term("body", "zzz"), 10, Scorer::default())
-            .is_empty());
+        assert!(
+            checked_search(&idx, &QueryNode::term("body", "zzz"), 10, Scorer::default()).is_empty()
+        );
     }
 
     #[test]
@@ -538,7 +546,12 @@ mod tests {
     #[test]
     fn fuzzy_matches_typos() {
         let idx = index();
-        let hits = checked_search(&idx, &QueryNode::fuzzy("body", "fevr", 1), 10, Scorer::default());
+        let hits = checked_search(
+            &idx,
+            &QueryNode::fuzzy("body", "fevr", 1),
+            10,
+            Scorer::default(),
+        );
         assert!(!hits.is_empty());
         assert_eq!(hits[0].external_id, "d1");
     }
@@ -568,7 +581,12 @@ mod tests {
         }]);
         idx.add_document("a", &[("body", "fever")]).unwrap();
         idx.add_document("b", &[("body", "fever")]).unwrap();
-        let hits = checked_search(&idx, &QueryNode::term("body", "fever"), 10, Scorer::default());
+        let hits = checked_search(
+            &idx,
+            &QueryNode::term("body", "fever"),
+            10,
+            Scorer::default(),
+        );
         assert_eq!(hits[0].external_id, "a", "ties break by doc id");
     }
 

@@ -133,7 +133,10 @@ mod tests {
     const DOCS: &[(&str, &str)] = &[
         ("pmid:1", "Fever and cough persisted for three days."),
         ("pmid:2", "The patient developed fever after admission."),
-        ("pmid:3", "Amiodarone-induced pulmonary toxicity was confirmed."),
+        (
+            "pmid:3",
+            "Amiodarone-induced pulmonary toxicity was confirmed.",
+        ),
         ("pmid:4", "Cough resolved; fever recurred on day five."),
         ("pmid:5", "Echocardiogram revealed myocarditis."),
         ("pmid:6", ""),

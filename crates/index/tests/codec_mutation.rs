@@ -376,7 +376,11 @@ fn hostile_frequency_streams_are_refused_alike(template: &Index) {
         refused,
         create_index::index::IndexError::FrequencyOverflow("abc".to_string())
     );
-    assert_eq!(encode_index_tail(&oracle, 0), a, "{what}: the refusal changed nothing");
+    assert_eq!(
+        encode_index_tail(&oracle, 0),
+        a,
+        "{what}: the refusal changed nothing"
+    );
 }
 
 /// One test for every blob: they share the allocator's high-water mark.

@@ -65,8 +65,8 @@ impl Gauge {
 /// Default latency bucket upper bounds in seconds: 10µs → 10s in a
 /// 1/2.5/5 decade ladder, plus the implicit `+Inf` overflow bucket.
 pub const LATENCY_BUCKETS: [f64; 19] = [
-    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25,
-    0.5, 1.0, 2.5, 5.0, 10.0,
+    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
+    1.0, 2.5, 5.0, 10.0,
 ];
 
 /// A histogram exemplar: the trace that produced an observation, so a
@@ -139,10 +139,12 @@ impl Histogram {
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .sum_bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match self.sum_bits.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
                 Ok(_) => break,
                 Err(seen) => cur = seen,
             }
@@ -310,7 +312,12 @@ impl Registry {
                 let _ = writeln!(out, "# TYPE {name} counter");
                 last_name = Some(name.as_str());
             }
-            let _ = writeln!(out, "{name}{} {}", render_labels(labels, None), counter.get());
+            let _ = writeln!(
+                out,
+                "{name}{} {}",
+                render_labels(labels, None),
+                counter.get()
+            );
         }
         drop(counters);
 
@@ -333,8 +340,7 @@ impl Registry {
                 last_name = Some(name.as_str());
             }
             let exemplars = histogram.bucket_exemplars();
-            for (i, (bound, cumulative)) in histogram.cumulative_buckets().into_iter().enumerate()
-            {
+            for (i, (bound, cumulative)) in histogram.cumulative_buckets().into_iter().enumerate() {
                 let le = match bound {
                     Some(b) => format_bound(b),
                     None => "+Inf".to_string(),
@@ -555,10 +561,25 @@ mod tests {
         h.observe_traced(10.0, None); // untraced: counted, no exemplar
         let ex = h.bucket_exemplars();
         assert_eq!(ex.len(), 3, "aligned with bounds + the +Inf bucket");
-        assert_eq!(ex[0].recent, Some(Exemplar { trace_id: 0xcc, value: 0.1 }));
-        assert_eq!(ex[0].max, Some(Exemplar { trace_id: 0xbb, value: 0.9 }));
+        assert_eq!(
+            ex[0].recent,
+            Some(Exemplar {
+                trace_id: 0xcc,
+                value: 0.1
+            })
+        );
+        assert_eq!(
+            ex[0].max,
+            Some(Exemplar {
+                trace_id: 0xbb,
+                value: 0.9
+            })
+        );
         assert_eq!(ex[1].recent, None);
-        assert_eq!(ex[2].recent, None, "untraced observation leaves no exemplar");
+        assert_eq!(
+            ex[2].recent, None,
+            "untraced observation leaves no exemplar"
+        );
         assert_eq!(h.count(), 4);
     }
 
@@ -570,7 +591,9 @@ mod tests {
         h.observe(0.004); // untraced observation in the same bucket
         let text = r.render_prometheus();
         assert!(
-            text.contains("ex_seconds_bucket{le=\"0.005\"} 2 # {trace_id=\"00000000deadbeef\"} 0.003\n"),
+            text.contains(
+                "ex_seconds_bucket{le=\"0.005\"} 2 # {trace_id=\"00000000deadbeef\"} 0.003\n"
+            ),
             "bucket line carries the exemplar: {text}"
         );
         assert!(

@@ -35,7 +35,11 @@ static SAMPLE_RATE_BITS: AtomicU64 = AtomicU64::new(0x3FF0_0000_0000_0000);
 /// no spans. The decision is deterministic per trace ID, so a client
 /// retrying with the same inbound `X-Trace-Id` gets the same verdict.
 pub fn set_trace_sample_rate(rate: f64) {
-    let rate = if rate.is_finite() { rate.clamp(0.0, 1.0) } else { 1.0 };
+    let rate = if rate.is_finite() {
+        rate.clamp(0.0, 1.0)
+    } else {
+        1.0
+    };
     SAMPLE_RATE_BITS.store(rate.to_bits(), Ordering::Relaxed);
 }
 
@@ -309,7 +313,10 @@ mod tests {
         assert_eq!(spans[1].parent, 1);
         assert_eq!(spans[2].parent, spans[1].id);
         assert_eq!(spans[2].shard, Some(0));
-        assert_eq!(spans[2].counters, vec![("postings_advanced".to_string(), 8)]);
+        assert_eq!(
+            spans[2].counters,
+            vec![("postings_advanced".to_string(), 8)]
+        );
         assert!(spans.iter().all(|s| s.duration_seconds >= 0.0));
     }
 
@@ -337,8 +344,14 @@ mod tests {
         for i in 0..RECORDER_CAPACITY + 8 {
             record(mk(&format!("{i:016x}"), false));
         }
-        assert!(find_trace("aaaaaaaaaaaaaaaa").is_none(), "fast trace evicted");
-        assert!(find_trace("bbbbbbbbbbbbbbbb").is_some(), "slow trace retained");
+        assert!(
+            find_trace("aaaaaaaaaaaaaaaa").is_none(),
+            "fast trace evicted"
+        );
+        assert!(
+            find_trace("bbbbbbbbbbbbbbbb").is_some(),
+            "slow trace retained"
+        );
         clear_recorded_traces();
     }
 }

@@ -70,7 +70,10 @@ pub(crate) fn maybe_record(
     log(
         Level::Warn,
         "slowlog",
-        format!("slow query ({:.1}ms, policy {policy}): {query}", total_seconds * 1e3),
+        format!(
+            "slow query ({:.1}ms, policy {policy}): {query}",
+            total_seconds * 1e3
+        ),
     );
     let mut ring = RING.lock().unwrap_or_else(|p| p.into_inner());
     let seq = ring.back().map(|r| r.seq + 1).unwrap_or(0);

@@ -154,7 +154,11 @@ where
     F: FnOnce() -> R + Send + 'static,
     R: 'static,
 {
-    let ctx = if crate::enabled() { current_context() } else { None };
+    let ctx = if crate::enabled() {
+        current_context()
+    } else {
+        None
+    };
     move || {
         if crate::enabled() {
             let _guard = install_context(ctx);
@@ -270,12 +274,7 @@ fn open_tree_span(name: &str, shard: Option<u32>) -> TreeSpan {
         return TreeSpan { inner: None };
     };
     let id = sink.open_span(ctx.span_id, name, shard);
-    let prev = CURRENT.with(|c| {
-        c.borrow_mut().replace(TraceContext {
-            span_id: id,
-            ..ctx
-        })
-    });
+    let prev = CURRENT.with(|c| c.borrow_mut().replace(TraceContext { span_id: id, ..ctx }));
     TreeSpan {
         inner: Some(TreeSpanInner {
             sink,
@@ -312,9 +311,11 @@ impl Drop for TreeSpan {
 /// counter (the TLS access dominates on uncontexted bench threads).
 fn current_sink() -> Option<(Arc<SpanSink>, u64)> {
     CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .and_then(|ctx| ctx.sink.as_ref().map(|sink| (Arc::clone(sink), ctx.span_id)))
+        c.borrow().as_ref().and_then(|ctx| {
+            ctx.sink
+                .as_ref()
+                .map(|sink| (Arc::clone(sink), ctx.span_id))
+        })
     })
 }
 
@@ -586,9 +587,7 @@ impl QueryCapture {
             return;
         };
         let total = start.elapsed();
-        let frame = CAPTURE
-            .with(|c| c.borrow_mut().take())
-            .unwrap_or_default();
+        let frame = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
         static QUERY_HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
         QUERY_HIST
             .get_or_init(|| Registry::global().histogram(names::QUERY_SECONDS))
@@ -703,7 +702,11 @@ mod tests {
             observe_stage("test_buffered_seconds", "unit", 0.002);
             observe_stage("test_buffered_seconds", "unit", 0.003);
         });
-        assert_eq!(h.count(), before, "buffered observations bypass the registry");
+        assert_eq!(
+            h.count(),
+            before,
+            "buffered observations bypass the registry"
+        );
         assert_eq!(log.len(), 2);
         flush_stages(log);
         assert_eq!(h.count(), before + 2, "flush lands every observation");

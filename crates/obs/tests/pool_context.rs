@@ -67,7 +67,10 @@ fn request_trace_records_spans_from_pool_workers() {
         .collect();
     assert_eq!(shards.len(), 3, "one span per pooled shard job");
     for span in &shards {
-        assert_eq!(span.parent, 1, "pool workers inherit the root span as parent");
+        assert_eq!(
+            span.parent, 1,
+            "pool workers inherit the root span as parent"
+        );
         assert!(span.duration_seconds >= 0.0);
         assert_eq!(span.counters, vec![("postings_advanced".to_string(), 7)]);
     }

@@ -59,7 +59,11 @@ fn year_from(doc: &Value) -> Result<u32, &'static str> {
 fn ingest_error_response(e: &IngestError) -> Response {
     match e {
         IngestError::Storage(_) => {
-            let kind = if e.is_corruption() { "corruption" } else { "io" };
+            let kind = if e.is_corruption() {
+                "corruption"
+            } else {
+                "io"
+            };
             Response::error(
                 Status::InternalServerError,
                 &format!("storage failed ({kind}): {e}"),
@@ -256,13 +260,13 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 .zip(all_hits)
                 .map(|(q, hits)| {
                     let hits_json: Vec<Value> = hits.iter().map(|h| h.to_json()).collect();
-                    obj([
-                        ("query", (*q).into()),
-                        ("hits", Value::Array(hits_json)),
-                    ])
+                    obj([("query", (*q).into()), ("hits", Value::Array(hits_json))])
                 })
                 .collect();
-            Response::json(Status::Ok, obj([("results", Value::Array(results))]).to_json())
+            Response::json(
+                Status::Ok,
+                obj([("results", Value::Array(results))]).to_json(),
+            )
         });
     }
 
@@ -355,11 +359,8 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 create_obs::gauge(n::QUERY_CACHE_ENTRIES_GAUGE).set(cache.entries as i64);
                 create_obs::gauge(n::INDEX_GENERATION_GAUGE).set(cache.generation as i64);
                 for (i, gen) in system.shard_generations().into_iter().enumerate() {
-                    create_obs::gauge_with(
-                        n::SHARD_GENERATION_GAUGE,
-                        &[("shard", &i.to_string())],
-                    )
-                    .set(gen as i64);
+                    create_obs::gauge_with(n::SHARD_GENERATION_GAUGE, &[("shard", &i.to_string())])
+                        .set(gen as i64);
                 }
                 // Refreshes the segment count/bytes gauges from the
                 // live manifest (no-op for in-memory instances) and the
@@ -373,15 +374,17 @@ pub fn build_api(system: Arc<Create>) -> Router {
         });
     }
 
-    router.route("GET", "/trace/:id", |_, params| {
-        match create_obs::find_trace(&params["id"]) {
+    router.route(
+        "GET",
+        "/trace/:id",
+        |_, params| match create_obs::find_trace(&params["id"]) {
             Some(t) => Response::json(Status::Ok, trace_json(&t).to_json()),
             None => Response::error(
                 Status::NotFound,
                 "no recorded trace with that id (evicted, unsampled, or never seen)",
             ),
-        }
-    });
+        },
+    );
 
     router.route("GET", "/debug/traces", |_, _| {
         let traces: Vec<Value> = create_obs::trace_summaries()
@@ -399,7 +402,10 @@ pub fn build_api(system: Arc<Create>) -> Router {
         let doc = obj([
             ("sampleRate", create_obs::trace_sample_rate().into()),
             ("capacity", (create_obs::RECORDER_CAPACITY as i64).into()),
-            ("slowCapacity", (create_obs::RECORDER_SLOW_CAPACITY as i64).into()),
+            (
+                "slowCapacity",
+                (create_obs::RECORDER_SLOW_CAPACITY as i64).into(),
+            ),
             ("traces", Value::Array(traces)),
         ]);
         Response::json(Status::Ok, doc.to_json())
@@ -433,8 +439,14 @@ pub fn build_api(system: Arc<Create>) -> Router {
                     (
                         "daat",
                         obj([
-                            ("postings_advanced", (r.daat.postings_advanced as i64).into()),
-                            ("candidates_pruned", (r.daat.candidates_pruned as i64).into()),
+                            (
+                                "postings_advanced",
+                                (r.daat.postings_advanced as i64).into(),
+                            ),
+                            (
+                                "candidates_pruned",
+                                (r.daat.candidates_pruned as i64).into(),
+                            ),
                             ("fuzzy_expansions", (r.daat.fuzzy_expansions as i64).into()),
                             ("heap_evictions", (r.daat.heap_evictions as i64).into()),
                         ]),
@@ -538,7 +550,12 @@ mod tests {
         let s = api.dispatch(&get("/stats", &[]));
         let doc = parse_json(std::str::from_utf8(&s.body).unwrap()).unwrap();
         assert_eq!(doc.get("reports").unwrap().as_i64(), Some(15));
-        for field in ["cache_hits", "cache_misses", "cache_entries", "index_generation"] {
+        for field in [
+            "cache_hits",
+            "cache_misses",
+            "cache_entries",
+            "index_generation",
+        ] {
             assert!(doc.get(field).is_some(), "stats should expose {field}");
         }
     }
@@ -558,7 +575,13 @@ mod tests {
     #[test]
     fn search_accepts_every_policy() {
         let api = build_api(system());
-        for policy in ["neo4j_first", "es_first", "es_only", "graph_only", "interleave"] {
+        for policy in [
+            "neo4j_first",
+            "es_first",
+            "es_only",
+            "graph_only",
+            "interleave",
+        ] {
             let resp = api.dispatch(&get(
                 "/search",
                 &[("q", "fever and cough"), ("k", "5"), ("policy", policy)],
@@ -580,7 +603,13 @@ mod tests {
     #[test]
     fn search_batch_accepts_every_policy() {
         let api = build_api(system());
-        for policy in ["neo4j_first", "es_first", "es_only", "graph_only", "interleave"] {
+        for policy in [
+            "neo4j_first",
+            "es_first",
+            "es_only",
+            "graph_only",
+            "interleave",
+        ] {
             let mut req = get("/search_batch", &[]);
             req.method = "POST".to_string();
             req.body =
@@ -703,8 +732,7 @@ mod tests {
         let api = build_api(system());
         let mut req = get("/submit_batch", &[]);
         req.method = "POST".to_string();
-        req.body =
-            br#"{"documents": [{"id": "user:1", "title": "t", "text": "fever."}]}"#.to_vec();
+        req.body = br#"{"documents": [{"id": "user:1", "title": "t", "text": "fever."}]}"#.to_vec();
         let resp = api.dispatch(&req);
         assert_eq!(resp.status, Status::BadRequest);
         assert!(String::from_utf8(resp.body).unwrap().contains("tagger"));
@@ -745,7 +773,10 @@ mod tests {
         let doc = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(doc.get("flushed").unwrap().as_bool(), Some(true));
         // GET on the admin route is not allowed.
-        assert_eq!(api.dispatch(&get("/flush", &[])).status, Status::MethodNotAllowed);
+        assert_eq!(
+            api.dispatch(&get("/flush", &[])).status,
+            Status::MethodNotAllowed
+        );
     }
 
     #[test]
@@ -773,7 +804,9 @@ mod tests {
         ];
         let mut pos = 0;
         for key in expected {
-            let idx = text.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("missing {key}"));
+            let idx = text
+                .find(&format!("\"{key}\":"))
+                .unwrap_or_else(|| panic!("missing {key}"));
             assert!(idx >= pos, "{key} appears out of order in {text}");
             pos = idx;
         }
@@ -783,7 +816,13 @@ mod tests {
     fn every_route_sets_a_unique_trace_id() {
         let api = build_api(system());
         let mut ids = std::collections::HashSet::new();
-        for path in ["/health", "/stats", "/metrics", "/slowlog", "/no_such_route"] {
+        for path in [
+            "/health",
+            "/stats",
+            "/metrics",
+            "/slowlog",
+            "/no_such_route",
+        ] {
             let resp = api.dispatch(&get(path, &[]));
             let id = resp
                 .header("X-Trace-Id")
@@ -801,20 +840,27 @@ mod tests {
         let _ = api.dispatch(&get("/search", &[("q", "fever and cough"), ("k", "5")]));
         let resp = api.dispatch(&get("/metrics", &[]));
         assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.content_type, "text/plain; version=0.0.4; charset=utf-8");
+        assert_eq!(
+            resp.content_type,
+            "text/plain; version=0.0.4; charset=utf-8"
+        );
         let text = String::from_utf8(resp.body).unwrap();
         // Every pipeline stage histogram renders (pre-registered even
         // when gold ingest skipped the text pipeline), the DAAT/cache/
         // graph counters exist, and the size gauges carry /stats values.
         for stage in create_obs::names::PIPELINE_STAGES {
             assert!(
-                text.contains(&format!("create_pipeline_stage_seconds_bucket{{stage=\"{stage}\"")),
+                text.contains(&format!(
+                    "create_pipeline_stage_seconds_bucket{{stage=\"{stage}\""
+                )),
                 "missing pipeline stage {stage}"
             );
         }
         for stage in create_obs::names::QUERY_STAGES {
             assert!(
-                text.contains(&format!("create_query_stage_seconds_bucket{{stage=\"{stage}\"")),
+                text.contains(&format!(
+                    "create_query_stage_seconds_bucket{{stage=\"{stage}\""
+                )),
                 "missing query stage {stage}"
             );
         }
@@ -832,7 +878,10 @@ mod tests {
         assert!(text.contains("create_reports 15"), "reports gauge: {text}");
         // Exposition-format sanity: every line is a comment or
         // `name{labels} value` with a numeric value.
-        for line in text.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        for line in text
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        {
             let value = line.rsplit(' ').next().unwrap();
             assert!(
                 value.parse::<f64>().is_ok() || value == "+Inf",
@@ -889,8 +938,14 @@ mod tests {
         let trace = api.dispatch(&get(&format!("/trace/{trace_id}"), &[]));
         assert_eq!(trace.status, Status::Ok, "trace recorded for {trace_id}");
         let doc = parse_json(std::str::from_utf8(&trace.body).unwrap()).unwrap();
-        assert_eq!(doc.get("traceId").and_then(Value::as_str), Some(trace_id.as_str()));
-        assert_eq!(doc.get("root").and_then(Value::as_str), Some("/search_batch"));
+        assert_eq!(
+            doc.get("traceId").and_then(Value::as_str),
+            Some(trace_id.as_str())
+        );
+        assert_eq!(
+            doc.get("root").and_then(Value::as_str),
+            Some("/search_batch")
+        );
         let spans = doc.get("spans").unwrap().as_array().unwrap();
         let root = &spans[0];
         assert_eq!(root.get("id").and_then(Value::as_i64), Some(1));
@@ -901,7 +956,11 @@ mod tests {
             .iter()
             .filter(|s| s.get("name").and_then(Value::as_str) == Some("search"))
             .collect();
-        assert_eq!(search_spans.len(), 2, "one search span per query: {spans:?}");
+        assert_eq!(
+            search_spans.len(),
+            2,
+            "one search span per query: {spans:?}"
+        );
         for span in &search_spans {
             assert_eq!(span.get("parent").and_then(Value::as_i64), Some(1));
         }
@@ -911,7 +970,10 @@ mod tests {
             .iter()
             .filter(|s| s.get("name").and_then(Value::as_str) == Some("keyword_shard"))
             .collect();
-        assert!(!shard_spans.is_empty(), "keyword shard spans recorded: {spans:?}");
+        assert!(
+            !shard_spans.is_empty(),
+            "keyword shard spans recorded: {spans:?}"
+        );
         for span in &shard_spans {
             assert!(span.get("shard").and_then(Value::as_i64).is_some());
             // Walk parent links to the root.
@@ -977,7 +1039,10 @@ mod tests {
     #[test]
     fn metrics_render_exemplars_after_traffic() {
         let api = build_api(system());
-        let _ = api.dispatch(&get("/search", &[("q", "fever exemplar probe"), ("k", "5")]));
+        let _ = api.dispatch(&get(
+            "/search",
+            &[("q", "fever exemplar probe"), ("k", "5")],
+        ));
         let resp = api.dispatch(&get("/metrics", &[]));
         let text = String::from_utf8(resp.body).unwrap();
         assert!(
@@ -987,7 +1052,9 @@ mod tests {
         // The exemplar's trace is resolvable in the flight recorder.
         let line = text
             .lines()
-            .find(|l| l.contains("create_http_request_seconds_bucket") && l.contains("# {trace_id=\""))
+            .find(|l| {
+                l.contains("create_http_request_seconds_bucket") && l.contains("# {trace_id=\"")
+            })
             .expect("http latency histogram has an exemplar");
         let id = line
             .split("trace_id=\"")
@@ -995,7 +1062,11 @@ mod tests {
             .and_then(|rest| rest.split('"').next())
             .expect("exemplar trace id parses");
         let trace = api.dispatch(&get(&format!("/trace/{id}"), &[]));
-        assert_eq!(trace.status, Status::Ok, "exemplar {id} links to a recorded trace");
+        assert_eq!(
+            trace.status,
+            Status::Ok,
+            "exemplar {id} links to a recorded trace"
+        );
     }
 
     #[test]
@@ -1023,7 +1094,10 @@ mod tests {
         }
         let facets = doc.get("facets").unwrap().as_array().unwrap();
         assert_eq!(facets.len(), 1);
-        assert_eq!(facets[0].get("field").and_then(Value::as_str), Some("category"));
+        assert_eq!(
+            facets[0].get("field").and_then(Value::as_str),
+            Some("category")
+        );
         let counts = facets[0].get("counts").unwrap().as_array().unwrap();
         let sum: i64 = counts
             .iter()
@@ -1061,7 +1135,10 @@ mod tests {
         assert_eq!(resp.status, Status::BadRequest);
         assert!(String::from_utf8(resp.body).unwrap().contains("bogus"));
         // GET on the POST route is not allowed.
-        assert_eq!(api.dispatch(&get("/cohort", &[])).status, Status::MethodNotAllowed);
+        assert_eq!(
+            api.dispatch(&get("/cohort", &[])).status,
+            Status::MethodNotAllowed
+        );
     }
 
     #[test]
@@ -1071,7 +1148,11 @@ mod tests {
         let io = std::io::Error::other("no space left on device");
         let cases = [
             (IngestError::NoTagger, Status::BadRequest, "tagger"),
-            (IngestError::Duplicate("pmid:1".into()), Status::BadRequest, "pmid:1"),
+            (
+                IngestError::Duplicate("pmid:1".into()),
+                Status::BadRequest,
+                "pmid:1",
+            ),
             (
                 IngestError::Pdf(create_grobid::PdfError {
                     message: "missing %PDF header".into(),
@@ -1084,9 +1165,16 @@ mod tests {
                 Status::BadRequest,
                 "index error",
             ),
-            (IngestError::Config("shards".into()), Status::BadRequest, "configuration"),
             (
-                IngestError::Storage(StorageError::Io { path: path.clone(), source: io }),
+                IngestError::Config("shards".into()),
+                Status::BadRequest,
+                "configuration",
+            ),
+            (
+                IngestError::Storage(StorageError::Io {
+                    path: path.clone(),
+                    source: io,
+                }),
                 Status::InternalServerError,
                 "(io)",
             ),

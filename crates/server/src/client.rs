@@ -53,7 +53,12 @@ impl KeepAliveClient {
     pub fn connect(addr: SocketAddr) -> std::io::Result<KeepAliveClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(KeepAliveClient { stream, buf: Vec::new(), pos: 0, scanned: 0 })
+        Ok(KeepAliveClient {
+            stream,
+            buf: Vec::new(),
+            pos: 0,
+            scanned: 0,
+        })
     }
 
     /// Caps how long [`KeepAliveClient::read_response`] blocks.
@@ -96,10 +101,9 @@ impl KeepAliveClient {
             self.scanned = self.buf.len();
             self.fill()?;
         };
-        let head =
-            std::str::from_utf8(&self.buf[self.pos..header_end]).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 header")
-            })?;
+        let head = std::str::from_utf8(&self.buf[self.pos..header_end]).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 header")
+        })?;
         let mut lines = head.lines();
         let status: u16 = lines
             .next()
@@ -130,7 +134,11 @@ impl KeepAliveClient {
             self.pos = 0;
             self.scanned = 0;
         }
-        Ok(ClientResponse { status, headers, body })
+        Ok(ClientResponse {
+            status,
+            headers,
+            body,
+        })
     }
 
     /// Reads one response but only returns its status code, skipping the
@@ -208,9 +216,7 @@ impl KeepAliveClient {
 }
 
 fn find_double_newline(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
+    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
 /// Pulls the status code out of `HTTP/1.1 NNN ...` without UTF-8 checks.
@@ -232,9 +238,7 @@ fn parse_status_line(head: &[u8]) -> Option<u16> {
 fn parse_content_length(head: &[u8]) -> Option<usize> {
     const NAME: &[u8] = b"content-length:";
     for line in head.split(|&b| b == b'\n') {
-        if line.len() > NAME.len()
-            && line[..NAME.len()].eq_ignore_ascii_case(NAME)
-        {
+        if line.len() > NAME.len() && line[..NAME.len()].eq_ignore_ascii_case(NAME) {
             let value = &line[NAME.len()..];
             let text = std::str::from_utf8(value).ok()?;
             return text.trim().parse().ok();

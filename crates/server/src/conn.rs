@@ -194,7 +194,11 @@ mod tests {
             "read-ahead continues while a unit executes"
         );
         conn.in_buf = vec![0u8; READ_AHEAD_CAP];
-        assert_eq!(conn.interest(), Interest::NONE, "read-ahead cap backpressure");
+        assert_eq!(
+            conn.interest(),
+            Interest::NONE,
+            "read-ahead cap backpressure"
+        );
         conn.in_buf.clear();
         conn.in_flight = false;
         conn.close_after_write = true;

@@ -321,7 +321,9 @@ pub fn try_parse(buf: &[u8], limits: &HttpLimits) -> Parse {
                 limits.max_header_bytes
             ));
         }
-        return Parse::Incomplete { headers_done: false };
+        return Parse::Incomplete {
+            headers_done: false,
+        };
     };
     if header_end > limits.max_header_bytes {
         return syntax_error(format!(
@@ -477,8 +479,12 @@ mod tests {
     fn serialize_emits_the_connection_disposition() {
         let keep = Response::text(Status::Ok, "x").serialize(true);
         let close = Response::text(Status::Ok, "x").serialize(false);
-        assert!(String::from_utf8(keep).unwrap().contains("Connection: keep-alive\r\n"));
-        assert!(String::from_utf8(close).unwrap().contains("Connection: close\r\n"));
+        assert!(String::from_utf8(keep)
+            .unwrap()
+            .contains("Connection: keep-alive\r\n"));
+        assert!(String::from_utf8(close)
+            .unwrap()
+            .contains("Connection: close\r\n"));
     }
 
     #[test]
@@ -517,15 +523,18 @@ mod tests {
         let limits = HttpLimits::default();
         assert!(matches!(
             try_parse(b"GET /x HT", &limits),
-            Parse::Incomplete { headers_done: false }
+            Parse::Incomplete {
+                headers_done: false
+            }
         ));
         assert!(matches!(
             try_parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab", &limits),
             Parse::Incomplete { headers_done: true }
         ));
-        let Parse::Ready(p) =
-            try_parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcde", &limits)
-        else {
+        let Parse::Ready(p) = try_parse(
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcde",
+            &limits,
+        ) else {
             panic!("complete request must parse");
         };
         assert_eq!(p.request.body, b"abcde");
@@ -594,12 +603,18 @@ mod tests {
         let long = format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(128));
         assert!(matches!(
             try_parse(long.as_bytes(), &limits),
-            Parse::Failed { kind: ParseErrorKind::Syntax, .. }
+            Parse::Failed {
+                kind: ParseErrorKind::Syntax,
+                ..
+            }
         ));
         let trickle = format!("GET /x HTTP/1.1\r\nX-Pad: {}", "a".repeat(128));
         assert!(matches!(
             try_parse(trickle.as_bytes(), &limits),
-            Parse::Failed { kind: ParseErrorKind::Syntax, .. }
+            Parse::Failed {
+                kind: ParseErrorKind::Syntax,
+                ..
+            }
         ));
         // Declared body over the cap → 413 without waiting for the bytes.
         match try_parse(b"POST /x HTTP/1.1\r\nContent-Length: 17\r\n\r\n", &limits) {

@@ -106,7 +106,10 @@ impl Router {
                 create_obs::names::HTTP_REQUEST_SECONDS,
                 &[("route", route_label)],
             )
-            .observe_traced(start.elapsed().as_secs_f64(), create_obs::current_trace_raw());
+            .observe_traced(
+                start.elapsed().as_secs_f64(),
+                create_obs::current_trace_raw(),
+            );
         }
         // The trace drops (and the recorder persists the span tree)
         // before the response leaves, so a client can immediately GET

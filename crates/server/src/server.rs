@@ -156,10 +156,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         if config.listen_backlog > 128 {
-            create_util::poller::set_listen_backlog(
-                listener.as_raw_fd(),
-                config.listen_backlog,
-            )?;
+            create_util::poller::set_listen_backlog(listener.as_raw_fd(), config.listen_backlog)?;
         }
         Ok(Server {
             listener,
@@ -439,7 +436,11 @@ impl<'a> EventLoop<'a> {
         while !unit_closes && !conn.close_after_write && unit.len() < MAX_UNIT {
             match crate::http::try_parse(&conn.in_buf, &self.config.limits) {
                 Parse::Ready(parsed) => {
-                    let crate::http::ParsedRequest { request, keep_alive, consumed } = parsed;
+                    let crate::http::ParsedRequest {
+                        request,
+                        keep_alive,
+                        consumed,
+                    } = parsed;
                     let label = self.router.route_label(&request).to_string();
                     if self.draining {
                         if !unit.is_empty() {
@@ -471,10 +472,7 @@ impl<'a> EventLoop<'a> {
                                 Status::TooManyRequests,
                                 "route concurrency limit reached",
                             )
-                            .with_header(
-                                "Retry-After",
-                                self.config.retry_after_seconds.to_string(),
-                            )
+                            .with_header("Retry-After", self.config.retry_after_seconds.to_string())
                             .serialize(keep_alive);
                             conn.queue(&bytes);
                             self.count_request(conn);
@@ -505,15 +503,17 @@ impl<'a> EventLoop<'a> {
                     }
                     break;
                 }
-                Parse::Failed { kind, status, message } => {
+                Parse::Failed {
+                    kind,
+                    status,
+                    message,
+                } => {
                     if !unit.is_empty() {
                         break; // answer the good requests first
                     }
                     if create_obs::enabled() {
                         let name = match kind {
-                            ParseErrorKind::Syntax => {
-                                create_obs::names::HTTP_PARSE_ERROR_TOTAL
-                            }
+                            ParseErrorKind::Syntax => create_obs::names::HTTP_PARSE_ERROR_TOTAL,
                             ParseErrorKind::BodyTooLarge => {
                                 create_obs::names::HTTP_BODY_REJECTED_TOTAL
                             }
@@ -587,7 +587,12 @@ impl<'a> EventLoop<'a> {
                 bytes.extend_from_slice(&response.serialize(*keep_alive));
             }
             // Send failures mean the loop already exited; nothing to do.
-            let _ = tx.send(Completion { token, labels, bytes, close_after: unit_closes });
+            let _ = tx.send(Completion {
+                token,
+                labels,
+                bytes,
+                close_after: unit_closes,
+            });
             waker.wake();
         });
     }
@@ -638,7 +643,9 @@ impl<'a> EventLoop<'a> {
         }
         let wanted = conn.interest();
         if wanted != conn.registered_interest {
-            let _ = self.poller.modify(conn.stream.as_raw_fd(), conn.token, wanted);
+            let _ = self
+                .poller
+                .modify(conn.stream.as_raw_fd(), conn.token, wanted);
             conn.registered_interest = wanted;
         }
         self.conns.insert(conn.token, conn);
@@ -671,11 +678,8 @@ impl<'a> EventLoop<'a> {
                 Phase::Dispatch => continue, // no deadline while dispatched
             };
             if create_obs::enabled() {
-                create_obs::counter_with(
-                    create_obs::names::HTTP_TIMEOUTS_TOTAL,
-                    &[("kind", kind)],
-                )
-                .inc();
+                create_obs::counter_with(create_obs::names::HTTP_TIMEOUTS_TOTAL, &[("kind", kind)])
+                    .inc();
             }
             if matches!(conn.phase, Phase::Header | Phase::Body) {
                 // A slowloris gets a well-formed refusal if the socket
@@ -890,7 +894,10 @@ mod tests {
 
     #[test]
     fn poll_backend_serves_requests() {
-        let config = ServerConfig { use_poll_backend: true, ..ServerConfig::default() };
+        let config = ServerConfig {
+            use_poll_backend: true,
+            ..ServerConfig::default()
+        };
         let server = Server::bind_with("127.0.0.1:0", test_router(), config).unwrap();
         let addr = server.local_addr();
         let handle = server.shutdown_handle();

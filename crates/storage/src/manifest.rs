@@ -91,10 +91,9 @@ impl Manifest {
             path: path.clone(),
             message: format!("manifest is not valid JSON: {err}"),
         })?;
-        Self::from_value(&value).map(Some).map_err(|message| StorageError::Corrupt {
-            path,
-            message,
-        })
+        Self::from_value(&value)
+            .map(Some)
+            .map_err(|message| StorageError::Corrupt { path, message })
     }
 
     /// Atomically replaces the manifest in `dir` (tmp + fsync + rename
@@ -292,7 +291,10 @@ mod tests {
         manifest.store(&dir).unwrap();
         let loaded = Manifest::load(&dir).unwrap().expect("manifest present");
         assert_eq!(loaded, manifest);
-        assert!(!dir.join(MANIFEST_TMP).exists(), "tmp file cleaned by rename");
+        assert!(
+            !dir.join(MANIFEST_TMP).exists(),
+            "tmp file cleaned by rename"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

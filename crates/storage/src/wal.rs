@@ -60,11 +60,14 @@ impl Wal {
             .open(&path)
             .map_err(StorageError::io(&path))?;
         let mut bytes = Vec::new();
-        file.seek(SeekFrom::Start(0)).map_err(StorageError::io(&path))?;
-        file.read_to_end(&mut bytes).map_err(StorageError::io(&path))?;
+        file.seek(SeekFrom::Start(0))
+            .map_err(StorageError::io(&path))?;
+        file.read_to_end(&mut bytes)
+            .map_err(StorageError::io(&path))?;
         let replay = Self::replay_bytes(&bytes);
         if replay.truncated_bytes > 0 {
-            file.set_len(replay.valid_len).map_err(StorageError::io(&path))?;
+            file.set_len(replay.valid_len)
+                .map_err(StorageError::io(&path))?;
             file.sync_data().map_err(StorageError::io(&path))?;
         }
         file.seek(SeekFrom::Start(replay.valid_len))
@@ -128,7 +131,9 @@ impl Wal {
         if !self.dirty {
             return Ok(());
         }
-        self.file.sync_data().map_err(StorageError::io(&self.path))?;
+        self.file
+            .sync_data()
+            .map_err(StorageError::io(&self.path))?;
         self.dirty = false;
         Ok(())
     }
@@ -141,7 +146,9 @@ impl Wal {
         self.file
             .seek(SeekFrom::Start(0))
             .map_err(StorageError::io(&self.path))?;
-        self.file.sync_data().map_err(StorageError::io(&self.path))?;
+        self.file
+            .sync_data()
+            .map_err(StorageError::io(&self.path))?;
         self.len = 0;
         self.dirty = false;
         Ok(())
@@ -188,7 +195,10 @@ mod tests {
             wal.sync().unwrap();
         }
         let (wal, replay) = Wal::open(&path).unwrap();
-        assert_eq!(replay.records, vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]);
+        assert_eq!(
+            replay.records,
+            vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
+        );
         assert_eq!(replay.truncated_bytes, 0);
         assert_eq!(wal.len(), replay.valid_len);
         std::fs::remove_file(&path).unwrap();

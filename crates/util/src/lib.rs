@@ -7,9 +7,9 @@
 
 pub mod arc_cell;
 pub mod fxhash;
-pub mod pool;
 #[cfg(unix)]
 pub mod poller;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod varint;

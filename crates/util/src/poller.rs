@@ -30,12 +30,21 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Interest = Interest { readable: true, writable: false };
+    pub const READ: Interest = Interest {
+        readable: true,
+        writable: false,
+    };
     /// Write-only interest.
-    pub const WRITE: Interest = Interest { readable: false, writable: true };
+    pub const WRITE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
     /// Neither direction — the fd stays registered but only error/hangup
     /// conditions are reported (the backpressure state).
-    pub const NONE: Interest = Interest { readable: false, writable: false };
+    pub const NONE: Interest = Interest {
+        readable: false,
+        writable: false,
+    };
 }
 
 /// One readiness event out of [`Poller::wait`].
@@ -100,8 +109,12 @@ mod sys {
         extern "C" {
             pub fn epoll_create1(flags: i32) -> i32;
             pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-            pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
-                -> i32;
+            pub fn epoll_wait(
+                epfd: i32,
+                events: *mut EpollEvent,
+                maxevents: i32,
+                timeout: i32,
+            ) -> i32;
         }
 
         pub fn mask_for(interest: super::super::Interest) -> u32 {
@@ -231,7 +244,11 @@ impl Poller {
                 Ok(())
             }
             Backend::Poll { regs, .. } => {
-                regs.push(Registration { fd, token, interest });
+                regs.push(Registration {
+                    fd,
+                    token,
+                    interest,
+                });
                 Ok(())
             }
         }
@@ -253,16 +270,14 @@ impl Poller {
                 }
                 Ok(())
             }
-            Backend::Poll { regs, .. } => {
-                match regs.iter_mut().find(|r| r.fd == fd) {
-                    Some(reg) => {
-                        reg.token = token;
-                        reg.interest = interest;
-                        Ok(())
-                    }
-                    None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
+            Backend::Poll { regs, .. } => match regs.iter_mut().find(|r| r.fd == fd) {
+                Some(reg) => {
+                    reg.token = token;
+                    reg.interest = interest;
+                    Ok(())
                 }
-            }
+                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
+            },
         }
     }
 
@@ -330,11 +345,13 @@ impl Poller {
                     if r.interest.writable {
                         mask |= sys::POLLOUT;
                     }
-                    sys::PollFd { fd: r.fd, events: mask, revents: 0 }
+                    sys::PollFd {
+                        fd: r.fd,
+                        events: mask,
+                        revents: 0,
+                    }
                 }));
-                let n = unsafe {
-                    sys::poll(buf.as_mut_ptr(), buf.len() as core::ffi::c_ulong, ms)
-                };
+                let n = unsafe { sys::poll(buf.as_mut_ptr(), buf.len() as core::ffi::c_ulong, ms) };
                 if n < 0 {
                     let err = last_error();
                     if err.kind() == io::ErrorKind::Interrupted {
@@ -610,6 +627,9 @@ mod tests {
         assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
         assert_eq!(timeout_ms(Some(Duration::from_nanos(1))), 1);
         assert_eq!(timeout_ms(Some(Duration::from_micros(1500))), 2);
-        assert_eq!(timeout_ms(Some(Duration::from_secs(1_000_000_000))), i32::MAX);
+        assert_eq!(
+            timeout_ms(Some(Duration::from_secs(1_000_000_000))),
+            i32::MAX
+        );
     }
 }

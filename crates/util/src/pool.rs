@@ -260,7 +260,10 @@ impl ThreadPool {
             }
         }
         let result = {
-            let _drain = Drain { pool: self, state: Arc::clone(&state) };
+            let _drain = Drain {
+                pool: self,
+                state: Arc::clone(&state),
+            };
             f(&scope)
             // `_drain` drops here, blocking until every task completed.
         };
@@ -370,9 +373,8 @@ impl<'scope> Scope<'scope, '_> {
         // SAFETY: the scope's drain guard blocks until `pending` reaches
         // zero before the borrowed stack frame can unwind, so the closure
         // never outlives its borrows; lifetime erasure to 'static is sound.
-        let task: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task)
-        };
+        let task: Job =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task) };
         self.pool.inject(task);
     }
 }

@@ -145,8 +145,14 @@ fn main() {
         "GET /search?q=chest+pain (finds the submission)",
         http_get(addr, "/search?q=chest+pain+myocardial+infarction&k=3"),
     );
-    show("POST /flush (seal WAL tails into segments)", http_post(addr, "/flush", ""));
-    show("GET /metrics (Prometheus exposition)", http_get(addr, "/metrics"));
+    show(
+        "POST /flush (seal WAL tails into segments)",
+        http_post(addr, "/flush", ""),
+    );
+    show(
+        "GET /metrics (Prometheus exposition)",
+        http_get(addr, "/metrics"),
+    );
     show("GET /slowlog", http_get(addr, "/slowlog"));
 
     handle.shutdown();

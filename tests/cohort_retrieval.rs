@@ -89,8 +89,7 @@ fn gold_cohorts_are_retrieved_with_perfect_precision_and_recall() {
         let json = parse_json(&spec.criteria_json()).expect("criteria parses");
         let result = system.cohort_from_json(&json).expect("criteria accepted");
         let engine = {
-            let mut ids: Vec<String> =
-                result.hits.iter().map(|h| h.report_id.clone()).collect();
+            let mut ids: Vec<String> = result.hits.iter().map(|h| h.report_id.clone()).collect();
             ids.sort();
             ids
         };
@@ -125,7 +124,8 @@ fn gold_cohorts_are_retrieved_with_perfect_precision_and_recall() {
             );
             if matches!(fc.field.label(), "category" | "year") {
                 assert_eq!(
-                    sum, result.total_matched,
+                    sum,
+                    result.total_matched,
                     "{}: {} must partition the cohort",
                     spec.name,
                     fc.field.label()
@@ -276,7 +276,8 @@ fn staging_and_coding_facets_answer_cohorts() {
     // exercise the extractor → bitmap → pushdown chain end to end.
     let mut reports = corpus(12, 20260818);
     for r in &mut reports[0..3] {
-        r.text.push_str(" Staging was pT2N0M0; the tumor was coded C50.9.");
+        r.text
+            .push_str(" Staging was pT2N0M0; the tumor was coded C50.9.");
     }
     for r in &mut reports[3..5] {
         r.text.push_str(" Staging was pT4N1M1, coded as J18.9.");
@@ -289,15 +290,30 @@ fn staging_and_coding_facets_answer_cohorts() {
     let system = sharded(&reports, 2);
 
     let cases = [
-        (r#"{"filters":[{"field":"tnm","values":["T2"]}],"k":100}"#, expect(0..3)),
-        (r#"{"filters":[{"field":"icd","values":["C50.9"]}],"k":100}"#, expect(0..3)),
-        (r#"{"filters":[{"field":"tnm","values":["T4"]}],"k":100}"#, expect(3..5)),
-        (r#"{"filters":[{"field":"icd","values":["J18.9"]}],"k":100}"#, expect(3..5)),
+        (
+            r#"{"filters":[{"field":"tnm","values":["T2"]}],"k":100}"#,
+            expect(0..3),
+        ),
+        (
+            r#"{"filters":[{"field":"icd","values":["C50.9"]}],"k":100}"#,
+            expect(0..3),
+        ),
+        (
+            r#"{"filters":[{"field":"tnm","values":["T4"]}],"k":100}"#,
+            expect(3..5),
+        ),
+        (
+            r#"{"filters":[{"field":"icd","values":["J18.9"]}],"k":100}"#,
+            expect(3..5),
+        ),
         (
             r#"{"filters":[{"field":"tnm","values":["N0"]},{"field":"icd","values":["C50.9"]}],"k":100}"#,
             expect(0..3),
         ),
-        (r#"{"filters":[{"field":"tnm","values":["M1"]},{"field":"icd","values":["C50.9"]}],"k":100}"#, vec![]),
+        (
+            r#"{"filters":[{"field":"tnm","values":["M1"]},{"field":"icd","values":["C50.9"]}],"k":100}"#,
+            vec![],
+        ),
     ];
     for (criteria, want) in cases {
         let mut got = hit_ids(&system, criteria);
@@ -314,9 +330,9 @@ fn staging_and_coding_facets_answer_cohorts() {
     let facets = doc.get("facets").unwrap().as_array().unwrap();
     let counts = facets[0].get("counts").unwrap().as_array().unwrap();
     assert!(
-        counts.iter().any(|c| {
-            c.get("value").and_then(create::docstore::Value::as_str) == Some("T2")
-        }),
+        counts
+            .iter()
+            .any(|c| { c.get("value").and_then(create::docstore::Value::as_str) == Some("T2") }),
         "tnm facet counts surface the planted staging: {body}"
     );
 }

@@ -113,7 +113,11 @@ fn legacy_store_files(dir: &Path) -> Vec<PathBuf> {
 
 fn assert_same_rankings(recovered: &Create, reference: &Create, queries: &[String], label: &str) {
     for q in queries {
-        for policy in [MergePolicy::Neo4jFirst, MergePolicy::EsOnly, MergePolicy::GraphOnly] {
+        for policy in [
+            MergePolicy::Neo4jFirst,
+            MergePolicy::EsOnly,
+            MergePolicy::GraphOnly,
+        ] {
             assert_eq!(
                 ranking(recovered, q, policy),
                 ranking(reference, q, policy),
@@ -284,7 +288,12 @@ fn torn_wal_tail_loses_only_the_torn_suffix() {
             "case {case}: torn doc gone"
         );
         let never_crashed = reference(&reports[..19], 1);
-        assert_same_rankings(&recovered, &never_crashed, &queries, &format!("torn case {case}"));
+        assert_same_rankings(
+            &recovered,
+            &never_crashed,
+            &queries,
+            &format!("torn case {case}"),
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -384,7 +393,10 @@ fn pdf_metadata_survives_reopen_from_wal_tail_and_from_segment() {
                 usize::from(!flush),
                 "flush={flush}: one frame a submit"
             );
-            system.report("user:pdf1").expect("served before the crash").to_json()
+            system
+                .report("user:pdf1")
+                .expect("served before the crash")
+                .to_json()
         };
         assert_eq!(served, STORED, "flush={flush}");
         let reopened = Create::open(&dir, single_shard()).expect("reopen");

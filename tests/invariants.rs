@@ -19,7 +19,9 @@ fn arb_string(rng: &mut Rng, max_len: usize) -> String {
         '(', ')', '{', '}', '[', ']', ':', ';', 'é', '中', '°', '\u{7f}',
     ];
     let len = rng.below(max_len + 1);
-    (0..len).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect()
+    (0..len)
+        .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+        .collect()
 }
 
 fn arb_json(rng: &mut Rng, depth: u32) -> Value {
@@ -29,12 +31,18 @@ fn arb_json(rng: &mut Rng, depth: u32) -> Value {
         1 => Value::Bool(rng.chance(0.5)),
         2 => Value::Number(rng.f64_range(-1e9, 1e9)),
         3 => Value::String(arb_string(rng, 24)),
-        4 => Value::Array((0..rng.below(6)).map(|_| arb_json(rng, depth - 1)).collect()),
+        4 => Value::Array(
+            (0..rng.below(6))
+                .map(|_| arb_json(rng, depth - 1))
+                .collect(),
+        ),
         _ => {
             let mut obj = std::collections::BTreeMap::new();
             for _ in 0..rng.below(6) {
                 let len = 1 + rng.below(8);
-                let key: String = (0..len).map(|_| (b'a' + rng.below(26) as u8) as char).collect();
+                let key: String = (0..len)
+                    .map(|_| (b'a' + rng.below(26) as u8) as char)
+                    .collect();
                 obj.insert(key, arb_json(rng, depth - 1));
             }
             Value::Object(obj)
@@ -99,7 +107,9 @@ fn porter_stem_never_grows_much() {
     let mut rng = Rng::seed_from_u64(0x2003);
     for _ in 0..512 {
         let len = 1 + rng.below(24);
-        let word: String = (0..len).map(|_| (b'a' + rng.below(26) as u8) as char).collect();
+        let word: String = (0..len)
+            .map(|_| (b'a' + rng.below(26) as u8) as char)
+            .collect();
         let stem = porter_stem(&word);
         // Porter may add at most one char (e.g. conflat+e) but never more.
         assert!(stem.len() <= word.len() + 1, "{word} -> {stem}");
@@ -111,7 +121,12 @@ fn porter_stem_never_grows_much() {
 fn span_algebra_consistent() {
     let mut rng = Rng::seed_from_u64(0x2004);
     for _ in 0..512 {
-        let (a, b, c, d) = (rng.below(100), rng.below(100), rng.below(100), rng.below(100));
+        let (a, b, c, d) = (
+            rng.below(100),
+            rng.below(100),
+            rng.below(100),
+            rng.below(100),
+        );
         let s1 = Span::new(a.min(b), a.max(b));
         let s2 = Span::new(c.min(d), c.max(d));
         // overlap ⇒ touches; containment ⇒ overlap-or-empty.

@@ -13,8 +13,8 @@
 //! `/search` response bodies of all five merge policies to digests
 //! captured before the cache consolidation.
 
-use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use create::core::{Create, CreateConfig};
+use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use create::index::score::Scorer;
 use create::index::{Index, QueryNode};
 use create::server::{build_api, Request, Status};
@@ -230,12 +230,18 @@ fn ngram_field_queries_are_bit_identical() {
         };
         let hits = assert_equivalent(&idx, &q, k, scorer, &format!("ngram query {i} ({q:?})"));
         if matches!(q, QueryNode::Phrase { .. }) {
-            assert!(hits.is_empty(), "ngram query {i}: a phrase over grams matched");
+            assert!(
+                hits.is_empty(),
+                "ngram query {i}: a phrase over grams matched"
+            );
         } else {
             scored += usize::from(!hits.is_empty());
         }
     }
-    assert!(scored >= 25, "only {scored} of 30 gram queries found anything");
+    assert!(
+        scored >= 25,
+        "only {scored} of 30 gram queries found anything"
+    );
 }
 
 #[test]

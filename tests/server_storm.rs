@@ -52,12 +52,17 @@ fn quick_config() -> ServerConfig {
 fn keep_alive_socket_serves_many_requests() {
     let (addr, shutdown, join) = spawn_server(quick_config());
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     for i in 0..50 {
         let resp = client.get("/ping").unwrap();
         assert_eq!(resp.status, 200, "request {i}");
         assert_eq!(resp.body_str(), "pong");
-        assert!(resp.keep_alive(), "HTTP/1.1 default must keep the socket open");
+        assert!(
+            resp.keep_alive(),
+            "HTTP/1.1 default must keep the socket open"
+        );
     }
     shutdown.shutdown();
     join.join().unwrap();
@@ -67,14 +72,20 @@ fn keep_alive_socket_serves_many_requests() {
 fn pipelined_requests_answered_in_order() {
     let (addr, shutdown, join) = spawn_server(quick_config());
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let paths: Vec<String> = (0..16).map(|i| format!("/echo/{i}")).collect();
     let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
     let responses = client.pipeline_get(&refs).unwrap();
     assert_eq!(responses.len(), 16);
     for (i, resp) in responses.iter().enumerate() {
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body_str(), i.to_string(), "responses must arrive in order");
+        assert_eq!(
+            resp.body_str(),
+            i.to_string(),
+            "responses must arrive in order"
+        );
     }
     shutdown.shutdown();
     join.join().unwrap();
@@ -84,13 +95,18 @@ fn pipelined_requests_answered_in_order() {
 fn connection_close_header_is_honored() {
     let (addr, shutdown, join) = spawn_server(quick_config());
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     client
         .send_raw(b"GET /ping HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
         .unwrap();
     let resp = client.read_response().unwrap();
     assert_eq!(resp.status, 200);
-    assert_eq!(resp.headers.get("connection").map(String::as_str), Some("close"));
+    assert_eq!(
+        resp.headers.get("connection").map(String::as_str),
+        Some("close")
+    );
     // The server must actually close: the next read sees EOF.
     assert!(
         client.read_response().is_err(),
@@ -108,7 +124,11 @@ fn keep_alive_and_close_responses_match() {
     let via_keep_alive = ka.get("/echo/xyz").unwrap();
     let (status, body) = http_get(addr, "/echo/xyz").unwrap();
     assert_eq!(via_keep_alive.status, status);
-    assert_eq!(via_keep_alive.body_str(), body, "payload identical across framings");
+    assert_eq!(
+        via_keep_alive.body_str(),
+        body,
+        "payload identical across framings"
+    );
     shutdown.shutdown();
     join.join().unwrap();
 }
@@ -122,7 +142,9 @@ fn slowloris_header_trickle_gets_timed_out() {
     };
     let (addr, shutdown, join) = spawn_server(config);
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     client.send_raw(b"GET /ping HT").unwrap(); // never finishes the header
     let started = std::time::Instant::now();
     let resp = client.read_response();
@@ -147,7 +169,9 @@ fn idle_keep_alive_connection_is_reaped() {
     };
     let (addr, shutdown, join) = spawn_server(config);
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     assert_eq!(client.get("/ping").unwrap().status, 200);
     // Silent close after the idle window: EOF, no response bytes.
     assert!(client.read_response().is_err());
@@ -164,16 +188,24 @@ fn route_limit_sheds_with_429_and_retry_after() {
     };
     let (addr, shutdown, join) = spawn_server(config);
     let mut busy = KeepAliveClient::connect(addr).unwrap();
-    busy.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    busy.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     busy.send_get("/slow").unwrap(); // occupies the route's single slot
     std::thread::sleep(Duration::from_millis(100));
 
     let mut shed = KeepAliveClient::connect(addr).unwrap();
-    shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    shed.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let resp = shed.get("/slow").unwrap();
     assert_eq!(resp.status, 429);
-    assert_eq!(resp.headers.get("retry-after").map(String::as_str), Some("1"));
-    assert!(resp.keep_alive(), "shedding must not cost the client its connection");
+    assert_eq!(
+        resp.headers.get("retry-after").map(String::as_str),
+        Some("1")
+    );
+    assert!(
+        resp.keep_alive(),
+        "shedding must not cost the client its connection"
+    );
     // The shed connection keeps working for other routes.
     assert_eq!(shed.get("/ping").unwrap().status, 200);
     // And the occupied slot still completes.
@@ -200,7 +232,8 @@ fn connection_ceiling_sheds_with_503() {
     assert_eq!(b.get("/ping").unwrap().status, 200);
 
     let mut over = TcpStream::connect(addr).unwrap();
-    over.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    over.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut raw = String::new();
     let _ = over.read_to_string(&mut raw); // 503 then immediate close
     assert!(
@@ -217,12 +250,17 @@ fn oversized_body_rejected_with_413() {
     config.limits.max_body_bytes = 1024;
     let (addr, shutdown, join) = spawn_server(config);
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let body = "x".repeat(4096);
     client.send_post("/submit", &body).unwrap();
     let resp = client.read_response().unwrap();
     assert_eq!(resp.status, 413);
-    assert_eq!(resp.headers.get("connection").map(String::as_str), Some("close"));
+    assert_eq!(
+        resp.headers.get("connection").map(String::as_str),
+        Some("close")
+    );
     shutdown.shutdown();
     join.join().unwrap();
 }
@@ -236,7 +274,9 @@ fn malformed_request_gets_a_400_not_a_dropped_socket() {
         b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n",
     ] {
         let mut client = KeepAliveClient::connect(addr).unwrap();
-        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         client.send_raw(raw).unwrap();
         let resp = client.read_response().unwrap();
         assert_eq!(resp.status, 400, "{raw:?}");
@@ -250,12 +290,17 @@ fn malformed_request_gets_a_400_not_a_dropped_socket() {
 fn graceful_drain_completes_in_flight_requests() {
     let (addr, shutdown, join) = spawn_server(quick_config());
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     client.send_get("/slow").unwrap();
     std::thread::sleep(Duration::from_millis(100)); // request is now on a worker
     shutdown.shutdown();
     let resp = client.read_response().unwrap();
-    assert_eq!(resp.status, 200, "in-flight request must finish during drain");
+    assert_eq!(
+        resp.status, 200,
+        "in-flight request must finish during drain"
+    );
     assert_eq!(resp.body_str(), "slept");
     join.join().unwrap();
 
@@ -276,9 +321,12 @@ fn graceful_drain_completes_in_flight_requests() {
 fn requests_during_drain_are_shed_with_503() {
     let (addr, shutdown, join) = spawn_server(quick_config());
     let mut slow = KeepAliveClient::connect(addr).unwrap();
-    slow.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut bystander = KeepAliveClient::connect(addr).unwrap();
-    bystander.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    bystander
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     assert_eq!(bystander.get("/ping").unwrap().status, 200);
 
     slow.send_get("/slow").unwrap();
@@ -304,7 +352,9 @@ fn poll_backend_handles_keep_alive_and_pipelining() {
     };
     let (addr, shutdown, join) = spawn_server(config);
     let mut client = KeepAliveClient::connect(addr).unwrap();
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     for _ in 0..10 {
         assert_eq!(client.get("/ping").unwrap().status, 200);
     }

@@ -118,7 +118,11 @@ fn stats_and_lookups_match_the_single_shard_baseline() {
         assert_eq!(stats.reports, base_stats.reports, "{shards} shards");
         // Every document is retrievable from its owning shard.
         for r in &reports {
-            assert!(system.report(&r.id).is_some(), "report {} at {shards}", r.id);
+            assert!(
+                system.report(&r.id).is_some(),
+                "report {} at {shards}",
+                r.id
+            );
             assert!(
                 system.annotations(&r.id).is_some(),
                 "annotations {} at {shards}",
@@ -148,7 +152,10 @@ fn cache_staleness_tracks_the_composite_generation_at_any_shard_count() {
         let warm = ranking(&system, query, MergePolicy::Neo4jFirst);
         assert_eq!(cold, warm, "{shards} shards");
         let stats = system.cache_stats();
-        assert_eq!(stats.hits, 1, "warm query hits the cache at {shards} shards");
+        assert_eq!(
+            stats.hits, 1,
+            "warm query hits the cache at {shards} shards"
+        );
 
         // A write through ANY single shard (one doc routes to exactly
         // one) bumps the composite generation and invalidates the cached

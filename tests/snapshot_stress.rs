@@ -64,7 +64,9 @@ fn concurrent_readers_never_observe_torn_results() {
     let mut expected: Vec<Vec<Ranking>> = Vec::with_capacity(BATCHES + 1);
     expected.push(queries.iter().map(|q| ranking(&reference, q)).collect());
     for (i, batch) in reports.chunks(PER_BATCH).enumerate() {
-        reference.ingest_gold_batch(batch, 0).expect("reference ingest");
+        reference
+            .ingest_gold_batch(batch, 0)
+            .expect("reference ingest");
         assert_eq!(
             reference.cache_stats().generation,
             (i + 1) as u64,
@@ -184,14 +186,24 @@ fn stale_cache_entries_die_on_first_touch_after_publish() {
         published.entries, 1,
         "publish leaves stale entries in place; they die lazily"
     );
-    assert_eq!((published.hits, published.misses), (before.hits, before.misses));
+    assert_eq!(
+        (published.hits, published.misses),
+        (before.hits, before.misses)
+    );
 
     // …the stale entry dies on its first touch: a miss, replaced in
     // place (no duplicate entry for the same key).
     let _ = ranking(&system, query);
     let touched = system.cache_stats();
-    assert_eq!(touched.misses, published.misses + 1, "stale entry is a miss");
-    assert_eq!(touched.hits, published.hits, "stale entry never serves a hit");
+    assert_eq!(
+        touched.misses,
+        published.misses + 1,
+        "stale entry is a miss"
+    );
+    assert_eq!(
+        touched.hits, published.hits,
+        "stale entry never serves a hit"
+    );
     assert_eq!(touched.entries, 1, "stale entry replaced, not duplicated");
 
     // The refreshed entry is live again at the new generation.
@@ -255,7 +267,10 @@ fn a_read_completes_while_a_write_operation_is_open() {
     reader.join().expect("reader thread");
     assert_eq!(cached, expected);
     assert!(!computed.is_empty(), "the uncached search ran both engines");
-    assert!(cohort.expect("cohort criteria parse") > 0, "the cohort matched nothing");
+    assert!(
+        cohort.expect("cohort criteria parse") > 0,
+        "the cohort matched nothing"
+    );
     assert!(report && annotations && svg, "the report's three lookups");
     assert_eq!(reports, 20);
     assert!(postings > 0);

@@ -219,9 +219,15 @@ fn batch_slowlog_entries_carry_the_request_trace_id() {
     let slow = create::obs::slow_queries();
     assert!(slow.len() >= 2, "both batched queries captured");
     for entry in &slow {
-        let id = entry.trace_id.as_deref().expect("slowlog entry has a trace id");
+        let id = entry
+            .trace_id
+            .as_deref()
+            .expect("slowlog entry has a trace id");
         assert!(!id.is_empty());
-        assert_eq!(id, trace_id, "pool-worker query inherited the request trace");
+        assert_eq!(
+            id, trace_id,
+            "pool-worker query inherited the request trace"
+        );
     }
 }
 
