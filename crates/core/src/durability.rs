@@ -31,6 +31,7 @@
 //! same sorted order).
 
 use crate::pipeline::ExtractedAnnotations;
+use crate::system::ShardSnapshot;
 use create_docstore::json::{object_members, Member, Value};
 use create_index::codec::{self, MergeError};
 use create_index::facets::FacetIndex;
@@ -39,11 +40,11 @@ use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
 use create_storage::segment::{Region, SegmentReader, SegmentWriter};
 use create_storage::{
-    segment, Manifest, SegmentData, SegmentMeta, ShardManifest, StorageError, StoredDoc, Wal,
+    segment, Manifest, SegmentFileInfo, SegmentMeta, ShardManifest, StorageError, StoredDoc, Wal,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A flush compacts a shard once it holds this many segments: they are
 /// merged, block by block and term by term, into one file
@@ -260,37 +261,41 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
     members.into_iter().rfind(|member| member.key == key)?.value
 }
 
-/// Assembles the segment data for index docs `[base..num_docs)`: each
-/// document's payload as the shard holds it (`payloads` and `ordinals`
-/// are indexed by doc id, like the index), the codec-encoded postings
-/// tail, and the facet-bitmap tail over the same doc range.
-pub(crate) fn seal_data(
-    index: &Index,
-    facets: &FacetIndex,
-    payloads: &[Arc<str>],
-    ordinals: &[u64],
+/// Writes index docs `[base..num_docs)` of `shard` as the segment file
+/// at `path`, each region streamed from the shard's own columns (indexed
+/// by doc id, like the index): the directory from the index's ids and
+/// the ordinals, each payload as the shard holds it, the codec-encoded
+/// postings tail and the facet-bitmap tail. Holds a block of the region
+/// being written, one term's postings and the facet tail, never a copy
+/// of the documents.
+pub(crate) fn write_tail(
+    path: &Path,
+    shard: &ShardSnapshot,
     base: usize,
-) -> SegmentData {
-    let num = index.num_docs();
+) -> Result<SegmentFileInfo, StorageError> {
+    let num = shard.index.num_docs();
     debug_assert!(
-        facets.num_docs() as usize == num && payloads.len() == num && ordinals.len() == num,
+        shard.facets.num_docs() as usize == num
+            && shard.docs.len() == num
+            && shard.ordinals.len() == num,
         "every column must cover every indexed doc at seal time"
     );
-    let docs = (base..num)
-        .map(|doc| StoredDoc {
-            ordinal: ordinals[doc],
-            id: index
-                .external_id(doc as u32)
-                .expect("below num_docs")
-                .to_string(),
-            payload: payloads[doc].as_bytes().to_vec(),
-        })
-        .collect();
-    SegmentData {
-        docs,
-        postings: codec::encode_index_tail(index, base),
-        facets: facets.encode_tail(base as u32),
-    }
+    SegmentWriter::write_file(path, |out| {
+        out.next_region()?;
+        out.doc_count((num - base) as u64)?;
+        for doc in base..num {
+            let id = shard.index.external_id(doc as u32).expect("below num_docs");
+            out.entry(shard.ordinals[doc], id.as_bytes())?;
+        }
+        out.next_region()?;
+        for payload in &shard.docs[base..] {
+            out.payload(payload.as_bytes())?;
+        }
+        out.next_region()?;
+        codec::encode_index_tail(&shard.index, base, out)?;
+        out.next_region()?;
+        out.write_all(&shard.facets.encode_tail(base as u32))
+    })
 }
 
 /// Adapter for `map_err`: a content error found in the file at `path`,
@@ -358,21 +363,21 @@ pub(crate) fn check_ids(
     )))
 }
 
-/// Rewrites a shard's segments as one file, streaming: a k-way merge of
-/// the encoded segments that holds one block per input and one term's
-/// postings, never a decoded index or the shard's documents. Directory
-/// entries and stored payloads are copied through, postings merge term
-/// by term ([`codec::merge_postings`], with `template`'s field
-/// configuration), and the facets — a few KB a segment — are decoded,
-/// merged and re-encoded. The file is byte for byte what one seal of the
-/// same documents writes.
+/// Rewrites a shard's segments as one file, streaming, in one pass: a
+/// k-way merge of the encoded segments that holds one block per input
+/// and one term's postings, never a decoded index or the shard's
+/// documents. Directory entries and stored payloads are copied through,
+/// postings merge term by term ([`codec::merge_postings`], with
+/// `template`'s field configuration), and the facets — a few KB a
+/// segment — are decoded, merged and re-encoded. The file is byte for
+/// byte what one seal of the same documents writes.
 ///
-/// The format's forward references — each region's leading block count
-/// and each field's term count — come from running the same
-/// [`write_compacted`] once into a counting writer before the pass that
-/// writes the file. The old files stay on disk until the caller swaps
-/// the manifest and sweeps orphans — a crash mid-compaction changes
-/// nothing. Returns the number of documents rewritten.
+/// Each input's three regions must count the same documents, which is
+/// known once they are read: a disagreement, like any failure part-way,
+/// drops the unfinished file. The old files stay on disk until the
+/// caller swaps the manifest and sweeps orphans — a crash
+/// mid-compaction changes nothing. Returns the number of documents
+/// rewritten.
 pub(crate) fn compact_shard(
     shard_dir: &Path,
     entry: &mut ShardManifest,
@@ -393,27 +398,19 @@ pub(crate) fn compact_shard(
     }
     let facets = facets.encode_tail(0);
 
-    let mut counter = SegmentWriter::counting();
-    let counted = write_compacted(&inputs, template, &facets, None, &mut counter)?;
-    for (i, input) in inputs.iter().enumerate() {
-        let stored = counted.ranges[i].docs as usize;
-        check_doc_counts(input.path(), stored, counted.indexed[i], faceted[i])?;
-    }
     let file = segment_file_name(entry.next_segment_id);
-    let mut out = SegmentWriter::create(&shard_dir.join(&file), counter.region_lens())?;
-    write_compacted(
-        &inputs,
-        template,
-        &facets,
-        Some(&counted.term_counts),
-        &mut out,
-    )?;
+    let mut out = SegmentWriter::create(&shard_dir.join(&file))?;
+    let written = write_compacted(&inputs, template, &facets, &mut out)?;
+    for (i, input) in inputs.iter().enumerate() {
+        let stored = written.ranges[i].docs as usize;
+        check_doc_counts(input.path(), stored, written.indexed[i], faceted[i])?;
+    }
     let info = out.finish()?;
 
-    let filled = || counted.ranges.iter().filter(|range| range.docs > 0);
+    let filled = || written.ranges.iter().filter(|range| range.docs > 0);
     let min_ordinal = filled().next().map_or(0, |range| range.min_ordinal);
     let max_ordinal = filled().next_back().map_or(0, |range| range.max_ordinal);
-    let count = counted.ranges.iter().map(|range| range.docs).sum();
+    let count = written.ranges.iter().map(|range| range.docs).sum();
     entry.segments = vec![SegmentMeta {
         file,
         docs: count,
@@ -426,25 +423,21 @@ pub(crate) fn compact_shard(
     Ok(count)
 }
 
-/// What one [`write_compacted`] pass learned of its inputs.
+/// What [`write_compacted`] learned of its inputs.
 struct Compacted {
     /// Each input's documents, as its directory lists them.
     ranges: Vec<segment::DocRange>,
     /// Each input's documents, as its postings count them.
     indexed: Vec<usize>,
-    /// The merged dictionary size of each field.
-    term_counts: Vec<u64>,
 }
 
 /// Writes the segment that concatenates `inputs` into `out`, one region
 /// after another: directory and stored fields copied through, postings
-/// merged, then the merged `facets`. `term_counts` as
-/// [`codec::merge_postings`] takes them.
+/// merged, then the merged `facets`.
 fn write_compacted(
     inputs: &[SegmentReader],
     template: &Index,
     facets: &[u8],
-    term_counts: Option<&[u64]>,
     out: &mut SegmentWriter,
 ) -> Result<Compacted, StorageError> {
     out.next_region().map_err(|e| out.error(e))?;
@@ -460,19 +453,14 @@ fn write_compacted(
             (region, len)
         })
         .collect();
-    let merged =
-        codec::merge_postings(postings, template, term_counts, out).map_err(|e| match e {
-            MergeError::Input(i, e) => inputs[i].error(e),
-            MergeError::Output(e) => out.error(e),
-        })?;
+    let indexed = codec::merge_postings(postings, template, out).map_err(|e| match e {
+        MergeError::Input(i, e) => inputs[i].error(e),
+        MergeError::Output(e) => out.error(e),
+    })?;
     out.next_region()
         .and_then(|()| out.write_all(facets))
         .map_err(|e| out.error(e))?;
-    Ok(Compacted {
-        ranges,
-        indexed: merged.docs,
-        term_counts: merged.term_counts,
-    })
+    Ok(Compacted { ranges, indexed })
 }
 
 /// Counts a WAL append (framed bytes + latency, with a trace exemplar

@@ -5,7 +5,7 @@
 use crate::durability::{self, COMPACT_SEGMENT_THRESHOLD};
 use crate::{ingest::IngestError, system::Create, writer::Writer};
 use create_storage::manifest::{segment_file_name, sweep_orphans};
-use create_storage::{segment::write_segment, Manifest, SegmentMeta, ShardManifest};
+use create_storage::{Manifest, SegmentMeta, ShardManifest};
 use std::{path::Path, time::Instant};
 
 impl Create {
@@ -89,15 +89,9 @@ fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<bool, IngestE
     }
     let started = Instant::now();
     let base = storage.sealed_docs;
-    let data = durability::seal_data(
-        &shard.index,
-        &shard.facets,
-        &shard.docs,
-        &shard.ordinals,
-        base,
-    );
     let file = segment_file_name(entry.next_segment_id);
-    let info = write_segment(&storage.dir.join(&file), &data).map_err(IngestError::Storage)?;
+    let info = durability::write_tail(&storage.dir.join(&file), shard, base)
+        .map_err(IngestError::Storage)?;
     entry.segments.push(SegmentMeta {
         file,
         docs: (num - base) as u64,

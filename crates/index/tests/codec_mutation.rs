@@ -99,10 +99,17 @@ fn valid_blob(id_prefix: &str) -> Vec<u8> {
         )
         .unwrap();
     }
-    let blob = encode_index_tail(&idx, 0);
+    let blob = encoded(&idx);
     // shared 11 | suffix "2" | 1 posting | 0 skips | 3 bytes: doc 1, 1
-    // position, position 1.
-    assert!(blob.ends_with(&[11, 1, b'2', 1, 0, 3, 1, 1, 1]));
+    // position, position 1 | the end entry.
+    assert!(blob.ends_with(&[11, 1, b'2', 1, 0, 3, 1, 1, 1, 0, 0]));
+    blob
+}
+
+/// The blob [`encode_index_tail`] writes of the whole of `index`.
+fn encoded(index: &Index) -> Vec<u8> {
+    let mut blob = Vec::new();
+    encode_index_tail(index, 0, &mut blob).expect("a Vec takes every byte");
     blob
 }
 
@@ -250,7 +257,6 @@ fn ngram_blob(ids: &[&str], lens: &[u32], postings: u64, stream: &[u64]) -> Vec<
         for &len in lens {
             varint::write_u32(&mut out, if ngram { len } else { 0 });
         }
-        varint::write_u64(&mut out, u64::from(ngram));
         if ngram {
             // No shared prefix, suffix "abc", the posting count, no
             // skips, the stream.
@@ -264,16 +270,17 @@ fn ngram_blob(ids: &[&str], lens: &[u32], postings: u64, stream: &[u64]) -> Vec<
             }
             bytes(&mut out, &blob);
         }
+        // The end entry.
+        out.extend_from_slice(&[0, 0]);
     }
     out
 }
 
-/// Both passes of [`merge_postings`] over `blobs`, into the merged blob.
+/// [`merge_postings`] over `blobs`, into the merged blob.
 fn merge(blobs: &[&[u8]], template: &Index) -> Result<Vec<u8>, MergeError> {
-    let inputs = || blobs.iter().map(|b| (*b, b.len() as u64)).collect();
-    let counted = merge_postings(inputs(), template, None, &mut std::io::sink())?;
+    let inputs = blobs.iter().map(|b| (*b, b.len() as u64)).collect();
     let mut merged = Vec::new();
-    merge_postings(inputs(), template, Some(&counted.term_counts), &mut merged)?;
+    merge_postings(inputs, template, &mut merged)?;
     Ok(merged)
 }
 
@@ -303,7 +310,7 @@ fn hostile_frequency_streams_are_refused_alike(template: &Index) {
     rebuilt
         .merge_segment(decode_segment(&valid, template).expect("the hand-built shape decodes"))
         .unwrap();
-    assert_eq!(encode_index_tail(&rebuilt, 0), valid);
+    assert_eq!(encoded(&rebuilt), valid);
 
     // `body_ngram` as a positional field would write it: tf, position.
     let mut positional = Index::new(
@@ -342,7 +349,7 @@ fn hostile_frequency_streams_are_refused_alike(template: &Index) {
         ),
         (
             "positions of a positional encoder",
-            encode_index_tail(&positional, 0),
+            encoded(&positional),
             "trailing bytes in postings blob",
         ),
     ];
@@ -376,11 +383,7 @@ fn hostile_frequency_streams_are_refused_alike(template: &Index) {
         refused,
         create_index::index::IndexError::FrequencyOverflow("abc".to_string())
     );
-    assert_eq!(
-        encode_index_tail(&oracle, 0),
-        a,
-        "{what}: the refusal changed nothing"
-    );
+    assert_eq!(encoded(&oracle), a, "{what}: the refusal changed nothing");
 }
 
 /// One test for every blob: they share the allocator's high-water mark.
@@ -399,7 +402,7 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
             rebuilt
                 .merge_segment(segment)
                 .unwrap_or_else(|e| panic!("{label}: merge refused: {e}"));
-            encode_index_tail(&rebuilt, 0)
+            encoded(&rebuilt)
         }),
     );
     fuzz(
@@ -412,13 +415,7 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
     fuzz(
         "merged postings",
         &valid,
-        |mutant| {
-            let inputs = || pair(mutant, &other).map(|b| (b, b.len() as u64)).to_vec();
-            let counted = merge_postings(inputs(), &template, None, &mut std::io::sink()).ok()?;
-            let mut merged = Vec::new();
-            merge_postings(inputs(), &template, Some(&counted.term_counts), &mut merged).ok()?;
-            Some(merged)
-        },
+        |mutant| merge(&pair(mutant, &other), &template).ok(),
         |mutant, merged, label| {
             let mut oracle = Index::clinical();
             let built = pair(mutant, &other).into_iter().try_for_each(|blob| {
@@ -427,7 +424,7 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
             });
             match (merged, built) {
                 (Some(merged), Ok(())) => assert!(
-                    merged == encode_index_tail(&oracle, 0),
+                    merged == encoded(&oracle),
                     "{label}: the merge wrote other bytes than decode + merge_segment + encode"
                 ),
                 (None, Err(_)) => {}

@@ -7,43 +7,44 @@
 //!
 //! ```text
 //! magic "CSEG" | format u32 LE
-//! directory region: block framing, uncompressed content is
-//!     doc_count varint, then per doc
+//! directory region:     content is doc_count varint, then per doc
 //!     ordinal varint | id_len varint | id bytes
-//! stored-fields region: block framing, content is per doc
+//! stored-fields region: content is per doc
 //!     payload_len varint | payload bytes
-//! postings region:      block framing
-//! facets region:        block framing
+//! postings region, facets region
 //! footer: crc32(everything above) u32 LE | magic "GESC"
+//!
+//! region: blocks, then the end marker, a 0 byte
+//! block:  uncompressed_len varint | compressed_len varint
+//!         | crc32(compressed) u32 LE | compressed bytes
 //! ```
 //!
 //! The facets region holds the facet-bitmap tail for the segment's doc
-//! range (opaque here; `create-index::facets` encodes it). Format 4 is
-//! the only format written and the only one read: a file whose header
-//! names another is refused as [`StorageError::Corrupt`] ("unsupported
-//! segment format 3"). Format 3 had the same regions, but its postings
-//! carried positions in every field, the n-gram field's included;
-//! format 2 had no facets region.
+//! range (opaque here; `create-index::facets` encodes it). Format 5 is
+//! the only format written and read; a file whose header names another
+//! is refused as [`StorageError::Corrupt`] ("unsupported segment format
+//! 4"). Format 4 led each region with its block count, format 3's
+//! postings carried positions in every field, and format 2 had no
+//! facets region.
 //!
-//! Block framing is `block_count varint`, then per block
-//! `uncompressed_len varint | compressed_len varint | crc32(compressed)
-//! u32 LE | compressed bytes`. Blocks cover at most [`BLOCK_TARGET`]
-//! uncompressed bytes so a single flipped bit is localized to one
-//! block's CRC. The footer CRC guards the framing itself; it is also
-//! recorded in the manifest so recovery can detect a swapped or
-//! rolled-back segment file without reading it fully. Files are written
-//! once, fsynced, and never modified.
+//! A region ends with an empty block rather than starting with a count,
+//! so a writer frames it as its content arrives: every segment, sealed
+//! or compacted, is written in one pass. A block covers [`BLOCK_TARGET`]
+//! uncompressed bytes (a region's last one, fewer), so a flipped bit is
+//! localized to one block's CRC. The footer CRC guards the framing; the
+//! manifest records it and the file's size, so recovery detects a
+//! swapped or rolled-back file. Files are written once, fsynced, and
+//! never modified.
 //!
 //! There is one implementation of the framing, in two streaming halves:
 //! [`SegmentWriter`] frames each region's content into blocks as they
-//! fill and keeps a running footer CRC, and [`SegmentReader`] checks the
-//! footer CRC in one pass over the file with a fixed buffer, then hands
-//! out each region as a [`RegionReader`] that decompresses one
-//! CRC-checked block at a time. Neither holds more than a block of any
-//! region, so compaction ([`copy_directory`], [`copy_stored`] and the
-//! postings merge in `create-index`) rewrites a shard in O(block)
-//! memory. [`read_segment`] / [`write_segment`] are the whole-file
-//! forms over the same two halves.
+//! fill, and [`SegmentReader`] checks the footer CRC in one pass with a
+//! fixed buffer, then hands out each region as a [`RegionReader`] that
+//! decompresses one CRC-checked block at a time. Neither holds more than
+//! a block of a region, so compaction ([`copy_directory`], [`copy_stored`]
+//! and the postings merge in `create-index`) rewrites a shard in
+//! O(block) memory. [`read_segment`] / [`write_segment`] are the
+//! whole-file forms.
 //!
 //! The directory region lists `(ordinal, doc id)` apart from the
 //! payloads; [`read_segment`] joins the two back into [`StoredDoc`]s.
@@ -61,16 +62,13 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"CSEG";
 const FOOTER_MAGIC: &[u8; 4] = b"GESC";
-/// The segment format: four regions, postings without positions in a
-/// field whose tokenizer has no word positions.
-pub const FORMAT: u32 = 4;
+/// The segment format: four end-marked regions, postings without
+/// positions in a field whose tokenizer has no word positions.
+pub const FORMAT: u32 = 5;
 /// Maximum uncompressed bytes per block.
 pub const BLOCK_TARGET: usize = 256 * 1024;
 /// Regions per segment file.
 pub const REGIONS: usize = 4;
-/// The fewest bytes a block takes: two one-byte lengths, its CRC and the
-/// compressed body's header byte.
-const MIN_BLOCK_BYTES: u64 = 7;
 
 /// One document's durable record inside a segment: the global ingest
 /// ordinal, the external doc id, and an opaque payload (the same JSON
@@ -114,26 +112,22 @@ pub enum Region {
 /// Serializes `data`, writes it to `path`, and fsyncs the file. The
 /// file only becomes live once the manifest names it.
 pub fn write_segment(path: &Path, data: &SegmentData) -> Result<SegmentFileInfo, StorageError> {
-    let mut directory = Vec::new();
-    varint::write_u64(&mut directory, data.docs.len() as u64);
-    for doc in &data.docs {
-        varint::write_u64(&mut directory, doc.ordinal);
-        varint::write_u64(&mut directory, doc.id.len() as u64);
-        directory.extend_from_slice(doc.id.as_bytes());
-    }
-    let mut stored = Vec::new();
-    for doc in &data.docs {
-        varint::write_u64(&mut stored, doc.payload.len() as u64);
-        stored.extend_from_slice(&doc.payload);
-    }
-    let regions = [&directory[..], &stored, &data.postings, &data.facets];
-    let mut out = SegmentWriter::create(path, regions.map(|content| content.len() as u64))?;
-    for content in regions {
-        out.next_region()
-            .and_then(|()| out.write_all(content))
-            .map_err(|e| out.error(e))?;
-    }
-    out.finish()
+    SegmentWriter::write_file(path, |out| {
+        out.next_region()?;
+        out.doc_count(data.docs.len() as u64)?;
+        for doc in &data.docs {
+            out.entry(doc.ordinal, doc.id.as_bytes())?;
+        }
+        out.next_region()?;
+        for doc in &data.docs {
+            out.payload(&doc.payload)?;
+        }
+        for content in [&data.postings, &data.facets] {
+            out.next_region()?;
+            out.write_all(content)?;
+        }
+        Ok(())
+    })
 }
 
 /// Reads and verifies a segment file end-to-end: footer CRC, per-block
@@ -207,8 +201,8 @@ pub fn copy_directory(
         });
     }
     let total = ranges.iter().map(|range| range.docs).sum();
-    put_varint(out, total).map_err(|e| out.error(e))?;
-    let (mut id, mut entry) = (Vec::new(), Vec::new());
+    out.doc_count(total).map_err(|e| out.error(e))?;
+    let mut id = Vec::new();
     for ((segment, directory), range) in inputs.iter().zip(&mut directories).zip(&mut ranges) {
         for i in 0..range.docs {
             let ordinal = directory.entry(&mut id).map_err(|e| segment.error(e))?;
@@ -216,11 +210,7 @@ pub fn copy_directory(
                 range.min_ordinal = ordinal;
             }
             range.max_ordinal = ordinal;
-            entry.clear();
-            varint::write_u64(&mut entry, ordinal);
-            varint::write_u64(&mut entry, id.len() as u64);
-            entry.extend_from_slice(&id);
-            out.write_all(&entry).map_err(|e| out.error(e))?;
+            out.entry(ordinal, &id).map_err(|e| out.error(e))?;
         }
         directory
             .end("trailing bytes after directory")
@@ -249,21 +239,13 @@ pub fn copy_stored(
             stored
                 .copy(len, &mut payload)
                 .map_err(|e| segment.error(e))?;
-            put_varint(out, len)
-                .and_then(|()| out.write_all(&payload))
-                .map_err(|e| out.error(e))?;
+            out.payload(&payload).map_err(|e| out.error(e))?;
         }
         stored
             .end("trailing bytes after stored docs")
             .map_err(|e| segment.error(e))?;
     }
     Ok(())
-}
-
-fn put_varint(out: &mut impl Write, value: u64) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(10);
-    varint::write_u64(&mut bytes, value);
-    out.write_all(&bytes)
 }
 
 /// Region content that contradicts itself, as the `io::Error` a
@@ -292,85 +274,97 @@ fn read_error(path: &Path, e: io::Error) -> StorageError {
     }
 }
 
-/// Writes a segment file one region at a time, framing each region's
-/// content into blocks as they fill. The regions' content lengths are
-/// given up front — they are the leading block counts — and the writer
-/// holds back at most one block of content.
-///
-/// A *counting* writer ([`SegmentWriter::counting`]) writes nothing: it
-/// measures each region's content, which is how a caller that produces
-/// content in one streamed pass learns the lengths for the real one.
+/// Writes a segment file in one pass, a region at a time, framing each
+/// region's content into blocks as they fill; it holds back at most one
+/// block. A directory entry and a stored payload have one encoding each
+/// ([`SegmentWriter::entry`], [`SegmentWriter::payload`]). Dropped before
+/// [`SegmentWriter::finish`] returns, it removes its file, so a write
+/// that fails half-way leaves nothing behind.
 pub struct SegmentWriter {
-    /// The file, when writing; `None` when counting.
-    file: Option<BufWriter<File>>,
+    file: BufWriter<File>,
     path: PathBuf,
     crc: Crc32,
     bytes: u64,
-    /// Each region's content length: declared when writing, counted so
-    /// far when counting.
-    lens: [u64; REGIONS],
     /// Regions begun; the current one is `begun - 1`.
     begun: usize,
-    /// Content the current region still expects.
-    left: u64,
     /// The current block's content.
     block: Vec<u8>,
+    /// Whether the file is complete and fsynced, and so kept.
+    finished: bool,
 }
 
 impl SegmentWriter {
-    /// Creates the file at `path` for regions of exactly `lens` content
-    /// bytes each, in [`Region`] order.
-    pub fn create(path: &Path, lens: [u64; REGIONS]) -> Result<SegmentWriter, StorageError> {
+    /// Creates the file at `path` and writes its header.
+    pub fn create(path: &Path) -> Result<SegmentWriter, StorageError> {
         let file = File::create(path).map_err(StorageError::io(path))?;
-        let mut writer = SegmentWriter::new(Some(BufWriter::new(file)), path, lens);
-        let largest = lens.iter().copied().max().unwrap_or(0);
-        writer.block = Vec::with_capacity(largest.min(BLOCK_TARGET as u64) as usize);
-        let mut header = MAGIC.to_vec();
-        header.extend_from_slice(&FORMAT.to_le_bytes());
+        let mut writer = SegmentWriter {
+            file: BufWriter::new(file),
+            path: path.to_path_buf(),
+            crc: Crc32::default(),
+            bytes: 0,
+            begun: 0,
+            block: Vec::new(),
+            finished: false,
+        };
+        let header = [*MAGIC, FORMAT.to_le_bytes()].concat();
         writer.emit(&header).map_err(|e| writer.error(e))?;
         Ok(writer)
     }
 
-    /// A writer that only counts each region's content.
-    pub fn counting() -> SegmentWriter {
-        SegmentWriter::new(None, Path::new(""), [0; REGIONS])
+    /// Creates the file at `path`, has `content` write its regions —
+    /// each begun with [`SegmentWriter::next_region`] — and finishes it;
+    /// a failure removes the file.
+    pub fn write_file(
+        path: &Path,
+        content: impl FnOnce(&mut SegmentWriter) -> io::Result<()>,
+    ) -> Result<SegmentFileInfo, StorageError> {
+        let mut out = SegmentWriter::create(path)?;
+        content(&mut out).map_err(|e| out.error(e))?;
+        out.finish()
     }
 
-    fn new(file: Option<BufWriter<File>>, path: &Path, lens: [u64; REGIONS]) -> SegmentWriter {
-        SegmentWriter {
-            file,
-            path: path.to_path_buf(),
-            crc: Crc32::default(),
-            bytes: 0,
-            lens,
-            begun: 0,
-            left: 0,
-            block: Vec::new(),
-        }
-    }
-
-    /// The content lengths of the regions (what a counting writer
-    /// counted).
-    pub fn region_lens(&self) -> [u64; REGIONS] {
-        self.lens
-    }
-
-    /// Ends the current region, which must be complete, and begins the
-    /// next.
+    /// Ends the current region, if one was begun, and begins the next.
     pub fn next_region(&mut self) -> io::Result<()> {
-        if self.begun == REGIONS || self.left > 0 {
-            return Err(misuse(
-                "segment region begun before the previous one was complete",
-            ));
+        if self.begun == REGIONS {
+            return Err(misuse("segment region begun past the last"));
+        }
+        if self.begun > 0 {
+            self.end_region()?;
         }
         self.begun += 1;
-        if self.file.is_some() {
-            self.left = self.lens[self.begun - 1];
-            let mut count = Vec::new();
-            varint::write_u64(&mut count, self.left.div_ceil(BLOCK_TARGET as u64));
-            self.emit(&count)?;
-        }
         Ok(())
+    }
+
+    /// Emits the current region's partial block, then its end marker.
+    fn end_region(&mut self) -> io::Result<()> {
+        if !self.block.is_empty() {
+            self.emit_block()?;
+        }
+        self.emit(&[0])
+    }
+
+    /// Writes a directory's leading document count.
+    pub fn doc_count(&mut self, docs: u64) -> io::Result<()> {
+        self.put(docs, b"")
+    }
+
+    /// Writes one directory entry: a document's ordinal and its id.
+    pub fn entry(&mut self, ordinal: u64, id: &[u8]) -> io::Result<()> {
+        self.put(ordinal, b"")?;
+        self.put(id.len() as u64, id)
+    }
+
+    /// Writes one stored payload, length first.
+    pub fn payload(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.put(payload.len() as u64, payload)
+    }
+
+    /// Writes `value` as a varint, then `bytes`.
+    fn put(&mut self, value: u64, bytes: &[u8]) -> io::Result<()> {
+        let mut varint = Vec::with_capacity(10);
+        varint::write_u64(&mut varint, value);
+        self.write_all(&varint)?;
+        self.write_all(bytes)
     }
 
     /// A failure writing this file, naming it.
@@ -384,7 +378,7 @@ impl SegmentWriter {
     fn emit(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.crc.update(bytes);
         self.bytes += bytes.len() as u64;
-        self.file.as_mut().expect("writing").write_all(bytes)
+        self.file.write_all(bytes)
     }
 
     fn emit_block(&mut self) -> io::Result<()> {
@@ -399,25 +393,31 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Writes the footer and fsyncs the file. Every region must be
-    /// complete.
+    /// Ends the last region, writes the footer and fsyncs the file. All
+    /// [`REGIONS`] regions must have been begun.
     pub fn finish(mut self) -> Result<SegmentFileInfo, StorageError> {
-        if self.begun != REGIONS || self.left > 0 {
-            return Err(self.error(misuse(
-                "segment finished before its last region was complete",
-            )));
+        if self.begun != REGIONS {
+            return Err(self.error(misuse("segment finished before its last region")));
         }
+        self.end_region().map_err(|e| self.error(e))?;
         let crc = self.crc.finish();
-        let mut footer = crc.to_le_bytes().to_vec();
-        footer.extend_from_slice(FOOTER_MAGIC);
-        self.emit(&footer).map_err(|e| self.error(e))?;
-        let file = self.file.take().expect("writing");
-        let file = file.into_inner().map_err(|e| self.error(e.into_error()))?;
-        file.sync_all().map_err(|e| self.error(e))?;
+        self.emit(&[crc.to_le_bytes(), *FOOTER_MAGIC].concat())
+            .and_then(|()| self.file.flush())
+            .and_then(|()| self.file.get_ref().sync_all())
+            .map_err(|e| self.error(e))?;
+        self.finished = true;
         Ok(SegmentFileInfo {
             bytes: self.bytes,
             crc,
         })
+    }
+}
+
+impl Drop for SegmentWriter {
+    fn drop(&mut self) {
+        if !self.finished {
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 }
 
@@ -427,19 +427,9 @@ impl Write for SegmentWriter {
         if self.begun == 0 {
             return Err(misuse("segment content written before the first region"));
         }
-        if self.file.is_none() {
-            self.lens[self.begun - 1] += buf.len() as u64;
-            return Ok(buf.len());
-        }
-        if buf.len() as u64 > self.left {
-            return Err(misuse(
-                "segment region content overruns its declared length",
-            ));
-        }
         let n = buf.len().min(BLOCK_TARGET - self.block.len());
         self.block.extend_from_slice(&buf[..n]);
-        self.left -= n as u64;
-        if self.block.len() == BLOCK_TARGET || self.left == 0 {
+        if self.block.len() == BLOCK_TARGET {
             self.emit_block()?;
         }
         Ok(n)
@@ -575,28 +565,35 @@ impl SegmentReader {
 }
 
 /// Walks one region's block headers from `*pos` (the framing stream's
-/// position) and skips the blocks' bodies.
+/// position) to its end marker, skipping the blocks' bodies. Every block
+/// takes at least six bytes before `end`, so the walk ends.
 fn skip_region(framing: &mut BufReader<&File>, pos: &mut u64, end: u64) -> io::Result<Span> {
-    let blocks = framing_varint(framing, pos, end, "region block count")?;
-    let at = *pos;
-    if blocks > (end - *pos) / MIN_BLOCK_BYTES {
-        return Err(corrupt("region block count exceeds the file"));
+    let mut span = Span {
+        at: *pos,
+        ..Span::default()
+    };
+    loop {
+        match block_header(framing, pos, end)? {
+            (0, _) => return Ok(span),
+            (uncompressed, compressed) => {
+                framing.seek_relative(4 + compressed as i64)?;
+                *pos += 4 + compressed;
+                span.blocks += 1;
+                span.len += uncompressed;
+            }
+        }
     }
-    let mut len = 0u64;
-    for _ in 0..blocks {
-        let (uncompressed, compressed) = block_header(framing, pos, end)?;
-        framing.seek_relative(4 + compressed as i64)?;
-        *pos += 4 + compressed;
-        len += uncompressed;
-    }
-    Ok(Span { at, blocks, len })
 }
 
 /// A block's declared uncompressed and compressed lengths, read from
 /// `*pos` and checked against the bytes before `end`; the CRC and the
-/// body follow.
+/// body follow. `(0, 0)` is a region's end marker, which is an
+/// uncompressed length and nothing else.
 fn block_header(framing: &mut impl BufRead, pos: &mut u64, end: u64) -> io::Result<(u64, u64)> {
     let uncompressed = framing_varint(framing, pos, end, "block uncompressed length")?;
+    if uncompressed == 0 {
+        return Ok((0, 0));
+    }
     if uncompressed > BLOCK_TARGET as u64 {
         return Err(corrupt("block larger than target"));
     }
@@ -855,12 +852,14 @@ mod tests {
     /// Writes `regions` as a segment file's region contents, framed with
     /// valid block and footer CRCs, whatever they hold.
     fn framed(path: &Path, regions: [&[u8]; REGIONS]) {
-        let mut out = SegmentWriter::create(path, regions.map(|r| r.len() as u64)).unwrap();
-        for content in regions {
-            out.next_region().unwrap();
-            out.write_all(content).unwrap();
-        }
-        out.finish().unwrap();
+        SegmentWriter::write_file(path, |out| {
+            for content in regions {
+                out.next_region()?;
+                out.write_all(content)?;
+            }
+            Ok(())
+        })
+        .unwrap();
     }
 
     fn assert_corrupt(path: &Path, what: &str) {
@@ -907,8 +906,8 @@ mod tests {
         let path = temp_path("hugeblock");
         let mut image = MAGIC.to_vec();
         image.extend_from_slice(&FORMAT.to_le_bytes());
-        // Directory region: one block of 1 byte, compressed u64::MAX.
-        image.extend_from_slice(&[1, 1]);
+        // Directory region: a block of 1 byte, compressed u64::MAX.
+        image.push(1);
         varint::write_u64(&mut image, u64::MAX);
         image.extend_from_slice(&crc32(&[0, 0]).to_le_bytes());
         image.extend_from_slice(&[0, 0, 0, 0, 0, 0]);
@@ -920,11 +919,32 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A counting writer measures what a writer given those lengths
-    /// frames into the bytes `write_segment` writes.
+    /// Blocks are cut at exactly [`BLOCK_TARGET`] bytes, a region's last
+    /// one holding the rest, and never empty: an empty region is its end
+    /// marker alone, so a file of four is 20 bytes.
     #[test]
-    fn counted_lengths_frame_the_same_bytes() {
-        let path = temp_path("counted");
+    fn blocks_are_cut_at_the_target_and_a_region_ends_in_one_byte() {
+        let path = temp_path("cuts");
+        let sizes = [0, BLOCK_TARGET, 2 * BLOCK_TARGET + 1, 5];
+        let contents = sizes.map(|len| vec![b'x'; len]);
+        framed(&path, contents.each_ref().map(Vec::as_slice));
+        let segment = SegmentReader::open(&path).unwrap();
+        let spans = segment.regions.map(|span| (span.blocks, span.len));
+        assert_eq!(
+            spans,
+            [(0, 0), (1, sizes[1] as u64), (3, sizes[2] as u64), (1, 5)]
+        );
+        framed(&path, [b"", b"", b"", b""]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 20);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Content written in uneven pieces, as a merge writes it, frames into
+    /// the bytes `write_segment` writes; a writer used against its
+    /// contract, or dropped before it finishes, leaves no file.
+    #[test]
+    fn pieces_frame_the_same_bytes_and_an_unfinished_file_is_removed() {
+        let path = temp_path("whole");
         let data = sample(30);
         let info = write_segment(&path, &data).unwrap();
         let whole = std::fs::read(&path).unwrap();
@@ -936,36 +956,34 @@ mod tests {
             Region::Facets,
         ]
         .map(|which| segment.read_region(which).unwrap());
-        let mut counter = SegmentWriter::counting();
-        for content in &regions {
-            counter.next_region().unwrap();
-            // In uneven pieces, as a merge writes.
-            for piece in content.chunks(7) {
-                counter.write_all(piece).unwrap();
+        let copy = temp_path("pieces");
+        let copied = SegmentWriter::write_file(&copy, |out| {
+            for content in &regions {
+                out.next_region()?;
+                for piece in content.chunks(7) {
+                    out.write_all(piece)?;
+                }
             }
-        }
-        let copy = temp_path("counted-copy");
-        let mut out = SegmentWriter::create(&copy, counter.region_lens()).unwrap();
-        for content in &regions {
-            out.next_region().unwrap();
-            for piece in content.chunks(7) {
-                out.write_all(piece).unwrap();
-            }
-        }
-        let copied = out.finish().unwrap();
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(std::fs::read(&copy).unwrap(), whole);
         assert_eq!((copied.bytes, copied.crc), (info.bytes, info.crc));
-        // Content past a declared length, and a short last region, are
-        // refused.
-        let mut out = SegmentWriter::create(&copy, [1, 0, 0, 0]).unwrap();
-        out.next_region().unwrap();
-        assert!(out.write_all(b"ab").is_err());
-        let mut out = SegmentWriter::create(&copy, [1, 0, 0, 0]).unwrap();
-        out.next_region().unwrap();
-        assert!(out.next_region().is_err());
-        for file in [&path, &copy] {
-            std::fs::remove_file(file).unwrap();
+
+        let mut out = SegmentWriter::create(&copy).unwrap();
+        assert!(out.write_all(b"before any region").is_err());
+        for _ in 0..REGIONS {
+            out.next_region().unwrap();
         }
+        assert!(out.next_region().is_err(), "a fifth region");
+        drop(out);
+        assert!(!copy.exists(), "a dropped writer removes its file");
+        let mut out = SegmentWriter::create(&copy).unwrap();
+        out.next_region().unwrap();
+        out.write_all(b"half a segment").unwrap();
+        assert!(out.finish().is_err(), "finished after one region");
+        assert!(!copy.exists(), "a refused finish removes the file");
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Copying the directories and stored fields of several files, then
@@ -989,19 +1007,17 @@ mod tests {
             inputs.push(SegmentReader::open(&path).unwrap());
             paths.push(path);
         }
-        let write = |out: &mut SegmentWriter| {
+        let merged = temp_path("merged");
+        let mut out = SegmentWriter::create(&merged).unwrap();
+        out.next_region().unwrap();
+        let ranges = copy_directory(&inputs, &mut out).unwrap();
+        out.next_region().unwrap();
+        copy_stored(&inputs, &ranges, &mut out).unwrap();
+        for content in [&all.postings, &all.facets] {
             out.next_region().unwrap();
-            let ranges = copy_directory(&inputs, out).unwrap();
-            out.next_region().unwrap();
-            copy_stored(&inputs, &ranges, out).unwrap();
-            for content in [&all.postings, &all.facets] {
-                out.next_region().unwrap();
-                out.write_all(content).unwrap();
-            }
-            ranges
-        };
-        let mut counter = SegmentWriter::counting();
-        let ranges = write(&mut counter);
+            out.write_all(content).unwrap();
+        }
+        out.finish().unwrap();
         assert_eq!(
             ranges
                 .iter()
@@ -1009,10 +1025,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             [(1, 100, 100), (24, 101, 124), (15, 125, 139)]
         );
-        let merged = temp_path("merged");
-        let mut out = SegmentWriter::create(&merged, counter.region_lens()).unwrap();
-        write(&mut out);
-        out.finish().unwrap();
         let one = temp_path("one");
         write_segment(&one, &all).unwrap();
         assert_eq!(

@@ -19,7 +19,7 @@
 //!   `block::decompress` makes of it;
 //! * **framing** — any byte between the header and the footer is
 //!   mutated and only the footer CRC recomputed, which reaches the block
-//!   headers' counts and lengths.
+//!   headers' lengths and the regions' end markers.
 //!
 //! Every mutant must come back as a typed error or a result — never a
 //! panic, a hang, or a single allocation beyond a fixed bound (a few
@@ -146,13 +146,14 @@ fn mutate(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
 /// Frames `regions` with `SegmentWriter`: valid block and footer CRCs
 /// whatever the content.
 fn frame(path: &Path, regions: &[Vec<u8>; REGIONS]) {
-    let mut out =
-        SegmentWriter::create(path, regions.each_ref().map(|r| r.len() as u64)).expect("create");
-    for content in regions {
-        out.next_region().expect("next region");
-        out.write_all(content).expect("write");
-    }
-    out.finish().expect("finish");
+    SegmentWriter::write_file(path, |out| {
+        for content in regions {
+            out.next_region()?;
+            out.write_all(content)?;
+        }
+        Ok(())
+    })
+    .expect("frame");
 }
 
 /// A file image from blocks given as `(declared length, compressed
@@ -161,13 +162,13 @@ fn assemble(regions: &[Vec<(u64, Vec<u8>)>; REGIONS]) -> Vec<u8> {
     let mut image = b"CSEG".to_vec();
     image.extend_from_slice(&FORMAT.to_le_bytes());
     for blocks in regions {
-        varint::write_u64(&mut image, blocks.len() as u64);
         for (declared, packed) in blocks {
             varint::write_u64(&mut image, *declared);
             varint::write_u64(&mut image, packed.len() as u64);
             image.extend_from_slice(&crc32(packed).to_le_bytes());
             image.extend_from_slice(packed);
         }
+        image.push(0);
     }
     seal(image)
 }
@@ -200,13 +201,13 @@ fn read_regions(path: &Path) -> Result<[Vec<u8>; REGIONS], StorageError> {
 }
 
 /// The streaming directory and stored-field copy of one file, into a
-/// counting writer.
+/// writer dropped unfinished (which removes its file).
 fn copy_documents(path: &Path) -> Result<(), StorageError> {
     let inputs = [SegmentReader::open(path)?];
-    let mut out = SegmentWriter::counting();
-    out.next_region().expect("counting");
+    let mut out = SegmentWriter::create(&path.with_extension("copy")).expect("create");
+    out.next_region().expect("a first region");
     let ranges = copy_directory(&inputs, &mut out)?;
-    out.next_region().expect("counting");
+    out.next_region().expect("a second region");
     copy_stored(&inputs, &ranges, &mut out)
 }
 
@@ -384,17 +385,17 @@ fn reassembled(image: &[u8]) -> Vec<Vec<(u64, Vec<u8>)>> {
     let mut pos = 8;
     (0..REGIONS)
         .map(|_| {
-            let count = varint::read_u64(image, &mut pos).unwrap();
-            (0..count)
-                .map(|_| {
-                    let declared = varint::read_u64(image, &mut pos).unwrap();
-                    let len = varint::read_u64(image, &mut pos).unwrap() as usize;
-                    pos += 4;
-                    let packed = image[pos..pos + len].to_vec();
-                    pos += len;
-                    (declared, packed)
-                })
-                .collect()
+            let mut blocks = Vec::new();
+            loop {
+                let declared = varint::read_u64(image, &mut pos).unwrap();
+                if declared == 0 {
+                    break blocks;
+                }
+                let len = varint::read_u64(image, &mut pos).unwrap() as usize;
+                pos += 4;
+                blocks.push((declared, image[pos..pos + len].to_vec()));
+                pos += len;
+            }
         })
         .collect()
 }

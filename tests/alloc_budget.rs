@@ -254,7 +254,8 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     );
 
     // (b) the index as `Create::open` builds it: decode + merge.
-    let blob = encode_index_tail(&system.index(), 0);
+    let mut blob = Vec::new();
+    encode_index_tail(&system.index(), 0, &mut blob).unwrap();
     let before = (allocations(), live_bytes());
     let mut index = Index::clinical();
     index

@@ -25,7 +25,7 @@
 //! intact but whose content does not read back (an extraction that does
 //! not deserialize, a negative ordinal, an unknown record type, a
 //! missing member, a report without its category or with a year that is
-//! not a `u32`), the retired `update` record, a format-2 or format-3
+//! not a `u32`), the retired `update` record, a format-2, -3 or -4
 //! segment header, and a segment whose directory, postings and payloads
 //! disagree on a document's id each fail the open as corruption naming
 //! the file, and the refused open changes nothing on disk.
@@ -554,10 +554,11 @@ fn retired_formats_are_refused_as_corruption() {
     assert_open_refuses_the_wal(&dir, "update record");
 
     // A segment whose header names a retired format — 2, without the
-    // facets region, or 3, whose postings carried positions in every
-    // field — with the footer checksum redone, so the header is the only
-    // thing wrong with the file.
-    for format in [2u32, 3] {
+    // facets region, 3, whose postings carried positions in every field,
+    // or 4, whose regions and dictionaries led with counts — with the
+    // footer checksum redone, so the header is the only thing wrong with
+    // the file.
+    for format in [2u32, 3, 4] {
         let dir = fresh_dir(&format!("format-{format}"));
         crash_with_wal_tail(&dir, &reports, 0);
         let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");

@@ -123,12 +123,18 @@ fn segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 /// routes agreed), and re-pinned once, for segment format 4, when
 /// `body_ngram` stopped storing positions: they are the files the
 /// previous encoder writes once that field's position deltas are left
-/// out and the header names format 4.
+/// out and the header names format 4. Re-pinned again for format 5,
+/// whose regions end with an empty block and whose dictionaries end with
+/// an empty term instead of leading with counts: each file read back,
+/// its postings' end entries turned back into term counts and its
+/// regions re-framed behind block counts, is the format-4 file
+/// (`694623a8c6b3f29e`; `620d1958553531a2`, `b1a0babb77b3f7de`) byte
+/// for byte.
 #[test]
 fn every_route_into_a_shard_seals_the_same_segment_bytes() {
     const EXPECTED: [(usize, &[&str]); 2] = [
-        (1, &["694623a8c6b3f29e"]),
-        (2, &["620d1958553531a2", "b1a0babb77b3f7de"]),
+        (1, &["b7350e63abdace24"]),
+        (2, &["6b8d0903351cf4e2", "fa66bb5396988247"]),
     ];
     let reports = corpus(300, 20261002);
     for (shards, expected) in EXPECTED {
@@ -209,9 +215,10 @@ fn only_segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 /// `every_route_into_a_shard_seals_the_same_segment_bytes`, ingested in
 /// four batches with a flush after each (the fourth flush reaches
 /// `COMPACT_SEGMENT_THRESHOLD` and compacts), leaves that test's
-/// single-seal digests (re-pinned with them for format 4, unchanged
-/// here: the merge copies each posting's bytes after its doc gap as they
-/// are, positions or none). The splits put a 128-posting skip boundary
+/// single-seal digests (re-pinned with them for formats 4 and 5,
+/// unchanged here: the merge copies each posting's bytes after its doc
+/// gap as they are, positions or none, and writes in one pass what one
+/// seal writes). The splits put a 128-posting skip boundary
 /// inside a later input (100/100/50/50) and make the last input one
 /// document per shard.
 #[test]
@@ -221,12 +228,12 @@ fn a_compacted_shard_holds_the_single_seal_bytes() {
     const EXPECTED: [Case; 2] = [
         (
             1,
-            &["694623a8c6b3f29e"],
+            &["b7350e63abdace24"],
             &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 39, 1]],
         ),
         (
             2,
-            &["620d1958553531a2", "b1a0babb77b3f7de"],
+            &["6b8d0903351cf4e2", "fa66bb5396988247"],
             &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 38, 2]],
         ),
     ];
