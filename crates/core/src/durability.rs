@@ -23,6 +23,12 @@
 //! segment whose copies of a document's id disagree, is reported as
 //! [`StorageError::Corrupt`] naming the file.
 //!
+//! A seal ([`write_tail`], from the shard's columns) and a compaction
+//! ([`compact_shard`], from the encoded inputs) each write their segment
+//! in one pass through one `SegmentWriter`, so neither holds a copy of
+//! the documents; recovery checks each file against its manifest entry
+//! before decoding it ([`load_segment`]).
+//!
 //! Ingest serializes each member once and splices the texts into the
 //! WAL record and the payload; WAL replay splices the record's member
 //! texts into the payload; segment recovery keeps the file's payload as
@@ -266,8 +272,8 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
 /// by doc id, like the index): the directory from the index's ids and
 /// the ordinals, each payload as the shard holds it, the codec-encoded
 /// postings tail and the facet-bitmap tail. Holds a block of the region
-/// being written, one term's postings and the facet tail, never a copy
-/// of the documents.
+/// being written, one field's sorted tail terms, one term's postings and
+/// the facet tail — never a copy of the documents.
 pub(crate) fn write_tail(
     path: &Path,
     shard: &ShardSnapshot,
@@ -312,11 +318,27 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
 /// gives the field configuration) and the stored documents, each
 /// covering the same documents. Recovery's reader of segment files;
 /// compaction streams them instead ([`compact_shard`]).
+///
+/// The file must be the one the manifest entry `meta` describes: its
+/// size and footer CRC, and its directory's document count and first
+/// and last ordinal. A swapped or rolled-back file — or an entry whose
+/// `max_ordinal` would make WAL replay skip records the file does not
+/// hold — is corruption naming the file and the value.
 pub(crate) fn load_segment(
     path: &Path,
+    meta: &SegmentMeta,
     template: &Index,
 ) -> Result<(Index, FacetIndex, Vec<StoredDoc>), StorageError> {
-    let data = segment::read_segment(path)?;
+    let segment = SegmentReader::open(path)?;
+    check_meta(path, "bytes", meta.bytes, segment.bytes())?;
+    check_meta(path, "crc", meta.crc.into(), segment.crc().into())?;
+    let data = segment.read_all()?;
+    let ordinal = |doc: Option<&StoredDoc>| doc.map_or(0, |doc| doc.ordinal);
+    check_meta(path, "docs", meta.docs, data.docs.len() as u64)?;
+    let first = ordinal(data.docs.first());
+    check_meta(path, "min_ordinal", meta.min_ordinal, first)?;
+    let last = ordinal(data.docs.last());
+    check_meta(path, "max_ordinal", meta.max_ordinal, last)?;
     let postings = codec::decode_segment(&data.postings, template).map_err(corrupt_at(path))?;
     let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
     check_doc_counts(
@@ -326,6 +348,16 @@ pub(crate) fn load_segment(
         facets.num_docs(),
     )?;
     Ok((postings, facets, data.docs))
+}
+
+/// A segment file's `field` must be what its manifest entry records.
+fn check_meta(path: &Path, field: &str, manifest: u64, file: u64) -> Result<(), StorageError> {
+    if manifest != file {
+        return Err(corrupt_at(path)(format!(
+            "the manifest records {field} {manifest}, the file has {file}"
+        )));
+    }
+    Ok(())
 }
 
 /// A segment's three regions must cover the same documents.

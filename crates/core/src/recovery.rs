@@ -10,7 +10,7 @@ use crate::{facet_build::index_doc, flush::seal_tails, ingest::IngestError};
 use create_index::facets::FacetIndex;
 use create_obs::names as obs_names;
 use create_ontology::Ontology;
-use create_storage::{manifest::shard_dir_name, Manifest, StorageError, Wal};
+use create_storage::{manifest::shard_dir_name, Manifest, SegmentMeta, StorageError, Wal};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -24,7 +24,9 @@ impl Create {
     ///    value is logged and ignored — documents never change shards.
     /// 2. **Per shard, recover each segment** in manifest order (the
     ///    original ingest order, so internal doc ids and ordinals come
-    ///    out exactly as the writing process assigned them): every
+    ///    out exactly as the writing process assigned them), each file
+    ///    checked against its manifest entry (size, CRC, doc count, first
+    ///    and last ordinal — the last is where WAL replay starts): every
     ///    stored payload goes through `Writer::apply` — refilling the
     ///    shard's stored payloads and the graph — and the postings and
     ///    facet bitmaps go through `Writer::merge` as decoded.
@@ -109,7 +111,7 @@ impl Create {
             let shard_dir = storage_dir.join(shard_dir_name(i));
             for meta in &entry.segments {
                 writer
-                    .recover_segment(&ontology, &shard_dir.join(&meta.file))
+                    .recover_segment(&ontology, &shard_dir.join(&meta.file), meta)
                     .map_err(IngestError::Storage)?;
             }
             let sealed_docs = writer.shard.index.num_docs();
@@ -147,12 +149,19 @@ impl Create {
 }
 
 impl Writer {
-    /// Recovers one sealed segment: every stored payload is applied as
-    /// the file holds it, and the postings and facet bitmaps merge as
-    /// decoded — no re-tokenization. A document whose three ids disagree
-    /// ([`durability::check_ids`]) fails the segment.
-    fn recover_segment(&mut self, ontology: &Ontology, path: &Path) -> Result<(), StorageError> {
-        let (segment, facets, docs) = durability::load_segment(path, &self.shard.index)?;
+    /// Recovers one sealed segment, which must be the file its manifest
+    /// entry `meta` describes ([`durability::load_segment`]): every
+    /// stored payload is applied as the file holds it, and the postings
+    /// and facet bitmaps merge as decoded — no re-tokenization. A
+    /// document whose three ids disagree ([`durability::check_ids`])
+    /// fails the segment.
+    fn recover_segment(
+        &mut self,
+        ontology: &Ontology,
+        path: &Path,
+        meta: &SegmentMeta,
+    ) -> Result<(), StorageError> {
+        let (segment, facets, docs) = durability::load_segment(path, meta, &self.shard.index)?;
         // By value: a file payload is freed once the shard holds its
         // copy, so the stored fields are never resident twice over.
         for (doc, stored) in docs.into_iter().enumerate() {

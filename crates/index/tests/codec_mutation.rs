@@ -14,7 +14,8 @@
 //!
 //! Hand-built blobs pin what the checks of a stream without positions
 //! (`body_ngram`'s: a doc gap and a term frequency per posting) refuse,
-//! from `decode_segment` and `merge_postings` alike.
+//! and what a dictionary's or a blob's end in the wrong place is, from
+//! `decode_segment` and `merge_postings` alike.
 //!
 //! Its own test binary because it installs a global allocator.
 
@@ -236,16 +237,21 @@ fn pair<'a>(mutant: &'a [u8], other: &'a [u8]) -> [&'a [u8]; 2] {
     }
 }
 
+/// The entry that ends a field's dictionary: an empty term.
+const END: [u8; 2] = [0, 0];
+
+/// Appends `b`'s length, then `b`.
+fn bytes(out: &mut Vec<u8>, b: &[u8]) {
+    varint::write_u64(out, b.len() as u64);
+    out.extend_from_slice(b);
+}
+
 /// A hand-built postings blob of the documents `ids`, with the
-/// `body_ngram` lengths `lens` and no `title` or `body` tokens, holding
-/// one term — `body_ngram`'s "abc", of `postings` postings whose stream
-/// is the varints `stream`.
-fn ngram_blob(ids: &[&str], lens: &[u32], postings: u64, stream: &[u64]) -> Vec<u8> {
+/// `body_ngram` lengths `lens` and no `title` or `body` tokens, whose
+/// `body_ngram` dictionary is the bytes `dictionary` (the other two
+/// fields' are their end entries alone).
+fn blob(ids: &[&str], lens: &[u32], dictionary: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    let bytes = |out: &mut Vec<u8>, b: &[u8]| {
-        varint::write_u64(out, b.len() as u64);
-        out.extend_from_slice(b);
-    };
     varint::write_u64(&mut out, ids.len() as u64);
     for id in ids {
         bytes(&mut out, id.as_bytes());
@@ -257,23 +263,35 @@ fn ngram_blob(ids: &[&str], lens: &[u32], postings: u64, stream: &[u64]) -> Vec<
         for &len in lens {
             varint::write_u32(&mut out, if ngram { len } else { 0 });
         }
-        if ngram {
-            // No shared prefix, suffix "abc", the posting count, no
-            // skips, the stream.
-            varint::write_u64(&mut out, 0);
-            bytes(&mut out, b"abc");
-            varint::write_u64(&mut out, postings);
-            varint::write_u64(&mut out, 0);
-            let mut blob = Vec::new();
-            for &v in stream {
-                varint::write_u64(&mut blob, v);
-            }
-            bytes(&mut out, &blob);
-        }
-        // The end entry.
-        out.extend_from_slice(&[0, 0]);
+        out.extend_from_slice(if ngram { dictionary } else { &END });
     }
     out
+}
+
+/// One dictionary entry sharing no prefix with the term before it: the
+/// suffix `term`, `postings` postings whose stream is the varints
+/// `stream`, no skips.
+fn term_entry(term: &[u8], postings: u64, stream: &[u64]) -> Vec<u8> {
+    let mut out = vec![0];
+    bytes(&mut out, term);
+    varint::write_u64(&mut out, postings);
+    varint::write_u64(&mut out, 0);
+    let mut blob = Vec::new();
+    for &v in stream {
+        varint::write_u64(&mut blob, v);
+    }
+    bytes(&mut out, &blob);
+    out
+}
+
+/// [`blob`] holding one term — `body_ngram`'s "abc", of `postings`
+/// postings whose stream is the varints `stream`.
+fn ngram_blob(ids: &[&str], lens: &[u32], postings: u64, stream: &[u64]) -> Vec<u8> {
+    blob(
+        ids,
+        lens,
+        &[term_entry(b"abc", postings, stream), END.to_vec()].concat(),
+    )
 }
 
 /// [`merge_postings`] over `blobs`, into the merged blob.
@@ -386,12 +404,66 @@ fn hostile_frequency_streams_are_refused_alike(template: &Index) {
     assert_eq!(encoded(&oracle), a, "{what}: the refusal changed nothing");
 }
 
+/// Dictionaries and blobs that end in the wrong place — an empty term in
+/// the middle of a dictionary (it is the end entry, so what follows is
+/// read as the next field), a dictionary without its end entry (the next
+/// field is read as a term), a byte after the last field — are the same
+/// typed [`CodecError`] from `decode_segment` and `merge_postings`, with
+/// no panic and no reservation past the fuzz's bound.
+fn misplaced_ends_are_refused_alike(template: &Index) {
+    let (abc, xyz) = (
+        term_entry(b"abc", 1, &[0, 2]),
+        term_entry(b"xyz", 1, &[0, 2]),
+    );
+    let mut trailing = blob(&["a"], &[2], &[&abc[..], &END].concat());
+    trailing.push(0);
+    let cases = [
+        (
+            "an empty term mid-dictionary",
+            blob(&["a"], &[2], &[&abc[..], &END, &xyz, &END].concat()),
+            "fields out of order",
+        ),
+        (
+            "a dictionary without its end entry",
+            blob(&["a"], &[2], &abc),
+            "term prefix longer than previous term",
+        ),
+        (
+            "a byte after the last field",
+            trailing,
+            "trailing bytes after last field",
+        ),
+    ];
+    for (what, blob, message) in cases {
+        MAX_REQUEST.store(0, Ordering::Relaxed);
+        // What the closure captures is only read, so observing it after
+        // a panic is fine.
+        let read = std::panic::AssertUnwindSafe(|| {
+            (
+                decode_segment(&blob, template).map(drop),
+                merge(&[&blob], template),
+            )
+        });
+        let (decoded, merged) =
+            std::panic::catch_unwind(read).unwrap_or_else(|_| panic!("{what}: a reader panicked"));
+        let decoded = decoded.expect_err(what);
+        assert_eq!(decoded.0, message, "{what}");
+        assert_eq!(merge_refusal(merged, 0, what), decoded, "{what}");
+        let reserved = MAX_REQUEST.load(Ordering::Relaxed);
+        assert!(
+            reserved <= RESERVE_PER_INPUT_BYTE * blob.len() + 4096,
+            "{what}: one request of {reserved} bytes"
+        );
+    }
+}
+
 /// One test for every blob: they share the allocator's high-water mark.
 #[test]
 fn mutated_blobs_decode_to_err_or_round_trip() {
     println!("codec_mutation seed {SEED:#x}");
     let template = Index::clinical();
     hostile_frequency_streams_are_refused_alike(&template);
+    misplaced_ends_are_refused_alike(&template);
     let valid = valid_blob("pmid");
     fuzz(
         "postings",

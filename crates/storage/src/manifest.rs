@@ -167,10 +167,7 @@ impl Manifest {
         if format != FORMAT_VERSION {
             return Err(format!("unsupported manifest format {format}"));
         }
-        let shard_count = value
-            .get("shard_count")
-            .and_then(Value::as_i64)
-            .ok_or("missing shard_count")? as usize;
+        let shard_count: usize = integer(value, "shard_count")?;
         let shards_value = value
             .get("shards")
             .and_then(Value::as_array)
@@ -184,33 +181,24 @@ impl Manifest {
         }
         let mut shards = Vec::with_capacity(shards_value.len());
         for entry in shards_value {
-            let next_segment_id = entry
-                .get("next_segment_id")
-                .and_then(Value::as_i64)
-                .ok_or("missing next_segment_id")? as u64;
+            let next_segment_id = integer(entry, "next_segment_id")?;
             let mut segments = Vec::new();
             for seg in entry
                 .get("segments")
                 .and_then(Value::as_array)
                 .ok_or("missing segments array")?
             {
-                let field_u64 = |key: &str| -> Result<u64, String> {
-                    seg.get(key)
-                        .and_then(Value::as_i64)
-                        .map(|v| v as u64)
-                        .ok_or_else(|| format!("segment missing {key}"))
-                };
                 segments.push(SegmentMeta {
                     file: seg
                         .get("file")
                         .and_then(Value::as_str)
                         .ok_or("segment missing file")?
                         .to_string(),
-                    docs: field_u64("docs")?,
-                    bytes: field_u64("bytes")?,
-                    crc: field_u64("crc")? as u32,
-                    min_ordinal: field_u64("min_ordinal")?,
-                    max_ordinal: field_u64("max_ordinal")?,
+                    docs: integer(seg, "docs")?,
+                    bytes: integer(seg, "bytes")?,
+                    crc: integer(seg, "crc")?,
+                    min_ordinal: integer(seg, "min_ordinal")?,
+                    max_ordinal: integer(seg, "max_ordinal")?,
                 });
             }
             shards.push(ShardManifest {
@@ -223,6 +211,24 @@ impl Manifest {
             shards,
         })
     }
+}
+
+/// `object`'s `key` as a non-negative integer in `T`'s range. Anything
+/// else is refused, not cast: a cast reads `-1` as 2^64 − 1 and a `crc`
+/// of 2^32 + 5 as 5.
+fn integer<T: TryFrom<i64>>(object: &Value, key: &str) -> Result<T, String> {
+    let value = object.get(key).ok_or_else(|| format!("missing {key}"))?;
+    value
+        .as_i64()
+        // `as_i64` saturates a number past `i64`'s range to its maximum.
+        .filter(|&n| n != i64::MAX)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| {
+            format!(
+                "{key} {} is not a non-negative integer in range",
+                value.to_json()
+            )
+        })
 }
 
 /// Removes segment files in `shard_dir` that the shard manifest does

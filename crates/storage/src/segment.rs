@@ -136,13 +136,7 @@ pub fn write_segment(path: &Path, data: &SegmentData) -> Result<SegmentFileInfo,
 /// manifest named it, so unlike a WAL tail, damage here is never an
 /// expected crash artifact.
 pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
-    let segment = SegmentReader::open(path)?;
-    let docs = read_docs(&segment).map_err(|e| segment.error(e))?;
-    Ok(SegmentData {
-        docs,
-        postings: segment.read_region(Region::Postings)?,
-        facets: segment.read_region(Region::Facets)?,
-    })
+    SegmentReader::open(path)?.read_all()
 }
 
 /// Joins the directory and the stored payloads into documents.
@@ -456,6 +450,8 @@ pub struct SegmentReader {
     file: File,
     /// Where the footer starts.
     end: u64,
+    /// The footer's CRC, which the open checked.
+    crc: u32,
     regions: [Span; REGIONS],
 }
 
@@ -525,6 +521,7 @@ impl SegmentReader {
             path: path.to_path_buf(),
             file,
             end,
+            crc: declared_crc,
             regions,
         })
     }
@@ -532,6 +529,16 @@ impl SegmentReader {
     /// The file this reads.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The file's size in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.end + 8
+    }
+
+    /// The file's footer CRC.
+    pub fn crc(&self) -> u32 {
+        self.crc
     }
 
     /// A stream of one region's content.
@@ -555,6 +562,15 @@ impl SegmentReader {
             .read_to_end(&mut content)
             .map_err(|e| self.error(e))?;
         Ok(content)
+    }
+
+    /// The whole file's content, checked as [`read_segment`] checks it.
+    pub fn read_all(&self) -> Result<SegmentData, StorageError> {
+        Ok(SegmentData {
+            docs: read_docs(self).map_err(|e| self.error(e))?,
+            postings: self.read_region(Region::Postings)?,
+            facets: self.read_region(Region::Facets)?,
+        })
     }
 
     /// A failure reading this file: corruption (`InvalidData`, as a
@@ -949,6 +965,7 @@ mod tests {
         let info = write_segment(&path, &data).unwrap();
         let whole = std::fs::read(&path).unwrap();
         let segment = SegmentReader::open(&path).unwrap();
+        assert_eq!((segment.bytes(), segment.crc()), (info.bytes, info.crc));
         let regions = [
             Region::Directory,
             Region::Stored,

@@ -23,7 +23,10 @@
 //!
 //! Every mutant must come back as a typed error or a result — never a
 //! panic, a hang, or a single allocation beyond a fixed bound (a few
-//! blocks; the counts in the file are untrusted).
+//! blocks; the counts in the file are untrusted). Hand-built files whose
+//! ends are in the wrong place — a region without its end marker, a byte
+//! after the fourth region's, a directory that counts 5 documents and
+//! ends after 2 entries — must be refused as corruption the same way.
 
 use create_core::{Create, CreateConfig};
 use create_corpus::{CorpusConfig, Generator};
@@ -159,17 +162,28 @@ fn frame(path: &Path, regions: &[Vec<u8>; REGIONS]) {
 /// A file image from blocks given as `(declared length, compressed
 /// bytes)` per region, each block's CRC and the footer computed.
 fn assemble(regions: &[Vec<(u64, Vec<u8>)>; REGIONS]) -> Vec<u8> {
+    image(&regions.each_ref().map(|blocks| framed_region(blocks)))
+}
+
+/// One region's framing: each block's header, CRC and bytes, then the
+/// end marker.
+fn framed_region(blocks: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut region = Vec::new();
+    for (declared, packed) in blocks {
+        varint::write_u64(&mut region, *declared);
+        varint::write_u64(&mut region, packed.len() as u64);
+        region.extend_from_slice(&crc32(packed).to_le_bytes());
+        region.extend_from_slice(packed);
+    }
+    region.push(0);
+    region
+}
+
+/// A file image of framed regions, however many, behind the header.
+fn image(regions: &[Vec<u8>]) -> Vec<u8> {
     let mut image = b"CSEG".to_vec();
     image.extend_from_slice(&FORMAT.to_le_bytes());
-    for blocks in regions {
-        for (declared, packed) in blocks {
-            varint::write_u64(&mut image, *declared);
-            varint::write_u64(&mut image, packed.len() as u64);
-            image.extend_from_slice(&crc32(packed).to_le_bytes());
-            image.extend_from_slice(packed);
-        }
-        image.push(0);
-    }
+    image.extend(regions.iter().flatten());
     seal(image)
 }
 
@@ -238,6 +252,28 @@ fn fuzz(
     }
     println!("{accepted} of {MUTANTS} {what} mutants read back");
     accepted
+}
+
+/// Writes a hand-built `image` to `path`: `read_segment` and the
+/// streaming document copy must each refuse it as corruption, with no
+/// panic and no request past the bound.
+fn refused(what: &str, path: &Path, image: &[u8]) {
+    std::fs::write(path, image).expect("write the image");
+    MAX_REQUEST.store(0, Ordering::Relaxed);
+    let read = || (read_segment(path).map(drop), copy_documents(path));
+    let (read, copied) = std::panic::catch_unwind(read)
+        .unwrap_or_else(|_| panic!("hand-built {what}: reading it panicked"));
+    for result in [read, copied] {
+        match result {
+            Err(StorageError::Corrupt { message, .. }) => println!("hand-built {what}: {message}"),
+            other => panic!("hand-built {what}: {other:?}, not corruption"),
+        }
+    }
+    let reserved = MAX_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        reserved <= MAX_REQUEST_BYTES,
+        "hand-built {what}: one request of {reserved} bytes"
+    );
 }
 
 fn corrupt_or<T>(label: &str, result: Result<T, StorageError>) -> Option<T> {
@@ -365,6 +401,28 @@ fn mutated_segments_read_back_or_are_corrupt() {
             read
         },
     );
+
+    // Hand-built: ends in the wrong place.
+    let framed = blocks.each_ref().map(|blocks| framed_region(blocks));
+    for missing in 0..REGIONS {
+        let mut regions = framed.clone();
+        regions[missing].pop();
+        let what = format!("region {missing} without its end marker");
+        refused(&what, &path, &image(&regions));
+    }
+    let fifth = [&framed[..], &[vec![0]]].concat();
+    refused("a byte after the fourth region", &path, &image(&fifth));
+    let mut directory = vec![5];
+    for (ordinal, id) in [(0, b"pmid:1"), (1, b"pmid:2")] {
+        directory.extend_from_slice(&[ordinal, 6]);
+        directory.extend_from_slice(id);
+    }
+    frame(
+        &path,
+        &[directory, b"\x02{}\x02{}".to_vec(), vec![], vec![]],
+    );
+    let short = std::fs::read(&path).unwrap();
+    refused("a directory of 5 docs with 2 entries", &path, &short);
     std::fs::remove_dir_all(&scratch).unwrap();
 
     // Value-only mutations must survive, or the fuzz exercises nothing

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline verification gate: tier-1 build, clippy over every workspace
-# target with warnings denied (`benchmark/` is its own workspace and is
-# not linted), rustdoc over every workspace crate with warnings denied (an
+# target with warnings denied and a rustfmt check of every workspace
+# crate (`benchmark/` is its own workspace and is neither linted nor
+# format-checked), rustdoc over every workspace crate with warnings denied (an
 # intra-doc link that no longer resolves fails it), then every test binary
 # once —
 # the whole workspace's (`cargo test --workspace`: the root suites —
@@ -32,6 +33,9 @@ cargo build --release
 
 echo "== clippy: every workspace target, warnings denied =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
+echo "== rustfmt: every workspace crate formatted =="
+cargo fmt --all --check
 
 echo "== rustdoc: every intra-doc link resolves, private items included =="
 RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \

@@ -26,12 +26,16 @@
 //! not deserialize, a negative ordinal, an unknown record type, a
 //! missing member, a report without its category or with a year that is
 //! not a `u32`), the retired `update` record, a format-2, -3 or -4
-//! segment header, and a segment whose directory, postings and payloads
-//! disagree on a document's id each fail the open as corruption naming
-//! the file, and the refused open changes nothing on disk.
+//! segment header, a segment whose directory, postings and payloads
+//! disagree on a document's id, a segment file that is not the one its
+//! manifest entry describes (swapped, or an entry whose `max_ordinal`
+//! would hide WAL records), and a MANIFEST number outside its field's
+//! range each fail the open as corruption naming the file, and the
+//! refused open changes nothing on disk.
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
+use create::docstore::json::{parse_json, Value};
 use create::storage::manifest::Manifest;
 use create::storage::segment::{read_segment, write_segment, SegmentData};
 use create::storage::Wal;
@@ -451,32 +455,45 @@ fn crash_then_edit_wal(
     dir
 }
 
-/// The open must fail as corruption naming shard 0's WAL, and leave the
-/// WAL and the rest of the directory as they were: nothing sealed,
-/// nothing reset.
-fn assert_open_refuses_the_wal(dir: &Path, label: &str) {
-    let wal = shard0_wal(dir);
-    let before = std::fs::read(&wal).expect("read WAL");
+/// Every file under `dir`, by path, with its bytes.
+fn files_under(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push((path.clone(), std::fs::read(&path).expect("read file")));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The open must fail as corruption whose message holds every one of
+/// `needles`, and leave every file under `dir` byte-identical.
+fn assert_open_refused(dir: &Path, needles: &[&str], label: &str) {
+    let before = files_under(dir);
     let err = Create::open(dir, single_shard()).expect_err(label);
     assert!(
         err.is_corruption(),
         "{label}: {err} is not typed as corruption"
     );
+    let message = err.to_string();
+    for needle in needles {
+        assert!(message.contains(needle), "{label}: {err} lacks {needle:?}");
+    }
     assert!(
-        err.to_string().contains(create::storage::WAL_FILE),
-        "{label}: {err} does not name the WAL"
+        files_under(dir) == before,
+        "{label}: the refused open changed a file"
     );
-    assert_eq!(
-        std::fs::read(&wal).expect("read WAL"),
-        before,
-        "{label}: WAL changed"
-    );
-    let segments = std::fs::read_dir(wal.parent().expect("shard dir"))
-        .expect("read shard dir")
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "seg"))
-        .count();
-    assert_eq!(segments, 0, "{label}: the refused open sealed a segment");
+}
+
+/// The open must fail as corruption naming shard 0's WAL, and leave the
+/// WAL and the rest of the directory as they were: nothing sealed,
+/// nothing reset.
+fn assert_open_refuses_the_wal(dir: &Path, label: &str) {
+    assert_open_refused(dir, &[create::storage::WAL_FILE], label);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -568,17 +585,8 @@ fn retired_formats_are_refused_as_corruption() {
         let crc = create::storage::checksum::crc32(&bytes[..footer]);
         bytes[footer..footer + 4].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&segment, &bytes).expect("write segment");
-        let err = Create::open(&dir, single_shard()).expect_err("retired format header");
-        assert!(err.is_corruption(), "{err} is not typed as corruption");
-        assert!(
-            err.to_string()
-                .contains(&format!("unsupported segment format {format}")),
-            "{err}"
-        );
-        assert!(
-            std::fs::read(&segment).expect("segment") == bytes,
-            "the refused open rewrote the format-{format} segment"
-        );
+        let refusal = format!("unsupported segment format {format}");
+        assert_open_refused(&dir, &[&refusal], &format!("format {format}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -617,22 +625,127 @@ fn a_segment_whose_copies_of_an_id_disagree_is_corruption() {
         let meta = &mut manifest.shards[0].segments[0];
         (meta.bytes, meta.crc) = (info.bytes, info.crc);
         manifest.store(&storage).expect("store manifest");
-        let bytes = std::fs::read(&segment).expect("read segment");
-
-        let err = Create::open(&dir, single_shard()).expect_err(label);
-        assert!(
-            err.is_corruption(),
-            "{label}: {err} is not typed as corruption"
-        );
-        assert!(
-            err.to_string().contains("seg-000000.seg"),
-            "{label}: {err} does not name the segment"
-        );
-        assert_eq!(
-            std::fs::read(&segment).expect("read segment"),
-            bytes,
-            "{label}: the refused open rewrote the segment"
-        );
+        assert_open_refused(&dir, &["seg-000000.seg"], label);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn manifest_path(dir: &Path) -> PathBuf {
+    dir.join(create::storage::STORAGE_DIR)
+        .join(create::storage::manifest::MANIFEST_FILE)
+}
+
+/// `value`'s member `key`.
+fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Object(members) => members.get_mut(key).expect("the member exists"),
+        other => panic!("{other:?} is not an object"),
+    }
+}
+
+/// Shard 0's last segment entry in a parsed MANIFEST.
+fn last_segment(manifest: &mut Value) -> &mut Value {
+    let shard = match member(manifest, "shards") {
+        Value::Array(shards) => &mut shards[0],
+        other => panic!("{other:?} is not an array"),
+    };
+    match member(shard, "segments") {
+        Value::Array(segments) => segments.last_mut().expect("a segment"),
+        other => panic!("{other:?} is not an array"),
+    }
+}
+
+/// Rewrites the MANIFEST under `dir` with `edit` applied to its JSON.
+fn edit_manifest(dir: &Path, edit: impl FnOnce(&mut Value)) {
+    let path = manifest_path(dir);
+    let mut manifest = parse_json(&std::fs::read_to_string(&path).expect("read MANIFEST"))
+        .expect("MANIFEST is JSON");
+    edit(&mut manifest);
+    std::fs::write(&path, manifest.to_json_pretty()).expect("write MANIFEST");
+}
+
+#[test]
+fn swapped_segment_files_are_refused() {
+    // Two flushes seal two segments into shard 0; swapping the files by
+    // rename leaves each where the other's manifest entry points.
+    let reports = corpus(10, 20261007);
+    let dir = fresh_dir("swapped-files");
+    {
+        let system = Create::open(&dir, single_shard()).expect("open");
+        for half in reports.chunks(5) {
+            system.ingest_gold_batch(half, 1).expect("ingest");
+            system.flush().expect("flush");
+        }
+    }
+    let shard = shard0_wal(&dir).with_file_name("");
+    let (first, second) = (shard.join("seg-000000.seg"), shard.join("seg-000001.seg"));
+    let swap = shard.join("swap.tmp");
+    std::fs::rename(&first, &swap).expect("rename");
+    std::fs::rename(&second, &first).expect("rename");
+    std::fs::rename(&swap, &second).expect("rename");
+    assert_open_refused(
+        &dir,
+        &["seg-000000.seg", "the manifest records"],
+        "swapped files",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_manifest_ordinal_past_its_segment_is_refused() {
+    // Recovery skips WAL records at or below the last entry's
+    // `max_ordinal`: raised past the WAL tail, it would drop the three
+    // acknowledged reports there without a word.
+    let reports = corpus(8, 20261008);
+    let dir = fresh_dir("raised-ordinal");
+    crash_with_wal_tail(&dir, &reports, 3);
+    edit_manifest(&dir, |manifest| {
+        let max = member(last_segment(manifest), "max_ordinal");
+        assert_eq!(max.as_i64(), Some(4), "the five sealed reports");
+        *max = Value::from(20i64);
+    });
+    assert_open_refused(
+        &dir,
+        &["seg-000000.seg", "max_ordinal 20"],
+        "raised max_ordinal",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_numbers_out_of_their_range_are_refused() {
+    // Each number the manifest holds, negative — and a CRC past `u32` —
+    // is refused as a corrupt MANIFEST, not cast into range.
+    let reports = corpus(2, 20261009);
+    let dir = fresh_dir("manifest-numbers");
+    crash_with_wal_tail(&dir, &reports, 0);
+    let pristine = std::fs::read(manifest_path(&dir)).expect("read MANIFEST");
+    let cases: [(&str, i64); 8] = [
+        ("shard_count", -1),
+        ("next_segment_id", -1),
+        ("docs", -1),
+        ("bytes", -1),
+        ("crc", -1),
+        ("crc", 1 << 32),
+        ("min_ordinal", -1),
+        ("max_ordinal", -1),
+    ];
+    for (key, bad) in cases {
+        edit_manifest(&dir, |manifest| {
+            let target = match key {
+                "shard_count" => member(manifest, key),
+                "next_segment_id" => match member(manifest, "shards") {
+                    Value::Array(shards) => member(&mut shards[0], key),
+                    other => panic!("{other:?} is not an array"),
+                },
+                _ => member(last_segment(manifest), key),
+            };
+            *target = Value::from(bad);
+        });
+        let label = format!("{key} {bad}");
+        assert_open_refused(&dir, &["MANIFEST", &label], &label);
+        std::fs::write(manifest_path(&dir), &pristine).expect("restore MANIFEST");
+    }
+    Create::open(&dir, single_shard()).expect("the restored manifest opens");
+    let _ = std::fs::remove_dir_all(&dir);
 }
