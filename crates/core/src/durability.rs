@@ -23,11 +23,12 @@
 //! segment whose copies of a document's id disagree, is reported as
 //! [`StorageError::Corrupt`] naming the file.
 //!
-//! A seal ([`write_tail`], from the shard's columns) and a compaction
-//! ([`compact_shard`], from the encoded inputs) each write their segment
-//! in one pass through one `SegmentWriter`, so neither holds a copy of
-//! the documents; recovery checks each file against its manifest entry
-//! before decoding it ([`load_segment`]).
+//! A seal ([`write_tail`], from the shard's columns and its index's
+//! tail) and a compaction ([`compact_shard`], from the encoded inputs)
+//! each write their segment in one pass through one `SegmentWriter`, so
+//! neither holds a copy of the documents; recovery checks each file
+//! against its manifest entry before decoding it ([`load_segment`]) and
+//! adopts it as one frozen in-RAM segment.
 //!
 //! Ingest serializes each member once and splices the texts into the
 //! WAL record and the payload; WAL replay splices the record's member
@@ -41,7 +42,7 @@ use crate::system::ShardSnapshot;
 use create_docstore::json::{object_members, Member, Value};
 use create_index::codec::{self, MergeError};
 use create_index::facets::FacetIndex;
-use create_index::Index;
+use create_index::{Index, Segment};
 use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
 use create_storage::segment::{Region, SegmentReader, SegmentWriter};
@@ -267,38 +268,40 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
     members.into_iter().rfind(|member| member.key == key)?.value
 }
 
-/// Writes index docs `[base..num_docs)` of `shard` as the segment file
-/// at `path`, each region streamed from the shard's own columns (indexed
-/// by doc id, like the index): the directory from the index's ids and
-/// the ordinals, each payload as the shard holds it, the codec-encoded
-/// postings tail and the facet-bitmap tail. Holds a block of the region
-/// being written, one field's sorted tail terms, one term's postings and
-/// the facet tail — never a copy of the documents.
+/// Writes index docs `[base..num_docs)` of `shard` — its index's tail —
+/// as the segment file at `path`, each region streamed from the shard's
+/// own columns (indexed by doc id, like the index): the directory from
+/// the tail's ids and the ordinals, each payload as the shard holds it,
+/// the codec-encoded tail and the facet-bitmap tail. Holds a block of
+/// the region being written, one field's sorted tail terms, one term's
+/// postings and the facet tail — never a copy of the documents.
 pub(crate) fn write_tail(
     path: &Path,
     shard: &ShardSnapshot,
     base: usize,
 ) -> Result<SegmentFileInfo, StorageError> {
     let num = shard.index.num_docs();
+    let tail = shard.index.tail();
     debug_assert!(
         shard.facets.num_docs() as usize == num
             && shard.docs.len() == num
             && shard.ordinals.len() == num,
         "every column must cover every indexed doc at seal time"
     );
+    assert_eq!(tail.num_docs(), num - base, "the tail is the unsealed docs");
     SegmentWriter::write_file(path, |out| {
         out.next_region()?;
         out.doc_count((num - base) as u64)?;
         for doc in base..num {
-            let id = shard.index.external_id(doc as u32).expect("below num_docs");
+            let id = tail.external_id((doc - base) as u32).expect("in the tail");
             out.entry(shard.ordinals[doc], id.as_bytes())?;
         }
         out.next_region()?;
-        for payload in &shard.docs[base..] {
-            out.payload(payload.as_bytes())?;
+        for doc in base..num {
+            out.payload(shard.docs[doc].as_bytes())?;
         }
         out.next_region()?;
-        codec::encode_index_tail(&shard.index, base, out)?;
+        codec::encode_index_tail(&shard.index, out)?;
         out.next_region()?;
         out.write_all(&shard.facets.encode_tail(base as u32))
     })
@@ -316,7 +319,8 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
 /// Reads one sealed segment file back into what it was sealed from:
 /// postings and facet bitmaps over segment-local doc ids (`template`
 /// gives the field configuration) and the stored documents, each
-/// covering the same documents. Recovery's reader of segment files;
+/// covering the same documents. Recovery's reader of segment files,
+/// which adopts the postings as one frozen segment of the shard's index;
 /// compaction streams them instead ([`compact_shard`]).
 ///
 /// The file must be the one the manifest entry `meta` describes: its
@@ -328,7 +332,7 @@ pub(crate) fn load_segment(
     path: &Path,
     meta: &SegmentMeta,
     template: &Index,
-) -> Result<(Index, FacetIndex, Vec<StoredDoc>), StorageError> {
+) -> Result<(Segment, FacetIndex, Vec<StoredDoc>), StorageError> {
     let segment = SegmentReader::open(path)?;
     check_meta(path, "bytes", meta.bytes, segment.bytes())?;
     check_meta(path, "crc", meta.crc.into(), segment.crc().into())?;

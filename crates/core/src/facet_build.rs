@@ -3,8 +3,8 @@
 //!
 //! [`index_doc`] is the one place that names the indexed fields and
 //! derives facet values. A document submitted alone or in a batch and a
-//! document replayed from the WAL all pass through it, into a segment
-//! (an [`Index`] of its own) and its [`FacetIndex`] twin that the
+//! document replayed from the WAL all pass through it, into a
+//! [`Segment`] and its [`FacetIndex`] twin that the
 //! shard's writer then merges; a sealed segment carries both already
 //! encoded, and recovery and compaction decode them without coming here.
 //! The cohort planner's bitmap pushdown has to agree bit-for-bit with
@@ -30,13 +30,13 @@ use crate::durability::ReportFields;
 use crate::pipeline::ExtractedAnnotations;
 use create_index::facets::{FacetField, FacetIndex};
 use create_index::index::IndexError;
-use create_index::Index;
+use create_index::Segment;
 use create_ontology::EntityType;
 
 /// Adds one document to a segment under construction and to the
 /// segment's facet twin, under the same segment-local doc id.
 pub(crate) fn index_doc(
-    segment: &mut Index,
+    segment: &mut Segment,
     facets: &mut FacetIndex,
     fields: &ReportFields<'_>,
     annotations: &ExtractedAnnotations,

@@ -12,9 +12,11 @@ impl Create {
     /// Persists every shard: fsyncs the WALs, seals each shard's
     /// unsealed tail (postings, facets, stored documents) into an immutable
     /// on-disk segment registered by an atomic manifest swap (after
-    /// which the WALs reset — recovery cost returns to zero), and
-    /// compacts shards that accumulated enough segments. No-op for
-    /// in-memory instances.
+    /// which the WALs reset — recovery cost returns to zero, and the
+    /// index's tail is frozen in RAM), and compacts shards that
+    /// accumulated enough segments. An in-memory instance has nothing to
+    /// persist and only freezes its tails, so the writes after it copy
+    /// what they add, not what came before.
     pub fn flush(&self) -> Result<(), IngestError> {
         let compacted = {
             let mut writers = self.lock_writers();
@@ -22,6 +24,9 @@ impl Create {
                 writer.wal_sync()?;
             }
             let Some(root) = self.storage.as_ref() else {
+                for writer in &mut writers.shards {
+                    writer.freeze();
+                }
                 return Ok(());
             };
             let mut manifest = root.lock_manifest();
@@ -31,11 +36,13 @@ impl Create {
             compacted
         };
         if compacted {
-            // The first write after each publish copies the tables it
-            // touches (ROADMAP item 2) on whichever worker took it, and
-            // glibc keeps what those copies free in that thread's arena.
-            // A compaction is where trimming pays for its walk (DESIGN.md,
-            // *Memory after a compaction*); the locks are released by now.
+            // Writes free what they allocated in passing — extraction,
+            // each batch's own segment, the copies a publish leaves behind
+            // — in the arena of whichever worker ran them, and glibc keeps
+            // it there. A compaction is where trimming pays for its walk
+            // (DESIGN.md, *Memory after a compaction*, measured again once
+            // a write stopped copying the index); the locks are released
+            // by now.
             create_util::release_free_heap();
         }
         Ok(())
@@ -45,7 +52,8 @@ impl Create {
 /// Seals every shard's unsealed tail into a new segment, then — if one
 /// was written, or `store_anyway` (a fresh data directory at open) —
 /// registers them all in one manifest swap and only after it lands
-/// resets each WAL, advances `sealed_docs` and sweeps orphans. A crash
+/// resets each WAL, advances `sealed_docs`, sweeps orphans and freezes
+/// the index's tail (a failed swap leaves the tail to the next seal). A crash
 /// before the swap replays the tails from the old WALs; a crash after it
 /// skips the (now sealed) records by ordinal. Sealing nothing writes
 /// nothing.
@@ -71,6 +79,7 @@ pub(crate) fn seal_tails(
         storage.wal.reset().map_err(IngestError::Storage)?;
         storage.sealed_docs = num_docs;
         sweep_orphans(&storage.dir, entry);
+        writer.freeze();
     }
     Ok(())
 }

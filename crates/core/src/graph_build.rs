@@ -23,18 +23,14 @@ pub fn find_report(graph: &PropertyGraph, report_id: &str) -> Option<NodeId> {
     let value = Value::String(report_id.to_string());
     graph
         .nodes_with_prop("Report", "reportId", &value)
-        .last()
-        .copied()
+        .next_back()
 }
 
 /// The node of a concept, from the `(Concept, cui)` property index —
 /// the spelling [`GraphBuilder`] writes.
 pub fn find_concept(graph: &PropertyGraph, cui: ConceptId) -> Option<NodeId> {
     let value = Value::String(cui.to_string());
-    graph
-        .nodes_with_prop("Concept", "cui", &value)
-        .last()
-        .copied()
+    graph.nodes_with_prop("Concept", "cui", &value).next_back()
 }
 
 /// Maintains the concept-node registry while reports are ingested.
@@ -199,15 +195,15 @@ mod tests {
     #[test]
     fn builds_expected_node_kinds() {
         let (graph, ..) = sample();
-        assert_eq!(graph.nodes_with_label("Report").len(), 1);
-        assert!(!graph.nodes_with_label("Concept").is_empty());
-        assert!(!graph.nodes_with_label("Event").is_empty());
+        assert_eq!(graph.nodes_with_label("Report").count(), 1);
+        assert!(graph.nodes_with_label("Concept").next().is_some());
+        assert!(graph.nodes_with_label("Event").next().is_some());
     }
 
     #[test]
     fn mentions_edges_are_deduplicated() {
         let (graph, _, report) = sample();
-        let report_node = graph.nodes_with_label("Report")[0];
+        let report_node = graph.nodes_with_label("Report").next().unwrap();
         let mentions: Vec<_> = graph
             .outgoing(report_node)
             .into_iter()
@@ -242,7 +238,7 @@ mod tests {
     #[test]
     fn events_carry_steps() {
         let (graph, ..) = sample();
-        for &id in graph.nodes_with_label("Event") {
+        for id in graph.nodes_with_label("Event") {
             let node = graph.node(id).unwrap();
             assert!(node.props.contains_key("step"));
             assert!(node.props.contains_key("cui"));
@@ -275,9 +271,9 @@ mod tests {
         }
         // Concept nodes are deduplicated: fewer than one per mention.
         assert_eq!(
-            graph.nodes_with_label("Concept").len(),
+            graph.nodes_with_label("Concept").count(),
             builder.concept_count()
         );
-        assert_eq!(graph.nodes_with_label("Report").len(), 10);
+        assert_eq!(graph.nodes_with_label("Report").count(), 10);
     }
 }

@@ -10,7 +10,7 @@ use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
 use create_docstore::{json::obj, Value};
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
-use create_index::{facets::FacetIndex, index::IndexError, Index};
+use create_index::{facets::FacetIndex, index::IndexError, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, StageLog};
 use create_ontology::Ontology;
@@ -182,7 +182,10 @@ fn route_batch(writers: &Writers, ids: &[&str]) -> Result<Vec<usize>, IngestErro
 
 /// A worker range's prepared documents, with the segment and facet twin
 /// it built for each shard it reached.
-type Prepared = (Vec<(usize, PreparedDoc)>, Vec<Option<(Index, FacetIndex)>>);
+type Prepared = (
+    Vec<(usize, PreparedDoc)>,
+    Vec<Option<(Segment, FacetIndex)>>,
+);
 
 /// Phase 1: extraction and per-(worker, shard) segment builds across the
 /// worker ranges, no shared mutable state. A worker builds each
@@ -199,7 +202,7 @@ fn prepare_batch(
 ) -> Vec<(Result<Prepared, IngestError>, StageLog)> {
     ThreadPool::global().parallel_map(ranges, |_, range| {
         create_obs::buffered_stages(|| {
-            let mut segments: Vec<Option<(Index, FacetIndex)>> =
+            let mut segments: Vec<Option<(Segment, FacetIndex)>> =
                 (0..shards).map(|_| None).collect();
             let mut prepared = Vec::with_capacity(range.len());
             let mut index_elapsed = std::time::Duration::ZERO;
@@ -229,7 +232,7 @@ fn prepare_batch(
 #[derive(Default)]
 struct ShardWork {
     docs: Vec<(usize, PreparedDoc)>,
-    segments: Vec<(Index, FacetIndex)>,
+    segments: Vec<(Segment, FacetIndex)>,
 }
 
 /// Regroups the prepared work by owning shard. Worker ranges are

@@ -53,6 +53,6 @@ pub use plan::{
     TemporalConstraint, TemporalOp,
 };
 pub use search::{MergePolicy, SearchAnswer, SearchHit, SearchSource};
-pub use stats::{FacetStats, MemoryStats, StorageStats, SystemStats};
+pub use stats::{FacetStats, MemoryStats, ShardSegments, StorageStats, SystemStats};
 pub use system::{Create, CreateConfig, Snapshot};
 pub use writer::GraphWriteGuard;

@@ -29,7 +29,8 @@ impl Create {
     ///    and last ordinal — the last is where WAL replay starts): every
     ///    stored payload goes through `Writer::apply` — refilling the
     ///    shard's stored payloads and the graph — and the postings and
-    ///    facet bitmaps go through `Writer::merge` as decoded.
+    ///    facet bitmaps go through `Writer::merge` as decoded, each file
+    ///    frozen as one in-RAM segment, not merged into one index.
     /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
     ///    through the same two functions, its postings and facets built
     ///    by the `index_doc` live ingestion uses; then seal every tail
@@ -152,7 +153,9 @@ impl Writer {
     /// Recovers one sealed segment, which must be the file its manifest
     /// entry `meta` describes ([`durability::load_segment`]): every
     /// stored payload is applied as the file holds it, and the postings
-    /// and facet bitmaps merge as decoded — no re-tokenization. A
+    /// and facet bitmaps merge as decoded — no re-tokenization — and are
+    /// frozen: the file becomes one frozen segment of the shard's index
+    /// (the tier rule may merge it with the newest one before it). A
     /// document whose three ids disagree ([`durability::check_ids`])
     /// fails the segment.
     fn recover_segment(
@@ -172,7 +175,9 @@ impl Writer {
             durability::check_ids(path, doc, &stored.id, indexed, fields.id)?;
             self.apply(ontology, stored.ordinal, &fields, &annotations, text);
         }
-        self.merge(segment, facets).map_err(corrupt_at(path))
+        self.merge(segment, facets).map_err(corrupt_at(path))?;
+        self.freeze();
+        Ok(())
     }
 
     /// Replays the records of the WAL at `path` whose ordinal is past

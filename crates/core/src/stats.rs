@@ -41,7 +41,7 @@ pub struct MemoryStats {
     /// The property graphs.
     pub graph_bytes: usize,
     /// The stored payloads, exactly: each text with its `Arc` header,
-    /// and the slot array that indexes them by doc id.
+    /// and the chunked slot array that indexes them by doc id.
     pub docstore_bytes: usize,
     /// The facet bitmaps' values and runs.
     pub facet_bytes: usize,
@@ -58,6 +58,17 @@ impl MemoryStats {
             ("facet", self.facet_bytes),
         ]
     }
+}
+
+/// One shard's segments in RAM and on disk (see
+/// [`Create::shard_segments`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardSegments {
+    /// Segments of the shard's index holding documents, as published:
+    /// the frozen ones, and the tail unless it is empty.
+    pub ram: usize,
+    /// Live segment files (0 for an in-memory instance).
+    pub disk: usize,
 }
 
 /// Sealed on-disk segment totals (see [`Create::storage_stats`]).
@@ -111,7 +122,7 @@ impl Create {
         for shard in &snapshot.shards {
             stats.postings_bytes += shard.index.postings_bytes();
             stats.graph_bytes += shard.graph.heap_bytes();
-            stats.docstore_bytes += shard.docs.capacity() * std::mem::size_of::<Arc<str>>()
+            stats.docstore_bytes += shard.docs.heap_bytes()
                 + shard
                     .docs
                     .iter()
@@ -129,6 +140,28 @@ impl Create {
             }
         }
         stats
+    }
+
+    /// Per shard, its index's segments in RAM (from the published
+    /// snapshot) beside its segment files (from the live manifest).
+    /// A flush freezes a writer's tail without publishing — the
+    /// documents are the same — so a flush's freeze and tier merge show
+    /// here from the next write on.
+    pub fn shard_segments(&self) -> Vec<ShardSegments> {
+        let snapshot = self.snapshot();
+        let disk: Vec<usize> = self.storage.as_ref().map_or_else(Vec::new, |root| {
+            let manifest = root.lock_manifest();
+            manifest.shards.iter().map(|s| s.segments.len()).collect()
+        });
+        snapshot
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| ShardSegments {
+                ram: shard.index.segment_count(),
+                disk: disk.get(i).copied().unwrap_or(0),
+            })
+            .collect()
     }
 
     /// Sealed-segment totals from the live manifest (`None` for

@@ -12,11 +12,13 @@
 //! composite [`Snapshot`] — one `Arc` per shard — published through a
 //! single [`ArcCell`]. A shard's writer holds the very `ShardSnapshot` it
 //! publishes, its tables behind `Arc`s: a publish bumps reference counts,
-//! and the first write after it copies the tables it touches
-//! (`Arc::make_mut`). Reads can never observe a torn mix of shard
-//! generations. Scatter-gather search (see [`crate::search`]) merges
-//! per-shard top-k lists under globally merged corpus statistics, so
-//! rankings are bit-identical for any shard count.
+//! and the first write after it copies what it touches
+//! (`Arc::make_mut`) — the index's mutable tail, never its frozen
+//! segments, and the last chunks of the graph and the columns. Reads can
+//! never observe a torn mix of shard generations. Scatter-gather search
+//! (see [`crate::search`]) merges per-shard top-k lists under globally
+//! merged corpus statistics, so rankings are bit-identical for any shard
+//! count.
 //!
 //! The write lock and the publish are [`crate::writer`], the write route
 //! [`crate::ingest`], open [`crate::recovery`], flush [`crate::flush`]
@@ -39,7 +41,7 @@ use create_index::{facets::FacetIndex, Index};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, QueryCapture, Span};
 use create_ontology::Ontology;
-use create_util::{ArcCell, ThreadPool};
+use create_util::{ArcCell, Chunked, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
 use std::sync::{Arc, Mutex};
 
@@ -114,15 +116,16 @@ pub(crate) struct ShardSnapshot {
     /// Shard-local internal doc id → the report's stored payload, the
     /// exact text its segment stores (see [`crate::durability`]): the
     /// report, its BRAT export and its extraction. Read by id through the
-    /// index's id map.
-    pub(crate) docs: Arc<Vec<Arc<str>>>,
+    /// index's id map. Chunked, so an append after a publish copies the
+    /// last chunk, not the column.
+    pub(crate) docs: Arc<Chunked<Arc<str>>>,
     pub(crate) graph: Arc<PropertyGraph>,
     pub(crate) index: Arc<Index>,
     pub(crate) tagger: Option<Arc<CrfTagger>>,
     /// Shard-local internal doc id → global ingest ordinal. The scatter
     /// merge tie-breaks equal scores on this, which reproduces the
     /// single-shard internal-id tie-break exactly (see [`crate::search`]).
-    pub(crate) ordinals: Arc<Vec<u64>>,
+    pub(crate) ordinals: Arc<Chunked<u64>>,
     /// Ingest-time facet bitmaps over the shard's doc ids (the cohort
     /// planner's filter-pushdown and facet-count substrate).
     pub(crate) facets: Arc<FacetIndex>,
@@ -178,6 +181,39 @@ impl Snapshot {
     /// The shard that owns an external report id.
     fn owner(&self, id: &str) -> &ShardSnapshot {
         &self.shards[shard_index(id, self.shards.len())]
+    }
+
+    /// One member of a report's stored payload, parsed, from its owning
+    /// shard: the index maps the id to the doc id that indexes the
+    /// payload column.
+    fn stored_member(&self, id: &str, key: &str) -> Option<Value> {
+        let shard = self.owner(id);
+        let doc = shard.index.internal_id(id)?;
+        durability::payload_member(shard.docs.get(doc as usize)?, key)
+    }
+
+    /// The stored report document, as of this snapshot.
+    pub fn report(&self, id: &str) -> Option<Value> {
+        self.stored_member(id, "report")
+    }
+
+    /// Cohort retrieval against this snapshot (see [`Create::cohort`]).
+    pub fn cohort(&self, criteria: &CohortCriteria) -> CohortResult {
+        self.cohort_with_mode(criteria, PlanMode::Optimized)
+    }
+
+    /// [`Snapshot::cohort`] with an explicit execution mode (see
+    /// [`Create::cohort_with_mode`]).
+    pub fn cohort_with_mode(&self, criteria: &CohortCriteria, mode: PlanMode) -> CohortResult {
+        let _span = create_obs::child_span(obs_names::SPAN_COHORT);
+        let plan = {
+            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_PLAN);
+            match mode {
+                PlanMode::Optimized => plan::lower_cohort(criteria).optimize(),
+                PlanMode::Naive => plan::lower_cohort(criteria),
+            }
+        };
+        plan::execute(&self.shards, &plan, mode)
     }
 }
 
@@ -347,7 +383,7 @@ impl Create {
             }
             None => {
                 create_obs::add_span_counter("cache_miss", 1);
-                let answer = Arc::new(self.execute_search(&snapshot, query, k, policy));
+                let answer = Arc::new(self.search_against(&snapshot, query, k, policy));
                 if let Ok(mut cache) = self.cache.lock() {
                     cache.insert(query, k, policy, generation, Arc::clone(&answer));
                 }
@@ -361,11 +397,12 @@ impl Create {
         answer
     }
 
-    /// The uncached execution path behind [`Create::search_answer`]: the
-    /// query is parsed, lowered into its typed plan, and the plan run by
-    /// the one executor over every shard of the given snapshot (see
-    /// [`crate::plan`]).
-    fn execute_search(
+    /// The uncached execution path behind [`Create::search_answer`],
+    /// against an explicit snapshot — the one loaded there, or one a
+    /// caller pinned: the query is parsed, lowered into its typed plan,
+    /// and the plan run by the one executor over every shard of the
+    /// snapshot (see [`crate::plan`]).
+    pub fn search_against(
         &self,
         snapshot: &Snapshot,
         query: &str,
@@ -415,16 +452,7 @@ impl Create {
     /// [`PlanMode::Naive`] ranks exhaustively and post-filters — the
     /// reference order the plan-equivalence tests compare against.
     pub fn cohort_with_mode(&self, criteria: &CohortCriteria, mode: PlanMode) -> CohortResult {
-        let _span = create_obs::child_span(obs_names::SPAN_COHORT);
-        let snapshot = self.current.load();
-        let plan = {
-            let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_PLAN);
-            match mode {
-                PlanMode::Optimized => plan::lower_cohort(criteria).optimize(),
-                PlanMode::Naive => plan::lower_cohort(criteria),
-            }
-        };
-        plan::execute(&snapshot.shards, &plan, mode)
+        self.current.load().cohort_with_mode(criteria, mode)
     }
 
     /// Parses a criteria JSON document against this instance's ontology
@@ -434,24 +462,14 @@ impl Create {
         Ok(self.cohort(&criteria))
     }
 
-    /// One member of a report's stored payload, parsed, from its owning
-    /// shard: the index maps the id to the doc id that indexes the
-    /// payload column.
-    fn stored_member(&self, id: &str, key: &str) -> Option<Value> {
-        let snapshot = self.current.load();
-        let shard = snapshot.owner(id);
-        let doc = shard.index.internal_id(id)?;
-        durability::payload_member(shard.docs.get(doc as usize)?, key)
-    }
-
     /// Fetches a stored report document from its owning shard.
     pub fn report(&self, id: &str) -> Option<Value> {
-        self.stored_member(id, "report")
+        self.current.load().report(id)
     }
 
     /// Fetches a report's BRAT annotation export from its owning shard.
     pub fn annotations(&self, id: &str) -> Option<BratDocument> {
-        let doc = self.stored_member(id, "ann")?;
+        let doc = self.current.load().stored_member(id, "ann")?;
         BratDocument::parse(doc.get("ann")?.as_str()?).ok()
     }
 

@@ -9,7 +9,7 @@ use crate::graph_build::{GraphBuilder, ReportMeta};
 use crate::system::{Create, ShardSnapshot, Snapshot};
 use crate::{ingest::IngestError, pipeline::ExtractedAnnotations};
 use create_graphdb::PropertyGraph;
-use create_index::{facets::FacetIndex, index::IndexError, Index};
+use create_index::{facets::FacetIndex, index::IndexError, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, Span};
 use create_ontology::Ontology;
@@ -135,7 +135,8 @@ pub(crate) struct Writers {
 pub(crate) struct Writer {
     /// The shard's state. After a publish its tables are shared with the
     /// published snapshot, and every write reaches them through
-    /// `Arc::make_mut`, so the first write copies what it touches and
+    /// `Arc::make_mut`, so the first write copies what it touches — the
+    /// index's tail, the graph's and the columns' last chunks — and
     /// readers never see a change.
     pub(crate) shard: ShardSnapshot,
     graph_builder: GraphBuilder,
@@ -207,8 +208,9 @@ impl Writer {
     /// current doc count, which keeps bitmap ids aligned with index ids.
     /// Postings and facets enter a writer in no other form: workers
     /// built the pair, WAL replay built it, or a segment file decoded to
-    /// it.
-    pub(crate) fn merge(&mut self, segment: Index, facets: FacetIndex) -> Result<(), IndexError> {
+    /// it. The postings go to the index's tail, so a merge after a
+    /// publish copies the tail's tables, not the shard's.
+    pub(crate) fn merge(&mut self, segment: Segment, facets: FacetIndex) -> Result<(), IndexError> {
         let _span = Span::enter(
             obs_names::PIPELINE_STAGE_SECONDS,
             obs_names::STAGE_INDEX_WRITE,
@@ -217,6 +219,14 @@ impl Writer {
         Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
         Arc::make_mut(&mut self.shard.facets).merge(facets, base);
         Ok(())
+    }
+
+    /// Freezes the index's tail ([`Index::freeze`]): what a seal wrote,
+    /// a segment file recovery adopted, or — in memory — everything since
+    /// the last `flush()`. Copies no postings; nothing to publish, since
+    /// a reader sees the same documents either way.
+    pub(crate) fn freeze(&mut self) {
+        Arc::make_mut(&mut self.shard.index).freeze();
     }
 
     /// Fsyncs the shard's WAL — the durability point of the write path,

@@ -153,21 +153,14 @@ fn seed_candidates(
     stats: &mut ExecStats,
 ) -> Vec<NodeId> {
     // Best index: (label, prop) pair; then label; then full scan.
-    let all: Vec<NodeId>;
-    let candidates: &[NodeId] = if let Some(label) = pattern.labels.first() {
-        if let Some((k, v)) = pattern.props.first() {
-            graph.nodes_with_prop(label, k, v)
-        } else {
-            graph.nodes_with_label(label)
-        }
-    } else {
-        all = graph.nodes().map(|n| n.id).collect();
-        &all
+    let candidates: Vec<NodeId> = match (pattern.labels.first(), pattern.props.first()) {
+        (Some(label), Some((k, v))) => graph.nodes_with_prop(label, k, v).collect(),
+        (Some(label), None) => graph.nodes_with_label(label).collect(),
+        (None, _) => graph.nodes().map(|n| n.id).collect(),
     };
     stats.nodes_visited += candidates.len() as u64;
     candidates
-        .iter()
-        .copied()
+        .into_iter()
         .filter(|&id| node_matches(graph, id, pattern))
         .collect()
 }

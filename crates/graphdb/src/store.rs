@@ -15,8 +15,8 @@
 //! neighbourhood costs no allocation of its own.
 
 use create_docstore::Value;
-use create_util::arc_slice_bytes;
 use create_util::fxhash::{FxHashMap, FxHashSet};
+use create_util::{arc_slice_bytes, Chunked};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -102,100 +102,38 @@ pub struct Edge {
 /// End of an adjacency chain.
 const NO_EDGE: u64 = u64::MAX;
 
-/// Elements per chunk of a [`Chunked`] vector.
-const CHUNK: usize = 1024;
-
-/// A vector in fixed-size chunks behind `Arc`. A clone copies the chunk
-/// table, one pointer per [`CHUNK`] elements; a write after a clone
-/// copies the one chunk it lands in. Elements must therefore be cheap
-/// to clone — plain data and reference counts.
-#[derive(Debug, Clone)]
-struct Chunked<T> {
-    chunks: Vec<Arc<Vec<T>>>,
-}
-
-impl<T> Default for Chunked<T> {
-    fn default() -> Self {
-        Chunked { chunks: Vec::new() }
-    }
-}
-
-impl<T: Clone> Chunked<T> {
-    fn len(&self) -> usize {
-        match self.chunks.last() {
-            Some(last) => (self.chunks.len() - 1) * CHUNK + last.len(),
-            None => 0,
-        }
-    }
-
-    fn get(&self, i: usize) -> Option<&T> {
-        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
-    }
-
-    /// Mutable access to chunk `c`, copied first when a clone shares it.
-    /// Every chunk is allocated at full capacity, copies included, so
-    /// what the vector holds follows from its chunk count.
-    fn chunk_mut(&mut self, c: usize) -> &mut Vec<T> {
-        let chunk = &mut self.chunks[c];
-        if Arc::get_mut(chunk).is_none() {
-            let mut copy = Vec::with_capacity(CHUNK);
-            copy.extend_from_slice(chunk);
-            *chunk = Arc::new(copy);
-        }
-        Arc::get_mut(chunk).expect("unshared above")
-    }
-
-    fn get_mut(&mut self, i: usize) -> &mut T {
-        &mut self.chunk_mut(i / CHUNK)[i % CHUNK]
-    }
-
-    fn push(&mut self, value: T) {
-        if self.chunks.last().is_none_or(|last| last.len() == CHUNK) {
-            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
-        }
-        self.chunk_mut(self.chunks.len() - 1).push(value);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.chunks.capacity() * std::mem::size_of::<Arc<Vec<T>>>()
-            + self.chunks.len() * (ARC_VEC_BYTES + CHUNK * std::mem::size_of::<T>())
-    }
-}
-
-/// An `Arc<Vec<_>>` allocation without the vector's buffer: two counters
-/// and the vector's three words.
-const ARC_VEC_BYTES: usize = 5 * std::mem::size_of::<usize>();
-
-/// An index's posting lists: key → node ids in creation order.
-type NodeIndex = FxHashMap<Arc<str>, Arc<Vec<NodeId>>>;
+/// An index's posting lists: key → node ids in creation order. A clone
+/// of the index bumps a reference count per list; an append after it
+/// copies the list's chunk table and last chunk (see [`Chunked`]), not
+/// the list.
+type NodeIndex = FxHashMap<Arc<str>, Arc<Chunked<NodeId>>>;
 
 fn index_push(index: &mut NodeIndex, key: &str, id: NodeId) {
     match index.get_mut(key) {
         Some(ids) => Arc::make_mut(ids).push(id),
         None => {
-            index.insert(Arc::from(key), Arc::new(vec![id]));
+            index.insert(Arc::from(key), Arc::new(Chunked::from_iter([id])));
         }
     }
 }
 
-fn index_get<'a>(index: &'a NodeIndex, key: &str) -> &'a [NodeId] {
-    index.get(key).map_or(&[], |ids| ids.as_slice())
+fn index_get<'a>(index: &'a NodeIndex, key: &str) -> impl DoubleEndedIterator<Item = NodeId> + 'a {
+    index
+        .get(key)
+        .into_iter()
+        .flat_map(|ids| ids.iter().copied())
 }
+
+/// An `Arc<Chunked<_>>` allocation: two counters and the chunk table's
+/// three words.
+const ARC_CHUNKED_BYTES: usize = 5 * std::mem::size_of::<usize>();
 
 fn index_heap_bytes(index: &NodeIndex) -> usize {
     // One control byte per bucket beside the entry itself.
-    let table = index.capacity() * (std::mem::size_of::<(Arc<str>, Arc<Vec<NodeId>>)>() + 1);
+    let table = index.capacity() * (std::mem::size_of::<(Arc<str>, Arc<Chunked<NodeId>>)>() + 1);
     let entries: usize = index
         .iter()
-        .map(|(key, ids)| {
-            arc_slice_bytes(key.len())
-                + ARC_VEC_BYTES
-                + ids.capacity() * std::mem::size_of::<NodeId>()
-        })
+        .map(|(key, ids)| arc_slice_bytes(key.len()) + ARC_CHUNKED_BYTES + ids.heap_bytes())
         .sum();
     table + entries
 }
@@ -220,12 +158,12 @@ fn value_heap_bytes(value: &Value) -> usize {
 /// The in-memory property graph.
 ///
 /// `Clone` is structural sharing: a snapshot copies chunk tables, the
-/// symbol tables and the two indexes' key → pointer tables, never a
+/// symbol tables and the two indexes' key → chunk-table tables, never a
 /// property value, and none of it allocates per node or per edge. Nodes
 /// and edges are append-only (the Cypher executor only ever `CREATE`s);
 /// a write after a snapshot copies the last chunk of each vector, the
-/// chunks holding the touched nodes' adjacency heads, and — through
-/// [`Arc::make_mut`] — the index vectors it appends to.
+/// chunks holding the touched nodes' adjacency heads, and the last chunk
+/// of each index id list it appends to.
 #[derive(Debug, Default, Clone)]
 pub struct PropertyGraph {
     nodes: Chunked<Node>,
@@ -382,13 +320,18 @@ impl PropertyGraph {
     }
 
     /// Nodes carrying a label, in creation order.
-    pub fn nodes_with_label(&self, label: &str) -> &[NodeId] {
+    pub fn nodes_with_label(&self, label: &str) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         index_get(&self.label_index, label)
     }
 
     /// Index lookup: nodes with `label` whose property `key` equals
     /// `value`, in creation order.
-    pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> &[NodeId] {
+    pub fn nodes_with_prop(
+        &self,
+        label: &str,
+        key: &str,
+        value: &Value,
+    ) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         let mut prop_key = String::new();
         flatten_prop_key(&mut prop_key, label, key, value);
         index_get(&self.prop_index, &prop_key)
@@ -445,6 +388,7 @@ impl PropertyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use create_util::chunked::CHUNK;
 
     fn v(s: &str) -> Value {
         Value::String(s.to_string())
@@ -487,17 +431,20 @@ mod tests {
     #[test]
     fn label_index() {
         let (g, ..) = tiny();
-        assert_eq!(g.nodes_with_label("Concept").len(), 2);
-        assert_eq!(g.nodes_with_label("Report").len(), 1);
-        assert!(g.nodes_with_label("Missing").is_empty());
+        assert_eq!(g.nodes_with_label("Concept").count(), 2);
+        assert_eq!(g.nodes_with_label("Report").count(), 1);
+        assert_eq!(g.nodes_with_label("Missing").next(), None);
     }
 
     #[test]
     fn prop_index() {
         let (g, fever, ..) = tiny();
-        let hits = g.nodes_with_prop("Concept", "label", &v("fever"));
+        let hits: Vec<NodeId> = g.nodes_with_prop("Concept", "label", &v("fever")).collect();
         assert_eq!(hits, vec![fever]);
-        assert!(g.nodes_with_prop("Concept", "label", &v("nope")).is_empty());
+        assert_eq!(
+            g.nodes_with_prop("Concept", "label", &v("nope")).next(),
+            None
+        );
     }
 
     #[test]
@@ -544,8 +491,8 @@ mod tests {
         assert_eq!(props.get("cui"), Some(&v("C2")));
         assert!(props.contains_key("label") && !props.contains_key("labe"));
         // The index holds the value that won and not the ones it replaced.
-        assert_eq!(g.nodes_with_prop("Event", "cui", &v("C2")), [n]);
-        assert!(g.nodes_with_prop("Event", "cui", &v("C1")).is_empty());
+        assert!(g.nodes_with_prop("Event", "cui", &v("C2")).eq([n]));
+        assert_eq!(g.nodes_with_prop("Event", "cui", &v("C1")).next(), None);
     }
 
     #[test]
@@ -563,6 +510,22 @@ mod tests {
         let again = g.edge(again).unwrap();
         assert!(Arc::ptr_eq(&first.rel_type, &again.rel_type));
         assert!(first.props.0.is_none());
+    }
+
+    #[test]
+    fn an_index_append_after_a_snapshot_leaves_the_snapshot_as_it_was() {
+        let mut g = PropertyGraph::new();
+        let first = g.create_node(["Event"], vec![("cui", v("C1"))]);
+        let snapshot = g.clone();
+        let second = g.create_node(["Event"], vec![("cui", v("C1"))]);
+        assert!(g.nodes_with_label("Event").eq([first, second]));
+        assert!(g
+            .nodes_with_prop("Event", "cui", &v("C1"))
+            .eq([first, second]));
+        assert!(snapshot.nodes_with_label("Event").eq([first]));
+        assert!(snapshot
+            .nodes_with_prop("Event", "cui", &v("C1"))
+            .eq([first]));
     }
 
     #[test]
@@ -584,7 +547,7 @@ mod tests {
         }
         let incoming: Vec<NodeId> = g.incoming(hub).iter().map(|e| e.source).collect();
         assert_eq!(incoming, sources);
-        assert_eq!(g.nodes_with_label("Report"), sources);
+        assert!(g.nodes_with_label("Report").eq(sources.iter().copied()));
         assert_eq!(g.nodes().count(), sources.len() + 1);
         assert!(g.edges().map(|e| e.id.0).eq(0..sources.len() as u64));
         assert!(g.outgoing(hub).is_empty() && g.outgoing(NodeId(u64::MAX)).is_empty());

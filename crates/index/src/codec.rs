@@ -1,10 +1,9 @@
 //! On-disk postings codec: serializes an index *tail* for segment files.
 //!
-//! A flush seals the documents ingested since the previous seal. Because
-//! doc ids are dense and append-only, those documents occupy the suffix
-//! `[base..num_docs)` of every posting list, so the codec can encode the
-//! sealed slice straight from the live index — no re-tokenization — by
-//! taking each term's postings past `partition_point(doc < base)`.
+//! A flush seals the documents ingested since the previous seal, which
+//! are exactly the index's mutable tail segment (see [`crate::segment`]):
+//! the codec encodes the tail straight from the live index — no
+//! re-tokenization — and the flush then freezes it.
 //!
 //! Layout (all integers LEB128 varints unless noted):
 //!
@@ -39,11 +38,11 @@
 //! given. Without positions a posting is two varints, mostly a byte
 //! each, which the segment's block compression then shrinks further.
 //!
-//! Doc ids are stored *segment-local* (`doc - base`), so decoding yields
-//! a segment [`Index`] that [`Index::merge_segment`] remaps exactly as a
-//! live parallel-ingest segment — recovery reproduces the never-crashed
-//! index bit-for-bit. Terms and fields are sorted, making the encoding
-//! deterministic even though the live dictionaries are hash maps.
+//! Doc ids are stored *segment-local*, so decoding yields a [`Segment`]
+//! that [`Index::merge_segment`] takes exactly as a live parallel-ingest
+//! segment — recovery reproduces the never-crashed index bit-for-bit.
+//! Terms and fields are sorted, making the encoding deterministic even
+//! though the live dictionaries are hash maps.
 //!
 //! Skip entries record `(local doc id, byte offset)` every
 //! [`SKIP_INTERVAL`] postings so long lists can be entered mid-stream;
@@ -54,7 +53,7 @@
 //! concatenation without decoding them into an index, through the same
 //! readers and checks as [`decode_segment`].
 
-use crate::index::{FieldIndex, Index};
+use crate::index::{FieldIndex, Index, Segment};
 use crate::postings::PostingList;
 use create_util::fxhash::{map_with_capacity, FxHashMap};
 use create_util::varint;
@@ -85,21 +84,21 @@ fn err(message: impl Into<String>) -> CodecError {
     CodecError(message.into())
 }
 
-/// Encodes documents `[base..num_docs)` of `index` as a segment blob,
-/// handed to `out` a term at a time.
-pub fn encode_index_tail(index: &Index, base: usize, out: &mut impl Write) -> io::Result<()> {
-    let num_docs = index.external_ids.len();
-    assert!(base <= num_docs, "tail base past end of index");
+/// Encodes the tail of `index` — every document since its last
+/// [`Index::freeze`] — as a segment blob, handed to `out` a term at a
+/// time.
+pub fn encode_index_tail(index: &Index, out: &mut impl Write) -> io::Result<()> {
+    let tail = index.tail();
     // The blob's bytes not yet handed to `out`.
     let mut record = Vec::new();
-    varint::write_u64(&mut record, (num_docs - base) as u64);
-    for id in &index.external_ids[base..] {
+    varint::write_u64(&mut record, tail.num_docs() as u64);
+    for id in &tail.external_ids {
         let bytes = id.as_bytes();
         varint::write_u64(&mut record, bytes.len() as u64);
         record.extend_from_slice(bytes);
     }
 
-    let mut field_names: Vec<&String> = index.fields.keys().collect();
+    let mut field_names: Vec<&String> = tail.fields.keys().collect();
     field_names.sort();
     varint::write_u64(&mut record, field_names.len() as u64);
     // Per-term scratch: the postings stream is encoded aside so skip
@@ -107,43 +106,33 @@ pub fn encode_index_tail(index: &Index, base: usize, out: &mut impl Write) -> io
     let mut blob = Vec::new();
     let mut skips: Vec<(u32, u64)> = Vec::new();
     for name in field_names {
-        let fi = &index.fields[name];
+        let fi = &tail.fields[name];
         varint::write_u64(&mut record, name.len() as u64);
         record.extend_from_slice(name.as_bytes());
-        for &len in &fi.doc_len[base..] {
+        for &len in &fi.doc_len {
             varint::write_u32(&mut record, len);
         }
 
-        // Terms whose posting lists reach into the tail, with the index
-        // of their first tail posting. Postings are sorted by doc, so
-        // "last doc >= base" is the complete filter.
-        let mut terms: Vec<(&str, &PostingList, usize)> = fi
+        let mut terms: Vec<(&str, &PostingList)> = fi
             .dict
             .iter()
-            .filter_map(|(term, postings)| {
-                let docs = postings.docs();
-                let reaches = docs.last().is_some_and(|&doc| doc as usize >= base);
-                reaches.then(|| {
-                    let cut = docs.partition_point(|&doc| (doc as usize) < base);
-                    (&**term, &**postings, cut)
-                })
-            })
+            .map(|(term, postings)| (&**term, &**postings))
             .collect();
         terms.sort_by(|a, b| a.0.cmp(b.0));
 
         let mut prev_term = "";
-        for (term, postings, cut) in terms {
+        for (term, postings) in terms {
             blob.clear();
             skips.clear();
             let mut prev_doc: u64 = 0;
             // A list of a field without positions yields none.
-            for (i, (doc, tf, positions)) in postings.iter_from(cut).enumerate() {
-                let local = (doc as usize - base) as u64;
+            for (i, (doc, tf, positions)) in postings.iter().enumerate() {
+                let doc = u64::from(doc);
                 if i > 0 && i % SKIP_INTERVAL == 0 {
-                    skips.push((local as u32, blob.len() as u64));
+                    skips.push((doc as u32, blob.len() as u64));
                 }
-                let gap = if i == 0 { local } else { local - prev_doc };
-                prev_doc = local;
+                let gap = if i == 0 { doc } else { doc - prev_doc };
+                prev_doc = doc;
                 varint::write_u64(&mut blob, gap);
                 varint::write_u32(&mut blob, tf);
                 let mut prev_pos: u64 = 0;
@@ -157,12 +146,11 @@ pub fn encode_index_tail(index: &Index, base: usize, out: &mut impl Write) -> io
                     varint::write_u64(&mut blob, delta);
                 }
             }
-            let count = postings.len() - cut;
             write_term(
                 &mut record,
                 prev_term.as_bytes(),
                 term.as_bytes(),
-                count,
+                postings.len(),
                 &skips,
                 &blob,
             );
@@ -326,7 +314,7 @@ impl<R: BufRead> Reader<R> {
 
 /// The leading document count of a blob: a document takes its id's
 /// length byte plus one length byte per field.
-fn doc_count<R: BufRead>(r: &mut Reader<R>, template: &Index) -> Result<usize, CodecError> {
+fn doc_count<R: BufRead>(r: &mut Reader<R>, template: &Segment) -> Result<usize, CodecError> {
     r.count(1 + template.fields.len(), "doc count")
 }
 
@@ -352,7 +340,7 @@ fn read_ids<R: BufRead>(
 }
 
 /// The field count, which must be the configuration's.
-fn field_count<R: BufRead>(r: &mut Reader<R>, template: &Index) -> Result<(), CodecError> {
+fn field_count<R: BufRead>(r: &mut Reader<R>, template: &Segment) -> Result<(), CodecError> {
     if r.count(1, "field count")? != template.fields.len() {
         return Err(err("field count differs from the index configuration"));
     }
@@ -363,7 +351,7 @@ fn field_count<R: BufRead>(r: &mut Reader<R>, template: &Index) -> Result<(), Co
 /// `template`; the configuration's own name and field.
 fn field<'t, R: BufRead>(
     r: &mut Reader<R>,
-    template: &'t Index,
+    template: &'t Segment,
     prev: Option<&str>,
 ) -> Result<(&'t str, &'t FieldIndex), CodecError> {
     let mut scratch = Vec::new();
@@ -541,10 +529,10 @@ impl Terms {
     }
 }
 
-/// Decodes a blob produced by [`encode_index_tail`] into a segment — an
-/// index over segment-local doc ids with `template`'s field
-/// configuration, each id one `Arc<str>` its two tables share — ready
-/// for [`Index::merge_segment`].
+/// Decodes a blob produced by [`encode_index_tail`] into a segment over
+/// segment-local doc ids with `template`'s field configuration, each id
+/// one `Arc<str>` its two tables share — ready for
+/// [`Index::merge_segment`].
 ///
 /// The input is untrusted: every count is capped by what the remaining
 /// bytes can hold before anything is reserved for it, and only the
@@ -553,7 +541,8 @@ impl Terms {
 /// terms, ascending docs, one skip entry per [`SKIP_INTERVAL`]
 /// postings) — a blob that decodes re-encodes to the same bytes.
 /// [`merge_postings`] applies the same checks through the same readers.
-pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<Index, CodecError> {
+pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<Segment, CodecError> {
+    let template = template.tail();
     let mut r = Reader::new(bytes);
     let doc_count = doc_count(&mut r, template)?;
     let mut external_ids = Vec::with_capacity(doc_count);
@@ -602,13 +591,13 @@ pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<Index, CodecErro
             );
         }
         // term_buckets stay empty: merge_segment buckets new terms on
-        // the index side and never reads the segment's own buckets.
+        // the tail's side and never reads the segment's own buckets.
         fields.insert(name.to_string(), fi);
     }
     if r.left() != 0 {
         return Err(err("trailing bytes after last field"));
     }
-    Ok(Index {
+    Ok(Segment {
         fields,
         external_ids,
         id_map,
@@ -660,6 +649,7 @@ pub fn merge_postings<R: BufRead>(
     template: &Index,
     out: &mut impl Write,
 ) -> Result<Vec<usize>, MergeError> {
+    let template = template.tail();
     let mut readers: Vec<Reader<R>> = inputs
         .into_iter()
         .map(|(src, len)| Reader::over(src, len))
@@ -826,17 +816,29 @@ mod tests {
     ];
 
     /// The blob [`encode_index_tail`] writes.
-    fn encoded(index: &Index, base: usize) -> Vec<u8> {
+    fn encoded(index: &Index) -> Vec<u8> {
         let mut blob = Vec::new();
-        encode_index_tail(index, base, &mut blob).unwrap();
+        encode_index_tail(index, &mut blob).unwrap();
         blob
     }
 
     fn build(docs: &[(&str, &str)]) -> Index {
+        build_sealed(docs, 0)
+    }
+
+    /// `docs` indexed with the first `sealed` of them frozen: the tail
+    /// holds the rest.
+    fn build_sealed(docs: &[(&str, &str)], sealed: usize) -> Index {
         let mut idx = Index::clinical();
-        for (id, text) in docs {
+        for (i, (id, text)) in docs.iter().enumerate() {
+            if i == sealed {
+                idx.freeze();
+            }
             idx.add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
                 .unwrap();
+        }
+        if sealed == docs.len() {
+            idx.freeze();
         }
         idx
     }
@@ -847,8 +849,8 @@ mod tests {
         for doc in 0..a.num_docs() as u32 {
             assert_eq!(a.external_id(doc), b.external_id(doc));
         }
-        for (name, fa) in &a.fields {
-            let fb = b.fields.get(name).expect("same fields");
+        for (name, fa) in &a.tail.fields {
+            let fb = b.tail.fields.get(name).expect("same fields");
             assert_eq!(fa.doc_len, fb.doc_len, "doc_len of {name}");
             assert_eq!(fa.total_len, fb.total_len, "total_len of {name}");
             assert_eq!(fa.docs_with_field, fb.docs_with_field);
@@ -862,7 +864,7 @@ mod tests {
     #[test]
     fn full_index_round_trips_through_codec() {
         let idx = build(DOCS);
-        let blob = encoded(&idx, 0);
+        let blob = encoded(&idx);
         let segment = decode_segment(&blob, &Index::clinical()).unwrap();
         let mut rebuilt = Index::clinical();
         rebuilt.merge_segment(segment).unwrap();
@@ -875,7 +877,7 @@ mod tests {
         // Seal at every possible boundary: head built live, tail from
         // the codec, result must equal the uninterrupted build.
         for base in 0..=DOCS.len() {
-            let blob = encoded(&idx, base);
+            let blob = encoded(&build_sealed(DOCS, base));
             let mut rebuilt = build(&DOCS[..base]);
             let segment = decode_segment(&blob, &rebuilt).unwrap();
             rebuilt.merge_segment(segment).unwrap();
@@ -885,15 +887,15 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic() {
-        let a = encoded(&build(DOCS), 0);
-        let b = encoded(&build(DOCS), 0);
+        let a = encoded(&build(DOCS));
+        let b = encoded(&build(DOCS));
         assert_eq!(a, b, "sorted fields/terms make the blob byte-stable");
     }
 
     #[test]
     fn empty_tail_is_valid() {
         let idx = build(DOCS);
-        let blob = encoded(&idx, DOCS.len());
+        let blob = encoded(&build_sealed(DOCS, DOCS.len()));
         let segment = decode_segment(&blob, &idx).unwrap();
         assert_eq!(segment.num_docs(), 0);
         let mut rebuilt = build(DOCS);
@@ -911,7 +913,7 @@ mod tests {
             )
             .unwrap();
         }
-        let blob = encoded(&idx, 0);
+        let blob = encoded(&idx);
         let segment = decode_segment(&blob, &Index::clinical()).unwrap();
         let mut rebuilt = Index::clinical();
         rebuilt.merge_segment(segment).unwrap();
@@ -927,7 +929,7 @@ mod tests {
         for (id, title) in [("a", "12345678901"), ("b", "123456789012")] {
             idx.add_document(id, &[("title", title)]).unwrap();
         }
-        let blob = encoded(&idx, 0);
+        let blob = encoded(&idx);
         // shared 11 | suffix "2" | 1 posting | 0 skips | 3 bytes: doc 1,
         // 1 position, position 0 | the end entry.
         assert!(blob.ends_with(&[11, 1, b'2', 1, 0, 3, 1, 1, 0, 0, 0]));
@@ -951,7 +953,7 @@ mod tests {
             )
             .unwrap();
         }
-        let blob = encoded(&idx, 0);
+        let blob = encoded(&idx);
         assert!(
             blob.len() < idx.postings_bytes() / 2,
             "delta/varint should beat the in-RAM layout >2x: {} of {}",
@@ -963,7 +965,7 @@ mod tests {
     #[test]
     fn corrupt_blobs_are_rejected() {
         let idx = build(DOCS);
-        let blob = encoded(&idx, 0);
+        let blob = encoded(&idx);
         // Truncations at assorted depths.
         for keep in [0, 1, blob.len() / 3, blob.len() / 2, blob.len() - 1] {
             assert!(
@@ -1027,8 +1029,16 @@ mod tests {
     }
 
     fn index_of(docs: &[(String, String, String)]) -> Index {
+        index_sealed(docs, 0)
+    }
+
+    /// [`index_of`] with the first `sealed` documents frozen.
+    fn index_sealed(docs: &[(String, String, String)], sealed: usize) -> Index {
         let mut idx = Index::clinical();
-        for (id, title, text) in docs {
+        for (i, (id, title, text)) in docs.iter().enumerate() {
+            if i == sealed {
+                idx.freeze();
+            }
             idx.add_document(
                 id,
                 &[("title", title), ("body", text), ("body_ngram", text)],
@@ -1036,10 +1046,6 @@ mod tests {
             .unwrap();
         }
         idx
-    }
-
-    fn golden_corpus() -> Index {
-        index_of(&golden_docs())
     }
 
     /// [`merge_postings`] over in-memory blobs, into the merged blob.
@@ -1056,7 +1062,7 @@ mod tests {
     #[test]
     fn merged_blobs_equal_the_blob_of_the_concatenation() {
         let docs = golden_docs();
-        let whole = encoded(&index_of(&docs), 0);
+        let whole = encoded(&index_of(&docs));
         for cuts in [
             &[0, 300][..],
             &[0, 1, 300],
@@ -1067,20 +1073,20 @@ mod tests {
         ] {
             let blobs: Vec<Vec<u8>> = cuts
                 .windows(2)
-                .map(|w| encoded(&index_of(&docs[w[0]..w[1]]), 0))
+                .map(|w| encoded(&index_of(&docs[w[0]..w[1]])))
                 .collect();
             let inputs: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
             assert!(merged(&inputs).unwrap() == whole, "cuts {cuts:?}");
         }
-        assert_eq!(merged(&[]).unwrap(), encoded(&Index::clinical(), 0));
+        assert_eq!(merged(&[]).unwrap(), encoded(&Index::clinical()));
     }
 
     #[test]
     fn merge_refuses_what_decode_and_merge_segment_refuse() {
         let docs = golden_docs();
         let (a, b) = (
-            encoded(&index_of(&docs[..10]), 0),
-            encoded(&index_of(&docs[10..20]), 0),
+            encoded(&index_of(&docs[..10])),
+            encoded(&index_of(&docs[10..20])),
         );
         // The same ids twice: `merge_segment` refuses the second input.
         match merged(&[&a, &b, &a]) {
@@ -1120,12 +1126,12 @@ mod tests {
     /// after its last term.
     #[test]
     fn encoding_matches_the_golden_digests() {
-        let idx = golden_corpus();
+        let docs = golden_docs();
         for (base, len, digest) in [
             (0, 144_172, 0xd5ff_c1be_f991_50c4u64),
             (137, 78_470, 0xe3cc_f6e2_eaf7_3cd5),
         ] {
-            let blob = encoded(&idx, base);
+            let blob = encoded(&index_sealed(&docs, base));
             assert_eq!(
                 (blob.len(), fnv1a(&blob)),
                 (len, digest),

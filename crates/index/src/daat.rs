@@ -1,6 +1,7 @@
 //! Document-at-a-time (DAAT) query execution with MaxScore top-k pruning.
 //!
-//! [`Index::search`](crate::Index::search) runs here. The executor walks
+//! [`Index::search`](crate::Index::search) runs here, once per segment
+//! of the index (see [`crate::segment`]). The executor walks
 //! the already-sorted postings with per-term cursors (galloping seeks)
 //! instead of materializing per-clause `HashMap`s, intersects `Bool::must`
 //! and phrase terms by merge, and — for the flat disjunctions the query
@@ -26,7 +27,7 @@
 //! `fl(U + u_i) ≥ fl(S + s_i)` because rounding is monotone — so the
 //! bound provably dominates the score it stands in for, ULPs included.
 
-use crate::index::Index;
+use crate::index::Segment;
 use crate::postings::PostingList;
 use crate::query::QueryNode;
 use crate::score::{doc_score, top_k, Entry, ScoredDoc, Scorer};
@@ -43,24 +44,41 @@ struct Scratch {
     tmp: Vec<u32>,
 }
 
-/// DAAT entry point: MaxScore pruning for flat disjunctions, merge-based
-/// evaluation for everything else. `global`, when present, supplies
-/// cross-shard corpus statistics (idf / avg_len) in place of this
-/// index's own — see [`crate::stats`].
+/// Which of a segment's documents may enter its top k, beyond matching
+/// the query.
+#[derive(Clone, Copy)]
+pub(crate) struct Admit<'a> {
+    /// A sorted run of the segment's local doc ids (a facet bitmap
+    /// intersection); `None` admits every document.
+    pub(crate) allowed: Option<&'a [u32]>,
+    /// The k-th score the segments before this one already gathered: a
+    /// document of this segment scoring no higher cannot enter the
+    /// index's top k, since it ties at best and loses on its higher
+    /// global doc id. The flat-disjunction path prunes with it as with
+    /// its own heap's k-th score; the general path ignores it.
+    pub(crate) floor: Option<f64>,
+}
+
+/// DAAT entry point over one segment: MaxScore pruning for flat
+/// disjunctions, merge-based evaluation for everything else. `global`,
+/// when present, supplies corpus statistics merged across segments and
+/// shards (idf / avg_len) in place of this segment's own — see
+/// [`crate::stats`]. Doc ids in `admit.allowed` and in the hits are the
+/// segment's local ones.
 pub(crate) fn search_daat(
-    index: &Index,
+    index: &Segment,
     query: &QueryNode,
     k: usize,
     scorer: Scorer,
     global: Option<&CorpusStats>,
-    allowed: Option<&[u32]>,
+    admit: Admit,
 ) -> Vec<ScoredDoc> {
     // Executor statistics, accumulated locally and flushed to the obs
     // registry in one call at the end (a no-op without the `obs` feature).
     let mut stats = DaatStats::default();
     let mut specs = Vec::new();
     if flatten(index, query, &mut specs, &mut stats) {
-        let hits = max_score_top_k(index, &specs, k, scorer, &mut stats, global, allowed);
+        let hits = max_score_top_k(index, &specs, k, scorer, &mut stats, global, admit);
         create_obs::record_daat(stats);
         return hits;
     }
@@ -69,7 +87,7 @@ pub(crate) fn search_daat(
         eval_node(index, query, scorer, &mut scratch, &mut stats, global);
     exclusions.sort_unstable();
     exclusions.dedup();
-    if let Some(allowed) = allowed {
+    if let Some(allowed) = admit.allowed {
         scored.retain(|(d, _)| allowed.binary_search(d).is_ok());
     }
     let hits = top_k(
@@ -106,7 +124,7 @@ impl<'a> TermCursor<'a> {
     /// nothing, mirroring an empty `term_scores`). With `global` set,
     /// idf and avg_len come from the merged cross-shard statistics.
     fn open(
-        index: &'a Index,
+        index: &'a Segment,
         field: &str,
         term: &str,
         damp: Option<f64>,
@@ -222,7 +240,7 @@ struct CursorSpec<'a> {
 /// leaving `out` unusable — when the tree has `must`/`must_not`/phrase
 /// structure, which takes the general path instead.
 fn flatten<'a>(
-    index: &'a Index,
+    index: &'a Segment,
     node: &'a QueryNode,
     out: &mut Vec<CursorSpec<'a>>,
     stats: &mut DaatStats,
@@ -241,7 +259,7 @@ fn flatten<'a>(
             term,
             max_edits,
         } => {
-            let expansions = QueryNode::expand_fuzzy(index, field, term, *max_edits);
+            let expansions = index.fuzzy_candidates(field, term, *max_edits);
             stats.fuzzy_expansions += expansions.len() as u64;
             for (expanded, dist) in expansions {
                 out.push(CursorSpec {
@@ -263,20 +281,21 @@ fn flatten<'a>(
     }
 }
 
-/// MaxScore-pruned DAAT union over flat term cursors. With `allowed`
-/// set, only docs in the (sorted) run are scored — candidates outside
-/// it are skipped *before* any score work, which is the filter
-/// pushdown the cohort planner relies on. Per-doc scores are
+/// MaxScore-pruned DAAT union over flat term cursors. With
+/// `admit.allowed` set, only docs in the (sorted) run are scored —
+/// candidates outside it are skipped *before* any score work, which is
+/// the filter pushdown the cohort planner relies on. Per-doc scores are
 /// independent sums, so surviving docs rank bit-identically to
-/// post-filtering an unfiltered search.
+/// post-filtering an unfiltered search. With `admit.floor` set, pruning
+/// starts from it instead of from an empty heap.
 fn max_score_top_k(
-    index: &Index,
+    index: &Segment,
     specs: &[CursorSpec],
     k: usize,
     scorer: Scorer,
     stats: &mut DaatStats,
     global: Option<&CorpusStats>,
-    allowed: Option<&[u32]>,
+    admit: Admit,
 ) -> Vec<ScoredDoc> {
     if k == 0 {
         return Vec::new();
@@ -305,6 +324,10 @@ fn max_score_top_k(
     let mut non_essential = vec![false; n];
     let mut selected = vec![false; n];
     let mut partition_theta = f64::NEG_INFINITY;
+    if let Some(floor) = admit.floor {
+        partition_theta = floor;
+        recompute_partition(&mut non_essential, &mut selected, &by_ub, &ubs, floor);
+    }
     // Sized by what can be returned, never by `k` alone: a caller's `k`
     // may be far beyond the index (a `/cohort` asking for every match).
     let mut heap: BinaryHeap<Reverse<Entry>> =
@@ -327,7 +350,7 @@ fn max_score_top_k(
             }
         }
         let Some(candidate) = candidate else { break };
-        if let Some(allowed) = allowed {
+        if let Some(allowed) = admit.allowed {
             allowed_pos += allowed[allowed_pos..].partition_point(|&d| d < candidate);
             if allowed.get(allowed_pos) != Some(&candidate) {
                 // Filtered out: skip all score/bound work for this doc.
@@ -353,10 +376,11 @@ fn max_score_top_k(
             }
         }
         let full = heap.len() == k;
-        let prunable = full
-            && heap
-                .peek()
-                .is_some_and(|min| Entry(bound, candidate) <= min.0);
+        let prunable = admit.floor.is_some_and(|floor| bound <= floor)
+            || full
+                && heap
+                    .peek()
+                    .is_some_and(|min| Entry(bound, candidate) <= min.0);
         stats.candidates_pruned += prunable as u64;
         if !prunable {
             let mut score = 0.0;
@@ -436,7 +460,7 @@ fn recompute_partition(
 /// exclusion set across the whole tree) except across `must` boundaries,
 /// where it is applied locally — same semantics, merge-based execution.
 fn eval_node(
-    index: &Index,
+    index: &Segment,
     node: &QueryNode,
     scorer: Scorer,
     scratch: &mut Scratch,
@@ -496,7 +520,7 @@ fn eval_node(
 
 /// Documents matching a node under `must_not` (scores irrelevant).
 fn neg_docs(
-    index: &Index,
+    index: &Segment,
     node: &QueryNode,
     scratch: &mut Scratch,
     stats: &mut DaatStats,
@@ -513,7 +537,7 @@ fn neg_docs(
             term,
             max_edits,
         } => {
-            let expansions = QueryNode::expand_fuzzy(index, field, term, *max_edits);
+            let expansions = index.fuzzy_candidates(field, term, *max_edits);
             stats.fuzzy_expansions += expansions.len() as u64;
             for (expanded, _) in expansions {
                 if let Some(postings) = index.postings(field, expanded) {
@@ -546,7 +570,7 @@ fn scorer_for_neg() -> Scorer {
 /// Fuzzy node: damped union over the (sorted) expansion terms, summed per
 /// doc in expansion order — the same fold the exhaustive walker performs.
 fn eval_fuzzy(
-    index: &Index,
+    index: &Segment,
     field: &str,
     term: &str,
     max_edits: usize,
@@ -554,7 +578,7 @@ fn eval_fuzzy(
     stats: &mut DaatStats,
     global: Option<&CorpusStats>,
 ) -> Vec<(u32, f64)> {
-    let expansions = QueryNode::expand_fuzzy(index, field, term, max_edits);
+    let expansions = index.fuzzy_candidates(field, term, max_edits);
     stats.fuzzy_expansions += expansions.len() as u64;
     let lists: Vec<Vec<(u32, f64)>> = expansions
         .into_iter()
@@ -576,7 +600,7 @@ fn eval_fuzzy(
 /// `term_scores` rescan. A phrase of two or more terms over a field
 /// without positions matches nothing, as in the exhaustive baseline.
 fn eval_phrase(
-    index: &Index,
+    index: &Segment,
     field: &str,
     terms: &[String],
     scorer: Scorer,

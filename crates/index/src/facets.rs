@@ -195,8 +195,18 @@ impl FacetIndex {
                         v.insert(Arc::new(ids));
                     }
                 }
+                // A run a published snapshot shares is copied once, with
+                // room for the appended ids (`Arc::make_mut` would copy it
+                // at its length and then grow it to twice that).
                 std::collections::btree_map::Entry::Occupied(mut o) => {
-                    Arc::make_mut(o.get_mut()).extend(run.iter().map(|d| d + base));
+                    let ids = o.get_mut();
+                    if Arc::get_mut(ids).is_none() {
+                        let mut copy = Vec::with_capacity(ids.len() + run.len());
+                        copy.extend_from_slice(ids);
+                        *ids = Arc::new(copy);
+                    }
+                    let ids = Arc::get_mut(ids).expect("unshared, or copied just above");
+                    ids.extend(run.iter().map(|d| d + base));
                 }
             }
         }

@@ -1,10 +1,13 @@
 //! The multi-field inverted index.
 //!
-//! Each field owns an analyzer and a term dictionary of postings —
-//! positional when the analyzer's tokens carry word positions, doc ids
-//! and term frequencies only when they do not (the n-gram field).
-//! Documents are addressed internally by dense `u32` ids and externally
-//! by caller-supplied string ids (`pmid:…`).
+//! A [`Segment`] is one single-dictionary index: each field owns an
+//! analyzer and a term dictionary of postings — positional when the
+//! analyzer's tokens carry word positions, doc ids and term frequencies
+//! only when they do not (the n-gram field). An [`Index`] is an ordered
+//! list of frozen segments plus one mutable tail (Lucene's segment list):
+//! writes go to the tail, reads iterate the segments. Documents are
+//! addressed internally by dense `u32` ids and externally by
+//! caller-supplied string ids (`pmid:…`).
 
 use crate::postings::PostingList;
 use create_text::Analyzer;
@@ -24,7 +27,7 @@ pub struct FieldConfig {
 /// Per-field index data.
 ///
 /// Terms, posting lists and fuzzy buckets sit behind `Arc` so a
-/// `clone()` of the field (and thus of the whole [`Index`]) is
+/// `clone()` of the field (and thus of a whole [`Segment`]) is
 /// structural sharing: only the dictionary's pointer table is copied,
 /// never a term string or the postings themselves. The writer mutates
 /// through [`Arc::make_mut`], which copies a single term's three arrays
@@ -53,7 +56,7 @@ pub(crate) struct FieldIndex {
     /// dictionary's own `Arc<str>` keys), appended on first insertion.
     /// Fuzzy expansion scans only the buckets within `max_edits` of the
     /// query term's length instead of the whole vocabulary (see
-    /// [`Index::fuzzy_candidates`]).
+    /// [`Segment::fuzzy_candidates`]).
     pub(crate) term_buckets: FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
 }
 
@@ -128,14 +131,17 @@ impl FieldIndex {
     }
 }
 
-/// The inverted index.
+/// One single-dictionary index over dense local doc ids: what a worker
+/// builds a batch into ([`Index::segment`]), what a segment file decodes
+/// to ([`crate::codec::decode_segment`]), and each of an [`Index`]'s
+/// frozen segments and its tail.
 ///
 /// `Clone` is structural sharing (see [`FieldIndex`]): the id tables
 /// and dictionaries clone `Arc<str>` handles and `Arc` posting lists, so
-/// snapshotting the index allocates its tables and copies pointers, not
+/// cloning a segment allocates its tables and copies pointers, not
 /// strings or postings.
 #[derive(Clone)]
-pub struct Index {
+pub struct Segment {
     pub(crate) fields: FxHashMap<String, FieldIndex>,
     /// Internal id → external id.
     pub(crate) external_ids: Vec<Arc<str>>,
@@ -144,70 +150,53 @@ pub struct Index {
     pub(crate) id_map: FxHashMap<Arc<str>, u32>,
 }
 
-impl std::fmt::Debug for Index {
+impl std::fmt::Debug for Segment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Index")
+        f.debug_struct("Segment")
             .field("docs", &self.external_ids.len())
             .field("fields", &self.fields.keys().collect::<Vec<_>>())
             .finish()
     }
 }
 
-impl Index {
-    /// Creates an index with the given fields.
-    pub fn new(fields: Vec<FieldConfig>) -> Index {
-        let mut map = FxHashMap::default();
-        for f in fields {
-            map.insert(f.name.clone(), FieldIndex::empty(f.analyzer, f.boost));
-        }
-        assert!(!map.is_empty(), "index needs at least one field");
-        Index {
-            fields: map,
+impl Segment {
+    /// An empty segment with this one's field configuration (analyzer
+    /// `Arc`s shared, not recompiled).
+    pub(crate) fn empty_like(&self) -> Segment {
+        Segment {
+            fields: self
+                .fields
+                .iter()
+                .map(|(name, fi)| {
+                    (
+                        name.clone(),
+                        FieldIndex::empty(fi.analyzer.clone(), fi.boost),
+                    )
+                })
+                .collect(),
             external_ids: Vec::new(),
             id_map: FxHashMap::default(),
         }
     }
 
-    /// A convenient two-field clinical index: `body` (standard analyzer)
-    /// and `body_ngram` (the paper's 3–25 n-gram analyzer, lower boost).
-    pub fn clinical() -> Index {
-        Index::new(vec![
-            FieldConfig {
-                name: "title".to_string(),
-                analyzer: Arc::new(Analyzer::clinical_standard()),
-                boost: 2.0,
-            },
-            FieldConfig {
-                name: "body".to_string(),
-                analyzer: Arc::new(Analyzer::clinical_standard()),
-                boost: 1.0,
-            },
-            FieldConfig {
-                name: "body_ngram".to_string(),
-                analyzer: Arc::new(Analyzer::clinical_ngram()),
-                boost: 0.25,
-            },
-        ])
-    }
-
-    /// Number of indexed documents.
+    /// Number of documents.
     pub fn num_docs(&self) -> usize {
         self.external_ids.len()
     }
 
-    /// External id of an internal doc id.
+    /// External id of a local doc id.
     pub fn external_id(&self, doc: u32) -> Option<&str> {
         self.external_ids.get(doc as usize).map(|s| &**s)
     }
 
-    /// Internal id for an external id.
-    pub fn internal_id(&self, external: &str) -> Option<u32> {
+    /// Local doc id of an external id.
+    pub(crate) fn internal_id(&self, external: &str) -> Option<u32> {
         self.id_map.get(external).copied()
     }
 
     /// Indexes a document: `(field, text)` pairs. Unknown fields are an
-    /// error; re-adding an existing external id is an error (the CREATe
-    /// pipeline never re-indexes in place). Returns the internal id.
+    /// error; re-adding an external id the segment holds is an error.
+    /// Returns the local id.
     pub fn add_document(
         &mut self,
         external_id: &str,
@@ -237,36 +226,26 @@ impl Index {
     }
 
     /// Number of distinct terms in a field.
-    pub fn vocabulary_size(&self, field: &str) -> usize {
+    pub(crate) fn vocabulary_size(&self, field: &str) -> usize {
         self.fields.get(field).map(|f| f.dict.len()).unwrap_or(0)
     }
 
     /// Document frequency of a term in a field (term must already be
     /// analyzed/normalized).
-    pub fn doc_freq(&self, field: &str, term: &str) -> usize {
-        self.fields
-            .get(field)
-            .and_then(|f| f.dict.get(term))
-            .map(|p| p.len())
-            .unwrap_or(0)
+    pub(crate) fn doc_freq(&self, field: &str, term: &str) -> usize {
+        self.postings(field, term).map_or(0, PostingList::len)
     }
 
     /// Postings accessor (analyzed term).
-    pub fn postings(&self, field: &str, term: &str) -> Option<&PostingList> {
+    pub(crate) fn postings(&self, field: &str, term: &str) -> Option<&PostingList> {
         self.fields
             .get(field)
             .and_then(|f| f.dict.get(term))
             .map(|p| &**p)
     }
 
-    /// Bytes the postings hold in RAM: per term its text and the three
-    /// [`PostingList`] arrays — 4 B doc id and 4 B end per posting, 4 B
-    /// per position (none in a field without word positions). This is
-    /// what the arrays occupy, not an estimate;
-    /// the dictionary's table and the `Arc` headers come on top. Used by
-    /// the E8 index-size comparison and the benchmark's
-    /// `index.ram_postings_bytes_per_doc`.
-    pub fn postings_bytes(&self) -> usize {
+    /// See [`Index::postings_bytes`].
+    pub(crate) fn postings_bytes(&self) -> usize {
         self.fields
             .values()
             .flat_map(|f| &f.dict)
@@ -274,13 +253,26 @@ impl Index {
             .sum()
     }
 
-    /// Terms of a field — the exhaustive fuzzy-expansion sweep (kept as
-    /// the reference baseline; see [`Index::fuzzy_candidates`]).
-    pub(crate) fn terms_of_field(&self, field: &str) -> impl Iterator<Item = &str> {
-        self.fields
+    /// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
+    /// every term of the field, sorted by `(distance, term)` — the
+    /// reference baseline [`Segment::fuzzy_candidates`] is checked
+    /// against.
+    pub(crate) fn fuzzy_sweep(
+        &self,
+        field: &str,
+        term: &str,
+        max_edits: usize,
+    ) -> Vec<(&str, usize)> {
+        use create_text::distance::levenshtein_bounded;
+        let mut out: Vec<(&str, usize)> = self
+            .fields
             .get(field)
             .into_iter()
-            .flat_map(|f| f.dict.keys().map(|term| &**term))
+            .flat_map(|f| f.dict.keys())
+            .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (&**t, d)))
+            .collect();
+        out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+        out
     }
 
     /// Dictionary terms within `max_edits` of `term`, with their exact
@@ -348,6 +340,176 @@ impl Index {
     }
 }
 
+/// The inverted index: an ordered list of frozen segments, shared by
+/// `Arc` and never written again, plus one mutable tail segment that
+/// every write goes to. Doc ids are global — a segment's local id plus
+/// the documents of the segments before it — and dense in ingest order,
+/// so the list reads as one index: the same ids, statistics and
+/// rankings as a single segment holding every document.
+///
+/// `Clone` copies the segment list, one pointer per segment. A write
+/// after a clone copies the tail it touches ([`Arc::make_mut`]), never a
+/// frozen segment: what a write copies is O(tail), whatever the index
+/// holds. [`Index::freeze`] turns the tail into one more frozen segment
+/// without copying it.
+#[derive(Clone)]
+pub struct Index {
+    /// Oldest first; none is empty.
+    pub(crate) frozen: Vec<Arc<Segment>>,
+    pub(crate) tail: Arc<Segment>,
+}
+
+impl std::fmt::Debug for Index {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Index")
+            .field("docs", &self.num_docs())
+            .field("segments", &self.segment_count())
+            .field("fields", &self.tail.fields.keys().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl Index {
+    /// Creates an index with the given fields.
+    pub fn new(fields: Vec<FieldConfig>) -> Index {
+        let mut map = FxHashMap::default();
+        for f in fields {
+            map.insert(f.name.clone(), FieldIndex::empty(f.analyzer, f.boost));
+        }
+        assert!(!map.is_empty(), "index needs at least one field");
+        Index {
+            frozen: Vec::new(),
+            tail: Arc::new(Segment {
+                fields: map,
+                external_ids: Vec::new(),
+                id_map: FxHashMap::default(),
+            }),
+        }
+    }
+
+    /// A convenient two-field clinical index: `body` (standard analyzer)
+    /// and `body_ngram` (the paper's 3–25 n-gram analyzer, lower boost).
+    pub fn clinical() -> Index {
+        Index::new(vec![
+            FieldConfig {
+                name: "title".to_string(),
+                analyzer: Arc::new(Analyzer::clinical_standard()),
+                boost: 2.0,
+            },
+            FieldConfig {
+                name: "body".to_string(),
+                analyzer: Arc::new(Analyzer::clinical_standard()),
+                boost: 1.0,
+            },
+            FieldConfig {
+                name: "body_ngram".to_string(),
+                analyzer: Arc::new(Analyzer::clinical_ngram()),
+                boost: 0.25,
+            },
+        ])
+    }
+
+    /// Every segment with the global id of its first document: the
+    /// frozen ones oldest first, then the tail (possibly empty).
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (u32, &Segment)> {
+        let mut base = 0u32;
+        self.frozen
+            .iter()
+            .chain(std::iter::once(&self.tail))
+            .map(move |segment| {
+                let at = base;
+                base += segment.num_docs() as u32;
+                (at, &**segment)
+            })
+    }
+
+    /// Segments holding at least one document: the frozen ones, and the
+    /// tail unless it is empty. What `/stats` reports per shard.
+    pub fn segment_count(&self) -> usize {
+        self.frozen.len() + usize::from(self.tail.num_docs() > 0)
+    }
+
+    /// The mutable tail: every document indexed since the last
+    /// [`Index::freeze`] — what a seal writes.
+    pub fn tail(&self) -> &Segment {
+        &self.tail
+    }
+
+    /// The segment holding global doc `doc`, with its base.
+    fn locate(&self, doc: u32) -> Option<(u32, &Segment)> {
+        self.segments()
+            .find(|(base, segment)| doc < base + segment.num_docs() as u32)
+    }
+
+    /// Number of indexed documents.
+    pub fn num_docs(&self) -> usize {
+        self.segments().map(|(_, s)| s.num_docs()).sum()
+    }
+
+    /// External id of an internal doc id.
+    pub fn external_id(&self, doc: u32) -> Option<&str> {
+        let (base, segment) = self.locate(doc)?;
+        segment.external_id(doc - base)
+    }
+
+    /// Internal id for an external id.
+    pub fn internal_id(&self, external: &str) -> Option<u32> {
+        self.segments()
+            .find_map(|(base, segment)| Some(base + segment.internal_id(external)?))
+    }
+
+    /// Indexes a document into the tail: `(field, text)` pairs. Unknown
+    /// fields are an error; re-adding an existing external id is an error
+    /// (the CREATe pipeline never re-indexes in place). Returns the
+    /// internal id.
+    pub fn add_document(
+        &mut self,
+        external_id: &str,
+        field_texts: &[(&str, &str)],
+    ) -> Result<u32, IndexError> {
+        if self
+            .frozen
+            .iter()
+            .any(|s| s.id_map.contains_key(external_id))
+        {
+            return Err(IndexError::DuplicateDocument(external_id.to_string()));
+        }
+        let base: usize = self.frozen.iter().map(|s| s.num_docs()).sum();
+        Ok(base as u32 + Arc::make_mut(&mut self.tail).add_document(external_id, field_texts)?)
+    }
+
+    /// Number of distinct terms in a field, summed over the segments: a
+    /// term two segments hold counts twice, as a term two shards hold
+    /// does in `SystemStats::index_terms`.
+    pub fn vocabulary_size(&self, field: &str) -> usize {
+        self.segments().map(|(_, s)| s.vocabulary_size(field)).sum()
+    }
+
+    /// Document frequency of a term in a field (term must already be
+    /// analyzed/normalized).
+    pub fn doc_freq(&self, field: &str, term: &str) -> usize {
+        self.segments().map(|(_, s)| s.doc_freq(field, term)).sum()
+    }
+
+    /// Bytes the postings hold in RAM, summed over the segments: per
+    /// term its text and the three [`PostingList`] arrays — 4 B doc id
+    /// and 4 B end per posting, 4 B per position (none in a field without
+    /// word positions). A term two segments hold is counted in each, as
+    /// each holds a copy of its text. This is what the arrays occupy, not
+    /// an estimate; the dictionaries' tables and the `Arc` headers come
+    /// on top. Used by the E8 index-size comparison and the benchmark's
+    /// `index.ram_postings_bytes_per_doc`.
+    pub fn postings_bytes(&self) -> usize {
+        self.segments().map(|(_, s)| s.postings_bytes()).sum()
+    }
+
+    /// The field configuration, for query analysis: every segment's is
+    /// the tail's.
+    pub(crate) fn field(&self, name: &str) -> Option<&FieldIndex> {
+        self.tail.fields.get(name)
+    }
+}
+
 /// Indexing errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexError {
@@ -406,7 +568,7 @@ mod tests {
         let mut idx = body_index();
         idx.add_document("d", &[("body", "fever then fever again")])
             .unwrap();
-        let postings = idx.postings("body", "fever").unwrap();
+        let postings = idx.tail().postings("body", "fever").unwrap();
         assert_eq!(postings.tf(0), 2);
         assert_eq!(postings.positions(0), [0, 2]);
     }
@@ -464,14 +626,15 @@ mod tests {
         let text = "amiodarone then amiodarone";
         idx.add_document("d", &[("body", text), ("body_ngram", text)])
             .unwrap();
-        assert!(idx.fields["body"].positions && !idx.fields["body_ngram"].positions);
-        let grams = idx.postings("body_ngram", "amio").unwrap();
+        assert!(idx.tail.fields["body"].positions && !idx.tail.fields["body_ngram"].positions);
+        let grams = idx.tail().postings("body_ngram", "amio").unwrap();
         assert_eq!((grams.tf(0), grams.positions(0)), (2, &[][..]));
-        let words = idx.postings("body", "amiodaron").unwrap();
+        let words = idx.tail().postings("body", "amiodaron").unwrap();
         assert_eq!((words.tf(0), words.positions(0)), (2, &[0, 2][..]));
         let ngram_terms = idx.vocabulary_size("body_ngram");
         let body_terms = idx.vocabulary_size("body");
         let term_bytes: usize = idx
+            .tail
             .fields
             .values()
             .flat_map(|f| f.dict.keys())
@@ -501,8 +664,35 @@ mod tests {
         idx.add_document("a", &[("body", "one two three four")])
             .unwrap();
         idx.add_document("b", &[("title", "only a title")]).unwrap();
-        let body = idx.fields.get("body").unwrap();
+        let body = idx.tail.fields.get("body").unwrap();
         assert!(body.avg_len() > 0.0);
         assert_eq!(body.doc_len[1], 0);
+    }
+
+    #[test]
+    fn lookups_span_the_frozen_segments_and_the_tail() {
+        let mut idx = body_index();
+        for (id, text) in [("a", "fever"), ("b", "cough fever"), ("c", "rash")] {
+            idx.add_document(id, &[("body", text)]).unwrap();
+            idx.freeze();
+        }
+        assert_eq!(idx.add_document("d", &[("body", "fever")]), Ok(3));
+        assert_eq!((idx.num_docs(), idx.segment_count()), (4, 3));
+        let ids: Vec<_> = (0..5).map(|doc| idx.external_id(doc)).collect();
+        assert_eq!(ids, [Some("a"), Some("b"), Some("c"), Some("d"), None]);
+        assert_eq!(idx.internal_id("c"), Some(2));
+        assert_eq!(idx.internal_id("d"), Some(3));
+        assert_eq!(idx.doc_freq("body", "fever"), 3);
+        // "a" and "b" merged into one segment on the second freeze.
+        assert_eq!(
+            idx.vocabulary_size("body"),
+            4,
+            "a term per segment holding it"
+        );
+        assert_eq!(
+            idx.add_document("b", &[("body", "again")]),
+            Err(IndexError::DuplicateDocument("b".to_string())),
+            "a frozen segment's id is taken"
+        );
     }
 }

@@ -14,10 +14,13 @@
 //! * [`postings`] — the one in-RAM posting representation: a flat
 //!   struct-of-arrays list per term, shared by writer, merge, codec and
 //!   cursors;
-//! * [`segment`] — shard-local segments for parallel ingestion (each an
-//!   [`Index`] over its own dense doc ids), merged deterministically into
-//!   one searchable index (the Lucene-segment analogue);
-//! * [`codec`] — delta/varint on-disk postings encoding of an index
+//! * [`segment`] — how documents enter an [`Index`]: workers build
+//!   [`Segment`]s over their own dense doc ids, merged deterministically
+//!   into the index's mutable tail; a seal freezes the tail into one more
+//!   `Arc`-shared segment, and a binary-counter tier rule keeps the
+//!   frozen segments O(log n) (the Lucene segment-list analogue — a
+//!   write copies the tail, never the index);
+//! * [`codec`] — delta/varint on-disk postings encoding of an index's
 //!   tail (positions only for the fields that keep them), decoded back
 //!   into a mergeable segment (used by the durable storage engine's
 //!   sealed segment files);
@@ -29,8 +32,8 @@
 //!   intersection and MaxScore top-k pruning, bit-identical to the
 //!   exhaustive baseline kept in [`score`];
 //! * [`stats`] — mergeable cross-shard corpus statistics so sharded
-//!   scatter-gather search scores bit-identically to one monolithic
-//!   index.
+//!   scatter-gather search — and the per-segment search inside one
+//!   index — scores bit-identically to one monolithic index.
 
 pub mod codec;
 pub mod daat;
@@ -43,7 +46,7 @@ pub mod segment;
 pub mod stats;
 
 pub use facets::{FacetField, FacetIndex};
-pub use index::{FieldConfig, Index};
+pub use index::{FieldConfig, Index, Segment};
 pub use postings::PostingList;
 pub use query::QueryNode;
 pub use score::{ScoredDoc, Scorer};

@@ -1,7 +1,6 @@
 //! Query model: term, phrase, fuzzy, and boolean composition.
 
 use crate::index::Index;
-use create_text::distance::levenshtein_bounded;
 
 /// A query tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +73,7 @@ impl QueryNode {
     /// OR-combined — exactly what Solr's default handler does.
     pub fn query_string(index: &Index, field: &str, text: &str) -> QueryNode {
         let terms = index
-            .fields
-            .get(field)
+            .field(field)
             .map(|f| f.analyzer.terms(text))
             .unwrap_or_default();
         QueryNode::Bool {
@@ -91,13 +89,14 @@ impl QueryNode {
         }
     }
 
-    /// Expands fuzzy nodes against the index dictionary, returning the
-    /// matching `(term, distance)` pairs sorted by `(distance, term)`.
+    /// Expands fuzzy nodes against the index dictionaries, returning the
+    /// matching `(term, distance)` pairs sorted by `(distance, term)`:
+    /// the union of every segment's expansions, each term once.
     ///
     /// Candidates are drawn from per-length dictionary buckets with a
-    /// first-character fast path (see `Index::fuzzy_candidates`) instead
-    /// of sweeping the whole vocabulary; the result is identical to
-    /// [`QueryNode::expand_fuzzy_sweep`]. Terms are borrowed from the
+    /// first-character fast path (see `Segment::fuzzy_candidates`)
+    /// instead of sweeping the whole vocabulary; the result is identical
+    /// to [`QueryNode::expand_fuzzy_sweep`]. Terms are borrowed from the
     /// index — expansion allocates nothing per matched term.
     pub fn expand_fuzzy<'a>(
         index: &'a Index,
@@ -105,7 +104,11 @@ impl QueryNode {
         term: &str,
         max_edits: usize,
     ) -> Vec<(&'a str, usize)> {
-        index.fuzzy_candidates(field, term, max_edits)
+        union(
+            index
+                .segments()
+                .map(|(_, segment)| segment.fuzzy_candidates(field, term, max_edits)),
+        )
     }
 
     /// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
@@ -118,13 +121,21 @@ impl QueryNode {
         term: &str,
         max_edits: usize,
     ) -> Vec<(&'a str, usize)> {
-        let mut out: Vec<(&str, usize)> = index
-            .terms_of_field(field)
-            .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (t, d)))
-            .collect();
-        out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-        out
+        union(
+            index
+                .segments()
+                .map(|(_, segment)| segment.fuzzy_sweep(field, term, max_edits)),
+        )
     }
+}
+
+/// The sorted `(distance, term)` union of per-segment expansions, a term
+/// two segments hold listed once.
+fn union<'a>(expansions: impl Iterator<Item = Vec<(&'a str, usize)>>) -> Vec<(&'a str, usize)> {
+    let mut out: Vec<(&str, usize)> = expansions.flatten().collect();
+    out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+    out.dedup();
+    out
 }
 
 #[cfg(test)]

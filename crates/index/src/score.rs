@@ -11,9 +11,11 @@
 //! [`doc_score`], the single source of truth for the per-(term, doc)
 //! expression, so their floats cannot drift apart.
 
-use crate::index::Index;
+use crate::daat::Admit;
+use crate::index::{Index, Segment};
 use crate::postings::PostingList;
 use crate::query::QueryNode;
+use crate::stats::CorpusStats;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Ranking function.
@@ -90,7 +92,7 @@ impl Ord for Entry {
 /// Top-k selection shared by both execution paths: keep positive scores,
 /// pop the k best from a max-heap over [`Entry`].
 pub(crate) fn top_k(
-    index: &Index,
+    segment: &Segment,
     scored: impl IntoIterator<Item = (u32, f64)>,
     k: usize,
 ) -> Vec<ScoredDoc> {
@@ -106,7 +108,7 @@ pub(crate) fn top_k(
         };
         out.push(ScoredDoc {
             doc,
-            external_id: index
+            external_id: segment
                 .external_id(doc)
                 .expect("scored doc exists")
                 .to_string(),
@@ -123,7 +125,7 @@ impl Index {
     /// Executes document-at-a-time (see [`crate::daat`]); rankings are
     /// bit-identical to [`Index::search_exhaustive`].
     pub fn search(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
-        crate::daat::search_daat(self, query, k, scorer, None, None)
+        self.search_with_stats(query, k, scorer, None)
     }
 
     /// Like [`Index::search`], but scoring with externally supplied
@@ -131,7 +133,7 @@ impl Index {
     ///
     /// This is the shard-local leg of a scatter-gather search: every
     /// shard scores against the *merged*
-    /// [`CorpusStats`](crate::stats::CorpusStats) of all shards, so
+    /// [`CorpusStats`] of all shards, so
     /// per-document scores are bit-identical to what one monolithic index
     /// holding the union of the shards would produce. With `stats: None`
     /// this is exactly [`Index::search`].
@@ -140,9 +142,11 @@ impl Index {
         query: &QueryNode,
         k: usize,
         scorer: Scorer,
-        stats: Option<&crate::stats::CorpusStats>,
+        stats: Option<&CorpusStats>,
     ) -> Vec<ScoredDoc> {
-        crate::daat::search_daat(self, query, k, scorer, stats, None)
+        self.gather(query, k, stats, None, |segment, stats, admit| {
+            crate::daat::search_daat(segment, query, k, scorer, stats, admit)
+        })
     }
 
     /// Like [`Index::search_with_stats`], but restricted to the sorted
@@ -157,10 +161,12 @@ impl Index {
         query: &QueryNode,
         k: usize,
         scorer: Scorer,
-        stats: Option<&crate::stats::CorpusStats>,
+        stats: Option<&CorpusStats>,
         allowed: &[u32],
     ) -> Vec<ScoredDoc> {
-        crate::daat::search_daat(self, query, k, scorer, stats, Some(allowed))
+        self.gather(query, k, stats, Some(allowed), |segment, stats, admit| {
+            crate::daat::search_daat(segment, query, k, scorer, stats, admit)
+        })
     }
 
     /// The original exhaustive executor: walks the query tree accumulating
@@ -168,9 +174,92 @@ impl Index {
     /// as the reference baseline the DAAT path is verified against (the
     /// equivalence suite runs it).
     pub fn search_exhaustive(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
+        self.gather(query, k, None, None, |segment, stats, _| {
+            segment.search_exhaustive(query, k, scorer, stats)
+        })
+    }
+
+    /// Runs `search` on every segment holding documents — each scoring
+    /// under statistics merged over the whole index (`stats`, or collected
+    /// here), so a document scores what it would in one segment — and
+    /// gathers the hits by `(score total_cmp desc, global doc asc)`: the
+    /// order each segment's top-k is taken in, over global ids. The
+    /// argument is the one [`crate::stats`] makes for shards: a
+    /// document's terms live in its own segment, so the clause-order fold
+    /// visits the same contributions in the same order. Segments run
+    /// oldest first, each told the k-th score gathered so far (see
+    /// [`Admit::floor`](crate::daat::Admit)). An index of one segment is
+    /// searched as it is, under `stats` as given.
+    fn gather(
+        &self,
+        query: &QueryNode,
+        k: usize,
+        stats: Option<&CorpusStats>,
+        allowed: Option<&[u32]>,
+        search: impl Fn(&Segment, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
+    ) -> Vec<ScoredDoc> {
+        let filled: Vec<(u32, &Segment)> = self
+            .segments()
+            .filter(|(_, segment)| segment.num_docs() > 0)
+            .collect();
+        match filled[..] {
+            [] => return Vec::new(),
+            [(_, segment)] => {
+                let admit = Admit {
+                    allowed,
+                    floor: None,
+                };
+                return search(segment, stats, admit);
+            }
+            _ => {}
+        }
+        let collected;
+        let stats = match stats {
+            Some(stats) => stats,
+            None => {
+                collected = CorpusStats::collect(self, query);
+                &collected
+            }
+        };
+        let mut hits: Vec<ScoredDoc> = Vec::new();
+        for (base, segment) in filled {
+            let end = base + segment.num_docs() as u32;
+            let local: Option<Vec<u32>> = allowed.map(|run| {
+                let from = run.partition_point(|&doc| doc < base);
+                let to = run.partition_point(|&doc| doc < end);
+                run[from..to].iter().map(|&doc| doc - base).collect()
+            });
+            let admit = Admit {
+                allowed: local.as_deref(),
+                floor: (hits.len() == k).then(|| hits[k - 1].score),
+            };
+            hits.extend(
+                search(segment, Some(stats), admit)
+                    .into_iter()
+                    .map(|hit| ScoredDoc {
+                        doc: base + hit.doc,
+                        ..hit
+                    }),
+            );
+            hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+            hits.truncate(k);
+        }
+        hits
+    }
+}
+
+impl Segment {
+    /// [`Index::search_exhaustive`] over this segment's documents.
+    fn search_exhaustive(
+        &self,
+        query: &QueryNode,
+        k: usize,
+        scorer: Scorer,
+        global: Option<&CorpusStats>,
+    ) -> Vec<ScoredDoc> {
         let mut scores: HashMap<u32, f64> = HashMap::new();
         let mut exclusions: HashSet<u32> = HashSet::new();
-        self.score_node(query, scorer, &mut scores, &mut exclusions, true);
+        self.score_node(query, scorer, global, &mut scores, &mut exclusions, true);
         for doc in exclusions {
             scores.remove(&doc);
         }
@@ -182,13 +271,14 @@ impl Index {
         &self,
         node: &QueryNode,
         scorer: Scorer,
+        global: Option<&CorpusStats>,
         scores: &mut HashMap<u32, f64>,
         exclusions: &mut HashSet<u32>,
         positive: bool,
     ) {
         match node {
             QueryNode::Term { field, term } => {
-                for (doc, score) in self.term_scores(field, term, scorer) {
+                for (doc, score) in self.term_scores_with(field, term, scorer, global) {
                     if positive {
                         *scores.entry(doc).or_insert(0.0) += score;
                     } else {
@@ -201,12 +291,11 @@ impl Index {
                 term,
                 max_edits,
             } => {
-                for (expanded, dist) in QueryNode::expand_fuzzy_sweep(self, field, term, *max_edits)
-                {
+                for (expanded, dist) in self.fuzzy_sweep(field, term, *max_edits) {
                     // Damp matches by edit distance, like Lucene's fuzzy
                     // similarity boost.
                     let damp = 1.0 / (1.0 + dist as f64);
-                    for (doc, score) in self.term_scores(field, expanded, scorer) {
+                    for (doc, score) in self.term_scores_with(field, expanded, scorer, global) {
                         if positive {
                             *scores.entry(doc).or_insert(0.0) += score * damp;
                         } else {
@@ -216,7 +305,7 @@ impl Index {
                 }
             }
             QueryNode::Phrase { field, terms } => {
-                for (doc, score) in self.phrase_scores(field, terms, scorer) {
+                for (doc, score) in self.phrase_scores(field, terms, scorer, global) {
                     if positive {
                         *scores.entry(doc).or_insert(0.0) += score;
                     } else {
@@ -232,7 +321,7 @@ impl Index {
                 if !positive {
                     // Under must_not, every matching doc is excluded.
                     for sub in must.iter().chain(should) {
-                        self.score_node(sub, scorer, scores, exclusions, false);
+                        self.score_node(sub, scorer, global, scores, exclusions, false);
                     }
                     return;
                 }
@@ -242,7 +331,7 @@ impl Index {
                     for sub in must {
                         let mut sub_scores = HashMap::new();
                         let mut sub_excl = HashSet::new();
-                        self.score_node(sub, scorer, &mut sub_scores, &mut sub_excl, true);
+                        self.score_node(sub, scorer, global, &mut sub_scores, &mut sub_excl, true);
                         for d in sub_excl {
                             sub_scores.remove(&d);
                         }
@@ -261,10 +350,10 @@ impl Index {
                     }
                 }
                 for sub in should {
-                    self.score_node(sub, scorer, scores, exclusions, true);
+                    self.score_node(sub, scorer, global, scores, exclusions, true);
                 }
                 for sub in must_not {
-                    self.score_node(sub, scorer, scores, exclusions, false);
+                    self.score_node(sub, scorer, global, scores, exclusions, false);
                 }
             }
         }
@@ -280,18 +369,15 @@ impl Index {
         ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
     }
 
-    pub(crate) fn term_scores(&self, field: &str, term: &str, scorer: Scorer) -> Vec<(u32, f64)> {
-        self.term_scores_with(field, term, scorer, None)
-    }
-
-    /// `term_scores` with optional cross-shard statistics overriding the
-    /// index's own idf / avg_len (see [`crate::stats`]).
+    /// Every posting's score of a term, with optional cross-shard
+    /// statistics overriding the segment's own idf / avg_len (see
+    /// [`crate::stats`]).
     pub(crate) fn term_scores_with(
         &self,
         field: &str,
         term: &str,
         scorer: Scorer,
-        global: Option<&crate::stats::CorpusStats>,
+        global: Option<&CorpusStats>,
     ) -> Vec<(u32, f64)> {
         let Some(fi) = self.fields.get(field) else {
             return Vec::new();
@@ -326,12 +412,18 @@ impl Index {
     /// of every member posting list (the pre-DAAT implementation the
     /// quadratic-blowup regression test pins down). A phrase of two or
     /// more terms over a field without positions matches nothing.
-    fn phrase_scores(&self, field: &str, terms: &[String], scorer: Scorer) -> Vec<(u32, f64)> {
+    fn phrase_scores(
+        &self,
+        field: &str,
+        terms: &[String],
+        scorer: Scorer,
+        global: Option<&CorpusStats>,
+    ) -> Vec<(u32, f64)> {
         if terms.is_empty() {
             return Vec::new();
         }
         if terms.len() == 1 {
-            return self.term_scores(field, &terms[0], scorer);
+            return self.term_scores_with(field, &terms[0], scorer, global);
         }
         let Some(fi) = self.fields.get(field).filter(|fi| fi.positions) else {
             return Vec::new();
@@ -377,7 +469,7 @@ impl Index {
                 let mut score = 0.0;
                 for t in terms {
                     score += self
-                        .term_scores(field, t, scorer)
+                        .term_scores_with(field, t, scorer, global)
                         .into_iter()
                         .find(|(d, _)| *d == doc)
                         .map(|(_, s)| s)
@@ -670,5 +762,93 @@ mod tests {
         let idx = index();
         let q = QueryNode::query_string(&idx, "body", "fever chest");
         assert!(checked_search(&idx, &q, 0, Scorer::default()).is_empty());
+    }
+
+    /// An index frozen into segments at any cut ranks every query kind
+    /// bit-identically to one segment — by DAAT, exhaustively and with a
+    /// filter run — for every `k`.
+    #[test]
+    fn a_segmented_index_ranks_like_one_segment() {
+        let docs = [
+            ("d1", "fever cough fever chest pain"),
+            ("d2", "fever only briefly mentioned"),
+            ("d3", "entirely unrelated cardiac procedure"),
+            ("d4", "pain chest discomfort persistent"),
+            ("d5", "chest pain with fever and cough"),
+            ("d6", "cardiac fever"),
+            ("d7", "cough"),
+        ];
+        let build = |freeze_after: &[usize]| {
+            let mut idx = Index::new(vec![FieldConfig {
+                name: "body".to_string(),
+                analyzer: Arc::new(Analyzer::clinical_standard()),
+                boost: 1.0,
+            }]);
+            for (i, (id, text)) in docs.iter().enumerate() {
+                idx.add_document(id, &[("body", text)]).unwrap();
+                if freeze_after.contains(&i) {
+                    idx.freeze();
+                }
+            }
+            idx
+        };
+        let queries = [
+            QueryNode::term("body", "fever"),
+            QueryNode::phrase("body", &["chest", "pain"]),
+            QueryNode::fuzzy("body", "fevr", 1),
+            QueryNode::fuzzy("body", "caugh", 2),
+            QueryNode::Bool {
+                must: vec![QueryNode::term("body", "chest")],
+                should: vec![QueryNode::term("body", "fever")],
+                must_not: vec![QueryNode::term("body", "cardiac")],
+            },
+            QueryNode::Bool {
+                must: vec![],
+                should: vec![
+                    QueryNode::term("body", "cough"),
+                    QueryNode::term("body", "cardiac"),
+                    QueryNode::fuzzy("body", "pian", 1),
+                ],
+                must_not: vec![],
+            },
+        ];
+        let bits = |hits: Vec<ScoredDoc>| -> Vec<(u32, String, u64)> {
+            hits.into_iter()
+                .map(|h| (h.doc, h.external_id, h.score.to_bits()))
+                .collect()
+        };
+        let whole = build(&[]);
+        for cuts in [&[0usize][..], &[1, 2], &[0, 1, 2, 3, 4, 5], &[2, 5], &[4]] {
+            let segmented = build(cuts);
+            assert!(segmented.segment_count() > 1, "cuts {cuts:?}");
+            for q in &queries {
+                for k in [1, 2, 3, 10] {
+                    let what = format!("{q:?} k={k} cuts {cuts:?}");
+                    let want = bits(whole.search(q, k, Scorer::default()));
+                    assert_eq!(
+                        bits(segmented.search(q, k, Scorer::default())),
+                        want,
+                        "{what}"
+                    );
+                    assert_eq!(
+                        bits(segmented.search_exhaustive(q, k, Scorer::default())),
+                        want,
+                        "{what}"
+                    );
+                    let allowed = [0, 2, 4, 5, 6];
+                    assert_eq!(
+                        bits(segmented.search_filtered(q, k, Scorer::TfIdf, None, &allowed)),
+                        bits(whole.search_filtered(q, k, Scorer::TfIdf, None, &allowed)),
+                        "{what} filtered"
+                    );
+                }
+                let stats = CorpusStats::collect(&segmented, q);
+                assert_eq!(
+                    bits(segmented.search_with_stats(q, 10, Scorer::default(), Some(&stats))),
+                    bits(whole.search(q, 10, Scorer::default())),
+                    "{q:?} under collected stats, cuts {cuts:?}"
+                );
+            }
+        }
     }
 }

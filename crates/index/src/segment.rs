@@ -1,63 +1,131 @@
-//! Shard-local index segments for parallel ingestion.
+//! Segments: how documents enter an [`Index`], and how its segment list
+//! stays short.
 //!
-//! The ElasticSearch/Solr engines the paper substitutes both build
-//! per-shard Lucene segments that merge into one searchable index; this
-//! module is our equivalent. A worker thread tokenizes its shard of the
-//! batch into a segment — an [`Index`] of its own, from
-//! [`Index::segment`], whose doc ids are *segment-local* — with no
-//! synchronization. The single-writer apply phase then merges segments
-//! back into the shard's index in deterministic shard order.
+//! The ElasticSearch/Solr engines the paper substitutes both keep an
+//! index as a list of immutable Lucene segments plus an in-memory buffer
+//! that a refresh turns into one more segment; this module is our
+//! equivalent. A worker thread tokenizes its shard of the batch into a
+//! [`Segment`] of its own, from [`Index::segment`], whose doc ids are
+//! *segment-local*, with no synchronization. The single-writer apply
+//! phase then merges segments into the index's tail in deterministic
+//! shard order ([`Index::merge_segment`]); a seal freezes the tail
+//! ([`Index::freeze`]).
 //!
 //! Merge invariants (what makes parallel ingestion byte-identical to
 //! sequential):
 //!
-//! 1. **Dense id remapping** — segment-local doc `i` becomes global
-//!    `base + i` where `base` is the index's doc count at merge time, so
-//!    merging shards 0..S in order reproduces exactly the ids sequential
+//! 1. **Dense id remapping** — segment-local doc `i` becomes `base + i`
+//!    where `base` is the tail's doc count at merge time, so merging
+//!    shards 0..S in order reproduces exactly the ids sequential
 //!    `add_document` calls would have assigned.
 //! 2. **Sorted-postings concatenation** — every remapped id exceeds every
-//!    id already in the index, so appending a segment's (sorted) postings
-//!    to the index's (sorted) postings needs no re-sort.
+//!    id already in the tail, so appending a segment's (sorted) postings
+//!    to the tail's (sorted) postings needs no re-sort.
 //! 3. **Length-statistics recomposition** — `doc_len` concatenates,
 //!    `total_len` and `docs_with_field` add, so BM25 normalization is
 //!    identical to the sequential build.
 //!
 //! Duplicate external ids (within the segment or against the index) are
 //! rejected before any mutation, keeping the merge atomic.
+//!
+//! **The tier rule.** Each freeze adds a segment, and every read visits
+//! every segment, so after each freeze the newest frozen segments merge
+//! in binary-counter fashion: the last two merge while the older one's
+//! size class — the bit length of its doc count — is no larger than the
+//! newer one's ([`tier_merge_width`], a pure function of the doc
+//! counts). Size classes then strictly fall from oldest to newest, so an
+//! index of `n` documents holds at most `bit_length(n)` frozen segments,
+//! and a document is copied once per class it climbs, O(log n) times.
+//! The rule never rebuilds the whole index at once the way a disk
+//! compaction does: a large old segment merges only once the newer ones
+//! add up to its size class.
 
-use crate::index::{FieldIndex, Index, IndexError};
+use crate::index::{FieldIndex, Index, IndexError, Segment};
 use crate::postings::PostingList;
-use create_util::fxhash::FxHashMap;
 use std::sync::Arc;
 
-impl Index {
-    /// An empty index with this index's field configuration (analyzer
-    /// `Arc`s shared, not recompiled), for a worker to build a segment
-    /// in.
-    pub fn segment(&self) -> Index {
-        Index {
-            fields: self
-                .fields
-                .iter()
-                .map(|(name, fi)| {
-                    (
-                        name.clone(),
-                        FieldIndex::empty(fi.analyzer.clone(), fi.boost),
-                    )
-                })
-                .collect(),
-            external_ids: Vec::new(),
-            id_map: FxHashMap::default(),
+/// How many of the newest frozen segments to merge into one, given each
+/// frozen segment's doc count, oldest first: the last two merge while the
+/// older one's size class (bit length of its doc count) is no larger than
+/// the newer one's, the newer one being what merged so far. 1 (or 0 for
+/// none) means nothing to merge.
+pub(crate) fn tier_merge_width(docs: &[usize]) -> usize {
+    let class = |n: usize| usize::BITS - n.leading_zeros();
+    let Some((&newest, older)) = docs.split_last() else {
+        return 0;
+    };
+    let mut merged = newest;
+    let mut width = 1;
+    for &doc_count in older.iter().rev() {
+        if class(doc_count) > class(merged) {
+            break;
         }
+        merged += doc_count;
+        width += 1;
+    }
+    width
+}
+
+impl Index {
+    /// An empty segment with this index's field configuration (analyzer
+    /// `Arc`s shared, not recompiled), for a worker to build a batch in.
+    pub fn segment(&self) -> Segment {
+        self.tail.empty_like()
     }
 
-    /// Merges a segment into the index, remapping its dense doc ids onto
+    /// Merges a segment into the tail, remapping its dense doc ids onto
     /// the end of the index's id space (see the module docs for the
     /// invariants). Fails — without mutating the index — if the segment's
     /// fields differ, any external id is already present, or a term would
-    /// occur 2^32 or more times in a field. The segment's ids move in:
-    /// no id is copied.
-    pub fn merge_segment(&mut self, segment: Index) -> Result<(), IndexError> {
+    /// occur 2^32 or more times in a field of the tail. The segment's ids
+    /// move in: no id is copied. Touches no frozen segment: what the
+    /// merge copies of a tail a published snapshot shares is the tail's.
+    pub fn merge_segment(&mut self, segment: Segment) -> Result<(), IndexError> {
+        for frozen in &self.frozen {
+            if let Some(id) = segment
+                .external_ids
+                .iter()
+                .find(|id| frozen.id_map.contains_key(*id))
+            {
+                return Err(IndexError::DuplicateDocument(id.to_string()));
+            }
+        }
+        Arc::make_mut(&mut self.tail).append(segment)
+    }
+
+    /// Freezes the tail: it joins the frozen segments as it is — a
+    /// pointer moves, nothing is copied — and an empty tail takes its
+    /// place; then the newest frozen segments merge as the tier rule
+    /// says (see the module docs). A no-op on an empty tail.
+    pub fn freeze(&mut self) {
+        if self.tail.num_docs() == 0 {
+            return;
+        }
+        let empty = Arc::new(self.tail.empty_like());
+        self.frozen.push(std::mem::replace(&mut self.tail, empty));
+        let docs: Vec<usize> = self.frozen.iter().map(|s| s.num_docs()).collect();
+        let width = tier_merge_width(&docs);
+        if width < 2 {
+            return;
+        }
+        let at = self.frozen.len() - width;
+        let mut inputs = self.frozen[at..].iter().map(|s| Segment::clone(s));
+        let mut merged = inputs.next().expect("width >= 2");
+        for input in inputs {
+            // Past 2^32 occurrences of a term the segments stay apart.
+            if merged.append(input).is_err() {
+                return;
+            }
+        }
+        self.frozen.truncate(at);
+        self.frozen.push(Arc::new(merged));
+    }
+}
+
+impl Segment {
+    /// Appends `segment`'s documents after this one's: the merge of
+    /// [`Index::merge_segment`] and of the tier rule.
+    fn append(&mut self, segment: Segment) -> Result<(), IndexError> {
         for name in segment.fields.keys() {
             if !self.fields.contains_key(name) {
                 return Err(IndexError::UnknownField(name.clone()));
@@ -103,17 +171,19 @@ impl Index {
                 match fi.dict.entry(term) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         FieldIndex::bucket_new_term(&mut fi.term_buckets, v.key());
-                        // A first merge into an empty index (the recovery
-                        // path) needs no remap and adopts the segment's
-                        // list wholesale; otherwise the list is
-                        // worker-local, so `make_mut` remaps in place.
+                        // A first merge into an empty segment (the
+                        // recovery path) needs no remap and adopts the
+                        // list wholesale; otherwise `make_mut` remaps in
+                        // place a worker-local list, and copies one a
+                        // frozen segment shares.
                         if base > 0 {
                             Arc::make_mut(&mut seg_postings).shift_docs(base);
                         }
                         v.insert(seg_postings);
                     }
-                    // The index side copies-on-write only when a
-                    // published snapshot still shares the term's list.
+                    // This side copies-on-write only when a published
+                    // snapshot (or a frozen segment) still shares the
+                    // term's list.
                     std::collections::hash_map::Entry::Occupied(mut o) => {
                         PostingList::append_shifted(o.get_mut(), &seg_postings, base)
                     }
@@ -154,7 +224,7 @@ mod tests {
     fn sharded_index(shards: usize) -> Index {
         let mut idx = Index::clinical();
         let chunk = DOCS.len().div_ceil(shards);
-        let segments: Vec<Index> = DOCS
+        let segments: Vec<Segment> = DOCS
             .chunks(chunk)
             .map(|docs| {
                 let mut seg = idx.segment();
@@ -177,8 +247,8 @@ mod tests {
         for doc in 0..a.num_docs() as u32 {
             assert_eq!(a.external_id(doc), b.external_id(doc));
         }
-        for (name, fa) in &a.fields {
-            let fb = b.fields.get(name).expect("same fields");
+        for (name, fa) in &a.tail.fields {
+            let fb = b.tail.fields.get(name).expect("same fields");
             assert_eq!(fa.doc_len, fb.doc_len, "doc_len of {name}");
             assert_eq!(fa.total_len, fb.total_len, "total_len of {name}");
             assert_eq!(
@@ -210,7 +280,7 @@ mod tests {
         let idx = sharded_index(3);
         assert_eq!(idx.doc_freq("body", "fever"), 3);
         assert_eq!(idx.internal_id("pmid:4"), Some(3));
-        let postings = idx.postings("body", "fever").unwrap();
+        let postings = idx.tail().postings("body", "fever").unwrap();
         assert_eq!(postings.docs(), [0, 1, 3]);
     }
 
@@ -252,21 +322,109 @@ mod tests {
     }
 
     #[test]
-    fn standalone_segment_construction() {
-        let mut seg = Index::new(vec![FieldConfig {
-            name: "body".to_string(),
+    fn a_segment_of_another_configuration_is_refused() {
+        let other = Index::new(vec![FieldConfig {
+            name: "abstract".to_string(),
             analyzer: Arc::new(Analyzer::clinical_standard()),
             boost: 1.0,
         }]);
-        seg.add_document("a", &[("body", "fever")]).unwrap();
+        let mut seg = other.segment();
+        seg.add_document("a", &[("abstract", "fever")]).unwrap();
         assert_eq!(seg.num_docs(), 1);
-        let mut idx = Index::new(vec![FieldConfig {
-            name: "body".to_string(),
-            analyzer: Arc::new(Analyzer::clinical_standard()),
-            boost: 1.0,
-        }]);
-        idx.merge_segment(seg).unwrap();
-        assert_eq!(idx.doc_freq("body", "fever"), 1);
+        let mut idx = Index::clinical();
+        assert_eq!(
+            idx.merge_segment(seg),
+            Err(IndexError::UnknownField("abstract".to_string()))
+        );
+        assert_eq!(idx.num_docs(), 0);
+    }
+
+    #[test]
+    fn a_duplicate_of_a_frozen_segment_is_refused() {
+        let mut idx = sequential_index();
+        idx.freeze();
+        let mut seg = idx.segment();
+        seg.add_document("pmid:7", &[("body", "new")]).unwrap();
+        seg.add_document("pmid:2", &[("body", "again")]).unwrap();
+        assert_eq!(
+            idx.merge_segment(seg),
+            Err(IndexError::DuplicateDocument("pmid:2".to_string()))
+        );
+        assert_eq!((idx.num_docs(), idx.tail().num_docs()), (DOCS.len(), 0));
+    }
+
+    #[test]
+    fn the_tier_rule_merges_like_a_binary_counter() {
+        assert_eq!(tier_merge_width(&[]), 0);
+        assert_eq!(tier_merge_width(&[5]), 1);
+        // Equal classes merge; a larger older class stops the carry.
+        assert_eq!(tier_merge_width(&[1, 1]), 2);
+        assert_eq!(tier_merge_width(&[2, 3]), 2);
+        assert_eq!(tier_merge_width(&[4, 3]), 1);
+        assert_eq!(tier_merge_width(&[8, 4, 2, 1, 1]), 5);
+        assert_eq!(tier_merge_width(&[16, 4, 2, 1, 1]), 4);
+        // A large old segment waits until the newer ones reach its class.
+        assert_eq!(tier_merge_width(&[2000, 36, 36]), 2);
+        assert_eq!(tier_merge_width(&[2000, 288, 144, 72, 36, 36]), 5);
+        assert_eq!(
+            tier_merge_width(&[1024, 512, 256, 128, 64, 32, 16, 8, 8]),
+            9
+        );
+    }
+
+    /// Whatever the freeze sizes, the frozen segments' size classes fall
+    /// strictly from oldest to newest, so there are at most as many as
+    /// the doc count has bits.
+    #[test]
+    fn frozen_segments_stay_within_the_bit_length_of_the_doc_count() {
+        let bit_length = |n: usize| (usize::BITS - n.leading_zeros()) as usize;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..40 {
+            let mut docs: Vec<usize> = Vec::new();
+            for _ in 0..200 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Shrinking, growing and equal sizes all occur.
+                let size = 1 + (state % [3, 40, 500][round % 3]) as usize;
+                docs.push(size);
+                let width = tier_merge_width(&docs);
+                if width >= 2 {
+                    let at = docs.len() - width;
+                    let merged = docs.drain(at..).sum();
+                    docs.push(merged);
+                }
+                let classes: Vec<usize> = docs.iter().map(|&n| bit_length(n)).collect();
+                assert!(classes.windows(2).all(|w| w[0] > w[1]), "{docs:?}");
+                assert!(docs.len() <= bit_length(docs.iter().sum()), "{docs:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn freezing_keeps_ids_statistics_and_postings() {
+        let sequential = sequential_index();
+        for every in 1..=DOCS.len() {
+            let mut idx = Index::clinical();
+            for (i, (id, text)) in DOCS.iter().enumerate() {
+                idx.add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
+                    .unwrap();
+                if (i + 1) % every == 0 {
+                    idx.freeze();
+                }
+            }
+            assert_eq!(idx.num_docs(), DOCS.len());
+            for doc in 0..DOCS.len() as u32 {
+                let id = sequential.external_id(doc);
+                assert_eq!(idx.external_id(doc), id, "every {every}");
+                assert_eq!(idx.internal_id(id.unwrap()), Some(doc));
+            }
+            for (field, term) in [("body", "fever"), ("body_ngram", "ough"), ("title", "pmid")] {
+                assert_eq!(idx.doc_freq(field, term), sequential.doc_freq(field, term));
+            }
+            let bound = (usize::BITS - DOCS.len().leading_zeros()) as usize;
+            assert!(idx.frozen.len() <= bound, "every {every}: {:?}", idx);
+        }
     }
 
     #[test]
@@ -274,8 +432,8 @@ mod tests {
         let sequential = sequential_index();
         let sharded = sharded_index(2);
         for name in ["title", "body", "body_ngram"] {
-            let a = sequential.fields.get(name).unwrap().avg_len();
-            let b = sharded.fields.get(name).unwrap().avg_len();
+            let a = sequential.tail.fields.get(name).unwrap().avg_len();
+            let b = sharded.tail.fields.get(name).unwrap().avg_len();
             assert_eq!(a.to_bits(), b.to_bits(), "avg_len of {name}");
         }
     }

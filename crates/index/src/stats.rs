@@ -13,12 +13,16 @@
 //! **Bit-exactness.** The merged statistics are integers (`usize`/`u64`)
 //! summed before a single cast to `f64`, and [`CorpusStats::idf`] /
 //! [`CorpusStats::avg_len`] evaluate the exact expressions
-//! [`Index::idf`] and `FieldIndex::avg_len` use. A one-shard system
+//! `Segment::idf` and `FieldIndex::avg_len` use. A one-shard system
 //! therefore produces bit-identical scores whether it scores through
 //! its own statistics or through a collected-and-merged `CorpusStats`,
 //! and an N-shard system reproduces the N=1 fold exactly: a document's
 //! matching terms live only in its own shard, so the clause-order score
 //! fold visits the same contributions in the same order.
+//!
+//! The same argument makes an [`Index`]'s segments invisible: a segment
+//! is a sub-shard under the index's merged statistics, and
+//! [`Index::search`] scores each under them.
 
 use crate::index::Index;
 use crate::query::QueryNode;
@@ -46,15 +50,67 @@ impl CorpusStats {
     /// Collects this index's contribution to the corpus statistics for
     /// `query`: total document count, per-field length sums, and the
     /// document frequency of every term the query tree can touch
-    /// (including this index's fuzzy expansions — a term expanded by
-    /// any shard is counted by every shard whose dictionary holds it,
-    /// so the merged df is the exact global df).
+    /// (including fuzzy expansions — a term expanded by any segment is
+    /// counted by every segment whose dictionary holds it, so the merged
+    /// df is the exact global df). Each segment of the index contributes
+    /// as a shard would: its lengths once per field the query names, its
+    /// df once per term, summed. The terms the query names are resolved
+    /// once; only fuzzy expansions differ from segment to segment.
     pub fn collect(index: &Index, query: &QueryNode) -> CorpusStats {
+        let (mut named, mut fuzzy) = (Vec::new(), Vec::new());
+        names(query, &mut named, &mut fuzzy);
+        named.sort_unstable();
+        named.dedup();
+        // Each configured field the query names, with its length sums.
+        let mut lengths: Vec<(&str, u64, usize)> = Vec::new();
+        for &(field, _) in &named {
+            if lengths.last().is_none_or(|l| l.0 != field) && index.field(field).is_some() {
+                lengths.push((field, 0, 0));
+            }
+        }
+        let mut df = vec![0; named.len()];
+        let (mut expanded, mut extra) = (Vec::new(), HashMap::new());
+        for (_, segment) in index.segments() {
+            for (field, total_len, docs_with_field) in &mut lengths {
+                if let Some(fi) = segment.fields.get(*field) {
+                    *total_len += fi.total_len;
+                    *docs_with_field += fi.docs_with_field;
+                }
+            }
+            for (sum, &(field, term)) in df.iter_mut().zip(&named) {
+                *sum += segment.doc_freq(field, term);
+            }
+            expanded.clear();
+            for &(field, term, max_edits) in &fuzzy {
+                let terms = segment.fuzzy_candidates(field, term, max_edits);
+                expanded.extend(terms.into_iter().map(|(t, _)| (field, t)));
+            }
+            expanded.sort_unstable();
+            expanded.dedup();
+            for &(field, term) in &expanded {
+                if named.binary_search(&(field, term)).is_err() {
+                    *extra.entry((field, term)).or_insert(0) += segment.doc_freq(field, term);
+                }
+            }
+        }
         let mut stats = CorpusStats {
             num_docs: index.num_docs(),
             fields: HashMap::new(),
         };
-        stats.visit(index, query);
+        for (field, total_len, docs_with_field) in lengths {
+            let fs = FieldStats {
+                total_len,
+                docs_with_field,
+                df: HashMap::new(),
+            };
+            stats.fields.insert(field.to_string(), fs);
+        }
+        let terms = named.into_iter().zip(df).chain(extra);
+        for ((field, term), df) in terms.filter(|((_, term), _)| !term.is_empty()) {
+            if let Some(fs) = stats.fields.get_mut(field) {
+                fs.df.insert(term.to_string(), df);
+            }
+        }
         stats
     }
 
@@ -73,7 +129,7 @@ impl CorpusStats {
     }
 
     /// The BM25+ idf over the merged statistics — the same expression as
-    /// [`Index::idf`], evaluated on globally-summed integers.
+    /// `Segment::idf`, evaluated on globally-summed integers.
     pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
         let n = self.num_docs as f64;
         let df = self
@@ -100,59 +156,37 @@ impl CorpusStats {
             fs.total_len as f64 / fs.docs_with_field as f64
         }
     }
+}
 
-    fn record_field(&mut self, index: &Index, field: &str) {
-        if self.fields.contains_key(field) {
-            return;
+/// The `(field, term)` pairs `node` names — its terms and phrase members,
+/// and `(field, "")` for the field of each fuzzy node, whose lengths
+/// count even where nothing expands — and its fuzzy nodes, which expand
+/// per segment.
+fn names<'q>(
+    node: &'q QueryNode,
+    named: &mut Vec<(&'q str, &'q str)>,
+    fuzzy: &mut Vec<(&'q str, &'q str, usize)>,
+) {
+    match node {
+        QueryNode::Term { field, term } => named.push((field, term)),
+        QueryNode::Phrase { field, terms } => {
+            named.extend(terms.iter().map(|t| (field.as_str(), t.as_str())))
         }
-        let Some(fi) = index.fields.get(field) else {
-            return;
-        };
-        self.fields.insert(
-            field.to_string(),
-            FieldStats {
-                total_len: fi.total_len,
-                docs_with_field: fi.docs_with_field,
-                df: HashMap::new(),
-            },
-        );
-    }
-
-    fn record_term(&mut self, index: &Index, field: &str, term: &str) {
-        self.record_field(index, field);
-        let df = index.doc_freq(field, term);
-        if let Some(fs) = self.fields.get_mut(field) {
-            *fs.df.entry(term.to_string()).or_insert(0) = df;
+        QueryNode::Fuzzy {
+            field,
+            term,
+            max_edits,
+        } => {
+            named.push((field, ""));
+            fuzzy.push((field, term, *max_edits));
         }
-    }
-
-    fn visit(&mut self, index: &Index, node: &QueryNode) {
-        match node {
-            QueryNode::Term { field, term } => self.record_term(index, field, term),
-            QueryNode::Phrase { field, terms } => {
-                for t in terms {
-                    self.record_term(index, field, t);
-                }
-            }
-            QueryNode::Fuzzy {
-                field,
-                term,
-                max_edits,
-            } => {
-                self.record_field(index, field);
-                for (expanded, _) in QueryNode::expand_fuzzy(index, field, term, *max_edits) {
-                    let expanded = expanded.to_string();
-                    self.record_term(index, field, &expanded);
-                }
-            }
-            QueryNode::Bool {
-                must,
-                should,
-                must_not,
-            } => {
-                for sub in must.iter().chain(should).chain(must_not) {
-                    self.visit(index, sub);
-                }
+        QueryNode::Bool {
+            must,
+            should,
+            must_not,
+        } => {
+            for sub in must.iter().chain(should).chain(must_not) {
+                names(sub, named, fuzzy);
             }
         }
     }

@@ -110,7 +110,7 @@ fn valid_blob(id_prefix: &str) -> Vec<u8> {
 /// The blob [`encode_index_tail`] writes of the whole of `index`.
 fn encoded(index: &Index) -> Vec<u8> {
     let mut blob = Vec::new();
-    encode_index_tail(index, 0, &mut blob).expect("a Vec takes every byte");
+    encode_index_tail(index, &mut blob).expect("a Vec takes every byte");
     blob
 }
 

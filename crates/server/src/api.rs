@@ -96,6 +96,17 @@ pub fn build_api(system: Arc<Create>) -> Router {
                 .map(|g| Value::from(g as i64))
                 .collect();
             let storage = system.storage_stats();
+            // Per shard: its index's segments in RAM beside its files.
+            let shard_segments: Vec<Value> = system
+                .shard_segments()
+                .into_iter()
+                .map(|s| {
+                    obj([
+                        ("disk_segments", (s.disk as i64).into()),
+                        ("ram_segments", (s.ram as i64).into()),
+                    ])
+                })
+                .collect();
             let mut memory = Value::object();
             for (component, bytes) in system.memory_stats().components() {
                 memory.set(format!("{component}_bytes"), bytes);
@@ -120,6 +131,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
                     "segment_bytes",
                     storage.map_or(0, |s| s.segment_bytes as i64).into(),
                 ),
+                ("storage", Value::Array(shard_segments)),
             ]);
             Response::json(Status::Ok, doc.to_json())
         });
@@ -561,6 +573,37 @@ mod tests {
     }
 
     #[test]
+    fn stats_report_each_shards_segments_in_ram_and_on_disk() {
+        let reports = Generator::new(CorpusConfig {
+            num_reports: 4,
+            seed: 78,
+            ..Default::default()
+        })
+        .generate();
+        let create = Arc::new(Create::new(CreateConfig { shards: 1 }));
+        create.ingest_gold_batch(&reports[..3], 1).unwrap();
+        let api = build_api(Arc::clone(&create));
+        let segments = || {
+            let s = api.dispatch(&get("/stats", &[]));
+            let doc = parse_json(std::str::from_utf8(&s.body).unwrap()).unwrap();
+            let Some(Value::Array(shards)) = doc.get("storage") else {
+                panic!("storage is an array of shards")
+            };
+            let count = |shard: &Value, key| shard.get(key).and_then(Value::as_i64);
+            shards
+                .iter()
+                .map(|shard| (count(shard, "ram_segments"), count(shard, "disk_segments")))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(segments(), [(Some(1), Some(0))]);
+        // The flush freezes the tail; the next write publishes it beside
+        // the new tail.
+        create.flush().unwrap();
+        create.ingest_gold(&reports[3]).unwrap();
+        assert_eq!(segments(), [(Some(2), Some(0))]);
+    }
+
+    #[test]
     fn stats_reflect_cache_hits_and_misses() {
         let api = build_api(system());
         let _ = api.dispatch(&get("/search", &[("q", "fever"), ("k", "5")]));
@@ -768,7 +811,7 @@ mod tests {
         let mut req = get("/flush", &[]);
         req.method = "POST".to_string();
         let resp = api.dispatch(&req);
-        // In-memory store: flush is a successful no-op.
+        // In-memory store: flush persists nothing and succeeds.
         assert_eq!(resp.status, Status::Ok);
         let doc = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(doc.get("flushed").unwrap().as_bool(), Some(true));
@@ -801,6 +844,7 @@ mod tests {
             "segments",
             "shard_generations",
             "shards",
+            "storage",
         ];
         let mut pos = 0;
         for key in expected {

@@ -6,6 +6,7 @@
 //! descriptive-statistics helpers used by the experiment harness.
 
 pub mod arc_cell;
+pub mod chunked;
 pub mod fxhash;
 #[cfg(unix)]
 pub mod poller;
@@ -40,6 +41,7 @@ pub fn release_free_heap() {
 }
 
 pub use arc_cell::ArcCell;
+pub use chunked::Chunked;
 pub use pool::ThreadPool;
 pub use rng::Rng;
 pub use stats::Summary;

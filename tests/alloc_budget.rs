@@ -67,7 +67,15 @@
 //!   start under the same bound as the compaction, at the same three
 //!   sizes: it streams each region from the shard's columns. Assembling
 //!   the segment in RAM first (every payload copied twice, the postings
-//!   blob whole) took 4.34 / 6.97 / 13.26 MB, about 13 KB a report.
+//!   blob whole) took 4.34 / 6.97 / 13.26 MB, about 13 KB a report;
+//! * (j) on a disk-backed one-shard instance sealed by one flush at the
+//!   sizes of (g), a 2-document `ingest_gold_batch` after a publish, with
+//!   the previous snapshot pinned, grows the live heap by under 1 MiB at
+//!   every size: the write copies the index's tail — the documents since
+//!   the seal — and the last chunks of the graph and of the columns, not
+//!   the shard. While the index was one dictionary, that write copied
+//!   its tables and every touched list: 2.66 / 3.26 / 5.02 MB at 250 /
+//!   500 / 1000 reports.
 
 use create::core::graph_build::{GraphBuilder, ReportMeta};
 use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
@@ -138,18 +146,21 @@ const REPORTS: usize = 500;
 /// lengths included), and the figure repeats exactly. One more `u32`
 /// per posting would add about 80.
 const TERM_OVERHEAD: usize = 190;
-/// Allocations one 2-document batch may make at 500 reports: 13 664
+/// Allocations one 2-document batch may make at 500 reports: 13 720
 /// measured (tokens, the batch's own segment, the touched lists' copies,
-/// the copies of the tables the published snapshot shares), 13 666 while
-/// each shard's writer had a lock of its own, 13 920 while a document
-/// store filed each report three times. The budget is a
+/// the copies of the tables the published snapshot shares — on an
+/// instance never flushed, the whole index is the tail the write
+/// copies), 13 664 while the graph's id lists were one vector each,
+/// 13 666 while each shard's writer had a lock of its own, 13 920 while
+/// a document store filed each report three times. The budget is a
 /// fifth over the 16 267–16 683 it made while `body_ngram` stored
 /// positions, 25 524 while a publish cloned a `String` per graph index
 /// key and a node per 11 stored documents, 209 179 with a `Vec` per
 /// posting.
 const SUBMIT_BUDGET: usize = 20_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 14.33 MB measured, 14.46 MB while a document store held each report
+/// 14.38 MB measured, 14.33 MB while the graph's index lists were one
+/// `Vec` each, 14.46 MB while a document store held each report
 /// as three documents, 16.57 MB while `body_ngram` stored positions —
 /// 18.07 MB with the generated corpus beside it, the figure that read
 /// 19.13 MB while the writer and the published snapshot held a copy of
@@ -178,6 +189,12 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 /// measured at 250–1000 reports, 1.86–2.25 MB while `body_ngram` stored
 /// positions. A sealing flush is held to it too.
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
+/// Live bytes a 2-document batch may add, the previous snapshot pinned,
+/// on a shard sealed by one flush (j): 0.79 / 0.69 / 0.91 MB measured at
+/// 250 / 500 / 1000 reports — the batch's own segment and payloads, the
+/// tail's copy, the graph's key tables (which still grow with the
+/// corpus) and last chunks, the touched facet runs.
+const TAIL_WRITE_BUDGET: isize = 1 << 20;
 /// Repeats of the warmed query per measured call.
 const HIT_REPEATS: usize = 40;
 /// Allocations a publish that follows no write may make: a fifth over
@@ -261,7 +278,7 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
 
     // (b) the index as `Create::open` builds it: decode + merge.
     let mut blob = Vec::new();
-    encode_index_tail(&system.index(), 0, &mut blob).unwrap();
+    encode_index_tail(&system.index(), &mut blob).unwrap();
     let before = (allocations(), live_bytes());
     let mut index = Index::clinical();
     index
@@ -368,6 +385,15 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         "a sealing flush at {COMPACT_SIZES:?} reports: heap high-water {seal_peaks:?} bytes \
          above the live bytes before it; a compacting flush: {compaction_peaks:?}"
     );
+    // (j) a write after a seal, the previous snapshot pinned.
+    let tail_writes: Vec<isize> = COMPACT_SIZES
+        .iter()
+        .map(|&size| sealed_write_growth(&corpus[..size + 4]))
+        .collect();
+    println!(
+        "a 2-document submit on a shard sealed at {COMPACT_SIZES:?} reports, \
+         the old snapshot pinned: {tail_writes:?} live bytes added"
+    );
     assert!(
         submit_allocations <= SUBMIT_BUDGET,
         "a 2-document submit made {submit_allocations} allocations, budget {SUBMIT_BUDGET}"
@@ -402,6 +428,13 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         "the graph holds {graph_held} live bytes but heap_bytes() says {} ({ratio:.3}x)",
         graph.heap_bytes()
     );
+    for (size, grew) in COMPACT_SIZES.iter().zip(&tail_writes) {
+        assert!(
+            *grew <= TAIL_WRITE_BUDGET,
+            "a 2-document submit on a shard sealed at {size} reports added {grew} live bytes, \
+             budget {TAIL_WRITE_BUDGET}"
+        );
+    }
     for (what, peaks) in [("sealing", &seal_peaks), ("compacting", &compaction_peaks)] {
         for (size, peak) in COMPACT_SIZES.iter().zip(peaks) {
             assert!(
@@ -453,4 +486,30 @@ fn flush_peaks(reports: &[create::corpus::CaseReport]) -> (isize, isize) {
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
     (seal, compaction)
+}
+
+/// Seals all but the last four of `reports` into a fresh disk-backed
+/// one-shard instance with one flush, submits two more (a publish the
+/// index's tail holds), then — that snapshot pinned — the last two. The
+/// live bytes the last submit added.
+fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> isize {
+    let dir = std::env::temp_dir().join(format!(
+        "create-alloc-tail-{}-{}",
+        std::process::id(),
+        reports.len()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let system = Create::open(&dir, CreateConfig { shards: 1 }).unwrap();
+    let (bulk, small) = reports.split_at(reports.len() - 4);
+    system.ingest_gold_batch(bulk, 1).unwrap();
+    system.flush().unwrap();
+    system.ingest_gold_batch(&small[..2], 1).unwrap();
+    let previous = system.snapshot();
+    let before = live_bytes();
+    system.ingest_gold_batch(&small[2..], 1).unwrap();
+    let grew = live_bytes() - before;
+    drop(previous);
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+    grew
 }

@@ -14,9 +14,18 @@
 //! * **Cache staleness** must behave identically: a write through any
 //!   shard bumps the composite generation, so cached results die on
 //!   first touch after a publish, exactly as at N=1.
+//! * **Segments** are sub-shards of the same argument: an index frozen
+//!   into segments by flushes every {1, 7, 64} batches answers `/search`
+//!   and `/cohort` with the bodies the never-flushed index gives — the
+//!   digests `query_equivalence.rs` and `cohort_retrieval.rs` pin — and
+//!   keeps its segments within the tier rule's bound.
 
 use create::core::{Create, CreateConfig, MergePolicy};
-use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
+use create::corpus::{gold_cohorts, CaseReport, CorpusConfig, Generator, QuerySet};
+use create::docstore::json::parse_json;
+use create::index::{Index, QueryNode, ScoredDoc, Scorer};
+use create::server::{build_api, Request, Status};
+use std::sync::Arc;
 
 const N_DOCS: usize = 60;
 const K: usize = 10;
@@ -177,5 +186,218 @@ fn cache_staleness_tracks_the_composite_generation_at_any_shard_count() {
             misses_before + 1,
             "the stale entry dies as a miss at {shards} shards"
         );
+    }
+}
+
+/// Flush cadences, in single-document batches: after every batch, every
+/// 7th, every 64th, never.
+const CADENCES: [Option<usize>; 4] = [Some(1), Some(7), Some(64), None];
+
+/// Segments an index of `docs` documents may hold: the frozen ones'
+/// size classes fall strictly, so at most the bit length of the doc
+/// count of them, and the tail.
+fn segment_bound(docs: usize) -> usize {
+    (usize::BITS - docs.leading_zeros()) as usize + 1
+}
+
+/// `reports` ingested one per batch into `system`, flushed after every
+/// `cadence`-th batch, with the tier rule's bound checked after each
+/// publish on every shard and exactly on shard 0's index.
+fn ingest_flushing(system: &Create, reports: &[CaseReport], cadence: Option<usize>) {
+    for (i, report) in reports.iter().enumerate() {
+        system.ingest_gold(report).expect("ingest");
+        let shard0 = system.index();
+        assert!(
+            shard0.segment_count() <= segment_bound(shard0.num_docs()),
+            "{} segments for {} documents",
+            shard0.segment_count(),
+            shard0.num_docs()
+        );
+        for shard in system.shard_segments() {
+            assert!(
+                shard.ram <= segment_bound(i + 1),
+                "{shard:?} at {} docs",
+                i + 1
+            );
+        }
+        if cadence.is_some_and(|every| (i + 1) % every == 0) {
+            system.flush().expect("flush");
+        }
+    }
+}
+
+/// FNV-1a over the `/search` bodies of `query_equivalence.rs`'s golden
+/// digest, per policy.
+fn search_digests(system: Arc<Create>, queries: &[String]) -> Vec<u64> {
+    let api = build_api(system);
+    let policies = [
+        "neo4j_first",
+        "es_first",
+        "es_only",
+        "graph_only",
+        "interleave",
+    ];
+    policies
+        .iter()
+        .map(|policy| {
+            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            for (i, q) in queries.iter().enumerate() {
+                let k = ["3", "10", "100"][i % 3];
+                for _ in 0..2 {
+                    let response = api.dispatch(&Request {
+                        method: "GET".to_string(),
+                        path: "/search".to_string(),
+                        query: [("q", q.as_str()), ("k", k), ("policy", policy)]
+                            .into_iter()
+                            .map(|(k, v)| (k.to_string(), v.to_string()))
+                            .collect(),
+                        headers: Default::default(),
+                        body: Vec::new(),
+                    });
+                    assert_eq!(response.status, Status::Ok, "{policy}: {q:?}");
+                    for &b in &response.body {
+                        digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            digest
+        })
+        .collect()
+}
+
+/// Term, bool, phrase and fuzzy queries straight on an index, bit-level.
+fn index_rankings(index: &Index) -> Vec<Vec<(u32, String, u64)>> {
+    let queries = [
+        QueryNode::term("body", "fever"),
+        QueryNode::term("body_ngram", "card"),
+        QueryNode::phrase("body", &["chest", "pain"]),
+        QueryNode::fuzzy("body", "fevr", 1),
+        QueryNode::fuzzy("title", "cardiac", 2),
+        QueryNode::Bool {
+            must: vec![QueryNode::term("body", "patient")],
+            should: vec![
+                QueryNode::term("body", "cough"),
+                QueryNode::fuzzy("body", "malaies", 2),
+            ],
+            must_not: vec![QueryNode::phrase("body", &["chest", "pain"])],
+        },
+        QueryNode::query_string(index, "body", "fever and cough with chest pain"),
+    ];
+    let bits = |hits: Vec<ScoredDoc>| {
+        hits.into_iter()
+            .map(|h| (h.doc, h.external_id, h.score.to_bits()))
+            .collect()
+    };
+    let mut out = Vec::new();
+    for q in &queries {
+        for k in [1, 10, 1000] {
+            out.push(bits(index.search(q, k, Scorer::default())));
+            out.push(bits(index.search_exhaustive(q, k, Scorer::TfIdf)));
+        }
+    }
+    out
+}
+
+#[test]
+fn segment_counts_are_invisible_to_search_bodies_and_rankings() {
+    let reports = corpus(60, 20260902);
+    let queries: Vec<String> = QuerySet::generate(&reports, 11, 24)
+        .queries
+        .into_iter()
+        .map(|q| q.text)
+        .collect();
+    // Pinned by `query_equivalence.rs` on one never-flushed segment.
+    let golden = [
+        0xcd73_68ed_2fda_40ffu64,
+        0xac16_d65e_c501_95e9,
+        0xf437_4c0b_bc6f_4f49,
+        0x779f_cab1_aaf7_d3dd,
+        0x6379_95ad_6715_067b,
+    ];
+    for shards in [1usize, 2] {
+        let mut baseline = None;
+        for cadence in CADENCES {
+            let system = Arc::new(Create::new(CreateConfig { shards }));
+            ingest_flushing(&system, &reports, cadence);
+            let index = system.index();
+            if cadence == Some(1) {
+                assert!(index.segment_count() > 2, "{index:?}");
+            }
+            let rankings = index_rankings(&index);
+            assert!(rankings.iter().filter(|hits| !hits.is_empty()).count() > 30);
+            let baseline = baseline.get_or_insert_with(|| rankings.clone());
+            assert!(
+                rankings == *baseline,
+                "shard 0's index ranks differently at {shards} shard(s), flushing every {cadence:?}"
+            );
+            assert_eq!(
+                search_digests(system, &queries),
+                golden,
+                "/search bodies at {shards} shard(s), flushing every {cadence:?}"
+            );
+        }
+        // Disk-backed: the seals freeze the same segments, and a reopen
+        // adopts each file as one.
+        let dir = std::env::temp_dir().join(format!(
+            "create-segment-equivalence-{}-{shards}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let system = Create::open(&dir, CreateConfig { shards }).expect("open");
+            ingest_flushing(&system, &reports, Some(7));
+        }
+        let reopened = Arc::new(Create::open(&dir, CreateConfig { shards }).expect("reopen"));
+        assert_eq!(
+            search_digests(reopened, &queries),
+            golden,
+            "/search bodies at {shards} shard(s) after a reopen"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn segment_counts_are_invisible_to_cohort_bodies() {
+    let reports = corpus(120, 20260816);
+    // `cohort_retrieval.rs`'s shard-invariance panel and pinned digest.
+    let mut panel: Vec<String> = gold_cohorts().iter().map(|s| s.criteria_json()).collect();
+    panel.push(
+        r#"{"filters":[{"field":"sex","values":["female"]}],
+            "keywords":"fatigue and weight loss","k":10}"#
+            .to_string(),
+    );
+    panel.push(
+        r#"{"filters":[{"field":"category","values":["cancer","cardiovascular"]}],
+            "keywords":"chest pain","facets":["year"],"k":7}"#
+            .to_string(),
+    );
+    panel.push(
+        r#"{"keywords":"fever","temporal":[{"a":"fever","op":"within","days":600,"b":"malaise"}],
+            "facets":["category","sex"],"k":5}"#
+            .to_string(),
+    );
+    panel.push(r#"{"keywords":"fever and cough","k":10}"#.to_string());
+    for shards in [1usize, 2] {
+        for cadence in CADENCES {
+            let system = Create::new(CreateConfig { shards });
+            ingest_flushing(&system, &reports, cadence);
+            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            for criteria in &panel {
+                let json = parse_json(criteria).expect("criteria parses");
+                let body = system
+                    .cohort_from_json(&json)
+                    .expect("criteria accepted")
+                    .to_json()
+                    .to_json();
+                for b in body.bytes() {
+                    digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                digest, 0xe6de_ef8a_4547_44f3,
+                "/cohort bodies at {shards} shard(s), flushing every {cadence:?}"
+            );
+        }
     }
 }

@@ -8,11 +8,13 @@
 //! generation and fails the test. Readers also check that the generations
 //! they observe never roll backwards, a separate test pins the cache
 //! contract: entries stamped with an old snapshot's generation survive the
-//! publish itself but die (as misses) on first touch afterwards, and a
+//! publish itself but die (as misses) on first touch afterwards, a
 //! third shows that every read API finishes while a write operation
-//! holds the write lock.
+//! holds the write lock, and a fourth that a snapshot pinned across a
+//! freeze, a tier merge and a compaction answers as it did when pinned.
 
-use create::core::{Create, CreateConfig};
+use create::core::plan::parse_cohort_criteria;
+use create::core::{Create, CreateConfig, MergePolicy, Snapshot};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -280,6 +282,121 @@ fn a_read_completes_while_a_write_operation_is_open() {
     let (generations, shard_count) = shards;
     assert_eq!((generations.len(), shard_count), (2, 2));
     assert_eq!(generation, generations.iter().sum::<u64>());
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a snapshot answers: `/search` bodies under every policy,
+/// `/cohort` bodies, and the stored report of every id in `ids`.
+type Answers = (Vec<String>, Vec<String>, Vec<Option<String>>);
+
+/// A snapshot pinned before a flush keeps answering its generation
+/// bit-exactly while the writer freezes the tail the snapshot still
+/// holds, merges it with the frozen segment before it, writes on, and
+/// compacts the files beneath: a freeze moves a pointer and a merge
+/// builds a new segment, neither touches a segment a reader holds.
+#[test]
+fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
+    let reports = corpus(40, 20261016);
+    let dir = std::env::temp_dir().join(format!("create-pinned-reader-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let system = Create::open(&dir, single_shard()).expect("open");
+    // One sealed, frozen batch, and a tail of the same size.
+    system.ingest_gold_batch(&reports[..8], 0).expect("ingest");
+    system.flush().expect("flush");
+    system
+        .ingest_gold_batch(&reports[8..16], 0)
+        .expect("ingest");
+    let pinned = system.snapshot();
+    let held: Vec<&str> = reports[..16].iter().map(|r| r.id.as_str()).collect();
+
+    let queries: Vec<String> = QuerySet::generate(&reports[..16], 78, 6)
+        .queries
+        .into_iter()
+        .map(|q| q.text)
+        .chain(["fever cough".to_string()])
+        .collect();
+    let ontology = system.ontology();
+    let criteria: Vec<_> = [
+        r#"{"filters":[{"field":"sex","values":["female","male"]}],"facets":["year"],"k":20}"#,
+        r#"{"keywords":"fever and cough","facets":["category"],"k":5}"#,
+        r#"{"keywords":"fever","temporal":[{"a":"fever","op":"within","days":600,"b":"malaise"}],"k":5}"#,
+    ]
+    .iter()
+    .map(|json| {
+        let json = create::docstore::json::parse_json(json).expect("criteria parse");
+        parse_cohort_criteria(&json, &ontology).expect("criteria accepted")
+    })
+    .collect();
+    let answers = |snapshot: &Snapshot| -> Answers {
+        let policies = [
+            MergePolicy::Neo4jFirst,
+            MergePolicy::EsFirst,
+            MergePolicy::EsOnly,
+            MergePolicy::GraphOnly,
+            MergePolicy::Interleave,
+        ];
+        let searches = queries
+            .iter()
+            .flat_map(|q| policies.map(|policy| (q, policy)))
+            .map(|(q, policy)| {
+                system
+                    .search_against(snapshot, q, K, policy)
+                    .body()
+                    .to_string()
+            })
+            .collect();
+        let cohorts = criteria
+            .iter()
+            .map(|c| snapshot.cohort(c).to_json().to_json())
+            .collect();
+        let stored = held
+            .iter()
+            .map(|id| snapshot.report(id).map(|r| r.to_json()))
+            .collect();
+        (searches, cohorts, stored)
+    };
+    let pinned_answers = answers(&pinned);
+    assert!(
+        pinned_answers.2.iter().all(Option::is_some),
+        "the pin holds every id"
+    );
+    assert_eq!(
+        pinned.index().segment_count(),
+        2,
+        "a frozen segment and the tail"
+    );
+
+    // The flush seals and freezes the tail the pin holds, and the tier
+    // rule merges it with the equal-sized segment before it.
+    system.flush().expect("flush");
+    let mut next = 16;
+    let compacted = loop {
+        system
+            .ingest_gold_batch(&reports[next..next + 2], 0)
+            .expect("ingest");
+        next += 2;
+        if next == 18 {
+            let ram = system.shard_segments()[0].ram;
+            assert_eq!(
+                ram, 2,
+                "the two 8-document segments merged, beside the new tail"
+            );
+        }
+        system.flush().expect("flush");
+        let files = system.storage_stats().expect("disk-backed").segments;
+        if files == 1 || next + 2 > reports.len() {
+            break files == 1;
+        }
+    };
+    assert!(compacted, "a flush compacted the shard's files");
+    assert!(
+        answers(&pinned) == pinned_answers,
+        "the pinned snapshot's answers moved under a freeze, a merge or a compaction"
+    );
+    // The live system sees the later documents too.
+    assert_eq!(system.stats().reports, next);
+    drop(pinned);
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
 }
