@@ -27,8 +27,9 @@
 //! tail) and a compaction ([`compact_shard`], from the encoded inputs)
 //! each write their segment in one pass through one `SegmentWriter`, so
 //! neither holds a copy of the documents; recovery checks each file
-//! against its manifest entry before decoding it ([`load_segment`]) and
-//! adopts it as one frozen in-RAM segment.
+//! against its manifest entry and its postings region with the codec's
+//! checks ([`load_segment`]), and adopts that region, undecoded, as one
+//! frozen in-RAM segment.
 //!
 //! Ingest serializes each member once and splices the texts into the
 //! WAL record and the payload; WAL replay splices the record's member
@@ -42,7 +43,7 @@ use crate::system::ShardSnapshot;
 use create_docstore::json::{object_members, Member, Value};
 use create_index::codec::{self, MergeError};
 use create_index::facets::FacetIndex;
-use create_index::{Index, Segment};
+use create_index::{FrozenSegment, Index};
 use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
 use create_storage::segment::{Region, SegmentReader, SegmentWriter};
@@ -272,13 +273,15 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
 /// as the segment file at `path`, each region streamed from the shard's
 /// own columns (indexed by doc id, like the index): the directory from
 /// the tail's ids and the ordinals, each payload as the shard holds it,
-/// the codec-encoded tail and the facet-bitmap tail. Holds a block of
-/// the region being written, one field's sorted tail terms, one term's
-/// postings and the facet tail — never a copy of the documents.
+/// `postings` — the tail's encoding, which the index then keeps as a
+/// frozen segment — and the facet-bitmap tail. Holds a block of the
+/// region being written and the facet tail — never a copy of the
+/// documents.
 pub(crate) fn write_tail(
     path: &Path,
     shard: &ShardSnapshot,
     base: usize,
+    postings: &[u8],
 ) -> Result<SegmentFileInfo, StorageError> {
     let num = shard.index.num_docs();
     let tail = shard.index.tail();
@@ -301,7 +304,7 @@ pub(crate) fn write_tail(
             out.payload(shard.docs[doc].as_bytes())?;
         }
         out.next_region()?;
-        codec::encode_index_tail(&shard.index, out)?;
+        out.write_all(postings)?;
         out.next_region()?;
         out.write_all(&shard.facets.encode_tail(base as u32))
     })
@@ -317,11 +320,12 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
 }
 
 /// Reads one sealed segment file back into what it was sealed from:
-/// postings and facet bitmaps over segment-local doc ids (`template`
-/// gives the field configuration) and the stored documents, each
-/// covering the same documents. Recovery's reader of segment files,
-/// which adopts the postings as one frozen segment of the shard's index;
-/// compaction streams them instead ([`compact_shard`]).
+/// postings and facet bitmaps over segment-local doc ids and the stored
+/// documents, each covering the same documents. The postings region is
+/// checked and kept as it is ([`codec::adopt`], with `template`'s field
+/// configuration), the frozen segment the shard's index adopts; nothing
+/// is decoded. Recovery's reader of segment files; compaction streams
+/// them instead ([`compact_shard`]).
 ///
 /// The file must be the one the manifest entry `meta` describes: its
 /// size and footer CRC, and its directory's document count and first
@@ -332,7 +336,7 @@ pub(crate) fn load_segment(
     path: &Path,
     meta: &SegmentMeta,
     template: &Index,
-) -> Result<(Segment, FacetIndex, Vec<StoredDoc>), StorageError> {
+) -> Result<(FrozenSegment, FacetIndex, Vec<StoredDoc>), StorageError> {
     let segment = SegmentReader::open(path)?;
     check_meta(path, "bytes", meta.bytes, segment.bytes())?;
     check_meta(path, "crc", meta.crc.into(), segment.crc().into())?;
@@ -343,7 +347,7 @@ pub(crate) fn load_segment(
     check_meta(path, "min_ordinal", meta.min_ordinal, first)?;
     let last = ordinal(data.docs.last());
     check_meta(path, "max_ordinal", meta.max_ordinal, last)?;
-    let postings = codec::decode_segment(&data.postings, template).map_err(corrupt_at(path))?;
+    let postings = codec::adopt(data.postings, template).map_err(corrupt_at(path))?;
     let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
     check_doc_counts(
         path,

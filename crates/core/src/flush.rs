@@ -4,6 +4,7 @@
 
 use crate::durability::{self, COMPACT_SEGMENT_THRESHOLD};
 use crate::{ingest::IngestError, system::Create, writer::Writer};
+use create_index::codec;
 use create_storage::manifest::{segment_file_name, sweep_orphans};
 use create_storage::{Manifest, SegmentMeta, ShardManifest};
 use std::{path::Path, time::Instant};
@@ -16,21 +17,30 @@ impl Create {
     /// index's tail is frozen in RAM), and compacts shards that
     /// accumulated enough segments. An in-memory instance has nothing to
     /// persist and only freezes its tails, so the writes after it copy
-    /// what they add, not what came before.
+    /// what they add, not what came before. Either way the shards whose
+    /// tails froze are published as they are now — the same documents,
+    /// so no cached answer dies — and the published tails' posting lists
+    /// are freed once no reader holds them: the frozen segments are the
+    /// tails' encodings, not the lists.
     pub fn flush(&self) -> Result<(), IngestError> {
         let compacted = {
             let mut writers = self.lock_writers();
             for writer in &mut writers.shards {
                 writer.wal_sync()?;
             }
+            let frozen: Vec<usize> = (0..writers.shards.len())
+                .filter(|&i| writers.shards[i].shard.index.tail().num_docs() > 0)
+                .collect();
             let Some(root) = self.storage.as_ref() else {
                 for writer in &mut writers.shards {
                     writer.freeze();
                 }
+                self.publish_shards(&writers, &frozen);
                 return Ok(());
             };
             let mut manifest = root.lock_manifest();
             seal_tails(&mut writers.shards, &mut manifest, &root.dir, false)?;
+            self.publish_shards(&writers, &frozen);
             let compacted = compact_shards(&writers.shards, &mut manifest, &root.dir)?;
             durability::refresh_segment_gauges(&manifest);
             compacted
@@ -53,25 +63,25 @@ impl Create {
 /// was written, or `store_anyway` (a fresh data directory at open) —
 /// registers them all in one manifest swap and only after it lands
 /// resets each WAL, advances `sealed_docs`, sweeps orphans and freezes
-/// the index's tail (a failed swap leaves the tail to the next seal). A crash
-/// before the swap replays the tails from the old WALs; a crash after it
-/// skips the (now sealed) records by ordinal. Sealing nothing writes
-/// nothing.
+/// the index's tail as the postings the seal wrote (a failed swap leaves
+/// the tail to the next seal). A crash before the swap replays the tails
+/// from the old WALs; a crash after it skips the (now sealed) records by
+/// ordinal. Sealing nothing writes nothing.
 pub(crate) fn seal_tails(
     writers: &mut [Writer],
     manifest: &mut Manifest,
     dir: &Path,
     store_anyway: bool,
 ) -> Result<(), IngestError> {
-    let mut sealed = false;
+    let mut sealed = Vec::with_capacity(writers.len());
     for (writer, entry) in writers.iter_mut().zip(&mut manifest.shards) {
-        sealed |= seal_tail(writer, entry)?;
+        sealed.push(seal_tail(writer, entry)?);
     }
-    if !sealed && !store_anyway {
+    if sealed.iter().all(Option::is_none) && !store_anyway {
         return Ok(());
     }
     manifest.store(dir).map_err(IngestError::Storage)?;
-    for (writer, entry) in writers.iter_mut().zip(&manifest.shards) {
+    for ((writer, entry), postings) in writers.iter_mut().zip(&manifest.shards).zip(sealed) {
         let num_docs = writer.shard.index.num_docs();
         let Some(storage) = writer.storage.as_mut() else {
             continue;
@@ -79,27 +89,32 @@ pub(crate) fn seal_tails(
         storage.wal.reset().map_err(IngestError::Storage)?;
         storage.sealed_docs = num_docs;
         sweep_orphans(&storage.dir, entry);
-        writer.freeze();
+        if let Some(postings) = postings {
+            writer.freeze_encoded(postings);
+        }
     }
     Ok(())
 }
 
 /// Seals a shard's unsealed tail (`[sealed_docs..num_docs)`) into a new
 /// on-disk segment and registers it in the shard's manifest entry.
-/// Returns whether a segment was written.
-fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<bool, IngestError> {
+/// Returns the postings region it wrote — the tail's encoding — or
+/// `None` when there was nothing to seal.
+fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<Option<Vec<u8>>, IngestError> {
     let shard = &writer.shard;
     let num = shard.index.num_docs();
     let Some(storage) = writer.storage.as_ref() else {
-        return Ok(false);
+        return Ok(None);
     };
     if num <= storage.sealed_docs {
-        return Ok(false);
+        return Ok(None);
     }
     let started = Instant::now();
     let base = storage.sealed_docs;
     let file = segment_file_name(entry.next_segment_id);
-    let info = durability::write_tail(&storage.dir.join(&file), shard, base)
+    let mut postings = Vec::new();
+    codec::encode_index_tail(&shard.index, &mut postings).expect("a Vec takes every byte");
+    let info = durability::write_tail(&storage.dir.join(&file), shard, base, &postings)
         .map_err(IngestError::Storage)?;
     entry.segments.push(SegmentMeta {
         file,
@@ -111,7 +126,7 @@ fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<bool, IngestE
     });
     entry.next_segment_id += 1;
     durability::note_seal(started.elapsed().as_secs_f64());
-    Ok(true)
+    Ok(Some(postings))
 }
 
 /// Compacts every shard that reached [`COMPACT_SEGMENT_THRESHOLD`]

@@ -28,9 +28,10 @@ impl Create {
     ///    checked against its manifest entry (size, CRC, doc count, first
     ///    and last ordinal — the last is where WAL replay starts): every
     ///    stored payload goes through `Writer::apply` — refilling the
-    ///    shard's stored payloads and the graph — and the postings and
-    ///    facet bitmaps go through `Writer::merge` as decoded, each file
-    ///    frozen as one in-RAM segment, not merged into one index.
+    ///    shard's stored payloads and the graph — and the facet bitmaps
+    ///    merge as decoded, while the postings region is checked and
+    ///    adopted undecoded as one frozen in-RAM segment
+    ///    (`Writer::adopt`), not merged into one index.
     /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
     ///    through the same two functions, its postings and facets built
     ///    by the `index_doc` live ingestion uses; then seal every tail
@@ -152,32 +153,30 @@ impl Create {
 impl Writer {
     /// Recovers one sealed segment, which must be the file its manifest
     /// entry `meta` describes ([`durability::load_segment`]): every
-    /// stored payload is applied as the file holds it, and the postings
-    /// and facet bitmaps merge as decoded — no re-tokenization — and are
-    /// frozen: the file becomes one frozen segment of the shard's index
-    /// (the tier rule may merge it with the newest one before it). A
-    /// document whose three ids disagree ([`durability::check_ids`])
-    /// fails the segment.
+    /// stored payload is applied as the file holds it, the facet bitmaps
+    /// merge as decoded and the postings region — no re-tokenization, no
+    /// decoding — becomes one frozen segment of the shard's index (the
+    /// tier rule may merge it with the newest one before it). A document
+    /// whose three ids disagree ([`durability::check_ids`]) fails the
+    /// segment.
     fn recover_segment(
         &mut self,
         ontology: &Ontology,
         path: &Path,
         meta: &SegmentMeta,
     ) -> Result<(), StorageError> {
-        let (segment, facets, docs) = durability::load_segment(path, meta, &self.shard.index)?;
+        let (postings, facets, docs) = durability::load_segment(path, meta, &self.shard.index)?;
         // By value: a file payload is freed once the shard holds its
         // copy, so the stored fields are never resident twice over.
         for (doc, stored) in docs.into_iter().enumerate() {
             let (text, payload) =
                 durability::parse_payload_bytes(&stored.payload).map_err(corrupt_at(path))?;
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
-            let indexed = segment.external_id(doc as u32);
+            let indexed = postings.external_id(doc as u32);
             durability::check_ids(path, doc, &stored.id, indexed, fields.id)?;
             self.apply(ontology, stored.ordinal, &fields, &annotations, text);
         }
-        self.merge(segment, facets).map_err(corrupt_at(path))?;
-        self.freeze();
-        Ok(())
+        self.adopt(postings, facets).map_err(corrupt_at(path))
     }
 
     /// Replays the records of the WAL at `path` whose ordinal is past

@@ -9,7 +9,7 @@ use crate::graph_build::{GraphBuilder, ReportMeta};
 use crate::system::{Create, ShardSnapshot, Snapshot};
 use crate::{ingest::IngestError, pipeline::ExtractedAnnotations};
 use create_graphdb::PropertyGraph;
-use create_index::{facets::FacetIndex, index::IndexError, Index, Segment};
+use create_index::{facets::FacetIndex, index::IndexError, FrozenSegment, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, Span};
 use create_ontology::Ontology;
@@ -206,10 +206,10 @@ impl Writer {
 
     /// Merges a segment's postings and its facet twin at the shard's
     /// current doc count, which keeps bitmap ids aligned with index ids.
-    /// Postings and facets enter a writer in no other form: workers
-    /// built the pair, WAL replay built it, or a segment file decoded to
-    /// it. The postings go to the index's tail, so a merge after a
-    /// publish copies the tail's tables, not the shard's.
+    /// Workers or WAL replay built the pair; a segment file's enters by
+    /// [`Writer::adopt`] instead. The postings go to the index's tail, so
+    /// a merge after a publish copies the tail's tables, not the
+    /// shard's.
     pub(crate) fn merge(&mut self, segment: Segment, facets: FacetIndex) -> Result<(), IndexError> {
         let _span = Span::enter(
             obs_names::PIPELINE_STAGE_SECONDS,
@@ -221,12 +221,30 @@ impl Writer {
         Ok(())
     }
 
-    /// Freezes the index's tail ([`Index::freeze`]): what a seal wrote,
-    /// a segment file recovery adopted, or — in memory — everything since
-    /// the last `flush()`. Copies no postings; nothing to publish, since
-    /// a reader sees the same documents either way.
+    /// Freezes the index's tail ([`Index::freeze`]) — in memory,
+    /// everything since the last `flush()` — into its encoding.
     pub(crate) fn freeze(&mut self) {
         Arc::make_mut(&mut self.shard.index).freeze();
+    }
+
+    /// Freezes the index's tail as `postings`, its encoding a seal just
+    /// wrote to the tail's segment file ([`Index::freeze_encoded`]).
+    pub(crate) fn freeze_encoded(&mut self, postings: Vec<u8>) {
+        Arc::make_mut(&mut self.shard.index).freeze_encoded(postings);
+    }
+
+    /// Adds a segment file's adopted postings to the index as one more
+    /// frozen segment ([`Index::adopt_frozen`]), and its facet twin at
+    /// the same doc ids: segment recovery's [`Writer::merge`].
+    pub(crate) fn adopt(
+        &mut self,
+        postings: FrozenSegment,
+        facets: FacetIndex,
+    ) -> Result<(), IndexError> {
+        let base = self.shard.index.num_docs() as u32;
+        Arc::make_mut(&mut self.shard.index).adopt_frozen(postings)?;
+        Arc::make_mut(&mut self.shard.facets).merge(facets, base);
+        Ok(())
     }
 
     /// Fsyncs the shard's WAL — the durability point of the write path,

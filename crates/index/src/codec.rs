@@ -1,9 +1,15 @@
-//! On-disk postings codec: serializes an index *tail* for segment files.
+//! The postings codec: the encoding of an index *tail*, which is both a
+//! segment file's postings region and what an [`Index`] keeps in RAM of
+//! every frozen segment.
 //!
-//! A flush seals the documents ingested since the previous seal, which
-//! are exactly the index's mutable tail segment (see [`crate::segment`]):
-//! the codec encodes the tail straight from the live index — no
-//! re-tokenization — and the flush then freezes it.
+//! A seal or an in-memory freeze encodes the documents indexed since the
+//! previous one — exactly the index's mutable tail segment (see
+//! [`crate::segment`]) — straight from the live index, no
+//! re-tokenization: the seal writes those bytes to its file, and both
+//! then keep them, through [`adopt`], as one more frozen segment
+//! ([`crate::frozen`]). Recovery adopts a segment file's region the same
+//! way. A frozen segment's lists are decoded one term at a time, when a
+//! query opens the term ([`decode_entry`]).
 //!
 //! Layout (all integers LEB128 varints unless noted):
 //!
@@ -33,28 +39,30 @@
 //! Whether a field has positions is not in the blob: it is the
 //! configuration's — a field's analyzer either produces word positions
 //! or not (the n-gram field's does not; see
-//! [`create_text::Tokenizer::word_positions`]) — and [`decode_segment`]
-//! and [`merge_postings`] read it from the template index they are
-//! given. Without positions a posting is two varints, mostly a byte
-//! each, which the segment's block compression then shrinks further.
+//! [`create_text::Tokenizer::word_positions`]) — and [`adopt`] and
+//! [`merge_postings`] read it from the template index they are given.
+//! Without positions a posting is two varints, mostly a byte each, which
+//! the segment's block compression then shrinks further.
 //!
-//! Doc ids are stored *segment-local*, so decoding yields a [`Segment`]
-//! that [`Index::merge_segment`] takes exactly as a live parallel-ingest
-//! segment — recovery reproduces the never-crashed index bit-for-bit.
-//! Terms and fields are sorted, making the encoding deterministic even
-//! though the live dictionaries are hash maps.
+//! Doc ids are stored *segment-local*, so a blob is one segment of an
+//! index wherever its documents start, and [`decode_segment`] yields a
+//! [`Segment`] that [`Index::merge_segment`] takes exactly as a live
+//! parallel-ingest segment. Terms and fields are sorted, making the
+//! encoding deterministic even though the live dictionaries are hash
+//! maps.
 //!
 //! Skip entries record `(local doc id, byte offset)` every
 //! [`SKIP_INTERVAL`] postings so long lists can be entered mid-stream;
-//! the decoder also uses them as an integrity cross-check.
+//! the checks also use them as an integrity cross-check.
 //!
-//! [`merge_postings`] is compaction's form of the codec: it merges the
-//! blobs of consecutive segments, streamed, into the blob of their
-//! concatenation without decoding them into an index, through the same
-//! readers and checks as [`decode_segment`].
+//! [`merge_postings`] merges the blobs of consecutive segments, streamed,
+//! into the blob of their concatenation without decoding them into an
+//! index, through the same readers and checks as [`adopt`]: the one
+//! kernel of disk compaction and of the in-RAM tier rule.
 
-use crate::index::{FieldIndex, Index, Segment};
-use crate::postings::PostingList;
+use crate::frozen::{FrozenField, FrozenSegment};
+use crate::index::{bucket_of, FieldIndex, Index, Segment};
+use crate::postings::{Decoded, PostingList, Span};
 use create_util::fxhash::{map_with_capacity, FxHashMap};
 use create_util::varint;
 use std::io::{self, BufRead, Write};
@@ -386,6 +394,9 @@ struct Terms {
     positions: bool,
     /// Whether a term was read and not yet passed: the current one.
     has: bool,
+    /// The input's bytes left where the current term's posting count
+    /// starts.
+    entry: u64,
     text: Vec<u8>,
     suffix: Vec<u8>,
     postings: usize,
@@ -434,6 +445,7 @@ impl Terms {
         if std::str::from_utf8(&self.text).is_err() {
             return Err(err("term is not UTF-8"));
         }
+        self.entry = r.left();
         // A posting takes at least two bytes, doc gap and term frequency,
         // and one position more in a field with positions.
         self.postings = r.count(2 + usize::from(self.positions), "posting count")?;
@@ -529,79 +541,178 @@ impl Terms {
     }
 }
 
-/// Decodes a blob produced by [`encode_index_tail`] into a segment over
-/// segment-local doc ids with `template`'s field configuration, each id
-/// one `Arc<str>` its two tables share — ready for
-/// [`Index::merge_segment`].
+/// Checks a blob [`encode_index_tail`] or [`merge_postings`] wrote and
+/// keeps it, as it is, as a frozen segment of `template`'s field
+/// configuration, with the tables that find terms and ids in it (see
+/// [`crate::frozen`]). No posting list is built.
 ///
 /// The input is untrusted: every count is capped by what the remaining
 /// bytes can hold before anything is reserved for it, and only the
 /// canonical encoding is accepted (shortest varints, every template
 /// field in name order, strictly ascending maximally prefix-shared
-/// terms, ascending docs, one skip entry per [`SKIP_INTERVAL`]
-/// postings) — a blob that decodes re-encodes to the same bytes.
-/// [`merge_postings`] applies the same checks through the same readers.
-pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<Segment, CodecError> {
-    let template = template.tail();
-    let mut r = Reader::new(bytes);
-    let doc_count = doc_count(&mut r, template)?;
-    let mut external_ids = Vec::with_capacity(doc_count);
-    let mut id_map = map_with_capacity(doc_count);
-    read_ids(&mut r, doc_count, &mut id_map, |id| {
-        external_ids.push(Arc::clone(id))
-    })?;
-    field_count(&mut r, template)?;
+/// terms, unique ids, and postings [`Terms::walk`] accepts: ascending
+/// docs within the segment, term frequencies within each document's
+/// length, one skip entry per [`SKIP_INTERVAL`] postings) — a blob that
+/// is adopted re-encodes to the same bytes. What it accepted,
+/// [`decode_entry`] reads without checking again. [`merge_postings`]
+/// applies the same checks through the same readers.
+pub fn adopt(blob: Vec<u8>, template: &Index) -> Result<FrozenSegment, CodecError> {
+    let config = template.tail();
+    // Offsets into the blob are `u32`s.
+    let len = blob.len();
+    if u32::try_from(len).is_err() {
+        return Err(err("blob of 4 GiB or more"));
+    }
+    let mut r = Reader::new(&blob[..]);
+    let doc_count = doc_count(&mut r, config)?;
+    let mut at = len - r.left() as usize;
+    read_ids(&mut r, doc_count, &mut map_with_capacity(doc_count), |_| {})?;
+    // Each id's offset, found again in the bytes `read_ids` checked.
+    let mut ids = Vec::with_capacity(doc_count);
+    for _ in 0..doc_count {
+        ids.push(at as u32);
+        let id_len = varint::read_u64(&blob, &mut at).expect("read by read_ids");
+        at += id_len as usize;
+    }
+    field_count(&mut r, config)?;
 
-    let mut fields: FxHashMap<String, FieldIndex> = map_with_capacity(template.fields.len());
-    let mut prev = None;
-    for _ in 0..template.fields.len() {
-        let (name, config) = field(&mut r, template, prev)?;
+    let mut fields = map_with_capacity(config.fields.len());
+    let (mut prev, mut positions) = (None, Vec::new());
+    for _ in 0..config.fields.len() {
+        let (name, fi) = field(&mut r, config, prev)?;
         prev = Some(name);
-        let mut fi = FieldIndex::empty(config.analyzer.clone(), config.boost);
-        fi.doc_len = Vec::with_capacity(doc_count);
+        let mut doc_len = Vec::with_capacity(doc_count);
         for _ in 0..doc_count {
-            fi.doc_len.push(r.u32("doc length")?);
+            doc_len.push(r.u32("doc length")?);
         }
-        fi.total_len = fi.doc_len.iter().map(|&l| l as u64).sum();
-        fi.docs_with_field = fi.doc_len.iter().filter(|&&l| l > 0).count();
-
+        let (mut text, mut ends, mut entries) = (String::new(), Vec::new(), Vec::new());
+        let mut buckets: FxHashMap<(u16, char), Vec<u32>> = FxHashMap::default();
         let mut terms = Terms::new(fi.positions);
         while terms.next(&mut r)? {
-            // Every varint ends in exactly one byte below 0x80 and the
-            // stream is gap, term frequency, positions — so the bytes
-            // below 0x80 count the positions exactly, and the three
-            // arrays are allocated once at their final size.
-            let num_positions = if terms.positions {
-                let varints = terms.blob.iter().filter(|&&b| b < 0x80).count();
-                varints.saturating_sub(2 * terms.postings)
-            } else {
-                0
-            };
-            let mut docs = Vec::with_capacity(terms.postings);
-            let mut ends = Vec::with_capacity(terms.postings);
-            let mut positions: Vec<u32> = Vec::with_capacity(num_positions);
-            terms.walk(&fi.doc_len, &mut positions, |posting| {
-                docs.push(posting.doc);
-                ends.push(posting.tf_end);
-                Ok(())
-            })?;
-            fi.dict.insert(
-                terms.term().into(),
-                Arc::new(PostingList::from_parts(docs, ends, positions)),
-            );
+            positions.clear();
+            terms.walk(&doc_len, &mut positions, |_| Ok(()))?;
+            let ordinal = ends.len() as u32;
+            buckets
+                .entry(bucket_of(terms.term()))
+                .or_default()
+                .push(ordinal);
+            text.push_str(terms.term());
+            let end = u32::try_from(text.len()).map_err(|_| err("terms of 4 GiB or more"))?;
+            ends.push(end);
+            entries.push((len as u64 - terms.entry) as u32);
         }
-        // term_buckets stay empty: merge_segment buckets new terms on
-        // the tail's side and never reads the segment's own buckets.
-        fields.insert(name.to_string(), fi);
+        let frozen = FrozenField::new(fi, doc_len, text, ends, entries, buckets);
+        fields.insert(name.to_string(), frozen);
     }
     if r.left() != 0 {
         return Err(err("trailing bytes after last field"));
     }
-    Ok(Segment {
-        fields,
-        external_ids,
-        id_map,
-    })
+    Ok(FrozenSegment::new(blob, ids, fields))
+}
+
+/// What [`decode_entry`] does with each posting's positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Positions {
+    /// The field stores none.
+    Absent,
+    /// Stored, but the read needs none (only a phrase does): passed over.
+    Skip,
+    /// Stored and decoded.
+    Keep,
+}
+
+/// Decodes the entry of an [`adopt`]ed blob whose posting count starts at
+/// byte `at` — a term's postings, their positions as `positions` says —
+/// onto the end of `decoded`, and returns where it lies there. `adopt`
+/// checked every entry, so nothing is checked again.
+pub(crate) fn decode_entry(
+    blob: &[u8],
+    mut at: usize,
+    positions: Positions,
+    decoded: &mut Decoded,
+) -> Span {
+    let count = trusted(blob, &mut at) as usize;
+    // Two varints a skip entry, then the postings' byte length.
+    for _ in 0..2 * trusted(blob, &mut at) + 1 {
+        trusted(blob, &mut at);
+    }
+    let opened = decoded.open();
+    decoded.docs.reserve(count);
+    decoded.ends.reserve(count);
+    let (mut doc, mut tf_end) = (0u32, 0u32);
+    let mut left = count;
+    while left > 0 {
+        // Without positions, four postings whose gaps and frequencies
+        // are a byte each — most of a gram list — in one 8-byte read.
+        if positions == Positions::Absent && left >= 4 {
+            if let Some(bytes) = blob.get(at..at + 8) {
+                let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                if word & 0x8080_8080_8080_8080 == 0 {
+                    for pair in bytes.chunks_exact(2) {
+                        doc += u32::from(pair[0]);
+                        tf_end += u32::from(pair[1]);
+                        decoded.docs.push(doc);
+                        decoded.ends.push(tf_end);
+                    }
+                    (at, left) = (at + 8, left - 4);
+                    continue;
+                }
+            }
+        }
+        left -= 1;
+        // The first gap is the doc id itself.
+        doc += trusted(blob, &mut at);
+        let tf = trusted(blob, &mut at);
+        tf_end += tf;
+        decoded.docs.push(doc);
+        decoded.ends.push(tf_end);
+        match positions {
+            Positions::Absent => {}
+            Positions::Skip => {
+                // A varint ends at its first byte below 0x80.
+                for _ in 0..tf {
+                    while blob[at] >= 0x80 {
+                        at += 1;
+                    }
+                    at += 1;
+                }
+            }
+            Positions::Keep => {
+                // The first delta is the absolute position.
+                let mut position = 0;
+                for _ in 0..tf {
+                    position += trusted(blob, &mut at);
+                    decoded.positions.push(position);
+                }
+            }
+        }
+    }
+    decoded.close(opened)
+}
+
+/// The varint at `*at` of an adopted blob, which `adopt` read as
+/// canonical and within `u32` (a skip offset is one into the blob).
+#[inline(always)]
+fn trusted(blob: &[u8], at: &mut usize) -> u32 {
+    let (mut value, mut shift) = (0u32, 0);
+    loop {
+        let byte = blob[*at];
+        *at += 1;
+        value |= u32::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return value;
+        }
+        shift += 7;
+    }
+}
+
+/// Decodes a blob [`encode_index_tail`] wrote into a segment of posting
+/// lists over segment-local doc ids with `template`'s field
+/// configuration, each id one `Arc<str>` its two tables share — ready
+/// for [`Index::merge_segment`]. It refuses what [`adopt`] refuses, by
+/// adopting the blob, and decodes every list as a query decodes it.
+pub fn decode_segment(bytes: &[u8], template: &Index) -> Result<Segment, CodecError> {
+    Ok(adopt(bytes.to_vec(), template)?.thaw(template))
 }
 
 /// Where a [`merge_postings`] failed.
@@ -639,7 +750,7 @@ impl std::error::Error for MergeError {}
 /// the whole list — in one per-term buffer. Memory is one term's
 /// postings per input plus the inputs' external ids (checked for
 /// duplicates, as `merge_segment` checks them). Every input gets
-/// `decode_segment`'s checks, by the same code.
+/// [`adopt`]'s checks, by the same code.
 ///
 /// A field's dictionary ends with an entry rather than starting with a
 /// count, so each merged term is written as soon as it is complete and

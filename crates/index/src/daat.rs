@@ -27,21 +27,24 @@
 //! `fl(U + u_i) ≥ fl(S + s_i)` because rounding is monotone — so the
 //! bound provably dominates the score it stands in for, ULPs included.
 
-use crate::index::Segment;
-use crate::postings::PostingList;
+use crate::index::{FieldRef, SegmentRead};
+use crate::postings::{Decoded, Found, Postings};
 use crate::query::QueryNode;
-use crate::score::{doc_score, top_k, Entry, ScoredDoc, Scorer};
+use crate::score::{doc_score, term_scores, top_k, Entry, ScoredDoc, Scorer};
 use crate::stats::CorpusStats;
 use create_obs::DaatStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Reusable per-query scratch buffers, allocated once per `search` call
-/// and shared across all phrase nodes in the query tree.
+/// and shared across all nodes in the query tree: the phrase matcher's,
+/// and the arrays a frozen segment's lists are decoded into as the query
+/// opens its terms.
 #[derive(Default)]
 struct Scratch {
     starts: Vec<u32>,
     tmp: Vec<u32>,
+    decoded: Decoded,
 }
 
 /// Which of a segment's documents may enter its top k, beyond matching
@@ -66,7 +69,7 @@ pub(crate) struct Admit<'a> {
 /// [`crate::stats`]. Doc ids in `admit.allowed` and in the hits are the
 /// segment's local ones.
 pub(crate) fn search_daat(
-    index: &Segment,
+    index: &dyn SegmentRead,
     query: &QueryNode,
     k: usize,
     scorer: Scorer,
@@ -76,13 +79,19 @@ pub(crate) fn search_daat(
     // Executor statistics, accumulated locally and flushed to the obs
     // registry in one call at the end (a no-op without the `obs` feature).
     let mut stats = DaatStats::default();
+    let mut scratch = Scratch::default();
     let mut specs = Vec::new();
     if flatten(index, query, &mut specs, &mut stats) {
-        let hits = max_score_top_k(index, &specs, k, scorer, &mut stats, global, admit);
+        let decoded = &mut scratch.decoded;
+        let opened: Vec<Opened> = specs
+            .iter()
+            .filter_map(|s| Opened::open(index, s.field, s.term, false, s.damp, global, decoded))
+            .collect();
+        let cursors = opened.into_iter().map(|o| o.cursor(decoded)).collect();
+        let hits = max_score_top_k(index, cursors, k, scorer, &mut stats, admit);
         create_obs::record_daat(stats);
         return hits;
     }
-    let mut scratch = Scratch::default();
     let (mut scored, mut exclusions) =
         eval_node(index, query, scorer, &mut scratch, &mut stats, global);
     exclusions.sort_unstable();
@@ -103,8 +112,8 @@ pub(crate) fn search_daat(
 
 /// One scoring cursor over a term's postings.
 struct TermCursor<'a> {
-    list: &'a PostingList,
-    /// `list.docs()`, the contiguous run the cursor walks and gallops.
+    postings: Postings<'a>,
+    /// `postings.docs()`, the contiguous run the cursor walks and gallops.
     docs: &'a [u32],
     pos: usize,
     doc_len: &'a [u32],
@@ -119,36 +128,69 @@ struct TermCursor<'a> {
     moves: u64,
 }
 
-impl<'a> TermCursor<'a> {
+/// A term a cursor will walk: its postings found in the tail or decoded
+/// from a frozen segment into the query's scratch, and how to score
+/// them. Every list a query walks at once is opened before any is read,
+/// since decoding appends to the scratch.
+struct Opened<'s> {
+    found: Found<'s>,
+    field: FieldRef<'s>,
+    idf: f64,
+    avg_len: f64,
+    damp: Option<f64>,
+}
+
+impl<'s> Opened<'s> {
     /// `None` when the field or term is absent (the clause matches
     /// nothing, mirroring an empty `term_scores`). With `global` set,
-    /// idf and avg_len come from the merged cross-shard statistics.
+    /// idf and avg_len come from the merged cross-shard statistics. The
+    /// postings' positions are decoded only when `positions` asks.
     fn open(
-        index: &'a Segment,
+        index: &'s dyn SegmentRead,
         field: &str,
         term: &str,
+        positions: bool,
         damp: Option<f64>,
         global: Option<&CorpusStats>,
+        decoded: &mut Decoded,
     ) -> Option<Self> {
-        let fi = index.fields.get(field)?;
-        let list: &PostingList = fi.dict.get(term)?;
+        let fi = index.field(field)?;
+        let found = index.open(field, term, positions, decoded)?;
         let (idf, avg_len) = match global {
             Some(g) => (g.idf(field, term), g.avg_len(field)),
             None => (index.idf(field, term), fi.avg_len()),
         };
-        Some(TermCursor {
-            list,
-            docs: list.docs(),
-            pos: 0,
-            doc_len: &fi.doc_len,
+        Some(Opened {
+            found,
+            field: fi,
             idf,
             avg_len: avg_len.max(1.0),
-            boost: fi.boost,
             damp,
-            moves: 0,
         })
     }
 
+    /// The cursor over the postings, read from `decoded` once every list
+    /// is open.
+    fn cursor<'a>(self, decoded: &'a Decoded) -> TermCursor<'a>
+    where
+        's: 'a,
+    {
+        let postings = self.found.read(decoded);
+        TermCursor {
+            postings,
+            docs: postings.docs(),
+            pos: 0,
+            doc_len: self.field.doc_len,
+            idf: self.idf,
+            avg_len: self.avg_len,
+            boost: self.field.boost,
+            damp: self.damp,
+            moves: 0,
+        }
+    }
+}
+
+impl<'a> TermCursor<'a> {
     #[inline]
     fn current(&self) -> Option<u32> {
         self.docs.get(self.pos).copied()
@@ -185,7 +227,7 @@ impl<'a> TermCursor<'a> {
     /// Term positions in the current document.
     #[inline]
     fn positions(&self) -> &'a [u32] {
-        self.list.positions(self.pos)
+        self.postings.positions(self.pos)
     }
 
     /// The score of a posting of this term with frequency `tf` in `doc`
@@ -209,7 +251,7 @@ impl<'a> TermCursor<'a> {
     /// This term's score contribution for the current document.
     #[inline]
     fn score_at(&self, scorer: Scorer) -> f64 {
-        self.score(scorer, self.docs[self.pos], self.list.tf(self.pos))
+        self.score(scorer, self.docs[self.pos], self.postings.tf(self.pos))
     }
 
     /// Exact per-term score upper bound: the maximum per-doc score over
@@ -217,7 +259,7 @@ impl<'a> TermCursor<'a> {
     fn max_score(&self, scorer: Scorer) -> f64 {
         let mut ub = 0.0_f64;
         let mut start = 0;
-        for (&doc, &end) in self.docs.iter().zip(self.list.ends()) {
+        for (&doc, &end) in self.docs.iter().zip(self.postings.ends()) {
             let s = self.score(scorer, doc, end - start);
             start = end;
             if s > ub {
@@ -240,7 +282,7 @@ struct CursorSpec<'a> {
 /// leaving `out` unusable — when the tree has `must`/`must_not`/phrase
 /// structure, which takes the general path instead.
 fn flatten<'a>(
-    index: &'a Segment,
+    index: &'a dyn SegmentRead,
     node: &'a QueryNode,
     out: &mut Vec<CursorSpec<'a>>,
     stats: &mut DaatStats,
@@ -259,9 +301,7 @@ fn flatten<'a>(
             term,
             max_edits,
         } => {
-            let expansions = index.fuzzy_candidates(field, term, *max_edits);
-            stats.fuzzy_expansions += expansions.len() as u64;
-            for (expanded, dist) in expansions {
+            for (expanded, dist) in expand(index, field, term, *max_edits, stats) {
                 out.push(CursorSpec {
                     field,
                     term: expanded,
@@ -281,6 +321,19 @@ fn flatten<'a>(
     }
 }
 
+/// A fuzzy node's expansions in one segment, counted.
+fn expand<'s>(
+    index: &'s dyn SegmentRead,
+    field: &str,
+    term: &str,
+    max_edits: usize,
+    stats: &mut DaatStats,
+) -> Vec<(&'s str, usize)> {
+    let expansions = index.fuzzy_candidates(field, term, max_edits);
+    stats.fuzzy_expansions += expansions.len() as u64;
+    expansions
+}
+
 /// MaxScore-pruned DAAT union over flat term cursors. With
 /// `admit.allowed` set, only docs in the (sorted) run are scored —
 /// candidates outside it are skipped *before* any score work, which is
@@ -289,22 +342,14 @@ fn flatten<'a>(
 /// post-filtering an unfiltered search. With `admit.floor` set, pruning
 /// starts from it instead of from an empty heap.
 fn max_score_top_k(
-    index: &Segment,
-    specs: &[CursorSpec],
+    index: &dyn SegmentRead,
+    mut cursors: Vec<TermCursor>,
     k: usize,
     scorer: Scorer,
     stats: &mut DaatStats,
-    global: Option<&CorpusStats>,
     admit: Admit,
 ) -> Vec<ScoredDoc> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut cursors: Vec<TermCursor> = specs
-        .iter()
-        .filter_map(|s| TermCursor::open(index, s.field, s.term, s.damp, global))
-        .collect();
-    if cursors.is_empty() {
+    if k == 0 || cursors.is_empty() {
         return Vec::new();
     }
     let n = cursors.len();
@@ -460,7 +505,7 @@ fn recompute_partition(
 /// exclusion set across the whole tree) except across `must` boundaries,
 /// where it is applied locally — same semantics, merge-based execution.
 fn eval_node(
-    index: &Segment,
+    index: &dyn SegmentRead,
     node: &QueryNode,
     scorer: Scorer,
     scratch: &mut Scratch,
@@ -469,17 +514,21 @@ fn eval_node(
 ) -> (Vec<(u32, f64)>, Vec<u32>) {
     match node {
         QueryNode::Term { field, term } => (
-            index.term_scores_with(field, term, scorer, global),
+            term_scores(index, field, term, scorer, global, &mut scratch.decoded),
             Vec::new(),
         ),
         QueryNode::Fuzzy {
             field,
             term,
             max_edits,
-        } => (
-            eval_fuzzy(index, field, term, *max_edits, scorer, stats, global),
-            Vec::new(),
-        ),
+        } => {
+            let expansions = expand(index, field, term, *max_edits, stats);
+            let decoded = &mut scratch.decoded;
+            (
+                eval_fuzzy(index, field, expansions, scorer, global, decoded),
+                Vec::new(),
+            )
+        }
         QueryNode::Phrase { field, terms } => (
             eval_phrase(index, field, terms, scorer, scratch, stats, global),
             Vec::new(),
@@ -520,7 +569,7 @@ fn eval_node(
 
 /// Documents matching a node under `must_not` (scores irrelevant).
 fn neg_docs(
-    index: &Segment,
+    index: &dyn SegmentRead,
     node: &QueryNode,
     scratch: &mut Scratch,
     stats: &mut DaatStats,
@@ -528,7 +577,7 @@ fn neg_docs(
 ) {
     match node {
         QueryNode::Term { field, term } => {
-            if let Some(postings) = index.postings(field, term) {
+            if let Some(postings) = index.read(field, term, &mut scratch.decoded) {
                 out.extend_from_slice(postings.docs());
             }
         }
@@ -537,10 +586,8 @@ fn neg_docs(
             term,
             max_edits,
         } => {
-            let expansions = index.fuzzy_candidates(field, term, *max_edits);
-            stats.fuzzy_expansions += expansions.len() as u64;
-            for (expanded, _) in expansions {
-                if let Some(postings) = index.postings(field, expanded) {
+            for (expanded, _) in expand(index, field, term, *max_edits, stats) {
+                if let Some(postings) = index.read(field, expanded, &mut scratch.decoded) {
                     out.extend_from_slice(postings.docs());
                 }
             }
@@ -570,22 +617,18 @@ fn scorer_for_neg() -> Scorer {
 /// Fuzzy node: damped union over the (sorted) expansion terms, summed per
 /// doc in expansion order — the same fold the exhaustive walker performs.
 fn eval_fuzzy(
-    index: &Segment,
+    index: &dyn SegmentRead,
     field: &str,
-    term: &str,
-    max_edits: usize,
+    expansions: Vec<(&str, usize)>,
     scorer: Scorer,
-    stats: &mut DaatStats,
     global: Option<&CorpusStats>,
+    decoded: &mut Decoded,
 ) -> Vec<(u32, f64)> {
-    let expansions = index.fuzzy_candidates(field, term, max_edits);
-    stats.fuzzy_expansions += expansions.len() as u64;
     let lists: Vec<Vec<(u32, f64)>> = expansions
         .into_iter()
         .map(|(expanded, dist)| {
             let damp = 1.0 / (1.0 + dist as f64);
-            index
-                .term_scores_with(field, expanded, scorer, global)
+            term_scores(index, field, expanded, scorer, global, decoded)
                 .into_iter()
                 .map(|(doc, s)| (doc, s * damp))
                 .collect()
@@ -600,7 +643,7 @@ fn eval_fuzzy(
 /// `term_scores` rescan. A phrase of two or more terms over a field
 /// without positions matches nothing, as in the exhaustive baseline.
 fn eval_phrase(
-    index: &Segment,
+    index: &dyn SegmentRead,
     field: &str,
     terms: &[String],
     scorer: Scorer,
@@ -608,22 +651,29 @@ fn eval_phrase(
     stats: &mut DaatStats,
     global: Option<&CorpusStats>,
 ) -> Vec<(u32, f64)> {
+    let Scratch {
+        starts,
+        tmp,
+        decoded,
+    } = scratch;
     if terms.is_empty() {
         return Vec::new();
     }
     if terms.len() == 1 {
-        return index.term_scores_with(field, &terms[0], scorer, global);
+        return term_scores(index, field, &terms[0], scorer, global, decoded);
     }
-    if !index.fields.get(field).is_some_and(|fi| fi.positions) {
+    if !index.field(field).is_some_and(|fi| fi.positions) {
         return Vec::new();
     }
-    let mut cursors = Vec::with_capacity(terms.len());
+    decoded.clear();
+    let mut opened = Vec::with_capacity(terms.len());
     for t in terms {
-        match TermCursor::open(index, field, t, None, global) {
-            Some(c) => cursors.push(c),
+        match Opened::open(index, field, t, true, None, global, decoded) {
+            Some(o) => opened.push(o),
             None => return Vec::new(),
         }
     }
+    let mut cursors: Vec<TermCursor> = opened.into_iter().map(|o| o.cursor(decoded)).collect();
     let mut out = Vec::new();
     'outer: while let Some(mut target) = cursors[0].current() {
         let mut aligned = false;
@@ -641,7 +691,7 @@ fn eval_phrase(
                 }
             }
         }
-        let matches = adjacency_matches(&cursors, scratch);
+        let matches = adjacency_matches(&cursors, starts, tmp);
         if matches > 0 {
             let mut score = 0.0;
             for c in &cursors {
@@ -659,8 +709,7 @@ fn eval_phrase(
 
 /// Counts phrase occurrences in the aligned doc: start positions of the
 /// first term that every later term follows at the right offset.
-fn adjacency_matches(cursors: &[TermCursor], scratch: &mut Scratch) -> usize {
-    let Scratch { starts, tmp } = scratch;
+fn adjacency_matches(cursors: &[TermCursor], starts: &mut Vec<u32>, tmp: &mut Vec<u32>) -> usize {
     starts.clear();
     starts.extend_from_slice(cursors[0].positions());
     for (offset, c) in cursors[1..].iter().enumerate() {

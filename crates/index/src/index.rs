@@ -1,15 +1,19 @@
 //! The multi-field inverted index.
 //!
-//! A [`Segment`] is one single-dictionary index: each field owns an
-//! analyzer and a term dictionary of postings — positional when the
-//! analyzer's tokens carry word positions, doc ids and term frequencies
-//! only when they do not (the n-gram field). An [`Index`] is an ordered
-//! list of frozen segments plus one mutable tail (Lucene's segment list):
-//! writes go to the tail, reads iterate the segments. Documents are
-//! addressed internally by dense `u32` ids and externally by
-//! caller-supplied string ids (`pmid:…`).
+//! An [`Index`] is an ordered list of frozen segments plus one mutable
+//! tail (Lucene's segment list): writes go to the tail, reads iterate the
+//! segments. The tail — and every batch a worker builds — is a
+//! [`Segment`]: each field owns an analyzer and a term dictionary of
+//! [`PostingList`]s, positional when the analyzer's tokens carry word
+//! positions, doc ids and term frequencies only when they do not (the
+//! n-gram field). A frozen segment is a [`FrozenSegment`]: the codec's
+//! encoding of its documents, decoded a term at a time as queries open
+//! terms (see [`crate::frozen`]). Reads reach both through
+//! [`SegmentRead`]. Documents are addressed internally by dense `u32`
+//! ids and externally by caller-supplied string ids (`pmid:…`).
 
-use crate::postings::PostingList;
+use crate::frozen::FrozenSegment;
+use crate::postings::{Decoded, Found, PostingList, Postings};
 use create_text::Analyzer;
 use create_util::fxhash::FxHashMap;
 use std::sync::Arc;
@@ -24,7 +28,7 @@ pub struct FieldConfig {
     pub boost: f64,
 }
 
-/// Per-field index data.
+/// Per-field data of a [`Segment`].
 ///
 /// Terms, posting lists and fuzzy buckets sit behind `Arc` so a
 /// `clone()` of the field (and thus of a whole [`Segment`]) is
@@ -52,11 +56,10 @@ pub(crate) struct FieldIndex {
     /// incrementally — `avg_len` sits on the BM25 hot path for every
     /// query term, so it must not rescan `doc_len`.
     pub(crate) docs_with_field: usize,
-    /// `(char length, first char)` → the field's distinct terms (the
-    /// dictionary's own `Arc<str>` keys), appended on first insertion.
-    /// Fuzzy expansion scans only the buckets within `max_edits` of the
-    /// query term's length instead of the whole vocabulary (see
-    /// [`Segment::fuzzy_candidates`]).
+    /// [`bucket_of`] → the field's distinct terms (the dictionary's own
+    /// `Arc<str>` keys), appended on first insertion. Fuzzy expansion
+    /// scans only the buckets within `max_edits` of the query term's
+    /// length instead of the whole vocabulary (see [`scan_buckets`]).
     pub(crate) term_buckets: FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
 }
 
@@ -74,11 +77,14 @@ impl FieldIndex {
         }
     }
 
-    pub(crate) fn avg_len(&self) -> f64 {
-        if self.docs_with_field == 0 {
-            0.0
-        } else {
-            self.total_len as f64 / self.docs_with_field as f64
+    /// The field as reads see it.
+    pub(crate) fn view(&self) -> FieldRef<'_> {
+        FieldRef {
+            doc_len: &self.doc_len,
+            total_len: self.total_len,
+            docs_with_field: self.docs_with_field,
+            boost: self.boost,
+            positions: self.positions,
         }
     }
 
@@ -87,9 +93,7 @@ impl FieldIndex {
         buckets: &mut FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
         term: &Arc<str>,
     ) {
-        let len = term.chars().count().min(u16::MAX as usize) as u16;
-        let first = term.chars().next().unwrap_or('\0');
-        Arc::make_mut(buckets.entry((len, first)).or_default()).push(Arc::clone(term));
+        Arc::make_mut(buckets.entry(bucket_of(term)).or_default()).push(Arc::clone(term));
     }
 
     /// Tokenizes `text` as document `doc` and appends its postings.
@@ -131,10 +135,194 @@ impl FieldIndex {
     }
 }
 
-/// One single-dictionary index over dense local doc ids: what a worker
-/// builds a batch into ([`Index::segment`]), what a segment file decodes
-/// to ([`crate::codec::decode_segment`]), and each of an [`Index`]'s
-/// frozen segments and its tail.
+/// A field of one segment — the tail's or a frozen one's — as reads see
+/// it.
+#[derive(Clone, Copy)]
+pub(crate) struct FieldRef<'a> {
+    /// Token count per document (0 when the doc lacks the field).
+    pub(crate) doc_len: &'a [u32],
+    pub(crate) total_len: u64,
+    /// Documents with at least one token in the field.
+    pub(crate) docs_with_field: usize,
+    pub(crate) boost: f64,
+    /// Whether the postings store token positions.
+    pub(crate) positions: bool,
+}
+
+impl FieldRef<'_> {
+    /// The average token count of the documents that have the field.
+    pub(crate) fn avg_len(&self) -> f64 {
+        if self.docs_with_field == 0 {
+            0.0
+        } else {
+            self.total_len as f64 / self.docs_with_field as f64
+        }
+    }
+}
+
+/// What a read asks of one segment of an [`Index`] — the tail
+/// [`Segment`] or a [`FrozenSegment`] — over the segment's local doc
+/// ids.
+pub(crate) trait SegmentRead {
+    /// Number of documents.
+    fn num_docs(&self) -> usize;
+
+    /// External id of a local doc id.
+    fn external_id(&self, doc: u32) -> Option<&str>;
+
+    /// Local doc id of an external id.
+    fn internal_id(&self, external: &str) -> Option<u32>;
+
+    /// A configured field.
+    fn field(&self, name: &str) -> Option<FieldRef<'_>>;
+
+    /// Number of distinct terms in a field.
+    fn vocabulary_size(&self, field: &str) -> usize;
+
+    /// Document frequency of a term in a field (term must already be
+    /// analyzed/normalized).
+    fn doc_freq(&self, field: &str, term: &str) -> usize;
+
+    /// Opens a term's postings: the tail's list where it lies, a frozen
+    /// segment's decoded onto the end of `decoded` — without positions
+    /// unless `positions` asks for them (only a phrase reads them).
+    /// `None` when the field or the term is absent.
+    fn open(
+        &self,
+        field: &str,
+        term: &str,
+        positions: bool,
+        decoded: &mut Decoded,
+    ) -> Option<Found<'_>>;
+
+    /// Dictionary terms within `max_edits` of `term`, with their exact
+    /// distances, sorted by `(distance, term)`: [`scan_buckets`] over
+    /// the field's fuzzy buckets.
+    fn fuzzy_candidates(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)>;
+
+    /// The same set by a [`sweep`] over every term of the field: the
+    /// reference baseline `fuzzy_candidates` is checked against.
+    fn fuzzy_sweep(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)>;
+
+    /// See [`Index::postings_bytes`].
+    fn postings_bytes(&self) -> usize;
+
+    /// The segment's own BM25+ idf of a term, floored at a small positive
+    /// value — what [`CorpusStats::idf`](crate::CorpusStats) evaluates on
+    /// merged statistics.
+    fn idf(&self, field: &str, term: &str) -> f64 {
+        let n = self.num_docs() as f64;
+        let df = self.doc_freq(field, term) as f64;
+        if df == 0.0 {
+            return 0.0;
+        }
+        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+    }
+
+    /// A term's postings without their positions, alone in `decoded`
+    /// (cleared first) when they had to be decoded.
+    fn read<'a>(
+        &'a self,
+        field: &str,
+        term: &str,
+        decoded: &'a mut Decoded,
+    ) -> Option<Postings<'a>> {
+        decoded.clear();
+        let found = self.open(field, term, false, decoded)?;
+        Some(found.read(decoded))
+    }
+}
+
+/// The fuzzy bucket of a term: its length in chars and its first char.
+pub(crate) fn bucket_of(term: &str) -> (u16, char) {
+    let len = term.chars().count().min(u16::MAX as usize) as u16;
+    (len, term.chars().next().unwrap_or('\0'))
+}
+
+/// The terms within `max_edits` of `term`, with their exact distances,
+/// sorted by `(distance, term)`, from a field's terms grouped by
+/// [`bucket_of`].
+///
+/// Only lengths in `[len - max_edits, len + max_edits]` can be within the
+/// bound, so most of the vocabulary is never touched. Within a bucket the
+/// first character routes each candidate to the cheapest sufficient
+/// check:
+///
+/// * first chars equal — the DP runs on the affix-stripped remainder;
+/// * first chars differ and `max_edits == 1` — the single edit must
+///   touch position 0, so the candidate must be exactly a leading
+///   substitution, deletion, or insertion (three `O(len)` comparisons,
+///   no DP at all);
+/// * otherwise — the bounded DP.
+///
+/// The result set is provably identical to a [`sweep`] of the whole
+/// dictionary with `levenshtein_bounded` (asserted by the equivalence
+/// suite).
+pub(crate) fn scan_buckets<'a, T>(
+    buckets: impl Iterator<Item = ((u16, char), T)>,
+    term: &str,
+    max_edits: usize,
+) -> Vec<(&'a str, usize)>
+where
+    T: Iterator<Item = &'a str>,
+{
+    use create_text::distance::levenshtein_bounded_slices;
+    let q: Vec<char> = term.chars().collect();
+    let lo = q.len().saturating_sub(max_edits);
+    let hi = q.len() + max_edits;
+    let mut t_chars: Vec<char> = Vec::new();
+    let mut out: Vec<(&str, usize)> = Vec::new();
+    for ((bucket_len, bucket_first), terms) in buckets {
+        let bucket_len = bucket_len as usize;
+        if bucket_len < lo || bucket_len > hi {
+            continue;
+        }
+        let same_first = q.first() == Some(&bucket_first);
+        for t in terms {
+            t_chars.clear();
+            t_chars.extend(t.chars());
+            let dist = if q.is_empty() || same_first {
+                levenshtein_bounded_slices(&q, &t_chars, max_edits)
+            } else if max_edits == 1 {
+                // Differing first chars under a budget of 1: the one
+                // edit must produce the candidate's first char, so the
+                // remainder is fixed by which edit it was.
+                let sub = t_chars.len() == q.len() && t_chars[1..] == q[1..];
+                let del = t_chars[..] == q[1..];
+                let ins = t_chars.len() == q.len() + 1 && t_chars[1..] == q[..];
+                (sub || del || ins).then_some(1)
+            } else {
+                levenshtein_bounded_slices(&q, &t_chars, max_edits)
+            };
+            if let Some(d) = dist {
+                out.push((t, d));
+            }
+        }
+    }
+    out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+    out
+}
+
+/// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
+/// `terms`, sorted by `(distance, term)` — the reference baseline
+/// [`scan_buckets`] is checked against.
+pub(crate) fn sweep<'a>(
+    terms: impl Iterator<Item = &'a str>,
+    term: &str,
+    max_edits: usize,
+) -> Vec<(&'a str, usize)> {
+    use create_text::distance::levenshtein_bounded;
+    let mut out: Vec<(&str, usize)> = terms
+        .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (t, d)))
+        .collect();
+    out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+    out
+}
+
+/// One single-dictionary index of posting lists over dense local doc
+/// ids: what a worker builds a batch into ([`Index::segment`]), what
+/// [`crate::codec::decode_segment`] makes of a blob, and an [`Index`]'s
+/// mutable tail.
 ///
 /// `Clone` is structural sharing (see [`FieldIndex`]): the id tables
 /// and dictionaries clone `Arc<str>` handles and `Arc` posting lists, so
@@ -189,11 +377,6 @@ impl Segment {
         self.external_ids.get(doc as usize).map(|s| &**s)
     }
 
-    /// Local doc id of an external id.
-    pub(crate) fn internal_id(&self, external: &str) -> Option<u32> {
-        self.id_map.get(external).copied()
-    }
-
     /// Indexes a document: `(field, text)` pairs. Unknown fields are an
     /// error; re-adding an external id the segment holds is an error.
     /// Returns the local id.
@@ -225,118 +408,71 @@ impl Segment {
         Ok(doc)
     }
 
-    /// Number of distinct terms in a field.
-    pub(crate) fn vocabulary_size(&self, field: &str) -> usize {
-        self.fields.get(field).map(|f| f.dict.len()).unwrap_or(0)
-    }
-
-    /// Document frequency of a term in a field (term must already be
-    /// analyzed/normalized).
-    pub(crate) fn doc_freq(&self, field: &str, term: &str) -> usize {
-        self.postings(field, term).map_or(0, PostingList::len)
-    }
-
-    /// Postings accessor (analyzed term).
-    pub(crate) fn postings(&self, field: &str, term: &str) -> Option<&PostingList> {
+    /// A term's posting list (analyzed term).
+    pub fn postings(&self, field: &str, term: &str) -> Option<&PostingList> {
         self.fields
             .get(field)
             .and_then(|f| f.dict.get(term))
             .map(|p| &**p)
     }
+}
 
-    /// See [`Index::postings_bytes`].
-    pub(crate) fn postings_bytes(&self) -> usize {
+impl SegmentRead for Segment {
+    fn num_docs(&self) -> usize {
+        self.external_ids.len()
+    }
+
+    fn external_id(&self, doc: u32) -> Option<&str> {
+        Segment::external_id(self, doc)
+    }
+
+    fn internal_id(&self, external: &str) -> Option<u32> {
+        self.id_map.get(external).copied()
+    }
+
+    fn field(&self, name: &str) -> Option<FieldRef<'_>> {
+        self.fields.get(name).map(FieldIndex::view)
+    }
+
+    fn vocabulary_size(&self, field: &str) -> usize {
+        self.fields.get(field).map_or(0, |f| f.dict.len())
+    }
+
+    fn doc_freq(&self, field: &str, term: &str) -> usize {
+        self.postings(field, term).map_or(0, PostingList::len)
+    }
+
+    fn open(&self, field: &str, term: &str, _: bool, _: &mut Decoded) -> Option<Found<'_>> {
+        self.postings(field, term)
+            .map(|list| Found::Held(list.view()))
+    }
+
+    fn fuzzy_candidates(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)> {
+        let Some(fi) = self.fields.get(field) else {
+            return Vec::new();
+        };
+        let buckets = fi
+            .term_buckets
+            .iter()
+            .map(|(&bucket, terms)| (bucket, terms.iter().map(|t| &**t)));
+        scan_buckets(buckets, term, max_edits)
+    }
+
+    fn fuzzy_sweep(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)> {
+        let terms = self
+            .fields
+            .get(field)
+            .into_iter()
+            .flat_map(|f| f.dict.keys().map(|t| &**t));
+        sweep(terms, term, max_edits)
+    }
+
+    fn postings_bytes(&self) -> usize {
         self.fields
             .values()
             .flat_map(|f| &f.dict)
             .map(|(term, postings)| term.len() + 8 * postings.len() + 4 * postings.num_positions())
             .sum()
-    }
-
-    /// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
-    /// every term of the field, sorted by `(distance, term)` — the
-    /// reference baseline [`Segment::fuzzy_candidates`] is checked
-    /// against.
-    pub(crate) fn fuzzy_sweep(
-        &self,
-        field: &str,
-        term: &str,
-        max_edits: usize,
-    ) -> Vec<(&str, usize)> {
-        use create_text::distance::levenshtein_bounded;
-        let mut out: Vec<(&str, usize)> = self
-            .fields
-            .get(field)
-            .into_iter()
-            .flat_map(|f| f.dict.keys())
-            .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (&**t, d)))
-            .collect();
-        out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-        out
-    }
-
-    /// Dictionary terms within `max_edits` of `term`, with their exact
-    /// distances, sorted by `(distance, term)`.
-    ///
-    /// Candidates come from the per-field length buckets: only lengths in
-    /// `[len - max_edits, len + max_edits]` can be within the bound, so
-    /// most of the vocabulary is never touched. Within a bucket the first
-    /// character routes each candidate to the cheapest sufficient check:
-    ///
-    /// * first chars equal — the DP runs on the affix-stripped remainder;
-    /// * first chars differ and `max_edits == 1` — the single edit must
-    ///   touch position 0, so the candidate must be exactly a leading
-    ///   substitution, deletion, or insertion (three `O(len)` comparisons,
-    ///   no DP at all);
-    /// * otherwise — the bounded DP.
-    ///
-    /// The result set is provably identical to sweeping the whole
-    /// dictionary with `levenshtein_bounded` (asserted by the equivalence
-    /// suite).
-    pub(crate) fn fuzzy_candidates<'a>(
-        &'a self,
-        field: &str,
-        term: &str,
-        max_edits: usize,
-    ) -> Vec<(&'a str, usize)> {
-        use create_text::distance::levenshtein_bounded_slices;
-        let Some(fi) = self.fields.get(field) else {
-            return Vec::new();
-        };
-        let q: Vec<char> = term.chars().collect();
-        let lo = q.len().saturating_sub(max_edits);
-        let hi = q.len() + max_edits;
-        let mut t_chars: Vec<char> = Vec::new();
-        let mut out: Vec<(&str, usize)> = Vec::new();
-        for (&(bucket_len, bucket_first), terms) in &fi.term_buckets {
-            let bucket_len = bucket_len as usize;
-            if bucket_len < lo || bucket_len > hi {
-                continue;
-            }
-            let same_first = q.first() == Some(&bucket_first);
-            for t in terms.iter() {
-                t_chars.clear();
-                t_chars.extend(t.chars());
-                let dist = if q.is_empty() || same_first {
-                    levenshtein_bounded_slices(&q, &t_chars, max_edits)
-                } else if max_edits == 1 {
-                    // Differing first chars under a budget of 1: the one
-                    // edit must produce the candidate's first char, so the
-                    // remainder is fixed by which edit it was.
-                    let sub = t_chars.len() == q.len() && t_chars[1..] == q[1..];
-                    let del = t_chars[..] == q[1..];
-                    let ins = t_chars.len() == q.len() + 1 && t_chars[1..] == q[..];
-                    (sub || del || ins).then_some(1)
-                } else {
-                    levenshtein_bounded_slices(&q, &t_chars, max_edits)
-                };
-                if let Some(d) = dist {
-                    out.push((&**t, d));
-                }
-            }
-        }
-        out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-        out
     }
 }
 
@@ -350,12 +486,12 @@ impl Segment {
 /// `Clone` copies the segment list, one pointer per segment. A write
 /// after a clone copies the tail it touches ([`Arc::make_mut`]), never a
 /// frozen segment: what a write copies is O(tail), whatever the index
-/// holds. [`Index::freeze`] turns the tail into one more frozen segment
-/// without copying it.
+/// holds. [`Index::freeze`] turns the tail into one more frozen segment,
+/// its encoding.
 #[derive(Clone)]
 pub struct Index {
     /// Oldest first; none is empty.
-    pub(crate) frozen: Vec<Arc<Segment>>,
+    pub(crate) frozen: Vec<Arc<FrozenSegment>>,
     pub(crate) tail: Arc<Segment>,
 }
 
@@ -411,16 +547,25 @@ impl Index {
 
     /// Every segment with the global id of its first document: the
     /// frozen ones oldest first, then the tail (possibly empty).
-    pub(crate) fn segments(&self) -> impl Iterator<Item = (u32, &Segment)> {
-        let mut base = 0u32;
-        self.frozen
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (u32, &dyn SegmentRead)> {
+        let frozen = self
+            .frozen
             .iter()
-            .chain(std::iter::once(&self.tail))
+            .map(|segment| &**segment as &dyn SegmentRead);
+        let mut base = 0u32;
+        frozen
+            .chain(std::iter::once(&*self.tail as &dyn SegmentRead))
             .map(move |segment| {
                 let at = base;
                 base += segment.num_docs() as u32;
-                (at, &**segment)
+                (at, segment)
             })
+    }
+
+    /// The frozen segments, oldest first: every document before the
+    /// tail's.
+    pub fn frozen(&self) -> impl Iterator<Item = &FrozenSegment> {
+        self.frozen.iter().map(|segment| &**segment)
     }
 
     /// Segments holding at least one document: the frozen ones, and the
@@ -436,7 +581,7 @@ impl Index {
     }
 
     /// The segment holding global doc `doc`, with its base.
-    fn locate(&self, doc: u32) -> Option<(u32, &Segment)> {
+    fn locate(&self, doc: u32) -> Option<(u32, &dyn SegmentRead)> {
         self.segments()
             .find(|(base, segment)| doc < base + segment.num_docs() as u32)
     }
@@ -467,11 +612,7 @@ impl Index {
         external_id: &str,
         field_texts: &[(&str, &str)],
     ) -> Result<u32, IndexError> {
-        if self
-            .frozen
-            .iter()
-            .any(|s| s.id_map.contains_key(external_id))
-        {
+        if self.frozen_holds(external_id) {
             return Err(IndexError::DuplicateDocument(external_id.to_string()));
         }
         let base: usize = self.frozen.iter().map(|s| s.num_docs()).sum();
@@ -491,13 +632,22 @@ impl Index {
         self.segments().map(|(_, s)| s.doc_freq(field, term)).sum()
     }
 
-    /// Bytes the postings hold in RAM, summed over the segments: per
-    /// term its text and the three [`PostingList`] arrays — 4 B doc id
-    /// and 4 B end per posting, 4 B per position (none in a field without
-    /// word positions). A term two segments hold is counted in each, as
-    /// each holds a copy of its text. This is what the arrays occupy, not
-    /// an estimate; the dictionaries' tables and the `Arc` headers come
-    /// on top. Used by the E8 index-size comparison and the benchmark's
+    /// Bytes the postings hold in RAM, summed over the segments. A frozen
+    /// segment holds its encoded blob — the ids, document lengths,
+    /// front-coded terms and postings a segment file's postings region
+    /// holds — and its term tables: each term's text, its end in the text
+    /// and its entry's offset in the blob (4 B each), its ordinal in a
+    /// fuzzy bucket (4 B) and the slots of the terms' hash index (4 B
+    /// each, more than 5/4 of a slot a term). The tail holds per term its
+    /// text and the three [`PostingList`] arrays — 4 B doc id and 4 B end
+    /// per posting, 4 B per position (none in a field without word
+    /// positions). A term two segments hold is counted in each, as each
+    /// holds a copy of its text. This is what those bytes occupy, not an
+    /// estimate; the id tables and document lengths, the tail's
+    /// dictionaries and buckets, the buckets' maps and the `Arc` headers
+    /// come on top. Used by the E8 index-size comparison, `/stats`'
+    /// `memory.postings_bytes` and
+    /// `create_resident_bytes{component="postings"}`, and the benchmark's
     /// `index.ram_postings_bytes_per_doc`.
     pub fn postings_bytes(&self) -> usize {
         self.segments().map(|(_, s)| s.postings_bytes()).sum()
@@ -665,7 +815,7 @@ mod tests {
             .unwrap();
         idx.add_document("b", &[("title", "only a title")]).unwrap();
         let body = idx.tail.fields.get("body").unwrap();
-        assert!(body.avg_len() > 0.0);
+        assert!(body.view().avg_len() > 0.0);
         assert_eq!(body.doc_len[1], 0);
     }
 

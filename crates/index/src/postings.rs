@@ -1,4 +1,6 @@
-//! The in-RAM posting list: one term's postings as three flat arrays.
+//! Posting lists in RAM: the tail's [`PostingList`]s, and the borrowed
+//! [`Postings`] view a read walks — of such a list, or of a frozen
+//! segment's list decoded into the query's [`Decoded`] scratch.
 
 use std::sync::Arc;
 
@@ -21,19 +23,12 @@ pub struct PostingList {
 }
 
 impl PostingList {
-    /// Assembles a list from its arrays. `ends` must be increasing with
-    /// one entry per doc, and `positions` either empty or as long as the
-    /// last end.
-    pub(crate) fn from_parts(docs: Vec<u32>, ends: Vec<u32>, positions: Vec<u32>) -> PostingList {
-        assert_eq!(docs.len(), ends.len(), "one end per posting");
-        assert!(
-            positions.is_empty() || ends.last().map_or(0, |&e| e as usize) == positions.len(),
-            "last end closes the positions"
-        );
-        PostingList {
-            docs,
-            ends,
-            positions,
+    /// The list as the borrowed arrays a read walks.
+    pub(crate) fn view(&self) -> Postings<'_> {
+        Postings {
+            docs: &self.docs,
+            ends: &self.ends,
+            positions: &self.positions,
         }
     }
 
@@ -52,12 +47,6 @@ impl PostingList {
         &self.docs
     }
 
-    /// The cumulative term frequencies: `ends()[i]` is the term's
-    /// occurrences in postings `0..=i`.
-    pub(crate) fn ends(&self) -> &[u32] {
-        &self.ends
-    }
-
     /// The term's occurrences across all postings: the last end.
     pub(crate) fn occurrences(&self) -> u32 {
         self.ends.last().copied().unwrap_or(0)
@@ -69,39 +58,20 @@ impl PostingList {
         self.positions.len()
     }
 
-    #[inline]
-    fn start(&self, i: usize) -> u32 {
-        if i == 0 {
-            0
-        } else {
-            self.ends[i - 1]
-        }
-    }
-
     /// Term frequency in posting `i`.
-    #[inline]
     pub fn tf(&self, i: usize) -> u32 {
-        self.ends[i] - self.start(i)
+        self.view().tf(i)
     }
 
     /// Token positions of the term in posting `i`; empty in a list of a
     /// field without word positions.
-    #[inline]
     pub fn positions(&self, i: usize) -> &[u32] {
-        if self.positions.is_empty() {
-            return &[];
-        }
-        &self.positions[self.start(i) as usize..self.ends[i] as usize]
+        self.view().positions(i)
     }
 
     /// `(doc, term frequency, positions)` of every posting, in doc order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, &[u32])> + '_ {
-        self.iter_from(0)
-    }
-
-    /// [`PostingList::iter`] starting at posting `start`.
-    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = (u32, u32, &[u32])> + '_ {
-        (start..self.docs.len()).map(move |i| (self.docs[i], self.tf(i), self.positions(i)))
+        self.view().iter()
     }
 
     /// Records one occurrence of the term in `doc`, which must be the
@@ -177,6 +147,145 @@ impl PostingList {
     }
 }
 
+/// One term's postings as borrowed arrays, laid out as in a
+/// [`PostingList`]: what cursors and scorers walk, whether the list is
+/// the tail's own or was decoded from a frozen segment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Postings<'a> {
+    docs: &'a [u32],
+    ends: &'a [u32],
+    positions: &'a [u32],
+}
+
+impl<'a> Postings<'a> {
+    /// The doc ids, ascending.
+    #[inline]
+    pub(crate) fn docs(&self) -> &'a [u32] {
+        self.docs
+    }
+
+    /// The cumulative term frequencies: `ends()[i]` is the term's
+    /// occurrences in postings `0..=i`.
+    pub(crate) fn ends(&self) -> &'a [u32] {
+        self.ends
+    }
+
+    #[inline]
+    fn start(&self, i: usize) -> u32 {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1]
+        }
+    }
+
+    /// Term frequency in posting `i`.
+    #[inline]
+    pub(crate) fn tf(&self, i: usize) -> u32 {
+        self.ends[i] - self.start(i)
+    }
+
+    /// Token positions of the term in posting `i`; empty in a list of a
+    /// field without word positions.
+    #[inline]
+    pub(crate) fn positions(&self, i: usize) -> &'a [u32] {
+        if self.positions.is_empty() {
+            return &[];
+        }
+        &self.positions[self.start(i) as usize..self.ends[i] as usize]
+    }
+
+    /// `(doc, term frequency, positions)` of every posting, in doc order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = (u32, u32, &'a [u32])> {
+        (0..self.docs.len()).map(move |i| (self.docs[i], self.tf(i), self.positions(i)))
+    }
+
+    /// A list of its own holding these postings.
+    pub(crate) fn to_list(self) -> PostingList {
+        PostingList {
+            docs: self.docs.to_vec(),
+            ends: self.ends.to_vec(),
+            positions: self.positions.to_vec(),
+        }
+    }
+}
+
+/// The scratch arrays a query decodes frozen postings into: each list it
+/// opens is appended (a [`Span`]) and read back as [`Postings`] once the
+/// query has opened every list it walks at once. Cleared, not freed,
+/// between uses, so a query allocates them once however many terms it
+/// opens.
+#[derive(Default)]
+pub(crate) struct Decoded {
+    pub(crate) docs: Vec<u32>,
+    pub(crate) ends: Vec<u32>,
+    pub(crate) positions: Vec<u32>,
+}
+
+/// Where one decoded list lies in a [`Decoded`]: its postings, and its
+/// positions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    docs: (usize, usize),
+    positions: (usize, usize),
+}
+
+impl Decoded {
+    /// Forgets every list, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.docs.clear();
+        self.ends.clear();
+        self.positions.clear();
+    }
+
+    /// Where the list appended from here on starts; [`Decoded::close`]
+    /// ends it.
+    pub(crate) fn open(&self) -> Span {
+        Span {
+            docs: (self.docs.len(), self.docs.len()),
+            positions: (self.positions.len(), self.positions.len()),
+        }
+    }
+
+    /// The list `opened` started: everything appended since.
+    pub(crate) fn close(&self, opened: Span) -> Span {
+        Span {
+            docs: (opened.docs.0, self.docs.len()),
+            positions: (opened.positions.0, self.positions.len()),
+        }
+    }
+
+    /// The list at `span`.
+    pub(crate) fn get(&self, span: Span) -> Postings<'_> {
+        Postings {
+            docs: &self.docs[span.docs.0..span.docs.1],
+            ends: &self.ends[span.docs.0..span.docs.1],
+            positions: &self.positions[span.positions.0..span.positions.1],
+        }
+    }
+}
+
+/// A term's postings as a segment hands them out: the tail's list, held
+/// in place, or a frozen segment's, decoded into the query's scratch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Found<'a> {
+    Held(Postings<'a>),
+    Decoded(Span),
+}
+
+impl<'a> Found<'a> {
+    /// The postings, a decoded list read from `decoded`.
+    pub(crate) fn read<'b>(self, decoded: &'b Decoded) -> Postings<'b>
+    where
+        'a: 'b,
+    {
+        match self {
+            Found::Held(postings) => postings,
+            Found::Decoded(span) => decoded.get(span),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +309,7 @@ mod tests {
         let published = Arc::clone(&shared);
         PostingList::append_shifted(&mut shared, &tail, 6);
         assert_eq!(shared.docs(), [0, 2, 5, 6, 7]);
-        assert_eq!(shared.ends(), [3, 4, 6, 7, 9], "ends run on");
+        assert_eq!(shared.view().ends(), [3, 4, 6, 7, 9], "ends run on");
         assert_eq!(published.docs(), [0, 2, 5], "the published list stays");
     }
 
@@ -212,5 +321,26 @@ mod tests {
         }
         let postings: Vec<_> = list.iter().collect();
         assert_eq!(postings, [(1, 2, &[0, 4][..]), (3, 1, &[2][..])]);
+    }
+
+    #[test]
+    fn decoded_lists_read_back_by_span() {
+        let mut decoded = Decoded::default();
+        let mut spans = Vec::new();
+        for (docs, ends, positions) in [
+            (&[1u32, 4][..], &[2u32, 3][..], &[0u32, 5, 1][..]),
+            (&[0], &[1], &[7]),
+        ] {
+            let opened = decoded.open();
+            decoded.docs.extend_from_slice(docs);
+            decoded.ends.extend_from_slice(ends);
+            decoded.positions.extend_from_slice(positions);
+            spans.push(decoded.close(opened));
+        }
+        let first: Vec<_> = decoded.get(spans[0]).iter().collect();
+        assert_eq!(first, [(1, 2, &[0, 5][..]), (4, 1, &[1][..])]);
+        let second: Vec<_> = decoded.get(spans[1]).iter().collect();
+        assert_eq!(second, [(0, 1, &[7][..])]);
+        assert_eq!(decoded.get(spans[1]).to_list().docs(), [0]);
     }
 }

@@ -12,8 +12,8 @@
 //! expression, so their floats cannot drift apart.
 
 use crate::daat::Admit;
-use crate::index::{Index, Segment};
-use crate::postings::PostingList;
+use crate::index::{Index, SegmentRead};
+use crate::postings::{Decoded, Postings};
 use crate::query::QueryNode;
 use crate::stats::CorpusStats;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -92,7 +92,7 @@ impl Ord for Entry {
 /// Top-k selection shared by both execution paths: keep positive scores,
 /// pop the k best from a max-heap over [`Entry`].
 pub(crate) fn top_k(
-    segment: &Segment,
+    segment: &dyn SegmentRead,
     scored: impl IntoIterator<Item = (u32, f64)>,
     k: usize,
 ) -> Vec<ScoredDoc> {
@@ -175,7 +175,13 @@ impl Index {
     /// equivalence suite runs it).
     pub fn search_exhaustive(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
         self.gather(query, k, None, None, |segment, stats, _| {
-            segment.search_exhaustive(query, k, scorer, stats)
+            let mut walker = Walker {
+                segment,
+                scorer,
+                global: stats,
+                decoded: Decoded::default(),
+            };
+            walker.search(query, k)
         })
     }
 
@@ -196,9 +202,9 @@ impl Index {
         k: usize,
         stats: Option<&CorpusStats>,
         allowed: Option<&[u32]>,
-        search: impl Fn(&Segment, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
+        search: impl Fn(&dyn SegmentRead, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
     ) -> Vec<ScoredDoc> {
-        let filled: Vec<(u32, &Segment)> = self
+        let filled: Vec<(u32, &dyn SegmentRead)> = self
             .segments()
             .filter(|(_, segment)| segment.num_docs() > 0)
             .collect();
@@ -248,37 +254,82 @@ impl Index {
     }
 }
 
-impl Segment {
-    /// [`Index::search_exhaustive`] over this segment's documents.
-    fn search_exhaustive(
-        &self,
-        query: &QueryNode,
-        k: usize,
-        scorer: Scorer,
-        global: Option<&CorpusStats>,
-    ) -> Vec<ScoredDoc> {
+/// Every posting's score of a term in one segment, with optional
+/// cross-shard statistics overriding the segment's own idf / avg_len (see
+/// [`crate::stats`]); a frozen segment's list is decoded into `decoded`.
+pub(crate) fn term_scores(
+    segment: &dyn SegmentRead,
+    field: &str,
+    term: &str,
+    scorer: Scorer,
+    global: Option<&CorpusStats>,
+    decoded: &mut Decoded,
+) -> Vec<(u32, f64)> {
+    let Some(fi) = segment.field(field) else {
+        return Vec::new();
+    };
+    let Some(postings) = segment.read(field, term, decoded) else {
+        return Vec::new();
+    };
+    let (idf, avg_len) = match global {
+        Some(g) => (g.idf(field, term), g.avg_len(field)),
+        None => (segment.idf(field, term), fi.avg_len()),
+    };
+    let avg_len = avg_len.max(1.0);
+    postings
+        .iter()
+        .map(|(doc, tf, _)| {
+            (
+                doc,
+                doc_score(
+                    scorer,
+                    idf,
+                    tf as f64,
+                    fi.doc_len[doc as usize] as f64,
+                    avg_len,
+                    fi.boost,
+                ),
+            )
+        })
+        .collect()
+}
+
+/// [`Index::search_exhaustive`] over one segment's documents: the
+/// scorer, the statistics and the scratch a term's list is decoded into.
+struct Walker<'s> {
+    segment: &'s dyn SegmentRead,
+    scorer: Scorer,
+    global: Option<&'s CorpusStats>,
+    decoded: Decoded,
+}
+
+impl Walker<'_> {
+    fn search(&mut self, query: &QueryNode, k: usize) -> Vec<ScoredDoc> {
         let mut scores: HashMap<u32, f64> = HashMap::new();
         let mut exclusions: HashSet<u32> = HashSet::new();
-        self.score_node(query, scorer, global, &mut scores, &mut exclusions, true);
+        self.score_node(query, &mut scores, &mut exclusions, true);
         for doc in exclusions {
             scores.remove(&doc);
         }
-        top_k(self, scores, k)
+        top_k(self.segment, scores, k)
+    }
+
+    fn term_scores(&mut self, field: &str, term: &str) -> Vec<(u32, f64)> {
+        let (scorer, global) = (self.scorer, self.global);
+        term_scores(self.segment, field, term, scorer, global, &mut self.decoded)
     }
 
     /// Scores a node into `scores`. `positive` is false under `must_not`.
     fn score_node(
-        &self,
+        &mut self,
         node: &QueryNode,
-        scorer: Scorer,
-        global: Option<&CorpusStats>,
         scores: &mut HashMap<u32, f64>,
         exclusions: &mut HashSet<u32>,
         positive: bool,
     ) {
         match node {
             QueryNode::Term { field, term } => {
-                for (doc, score) in self.term_scores_with(field, term, scorer, global) {
+                for (doc, score) in self.term_scores(field, term) {
                     if positive {
                         *scores.entry(doc).or_insert(0.0) += score;
                     } else {
@@ -291,11 +342,11 @@ impl Segment {
                 term,
                 max_edits,
             } => {
-                for (expanded, dist) in self.fuzzy_sweep(field, term, *max_edits) {
+                for (expanded, dist) in self.segment.fuzzy_sweep(field, term, *max_edits) {
                     // Damp matches by edit distance, like Lucene's fuzzy
                     // similarity boost.
                     let damp = 1.0 / (1.0 + dist as f64);
-                    for (doc, score) in self.term_scores_with(field, expanded, scorer, global) {
+                    for (doc, score) in self.term_scores(field, expanded) {
                         if positive {
                             *scores.entry(doc).or_insert(0.0) += score * damp;
                         } else {
@@ -305,7 +356,7 @@ impl Segment {
                 }
             }
             QueryNode::Phrase { field, terms } => {
-                for (doc, score) in self.phrase_scores(field, terms, scorer, global) {
+                for (doc, score) in self.phrase_scores(field, terms) {
                     if positive {
                         *scores.entry(doc).or_insert(0.0) += score;
                     } else {
@@ -321,7 +372,7 @@ impl Segment {
                 if !positive {
                     // Under must_not, every matching doc is excluded.
                     for sub in must.iter().chain(should) {
-                        self.score_node(sub, scorer, global, scores, exclusions, false);
+                        self.score_node(sub, scores, exclusions, false);
                     }
                     return;
                 }
@@ -331,7 +382,7 @@ impl Segment {
                     for sub in must {
                         let mut sub_scores = HashMap::new();
                         let mut sub_excl = HashSet::new();
-                        self.score_node(sub, scorer, global, &mut sub_scores, &mut sub_excl, true);
+                        self.score_node(sub, &mut sub_scores, &mut sub_excl, true);
                         for d in sub_excl {
                             sub_scores.remove(&d);
                         }
@@ -350,91 +401,41 @@ impl Segment {
                     }
                 }
                 for sub in should {
-                    self.score_node(sub, scorer, global, scores, exclusions, true);
+                    self.score_node(sub, scores, exclusions, true);
                 }
                 for sub in must_not {
-                    self.score_node(sub, scorer, global, scores, exclusions, false);
+                    self.score_node(sub, scores, exclusions, false);
                 }
             }
         }
-    }
-
-    pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
-        let n = self.num_docs() as f64;
-        let df = self.doc_freq(field, term) as f64;
-        if df == 0.0 {
-            return 0.0;
-        }
-        // BM25+ style idf, floored at a small positive value.
-        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
-    }
-
-    /// Every posting's score of a term, with optional cross-shard
-    /// statistics overriding the segment's own idf / avg_len (see
-    /// [`crate::stats`]).
-    pub(crate) fn term_scores_with(
-        &self,
-        field: &str,
-        term: &str,
-        scorer: Scorer,
-        global: Option<&CorpusStats>,
-    ) -> Vec<(u32, f64)> {
-        let Some(fi) = self.fields.get(field) else {
-            return Vec::new();
-        };
-        let Some(postings) = fi.dict.get(term) else {
-            return Vec::new();
-        };
-        let (idf, avg_len) = match global {
-            Some(g) => (g.idf(field, term), g.avg_len(field)),
-            None => (self.idf(field, term), fi.avg_len()),
-        };
-        let avg_len = avg_len.max(1.0);
-        postings
-            .iter()
-            .map(|(doc, tf, _)| {
-                (
-                    doc,
-                    doc_score(
-                        scorer,
-                        idf,
-                        tf as f64,
-                        fi.doc_len[doc as usize] as f64,
-                        avg_len,
-                        fi.boost,
-                    ),
-                )
-            })
-            .collect()
     }
 
     /// Phrase scoring for the exhaustive baseline: per-doc linear rescans
     /// of every member posting list (the pre-DAAT implementation the
     /// quadratic-blowup regression test pins down). A phrase of two or
     /// more terms over a field without positions matches nothing.
-    fn phrase_scores(
-        &self,
-        field: &str,
-        terms: &[String],
-        scorer: Scorer,
-        global: Option<&CorpusStats>,
-    ) -> Vec<(u32, f64)> {
+    fn phrase_scores(&mut self, field: &str, terms: &[String]) -> Vec<(u32, f64)> {
         if terms.is_empty() {
             return Vec::new();
         }
         if terms.len() == 1 {
-            return self.term_scores_with(field, &terms[0], scorer, global);
+            return self.term_scores(field, &terms[0]);
         }
-        let Some(fi) = self.fields.get(field).filter(|fi| fi.positions) else {
+        let segment = self.segment;
+        if !segment.field(field).is_some_and(|fi| fi.positions) {
             return Vec::new();
-        };
-        let mut postings_lists: Vec<&PostingList> = Vec::with_capacity(terms.len());
+        }
+        // The member lists are read at once, so they are decoded apart
+        // from the per-doc rescans below.
+        let mut members = Decoded::default();
+        let mut found = Vec::with_capacity(terms.len());
         for t in terms {
-            match fi.dict.get(t.as_str()) {
-                Some(p) => postings_lists.push(p),
+            match segment.open(field, t, true, &mut members) {
+                Some(f) => found.push(f),
                 None => return Vec::new(),
             }
         }
+        let postings_lists: Vec<Postings> = found.into_iter().map(|f| f.read(&members)).collect();
         // Intersect docs; check consecutive positions.
         let mut out = Vec::new();
         for (doc, _, first_positions) in postings_lists[0].iter() {
@@ -469,7 +470,7 @@ impl Segment {
                 let mut score = 0.0;
                 for t in terms {
                     score += self
-                        .term_scores_with(field, t, scorer, global)
+                        .term_scores(field, t)
                         .into_iter()
                         .find(|(d, _)| *d == doc)
                         .map(|(_, s)| s)

@@ -9,7 +9,8 @@
 //! *segment-local*, with no synchronization. The single-writer apply
 //! phase then merges segments into the index's tail in deterministic
 //! shard order ([`Index::merge_segment`]); a seal freezes the tail
-//! ([`Index::freeze`]).
+//! ([`Index::freeze`]) into its encoding, the bytes the seal wrote to its
+//! file ([`crate::frozen`]).
 //!
 //! Merge invariants (what makes parallel ingestion byte-identical to
 //! sequential):
@@ -38,9 +39,13 @@
 //! and a document is copied once per class it climbs, O(log n) times.
 //! The rule never rebuilds the whole index at once the way a disk
 //! compaction does: a large old segment merges only once the newer ones
-//! add up to its size class.
+//! add up to its size class. A merge is a disk compaction's kernel,
+//! [`merge_postings`] over the segments' encoded blobs: the merged blob
+//! is the encoding of the merged documents, and nothing is decoded.
 
-use crate::index::{FieldIndex, Index, IndexError, Segment};
+use crate::codec::{adopt, encode_index_tail, merge_postings};
+use crate::frozen::FrozenSegment;
+use crate::index::{FieldIndex, Index, IndexError, Segment, SegmentRead};
 use crate::postings::PostingList;
 use std::sync::Arc;
 
@@ -81,42 +86,79 @@ impl Index {
     /// move in: no id is copied. Touches no frozen segment: what the
     /// merge copies of a tail a published snapshot shares is the tail's.
     pub fn merge_segment(&mut self, segment: Segment) -> Result<(), IndexError> {
-        for frozen in &self.frozen {
-            if let Some(id) = segment
-                .external_ids
-                .iter()
-                .find(|id| frozen.id_map.contains_key(*id))
-            {
-                return Err(IndexError::DuplicateDocument(id.to_string()));
-            }
+        if let Some(id) = segment.external_ids.iter().find(|id| self.frozen_holds(id)) {
+            return Err(IndexError::DuplicateDocument(id.to_string()));
         }
         Arc::make_mut(&mut self.tail).append(segment)
     }
 
-    /// Freezes the tail: it joins the frozen segments as it is — a
-    /// pointer moves, nothing is copied — and an empty tail takes its
-    /// place; then the newest frozen segments merge as the tier rule
-    /// says (see the module docs). A no-op on an empty tail.
+    /// Whether a frozen segment holds external id `id`.
+    pub(crate) fn frozen_holds(&self, id: &str) -> bool {
+        self.frozen.iter().any(|s| s.internal_id(id).is_some())
+    }
+
+    /// Freezes the tail: its encoding ([`encode_index_tail`]) joins the
+    /// frozen segments, and an empty tail takes its place; then the newest
+    /// frozen segments merge as the tier rule says (see the module docs).
+    /// A no-op on an empty tail.
     pub fn freeze(&mut self) {
         if self.tail.num_docs() == 0 {
             return;
         }
-        let empty = Arc::new(self.tail.empty_like());
-        self.frozen.push(std::mem::replace(&mut self.tail, empty));
+        let mut blob = Vec::new();
+        encode_index_tail(self, &mut blob).expect("a Vec takes every byte");
+        self.freeze_encoded(blob);
+    }
+
+    /// [`Index::freeze`] of a tail already encoded: `blob` must be what
+    /// [`encode_index_tail`] wrote of it — the bytes a seal wrote to its
+    /// file, which the frozen segment then keeps.
+    pub fn freeze_encoded(&mut self, blob: Vec<u8>) {
+        let frozen = adopt(blob, self).expect("a tail's encoding adopts");
+        assert_eq!(
+            frozen.num_docs(),
+            self.tail.num_docs(),
+            "the blob encodes the tail"
+        );
+        self.tail = Arc::new(self.tail.empty_like());
+        self.push_frozen(frozen);
+    }
+
+    /// Adds an adopted segment — a segment file's postings region — after
+    /// the frozen ones, as [`Index::freeze`] adds the tail's encoding,
+    /// tier rule included. The tail must be empty: recovery adopts every
+    /// file before it replays the WAL. Fails, changing nothing, when an
+    /// external id is already present.
+    pub fn adopt_frozen(&mut self, segment: FrozenSegment) -> Result<(), IndexError> {
+        assert_eq!(self.tail.num_docs(), 0, "segments are adopted first");
+        let ids = (0..segment.num_docs() as u32).map(|doc| segment.external_id(doc));
+        if let Some(id) = ids.flatten().find(|id| self.frozen_holds(id)) {
+            return Err(IndexError::DuplicateDocument(id.to_string()));
+        }
+        self.push_frozen(segment);
+        Ok(())
+    }
+
+    /// Pushes a frozen segment, then merges the newest ones as the tier
+    /// rule says: [`merge_postings`] of their blobs, adopted.
+    fn push_frozen(&mut self, segment: FrozenSegment) {
+        self.frozen.push(Arc::new(segment));
         let docs: Vec<usize> = self.frozen.iter().map(|s| s.num_docs()).collect();
         let width = tier_merge_width(&docs);
         if width < 2 {
             return;
         }
         let at = self.frozen.len() - width;
-        let mut inputs = self.frozen[at..].iter().map(|s| Segment::clone(s));
-        let mut merged = inputs.next().expect("width >= 2");
-        for input in inputs {
-            // Past 2^32 occurrences of a term the segments stay apart.
-            if merged.append(input).is_err() {
-                return;
-            }
+        let inputs: Vec<(&[u8], u64)> = self.frozen[at..]
+            .iter()
+            .map(|s| (s.blob(), s.blob().len() as u64))
+            .collect();
+        let mut merged = Vec::with_capacity(inputs.iter().map(|(_, len)| *len as usize).sum());
+        // Past 2^32 occurrences of a term the segments stay apart.
+        if merge_postings(inputs, self, &mut merged).is_err() {
+            return;
         }
+        let merged = adopt(merged, self).expect("merged blobs adopt");
         self.frozen.truncate(at);
         self.frozen.push(Arc::new(merged));
     }
@@ -124,7 +166,7 @@ impl Index {
 
 impl Segment {
     /// Appends `segment`'s documents after this one's: the merge of
-    /// [`Index::merge_segment`] and of the tier rule.
+    /// [`Index::merge_segment`].
     fn append(&mut self, segment: Segment) -> Result<(), IndexError> {
         for name in segment.fields.keys() {
             if !self.fields.contains_key(name) {
@@ -171,19 +213,17 @@ impl Segment {
                 match fi.dict.entry(term) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         FieldIndex::bucket_new_term(&mut fi.term_buckets, v.key());
-                        // A first merge into an empty segment (the
-                        // recovery path) needs no remap and adopts the
-                        // list wholesale; otherwise `make_mut` remaps in
-                        // place a worker-local list, and copies one a
-                        // frozen segment shares.
+                        // A first merge into an empty tail needs no
+                        // remap and adopts the list wholesale; otherwise
+                        // `make_mut` remaps in place a worker-local list,
+                        // and copies one a published snapshot shares.
                         if base > 0 {
                             Arc::make_mut(&mut seg_postings).shift_docs(base);
                         }
                         v.insert(seg_postings);
                     }
                     // This side copies-on-write only when a published
-                    // snapshot (or a frozen segment) still shares the
-                    // term's list.
+                    // snapshot still shares the term's list.
                     std::collections::hash_map::Entry::Occupied(mut o) => {
                         PostingList::append_shifted(o.get_mut(), &seg_postings, base)
                     }
@@ -432,8 +472,8 @@ mod tests {
         let sequential = sequential_index();
         let sharded = sharded_index(2);
         for name in ["title", "body", "body_ngram"] {
-            let a = sequential.tail.fields.get(name).unwrap().avg_len();
-            let b = sharded.tail.fields.get(name).unwrap().avg_len();
+            let a = sequential.tail.fields[name].view().avg_len();
+            let b = sharded.tail.fields[name].view().avg_len();
             assert_eq!(a.to_bits(), b.to_bits(), "avg_len of {name}");
         }
     }

@@ -13,7 +13,7 @@
 //! **Bit-exactness.** The merged statistics are integers (`usize`/`u64`)
 //! summed before a single cast to `f64`, and [`CorpusStats::idf`] /
 //! [`CorpusStats::avg_len`] evaluate the exact expressions
-//! `Segment::idf` and `FieldIndex::avg_len` use. A one-shard system
+//! `SegmentRead::idf` and `FieldRef::avg_len` use. A one-shard system
 //! therefore produces bit-identical scores whether it scores through
 //! its own statistics or through a collected-and-merged `CorpusStats`,
 //! and an N-shard system reproduces the N=1 fold exactly: a document's
@@ -54,8 +54,10 @@ impl CorpusStats {
     /// counted by every segment whose dictionary holds it, so the merged
     /// df is the exact global df). Each segment of the index contributes
     /// as a shard would: its lengths once per field the query names, its
-    /// df once per term, summed. The terms the query names are resolved
-    /// once; only fuzzy expansions differ from segment to segment.
+    /// df once per term, summed — a frozen segment's read off its
+    /// dictionary entry, nothing decoded. The terms the query names are
+    /// resolved once; only fuzzy expansions differ from segment to
+    /// segment.
     pub fn collect(index: &Index, query: &QueryNode) -> CorpusStats {
         let (mut named, mut fuzzy) = (Vec::new(), Vec::new());
         names(query, &mut named, &mut fuzzy);
@@ -72,7 +74,7 @@ impl CorpusStats {
         let (mut expanded, mut extra) = (Vec::new(), HashMap::new());
         for (_, segment) in index.segments() {
             for (field, total_len, docs_with_field) in &mut lengths {
-                if let Some(fi) = segment.fields.get(*field) {
+                if let Some(fi) = segment.field(field) {
                     *total_len += fi.total_len;
                     *docs_with_field += fi.docs_with_field;
                 }
@@ -129,7 +131,7 @@ impl CorpusStats {
     }
 
     /// The BM25+ idf over the merged statistics — the same expression as
-    /// `Segment::idf`, evaluated on globally-summed integers.
+    /// `SegmentRead::idf`, evaluated on globally-summed integers.
     pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
         let n = self.num_docs as f64;
         let df = self

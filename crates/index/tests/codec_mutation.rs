@@ -17,13 +17,26 @@
 //! and what a dictionary's or a blob's end in the wrong place is, from
 //! `decode_segment` and `merge_postings` alike.
 //!
+//! The postings mutants also go through `adopt` — what recovery does
+//! with a segment file's postings region — which must refuse each with
+//! the `CodecError` that `decode_segment` and a merge of the mutant alone
+//! refuse it with. An adopted mutant is then a frozen segment whose lists
+//! queries decode trusting the bytes, so it must answer every query kind
+//! of `frozen_equivalence` without a panic, ranking as the same
+//! documents decoded into posting lists do: the checks cover everything
+//! a cursor assumes. The merged-postings mutants the merge accepts are
+//! adopted too, beside the other blob, as an index's tier rule merges
+//! two frozen segments, and must answer as the decoded pair does.
+//!
 //! Its own test binary because it installs a global allocator.
 
+mod support;
+
 use create_index::codec::{
-    decode_segment, encode_index_tail, merge_postings, CodecError, MergeError, SKIP_INTERVAL,
+    adopt, decode_segment, encode_index_tail, merge_postings, CodecError, MergeError, SKIP_INTERVAL,
 };
 use create_index::facets::{FacetField, FacetIndex, ALL_FACET_FIELDS};
-use create_index::{FieldConfig, Index};
+use create_index::{FieldConfig, FrozenSegment, Index, QueryNode};
 use create_text::Analyzer;
 use create_util::{varint, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -457,6 +470,54 @@ fn misplaced_ends_are_refused_alike(template: &Index) {
     }
 }
 
+/// `check` for the adoption of a postings mutant: `adopted` is what
+/// [`adopt`] made of it. A refusal is the error `decode_segment` and a
+/// merge of the mutant alone refuse it with; an adopted mutant is what
+/// that merge writes, and as one frozen segment of an index answers
+/// `queries` as its decoded lists in the tail of another do.
+fn adoption_agrees<'a>(
+    template: &'a Index,
+    queries: &'a [QueryNode],
+) -> impl Fn(&[u8], Option<FrozenSegment>, &str) + 'a {
+    move |mutant, adopted, label| {
+        let merged = merge(&[mutant], template);
+        let Some(segment) = adopted else {
+            let refused = adopt(mutant.to_vec(), template).map(drop).expect_err(label);
+            let decoded = decode_segment(mutant, template).map(drop).expect_err(label);
+            assert_eq!(
+                refused, decoded,
+                "{label}: adopt and decode_segment disagree"
+            );
+            assert_eq!(merge_refusal(merged, 0, label), refused, "{label}");
+            return;
+        };
+        assert!(
+            merged.is_ok_and(|merged| merged == mutant),
+            "{label}: adopted, but a merge of it alone does not rewrite it"
+        );
+        let mut frozen = Index::clinical();
+        frozen.adopt_frozen(segment).expect("one segment");
+        let mut decoded = Index::clinical();
+        decoded
+            .merge_segment(decode_segment(mutant, template).expect(label))
+            .expect(label);
+        answer_alike(label, &frozen, &decoded, queries);
+    }
+}
+
+/// `frozen` answers every query of `queries` as `decoded` does, with no
+/// panic, by [`support::assert_same_rankings`] at `k` = 10 and with every
+/// third document allowed.
+fn answer_alike(label: &str, frozen: &Index, decoded: &Index, queries: &[QueryNode]) {
+    let allowed: Vec<u32> = (0..decoded.num_docs() as u32).step_by(3).collect();
+    // What the closure captures is only read, so observing it after a
+    // panic is fine.
+    let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        support::assert_same_rankings(label, (frozen, decoded), queries, &allowed, &[10]);
+    }));
+    answered.unwrap_or_else(|_| panic!("{label}: the adopted segments answered apart"));
+}
+
 /// One test for every blob: they share the allocator's high-water mark.
 #[test]
 fn mutated_blobs_decode_to_err_or_round_trip() {
@@ -477,6 +538,15 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
             encoded(&rebuilt)
         }),
     );
+    // "fever recurred" and "pulmonary toxicity" are phrases of the blob.
+    let words = ["fever", "recurred", "pulmonary", "toxicity"];
+    let queries = support::queries(&template, &words);
+    fuzz(
+        "adopted postings",
+        &valid,
+        |mutant| adopt(mutant.to_vec(), &template).ok(),
+        adoption_agrees(&template, &queries),
+    );
     fuzz(
         "facets",
         &valid_facet_blob(),
@@ -495,10 +565,20 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
                 oracle.merge_segment(segment).map_err(|e| e.to_string())
             });
             match (merged, built) {
-                (Some(merged), Ok(())) => assert!(
-                    merged == encoded(&oracle),
-                    "{label}: the merge wrote other bytes than decode + merge_segment + encode"
-                ),
+                (Some(merged), Ok(())) => {
+                    assert!(
+                        merged == encoded(&oracle),
+                        "{label}: the merge wrote other bytes than decode + merge_segment + encode"
+                    );
+                    // Two segments of one size class: the tier rule merges
+                    // them, and the index keeps the merged blob.
+                    let mut tiered = Index::clinical();
+                    for blob in pair(mutant, &other) {
+                        let segment = adopt(blob.to_vec(), &template).expect(label);
+                        tiered.adopt_frozen(segment).expect(label);
+                    }
+                    answer_alike(label, &tiered, &oracle, &queries);
+                }
                 (None, Err(_)) => {}
                 (merged, built) => panic!(
                     "{label}: the merge {} but decode + merge_segment {}",

@@ -11,7 +11,8 @@
 # alloc_budget, end_to_end, trace_propagation, ... — and every crate's
 # unit and integration tests, the create-index codec, create-storage
 # segment and create-docstore JSON mutation fuzzes among them) and the benchmark package's — then the
-# benchmark smoke (`create-benchmark all --quick`, every in-run check),
+# benchmark smoke (`create-benchmark all --quick`, every in-run check;
+# the two benchmark steps leave `benchmark/Cargo.lock` as they found it),
 # the server, trace and observability smoke checks, E4's ranking-ablation
 # quality cells (`exp_ir_vs_solr`, ~15 s: the BM25 default and TF-IDF
 # rows EXPERIMENTS.md quotes, exactly), E8's recall cells
@@ -44,6 +45,18 @@ RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
 echo "== tier-1: test suite (every workspace crate, each test binary once) =="
 cargo test -q --workspace
 
+# Building the benchmark rewrites its lockfile whenever the workspace's
+# dependency graph has moved since the lockfile was written; only a
+# change to the benchmark itself may change it, so the two benchmark
+# steps put it back as they found it, on failure too.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+restore_bench_lock() {
+    cp "$bench_lock" benchmark/Cargo.lock
+    rm -f "$bench_lock"
+}
+trap restore_bench_lock EXIT
+
 echo "== benchmark package: unit tests (BENCHMARK.json in step with the code) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
@@ -51,6 +64,8 @@ echo "== benchmark smoke: four workloads at 500 reports, every in-run check =="
 # Exits non-zero when any check fails (non-2xx, unequal round digests,
 # a gold cohort, a hit ratio, compaction counts, reopen after ingest).
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
+restore_bench_lock
+trap - EXIT
 
 echo "== server smoke: keep-alive, pipelining, close, 400/413 (raw sockets) =="
 cargo run -q --release -p create-bench --bin server_smoke

@@ -11,18 +11,21 @@
 //!   them — stays under a fixed number of allocations. With one heap
 //!   `Vec` per posting it took 209 179;
 //! * (b) the heap an `Index` holds, built the way `Create::open` builds
-//!   it, is `Index::postings_bytes()` plus a fixed cost per term, which
-//!   pins that figure to what the allocator really hands out: the three
-//!   arrays and the term's text are exactly `postings_bytes`; what comes
-//!   on top is two `Arc` headers and the `PostingList` struct (104
-//!   bytes), a dictionary slot and a fuzzy-bucket slot. On a corpus
-//!   this small — 20 049 terms for 504 reports — those headers are 1.01x
-//!   `postings_bytes`, so the whole-heap ratio (2.01x; 1.68x while
-//!   `body_ngram` stored positions, 3.45x in requested bytes before
-//!   malloc rounded each one-position `Vec` up to a 32-byte chunk) is
-//!   printed and the per-term remainder is what is gated, with
-//!   `postings_bytes` itself: 3 586 951 bytes, 5 310 279 with the n-gram
-//!   positions;
+//!   it — a segment file's postings region checked and adopted as one
+//!   frozen segment — is `Index::postings_bytes()` plus a fixed cost per
+//!   term, which pins that figure to what the allocator really hands
+//!   out: the encoded blob and the term tables are exactly
+//!   `postings_bytes`; what comes on top is the documents' id offsets and
+//!   lengths and the fuzzy buckets' map, 2.8 bytes a term on 20 049
+//!   terms for 504 reports, and the whole-heap ratio is 1.04x. While
+//!   recovery decoded every list into a `PostingList` of its own, each
+//!   term added two `Arc` headers and the struct (104 bytes), a
+//!   dictionary slot and a fuzzy-bucket slot: 181.3 bytes a term, a
+//!   whole-heap ratio of 2.01x (1.68x while `body_ngram` stored
+//!   positions, 3.45x in requested bytes before malloc rounded each
+//!   one-position `Vec` up to a 32-byte chunk). The per-term remainder is
+//!   what is gated, with `postings_bytes` itself: 1 533 420 bytes, 3 586
+//!   951 decoded, 5 310 279 with the n-gram positions;
 //! * (c) dropping the previous snapshot after a publish gives back what
 //!   the copy-on-write copied;
 //! * (d) everything the loaded `Create` holds — index, graph, stored
@@ -65,9 +68,13 @@
 //! * (i) the sealing `flush()` of (g) — the first, which writes the
 //!   whole shard as one segment — needs a heap high-water mark above its
 //!   start under the same bound as the compaction, at the same three
-//!   sizes: it streams each region from the shard's columns. Assembling
-//!   the segment in RAM first (every payload copied twice, the postings
-//!   blob whole) took 4.34 / 6.97 / 13.26 MB, about 13 KB a report;
+//!   sizes: it streams each region from the shard's columns but the
+//!   postings, the tail's encoding, which the index then keeps as its
+//!   frozen segment — 1.66 / 2.64 / 4.56 MB, that encoding and its term
+//!   tables beside the tail's lists, which a publish then frees.
+//!   Streaming the postings too took 1.20–1.37 MB; assembling the
+//!   segment in RAM first (every payload copied twice, the postings blob
+//!   whole) 4.34 / 6.97 / 13.26 MB, about 13 KB a report;
 //! * (j) on a disk-backed one-shard instance sealed by one flush at the
 //!   sizes of (g), a 2-document `ingest_gold_batch` after a publish, with
 //!   the previous snapshot pinned, grows the live heap by under 1 MiB at
@@ -75,13 +82,18 @@
 //!   the seal — and the last chunks of the graph and of the columns, not
 //!   the shard. While the index was one dictionary, that write copied
 //!   its tables and every touched list: 2.66 / 3.26 / 5.02 MB at 250 /
-//!   500 / 1000 reports.
+//!   500 / 1000 reports;
+//! * (k) the 500 reports of (d) in a one-shard instance whose `flush()`
+//!   froze its index hold under a fixed number of live bytes: the frozen
+//!   segment is the tail's encoding, and the flush publishes it, so the
+//!   tail's lists are freed. While a frozen segment kept the tail's
+//!   lists, the flushed instance held what the unflushed one does.
 
 use create::core::graph_build::{GraphBuilder, ReportMeta};
 use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
 use create::corpus::{CorpusConfig, Generator};
 use create::graphdb::PropertyGraph;
-use create::index::codec::{decode_segment, encode_index_tail};
+use create::index::codec::{adopt, encode_index_tail};
 use create::index::Index;
 use create::obs::names;
 use create::server::{build_api, Request, Status};
@@ -142,10 +154,10 @@ fn live_bytes() -> isize {
 
 const REPORTS: usize = 500;
 /// Heap bytes a term may cost beside what `postings_bytes` counts for
-/// it: 181.3 measured (the tables' slack and the documents' ids and
-/// lengths included), and the figure repeats exactly. One more `u32`
-/// per posting would add about 80.
-const TERM_OVERHEAD: usize = 190;
+/// it: 2.8 measured (the documents' id offsets and lengths and the fuzzy
+/// buckets' map, spread over the terms), and the figure repeats exactly;
+/// 181.3 while every list was decoded into a `PostingList` of its own.
+const TERM_OVERHEAD: usize = 4;
 /// Allocations one 2-document batch may make at 500 reports: 13 720
 /// measured (tokens, the batch's own segment, the touched lists' copies,
 /// the copies of the tables the published snapshot shares — on an
@@ -167,9 +179,14 @@ const SUBMIT_BUDGET: usize = 20_000;
 /// the tables each, and 32.28 MB before documents were text and the
 /// graph flat.
 const RESIDENT_BUDGET: isize = 15_000_000;
-/// `Index::postings_bytes()` of the index of (b): 3 586 951 measured,
-/// 5 310 279 while `body_ngram` stored positions.
-const POSTINGS_BUDGET: usize = 4_000_000;
+/// Live bytes a one-shard `Create` loaded with the same 500 reports may
+/// hold once a `flush()` froze its index (k): 7.82 MB measured, 14.63 MB
+/// while a frozen segment kept the tail's posting lists.
+const FROZEN_RESIDENT_BUDGET: isize = 8_200_000;
+/// `Index::postings_bytes()` of the index of (b): 1 533 420 measured,
+/// 3 586 951 while recovery decoded every list, 5 310 279 while
+/// `body_ngram` stored positions.
+const POSTINGS_BUDGET: usize = 1_700_000;
 /// Allocations a cache-hit `search_answer` may make: the lookup key's
 /// copy of the query text, which is all it makes.
 const HIT_ANSWER_BUDGET: usize = 1;
@@ -276,14 +293,15 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         graph.heap_bytes(),
     );
 
-    // (b) the index as `Create::open` builds it: decode + merge.
+    // (b) the index as `Create::open` builds it: a segment file's
+    // postings region, read into a buffer of its own, checked and
+    // adopted.
     let mut blob = Vec::new();
     encode_index_tail(&system.index(), &mut blob).unwrap();
-    let before = (allocations(), live_bytes());
     let mut index = Index::clinical();
-    index
-        .merge_segment(decode_segment(&blob, &index).unwrap())
-        .unwrap();
+    let before = (allocations(), live_bytes());
+    let region = blob.clone();
+    index.adopt_frozen(adopt(region, &index).unwrap()).unwrap();
     let open_allocations = allocations() - before.0;
     let held = (live_bytes() - before.1) as f64;
     let counted = index.postings_bytes() as f64;
@@ -293,11 +311,25 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         .sum();
     let per_term = (held - counted) / terms as f64;
     println!(
-        "index of {} docs: {open_allocations} allocations to decode + merge, \
+        "index of {} docs: {open_allocations} allocations to adopt, \
          {held} live bytes for postings_bytes {counted} = {:.3}x, \
          {per_term:.1} bytes beside it for each of {terms} terms",
         index.num_docs(),
         held / counted
+    );
+    // (k) the same corpus in a one-shard instance whose flush froze its
+    // index: the published snapshot and the writer share the frozen
+    // segment, and the tail's lists are gone.
+    let before = live_bytes();
+    let flushed = Create::new(CreateConfig { shards: 1 });
+    flushed.ingest_gold_batch(&reports[..REPORTS], 1).unwrap();
+    flushed.flush().unwrap();
+    let flushed_held = live_bytes() - before;
+    let flushed_postings = flushed.index().postings_bytes();
+    drop(flushed);
+    println!(
+        "a flushed one-shard instance of {REPORTS} reports holds {flushed_held} live bytes, \
+         postings_bytes {flushed_postings}"
     );
     // (f) a warmed query on two shards: what a hit does not do, and
     // what it allocates.
@@ -415,6 +447,10 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         single_copy - empty <= RESIDENT_BUDGET,
         "the loaded system holds {} live bytes, budget {RESIDENT_BUDGET}",
         single_copy - empty
+    );
+    assert!(
+        flushed_held <= FROZEN_RESIDENT_BUDGET,
+        "the flushed system holds {flushed_held} live bytes, budget {FROZEN_RESIDENT_BUDGET}"
     );
     assert!(
         publish_allocations <= PUBLISH_BUDGET && publish_peak <= PUBLISH_HEAP_BUDGET,
