@@ -18,6 +18,7 @@ fn main() {
         "reports/s",
         "graph nodes",
         "graph edges",
+        "graph B/report",
         "index terms",
         "q mean ms",
         "q p50 ms",
@@ -31,6 +32,7 @@ fn main() {
         let (system, reports) = loaded_create(n, 314159);
         let ingest_s = start.elapsed().as_secs_f64();
         let stats = system.stats();
+        let graph_bytes = system.memory_stats().graph_bytes;
 
         let queries = QuerySet::generate(&reports, 2718, 60);
         let mut latencies_ms = Vec::with_capacity(queries.queries.len());
@@ -47,6 +49,7 @@ fn main() {
             format!("{:.0}", n as f64 / ingest_s),
             stats.graph_nodes.to_string(),
             stats.graph_edges.to_string(),
+            format!("{:.0}", graph_bytes as f64 / n as f64),
             stats.index_terms.to_string(),
             format!("{:.2}", summary.mean),
             format!("{:.2}", summary.p50),

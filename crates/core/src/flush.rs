@@ -35,12 +35,12 @@ impl Create {
                 for writer in &mut writers.shards {
                     writer.freeze();
                 }
-                self.publish_shards(&writers, &frozen);
+                self.publish_shards(&writers, frozen);
                 return Ok(());
             };
             let mut manifest = root.lock_manifest();
             seal_tails(&mut writers.shards, &mut manifest, &root.dir, false)?;
-            self.publish_shards(&writers, &frozen);
+            self.publish_shards(&writers, frozen);
             let compacted = compact_shards(&writers.shards, &mut manifest, &root.dir)?;
             durability::refresh_segment_gauges(&manifest);
             compacted

@@ -17,26 +17,34 @@ use create_graphdb::{NodeId, PropertyGraph};
 use create_ontology::{ConceptId, Ontology, RelationType};
 use create_util::fxhash::{FxHashMap, FxHashSet};
 
-/// The node of report `report_id`, from the `(Report, reportId)`
-/// property index.
-pub fn find_report(graph: &PropertyGraph, report_id: &str) -> Option<NodeId> {
-    let value = Value::String(report_id.to_string());
-    graph
-        .nodes_with_prop("Report", "reportId", &value)
-        .next_back()
+/// An empty report graph: the one `(label, key)` pair it indexes by
+/// value is `(Concept, cui)`, which [`add_report`] reads to share a
+/// concept's node between reports and the graph search seeds from.
+/// Every other property is found by scanning its label.
+pub fn report_graph() -> PropertyGraph {
+    PropertyGraph::with_indexes(&[("Concept", "cui")])
 }
 
-/// The node of a concept, from the `(Concept, cui)` property index —
-/// the spelling [`GraphBuilder`] writes.
+/// The `Report` node of shard-local doc `doc`. A shard's reports enter
+/// its graph in apply order, which is doc-id order (see
+/// `Writer::apply`), and nothing else creates a `Report` node there, so
+/// the `doc`-th one is the doc's.
+pub fn report_node(graph: &PropertyGraph, doc: u32) -> Option<NodeId> {
+    graph.label_node("Report", doc as usize)
+}
+
+/// The node of a concept, from the `(Concept, cui)` index of a
+/// [`report_graph`]; on a graph that does not declare the pair, by
+/// scanning its `Concept` nodes, as the Cypher executor does.
 pub fn find_concept(graph: &PropertyGraph, cui: ConceptId) -> Option<NodeId> {
     let value = Value::String(cui.to_string());
-    graph.nodes_with_prop("Concept", "cui", &value).next_back()
-}
-
-/// Maintains the concept-node registry while reports are ingested.
-#[derive(Debug, Default)]
-pub struct GraphBuilder {
-    concept_nodes: FxHashMap<ConceptId, NodeId>,
+    match graph.nodes_with_prop("Concept", "cui", &value) {
+        Some(nodes) => nodes.last().copied(),
+        None => graph.nodes_with_label("Concept").rev().find(|&id| {
+            let node = graph.node(id).expect("listed nodes exist");
+            node.prop("cui").is_some_and(|found| found == value)
+        }),
+    }
 }
 
 /// Metadata attached to the report node.
@@ -52,120 +60,111 @@ pub struct ReportMeta {
     pub category: String,
 }
 
-impl GraphBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> GraphBuilder {
-        GraphBuilder::default()
+/// The concept's node: the one the graph has, or a new one.
+fn concept_node(graph: &mut PropertyGraph, ontology: &Ontology, cui: ConceptId) -> NodeId {
+    if let Some(id) = find_concept(graph, cui) {
+        return id;
     }
+    let (label, etype) = ontology
+        .get(cui)
+        .map(|c| (c.preferred.clone(), c.semantic_type.label().to_string()))
+        .unwrap_or_else(|| ("unknown".to_string(), "Other".to_string()));
+    graph.create_node(
+        ["Concept"],
+        vec![
+            ("cui", Value::String(cui.to_string())),
+            ("label", Value::String(label)),
+            ("entityType", Value::String(etype)),
+        ],
+    )
+}
 
-    /// Number of registered concept nodes.
-    pub fn concept_count(&self) -> usize {
-        self.concept_nodes.len()
-    }
-
-    fn concept_node(
-        &mut self,
-        graph: &mut PropertyGraph,
-        ontology: &Ontology,
-        cui: ConceptId,
-    ) -> NodeId {
-        if let Some(&id) = self.concept_nodes.get(&cui) {
-            return id;
+/// Adds one report's annotations to a [`report_graph`]; returns the
+/// report node.
+pub fn add_report(
+    graph: &mut PropertyGraph,
+    ontology: &Ontology,
+    meta: &ReportMeta,
+    annotations: &ExtractedAnnotations,
+) -> NodeId {
+    let report_node = graph.create_node(
+        ["Report"],
+        vec![
+            ("reportId", Value::String(meta.report_id.clone())),
+            ("title", Value::String(meta.title.clone())),
+            ("year", Value::Number(meta.year as f64)),
+            ("category", Value::String(meta.category.clone())),
+        ],
+    );
+    // Event nodes per mention with a concept + step.
+    let mut event_nodes: FxHashMap<usize, NodeId> = FxHashMap::default();
+    // MENTIONS edge once per (report, concept). The report node is
+    // brand new, so a local set of linked concepts is equivalent to
+    // scanning its outgoing edges — without rebuilding the adjacency
+    // Vec on every mention.
+    let mut mentioned: FxHashSet<NodeId> = FxHashSet::default();
+    for (mi, m) in annotations.mentions.iter().enumerate() {
+        let Some(cui) = m.concept else { continue };
+        let concept_node = concept_node(graph, ontology, cui);
+        if mentioned.insert(concept_node) {
+            graph.create_edge::<&str>(report_node, concept_node, "MENTIONS", vec![]);
         }
-        let (label, etype) = ontology
-            .get(cui)
-            .map(|c| (c.preferred.clone(), c.semantic_type.label().to_string()))
-            .unwrap_or_else(|| ("unknown".to_string(), "Other".to_string()));
-        let id = graph.create_node(
-            ["Concept"],
-            vec![
-                ("cui", Value::String(cui.to_string())),
-                ("label", Value::String(label)),
-                ("entityType", Value::String(etype)),
-            ],
-        );
-        self.concept_nodes.insert(cui, id);
-        id
-    }
-
-    /// Adds one report's annotations to the graph; returns the report node.
-    pub fn add_report(
-        &mut self,
-        graph: &mut PropertyGraph,
-        ontology: &Ontology,
-        meta: &ReportMeta,
-        annotations: &ExtractedAnnotations,
-    ) -> NodeId {
-        let report_node = graph.create_node(
-            ["Report"],
-            vec![
-                ("reportId", Value::String(meta.report_id.clone())),
-                ("title", Value::String(meta.title.clone())),
-                ("year", Value::Number(meta.year as f64)),
-                ("category", Value::String(meta.category.clone())),
-            ],
-        );
-        // Event nodes per mention with a concept + step.
-        let mut event_nodes: FxHashMap<usize, NodeId> = FxHashMap::default();
-        // MENTIONS edge once per (report, concept). The report node is
-        // brand new, so a local set of linked concepts is equivalent to
-        // scanning its outgoing edges — without rebuilding the adjacency
-        // Vec on every mention.
-        let mut mentioned: FxHashSet<NodeId> = FxHashSet::default();
-        for (mi, m) in annotations.mentions.iter().enumerate() {
-            let Some(cui) = m.concept else { continue };
-            let concept_node = self.concept_node(graph, ontology, cui);
-            if mentioned.insert(concept_node) {
-                graph.create_edge::<&str>(report_node, concept_node, "MENTIONS", vec![]);
-            }
-            if m.etype.is_event() {
-                let event_node = graph.create_node(
-                    ["Event"],
-                    vec![
-                        ("reportId", Value::String(meta.report_id.clone())),
-                        ("cui", Value::String(cui.to_string())),
-                        ("label", Value::String(m.text.clone())),
-                        ("entityType", Value::String(m.etype.label().to_string())),
-                        (
-                            "step",
-                            m.time_step
-                                .map(|s| Value::Number(s as f64))
-                                .unwrap_or(Value::Null),
-                        ),
-                    ],
-                );
-                graph.create_edge::<&str>(report_node, event_node, "CONTAINS", vec![]);
-                graph.create_edge::<&str>(event_node, concept_node, "INSTANCE_OF", vec![]);
-                event_nodes.insert(mi, event_node);
-            }
+        if m.etype.is_event() {
+            let event_node = graph.create_node(
+                ["Event"],
+                vec![
+                    ("reportId", Value::String(meta.report_id.clone())),
+                    ("cui", Value::String(cui.to_string())),
+                    ("label", Value::String(m.text.clone())),
+                    ("entityType", Value::String(m.etype.label().to_string())),
+                    (
+                        "step",
+                        m.time_step
+                            .map(|s| Value::Number(s as f64))
+                            .unwrap_or(Value::Null),
+                    ),
+                ],
+            );
+            graph.create_edge::<&str>(report_node, event_node, "CONTAINS", vec![]);
+            graph.create_edge::<&str>(event_node, concept_node, "INSTANCE_OF", vec![]);
+            event_nodes.insert(mi, event_node);
         }
-        // Temporal edges between event nodes.
-        for &(src, dst, rel) in &annotations.relations {
-            let (Some(&a), Some(&b)) = (event_nodes.get(&src), event_nodes.get(&dst)) else {
-                continue;
-            };
-            match rel {
-                RelationType::Before => {
-                    graph.create_edge::<&str>(a, b, "BEFORE", vec![]);
-                }
-                RelationType::After => {
-                    graph.create_edge::<&str>(b, a, "BEFORE", vec![]);
-                }
-                RelationType::Overlap => {
-                    graph.create_edge::<&str>(a, b, "OVERLAP", vec![]);
-                }
-                _ => {}
-            }
-        }
-        report_node
     }
+    // Temporal edges between event nodes.
+    for &(src, dst, rel) in &annotations.relations {
+        let (Some(&a), Some(&b)) = (event_nodes.get(&src), event_nodes.get(&dst)) else {
+            continue;
+        };
+        match rel {
+            RelationType::Before => {
+                graph.create_edge::<&str>(a, b, "BEFORE", vec![]);
+            }
+            RelationType::After => {
+                graph.create_edge::<&str>(b, a, "BEFORE", vec![]);
+            }
+            RelationType::Overlap => {
+                graph.create_edge::<&str>(a, b, "OVERLAP", vec![]);
+            }
+            _ => {}
+        }
+    }
+    report_node
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use create_corpus::{CaseReport, CorpusConfig, Generator};
-    use create_graphdb::exec::run;
+    use create_graphdb::exec::query;
+
+    fn meta(report: &CaseReport) -> ReportMeta {
+        ReportMeta {
+            report_id: report.id.clone(),
+            title: report.title.clone(),
+            year: report.metadata.year,
+            category: report.category.coarse_label().to_string(),
+        }
+    }
 
     fn sample() -> (PropertyGraph, Ontology, CaseReport) {
         let generator = Generator::new(CorpusConfig {
@@ -175,20 +174,9 @@ mod tests {
         });
         let ontology = create_ontology::clinical_ontology();
         let report = generator.generate().remove(0);
-        let mut graph = PropertyGraph::new();
-        let mut builder = GraphBuilder::new();
+        let mut graph = report_graph();
         let annotations = ExtractedAnnotations::from_gold(&report);
-        builder.add_report(
-            &mut graph,
-            &ontology,
-            &ReportMeta {
-                report_id: report.id.clone(),
-                title: report.title.clone(),
-                year: report.metadata.year,
-                category: report.category.coarse_label().to_string(),
-            },
-            &annotations,
-        );
+        add_report(&mut graph, &ontology, &meta(&report), &annotations);
         (graph, ontology, report)
     }
 
@@ -207,7 +195,7 @@ mod tests {
         let mentions: Vec<_> = graph
             .outgoing(report_node)
             .into_iter()
-            .filter(|e| &*e.rel_type == "MENTIONS")
+            .filter(|e| e.rel_type == "MENTIONS")
             .map(|e| e.target)
             .collect();
         let mut dedup = mentions.clone();
@@ -222,9 +210,9 @@ mod tests {
 
     #[test]
     fn temporal_edges_exist_and_are_queryable_via_cypher() {
-        let (mut graph, ..) = sample();
-        let out = run(
-            &mut graph,
+        let (graph, ..) = sample();
+        let out = query(
+            &graph,
             "MATCH (a:Event)-[:BEFORE]->(b:Event) RETURN COUNT(*)",
         )
         .unwrap();
@@ -236,12 +224,36 @@ mod tests {
     }
 
     #[test]
+    fn a_graph_without_the_cui_index_finds_concepts_by_scanning() {
+        let (indexed, ontology, report) = sample();
+        let annotations = ExtractedAnnotations::from_gold(&report);
+        let cuis: Vec<ConceptId> = annotations
+            .mentions
+            .iter()
+            .filter_map(|m| m.concept)
+            .collect();
+        let mut plain = PropertyGraph::new();
+        assert_eq!(find_concept(&plain, cuis[0]), None);
+        add_report(&mut plain, &ontology, &meta(&report), &annotations);
+        assert_eq!(
+            (plain.node_count(), plain.edge_count()),
+            (indexed.node_count(), indexed.edge_count()),
+            "concept nodes are shared without the index too"
+        );
+        for cui in cuis {
+            let found = find_concept(&plain, cui);
+            assert!(found.is_some(), "{cui} has its node");
+            assert_eq!(found, find_concept(&indexed, cui), "{cui}");
+        }
+    }
+
+    #[test]
     fn events_carry_steps() {
         let (graph, ..) = sample();
         for id in graph.nodes_with_label("Event") {
             let node = graph.node(id).unwrap();
-            assert!(node.props.contains_key("step"));
-            assert!(node.props.contains_key("cui"));
+            assert!(node.prop("step").is_some());
+            assert!(node.prop("cui").is_some());
         }
     }
 
@@ -253,27 +265,20 @@ mod tests {
             ..Default::default()
         });
         let ontology = create_ontology::clinical_ontology();
-        let mut graph = PropertyGraph::new();
-        let mut builder = GraphBuilder::new();
+        let mut graph = report_graph();
+        let mut concepts = std::collections::HashSet::new();
         for report in generator.generate() {
             let ann = ExtractedAnnotations::from_gold(&report);
-            builder.add_report(
-                &mut graph,
-                &ontology,
-                &ReportMeta {
-                    report_id: report.id.clone(),
-                    title: report.title.clone(),
-                    year: report.metadata.year,
-                    category: report.category.coarse_label().to_string(),
-                },
-                &ann,
-            );
+            concepts.extend(ann.mentions.iter().filter_map(|m| m.concept));
+            add_report(&mut graph, &ontology, &meta(&report), &ann);
         }
-        // Concept nodes are deduplicated: fewer than one per mention.
-        assert_eq!(
-            graph.nodes_with_label("Concept").count(),
-            builder.concept_count()
-        );
+        // Concept nodes are deduplicated: one per distinct concept.
+        assert_eq!(graph.nodes_with_label("Concept").count(), concepts.len());
+        for &cui in &concepts {
+            let node = find_concept(&graph, cui).expect("every concept has its node");
+            let found = graph.node(node).unwrap().prop("cui").unwrap();
+            assert_eq!(found.as_str(), Some(&*cui.to_string()));
+        }
         assert_eq!(graph.nodes_with_label("Report").count(), 10);
     }
 }

@@ -159,7 +159,7 @@ impl Create {
         create_obs::flush_stages(stages);
         let touched = applied?;
         writers.next_ordinal = base + n as u64;
-        self.publish_shards(&writers, &touched);
+        self.publish_shards(&writers, touched);
         Ok(n)
     }
 }

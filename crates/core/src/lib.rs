@@ -55,4 +55,3 @@ pub use plan::{
 pub use search::{MergePolicy, SearchAnswer, SearchHit, SearchSource};
 pub use stats::{FacetStats, MemoryStats, ShardSegments, StorageStats, SystemStats};
 pub use system::{Create, CreateConfig, Snapshot};
-pub use writer::GraphWriteGuard;

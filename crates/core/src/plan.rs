@@ -32,7 +32,7 @@
 //!    of `k`); keyword rows gather under `(score desc, ingest ordinal
 //!    asc)`, then the [`PlanNode::Merge`] policy merges the two legs.
 
-use crate::graph_build::find_report;
+use crate::graph_build::report_node;
 use crate::search::{self, MergePolicy, SearchHit};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
@@ -551,15 +551,14 @@ struct ReportEvent {
 }
 
 /// Loads a document's events and the temporal graph over them. The
-/// report's node comes from the `(Report, reportId)` property index.
+/// report's node is the doc's ([`report_node`]).
 fn events_of(shard: &ShardSnapshot, doc: u32) -> Option<(Vec<ReportEvent>, TemporalGraph)> {
-    let rid = shard.index.external_id(doc)?;
     let graph = &shard.graph;
-    let report = find_report(graph, rid)?;
+    let report = report_node(graph, doc)?;
     let event_nodes: Vec<NodeId> = graph
         .outgoing(report)
         .into_iter()
-        .filter(|e| &*e.rel_type == "CONTAINS")
+        .filter(|e| e.rel_type == "CONTAINS")
         .map(|e| e.target)
         .collect();
     let index_of: HashMap<NodeId, usize> = event_nodes
@@ -578,14 +577,13 @@ fn events_of(shard: &ShardSnapshot, doc: u32) -> Option<(Vec<ReportEvent>, Tempo
         let n = graph.node(node)?;
         events.push(ReportEvent {
             cui: n
-                .props
-                .get("cui")
+                .prop("cui")
                 .and_then(|v| v.as_str())
                 .and_then(ConceptId::parse),
-            step: n.props.get("step").and_then(|v| v.as_f64()),
+            step: n.prop("step").and_then(|v| v.as_f64()),
         });
         for edge in graph.outgoing(node) {
-            let rel = match &*edge.rel_type {
+            let rel = match edge.rel_type {
                 "BEFORE" => RelationType::Before,
                 "OVERLAP" => RelationType::Overlap,
                 _ => continue,

@@ -191,7 +191,7 @@ fn reports_mentioning(
     traversal.edges += incoming.len() as u64;
     incoming
         .into_iter()
-        .filter(|e| &*e.rel_type == "MENTIONS")
+        .filter(|e| e.rel_type == "MENTIONS")
         .map(|e| e.source)
         .collect()
 }
@@ -208,19 +208,13 @@ fn concept_steps(
     traversal.edges += outgoing.len() as u64;
     outgoing
         .into_iter()
-        .filter(|e| &*e.rel_type == "CONTAINS")
+        .filter(|e| e.rel_type == "CONTAINS")
         .filter_map(|e| {
             traversal.nodes += 1;
             graph.node(e.target)
         })
-        .filter(|event| {
-            event
-                .props
-                .get("cui")
-                .and_then(|v| v.as_str())
-                .is_some_and(|c| c == cui)
-        })
-        .filter_map(|event| event.props.get("step").and_then(|v| v.as_f64()))
+        .filter(|event| event.prop("cui").and_then(|v| v.as_str()) == Some(&*cui))
+        .filter_map(|event| event.prop("step")?.as_f64())
         .collect()
 }
 
@@ -285,16 +279,11 @@ pub fn graph_search(
         };
         let node = graph.node(report).expect("report node exists");
         let report_id = node
-            .props
-            .get("reportId")
+            .prop("reportId")
             .and_then(|v| v.as_str())
             .unwrap_or_default()
             .to_string();
-        let year = node
-            .props
-            .get("year")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
+        let year = node.prop("year").and_then(|v| v.as_f64()).unwrap_or(0.0);
         // Pattern dominates; recency is a mild tiebreak.
         let score = if pattern_matched { 10.0 } else { 1.0 } + year / 10_000.0;
         hits.push(SearchHit {

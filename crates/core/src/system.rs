@@ -30,7 +30,7 @@ use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use crate::stats::{count_policy, register_metrics, register_shard_metrics};
 use crate::{
-    graph_build::find_report,
+    graph_build::report_node,
     pipeline::QueryIE,
     writer::{empty_writer, Writers},
 };
@@ -478,12 +478,13 @@ impl Create {
     /// edges all live there).
     pub fn visualize(&self, id: &str) -> Option<String> {
         let snapshot = self.current.load();
-        let graph = &snapshot.owner(id).graph;
-        let report_node = find_report(graph, id)?;
+        let shard = snapshot.owner(id);
+        let graph = &shard.graph;
+        let report = report_node(graph, shard.index.internal_id(id)?)?;
         let events: Vec<_> = graph
-            .outgoing(report_node)
+            .outgoing(report)
             .into_iter()
-            .filter(|e| &*e.rel_type == "CONTAINS")
+            .filter(|e| e.rel_type == "CONTAINS")
             .map(|e| e.target)
             .collect();
         if events.is_empty() {
@@ -494,7 +495,7 @@ impl Create {
         for &ev in &events {
             let node = graph.node(ev)?;
             let prop = |key, absent| {
-                let value = node.props.get(key).and_then(|v| v.as_str());
+                let value = node.prop(key).and_then(|v| v.as_str());
                 value.unwrap_or(absent).to_string()
             };
             node_index.insert(ev, viz.nodes.len());
@@ -505,7 +506,7 @@ impl Create {
         }
         for &ev in &events {
             for edge in graph.outgoing(ev) {
-                if &*edge.rel_type != "BEFORE" && &*edge.rel_type != "OVERLAP" {
+                if edge.rel_type != "BEFORE" && edge.rel_type != "OVERLAP" {
                     continue;
                 }
                 let (Some(&s), Some(&t)) = (node_index.get(&ev), node_index.get(&edge.target))

@@ -1,19 +1,16 @@
 //! The write half of the platform: the one write lock on [`Create`],
 //! its value [`Writers`] — one [`Writer`] per shard and the next ingest
-//! ordinal — the publish that ends every write operation, and the two
-//! that are not ingests, [`Create::attach_tagger`] and
-//! [`Create::graph_mut`].
+//! ordinal — the publish that ends every write operation, and the one
+//! that is not an ingest, [`Create::attach_tagger`].
 
 use crate::durability::{self, DocPayload, ReportFields, ShardStorage};
-use crate::graph_build::{GraphBuilder, ReportMeta};
+use crate::graph_build::{self, ReportMeta};
 use crate::system::{Create, ShardSnapshot, Snapshot};
 use crate::{ingest::IngestError, pipeline::ExtractedAnnotations};
-use create_graphdb::PropertyGraph;
 use create_index::{facets::FacetIndex, index::IndexError, FrozenSegment, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, Span};
 use create_ontology::Ontology;
-use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
 
@@ -41,10 +38,14 @@ impl Create {
     /// atomically. One call per write operation, made with the write lock
     /// held (`writers` is its value), so readers always observe a
     /// complete generation vector, never a torn mix.
-    pub(crate) fn publish_shards(&self, writers: &Writers, touched: &[usize]) {
+    pub(crate) fn publish_shards(
+        &self,
+        writers: &Writers,
+        touched: impl IntoIterator<Item = usize>,
+    ) {
         let started = Instant::now();
         let mut shards = self.current.load().shards.clone();
-        for &i in touched {
+        for i in touched {
             shards[i] = Arc::new(writers.shards[i].shard.clone());
             if create_obs::enabled() {
                 create_obs::counter_with(
@@ -74,49 +75,7 @@ impl Create {
             writer.shard.tagger = Some(Arc::clone(&tagger));
             writer.shard.generation += 1;
         }
-        let all: Vec<usize> = (0..writers.shards.len()).collect();
-        self.publish_shards(&writers, &all);
-    }
-
-    /// Mutable access to shard 0's graph, for the Cypher executor (which
-    /// may `CREATE`): see [`GraphWriteGuard`]. Its drop also
-    /// conservatively invalidates the query cache.
-    pub fn graph_mut(&self) -> GraphWriteGuard<'_> {
-        GraphWriteGuard {
-            system: self,
-            writers: self.lock_writers(),
-        }
-    }
-}
-
-/// Write access to the property graph, for the Cypher executor (which may
-/// `CREATE`). Targets shard 0's graph and holds the write lock for its
-/// lifetime; the first mutable borrow copies the graph if the published
-/// snapshot shares it, and dropping the guard bumps shard 0's generation
-/// (the borrow may have written) and publishes a fresh composite snapshot
-/// so readers observe the mutation.
-pub struct GraphWriteGuard<'a> {
-    system: &'a Create,
-    writers: MutexGuard<'a, Writers>,
-}
-
-impl Deref for GraphWriteGuard<'_> {
-    type Target = PropertyGraph;
-    fn deref(&self) -> &PropertyGraph {
-        &self.writers.shards[0].shard.graph
-    }
-}
-
-impl DerefMut for GraphWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PropertyGraph {
-        Arc::make_mut(&mut self.writers.shards[0].shard.graph)
-    }
-}
-
-impl Drop for GraphWriteGuard<'_> {
-    fn drop(&mut self) {
-        self.writers.shards[0].shard.generation += 1;
-        self.system.publish_shards(&self.writers, &[0]);
+        self.publish_shards(&writers, 0..writers.shards.len());
     }
 }
 
@@ -139,7 +98,6 @@ pub(crate) struct Writer {
     /// index's tail, the graph's and the columns' last chunks — and
     /// readers never see a change.
     pub(crate) shard: ShardSnapshot,
-    graph_builder: GraphBuilder,
     /// Durable state (WAL + sealed segments) — `None` for in-memory
     /// instances, which skip the log entirely.
     pub(crate) storage: Option<ShardStorage>,
@@ -189,8 +147,9 @@ impl Writer {
                 obs_names::PIPELINE_STAGE_SECONDS,
                 obs_names::STAGE_GRAPH_BUILD,
             );
-            self.graph_builder.add_report(
-                Arc::make_mut(&mut self.shard.graph),
+            let graph = Arc::make_mut(&mut self.shard.graph);
+            let node = graph_build::add_report(
+                graph,
                 ontology,
                 &ReportMeta {
                     report_id: fields.id.to_string(),
@@ -199,6 +158,12 @@ impl Writer {
                     category: fields.category.to_string(),
                 },
                 annotations,
+            );
+            let doc = self.shard.docs.len() as u32 - 1;
+            debug_assert_eq!(
+                graph_build::report_node(graph, doc),
+                Some(node),
+                "the doc-th Report node is doc {doc}'s"
             );
         }
         Arc::make_mut(&mut self.shard.ordinals).push(ordinal);
@@ -266,35 +231,12 @@ pub(crate) fn empty_writer() -> Writer {
         shard: ShardSnapshot {
             generation: 0,
             docs: Arc::default(),
-            graph: Arc::default(),
+            graph: Arc::new(graph_build::report_graph()),
             index: Arc::new(Index::clinical()),
             tagger: None,
             ordinals: Arc::default(),
             facets: Arc::default(),
         },
-        graph_builder: GraphBuilder::new(),
         storage: None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{Create, CreateConfig};
-    use create_docstore::Value;
-
-    #[test]
-    fn graph_mut_guard_publishes_on_drop() {
-        let system = Create::new(CreateConfig::default());
-        let before = system.cache_stats().generation;
-        {
-            let mut guard = system.graph_mut();
-            guard.create_node(["Probe"], Vec::<(&str, Value)>::new());
-        }
-        assert_eq!(
-            system.cache_stats().generation,
-            before + 1,
-            "guard drop bumps the generation"
-        );
-        assert_eq!(system.stats().graph_nodes, 1, "guard drop publishes");
     }
 }

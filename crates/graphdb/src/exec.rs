@@ -1,13 +1,17 @@
 //! The pattern-match executor.
 //!
 //! Executes [`crate::ast::Query`] against a [`PropertyGraph`] with
-//! backtracking: seed candidates for the first node pattern come from the
-//! property or label index when available; each hop expands along the
-//! adjacency lists, respecting direction, relationship type, and property
-//! constraints; `WHERE` filters evaluated bindings; `RETURN` projects.
+//! backtracking: seed candidates for the first node pattern come from a
+//! declared `(label, key)` index when the pattern names one, else from
+//! scanning its label (as Neo4j does for a property without `CREATE
+//! INDEX`); each hop expands along the adjacency lists, respecting
+//! direction, relationship type, and property constraints; `WHERE`
+//! filters evaluated bindings; `RETURN` projects. [`query`] only reads;
+//! [`run`] also `CREATE`s.
 
 use crate::ast::*;
-use crate::store::{EdgeId, NodeId, PropertyGraph};
+use crate::parser::ParseError;
+use crate::store::{EdgeId, EdgeRef, NodeId, PropertyGraph};
 use create_docstore::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -39,6 +43,8 @@ pub enum ExecError {
     UnboundVariable(String),
     /// CREATE pattern reused a variable (unsupported).
     InvalidCreate(String),
+    /// A `CREATE` given to [`query`], which only reads.
+    ReadOnly,
 }
 
 impl fmt::Display for ExecError {
@@ -46,11 +52,32 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::UnboundVariable(v) => write!(f, "unbound variable {v:?}"),
             ExecError::InvalidCreate(m) => write!(f, "invalid CREATE: {m}"),
+            ExecError::ReadOnly => write!(f, "CREATE in a read-only query"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
+
+/// Why [`query`] answered nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryError {
+    /// The text is not a query.
+    Parse(ParseError),
+    /// The query did not execute.
+    Exec(ExecError),
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::Parse(e) => e.fmt(f),
+            QueryError::Exec(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Binding {
@@ -68,10 +95,19 @@ struct ExecStats {
     edges_traversed: u64,
 }
 
-/// Executes a query.
+/// Executes a query, `CREATE` included.
 pub fn execute(graph: &mut PropertyGraph, query: &Query) -> Result<QueryOutput, ExecError> {
     match query {
         Query::Create { pattern } => execute_create(graph, pattern),
+        Query::Match { .. } => execute_read(graph, query),
+    }
+}
+
+/// Executes a query that only reads: a `MATCH`. A `CREATE` is refused
+/// with [`ExecError::ReadOnly`].
+fn execute_read(graph: &PropertyGraph, query: &Query) -> Result<QueryOutput, ExecError> {
+    match query {
+        Query::Create { .. } => Err(ExecError::ReadOnly),
         Query::Match {
             patterns,
             where_clause,
@@ -137,14 +173,11 @@ fn execute_create(
 
 fn node_matches(graph: &PropertyGraph, id: NodeId, pattern: &NodePattern) -> bool {
     let node = graph.node(id).expect("candidate exists");
-    pattern
-        .labels
-        .iter()
-        .all(|l| node.labels.iter().any(|nl| **nl == **l))
+    pattern.labels.iter().all(|l| node.has_label(l))
         && pattern
             .props
             .iter()
-            .all(|(k, v)| node.props.get(k) == Some(v))
+            .all(|(k, v)| node.prop(k).is_some_and(|found| found == *v))
 }
 
 fn seed_candidates(
@@ -152,11 +185,18 @@ fn seed_candidates(
     pattern: &NodePattern,
     stats: &mut ExecStats,
 ) -> Vec<NodeId> {
-    // Best index: (label, prop) pair; then label; then full scan.
-    let candidates: Vec<NodeId> = match (pattern.labels.first(), pattern.props.first()) {
-        (Some(label), Some((k, v))) => graph.nodes_with_prop(label, k, v).collect(),
-        (Some(label), None) => graph.nodes_with_label(label).collect(),
-        (None, _) => graph.nodes().map(|n| n.id).collect(),
+    // A declared (label, key) index the pattern names; else its first
+    // label, scanned; else every node.
+    let indexed = pattern.labels.iter().find_map(|label| {
+        pattern
+            .props
+            .iter()
+            .find_map(|(k, v)| graph.nodes_with_prop(label, k, v))
+    });
+    let candidates: Vec<NodeId> = match (indexed, pattern.labels.first()) {
+        (Some(hits), _) => hits,
+        (None, Some(label)) => graph.nodes_with_label(label).collect(),
+        (None, None) => graph.nodes().map(|n| n.id).collect(),
     };
     stats.nodes_visited += candidates.len() as u64;
     candidates
@@ -191,26 +231,28 @@ fn match_hops(
         out.push(bindings.clone());
         return;
     };
-    let mut candidates: Vec<(EdgeId, NodeId)> = Vec::new();
+    let mut candidates: Vec<(EdgeRef<'_>, NodeId)> = Vec::new();
     if matches!(rel.direction, Direction::Out | Direction::Both) {
         for e in graph.outgoing(current) {
-            candidates.push((e.id, e.target));
+            candidates.push((e, e.target));
         }
     }
     if matches!(rel.direction, Direction::In | Direction::Both) {
         for e in graph.incoming(current) {
-            candidates.push((e.id, e.source));
+            candidates.push((e, e.source));
         }
     }
     stats.edges_traversed += candidates.len() as u64;
-    for (edge_id, next_node) in candidates {
-        let edge = graph.edge(edge_id).expect("edge exists");
-        if let Some(required) = &rel.rel_type {
-            if *edge.rel_type != **required {
-                continue;
-            }
+    for (edge, next_node) in candidates {
+        let edge_id = edge.id;
+        if rel.rel_type.as_ref().is_some_and(|t| edge.rel_type != t) {
+            continue;
         }
-        if !rel.props.iter().all(|(k, v)| edge.props.get(k) == Some(v)) {
+        if !rel
+            .props
+            .iter()
+            .all(|(k, v)| edge.prop(k).is_some_and(|found| found == *v))
+        {
             continue;
         }
         if !node_matches(graph, next_node, node) {
@@ -260,20 +302,17 @@ fn match_pattern(
 }
 
 fn prop_of(graph: &PropertyGraph, binding: Binding, key: &str) -> Value {
-    match binding {
-        Binding::Node(id) => graph
-            .node(id)
-            .and_then(|n| n.props.get(key).cloned())
-            .unwrap_or(Value::Null),
+    let found = match binding {
+        Binding::Node(id) => graph.node(id).and_then(|n| n.prop(key)),
         Binding::Edge(id) => {
             let edge = graph.edge(id).expect("bound edge exists");
             if key == "type" {
-                Value::String(edge.rel_type.to_string())
-            } else {
-                edge.props.get(key).cloned().unwrap_or(Value::Null)
+                return Value::String(edge.rel_type.to_string());
             }
+            edge.prop(key)
         }
-    }
+    };
+    found.map_or(Value::Null, |value| value.to_value())
 }
 
 fn eval_expr(graph: &PropertyGraph, expr: &Expr, bindings: &Bindings) -> Result<bool, ExecError> {
@@ -438,7 +477,27 @@ fn execute_match(
     Ok(QueryOutput { columns, rows })
 }
 
-/// Parses and executes a query string — the "via cypher query" entry point.
+/// Parses and executes a query string that only reads — the "via cypher
+/// query" entry point over a shared graph. A `CREATE` is refused with
+/// [`ExecError::ReadOnly`]: the graph a shard serves is written by ingest
+/// alone.
+///
+/// ```
+/// use create_graphdb::{exec::{query, run, ExecError, QueryError}, PropertyGraph};
+/// let mut g = PropertyGraph::new();
+/// run(&mut g, "CREATE (a:Concept {label: 'fever'})-[:BEFORE]->(b:Concept {label: 'death'})").unwrap();
+/// let out = query(&g, "MATCH (a)-[:BEFORE]->(b) RETURN a.label, b.label").unwrap();
+/// assert_eq!(out.rows.len(), 1);
+/// let refused = query(&g, "CREATE (c:Concept {label: 'cough'})");
+/// assert_eq!(refused, Err(QueryError::Exec(ExecError::ReadOnly)));
+/// ```
+pub fn query(graph: &PropertyGraph, text: &str) -> Result<QueryOutput, QueryError> {
+    let parsed = crate::parser::parse_query(text).map_err(QueryError::Parse)?;
+    execute_read(graph, &parsed).map_err(QueryError::Exec)
+}
+
+/// Parses and executes a query string, `CREATE` included, on a graph of
+/// the caller's own.
 ///
 /// ```
 /// use create_graphdb::{PropertyGraph, exec::run};
@@ -458,7 +517,10 @@ mod tests {
     use crate::parser::parse_query;
 
     fn sample_graph() -> PropertyGraph {
-        let mut g = PropertyGraph::new();
+        sample_into(PropertyGraph::new())
+    }
+
+    fn sample_into(mut g: PropertyGraph) -> PropertyGraph {
         let s = |x: &str| Value::String(x.to_string());
         let fever = g.create_node(
             ["Concept"],
@@ -710,6 +772,40 @@ mod tests {
     fn order_by_rejects_missing_by() {
         let mut g = sample_graph();
         assert!(run(&mut g, "MATCH (r:Report) RETURN r ORDER r.year").is_err());
+    }
+
+    #[test]
+    fn query_reads_and_refuses_create() {
+        let g = sample_graph();
+        let out = query(&g, "MATCH (c:Concept {label: 'fever'}) RETURN c.entityType").unwrap();
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(
+            query(&g, "CREATE (x:Concept {label: 'new'})"),
+            Err(QueryError::Exec(ExecError::ReadOnly))
+        );
+        assert!(matches!(
+            query(&g, "NOT A QUERY"),
+            Err(QueryError::Parse(_))
+        ));
+        assert_eq!(g.node_count(), 5);
+    }
+
+    #[test]
+    fn a_declared_index_and_a_label_scan_seed_the_same_rows() {
+        let scanned = sample_graph();
+        let indexed = sample_into(PropertyGraph::with_indexes(&[
+            ("Concept", "label"),
+            ("Report", "year"),
+        ]));
+        for q in [
+            "MATCH (c:Concept {label: 'cough'})<-[:MENTIONS]-(r:Report) RETURN r.reportId",
+            "MATCH (r:Report {year: 2015}) RETURN r.reportId",
+            "MATCH (c:Concept {entityType: 'Sign_symptom', label: 'fever'}) RETURN c",
+        ] {
+            let a = query(&scanned, q).unwrap();
+            assert_eq!(a, query(&indexed, q).unwrap(), "{q}");
+            assert!(!a.rows.is_empty(), "{q}");
+        }
     }
 
     #[test]

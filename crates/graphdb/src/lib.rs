@@ -5,13 +5,15 @@
 //! all nodes and edges are put into Neo4j via cypher query." This crate
 //! implements that role from scratch:
 //!
-//! * [`store`] — the property graph: labeled nodes/edges with JSON
-//!   properties in flat id-indexed arrays, interned labels, types and
-//!   keys, label and property indexes, adjacency chains;
+//! * [`store`] — the property graph: nodes and edges as fixed-size
+//!   records in id-indexed columns, their JSON properties encoded in one
+//!   byte arena, interned labels, types and keys, label lists and
+//!   declared `(label, key)` indexes, adjacency chains;
 //! * [`ast`], [`lexer`], [`parser`] — a Cypher-like query language
 //!   (`MATCH (a:Label {k: v})-[r:TYPE]->(b) WHERE … RETURN … LIMIT n`,
 //!   plus `CREATE`);
-//! * [`exec`] — the backtracking pattern-match executor.
+//! * [`exec`] — the backtracking pattern-match executor: [`exec::query`]
+//!   reads a shared graph, [`exec::run`] also writes one of its own.
 
 pub mod ast;
 pub mod exec;
@@ -21,4 +23,4 @@ pub mod store;
 
 pub use exec::{QueryOutput, ResultValue};
 pub use parser::parse_query;
-pub use store::{EdgeId, NodeId, PropertyGraph};
+pub use store::{EdgeId, EdgeRef, NodeId, NodeRef, PropRef, PropertyGraph, Props};

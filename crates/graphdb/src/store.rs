@@ -1,23 +1,42 @@
 //! The property graph store.
 //!
 //! Nodes carry labels (e.g. `Concept`, `Report`) and JSON properties;
-//! edges carry a relationship type (e.g. `BEFORE`, `MENTIONS`) and
-//! properties. Label and `(label, key, value)` indexes accelerate the
-//! pattern-match executor's seed lookups; adjacency lists drive expansion.
+//! edges carry a relationship type (e.g. `BEFORE`, `MENTIONS`) and,
+//! rarely, properties. Ids are dense and nothing is ever removed, so the
+//! graph is a few id-indexed columns of fixed-size records in
+//! `Arc`-shared chunks ([`Chunked`]):
 //!
-//! The representation is flat and interned. Ids are dense and nodes and
-//! edges are never removed, so both live inline in id-indexed chunked
-//! vectors; labels, relationship types and property keys are `Arc<str>`
-//! symbols the graph hands out once per distinct string; a node's or
-//! edge's properties are one key-sorted slice; and adjacency is threaded
-//! through the edges themselves — every edge names the previous edge out
-//! of its source and into its target, every node its latest — so a
-//! neighbourhood costs no allocation of its own.
+//! * a node is two `u32`s: its label set's symbol and the offset of its
+//!   properties in the property arena;
+//! * an edge is four `u32`s — its two endpoints, and the previous edge
+//!   out of its source and into its target — plus a one-byte type symbol.
+//!   Per node, `heads` holds the latest edge out and in, so adjacency is
+//!   threaded through the edges and a neighbourhood costs no allocation
+//!   of its own;
+//! * a node's properties are one record in a chunked, append-only byte
+//!   arena: a count, then per property, in key order, its key's symbol, a
+//!   tag and the value inline — the string's bytes, the `f64`, or an
+//!   array's or object's encoding. They are read in place, through
+//!   [`PropRef`]. Edge properties, which no ingest writes, are records in
+//!   the same arena, found through a side table;
+//! * labels, relationship types and property keys are symbols the graph
+//!   interns once.
+//!
+//! Every label lists its nodes in creation order. A `(label, key)` pair
+//! declared with [`PropertyGraph::with_indexes`] also maps each value to
+//! its nodes; as in Neo4j without `CREATE INDEX`, any other pair is found
+//! by scanning the label. The symbols and label sets, bounded by the
+//! schema, are looked up by scanning them; a declared index, which grows
+//! with the data, is a persistent hash trie. So a `Clone` (structural
+//! sharing) copies chunk tables and bumps reference counts, and a write
+//! after it copies the last chunk of each column it appends to and the
+//! trie paths it inserts on, never a table.
 
 use create_docstore::Value;
-use create_util::fxhash::{FxHashMap, FxHashSet};
-use create_util::{arc_slice_bytes, Chunked};
-use std::collections::BTreeMap;
+use create_util::fxhash::FxHasher;
+use create_util::{arc_slice_bytes, varint, Chunked};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Node identifier.
@@ -28,61 +47,575 @@ pub struct NodeId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u64);
 
-/// One property: its interned key and its value.
-type Prop = (Arc<str>, Value);
+/// End of an adjacency chain, and the property offset of a node or edge
+/// without properties.
+const NONE: u32 = u32::MAX;
 
-/// The properties of a node or an edge: `(key, value)` pairs sorted by
-/// key, one value per key. An empty set allocates nothing, and a clone
-/// shares the slice — values are never copied.
+/// `len` as the id of the next record of a column of `what`.
+fn next_id(len: usize, what: &str) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != NONE)
+        .unwrap_or_else(|| panic!("a graph holds fewer than {NONE} {what}"))
+}
+
+// Value tags in the arena.
+const NULL: u8 = 0;
+const FALSE: u8 = 1;
+const TRUE: u8 = 2;
+const NUMBER: u8 = 3;
+const STRING: u8 = 4;
+const ARRAY: u8 = 5;
+const OBJECT: u8 = 6;
+
+fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    varint::write_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Appends `value`'s tag and payload: nothing more for `null` and the
+/// booleans, the `f64`'s 8 bytes, a string's length and bytes, or an
+/// array's or object's byte length and then its count and items (an
+/// object's keys as strings, in order).
+fn encode_value(out: &mut Vec<u8>, value: &Value) {
+    match value {
+        Value::Null => out.push(NULL),
+        Value::Bool(b) => out.push(if *b { TRUE } else { FALSE }),
+        Value::Number(n) => {
+            out.push(NUMBER);
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+        Value::String(s) => {
+            out.push(STRING);
+            encode_bytes(out, s.as_bytes());
+        }
+        Value::Array(items) => {
+            let mut body = Vec::new();
+            varint::write_u64(&mut body, items.len() as u64);
+            for item in items {
+                encode_value(&mut body, item);
+            }
+            out.push(ARRAY);
+            encode_bytes(out, &body);
+        }
+        Value::Object(map) => {
+            let mut body = Vec::new();
+            varint::write_u64(&mut body, map.len() as u64);
+            for (key, item) in map {
+                encode_bytes(&mut body, key.as_bytes());
+                encode_value(&mut body, item);
+            }
+            out.push(OBJECT);
+            encode_bytes(out, &body);
+        }
+    }
+}
+
+fn read_len(buf: &[u8], pos: &mut usize) -> usize {
+    varint::read_u64(buf, pos).expect("the arena holds whole records") as usize
+}
+
+fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> &'a [u8] {
+    let len = read_len(buf, pos);
+    let bytes = &buf[*pos..*pos + len];
+    *pos += len;
+    bytes
+}
+
+fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> &'a str {
+    std::str::from_utf8(read_bytes(buf, pos)).expect("the arena holds only UTF-8 strings")
+}
+
+/// Reads the value at `*pos` and moves past it.
+fn decode_value<'a>(buf: &'a [u8], pos: &mut usize) -> PropRef<'a> {
+    let tag = buf[*pos];
+    *pos += 1;
+    PropRef(match tag {
+        NULL => Repr::Null,
+        FALSE => Repr::Bool(false),
+        TRUE => Repr::Bool(true),
+        NUMBER => {
+            let bytes = buf[*pos..*pos + 8].try_into().expect("8 bytes");
+            *pos += 8;
+            Repr::Number(f64::from_le_bytes(bytes))
+        }
+        STRING => Repr::String(read_str(buf, pos)),
+        ARRAY => Repr::Array(read_bytes(buf, pos)),
+        OBJECT => Repr::Object(read_bytes(buf, pos)),
+        _ => unreachable!("the arena holds only encoded values"),
+    })
+}
+
+/// Moves past the value at `*pos` without reading it.
+fn skip_value(buf: &[u8], pos: &mut usize) {
+    let tag = buf[*pos];
+    *pos += 1;
+    match tag {
+        NUMBER => *pos += 8,
+        STRING | ARRAY | OBJECT => *pos += read_len(buf, pos),
+        _ => {}
+    }
+}
+
+/// A property value, read in place from the graph's arena.
+#[derive(Clone, Copy)]
+pub struct PropRef<'a>(Repr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Repr<'a> {
+    Null,
+    Bool(bool),
+    Number(f64),
+    String(&'a str),
+    /// An array's encoded count and items.
+    Array(&'a [u8]),
+    /// An object's encoded count and entries.
+    Object(&'a [u8]),
+}
+
+impl<'a> PropRef<'a> {
+    /// The string, if this is a string.
+    pub fn as_str(&self) -> Option<&'a str> {
+        match self.0 {
+            Repr::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self.0 {
+            Repr::Number(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The value, built: what the executor projects and compares.
+    pub fn to_value(&self) -> Value {
+        match self.0 {
+            Repr::Null => Value::Null,
+            Repr::Bool(b) => Value::Bool(b),
+            Repr::Number(n) => Value::Number(n),
+            Repr::String(s) => Value::String(s.to_string()),
+            Repr::Array(body) => {
+                let mut pos = 0;
+                let count = read_len(body, &mut pos);
+                Value::Array(
+                    (0..count)
+                        .map(|_| decode_value(body, &mut pos).to_value())
+                        .collect(),
+                )
+            }
+            Repr::Object(body) => {
+                let mut pos = 0;
+                let count = read_len(body, &mut pos);
+                Value::Object(
+                    (0..count)
+                        .map(|_| {
+                            let key = read_str(body, &mut pos).to_string();
+                            (key, decode_value(body, &mut pos).to_value())
+                        })
+                        .collect(),
+                )
+            }
+        }
+    }
+}
+
+impl PartialEq<Value> for PropRef<'_> {
+    /// `Value`'s `==`: numbers as `f64`s, arrays and objects item by item.
+    fn eq(&self, other: &Value) -> bool {
+        match (self.0, other) {
+            (Repr::Null, Value::Null) => true,
+            (Repr::Bool(a), Value::Bool(b)) => a == *b,
+            (Repr::Number(a), Value::Number(b)) => a == *b,
+            (Repr::String(a), Value::String(b)) => a == b,
+            (Repr::Array(_), Value::Array(_)) | (Repr::Object(_), Value::Object(_)) => {
+                self.to_value() == *other
+            }
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Debug for PropRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_value().fmt(f)
+    }
+}
+
+/// The hash of a hashable key: Fx, then a finalizer, so that every bit a
+/// trie level reads is mixed.
+fn hash_of<T: Hash + ?Sized>(key: &T) -> u64 {
+    let mut hasher = FxHasher::default();
+    key.hash(&mut hasher);
+    let mut h = hasher.finish();
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// `Value` as a declared index files it: values equal under `==` hash
+/// alike (both zeros included).
+struct IndexKey<'a>(&'a Value);
+
+impl Hash for IndexKey<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self.0 {
+            Value::Null => h.write_u8(NULL),
+            Value::Bool(b) => h.write_u8(if *b { TRUE } else { FALSE }),
+            Value::Number(n) => {
+                h.write_u8(NUMBER);
+                h.write_u64(if *n == 0.0 { 0 } else { n.to_bits() });
+            }
+            Value::String(s) => {
+                h.write_u8(STRING);
+                s.hash(h);
+            }
+            Value::Array(items) => {
+                h.write_u8(ARRAY);
+                h.write_usize(items.len());
+                items.iter().for_each(|item| IndexKey(item).hash(h));
+            }
+            Value::Object(map) => {
+                h.write_u8(OBJECT);
+                h.write_usize(map.len());
+                for (key, item) in map {
+                    key.hash(h);
+                    IndexKey(item).hash(h);
+                }
+            }
+        }
+    }
+}
+
+/// Bits of an arena offset that place a record in its block; the bits
+/// above them number the block.
+const BLOCK_BITS: u32 = 14;
+/// Bytes a block holds (a record longer than this has a block of its
+/// own).
+const BLOCK: usize = 1 << BLOCK_BITS;
+
+/// An append-only byte arena in `Arc`-shared blocks of [`BLOCK`] bytes,
+/// addressed by `u32` offsets. A record never straddles two blocks, so it
+/// is read as one slice. A clone copies the block table; a write after
+/// it copies the last block. A block grows like a `Vec` up to [`BLOCK`]
+/// bytes and is copied at its capacity.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    blocks: Vec<Arc<Vec<u8>>>,
+}
+
+impl Arena {
+    /// Appends a record; returns its offset.
+    fn push(&mut self, record: &[u8]) -> u32 {
+        let fits = self
+            .blocks
+            .last()
+            .is_some_and(|block| block.len() + record.len() <= BLOCK);
+        if !fits {
+            self.blocks.reserve_exact(1);
+            self.blocks.push(Arc::new(Vec::new()));
+        }
+        let index = self.blocks.len() - 1;
+        let block = &mut self.blocks[index];
+        if Arc::get_mut(block).is_none() {
+            let mut copy = Vec::with_capacity(block.capacity());
+            copy.extend_from_slice(block);
+            *block = Arc::new(copy);
+        }
+        let block = Arc::get_mut(block).expect("unshared above");
+        let at = block.len();
+        if block.capacity() - at < record.len() {
+            let need = at + record.len();
+            let grown = (2 * block.capacity()).clamp(need, BLOCK.max(need));
+            block.reserve_exact(grown - at);
+        }
+        block.extend_from_slice(record);
+        u32::try_from(index << BLOCK_BITS | at)
+            .ok()
+            .filter(|&offset| offset != NONE)
+            .expect("a graph's property arena holds under 4 GiB")
+    }
+
+    /// The bytes from `offset` to the end of its block.
+    fn at(&self, offset: u32) -> &[u8] {
+        let block = &self.blocks[(offset >> BLOCK_BITS) as usize];
+        &block[(offset as usize) & (BLOCK - 1)..]
+    }
+
+    /// The block table and each block's `Arc` and buffer at its capacity.
+    fn heap_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Arc<Vec<u8>>>()
+            + self
+                .blocks
+                .iter()
+                .map(|block| arc_slice_bytes(std::mem::size_of::<Vec<u8>>()) + block.capacity())
+                .sum::<usize>()
+    }
+}
+
+/// Entries a trie leaf holds before it splits.
+const LEAF_ENTRIES: usize = 8;
+/// Levels a hash has: 4 bits each.
+const TRIE_DEPTH: u32 = 16;
+
+/// A persistent hash trie from 64-bit hashes to `u32` ids: a declared
+/// index's table of values. The ids filed under one hash keep their
+/// insertion order; the caller compares the keys behind them. A clone
+/// bumps one reference count; an insert after it copies the path to its
+/// leaf — a few 16-way nodes and a leaf of at most a few entries — never
+/// the table.
+#[derive(Debug, Clone, Default)]
+struct HashTrie {
+    root: Arc<TrieNode>,
+}
+
 #[derive(Debug, Clone)]
-pub struct Props(Option<Arc<[Prop]>>);
+enum TrieNode {
+    Leaf(Vec<(u64, u32)>),
+    Branch(Box<[Option<Arc<TrieNode>>; 16]>),
+}
 
-impl Props {
-    fn entries(&self) -> &[Prop] {
-        self.0.as_deref().unwrap_or_default()
+impl Default for TrieNode {
+    fn default() -> Self {
+        TrieNode::Leaf(Vec::new())
+    }
+}
+
+/// The 4 bits of `hash` that choose a child at `depth`, high bits first.
+fn nibble(hash: u64, depth: u32) -> usize {
+    (hash >> (60 - 4 * depth)) as usize & 15
+}
+
+impl HashTrie {
+    fn insert(&mut self, hash: u64, id: u32) {
+        let mut node = Arc::make_mut(&mut self.root);
+        let mut depth = 0;
+        loop {
+            match node {
+                TrieNode::Branch(children) => {
+                    let child = children[nibble(hash, depth)].get_or_insert_with(Arc::default);
+                    node = Arc::make_mut(child);
+                    depth += 1;
+                }
+                TrieNode::Leaf(entries) => {
+                    entries.push((hash, id));
+                    if entries.len() > LEAF_ENTRIES && depth < TRIE_DEPTH {
+                        let mut children: Box<[Option<Arc<TrieNode>>; 16]> = Box::default();
+                        for (h, id) in entries.drain(..) {
+                            let child = children[nibble(h, depth)].get_or_insert_with(Arc::default);
+                            match Arc::get_mut(child).expect("a new leaf") {
+                                TrieNode::Leaf(leaf) => leaf.push((h, id)),
+                                TrieNode::Branch(_) => unreachable!("children start as leaves"),
+                            }
+                        }
+                        *node = TrieNode::Branch(children);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The ids filed under `hash`, in insertion order.
+    fn get(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut node = &*self.root;
+        let mut depth = 0;
+        let entries: &[(u64, u32)] = loop {
+            match node {
+                TrieNode::Leaf(entries) => break entries,
+                TrieNode::Branch(children) => match &children[nibble(hash, depth)] {
+                    Some(child) => {
+                        node = child;
+                        depth += 1;
+                    }
+                    None => break &[],
+                },
+            }
+        };
+        entries
+            .iter()
+            .filter(move |&&(h, _)| h == hash)
+            .map(|&(_, id)| id)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        fn node_bytes(node: &TrieNode) -> usize {
+            arc_slice_bytes(std::mem::size_of::<TrieNode>())
+                + match node {
+                    TrieNode::Leaf(entries) => {
+                        entries.capacity() * std::mem::size_of::<(u64, u32)>()
+                    }
+                    TrieNode::Branch(children) => {
+                        std::mem::size_of_val(&**children)
+                            + children
+                                .iter()
+                                .flatten()
+                                .map(|c| node_bytes(c))
+                                .sum::<usize>()
+                    }
+                }
+        }
+        node_bytes(&self.root)
+    }
+}
+
+/// Values stored once and numbered in first-seen order: the graph's
+/// symbols (`str`) and label sets (`[u32]`). Both are bounded by the
+/// schema — a few dozen labels, types and keys, a handful of label sets
+/// — so a lookup scans them, as `types` and `label_index` are scanned.
+#[derive(Debug)]
+struct Interner<T: ?Sized> {
+    values: Chunked<Arc<T>>,
+}
+
+impl<T: ?Sized> Default for Interner<T> {
+    fn default() -> Self {
+        Interner {
+            values: Chunked::default(),
+        }
+    }
+}
+
+impl<T: ?Sized> Clone for Interner<T> {
+    fn clone(&self) -> Self {
+        Interner {
+            values: self.values.clone(),
+        }
+    }
+}
+
+impl<T: ?Sized + PartialEq> Interner<T>
+where
+    for<'a> Arc<T>: From<&'a T>,
+{
+    fn get(&self, value: &T) -> Option<u32> {
+        let id = self.values.iter().position(|v| **v == *value)?;
+        Some(id as u32)
+    }
+
+    fn intern(&mut self, value: &T) -> u32 {
+        if let Some(id) = self.get(value) {
+            return id;
+        }
+        let id = next_id(self.values.len(), "symbols");
+        self.values.push(Arc::from(value));
+        id
+    }
+
+    fn value(&self, id: u32) -> &T {
+        &self.values[id as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.values.heap_bytes()
+            + self
+                .values
+                .iter()
+                .map(|value| arc_slice_bytes(std::mem::size_of_val(&**value)))
+                .sum::<usize>()
+    }
+}
+
+/// A declared `(label, key)` index: the value hash → the nodes with the
+/// label whose `key` has a value of that hash.
+#[derive(Debug, Clone)]
+struct PropIndex {
+    label: u32,
+    key: u32,
+    nodes: HashTrie,
+}
+
+/// The in-memory property graph (see the module docs for the layout).
+///
+/// `Clone` is structural sharing: it copies chunk tables and bumps
+/// reference counts, and allocates nothing per node, edge, property or
+/// key. Nodes and edges are append-only; a write after a clone copies the
+/// last chunk of each column it appends to, the chunks holding the
+/// touched nodes' adjacency heads and the path to each trie leaf it
+/// inserts on.
+#[derive(Debug, Default, Clone)]
+pub struct PropertyGraph {
+    /// Per node: `[label set, properties]` — the symbol of its label set
+    /// and the arena offset of its properties ([`NONE`] for none).
+    nodes: Chunked<[u32; 2]>,
+    /// Per edge: `[source, target, prev_out, prev_in]` — the previous
+    /// edges ([`NONE`] for none) out of its source and into its target.
+    edges: Chunked<[u32; 4]>,
+    /// Per edge: its relationship type, a place in `types`.
+    edge_types: Chunked<u8>,
+    /// Per node: its latest outgoing and incoming edge ([`NONE`] for
+    /// none), the heads of the chains through the edges' links.
+    heads: Chunked<[u32; 2]>,
+    /// Every property record.
+    arena: Arena,
+    /// `[edge, properties]` for each edge that has properties, in edge
+    /// order.
+    edge_props: Chunked<[u32; 2]>,
+    /// Labels, relationship types and property keys.
+    symbols: Interner<str>,
+    /// Relationship type → its symbol.
+    types: Chunked<u32>,
+    /// Label symbols, sorted by name, per distinct set.
+    label_sets: Interner<[u32]>,
+    /// Label symbol → its nodes in creation order.
+    label_index: Vec<(u32, Chunked<u32>)>,
+    /// The declared `(label, key)` indexes.
+    indexes: Vec<PropIndex>,
+}
+
+/// A node, read in place.
+#[derive(Clone, Copy)]
+pub struct NodeRef<'g> {
+    /// Identifier.
+    pub id: NodeId,
+    graph: &'g PropertyGraph,
+    record: [u32; 2],
+}
+
+impl<'g> NodeRef<'g> {
+    /// Labels, sorted.
+    pub fn labels(&self) -> impl Iterator<Item = &'g str> + 'g {
+        let graph = self.graph;
+        graph
+            .label_sets
+            .value(self.record[0])
+            .iter()
+            .map(move |&label| graph.symbols.value(label))
+    }
+
+    /// Whether the node carries `label`.
+    pub fn has_label(&self, label: &str) -> bool {
+        self.labels().any(|l| l == label)
+    }
+
+    /// Properties, in key order.
+    pub fn props(&self) -> Props<'g> {
+        self.graph.props_at(self.record[1])
     }
 
     /// The value of `key`.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        let entries = self.entries();
-        let at = entries.binary_search_by(|(k, _)| (**k).cmp(key)).ok()?;
-        Some(&entries[at].1)
-    }
-
-    /// Whether `key` has a value.
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// The properties in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries().iter().map(|(k, v)| (&**k, v))
+    pub fn prop(&self, key: &str) -> Option<PropRef<'g>> {
+        self.props().get(key)
     }
 }
 
-impl std::ops::Index<&str> for Props {
-    type Output = Value;
-
-    /// Panics when `key` has no value, like a map's index.
-    fn index(&self, key: &str) -> &Value {
-        self.get(key).expect("no such property")
+impl fmt::Debug for NodeRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("id", &self.id)
+            .field("labels", &self.labels().collect::<Vec<_>>())
+            .field("props", &self.props().collect::<Vec<_>>())
+            .finish()
     }
 }
 
-/// A stored node.
-#[derive(Debug, Clone)]
-pub struct Node {
-    /// Identifier.
-    pub id: NodeId,
-    /// Labels, sorted; nodes with the same labels share one slice.
-    pub labels: Arc<[Arc<str>]>,
-    /// Properties.
-    pub props: Props,
-}
-
-/// A stored edge.
-#[derive(Debug, Clone)]
-pub struct Edge {
+/// An edge, read in place.
+#[derive(Clone, Copy)]
+pub struct EdgeRef<'g> {
     /// Identifier.
     pub id: EdgeId,
     /// Source node.
@@ -90,110 +623,87 @@ pub struct Edge {
     /// Target node.
     pub target: NodeId,
     /// Relationship type.
-    pub rel_type: Arc<str>,
-    /// Properties.
-    pub props: Props,
-    /// The edge created before this one out of `source` / into `target`
-    /// ([`NO_EDGE`] for the first).
-    prev_out: u64,
-    prev_in: u64,
+    pub rel_type: &'g str,
+    graph: &'g PropertyGraph,
 }
 
-/// End of an adjacency chain.
-const NO_EDGE: u64 = u64::MAX;
-
-/// An index's posting lists: key → node ids in creation order. A clone
-/// of the index bumps a reference count per list; an append after it
-/// copies the list's chunk table and last chunk (see [`Chunked`]), not
-/// the list.
-type NodeIndex = FxHashMap<Arc<str>, Arc<Chunked<NodeId>>>;
-
-fn index_push(index: &mut NodeIndex, key: &str, id: NodeId) {
-    match index.get_mut(key) {
-        Some(ids) => Arc::make_mut(ids).push(id),
-        None => {
-            index.insert(Arc::from(key), Arc::new(Chunked::from_iter([id])));
+impl<'g> EdgeRef<'g> {
+    /// Properties, in key order.
+    pub fn props(&self) -> Props<'g> {
+        let edge = self.id.0 as u32;
+        let table = &self.graph.edge_props;
+        let (mut lo, mut hi) = (0, table.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let [at, offset] = table[mid];
+            if at == edge {
+                return self.graph.props_at(offset);
+            }
+            if at < edge {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        self.graph.props_at(NONE)
+    }
+
+    /// The value of `key`.
+    pub fn prop(&self, key: &str) -> Option<PropRef<'g>> {
+        self.props().get(key)
     }
 }
 
-fn index_get<'a>(index: &'a NodeIndex, key: &str) -> impl DoubleEndedIterator<Item = NodeId> + 'a {
-    index
-        .get(key)
-        .into_iter()
-        .flat_map(|ids| ids.iter().copied())
-}
-
-/// An `Arc<Chunked<_>>` allocation: two counters and the chunk table's
-/// three words.
-const ARC_CHUNKED_BYTES: usize = 5 * std::mem::size_of::<usize>();
-
-fn index_heap_bytes(index: &NodeIndex) -> usize {
-    // One control byte per bucket beside the entry itself.
-    let table = index.capacity() * (std::mem::size_of::<(Arc<str>, Arc<Chunked<NodeId>>)>() + 1);
-    let entries: usize = index
-        .iter()
-        .map(|(key, ids)| arc_slice_bytes(key.len()) + ARC_CHUNKED_BYTES + ids.heap_bytes())
-        .sum();
-    table + entries
-}
-
-/// Heap bytes a property value owns beyond its own 32 bytes.
-fn value_heap_bytes(value: &Value) -> usize {
-    match value {
-        Value::String(s) => s.capacity(),
-        Value::Array(items) => {
-            items.capacity() * std::mem::size_of::<Value>()
-                + items.iter().map(value_heap_bytes).sum::<usize>()
-        }
-        // A map node holds up to 11 entries; charge each entry a full share.
-        Value::Object(map) => map
-            .iter()
-            .map(|(k, v)| k.capacity() + 2 * std::mem::size_of::<Value>() + value_heap_bytes(v))
-            .sum(),
-        Value::Null | Value::Bool(_) | Value::Number(_) => 0,
+impl fmt::Debug for EdgeRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Edge")
+            .field("id", &self.id)
+            .field("source", &self.source)
+            .field("target", &self.target)
+            .field("rel_type", &self.rel_type)
+            .field("props", &self.props().collect::<Vec<_>>())
+            .finish()
     }
 }
 
-/// The in-memory property graph.
-///
-/// `Clone` is structural sharing: a snapshot copies chunk tables, the
-/// symbol tables and the two indexes' key → chunk-table tables, never a
-/// property value, and none of it allocates per node or per edge. Nodes
-/// and edges are append-only (the Cypher executor only ever `CREATE`s);
-/// a write after a snapshot copies the last chunk of each vector, the
-/// chunks holding the touched nodes' adjacency heads, and the last chunk
-/// of each index id list it appends to.
-#[derive(Debug, Default, Clone)]
-pub struct PropertyGraph {
-    nodes: Chunked<Node>,
-    edges: Chunked<Edge>,
-    /// Per node: its latest outgoing and incoming edge ([`NO_EDGE`] for
-    /// none), the heads of the chains through `Edge::prev_out` /
-    /// `Edge::prev_in`.
-    heads: Chunked<[u64; 2]>,
-    /// Every label, relationship type and property key, once.
-    symbols: FxHashSet<Arc<str>>,
-    /// Every distinct sorted label set, once.
-    label_sets: FxHashSet<Arc<[Arc<str>]>>,
-    /// label → node ids.
-    label_index: NodeIndex,
-    /// `label \0 key \0 serialized value` → node ids. The three parts
-    /// are flattened into one string so a lookup probes with one
-    /// borrowed `&str` and ingest allocates only for keys seen for the
-    /// first time; `\0` cannot occur in any part (labels and keys are
-    /// identifiers, the JSON form escapes control characters), so the
-    /// flattening is unambiguous.
-    prop_index: NodeIndex,
+/// One node's or edge's properties, read in place in key order.
+#[derive(Clone)]
+pub struct Props<'g> {
+    symbols: &'g Interner<str>,
+    record: &'g [u8],
+    pos: usize,
+    left: usize,
 }
 
-/// Builds the flattened `prop_index` key (see the field's docs).
-fn flatten_prop_key(out: &mut String, label: &str, key: &str, value: &Value) {
-    out.push_str(label);
-    out.push('\0');
-    out.push_str(key);
-    out.push('\0');
-    value.write_json(out);
+impl<'g> Props<'g> {
+    /// The value of `key`. Keys are in order, so the walk stops at the
+    /// first greater one, and skips the values before it unread.
+    pub fn get(mut self, key: &str) -> Option<PropRef<'g>> {
+        while self.left > 0 {
+            self.left -= 1;
+            let symbol = varint::read_u32(self.record, &mut self.pos).expect("a key symbol");
+            match self.symbols.value(symbol).cmp(key) {
+                std::cmp::Ordering::Less => skip_value(self.record, &mut self.pos),
+                std::cmp::Ordering::Equal => return Some(decode_value(self.record, &mut self.pos)),
+                std::cmp::Ordering::Greater => return None,
+            }
+        }
+        None
+    }
+}
+
+impl<'g> Iterator for Props<'g> {
+    type Item = (&'g str, PropRef<'g>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let symbol = varint::read_u32(self.record, &mut self.pos).expect("a key symbol");
+        let value = decode_value(self.record, &mut self.pos);
+        Some((self.symbols.value(symbol), value))
+    }
 }
 
 impl PropertyGraph {
@@ -212,27 +722,55 @@ impl PropertyGraph {
         self.edges.len()
     }
 
-    /// The graph's one `Arc<str>` for `name`.
-    fn intern(&mut self, name: &str) -> Arc<str> {
-        if let Some(symbol) = self.symbols.get(name) {
-            return Arc::clone(symbol);
+    /// Key-sorted with interned keys, the last value given for a key
+    /// kept: what collecting into a map makes of the pairs.
+    fn key_props<K: AsRef<str>>(&mut self, mut props: Vec<(K, Value)>) -> Vec<(u32, Value)> {
+        // Stable, so a key's values stay in the order given.
+        props.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+        let mut kept = Vec::with_capacity(props.len());
+        let mut props = props.into_iter().peekable();
+        while let Some((key, value)) = props.next() {
+            if props
+                .peek()
+                .is_some_and(|(next, _)| next.as_ref() == key.as_ref())
+            {
+                continue;
+            }
+            kept.push((self.symbols.intern(key.as_ref()), value));
         }
-        let symbol: Arc<str> = Arc::from(name);
-        self.symbols.insert(Arc::clone(&symbol));
-        symbol
+        kept
     }
 
-    /// Key-sorted, the last value given for a key kept: what collecting
-    /// into a map makes of the pairs.
-    fn intern_props<K: AsRef<str>>(&mut self, props: Vec<(K, Value)>) -> Props {
+    /// Writes key-sorted properties to the arena as one record; returns
+    /// its offset ([`NONE`] for none, which writes nothing).
+    fn store_props(&mut self, props: &[(u32, Value)]) -> u32 {
         if props.is_empty() {
-            return Props(None);
+            return NONE;
         }
-        let entries: BTreeMap<Arc<str>, Value> = props
-            .into_iter()
-            .map(|(k, v)| (self.intern(k.as_ref()), v))
-            .collect();
-        Props(Some(entries.into_iter().collect()))
+        let mut record = Vec::new();
+        varint::write_u64(&mut record, props.len() as u64);
+        for (key, value) in props {
+            varint::write_u32(&mut record, *key);
+            encode_value(&mut record, value);
+        }
+        self.arena.push(&record)
+    }
+
+    fn props_at(&self, offset: u32) -> Props<'_> {
+        let (record, left, pos) = if offset == NONE {
+            (&[][..], 0, 0)
+        } else {
+            let record = self.arena.at(offset);
+            let mut pos = 0;
+            let left = read_len(record, &mut pos);
+            (record, left, pos)
+        };
+        Props {
+            symbols: &self.symbols,
+            record,
+            pos,
+            left,
+        }
     }
 
     /// Creates a node with labels and properties; returns its id.
@@ -242,34 +780,31 @@ impl PropertyGraph {
         L::Item: AsRef<str>,
         K: AsRef<str>,
     {
-        let id = NodeId(self.nodes.len() as u64);
-        let mut label_vec: Vec<Arc<str>> = labels
+        let id = next_id(self.nodes.len(), "nodes");
+        let mut set: Vec<u32> = labels
             .into_iter()
-            .map(|l| self.intern(l.as_ref()))
+            .map(|l| self.symbols.intern(l.as_ref()))
             .collect();
-        label_vec.sort();
-        label_vec.dedup();
-        let labels = match self.label_sets.get(label_vec.as_slice()) {
-            Some(set) => Arc::clone(set),
-            None => {
-                let set: Arc<[Arc<str>]> = label_vec.into();
-                self.label_sets.insert(Arc::clone(&set));
-                set
-            }
-        };
-        let props = self.intern_props(props);
-        let mut prop_key = String::new();
-        for label in labels.iter() {
-            index_push(&mut self.label_index, label, id);
-            for (k, v) in props.iter() {
-                prop_key.clear();
-                flatten_prop_key(&mut prop_key, label, k, v);
-                index_push(&mut self.prop_index, &prop_key, id);
+        set.sort_by(|&a, &b| self.symbols.value(a).cmp(self.symbols.value(b)));
+        set.dedup();
+        let label_set = self.label_sets.intern(&set);
+        let props = self.key_props(props);
+        let offset = self.store_props(&props);
+        for &label in &set {
+            match self.label_index.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, ids)) => ids.push(id),
+                None => self.label_index.push((label, Chunked::from_iter([id]))),
             }
         }
-        self.nodes.push(Node { id, labels, props });
-        self.heads.push([NO_EDGE; 2]);
-        id
+        for index in &mut self.indexes {
+            let value = props.iter().find(|(key, _)| *key == index.key);
+            if let Some((_, value)) = value.filter(|_| set.contains(&index.label)) {
+                index.nodes.insert(hash_of(&IndexKey(value)), id);
+            }
+        }
+        self.nodes.push([label_set, offset]);
+        self.heads.push([NONE; 2]);
+        NodeId(id.into())
     }
 
     /// Creates a directed edge; panics if either endpoint is missing.
@@ -285,103 +820,178 @@ impl PropertyGraph {
     {
         assert!(self.node(source).is_some(), "missing source node");
         assert!(self.node(target).is_some(), "missing target node");
-        let id = EdgeId(self.edges.len() as u64);
-        let edge = Edge {
-            id,
-            source,
-            target,
-            rel_type: self.intern(rel_type.as_ref()),
-            props: self.intern_props(props),
-            prev_out: std::mem::replace(&mut self.heads.get_mut(source.0 as usize)[0], id.0),
-            prev_in: std::mem::replace(&mut self.heads.get_mut(target.0 as usize)[1], id.0),
-        };
-        self.edges.push(edge);
-        id
+        let id = next_id(self.edges.len(), "edges");
+        let symbol = self.symbols.intern(rel_type.as_ref());
+        let known = self.types.iter().position(|&t| t == symbol);
+        let rel = known.unwrap_or_else(|| {
+            self.types.push(symbol);
+            self.types.len() - 1
+        });
+        let rel = u8::try_from(rel).expect("a graph holds at most 256 relationship types");
+        let (source, target) = (source.0 as u32, target.0 as u32);
+        let prev_out = std::mem::replace(&mut self.heads.get_mut(source as usize)[0], id);
+        let prev_in = std::mem::replace(&mut self.heads.get_mut(target as usize)[1], id);
+        self.edges.push([source, target, prev_out, prev_in]);
+        self.edge_types.push(rel);
+        let props = self.key_props(props);
+        if !props.is_empty() {
+            let offset = self.store_props(&props);
+            self.edge_props.push([id, offset]);
+        }
+        EdgeId(id.into())
+    }
+
+    /// An empty graph that indexes each `(label, key)` pair of `pairs`
+    /// by value: [`PropertyGraph::nodes_with_prop`] answers those pairs
+    /// from a table of values, and only those.
+    pub fn with_indexes(pairs: &[(&str, &str)]) -> PropertyGraph {
+        let mut graph = PropertyGraph::new();
+        for (label, key) in pairs {
+            let (label, key) = (graph.symbols.intern(label), graph.symbols.intern(key));
+            graph.indexes.push(PropIndex {
+                label,
+                key,
+                nodes: HashTrie::default(),
+            });
+        }
+        graph
     }
 
     /// Node accessor.
-    pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(usize::try_from(id.0).ok()?)
+    pub fn node(&self, id: NodeId) -> Option<NodeRef<'_>> {
+        let record = *self.nodes.get(usize::try_from(id.0).ok()?)?;
+        Some(NodeRef {
+            id,
+            graph: self,
+            record,
+        })
+    }
+
+    fn edge_at(&self, i: usize) -> EdgeRef<'_> {
+        let [source, target, ..] = self.edges[i];
+        let rel = self.types[self.edge_types[i] as usize];
+        EdgeRef {
+            id: EdgeId(i as u64),
+            source: NodeId(source.into()),
+            target: NodeId(target.into()),
+            rel_type: self.symbols.value(rel),
+            graph: self,
+        }
     }
 
     /// Edge accessor.
-    pub fn edge(&self, id: EdgeId) -> Option<&Edge> {
-        self.edges.get(usize::try_from(id.0).ok()?)
+    pub fn edge(&self, id: EdgeId) -> Option<EdgeRef<'_>> {
+        let i = usize::try_from(id.0).ok()?;
+        (i < self.edges.len()).then(|| self.edge_at(i))
     }
 
     /// All nodes, in id order.
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
+    pub fn nodes(&self) -> impl Iterator<Item = NodeRef<'_>> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(move |(i, &record)| NodeRef {
+                id: NodeId(i as u64),
+                graph: self,
+                record,
+            })
     }
 
     /// All edges, in id order.
-    pub fn edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+    pub fn edges(&self) -> impl Iterator<Item = EdgeRef<'_>> {
+        (0..self.edges.len()).map(move |i| self.edge_at(i))
+    }
+
+    fn label_list(&self, label: &str) -> Option<&Chunked<u32>> {
+        let label = self.symbols.get(label)?;
+        let (_, ids) = self.label_index.iter().find(|(l, _)| *l == label)?;
+        Some(ids)
     }
 
     /// Nodes carrying a label, in creation order.
     pub fn nodes_with_label(&self, label: &str) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        index_get(&self.label_index, label)
+        self.label_list(label)
+            .into_iter()
+            .flat_map(|ids| ids.iter().map(|&id| NodeId(id.into())))
     }
 
-    /// Index lookup: nodes with `label` whose property `key` equals
-    /// `value`, in creation order.
-    pub fn nodes_with_prop(
-        &self,
-        label: &str,
-        key: &str,
-        value: &Value,
-    ) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        let mut prop_key = String::new();
-        flatten_prop_key(&mut prop_key, label, key, value);
-        index_get(&self.prop_index, &prop_key)
+    /// The `n`-th node (from 0) carrying `label`, in creation order.
+    pub fn label_node(&self, label: &str, n: usize) -> Option<NodeId> {
+        Some(NodeId((*self.label_list(label)?.get(n)?).into()))
+    }
+
+    /// The nodes with `label` whose property `key` equals `value`, in
+    /// creation order, from the pair's declared index — `None` when
+    /// `(label, key)` is not declared: such a pair is found by scanning
+    /// [`PropertyGraph::nodes_with_label`].
+    pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<Vec<NodeId>> {
+        let (label, key_symbol) = (self.symbols.get(label)?, self.symbols.get(key)?);
+        let index = self
+            .indexes
+            .iter()
+            .find(|i| i.label == label && i.key == key_symbol)?;
+        let equal = |id: &NodeId| {
+            let node = self.node(*id).expect("indexed nodes exist");
+            node.prop(key).is_some_and(|found| found == *value)
+        };
+        Some(
+            index
+                .nodes
+                .get(hash_of(&IndexKey(value)))
+                .map(|id| NodeId(id.into()))
+                .filter(equal)
+                .collect(),
+        )
     }
 
     /// Follows one adjacency chain back from a node's latest edge and
     /// returns it in creation order.
-    fn chain(&self, node: NodeId, side: usize, prev: impl Fn(&Edge) -> u64) -> Vec<&Edge> {
+    fn chain(&self, node: NodeId, side: usize) -> Vec<EdgeRef<'_>> {
         let head = usize::try_from(node.0).ok().and_then(|i| self.heads.get(i));
-        let mut next = head.map_or(NO_EDGE, |heads| heads[side]);
+        let mut next = head.map_or(NONE, |heads| heads[side]);
         let mut edges = Vec::new();
-        while let Some(edge) = self.edge(EdgeId(next)) {
-            edges.push(edge);
-            next = prev(edge);
+        while next != NONE {
+            edges.push(self.edge_at(next as usize));
+            next = self.edges[next as usize][2 + side];
         }
         edges.reverse();
         edges
     }
 
-    /// Outgoing edges of a node.
-    pub fn outgoing(&self, node: NodeId) -> Vec<&Edge> {
-        self.chain(node, 0, |e| e.prev_out)
+    /// Outgoing edges of a node, in creation order.
+    pub fn outgoing(&self, node: NodeId) -> Vec<EdgeRef<'_>> {
+        self.chain(node, 0)
     }
 
-    /// Incoming edges of a node.
-    pub fn incoming(&self, node: NodeId) -> Vec<&Edge> {
-        self.chain(node, 1, |e| e.prev_in)
+    /// Incoming edges of a node, in creation order.
+    pub fn incoming(&self, node: NodeId) -> Vec<EdgeRef<'_>> {
+        self.chain(node, 1)
     }
 
     /// Heap bytes the graph holds, from the lengths and capacities of
-    /// what it allocated: the chunked vectors, each property slice with
-    /// its values' strings, and both indexes' tables, keys and id
-    /// vectors (the symbol tables, a few hundred bytes, are left out).
-    /// Walks every node, edge and index entry, so it belongs on a stats
-    /// path, not a query's.
+    /// what it allocated: the columns and the arena at their capacities,
+    /// the symbols and label sets, the label lists and the declared
+    /// indexes' tries. Walks chunk tables and tries, not nodes.
     pub fn heap_bytes(&self) -> usize {
-        let props = |p: &Props| match &p.0 {
-            None => 0,
-            Some(entries) => {
-                let values: usize = entries.iter().map(|(_, v)| value_heap_bytes(v)).sum();
-                arc_slice_bytes(std::mem::size_of_val(&**entries)) + values
-            }
-        };
+        let label_lists: usize = self
+            .label_index
+            .iter()
+            .map(|(_, ids)| ids.heap_bytes())
+            .sum();
+        let indexes: usize = self.indexes.iter().map(|i| i.nodes.heap_bytes()).sum();
         self.nodes.heap_bytes()
             + self.edges.heap_bytes()
+            + self.edge_types.heap_bytes()
             + self.heads.heap_bytes()
-            + self.nodes.iter().map(|n| props(&n.props)).sum::<usize>()
-            + self.edges.iter().map(|e| props(&e.props)).sum::<usize>()
-            + index_heap_bytes(&self.label_index)
-            + index_heap_bytes(&self.prop_index)
+            + self.arena.heap_bytes()
+            + self.edge_props.heap_bytes()
+            + self.symbols.heap_bytes()
+            + self.types.heap_bytes()
+            + self.label_sets.heap_bytes()
+            + self.label_index.capacity() * std::mem::size_of::<(u32, Chunked<u32>)>()
+            + label_lists
+            + self.indexes.capacity() * std::mem::size_of::<PropIndex>()
+            + indexes
     }
 }
 
@@ -394,12 +1004,16 @@ mod tests {
         Value::String(s.to_string())
     }
 
+    fn no_props() -> Vec<(&'static str, Value)> {
+        Vec::new()
+    }
+
     fn labels(g: &PropertyGraph, id: NodeId) -> Vec<&str> {
-        g.node(id).unwrap().labels.iter().map(|l| &**l).collect()
+        g.node(id).unwrap().labels().collect()
     }
 
     fn tiny() -> (PropertyGraph, NodeId, NodeId, NodeId) {
-        let mut g = PropertyGraph::new();
+        let mut g = PropertyGraph::with_indexes(&[("Concept", "label")]);
         let fever = g.create_node(
             ["Concept"],
             vec![("label", v("fever")), ("entityType", v("Sign_symptom"))],
@@ -409,7 +1023,7 @@ mod tests {
             vec![("label", v("cough")), ("entityType", v("Sign_symptom"))],
         );
         let report = g.create_node(["Report"], vec![("reportId", v("pmid:1"))]);
-        g.create_edge::<&str>(fever, cough, "OVERLAP", vec![]);
+        g.create_edge(fever, cough, "OVERLAP", no_props());
         g.create_edge(
             report,
             fever,
@@ -424,27 +1038,38 @@ mod tests {
         let (g, fever, _, report) = tiny();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.node(fever).unwrap().props["label"], v("fever"));
+        assert_eq!(g.node(fever).unwrap().prop("label").unwrap(), v("fever"));
         assert_eq!(labels(&g, report), ["Report"]);
+        assert!(g.node(NodeId(3)).is_none() && g.edge(EdgeId(2)).is_none());
     }
 
     #[test]
     fn label_index() {
-        let (g, ..) = tiny();
-        assert_eq!(g.nodes_with_label("Concept").count(), 2);
-        assert_eq!(g.nodes_with_label("Report").count(), 1);
+        let (g, fever, cough, report) = tiny();
+        assert!(g.nodes_with_label("Concept").eq([fever, cough]));
+        assert!(g.nodes_with_label("Report").eq([report]));
         assert_eq!(g.nodes_with_label("Missing").next(), None);
+        assert_eq!(g.label_node("Concept", 1), Some(cough));
+        assert_eq!(g.label_node("Concept", 2), None);
     }
 
     #[test]
-    fn prop_index() {
+    fn declared_and_undeclared_pairs() {
         let (g, fever, ..) = tiny();
-        let hits: Vec<NodeId> = g.nodes_with_prop("Concept", "label", &v("fever")).collect();
-        assert_eq!(hits, vec![fever]);
         assert_eq!(
-            g.nodes_with_prop("Concept", "label", &v("nope")).next(),
+            g.nodes_with_prop("Concept", "label", &v("fever")),
+            Some(vec![fever])
+        );
+        assert_eq!(
+            g.nodes_with_prop("Concept", "label", &v("nope")),
+            Some(vec![])
+        );
+        // Not declared: the caller scans the label.
+        assert_eq!(
+            g.nodes_with_prop("Concept", "entityType", &v("Sign_symptom")),
             None
         );
+        assert_eq!(g.nodes_with_prop("Report", "label", &v("fever")), None);
     }
 
     #[test]
@@ -454,14 +1079,26 @@ mod tests {
         assert_eq!(out, vec![cough]);
         let inc: Vec<NodeId> = g.incoming(fever).iter().map(|e| e.source).collect();
         assert_eq!(inc, vec![report]);
-        assert_eq!(&*g.outgoing(fever)[0].rel_type, "OVERLAP");
+        assert_eq!(g.outgoing(fever)[0].rel_type, "OVERLAP");
+    }
+
+    #[test]
+    fn edge_properties_live_in_the_side_table() {
+        let (g, _, _, report) = tiny();
+        let mention = g.outgoing(report)[0];
+        assert_eq!(mention.prop("weight").unwrap().as_f64(), Some(1.0));
+        assert!(g.edge(EdgeId(0)).unwrap().props().next().is_none());
+        assert_eq!(g.edge_props.len(), 1, "only the edge with a property");
     }
 
     #[test]
     fn labels_are_sorted_and_deduped() {
         let mut g = PropertyGraph::new();
-        let n = g.create_node(["B", "A", "B"], Vec::<(&str, Value)>::new());
+        let n = g.create_node(["B", "A", "B"], no_props());
+        let m = g.create_node(["A", "B"], no_props());
         assert_eq!(labels(&g, n), ["A", "B"]);
+        assert_eq!(g.nodes[0][0], g.nodes[1][0], "one label set, shared");
+        assert!(g.node(m).unwrap().has_label("B"));
     }
 
     #[test]
@@ -478,65 +1115,135 @@ mod tests {
             .iter()
             .map(|(k, value)| (k.to_string(), value.clone()))
             .collect();
-        let mut g = PropertyGraph::new();
+        let mut g = PropertyGraph::with_indexes(&[("Event", "cui")]);
         let n = g.create_node(["Event"], given);
-        let props = &g.node(n).unwrap().props;
-        let listed: Vec<(&str, &Value)> = props.iter().collect();
-        let expected: Vec<(&str, &Value)> = collected
-            .iter()
-            .map(|(k, value)| (k.as_str(), value))
+        let node = g.node(n).unwrap();
+        let listed: Vec<(String, Value)> = node
+            .props()
+            .map(|(k, value)| (k.to_string(), value.to_value()))
             .collect();
+        let expected: Vec<(String, Value)> = collected.into_iter().collect();
         assert_eq!(listed, expected);
-        assert_eq!(props["step"], Value::Number(3.0));
-        assert_eq!(props.get("cui"), Some(&v("C2")));
-        assert!(props.contains_key("label") && !props.contains_key("labe"));
+        assert_eq!(node.prop("step").unwrap().as_f64(), Some(3.0));
+        assert_eq!(node.prop("cui").unwrap().as_str(), Some("C2"));
+        assert!(node.prop("label").is_some() && node.prop("labe").is_none());
         // The index holds the value that won and not the ones it replaced.
-        assert!(g.nodes_with_prop("Event", "cui", &v("C2")).eq([n]));
-        assert_eq!(g.nodes_with_prop("Event", "cui", &v("C1")).next(), None);
+        assert_eq!(g.nodes_with_prop("Event", "cui", &v("C2")), Some(vec![n]));
+        assert_eq!(g.nodes_with_prop("Event", "cui", &v("C1")), Some(vec![]));
     }
 
     #[test]
-    fn symbols_are_shared_and_bare_edges_own_nothing() {
-        let (mut g, fever, cough, report) = tiny();
-        let other = g.create_node(["Report"], vec![("reportId", v("pmid:2"))]);
-        let (a, b) = (g.node(report).unwrap(), g.node(other).unwrap());
-        assert!(Arc::ptr_eq(&a.labels, &b.labels));
-        assert!(Arc::ptr_eq(
-            &a.props.entries()[0].0,
-            &b.props.entries()[0].0
-        ));
-        let again = g.create_edge::<&str>(cough, fever, "OVERLAP", vec![]);
-        let first = g.outgoing(fever)[0];
-        let again = g.edge(again).unwrap();
-        assert!(Arc::ptr_eq(&first.rel_type, &again.rel_type));
-        assert!(first.props.0.is_none());
+    fn every_kind_of_value_reads_back() {
+        let mut object = std::collections::BTreeMap::new();
+        object.insert("a".to_string(), Value::Array(vec![Value::Null]));
+        object.insert("b".to_string(), Value::Number(-0.5));
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Number(f64::MIN_POSITIVE),
+            v(""),
+            v("ünïcode"),
+            Value::Array(vec![
+                v("x"),
+                Value::Number(2.0),
+                Value::Object(object.clone()),
+            ]),
+            Value::Object(object),
+        ];
+        let mut g = PropertyGraph::new();
+        let props: Vec<(String, Value)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, value)| (format!("k{i}"), value.clone()))
+            .collect();
+        let n = g.create_node(["X"], props);
+        let node = g.node(n).unwrap();
+        for (i, value) in values.iter().enumerate() {
+            let found = node.prop(&format!("k{i}")).unwrap();
+            assert_eq!(found.to_value(), *value);
+            assert_eq!(found, *value);
+        }
+        assert_ne!(node.prop("k1").unwrap(), Value::Bool(false));
+        assert_ne!(node.prop("k6").unwrap(), Value::Array(vec![]));
+    }
+
+    #[test]
+    fn records_never_straddle_a_block() {
+        let mut g = PropertyGraph::new();
+        let long = "x".repeat(BLOCK + 10);
+        let mut ids = Vec::new();
+        for i in 0..3 * BLOCK / 64 {
+            let text = if i == 100 {
+                long.clone()
+            } else {
+                format!("{i:060}")
+            };
+            ids.push((
+                g.create_node(["T"], vec![("s", Value::String(text.clone()))]),
+                text,
+            ));
+        }
+        assert!(g.arena.blocks.len() > 3);
+        for (id, text) in &ids {
+            assert_eq!(
+                g.node(*id).unwrap().prop("s").unwrap().as_str(),
+                Some(&**text)
+            );
+        }
+    }
+
+    #[test]
+    fn the_trie_splits_and_keeps_equal_hashes_in_order() {
+        let mut trie = HashTrie::default();
+        for id in 0..1000u32 {
+            trie.insert(hash_of(&(id % 300)), id);
+        }
+        for key in 0..300u32 {
+            let want: Vec<u32> = (0..1000).filter(|id| id % 300 == key).collect();
+            assert!(trie.get(hash_of(&key)).eq(want), "key {key}");
+        }
+        // Equal hashes past the last level stay in one leaf.
+        let mut same = HashTrie::default();
+        for id in 0..40 {
+            same.insert(7, id);
+        }
+        assert!(same.get(7).eq(0..40));
+        assert_eq!(same.get(8).next(), None);
     }
 
     #[test]
     fn an_index_append_after_a_snapshot_leaves_the_snapshot_as_it_was() {
-        let mut g = PropertyGraph::new();
+        let mut g = PropertyGraph::with_indexes(&[("Event", "cui")]);
         let first = g.create_node(["Event"], vec![("cui", v("C1"))]);
         let snapshot = g.clone();
         let second = g.create_node(["Event"], vec![("cui", v("C1"))]);
-        assert!(g.nodes_with_label("Event").eq([first, second]));
-        assert!(g
-            .nodes_with_prop("Event", "cui", &v("C1"))
-            .eq([first, second]));
+        let third = g.create_node(["Event"], vec![("cui", v("C3"))]);
+        assert!(g.nodes_with_label("Event").eq([first, second, third]));
+        assert_eq!(
+            g.nodes_with_prop("Event", "cui", &v("C1")),
+            Some(vec![first, second])
+        );
         assert!(snapshot.nodes_with_label("Event").eq([first]));
-        assert!(snapshot
-            .nodes_with_prop("Event", "cui", &v("C1"))
-            .eq([first]));
+        assert_eq!(
+            snapshot.nodes_with_prop("Event", "cui", &v("C1")),
+            Some(vec![first])
+        );
+        assert_eq!(
+            snapshot.nodes_with_prop("Event", "cui", &v("C3")),
+            Some(vec![])
+        );
     }
 
     #[test]
     fn adjacency_keeps_creation_order_across_chunks_and_snapshots() {
         let mut g = PropertyGraph::new();
-        let hub = g.create_node(["Concept"], Vec::<(&str, Value)>::new());
+        let hub = g.create_node(["Concept"], no_props());
         let mut sources = Vec::new();
         for i in 0..2 * CHUNK + 7 {
             let snapshot = (i == CHUNK + 3).then(|| g.clone());
-            let n = g.create_node(["Report"], Vec::<(&str, Value)>::new());
-            g.create_edge::<&str>(n, hub, "MENTIONS", vec![]);
+            let n = g.create_node(["Report"], no_props());
+            g.create_edge(n, hub, "MENTIONS", no_props());
             sources.push(n);
             // A write after a snapshot does not reach it.
             if let Some(snapshot) = snapshot {
@@ -557,7 +1264,7 @@ mod tests {
     #[should_panic(expected = "missing source")]
     fn edge_requires_endpoints() {
         let mut g = PropertyGraph::new();
-        let n = g.create_node(["X"], Vec::<(&str, Value)>::new());
-        g.create_edge::<&str>(NodeId(99), n, "T", vec![]);
+        let n = g.create_node(["X"], no_props());
+        g.create_edge(NodeId(99), n, "T", no_props());
     }
 }

@@ -8,7 +8,7 @@
 use create::core::eval::{ndcg_at_k, precision_at_k, reciprocal_rank, IrMetrics};
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CorpusConfig, Generator, QuerySet};
-use create::graphdb::exec::run;
+use create::graphdb::exec::query;
 
 fn main() {
     let generator = Generator::new(CorpusConfig {
@@ -59,8 +59,8 @@ fn main() {
     // The graph store also answers Cypher directly (Section III-D:
     // "all nodes and edges are put into Neo4j via cypher query").
     println!("\nCypher: reports mentioning the concept 'fever':");
-    let output = run(
-        &mut system.graph_mut(),
+    let output = query(
+        &system.graph(),
         "MATCH (r:Report)-[:MENTIONS]->(c:Concept {label: 'fever'}) RETURN r.reportId LIMIT 5",
     )
     .expect("cypher");
@@ -69,8 +69,8 @@ fn main() {
     }
 
     println!("\nCypher: temporal chains fever → … (BEFORE edges):");
-    let output = run(
-        &mut system.graph_mut(),
+    let output = query(
+        &system.graph(),
         "MATCH (a:Event)-[:BEFORE]->(b:Event) WHERE a.label CONTAINS 'fever' \
          RETURN a.reportId, a.label, b.label LIMIT 5",
     )

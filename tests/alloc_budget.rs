@@ -37,11 +37,12 @@
 //!   `body_ngram` stored positions 16.57 MB, and while a document store
 //!   filed each report as three documents under three copies of its id
 //!   14.46 MB;
-//! * (e) `PropertyGraph::heap_bytes()` — what `/stats` and the
-//!   `create_resident_bytes` gauges report for the graph — is within a
-//!   tenth of what the allocator says building the same graph added
-//!   (the stored payloads' figure is exact by construction: a text and
-//!   its `Arc` header each, and the slot array);
+//! * (e) the graph of the 500 reports, built as ingest builds it, holds
+//!   under a fixed number of live bytes, and `PropertyGraph::heap_bytes()`
+//!   — what `/stats` and the `create_resident_bytes` gauges report for
+//!   the graph — is within a tenth of what the allocator says building it
+//!   added (the stored payloads' figure is exact by construction: a text
+//!   and its `Arc` header each, and the slot array);
 //! * (f) on a two-shard copy of the same corpus, a warmed query is
 //!   answered without parsing or planning anything — the `parse` and
 //!   `plan` stage histograms and `create_plan_nodes_total` stay where
@@ -59,12 +60,13 @@
 //!   it started that does not grow with the shard: the same bound at
 //!   250, 500 and 1000 reports. Decoding the shard into a scratch index
 //!   took 14.1 / 24.1 / 43.5 MB — more than the whole loaded system;
-//! * (h) a publish that follows no write — dropping an unused
-//!   `graph_mut()` guard on the loaded shard — makes a fixed handful of
-//!   allocations and holds a couple of hundred bytes: it shares the
-//!   writer's tables instead of copying them. Copying them made 103
-//!   allocations and held 1 067 002 bytes above its start; copying the
-//!   document store's name map, 11 and 457;
+//! * (h) a publish that writes no table — attaching a tagger to the
+//!   loaded shard, which republishes the shard with a new generation —
+//!   makes a fixed handful of allocations and holds a few hundred bytes:
+//!   the new shard shares the writer's tables (the same graph and index
+//!   `Arc`s) instead of copying them. Copying them made 103 allocations
+//!   and held 1 067 002 bytes above its start; copying the document
+//!   store's name map, 11 and 457;
 //! * (i) the sealing `flush()` of (g) — the first, which writes the
 //!   whole shard as one segment — needs a heap high-water mark above its
 //!   start under the same bound as the compaction, at the same three
@@ -82,17 +84,18 @@
 //!   the seal — and the last chunks of the graph and of the columns, not
 //!   the shard. While the index was one dictionary, that write copied
 //!   its tables and every touched list: 2.66 / 3.26 / 5.02 MB at 250 /
-//!   500 / 1000 reports;
+//!   500 / 1000 reports. The graph's share of the write — the same two
+//!   reports added to a copy of the pinned graph — has a bound of its own
+//!   that does not grow with the shard either;
 //! * (k) the 500 reports of (d) in a one-shard instance whose `flush()`
 //!   froze its index hold under a fixed number of live bytes: the frozen
 //!   segment is the tail's encoding, and the flush publishes it, so the
 //!   tail's lists are freed. While a frozen segment kept the tail's
 //!   lists, the flushed instance held what the unflushed one does.
 
-use create::core::graph_build::{GraphBuilder, ReportMeta};
+use create::core::graph_build::{add_report, report_graph, ReportMeta};
 use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
 use create::corpus::{CorpusConfig, Generator};
-use create::graphdb::PropertyGraph;
 use create::index::codec::{adopt, encode_index_tail};
 use create::index::Index;
 use create::obs::names;
@@ -158,11 +161,13 @@ const REPORTS: usize = 500;
 /// buckets' map, spread over the terms), and the figure repeats exactly;
 /// 181.3 while every list was decoded into a `PostingList` of its own.
 const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 13 720
+/// Allocations one 2-document batch may make at 500 reports: 13 498
 /// measured (tokens, the batch's own segment, the touched lists' copies,
 /// the copies of the tables the published snapshot shares — on an
 /// instance never flushed, the whole index is the tail the write
-/// copies), 13 664 while the graph's id lists were one vector each,
+/// copies), 13 720 while the graph's properties were `Value`s and its
+/// key tables hash maps, 13 664 while the graph's id lists were one
+/// vector each,
 /// 13 666 while each shard's writer had a lock of its own, 13 920 while
 /// a document store filed each report three times. The budget is a
 /// fifth over the 16 267–16 683 it made while `body_ngram` stored
@@ -171,18 +176,20 @@ const TERM_OVERHEAD: usize = 4;
 /// posting.
 const SUBMIT_BUDGET: usize = 20_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 14.38 MB measured, 14.33 MB while the graph's index lists were one
+/// 11.07 MB measured, 14.38 MB while the graph's edges were 72 bytes and
+/// its properties `Value`s, 14.33 MB while the graph's index lists were one
 /// `Vec` each, 14.46 MB while a document store held each report
 /// as three documents, 16.57 MB while `body_ngram` stored positions —
 /// 18.07 MB with the generated corpus beside it, the figure that read
 /// 19.13 MB while the writer and the published snapshot held a copy of
 /// the tables each, and 32.28 MB before documents were text and the
 /// graph flat.
-const RESIDENT_BUDGET: isize = 15_000_000;
+const RESIDENT_BUDGET: isize = 11_700_000;
 /// Live bytes a one-shard `Create` loaded with the same 500 reports may
-/// hold once a `flush()` froze its index (k): 7.82 MB measured, 14.63 MB
-/// while a frozen segment kept the tail's posting lists.
-const FROZEN_RESIDENT_BUDGET: isize = 8_200_000;
+/// hold once a `flush()` froze its index (k): 4.52 MB measured, 7.82 MB
+/// while the graph's edges were 72 bytes and its properties `Value`s,
+/// 14.63 MB while a frozen segment kept the tail's posting lists.
+const FROZEN_RESIDENT_BUDGET: isize = 4_900_000;
 /// `Index::postings_bytes()` of the index of (b): 1 533 420 measured,
 /// 3 586 951 while recovery decoded every list, 5 310 279 while
 /// `body_ngram` stored positions.
@@ -207,18 +214,32 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 /// positions. A sealing flush is held to it too.
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
-/// on a shard sealed by one flush (j): 0.79 / 0.69 / 0.91 MB measured at
+/// on a shard sealed by one flush (j): 0.51 / 0.44 / 0.47 MB measured at
 /// 250 / 500 / 1000 reports — the batch's own segment and payloads, the
-/// tail's copy, the graph's key tables (which still grow with the
-/// corpus) and last chunks, the touched facet runs.
+/// tail's copy, the graph's last chunks, the touched facet runs; 0.79 /
+/// 0.69 / 0.91 MB while the graph's key tables grew with the corpus.
 const TAIL_WRITE_BUDGET: isize = 1 << 20;
+/// Live bytes the graph of (e) may hold: 832 424 measured, 4 142 390
+/// while every edge was 72 bytes, every node's properties an `Arc` slice
+/// of `Value`s and every `(label, key, value)` indexed.
+const GRAPH_BUDGET: isize = 900_000;
+/// Live bytes two reports may add to a copy of a sealed shard's graph
+/// (j), at every size: 60 896 / 41 792 / 64 416 measured at 250 / 500 /
+/// 1000 reports — the clone's chunk tables, the last chunk of each column
+/// and the arena's last block, the head chunks of the concepts the
+/// reports link to; about 318 000 / 300 000 / 465 000 while the clone
+/// copied key tables that grew with the corpus.
+const GRAPH_WRITE_BUDGET: isize = 1 << 17;
 /// Repeats of the warmed query per measured call.
 const HIT_REPEATS: usize = 40;
-/// Allocations a publish that follows no write may make: a fifth over
-/// the 10 it makes (the composite snapshot and its shard list, the
-/// shard's `Arc`, the publish counters' label).
+/// Allocations a publish that writes no table may make: 11 measured (the
+/// tagger's `Arc`, the composite snapshot and its shard list, the
+/// shard's `Arc`, the publish counters' label); 10 while it was a
+/// dropped graph write guard's, which had no tagger to share.
 const PUBLISH_BUDGET: usize = 12;
-/// Heap such a publish may hold above its start: 161 bytes measured.
+/// Heap such a publish may hold above its start: 377 bytes measured (the
+/// tagger's `Arc` among them), 161 while it was a dropped graph write
+/// guard's.
 const PUBLISH_HEAP_BUDGET: isize = 1 << 10;
 
 #[test]
@@ -257,34 +278,37 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         single_copy - empty
     );
 
-    // (h) a publish with nothing written: the guard is never borrowed
-    // mutably, so its drop only bumps the generation and publishes.
+    // (h) a publish that writes no table: attaching a tagger republishes
+    // the shard with every table it had.
+    let tagger = tiny_tagger(&system, &reports[..20]);
+    let (graph_before, index_before) = (system.graph(), system.index());
+    let generations_before = system.shard_generations();
     let (before, start) = (allocations(), live_bytes());
     PEAK_BYTES.store(start, Ordering::Relaxed);
-    drop(system.graph_mut());
+    system.attach_tagger(tagger);
     let publish_allocations = allocations() - before;
     let publish_peak = PEAK_BYTES.load(Ordering::Relaxed) - start;
     println!(
-        "a publish with nothing written at {REPORTS} reports: {publish_allocations} allocations, \
-         heap high-water {publish_peak} bytes above its start"
+        "a publish with no table written at {REPORTS} reports: {publish_allocations} \
+         allocations, heap high-water {publish_peak} bytes above its start"
     );
+    let republished = system.shard_generations() != generations_before;
+    let shared =
+        Arc::ptr_eq(&graph_before, &system.graph()) && Arc::ptr_eq(&index_before, &system.index());
+    drop((graph_before, index_before));
 
     // (e) the graph as ingest builds it, on its own.
     let ontology = system.ontology();
     let before = live_bytes();
-    let mut graph = PropertyGraph::new();
-    let mut builder = GraphBuilder::new();
+    let mut graph = report_graph();
     for report in &reports {
-        let meta = ReportMeta {
-            report_id: report.id.clone(),
-            title: report.title.clone(),
-            year: report.metadata.year,
-            category: report.category.coarse_label().to_string(),
-        };
-        let annotations = ExtractedAnnotations::from_gold(report);
-        builder.add_report(&mut graph, &ontology, &meta, &annotations);
+        add_report(
+            &mut graph,
+            &ontology,
+            &meta(report),
+            &ExtractedAnnotations::from_gold(report),
+        );
     }
-    drop(builder);
     let graph_held = live_bytes() - before;
     println!(
         "graph of {} nodes / {} edges: {graph_held} live bytes, heap_bytes {}",
@@ -326,11 +350,11 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     flushed.flush().unwrap();
     let flushed_held = live_bytes() - before;
     let flushed_postings = flushed.index().postings_bytes();
-    drop(flushed);
     println!(
         "a flushed one-shard instance of {REPORTS} reports holds {flushed_held} live bytes, \
          postings_bytes {flushed_postings}"
     );
+    drop(flushed);
     // (f) a warmed query on two shards: what a hit does not do, and
     // what it allocates.
     let served = Arc::new(Create::new(CreateConfig { shards: 2 }));
@@ -417,14 +441,16 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         "a sealing flush at {COMPACT_SIZES:?} reports: heap high-water {seal_peaks:?} bytes \
          above the live bytes before it; a compacting flush: {compaction_peaks:?}"
     );
-    // (j) a write after a seal, the previous snapshot pinned.
-    let tail_writes: Vec<isize> = COMPACT_SIZES
+    // (j) a write after a seal, the previous snapshot pinned, and the
+    // graph's share of it.
+    let (tail_writes, graph_writes): (Vec<isize>, Vec<isize>) = COMPACT_SIZES
         .iter()
         .map(|&size| sealed_write_growth(&corpus[..size + 4]))
-        .collect();
+        .unzip();
     println!(
         "a 2-document submit on a shard sealed at {COMPACT_SIZES:?} reports, \
-         the old snapshot pinned: {tail_writes:?} live bytes added"
+         the old snapshot pinned: {tail_writes:?} live bytes added, \
+         {graph_writes:?} of them the graph's"
     );
     assert!(
         submit_allocations <= SUBMIT_BUDGET,
@@ -453,10 +479,19 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         "the flushed system holds {flushed_held} live bytes, budget {FROZEN_RESIDENT_BUDGET}"
     );
     assert!(
+        republished && shared,
+        "attaching a tagger republished the shard: {republished}, sharing its graph and \
+         index: {shared}"
+    );
+    assert!(
         publish_allocations <= PUBLISH_BUDGET && publish_peak <= PUBLISH_HEAP_BUDGET,
         "a publish with nothing written made {publish_allocations} allocations \
          (budget {PUBLISH_BUDGET}) and held {publish_peak} bytes above its start \
          (budget {PUBLISH_HEAP_BUDGET})"
+    );
+    assert!(
+        graph_held <= GRAPH_BUDGET,
+        "the graph of {REPORTS} reports holds {graph_held} live bytes, budget {GRAPH_BUDGET}"
     );
     let ratio = graph.heap_bytes() as f64 / graph_held as f64;
     assert!(
@@ -464,11 +499,16 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         "the graph holds {graph_held} live bytes but heap_bytes() says {} ({ratio:.3}x)",
         graph.heap_bytes()
     );
-    for (size, grew) in COMPACT_SIZES.iter().zip(&tail_writes) {
+    for ((size, grew), graph) in COMPACT_SIZES.iter().zip(&tail_writes).zip(&graph_writes) {
         assert!(
             *grew <= TAIL_WRITE_BUDGET,
             "a 2-document submit on a shard sealed at {size} reports added {grew} live bytes, \
              budget {TAIL_WRITE_BUDGET}"
+        );
+        assert!(
+            *graph <= GRAPH_WRITE_BUDGET,
+            "a 2-document write to the graph of {size} reports added {graph} live bytes, \
+             budget {GRAPH_WRITE_BUDGET}"
         );
     }
     for (what, peaks) in [("sealing", &seal_peaks), ("compacting", &compaction_peaks)] {
@@ -524,11 +564,40 @@ fn flush_peaks(reports: &[create::corpus::CaseReport]) -> (isize, isize) {
     (seal, compaction)
 }
 
+/// A small CRF tagger over the gold annotations of `reports`.
+fn tiny_tagger(system: &Create, reports: &[create::corpus::CaseReport]) -> create::ner::CrfTagger {
+    create::ner::CrfTagger::train(
+        &create::ner::NerDataset::from_reports(reports, create::ner::LabelSet::ner_targets()),
+        create::ner::CrfTaggerConfig {
+            feature_bits: 16,
+            train: create::ml::CrfTrainConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+            gazetteer_features: true,
+        },
+        Some(system.ontology()),
+        None,
+    )
+}
+
+/// What the graph of a report holds.
+fn meta(report: &create::corpus::CaseReport) -> ReportMeta {
+    ReportMeta {
+        report_id: report.id.clone(),
+        title: report.title.clone(),
+        year: report.metadata.year,
+        category: report.category.coarse_label().to_string(),
+    }
+}
+
 /// Seals all but the last four of `reports` into a fresh disk-backed
 /// one-shard instance with one flush, submits two more (a publish the
 /// index's tail holds), then — that snapshot pinned — the last two. The
-/// live bytes the last submit added.
-fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> isize {
+/// live bytes the last submit added, and the live bytes the same two
+/// reports add to a copy of the pinned snapshot's graph: the graph's
+/// share of the write, the clone and the copies `Writer::apply` makes.
+fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> (isize, isize) {
     let dir = std::env::temp_dir().join(format!(
         "create-alloc-tail-{}-{}",
         std::process::id(),
@@ -541,11 +610,24 @@ fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> isize {
     system.flush().unwrap();
     system.ingest_gold_batch(&small[..2], 1).unwrap();
     let previous = system.snapshot();
+    let ontology = system.ontology();
+    let before = live_bytes();
+    let mut graph = previous.graph().clone();
+    for report in &small[2..] {
+        add_report(
+            &mut graph,
+            &ontology,
+            &meta(report),
+            &ExtractedAnnotations::from_gold(report),
+        );
+    }
+    let graph_grew = live_bytes() - before;
+    drop(graph);
     let before = live_bytes();
     system.ingest_gold_batch(&small[2..], 1).unwrap();
     let grew = live_bytes() - before;
     drop(previous);
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
-    grew
+    (grew, graph_grew)
 }

@@ -3,7 +3,7 @@
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CorpusConfig, Generator, QueryFamily, QuerySet};
-use create::graphdb::exec::run;
+use create::graphdb::exec::{query, ExecError, QueryError};
 use create::server::server::{http_get, http_post};
 use create::server::{build_api, Server};
 use std::sync::Arc;
@@ -70,8 +70,8 @@ fn full_pipeline_search_quality() {
 #[test]
 fn graph_is_cypher_queryable_after_ingest() {
     let (system, _) = loaded(30, 7);
-    let out = run(
-        &mut system.graph_mut(),
+    let out = query(
+        &system.graph(),
         "MATCH (r:Report)-[:MENTIONS]->(c:Concept) RETURN COUNT(*)",
     )
     .expect("cypher");
@@ -82,12 +82,41 @@ fn graph_is_cypher_queryable_after_ingest() {
     assert!(count > 100.0, "too few MENTIONS edges: {count}");
 
     // A relation-style query (the Fig-6 graph path) returns rows.
-    let out = run(
-        &mut system.graph_mut(),
+    let out = query(
+        &system.graph(),
         "MATCH (a:Event)-[:BEFORE]->(b:Event) RETURN a.reportId LIMIT 5",
     )
     .expect("cypher");
     assert!(!out.rows.is_empty());
+}
+
+#[test]
+fn a_cypher_read_leaves_the_generation_unchanged() {
+    let (system, _) = loaded(12, 11);
+    let before = (system.cache_stats().generation, system.stats());
+    let graph = system.graph();
+    let first = query(&graph, "MATCH (r:Report) RETURN r.reportId LIMIT 1").expect("cypher");
+    let create::graphdb::ResultValue::Value(id) = &first.rows[0][0] else {
+        panic!("a report id, got {first:?}");
+    };
+    // `reportId` is not indexed: the pattern seeds from a scan of the
+    // `Report` label.
+    let q = format!(
+        "MATCH (r:Report {{reportId: '{}'}})-[:CONTAINS]->(e:Event) RETURN COUNT(*)",
+        id.as_str().expect("a string id")
+    );
+    let out = query(&graph, &q).expect("cypher");
+    assert!(
+        matches!(&out.rows[0][0], create::graphdb::ResultValue::Value(v) if v.as_f64() > Some(0.0)),
+        "{q}: {out:?}"
+    );
+    assert_eq!(
+        query(&graph, "CREATE (p:Probe {name: 'x'})"),
+        Err(QueryError::Exec(ExecError::ReadOnly)),
+        "a CREATE is refused, not applied"
+    );
+    let after = (system.cache_stats().generation, system.stats());
+    assert_eq!(before, after, "a Cypher read is not a write");
 }
 
 #[test]

@@ -9,15 +9,16 @@
 //! they observe never roll backwards, a separate test pins the cache
 //! contract: entries stamped with an old snapshot's generation survive the
 //! publish itself but die (as misses) on first touch afterwards, a
-//! third shows that every read API finishes while a write operation
-//! holds the write lock, and a fourth that a snapshot pinned across a
+//! third shows that every read API finishes while an ingest holds the
+//! write lock, and a fourth that a snapshot pinned across a
 //! freeze, a tier merge and a compaction answers as it did when pinned.
 
 use create::core::plan::parse_cohort_criteria;
 use create::core::{Create, CreateConfig, MergePolicy, Snapshot};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::Duration;
 
 const BATCHES: usize = 5;
 const PER_BATCH: usize = 16;
@@ -42,6 +43,13 @@ fn single_shard() -> CreateConfig {
     CreateConfig { shards: 1 }
 }
 
+/// The tests of this binary take turns: every one ingests through the
+/// process-wide pool, which the read-under-write test parks.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn ranking(system: &Create, query: &str) -> Ranking {
     system
         .search(query, K)
@@ -52,6 +60,7 @@ fn ranking(system: &Create, query: &str) -> Ranking {
 
 #[test]
 fn concurrent_readers_never_observe_torn_results() {
+    let _turn = serial();
     let reports = corpus(BATCHES * PER_BATCH, 20260806);
     let queries: Vec<String> = QuerySet::generate(&reports, 77, 6)
         .queries
@@ -163,6 +172,7 @@ fn concurrent_readers_never_observe_torn_results() {
 
 #[test]
 fn stale_cache_entries_die_on_first_touch_after_publish() {
+    let _turn = serial();
     let reports = corpus(30, 99);
     let system = Create::new(single_shard());
     system
@@ -217,11 +227,13 @@ fn stale_cache_entries_die_on_first_touch_after_publish() {
 
 #[test]
 fn a_read_completes_while_a_write_operation_is_open() {
-    let reports = corpus(20, 99);
+    let _turn = serial();
+    let reports = corpus(24, 99);
+    let (reports, more) = reports.split_at(20);
     let dir = std::env::temp_dir().join(format!("create-read-under-write-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let system = Arc::new(Create::open(&dir, CreateConfig { shards: 2 }).expect("open"));
-    system.ingest_gold_batch(&reports, 0).expect("ingest");
+    system.ingest_gold_batch(reports, 0).expect("ingest");
     system.flush().expect("flush");
     let expected = ranking(&system, "fever cough");
     let id = reports[0].id.clone();
@@ -230,9 +242,35 @@ fn a_read_completes_while_a_write_operation_is_open() {
     )
     .expect("criteria parse");
 
-    // The guard holds the one write lock, as a batch ingest does from
-    // start to publish.
-    let guard = system.graph_mut();
+    // An ingest holds the one write lock from start to publish, and
+    // fans its prepare phase out over the process-wide pool; a scope's
+    // caller runs queued jobs while it waits. With every worker parked
+    // on a gate and one more gate job queued ahead of the ingest's
+    // tasks, the ingest takes the lock and parks on that job: it stays
+    // open until the gate opens.
+    let pool = create::util::ThreadPool::global();
+    let gate = Arc::new(RwLock::new(()));
+    let closed = gate.write().expect("a fresh gate");
+    let (started, parked) = std::sync::mpsc::channel();
+    for _ in 0..=pool.threads() {
+        let (gate, started) = (Arc::clone(&gate), started.clone());
+        pool.spawn(move || {
+            started
+                .send(std::thread::current().id())
+                .expect("the test is waiting");
+            drop(gate.read());
+        });
+    }
+    let writer = {
+        let (system, more) = (Arc::clone(&system), more.to_vec());
+        std::thread::spawn(move || system.ingest_gold_batch(&more, 2))
+    };
+    let writer_id = writer.thread().id();
+    while parked
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the ingest reached its prepare phase")
+        != writer_id
+    {}
     let (sender, receiver) = std::sync::mpsc::channel();
     let reader = {
         let system = Arc::clone(&system);
@@ -265,8 +303,12 @@ fn a_read_completes_while_a_write_operation_is_open() {
         .expect("a read blocked on an open write operation");
     let (cached, computed, cohort, report, annotations, svg) = reads.0;
     let (reports, postings, segments, counts, shards) = reads.1;
-    drop(guard);
+    assert!(!writer.is_finished(), "the ingest stayed open");
+    drop(closed);
     reader.join().expect("reader thread");
+    let ingested = writer.join().expect("writer thread");
+    assert_eq!(ingested.expect("the ingest lands"), more.len());
+    assert_eq!(system.stats().reports, 24);
     assert_eq!(cached, expected);
     assert!(!computed.is_empty(), "the uncached search ran both engines");
     assert!(
@@ -297,6 +339,7 @@ type Answers = (Vec<String>, Vec<String>, Vec<Option<String>>);
 /// builds a new segment, neither touches a segment a reader holds.
 #[test]
 fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
+    let _turn = serial();
     let reports = corpus(40, 20261016);
     let dir = std::env::temp_dir().join(format!("create-pinned-reader-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
