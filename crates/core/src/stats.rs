@@ -3,6 +3,7 @@
 //! the write lock) and the metric series the facade pre-registers.
 
 use crate::{durability, search::MergePolicy, system::Create};
+use create_ner::CrfTagger;
 use create_obs::names as obs_names;
 use create_storage::ShardManifest;
 use create_util::arc_slice_bytes;
@@ -45,17 +46,23 @@ pub struct MemoryStats {
     pub docstore_bytes: usize,
     /// The facet bitmaps' values and runs.
     pub facet_bytes: usize,
+    /// The attached NER tagger: its `Arc` allocation and the CRF weights
+    /// and label set it holds
+    /// ([`CrfTagger::heap_bytes`](create_ner::CrfTagger::heap_bytes)),
+    /// once per distinct tagger — every shard shares one.
+    pub tagger_bytes: usize,
 }
 
 impl MemoryStats {
     /// `(component, bytes)` — the `component` label of
     /// `create_resident_bytes`, and `<component>_bytes` in `/stats`.
-    pub fn components(&self) -> [(&'static str, usize); 4] {
+    pub fn components(&self) -> [(&'static str, usize); 5] {
         [
             ("postings", self.postings_bytes),
             ("graph", self.graph_bytes),
             ("docstore", self.docstore_bytes),
             ("facet", self.facet_bytes),
+            ("tagger", self.tagger_bytes),
         ]
     }
 }
@@ -111,7 +118,8 @@ impl Create {
     }
 
     /// Heap bytes the published snapshot holds, by component and summed
-    /// across shards, from the structures' own lengths and capacities
+    /// across shards — a structure shards share (the tagger) once — from
+    /// the structures' own lengths and capacities
     /// (see [`PropertyGraph::heap_bytes`](create_graphdb::PropertyGraph::heap_bytes)).
     /// Walks every shard's graph, payloads, dictionary and bitmaps, so it
     /// is for the stats and scrape paths. Also refreshes the
@@ -119,7 +127,15 @@ impl Create {
     pub fn memory_stats(&self) -> MemoryStats {
         let snapshot = self.snapshot();
         let mut stats = MemoryStats::default();
+        let mut taggers: Vec<&Arc<CrfTagger>> = Vec::new();
         for shard in &snapshot.shards {
+            if let Some(tagger) = &shard.tagger {
+                if !taggers.iter().any(|seen| Arc::ptr_eq(seen, tagger)) {
+                    taggers.push(tagger);
+                    stats.tagger_bytes +=
+                        arc_slice_bytes(std::mem::size_of::<CrfTagger>()) + tagger.heap_bytes();
+                }
+            }
             stats.postings_bytes += shard.index.postings_bytes();
             stats.graph_bytes += shard.graph.heap_bytes();
             stats.docstore_bytes += shard.docs.heap_bytes()

@@ -1,8 +1,10 @@
 //! Linear-chain conditional random field.
 //!
 //! The sequence labeler behind the named entity recognizer (Section III-C).
-//! Emission scores come from hashed sparse features per position; transition
-//! scores are a dense `L × L` matrix plus start/end potentials. Training
+//! Emission scores come from hashed sparse features per position: each
+//! hashed feature training met has a row of `L` weights, and one it never
+//! met scores zero and has no row. Transition scores are a dense `L × L`
+//! matrix plus start/end potentials. Training
 //! minimizes the exact negative conditional log-likelihood by SGD: the
 //! gradient is `E_model[features] - E_gold[features]`, with model
 //! expectations computed by the log-space forward–backward algorithm.
@@ -53,7 +55,11 @@ impl Default for CrfTrainConfig {
 pub struct Crf {
     num_labels: usize,
     dim: usize,
-    /// Emission weights, `w[feature * L + label]`.
+    /// The hashed feature ids (reduced modulo `dim`) that have emission
+    /// weights, ascending: every id a training example used, and no other.
+    rows: Vec<u32>,
+    /// Emission weights, `emit[row * L + label]` for the feature
+    /// `rows[row]`.
     emit: Vec<f64>,
     /// Transition weights, `t[prev * L + next]`.
     trans: Vec<f64>,
@@ -65,14 +71,16 @@ pub struct Crf {
 
 impl Crf {
     /// Creates a zero-initialized CRF over a hashed emission feature space
-    /// of `dim` dimensions and `num_labels` labels.
+    /// of `dim` dimensions and `num_labels` labels. No emission weight is
+    /// stored until [`Crf::train`] meets a feature.
     pub fn new(dim: usize, num_labels: usize) -> Crf {
         assert!(num_labels >= 2);
         assert!(dim > 0);
         Crf {
             num_labels,
             dim,
-            emit: vec![0.0; dim * num_labels],
+            rows: Vec::new(),
+            emit: Vec::new(),
             trans: vec![0.0; num_labels * num_labels],
             start: vec![0.0; num_labels],
             end: vec![0.0; num_labels],
@@ -84,20 +92,73 @@ impl Crf {
         self.num_labels
     }
 
-    /// Emission score matrix for a sequence: `scores[pos][label]`.
-    fn emissions(&self, seq: &[SparseVec]) -> Vec<Vec<f64>> {
-        seq.iter()
-            .map(|x| {
-                let mut row = vec![0.0; self.num_labels];
-                for &(i, v) in x.entries() {
-                    let base = (i as usize % self.dim) * self.num_labels;
-                    for (l, r) in row.iter_mut().enumerate() {
-                        *r += self.emit[base + l] * v;
+    /// The emission weights of hashed feature `feature` (reduced modulo
+    /// the feature space), one per label; `None` for a feature no
+    /// training example used, whose weights are all zero.
+    pub fn emission_row(&self, feature: u32) -> Option<&[f64]> {
+        let row = self.row(feature)?;
+        Some(&self.emit[row * self.num_labels..(row + 1) * self.num_labels])
+    }
+
+    /// Transition weights, `[prev * L + next]`.
+    pub fn transitions(&self) -> &[f64] {
+        &self.trans
+    }
+
+    /// Start potentials per label.
+    pub fn start_weights(&self) -> &[f64] {
+        &self.start
+    }
+
+    /// End potentials per label.
+    pub fn end_weights(&self) -> &[f64] {
+        &self.end
+    }
+
+    /// Heap bytes the model holds, from its vectors' capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<u32>()
+            + (self.emit.capacity()
+                + self.trans.capacity()
+                + self.start.capacity()
+                + self.end.capacity())
+                * std::mem::size_of::<f64>()
+    }
+
+    /// The hashed feature id of a feature index.
+    fn id(&self, feature: u32) -> u32 {
+        (feature as usize % self.dim) as u32
+    }
+
+    /// The row holding `feature`'s weights, if training met it.
+    fn row(&self, feature: u32) -> Option<usize> {
+        self.rows.binary_search(&self.id(feature)).ok()
+    }
+
+    /// The emission lattice of a sequence, `cells[pos * L + label]`: per
+    /// position, each feature's weight row times its value, added in entry
+    /// order. `row_of` is called once per entry, in order, and names its
+    /// row; an entry without one adds nothing, exactly as all-zero weights
+    /// times a finite value would: a cell starts at `+0.0` and a sum is
+    /// `-0.0` only when both terms are, so adding `±0.0` leaves it
+    /// bit-unchanged.
+    fn emissions(
+        &self,
+        seq: &[SparseVec],
+        mut row_of: impl FnMut(u32) -> Option<usize>,
+    ) -> Vec<f64> {
+        let l = self.num_labels;
+        let mut cells = vec![0.0; seq.len() * l];
+        for (x, cell) in seq.iter().zip(cells.chunks_exact_mut(l)) {
+            for &(i, v) in x.entries() {
+                if let Some(row) = row_of(i) {
+                    for (c, &w) in cell.iter_mut().zip(&self.emit[row * l..(row + 1) * l]) {
+                        *c += w * v;
                     }
                 }
-                row
-            })
-            .collect()
+            }
+        }
+        cells
     }
 
     /// Viterbi decoding: most probable label sequence.
@@ -107,11 +168,11 @@ impl Crf {
             return Vec::new();
         }
         let l = self.num_labels;
-        let emissions = self.emissions(seq);
+        let emissions = self.emissions(seq, |i| self.row(i));
         let mut delta = vec![f64::NEG_INFINITY; n * l];
         let mut back = vec![0usize; n * l];
         for y in 0..l {
-            delta[y] = self.start[y] + emissions[0][y];
+            delta[y] = self.start[y] + emissions[y];
         }
         for t in 1..n {
             for y in 0..l {
@@ -124,7 +185,7 @@ impl Crf {
                         best_prev = prev;
                     }
                 }
-                delta[t * l + y] = best + emissions[t][y];
+                delta[t * l + y] = best + emissions[t * l + y];
                 back[t * l + y] = best_prev;
             }
         }
@@ -145,13 +206,14 @@ impl Crf {
         path
     }
 
-    /// Log-space forward algorithm; returns (alphas, logZ).
-    fn forward(&self, emissions: &[Vec<f64>]) -> (Vec<f64>, f64) {
-        let n = emissions.len();
+    /// Log-space forward algorithm over an emission lattice; returns
+    /// (alphas, logZ).
+    fn forward(&self, emissions: &[f64]) -> (Vec<f64>, f64) {
         let l = self.num_labels;
+        let n = emissions.len() / l;
         let mut alpha = vec![f64::NEG_INFINITY; n * l];
         for y in 0..l {
-            alpha[y] = self.start[y] + emissions[0][y];
+            alpha[y] = self.start[y] + emissions[y];
         }
         let mut scratch = vec![0.0; l];
         for t in 1..n {
@@ -159,21 +221,20 @@ impl Crf {
                 for prev in 0..l {
                     scratch[prev] = alpha[(t - 1) * l + prev] + self.trans[prev * l + y];
                 }
-                alpha[t * l + y] = log_sum_exp(&scratch) + emissions[t][y];
+                alpha[t * l + y] = log_sum_exp(&scratch) + emissions[t * l + y];
             }
         }
-        let mut final_scores = vec![0.0; l];
         for y in 0..l {
-            final_scores[y] = alpha[(n - 1) * l + y] + self.end[y];
+            scratch[y] = alpha[(n - 1) * l + y] + self.end[y];
         }
-        let log_z = log_sum_exp(&final_scores);
+        let log_z = log_sum_exp(&scratch);
         (alpha, log_z)
     }
 
-    /// Log-space backward algorithm.
-    fn backward(&self, emissions: &[Vec<f64>]) -> Vec<f64> {
-        let n = emissions.len();
+    /// Log-space backward algorithm over an emission lattice.
+    fn backward(&self, emissions: &[f64]) -> Vec<f64> {
         let l = self.num_labels;
+        let n = emissions.len() / l;
         let mut beta = vec![f64::NEG_INFINITY; n * l];
         for y in 0..l {
             beta[(n - 1) * l + y] = self.end[y];
@@ -183,7 +244,7 @@ impl Crf {
             for y in 0..l {
                 for next in 0..l {
                     scratch[next] = self.trans[y * l + next]
-                        + emissions[t + 1][next]
+                        + emissions[(t + 1) * l + next]
                         + beta[(t + 1) * l + next];
                 }
                 beta[t * l + y] = log_sum_exp(&scratch);
@@ -198,25 +259,21 @@ impl Crf {
         if example.features.is_empty() {
             return 0.0;
         }
-        let emissions = self.emissions(&example.features);
+        let emissions = self.emissions(&example.features, |i| self.row(i));
         let (_, log_z) = self.forward(&emissions);
-        let mut score = self.start[example.labels[0]] + emissions[0][example.labels[0]];
-        for t in 1..example.labels.len() {
-            score += self.trans[example.labels[t - 1] * self.num_labels + example.labels[t]]
-                + emissions[t][example.labels[t]];
-        }
-        score += self.end[*example.labels.last().expect("non-empty")];
-        score - log_z
+        self.gold_score(example, &emissions) - log_z
     }
 
-    /// One SGD step on a single example; returns its NLL before the step.
-    fn sgd_step(&mut self, example: &CrfExample, lr: f64, l2: f64) -> f64 {
+    /// One SGD step on a single example whose entries' rows are
+    /// `entry_rows`, in entry order; returns its NLL before the step.
+    fn sgd_step(&mut self, example: &CrfExample, entry_rows: &[u32], lr: f64, l2: f64) -> f64 {
         let n = example.features.len();
         let l = self.num_labels;
         if n == 0 {
             return 0.0;
         }
-        let emissions = self.emissions(&example.features);
+        let mut next_row = entry_rows.iter().map(|&row| row as usize);
+        let emissions = self.emissions(&example.features, |_| next_row.next());
         let (alpha, log_z) = self.forward(&emissions);
         let beta = self.backward(&emissions);
 
@@ -229,10 +286,11 @@ impl Crf {
         }
 
         // Emission gradient: (marginal - gold) per feature.
+        let mut next_row = entry_rows.iter().map(|&row| row as usize);
         for t in 0..n {
             let gold = example.labels[t];
-            for &(i, v) in example.features[t].entries() {
-                let base = (i as usize % self.dim) * l;
+            for &(_, v) in example.features[t].entries() {
+                let base = next_row.next().expect("a row per entry") * l;
                 for y in 0..l {
                     let g = (marginal[t * l + y] - f64::from(y == gold)) * v;
                     let idx = base + y;
@@ -247,7 +305,7 @@ impl Crf {
                 for next in 0..l {
                     let log_edge = alpha[(t - 1) * l + prev]
                         + self.trans[prev * l + next]
-                        + emissions[t][next]
+                        + emissions[t * l + next]
                         + beta[t * l + next]
                         - log_z;
                     let p_edge = log_edge.exp();
@@ -268,23 +326,62 @@ impl Crf {
         }
 
         // NLL of the gold path (pre-step, using already-computed pieces).
-        let mut gold_score = self.start_score_of(example, &emissions);
+        let mut gold_score = self.gold_score(example, &emissions);
         gold_score -= log_z;
         -gold_score
     }
 
-    fn start_score_of(&self, example: &CrfExample, emissions: &[Vec<f64>]) -> f64 {
+    /// Unnormalized score of the gold path over an emission lattice.
+    fn gold_score(&self, example: &CrfExample, emissions: &[f64]) -> f64 {
         let l = self.num_labels;
-        let mut score = self.start[example.labels[0]] + emissions[0][example.labels[0]];
+        let mut score = self.start[example.labels[0]] + emissions[example.labels[0]];
         for t in 1..example.labels.len() {
             score += self.trans[example.labels[t - 1] * l + example.labels[t]]
-                + emissions[t][example.labels[t]];
+                + emissions[t * l + example.labels[t]];
         }
         score + self.end[*example.labels.last().expect("non-empty")]
     }
 
+    /// Gives every feature id the examples use a row — new rows start at
+    /// zero, existing weights are kept — and returns, per example, the row
+    /// of each of its entries in entry order.
+    fn add_rows(&mut self, examples: &[CrfExample]) -> Vec<Vec<u32>> {
+        let mut ids: Vec<u32> = examples
+            .iter()
+            .flat_map(|e| &e.features)
+            .flat_map(SparseVec::entries)
+            .map(|&(i, _)| self.id(i))
+            .chain(self.rows.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.len() > self.rows.len() {
+            ids.shrink_to_fit();
+            let l = self.num_labels;
+            let mut emit = vec![0.0; ids.len() * l];
+            for (old, id) in self.rows.iter().enumerate() {
+                let new = ids.binary_search(id).expect("every existing id is kept");
+                emit[new * l..(new + 1) * l].copy_from_slice(&self.emit[old * l..(old + 1) * l]);
+            }
+            self.rows = ids;
+            self.emit = emit;
+        }
+        examples
+            .iter()
+            .map(|e| {
+                e.features
+                    .iter()
+                    .flat_map(SparseVec::entries)
+                    .map(|&(i, _)| self.row(i).expect("every used id has a row") as u32)
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Trains by SGD over the examples; returns the mean NLL per sequence
-    /// of the final epoch.
+    /// of the final epoch. Every feature id the examples use gets a row
+    /// first (a later call keeps the rows and weights an earlier one
+    /// learned), so the epochs do no lookup.
     pub fn train(&mut self, examples: &[CrfExample], config: &CrfTrainConfig) -> f64 {
         assert!(!examples.is_empty());
         for e in examples {
@@ -294,6 +391,7 @@ impl Crf {
                 "label id out of range"
             );
         }
+        let entry_rows = self.add_rows(examples);
         let mut rng = Rng::seed_from_u64(config.seed);
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut step = 0usize;
@@ -304,7 +402,7 @@ impl Crf {
             let mut count = 0usize;
             for &idx in &order {
                 let lr = config.learning_rate / (1.0 + config.decay * step as f64);
-                total += self.sgd_step(&examples[idx], lr, config.l2);
+                total += self.sgd_step(&examples[idx], &entry_rows[idx], lr, config.l2);
                 count += 1;
                 step += 1;
             }

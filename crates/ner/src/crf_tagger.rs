@@ -184,32 +184,31 @@ impl CrfTagger {
         ontology: Option<Arc<Ontology>>,
         flair: Option<Arc<FlairFeatures>>,
     ) -> CrfTagger {
-        let labels = dataset.labels.clone();
-        let mut crf = Crf::new(1 << config.feature_bits, labels.num_labels());
-        let tagger_shell = CrfTagger {
-            crf: Crf::new(1, 2), // placeholder, replaced below
-            labels: labels.clone(),
-            config: config.clone(),
-            ontology: ontology.clone(),
-            flair: flair.clone(),
+        let mut tagger = CrfTagger {
+            crf: Crf::new(1 << config.feature_bits, dataset.labels.num_labels()),
+            labels: dataset.labels.clone(),
+            config,
+            ontology,
+            flair,
         };
         let examples: Vec<CrfExample> = dataset
             .sentences
             .iter()
             .map(|s| CrfExample {
-                features: tagger_shell.sentence_features(&s.text, &s.tokens),
+                features: tagger.sentence_features(&s.text, &s.tokens),
                 labels: s.labels.clone(),
             })
             .filter(|e| !e.features.is_empty())
             .collect();
-        crf.train(&examples, &config.train);
-        CrfTagger {
-            crf,
-            labels,
-            config,
-            ontology,
-            flair,
-        }
+        tagger.crf.train(&examples, &tagger.config.train);
+        tagger
+    }
+
+    /// Heap bytes the tagger holds: the CRF's weights and the label set.
+    /// The ontology and the flair features it shares by `Arc` are not
+    /// counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.crf.heap_bytes() + std::mem::size_of_val(self.labels.types())
     }
 
     /// Extracts per-token feature vectors for a tokenized sentence.

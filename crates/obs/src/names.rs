@@ -153,7 +153,7 @@ pub const COMPACTION_MERGED_DOCS_TOTAL: &str = "create_compaction_merged_docs_to
 pub const RECOVERY_REPLAYED_RECORDS_TOTAL: &str = "create_recovery_replayed_records_total";
 
 /// Heap bytes the published snapshot holds, labelled `component=`
-/// (`postings`, `graph`, `docstore`, `facet`), computed from the
+/// (`postings`, `graph`, `docstore`, `facet`, `tagger`), computed from the
 /// structures' own lengths at `/metrics` scrape and `/stats` time.
 pub const RESIDENT_BYTES_GAUGE: &str = "create_resident_bytes";
 

@@ -12,7 +12,8 @@
 # unit and integration tests, the create-index codec, create-storage
 # segment and create-docstore JSON mutation fuzzes among them) and the benchmark package's — then the
 # benchmark smoke (`create-benchmark all --quick`, every in-run check;
-# the two benchmark steps leave `benchmark/Cargo.lock` as they found it),
+# the two benchmark steps leave `benchmark/Cargo.lock` as they found it;
+# each workload's `result_digest` is pinned),
 # the server, trace and observability smoke checks, E4's ranking-ablation
 # quality cells (`exp_ir_vs_solr`, ~15 s: the BM25 default and TF-IDF
 # rows EXPERIMENTS.md quotes, exactly), E8's recall cells
@@ -63,7 +64,27 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== benchmark smoke: four workloads at 500 reports, every in-run check =="
 # Exits non-zero when any check fails (non-2xx, unequal round digests,
 # a gold cohort, a hit ratio, compaction counts, reopen after ingest).
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
+# Each workload's `result_digest` at `--seed 1` (the default) is pinned:
+# a moved digest is a ranking or extraction change, re-pinned here with
+# its reason when the change is meant.
+quick="$(mktemp)"
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- all --quick | tee "$quick"
+python3 - "$quick" <<'PY'
+import json, sys
+want = {
+    "search_unique": "4850035d5432e973",
+    "search_repeat": "0350d5838bae2b25",
+    "cohort_mix": "f1e2e081a337a0db",
+    "ingest_interleaved": "6dc110bb32f24cb8",
+}
+with open(sys.argv[1]) as out:
+    runs = [json.loads(line) for line in out if line.strip()]
+got = {run["workload"]: run.get("result_digest") for run in runs if "workload" in run}
+bad = [f"{w}: {got.get(w)} (pinned {d})" for w, d in want.items() if got.get(w) != d]
+if bad:
+    sys.exit("verify: FAIL — all --quick result_digest moved: " + "; ".join(bad))
+PY
+rm -f "$quick"
 restore_bench_lock
 trap - EXIT
 
@@ -115,6 +136,7 @@ for series in \
     'create_resident_bytes{component="graph"' \
     'create_resident_bytes{component="docstore"' \
     'create_resident_bytes{component="facet"' \
+    'create_resident_bytes{component="tagger"' \
     'create_pool_workers' \
     'create_pool_queue_depth' \
     'create_pool_jobs_executed_total'
