@@ -24,7 +24,7 @@
 //! [`StorageError::Corrupt`] naming the file.
 //!
 //! A seal ([`write_tail`], from the shard's columns and its index's
-//! tail) and a compaction ([`compact_shard`], from the encoded inputs)
+//! unsealed segment) and a compaction ([`compact_shard`], from the encoded inputs)
 //! each write their segment in one pass through one `SegmentWriter`, so
 //! neither holds a copy of the documents; recovery checks each file
 //! against its manifest entry and its postings region with the codec's
@@ -61,16 +61,15 @@ use std::sync::Mutex;
 pub(crate) const COMPACT_SEGMENT_THRESHOLD: usize = 4;
 
 /// Per-shard durable state, owned by the shard's writer (so it shares
-/// the writer's serialization — WAL appends never race).
+/// the writer's serialization — WAL appends never race). Which documents
+/// the segment files hold the shard's index knows
+/// ([`Index::sealed_docs`]); the rest live only in the WAL until the
+/// next flush seals them.
 pub(crate) struct ShardStorage {
     /// The shard's write-ahead log.
     pub wal: Wal,
     /// The shard's storage directory (`<data>/storage/shard-<i>`).
     pub dir: PathBuf,
-    /// Documents covered by sealed segments — index doc ids below this
-    /// are durable in segment files; ids at or above it live only in
-    /// the WAL until the next flush seals them.
-    pub sealed_docs: usize,
 }
 
 /// Engine-wide durable state, owned by the facade.
@@ -269,34 +268,33 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
     members.into_iter().rfind(|member| member.key == key)?.value
 }
 
-/// Writes index docs `[base..num_docs)` of `shard` — its index's tail —
-/// as the segment file at `path`, each region streamed from the shard's
-/// own columns (indexed by doc id, like the index): the directory from
-/// the tail's ids and the ordinals, each payload as the shard holds it,
-/// `postings` — the tail's encoding, which the index then keeps as a
-/// frozen segment — and the facet-bitmap tail. Holds a block of the
+/// Writes index docs `[base..num_docs)` of `shard` — its unsealed
+/// documents — as the segment file at `path`, each region streamed from
+/// the shard's own columns (indexed by doc id, like the index): the
+/// directory from the ids of `postings` — the index's one unsealed
+/// segment — and the ordinals, each payload as the shard holds it, the
+/// blob of `postings`, and the facet-bitmap tail. Holds a block of the
 /// region being written and the facet tail — never a copy of the
 /// documents.
 pub(crate) fn write_tail(
     path: &Path,
     shard: &ShardSnapshot,
     base: usize,
-    postings: &[u8],
+    postings: &FrozenSegment,
 ) -> Result<SegmentFileInfo, StorageError> {
     let num = shard.index.num_docs();
-    let tail = shard.index.tail();
     debug_assert!(
         shard.facets.num_docs() as usize == num
             && shard.docs.len() == num
             && shard.ordinals.len() == num,
         "every column must cover every indexed doc at seal time"
     );
-    assert_eq!(tail.num_docs(), num - base, "the tail is the unsealed docs");
+    assert_eq!(postings.num_docs(), num - base, "the unsealed docs");
     SegmentWriter::write_file(path, |out| {
         out.next_region()?;
         out.doc_count((num - base) as u64)?;
         for doc in base..num {
-            let id = tail.external_id((doc - base) as u32).expect("in the tail");
+            let id = postings.external_id((doc - base) as u32).expect("unsealed");
             out.entry(shard.ordinals[doc], id.as_bytes())?;
         }
         out.next_region()?;
@@ -304,7 +302,7 @@ pub(crate) fn write_tail(
             out.payload(shard.docs[doc].as_bytes())?;
         }
         out.next_region()?;
-        out.write_all(postings)?;
+        out.write_all(postings.blob())?;
         out.next_region()?;
         out.write_all(&shard.facets.encode_tail(base as u32))
     })

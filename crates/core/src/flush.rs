@@ -4,43 +4,33 @@
 
 use crate::durability::{self, COMPACT_SEGMENT_THRESHOLD};
 use crate::{ingest::IngestError, system::Create, writer::Writer};
-use create_index::codec;
 use create_storage::manifest::{segment_file_name, sweep_orphans};
 use create_storage::{Manifest, SegmentMeta, ShardManifest};
+use std::sync::Arc;
 use std::{path::Path, time::Instant};
 
 impl Create {
     /// Persists every shard: fsyncs the WALs, seals each shard's
-    /// unsealed tail (postings, facets, stored documents) into an immutable
-    /// on-disk segment registered by an atomic manifest swap (after
-    /// which the WALs reset — recovery cost returns to zero, and the
-    /// index's tail is frozen in RAM), and compacts shards that
-    /// accumulated enough segments. An in-memory instance has nothing to
-    /// persist and only freezes its tails, so the writes after it copy
-    /// what they add, not what came before. Either way the shards whose
-    /// tails froze are published as they are now — the same documents,
-    /// so no cached answer dies — and the published tails' posting lists
-    /// are freed once no reader holds them: the frozen segments are the
-    /// tails' encodings, not the lists.
+    /// unsealed documents (postings, facets, stored documents) into an
+    /// immutable on-disk segment registered by an atomic manifest swap
+    /// (after which the WALs reset — recovery cost returns to zero), and
+    /// compacts shards that accumulated enough segments. The shards that
+    /// sealed are published as they are now — the same documents, so no
+    /// cached answer dies — their unsealed in-RAM segments merged into
+    /// the one the seal wrote. An in-memory instance has nothing to
+    /// persist: every write froze its documents when it published them.
     pub fn flush(&self) -> Result<(), IngestError> {
+        let Some(root) = self.storage.as_ref() else {
+            return Ok(());
+        };
         let compacted = {
             let mut writers = self.lock_writers();
             for writer in &mut writers.shards {
                 writer.wal_sync()?;
             }
-            let frozen: Vec<usize> = (0..writers.shards.len())
-                .filter(|&i| writers.shards[i].shard.index.tail().num_docs() > 0)
-                .collect();
-            let Some(root) = self.storage.as_ref() else {
-                for writer in &mut writers.shards {
-                    writer.freeze();
-                }
-                self.publish_shards(&writers, frozen);
-                return Ok(());
-            };
             let mut manifest = root.lock_manifest();
-            seal_tails(&mut writers.shards, &mut manifest, &root.dir, false)?;
-            self.publish_shards(&writers, frozen);
+            let sealed = seal_tails(&mut writers.shards, &mut manifest, &root.dir, false)?;
+            self.publish_shards(&writers, sealed);
             let compacted = compact_shards(&writers.shards, &mut manifest, &root.dir)?;
             durability::refresh_segment_gauges(&manifest);
             compacted
@@ -59,61 +49,66 @@ impl Create {
     }
 }
 
-/// Seals every shard's unsealed tail into a new segment, then — if one
-/// was written, or `store_anyway` (a fresh data directory at open) —
+/// Seals every shard's unsealed documents into a new segment, then — if
+/// one was written, or `store_anyway` (a fresh data directory at open) —
 /// registers them all in one manifest swap and only after it lands
-/// resets each WAL, advances `sealed_docs`, sweeps orphans and freezes
-/// the index's tail as the postings the seal wrote (a failed swap leaves
-/// the tail to the next seal). A crash before the swap replays the tails
-/// from the old WALs; a crash after it skips the (now sealed) records by
-/// ordinal. Sealing nothing writes nothing.
+/// resets each WAL, sweeps orphans and marks the documents sealed in the
+/// index ([`Index::seal`](create_index::Index::seal); a failed swap
+/// leaves them unsealed, to the next seal). A crash before the swap
+/// replays them from the old WALs; a crash after it skips the (now
+/// sealed) records by ordinal. Sealing nothing writes nothing. Returns
+/// the shards that sealed.
 pub(crate) fn seal_tails(
     writers: &mut [Writer],
     manifest: &mut Manifest,
     dir: &Path,
     store_anyway: bool,
-) -> Result<(), IngestError> {
+) -> Result<Vec<usize>, IngestError> {
     let mut sealed = Vec::with_capacity(writers.len());
     for (writer, entry) in writers.iter_mut().zip(&mut manifest.shards) {
         sealed.push(seal_tail(writer, entry)?);
     }
-    if sealed.iter().all(Option::is_none) && !store_anyway {
-        return Ok(());
+    if !sealed.contains(&true) && !store_anyway {
+        return Ok(Vec::new());
     }
     manifest.store(dir).map_err(IngestError::Storage)?;
-    for ((writer, entry), postings) in writers.iter_mut().zip(&manifest.shards).zip(sealed) {
-        let num_docs = writer.shard.index.num_docs();
+    for ((writer, entry), &sealed) in writers.iter_mut().zip(&manifest.shards).zip(&sealed) {
         let Some(storage) = writer.storage.as_mut() else {
             continue;
         };
         storage.wal.reset().map_err(IngestError::Storage)?;
-        storage.sealed_docs = num_docs;
         sweep_orphans(&storage.dir, entry);
-        if let Some(postings) = postings {
-            writer.freeze_encoded(postings);
+        if sealed {
+            Arc::make_mut(&mut writer.shard.index).seal();
         }
     }
-    Ok(())
+    Ok((0..sealed.len()).filter(|&i| sealed[i]).collect())
 }
 
-/// Seals a shard's unsealed tail (`[sealed_docs..num_docs)`) into a new
-/// on-disk segment and registers it in the shard's manifest entry.
-/// Returns the postings region it wrote — the tail's encoding — or
-/// `None` when there was nothing to seal.
-fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<Option<Vec<u8>>, IngestError> {
-    let shard = &writer.shard;
-    let num = shard.index.num_docs();
+/// Seals a shard's unsealed documents (`[sealed_docs..num_docs)`) into a
+/// new on-disk segment and registers it in the shard's manifest entry:
+/// the index merges its unsealed segments into one
+/// ([`Index::merge_unsealed`](create_index::Index::merge_unsealed)),
+/// whose blob is the file's postings region. Returns whether there was
+/// anything to seal.
+fn seal_tail(writer: &mut Writer, entry: &mut ShardManifest) -> Result<bool, IngestError> {
     let Some(storage) = writer.storage.as_ref() else {
-        return Ok(None);
+        return Ok(false);
     };
-    if num <= storage.sealed_docs {
-        return Ok(None);
+    let (base, num) = (
+        writer.shard.index.sealed_docs(),
+        writer.shard.index.num_docs(),
+    );
+    if num == base {
+        return Ok(false);
     }
     let started = Instant::now();
-    let base = storage.sealed_docs;
+    let postings = Arc::make_mut(&mut writer.shard.index)
+        .merge_unsealed()
+        .map_err(IngestError::Index)?
+        .expect("documents are unsealed");
     let file = segment_file_name(entry.next_segment_id);
-    let mut postings = Vec::new();
-    codec::encode_index_tail(&shard.index, &mut postings).expect("a Vec takes every byte");
+    let shard = &writer.shard;
     let info = durability::write_tail(&storage.dir.join(&file), shard, base, &postings)
         .map_err(IngestError::Storage)?;
     entry.segments.push(SegmentMeta {
@@ -126,7 +121,7 @@ fn seal_tail(writer: &Writer, entry: &mut ShardManifest) -> Result<Option<Vec<u8
     });
     entry.next_segment_id += 1;
     durability::note_seal(started.elapsed().as_secs_f64());
-    Ok(Some(postings))
+    Ok(true)
 }
 
 /// Compacts every shard that reached [`COMPACT_SEGMENT_THRESHOLD`]

@@ -116,7 +116,6 @@ impl Create {
                     .recover_segment(&ontology, &shard_dir.join(&meta.file), meta)
                     .map_err(IngestError::Storage)?;
             }
-            let sealed_docs = writer.shard.index.num_docs();
             let sealed_max = entry.segments.last().map(|s| s.max_ordinal);
             let (wal, wal_replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
                 .map_err(IngestError::Storage)?;
@@ -129,7 +128,6 @@ impl Create {
             writer.storage = Some(ShardStorage {
                 wal,
                 dir: shard_dir,
-                sealed_docs,
             });
             shards.push(writer);
         }

@@ -71,8 +71,8 @@ impl MemoryStats {
 /// [`Create::shard_segments`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardSegments {
-    /// Segments of the shard's index holding documents, as published:
-    /// the frozen ones, and the tail unless it is empty.
+    /// Segments of the shard's index, as published: every one holds
+    /// documents.
     pub ram: usize,
     /// Live segment files (0 for an in-memory instance).
     pub disk: usize,
@@ -160,9 +160,6 @@ impl Create {
 
     /// Per shard, its index's segments in RAM (from the published
     /// snapshot) beside its segment files (from the live manifest).
-    /// A flush freezes a writer's tail without publishing — the
-    /// documents are the same — so a flush's freeze and tier merge show
-    /// here from the next write on.
     pub fn shard_segments(&self) -> Vec<ShardSegments> {
         let snapshot = self.snapshot();
         let disk: Vec<usize> = self.storage.as_ref().map_or_else(Vec::new, |root| {

@@ -13,8 +13,8 @@
 //! single [`ArcCell`]. A shard's writer holds the very `ShardSnapshot` it
 //! publishes, its tables behind `Arc`s: a publish bumps reference counts,
 //! and the first write after it copies what it touches
-//! (`Arc::make_mut`) — the index's mutable tail, never its frozen
-//! segments, and the last chunks of the graph and the columns. Reads can
+//! (`Arc::make_mut`) — the index's list of segment pointers, never a
+//! segment, and the last chunks of the graph and the columns. Reads can
 //! never observe a torn mix of shard generations. Scatter-gather search
 //! (see [`crate::search`]) merges per-shard top-k lists under globally
 //! merged corpus statistics, so rankings are bit-identical for any shard

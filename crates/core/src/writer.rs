@@ -95,8 +95,8 @@ pub(crate) struct Writer {
     /// The shard's state. After a publish its tables are shared with the
     /// published snapshot, and every write reaches them through
     /// `Arc::make_mut`, so the first write copies what it touches — the
-    /// index's tail, the graph's and the columns' last chunks — and
-    /// readers never see a change.
+    /// index's segment list, the graph's and the columns' last chunks —
+    /// and readers never see a change.
     pub(crate) shard: ShardSnapshot,
     /// Durable state (WAL + sealed segments) — `None` for in-memory
     /// instances, which skip the log entirely.
@@ -172,9 +172,9 @@ impl Writer {
     /// Merges a segment's postings and its facet twin at the shard's
     /// current doc count, which keeps bitmap ids aligned with index ids.
     /// Workers or WAL replay built the pair; a segment file's enters by
-    /// [`Writer::adopt`] instead. The postings go to the index's tail, so
-    /// a merge after a publish copies the tail's tables, not the
-    /// shard's.
+    /// [`Writer::adopt`] instead. The postings are frozen as they enter
+    /// ([`Index::merge_segment`]), so a merge after a publish copies the
+    /// index's list of segment pointers, never a segment.
     pub(crate) fn merge(&mut self, segment: Segment, facets: FacetIndex) -> Result<(), IndexError> {
         let _span = Span::enter(
             obs_names::PIPELINE_STAGE_SECONDS,
@@ -184,18 +184,6 @@ impl Writer {
         Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
         Arc::make_mut(&mut self.shard.facets).merge(facets, base);
         Ok(())
-    }
-
-    /// Freezes the index's tail ([`Index::freeze`]) — in memory,
-    /// everything since the last `flush()` — into its encoding.
-    pub(crate) fn freeze(&mut self) {
-        Arc::make_mut(&mut self.shard.index).freeze();
-    }
-
-    /// Freezes the index's tail as `postings`, its encoding a seal just
-    /// wrote to the tail's segment file ([`Index::freeze_encoded`]).
-    pub(crate) fn freeze_encoded(&mut self, postings: Vec<u8>) {
-        Arc::make_mut(&mut self.shard.index).freeze_encoded(postings);
     }
 
     /// Adds a segment file's adopted postings to the index as one more

@@ -1,15 +1,14 @@
-//! The postings codec: the encoding of an index *tail*, which is both a
-//! segment file's postings region and what an [`Index`] keeps in RAM of
-//! every frozen segment.
+//! The postings codec: the encoding of a [`Segment`]'s documents, which
+//! is both a segment file's postings region and what an [`Index`] keeps
+//! in RAM of every segment.
 //!
-//! A seal or an in-memory freeze encodes the documents indexed since the
-//! previous one — exactly the index's mutable tail segment (see
-//! [`crate::segment`]) — straight from the live index, no
-//! re-tokenization: the seal writes those bytes to its file, and both
-//! then keep them, through [`adopt`], as one more frozen segment
-//! ([`crate::frozen`]). Recovery adopts a segment file's region the same
-//! way. A frozen segment's lists are decoded one term at a time, when a
-//! query opens the term ([`decode_entry`]).
+//! [`Index::merge_segment`] encodes a builder segment
+//! ([`encode_segment`]), no re-tokenization, and keeps the bytes,
+//! through [`adopt`], as one more frozen segment ([`crate::frozen`]).
+//! A seal writes the merge of the unsealed segments' bytes to its file
+//! (see [`crate::segment`]); recovery adopts a segment file's region the
+//! same way. A frozen segment's lists are decoded one term at a time,
+//! when a query opens the term ([`decode_entry`]).
 //!
 //! Layout (all integers LEB128 varints unless noted):
 //!
@@ -48,7 +47,7 @@
 //! index wherever its documents start, and [`decode_segment`] yields a
 //! [`Segment`] that [`Index::merge_segment`] takes exactly as a live
 //! parallel-ingest segment. Terms and fields are sorted, making the
-//! encoding deterministic even though the live dictionaries are hash
+//! encoding deterministic even though a builder's dictionaries are hash
 //! maps.
 //!
 //! Skip entries record `(local doc id, byte offset)` every
@@ -58,7 +57,7 @@
 //! [`merge_postings`] merges the blobs of consecutive segments, streamed,
 //! into the blob of their concatenation without decoding them into an
 //! index, through the same readers and checks as [`adopt`]: the one
-//! kernel of disk compaction and of the in-RAM tier rule.
+//! kernel of disk compaction, of the in-RAM tier rule and of a seal.
 
 use crate::frozen::{FrozenField, FrozenSegment};
 use crate::index::{bucket_of, FieldIndex, Index, Segment};
@@ -92,21 +91,19 @@ fn err(message: impl Into<String>) -> CodecError {
     CodecError(message.into())
 }
 
-/// Encodes the tail of `index` — every document since its last
-/// [`Index::freeze`] — as a segment blob, handed to `out` a term at a
-/// time.
-pub fn encode_index_tail(index: &Index, out: &mut impl Write) -> io::Result<()> {
-    let tail = index.tail();
+/// Encodes a builder segment's documents as a segment blob, handed to
+/// `out` a term at a time.
+pub fn encode_segment(segment: &Segment, out: &mut impl Write) -> io::Result<()> {
     // The blob's bytes not yet handed to `out`.
     let mut record = Vec::new();
-    varint::write_u64(&mut record, tail.num_docs() as u64);
-    for id in &tail.external_ids {
+    varint::write_u64(&mut record, segment.num_docs() as u64);
+    for id in &segment.external_ids {
         let bytes = id.as_bytes();
         varint::write_u64(&mut record, bytes.len() as u64);
         record.extend_from_slice(bytes);
     }
 
-    let mut field_names: Vec<&String> = tail.fields.keys().collect();
+    let mut field_names: Vec<&String> = segment.fields.keys().collect();
     field_names.sort();
     varint::write_u64(&mut record, field_names.len() as u64);
     // Per-term scratch: the postings stream is encoded aside so skip
@@ -114,7 +111,7 @@ pub fn encode_index_tail(index: &Index, out: &mut impl Write) -> io::Result<()> 
     let mut blob = Vec::new();
     let mut skips: Vec<(u32, u64)> = Vec::new();
     for name in field_names {
-        let fi = &tail.fields[name];
+        let fi = &segment.fields[name];
         varint::write_u64(&mut record, name.len() as u64);
         record.extend_from_slice(name.as_bytes());
         for &len in &fi.doc_len {
@@ -124,7 +121,7 @@ pub fn encode_index_tail(index: &Index, out: &mut impl Write) -> io::Result<()> 
         let mut terms: Vec<(&str, &PostingList)> = fi
             .dict
             .iter()
-            .map(|(term, postings)| (&**term, &**postings))
+            .map(|(term, postings)| (&**term, postings))
             .collect();
         terms.sort_by(|a, b| a.0.cmp(b.0));
 
@@ -510,7 +507,7 @@ impl Terms {
             }
             // A document holds a term at most as often as it holds
             // tokens, which bounds a term's occurrences in a field by the
-            // field's token count (`Index::merge_segment` relies on it).
+            // field's token count.
             if tf > doc_len[doc as usize] {
                 return Err(err("term frequency exceeds the document's length"));
             }
@@ -541,7 +538,7 @@ impl Terms {
     }
 }
 
-/// Checks a blob [`encode_index_tail`] or [`merge_postings`] wrote and
+/// Checks a blob [`encode_segment`] or [`merge_postings`] wrote and
 /// keeps it, as it is, as a frozen segment of `template`'s field
 /// configuration, with the tables that find terms and ids in it (see
 /// [`crate::frozen`]). No posting list is built.
@@ -557,7 +554,7 @@ impl Terms {
 /// [`decode_entry`] reads without checking again. [`merge_postings`]
 /// applies the same checks through the same readers.
 pub fn adopt(blob: Vec<u8>, template: &Index) -> Result<FrozenSegment, CodecError> {
-    let config = template.tail();
+    let config = &*template.config;
     // Offsets into the blob are `u32`s.
     let len = blob.len();
     if u32::try_from(len).is_err() {
@@ -706,7 +703,7 @@ fn trusted(blob: &[u8], at: &mut usize) -> u32 {
     }
 }
 
-/// Decodes a blob [`encode_index_tail`] wrote into a segment of posting
+/// Decodes a blob [`encode_segment`] wrote into a segment of posting
 /// lists over segment-local doc ids with `template`'s field
 /// configuration, each id one `Arc<str>` its two tables share — ready
 /// for [`Index::merge_segment`]. It refuses what [`adopt`] refuses, by
@@ -737,20 +734,19 @@ impl std::fmt::Display for MergeError {
 impl std::error::Error for MergeError {}
 
 /// Merges the blobs of consecutive segments — `inputs`, each a stream of
-/// the given length holding what [`encode_index_tail`] wrote — into the
+/// the given length holding what [`encode_segment`] wrote — into the
 /// blob of their concatenation, written to `out` as it is produced, in
 /// one pass. Returns each input's document count.
 ///
-/// The bytes are exactly `encode_index_tail` of the index that
-/// [`decode_segment`] + [`Index::merge_segment`] of the inputs in order
-/// would build, but no index is built: the inputs' dictionaries of each
-/// field are walked in step like sorted runs, and a term's postings are
-/// the inputs' postings concatenated — the first doc gap of each input
-/// rebased by the documents before it, the skip entries recomputed over
-/// the whole list — in one per-term buffer. Memory is one term's
-/// postings per input plus the inputs' external ids (checked for
-/// duplicates, as `merge_segment` checks them). Every input gets
-/// [`adopt`]'s checks, by the same code.
+/// The bytes are exactly [`encode_segment`] of one builder segment
+/// holding the inputs' documents in order, but nothing is decoded: the
+/// inputs' dictionaries of each field are walked in step like sorted
+/// runs, and a term's postings are the inputs' postings concatenated —
+/// the first doc gap of each input rebased by the documents before it,
+/// the skip entries recomputed over the whole list — in one per-term
+/// buffer. Memory is one term's postings per input plus the inputs'
+/// external ids (checked for duplicates, as `merge_segment` checks
+/// them). Every input gets [`adopt`]'s checks, by the same code.
 ///
 /// A field's dictionary ends with an entry rather than starting with a
 /// count, so each merged term is written as soon as it is complete and
@@ -760,7 +756,7 @@ pub fn merge_postings<R: BufRead>(
     template: &Index,
     out: &mut impl Write,
 ) -> Result<Vec<usize>, MergeError> {
-    let template = template.tail();
+    let template = &*template.config;
     let mut readers: Vec<Reader<R>> = inputs
         .into_iter()
         .map(|(src, len)| Reader::over(src, len))
@@ -876,7 +872,8 @@ pub fn merge_postings<R: BufRead>(
                     Ok(())
                 })
                 .and_then(|()| {
-                    // `merge_segment` refuses the same sum.
+                    // Each input's sum fits a `u32`; the merged one must
+                    // too, as `decode_entry` keeps it in one.
                     tf_end = tf_end
                         .checked_add(input_tf_end)
                         .ok_or_else(|| err("merged term frequencies overflow u32"))?;
@@ -926,73 +923,59 @@ mod tests {
         ("pmid:6", ""),
     ];
 
-    /// The blob [`encode_index_tail`] writes.
-    fn encoded(index: &Index) -> Vec<u8> {
+    /// The blob [`encode_segment`] writes.
+    fn encoded(segment: &Segment) -> Vec<u8> {
         let mut blob = Vec::new();
-        encode_index_tail(index, &mut blob).unwrap();
+        encode_segment(segment, &mut blob).unwrap();
         blob
     }
 
-    fn build(docs: &[(&str, &str)]) -> Index {
-        build_sealed(docs, 0)
-    }
-
-    /// `docs` indexed with the first `sealed` of them frozen: the tail
-    /// holds the rest.
-    fn build_sealed(docs: &[(&str, &str)], sealed: usize) -> Index {
-        let mut idx = Index::clinical();
-        for (i, (id, text)) in docs.iter().enumerate() {
-            if i == sealed {
-                idx.freeze();
-            }
-            idx.add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
+    /// `docs` in one builder segment.
+    fn build(docs: &[(&str, &str)]) -> Segment {
+        let mut segment = Index::clinical().segment();
+        for (id, text) in docs {
+            segment
+                .add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
                 .unwrap();
         }
-        if sealed == docs.len() {
-            idx.freeze();
-        }
-        idx
+        segment
     }
 
-    fn assert_identical(a: &Index, b: &Index) {
-        assert_eq!(a.num_docs(), b.num_docs());
-        assert_eq!(a.postings_bytes(), b.postings_bytes());
-        for doc in 0..a.num_docs() as u32 {
-            assert_eq!(a.external_id(doc), b.external_id(doc));
-        }
-        for (name, fa) in &a.tail.fields {
-            let fb = b.tail.fields.get(name).expect("same fields");
+    /// The blob of every document of `idx`: its segments' blobs merged.
+    fn index_blob(idx: &Index) -> Vec<u8> {
+        let blobs: Vec<&[u8]> = idx.frozen().map(FrozenSegment::blob).collect();
+        merged(&blobs).unwrap()
+    }
+
+    fn assert_identical(a: &Segment, b: &Segment) {
+        assert_eq!(a.external_ids, b.external_ids);
+        for (name, fa) in &a.fields {
+            let fb = b.fields.get(name).expect("same fields");
             assert_eq!(fa.doc_len, fb.doc_len, "doc_len of {name}");
-            assert_eq!(fa.total_len, fb.total_len, "total_len of {name}");
-            assert_eq!(fa.docs_with_field, fb.docs_with_field);
-            assert_eq!(fa.dict.len(), fb.dict.len(), "vocab of {name}");
-            for (term, pa) in &fa.dict {
-                assert_eq!(Some(&**pa), fb.dict.get(term).map(|p| &**p), "{term}");
-            }
+            assert_eq!(fa.dict, fb.dict, "postings of {name}");
         }
     }
 
     #[test]
     fn full_index_round_trips_through_codec() {
-        let idx = build(DOCS);
-        let blob = encoded(&idx);
-        let segment = decode_segment(&blob, &Index::clinical()).unwrap();
-        let mut rebuilt = Index::clinical();
-        rebuilt.merge_segment(segment).unwrap();
-        assert_identical(&idx, &rebuilt);
+        let segment = build(DOCS);
+        let rebuilt = decode_segment(&encoded(&segment), &Index::clinical()).unwrap();
+        assert_identical(&segment, &rebuilt);
     }
 
     #[test]
     fn tail_encoding_splices_back_exactly() {
-        let idx = build(DOCS);
-        // Seal at every possible boundary: head built live, tail from
-        // the codec, result must equal the uninterrupted build.
+        let whole = encoded(&build(DOCS));
+        // Cut at every possible boundary: head built live, tail from the
+        // codec, the result must be the encoding of the uninterrupted
+        // build.
         for base in 0..=DOCS.len() {
-            let blob = encoded(&build_sealed(DOCS, base));
-            let mut rebuilt = build(&DOCS[..base]);
+            let blob = encoded(&build(&DOCS[base..]));
+            let mut rebuilt = Index::clinical();
+            rebuilt.merge_segment(build(&DOCS[..base])).unwrap();
             let segment = decode_segment(&blob, &rebuilt).unwrap();
             rebuilt.merge_segment(segment).unwrap();
-            assert_identical(&idx, &rebuilt);
+            assert!(index_blob(&rebuilt) == whole, "cut at {base}");
         }
     }
 
@@ -1004,31 +987,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_tail_is_valid() {
-        let idx = build(DOCS);
-        let blob = encoded(&build_sealed(DOCS, DOCS.len()));
-        let segment = decode_segment(&blob, &idx).unwrap();
+    fn empty_segment_is_valid() {
+        let blob = encoded(&build(&[]));
+        let segment = decode_segment(&blob, &Index::clinical()).unwrap();
         assert_eq!(segment.num_docs(), 0);
-        let mut rebuilt = build(DOCS);
+        let mut rebuilt = Index::clinical();
+        rebuilt.merge_segment(build(DOCS)).unwrap();
         rebuilt.merge_segment(segment).unwrap();
-        assert_identical(&idx, &rebuilt);
+        assert_eq!(
+            (rebuilt.num_docs(), rebuilt.segment_count()),
+            (DOCS.len(), 1)
+        );
     }
 
     #[test]
     fn long_posting_lists_exercise_skip_entries() {
-        let mut idx = Index::clinical();
+        let mut segment = Index::clinical().segment();
         for i in 0..(SKIP_INTERVAL * 3 + 17) {
-            idx.add_document(
-                &format!("pmid:{i}"),
-                &[("body", "fever recurred with fever spikes")],
-            )
-            .unwrap();
+            segment
+                .add_document(
+                    &format!("pmid:{i}"),
+                    &[("body", "fever recurred with fever spikes")],
+                )
+                .unwrap();
         }
-        let blob = encoded(&idx);
-        let segment = decode_segment(&blob, &Index::clinical()).unwrap();
-        let mut rebuilt = Index::clinical();
-        rebuilt.merge_segment(segment).unwrap();
-        assert_identical(&idx, &rebuilt);
+        let rebuilt = decode_segment(&encoded(&segment), &Index::clinical()).unwrap();
+        assert_identical(&segment, &rebuilt);
     }
 
     /// The blob's last term shares more bytes with its predecessor than
@@ -1036,47 +1020,56 @@ mod tests {
     /// term alone.
     #[test]
     fn final_term_may_share_more_than_the_remaining_input() {
-        let mut idx = Index::clinical();
+        let mut segment = Index::clinical().segment();
         for (id, title) in [("a", "12345678901"), ("b", "123456789012")] {
-            idx.add_document(id, &[("title", title)]).unwrap();
+            segment.add_document(id, &[("title", title)]).unwrap();
         }
-        let blob = encoded(&idx);
+        let blob = encoded(&segment);
         // shared 11 | suffix "2" | 1 posting | 0 skips | 3 bytes: doc 1,
         // 1 position, position 0 | the end entry.
         assert!(blob.ends_with(&[11, 1, b'2', 1, 0, 3, 1, 1, 0, 0, 0]));
-        let segment = decode_segment(&blob, &Index::clinical()).unwrap();
-        let mut rebuilt = Index::clinical();
-        rebuilt.merge_segment(segment).unwrap();
-        assert_identical(&idx, &rebuilt);
+        let rebuilt = decode_segment(&blob, &Index::clinical()).unwrap();
+        assert_identical(&segment, &rebuilt);
     }
 
     #[test]
     fn compresses_against_in_memory_representation() {
-        let mut idx = Index::clinical();
+        let mut segment = Index::clinical().segment();
         for i in 0..400 {
             let text = format!(
                 "patient {i} presented with fever cough and chest pain on day {}",
                 i % 9
             );
-            idx.add_document(
-                &format!("pmid:{i}"),
-                &[("body", &text), ("body_ngram", &text)],
-            )
-            .unwrap();
+            segment
+                .add_document(
+                    &format!("pmid:{i}"),
+                    &[("body", &text), ("body_ngram", &text)],
+                )
+                .unwrap();
         }
-        let blob = encoded(&idx);
+        // A builder's lists: per term its text, 4 B doc id and 4 B end a
+        // posting, 4 B a position.
+        let in_ram: usize = segment
+            .fields
+            .values()
+            .flat_map(|f| &f.dict)
+            .map(|(term, list)| {
+                let positions: usize = list.iter().map(|(_, _, p)| p.len()).sum();
+                term.len() + 8 * list.len() + 4 * positions
+            })
+            .sum();
+        let blob = encoded(&segment);
         assert!(
-            blob.len() < idx.postings_bytes() / 2,
-            "delta/varint should beat the in-RAM layout >2x: {} of {}",
+            blob.len() < in_ram / 2,
+            "delta/varint should beat the in-RAM layout >2x: {} of {in_ram}",
             blob.len(),
-            idx.postings_bytes()
         );
     }
 
     #[test]
     fn corrupt_blobs_are_rejected() {
-        let idx = build(DOCS);
-        let blob = encoded(&idx);
+        let idx = Index::clinical();
+        let blob = encoded(&build(DOCS));
         // Truncations at assorted depths.
         for keep in [0, 1, blob.len() / 3, blob.len() / 2, blob.len() - 1] {
             assert!(
@@ -1139,24 +1132,18 @@ mod tests {
             .collect()
     }
 
-    fn index_of(docs: &[(String, String, String)]) -> Index {
-        index_sealed(docs, 0)
-    }
-
-    /// [`index_of`] with the first `sealed` documents frozen.
-    fn index_sealed(docs: &[(String, String, String)], sealed: usize) -> Index {
-        let mut idx = Index::clinical();
-        for (i, (id, title, text)) in docs.iter().enumerate() {
-            if i == sealed {
-                idx.freeze();
-            }
-            idx.add_document(
-                id,
-                &[("title", title), ("body", text), ("body_ngram", text)],
-            )
-            .unwrap();
+    /// `docs` in one builder segment.
+    fn segment_of(docs: &[(String, String, String)]) -> Segment {
+        let mut segment = Index::clinical().segment();
+        for (id, title, text) in docs {
+            segment
+                .add_document(
+                    id,
+                    &[("title", title), ("body", text), ("body_ngram", text)],
+                )
+                .unwrap();
         }
-        idx
+        segment
     }
 
     /// [`merge_postings`] over in-memory blobs, into the merged blob.
@@ -1173,7 +1160,7 @@ mod tests {
     #[test]
     fn merged_blobs_equal_the_blob_of_the_concatenation() {
         let docs = golden_docs();
-        let whole = encoded(&index_of(&docs));
+        let whole = encoded(&segment_of(&docs));
         for cuts in [
             &[0, 300][..],
             &[0, 1, 300],
@@ -1184,20 +1171,20 @@ mod tests {
         ] {
             let blobs: Vec<Vec<u8>> = cuts
                 .windows(2)
-                .map(|w| encoded(&index_of(&docs[w[0]..w[1]])))
+                .map(|w| encoded(&segment_of(&docs[w[0]..w[1]])))
                 .collect();
             let inputs: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
             assert!(merged(&inputs).unwrap() == whole, "cuts {cuts:?}");
         }
-        assert_eq!(merged(&[]).unwrap(), encoded(&Index::clinical()));
+        assert_eq!(merged(&[]).unwrap(), encoded(&segment_of(&[])));
     }
 
     #[test]
     fn merge_refuses_what_decode_and_merge_segment_refuse() {
         let docs = golden_docs();
         let (a, b) = (
-            encoded(&index_of(&docs[..10])),
-            encoded(&index_of(&docs[10..20])),
+            encoded(&segment_of(&docs[..10])),
+            encoded(&segment_of(&docs[10..20])),
         );
         // The same ids twice: `merge_segment` refuses the second input.
         match merged(&[&a, &b, &a]) {
@@ -1242,11 +1229,11 @@ mod tests {
             (0, 144_172, 0xd5ff_c1be_f991_50c4u64),
             (137, 78_470, 0xe3cc_f6e2_eaf7_3cd5),
         ] {
-            let blob = encoded(&index_sealed(&docs, base));
+            let blob = encoded(&segment_of(&docs[base..]));
             assert_eq!(
                 (blob.len(), fnv1a(&blob)),
                 (len, digest),
-                "tail from {base}"
+                "docs from {base}"
             );
         }
     }

@@ -27,8 +27,9 @@
 //! `fl(U + u_i) ≥ fl(S + s_i)` because rounding is monotone — so the
 //! bound provably dominates the score it stands in for, ULPs included.
 
-use crate::index::{FieldRef, SegmentRead};
-use crate::postings::{Decoded, Found, Postings};
+use crate::frozen::FrozenSegment;
+use crate::index::FieldRef;
+use crate::postings::{Decoded, Postings, Span};
 use crate::query::QueryNode;
 use crate::score::{doc_score, term_scores, top_k, Entry, ScoredDoc, Scorer};
 use crate::stats::CorpusStats;
@@ -69,7 +70,7 @@ pub(crate) struct Admit<'a> {
 /// [`crate::stats`]. Doc ids in `admit.allowed` and in the hits are the
 /// segment's local ones.
 pub(crate) fn search_daat(
-    index: &dyn SegmentRead,
+    index: &FrozenSegment,
     query: &QueryNode,
     k: usize,
     scorer: Scorer,
@@ -128,12 +129,11 @@ struct TermCursor<'a> {
     moves: u64,
 }
 
-/// A term a cursor will walk: its postings found in the tail or decoded
-/// from a frozen segment into the query's scratch, and how to score
-/// them. Every list a query walks at once is opened before any is read,
+/// A term a cursor will walk: where its postings lie, decoded into the
+/// query's scratch, and how to score them. Every list a query walks at once is opened before any is read,
 /// since decoding appends to the scratch.
 struct Opened<'s> {
-    found: Found<'s>,
+    span: Span,
     field: FieldRef<'s>,
     idf: f64,
     avg_len: f64,
@@ -146,7 +146,7 @@ impl<'s> Opened<'s> {
     /// idf and avg_len come from the merged cross-shard statistics. The
     /// postings' positions are decoded only when `positions` asks.
     fn open(
-        index: &'s dyn SegmentRead,
+        index: &'s FrozenSegment,
         field: &str,
         term: &str,
         positions: bool,
@@ -155,13 +155,13 @@ impl<'s> Opened<'s> {
         decoded: &mut Decoded,
     ) -> Option<Self> {
         let fi = index.field(field)?;
-        let found = index.open(field, term, positions, decoded)?;
+        let span = index.open(field, term, positions, decoded)?;
         let (idf, avg_len) = match global {
             Some(g) => (g.idf(field, term), g.avg_len(field)),
             None => (index.idf(field, term), fi.avg_len()),
         };
         Some(Opened {
-            found,
+            span,
             field: fi,
             idf,
             avg_len: avg_len.max(1.0),
@@ -175,7 +175,7 @@ impl<'s> Opened<'s> {
     where
         's: 'a,
     {
-        let postings = self.found.read(decoded);
+        let postings = decoded.get(self.span);
         TermCursor {
             postings,
             docs: postings.docs(),
@@ -282,7 +282,7 @@ struct CursorSpec<'a> {
 /// leaving `out` unusable — when the tree has `must`/`must_not`/phrase
 /// structure, which takes the general path instead.
 fn flatten<'a>(
-    index: &'a dyn SegmentRead,
+    index: &'a FrozenSegment,
     node: &'a QueryNode,
     out: &mut Vec<CursorSpec<'a>>,
     stats: &mut DaatStats,
@@ -323,7 +323,7 @@ fn flatten<'a>(
 
 /// A fuzzy node's expansions in one segment, counted.
 fn expand<'s>(
-    index: &'s dyn SegmentRead,
+    index: &'s FrozenSegment,
     field: &str,
     term: &str,
     max_edits: usize,
@@ -342,7 +342,7 @@ fn expand<'s>(
 /// post-filtering an unfiltered search. With `admit.floor` set, pruning
 /// starts from it instead of from an empty heap.
 fn max_score_top_k(
-    index: &dyn SegmentRead,
+    index: &FrozenSegment,
     mut cursors: Vec<TermCursor>,
     k: usize,
     scorer: Scorer,
@@ -505,7 +505,7 @@ fn recompute_partition(
 /// exclusion set across the whole tree) except across `must` boundaries,
 /// where it is applied locally — same semantics, merge-based execution.
 fn eval_node(
-    index: &dyn SegmentRead,
+    index: &FrozenSegment,
     node: &QueryNode,
     scorer: Scorer,
     scratch: &mut Scratch,
@@ -569,7 +569,7 @@ fn eval_node(
 
 /// Documents matching a node under `must_not` (scores irrelevant).
 fn neg_docs(
-    index: &dyn SegmentRead,
+    index: &FrozenSegment,
     node: &QueryNode,
     scratch: &mut Scratch,
     stats: &mut DaatStats,
@@ -617,7 +617,7 @@ fn scorer_for_neg() -> Scorer {
 /// Fuzzy node: damped union over the (sorted) expansion terms, summed per
 /// doc in expansion order — the same fold the exhaustive walker performs.
 fn eval_fuzzy(
-    index: &dyn SegmentRead,
+    index: &FrozenSegment,
     field: &str,
     expansions: Vec<(&str, usize)>,
     scorer: Scorer,
@@ -643,7 +643,7 @@ fn eval_fuzzy(
 /// `term_scores` rescan. A phrase of two or more terms over a field
 /// without positions matches nothing, as in the exhaustive baseline.
 fn eval_phrase(
-    index: &dyn SegmentRead,
+    index: &FrozenSegment,
     field: &str,
     terms: &[String],
     scorer: Scorer,

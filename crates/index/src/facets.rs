@@ -18,7 +18,7 @@
 //! The codec ([`FacetIndex::encode_tail`] / [`FacetIndex::decode`]) is
 //! deterministic: entries in `(field, value)` order, delta-varint doc
 //! ids. `encode_tail(base)` emits only docs `>= base` rebased to zero,
-//! mirroring [`crate::codec::encode_index_tail`], so each storage
+//! mirroring what a seal writes of the index, so each storage
 //! segment carries exactly its own documents' facets.
 
 use crate::codec::{CodecError, Reader};

@@ -1,31 +1,31 @@
-//! Frozen segments: what an [`Index`] keeps of every document before its
-//! tail — the codec's own bytes.
+//! Frozen segments: all an [`Index`] keeps of its documents — the
+//! codec's own bytes.
 //!
 //! A [`FrozenSegment`] holds the blob
-//! [`encode_index_tail`](crate::codec::encode_index_tail) wrote of its
-//! documents, exactly as a segment file's postings region holds it
-//! (format 5), and beside it flat tables that find what a read asks for
-//! in those bytes without a pass over them: per field a sorted term table
-//! (one text arena, each term's end in it and the offset of its entry in
-//! the blob), a hash index of the terms' ordinals, the documents' lengths
-//! and fuzzy buckets of term ordinals;
-//! per document the offset of its id in the blob, and the documents in id
-//! order. Nothing is allocated per term. A term's document frequency is
-//! its entry's posting count, read in place, and its postings are decoded
-//! when a query opens it, into the query's [`Decoded`] scratch arrays —
-//! the way Lucene serves a flushed segment.
+//! [`encode_segment`](crate::codec::encode_segment) wrote of its
+//! documents (or [`merge_postings`](crate::codec::merge_postings) wrote
+//! of several segments' — the same bytes), exactly as a segment file's
+//! postings region holds it (format 5), and beside it flat tables that
+//! find what a read asks for in those bytes without a pass over them:
+//! per field a sorted term table (one text arena, each term's end in it
+//! and the offset of its entry in the blob), a hash index of the terms'
+//! ordinals, the documents' lengths and fuzzy buckets of term ordinals;
+//! per document the offset of its id in the blob, and the documents in
+//! id order. Nothing is allocated per term. A term's document frequency
+//! is its entry's posting count, read in place, and its postings are
+//! decoded when a query opens it, into the query's [`Decoded`] scratch
+//! arrays — the way Lucene serves a flushed segment. Every read of an
+//! index is a read of its frozen segments.
 //!
 //! Every frozen segment comes from [`adopt`](crate::codec::adopt), which
 //! runs the codec's checks on the bytes before it keeps them; what it
-//! accepted, [`decode_entry`] reads without checking again. A seal and an
-//! in-memory freeze adopt the tail's encoding, recovery a segment file's
-//! postings region, and the tier rule the merge of frozen blobs by
-//! [`merge_postings`](crate::codec::merge_postings), the compaction's
-//! kernel.
+//! accepted, [`decode_entry`] reads without checking again. A write
+//! adopts its segment's encoding, recovery a segment file's postings
+//! region, and the tier rule and a seal the merge of frozen blobs.
 
 use crate::codec::{decode_entry, Positions};
-use crate::index::{scan_buckets, sweep, FieldIndex, FieldRef, Index, Segment, SegmentRead};
-use crate::postings::{Decoded, Found, PostingList};
+use crate::index::{scan_buckets, sweep, FieldIndex, FieldRef, Index, Segment};
+use crate::postings::{Decoded, PostingList, Postings, Span};
 use create_util::fxhash::{FxHashMap, FxHasher};
 use create_util::varint;
 use std::hash::Hasher;
@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// A frozen segment: the codec blob of its documents, and the tables
 /// that find terms and ids in it (see the module docs).
 pub struct FrozenSegment {
-    /// Exactly the bytes `encode_index_tail` wrote of these documents.
+    /// Exactly the bytes `encode_segment` writes of these documents.
     blob: Box<[u8]>,
     /// Per document, the offset in `blob` of its id's length prefix.
     ids: Box<[u32]>,
@@ -199,8 +199,8 @@ impl FrozenSegment {
     /// them: positions included.
     pub fn postings(&self, field: &str, term: &str) -> Option<PostingList> {
         let mut decoded = Decoded::default();
-        let found = self.open(field, term, true, &mut decoded)?;
-        Some(found.read(&decoded).to_list())
+        let span = self.open(field, term, true, &mut decoded)?;
+        Some(decoded.get(span).to_list())
     }
 
     /// The id bytes of document `doc`, which must be in range.
@@ -217,9 +217,9 @@ impl FrozenSegment {
         Some((fi, fi.entries[fi.ordinal(term)?] as usize))
     }
 
-    /// The segment of posting lists the blob encodes, with `template`'s
-    /// field configuration: every list decoded as a query decodes it, and
-    /// each id one `Arc<str>` its two tables share — what
+    /// The builder segment of posting lists the blob encodes, with
+    /// `template`'s field configuration: every list decoded as a query
+    /// decodes it, and each id one `Arc<str>` its two tables share — what
     /// [`decode_segment`](crate::codec::decode_segment) returns.
     pub(crate) fn thaw(&self, template: &Index) -> Segment {
         let mut segment = template.segment();
@@ -235,16 +235,12 @@ impl FrozenSegment {
                 .get_mut(name)
                 .expect("adopted under this configuration");
             fi.doc_len = frozen.doc_len.to_vec();
-            fi.total_len = frozen.total_len;
-            fi.docs_with_field = frozen.docs_with_field;
             for (ordinal, &at) in frozen.entries.iter().enumerate() {
                 decoded.clear();
                 let span = decode_entry(&self.blob, at as usize, frozen.stored(true), &mut decoded);
                 let list = decoded.get(span).to_list();
-                fi.dict.insert(frozen.term(ordinal).into(), Arc::new(list));
+                fi.dict.insert(frozen.term(ordinal).into(), list);
             }
-            // The fuzzy buckets stay empty: `merge_segment` buckets new
-            // terms on the tail's side and never reads a segment's own.
         }
         segment
     }
@@ -259,16 +255,10 @@ impl std::fmt::Debug for FrozenSegment {
     }
 }
 
-impl SegmentRead for FrozenSegment {
-    fn num_docs(&self) -> usize {
-        FrozenSegment::num_docs(self)
-    }
-
-    fn external_id(&self, doc: u32) -> Option<&str> {
-        FrozenSegment::external_id(self, doc)
-    }
-
-    fn internal_id(&self, external: &str) -> Option<u32> {
+// What a read asks of one segment of an index, over its local doc ids.
+impl FrozenSegment {
+    /// Local doc id of an external id.
+    pub fn internal_id(&self, external: &str) -> Option<u32> {
         let at = self
             .by_id
             .binary_search_by(|&doc| self.id(doc).cmp(external.as_bytes()))
@@ -276,7 +266,8 @@ impl SegmentRead for FrozenSegment {
         Some(self.by_id[at])
     }
 
-    fn field(&self, name: &str) -> Option<FieldRef<'_>> {
+    /// A configured field.
+    pub(crate) fn field(&self, name: &str) -> Option<FieldRef<'_>> {
         self.fields.get(name).map(|fi| FieldRef {
             doc_len: &fi.doc_len,
             total_len: fi.total_len,
@@ -286,29 +277,56 @@ impl SegmentRead for FrozenSegment {
         })
     }
 
-    fn vocabulary_size(&self, field: &str) -> usize {
+    /// Number of distinct terms in a field.
+    pub fn vocabulary_size(&self, field: &str) -> usize {
         self.fields.get(field).map_or(0, |fi| fi.ends.len())
     }
 
-    fn doc_freq(&self, field: &str, term: &str) -> usize {
+    /// Document frequency of a term in a field (term must already be
+    /// analyzed/normalized).
+    pub fn doc_freq(&self, field: &str, term: &str) -> usize {
         self.entry(field, term).map_or(0, |(_, mut at)| {
             varint::read_u64(&self.blob, &mut at).expect("adopt read every posting count") as usize
         })
     }
 
-    fn open(
+    /// Opens a term's postings: decodes them onto the end of `decoded`
+    /// — without positions unless `positions` asks for them (only a
+    /// phrase reads them) — and returns where they lie there. `None`
+    /// when the field or the term is absent.
+    pub(crate) fn open(
         &self,
         field: &str,
         term: &str,
         positions: bool,
         decoded: &mut Decoded,
-    ) -> Option<Found<'_>> {
+    ) -> Option<Span> {
         let (fi, at) = self.entry(field, term)?;
-        let span = decode_entry(&self.blob, at, fi.stored(positions), decoded);
-        Some(Found::Decoded(span))
+        Some(decode_entry(&self.blob, at, fi.stored(positions), decoded))
     }
 
-    fn fuzzy_candidates(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)> {
+    /// A term's postings without their positions, alone in `decoded`
+    /// (cleared first).
+    pub(crate) fn read<'a>(
+        &self,
+        field: &str,
+        term: &str,
+        decoded: &'a mut Decoded,
+    ) -> Option<Postings<'a>> {
+        decoded.clear();
+        let span = self.open(field, term, false, decoded)?;
+        Some(decoded.get(span))
+    }
+
+    /// Dictionary terms within `max_edits` of `term`, with their exact
+    /// distances, sorted by `(distance, term)`: [`scan_buckets`] over
+    /// the field's fuzzy buckets.
+    pub(crate) fn fuzzy_candidates(
+        &self,
+        field: &str,
+        term: &str,
+        max_edits: usize,
+    ) -> Vec<(&str, usize)> {
         let Some(fi) = self.fields.get(field) else {
             return Vec::new();
         };
@@ -321,12 +339,32 @@ impl SegmentRead for FrozenSegment {
         scan_buckets(buckets, term, max_edits)
     }
 
-    fn fuzzy_sweep(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)> {
+    /// The same set by a [`sweep`] over every term of the field: the
+    /// reference baseline `fuzzy_candidates` is checked against.
+    pub(crate) fn fuzzy_sweep(
+        &self,
+        field: &str,
+        term: &str,
+        max_edits: usize,
+    ) -> Vec<(&str, usize)> {
         sweep(self.terms(field), term, max_edits)
     }
 
-    fn postings_bytes(&self) -> usize {
+    /// See [`Index::postings_bytes`].
+    pub fn postings_bytes(&self) -> usize {
         let tables: usize = self.fields.values().map(FrozenField::table_bytes).sum();
         self.blob.len() + tables
+    }
+
+    /// The segment's own BM25+ idf of a term, floored at a small positive
+    /// value — what [`CorpusStats::idf`](crate::CorpusStats) evaluates on
+    /// merged statistics.
+    pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
+        let n = self.num_docs() as f64;
+        let df = self.doc_freq(field, term) as f64;
+        if df == 0.0 {
+            return 0.0;
+        }
+        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
     }
 }

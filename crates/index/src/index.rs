@@ -1,21 +1,22 @@
 //! The multi-field inverted index.
 //!
-//! An [`Index`] is an ordered list of frozen segments plus one mutable
-//! tail (Lucene's segment list): writes go to the tail, reads iterate the
-//! segments. The tail — and every batch a worker builds — is a
-//! [`Segment`]: each field owns an analyzer and a term dictionary of
+//! An [`Index`] is an ordered list of frozen segments (Lucene's segment
+//! list) and nothing else. Every document enters in a [`Segment`], a
+//! builder: each field owns an analyzer and a term dictionary of
 //! [`PostingList`]s, positional when the analyzer's tokens carry word
 //! positions, doc ids and term frequencies only when they do not (the
-//! n-gram field). A frozen segment is a [`FrozenSegment`]: the codec's
-//! encoding of its documents, decoded a term at a time as queries open
-//! terms (see [`crate::frozen`]). Reads reach both through
-//! [`SegmentRead`]. Documents are addressed internally by dense `u32`
-//! ids and externally by caller-supplied string ids (`pmid:…`).
+//! n-gram field). [`Index::merge_segment`] encodes the builder and
+//! freezes the encoding on the spot (see [`crate::segment`]), so no read
+//! ever sees a builder. A frozen segment is a [`FrozenSegment`]: the
+//! codec's encoding of its documents, decoded a term at a time as
+//! queries open terms (see [`crate::frozen`]). Documents are addressed
+//! internally by dense `u32` ids and externally by caller-supplied
+//! string ids (`pmid:…`).
 
 use crate::frozen::FrozenSegment;
-use crate::postings::{Decoded, Found, PostingList, Postings};
+use crate::postings::PostingList;
 use create_text::Analyzer;
-use create_util::fxhash::FxHashMap;
+use create_util::fxhash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// A field's configuration.
@@ -28,16 +29,8 @@ pub struct FieldConfig {
     pub boost: f64,
 }
 
-/// Per-field data of a [`Segment`].
-///
-/// Terms, posting lists and fuzzy buckets sit behind `Arc` so a
-/// `clone()` of the field (and thus of a whole [`Segment`]) is
-/// structural sharing: only the dictionary's pointer table is copied,
-/// never a term string or the postings themselves. The writer mutates
-/// through [`Arc::make_mut`], which copies a single term's three arrays
-/// on first touch after a snapshot was published and mutates in place
-/// otherwise.
-#[derive(Clone)]
+/// Per-field data of a [`Segment`]: the field's configuration, and the
+/// postings and document lengths the builder gathered.
 pub(crate) struct FieldIndex {
     pub(crate) analyzer: Arc<Analyzer>,
     pub(crate) boost: f64,
@@ -46,21 +39,10 @@ pub(crate) struct FieldIndex {
     /// Without them a posting is a doc id and a term frequency, which is
     /// all BM25 reads; a phrase needs them.
     pub(crate) positions: bool,
-    /// term → postings sorted by doc id (`Borrow<str>` keeps `&str`
-    /// lookups working).
-    pub(crate) dict: FxHashMap<Arc<str>, Arc<PostingList>>,
+    /// term → postings sorted by doc id.
+    pub(crate) dict: FxHashMap<Box<str>, PostingList>,
     /// token count per document (0 when the doc lacks the field).
     pub(crate) doc_len: Vec<u32>,
-    pub(crate) total_len: u64,
-    /// Documents with at least one token in this field, maintained
-    /// incrementally — `avg_len` sits on the BM25 hot path for every
-    /// query term, so it must not rescan `doc_len`.
-    pub(crate) docs_with_field: usize,
-    /// [`bucket_of`] → the field's distinct terms (the dictionary's own
-    /// `Arc<str>` keys), appended on first insertion. Fuzzy expansion
-    /// scans only the buckets within `max_edits` of the query term's
-    /// length instead of the whole vocabulary (see [`scan_buckets`]).
-    pub(crate) term_buckets: FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
 }
 
 impl FieldIndex {
@@ -71,29 +53,7 @@ impl FieldIndex {
             boost,
             dict: FxHashMap::default(),
             doc_len: Vec::new(),
-            total_len: 0,
-            docs_with_field: 0,
-            term_buckets: FxHashMap::default(),
         }
-    }
-
-    /// The field as reads see it.
-    pub(crate) fn view(&self) -> FieldRef<'_> {
-        FieldRef {
-            doc_len: &self.doc_len,
-            total_len: self.total_len,
-            docs_with_field: self.docs_with_field,
-            boost: self.boost,
-            positions: self.positions,
-        }
-    }
-
-    /// Records a term new to this field's dictionary in its fuzzy bucket.
-    pub(crate) fn bucket_new_term(
-        buckets: &mut FxHashMap<(u16, char), Arc<Vec<Arc<str>>>>,
-        term: &Arc<str>,
-    ) {
-        Arc::make_mut(buckets.entry(bucket_of(term)).or_default()).push(Arc::clone(term));
     }
 
     /// Tokenizes `text` as document `doc` and appends its postings.
@@ -101,10 +61,6 @@ impl FieldIndex {
     pub(crate) fn index_text(&mut self, doc: u32, text: &str) {
         let tokens = self.analyzer.analyze(text);
         self.doc_len[doc as usize] = tokens.len() as u32;
-        self.total_len += tokens.len() as u64;
-        if !tokens.is_empty() {
-            self.docs_with_field += 1;
-        }
         let positions = self.positions;
         for token in tokens {
             // Tokenizer-assigned positions survive filtering, so a
@@ -120,23 +76,18 @@ impl FieldIndex {
                 }
             };
             match self.dict.get_mut(token.text.as_str()) {
-                // Copy-on-write: clones this one term's list only if a
-                // published snapshot still shares it.
-                Some(postings) => record(Arc::make_mut(postings)),
+                Some(postings) => record(postings),
                 None => {
-                    let term: Arc<str> = Arc::from(token.text);
-                    Self::bucket_new_term(&mut self.term_buckets, &term);
                     let mut postings = PostingList::default();
                     record(&mut postings);
-                    self.dict.insert(term, Arc::new(postings));
+                    self.dict.insert(token.text.into_boxed_str(), postings);
                 }
             }
         }
     }
 }
 
-/// A field of one segment — the tail's or a frozen one's — as reads see
-/// it.
+/// A field of one frozen segment as reads see it.
 #[derive(Clone, Copy)]
 pub(crate) struct FieldRef<'a> {
     /// Token count per document (0 when the doc lacks the field).
@@ -157,79 +108,6 @@ impl FieldRef<'_> {
         } else {
             self.total_len as f64 / self.docs_with_field as f64
         }
-    }
-}
-
-/// What a read asks of one segment of an [`Index`] — the tail
-/// [`Segment`] or a [`FrozenSegment`] — over the segment's local doc
-/// ids.
-pub(crate) trait SegmentRead {
-    /// Number of documents.
-    fn num_docs(&self) -> usize;
-
-    /// External id of a local doc id.
-    fn external_id(&self, doc: u32) -> Option<&str>;
-
-    /// Local doc id of an external id.
-    fn internal_id(&self, external: &str) -> Option<u32>;
-
-    /// A configured field.
-    fn field(&self, name: &str) -> Option<FieldRef<'_>>;
-
-    /// Number of distinct terms in a field.
-    fn vocabulary_size(&self, field: &str) -> usize;
-
-    /// Document frequency of a term in a field (term must already be
-    /// analyzed/normalized).
-    fn doc_freq(&self, field: &str, term: &str) -> usize;
-
-    /// Opens a term's postings: the tail's list where it lies, a frozen
-    /// segment's decoded onto the end of `decoded` — without positions
-    /// unless `positions` asks for them (only a phrase reads them).
-    /// `None` when the field or the term is absent.
-    fn open(
-        &self,
-        field: &str,
-        term: &str,
-        positions: bool,
-        decoded: &mut Decoded,
-    ) -> Option<Found<'_>>;
-
-    /// Dictionary terms within `max_edits` of `term`, with their exact
-    /// distances, sorted by `(distance, term)`: [`scan_buckets`] over
-    /// the field's fuzzy buckets.
-    fn fuzzy_candidates(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)>;
-
-    /// The same set by a [`sweep`] over every term of the field: the
-    /// reference baseline `fuzzy_candidates` is checked against.
-    fn fuzzy_sweep(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)>;
-
-    /// See [`Index::postings_bytes`].
-    fn postings_bytes(&self) -> usize;
-
-    /// The segment's own BM25+ idf of a term, floored at a small positive
-    /// value — what [`CorpusStats::idf`](crate::CorpusStats) evaluates on
-    /// merged statistics.
-    fn idf(&self, field: &str, term: &str) -> f64 {
-        let n = self.num_docs() as f64;
-        let df = self.doc_freq(field, term) as f64;
-        if df == 0.0 {
-            return 0.0;
-        }
-        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
-    }
-
-    /// A term's postings without their positions, alone in `decoded`
-    /// (cleared first) when they had to be decoded.
-    fn read<'a>(
-        &'a self,
-        field: &str,
-        term: &str,
-        decoded: &'a mut Decoded,
-    ) -> Option<Postings<'a>> {
-        decoded.clear();
-        let found = self.open(field, term, false, decoded)?;
-        Some(found.read(decoded))
     }
 }
 
@@ -319,16 +197,12 @@ pub(crate) fn sweep<'a>(
     out
 }
 
-/// One single-dictionary index of posting lists over dense local doc
-/// ids: what a worker builds a batch into ([`Index::segment`]), what
-/// [`crate::codec::decode_segment`] makes of a blob, and an [`Index`]'s
-/// mutable tail.
-///
-/// `Clone` is structural sharing (see [`FieldIndex`]): the id tables
-/// and dictionaries clone `Arc<str>` handles and `Arc` posting lists, so
-/// cloning a segment allocates its tables and copies pointers, not
-/// strings or postings.
-#[derive(Clone)]
+/// One segment's documents as a builder holds them: per field a term
+/// dictionary of posting lists over dense local doc ids. A worker builds
+/// a batch in one ([`Index::segment`]), and
+/// [`crate::codec::decode_segment`] makes one of a blob. Nothing queries
+/// a builder: [`Index::merge_segment`] encodes it
+/// ([`crate::codec::encode_segment`]) and keeps only the encoding.
 pub struct Segment {
     pub(crate) fields: FxHashMap<String, FieldIndex>,
     /// Internal id → external id.
@@ -410,89 +284,31 @@ impl Segment {
 
     /// A term's posting list (analyzed term).
     pub fn postings(&self, field: &str, term: &str) -> Option<&PostingList> {
-        self.fields
-            .get(field)
-            .and_then(|f| f.dict.get(term))
-            .map(|p| &**p)
-    }
-}
-
-impl SegmentRead for Segment {
-    fn num_docs(&self) -> usize {
-        self.external_ids.len()
-    }
-
-    fn external_id(&self, doc: u32) -> Option<&str> {
-        Segment::external_id(self, doc)
-    }
-
-    fn internal_id(&self, external: &str) -> Option<u32> {
-        self.id_map.get(external).copied()
-    }
-
-    fn field(&self, name: &str) -> Option<FieldRef<'_>> {
-        self.fields.get(name).map(FieldIndex::view)
-    }
-
-    fn vocabulary_size(&self, field: &str) -> usize {
-        self.fields.get(field).map_or(0, |f| f.dict.len())
-    }
-
-    fn doc_freq(&self, field: &str, term: &str) -> usize {
-        self.postings(field, term).map_or(0, PostingList::len)
-    }
-
-    fn open(&self, field: &str, term: &str, _: bool, _: &mut Decoded) -> Option<Found<'_>> {
-        self.postings(field, term)
-            .map(|list| Found::Held(list.view()))
-    }
-
-    fn fuzzy_candidates(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)> {
-        let Some(fi) = self.fields.get(field) else {
-            return Vec::new();
-        };
-        let buckets = fi
-            .term_buckets
-            .iter()
-            .map(|(&bucket, terms)| (bucket, terms.iter().map(|t| &**t)));
-        scan_buckets(buckets, term, max_edits)
-    }
-
-    fn fuzzy_sweep(&self, field: &str, term: &str, max_edits: usize) -> Vec<(&str, usize)> {
-        let terms = self
-            .fields
-            .get(field)
-            .into_iter()
-            .flat_map(|f| f.dict.keys().map(|t| &**t));
-        sweep(terms, term, max_edits)
-    }
-
-    fn postings_bytes(&self) -> usize {
-        self.fields
-            .values()
-            .flat_map(|f| &f.dict)
-            .map(|(term, postings)| term.len() + 8 * postings.len() + 4 * postings.num_positions())
-            .sum()
+        self.fields.get(field).and_then(|f| f.dict.get(term))
     }
 }
 
 /// The inverted index: an ordered list of frozen segments, shared by
-/// `Arc` and never written again, plus one mutable tail segment that
-/// every write goes to. Doc ids are global — a segment's local id plus
-/// the documents of the segments before it — and dense in ingest order,
-/// so the list reads as one index: the same ids, statistics and
+/// `Arc` and never written again. Doc ids are global — a segment's local
+/// id plus the documents of the segments before it — and dense in ingest
+/// order, so the list reads as one index: the same ids, statistics and
 /// rankings as a single segment holding every document.
 ///
-/// `Clone` copies the segment list, one pointer per segment. A write
-/// after a clone copies the tail it touches ([`Arc::make_mut`]), never a
-/// frozen segment: what a write copies is O(tail), whatever the index
-/// holds. [`Index::freeze`] turns the tail into one more frozen segment,
-/// its encoding.
+/// `Clone` copies the segment list, one pointer per segment: a write
+/// after a clone adds a segment (and may merge the newest ones), never
+/// copying one a snapshot shares.
 #[derive(Clone)]
 pub struct Index {
     /// Oldest first; none is empty.
     pub(crate) frozen: Vec<Arc<FrozenSegment>>,
-    pub(crate) tail: Arc<Segment>,
+    /// How many of the oldest frozen segments hold sealed documents —
+    /// ones a segment file holds. The tier rule never merges across this
+    /// boundary, so the unsealed documents stay the suffix a seal writes
+    /// (see [`crate::segment`]). 0 in an index nothing seals.
+    pub(crate) sealed: usize,
+    /// The field configuration, as an empty segment: what
+    /// [`Index::segment`] copies and the codec checks blobs against.
+    pub(crate) config: Arc<Segment>,
 }
 
 impl std::fmt::Debug for Index {
@@ -500,7 +316,8 @@ impl std::fmt::Debug for Index {
         f.debug_struct("Index")
             .field("docs", &self.num_docs())
             .field("segments", &self.segment_count())
-            .field("fields", &self.tail.fields.keys().collect::<Vec<_>>())
+            .field("sealed", &self.sealed)
+            .field("fields", &self.config.fields.keys().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -515,7 +332,8 @@ impl Index {
         assert!(!map.is_empty(), "index needs at least one field");
         Index {
             frozen: Vec::new(),
-            tail: Arc::new(Segment {
+            sealed: 0,
+            config: Arc::new(Segment {
                 fields: map,
                 external_ids: Vec::new(),
                 id_map: FxHashMap::default(),
@@ -545,50 +363,37 @@ impl Index {
         ])
     }
 
-    /// Every segment with the global id of its first document: the
-    /// frozen ones oldest first, then the tail (possibly empty).
-    pub(crate) fn segments(&self) -> impl Iterator<Item = (u32, &dyn SegmentRead)> {
-        let frozen = self
-            .frozen
-            .iter()
-            .map(|segment| &**segment as &dyn SegmentRead);
+    /// Every segment with the global id of its first document, oldest
+    /// first.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (u32, &FrozenSegment)> {
         let mut base = 0u32;
-        frozen
-            .chain(std::iter::once(&*self.tail as &dyn SegmentRead))
-            .map(move |segment| {
-                let at = base;
-                base += segment.num_docs() as u32;
-                (at, segment)
-            })
+        self.frozen.iter().map(move |segment| {
+            let at = base;
+            base += segment.num_docs() as u32;
+            (at, &**segment)
+        })
     }
 
-    /// The frozen segments, oldest first: every document before the
-    /// tail's.
+    /// The frozen segments, oldest first.
     pub fn frozen(&self) -> impl Iterator<Item = &FrozenSegment> {
         self.frozen.iter().map(|segment| &**segment)
     }
 
-    /// Segments holding at least one document: the frozen ones, and the
-    /// tail unless it is empty. What `/stats` reports per shard.
+    /// Segments, every one holding at least one document. What `/stats`
+    /// reports per shard.
     pub fn segment_count(&self) -> usize {
-        self.frozen.len() + usize::from(self.tail.num_docs() > 0)
-    }
-
-    /// The mutable tail: every document indexed since the last
-    /// [`Index::freeze`] — what a seal writes.
-    pub fn tail(&self) -> &Segment {
-        &self.tail
+        self.frozen.len()
     }
 
     /// The segment holding global doc `doc`, with its base.
-    fn locate(&self, doc: u32) -> Option<(u32, &dyn SegmentRead)> {
+    fn locate(&self, doc: u32) -> Option<(u32, &FrozenSegment)> {
         self.segments()
             .find(|(base, segment)| doc < base + segment.num_docs() as u32)
     }
 
     /// Number of indexed documents.
     pub fn num_docs(&self) -> usize {
-        self.segments().map(|(_, s)| s.num_docs()).sum()
+        self.frozen.iter().map(|s| s.num_docs()).sum()
     }
 
     /// External id of an internal doc id.
@@ -603,60 +408,62 @@ impl Index {
             .find_map(|(base, segment)| Some(base + segment.internal_id(external)?))
     }
 
-    /// Indexes a document into the tail: `(field, text)` pairs. Unknown
-    /// fields are an error; re-adding an existing external id is an error
-    /// (the CREATe pipeline never re-indexes in place). Returns the
-    /// internal id.
+    /// Indexes one document: `(field, text)` pairs, as a one-document
+    /// [`Index::merge_segment`]. Unknown fields are an error; re-adding
+    /// an existing external id is an error (the CREATe pipeline never
+    /// re-indexes in place). Returns the internal id.
     pub fn add_document(
         &mut self,
         external_id: &str,
         field_texts: &[(&str, &str)],
     ) -> Result<u32, IndexError> {
-        if self.frozen_holds(external_id) {
-            return Err(IndexError::DuplicateDocument(external_id.to_string()));
-        }
-        let base: usize = self.frozen.iter().map(|s| s.num_docs()).sum();
-        Ok(base as u32 + Arc::make_mut(&mut self.tail).add_document(external_id, field_texts)?)
+        let mut segment = self.segment();
+        segment.add_document(external_id, field_texts)?;
+        let doc = self.num_docs() as u32;
+        self.merge_segment(segment)?;
+        Ok(doc)
     }
 
-    /// Number of distinct terms in a field, summed over the segments: a
-    /// term two segments hold counts twice, as a term two shards hold
-    /// does in `SystemStats::index_terms`.
+    /// Number of distinct terms in a field: a term several segments hold
+    /// counts once, so the figure does not depend on how the documents
+    /// arrived. Walks every segment's terms when there are several.
     pub fn vocabulary_size(&self, field: &str) -> usize {
-        self.segments().map(|(_, s)| s.vocabulary_size(field)).sum()
+        match &self.frozen[..] {
+            [] => 0,
+            [segment] => segment.vocabulary_size(field),
+            segments => {
+                let terms = segments.iter().flat_map(|s| s.terms(field));
+                terms.collect::<FxHashSet<&str>>().len()
+            }
+        }
     }
 
     /// Document frequency of a term in a field (term must already be
     /// analyzed/normalized).
     pub fn doc_freq(&self, field: &str, term: &str) -> usize {
-        self.segments().map(|(_, s)| s.doc_freq(field, term)).sum()
+        self.frozen.iter().map(|s| s.doc_freq(field, term)).sum()
     }
 
-    /// Bytes the postings hold in RAM, summed over the segments. A frozen
+    /// Bytes the postings hold in RAM, summed over the segments. A
     /// segment holds its encoded blob — the ids, document lengths,
     /// front-coded terms and postings a segment file's postings region
     /// holds — and its term tables: each term's text, its end in the text
     /// and its entry's offset in the blob (4 B each), its ordinal in a
     /// fuzzy bucket (4 B) and the slots of the terms' hash index (4 B
-    /// each, more than 5/4 of a slot a term). The tail holds per term its
-    /// text and the three [`PostingList`] arrays — 4 B doc id and 4 B end
-    /// per posting, 4 B per position (none in a field without word
-    /// positions). A term two segments hold is counted in each, as each
-    /// holds a copy of its text. This is what those bytes occupy, not an
-    /// estimate; the id tables and document lengths, the tail's
-    /// dictionaries and buckets, the buckets' maps and the `Arc` headers
-    /// come on top. Used by the E8 index-size comparison, `/stats`'
-    /// `memory.postings_bytes` and
+    /// each, more than 5/4 of a slot a term). A term two segments hold is
+    /// counted in each, as each holds a copy of its text. This is what
+    /// those bytes occupy, not an estimate; the id and length tables, the
+    /// buckets' maps and the `Arc` headers come on top. Used by the E8
+    /// index-size comparison, `/stats`' `memory.postings_bytes` and
     /// `create_resident_bytes{component="postings"}`, and the benchmark's
     /// `index.ram_postings_bytes_per_doc`.
     pub fn postings_bytes(&self) -> usize {
-        self.segments().map(|(_, s)| s.postings_bytes()).sum()
+        self.frozen.iter().map(|s| s.postings_bytes()).sum()
     }
 
-    /// The field configuration, for query analysis: every segment's is
-    /// the tail's.
+    /// A field's configuration, for query analysis.
     pub(crate) fn field(&self, name: &str) -> Option<&FieldIndex> {
-        self.tail.fields.get(name)
+        self.config.fields.get(name)
     }
 }
 
@@ -667,7 +474,8 @@ pub enum IndexError {
     UnknownField(String),
     /// External id already present.
     DuplicateDocument(String),
-    /// A merge would give the term 2^32 or more occurrences in a field.
+    /// Segments do not merge into one: a term would occur 2^32 or more
+    /// times in a field. Carries the codec's reason.
     FrequencyOverflow(String),
 }
 
@@ -676,8 +484,8 @@ impl std::fmt::Display for IndexError {
         match self {
             IndexError::UnknownField(name) => write!(f, "unknown field {name:?}"),
             IndexError::DuplicateDocument(id) => write!(f, "duplicate document {id:?}"),
-            IndexError::FrequencyOverflow(term) => {
-                write!(f, "term {term:?} would occur 2^32 or more times")
+            IndexError::FrequencyOverflow(reason) => {
+                write!(f, "segments do not merge: {reason}")
             }
         }
     }
@@ -715,12 +523,11 @@ mod tests {
 
     #[test]
     fn positions_are_recorded() {
-        let mut idx = body_index();
-        idx.add_document("d", &[("body", "fever then fever again")])
+        let mut seg = body_index().segment();
+        seg.add_document("d", &[("body", "fever then fever again")])
             .unwrap();
-        let postings = idx.tail().postings("body", "fever").unwrap();
-        assert_eq!(postings.tf(0), 2);
-        assert_eq!(postings.positions(0), [0, 2]);
+        let postings: Vec<_> = seg.postings("body", "fever").unwrap().iter().collect();
+        assert_eq!(postings, [(0, 2, &[0, 2][..])]);
     }
 
     #[test]
@@ -776,27 +583,17 @@ mod tests {
         let text = "amiodarone then amiodarone";
         idx.add_document("d", &[("body", text), ("body_ngram", text)])
             .unwrap();
-        assert!(idx.tail.fields["body"].positions && !idx.tail.fields["body_ngram"].positions);
-        let grams = idx.tail().postings("body_ngram", "amio").unwrap();
-        assert_eq!((grams.tf(0), grams.positions(0)), (2, &[][..]));
-        let words = idx.tail().postings("body", "amiodaron").unwrap();
-        assert_eq!((words.tf(0), words.positions(0)), (2, &[0, 2][..]));
-        let ngram_terms = idx.vocabulary_size("body_ngram");
-        let body_terms = idx.vocabulary_size("body");
-        let term_bytes: usize = idx
-            .tail
-            .fields
-            .values()
-            .flat_map(|f| f.dict.keys())
-            .map(|term| term.len())
-            .sum();
-        // One posting per term, and positions only for `body`'s two
-        // occurrences of its one term ("then" is a stopword).
-        assert_eq!(body_terms, 1);
-        assert_eq!(
-            idx.postings_bytes(),
-            term_bytes + 8 * (ngram_terms + body_terms) + 4 * 2
-        );
+        assert!(idx.config.fields["body"].positions && !idx.config.fields["body_ngram"].positions);
+        let segment = idx.frozen().next().unwrap();
+        let grams = segment.postings("body_ngram", "amio").unwrap();
+        assert_eq!(grams.iter().collect::<Vec<_>>(), [(0, 2, &[][..])]);
+        let words = segment.postings("body", "amiodaron").unwrap();
+        assert_eq!(words.iter().collect::<Vec<_>>(), [(0, 2, &[0, 2][..])]);
+        // The one segment's blob holds both fields' postings, positions
+        // only for `body`'s two occurrences of its one term ("then" is a
+        // stopword).
+        assert_eq!(idx.vocabulary_size("body"), 1);
+        assert!(idx.postings_bytes() > segment.blob().len());
     }
 
     #[test]
@@ -814,30 +611,36 @@ mod tests {
         idx.add_document("a", &[("body", "one two three four")])
             .unwrap();
         idx.add_document("b", &[("title", "only a title")]).unwrap();
-        let body = idx.tail.fields.get("body").unwrap();
-        assert!(body.view().avg_len() > 0.0);
+        // The tier rule merged the two: one segment of both.
+        assert_eq!(idx.segment_count(), 1);
+        let body = idx.frozen[0].field("body").unwrap();
         assert_eq!(body.doc_len[1], 0);
+        assert!(body.avg_len() > 0.0);
+        assert_eq!(body.avg_len(), f64::from(body.doc_len[0]));
     }
 
     #[test]
-    fn lookups_span_the_frozen_segments_and_the_tail() {
+    fn lookups_span_the_segments() {
         let mut idx = body_index();
         for (id, text) in [("a", "fever"), ("b", "cough fever"), ("c", "rash")] {
             idx.add_document(id, &[("body", text)]).unwrap();
-            idx.freeze();
         }
         assert_eq!(idx.add_document("d", &[("body", "fever")]), Ok(3));
-        assert_eq!((idx.num_docs(), idx.segment_count()), (4, 3));
-        let ids: Vec<_> = (0..5).map(|doc| idx.external_id(doc)).collect();
-        assert_eq!(ids, [Some("a"), Some("b"), Some("c"), Some("d"), None]);
+        // "a" and "b" merged on the second write, "c" and "d" on the
+        // fourth, then the two pairs.
+        assert_eq!((idx.num_docs(), idx.segment_count()), (4, 1));
+        idx.add_document("e", &[("body", "fever")]).unwrap();
+        assert_eq!(idx.segment_count(), 2);
+        let ids: Vec<_> = (0..6).map(|doc| idx.external_id(doc)).collect();
+        let want = [Some("a"), Some("b"), Some("c"), Some("d"), Some("e"), None];
+        assert_eq!(ids, want);
         assert_eq!(idx.internal_id("c"), Some(2));
-        assert_eq!(idx.internal_id("d"), Some(3));
-        assert_eq!(idx.doc_freq("body", "fever"), 3);
-        // "a" and "b" merged into one segment on the second freeze.
+        assert_eq!(idx.internal_id("e"), Some(4));
+        assert_eq!(idx.doc_freq("body", "fever"), 4);
         assert_eq!(
             idx.vocabulary_size("body"),
-            4,
-            "a term per segment holding it"
+            3,
+            "\"fever\" in both segments counts once"
         );
         assert_eq!(
             idx.add_document("b", &[("body", "again")]),

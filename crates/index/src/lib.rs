@@ -11,23 +11,23 @@
 //!   carry word positions and doc ids plus term frequencies where they
 //!   do not (the n-gram field: BM25 reads only the frequency, and a
 //!   phrase over grams matches nothing);
-//! * [`postings`] — the tail's posting representation, a flat
-//!   struct-of-arrays list per term shared by writer, merge and encoder,
-//!   and the borrowed view cursors walk — of such a list, or of a frozen
-//!   segment's list decoded into the query's scratch;
+//! * [`postings`] — the builder's posting representation, a flat
+//!   struct-of-arrays list per term shared by builder and encoder, and
+//!   the borrowed view cursors walk of a list decoded into a query's
+//!   scratch;
 //! * [`segment`] — how documents enter an [`Index`]: workers build
-//!   [`Segment`]s over their own dense doc ids, merged deterministically
-//!   into the index's mutable tail; a seal freezes the tail into one more
-//!   `Arc`-shared segment, its encoding, and a binary-counter tier rule
-//!   keeps the frozen segments O(log n) (the Lucene segment-list
-//!   analogue — a write copies the tail, never the index);
-//! * [`frozen`] — a frozen segment: the codec blob exactly as a segment
-//!   file's postings region holds it, with the term, length and id
-//!   tables that read it without decoding it whole;
-//! * [`codec`] — delta/varint encoding of an index's tail (positions
+//!   [`Segment`]s over their own dense doc ids, and each is frozen as it
+//!   is merged — encoded, checked and pushed after the others — while a
+//!   binary-counter tier rule keeps the segments O(log n) (the Lucene
+//!   segment-list analogue: publish is freeze, and a write copies no
+//!   segment); a seal writes the unsealed suffix as one segment;
+//! * [`frozen`] — a frozen segment, all an index keeps: the codec blob
+//!   exactly as a segment file's postings region holds it, with the
+//!   term, length and id tables that read it without decoding it whole;
+//! * [`codec`] — delta/varint encoding of a builder segment (positions
 //!   only for the fields that keep them): a segment file's postings
 //!   region and a frozen segment's bytes, checked once when adopted and
-//!   merged, streamed, by compaction and the tier rule;
+//!   merged, streamed, by compaction, the tier rule and a seal;
 //! * [`query`] — term, phrase, fuzzy, and boolean queries plus a
 //!   query-string convenience;
 //! * [`score`] — BM25 (default, k1=1.2, b=0.75) and TF-IDF scoring with

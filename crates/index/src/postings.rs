@@ -1,8 +1,7 @@
-//! Posting lists in RAM: the tail's [`PostingList`]s, and the borrowed
-//! [`Postings`] view a read walks — of such a list, or of a frozen
-//! segment's list decoded into the query's [`Decoded`] scratch.
-
-use std::sync::Arc;
+//! Posting lists in RAM: the [`PostingList`]s a [`Segment`](crate::Segment)
+//! builds before it is encoded, and the borrowed [`Postings`] view a
+//! read walks of a frozen segment's list decoded into the query's
+//! [`Decoded`] scratch.
 
 /// One term's postings in struct-of-arrays form, sorted by doc id.
 ///
@@ -12,9 +11,8 @@ use std::sync::Arc;
 /// a list of a field with word positions, the term's token positions in
 /// posting `i` are `positions[ends[i - 1]..ends[i]]`; in a list of a
 /// field without them (the n-gram field) `positions` is empty. A term
-/// costs at most three heap buffers however long its list is, a cursor
-/// strides 4-byte doc ids, and copy-on-write of a shared list is three
-/// `memcpy`s.
+/// costs at most three heap buffers however long its list is. A decoded
+/// list ([`Decoded`]) has the same layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
     docs: Vec<u32>,
@@ -23,15 +21,6 @@ pub struct PostingList {
 }
 
 impl PostingList {
-    /// The list as the borrowed arrays a read walks.
-    pub(crate) fn view(&self) -> Postings<'_> {
-        Postings {
-            docs: &self.docs,
-            ends: &self.ends,
-            positions: &self.positions,
-        }
-    }
-
     /// Number of postings (the term's document frequency).
     pub fn len(&self) -> usize {
         self.docs.len()
@@ -52,26 +41,20 @@ impl PostingList {
         self.ends.last().copied().unwrap_or(0)
     }
 
-    /// Number of positions across all postings (0 for a list without
-    /// positions).
-    pub(crate) fn num_positions(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Term frequency in posting `i`.
-    pub fn tf(&self, i: usize) -> u32 {
-        self.view().tf(i)
-    }
-
-    /// Token positions of the term in posting `i`; empty in a list of a
-    /// field without word positions.
-    pub fn positions(&self, i: usize) -> &[u32] {
-        self.view().positions(i)
-    }
-
-    /// `(doc, term frequency, positions)` of every posting, in doc order.
+    /// `(doc, term frequency, positions)` of every posting, in doc order;
+    /// the positions are empty in a list of a field without word
+    /// positions.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, &[u32])> + '_ {
-        self.view().iter()
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let postings = self.docs.iter().zip(&self.ends).zip(starts);
+        postings.map(|((&doc, &end), start)| {
+            let positions = if self.positions.is_empty() {
+                &[][..]
+            } else {
+                &self.positions[start as usize..end as usize]
+            };
+            (doc, end - start, positions)
+        })
     }
 
     /// Records one occurrence of the term in `doc`, which must be the
@@ -105,51 +88,11 @@ impl PostingList {
             .expect("a term occurs fewer than 2^32 times");
         self.count(doc, end);
     }
-
-    /// Adds `base` to every doc id (a segment-local list entering the
-    /// index's id space).
-    pub(crate) fn shift_docs(&mut self, base: u32) {
-        for doc in &mut self.docs {
-            *doc += base;
-        }
-    }
-
-    /// Appends `tail`'s postings, their doc ids shifted by `base` (every
-    /// shifted id must exceed the list's last doc), to a list a published
-    /// snapshot may still share. An unshared list grows in place; a
-    /// shared one is copied once, into buffers sized for both.
-    /// `Arc::make_mut` would copy it at its old size and then move it
-    /// again to grow, to twice the size: a median 415 instead of 361 MiB
-    /// peak under the benchmark's interleaved ingest (ten alternating
-    /// pairs, lower in nine).
-    pub(crate) fn append_shifted(this: &mut Arc<PostingList>, tail: &PostingList, base: u32) {
-        fn with_room(head: &[u32], extra: usize) -> Vec<u32> {
-            let mut out = Vec::with_capacity(head.len() + extra);
-            out.extend_from_slice(head);
-            out
-        }
-        if Arc::get_mut(this).is_none() {
-            *this = Arc::new(PostingList {
-                docs: with_room(&this.docs, tail.docs.len()),
-                ends: with_room(&this.ends, tail.ends.len()),
-                positions: with_room(&this.positions, tail.positions.len()),
-            });
-        }
-        let list = Arc::get_mut(this).expect("unshared, or copied just above");
-        let offset = list.occurrences();
-        assert!(
-            offset.checked_add(tail.occurrences()).is_some(),
-            "a term occurs fewer than 2^32 times"
-        );
-        list.docs.extend(tail.docs.iter().map(|&doc| doc + base));
-        list.ends.extend(tail.ends.iter().map(|&end| end + offset));
-        list.positions.extend_from_slice(&tail.positions);
-    }
 }
 
 /// One term's postings as borrowed arrays, laid out as in a
-/// [`PostingList`]: what cursors and scorers walk, whether the list is
-/// the tail's own or was decoded from a frozen segment.
+/// [`PostingList`]: a frozen segment's list decoded into a [`Decoded`],
+/// what cursors and scorers walk.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Postings<'a> {
     docs: &'a [u32],
@@ -265,27 +208,6 @@ impl Decoded {
     }
 }
 
-/// A term's postings as a segment hands them out: the tail's list, held
-/// in place, or a frozen segment's, decoded into the query's scratch.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Found<'a> {
-    Held(Postings<'a>),
-    Decoded(Span),
-}
-
-impl<'a> Found<'a> {
-    /// The postings, a decoded list read from `decoded`.
-    pub(crate) fn read<'b>(self, decoded: &'b Decoded) -> Postings<'b>
-    where
-        'a: 'b,
-    {
-        match self {
-            Found::Held(postings) => postings,
-            Found::Decoded(span) => decoded.get(span),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,21 +218,9 @@ mod tests {
         for doc in [0, 0, 0, 2, 5, 5] {
             list.push_freq(doc);
         }
-        assert_eq!(list.docs(), [0, 2, 5]);
-        assert_eq!((0..3).map(|i| list.tf(i)).collect::<Vec<_>>(), [3, 1, 2]);
-        assert_eq!(list.num_positions(), 0);
-        assert!(list.positions(1).is_empty());
-
-        let mut tail = PostingList::default();
-        for doc in [0, 1, 1] {
-            tail.push_freq(doc);
-        }
-        let mut shared = Arc::new(list);
-        let published = Arc::clone(&shared);
-        PostingList::append_shifted(&mut shared, &tail, 6);
-        assert_eq!(shared.docs(), [0, 2, 5, 6, 7]);
-        assert_eq!(shared.view().ends(), [3, 4, 6, 7, 9], "ends run on");
-        assert_eq!(published.docs(), [0, 2, 5], "the published list stays");
+        let postings: Vec<_> = list.iter().collect();
+        assert_eq!(postings, [(0, 3, &[][..]), (2, 1, &[]), (5, 2, &[])]);
+        assert_eq!(list.occurrences(), 6);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl QueryNode {
     /// the union of every segment's expansions, each term once.
     ///
     /// Candidates are drawn from per-length dictionary buckets with a
-    /// first-character fast path (see `SegmentRead::fuzzy_candidates`)
+    /// first-character fast path (see `FrozenSegment::fuzzy_candidates`)
     /// instead of sweeping the whole vocabulary; the result is identical
     /// to [`QueryNode::expand_fuzzy_sweep`]. Terms are borrowed from the
     /// index — expansion allocates nothing per matched term.

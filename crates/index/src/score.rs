@@ -12,7 +12,8 @@
 //! expression, so their floats cannot drift apart.
 
 use crate::daat::Admit;
-use crate::index::{Index, SegmentRead};
+use crate::frozen::FrozenSegment;
+use crate::index::Index;
 use crate::postings::{Decoded, Postings};
 use crate::query::QueryNode;
 use crate::stats::CorpusStats;
@@ -92,7 +93,7 @@ impl Ord for Entry {
 /// Top-k selection shared by both execution paths: keep positive scores,
 /// pop the k best from a max-heap over [`Entry`].
 pub(crate) fn top_k(
-    segment: &dyn SegmentRead,
+    segment: &FrozenSegment,
     scored: impl IntoIterator<Item = (u32, f64)>,
     k: usize,
 ) -> Vec<ScoredDoc> {
@@ -202,9 +203,9 @@ impl Index {
         k: usize,
         stats: Option<&CorpusStats>,
         allowed: Option<&[u32]>,
-        search: impl Fn(&dyn SegmentRead, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
+        search: impl Fn(&FrozenSegment, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
     ) -> Vec<ScoredDoc> {
-        let filled: Vec<(u32, &dyn SegmentRead)> = self
+        let filled: Vec<(u32, &FrozenSegment)> = self
             .segments()
             .filter(|(_, segment)| segment.num_docs() > 0)
             .collect();
@@ -256,9 +257,9 @@ impl Index {
 
 /// Every posting's score of a term in one segment, with optional
 /// cross-shard statistics overriding the segment's own idf / avg_len (see
-/// [`crate::stats`]); a frozen segment's list is decoded into `decoded`.
+/// [`crate::stats`]); the list is decoded into `decoded`.
 pub(crate) fn term_scores(
-    segment: &dyn SegmentRead,
+    segment: &FrozenSegment,
     field: &str,
     term: &str,
     scorer: Scorer,
@@ -297,7 +298,7 @@ pub(crate) fn term_scores(
 /// [`Index::search_exhaustive`] over one segment's documents: the
 /// scorer, the statistics and the scratch a term's list is decoded into.
 struct Walker<'s> {
-    segment: &'s dyn SegmentRead,
+    segment: &'s FrozenSegment,
     scorer: Scorer,
     global: Option<&'s CorpusStats>,
     decoded: Decoded,
@@ -428,14 +429,14 @@ impl Walker<'_> {
         // The member lists are read at once, so they are decoded apart
         // from the per-doc rescans below.
         let mut members = Decoded::default();
-        let mut found = Vec::with_capacity(terms.len());
+        let mut spans = Vec::with_capacity(terms.len());
         for t in terms {
             match segment.open(field, t, true, &mut members) {
-                Some(f) => found.push(f),
+                Some(span) => spans.push(span),
                 None => return Vec::new(),
             }
         }
-        let postings_lists: Vec<Postings> = found.into_iter().map(|f| f.read(&members)).collect();
+        let postings_lists: Vec<Postings> = spans.into_iter().map(|s| members.get(s)).collect();
         // Intersect docs; check consecutive positions.
         let mut out = Vec::new();
         for (doc, _, first_positions) in postings_lists[0].iter() {
@@ -765,9 +766,9 @@ mod tests {
         assert!(checked_search(&idx, &q, 0, Scorer::default()).is_empty());
     }
 
-    /// An index frozen into segments at any cut ranks every query kind
-    /// bit-identically to one segment — by DAAT, exhaustively and with a
-    /// filter run — for every `k`.
+    /// An index built of batches of any sizes, so of several segments,
+    /// ranks every query kind bit-identically to one segment — by DAAT,
+    /// exhaustively and with a filter run — for every `k`.
     #[test]
     fn a_segmented_index_ranks_like_one_segment() {
         let docs = [
@@ -779,18 +780,22 @@ mod tests {
             ("d6", "cardiac fever"),
             ("d7", "cough"),
         ];
-        let build = |freeze_after: &[usize]| {
+        let build = |batches: &[usize]| {
             let mut idx = Index::new(vec![FieldConfig {
                 name: "body".to_string(),
                 analyzer: Arc::new(Analyzer::clinical_standard()),
                 boost: 1.0,
             }]);
-            for (i, (id, text)) in docs.iter().enumerate() {
-                idx.add_document(id, &[("body", text)]).unwrap();
-                if freeze_after.contains(&i) {
-                    idx.freeze();
+            let mut at = 0;
+            for &n in batches {
+                let mut segment = idx.segment();
+                for (id, text) in &docs[at..at + n] {
+                    segment.add_document(id, &[("body", text)]).unwrap();
                 }
+                idx.merge_segment(segment).unwrap();
+                at += n;
             }
+            assert_eq!(at, docs.len());
             idx
         };
         let queries = [
@@ -818,8 +823,9 @@ mod tests {
                 .map(|h| (h.doc, h.external_id, h.score.to_bits()))
                 .collect()
         };
-        let whole = build(&[]);
-        for cuts in [&[0usize][..], &[1, 2], &[0, 1, 2, 3, 4, 5], &[2, 5], &[4]] {
+        let whole = build(&[docs.len()]);
+        assert_eq!(whole.segment_count(), 1);
+        for cuts in [&[1usize; 7][..], &[4, 2, 1], &[6, 1], &[5, 2], &[3, 3, 1]] {
             let segmented = build(cuts);
             assert!(segmented.segment_count() > 1, "cuts {cuts:?}");
             for q in &queries {

@@ -2,51 +2,55 @@
 //! stays short.
 //!
 //! The ElasticSearch/Solr engines the paper substitutes both keep an
-//! index as a list of immutable Lucene segments plus an in-memory buffer
-//! that a refresh turns into one more segment; this module is our
-//! equivalent. A worker thread tokenizes its shard of the batch into a
-//! [`Segment`] of its own, from [`Index::segment`], whose doc ids are
-//! *segment-local*, with no synchronization. The single-writer apply
-//! phase then merges segments into the index's tail in deterministic
-//! shard order ([`Index::merge_segment`]); a seal freezes the tail
-//! ([`Index::freeze`]) into its encoding, the bytes the seal wrote to its
-//! file ([`crate::frozen`]).
+//! index as a list of immutable Lucene segments; a refresh turns the
+//! in-memory buffer into one more segment, and no query reads the
+//! buffer. This module is our equivalent, with publish as the refresh. A
+//! worker thread tokenizes its shard of the batch into a [`Segment`] of
+//! its own, from [`Index::segment`], whose doc ids are *segment-local*,
+//! with no synchronization. The single-writer apply phase then hands the
+//! segments to [`Index::merge_segment`] in deterministic shard order,
+//! and each one is frozen there and then: encoded
+//! ([`encode_segment`]), checked and kept as its encoding ([`adopt`],
+//! [`crate::frozen`]), and pushed after the others. An empty segment
+//! pushes nothing, so no frozen segment is empty.
 //!
-//! Merge invariants (what makes parallel ingestion byte-identical to
-//! sequential):
+//! Why the result is the index sequential ingestion builds: a segment's
+//! local doc `i` becomes global `base + i`, `base` being the documents of
+//! the segments before it, so pushing shards 0..S in order assigns
+//! exactly the ids sequential `add_document` calls would have. Reads
+//! score every segment under statistics merged over the whole index
+//! ([`crate::stats`]), so how the documents are cut into segments never
+//! shows in a ranking. Duplicate external ids (within the segment or
+//! against the index) are refused before anything changes.
 //!
-//! 1. **Dense id remapping** — segment-local doc `i` becomes `base + i`
-//!    where `base` is the tail's doc count at merge time, so merging
-//!    shards 0..S in order reproduces exactly the ids sequential
-//!    `add_document` calls would have assigned.
-//! 2. **Sorted-postings concatenation** — every remapped id exceeds every
-//!    id already in the tail, so appending a segment's (sorted) postings
-//!    to the tail's (sorted) postings needs no re-sort.
-//! 3. **Length-statistics recomposition** — `doc_len` concatenates,
-//!    `total_len` and `docs_with_field` add, so BM25 normalization is
-//!    identical to the sequential build.
+//! **The tier rule.** Each push adds a segment, and every read visits
+//! every segment, so after each push the newest segments merge in
+//! binary-counter fashion: the last two merge while the older one's size
+//! class — the bit length of its doc count — is no larger than the newer
+//! one's ([`tier_merge_width`], a pure function of the doc counts). Size
+//! classes then strictly fall from oldest to newest, so an index of `n`
+//! documents holds at most `bit_length(n)` segments, and a document is
+//! copied once per class it climbs, O(log n) times. The rule never
+//! rebuilds the whole index at once the way a disk compaction does: a
+//! large old segment merges only once the newer ones add up to its size
+//! class. A merge is a disk compaction's kernel, [`merge_postings`] over
+//! the segments' encoded blobs: the merged blob is the encoding of the
+//! merged documents, and nothing is decoded.
 //!
-//! Duplicate external ids (within the segment or against the index) are
-//! rejected before any mutation, keeping the merge atomic.
-//!
-//! **The tier rule.** Each freeze adds a segment, and every read visits
-//! every segment, so after each freeze the newest frozen segments merge
-//! in binary-counter fashion: the last two merge while the older one's
-//! size class — the bit length of its doc count — is no larger than the
-//! newer one's ([`tier_merge_width`], a pure function of the doc
-//! counts). Size classes then strictly fall from oldest to newest, so an
-//! index of `n` documents holds at most `bit_length(n)` frozen segments,
-//! and a document is copied once per class it climbs, O(log n) times.
-//! The rule never rebuilds the whole index at once the way a disk
-//! compaction does: a large old segment merges only once the newer ones
-//! add up to its size class. A merge is a disk compaction's kernel,
-//! [`merge_postings`] over the segments' encoded blobs: the merged blob
-//! is the encoding of the merged documents, and nothing is decoded.
+//! **Sealing.** A disk-backed shard writes its unsealed documents to a
+//! segment file at each flush. They are the segments after one boundary
+//! (`Index::sealed`), and the tier rule never merges across it, so they
+//! stay a suffix of their own. A seal merges that suffix into one
+//! segment ([`Index::merge_unsealed`]), whose blob — by
+//! [`merge_postings`]' contract the encoding of those documents — is the
+//! file's postings region, and once the file is registered moves the
+//! boundary to the end and runs the tier rule over the whole list
+//! ([`Index::seal`]). Recovery adopts each file's region as one sealed
+//! segment ([`Index::adopt_frozen`]).
 
-use crate::codec::{adopt, encode_index_tail, merge_postings};
+use crate::codec::{adopt, encode_segment, merge_postings};
 use crate::frozen::FrozenSegment;
-use crate::index::{FieldIndex, Index, IndexError, Segment, SegmentRead};
-use crate::postings::PostingList;
+use crate::index::{Index, IndexError, Segment};
 use std::sync::Arc;
 
 /// How many of the newest frozen segments to merge into one, given each
@@ -75,162 +79,116 @@ impl Index {
     /// An empty segment with this index's field configuration (analyzer
     /// `Arc`s shared, not recompiled), for a worker to build a batch in.
     pub fn segment(&self) -> Segment {
-        self.tail.empty_like()
+        self.config.empty_like()
     }
 
-    /// Merges a segment into the tail, remapping its dense doc ids onto
-    /// the end of the index's id space (see the module docs for the
-    /// invariants). Fails — without mutating the index — if the segment's
-    /// fields differ, any external id is already present, or a term would
-    /// occur 2^32 or more times in a field of the tail. The segment's ids
-    /// move in: no id is copied. Touches no frozen segment: what the
-    /// merge copies of a tail a published snapshot shares is the tail's.
+    /// Adds a segment's documents after the index's, as one more frozen
+    /// segment: its encoding, checked by [`adopt`] and pushed under the
+    /// tier rule (see the module docs). Its dense doc ids follow the
+    /// index's. Fails — without mutating the index — if the segment's
+    /// fields differ or any external id is already present. An empty
+    /// segment adds nothing.
     pub fn merge_segment(&mut self, segment: Segment) -> Result<(), IndexError> {
+        let (config, fields) = (&self.config.fields, &segment.fields);
+        let foreign = fields.keys().find(|name| !config.contains_key(*name));
+        let missing = || config.keys().find(|name| !fields.contains_key(*name));
+        if let Some(name) = foreign.or_else(missing) {
+            return Err(IndexError::UnknownField(name.clone()));
+        }
         if let Some(id) = segment.external_ids.iter().find(|id| self.frozen_holds(id)) {
             return Err(IndexError::DuplicateDocument(id.to_string()));
         }
-        Arc::make_mut(&mut self.tail).append(segment)
+        if segment.num_docs() == 0 {
+            return Ok(());
+        }
+        let mut blob = Vec::new();
+        encode_segment(&segment, &mut blob).expect("a Vec takes every byte");
+        drop(segment);
+        let frozen = adopt(blob, self).expect("a segment's encoding adopts");
+        self.frozen.push(Arc::new(frozen));
+        self.tier_merge(self.sealed);
+        Ok(())
     }
 
     /// Whether a frozen segment holds external id `id`.
-    pub(crate) fn frozen_holds(&self, id: &str) -> bool {
+    fn frozen_holds(&self, id: &str) -> bool {
         self.frozen.iter().any(|s| s.internal_id(id).is_some())
     }
 
-    /// Freezes the tail: its encoding ([`encode_index_tail`]) joins the
-    /// frozen segments, and an empty tail takes its place; then the newest
-    /// frozen segments merge as the tier rule says (see the module docs).
-    /// A no-op on an empty tail.
-    pub fn freeze(&mut self) {
-        if self.tail.num_docs() == 0 {
-            return;
-        }
-        let mut blob = Vec::new();
-        encode_index_tail(self, &mut blob).expect("a Vec takes every byte");
-        self.freeze_encoded(blob);
-    }
-
-    /// [`Index::freeze`] of a tail already encoded: `blob` must be what
-    /// [`encode_index_tail`] wrote of it — the bytes a seal wrote to its
-    /// file, which the frozen segment then keeps.
-    pub fn freeze_encoded(&mut self, blob: Vec<u8>) {
-        let frozen = adopt(blob, self).expect("a tail's encoding adopts");
-        assert_eq!(
-            frozen.num_docs(),
-            self.tail.num_docs(),
-            "the blob encodes the tail"
-        );
-        self.tail = Arc::new(self.tail.empty_like());
-        self.push_frozen(frozen);
-    }
-
     /// Adds an adopted segment — a segment file's postings region — after
-    /// the frozen ones, as [`Index::freeze`] adds the tail's encoding,
-    /// tier rule included. The tail must be empty: recovery adopts every
-    /// file before it replays the WAL. Fails, changing nothing, when an
-    /// external id is already present.
+    /// the others, as a sealed one ([`Index::seal`]). Every segment
+    /// before it must be sealed: recovery adopts every file before it
+    /// replays the WAL. Fails, changing nothing, when an external id is
+    /// already present.
     pub fn adopt_frozen(&mut self, segment: FrozenSegment) -> Result<(), IndexError> {
-        assert_eq!(self.tail.num_docs(), 0, "segments are adopted first");
+        assert_eq!(self.sealed, self.frozen.len(), "segments are adopted first");
         let ids = (0..segment.num_docs() as u32).map(|doc| segment.external_id(doc));
         if let Some(id) = ids.flatten().find(|id| self.frozen_holds(id)) {
             return Err(IndexError::DuplicateDocument(id.to_string()));
         }
-        self.push_frozen(segment);
+        self.frozen.push(Arc::new(segment));
+        self.seal();
         Ok(())
     }
 
-    /// Pushes a frozen segment, then merges the newest ones as the tier
-    /// rule says: [`merge_postings`] of their blobs, adopted.
-    fn push_frozen(&mut self, segment: FrozenSegment) {
-        self.frozen.push(Arc::new(segment));
-        let docs: Vec<usize> = self.frozen.iter().map(|s| s.num_docs()).collect();
+    /// Documents in sealed segments: global ids below this are in
+    /// segment files.
+    pub fn sealed_docs(&self) -> usize {
+        self.frozen[..self.sealed]
+            .iter()
+            .map(|s| s.num_docs())
+            .sum()
+    }
+
+    /// Merges the unsealed segments into one — [`merge_postings`] of
+    /// their blobs, adopted; a single one stays as it is — and returns
+    /// it: its blob is what a seal writes as its file's postings region.
+    /// `None` when every document is sealed. Fails, changing nothing,
+    /// when the segments do not merge (a term would occur 2^32 or more
+    /// times).
+    pub fn merge_unsealed(&mut self) -> Result<Option<Arc<FrozenSegment>>, IndexError> {
+        if self.frozen.len() - self.sealed > 1 {
+            let merged = self.merged(self.sealed)?;
+            self.frozen.truncate(self.sealed);
+            self.frozen.push(Arc::new(merged));
+        }
+        Ok(self.frozen[self.sealed..].first().cloned())
+    }
+
+    /// Marks every document sealed: moves the boundary to the end of the
+    /// segment list and runs the tier rule over the whole list.
+    pub fn seal(&mut self) {
+        self.tier_merge(0);
+        self.sealed = self.frozen.len();
+    }
+
+    /// Merges the newest segments from `floor` on as the tier rule says
+    /// (see the module docs). Past 2^32 occurrences of a term the
+    /// segments stay apart.
+    fn tier_merge(&mut self, floor: usize) {
+        let docs: Vec<usize> = self.frozen[floor..].iter().map(|s| s.num_docs()).collect();
         let width = tier_merge_width(&docs);
         if width < 2 {
             return;
         }
         let at = self.frozen.len() - width;
+        if let Ok(merged) = self.merged(at) {
+            self.frozen.truncate(at);
+            self.frozen.push(Arc::new(merged));
+        }
+    }
+
+    /// The segments from `at` on as one: [`merge_postings`] of their
+    /// blobs, adopted.
+    fn merged(&self, at: usize) -> Result<FrozenSegment, IndexError> {
         let inputs: Vec<(&[u8], u64)> = self.frozen[at..]
             .iter()
             .map(|s| (s.blob(), s.blob().len() as u64))
             .collect();
         let mut merged = Vec::with_capacity(inputs.iter().map(|(_, len)| *len as usize).sum());
-        // Past 2^32 occurrences of a term the segments stay apart.
-        if merge_postings(inputs, self, &mut merged).is_err() {
-            return;
-        }
-        let merged = adopt(merged, self).expect("merged blobs adopt");
-        self.frozen.truncate(at);
-        self.frozen.push(Arc::new(merged));
-    }
-}
-
-impl Segment {
-    /// Appends `segment`'s documents after this one's: the merge of
-    /// [`Index::merge_segment`].
-    fn append(&mut self, segment: Segment) -> Result<(), IndexError> {
-        for name in segment.fields.keys() {
-            if !self.fields.contains_key(name) {
-                return Err(IndexError::UnknownField(name.clone()));
-            }
-        }
-        for id in &segment.external_ids {
-            if self.id_map.contains_key(id) {
-                return Err(IndexError::DuplicateDocument(id.to_string()));
-            }
-        }
-        // A term occurs in a field at most as often as the field has
-        // tokens (true as built, and checked by the codec), so below 2^32
-        // tokens no term's occurrences can overflow its `ends`; past it,
-        // every term the two share is checked.
-        for (name, seg_field) in &segment.fields {
-            let fi = &self.fields[name];
-            if fi.total_len + seg_field.total_len <= u64::from(u32::MAX) {
-                continue;
-            }
-            for (term, seg_postings) in &seg_field.dict {
-                let overflows = fi.dict.get(term).is_some_and(|postings| {
-                    postings
-                        .occurrences()
-                        .checked_add(seg_postings.occurrences())
-                        .is_none()
-                });
-                if overflows {
-                    return Err(IndexError::FrequencyOverflow(term.to_string()));
-                }
-            }
-        }
-        let base = self.external_ids.len() as u32;
-        for (local, id) in segment.external_ids.into_iter().enumerate() {
-            self.external_ids.push(Arc::clone(&id));
-            self.id_map.insert(id, base + local as u32);
-        }
-        for (name, seg_field) in segment.fields {
-            let fi = self.fields.get_mut(&name).expect("checked above");
-            fi.doc_len.extend(seg_field.doc_len);
-            fi.total_len += seg_field.total_len;
-            fi.docs_with_field += seg_field.docs_with_field;
-            for (term, mut seg_postings) in seg_field.dict {
-                match fi.dict.entry(term) {
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        FieldIndex::bucket_new_term(&mut fi.term_buckets, v.key());
-                        // A first merge into an empty tail needs no
-                        // remap and adopts the list wholesale; otherwise
-                        // `make_mut` remaps in place a worker-local list,
-                        // and copies one a published snapshot shares.
-                        if base > 0 {
-                            Arc::make_mut(&mut seg_postings).shift_docs(base);
-                        }
-                        v.insert(seg_postings);
-                    }
-                    // This side copies-on-write only when a published
-                    // snapshot still shares the term's list.
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        PostingList::append_shifted(o.get_mut(), &seg_postings, base)
-                    }
-                }
-            }
-        }
-        Ok(())
+        merge_postings(inputs, self, &mut merged)
+            .map_err(|e| IndexError::FrequencyOverflow(e.to_string()))?;
+        Ok(adopt(merged, self).expect("merged blobs adopt"))
     }
 }
 
@@ -252,11 +210,14 @@ mod tests {
         ("pmid:6", ""),
     ];
 
+    fn fields<'a>(id: &'a str, text: &'a str) -> [(&'a str, &'a str); 3] {
+        [("title", id), ("body", text), ("body_ngram", text)]
+    }
+
     fn sequential_index() -> Index {
         let mut idx = Index::clinical();
         for (id, text) in DOCS {
-            idx.add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
-                .unwrap();
+            idx.add_document(id, &fields(id, text)).unwrap();
         }
         idx
     }
@@ -269,8 +230,7 @@ mod tests {
             .map(|docs| {
                 let mut seg = idx.segment();
                 for (id, text) in docs {
-                    seg.add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
-                        .unwrap();
+                    seg.add_document(id, &fields(id, text)).unwrap();
                 }
                 seg
             })
@@ -281,29 +241,16 @@ mod tests {
         idx
     }
 
-    fn assert_identical(a: &Index, b: &Index) {
-        assert_eq!(a.num_docs(), b.num_docs());
-        assert_eq!(a.postings_bytes(), b.postings_bytes());
-        for doc in 0..a.num_docs() as u32 {
-            assert_eq!(a.external_id(doc), b.external_id(doc));
-        }
-        for (name, fa) in &a.tail.fields {
-            let fb = b.tail.fields.get(name).expect("same fields");
-            assert_eq!(fa.doc_len, fb.doc_len, "doc_len of {name}");
-            assert_eq!(fa.total_len, fb.total_len, "total_len of {name}");
-            assert_eq!(
-                fa.docs_with_field, fb.docs_with_field,
-                "docs_with_field of {name}"
-            );
-            assert_eq!(fa.dict.len(), fb.dict.len(), "vocab of {name}");
-            for (term, pa) in &fa.dict {
-                assert_eq!(
-                    Some(&**pa),
-                    fb.dict.get(term).map(|p| &**p),
-                    "postings of {term}"
-                );
-            }
-        }
+    /// The encoding of every document of `idx`: its segments merged.
+    fn blob_of(idx: &Index) -> Vec<u8> {
+        idx.merged(0).unwrap().blob().to_vec()
+    }
+
+    /// The encoding of one builder segment.
+    fn encoded(segment: &Segment) -> Vec<u8> {
+        let mut blob = Vec::new();
+        encode_segment(segment, &mut blob).unwrap();
+        blob
     }
 
     #[test]
@@ -311,7 +258,11 @@ mod tests {
         let sequential = sequential_index();
         for shards in 1..=DOCS.len() + 1 {
             let sharded = sharded_index(shards);
-            assert_identical(&sequential, &sharded);
+            assert_eq!(sharded.num_docs(), DOCS.len());
+            for doc in 0..DOCS.len() as u32 {
+                assert_eq!(sharded.external_id(doc), sequential.external_id(doc));
+            }
+            assert!(blob_of(&sharded) == blob_of(&sequential), "{shards} shards");
         }
     }
 
@@ -320,7 +271,8 @@ mod tests {
         let idx = sharded_index(3);
         assert_eq!(idx.doc_freq("body", "fever"), 3);
         assert_eq!(idx.internal_id("pmid:4"), Some(3));
-        let postings = idx.tail().postings("body", "fever").unwrap();
+        let whole = idx.merged(0).unwrap();
+        let postings = whole.postings("body", "fever").unwrap();
         assert_eq!(postings.docs(), [0, 1, 3]);
     }
 
@@ -363,12 +315,15 @@ mod tests {
 
     #[test]
     fn a_segment_of_another_configuration_is_refused() {
-        let other = Index::new(vec![FieldConfig {
-            name: "abstract".to_string(),
-            analyzer: Arc::new(Analyzer::clinical_standard()),
-            boost: 1.0,
-        }]);
-        let mut seg = other.segment();
+        let config = |names: &[&str]| {
+            let fields = names.iter().map(|name| FieldConfig {
+                name: name.to_string(),
+                analyzer: Arc::new(Analyzer::clinical_standard()),
+                boost: 1.0,
+            });
+            Index::new(fields.collect())
+        };
+        let mut seg = config(&["abstract"]).segment();
         seg.add_document("a", &[("abstract", "fever")]).unwrap();
         assert_eq!(seg.num_docs(), 1);
         let mut idx = Index::clinical();
@@ -376,13 +331,19 @@ mod tests {
             idx.merge_segment(seg),
             Err(IndexError::UnknownField("abstract".to_string()))
         );
+        let mut seg = config(&["title", "body"]).segment();
+        seg.add_document("a", &[("body", "fever")]).unwrap();
+        assert_eq!(
+            idx.merge_segment(seg),
+            Err(IndexError::UnknownField("body_ngram".to_string()))
+        );
         assert_eq!(idx.num_docs(), 0);
     }
 
     #[test]
     fn a_duplicate_of_a_frozen_segment_is_refused() {
         let mut idx = sequential_index();
-        idx.freeze();
+        let segments = idx.segment_count();
         let mut seg = idx.segment();
         seg.add_document("pmid:7", &[("body", "new")]).unwrap();
         seg.add_document("pmid:2", &[("body", "again")]).unwrap();
@@ -390,7 +351,10 @@ mod tests {
             idx.merge_segment(seg),
             Err(IndexError::DuplicateDocument("pmid:2".to_string()))
         );
-        assert_eq!((idx.num_docs(), idx.tail().num_docs()), (DOCS.len(), 0));
+        assert_eq!(
+            (idx.num_docs(), idx.segment_count()),
+            (DOCS.len(), segments)
+        );
     }
 
     #[test]
@@ -412,9 +376,9 @@ mod tests {
         );
     }
 
-    /// Whatever the freeze sizes, the frozen segments' size classes fall
-    /// strictly from oldest to newest, so there are at most as many as
-    /// the doc count has bits.
+    /// Whatever the push sizes, the segments' size classes fall strictly
+    /// from oldest to newest, so there are at most as many as the doc
+    /// count has bits.
     #[test]
     fn frozen_segments_stay_within_the_bit_length_of_the_doc_count() {
         let bit_length = |n: usize| (usize::BITS - n.leading_zeros()) as usize;
@@ -442,16 +406,18 @@ mod tests {
     }
 
     #[test]
-    fn freezing_keeps_ids_statistics_and_postings() {
+    fn batches_of_any_size_keep_ids_statistics_and_postings() {
         let sequential = sequential_index();
+        let bound = (usize::BITS - DOCS.len().leading_zeros()) as usize;
         for every in 1..=DOCS.len() {
             let mut idx = Index::clinical();
-            for (i, (id, text)) in DOCS.iter().enumerate() {
-                idx.add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
-                    .unwrap();
-                if (i + 1) % every == 0 {
-                    idx.freeze();
+            for batch in DOCS.chunks(every) {
+                let mut seg = idx.segment();
+                for (id, text) in batch {
+                    seg.add_document(id, &fields(id, text)).unwrap();
                 }
+                idx.merge_segment(seg).unwrap();
+                assert!(idx.segment_count() <= bound, "every {every}: {idx:?}");
             }
             assert_eq!(idx.num_docs(), DOCS.len());
             for doc in 0..DOCS.len() as u32 {
@@ -462,19 +428,77 @@ mod tests {
             for (field, term) in [("body", "fever"), ("body_ngram", "ough"), ("title", "pmid")] {
                 assert_eq!(idx.doc_freq(field, term), sequential.doc_freq(field, term));
             }
-            let bound = (usize::BITS - DOCS.len().leading_zeros()) as usize;
-            assert!(idx.frozen.len() <= bound, "every {every}: {:?}", idx);
+            assert!(blob_of(&idx) == blob_of(&sequential), "every {every}");
         }
     }
 
+    /// Random batch sizes and seal points: the tier rule never merges a
+    /// sealed segment with an unsealed one, a seal of the unsealed
+    /// segments writes the encoding of one builder segment holding their
+    /// documents, and an empty segment pushes nothing.
     #[test]
-    fn avg_len_identical_after_merge() {
-        let sequential = sequential_index();
-        let sharded = sharded_index(2);
-        for name in ["title", "body", "body_ngram"] {
-            let a = sequential.tail.fields[name].view().avg_len();
-            let b = sharded.tail.fields[name].view().avg_len();
-            assert_eq!(a.to_bits(), b.to_bits(), "avg_len of {name}");
+    fn a_seal_writes_the_encoding_of_the_unsealed_documents() {
+        const SEED: u64 = 0x5EA1_0B0D;
+        println!("seal seed {SEED:#x}");
+        let docs: Vec<(String, String)> = (0..90)
+            .map(|i| {
+                (
+                    format!("doc:{i}"),
+                    format!("{} {i}", DOCS[i % DOCS.len()].1),
+                )
+            })
+            .collect();
+        let builder = |idx: &Index, docs: &[(String, String)]| {
+            let mut seg = idx.segment();
+            for (id, text) in docs {
+                seg.add_document(id, &fields(id, text)).unwrap();
+            }
+            seg
+        };
+        let mut state = SEED;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below) as usize
+        };
+        for round in 0..12 {
+            let mut idx = Index::clinical();
+            let mut at = 0;
+            while at < docs.len() {
+                let n = (1 + next(9)).min(docs.len() - at);
+                let sealed: Vec<Arc<FrozenSegment>> = idx.frozen[..idx.sealed].to_vec();
+                idx.merge_segment(builder(&idx, &docs[at..at + n])).unwrap();
+                at += n;
+                let kept = sealed
+                    .iter()
+                    .zip(&idx.frozen)
+                    .all(|(a, b)| Arc::ptr_eq(a, b));
+                assert!(
+                    kept && idx.sealed == sealed.len(),
+                    "round {round} at {at}: the tier rule merged across the boundary"
+                );
+                let segments = idx.segment_count();
+                idx.merge_segment(idx.segment()).unwrap();
+                assert_eq!(idx.segment_count(), segments, "an empty segment pushed");
+
+                if next(4) == 0 || at == docs.len() {
+                    let from = idx.sealed_docs();
+                    let unsealed = idx.merge_unsealed().unwrap().expect("unsealed docs");
+                    assert_eq!(idx.segment_count(), idx.sealed + 1);
+                    let want = encoded(&builder(&idx, &docs[from..at]));
+                    assert!(
+                        unsealed.blob() == want,
+                        "round {round}: the seal of docs {from}..{at} is not their encoding"
+                    );
+                    idx.seal();
+                    assert_eq!(idx.sealed_docs(), at);
+                    assert!(idx.merge_unsealed().unwrap().is_none());
+                }
+            }
+            let mut whole = Index::clinical();
+            whole.merge_segment(builder(&whole, &docs)).unwrap();
+            assert!(blob_of(&idx) == blob_of(&whole), "round {round}");
         }
     }
 }

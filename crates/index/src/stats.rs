@@ -13,7 +13,7 @@
 //! **Bit-exactness.** The merged statistics are integers (`usize`/`u64`)
 //! summed before a single cast to `f64`, and [`CorpusStats::idf`] /
 //! [`CorpusStats::avg_len`] evaluate the exact expressions
-//! `SegmentRead::idf` and `FieldRef::avg_len` use. A one-shard system
+//! `FrozenSegment::idf` and `FieldRef::avg_len` use. A one-shard system
 //! therefore produces bit-identical scores whether it scores through
 //! its own statistics or through a collected-and-merged `CorpusStats`,
 //! and an N-shard system reproduces the N=1 fold exactly: a document's
@@ -131,7 +131,7 @@ impl CorpusStats {
     }
 
     /// The BM25+ idf over the merged statistics — the same expression as
-    /// `SegmentRead::idf`, evaluated on globally-summed integers.
+    /// `FrozenSegment::idf`, evaluated on globally-summed integers.
     pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
         let n = self.num_docs as f64;
         let df = self

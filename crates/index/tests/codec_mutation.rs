@@ -8,9 +8,10 @@
 //!
 //! The postings mutants also go through the streaming merge compaction
 //! runs, merged with a valid blob of other documents (on either side
-//! of it): it must refuse exactly the mutants
-//! that `decode_segment` + `merge_segment` refuse, and write what
-//! `encode_index_tail` writes of the index those two build for the rest.
+//! of it): it must refuse exactly the mutants that `decode_segment` +
+//! `merge_segment` refuse or whose segments then do not merge into one
+//! (`merge_unsealed`, a seal's merge), and write that one segment's blob
+//! for the rest.
 //!
 //! Hand-built blobs pin what the checks of a stream without positions
 //! (`body_ngram`'s: a doc gap and a term frequency per posting) refuse,
@@ -33,9 +34,10 @@
 mod support;
 
 use create_index::codec::{
-    adopt, decode_segment, encode_index_tail, merge_postings, CodecError, MergeError, SKIP_INTERVAL,
+    adopt, decode_segment, encode_segment, merge_postings, CodecError, MergeError, SKIP_INTERVAL,
 };
 use create_index::facets::{FacetField, FacetIndex, ALL_FACET_FIELDS};
+use create_index::index::IndexError;
 use create_index::{FieldConfig, FrozenSegment, Index, QueryNode};
 use create_text::Analyzer;
 use create_util::{varint, Rng};
@@ -94,7 +96,7 @@ fn valid_blob(id_prefix: &str) -> Vec<u8> {
         "",
         "Echocardiogram revealed myocarditis after admission.",
     ];
-    let mut idx = Index::clinical();
+    let mut segment = Index::clinical().segment();
     for i in 0..SKIP_INTERVAL + 40 {
         let text = TEXTS[i % TEXTS.len()];
         let (body, ngram) = if i < TEXTS.len() {
@@ -107,24 +109,26 @@ fn valid_blob(id_prefix: &str) -> Vec<u8> {
             1 => "1 123456789012",
             _ => "1",
         };
-        idx.add_document(
-            &format!("{id_prefix}:{i}"),
-            &[("title", title), ("body", body), ("body_ngram", ngram)],
-        )
-        .unwrap();
+        segment
+            .add_document(
+                &format!("{id_prefix}:{i}"),
+                &[("title", title), ("body", body), ("body_ngram", ngram)],
+            )
+            .unwrap();
     }
-    let blob = encoded(&idx);
+    let mut blob = Vec::new();
+    encode_segment(&segment, &mut blob).expect("a Vec takes every byte");
     // shared 11 | suffix "2" | 1 posting | 0 skips | 3 bytes: doc 1, 1
     // position, position 1 | the end entry.
     assert!(blob.ends_with(&[11, 1, b'2', 1, 0, 3, 1, 1, 1, 0, 0]));
     blob
 }
 
-/// The blob [`encode_index_tail`] writes of the whole of `index`.
+/// The blob of every document of `index`: its segments' blobs merged,
+/// as a seal of them all writes it (a single segment's blob as it is).
 fn encoded(index: &Index) -> Vec<u8> {
-    let mut blob = Vec::new();
-    encode_index_tail(index, &mut blob).expect("a Vec takes every byte");
-    blob
+    let blobs: Vec<&[u8]> = index.frozen().map(FrozenSegment::blob).collect();
+    merge(&blobs, index).expect("an index's segments merge")
 }
 
 /// A facet blob with every field, values that share prefixes, runs with
@@ -333,7 +337,8 @@ fn merge_refusal(merged: Result<Vec<u8>, MergeError>, at: usize, what: &str) -> 
 /// frequency (as a positional encoder writes them) — are the same typed
 /// [`CodecError`] from `decode_segment` and `merge_postings`; and a term
 /// whose occurrences pass `u32::MAX` only across two segments is refused
-/// by the merge and by `merge_segment`, with no panic in either.
+/// by the merge, and kept in two segments of an index that a seal's
+/// merge then refuses, with no panic in either.
 fn hostile_frequency_streams_are_refused_alike(template: &Index) {
     let max = u64::from(u32::MAX);
     let valid = ngram_blob(&["a"], &[2], 1, &[0, 2]);
@@ -404,17 +409,29 @@ fn hostile_frequency_streams_are_refused_alike(template: &Index) {
         "merged term frequencies overflow u32"
     );
     let mut oracle = Index::clinical();
-    oracle
-        .merge_segment(decode_segment(&a, template).unwrap())
-        .unwrap();
-    let refused = oracle
-        .merge_segment(decode_segment(&b, template).unwrap())
-        .expect_err(what);
+    for blob in [&a, &b] {
+        oracle
+            .merge_segment(decode_segment(blob, template).unwrap())
+            .expect(what);
+    }
+    let kept: Vec<&[u8]> = oracle.frozen().map(FrozenSegment::blob).collect();
     assert_eq!(
-        refused,
-        create_index::index::IndexError::FrequencyOverflow("abc".to_string())
+        kept,
+        [&a[..], &b[..]],
+        "{what}: the tier rule keeps them apart"
     );
-    assert_eq!(encoded(&oracle), a, "{what}: the refusal changed nothing");
+    assert!(
+        matches!(
+            oracle.merge_unsealed(),
+            Err(IndexError::FrequencyOverflow(_))
+        ),
+        "{what}: a seal's merge refuses them"
+    );
+    assert_eq!(
+        oracle.segment_count(),
+        2,
+        "{what}: the refusal changed nothing"
+    );
 }
 
 /// Dictionaries and blobs that end in the wrong place — an empty term in
@@ -564,11 +581,12 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
                 let segment = decode_segment(blob, &oracle).map_err(|e| e.to_string())?;
                 oracle.merge_segment(segment).map_err(|e| e.to_string())
             });
+            let built = built.and_then(|()| oracle.merge_unsealed().map_err(|e| e.to_string()));
             match (merged, built) {
-                (Some(merged), Ok(())) => {
+                (Some(merged), Ok(one)) => {
                     assert!(
-                        merged == encoded(&oracle),
-                        "{label}: the merge wrote other bytes than decode + merge_segment + encode"
+                        one.is_some_and(|one| merged == one.blob()),
+                        "{label}: the merge wrote other bytes than decode + merge_segment + a seal"
                     );
                     // Two segments of one size class: the tier rule merges
                     // them, and the index keeps the merged blob.

@@ -596,8 +596,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(segments(), [(Some(1), Some(0))]);
-        // The flush freezes the tail and publishes it; the next write
-        // starts a new tail beside it.
+        // An in-memory flush changes nothing; the next write freezes
+        // its document as a segment beside the first.
         create.flush().unwrap();
         create.ingest_gold(&reports[3]).unwrap();
         assert_eq!(segments(), [(Some(2), Some(0))]);

@@ -3,8 +3,9 @@
 # target with warnings denied and a rustfmt check of every workspace
 # crate (`benchmark/` is its own workspace and is neither linted nor
 # format-checked), rustdoc over every workspace crate with warnings denied (an
-# intra-doc link that no longer resolves fails it), then every test binary
-# once —
+# intra-doc link that no longer resolves fails it), the per-crate
+# non-test line counts of `scripts/loc.sh` (printed, not gated), then
+# every test binary once —
 # the whole workspace's (`cargo test --workspace`: the root suites —
 # parallel_determinism, query_equivalence, shard_equivalence,
 # cohort_retrieval, crash_recovery, snapshot_stress, server_storm,
@@ -42,6 +43,9 @@ cargo fmt --all --check
 echo "== rustdoc: every intra-doc link resolves, private items included =="
 RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
     cargo doc -q --offline --no-deps --workspace --document-private-items
+
+echo "== non-test line counts per crate (information only, not a gate) =="
+scripts/loc.sh
 
 echo "== tier-1: test suite (every workspace crate, each test binary once) =="
 cargo test -q --workspace

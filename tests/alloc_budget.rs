@@ -6,10 +6,10 @@
 //! in-memory `Create` pinned to one shard and 500 generated reports:
 //!
 //! * (a) a 2-document `ingest_gold_batch` after a publish — the
-//!   copy-on-write case: the writer's tables and every touched term are
-//!   shared with the published snapshot, so this first write copies
-//!   them — stays under a fixed number of allocations. With one heap
-//!   `Vec` per posting it took 209 179;
+//!   copy-on-write case: the writer's tables are shared with the
+//!   published snapshot, so this first write copies what it touches —
+//!   stays under a fixed number of allocations. With one heap `Vec` per
+//!   posting it took 209 179;
 //! * (b) the heap an `Index` holds, built the way `Create::open` builds
 //!   it — a segment file's postings region checked and adopted as one
 //!   frozen segment — is `Index::postings_bytes()` plus a fixed cost per
@@ -31,9 +31,10 @@
 //! * (d) everything the loaded `Create` holds — index, graph, stored
 //!   payloads, facets, ordinals, one copy of each, which the writer and
 //!   the published snapshot share — stays under a fixed number of live
-//!   bytes. With every stored document a tree of `BTreeMap`s and
-//!   `String`s and every graph node and edge an `Arc` of its own it held
-//!   30.8 MB, while a publish copied the tables 17.63 MB, while
+//!   bytes. While the index was one mutable tail of posting lists it
+//!   held 11.07 MB; with every stored document a tree of `BTreeMap`s and
+//!   `String`s and every graph node and edge an `Arc` of its own 30.8
+//!   MB, while a publish copied the tables 17.63 MB, while
 //!   `body_ngram` stored positions 16.57 MB, and while a document store
 //!   filed each report as three documents under three copies of its id
 //!   14.46 MB;
@@ -70,27 +71,31 @@
 //! * (i) the sealing `flush()` of (g) — the first, which writes the
 //!   whole shard as one segment — needs a heap high-water mark above its
 //!   start under the same bound as the compaction, at the same three
-//!   sizes: it streams each region from the shard's columns but the
-//!   postings, the tail's encoding, which the index then keeps as its
-//!   frozen segment — 1.66 / 2.64 / 4.56 MB, that encoding and its term
-//!   tables beside the tail's lists, which a publish then frees.
-//!   Streaming the postings too took 1.20–1.37 MB; assembling the
-//!   segment in RAM first (every payload copied twice, the postings blob
-//!   whole) 4.34 / 6.97 / 13.26 MB, about 13 KB a report;
+//!   sizes: it streams each region from the shard's columns, the
+//!   postings being the blob of the index's one unsealed segment, which
+//!   the index already holds — 0.68 MB at every size. While the seal
+//!   encoded a mutable tail it took 1.66 / 2.64 / 4.56 MB, that encoding
+//!   and its term tables beside the tail's lists; streaming the
+//!   postings from the tail 1.20–1.37 MB; assembling the segment in RAM
+//!   first (every payload copied twice, the postings blob whole) 4.34 /
+//!   6.97 / 13.26 MB, about 13 KB a report;
 //! * (j) on a disk-backed one-shard instance sealed by one flush at the
 //!   sizes of (g), a 2-document `ingest_gold_batch` after a publish, with
-//!   the previous snapshot pinned, grows the live heap by under 1 MiB at
-//!   every size: the write copies the index's tail — the documents since
-//!   the seal — and the last chunks of the graph and of the columns, not
-//!   the shard. While the index was one dictionary, that write copied
-//!   its tables and every touched list: 2.66 / 3.26 / 5.02 MB at 250 /
-//!   500 / 1000 reports. The graph's share of the write — the same two
-//!   reports added to a copy of the pinned graph — has a bound of its own
-//!   that does not grow with the shard either;
-//! * (k) the 500 reports of (d) in a one-shard instance whose `flush()`
-//!   froze its index hold under a fixed number of live bytes: the frozen
-//!   segment is the tail's encoding, and the flush publishes it, so the
-//!   tail's lists are freed. While a frozen segment kept the tail's
+//!   the previous snapshot pinned, grows the live heap by under 512 KiB
+//!   at every size: the write freezes its documents as one more segment
+//!   (merging it with the unsealed one before it), copies the index's
+//!   list of segment pointers and the last chunks of the graph and of
+//!   the columns, not the shard. While writes went to a mutable tail the
+//!   write copied the tail's tables, 0.51 / 0.44 / 0.47 MB; while the
+//!   index was one dictionary, its tables and every touched list: 2.66 /
+//!   3.26 / 5.02 MB at 250 / 500 / 1000 reports. The graph's share of
+//!   the write — the same two reports added to a copy of the pinned
+//!   graph — has a bound of its own that does not grow with the shard
+//!   either;
+//! * (k) the 500 reports of (d) in a one-shard instance, `flush()`ed,
+//!   hold under a fixed number of live bytes: every write froze its
+//!   documents, so the index is frozen segments only and an in-memory
+//!   `flush()` has nothing to do. While a frozen segment kept the tail's
 //!   lists, the flushed instance held what the unflushed one does;
 //! * (l) a tagger trained as the benchmark trains its own — 60 generated
 //!   reports, the default configuration (2^18 hashed features, 27
@@ -101,12 +106,20 @@
 //!   its training met. While it held a dense `2^18 × 27` matrix, the
 //!   tagger requested 56.6 MB. Training it reaches a heap high-water mark
 //!   above its start under a fixed bound, and tagging a fixed sentence
-//!   makes a fixed number of allocations.
+//!   makes a fixed number of allocations;
+//! * (m) on an in-memory one-shard instance at the sizes of (g), the
+//!   write of (j) — a 2-document `ingest_gold_batch`, the previous
+//!   snapshot pinned — grows the live heap by under the same 512 KiB at
+//!   every size: nothing seals an in-memory index, and the write still
+//!   copies no segment. While every write went to a mutable tail that
+//!   only a `flush()` froze, the write copied the tail — the whole
+//!   index — and grew the heap by 2.30 / 2.78 / 4.17 MB at 250 / 500 /
+//!   1000 reports.
 
 use create::core::graph_build::{add_report, report_graph, ReportMeta};
 use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
 use create::corpus::{CorpusConfig, Generator};
-use create::index::codec::{adopt, encode_index_tail};
+use create::index::codec::{adopt, merge_postings};
 use create::index::Index;
 use create::obs::names;
 use create::server::{build_api, Request, Status};
@@ -171,22 +184,23 @@ const REPORTS: usize = 500;
 /// buckets' map, spread over the terms), and the figure repeats exactly;
 /// 181.3 while every list was decoded into a `PostingList` of its own.
 const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 13 498
-/// measured (tokens, the batch's own segment, the touched lists' copies,
-/// the copies of the tables the published snapshot shares — on an
-/// instance never flushed, the whole index is the tail the write
-/// copies), 13 720 while the graph's properties were `Value`s and its
-/// key tables hash maps, 13 664 while the graph's id lists were one
-/// vector each,
-/// 13 666 while each shard's writer had a lock of its own, 13 920 while
-/// a document store filed each report three times. The budget is a
-/// fifth over the 16 267–16 683 it made while `body_ngram` stored
-/// positions, 25 524 while a publish cloned a `String` per graph index
-/// key and a node per 11 stored documents, 209 179 with a `Vec` per
-/// posting.
-const SUBMIT_BUDGET: usize = 20_000;
+/// Allocations one 2-document batch may make at 500 reports: 8 526
+/// measured (tokens, the batch's own segment, its encoding and the
+/// frozen segment's tables, the merges the tier rule makes, the copies
+/// of the tables the published snapshot shares); 13 498 while the write
+/// copied the index's mutable tail — on an instance never flushed, the
+/// whole index — 13 720 while the graph's properties were `Value`s and
+/// its key tables hash maps, 13 664 while the graph's id lists were one
+/// vector each, 13 666 while each shard's writer had a lock of its own,
+/// 13 920 while a document store filed each report three times,
+/// 16 267–16 683 while `body_ngram` stored positions, 25 524 while a
+/// publish cloned a `String` per graph index key and a node per 11
+/// stored documents, 209 179 with a `Vec` per posting.
+const SUBMIT_BUDGET: usize = 10_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 11.07 MB measured, 14.38 MB while the graph's edges were 72 bytes and
+/// 4.60 MB measured, its index frozen segments only; 11.07 MB while the
+/// index was one mutable tail of posting lists, 14.38 MB while the
+/// graph's edges were 72 bytes and
 /// its properties `Value`s, 14.33 MB while the graph's index lists were one
 /// `Vec` each, 14.46 MB while a document store held each report
 /// as three documents, 16.57 MB while `body_ngram` stored positions —
@@ -194,11 +208,12 @@ const SUBMIT_BUDGET: usize = 20_000;
 /// 19.13 MB while the writer and the published snapshot held a copy of
 /// the tables each, and 32.28 MB before documents were text and the
 /// graph flat.
-const RESIDENT_BUDGET: isize = 11_700_000;
+const RESIDENT_BUDGET: isize = 5_000_000;
 /// Live bytes a one-shard `Create` loaded with the same 500 reports may
-/// hold once a `flush()` froze its index (k): 4.52 MB measured, 7.82 MB
-/// while the graph's edges were 72 bytes and its properties `Value`s,
-/// 14.63 MB while a frozen segment kept the tail's posting lists.
+/// hold after a `flush()` (k): 4.52 MB measured, as before the flush;
+/// 7.82 MB while the graph's edges were 72 bytes and its properties
+/// `Value`s, 14.63 MB while a frozen segment kept the tail's posting
+/// lists.
 const FROZEN_RESIDENT_BUDGET: isize = 4_900_000;
 /// `Index::postings_bytes()` of the index of (b): 1 533 420 measured,
 /// 3 586 951 while recovery decoded every list, 5 310 279 while
@@ -224,11 +239,16 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 /// positions. A sealing flush is held to it too.
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
-/// on a shard sealed by one flush (j): 0.51 / 0.44 / 0.47 MB measured at
-/// 250 / 500 / 1000 reports — the batch's own segment and payloads, the
-/// tail's copy, the graph's last chunks, the touched facet runs; 0.79 /
-/// 0.69 / 0.91 MB while the graph's key tables grew with the corpus.
-const TAIL_WRITE_BUDGET: isize = 1 << 20;
+/// on a shard sealed by one flush (j) and on an in-memory shard (m), at
+/// every size: 196 787 / 179 698 / 239 649 measured, both, at 250 / 500
+/// / 1000 reports — the merged segment of the batch and the one before
+/// it (the pinned snapshot keeps that one), the payloads, the graph's
+/// last chunks, the touched facet runs. On the sealed shard 0.51 / 0.44
+/// / 0.47 MB while writes copied a mutable tail, 0.79 / 0.69 / 0.91 MB
+/// while the graph's key tables grew with the corpus as well; on the
+/// in-memory one 2 303 885 / 2 784 385 / 4 165 349 bytes while the tail
+/// was the whole index.
+const WRITE_BUDGET: isize = 1 << 19;
 /// Live bytes the graph of (e) may hold: 832 424 measured, 4 142 390
 /// while every edge was 72 bytes, every node's properties an `Arc` slice
 /// of `Value`s and every `(label, key, value)` indexed.
@@ -349,8 +369,11 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     // (b) the index as `Create::open` builds it: a segment file's
     // postings region, read into a buffer of its own, checked and
     // adopted.
+    let loaded = system.index();
+    let inputs = loaded.frozen().map(|s| (s.blob(), s.blob().len() as u64));
     let mut blob = Vec::new();
-    encode_index_tail(&system.index(), &mut blob).unwrap();
+    merge_postings(inputs.collect(), &loaded, &mut blob).unwrap();
+    drop(loaded);
     let mut index = Index::clinical();
     let before = (allocations(), live_bytes());
     let region = blob.clone();
@@ -370,9 +393,8 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         index.num_docs(),
         held / counted
     );
-    // (k) the same corpus in a one-shard instance whose flush froze its
-    // index: the published snapshot and the writer share the frozen
-    // segment, and the tail's lists are gone.
+    // (k) the same corpus in a one-shard instance, flushed: an in-memory
+    // flush has nothing to do, every write having frozen its documents.
     let before = live_bytes();
     let flushed = Create::new(CreateConfig { shards: 1 });
     flushed.ingest_gold_batch(&reports[..REPORTS], 1).unwrap();
@@ -510,14 +532,23 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     );
     // (j) a write after a seal, the previous snapshot pinned, and the
     // graph's share of it.
-    let (tail_writes, graph_writes): (Vec<isize>, Vec<isize>) = COMPACT_SIZES
+    let (sealed_writes, graph_writes): (Vec<isize>, Vec<isize>) = COMPACT_SIZES
         .iter()
         .map(|&size| sealed_write_growth(&corpus[..size + 4]))
         .unzip();
     println!(
         "a 2-document submit on a shard sealed at {COMPACT_SIZES:?} reports, \
-         the old snapshot pinned: {tail_writes:?} live bytes added, \
+         the old snapshot pinned: {sealed_writes:?} live bytes added, \
          {graph_writes:?} of them the graph's"
+    );
+    // (m) the same write on an in-memory shard, which nothing seals.
+    let memory_writes: Vec<isize> = COMPACT_SIZES
+        .iter()
+        .map(|&size| in_memory_write_growth(&corpus[..size + 4]))
+        .collect();
+    println!(
+        "a 2-document submit on an in-memory shard of {COMPACT_SIZES:?} reports, \
+         the old snapshot pinned: {memory_writes:?} live bytes added"
     );
     assert!(
         submit_allocations <= SUBMIT_BUDGET,
@@ -585,16 +616,23 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         tag_allocations <= TAG_BUDGET,
         "a tag made {tag_allocations} allocations, budget {TAG_BUDGET}"
     );
-    for ((size, grew), graph) in COMPACT_SIZES.iter().zip(&tail_writes).zip(&graph_writes) {
+    for ((size, grew), graph) in COMPACT_SIZES.iter().zip(&sealed_writes).zip(&graph_writes) {
         assert!(
-            *grew <= TAIL_WRITE_BUDGET,
+            *grew <= WRITE_BUDGET,
             "a 2-document submit on a shard sealed at {size} reports added {grew} live bytes, \
-             budget {TAIL_WRITE_BUDGET}"
+             budget {WRITE_BUDGET}"
         );
         assert!(
             *graph <= GRAPH_WRITE_BUDGET,
             "a 2-document write to the graph of {size} reports added {graph} live bytes, \
              budget {GRAPH_WRITE_BUDGET}"
+        );
+    }
+    for (size, grew) in COMPACT_SIZES.iter().zip(&memory_writes) {
+        assert!(
+            *grew <= WRITE_BUDGET,
+            "a 2-document submit on an in-memory shard of {size} reports added {grew} live \
+             bytes, budget {WRITE_BUDGET}"
         );
     }
     for (what, peaks) in [("sealing", &seal_peaks), ("compacting", &compaction_peaks)] {
@@ -678,14 +716,15 @@ fn meta(report: &create::corpus::CaseReport) -> ReportMeta {
 }
 
 /// Seals all but the last four of `reports` into a fresh disk-backed
-/// one-shard instance with one flush, submits two more (a publish the
-/// index's tail holds), then — that snapshot pinned — the last two. The
+/// one-shard instance with one flush, submits two more (a publish whose
+/// index holds them unsealed), then — that snapshot pinned — the last
+/// two. The
 /// live bytes the last submit added, and the live bytes the same two
 /// reports add to a copy of the pinned snapshot's graph: the graph's
 /// share of the write, the clone and the copies `Writer::apply` makes.
 fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> (isize, isize) {
     let dir = std::env::temp_dir().join(format!(
-        "create-alloc-tail-{}-{}",
+        "create-alloc-sealed-{}-{}",
         std::process::id(),
         reports.len()
     ));
@@ -716,4 +755,20 @@ fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> (isize, isize)
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
     (grew, graph_grew)
+}
+
+/// Loads all but the last four of `reports` into an in-memory one-shard
+/// instance, submits two more, then — that snapshot pinned — the last
+/// two. The live bytes the last submit added.
+fn in_memory_write_growth(reports: &[create::corpus::CaseReport]) -> isize {
+    let system = Create::new(CreateConfig { shards: 1 });
+    let (bulk, small) = reports.split_at(reports.len() - 4);
+    system.ingest_gold_batch(bulk, 1).unwrap();
+    system.ingest_gold_batch(&small[..2], 1).unwrap();
+    let previous = system.snapshot();
+    let before = live_bytes();
+    system.ingest_gold_batch(&small[2..], 1).unwrap();
+    let grew = live_bytes() - before;
+    drop(previous);
+    grew
 }

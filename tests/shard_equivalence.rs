@@ -193,29 +193,31 @@ fn cache_staleness_tracks_the_composite_generation_at_any_shard_count() {
 /// 7th, every 64th, never.
 const CADENCES: [Option<usize>; 4] = [Some(1), Some(7), Some(64), None];
 
-/// Segments an index of `docs` documents may hold: the frozen ones'
-/// size classes fall strictly, so at most the bit length of the doc
-/// count of them, and the tail.
-fn segment_bound(docs: usize) -> usize {
-    (usize::BITS - docs.leading_zeros()) as usize + 1
+/// Segments an index of `docs` documents may hold: their size classes
+/// fall strictly, so at most the bit length of the doc count of them —
+/// and on a disk-backed shard, whose tier rule never merges a sealed
+/// segment with an unsealed one, one more.
+fn segment_bound(docs: usize, disk: bool) -> usize {
+    (usize::BITS - docs.leading_zeros()) as usize + usize::from(disk)
 }
 
 /// `reports` ingested one per batch into `system`, flushed after every
 /// `cadence`-th batch, with the tier rule's bound checked after each
 /// publish on every shard and exactly on shard 0's index.
 fn ingest_flushing(system: &Create, reports: &[CaseReport], cadence: Option<usize>) {
+    let disk = system.storage_stats().is_some();
     for (i, report) in reports.iter().enumerate() {
         system.ingest_gold(report).expect("ingest");
         let shard0 = system.index();
         assert!(
-            shard0.segment_count() <= segment_bound(shard0.num_docs()),
+            shard0.segment_count() <= segment_bound(shard0.num_docs(), disk),
             "{} segments for {} documents",
             shard0.segment_count(),
             shard0.num_docs()
         );
         for shard in system.shard_segments() {
             assert!(
-                shard.ram <= segment_bound(i + 1),
+                shard.ram <= segment_bound(i + 1, disk),
                 "{shard:?} at {} docs",
                 i + 1
             );

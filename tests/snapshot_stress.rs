@@ -344,11 +344,12 @@ fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
     let dir = std::env::temp_dir().join(format!("create-pinned-reader-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let system = Create::open(&dir, single_shard()).expect("open");
-    // One sealed, frozen batch, and a tail of the same size.
+    // One sealed batch, and an unsealed one of the same size: two
+    // worker segments of four, which the tier rule merges into one.
     system.ingest_gold_batch(&reports[..8], 0).expect("ingest");
     system.flush().expect("flush");
     system
-        .ingest_gold_batch(&reports[8..16], 0)
+        .ingest_gold_batch(&reports[8..16], 2)
         .expect("ingest");
     let pinned = system.snapshot();
     let held: Vec<&str> = reports[..16].iter().map(|r| r.id.as_str()).collect();
@@ -407,10 +408,10 @@ fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
     assert_eq!(
         pinned.index().segment_count(),
         2,
-        "a frozen segment and the tail"
+        "the sealed segment and the unsealed one beside it"
     );
 
-    // The flush seals and freezes the tail the pin holds, and the tier
+    // The flush seals the unsealed segment the pin holds, and the tier
     // rule merges it with the equal-sized segment before it.
     system.flush().expect("flush");
     let mut next = 16;
@@ -423,7 +424,7 @@ fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
             let ram = system.shard_segments()[0].ram;
             assert_eq!(
                 ram, 2,
-                "the two 8-document segments merged, beside the new tail"
+                "the two 8-document segments merged, beside the new batch's"
             );
         }
         system.flush().expect("flush");
