@@ -270,31 +270,28 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
 
 /// Writes index docs `[base..num_docs)` of `shard` — its unsealed
 /// documents — as the segment file at `path`, each region streamed from
-/// the shard's own columns (indexed by doc id, like the index): the
-/// directory from the ids of `postings` — the index's one unsealed
-/// segment — and the ordinals, each payload as the shard holds it, the
-/// blob of `postings`, and the facet-bitmap tail. Holds a block of the
-/// region being written and the facet tail — never a copy of the
-/// documents.
+/// the shard's own columns (indexed by doc id, like the index) and from
+/// `unsealed`, the index's one unsealed segment: the directory from its
+/// ids and the ordinals, each payload as the shard holds it, its blob,
+/// and the encoding of its facets. Holds a block of the region being
+/// written and the facet encoding — never a copy of the documents.
 pub(crate) fn write_tail(
     path: &Path,
     shard: &ShardSnapshot,
     base: usize,
-    postings: &FrozenSegment,
+    unsealed: &FrozenSegment,
 ) -> Result<SegmentFileInfo, StorageError> {
     let num = shard.index.num_docs();
     debug_assert!(
-        shard.facets.num_docs() as usize == num
-            && shard.docs.len() == num
-            && shard.ordinals.len() == num,
+        shard.docs.len() == num && shard.ordinals.len() == num,
         "every column must cover every indexed doc at seal time"
     );
-    assert_eq!(postings.num_docs(), num - base, "the unsealed docs");
+    assert_eq!(unsealed.num_docs(), num - base, "the unsealed docs");
     SegmentWriter::write_file(path, |out| {
         out.next_region()?;
         out.doc_count((num - base) as u64)?;
         for doc in base..num {
-            let id = postings.external_id((doc - base) as u32).expect("unsealed");
+            let id = unsealed.external_id((doc - base) as u32).expect("unsealed");
             out.entry(shard.ordinals[doc], id.as_bytes())?;
         }
         out.next_region()?;
@@ -302,9 +299,9 @@ pub(crate) fn write_tail(
             out.payload(shard.docs[doc].as_bytes())?;
         }
         out.next_region()?;
-        out.write_all(postings.blob())?;
+        out.write_all(unsealed.blob())?;
         out.next_region()?;
-        out.write_all(&shard.facets.encode_tail(base as u32))
+        out.write_all(&unsealed.facets().encode())
     })
 }
 
@@ -317,13 +314,13 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
     }
 }
 
-/// Reads one sealed segment file back into what it was sealed from:
-/// postings and facet bitmaps over segment-local doc ids and the stored
-/// documents, each covering the same documents. The postings region is
-/// checked and kept as it is ([`codec::adopt`], with `template`'s field
-/// configuration), the frozen segment the shard's index adopts; nothing
-/// is decoded. Recovery's reader of segment files; compaction streams
-/// them instead ([`compact_shard`]).
+/// Reads one sealed segment file back into what it was sealed from: the
+/// frozen segment the shard's index adopts — the postings region checked
+/// and kept as it is ([`codec::adopt`], with `template`'s field
+/// configuration) and the facet region decoded beside it
+/// ([`FrozenSegment::with_facets`]) — and the stored documents, each
+/// covering the same documents. Recovery's reader of segment files;
+/// compaction streams them instead ([`compact_shard`]).
 ///
 /// The file must be the one the manifest entry `meta` describes: its
 /// size and footer CRC, and its directory's document count and first
@@ -334,7 +331,7 @@ pub(crate) fn load_segment(
     path: &Path,
     meta: &SegmentMeta,
     template: &Index,
-) -> Result<(FrozenSegment, FacetIndex, Vec<StoredDoc>), StorageError> {
+) -> Result<(FrozenSegment, Vec<StoredDoc>), StorageError> {
     let segment = SegmentReader::open(path)?;
     check_meta(path, "bytes", meta.bytes, segment.bytes())?;
     check_meta(path, "crc", meta.crc.into(), segment.crc().into())?;
@@ -345,15 +342,12 @@ pub(crate) fn load_segment(
     check_meta(path, "min_ordinal", meta.min_ordinal, first)?;
     let last = ordinal(data.docs.last());
     check_meta(path, "max_ordinal", meta.max_ordinal, last)?;
-    let postings = codec::adopt(data.postings, template).map_err(corrupt_at(path))?;
     let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
-    check_doc_counts(
-        path,
-        data.docs.len(),
-        postings.num_docs(),
-        facets.num_docs(),
-    )?;
-    Ok((postings, facets, data.docs))
+    let postings = codec::adopt(data.postings, template).map_err(corrupt_at(path))?;
+    let segment = postings.with_facets(facets).map_err(corrupt_at(path))?;
+    let faceted = segment.facets().num_docs() as usize;
+    check_doc_counts(path, data.docs.len(), segment.num_docs(), faceted)?;
+    Ok((segment, data.docs))
 }
 
 /// A segment file's `field` must be what its manifest entry records.
@@ -371,9 +365,9 @@ fn check_doc_counts(
     path: &Path,
     stored: usize,
     indexed: usize,
-    faceted: u32,
+    faceted: usize,
 ) -> Result<(), StorageError> {
-    if indexed != stored || faceted as usize != stored {
+    if indexed != stored || faceted != stored {
         return Err(corrupt_at(path)(format!(
             "segment stores {stored} docs but indexes {indexed} and its facets cover {faceted}"
         )));
@@ -407,7 +401,8 @@ pub(crate) fn check_ids(
 /// documents. Directory entries and stored payloads are copied through,
 /// postings merge term by term ([`codec::merge_postings`], with
 /// `template`'s field configuration), and the facets — a few KB a
-/// segment — are decoded, merged and re-encoded. The file is byte for
+/// segment — are decoded, concatenated ([`FacetIndex::concat`], the
+/// kernel of the in-RAM merges) and re-encoded. The file is byte for
 /// byte what one seal of the same documents writes.
 ///
 /// Each input's three regions must count the same documents, which is
@@ -426,22 +421,20 @@ pub(crate) fn compact_shard(
         .iter()
         .map(|meta| SegmentReader::open(&shard_dir.join(&meta.file)))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut facets = FacetIndex::new();
     let mut faceted = Vec::with_capacity(inputs.len());
     for input in &inputs {
         let region = input.read_region(Region::Facets)?;
-        let decoded = FacetIndex::decode(&region).map_err(corrupt_at(input.path()))?;
-        faceted.push(decoded.num_docs());
-        facets.merge(decoded, facets.num_docs());
+        faceted.push(FacetIndex::decode(&region).map_err(corrupt_at(input.path()))?);
     }
-    let facets = facets.encode_tail(0);
+    let facets = FacetIndex::concat(&faceted).encode();
 
     let file = segment_file_name(entry.next_segment_id);
     let mut out = SegmentWriter::create(&shard_dir.join(&file))?;
     let written = write_compacted(&inputs, template, &facets, &mut out)?;
     for (i, input) in inputs.iter().enumerate() {
         let stored = written.ranges[i].docs as usize;
-        check_doc_counts(input.path(), stored, written.indexed[i], faceted[i])?;
+        let facets = faceted[i].num_docs() as usize;
+        check_doc_counts(input.path(), stored, written.indexed[i], facets)?;
     }
     let info = out.finish()?;
 

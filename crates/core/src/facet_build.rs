@@ -4,9 +4,10 @@
 //! [`index_doc`] is the one place that names the indexed fields and
 //! derives facet values. A document submitted alone or in a batch and a
 //! document replayed from the WAL all pass through it, into a
-//! [`Segment`] and its [`FacetIndex`] twin that the
-//! shard's writer then merges; a sealed segment carries both already
-//! encoded, and recovery and compaction decode them without coming here.
+//! [`Segment`] that holds both — the postings and the facet bitmaps, at
+//! one local doc id — and that the shard's writer then merges; a sealed
+//! segment carries both already encoded, and recovery and compaction
+//! read them without coming here.
 //! The cohort planner's bitmap pushdown has to agree bit-for-bit with
 //! the facet region persisted in sealed segments, which is why
 //! everything here is a pure function of the ingest-time payload
@@ -28,31 +29,27 @@
 
 use crate::durability::ReportFields;
 use crate::pipeline::ExtractedAnnotations;
-use create_index::facets::{FacetField, FacetIndex};
+use create_index::facets::FacetField;
 use create_index::index::IndexError;
 use create_index::Segment;
 use create_ontology::EntityType;
 
-/// Adds one document to a segment under construction and to the
-/// segment's facet twin, under the same segment-local doc id.
+/// Adds one document, its postings and its facet values, to a segment
+/// under construction.
 pub(crate) fn index_doc(
     segment: &mut Segment,
-    facets: &mut FacetIndex,
     fields: &ReportFields<'_>,
     annotations: &ExtractedAnnotations,
 ) -> Result<(), IndexError> {
-    let doc = segment.add_document(
+    segment.add_document(
         fields.id,
         &[
             ("title", fields.title),
             ("body", fields.text),
             ("body_ngram", fields.text),
         ],
-    )?;
-    facets.add_doc(
-        doc,
         facet_values(fields.category, fields.year, fields.text, annotations),
-    );
+    )?;
     Ok(())
 }
 

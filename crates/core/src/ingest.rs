@@ -10,7 +10,7 @@ use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
 use create_docstore::{json::obj, Value};
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
-use create_index::{facets::FacetIndex, index::IndexError, Index, Segment};
+use create_index::{index::IndexError, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, StageLog};
 use create_ontology::Ontology;
@@ -180,19 +180,14 @@ fn route_batch(writers: &Writers, ids: &[&str]) -> Result<Vec<usize>, IngestErro
         .collect()
 }
 
-/// A worker range's prepared documents, with the segment and facet twin
-/// it built for each shard it reached.
-type Prepared = (
-    Vec<(usize, PreparedDoc)>,
-    Vec<Option<(Segment, FacetIndex)>>,
-);
+/// A worker range's prepared documents, with the segment it built for
+/// each shard it reached.
+type Prepared = (Vec<(usize, PreparedDoc)>, Vec<Option<Segment>>);
 
 /// Phase 1: extraction and per-(worker, shard) segment builds across the
-/// worker ranges, no shared mutable state. A worker builds each
-/// segment's facet twin over the segment's local doc ids, so the apply
-/// task merges both at the same base, and buffers its stage observations
-/// ([`create_obs::buffered_stages`]) so the histograms are flushed once,
-/// after the apply.
+/// worker ranges, no shared mutable state. A worker buffers its stage
+/// observations ([`create_obs::buffered_stages`]) so the histograms are
+/// flushed once, after the apply.
 fn prepare_batch(
     template: &Index,
     ranges: &[Range<usize>],
@@ -202,17 +197,14 @@ fn prepare_batch(
 ) -> Vec<(Result<Prepared, IngestError>, StageLog)> {
     ThreadPool::global().parallel_map(ranges, |_, range| {
         create_obs::buffered_stages(|| {
-            let mut segments: Vec<Option<(Segment, FacetIndex)>> =
-                (0..shards).map(|_| None).collect();
+            let mut segments: Vec<Option<Segment>> = (0..shards).map(|_| None).collect();
             let mut prepared = Vec::with_capacity(range.len());
             let mut index_elapsed = std::time::Duration::ZERO;
             for i in range.clone() {
                 let doc = prepare(i);
                 let t0 = Instant::now();
-                let (segment, facets) = segments[routes[i]]
-                    .get_or_insert_with(|| (template.segment(), FacetIndex::new()));
-                index_doc(segment, facets, &doc.fields(), &doc.annotations)
-                    .map_err(IngestError::Index)?;
+                let segment = segments[routes[i]].get_or_insert_with(|| template.segment());
+                index_doc(segment, &doc.fields(), &doc.annotations).map_err(IngestError::Index)?;
                 index_elapsed += t0.elapsed();
                 prepared.push((i, doc));
             }
@@ -228,11 +220,11 @@ fn prepare_batch(
 
 /// Work redistributed to one shard's apply task: documents in batch
 /// order, plus the index segments built for this shard (in worker-range
-/// order, which is also batch order), each paired with its facet twin.
+/// order, which is also batch order).
 #[derive(Default)]
 struct ShardWork {
     docs: Vec<(usize, PreparedDoc)>,
-    segments: Vec<(Segment, FacetIndex)>,
+    segments: Vec<Segment>,
 }
 
 /// Regroups the prepared work by owning shard. Worker ranges are
@@ -251,9 +243,7 @@ fn regroup(
             per_shard[routes[i]].docs.push((i, doc));
         }
         for (s, segment) in segments.into_iter().enumerate() {
-            if let Some(pair) = segment {
-                per_shard[s].segments.push(pair);
-            }
+            per_shard[s].segments.extend(segment);
         }
     })?;
     Ok(per_shard)
@@ -307,8 +297,8 @@ fn apply_batch(
                     &durability::payload_text(&payload),
                 );
             }
-            for (segment, facets) in work.segments {
-                writer.merge(segment, facets).map_err(IngestError::Index)?;
+            for segment in work.segments {
+                writer.merge(segment).map_err(IngestError::Index)?;
             }
             // One fsync covers the shard's whole batch slice — the
             // records are on disk before the composite publish

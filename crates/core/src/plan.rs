@@ -15,9 +15,10 @@
 //! alike; the nodes alone pick the stages, `k` and merge policy. It is
 //! per shard and bit-deterministic across shard counts:
 //!
-//! 1. **Filter** — [`PlanNode::Filter`] value runs from the shard's
-//!    [`FacetIndex`] union per field and intersect across fields into one
-//!    eligible run. With no filter or temporal node (every `/search`),
+//! 1. **Filter** — [`PlanNode::Filter`] value runs from each segment's
+//!    facet bitmaps ([`Index::facets`]), shifted by the segment's base,
+//!    union per field and intersect across fields into one eligible run
+//!    per shard. With no filter or temporal node (every `/search`),
 //!    every document is eligible and no run is built;
 //! 2. **Temporal** — a candidate's events are lifted into a
 //!    [`TemporalGraph`] where every [`PlanNode::Temporal`] constraint must
@@ -38,8 +39,8 @@ use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
 use create_graphdb::NodeId;
-use create_index::facets::{intersect, intersect_count, union, FacetField, FacetIndex};
-use create_index::{CorpusStats, Scorer};
+use create_index::facets::{intersect, intersect_count, union, FacetField};
+use create_index::{CorpusStats, Index, Scorer};
 use create_obs::names as obs_names;
 use create_obs::Span;
 use create_ontology::{ConceptId, Ontology, RelationType};
@@ -421,11 +422,11 @@ pub fn parse_cohort_criteria(json: &Value, ontology: &Ontology) -> Result<Cohort
                     let days = item
                         .get("days")
                         .and_then(Value::as_i64)
-                        .filter(|&d| d >= 0)
+                        .and_then(|d| u32::try_from(d).ok())
                         .ok_or_else(|| {
-                            "\"within\" constraint needs a non-negative \"days\"".to_string()
+                            format!("\"within\" constraint needs a \"days\" in 0..={}", u32::MAX)
                         })?;
-                    TemporalOp::Within(days as u32)
+                    TemporalOp::Within(days)
                 }
                 other => return Err(format!("unknown temporal op {other:?}")),
             };
@@ -662,20 +663,24 @@ fn note_intersections(n: u64) {
 }
 
 /// The sorted doc-id run a shard's filters admit: per filter, the union
-/// of its value runs; across filters, the intersection. No filters means
+/// of its value runs — each segment's, shifted by the segment's base, in
+/// segment order; across filters, the intersection. No filters means
 /// every document.
-fn shard_filter_run(facets: &FacetIndex, num_docs: u32, filters: &[&FacetFilter]) -> Vec<u32> {
+fn shard_filter_run(index: &Index, filters: &[&FacetFilter]) -> Vec<u32> {
     if filters.is_empty() {
-        return (0..num_docs).collect();
+        return (0..index.num_docs() as u32).collect();
     }
     let mut acc: Option<Vec<u32>> = None;
     for filter in filters {
-        let runs: Vec<&[u32]> = filter
-            .values
-            .iter()
-            .filter_map(|v| facets.run(filter.field, v))
-            .collect();
-        let admitted = union(&runs);
+        let mut admitted = Vec::new();
+        for (base, facets) in index.facets() {
+            let runs: Vec<&[u32]> = filter
+                .values
+                .iter()
+                .filter_map(|v| facets.run(filter.field, v))
+                .collect();
+            admitted.extend(union(&runs).into_iter().map(|doc| base + doc));
+        }
         acc = Some(match acc {
             None => admitted,
             Some(prev) => {
@@ -776,7 +781,7 @@ pub(crate) fn execute(
                 .enumerate()
                 .map(|(no, shard)| {
                     let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-                    shard_filter_run(&shard.facets, shard.index.num_docs() as u32, &filters)
+                    shard_filter_run(&shard.index, &filters)
                 })
                 .collect()
         });
@@ -838,17 +843,26 @@ pub(crate) fn execute(
         );
         for (no, shard) in shards.iter().enumerate() {
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-            for &field in &facet_fields {
-                for (value, run) in shard.facets.values(field) {
-                    let c = match &eligible {
-                        Some(runs) => {
-                            note_intersections(1);
-                            intersect_count(run, &runs[no])
+            for (base, facets) in shard.index.facets() {
+                // The segment's share of the eligible run, in its local ids.
+                let local: Option<Vec<u32>> = eligible.as_ref().map(|runs| {
+                    let (run, end) = (&runs[no], base + facets.num_docs());
+                    let from = run.partition_point(|&doc| doc < base);
+                    let to = run.partition_point(|&doc| doc < end);
+                    run[from..to].iter().map(|doc| doc - base).collect()
+                });
+                for &field in &facet_fields {
+                    for (value, run) in facets.values(field) {
+                        let c = match &local {
+                            Some(local) => {
+                                note_intersections(1);
+                                intersect_count(run, local)
+                            }
+                            None => run.len() as u64,
+                        };
+                        if c > 0 {
+                            *counts.entry((field, value.to_string())).or_insert(0) += c;
                         }
-                        None => run.len() as u64,
-                    };
-                    if c > 0 {
-                        *counts.entry((field, value.to_string())).or_insert(0) += c;
                     }
                 }
             }
@@ -1032,6 +1046,26 @@ mod tests {
             "deduplicated, order kept"
         );
         assert_eq!(criteria.k, 7);
+    }
+
+    /// A `"days"` outside `u32` is refused, not wrapped: 2^32 + 1 once
+    /// read as "within 1 day".
+    #[test]
+    fn within_days_outside_u32_are_refused() {
+        let ontology = clinical_ontology();
+        let criteria = |days: &str| {
+            let text = format!(
+                r#"{{"temporal": [{{"a": "fever", "op": "within", "days": {days}, "b": "cough"}}]}}"#
+            );
+            parse_cohort_criteria(&parse_json(&text).unwrap(), &ontology)
+        };
+        let within = |days: &str| criteria(days).unwrap().temporal[0].op;
+        assert_eq!(within("0"), TemporalOp::Within(0));
+        assert_eq!(within("4294967295"), TemporalOp::Within(u32::MAX));
+        for days in ["4294967296", "4294967297", "-1"] {
+            let refused = criteria(days).map(drop).unwrap_err();
+            assert!(refused.contains("0..=4294967295"), "{days}: {refused}");
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::stats::{register_metrics, register_shard_metrics};
 use crate::system::{clamp_shards, Create, CreateConfig, MAX_SHARDS};
 use crate::writer::{empty_writer, Writer, Writers};
 use crate::{facet_build::index_doc, flush::seal_tails, ingest::IngestError};
-use create_index::facets::FacetIndex;
 use create_obs::names as obs_names;
 use create_ontology::Ontology;
 use create_storage::{manifest::shard_dir_name, Manifest, SegmentMeta, StorageError, Wal};
@@ -28,13 +27,13 @@ impl Create {
     ///    checked against its manifest entry (size, CRC, doc count, first
     ///    and last ordinal — the last is where WAL replay starts): every
     ///    stored payload goes through `Writer::apply` — refilling the
-    ///    shard's stored payloads and the graph — and the facet bitmaps
-    ///    merge as decoded, while the postings region is checked and
-    ///    adopted undecoded as one frozen in-RAM segment
-    ///    (`Writer::adopt`), not merged into one index.
+    ///    shard's stored payloads and the graph — while the postings
+    ///    region is checked and adopted undecoded, with the decoded facet
+    ///    region, as one frozen in-RAM segment (`Index::adopt_frozen`),
+    ///    not merged into one index.
     /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
-    ///    through the same two functions, its postings and facets built
-    ///    by the `index_doc` live ingestion uses; then seal every tail
+    ///    through the same two functions, its segment built by the
+    ///    `index_doc` live ingestion uses; then seal every tail
     ///    ([`seal_tails`]) so the whole acknowledged corpus is
     ///    segment-durable and the WALs start empty before the instance
     ///    accepts writes.
@@ -151,9 +150,9 @@ impl Create {
 impl Writer {
     /// Recovers one sealed segment, which must be the file its manifest
     /// entry `meta` describes ([`durability::load_segment`]): every
-    /// stored payload is applied as the file holds it, the facet bitmaps
-    /// merge as decoded and the postings region — no re-tokenization, no
-    /// decoding — becomes one frozen segment of the shard's index (the
+    /// stored payload is applied as the file holds it, and the postings
+    /// region — no re-tokenization, no decoding — becomes one frozen
+    /// segment of the shard's index with the facet region's bitmaps (the
     /// tier rule may merge it with the newest one before it). A document
     /// whose three ids disagree ([`durability::check_ids`]) fails the
     /// segment.
@@ -163,18 +162,19 @@ impl Writer {
         path: &Path,
         meta: &SegmentMeta,
     ) -> Result<(), StorageError> {
-        let (postings, facets, docs) = durability::load_segment(path, meta, &self.shard.index)?;
+        let (segment, docs) = durability::load_segment(path, meta, &self.shard.index)?;
         // By value: a file payload is freed once the shard holds its
         // copy, so the stored fields are never resident twice over.
         for (doc, stored) in docs.into_iter().enumerate() {
             let (text, payload) =
                 durability::parse_payload_bytes(&stored.payload).map_err(corrupt_at(path))?;
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
-            let indexed = postings.external_id(doc as u32);
+            let indexed = segment.external_id(doc as u32);
             durability::check_ids(path, doc, &stored.id, indexed, fields.id)?;
             self.apply(ontology, stored.ordinal, &fields, &annotations, text);
         }
-        self.adopt(postings, facets).map_err(corrupt_at(path))
+        let index = Arc::make_mut(&mut self.shard.index);
+        index.adopt_frozen(segment).map_err(corrupt_at(path))
     }
 
     /// Replays the records of the WAL at `path` whose ordinal is past
@@ -188,7 +188,7 @@ impl Writer {
         records: &[Vec<u8>],
         sealed_max: Option<u64>,
     ) -> Result<u64, StorageError> {
-        let (mut segment, mut facets) = (self.shard.index.segment(), FacetIndex::new());
+        let mut segment = self.shard.index.segment();
         let mut replayed = 0u64;
         for record in records {
             let (ordinal, payload) =
@@ -199,13 +199,12 @@ impl Writer {
                 continue;
             }
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
-            index_doc(&mut segment, &mut facets, &fields, &annotations)
-                .map_err(corrupt_at(path))?;
+            index_doc(&mut segment, &fields, &annotations).map_err(corrupt_at(path))?;
             let text = durability::payload_text(&payload.texts);
             self.apply(ontology, ordinal, &fields, &annotations, &text);
             replayed += 1;
         }
-        self.merge(segment, facets).map_err(corrupt_at(path))?;
+        self.merge(segment).map_err(corrupt_at(path))?;
         Ok(replayed)
     }
 }

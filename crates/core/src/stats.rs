@@ -3,6 +3,7 @@
 //! the write lock) and the metric series the facade pre-registers.
 
 use crate::{durability, search::MergePolicy, system::Create};
+use create_index::Index;
 use create_ner::CrfTagger;
 use create_obs::names as obs_names;
 use create_storage::ShardManifest;
@@ -25,7 +26,9 @@ pub struct SystemStats {
 /// Facet-bitmap size totals (see [`Create::facet_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FacetStats {
-    /// Distinct `(field, value)` runs across shards.
+    /// Each shard's distinct `(field, value)` runs, summed over the
+    /// shards: a value two shards hold counts twice (see
+    /// [`Index::facet_values`](create_index::Index::facet_values)).
     pub values: usize,
     /// Total bytes held by the runs.
     pub postings_bytes: usize,
@@ -87,6 +90,15 @@ pub struct StorageStats {
     pub segment_bytes: u64,
 }
 
+/// Bytes an index's facet bitmaps hold, summed over its segments: a
+/// value several segments hold is counted in each.
+fn facet_bytes(index: &Index) -> usize {
+    index
+        .facets()
+        .map(|(_, facets)| facets.postings_bytes())
+        .sum()
+}
+
 impl Create {
     /// System counters, read from one composite snapshot (mutually
     /// consistent) and summed across shards.
@@ -110,9 +122,9 @@ impl Create {
         let snapshot = self.snapshot();
         let mut stats = FacetStats::default();
         for shard in &snapshot.shards {
-            stats.values += shard.facets.num_values();
-            stats.postings_bytes += shard.facets.postings_bytes();
-            stats.docs += shard.facets.num_docs() as usize;
+            stats.values += shard.index.facet_values();
+            stats.postings_bytes += facet_bytes(&shard.index);
+            stats.docs += shard.index.num_docs();
         }
         stats
     }
@@ -144,7 +156,7 @@ impl Create {
                     .iter()
                     .map(|payload| arc_slice_bytes(payload.len()))
                     .sum::<usize>();
-            stats.facet_bytes += shard.facets.postings_bytes();
+            stats.facet_bytes += facet_bytes(&shard.index);
         }
         if create_obs::enabled() {
             for (component, bytes) in stats.components() {

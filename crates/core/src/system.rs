@@ -37,7 +37,7 @@ use crate::{
 use create_annotate::BratDocument;
 use create_docstore::Value;
 use create_graphdb::PropertyGraph;
-use create_index::{facets::FacetIndex, Index};
+use create_index::Index;
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, QueryCapture, Span};
 use create_ontology::Ontology;
@@ -126,9 +126,6 @@ pub(crate) struct ShardSnapshot {
     /// merge tie-breaks equal scores on this, which reproduces the
     /// single-shard internal-id tie-break exactly (see [`crate::search`]).
     pub(crate) ordinals: Arc<Chunked<u64>>,
-    /// Ingest-time facet bitmaps over the shard's doc ids (the cohort
-    /// planner's filter-pushdown and facet-count substrate).
-    pub(crate) facets: Arc<FacetIndex>,
 }
 
 /// An immutable, internally consistent view of the platform: one

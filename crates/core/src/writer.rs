@@ -7,7 +7,7 @@ use crate::durability::{self, DocPayload, ReportFields, ShardStorage};
 use crate::graph_build::{self, ReportMeta};
 use crate::system::{Create, ShardSnapshot, Snapshot};
 use crate::{ingest::IngestError, pipeline::ExtractedAnnotations};
-use create_index::{facets::FacetIndex, index::IndexError, FrozenSegment, Index, Segment};
+use create_index::{index::IndexError, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, Span};
 use create_ontology::Ontology;
@@ -130,9 +130,9 @@ impl Writer {
     /// (spliced from serialized member texts, or read from a segment),
     /// its graph projection and its ordinal. Every document enters a
     /// shard here — the batch apply phase logs it to the WAL first,
-    /// segment recovery and WAL replay call this alone — and its postings
-    /// and facet bitmaps enter through [`Writer::merge`], at the same doc
-    /// id.
+    /// segment recovery and WAL replay call this alone — and its segment
+    /// enters at the same doc id, through [`Writer::merge`] or, read from
+    /// a file, [`Index::adopt_frozen`].
     pub(crate) fn apply(
         &mut self,
         ontology: &Ontology,
@@ -169,35 +169,17 @@ impl Writer {
         Arc::make_mut(&mut self.shard.ordinals).push(ordinal);
     }
 
-    /// Merges a segment's postings and its facet twin at the shard's
-    /// current doc count, which keeps bitmap ids aligned with index ids.
-    /// Workers or WAL replay built the pair; a segment file's enters by
-    /// [`Writer::adopt`] instead. The postings are frozen as they enter
+    /// Merges a segment — postings and facets — after the shard's
+    /// documents. Workers or WAL replay built it; a segment file's enters
+    /// by [`Index::adopt_frozen`] instead. It is frozen as it enters
     /// ([`Index::merge_segment`]), so a merge after a publish copies the
     /// index's list of segment pointers, never a segment.
-    pub(crate) fn merge(&mut self, segment: Segment, facets: FacetIndex) -> Result<(), IndexError> {
+    pub(crate) fn merge(&mut self, segment: Segment) -> Result<(), IndexError> {
         let _span = Span::enter(
             obs_names::PIPELINE_STAGE_SECONDS,
             obs_names::STAGE_INDEX_WRITE,
         );
-        let base = self.shard.index.num_docs() as u32;
-        Arc::make_mut(&mut self.shard.index).merge_segment(segment)?;
-        Arc::make_mut(&mut self.shard.facets).merge(facets, base);
-        Ok(())
-    }
-
-    /// Adds a segment file's adopted postings to the index as one more
-    /// frozen segment ([`Index::adopt_frozen`]), and its facet twin at
-    /// the same doc ids: segment recovery's [`Writer::merge`].
-    pub(crate) fn adopt(
-        &mut self,
-        postings: FrozenSegment,
-        facets: FacetIndex,
-    ) -> Result<(), IndexError> {
-        let base = self.shard.index.num_docs() as u32;
-        Arc::make_mut(&mut self.shard.index).adopt_frozen(postings)?;
-        Arc::make_mut(&mut self.shard.facets).merge(facets, base);
-        Ok(())
+        Arc::make_mut(&mut self.shard.index).merge_segment(segment)
     }
 
     /// Fsyncs the shard's WAL — the durability point of the write path,
@@ -223,7 +205,6 @@ pub(crate) fn empty_writer() -> Writer {
             index: Arc::new(Index::clinical()),
             tagger: None,
             ordinals: Arc::default(),
-            facets: Arc::default(),
         },
         storage: None,
     }

@@ -935,7 +935,11 @@ mod tests {
         let mut segment = Index::clinical().segment();
         for (id, text) in docs {
             segment
-                .add_document(id, &[("title", id), ("body", text), ("body_ngram", text)])
+                .add_document(
+                    id,
+                    &[("title", id), ("body", text), ("body_ngram", text)],
+                    [],
+                )
                 .unwrap();
         }
         segment
@@ -1008,6 +1012,7 @@ mod tests {
                 .add_document(
                     &format!("pmid:{i}"),
                     &[("body", "fever recurred with fever spikes")],
+                    [],
                 )
                 .unwrap();
         }
@@ -1022,7 +1027,7 @@ mod tests {
     fn final_term_may_share_more_than_the_remaining_input() {
         let mut segment = Index::clinical().segment();
         for (id, title) in [("a", "12345678901"), ("b", "123456789012")] {
-            segment.add_document(id, &[("title", title)]).unwrap();
+            segment.add_document(id, &[("title", title)], []).unwrap();
         }
         let blob = encoded(&segment);
         // shared 11 | suffix "2" | 1 posting | 0 skips | 3 bytes: doc 1,
@@ -1044,6 +1049,7 @@ mod tests {
                 .add_document(
                     &format!("pmid:{i}"),
                     &[("body", &text), ("body_ngram", &text)],
+                    [],
                 )
                 .unwrap();
         }
@@ -1140,6 +1146,7 @@ mod tests {
                 .add_document(
                     id,
                     &[("title", title), ("body", text), ("body_ngram", text)],
+                    [],
                 )
                 .unwrap();
         }

@@ -1,30 +1,27 @@
 //! Facet bitmaps: sorted-run postings over low-cardinality document
 //! attributes (category, year, entity types, demographics, staging).
 //!
-//! A facet is a `(field, value)` pair mapping to the sorted list of
-//! internal doc ids carrying that value — the same dense id space the
-//! inverted index uses, so a facet run can be intersected directly with
-//! keyword candidates. Runs are `Arc`-shared: cloning a [`FacetIndex`]
-//! for a snapshot is O(values), and appends copy-on-write only the runs
-//! a published snapshot still shares (same discipline as the term
-//! dictionary in [`crate::index`]).
+//! A facet is a `(field, value)` pair mapping to the sorted list of doc
+//! ids carrying that value. A [`FacetIndex`] is a segment's column, like
+//! its postings: a builder [`Segment`](crate::Segment) fills one beside
+//! the postings, at the same local doc ids, and its
+//! [`FrozenSegment`](crate::FrozenSegment) keeps it. Reads shift a
+//! segment's runs by its base ([`crate::Index::facets`]).
 //!
-//! Doc ids only ever *append* (ingest is single-writer per shard), so a
-//! run stays sorted by construction and set operations are linear
-//! merges / galloping intersections — the "roaring-style" layout
-//! degenerates to its sorted-array container, which is the right trade
-//! for the few-thousand-doc shards this engine targets.
+//! Doc ids only ever *append*, so a run stays sorted by construction and
+//! set operations are linear merges / galloping intersections — the
+//! "roaring-style" layout degenerates to its sorted-array container,
+//! which is the right trade for the few-thousand-doc shards this engine
+//! targets. One kernel, [`FacetIndex::concat`], merges segments' facets
+//! for the tier rule, a seal and a disk compaction.
 //!
-//! The codec ([`FacetIndex::encode_tail`] / [`FacetIndex::decode`]) is
+//! The codec ([`FacetIndex::encode`] / [`FacetIndex::decode`]) is
 //! deterministic: entries in `(field, value)` order, delta-varint doc
-//! ids. `encode_tail(base)` emits only docs `>= base` rebased to zero,
-//! mirroring what a seal writes of the index, so each storage
-//! segment carries exactly its own documents' facets.
+//! ids. It writes a segment file's facet region.
 
 use crate::codec::{CodecError, Reader};
 use create_util::varint;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The closed set of facetable document attributes.
 ///
@@ -78,16 +75,9 @@ impl FacetField {
         ALL_FACET_FIELDS.into_iter().find(|f| f.label() == label)
     }
 
+    /// The field's codec tag: its position in [`ALL_FACET_FIELDS`].
     fn tag(self) -> u8 {
-        match self {
-            FacetField::Category => 0,
-            FacetField::Year => 1,
-            FacetField::EntityType => 2,
-            FacetField::Sex => 3,
-            FacetField::AgeBand => 4,
-            FacetField::Tnm => 5,
-            FacetField::Icd => 6,
-        }
+        self as u8
     }
 
     fn from_tag(tag: u8) -> Option<FacetField> {
@@ -113,11 +103,11 @@ impl From<CodecError> for FacetCodecError {
     }
 }
 
-/// Sorted-run facet postings over a shard's documents.
+/// Sorted-run facet postings over one segment's documents.
 #[derive(Debug, Clone, Default)]
 pub struct FacetIndex {
     num_docs: u32,
-    runs: BTreeMap<(FacetField, String), Arc<Vec<u32>>>,
+    runs: BTreeMap<(FacetField, String), Vec<u32>>,
 }
 
 impl FacetIndex {
@@ -126,14 +116,22 @@ impl FacetIndex {
         FacetIndex::default()
     }
 
+    /// `num_docs` documents that carry no facet value.
+    pub(crate) fn blank(num_docs: u32) -> FacetIndex {
+        FacetIndex {
+            num_docs,
+            runs: BTreeMap::new(),
+        }
+    }
+
     /// Number of documents registered (facet ids mirror index doc ids).
     pub fn num_docs(&self) -> u32 {
         self.num_docs
     }
 
-    /// Number of distinct `(field, value)` runs.
-    pub fn num_values(&self) -> usize {
-        self.runs.len()
+    /// Every `(field, value)` some document carries, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &(FacetField, String)> {
+        self.runs.keys()
     }
 
     /// Total bytes held by the runs (for the bytes/doc metric).
@@ -155,7 +153,7 @@ impl FacetIndex {
         for (field, value) in values {
             let run = self.runs.entry((field, value)).or_default();
             if run.last() != Some(&doc) {
-                Arc::make_mut(run).push(doc);
+                run.push(doc);
             }
         }
         self.num_docs = self.num_docs.max(doc + 1);
@@ -176,88 +174,68 @@ impl FacetIndex {
             .map(|((_, v), run)| (v.as_str(), run.as_slice()))
     }
 
-    /// Merges `other` (a segment-local facet index with ids from zero)
-    /// onto the end of this one: every id becomes `base + id`. Mirrors
-    /// [`crate::Index::merge_segment`]'s dense-id remapping so parallel
-    /// ingest and recovery reproduce the sequential build exactly.
-    pub fn merge(&mut self, other: FacetIndex, base: u32) {
-        for ((field, value), run) in other.runs {
-            match self.runs.entry((field, value)) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    if base == 0 {
-                        v.insert(run);
-                    } else {
-                        let mut ids =
-                            Arc::try_unwrap(run).unwrap_or_else(|shared| (*shared).clone());
-                        for d in &mut ids {
-                            *d += base;
-                        }
-                        v.insert(Arc::new(ids));
-                    }
-                }
-                // A run a published snapshot shares is copied once, with
-                // room for the appended ids (`Arc::make_mut` would copy it
-                // at its length and then grow it to twice that).
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let ids = o.get_mut();
-                    if Arc::get_mut(ids).is_none() {
-                        let mut copy = Vec::with_capacity(ids.len() + run.len());
-                        copy.extend_from_slice(ids);
-                        *ids = Arc::new(copy);
-                    }
-                    let ids = Arc::get_mut(ids).expect("unshared, or copied just above");
-                    ids.extend(run.iter().map(|d| d + base));
-                }
+    /// The concatenation of `parts`: each part's documents after the
+    /// documents of the parts before it, so a part's id `d` becomes
+    /// `base + d`, `base` being the doc counts of the parts before it —
+    /// the remapping [`crate::Index::merge_segment`] gives postings. Each
+    /// run is allocated once, at its final length.
+    pub fn concat<'a>(parts: impl IntoIterator<Item = &'a FacetIndex> + Clone) -> FacetIndex {
+        let mut lens: BTreeMap<&(FacetField, String), usize> = BTreeMap::new();
+        for part in parts.clone() {
+            for (key, run) in &part.runs {
+                *lens.entry(key).or_default() += run.len();
             }
         }
-        self.num_docs = self.num_docs.max(base + other.num_docs);
+        let mut runs = BTreeMap::new();
+        for (key, len) in lens {
+            runs.insert(key.clone(), Vec::with_capacity(len));
+        }
+        let mut num_docs = 0;
+        for part in parts {
+            for (key, run) in &part.runs {
+                let ids = runs.get_mut(key).expect("sized above");
+                ids.extend(run.iter().map(|d| d + num_docs));
+            }
+            num_docs += part.num_docs;
+        }
+        FacetIndex { num_docs, runs }
     }
 
-    /// Encodes documents `>= base` rebased to zero. Deterministic:
-    /// entries in `(field, value)` order, delta-varint ids.
-    pub fn encode_tail(&self, base: u32) -> Vec<u8> {
+    /// Encodes the index. Deterministic: entries in `(field, value)`
+    /// order, delta-varint ids.
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, (self.num_docs.saturating_sub(base)) as u64);
-        let mut entries = Vec::new();
-        for ((field, value), run) in &self.runs {
-            let start = run.partition_point(|&d| d < base);
-            if start < run.len() {
-                entries.push((*field, value.as_str(), &run[start..]));
-            }
-        }
-        varint::write_u64(&mut out, entries.len() as u64);
-        for (field, value, ids) in entries {
+        varint::write_u64(&mut out, u64::from(self.num_docs));
+        varint::write_u64(&mut out, self.runs.len() as u64);
+        for ((field, value), ids) in &self.runs {
             out.push(field.tag());
             varint::write_u64(&mut out, value.len() as u64);
             out.extend_from_slice(value.as_bytes());
             varint::write_u64(&mut out, ids.len() as u64);
-            let mut prev = 0u32;
-            for (i, &d) in ids.iter().enumerate() {
-                let rebased = d - base;
-                let delta = if i == 0 { rebased } else { rebased - prev - 1 };
-                varint::write_u64(&mut out, delta as u64);
-                prev = rebased;
+            let mut next = 0u32;
+            for &d in ids {
+                varint::write_u64(&mut out, u64::from(d - next));
+                next = d + 1;
             }
         }
         out
     }
 
-    /// Decodes a segment-local facet index (ids from zero) previously
-    /// produced by [`FacetIndex::encode_tail`].
+    /// Decodes a facet index [`FacetIndex::encode`] produced.
     ///
     /// The input is untrusted: every count is capped by what the
     /// remaining bytes can hold before anything is reserved for it, ids
     /// are summed with checked arithmetic, and only the canonical
     /// encoding is accepted (shortest varints, strictly ascending
     /// `(field, value)` entries, no empty run) — a blob that decodes
-    /// re-encodes through `encode_tail(0)` to the same bytes.
+    /// re-encodes through `encode` to the same bytes.
     pub fn decode(bytes: &[u8]) -> Result<FacetIndex, FacetCodecError> {
         let mut r = Reader::new(bytes);
         let num_docs = r.u32("doc count")?;
         // An entry takes its tag, its value's length, its id count and
         // at least one id.
         let entries = r.count(4, "entry count")?;
-        let mut runs: BTreeMap<(FacetField, String), Arc<Vec<u32>>> = BTreeMap::new();
+        let mut runs: BTreeMap<(FacetField, String), Vec<u32>> = BTreeMap::new();
         let mut scratch = Vec::new();
         for _ in 0..entries {
             let tag = r.byte("field tag")?;
@@ -288,7 +266,7 @@ impl FacetIndex {
                 ids.push(doc);
                 floor = doc + 1;
             }
-            runs.insert((field, value.to_string()), Arc::new(ids));
+            runs.insert((field, value.to_string()), ids);
         }
         if r.left() != 0 {
             return Err(FacetCodecError("trailing bytes".into()));
@@ -312,20 +290,12 @@ pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Union of sorted runs (linear merge, deduplicated).
+/// Union of sorted runs, sorted and deduplicated.
 pub fn union(lists: &[&[u32]]) -> Vec<u32> {
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].to_vec(),
-        _ => {
-            let mut out: Vec<u32> = Vec::new();
-            for list in lists {
-                let merged = merge_two(&out, list);
-                out = merged;
-            }
-            out
-        }
-    }
+    let mut out = lists.concat();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Number of elements of `candidates` present in the sorted `run`.
@@ -345,31 +315,6 @@ pub fn intersect_count(run: &[u32], candidates: &[u32]) -> u64 {
         }
     }
     count
-}
-
-fn merge_two(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Index of the first element `>= target` in sorted `slice`, found by
@@ -443,55 +388,30 @@ mod tests {
         assert_eq!(years, vec![("2019", 2)]);
     }
 
+    /// Every `(field, value, run)` of `fx`.
+    fn contents(fx: &FacetIndex) -> Vec<(FacetField, String, Vec<u32>)> {
+        ALL_FACET_FIELDS
+            .into_iter()
+            .flat_map(|field| {
+                fx.values(field)
+                    .map(move |(v, r)| (field, v.to_string(), r.to_vec()))
+            })
+            .collect()
+    }
+
     #[test]
     fn codec_roundtrip_full() {
         let fx = sample();
-        let bytes = fx.encode_tail(0);
+        let bytes = fx.encode();
         let back = FacetIndex::decode(&bytes).unwrap();
         assert_eq!(back.num_docs(), fx.num_docs());
-        assert_eq!(back.num_values(), fx.num_values());
-        for field in ALL_FACET_FIELDS {
-            let a: Vec<_> = fx
-                .values(field)
-                .map(|(v, r)| (v.to_string(), r.to_vec()))
-                .collect();
-            let b: Vec<_> = back
-                .values(field)
-                .map(|(v, r)| (v.to_string(), r.to_vec()))
-                .collect();
-            assert_eq!(a, b, "{field:?}");
-        }
+        assert!(back.keys().eq(fx.keys()));
+        assert_eq!(contents(&back), contents(&fx));
+        assert_eq!(back.encode(), bytes);
     }
 
-    #[test]
-    fn encode_tail_rebases_and_merge_restores() {
-        let fx = sample();
-        let tail = FacetIndex::decode(&fx.encode_tail(2)).unwrap();
-        assert_eq!(tail.num_docs(), 2);
-        assert_eq!(
-            tail.run(FacetField::Category, "oncology"),
-            Some(&[0u32][..])
-        );
-        // rebuild by splitting at 2 and merging back
-        let mut rebuilt = FacetIndex::new();
-        rebuilt.merge(FacetIndex::decode(&head_tail(&fx, 0, 2)).unwrap(), 0);
-        rebuilt.merge(tail, 2);
-        for field in ALL_FACET_FIELDS {
-            let a: Vec<_> = fx
-                .values(field)
-                .map(|(v, r)| (v.to_string(), r.to_vec()))
-                .collect();
-            let b: Vec<_> = rebuilt
-                .values(field)
-                .map(|(v, r)| (v.to_string(), r.to_vec()))
-                .collect();
-            assert_eq!(a, b, "{field:?}");
-        }
-        assert_eq!(rebuilt.num_docs(), fx.num_docs());
-    }
-
-    /// Encodes docs `[base, end)` by truncating a clone.
-    fn head_tail(fx: &FacetIndex, base: u32, end: u32) -> Vec<u8> {
+    /// Docs `[base, end)` of `fx`, rebased to zero.
+    fn slice(fx: &FacetIndex, base: u32, end: u32) -> FacetIndex {
         let mut clipped = FacetIndex::new();
         for d in base..end {
             let mut values = Vec::new();
@@ -502,13 +422,35 @@ mod tests {
                     }
                 }
             }
-            clipped.add_doc(d, values);
+            clipped.add_doc(d - base, values);
         }
-        clipped.encode_tail(base)
+        clipped
     }
 
     #[test]
-    fn merge_mirrors_sequential_build() {
+    fn concat_of_the_pieces_is_the_whole() {
+        let fx = sample();
+        let tail = slice(&fx, 2, 4);
+        assert_eq!(tail.num_docs(), 2);
+        assert_eq!(
+            tail.run(FacetField::Category, "oncology"),
+            Some(&[0u32][..])
+        );
+        for cut in 0..=fx.num_docs() {
+            let (head, tail) = (slice(&fx, 0, cut), slice(&fx, cut, fx.num_docs()));
+            let whole = FacetIndex::concat([&head, &tail]);
+            assert_eq!(whole.num_docs(), fx.num_docs(), "cut {cut}");
+            assert_eq!(whole.encode(), fx.encode(), "cut {cut}");
+        }
+        // One piece per document, an empty one among them.
+        let pieces: Vec<FacetIndex> = (0..fx.num_docs()).map(|d| slice(&fx, d, d + 1)).collect();
+        let empty = FacetIndex::new();
+        let parts = pieces.iter().take(2).chain([&empty]).chain(&pieces[2..]);
+        assert_eq!(contents(&FacetIndex::concat(parts)), contents(&fx));
+    }
+
+    #[test]
+    fn concat_mirrors_sequential_build() {
         let mut seq = FacetIndex::new();
         seq.add_doc(0, [(FacetField::Sex, "male".to_string())]);
         seq.add_doc(1, [(FacetField::Sex, "female".to_string())]);
@@ -519,17 +461,13 @@ mod tests {
         let mut b = FacetIndex::new();
         b.add_doc(0, [(FacetField::Sex, "female".to_string())]);
         b.add_doc(1, [(FacetField::Sex, "male".to_string())]);
-        let mut merged = FacetIndex::new();
-        merged.merge(a, 0);
-        merged.merge(b, 1);
-        assert_eq!(
-            merged.run(FacetField::Sex, "male"),
-            seq.run(FacetField::Sex, "male")
-        );
-        assert_eq!(
-            merged.run(FacetField::Sex, "female"),
-            seq.run(FacetField::Sex, "female")
-        );
+        let merged = FacetIndex::concat([&a, &b]);
+        assert_eq!(contents(&merged), contents(&seq));
+        assert_eq!(merged.num_docs(), 3);
+        // A document without values still takes its id.
+        let blank = FacetIndex::blank(2);
+        let merged = FacetIndex::concat([&blank, &a]);
+        assert_eq!(merged.run(FacetField::Sex, "male"), Some(&[2u32][..]));
         assert_eq!(merged.num_docs(), 3);
     }
 
@@ -541,14 +479,39 @@ mod tests {
             union(&[&[1, 4][..], &[2, 4, 8][..], &[][..]]),
             vec![1, 2, 4, 8]
         );
+        assert_eq!(union(&[]), Vec::<u32>::new());
         assert_eq!(intersect(&[], &[1, 2]), Vec::<u32>::new());
+
+        // Seeded random runs: the union is the sorted set of every id.
+        const SEED: u64 = 0x0F_ACE7_5EED;
+        println!("union seed {SEED:#x}");
+        let mut state = SEED;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below) as u32
+        };
+        for _ in 0..200 {
+            let runs: Vec<Vec<u32>> = (0..next(8))
+                .map(|_| {
+                    let mut run: Vec<u32> = (0..next(40)).map(|_| next(100)).collect();
+                    run.sort_unstable();
+                    run.dedup();
+                    run
+                })
+                .collect();
+            let lists: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+            let want: std::collections::BTreeSet<u32> = runs.iter().flatten().copied().collect();
+            assert_eq!(union(&lists), want.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert!(FacetIndex::decode(&[0x80]).is_err());
         let fx = sample();
-        let mut bytes = fx.encode_tail(0);
+        let mut bytes = fx.encode();
         bytes.push(7);
         assert!(FacetIndex::decode(&bytes).is_err());
         // One doc, one entry (category, ""), a run of 2^40 ids: the count

@@ -22,8 +22,11 @@
 //! accepted, [`decode_entry`] reads without checking again. A write
 //! adopts its segment's encoding, recovery a segment file's postings
 //! region, and the tier rule and a seal the merge of frozen blobs.
+//! Beside the blob a frozen segment keeps its documents' facet bitmaps,
+//! decoded ([`FrozenSegment::with_facets`]).
 
 use crate::codec::{decode_entry, Positions};
+use crate::facets::{FacetCodecError, FacetIndex};
 use crate::index::{scan_buckets, sweep, FieldIndex, FieldRef, Index, Segment};
 use crate::postings::{Decoded, PostingList, Postings, Span};
 use create_util::fxhash::{FxHashMap, FxHasher};
@@ -41,6 +44,8 @@ pub struct FrozenSegment {
     /// The documents in external-id (byte) order.
     by_id: Box<[u32]>,
     fields: FxHashMap<String, FrozenField>,
+    /// The documents' facet bitmaps, over the same local ids.
+    facets: FacetIndex,
 }
 
 /// One field of a [`FrozenSegment`].
@@ -153,13 +158,14 @@ fn slot(term: &str, slots: usize) -> usize {
 
 impl FrozenSegment {
     /// The segment of a checked `blob`: the offset of each document's id
-    /// and the fields `adopt` read.
+    /// and the fields `adopt` read, its documents without facet values.
     pub(crate) fn new(
         blob: Vec<u8>,
         ids: Vec<u32>,
         fields: FxHashMap<String, FrozenField>,
     ) -> FrozenSegment {
         let mut segment = FrozenSegment {
+            facets: FacetIndex::blank(ids.len() as u32),
             blob: blob.into_boxed_slice(),
             ids: ids.into_boxed_slice(),
             by_id: Box::default(),
@@ -185,6 +191,24 @@ impl FrozenSegment {
     /// The bytes the segment keeps: a segment file's postings region.
     pub fn blob(&self) -> &[u8] {
         &self.blob
+    }
+
+    /// The documents' facet bitmaps, over the segment's local ids; their
+    /// [`FacetIndex::encode`] is a segment file's facet region.
+    pub fn facets(&self) -> &FacetIndex {
+        &self.facets
+    }
+
+    /// The segment with `facets` as its documents' facet bitmaps, which
+    /// must cover exactly its documents.
+    pub fn with_facets(mut self, facets: FacetIndex) -> Result<FrozenSegment, FacetCodecError> {
+        let (faceted, indexed) = (facets.num_docs(), self.num_docs());
+        if faceted as usize != indexed {
+            let covered = format!("the facets cover {faceted} docs, the postings {indexed}");
+            return Err(FacetCodecError(covered));
+        }
+        self.facets = facets;
+        Ok(self)
     }
 
     /// A field's terms, in dictionary order.
@@ -219,10 +243,12 @@ impl FrozenSegment {
 
     /// The builder segment of posting lists the blob encodes, with
     /// `template`'s field configuration: every list decoded as a query
-    /// decodes it, and each id one `Arc<str>` its two tables share — what
-    /// [`decode_segment`](crate::codec::decode_segment) returns.
+    /// decodes it, each id one `Arc<str>` its two tables share, and the
+    /// facets — what [`decode_segment`](crate::codec::decode_segment)
+    /// returns.
     pub(crate) fn thaw(&self, template: &Index) -> Segment {
         let mut segment = template.segment();
+        segment.facets = self.facets.clone();
         for doc in 0..self.num_docs() as u32 {
             let id: Arc<str> = Arc::from(self.external_id(doc).expect("a doc of the segment"));
             segment.external_ids.push(Arc::clone(&id));

@@ -13,6 +13,7 @@
 //! internally by dense `u32` ids and externally by caller-supplied
 //! string ids (`pmid:…`).
 
+use crate::facets::{FacetField, FacetIndex};
 use crate::frozen::FrozenSegment;
 use crate::postings::PostingList;
 use create_text::Analyzer;
@@ -198,11 +199,12 @@ pub(crate) fn sweep<'a>(
 }
 
 /// One segment's documents as a builder holds them: per field a term
-/// dictionary of posting lists over dense local doc ids. A worker builds
-/// a batch in one ([`Index::segment`]), and
-/// [`crate::codec::decode_segment`] makes one of a blob. Nothing queries
-/// a builder: [`Index::merge_segment`] encodes it
-/// ([`crate::codec::encode_segment`]) and keeps only the encoding.
+/// dictionary of posting lists over dense local doc ids, and the facet
+/// bitmaps over the same ids. A worker builds a batch in one
+/// ([`Index::segment`]), and [`crate::codec::decode_segment`] makes one
+/// of a blob. Nothing queries a builder: [`Index::merge_segment`]
+/// encodes its postings ([`crate::codec::encode_segment`]) and keeps
+/// only the encoding, beside the facets.
 pub struct Segment {
     pub(crate) fields: FxHashMap<String, FieldIndex>,
     /// Internal id → external id.
@@ -210,6 +212,8 @@ pub struct Segment {
     /// External id → internal id (shares the `Arc<str>` with
     /// `external_ids`; `Borrow<str>` keeps `&str` lookups working).
     pub(crate) id_map: FxHashMap<Arc<str>, u32>,
+    /// Every document's facet values, at its postings' id.
+    pub(crate) facets: FacetIndex,
 }
 
 impl std::fmt::Debug for Segment {
@@ -238,6 +242,7 @@ impl Segment {
                 .collect(),
             external_ids: Vec::new(),
             id_map: FxHashMap::default(),
+            facets: FacetIndex::new(),
         }
     }
 
@@ -251,13 +256,15 @@ impl Segment {
         self.external_ids.get(doc as usize).map(|s| &**s)
     }
 
-    /// Indexes a document: `(field, text)` pairs. Unknown fields are an
-    /// error; re-adding an external id the segment holds is an error.
+    /// Indexes a document: `(field, text)` pairs, and its facet values
+    /// under the same local id (duplicates collapse). Unknown fields are
+    /// an error; re-adding an external id the segment holds is an error.
     /// Returns the local id.
     pub fn add_document(
         &mut self,
         external_id: &str,
         field_texts: &[(&str, &str)],
+        facets: impl IntoIterator<Item = (FacetField, String)>,
     ) -> Result<u32, IndexError> {
         if self.id_map.contains_key(external_id) {
             return Err(IndexError::DuplicateDocument(external_id.to_string()));
@@ -279,6 +286,7 @@ impl Segment {
             let fi = self.fields.get_mut(*field).expect("checked above");
             fi.index_text(doc, text);
         }
+        self.facets.add_doc(doc, facets);
         Ok(doc)
     }
 
@@ -337,6 +345,7 @@ impl Index {
                 fields: map,
                 external_ids: Vec::new(),
                 id_map: FxHashMap::default(),
+                facets: FacetIndex::new(),
             }),
         }
     }
@@ -408,17 +417,17 @@ impl Index {
             .find_map(|(base, segment)| Some(base + segment.internal_id(external)?))
     }
 
-    /// Indexes one document: `(field, text)` pairs, as a one-document
-    /// [`Index::merge_segment`]. Unknown fields are an error; re-adding
-    /// an existing external id is an error (the CREATe pipeline never
-    /// re-indexes in place). Returns the internal id.
+    /// Indexes one document: `(field, text)` pairs, without facet values,
+    /// as a one-document [`Index::merge_segment`]. Unknown fields are an
+    /// error; re-adding an existing external id is an error (the CREATe
+    /// pipeline never re-indexes in place). Returns the internal id.
     pub fn add_document(
         &mut self,
         external_id: &str,
         field_texts: &[(&str, &str)],
     ) -> Result<u32, IndexError> {
         let mut segment = self.segment();
-        segment.add_document(external_id, field_texts)?;
+        segment.add_document(external_id, field_texts, [])?;
         let doc = self.num_docs() as u32;
         self.merge_segment(segment)?;
         Ok(doc)
@@ -459,6 +468,23 @@ impl Index {
     /// `index.ram_postings_bytes_per_doc`.
     pub fn postings_bytes(&self) -> usize {
         self.frozen.iter().map(|s| s.postings_bytes()).sum()
+    }
+
+    /// Every segment's facet bitmaps with the global id of its first
+    /// document, oldest first: a segment's run shifted by its base is
+    /// the run's share of the index's ids.
+    pub fn facets(&self) -> impl Iterator<Item = (u32, &FacetIndex)> {
+        self.segments()
+            .map(|(base, segment)| (base, segment.facets()))
+    }
+
+    /// Number of distinct `(field, value)` facet runs: a value several
+    /// segments hold counts once.
+    pub fn facet_values(&self) -> usize {
+        let mut keys: Vec<_> = self.facets().flat_map(|(_, f)| f.keys()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
     }
 
     /// A field's configuration, for query analysis.
@@ -524,7 +550,7 @@ mod tests {
     #[test]
     fn positions_are_recorded() {
         let mut seg = body_index().segment();
-        seg.add_document("d", &[("body", "fever then fever again")])
+        seg.add_document("d", &[("body", "fever then fever again")], [])
             .unwrap();
         let postings: Vec<_> = seg.postings("body", "fever").unwrap().iter().collect();
         assert_eq!(postings, [(0, 2, &[0, 2][..])]);

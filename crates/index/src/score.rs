@@ -790,7 +790,7 @@ mod tests {
             for &n in batches {
                 let mut segment = idx.segment();
                 for (id, text) in &docs[at..at + n] {
-                    segment.add_document(id, &[("body", text)]).unwrap();
+                    segment.add_document(id, &[("body", text)], []).unwrap();
                 }
                 idx.merge_segment(segment).unwrap();
                 at += n;

@@ -33,9 +33,10 @@
 //! copied once per class it climbs, O(log n) times. The rule never
 //! rebuilds the whole index at once the way a disk compaction does: a
 //! large old segment merges only once the newer ones add up to its size
-//! class. A merge is a disk compaction's kernel, [`merge_postings`] over
-//! the segments' encoded blobs: the merged blob is the encoding of the
-//! merged documents, and nothing is decoded.
+//! class. A merge is a disk compaction's kernels, [`merge_postings`] over
+//! the segments' encoded blobs — the merged blob is the encoding of the
+//! merged documents, and nothing is decoded — and [`FacetIndex::concat`]
+//! over their facets.
 //!
 //! **Sealing.** A disk-backed shard writes its unsealed documents to a
 //! segment file at each flush. They are the segments after one boundary
@@ -49,6 +50,7 @@
 //! segment ([`Index::adopt_frozen`]).
 
 use crate::codec::{adopt, encode_segment, merge_postings};
+use crate::facets::FacetIndex;
 use crate::frozen::FrozenSegment;
 use crate::index::{Index, IndexError, Segment};
 use std::sync::Arc;
@@ -83,12 +85,12 @@ impl Index {
     }
 
     /// Adds a segment's documents after the index's, as one more frozen
-    /// segment: its encoding, checked by [`adopt`] and pushed under the
-    /// tier rule (see the module docs). Its dense doc ids follow the
-    /// index's. Fails — without mutating the index — if the segment's
-    /// fields differ or any external id is already present. An empty
-    /// segment adds nothing.
-    pub fn merge_segment(&mut self, segment: Segment) -> Result<(), IndexError> {
+    /// segment: its encoding, checked by [`adopt`], with its facets, and
+    /// pushed under the tier rule (see the module docs). Its dense doc
+    /// ids follow the index's. Fails — without mutating the index — if
+    /// the segment's fields differ or any external id is already present.
+    /// An empty segment adds nothing.
+    pub fn merge_segment(&mut self, mut segment: Segment) -> Result<(), IndexError> {
         let (config, fields) = (&self.config.fields, &segment.fields);
         let foreign = fields.keys().find(|name| !config.contains_key(*name));
         let missing = || config.keys().find(|name| !fields.contains_key(*name));
@@ -103,8 +105,12 @@ impl Index {
         }
         let mut blob = Vec::new();
         encode_segment(&segment, &mut blob).expect("a Vec takes every byte");
+        let facets = std::mem::take(&mut segment.facets);
         drop(segment);
         let frozen = adopt(blob, self).expect("a segment's encoding adopts");
+        let frozen = frozen
+            .with_facets(facets)
+            .expect("a builder's facets are its docs'");
         self.frozen.push(Arc::new(frozen));
         self.tier_merge(self.sealed);
         Ok(())
@@ -115,8 +121,9 @@ impl Index {
         self.frozen.iter().any(|s| s.internal_id(id).is_some())
     }
 
-    /// Adds an adopted segment — a segment file's postings region — after
-    /// the others, as a sealed one ([`Index::seal`]). Every segment
+    /// Adds an adopted segment — a segment file's postings and facet
+    /// regions — after the others, as a sealed one ([`Index::seal`]).
+    /// Every segment
     /// before it must be sealed: recovery adopts every file before it
     /// replays the WAL. Fails, changing nothing, when an external id is
     /// already present.
@@ -141,8 +148,9 @@ impl Index {
     }
 
     /// Merges the unsealed segments into one — [`merge_postings`] of
-    /// their blobs, adopted; a single one stays as it is — and returns
-    /// it: its blob is what a seal writes as its file's postings region.
+    /// their blobs and [`FacetIndex::concat`] of their facets; a single
+    /// one stays as it is — and returns it: its blob and facets are what
+    /// a seal writes as its file's postings and facet regions.
     /// `None` when every document is sealed. Fails, changing nothing,
     /// when the segments do not merge (a term would occur 2^32 or more
     /// times).
@@ -179,22 +187,28 @@ impl Index {
     }
 
     /// The segments from `at` on as one: [`merge_postings`] of their
-    /// blobs, adopted.
+    /// blobs, adopted, with the [`FacetIndex::concat`] of their facets.
     fn merged(&self, at: usize) -> Result<FrozenSegment, IndexError> {
-        let inputs: Vec<(&[u8], u64)> = self.frozen[at..]
+        let segments = &self.frozen[at..];
+        let inputs: Vec<(&[u8], u64)> = segments
             .iter()
             .map(|s| (s.blob(), s.blob().len() as u64))
             .collect();
         let mut merged = Vec::with_capacity(inputs.iter().map(|(_, len)| *len as usize).sum());
         merge_postings(inputs, self, &mut merged)
             .map_err(|e| IndexError::FrequencyOverflow(e.to_string()))?;
-        Ok(adopt(merged, self).expect("merged blobs adopt"))
+        let facets = FacetIndex::concat(segments.iter().map(|s| s.facets()));
+        let frozen = adopt(merged, self).expect("merged blobs adopt");
+        Ok(frozen
+            .with_facets(facets)
+            .expect("merged facets cover the merged docs"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facets::FacetField;
     use crate::index::FieldConfig;
     use create_text::Analyzer;
 
@@ -230,7 +244,7 @@ mod tests {
             .map(|docs| {
                 let mut seg = idx.segment();
                 for (id, text) in docs {
-                    seg.add_document(id, &fields(id, text)).unwrap();
+                    seg.add_document(id, &fields(id, text), []).unwrap();
                 }
                 seg
             })
@@ -239,6 +253,18 @@ mod tests {
             idx.merge_segment(seg).unwrap();
         }
         idx
+    }
+
+    /// Facet values derived from a `doc:{i}` id: its parity, and a
+    /// category for every third document.
+    fn facets_of(id: &str) -> Vec<(FacetField, String)> {
+        let i: u32 = id.trim_start_matches("doc:").parse().unwrap();
+        let parity = if i % 2 == 1 { "odd" } else { "even" };
+        let mut values = vec![(FacetField::Year, parity.to_string())];
+        if i.is_multiple_of(3) {
+            values.push((FacetField::Category, "third".to_string()));
+        }
+        values
     }
 
     /// The encoding of every document of `idx`: its segments merged.
@@ -282,8 +308,8 @@ mod tests {
         idx.add_document("pmid:1", &[("body", "one")]).unwrap();
         let before = idx.postings_bytes();
         let mut seg = idx.segment();
-        seg.add_document("pmid:9", &[("body", "nine")]).unwrap();
-        seg.add_document("pmid:1", &[("body", "dup")]).unwrap();
+        seg.add_document("pmid:9", &[("body", "nine")], []).unwrap();
+        seg.add_document("pmid:1", &[("body", "dup")], []).unwrap();
         assert_eq!(
             idx.merge_segment(seg),
             Err(IndexError::DuplicateDocument("pmid:1".to_string()))
@@ -296,9 +322,9 @@ mod tests {
     fn duplicate_within_segment_rejected() {
         let idx = Index::clinical();
         let mut seg = idx.segment();
-        seg.add_document("x", &[("body", "one")]).unwrap();
+        seg.add_document("x", &[("body", "one")], []).unwrap();
         assert_eq!(
-            seg.add_document("x", &[("body", "two")]),
+            seg.add_document("x", &[("body", "two")], []),
             Err(IndexError::DuplicateDocument("x".to_string()))
         );
     }
@@ -308,7 +334,7 @@ mod tests {
         let idx = Index::clinical();
         let mut seg = idx.segment();
         assert_eq!(
-            seg.add_document("x", &[("nope", "text")]),
+            seg.add_document("x", &[("nope", "text")], []),
             Err(IndexError::UnknownField("nope".to_string()))
         );
     }
@@ -324,7 +350,7 @@ mod tests {
             Index::new(fields.collect())
         };
         let mut seg = config(&["abstract"]).segment();
-        seg.add_document("a", &[("abstract", "fever")]).unwrap();
+        seg.add_document("a", &[("abstract", "fever")], []).unwrap();
         assert_eq!(seg.num_docs(), 1);
         let mut idx = Index::clinical();
         assert_eq!(
@@ -332,7 +358,7 @@ mod tests {
             Err(IndexError::UnknownField("abstract".to_string()))
         );
         let mut seg = config(&["title", "body"]).segment();
-        seg.add_document("a", &[("body", "fever")]).unwrap();
+        seg.add_document("a", &[("body", "fever")], []).unwrap();
         assert_eq!(
             idx.merge_segment(seg),
             Err(IndexError::UnknownField("body_ngram".to_string()))
@@ -345,8 +371,9 @@ mod tests {
         let mut idx = sequential_index();
         let segments = idx.segment_count();
         let mut seg = idx.segment();
-        seg.add_document("pmid:7", &[("body", "new")]).unwrap();
-        seg.add_document("pmid:2", &[("body", "again")]).unwrap();
+        seg.add_document("pmid:7", &[("body", "new")], []).unwrap();
+        seg.add_document("pmid:2", &[("body", "again")], [])
+            .unwrap();
         assert_eq!(
             idx.merge_segment(seg),
             Err(IndexError::DuplicateDocument("pmid:2".to_string()))
@@ -414,7 +441,7 @@ mod tests {
             for batch in DOCS.chunks(every) {
                 let mut seg = idx.segment();
                 for (id, text) in batch {
-                    seg.add_document(id, &fields(id, text)).unwrap();
+                    seg.add_document(id, &fields(id, text), []).unwrap();
                 }
                 idx.merge_segment(seg).unwrap();
                 assert!(idx.segment_count() <= bound, "every {every}: {idx:?}");
@@ -435,7 +462,8 @@ mod tests {
     /// Random batch sizes and seal points: the tier rule never merges a
     /// sealed segment with an unsealed one, a seal of the unsealed
     /// segments writes the encoding of one builder segment holding their
-    /// documents, and an empty segment pushes nothing.
+    /// documents — postings and facets — and an empty segment pushes
+    /// nothing.
     #[test]
     fn a_seal_writes_the_encoding_of_the_unsealed_documents() {
         const SEED: u64 = 0x5EA1_0B0D;
@@ -451,7 +479,8 @@ mod tests {
         let builder = |idx: &Index, docs: &[(String, String)]| {
             let mut seg = idx.segment();
             for (id, text) in docs {
-                seg.add_document(id, &fields(id, text)).unwrap();
+                seg.add_document(id, &fields(id, text), facets_of(id))
+                    .unwrap();
             }
             seg
         };
@@ -486,9 +515,10 @@ mod tests {
                     let from = idx.sealed_docs();
                     let unsealed = idx.merge_unsealed().unwrap().expect("unsealed docs");
                     assert_eq!(idx.segment_count(), idx.sealed + 1);
-                    let want = encoded(&builder(&idx, &docs[from..at]));
+                    let want = builder(&idx, &docs[from..at]);
                     assert!(
-                        unsealed.blob() == want,
+                        unsealed.blob() == encoded(&want)
+                            && unsealed.facets().encode() == want.facets.encode(),
                         "round {round}: the seal of docs {from}..{at} is not their encoding"
                     );
                     idx.seal();
@@ -499,6 +529,18 @@ mod tests {
             let mut whole = Index::clinical();
             whole.merge_segment(builder(&whole, &docs)).unwrap();
             assert!(blob_of(&idx) == blob_of(&whole), "round {round}");
+            let facets = idx.merged(0).unwrap().facets().encode();
+            assert!(facets == whole.merged(0).unwrap().facets().encode());
+            // Each segment's runs, shifted by its base, are the whole's.
+            let shifted: Vec<u32> = idx
+                .facets()
+                .flat_map(|(base, fx)| {
+                    let run = fx.run(FacetField::Year, "odd").unwrap_or_default();
+                    run.iter().map(move |doc| base + doc)
+                })
+                .collect();
+            let odd: Vec<u32> = (0..docs.len() as u32).filter(|d| d % 2 == 1).collect();
+            assert_eq!(shifted, odd, "round {round}");
         }
     }
 }

@@ -113,6 +113,7 @@ fn valid_blob(id_prefix: &str) -> Vec<u8> {
             .add_document(
                 &format!("{id_prefix}:{i}"),
                 &[("title", title), ("body", body), ("body_ngram", ngram)],
+                [],
             )
             .unwrap();
     }
@@ -155,7 +156,7 @@ fn valid_facet_blob() -> Vec<u8> {
         }
         facets.add_doc(doc, values.into_iter().map(|(f, v)| (f, v.to_string())));
     }
-    facets.encode_tail(0)
+    facets.encode()
 }
 
 fn mutate(rng: &mut Rng, blob: &[u8]) -> Vec<u8> {
@@ -568,7 +569,7 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
         "facets",
         &valid_facet_blob(),
         |mutant| FacetIndex::decode(mutant).ok(),
-        round_trips(|facets: FacetIndex, _| facets.encode_tail(0)),
+        round_trips(|facets: FacetIndex, _| facets.encode()),
     );
     let other = valid_blob("other");
     fuzz(

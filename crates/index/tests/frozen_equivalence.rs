@@ -71,7 +71,7 @@ fn builder(index: &Index, docs: &[(String, String, String)]) -> Segment {
     let mut segment = index.segment();
     for (id, title, body) in docs {
         let fields = [("title", &title[..]), ("body", body), ("body_ngram", body)];
-        segment.add_document(id, &fields).unwrap();
+        segment.add_document(id, &fields, []).unwrap();
     }
     segment
 }

@@ -19,8 +19,8 @@
 //!         | crc32(compressed) u32 LE | compressed bytes
 //! ```
 //!
-//! The facets region holds the facet-bitmap tail for the segment's doc
-//! range (opaque here; `create-index::facets` encodes it). Format 5 is
+//! The facets region holds the segment's facet bitmaps (opaque here;
+//! `create-index::facets` encodes them). Format 5 is
 //! the only format written and read; a file whose header names another
 //! is refused as [`StorageError::Corrupt`] ("unsupported segment format
 //! 4"). Format 4 led each region with its block count, format 3's

@@ -266,7 +266,7 @@ for probe in \
 do
     query="${probe%%|*}"; want="${probe##*|}"
     hits="$(curl -fsS "$base/search?q=$query&k=3")"
-    echo "$hits" | grep -qF "\"$want\"" || {
+    grep -qF "\"$want\"" <<<"$hits" || {
         echo "verify: FAIL — post-recovery search for $query missing $want" >&2
         exit 1
     }
@@ -284,7 +284,7 @@ for series in \
     'create_compaction_merged_docs_total' \
     'create_recovery_replayed_records_total'
 do
-    echo "$metrics" | grep -qF "$series" || {
+    grep -qF "$series" <<<"$metrics" || {
         echo "verify: FAIL — missing storage metrics series $series" >&2
         exit 1
     }

@@ -85,8 +85,11 @@
 //!   at every size: the write freezes its documents as one more segment
 //!   (merging it with the unsealed one before it), copies the index's
 //!   list of segment pointers and the last chunks of the graph and of
-//!   the columns, not the shard. While writes went to a mutable tail the
-//!   write copied the tail's tables, 0.51 / 0.44 / 0.47 MB; while the
+//!   the columns, not the shard; its facets are the segment's own, so no
+//!   facet run is copied either. While a shard-wide facet index sat
+//!   beside the segments, the write copied every run it touched, 196 787
+//!   / 179 698 / 239 649 bytes in all; while writes went to a mutable
+//!   tail it copied the tail's tables, 0.51 / 0.44 / 0.47 MB; while the
 //!   index was one dictionary, its tables and every touched list: 2.66 /
 //!   3.26 / 5.02 MB at 250 / 500 / 1000 reports. The graph's share of
 //!   the write — the same two reports added to a copy of the pinned
@@ -184,18 +187,19 @@ const REPORTS: usize = 500;
 /// buckets' map, spread over the terms), and the figure repeats exactly;
 /// 181.3 while every list was decoded into a `PostingList` of its own.
 const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 8 526
+/// Allocations one 2-document batch may make at 500 reports: 8 464
 /// measured (tokens, the batch's own segment, its encoding and the
 /// frozen segment's tables, the merges the tier rule makes, the copies
-/// of the tables the published snapshot shares); 13 498 while the write
-/// copied the index's mutable tail — on an instance never flushed, the
-/// whole index — 13 720 while the graph's properties were `Value`s and
-/// its key tables hash maps, 13 664 while the graph's id lists were one
-/// vector each, 13 666 while each shard's writer had a lock of its own,
-/// 13 920 while a document store filed each report three times,
-/// 16 267–16 683 while `body_ngram` stored positions, 25 524 while a
-/// publish cloned a `String` per graph index key and a node per 11
-/// stored documents, 209 179 with a `Vec` per posting.
+/// of the tables the published snapshot shares); 8 526 while a
+/// shard-wide facet index copied the runs a write touched, 13 498 while
+/// the write copied the index's mutable tail — on an instance never
+/// flushed, the whole index — 13 720 while the graph's properties were
+/// `Value`s and its key tables hash maps, 13 664 while the graph's id
+/// lists were one vector each, 13 666 while each shard's writer had a
+/// lock of its own, 13 920 while a document store filed each report
+/// three times, 16 267–16 683 while `body_ngram` stored positions,
+/// 25 524 while a publish cloned a `String` per graph index key and a
+/// node per 11 stored documents, 209 179 with a `Vec` per posting.
 const SUBMIT_BUDGET: usize = 10_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
 /// 4.60 MB measured, its index frozen segments only; 11.07 MB while the
@@ -240,14 +244,15 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
 /// on a shard sealed by one flush (j) and on an in-memory shard (m), at
-/// every size: 196 787 / 179 698 / 239 649 measured, both, at 250 / 500
+/// every size: 182 094 / 157 616 / 191 860 measured, both, at 250 / 500
 /// / 1000 reports — the merged segment of the batch and the one before
-/// it (the pinned snapshot keeps that one), the payloads, the graph's
-/// last chunks, the touched facet runs. On the sealed shard 0.51 / 0.44
-/// / 0.47 MB while writes copied a mutable tail, 0.79 / 0.69 / 0.91 MB
-/// while the graph's key tables grew with the corpus as well; on the
-/// in-memory one 2 303 885 / 2 784 385 / 4 165 349 bytes while the tail
-/// was the whole index.
+/// it (the pinned snapshot keeps that one), postings and facets, the
+/// payloads, the graph's last chunks. 196 787 / 179 698 / 239 649 while
+/// a shard-wide facet index beside the segments copied each run the
+/// write touched; on the sealed shard 0.51 / 0.44 / 0.47 MB while writes
+/// copied a mutable tail, 0.79 / 0.69 / 0.91 MB while the graph's key
+/// tables grew with the corpus as well; on the in-memory one 2 303 885 /
+/// 2 784 385 / 4 165 349 bytes while the tail was the whole index.
 const WRITE_BUDGET: isize = 1 << 19;
 /// Live bytes the graph of (e) may hold: 832 424 measured, 4 142 390
 /// while every edge was 72 bytes, every node's properties an `Arc` slice

@@ -188,6 +188,43 @@ fn cohort_results_are_bit_identical_across_shard_counts() {
             );
         }
     }
+
+    // The same reports in seeded random batch sizes: every batch freezes
+    // as one more segment, so the filters and facet counts read several
+    // segments' bitmaps per shard and must still give the one-batch
+    // bodies.
+    const SEED: u64 = 0xC0_4081_7E57;
+    println!("batch-size seed {SEED:#x}");
+    let mut state = SEED;
+    let mut next = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below) as usize
+    };
+    for &shards in &SHARD_COUNTS {
+        let system = Create::new(CreateConfig { shards });
+        let mut at = 0;
+        while at < reports.len() {
+            let n = (1 + next(16)).min(reports.len() - at);
+            system
+                .ingest_gold_batch(&reports[at..at + n], 0)
+                .expect("ingest");
+            at += n;
+        }
+        let segments = system.shard_segments();
+        assert!(
+            segments.iter().any(|s| s.ram >= 2),
+            "no shard holds two segments at {shards} shard(s): {segments:?}"
+        );
+        for (criteria, want) in panel.iter().zip(&expected) {
+            assert_eq!(
+                &cohort_body(&system, criteria),
+                want,
+                "cohort diverged at {shards} shards in random batches for {criteria}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -27,7 +27,8 @@
 //! missing member, a report without its category or with a year that is
 //! not a `u32`), the retired `update` record, a format-2, -3 or -4
 //! segment header, a segment whose directory, postings and payloads
-//! disagree on a document's id, a segment file that is not the one its
+//! disagree on a document's id or whose facet region covers another
+//! number of documents, a segment file that is not the one its
 //! manifest entry describes (swapped, or an entry whose `max_ordinal`
 //! would hide WAL records), and a MANIFEST number outside its field's
 //! range each fail the open as corruption naming the file, and the
@@ -36,6 +37,7 @@
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use create::docstore::json::{parse_json, Value};
+use create::index::facets::{FacetIndex, ALL_FACET_FIELDS};
 use create::storage::manifest::Manifest;
 use create::storage::segment::{read_segment, write_segment, SegmentData};
 use create::storage::Wal;
@@ -609,25 +611,63 @@ fn a_segment_whose_copies_of_an_id_disagree_is_corruption() {
     for (label, reorder) in cases {
         let dir = fresh_dir("swapped-ids");
         crash_with_wal_tail(&dir, &reports, 0);
-        let storage = dir.join(create::storage::STORAGE_DIR);
-        let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");
-        let mut data = read_segment(&segment).expect("read segment");
-        assert_eq!(
-            data.docs.len(),
-            reports.len(),
-            "{label}: one sealed segment"
-        );
-        reorder(&mut data);
-        let info = write_segment(&segment, &data).expect("rewrite segment");
-        let mut manifest = Manifest::load(&storage)
-            .expect("load manifest")
-            .expect("a manifest");
-        let meta = &mut manifest.shards[0].segments[0];
-        (meta.bytes, meta.crc) = (info.bytes, info.crc);
-        manifest.store(&storage).expect("store manifest");
+        rewrite_sealed_segment(&dir, |data| {
+            assert_eq!(
+                data.docs.len(),
+                reports.len(),
+                "{label}: one sealed segment"
+            );
+            reorder(data);
+        });
         assert_open_refused(&dir, &["seg-000000.seg"], label);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Rewrites shard 0's first segment file with `edit` applied to its
+/// regions, and updates its MANIFEST entry's size and CRC to match the
+/// new file, so the edit is the only thing wrong with it.
+fn rewrite_sealed_segment(dir: &Path, edit: impl FnOnce(&mut SegmentData)) {
+    let storage = dir.join(create::storage::STORAGE_DIR);
+    let segment = shard0_wal(dir).with_file_name("seg-000000.seg");
+    let mut data = read_segment(&segment).expect("read segment");
+    edit(&mut data);
+    let info = write_segment(&segment, &data).expect("rewrite segment");
+    let mut manifest = Manifest::load(&storage)
+        .expect("load manifest")
+        .expect("a manifest");
+    let meta = &mut manifest.shards[0].segments[0];
+    (meta.bytes, meta.crc) = (info.bytes, info.crc);
+    manifest.store(&storage).expect("store manifest");
+}
+
+#[test]
+fn a_facet_region_short_of_its_segment_is_refused() {
+    // A well-formed facet region that covers one document fewer than
+    // the segment's directory and postings: each document's facets would
+    // otherwise answer for the wrong report, or for none.
+    let reports = corpus(6, 20261010);
+    let dir = fresh_dir("short-facets");
+    crash_with_wal_tail(&dir, &reports, 0);
+    rewrite_sealed_segment(&dir, |data| {
+        let facets = FacetIndex::decode(&data.facets).expect("a sealed facet region");
+        assert_eq!(facets.num_docs() as usize, reports.len(), "one segment");
+        let mut short = FacetIndex::new();
+        for doc in 0..facets.num_docs() - 1 {
+            let values = ALL_FACET_FIELDS.into_iter().flat_map(|field| {
+                facets
+                    .values(field)
+                    .filter(|(_, run)| run.contains(&doc))
+                    .map(move |(value, _)| (field, value.to_string()))
+            });
+            short.add_doc(doc, values.collect::<Vec<_>>());
+        }
+        data.facets = short.encode();
+        assert!(FacetIndex::decode(&data.facets).is_ok(), "well formed");
+    });
+    let covered = format!("the facets cover {} docs", reports.len() - 1);
+    assert_open_refused(&dir, &["seg-000000.seg", &covered], "short facets");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn manifest_path(dir: &Path) -> PathBuf {
