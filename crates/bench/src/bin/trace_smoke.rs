@@ -1,10 +1,12 @@
 //! End-to-end trace smoke check, run by `scripts/verify.sh`. Boots a
-//! real sharded `Server`, sends a batch search over a raw socket, then
-//! follows the `X-Trace-Id` response header to `GET /trace/{id}` and
-//! asserts the flight recorder returns a span tree that covers the
-//! shard fan-out. Also checks that `/metrics` renders at least one
-//! histogram-bucket exemplar. Prints the trace JSON to stdout so the
-//! caller can grep it; exits nonzero on any failure.
+//! real sharded `Server` with the slow threshold at zero, sends a batch
+//! search over a raw socket, then follows the `X-Trace-Id` response
+//! header to `GET /trace/{id}` and asserts the flight recorder returns a
+//! span tree that covers every shard, and that `GET /slowlog` lists the
+//! same trace. Also checks that `/metrics` renders at least one
+//! histogram-bucket exemplar. Prints the trace JSON, then the slowlog
+//! JSON, one line each to stdout so the caller can grep them; exits
+//! nonzero on any failure.
 //!
 //! ```bash
 //! cargo run --release -p create-bench --bin trace_smoke
@@ -15,7 +17,19 @@ use create_server::{build_api, KeepAliveClient, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// GETs `path`, asserting a 200 whose body contains `needle`.
+fn get_containing(client: &mut KeepAliveClient, path: &str, needle: &str) -> String {
+    let resp = client.get(path).expect(path);
+    let body = resp.body_str();
+    assert_eq!(resp.status, 200, "GET {path}: {body}");
+    assert!(body.contains(needle), "GET {path} lacks {needle}: {body}");
+    eprintln!("trace_smoke: {path} has {needle} OK");
+    body
+}
+
 fn main() {
+    // Every request is slow at zero: the batch below lands in /slowlog.
+    create_obs::set_slow_query_threshold(Duration::ZERO);
     let reports = create_bench::corpus(30, 11);
     let system = Arc::new(Create::new(CreateConfig { shards: 2 }));
     system.ingest_gold_batch(&reports, 0).expect("ingest");
@@ -31,8 +45,8 @@ fn main() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
 
-    // Batch search: dispatch fans queries out to pool workers, each of
-    // which fans keyword/graph search out across both shards — so the
+    // Batch search: dispatch hands the queries to pool workers, each of
+    // which runs keyword/graph search over both shards in turn — so the
     // recorded tree must contain per-shard child spans.
     let resp = client
         .post(
@@ -49,48 +63,18 @@ fn main() {
     assert!(!trace_id.is_empty(), "empty trace id header");
     eprintln!("trace_smoke: batch search traced as {trace_id}");
 
-    let trace = client
-        .get(&format!("/trace/{trace_id}"))
-        .expect("GET /trace/{id}");
-    assert_eq!(
-        trace.status,
-        200,
-        "trace not recorded: {}",
-        trace.body_str()
-    );
-    let body = trace.body_str();
-    assert!(
-        body.contains("keyword_shard"),
-        "span tree missing shard fan-out spans: {body}"
-    );
-    assert!(
-        body.contains("\"parent\""),
-        "span tree missing parent linkage: {body}"
-    );
-    // stdout carries the tree for the caller's greps.
-    println!("{body}");
-    eprintln!("trace_smoke: /trace/{trace_id} span tree OK");
-
-    let summaries = client.get("/debug/traces").expect("GET /debug/traces");
-    assert_eq!(summaries.status, 200);
-    assert!(
-        summaries.body_str().contains(&trace_id),
-        "recorder summary does not list the trace"
-    );
-    eprintln!("trace_smoke: /debug/traces lists the trace OK");
-
-    let metrics = client.get("/metrics").expect("GET /metrics");
-    assert_eq!(metrics.status, 200);
-    let text = metrics.body_str();
-    assert!(
-        text.contains("# {trace_id=\""),
-        "no exemplar rendered on /metrics"
-    );
+    // stdout carries the tree, then the slowlog, for the caller's greps.
+    let tree = get_containing(&mut client, &format!("/trace/{trace_id}"), "keyword_shard");
+    assert!(tree.contains("\"parent\""), "no parent linkage: {tree}");
+    println!("{tree}");
+    let listed = format!("\"traceId\":\"{trace_id}\"");
+    println!("{}", get_containing(&mut client, "/slowlog", &listed));
+    get_containing(&mut client, "/debug/traces", &trace_id);
+    let text = get_containing(&mut client, "/metrics", "# {trace_id=\"");
     assert!(
         text.contains("create_pool_jobs_executed_total"),
         "pool series missing from /metrics"
     );
-    eprintln!("trace_smoke: /metrics exemplar + pool series OK");
 
     shutdown.shutdown();
     server_thread.join().expect("server thread");

@@ -12,7 +12,7 @@ use create_docstore::{json::obj, Value};
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
 use create_index::{index::IndexError, Index, Segment};
 use create_ner::CrfTagger;
-use create_obs::{names as obs_names, StageLog};
+use create_obs::names as obs_names;
 use create_ontology::Ontology;
 use create_storage::StorageError;
 use create_util::ThreadPool;
@@ -152,12 +152,8 @@ impl Create {
         let ranges = worker_ranges(n, workers);
         let prepared = prepare_batch(template, &ranges, &routes, shards, &prepare);
         let base = writers.next_ordinal;
-        let mut stages = StageLog::default();
-        let applied = regroup(prepared, &routes, shards, &mut stages).and_then(|work| {
-            apply_batch(&self.ontology, &mut writers.shards, work, base, &mut stages)
-        });
-        create_obs::flush_stages(stages);
-        let touched = applied?;
+        let work = regroup(prepared, &routes, shards)?;
+        let touched = apply_batch(&self.ontology, &mut writers.shards, work, base)?;
         writers.next_ordinal = base + n as u64;
         self.publish_shards(&writers, touched);
         Ok(n)
@@ -185,36 +181,32 @@ fn route_batch(writers: &Writers, ids: &[&str]) -> Result<Vec<usize>, IngestErro
 type Prepared = (Vec<(usize, PreparedDoc)>, Vec<Option<Segment>>);
 
 /// Phase 1: extraction and per-(worker, shard) segment builds across the
-/// worker ranges, no shared mutable state. A worker buffers its stage
-/// observations ([`create_obs::buffered_stages`]) so the histograms are
-/// flushed once, after the apply.
+/// worker ranges, no shared mutable state.
 fn prepare_batch(
     template: &Index,
     ranges: &[Range<usize>],
     routes: &[usize],
     shards: usize,
     prepare: &(impl Fn(usize) -> PreparedDoc + Sync),
-) -> Vec<(Result<Prepared, IngestError>, StageLog)> {
+) -> Vec<Result<Prepared, IngestError>> {
     ThreadPool::global().parallel_map(ranges, |_, range| {
-        create_obs::buffered_stages(|| {
-            let mut segments: Vec<Option<Segment>> = (0..shards).map(|_| None).collect();
-            let mut prepared = Vec::with_capacity(range.len());
-            let mut index_elapsed = std::time::Duration::ZERO;
-            for i in range.clone() {
-                let doc = prepare(i);
-                let t0 = Instant::now();
-                let segment = segments[routes[i]].get_or_insert_with(|| template.segment());
-                index_doc(segment, &doc.fields(), &doc.annotations).map_err(IngestError::Index)?;
-                index_elapsed += t0.elapsed();
-                prepared.push((i, doc));
-            }
-            create_obs::observe_stage(
-                obs_names::PIPELINE_STAGE_SECONDS,
-                obs_names::STAGE_INDEX_WRITE,
-                index_elapsed.as_secs_f64(),
-            );
-            Ok((prepared, segments))
-        })
+        let mut segments: Vec<Option<Segment>> = (0..shards).map(|_| None).collect();
+        let mut prepared = Vec::with_capacity(range.len());
+        let mut index_elapsed = std::time::Duration::ZERO;
+        for i in range.clone() {
+            let doc = prepare(i);
+            let t0 = Instant::now();
+            let segment = segments[routes[i]].get_or_insert_with(|| template.segment());
+            index_doc(segment, &doc.fields(), &doc.annotations).map_err(IngestError::Index)?;
+            index_elapsed += t0.elapsed();
+            prepared.push((i, doc));
+        }
+        create_obs::observe_stage(
+            obs_names::PIPELINE_STAGE_SECONDS,
+            obs_names::STAGE_INDEX_WRITE,
+            index_elapsed.as_secs_f64(),
+        );
+        Ok((prepared, segments))
     })
 }
 
@@ -230,22 +222,23 @@ struct ShardWork {
 /// Regroups the prepared work by owning shard. Worker ranges are
 /// contiguous and iterated in order, so each shard sees its documents
 /// (and segments) in batch order — ordinals and internal doc ids come
-/// out exactly as sequential ingestion would assign them.
+/// out exactly as sequential ingestion would assign them. The first
+/// failed range's error fails the batch.
 fn regroup(
-    prepared: Vec<(Result<Prepared, IngestError>, StageLog)>,
+    prepared: Vec<Result<Prepared, IngestError>>,
     routes: &[usize],
     shards: usize,
-    stages: &mut StageLog,
 ) -> Result<Vec<ShardWork>, IngestError> {
     let mut per_shard: Vec<ShardWork> = (0..shards).map(|_| ShardWork::default()).collect();
-    drain_tasks(prepared, stages, |(docs, segments)| {
+    for task in prepared {
+        let (docs, segments) = task?;
         for (i, doc) in docs {
             per_shard[routes[i]].docs.push((i, doc));
         }
         for (s, segment) in segments.into_iter().enumerate() {
             per_shard[s].segments.extend(segment);
         }
-    })?;
+    }
     Ok(per_shard)
 }
 
@@ -258,7 +251,6 @@ fn apply_batch(
     writers: &mut [Writer],
     work: Vec<ShardWork>,
     base: u64,
-    stages: &mut StageLog,
 ) -> Result<Vec<usize>, IngestError> {
     let touched = (0..work.len())
         .filter(|&s| !work[s].docs.is_empty())
@@ -270,64 +262,44 @@ fn apply_batch(
         .map(|task| Mutex::new(Some(task)))
         .collect();
     let applied = ThreadPool::global().parallel_map(&tasks, |_, slot| {
-        create_obs::buffered_stages(|| {
-            let (writer, work) = slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-                .expect("each shard's work is taken once");
-            for &(i, ref doc) in &work.docs {
-                // WAL first: the record is appended (and fsynced below)
-                // before any in-memory apply, so every write the system
-                // acknowledges is recoverable from the log. The record
-                // and the shard's payload splice the same member texts.
-                let ordinal = base + i as u64;
-                let [report, ann, extraction] = doc.stored_texts();
-                let payload = DocPayload {
-                    report: &report,
-                    ann: Some(&ann),
-                    extraction: Some(&extraction),
-                };
-                writer.wal_log(ordinal, &payload)?;
-                writer.apply(
-                    ontology,
-                    ordinal,
-                    &doc.fields(),
-                    &doc.annotations,
-                    &durability::payload_text(&payload),
-                );
-            }
-            for segment in work.segments {
-                writer.merge(segment).map_err(IngestError::Index)?;
-            }
-            // One fsync covers the shard's whole batch slice — the
-            // records are on disk before the composite publish
-            // acknowledges the batch.
-            writer.wal_sync()?;
-            writer.shard.generation += 1;
-            Ok(())
-        })
-    });
-    drain_tasks(applied, stages, |()| {})?;
-    Ok(touched)
-}
-
-/// Hands each of a phase's pool-task results to `each`, in task order,
-/// and returns the first task's error; every task's stage log goes to
-/// `stages` either way.
-fn drain_tasks<T>(
-    tasks: Vec<(Result<T, IngestError>, StageLog)>,
-    stages: &mut StageLog,
-    mut each: impl FnMut(T),
-) -> Result<(), IngestError> {
-    let mut failed = None;
-    for (result, log) in tasks {
-        stages.merge(log);
-        if let Err(e) = result.map(&mut each) {
-            failed.get_or_insert(e);
+        let (writer, work) = slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("each shard's work is taken once");
+        for &(i, ref doc) in &work.docs {
+            // WAL first: the record is appended (and fsynced below)
+            // before any in-memory apply, so every write the system
+            // acknowledges is recoverable from the log. The record
+            // and the shard's payload splice the same member texts.
+            let ordinal = base + i as u64;
+            let [report, ann, extraction] = doc.stored_texts();
+            let payload = DocPayload {
+                report: &report,
+                ann: Some(&ann),
+                extraction: Some(&extraction),
+            };
+            writer.wal_log(ordinal, &payload)?;
+            writer.apply(
+                ontology,
+                ordinal,
+                &doc.fields(),
+                &doc.annotations,
+                &durability::payload_text(&payload),
+            );
         }
-    }
-    failed.map_or(Ok(()), Err)
+        for segment in work.segments {
+            writer.merge(segment).map_err(IngestError::Index)?;
+        }
+        // One fsync covers the shard's whole batch slice — the
+        // records are on disk before the composite publish
+        // acknowledges the batch.
+        writer.wal_sync()?;
+        writer.shard.generation += 1;
+        Ok(())
+    });
+    applied.into_iter().collect::<Result<(), _>>()?;
+    Ok(touched)
 }
 
 /// Splits `0..n` into up to `workers` contiguous, near-equal ranges in

@@ -276,6 +276,18 @@ const ALL_POLICIES: [MergePolicy; 5] = [
     MergePolicy::Interleave,
 ];
 
+/// Records one query's end-to-end latency into `create_query_seconds`
+/// (with a trace exemplar) through a cached handle.
+pub(crate) fn note_query(seconds: f64) {
+    if !create_obs::enabled() {
+        return;
+    }
+    static QUERY_SECONDS: OnceLock<Arc<create_obs::Histogram>> = OnceLock::new();
+    QUERY_SECONDS
+        .get_or_init(|| create_obs::histogram(obs_names::QUERY_SECONDS))
+        .observe_traced(seconds, create_obs::current_trace_raw());
+}
+
 /// Bumps `create_search_policy_total{policy=...}` through cached
 /// handles — no registry lock on the warm search path.
 pub(crate) fn count_policy(policy: MergePolicy) {

@@ -28,7 +28,7 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::durability::{self, StorageRoot};
 use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
-use crate::stats::{count_policy, register_metrics, register_shard_metrics};
+use crate::stats::{count_policy, note_query, register_metrics, register_shard_metrics};
 use crate::{
     graph_build::report_node,
     pipeline::QueryIE,
@@ -39,11 +39,12 @@ use create_docstore::Value;
 use create_graphdb::PropertyGraph;
 use create_index::Index;
 use create_ner::CrfTagger;
-use create_obs::{names as obs_names, QueryCapture, Span};
+use create_obs::{names as obs_names, Span};
 use create_ontology::Ontology;
 use create_util::{ArcCell, Chunked, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Answers the query cache keeps, whatever the shard count: enough for a
 /// busy console session's working set; every cache operation is O(1) so
@@ -363,7 +364,7 @@ impl Create {
     /// execution, so concurrent `search_many` workers never serialize
     /// while computing.
     pub fn search_answer(&self, query: &str, k: usize, policy: MergePolicy) -> Arc<SearchAnswer> {
-        let capture = QueryCapture::begin();
+        let start = Instant::now();
         let span = create_obs::child_span(obs_names::SPAN_SEARCH);
         count_policy(policy);
         let snapshot = self.current.load();
@@ -387,10 +388,8 @@ impl Create {
                 answer
             }
         };
-        // Close the search span before `finish` so the query histogram
-        // exemplar attaches while the context is still this request's.
         drop(span);
-        capture.finish(query, k, policy.label());
+        note_query(start.elapsed().as_secs_f64());
         answer
     }
 

@@ -1,18 +1,12 @@
-//! Ring-buffer event log with severity levels.
+//! Event log with severity levels.
 //!
-//! Events above the configured level are dropped; retained events go
-//! to a fixed-capacity ring (oldest evicted first), a per-level
-//! counter, and stderr. The level is runtime-settable (the server's
-//! `--log-level` knob lands here).
+//! Events above the configured level are dropped; the rest go to a
+//! per-level counter and one stderr line. The level is
+//! runtime-settable (the server's `--log-level` knob lands here).
 
 use crate::metrics::Registry;
 use crate::names;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
-
-/// Retained events before the ring starts evicting.
-pub const EVENT_RING_CAPACITY: usize = 256;
 
 /// Severity, ordered most to least severe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,23 +62,6 @@ pub fn log_level() -> Level {
     Level::from_u8(LEVEL.load(Ordering::Relaxed))
 }
 
-/// One retained log event.
-#[derive(Clone, Debug)]
-pub struct Event {
-    /// Monotonic sequence number (process lifetime).
-    pub seq: u64,
-    /// Severity.
-    pub level: Level,
-    /// Subsystem that emitted the event (static, e.g. "server").
-    pub target: &'static str,
-    /// Message text.
-    pub message: String,
-    /// Trace active on the emitting thread, if any.
-    pub trace_id: Option<String>,
-}
-
-static RING: Mutex<VecDeque<Event>> = Mutex::new(VecDeque::new());
-
 /// Emits an event. Dropped without cost when `level` is below the
 /// configured threshold or the `enabled` feature is off.
 pub fn log(level: Level, target: &'static str, message: impl Into<String>) {
@@ -92,32 +69,13 @@ pub fn log(level: Level, target: &'static str, message: impl Into<String>) {
         return;
     }
     let message = message.into();
-    let trace_id = crate::trace::current_trace_id();
     Registry::global()
         .counter_with(names::LOG_EVENTS_TOTAL, &[("level", level.as_str())])
         .inc();
-    match &trace_id {
+    match crate::trace::current_trace_id() {
         Some(trace) => eprintln!("[{}] {} [{trace}] {}", level.as_str(), target, message),
         None => eprintln!("[{}] {} {}", level.as_str(), target, message),
     }
-    let mut ring = RING.lock().unwrap_or_else(|p| p.into_inner());
-    let seq = ring.back().map(|e| e.seq + 1).unwrap_or(0);
-    if ring.len() == EVENT_RING_CAPACITY {
-        ring.pop_front();
-    }
-    ring.push_back(Event {
-        seq,
-        level,
-        target,
-        message,
-        trace_id,
-    });
-}
-
-/// Snapshot of retained events, oldest first.
-pub fn recent_events() -> Vec<Event> {
-    let ring = RING.lock().unwrap_or_else(|p| p.into_inner());
-    ring.iter().cloned().collect()
 }
 
 #[cfg(test)]
@@ -141,31 +99,24 @@ mod tests {
 
     #[cfg(feature = "enabled")]
     #[test]
-    fn ring_retains_and_filters() {
+    fn below_the_level_neither_prints_nor_counts() {
         let prior = log_level();
-        set_log_level(Level::Info);
+        set_log_level(Level::Warn);
+        let count = |level: Level| {
+            Registry::global()
+                .counter_with(names::LOG_EVENTS_TOTAL, &[("level", level.as_str())])
+                .get()
+        };
+        let (info, warn) = (count(Level::Info), count(Level::Warn));
+        log(Level::Info, "test", "dropped: below level");
         log(Level::Debug, "test", "dropped: below level");
-        log(Level::Info, "test", "ring_retains_and_filters marker");
+        assert_eq!(
+            count(Level::Info),
+            info,
+            "an info event under warn is dropped"
+        );
+        log(Level::Warn, "test", "kept: at level");
+        assert!(count(Level::Warn) > warn, "a warn event under warn counts");
         set_log_level(prior);
-        let events = recent_events();
-        assert!(events
-            .iter()
-            .any(|e| e.message == "ring_retains_and_filters marker"));
-        assert!(!events.iter().any(|e| e.message.starts_with("dropped:")));
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn ring_evicts_oldest_at_capacity() {
-        let prior = log_level();
-        set_log_level(Level::Info);
-        for i in 0..EVENT_RING_CAPACITY + 5 {
-            log(Level::Info, "test", format!("evict-{i}"));
-        }
-        set_log_level(prior);
-        let events = recent_events();
-        assert!(events.len() <= EVENT_RING_CAPACITY);
-        // Sequence numbers stay monotonically increasing across eviction.
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 }

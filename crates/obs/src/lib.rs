@@ -1,6 +1,6 @@
 //! Std-only observability layer for the CREATe workspace.
 //!
-//! Three pieces, all dependency-free:
+//! Four pieces, all dependency-free:
 //!
 //! - **Metrics registry** ([`metrics`]): atomic counters, gauges, and
 //!   fixed-bucket latency histograms with p50/p95/p99 extraction,
@@ -9,16 +9,14 @@
 //!   [`TraceContext`] (captured by `create-util::pool` when jobs are
 //!   injected, re-installed on the worker), `Span::enter(metric,
 //!   stage)` RAII guards that record wall time into stage histograms
-//!   *and* the request's span tree, histogram exemplars linking
-//!   latency buckets to trace IDs, and a per-query capture frame.
-//! - **Flight recorder** ([`recorder`]): completed span trees in two
-//!   fixed-size rings (general + always-retained slow), head-sampled
-//!   at a runtime-configurable rate, served as `GET /trace/{id}` and
-//!   `GET /debug/traces`.
-//! - **Event + slow-query logs** ([`events`], [`slowlog`]): a
-//!   severity-filtered ring buffer of events, and a ring of queries
-//!   that crossed a configurable latency threshold, captured with
-//!   their trace ID, per-stage timings, and DAAT stats.
+//!   *and* the request's span tree, and histogram exemplars linking
+//!   latency buckets to trace IDs.
+//! - **Flight recorder** ([`recorder`]): every request's completed span
+//!   tree, in two fixed-size rings (general + always-retained slow, the
+//!   latter over a runtime-configurable threshold), served as
+//!   `GET /trace/{id}`, `GET /slowlog` and `GET /debug/traces`.
+//! - **Event log** ([`events`]): severity-filtered events, counted per
+//!   level and printed to stderr.
 //!
 //! The `enabled` feature (default on) compiles the recording paths
 //! in. Downstream crates forward it through their own `obs` feature,
@@ -32,27 +30,23 @@ pub mod events;
 pub mod metrics;
 pub mod names;
 pub mod recorder;
-pub mod slowlog;
 pub mod trace;
 
-pub use events::{log, log_level, recent_events, set_log_level, Event, Level};
+pub use events::{log, log_level, set_log_level, Level};
 pub use metrics::{
     escape_label_value, BucketExemplars, Counter, Exemplar, Gauge, Histogram, Registry,
     LATENCY_BUCKETS,
 };
 pub use recorder::{
-    clear_recorded_traces, find_trace, set_trace_sample_rate, trace_sample_rate, trace_summaries,
-    SpanRecord, TraceRecord, TraceSummary, RECORDER_CAPACITY, RECORDER_SLOW_CAPACITY,
-};
-pub use slowlog::{
-    clear_slow_queries, set_slow_query_threshold, slow_queries, slow_query_threshold,
-    SlowQueryRecord,
+    clear_recorded_traces, find_trace, set_slow_query_threshold, slow_query_threshold, slow_traces,
+    trace_summaries, SpanRecord, TraceRecord, TraceSummary, RECORDER_CAPACITY,
+    RECORDER_SLOW_CAPACITY,
 };
 pub use trace::{
-    add_span_counter, buffered_stages, carry_context, child_span, current_context,
-    current_trace_id, current_trace_raw, flush_stages, install_context, next_trace_id,
-    observe_stage, parse_trace_hex, record_daat, record_graph_exec, shard_span, ContextGuard,
-    DaatStats, QueryCapture, RequestTrace, Span, StageLog, TraceContext, TreeSpan,
+    add_span_counter, carry_context, child_span, current_context, current_trace_id,
+    current_trace_raw, install_context, next_trace_id, observe_stage, parse_trace_hex, record_daat,
+    record_graph_exec, shard_span, ContextGuard, DaatStats, RequestTrace, Span, TraceContext,
+    TreeSpan,
 };
 
 use std::sync::Arc;

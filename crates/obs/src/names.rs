@@ -113,9 +113,8 @@ pub const POOL_QUEUE_DEPTH_GAUGE: &str = "create_pool_queue_depth";
 pub const POOL_JOBS_EXECUTED_TOTAL: &str = "create_pool_jobs_executed_total";
 
 /// Flight-recorder accounting: completed request traces persisted into
-/// the recorder rings, and requests whose trace was head-sampled out.
+/// the recorder rings.
 pub const TRACES_RECORDED_TOTAL: &str = "create_traces_recorded_total";
-pub const TRACES_SAMPLED_OUT_TOTAL: &str = "create_traces_sampled_out_total";
 
 /// Span-tree node names for the structural (non-stage) spans: the
 /// per-query span under a request root, and the per-shard children of

@@ -1,66 +1,47 @@
 //! Flight recorder: completed request traces as hierarchical span
 //! trees, kept in fixed-size in-memory rings.
 //!
-//! Every sampled request owns a [`SpanSink`] shared (via the
+//! Every request owns a [`SpanSink`] shared (via the
 //! [`crate::TraceContext`]) by every thread that works on the request —
-//! the dispatch thread and any `create-util` pool workers it fans out
+//! the dispatch thread and any `create-util` pool workers it hands work
 //! to. Spans append concurrently under one mutex; when the request
 //! finishes, the assembled [`TraceRecord`] lands in a ring sized for
-//! always-on operation: head sampling (runtime-configurable via
-//! [`set_trace_sample_rate`], default 1.0) decides whether a request
-//! collects spans at all, and completed traces that crossed the
-//! slow-query threshold go to a separate ring so a burst of fast
-//! requests can never evict the interesting outliers.
+//! always-on operation. Completed traces that crossed the slow-query
+//! threshold ([`set_slow_query_threshold`]) go to a separate ring, with
+//! the request's query parameters, so a burst of fast requests can never
+//! evict the interesting outliers.
 //!
-//! Served by the REST API as `GET /trace/{id}` (full span tree) and
-//! `GET /debug/traces` (summaries + sampling config).
+//! Served by the REST API as `GET /trace/{id}` (full span tree),
+//! `GET /slowlog` (the slow ring's trees) and `GET /debug/traces`
+//! (summaries).
 
 use crate::names;
+use crate::trace::parse_trace_hex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Completed traces retained in the general ring.
 pub const RECORDER_CAPACITY: usize = 256;
 /// Completed slow traces retained in the always-kept ring.
 pub const RECORDER_SLOW_CAPACITY: usize = 64;
 
-// f64 bit pattern of 1.0 — sample everything by default.
-static SAMPLE_RATE_BITS: AtomicU64 = AtomicU64::new(0x3FF0_0000_0000_0000);
+const DEFAULT_THRESHOLD_NANOS: u64 = 250_000_000; // 250ms
 
-/// Sets the head-sampling rate in `[0.0, 1.0]`: the fraction of
-/// requests that collect a span tree. Unsampled requests still carry a
-/// trace ID (for `X-Trace-Id`, the slowlog, and exemplars) but record
-/// no spans. The decision is deterministic per trace ID, so a client
-/// retrying with the same inbound `X-Trace-Id` gets the same verdict.
-pub fn set_trace_sample_rate(rate: f64) {
-    let rate = if rate.is_finite() {
-        rate.clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-    SAMPLE_RATE_BITS.store(rate.to_bits(), Ordering::Relaxed);
+static THRESHOLD_NANOS: AtomicU64 = AtomicU64::new(DEFAULT_THRESHOLD_NANOS);
+
+/// Sets the slow-query threshold: a request at least this slow lands
+/// in the slow ring. `Duration::ZERO` keeps every request there (useful
+/// in tests and when profiling).
+pub fn set_slow_query_threshold(threshold: Duration) {
+    let nanos = u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX);
+    THRESHOLD_NANOS.store(nanos, Ordering::Relaxed);
 }
 
-/// The current head-sampling rate.
-pub fn trace_sample_rate() -> f64 {
-    f64::from_bits(SAMPLE_RATE_BITS.load(Ordering::Relaxed))
-}
-
-/// Head-sampling verdict for a trace ID.
-pub(crate) fn sample(trace_id: u64) -> bool {
-    let rate = trace_sample_rate();
-    if rate >= 1.0 {
-        return true;
-    }
-    if rate <= 0.0 {
-        return false;
-    }
-    // Mix the ID so sequential IDs sample uniformly; take 53 bits for
-    // an exact fraction in [0, 1).
-    let unit = (crate::trace::splitmix64(trace_id) >> 11) as f64 / (1u64 << 53) as f64;
-    unit < rate
+/// The current slow-query threshold.
+pub fn slow_query_threshold() -> Duration {
+    Duration::from_nanos(THRESHOLD_NANOS.load(Ordering::Relaxed))
 }
 
 /// One node of a recorded span tree. `parent` is the id of the
@@ -184,6 +165,9 @@ pub struct TraceRecord {
     /// traces live in their own ring and are never evicted by fast
     /// traffic).
     pub slow: bool,
+    /// The request's query parameters, sorted by name; kept only on
+    /// slow traces, to name the request in `GET /slowlog`.
+    pub params: Vec<(String, String)>,
     /// The span tree, root first, as a flat parent-linked list.
     pub spans: Vec<SpanRecord>,
 }
@@ -221,16 +205,29 @@ pub(crate) fn record(record: TraceRecord) {
     ring.push_back(record);
 }
 
-/// Looks a recorded trace up by its 16-hex-char ID (newest match
-/// wins; both rings are searched).
+/// Looks a recorded trace up by any spelling `X-Trace-Id` accepts
+/// (1–16 hex chars, either case, leading zeros optional): the ID is
+/// parsed and compared as a number. Newest match wins; both rings are
+/// searched.
 pub fn find_trace(trace_id: &str) -> Option<TraceRecord> {
+    let want = parse_trace_hex(trace_id)?;
     for ring in [&SLOW_TRACES, &TRACES] {
         let ring = ring.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(t) = ring.iter().rev().find(|t| t.trace_id == trace_id) {
+        let found = ring
+            .iter()
+            .rev()
+            .find(|t| parse_trace_hex(&t.trace_id) == Some(want));
+        if let Some(t) = found {
             return Some(t.clone());
         }
     }
     None
+}
+
+/// The slow ring's traces, oldest first (`GET /slowlog`).
+pub fn slow_traces() -> Vec<TraceRecord> {
+    let ring = SLOW_TRACES.lock().unwrap_or_else(|p| p.into_inner());
+    ring.iter().cloned().collect()
 }
 
 /// Summaries of every retained trace: slow traces first, then the
@@ -257,7 +254,7 @@ pub fn clear_recorded_traces() {
     }
 }
 
-/// Serializes unit tests that mutate the global sample rate or rings.
+/// Serializes unit tests that mutate the global threshold or rings.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -269,31 +266,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_rate_round_trips_and_clamps() {
+    fn threshold_round_trips() {
         let _serial = test_lock();
-        let prior = trace_sample_rate();
-        set_trace_sample_rate(0.25);
-        assert_eq!(trace_sample_rate(), 0.25);
-        set_trace_sample_rate(7.0);
-        assert_eq!(trace_sample_rate(), 1.0);
-        set_trace_sample_rate(-1.0);
-        assert_eq!(trace_sample_rate(), 0.0);
-        set_trace_sample_rate(prior);
-    }
-
-    #[test]
-    fn sampling_is_deterministic_and_roughly_proportional() {
-        let _serial = test_lock();
-        let prior = trace_sample_rate();
-        set_trace_sample_rate(0.5);
-        let hits = (0..10_000u64).filter(|&id| sample(id)).count();
-        assert!((4_000..6_000).contains(&hits), "rate 0.5 hit {hits}/10000");
-        assert_eq!(sample(42), sample(42), "verdict is deterministic");
-        set_trace_sample_rate(1.0);
-        assert!(sample(7));
-        set_trace_sample_rate(0.0);
-        assert!(!sample(7));
-        set_trace_sample_rate(prior);
+        let prior = slow_query_threshold();
+        set_slow_query_threshold(Duration::from_millis(15));
+        assert_eq!(slow_query_threshold(), Duration::from_millis(15));
+        set_slow_query_threshold(prior);
     }
 
     #[test]
@@ -329,6 +307,7 @@ mod tests {
             root: "/search".to_string(),
             total_seconds: 0.5,
             slow,
+            params: Vec::new(),
             spans: Vec::new(),
         };
         record(mk("aaaaaaaaaaaaaaaa", false));
@@ -336,6 +315,8 @@ mod tests {
         assert!(find_trace("aaaaaaaaaaaaaaaa").is_some());
         assert!(find_trace("bbbbbbbbbbbbbbbb").is_some());
         assert!(find_trace("cccccccccccccccc").is_none());
+        assert_eq!(slow_traces().len(), 1, "only the slow trace is listed");
+        assert_eq!(slow_traces()[0].trace_id, "bbbbbbbbbbbbbbbb");
         let summaries = trace_summaries();
         assert_eq!(summaries.len(), 2);
         assert!(summaries.iter().any(|s| s.slow));

@@ -1,6 +1,5 @@
-//! Span/tracing layer: propagated per-request trace contexts, RAII
-//! stage spans feeding both histograms and recorded span trees, and
-//! the per-query capture frame the slow-query log reads from.
+//! Span/tracing layer: propagated per-request trace contexts and RAII
+//! stage spans feeding both histograms and recorded span trees.
 //!
 //! Trace IDs are process-unique 64-bit splitmix64 outputs rendered as
 //! 16 hex chars. The *current* context is a cheaply clonable
@@ -8,18 +7,16 @@
 //! held in a thread-local: the server's router installs one per
 //! request via [`RequestTrace::begin`], and [`carry_context`] captures
 //! it when a job is handed to `create-util::pool` so the worker
-//! re-installs it — shard fan-out and pooled batch searches land their
-//! spans and slowlog trace IDs in the dispatching request's tree.
+//! re-installs it — pooled batch searches and ingest workers land their
+//! spans in the dispatching request's tree.
 //!
-//! Sampled requests (see [`crate::recorder`]) additionally carry a
-//! [`SpanSink`]; [`child_span`]/[`shard_span`]/[`Span`] append to it
-//! and the completed tree is persisted in the flight recorder when the
-//! [`RequestTrace`] drops.
+//! [`child_span`]/[`shard_span`]/[`Span`] append to the context's
+//! [`SpanSink`], and [`RequestTrace::finish`] persists the completed
+//! tree in the flight recorder.
 
 use crate::metrics::Registry;
 use crate::names;
 use crate::recorder::{SpanSink, TraceRecord};
-use crate::Histogram;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -75,17 +72,16 @@ pub fn parse_trace_hex(s: &str) -> Option<u64> {
 }
 
 /// The propagated request context: which trace this thread is working
-/// for, which span encloses the work, and (when the request was
-/// sampled) the shared sink collecting the span tree. Cloning is two
-/// u64 copies plus an `Arc` bump.
+/// for, which span encloses the work, and the shared sink collecting
+/// the span tree. Cloning is two u64 copies plus an `Arc` bump.
 #[derive(Clone, Debug)]
 pub struct TraceContext {
     /// Raw 64-bit trace ID (rendered as 16 hex chars externally).
     pub trace_id: u64,
     /// Id of the span enclosing the current work (root = 1).
     pub span_id: u64,
-    /// Span collector, present only on sampled requests.
-    pub sink: Option<Arc<SpanSink>>,
+    /// The request's span collector.
+    pub sink: Arc<SpanSink>,
 }
 
 impl TraceContext {
@@ -97,8 +93,6 @@ impl TraceContext {
 
 thread_local! {
     static CURRENT: RefCell<Option<TraceContext>> = const { RefCell::new(None) };
-    static CAPTURE: RefCell<Option<CaptureFrame>> = const { RefCell::new(None) };
-    static STAGE_BUFFER: RefCell<Option<Vec<StageObservation>>> = const { RefCell::new(None) };
 }
 
 /// This thread's current trace context, if one is installed.
@@ -146,9 +140,9 @@ impl Drop for ContextGuard {
 
 /// Wraps a job so it runs under the submitting thread's trace context.
 /// `create-util::pool` applies this to every injected job, which is
-/// what lets shard fan-out and pooled batch searches attribute their
-/// spans (and slowlog records) to the request that spawned them. In
-/// stripped builds this is the identity.
+/// what lets pooled batch searches and ingest workers attribute their
+/// spans to the request that spawned them. In stripped builds this is
+/// the identity.
 pub fn carry_context<R, F>(f: F) -> impl FnOnce() -> R + Send + 'static
 where
     F: FnOnce() -> R + Send + 'static,
@@ -170,46 +164,38 @@ where
 }
 
 /// One request's trace: owns the trace ID echoed as `X-Trace-Id`,
-/// keeps the context installed on the dispatching thread, and — when
-/// the request is sampled — persists the collected span tree into the
-/// flight recorder on drop.
+/// keeps the context installed on the dispatching thread, and persists
+/// the collected span tree into the flight recorder on
+/// [`RequestTrace::finish`].
 pub struct RequestTrace {
     hex: String,
-    root: String,
     start: Instant,
+    // None when the recording paths are compiled out.
     sink: Option<Arc<SpanSink>>,
     _guard: ContextGuard,
 }
 
 impl RequestTrace {
     /// Starts a request trace, honoring a valid inbound `X-Trace-Id`
-    /// value (1–16 hex chars, nonzero) or minting a fresh ID. The
-    /// head-sampling decision (see [`crate::recorder::sample`]) picks
-    /// whether a span sink is attached; unsampled requests still carry
-    /// the context so trace IDs reach the slowlog and exemplars.
+    /// value (1–16 hex chars, nonzero) or minting a fresh ID, and
+    /// installs its context on this thread.
     pub fn begin(inbound: Option<&str>) -> RequestTrace {
         let trace_id = inbound
             .and_then(parse_trace_hex)
             .unwrap_or_else(next_trace_raw);
         let (sink, guard) = if crate::enabled() {
-            let sink = if crate::recorder::sample(trace_id) {
-                Some(Arc::new(SpanSink::new()))
-            } else {
-                crate::counter(names::TRACES_SAMPLED_OUT_TOTAL).inc();
-                None
-            };
+            let sink = Arc::new(SpanSink::new());
             let guard = install_context(Some(TraceContext {
                 trace_id,
                 span_id: 1,
-                sink: sink.clone(),
+                sink: Arc::clone(&sink),
             }));
-            (sink, guard)
+            (Some(sink), guard)
         } else {
             (None, ContextGuard::inactive())
         };
         RequestTrace {
             hex: format!("{trace_id:016x}"),
-            root: String::new(),
             start: Instant::now(),
             sink,
             _guard: guard,
@@ -221,28 +207,38 @@ impl RequestTrace {
         &self.hex
     }
 
-    /// Names the root span — the router sets this to the matched route
-    /// pattern once dispatch resolves it.
-    pub fn set_root(&mut self, name: &str) {
-        self.root.clear();
-        self.root.push_str(name);
-    }
-}
-
-impl Drop for RequestTrace {
-    fn drop(&mut self) {
-        let Some(sink) = self.sink.take() else {
-            return;
+    /// Names the root span `root` (the route pattern the request
+    /// dispatched under), records the span tree and returns the trace
+    /// ID. A trace over the slow-query threshold also keeps `params`,
+    /// the request's query parameters; a faster one never reads them.
+    pub fn finish<'a>(
+        self,
+        root: &str,
+        params: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> String {
+        let Some(sink) = self.sink else {
+            return self.hex;
         };
         let total = self.start.elapsed();
-        let spans = sink.finish_root(&self.root, total.as_secs_f64());
+        let slow = total >= crate::recorder::slow_query_threshold();
+        let mut kept = Vec::new();
+        if slow {
+            kept.extend(
+                params
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string())),
+            );
+            kept.sort_unstable();
+        }
         crate::recorder::record(TraceRecord {
-            trace_id: std::mem::take(&mut self.hex),
-            root: std::mem::take(&mut self.root),
+            trace_id: self.hex.clone(),
+            root: root.to_string(),
             total_seconds: total.as_secs_f64(),
-            slow: total >= crate::slowlog::slow_query_threshold(),
-            spans,
+            slow,
+            params: kept,
+            spans: sink.finish_root(root, total.as_secs_f64()),
         });
+        self.hex
     }
 }
 
@@ -256,8 +252,8 @@ struct TreeSpanInner {
 /// RAII structural span: a node in the recorded span tree with no
 /// histogram attached (per-query and per-shard spans). While held, the
 /// thread's context points at this span, so nested spans and
-/// [`add_span_counter`] attach beneath it. No-op when the request is
-/// unsampled or tracing is compiled out.
+/// [`add_span_counter`] attach beneath it. No-op outside a request or
+/// when tracing is compiled out.
 #[must_use = "a tree span closes on drop; binding it to _ drops it immediately"]
 pub struct TreeSpan {
     inner: Option<TreeSpanInner>,
@@ -270,9 +266,7 @@ fn open_tree_span(name: &str, shard: Option<u32>) -> TreeSpan {
     let Some(ctx) = current_context() else {
         return TreeSpan { inner: None };
     };
-    let Some(sink) = ctx.sink.clone() else {
-        return TreeSpan { inner: None };
-    };
+    let sink = Arc::clone(&ctx.sink);
     let id = sink.open_span(ctx.span_id, name, shard);
     let prev = CURRENT.with(|c| c.borrow_mut().replace(TraceContext { span_id: id, ..ctx }));
     TreeSpan {
@@ -311,11 +305,9 @@ impl Drop for TreeSpan {
 /// counter (the TLS access dominates on uncontexted bench threads).
 fn current_sink() -> Option<(Arc<SpanSink>, u64)> {
     CURRENT.with(|c| {
-        c.borrow().as_ref().and_then(|ctx| {
-            ctx.sink
-                .as_ref()
-                .map(|sink| (Arc::clone(sink), ctx.span_id))
-        })
+        c.borrow()
+            .as_ref()
+            .map(|ctx| (Arc::clone(&ctx.sink), ctx.span_id))
     })
 }
 
@@ -330,68 +322,8 @@ pub fn add_span_counter(name: &str, value: u64) {
     }
 }
 
-/// One diverted stage observation: metric name, stage label, seconds.
-type StageObservation = (&'static str, &'static str, f64);
-
-/// Stage observations diverted from the registry by [`buffered_stages`],
-/// waiting to be flushed on another thread via [`flush_stages`].
-#[derive(Debug, Default)]
-pub struct StageLog(Vec<StageObservation>);
-
-impl StageLog {
-    /// Number of buffered observations.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the log holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Folds another log's observations onto the end of this one.
-    pub fn merge(&mut self, other: StageLog) {
-        self.0.extend(other.0);
-    }
-}
-
-/// Runs `f` with this thread's stage observations diverted into a
-/// [`StageLog`] instead of the global registry.
-///
-/// Pool workers use this so their span timings survive the hop back to
-/// the dispatching thread: `observe_stage` (and thus every [`Span`])
-/// inside `f` appends to the log, and the caller later applies the
-/// batch and calls [`flush_stages`] to land the timings in the registry
-/// (and the active capture frame) exactly once. Nesting restores the
-/// previous buffer on exit.
-pub fn buffered_stages<T>(f: impl FnOnce() -> T) -> (T, StageLog) {
-    if !crate::enabled() {
-        return (f(), StageLog::default());
-    }
-    let prev = STAGE_BUFFER.with(|b| b.borrow_mut().replace(Vec::new()));
-    let out = f();
-    let buffered = STAGE_BUFFER.with(|b| {
-        let mut slot = b.borrow_mut();
-        let buffered = slot.take().unwrap_or_default();
-        *slot = prev;
-        buffered
-    });
-    (out, StageLog(buffered))
-}
-
-/// Lands a [`StageLog`]'s observations in the global registry and the
-/// calling thread's active capture frame.
-pub fn flush_stages(log: StageLog) {
-    if !crate::enabled() {
-        return;
-    }
-    for (metric, stage, seconds) in log.0 {
-        observe_stage(metric, stage, seconds);
-    }
-}
-
 /// DAAT executor statistics for one query, batched into the registry
-/// (and the active capture frame) in a single flush per search.
+/// and the current span in a single flush per search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaatStats {
     /// Postings positions cursors moved past (advance + seek deltas).
@@ -404,25 +336,8 @@ pub struct DaatStats {
     pub heap_evictions: u64,
 }
 
-impl DaatStats {
-    /// Folds another stats block into this one.
-    pub fn merge(&mut self, other: &DaatStats) {
-        self.postings_advanced += other.postings_advanced;
-        self.candidates_pruned += other.candidates_pruned;
-        self.fuzzy_expansions += other.fuzzy_expansions;
-        self.heap_evictions += other.heap_evictions;
-    }
-}
-
-#[derive(Debug, Default)]
-struct CaptureFrame {
-    stages: Vec<(&'static str, f64)>,
-    daat: DaatStats,
-}
-
-/// Flushes one query's DAAT stats into the global counters, the active
-/// capture frame, and the current span's counters. Call once per
-/// `Index::search`.
+/// Flushes one query's DAAT stats into the global counters and the
+/// current span's counters. Call once per `Index::search`.
 pub fn record_daat(stats: DaatStats) {
     if !crate::enabled() || stats == DaatStats::default() {
         return;
@@ -453,11 +368,6 @@ pub fn record_daat(stats: DaatStats) {
             }
         }
     }
-    CAPTURE.with(|c| {
-        if let Some(frame) = c.borrow_mut().as_mut() {
-            frame.daat.merge(&stats);
-        }
-    });
 }
 
 /// Flushes one graph query's traversal counts into the registry and
@@ -488,39 +398,19 @@ pub fn record_graph_exec(nodes_visited: u64, edges_traversed: u64) {
     }
 }
 
-/// Records `seconds` into `metric{stage="..."}` and appends the stage
-/// to the active capture frame (if a query capture is open).
+/// Records `seconds` into `metric{stage="..."}`, with the current
+/// trace as the bucket's exemplar.
 pub fn observe_stage(metric: &'static str, stage: &'static str, seconds: f64) {
     if !crate::enabled() {
-        return;
-    }
-    // A worker running under `buffered_stages` defers to its log; the
-    // dispatching thread lands the observation at flush time.
-    let diverted = STAGE_BUFFER.with(|b| {
-        let mut slot = b.borrow_mut();
-        match slot.as_mut() {
-            Some(buf) => {
-                buf.push((metric, stage, seconds));
-                true
-            }
-            None => false,
-        }
-    });
-    if diverted {
         return;
     }
     Registry::global()
         .histogram_with(metric, &[("stage", stage)])
         .observe_traced(seconds, current_trace_raw());
-    CAPTURE.with(|c| {
-        if let Some(frame) = c.borrow_mut().as_mut() {
-            frame.stages.push((stage, seconds));
-        }
-    });
 }
 
 /// RAII stage span: records wall time into `metric{stage=...}` on drop
-/// and, on sampled requests, doubles as a node in the span tree.
+/// and, inside a request, doubles as a node in the span tree.
 ///
 /// ```
 /// let _span = create_obs::Span::enter(create_obs::names::PIPELINE_STAGE_SECONDS, "ner");
@@ -557,45 +447,6 @@ impl Drop for Span {
     }
 }
 
-/// Per-query capture: times the whole query, opens a capture frame so
-/// stage spans and DAAT flushes on this thread attach to it, then on
-/// `finish` records the total latency and hands the frame to the
-/// slow-query log.
-#[must_use = "call finish(..) to record the query"]
-pub struct QueryCapture {
-    start: Option<Instant>,
-}
-
-impl QueryCapture {
-    /// Opens a capture frame on this thread. Two `Instant` reads and a
-    /// thread-local swap on the warm-cache path; everything else is
-    /// deferred to `finish`.
-    pub fn begin() -> QueryCapture {
-        if !crate::enabled() {
-            return QueryCapture { start: None };
-        }
-        CAPTURE.with(|c| *c.borrow_mut() = Some(CaptureFrame::default()));
-        QueryCapture {
-            start: Some(Instant::now()),
-        }
-    }
-
-    /// Closes the frame, records total query latency, and offers the
-    /// query to the slow-query log.
-    pub fn finish(self, query: &str, k: usize, policy: &'static str) {
-        let Some(start) = self.start else {
-            return;
-        };
-        let total = start.elapsed();
-        let frame = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
-        static QUERY_HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-        QUERY_HIST
-            .get_or_init(|| Registry::global().histogram(names::QUERY_SECONDS))
-            .observe_traced(total.as_secs_f64(), current_trace_raw());
-        crate::slowlog::maybe_record(total, query, k, policy, &frame.stages, frame.daat);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,11 +473,12 @@ mod tests {
     #[test]
     fn context_guard_restores_previous() {
         assert_eq!(current_trace_raw(), None);
+        let sink = Arc::new(SpanSink::new());
         {
             let _outer = install_context(Some(TraceContext {
                 trace_id: 0xa,
                 span_id: 1,
-                sink: None,
+                sink: Arc::clone(&sink),
             }));
             assert_eq!(current_trace_raw(), Some(0xa));
             assert_eq!(current_trace_id().as_deref(), Some("000000000000000a"));
@@ -634,7 +486,7 @@ mod tests {
                 let _inner = install_context(Some(TraceContext {
                     trace_id: 0xb,
                     span_id: 1,
-                    sink: None,
+                    sink: Arc::clone(&sink),
                 }));
                 assert_eq!(current_trace_raw(), Some(0xb));
             }
@@ -647,9 +499,7 @@ mod tests {
     #[test]
     fn tree_spans_nest_and_restore_context() {
         let _serial = crate::recorder::test_lock();
-        let mut trace = RequestTrace::begin(None);
-        trace.set_root("nest");
-        let hex = trace.hex().to_string();
+        let trace = RequestTrace::begin(None);
         {
             let _outer = child_span("outer");
             let outer_span = current_context().unwrap().span_id;
@@ -660,7 +510,8 @@ mod tests {
             assert_eq!(current_context().unwrap().span_id, outer_span);
         }
         assert_eq!(current_context().unwrap().span_id, 1);
-        drop(trace);
+        let hex = trace.finish("nest", []);
+        assert_eq!(current_context().map(|c| c.trace_id), None);
         let record = crate::recorder::find_trace(&hex).expect("recorded");
         let outer = record.spans.iter().find(|s| s.name == "outer").unwrap();
         let inner = record.spans.iter().find(|s| s.name == "inner").unwrap();
@@ -668,18 +519,28 @@ mod tests {
         assert_eq!(inner.parent, outer.id);
     }
 
+    #[cfg(feature = "enabled")]
     #[test]
-    fn daat_stats_merge_adds_fields() {
-        let mut a = DaatStats {
-            postings_advanced: 1,
-            candidates_pruned: 2,
-            fuzzy_expansions: 3,
-            heap_evictions: 4,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.postings_advanced, 2);
-        assert_eq!(a.heap_evictions, 8);
+    fn finish_keeps_query_parameters_on_slow_traces_only() {
+        let _serial = crate::recorder::test_lock();
+        let prior = crate::recorder::slow_query_threshold();
+        let params = [("q", "fever"), ("k", "5")];
+        crate::recorder::set_slow_query_threshold(std::time::Duration::ZERO);
+        let slow = RequestTrace::begin(None).finish("/search", params);
+        crate::recorder::set_slow_query_threshold(std::time::Duration::from_secs(3600));
+        let fast = RequestTrace::begin(None).finish("/search", params);
+        crate::recorder::set_slow_query_threshold(prior);
+
+        let slow = crate::recorder::find_trace(&slow).expect("slow trace recorded");
+        assert!(slow.slow);
+        let sorted = [("k", "5"), ("q", "fever")].map(|(k, v)| (k.to_string(), v.to_string()));
+        assert_eq!(slow.params, sorted, "parameters kept, sorted by name");
+        let fast = crate::recorder::find_trace(&fast).expect("fast trace recorded");
+        assert!(!fast.slow);
+        assert!(
+            fast.params.is_empty(),
+            "the general ring keeps no parameters"
+        );
     }
 
     #[cfg(feature = "enabled")]
@@ -691,52 +552,5 @@ mod tests {
             let _span = Span::enter("test_span_seconds", "unit");
         }
         assert_eq!(h.count(), before + 1);
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn buffered_stages_divert_then_flush_into_registry() {
-        let h = Registry::global().histogram_with("test_buffered_seconds", &[("stage", "unit")]);
-        let before = h.count();
-        let ((), log) = buffered_stages(|| {
-            observe_stage("test_buffered_seconds", "unit", 0.002);
-            observe_stage("test_buffered_seconds", "unit", 0.003);
-        });
-        assert_eq!(
-            h.count(),
-            before,
-            "buffered observations bypass the registry"
-        );
-        assert_eq!(log.len(), 2);
-        flush_stages(log);
-        assert_eq!(h.count(), before + 2, "flush lands every observation");
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn buffered_stages_nest_and_restore() {
-        let ((), outer) = buffered_stages(|| {
-            observe_stage("test_nested_seconds", "outer", 0.001);
-            let ((), inner) = buffered_stages(|| {
-                observe_stage("test_nested_seconds", "inner", 0.001);
-            });
-            assert_eq!(inner.len(), 1);
-            observe_stage("test_nested_seconds", "outer", 0.001);
-        });
-        assert_eq!(outer.len(), 2, "outer buffer survives the nested scope");
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn capture_collects_stages_and_daat() {
-        let _cap = QueryCapture::begin();
-        observe_stage("test_capture_seconds", "alpha", 0.001);
-        record_daat(DaatStats {
-            postings_advanced: 5,
-            ..DaatStats::default()
-        });
-        let frame = CAPTURE.with(|c| c.borrow_mut().take()).expect("frame open");
-        assert_eq!(frame.stages, vec![("alpha", 0.001)]);
-        assert_eq!(frame.daat.postings_advanced, 5);
     }
 }

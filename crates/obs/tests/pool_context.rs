@@ -7,19 +7,14 @@
 #![cfg(feature = "enabled")]
 
 use create_obs::{
-    add_span_counter, current_trace_raw, find_trace, install_context, names, shard_span,
-    RequestTrace, TraceContext,
+    add_span_counter, current_trace_raw, find_trace, names, shard_span, RequestTrace,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
 fn carry_context_reinstalls_on_pool_workers() {
     let pool = create_util::ThreadPool::new(2);
-    let _guard = install_context(Some(TraceContext {
-        trace_id: 0xdead_beef,
-        span_id: 1,
-        sink: None,
-    }));
+    let _trace = RequestTrace::begin(Some("deadbeef"));
     let seen = AtomicU64::new(0);
     pool.scope(|scope| {
         for _ in 0..4 {
@@ -41,11 +36,9 @@ fn carry_context_reinstalls_on_pool_workers() {
 #[test]
 fn request_trace_records_spans_from_pool_workers() {
     let pool = create_util::ThreadPool::new(2);
-    let hex;
-    {
-        let mut trace = RequestTrace::begin(Some("feedface"));
-        hex = trace.hex().to_string();
-        assert_eq!(hex, "00000000feedface");
+    let hex = {
+        let trace = RequestTrace::begin(Some("feedface"));
+        assert_eq!(trace.hex(), "00000000feedface");
         pool.scope(|scope| {
             for shard in 0..3u32 {
                 scope.spawn(move || {
@@ -54,9 +47,9 @@ fn request_trace_records_spans_from_pool_workers() {
                 });
             }
         });
-        trace.set_root("/search");
-    }
-    let record = find_trace(&hex).expect("trace recorded on drop");
+        trace.finish("/search", [])
+    };
+    let record = find_trace(&hex).expect("trace recorded on finish");
     assert_eq!(record.root, "/search");
     assert_eq!(record.spans[0].id, 1);
     assert_eq!(record.spans[0].name, "/search");

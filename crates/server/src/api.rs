@@ -16,9 +16,9 @@
 //! | POST   | `/submit_batch`               | batched raw-text submissions, extracted in parallel |
 //! | POST   | `/flush`                      | seal WAL tails into segments |
 //! | GET    | `/metrics`                    | Prometheus text exposition of the obs registry |
-//! | GET    | `/slowlog`                    | captured slow queries (trace ID, stages, DAAT stats) |
+//! | GET    | `/slowlog`                    | recorded span trees of requests over the slow threshold, with their query parameters |
 //! | GET    | `/trace/:id`                  | recorded span tree for one request (flight recorder) |
-//! | GET    | `/debug/traces`               | recorder summaries + sampling config |
+//! | GET    | `/debug/traces`               | recorder summaries + ring capacities |
 //!
 //! The platform is shared as a plain `Arc<Create>`: reads run against the
 //! currently published snapshot without any server-side locking, and
@@ -29,6 +29,7 @@ use crate::http::{Response, Status};
 use crate::router::Router;
 use create_core::{Create, IngestError, MergePolicy};
 use create_docstore::json::{obj, parse_json, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn policy_from(name: Option<&str>) -> Result<MergePolicy, String> {
@@ -393,7 +394,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
             Some(t) => Response::json(Status::Ok, trace_json(&t).to_json()),
             None => Response::error(
                 Status::NotFound,
-                "no recorded trace with that id (evicted, unsampled, or never seen)",
+                "no recorded trace with that id (evicted or never seen)",
             ),
         },
     );
@@ -412,7 +413,6 @@ pub fn build_api(system: Arc<Create>) -> Router {
             })
             .collect();
         let doc = obj([
-            ("sampleRate", create_obs::trace_sample_rate().into()),
             ("capacity", (create_obs::RECORDER_CAPACITY as i64).into()),
             (
                 "slowCapacity",
@@ -424,48 +424,7 @@ pub fn build_api(system: Arc<Create>) -> Router {
     });
 
     router.route("GET", "/slowlog", |_, _| {
-        let entries: Vec<Value> = create_obs::slow_queries()
-            .iter()
-            .map(|r| {
-                let stages: Vec<Value> = r
-                    .stages
-                    .iter()
-                    .map(|(stage, seconds)| {
-                        obj([
-                            ("stage", stage.clone().into()),
-                            ("seconds", (*seconds).into()),
-                        ])
-                    })
-                    .collect();
-                obj([
-                    ("seq", (r.seq as i64).into()),
-                    (
-                        "trace_id",
-                        r.trace_id.clone().map(Value::String).unwrap_or(Value::Null),
-                    ),
-                    ("query", r.query.clone().into()),
-                    ("k", (r.k as i64).into()),
-                    ("policy", r.policy.clone().into()),
-                    ("total_seconds", r.total_seconds.into()),
-                    ("stages", Value::Array(stages)),
-                    (
-                        "daat",
-                        obj([
-                            (
-                                "postings_advanced",
-                                (r.daat.postings_advanced as i64).into(),
-                            ),
-                            (
-                                "candidates_pruned",
-                                (r.daat.candidates_pruned as i64).into(),
-                            ),
-                            ("fuzzy_expansions", (r.daat.fuzzy_expansions as i64).into()),
-                            ("heap_evictions", (r.daat.heap_evictions as i64).into()),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
+        let entries: Vec<Value> = create_obs::slow_traces().iter().map(trace_json).collect();
         let doc = obj([
             (
                 "threshold_seconds",
@@ -479,7 +438,19 @@ pub fn build_api(system: Arc<Create>) -> Router {
     router
 }
 
+/// A recorded trace as `/trace/{id}` and `/slowlog` serve it: the span
+/// tree, each counter summed over the tree, and (on slow traces) the
+/// request's query parameters.
 fn trace_json(t: &create_obs::TraceRecord) -> Value {
+    let mut totals = BTreeMap::new();
+    for (name, value) in t.spans.iter().flat_map(|s| &s.counters) {
+        *totals.entry(name.clone()).or_insert(0) += *value;
+    }
+    let totals = totals.into_iter().map(|(n, v)| (n, Value::from(v as i64)));
+    let params = t
+        .params
+        .iter()
+        .map(|(k, v)| (k.clone(), Value::from(v.as_str())));
     let spans: Vec<Value> = t
         .spans
         .iter()
@@ -515,6 +486,8 @@ fn trace_json(t: &create_obs::TraceRecord) -> Value {
         ("root", t.root.clone().into()),
         ("totalSeconds", t.total_seconds.into()),
         ("slow", t.slow.into()),
+        ("params", Value::Object(params.collect())),
+        ("counterTotals", Value::Object(totals.collect())),
         ("spans", Value::Array(spans)),
     ])
 }
@@ -934,39 +907,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slowlog_captures_at_threshold_zero_with_trace_id() {
-        let api = build_api(system());
+    /// Serializes the tests that move the process-wide slow threshold.
+    static THRESHOLD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Dispatches `req` with the slow threshold at `threshold`, returning
+    /// the response's trace id.
+    fn traced_at(api: &Router, req: &Request, threshold: std::time::Duration) -> String {
+        let _serial = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
         let prior = create_obs::slow_query_threshold();
-        create_obs::set_slow_query_threshold(std::time::Duration::ZERO);
-        let q = "fever slowlog probe";
-        let resp = api.dispatch(&get("/search", &[("q", q), ("k", "5")]));
+        create_obs::set_slow_query_threshold(threshold);
+        let resp = api.dispatch(req);
         create_obs::set_slow_query_threshold(prior);
-        let trace = resp.header("X-Trace-Id").expect("trace header").to_string();
-        let slow = api.dispatch(&get("/slowlog", &[]));
-        assert_eq!(slow.status, Status::Ok);
-        let doc = parse_json(std::str::from_utf8(&slow.body).unwrap()).unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        resp.header("X-Trace-Id").expect("trace header").to_string()
+    }
+
+    fn json_body(api: &Router, path: &str) -> (Status, Value) {
+        let resp = api.dispatch(&get(path, &[]));
+        let body = std::str::from_utf8(&resp.body).unwrap();
+        (resp.status, parse_json(body).unwrap())
+    }
+
+    fn slowlog_entry(api: &Router, trace_id: &str) -> Option<Value> {
+        let (status, doc) = json_body(api, "/slowlog");
+        assert_eq!(status, Status::Ok);
         assert!(doc.get("threshold_seconds").is_some());
         let entries = doc.get("entries").unwrap().as_array().unwrap();
-        let rec = entries
+        entries
             .iter()
-            .find(|e| e.get("query").and_then(Value::as_str) == Some(q))
-            .expect("slow query captured at threshold zero");
+            .find(|e| e.get("traceId").and_then(Value::as_str) == Some(trace_id))
+            .cloned()
+    }
+
+    #[test]
+    fn slowlog_entry_is_the_request_trace_with_its_query_parameters() {
+        let api = build_api(system());
+        let params = [
+            ("q", "fever slowlog probe"),
+            ("k", "5"),
+            ("policy", "es_first"),
+        ];
+        let trace_id = traced_at(&api, &get("/search", &params), std::time::Duration::ZERO);
+
+        let entry = slowlog_entry(&api, &trace_id).expect("listed at threshold zero");
+        let (status, trace) = json_body(&api, &format!("/trace/{trace_id}"));
+        assert_eq!(status, Status::Ok);
+        assert_eq!(entry, trace, "a /slowlog entry is its /trace/{{id}}");
+        assert_eq!(entry.get("slow"), Some(&Value::Bool(true)));
+        assert_eq!(entry.get("root").and_then(Value::as_str), Some("/search"));
+        for (name, value) in params {
+            assert_eq!(
+                entry.get("params").and_then(|p| p.get(name)),
+                Some(&Value::from(value)),
+                "the entry names the request by its {name} parameter"
+            );
+        }
+        let spans = entry.get("spans").unwrap().as_array().unwrap();
+        for stage in ["search", "parse", "plan", "keyword_search"] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.get("name").and_then(Value::as_str) == Some(stage)),
+                "{stage} span recorded: {spans:?}"
+            );
+        }
+        let totals = entry.get("counterTotals").expect("summed counters");
+        assert!(totals.get("postings_advanced").unwrap().as_i64().unwrap() > 0);
+        assert!(entry.get("totalSeconds").unwrap().as_f64().is_some());
+    }
+
+    #[test]
+    fn slowlog_skips_a_trace_under_the_threshold() {
+        let api = build_api(system());
+        let req = get("/search", &[("q", "fever fast probe"), ("k", "5")]);
+        let trace_id = traced_at(&api, &req, std::time::Duration::from_secs(3600));
         assert_eq!(
-            rec.get("trace_id").and_then(Value::as_str),
-            Some(trace.as_str()),
-            "slowlog record carries the request's trace id"
+            slowlog_entry(&api, &trace_id),
+            None,
+            "a fast trace is not listed"
         );
-        let stages = rec.get("stages").unwrap().as_array().unwrap();
-        assert!(
-            stages
-                .iter()
-                .any(|s| s.get("stage").and_then(Value::as_str) == Some("parse")),
-            "per-stage timings recorded: {stages:?}"
+        let (status, trace) = json_body(&api, &format!("/trace/{trace_id}"));
+        assert_eq!(status, Status::Ok, "the fast trace is still recorded");
+        assert_eq!(trace.get("slow"), Some(&Value::Bool(false)));
+        assert_eq!(
+            trace.get("params"),
+            Some(&Value::object()),
+            "a fast trace keeps no parameters"
         );
-        let daat = rec.get("daat").expect("daat stats present");
-        assert!(daat.get("postings_advanced").unwrap().as_i64().is_some());
-        assert!(rec.get("total_seconds").unwrap().as_f64().is_some());
     }
 
     #[test]
@@ -1039,7 +1066,7 @@ mod tests {
         let summary = api.dispatch(&get("/debug/traces", &[]));
         assert_eq!(summary.status, Status::Ok);
         let doc = parse_json(std::str::from_utf8(&summary.body).unwrap()).unwrap();
-        assert!(doc.get("sampleRate").and_then(Value::as_f64).is_some());
+        assert!(doc.get("capacity").and_then(Value::as_i64).is_some());
         assert!(doc
             .get("traces")
             .unwrap()
@@ -1071,6 +1098,22 @@ mod tests {
         let id = resp.header("X-Trace-Id").unwrap();
         assert_ne!(id, "not-hex!");
         assert_eq!(id.len(), 16);
+    }
+
+    #[test]
+    fn trace_lookup_resolves_every_spelling_the_header_accepts() {
+        let api = build_api(system());
+        let mut req = get("/health", &[]);
+        req.headers
+            .insert("x-trace-id".to_string(), "ab".to_string());
+        let resp = api.dispatch(&req);
+        assert_eq!(resp.header("X-Trace-Id"), Some("00000000000000ab"));
+        for id in ["ab", "AB", "00000000000000ab", "00000000000000AB"] {
+            let resp = api.dispatch(&get(&format!("/trace/{id}"), &[]));
+            assert_eq!(resp.status, Status::Ok, "/trace/{id}");
+        }
+        let resp = api.dispatch(&get("/trace/zz", &[]));
+        assert_eq!(resp.status, Status::NotFound, "/trace/zz");
     }
 
     #[test]

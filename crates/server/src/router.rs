@@ -79,22 +79,24 @@ impl Router {
     /// for client-correlated tracing, otherwise a fresh ID is minted;
     /// either way the ID is echoed back in the `X-Trace-Id` response
     /// header — including 404/405 responses. The installed context
-    /// follows pooled work (shard fan-out, batch search) onto workers,
-    /// and sampled requests persist their span tree into the flight
-    /// recorder (`GET /trace/{id}`) when dispatch completes. Latency
-    /// and status land in `create_http_request_seconds{route=...}`
-    /// (with a trace-ID exemplar) and
+    /// follows pooled work (a batch search's queries, ingest workers)
+    /// onto workers; a single search runs its shards on this thread.
+    /// Every request persists its span tree into the flight recorder
+    /// (`GET /trace/{id}`, and `GET /slowlog` with the request's query
+    /// parameters when it crossed the slow threshold) when dispatch
+    /// completes. Latency and status land in
+    /// `create_http_request_seconds{route=...}` (with a trace-ID
+    /// exemplar) and
     /// `create_http_requests_total{route=...,status=...}`, labelled by
     /// route *pattern* so parameterized paths stay one series.
     pub fn dispatch(&self, request: &Request) -> Response {
-        let mut trace =
+        let trace =
             create_obs::RequestTrace::begin(request.headers.get("x-trace-id").map(String::as_str));
         let start = std::time::Instant::now();
         let (response, route_label) = match self.lookup(request) {
             Ok((route, params)) => ((route.handler)(request, &params), route.pattern.as_str()),
             Err((status, message, label)) => (Response::error(status, message), label),
         };
-        trace.set_root(route_label);
         if create_obs::enabled() {
             let status = response.status.code().to_string();
             create_obs::counter_with(
@@ -111,11 +113,11 @@ impl Router {
                 create_obs::current_trace_raw(),
             );
         }
-        // The trace drops (and the recorder persists the span tree)
-        // before the response leaves, so a client can immediately GET
-        // /trace/{id} for the ID it just received.
-        let trace_id = trace.hex().to_string();
-        drop(trace);
+        // The recorder persists the span tree before the response
+        // leaves, so a client can immediately GET /trace/{id} for the ID
+        // it just received.
+        let params = request.query.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let trace_id = trace.finish(route_label, params);
         response.with_header("X-Trace-Id", trace_id)
     }
 

@@ -95,7 +95,7 @@ trap - EXIT
 echo "== server smoke: keep-alive, pipelining, close, 400/413 (raw sockets) =="
 cargo run -q --release -p create-bench --bin server_smoke
 
-echo "== trace smoke: /trace/{id} span tree over live shard fan-out =="
+echo "== trace smoke: /trace/{id} span tree over every shard, listed in /slowlog =="
 trace="$(mktemp)"
 cargo run -q --release -p create-bench --bin trace_smoke > "$trace"
 for needle in \
@@ -109,6 +109,13 @@ do
         exit 1
     }
 done
+# Line 1 is the batch request's /trace/{id}, line 2 the /slowlog the
+# smoke fetched at threshold zero: the slowlog must list that trace.
+trace_id="$(head -n 1 "$trace" | grep -oE '"traceId":"[0-9a-f]{16}"')"
+sed -n 2p "$trace" | grep -qF "$trace_id" || {
+    echo "verify: FAIL — /slowlog does not list the batch trace ($trace_id)" >&2
+    exit 1
+}
 rm -f "$trace"
 
 echo "== obs smoke: /metrics series from every instrumented layer =="

@@ -1,26 +1,28 @@
 //! End-to-end trace propagation across shards and pool workers.
 //!
-//! One request must produce ONE coherent span tree no matter how the
-//! work fans out: `/search` scatter-gathers across shards on the
-//! global pool, and `/search_batch` additionally dispatches each query
-//! to a pool worker. At shard counts {1, 2, 4} the recorded tree must
-//! carry exactly one keyword-shard (and graph-shard) span per shard
-//! per query — and a keyword `/cohort`, which runs the same keyword leg,
-//! one keyword-shard span per shard — every span must chain up to the
-//! root through parent links, and the trace ID in the `X-Trace-Id` response header must
-//! resolve in the flight recorder. Tracing itself must be inert:
-//! rankings are bit-identical whether span recording is sampled in or
-//! out.
+//! One request must produce ONE coherent span tree no matter where the
+//! work runs: `/search` runs its shards one after another on the
+//! dispatching thread (`plan::execute`), and `/search_batch` hands each
+//! query to a pool worker, which inherits the request's context. At
+//! shard counts {1, 2, 4} the recorded tree must carry exactly one
+//! keyword-shard (and graph-shard) span per shard per query — and a
+//! keyword `/cohort`, which runs the same keyword leg, one keyword-shard
+//! span per shard — every span must chain up to the root through parent
+//! links, and the trace ID in the `X-Trace-Id` response header must
+//! resolve in the flight recorder. A slow `/search_batch` is one
+//! `/slowlog` entry holding both queries' spans. Tracing itself must be
+//! inert: rankings served with the tree recorded are bit-identical to
+//! the facade's own.
 
-use create::core::{Create, CreateConfig};
+use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator};
 use create::docstore::json::{parse_json, Value};
 use create::server::{build_api, Request, Response, Status};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// The flight recorder, sampling rate, and slowlog are process-global;
-/// tests that touch them run serialized.
+/// The flight recorder and its slow threshold are process-global; tests
+/// that touch them run serialized.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const N_DOCS: usize = 40;
@@ -117,15 +119,14 @@ fn assert_parent_linkage(spans: &[Value]) {
 #[test]
 fn one_span_tree_per_request_at_every_shard_count() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let prior_rate = create::obs::trace_sample_rate();
-    create::obs::set_trace_sample_rate(1.0);
     let reports = corpus(N_DOCS, 20260810);
 
     for &shards in &SHARD_COUNTS {
         let api = build_api(sharded(&reports, shards).into());
 
-        // Shard-fanned single search: exactly one keyword/graph shard
-        // span per shard, all under one trace.
+        // Single search, shards run in turn on the dispatching thread:
+        // exactly one keyword/graph shard span per shard, all under one
+        // trace.
         let resp = api.dispatch(&get("/search", &[("q", "fever and cough"), ("k", "5")]));
         assert_eq!(resp.status, Status::Ok);
         let (_, spans) = fetch_trace(&api, &resp);
@@ -193,18 +194,17 @@ fn one_span_tree_per_request_at_every_shard_count() {
             "queries x shards keyword fan-out spans at {shards} shards"
         );
     }
-    create::obs::set_trace_sample_rate(prior_rate);
 }
 
 #[test]
 fn batch_slowlog_entries_carry_the_request_trace_id() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let reports = corpus(N_DOCS, 20260811);
-    let api = build_api(sharded(&reports, 2).into());
+    let shards = 2;
+    let api = build_api(sharded(&reports, shards).into());
 
     let prior = create::obs::slow_query_threshold();
     create::obs::set_slow_query_threshold(std::time::Duration::ZERO);
-    create::obs::clear_slow_queries();
     let resp = api.dispatch(&post(
         "/search_batch",
         r#"{"queries": ["fever and cough", "chest pain"], "k": 5}"#,
@@ -213,52 +213,80 @@ fn batch_slowlog_entries_carry_the_request_trace_id() {
     assert_eq!(resp.status, Status::Ok);
     let trace_id = resp.header("X-Trace-Id").expect("trace header").to_string();
 
-    // Both batched queries ran on pool workers, yet their slowlog
-    // entries carry the dispatching request's trace ID — the context
+    // Both batched queries ran on pool workers, yet the request is one
+    // slowlog entry whose tree holds both queries' spans — the context
     // propagated across the pool boundary.
-    let slow = create::obs::slow_queries();
-    assert!(slow.len() >= 2, "both batched queries captured");
-    for entry in &slow {
-        let id = entry
-            .trace_id
-            .as_deref()
-            .expect("slowlog entry has a trace id");
-        assert!(!id.is_empty());
-        assert_eq!(
-            id, trace_id,
-            "pool-worker query inherited the request trace"
-        );
-    }
+    let slowlog = api.dispatch(&get("/slowlog", &[]));
+    assert_eq!(slowlog.status, Status::Ok);
+    let doc = parse_json(std::str::from_utf8(&slowlog.body).unwrap()).unwrap();
+    let entries: Vec<&Value> = doc
+        .get("entries")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("traceId").and_then(Value::as_str) == Some(trace_id.as_str()))
+        .collect();
+    assert_eq!(entries.len(), 1, "one entry for the batch request");
+    let entry = entries[0];
+    assert_eq!(
+        entry.get("root").and_then(Value::as_str),
+        Some("/search_batch")
+    );
+    let spans = entry.get("spans").unwrap().as_array().unwrap();
+    assert_parent_linkage(spans);
+    assert_eq!(spans_named(spans, "search").len(), 2, "both queries' spans");
+    assert_eq!(
+        spans_named(spans, "keyword_shard").len(),
+        2 * shards,
+        "queries x shards keyword shard spans"
+    );
 }
 
 #[test]
-fn rankings_are_bit_identical_with_tracing_sampled_out() {
+fn rankings_are_bit_identical_with_the_tree_recorded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let reports = corpus(N_DOCS, 20260812);
-    let system = sharded(&reports, 4);
     let queries = ["fever and cough", "chest pain", "headache with nausea"];
 
-    let prior_rate = create::obs::trace_sample_rate();
-    let ranking = |sys: &Create| -> Vec<Vec<(String, u64)>> {
-        queries
-            .iter()
-            .map(|q| {
-                sys.search(q, 10)
-                    .into_iter()
-                    .map(|h| (h.report_id, h.score.to_bits()))
-                    .collect()
-            })
-            .collect()
-    };
-
-    create::obs::set_trace_sample_rate(1.0);
-    let traced = ranking(&system);
-    create::obs::set_trace_sample_rate(0.0);
-    let untraced = ranking(&system);
-    create::obs::set_trace_sample_rate(prior_rate);
-
-    assert_eq!(
-        traced, untraced,
-        "span recording must not perturb scoring or merge order"
-    );
+    for &shards in &SHARD_COUNTS {
+        let api = build_api(sharded(&reports, shards).into());
+        let reference = sharded(&reports, shards);
+        for q in queries {
+            let resp = api.dispatch(&get("/search", &[("q", q), ("k", "10")]));
+            assert_eq!(resp.status, Status::Ok);
+            let trace_id = resp.header("X-Trace-Id").expect("trace header");
+            assert!(
+                create::obs::find_trace(trace_id).is_some(),
+                "{q:?}: the request's tree is recorded"
+            );
+            let doc = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            let served: Vec<(String, u64)> = doc
+                .get("hits")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|h| {
+                    (
+                        h.get("reportId")
+                            .and_then(Value::as_str)
+                            .unwrap()
+                            .to_string(),
+                        h.get("score").and_then(Value::as_f64).unwrap().to_bits(),
+                    )
+                })
+                .collect();
+            let want: Vec<(String, u64)> = reference
+                .search_with_policy(q, 10, MergePolicy::Neo4jFirst)
+                .into_iter()
+                .map(|h| (h.report_id, h.score.to_bits()))
+                .collect();
+            assert!(!want.is_empty(), "{q:?} has hits");
+            assert_eq!(
+                served, want,
+                "{q:?} at {shards} shards: span recording must not perturb scoring or merge order"
+            );
+        }
+    }
 }
