@@ -11,32 +11,33 @@
 //! {"ann": {...}, "extraction": {...}, "report": {...}}
 //! ```
 //!
-//! A shard keeps each report's payload as text, by internal doc id (see
-//! [`crate::system`]); a sealed segment stores exactly those bytes per
-//! document, and a WAL `doc` record — the only record type — wraps the
-//! same members with the report's global ingest ordinal. The segments
-//! and the WAL are the only durable copies, and the shard's payloads are
-//! refilled from them at open. Recovery re-applies payloads through the
-//! same `Writer::apply` / `Writer::merge` live ingestion uses, which is
-//! what makes post-crash rankings bit-identical. What recovery cannot
-//! read it refuses: every content error of a record or a payload, and a
-//! segment whose copies of a document's id disagree, is reported as
+//! A shard keeps each unsealed report's payload as text, by internal
+//! doc id (see [`crate::payloads`]); a sealed segment stores exactly
+//! those bytes per document, and serves them from then on, and a WAL
+//! `doc` record — the only record type — wraps the same members with the
+//! report's global ingest ordinal. The segments and the WAL are the only
+//! durable copies. Recovery re-applies payloads through the same
+//! `Writer::apply` / `Writer::merge` live ingestion uses, which is what
+//! makes post-crash rankings bit-identical. What recovery cannot read it
+//! refuses: every content error of a record or a payload, and a segment
+//! whose copies of a document's id disagree, is reported as
 //! [`StorageError::Corrupt`] naming the file.
 //!
-//! A seal ([`write_tail`], from the shard's columns and its index's
-//! unsealed segment) and a compaction ([`compact_shard`], from the encoded inputs)
-//! each write their segment in one pass through one `SegmentWriter`, so
-//! neither holds a copy of the documents; recovery checks each file
-//! against its manifest entry and its postings region with the codec's
-//! checks ([`load_segment`]), and adopts that region, undecoded, as one
-//! frozen in-RAM segment.
+//! A seal ([`write_tail`], from the shard's unsealed payloads and its
+//! index's unsealed segment) and a compaction ([`compact_shard`], from
+//! the encoded inputs) each write their segment in one pass through one
+//! `SegmentWriter`, so neither holds a copy of the documents, and each
+//! ends with the file's [`PayloadFile`], located as it was framed;
+//! recovery checks each file against its manifest entry and its postings
+//! region with the codec's checks ([`load_segment`]), adopts that region,
+//! undecoded, as one frozen in-RAM segment, and streams the documents,
+//! parsing each payload where its block holds it.
 //!
 //! Ingest serializes each member once and splices the texts into the
 //! WAL record and the payload; WAL replay splices the record's member
-//! texts into the payload; segment recovery keeps the file's payload as
-//! it is. Nobody re-serializes a parsed tree, and the bytes are what
-//! serializing the whole object would give (its keys come out in the
-//! same sorted order).
+//! texts into the payload. Nobody re-serializes a parsed tree, and the
+//! bytes are what serializing the whole object would give (its keys
+//! come out in the same sorted order).
 
 use crate::pipeline::ExtractedAnnotations;
 use crate::system::ShardSnapshot;
@@ -46,11 +47,11 @@ use create_index::facets::FacetIndex;
 use create_index::{FrozenSegment, Index};
 use create_obs::names as obs_names;
 use create_storage::manifest::segment_file_name;
-use create_storage::segment::{Region, SegmentReader, SegmentWriter};
+use create_storage::segment::{PayloadFile, Region, SegmentReader, SegmentWriter};
 use create_storage::{
-    segment, Manifest, SegmentFileInfo, SegmentMeta, ShardManifest, StorageError, StoredDoc, Wal,
+    segment, Manifest, SegmentFileInfo, SegmentMeta, ShardManifest, StorageError, Wal,
 };
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -234,11 +235,10 @@ fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a str, Vec<Member<
     Ok((text, members))
 }
 
-/// Splits a segment's stored payload into its documents; also the
-/// payload's text, which the shard keeps as it is.
-pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<(&str, RecoveredDoc<'_>), String> {
-    let (text, members) = split_record(bytes, "payload")?;
-    Ok((text, take_payload(members)?))
+/// Splits a segment's stored payload into its documents.
+fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
+    let (_, members) = split_record(bytes, "payload")?;
+    take_payload(members)
 }
 
 /// Parses one WAL record — a `doc` record, the only type there is — into
@@ -275,34 +275,48 @@ pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
 /// ids and the ordinals, each payload as the shard holds it, its blob,
 /// and the encoding of its facets. Holds a block of the region being
 /// written and the facet encoding — never a copy of the documents.
+/// Returns the file's size and CRC, and its payloads, which now serve
+/// the documents.
 pub(crate) fn write_tail(
     path: &Path,
     shard: &ShardSnapshot,
     base: usize,
     unsealed: &FrozenSegment,
-) -> Result<SegmentFileInfo, StorageError> {
+) -> Result<(SegmentFileInfo, PayloadFile), StorageError> {
     let num = shard.index.num_docs();
     debug_assert!(
         shard.docs.len() == num && shard.ordinals.len() == num,
         "every column must cover every indexed doc at seal time"
     );
     assert_eq!(unsealed.num_docs(), num - base, "the unsealed docs");
-    SegmentWriter::write_file(path, |out| {
-        out.next_region()?;
-        out.doc_count((num - base) as u64)?;
-        for doc in base..num {
-            let id = unsealed.external_id((doc - base) as u32).expect("unsealed");
-            out.entry(shard.ordinals[doc], id.as_bytes())?;
-        }
-        out.next_region()?;
-        for doc in base..num {
-            out.payload(shard.docs[doc].as_bytes())?;
-        }
-        out.next_region()?;
-        out.write_all(unsealed.blob())?;
-        out.next_region()?;
-        out.write_all(&unsealed.facets().encode())
-    })
+    assert_eq!(shard.docs.sealed_docs(), base, "the unsealed payloads");
+    let mut out = SegmentWriter::create(path)?;
+    write_tail_regions(&mut out, shard, base, unsealed).map_err(|e| out.error(e))?;
+    out.finish_payloads()
+}
+
+/// The four regions of [`write_tail`]'s file.
+fn write_tail_regions(
+    out: &mut SegmentWriter,
+    shard: &ShardSnapshot,
+    base: usize,
+    unsealed: &FrozenSegment,
+) -> io::Result<()> {
+    let num = shard.index.num_docs();
+    out.next_region()?;
+    out.doc_count((num - base) as u64)?;
+    for doc in base..num {
+        let id = unsealed.external_id((doc - base) as u32).expect("unsealed");
+        out.entry(shard.ordinals[doc], id.as_bytes())?;
+    }
+    out.next_region()?;
+    for payload in shard.docs.unsealed().iter() {
+        out.payload(payload.as_bytes())?;
+    }
+    out.next_region()?;
+    out.write_all(unsealed.blob())?;
+    out.next_region()?;
+    out.write_all(&unsealed.facets().encode())
 }
 
 /// Adapter for `map_err`: a content error found in the file at `path`,
@@ -318,9 +332,13 @@ pub(crate) fn corrupt_at<E: ToString>(path: &Path) -> impl FnOnce(E) -> StorageE
 /// frozen segment the shard's index adopts — the postings region checked
 /// and kept as it is ([`codec::adopt`], with `template`'s field
 /// configuration) and the facet region decoded beside it
-/// ([`FrozenSegment::with_facets`]) — and the stored documents, each
-/// covering the same documents. Recovery's reader of segment files;
-/// compaction streams them instead ([`compact_shard`]).
+/// ([`FrozenSegment::with_facets`]) — and the file's [`PayloadFile`],
+/// which serves the documents' payloads from then on. Each document is
+/// handed to `apply` — its ordinal, its report's fields and its
+/// extraction — parsed from its payload where its block holds it, once
+/// its three copies of its id agree ([`check_ids`]); no payload is
+/// kept. Recovery's reader of segment files; compaction streams them
+/// instead ([`compact_shard`]).
 ///
 /// The file must be the one the manifest entry `meta` describes: its
 /// size and footer CRC, and its directory's document count and first
@@ -331,23 +349,36 @@ pub(crate) fn load_segment(
     path: &Path,
     meta: &SegmentMeta,
     template: &Index,
-) -> Result<(FrozenSegment, Vec<StoredDoc>), StorageError> {
+    mut apply: impl FnMut(u64, &ReportFields<'_>, &ExtractedAnnotations),
+) -> Result<(FrozenSegment, PayloadFile), StorageError> {
     let segment = SegmentReader::open(path)?;
     check_meta(path, "bytes", meta.bytes, segment.bytes())?;
     check_meta(path, "crc", meta.crc.into(), segment.crc().into())?;
-    let data = segment.read_all()?;
-    let ordinal = |doc: Option<&StoredDoc>| doc.map_or(0, |doc| doc.ordinal);
-    check_meta(path, "docs", meta.docs, data.docs.len() as u64)?;
-    let first = ordinal(data.docs.first());
+    let facets = segment.read_region(Region::Facets)?;
+    let facets = FacetIndex::decode(&facets).map_err(corrupt_at(path))?;
+    let postings = segment.read_region(Region::Postings)?;
+    let postings = codec::adopt(postings, template).map_err(corrupt_at(path))?;
+    let frozen = postings.with_facets(facets).map_err(corrupt_at(path))?;
+    let mut docs = segment.docs()?;
+    check_meta(path, "docs", meta.docs, docs.count())?;
+    let faceted = frozen.facets().num_docs() as usize;
+    check_doc_counts(path, docs.count() as usize, frozen.num_docs(), faceted)?;
+    let (mut doc, mut first, mut last) = (0, 0, 0);
+    while let Some(stored) = docs.next_doc()? {
+        let payload = parse_payload_bytes(stored.payload).map_err(corrupt_at(path))?;
+        let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
+        let indexed = frozen.external_id(doc as u32);
+        check_ids(path, doc, stored.id, indexed, fields.id)?;
+        apply(stored.ordinal, &fields, &annotations);
+        if doc == 0 {
+            first = stored.ordinal;
+        }
+        (doc, last) = (doc + 1, stored.ordinal);
+    }
+    let payloads = docs.finish()?;
     check_meta(path, "min_ordinal", meta.min_ordinal, first)?;
-    let last = ordinal(data.docs.last());
     check_meta(path, "max_ordinal", meta.max_ordinal, last)?;
-    let facets = FacetIndex::decode(&data.facets).map_err(corrupt_at(path))?;
-    let postings = codec::adopt(data.postings, template).map_err(corrupt_at(path))?;
-    let segment = postings.with_facets(facets).map_err(corrupt_at(path))?;
-    let faceted = segment.facets().num_docs() as usize;
-    check_doc_counts(path, data.docs.len(), segment.num_docs(), faceted)?;
-    Ok((segment, data.docs))
+    Ok((frozen, payloads))
 }
 
 /// A segment file's `field` must be what its manifest entry records.
@@ -379,7 +410,7 @@ fn check_doc_counts(
 /// postings and its payload's `report._id` — and a shard's columns are
 /// positional, so the three must agree: a reordered region would
 /// otherwise open with every column but one misaligned.
-pub(crate) fn check_ids(
+fn check_ids(
     path: &Path,
     doc: usize,
     directory: &str,
@@ -409,13 +440,13 @@ pub(crate) fn check_ids(
 /// known once they are read: a disagreement, like any failure part-way,
 /// drops the unfinished file. The old files stay on disk until the
 /// caller swaps the manifest and sweeps orphans — a crash
-/// mid-compaction changes nothing. Returns the number of documents
-/// rewritten.
+/// mid-compaction changes nothing. Returns the new file's payloads,
+/// which hold every document rewritten.
 pub(crate) fn compact_shard(
     shard_dir: &Path,
     entry: &mut ShardManifest,
     template: &Index,
-) -> Result<u64, StorageError> {
+) -> Result<PayloadFile, StorageError> {
     let inputs = entry
         .segments
         .iter()
@@ -436,7 +467,7 @@ pub(crate) fn compact_shard(
         let facets = faceted[i].num_docs() as usize;
         check_doc_counts(input.path(), stored, written.indexed[i], facets)?;
     }
-    let info = out.finish()?;
+    let (info, payloads) = out.finish_payloads()?;
 
     let filled = || written.ranges.iter().filter(|range| range.docs > 0);
     let min_ordinal = filled().next().map_or(0, |range| range.min_ordinal);
@@ -451,7 +482,7 @@ pub(crate) fn compact_shard(
         max_ordinal,
     }];
     entry.next_segment_id += 1;
-    Ok(count)
+    Ok(payloads)
 }
 
 /// What [`write_compacted`] learned of its inputs.

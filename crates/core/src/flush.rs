@@ -5,6 +5,7 @@
 use crate::durability::{self, COMPACT_SEGMENT_THRESHOLD};
 use crate::{ingest::IngestError, system::Create, writer::Writer};
 use create_storage::manifest::{segment_file_name, sweep_orphans};
+use create_storage::segment::PayloadFile;
 use create_storage::{Manifest, SegmentMeta, ShardManifest};
 use std::sync::Arc;
 use std::{path::Path, time::Instant};
@@ -17,7 +18,9 @@ impl Create {
     /// compacts shards that accumulated enough segments. The shards that
     /// sealed are published as they are now — the same documents, so no
     /// cached answer dies — their unsealed in-RAM segments merged into
-    /// the one the seal wrote. An in-memory instance has nothing to
+    /// the one the seal wrote and their unsealed payloads read from it;
+    /// the shards that compacted are published again, their payloads read
+    /// from the compacted file. An in-memory instance has nothing to
     /// persist: every write froze its documents when it published them.
     pub fn flush(&self) -> Result<(), IngestError> {
         let Some(root) = self.storage.as_ref() else {
@@ -31,11 +34,12 @@ impl Create {
             let mut manifest = root.lock_manifest();
             let sealed = seal_tails(&mut writers.shards, &mut manifest, &root.dir, false)?;
             self.publish_shards(&writers, sealed);
-            let compacted = compact_shards(&writers.shards, &mut manifest, &root.dir)?;
+            let compacted = compact_shards(&mut writers.shards, &mut manifest, &root.dir)?;
+            self.publish_shards(&writers, compacted.iter().copied());
             durability::refresh_segment_gauges(&manifest);
             compacted
         };
-        if compacted {
+        if !compacted.is_empty() {
             // Writes free what they allocated in passing — extraction,
             // each batch's own segment, the copies a publish leaves behind
             // — in the arena of whichever worker ran them, and glibc keeps
@@ -53,8 +57,9 @@ impl Create {
 /// one was written, or `store_anyway` (a fresh data directory at open) —
 /// registers them all in one manifest swap and only after it lands
 /// resets each WAL, sweeps orphans and marks the documents sealed in the
-/// index ([`Index::seal`](create_index::Index::seal); a failed swap
-/// leaves them unsealed, to the next seal). A crash before the swap
+/// index ([`Index::seal`](create_index::Index::seal)) and in the payload
+/// column, which reads them from the new file from then on (a failed
+/// swap leaves them unsealed, to the next seal). A crash before the swap
 /// replays them from the old WALs; a crash after it skips the (now
 /// sealed) records by ordinal. Sealing nothing writes nothing. Returns
 /// the shards that sealed.
@@ -68,39 +73,50 @@ pub(crate) fn seal_tails(
     for (writer, entry) in writers.iter_mut().zip(&mut manifest.shards) {
         sealed.push(seal_tail(writer, entry)?);
     }
-    if !sealed.contains(&true) && !store_anyway {
+    if sealed.iter().all(Option::is_none) && !store_anyway {
         return Ok(Vec::new());
     }
     manifest.store(dir).map_err(IngestError::Storage)?;
-    for ((writer, entry), &sealed) in writers.iter_mut().zip(&manifest.shards).zip(&sealed) {
+    let mut touched = Vec::new();
+    for (i, ((writer, entry), sealed)) in writers
+        .iter_mut()
+        .zip(&manifest.shards)
+        .zip(sealed)
+        .enumerate()
+    {
         let Some(storage) = writer.storage.as_mut() else {
             continue;
         };
         storage.wal.reset().map_err(IngestError::Storage)?;
         sweep_orphans(&storage.dir, entry);
-        if sealed {
+        if let Some(payloads) = sealed {
             Arc::make_mut(&mut writer.shard.index).seal();
+            Arc::make_mut(&mut writer.shard.docs).seal(payloads);
+            touched.push(i);
         }
     }
-    Ok((0..sealed.len()).filter(|&i| sealed[i]).collect())
+    Ok(touched)
 }
 
 /// Seals a shard's unsealed documents (`[sealed_docs..num_docs)`) into a
 /// new on-disk segment and registers it in the shard's manifest entry:
 /// the index merges its unsealed segments into one
 /// ([`Index::merge_unsealed`](create_index::Index::merge_unsealed)),
-/// whose blob is the file's postings region. Returns whether there was
-/// anything to seal.
-fn seal_tail(writer: &mut Writer, entry: &mut ShardManifest) -> Result<bool, IngestError> {
+/// whose blob is the file's postings region. Returns the new file's
+/// payloads, or `None` when there was nothing to seal.
+fn seal_tail(
+    writer: &mut Writer,
+    entry: &mut ShardManifest,
+) -> Result<Option<PayloadFile>, IngestError> {
     let Some(storage) = writer.storage.as_ref() else {
-        return Ok(false);
+        return Ok(None);
     };
     let (base, num) = (
         writer.shard.index.sealed_docs(),
         writer.shard.index.num_docs(),
     );
     if num == base {
-        return Ok(false);
+        return Ok(None);
     }
     let started = Instant::now();
     let postings = Arc::make_mut(&mut writer.shard.index)
@@ -109,7 +125,7 @@ fn seal_tail(writer: &mut Writer, entry: &mut ShardManifest) -> Result<bool, Ing
         .expect("documents are unsealed");
     let file = segment_file_name(entry.next_segment_id);
     let shard = &writer.shard;
-    let info = durability::write_tail(&storage.dir.join(&file), shard, base, &postings)
+    let (info, payloads) = durability::write_tail(&storage.dir.join(&file), shard, base, &postings)
         .map_err(IngestError::Storage)?;
     entry.segments.push(SegmentMeta {
         file,
@@ -121,40 +137,46 @@ fn seal_tail(writer: &mut Writer, entry: &mut ShardManifest) -> Result<bool, Ing
     });
     entry.next_segment_id += 1;
     durability::note_seal(started.elapsed().as_secs_f64());
-    Ok(true)
+    Ok(Some(payloads))
 }
 
 /// Compacts every shard that reached [`COMPACT_SEGMENT_THRESHOLD`]
-/// segments; the rewrites land in one manifest swap, after which the
-/// replaced files are orphans and are swept. Returns whether a shard was
-/// compacted.
+/// segments; the rewrites land in one manifest swap, after which each
+/// such shard's payload column reads from its compacted file, and the
+/// replaced files are orphans and are swept — a snapshot that still
+/// holds one reads on through its open descriptor. Returns the shards
+/// that compacted.
 fn compact_shards(
-    writers: &[Writer],
+    writers: &mut [Writer],
     manifest: &mut Manifest,
     dir: &Path,
-) -> Result<bool, IngestError> {
-    let mut compacted = false;
-    for (writer, entry) in writers.iter().zip(&mut manifest.shards) {
+) -> Result<Vec<usize>, IngestError> {
+    let mut compacted = Vec::new();
+    for (i, (writer, entry)) in writers.iter().zip(&mut manifest.shards).enumerate() {
         let Some(storage) = writer.storage.as_ref() else {
             continue;
         };
         if entry.segments.len() < COMPACT_SEGMENT_THRESHOLD {
             continue;
         }
-        let merged = durability::compact_shard(&storage.dir, entry, &writer.shard.index)
+        let payloads = durability::compact_shard(&storage.dir, entry, &writer.shard.index)
             .map_err(IngestError::Storage)?;
-        durability::note_compaction(merged);
-        compacted = true;
+        durability::note_compaction(payloads.docs() as u64);
+        compacted.push((i, payloads));
     }
-    if compacted {
-        manifest.store(dir).map_err(IngestError::Storage)?;
-        for (writer, entry) in writers.iter().zip(&manifest.shards) {
-            if let Some(storage) = writer.storage.as_ref() {
-                sweep_orphans(&storage.dir, entry);
-            }
+    if compacted.is_empty() {
+        return Ok(Vec::new());
+    }
+    manifest.store(dir).map_err(IngestError::Storage)?;
+    let touched = compacted.iter().map(|&(i, _)| i).collect();
+    for (i, payloads) in compacted {
+        let writer = &mut writers[i];
+        Arc::make_mut(&mut writer.shard.docs).compacted(payloads);
+        if let Some(storage) = writer.storage.as_ref() {
+            sweep_orphans(&storage.dir, &manifest.shards[i]);
         }
     }
-    Ok(compacted)
+    Ok(touched)
 }
 
 #[cfg(test)]
@@ -185,7 +207,11 @@ mod tests {
         let system = Create::open(&dir, CreateConfig::default()).unwrap();
         assert_eq!(system.stats().reports, reports.len());
         for r in &reports {
-            assert!(system.report(&r.id).is_some(), "report {} lost", r.id);
+            assert!(
+                system.report(&r.id).unwrap().is_some(),
+                "report {} lost",
+                r.id
+            );
         }
         assert!(system
             .search(&reports[0].title, 5)

@@ -285,7 +285,7 @@ fn apply_batch(
                 ordinal,
                 &doc.fields(),
                 &doc.annotations,
-                &durability::payload_text(&payload),
+                Some(&durability::payload_text(&payload)),
             );
         }
         for segment in work.segments {
@@ -490,7 +490,7 @@ mod tests {
         assert!(stats.graph_nodes > 20);
         assert!(stats.graph_edges > 20);
         assert!(stats.index_terms > 100);
-        assert!(system.report(&reports[0].id).is_some());
+        assert!(system.report(&reports[0].id).unwrap().is_some());
     }
 
     #[test]
@@ -526,7 +526,7 @@ mod tests {
         });
         let extracted = system.ingest_pdf("user:pdf1", &pdf).unwrap();
         assert_eq!(extracted.authors, vec!["Chen W", "Smith J"]);
-        let stored = system.report("user:pdf1").unwrap();
+        let stored = system.report("user:pdf1").unwrap().unwrap();
         assert_eq!(
             stored.get("title").unwrap().as_str().unwrap(),
             "Myocarditis after infection: a case report"
@@ -709,8 +709,12 @@ mod tests {
         assert_eq!(system.stats().reports, 12);
         // Per-shard lookups find every document, whichever shard owns it.
         for r in &reports {
-            assert!(system.report(&r.id).is_some(), "report {} lost", r.id);
-            assert!(system.annotations(&r.id).is_some());
+            assert!(
+                system.report(&r.id).unwrap().is_some(),
+                "report {} lost",
+                r.id
+            );
+            assert!(system.annotations(&r.id).unwrap().is_some());
         }
         // The composite generation advanced once per touched shard; the
         // sum of per-shard generations is the composite.

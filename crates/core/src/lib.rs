@@ -28,6 +28,8 @@
 //!   publish), [`ingest`] (the one write route), [`recovery`]
 //!   ([`Create::open`]) and [`flush`] ([`Create::flush`]);
 //! * [`durability`] — WAL/segment/manifest glue onto `create-storage`;
+//! * [`payloads`] — a shard's stored payloads: the sealed ones read from
+//!   their segment files, the unsealed ones in RAM;
 //! * [`stats`] — the `*Stats` readouts and metric pre-registration.
 
 pub mod cache;
@@ -37,6 +39,7 @@ pub(crate) mod facet_build;
 mod flush;
 pub mod graph_build;
 mod ingest;
+mod payloads;
 pub mod pipeline;
 pub mod plan;
 mod recovery;
@@ -46,6 +49,9 @@ pub mod system;
 mod writer;
 
 pub use cache::CacheStats;
+/// The storage failure a write, an open or a read of a sealed report
+/// reports.
+pub use create_storage::StorageError;
 pub use ingest::{IngestError, TextSubmission};
 pub use pipeline::{ExtractedAnnotations, QueryIE};
 pub use plan::{

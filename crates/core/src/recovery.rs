@@ -26,11 +26,13 @@ impl Create {
     ///    out exactly as the writing process assigned them), each file
     ///    checked against its manifest entry (size, CRC, doc count, first
     ///    and last ordinal — the last is where WAL replay starts): every
-    ///    stored payload goes through `Writer::apply` — refilling the
-    ///    shard's stored payloads and the graph — while the postings
-    ///    region is checked and adopted undecoded, with the decoded facet
-    ///    region, as one frozen in-RAM segment (`Index::adopt_frozen`),
-    ///    not merged into one index.
+    ///    stored payload is parsed where its block holds it and goes
+    ///    through `Writer::apply` — refilling the graph and the ordinals
+    ///    — and the file itself joins the shard's payload column, which
+    ///    reads the payloads from it from then on; the postings region is
+    ///    checked and adopted undecoded, with the decoded facet region,
+    ///    as one frozen in-RAM segment (`Index::adopt_frozen`), not
+    ///    merged into one index.
     /// 3. **Replay the WAL tail** — whatever a flush had not yet sealed —
     ///    through the same two functions, its segment built by the
     ///    `index_doc` live ingestion uses; then seal every tail
@@ -150,29 +152,25 @@ impl Create {
 impl Writer {
     /// Recovers one sealed segment, which must be the file its manifest
     /// entry `meta` describes ([`durability::load_segment`]): every
-    /// stored payload is applied as the file holds it, and the postings
-    /// region — no re-tokenization, no decoding — becomes one frozen
-    /// segment of the shard's index with the facet region's bitmaps (the
-    /// tier rule may merge it with the newest one before it). A document
-    /// whose three ids disagree ([`durability::check_ids`]) fails the
-    /// segment.
+    /// document is applied as the file holds it, the file joins the
+    /// payload column, which serves the payloads from it, and the
+    /// postings region — no re-tokenization, no decoding — becomes one
+    /// frozen segment of the shard's index with the facet region's
+    /// bitmaps (the tier rule may merge it with the newest one before
+    /// it). A document whose three ids disagree fails the segment.
     fn recover_segment(
         &mut self,
         ontology: &Ontology,
         path: &Path,
         meta: &SegmentMeta,
     ) -> Result<(), StorageError> {
-        let (segment, docs) = durability::load_segment(path, meta, &self.shard.index)?;
-        // By value: a file payload is freed once the shard holds its
-        // copy, so the stored fields are never resident twice over.
-        for (doc, stored) in docs.into_iter().enumerate() {
-            let (text, payload) =
-                durability::parse_payload_bytes(&stored.payload).map_err(corrupt_at(path))?;
-            let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
-            let indexed = segment.external_id(doc as u32);
-            durability::check_ids(path, doc, &stored.id, indexed, fields.id)?;
-            self.apply(ontology, stored.ordinal, &fields, &annotations, text);
-        }
+        let template = Arc::clone(&self.shard.index);
+        let (segment, payloads) =
+            durability::load_segment(path, meta, &template, |ordinal, fields, annotations| {
+                self.apply(ontology, ordinal, fields, annotations, None)
+            })?;
+        drop(template);
+        Arc::make_mut(&mut self.shard.docs).push_file(payloads);
         let index = Arc::make_mut(&mut self.shard.index);
         index.adopt_frozen(segment).map_err(corrupt_at(path))
     }
@@ -201,7 +199,7 @@ impl Writer {
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
             index_doc(&mut segment, &fields, &annotations).map_err(corrupt_at(path))?;
             let text = durability::payload_text(&payload.texts);
-            self.apply(ontology, ordinal, &fields, &annotations, &text);
+            self.apply(ontology, ordinal, &fields, &annotations, Some(&text));
             replayed += 1;
         }
         self.merge(segment).map_err(corrupt_at(path))?;
@@ -304,14 +302,14 @@ mod tests {
             assert_eq!(system.stats().reports, 10);
             for r in &reports {
                 assert_eq!(
-                    system.report(&r.id).map(|v| v.to_json()),
-                    written.report(&r.id).map(|v| v.to_json()),
+                    system.report(&r.id).unwrap().map(|v| v.to_json()),
+                    written.report(&r.id).unwrap().map(|v| v.to_json()),
                     "report {}",
                     r.id
                 );
                 assert_eq!(
-                    system.annotations(&r.id).map(|a| a.serialize()),
-                    written.annotations(&r.id).map(|a| a.serialize()),
+                    system.annotations(&r.id).unwrap().map(|a| a.serialize()),
+                    written.annotations(&r.id).unwrap().map(|a| a.serialize()),
                     "annotations of {}",
                     r.id
                 );

@@ -150,12 +150,7 @@ impl Create {
             }
             stats.postings_bytes += shard.index.postings_bytes();
             stats.graph_bytes += shard.graph.heap_bytes();
-            stats.docstore_bytes += shard.docs.heap_bytes()
-                + shard
-                    .docs
-                    .iter()
-                    .map(|payload| arc_slice_bytes(payload.len()))
-                    .sum::<usize>();
+            stats.docstore_bytes += shard.docs.heap_bytes();
             stats.facet_bytes += facet_bytes(&shard.index);
         }
         if create_obs::enabled() {

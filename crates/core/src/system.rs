@@ -26,6 +26,7 @@
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::durability::{self, StorageRoot};
+use crate::payloads::Payloads;
 use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use crate::stats::{count_policy, note_query, register_metrics, register_shard_metrics};
@@ -41,6 +42,7 @@ use create_index::Index;
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, Span};
 use create_ontology::Ontology;
+use create_storage::StorageError;
 use create_util::{ArcCell, Chunked, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
 use std::sync::{Arc, Mutex};
@@ -117,9 +119,9 @@ pub(crate) struct ShardSnapshot {
     /// Shard-local internal doc id → the report's stored payload, the
     /// exact text its segment stores (see [`crate::durability`]): the
     /// report, its BRAT export and its extraction. Read by id through the
-    /// index's id map. Chunked, so an append after a publish copies the
-    /// last chunk, not the column.
-    pub(crate) docs: Arc<Chunked<Arc<str>>>,
+    /// index's id map; a sealed document's from its segment file, an
+    /// unsealed one's from RAM (see [`crate::payloads`]).
+    pub(crate) docs: Arc<Payloads>,
     pub(crate) graph: Arc<PropertyGraph>,
     pub(crate) index: Arc<Index>,
     pub(crate) tagger: Option<Arc<CrfTagger>>,
@@ -183,16 +185,30 @@ impl Snapshot {
 
     /// One member of a report's stored payload, parsed, from its owning
     /// shard: the index maps the id to the doc id that indexes the
-    /// payload column.
-    fn stored_member(&self, id: &str, key: &str) -> Option<Value> {
+    /// payload column. `Ok(None)` for an unknown id or a payload without
+    /// the member; an error when a sealed payload does not read back from
+    /// its segment file.
+    fn stored_member(&self, id: &str, key: &str) -> Result<Option<Value>, StorageError> {
         let shard = self.owner(id);
-        let doc = shard.index.internal_id(id)?;
-        durability::payload_member(shard.docs.get(doc as usize)?, key)
+        let Some(doc) = shard.index.internal_id(id) else {
+            return Ok(None);
+        };
+        let payload = shard.docs.get(doc as usize)?;
+        Ok(payload.and_then(|payload| durability::payload_member(&payload, key)))
     }
 
-    /// The stored report document, as of this snapshot.
-    pub fn report(&self, id: &str) -> Option<Value> {
+    /// The stored report document, as of this snapshot (see
+    /// [`Create::report`]).
+    pub fn report(&self, id: &str) -> Result<Option<Value>, StorageError> {
         self.stored_member(id, "report")
+    }
+
+    /// The report's BRAT annotation export, as of this snapshot (see
+    /// [`Create::annotations`]).
+    pub fn annotations(&self, id: &str) -> Result<Option<BratDocument>, StorageError> {
+        let doc = self.stored_member(id, "ann")?;
+        let ann = doc.as_ref().and_then(|doc| doc.get("ann")?.as_str());
+        Ok(ann.and_then(|ann| BratDocument::parse(ann).ok()))
     }
 
     /// Cohort retrieval against this snapshot (see [`Create::cohort`]).
@@ -458,15 +474,17 @@ impl Create {
         Ok(self.cohort(&criteria))
     }
 
-    /// Fetches a stored report document from its owning shard.
-    pub fn report(&self, id: &str) -> Option<Value> {
+    /// Fetches a stored report document from its owning shard: `Ok(None)`
+    /// for an unknown id, an error when a sealed report's payload does
+    /// not read back from its segment file (see [`crate::payloads`]).
+    pub fn report(&self, id: &str) -> Result<Option<Value>, StorageError> {
         self.current.load().report(id)
     }
 
-    /// Fetches a report's BRAT annotation export from its owning shard.
-    pub fn annotations(&self, id: &str) -> Option<BratDocument> {
-        let doc = self.current.load().stored_member(id, "ann")?;
-        BratDocument::parse(doc.get("ann")?.as_str()?).ok()
+    /// Fetches a report's BRAT annotation export from its owning shard,
+    /// as [`Create::report`] fetches the report.
+    pub fn annotations(&self, id: &str) -> Result<Option<BratDocument>, StorageError> {
+        self.current.load().annotations(id)
     }
 
     /// Renders the Fig-7 network-graph visualization of a report's events
@@ -564,7 +582,10 @@ pub(crate) mod tests {
     #[test]
     fn annotations_round_trip() {
         let (system, reports) = loaded_system(3, 3);
-        let brat = system.annotations(&reports[0].id).expect("brat stored");
+        let brat = system
+            .annotations(&reports[0].id)
+            .unwrap()
+            .expect("brat stored");
         assert_eq!(brat.text_bounds.len(), reports[0].entities.len());
         assert!(brat.validate(&reports[0].text).is_ok());
     }
@@ -601,7 +622,7 @@ pub(crate) mod tests {
         let (system, _) = loaded_system(40, 5);
         let hits = system.search_with_policy("fever and cough", 10, MergePolicy::GraphOnly);
         for h in &hits {
-            let doc = system.report(&h.report_id).unwrap();
+            let doc = system.report(&h.report_id).unwrap().unwrap();
             let text = doc.get("text").unwrap().as_str().unwrap().to_lowercase();
             // Every graph hit mentions both concepts (by some surface form,
             // so check via the graph instead of raw text when absent).

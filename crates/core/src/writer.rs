@@ -126,22 +126,27 @@ impl Writer {
         Ok(())
     }
 
-    /// Puts one document into the shard: its stored payload as it is
-    /// (spliced from serialized member texts, or read from a segment),
-    /// its graph projection and its ordinal. Every document enters a
-    /// shard here — the batch apply phase logs it to the WAL first,
-    /// segment recovery and WAL replay call this alone — and its segment
-    /// enters at the same doc id, through [`Writer::merge`] or, read from
-    /// a file, [`Index::adopt_frozen`].
+    /// Puts one document into the shard: its graph projection, its
+    /// ordinal and — `Some` for a document no segment file holds yet —
+    /// its stored payload as it is, spliced from serialized member texts.
+    /// A document read from a segment file passes `None`: the file serves
+    /// its payload, and recovery appends the file to the column once its
+    /// documents are in ([`Payloads::push_file`](crate::payloads::Payloads::push_file)).
+    /// Every document enters a shard here — the batch apply phase logs it
+    /// to the WAL first, segment recovery and WAL replay call this alone
+    /// — and its segment enters at the same doc id, through
+    /// [`Writer::merge`] or, read from a file, [`Index::adopt_frozen`].
     pub(crate) fn apply(
         &mut self,
         ontology: &Ontology,
         ordinal: u64,
         fields: &ReportFields<'_>,
         annotations: &ExtractedAnnotations,
-        payload: &str,
+        payload: Option<&str>,
     ) {
-        Arc::make_mut(&mut self.shard.docs).push(Arc::from(payload));
+        if let Some(payload) = payload {
+            Arc::make_mut(&mut self.shard.docs).push(payload);
+        }
         {
             let _span = Span::enter(
                 obs_names::PIPELINE_STAGE_SECONDS,
@@ -159,7 +164,7 @@ impl Writer {
                 },
                 annotations,
             );
-            let doc = self.shard.docs.len() as u32 - 1;
+            let doc = self.shard.ordinals.len() as u32;
             debug_assert_eq!(
                 graph_build::report_node(graph, doc),
                 Some(node),

@@ -27,7 +27,7 @@
 
 use crate::http::{Response, Status};
 use crate::router::Router;
-use create_core::{Create, IngestError, MergePolicy};
+use create_core::{Create, IngestError, MergePolicy, StorageError};
 use create_docstore::json::{obj, parse_json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -54,28 +54,33 @@ fn year_from(doc: &Value) -> Result<u32, &'static str> {
         .ok_or("year must be an integer from 0 to 4294967295")
 }
 
-/// The answer to a failed write: a storage failure is the server's (500,
-/// with its class — `io` is disk-level and often transient, `corruption`
-/// needs an operator); every other error is the request's (400).
+/// The answer to a failed write: a storage failure is the server's
+/// ([`storage_error_response`]); every other error is the request's
+/// (400).
 fn ingest_error_response(e: &IngestError) -> Response {
     match e {
-        IngestError::Storage(_) => {
-            let kind = if e.is_corruption() {
-                "corruption"
-            } else {
-                "io"
-            };
-            Response::error(
-                Status::InternalServerError,
-                &format!("storage failed ({kind}): {e}"),
-            )
-        }
+        IngestError::Storage(e) => storage_error_response(e),
         IngestError::NoTagger
         | IngestError::Duplicate(_)
         | IngestError::Pdf(_)
         | IngestError::Index(_)
         | IngestError::Config(_) => Response::error(Status::BadRequest, &e.to_string()),
     }
+}
+
+/// The answer to a storage failure, on a write or on a read of a sealed
+/// report: 500, with its class — `io` is disk-level and often transient,
+/// `corruption` needs an operator — and the error, which names the file.
+fn storage_error_response(e: &StorageError) -> Response {
+    let kind = if e.is_corruption() {
+        "corruption"
+    } else {
+        "io"
+    };
+    Response::error(
+        Status::InternalServerError,
+        &format!("storage failed ({kind}): {e}"),
+    )
 }
 
 /// Builds the API router over a shared platform instance.
@@ -162,8 +167,9 @@ pub fn build_api(system: Arc<Create>) -> Router {
         let system = Arc::clone(&system);
         router.route("GET", "/reports/:id", move |_, params| {
             match system.report(&params["id"]) {
-                Some(doc) => Response::json(Status::Ok, doc.to_json()),
-                None => Response::error(Status::NotFound, "no such report"),
+                Ok(Some(doc)) => Response::json(Status::Ok, doc.to_json()),
+                Ok(None) => Response::error(Status::NotFound, "no such report"),
+                Err(e) => storage_error_response(&e),
             }
         });
     }
@@ -174,8 +180,9 @@ pub fn build_api(system: Arc<Create>) -> Router {
             "GET",
             "/reports/:id/annotations",
             move |_, params| match system.annotations(&params["id"]) {
-                Some(brat) => Response::text(Status::Ok, brat.serialize()),
-                None => Response::error(Status::NotFound, "no annotations"),
+                Ok(Some(brat)) => Response::text(Status::Ok, brat.serialize()),
+                Ok(None) => Response::error(Status::NotFound, "no annotations"),
+                Err(e) => storage_error_response(&e),
             },
         );
     }

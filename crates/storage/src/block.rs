@@ -166,12 +166,17 @@ pub(crate) fn decompress_into(
                         if dist == 0 || dist > out.len() as u64 {
                             return Err(BlockCorrupt("match distance out of range"));
                         }
-                        // Byte-at-a-time copy keeps overlapping
-                        // (RLE-style) references correct.
-                        let start = out.len() - dist as usize;
-                        for k in 0..len {
-                            let b = out[start + k];
-                            out.push(b);
+                        // Copied as slices of at most `dist` bytes: an
+                        // overlapping (RLE-style) reference repeats bytes
+                        // this same match produces, and each chunk reads
+                        // only bytes already written.
+                        let mut from = out.len() - dist as usize;
+                        let mut left = len;
+                        while left > 0 {
+                            let n = left.min(dist as usize);
+                            out.extend_from_within(from..from + n);
+                            from += n;
+                            left -= n;
                         }
                     }
                     _ => return Err(BlockCorrupt("unknown token tag")),
@@ -278,6 +283,50 @@ mod tests {
         let mut bad = packed.clone();
         bad[0] = 9;
         assert!(decompress(&bad, data.len()).is_err());
+    }
+
+    /// Decodes `block`'s token stream one byte at a time — the reference
+    /// an overlapping match's slice copies must reproduce. Trusts its
+    /// input: only the tests' own blocks go through it.
+    fn decompress_bytewise(block: &[u8]) -> Vec<u8> {
+        assert_eq!(block[0], COMPRESSED);
+        let (body, mut pos, mut out) = (&block[1..], 0, Vec::new());
+        while pos < body.len() {
+            let tag = body[pos];
+            pos += 1;
+            let len = varint::read_u64(body, &mut pos).unwrap() as usize;
+            if tag == 0x00 {
+                out.extend_from_slice(&body[pos..pos + len + 1]);
+                pos += len + 1;
+            } else {
+                let dist = varint::read_u64(body, &mut pos).unwrap() as usize;
+                for _ in 0..len + MIN_MATCH {
+                    out.push(out[out.len() - dist]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every overlapping match of distance 1..=8 and length 4..=300, after
+    /// a literal of `dist` distinct bytes and before another literal,
+    /// decompresses to the bytes a byte-at-a-time copy produces.
+    #[test]
+    fn overlapping_matches_copy_as_the_bytewise_reference_does() {
+        for dist in 1..=8u8 {
+            for len in MIN_MATCH..=300 {
+                let mut block = vec![COMPRESSED, 0x00, dist - 1];
+                block.extend(1..=dist);
+                block.push(0x01);
+                varint::write_u64(&mut block, (len - MIN_MATCH) as u64);
+                block.push(dist);
+                block.extend_from_slice(&[0x00, 1, 0xAA, 0xBB]);
+                let expected = decompress_bytewise(&block);
+                assert_eq!(expected.len(), dist as usize + len + 2);
+                let got = decompress(&block, expected.len()).expect("decompress");
+                assert_eq!(got, expected, "distance {dist}, length {len}");
+            }
+        }
     }
 
     /// A block declaring `len` bytes: a 4-byte literal, then one match

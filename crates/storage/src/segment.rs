@@ -47,7 +47,18 @@
 //! whole-file forms.
 //!
 //! The directory region lists `(ordinal, doc id)` apart from the
-//! payloads; [`read_segment`] joins the two back into [`StoredDoc`]s.
+//! payloads; a [`DocReader`] streams the two side by side, lending each
+//! payload from the block that holds it, and [`read_segment`] joins them
+//! into [`StoredDoc`]s.
+//!
+//! A sealed document's payload is served from its file: a
+//! [`PayloadFile`] holds the file open and locates every payload in the
+//! stored-fields region (each block's file offset, each document's
+//! content offset and length), and reads one by positional reads of the
+//! one or two blocks that hold it, each CRC-checked and decompressed by
+//! the code a [`RegionReader`] loads blocks with. The writer builds that
+//! table as it frames the region ([`SegmentWriter::finish_payloads`]),
+//! and so does the reader that streams it ([`DocReader::finish`]).
 //! Every count and length in a region is untrusted: it is checked
 //! against the bytes the region has left before anything is reserved or
 //! copied for it.
@@ -55,10 +66,12 @@
 use crate::block;
 use crate::checksum::{crc32, Crc32};
 use crate::StorageError;
-use create_util::varint;
+use create_util::{arc_slice_bytes, varint};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CSEG";
 const FOOTER_MAGIC: &[u8; 4] = b"GESC";
@@ -140,27 +153,19 @@ pub fn read_segment(path: &Path) -> Result<SegmentData, StorageError> {
 }
 
 /// Joins the directory and the stored payloads into documents.
-fn read_docs(segment: &SegmentReader) -> io::Result<Vec<StoredDoc>> {
-    let mut directory = segment.region(Region::Directory);
-    let mut stored = segment.region(Region::Stored);
-    let count = directory.doc_count()?;
-    // Not reserved for: the cap on `count` is in bytes of content, and
+fn read_docs(segment: &SegmentReader) -> Result<Vec<StoredDoc>, StorageError> {
+    let mut reader = segment.docs()?;
+    // Not reserved for: the cap on the count is in bytes of content, and
     // a document here is larger than the two bytes it may take there.
     let mut docs = Vec::new();
-    let mut id = Vec::new();
-    for _ in 0..count {
-        let ordinal = directory.entry(&mut id)?;
-        let len = stored.count(1, "doc payload length")?;
-        let mut payload = Vec::with_capacity(len as usize);
-        stored.copy(len, &mut payload)?;
+    while let Some(doc) = reader.next_doc()? {
         docs.push(StoredDoc {
-            ordinal,
-            id: String::from_utf8(std::mem::take(&mut id)).expect("checked by entry"),
-            payload,
+            ordinal: doc.ordinal,
+            id: doc.id.to_string(),
+            payload: doc.payload.to_vec(),
         });
     }
-    directory.end("trailing bytes after directory")?;
-    stored.end("trailing bytes after stored docs")?;
+    reader.finish()?;
     Ok(docs)
 }
 
@@ -283,8 +288,30 @@ pub struct SegmentWriter {
     begun: usize,
     /// The current block's content.
     block: Vec<u8>,
+    /// Content bytes of the current region framed into blocks so far.
+    framed: u64,
+    /// The stored-fields region's blocks, its payloads and its length,
+    /// located as they are framed.
+    stored: PayloadTable,
     /// Whether the file is complete and fsynced, and so kept.
     finished: bool,
+}
+
+/// Where a block lies: the file offset of its header, and the offset in
+/// its region's content where its bytes start.
+#[derive(Debug, Clone, Copy)]
+struct BlockAt {
+    file: u64,
+    content: u64,
+}
+
+/// A stored-fields region's layout: its blocks, each document's payload
+/// as `(content offset, length)`, and its content length.
+#[derive(Debug, Default)]
+struct PayloadTable {
+    blocks: Vec<BlockAt>,
+    docs: Vec<(u64, u64)>,
+    len: u64,
 }
 
 impl SegmentWriter {
@@ -298,6 +325,8 @@ impl SegmentWriter {
             bytes: 0,
             begun: 0,
             block: Vec::new(),
+            framed: 0,
+            stored: PayloadTable::default(),
             finished: false,
         };
         let header = [*MAGIC, FORMAT.to_le_bytes()].concat();
@@ -326,13 +355,22 @@ impl SegmentWriter {
             self.end_region()?;
         }
         self.begun += 1;
+        self.framed = 0;
         Ok(())
+    }
+
+    /// Whether the current region is the stored fields.
+    fn in_stored(&self) -> bool {
+        self.begun == Region::Stored as usize + 1
     }
 
     /// Emits the current region's partial block, then its end marker.
     fn end_region(&mut self) -> io::Result<()> {
         if !self.block.is_empty() {
             self.emit_block()?;
+        }
+        if self.in_stored() {
+            self.stored.len = self.framed;
         }
         self.emit(&[0])
     }
@@ -348,9 +386,13 @@ impl SegmentWriter {
         self.put(id.len() as u64, id)
     }
 
-    /// Writes one stored payload, length first.
+    /// Writes one stored payload, length first, into the stored-fields
+    /// region, and notes where it lies.
     pub fn payload(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.put(payload.len() as u64, payload)
+        self.put(payload.len() as u64, b"")?;
+        let at = self.framed + self.block.len() as u64;
+        self.stored.docs.push((at, payload.len() as u64));
+        self.write_all(payload)
     }
 
     /// Writes `value` as a varint, then `bytes`.
@@ -381,8 +423,16 @@ impl SegmentWriter {
         varint::write_u64(&mut header, self.block.len() as u64);
         varint::write_u64(&mut header, packed.len() as u64);
         header.extend_from_slice(&crc32(&packed).to_le_bytes());
+        if self.in_stored() {
+            let at = BlockAt {
+                file: self.bytes,
+                content: self.framed,
+            };
+            self.stored.blocks.push(at);
+        }
         self.emit(&header)?;
         self.emit(&packed)?;
+        self.framed += self.block.len() as u64;
         self.block.clear();
         Ok(())
     }
@@ -404,6 +454,17 @@ impl SegmentWriter {
             bytes: self.bytes,
             crc,
         })
+    }
+
+    /// [`SegmentWriter::finish`], then opens the finished file read-only
+    /// as the [`PayloadFile`] of the payloads written, located as they
+    /// were framed — nothing is read back.
+    pub fn finish_payloads(mut self) -> Result<(SegmentFileInfo, PayloadFile), StorageError> {
+        let (path, table) = (self.path.clone(), std::mem::take(&mut self.stored));
+        let info = self.finish()?;
+        let file = File::open(&path).map_err(StorageError::io(&path))?;
+        let payloads = PayloadFile::new(path, Arc::new(file), info.bytes - 8, table);
+        Ok((info, payloads))
     }
 }
 
@@ -447,7 +508,8 @@ struct Span {
 /// streams.
 pub struct SegmentReader {
     path: PathBuf,
-    file: File,
+    /// Shared with the [`PayloadFile`] a [`DocReader`] ends with.
+    file: Arc<File>,
     /// Where the footer starts.
     end: u64,
     /// The footer's CRC, which the open checked.
@@ -519,7 +581,7 @@ impl SegmentReader {
         drop(framing);
         Ok(SegmentReader {
             path: path.to_path_buf(),
-            file,
+            file: Arc::new(file),
             end,
             crc: declared_crc,
             regions,
@@ -548,11 +610,30 @@ impl SegmentReader {
             segment: self,
             pos: span.at,
             blocks: span.blocks,
+            len: span.len,
             left: span.len,
             block: Vec::new(),
             at: 0,
             packed: Vec::new(),
+            loaded: Vec::new(),
         }
+    }
+
+    /// The documents — directory entries and stored payloads side by
+    /// side — as a stream; its directory's document count is read here.
+    pub fn docs(&self) -> Result<DocReader<'_>, StorageError> {
+        let mut directory = self.region(Region::Directory);
+        let count = directory.doc_count().map_err(|e| self.error(e))?;
+        Ok(DocReader {
+            segment: self,
+            directory,
+            stored: self.region(Region::Stored),
+            count,
+            docs: Vec::new(),
+            id: Vec::new(),
+            spill: Vec::new(),
+            lent: 0,
+        })
     }
 
     /// One region's whole content.
@@ -567,7 +648,7 @@ impl SegmentReader {
     /// The whole file's content, checked as [`read_segment`] checks it.
     pub fn read_all(&self) -> Result<SegmentData, StorageError> {
         Ok(SegmentData {
-            docs: read_docs(self).map_err(|e| self.error(e))?,
+            docs: read_docs(self)?,
             postings: self.read_region(Region::Postings)?,
             facets: self.read_region(Region::Facets)?,
         })
@@ -621,6 +702,45 @@ fn block_header(framing: &mut impl BufRead, pos: &mut u64, end: u64) -> io::Resu
     Ok((uncompressed, compressed))
 }
 
+/// The most bytes a block header takes: two varints and the CRC.
+const HEADER_MAX: usize = 24;
+
+/// Reads the block whose header starts at `pos` — its framing checked
+/// against `end`, where the file's footer starts, and its CRC against its
+/// bytes — and decompresses it into `block`, through `packed`. Returns
+/// where the next block's header starts. Positional reads only, so a file
+/// shared between threads has no cursor to race on. The one reader of a
+/// block: a [`RegionReader`] and a [`PayloadFile`] both load through it.
+fn read_block(
+    file: &File,
+    pos: u64,
+    end: u64,
+    packed: &mut Vec<u8>,
+    block: &mut Vec<u8>,
+) -> io::Result<u64> {
+    let mut header = [0u8; HEADER_MAX];
+    let header = &mut header[..end.saturating_sub(pos).min(HEADER_MAX as u64) as usize];
+    file.read_exact_at(header, pos)?;
+    let mut framing = &header[..];
+    let mut at = pos;
+    let (uncompressed, compressed) = match block_header(&mut framing, &mut at, end)? {
+        (0, _) => return Err(corrupt("block missing")),
+        lengths => lengths,
+    };
+    // `block_header` checked that the CRC and the body end before `end`,
+    // and the header holds every byte up to `end` or `HEADER_MAX`.
+    let mut declared = [0u8; 4];
+    framing.read_exact(&mut declared)?;
+    packed.resize(compressed as usize, 0);
+    file.read_exact_at(packed, at + 4)?;
+    if crc32(packed) != u32::from_le_bytes(declared) {
+        return Err(corrupt("block checksum mismatch"));
+    }
+    block::decompress_into(packed, uncompressed as usize, block)
+        .map_err(|_| corrupt("block decompression failed"))?;
+    Ok(at + 4 + compressed)
+}
+
 fn framing_varint(
     framing: &mut impl BufRead,
     pos: &mut u64,
@@ -644,12 +764,16 @@ pub struct RegionReader<'a> {
     pos: u64,
     /// Blocks not yet loaded.
     blocks: u64,
+    /// The region's content length.
+    len: u64,
     /// Content not yet consumed.
     left: u64,
     block: Vec<u8>,
     /// Consumed bytes of `block`.
     at: usize,
     packed: Vec<u8>,
+    /// Where each block loaded so far lies.
+    loaded: Vec<BlockAt>,
 }
 
 impl RegionReader<'_> {
@@ -707,24 +831,15 @@ impl RegionReader<'_> {
         }
     }
 
+    /// Loads the next block; everything before it has been consumed.
     fn load(&mut self) -> io::Result<()> {
-        let mut file = &self.segment.file;
-        file.seek(SeekFrom::Start(self.pos))?;
-        // Small: the header is a few bytes, and the body is read past
-        // the buffer straight into `packed`.
-        let mut framing = BufReader::with_capacity(32, file);
-        let (uncompressed, compressed) =
-            block_header(&mut framing, &mut self.pos, self.segment.end)?;
-        let mut declared = [0u8; 4];
-        framing.read_exact(&mut declared)?;
-        self.packed.resize(compressed as usize, 0);
-        framing.read_exact(&mut self.packed)?;
-        if crc32(&self.packed) != u32::from_le_bytes(declared) {
-            return Err(corrupt("block checksum mismatch"));
-        }
-        block::decompress_into(&self.packed, uncompressed as usize, &mut self.block)
-            .map_err(|_| corrupt("block decompression failed"))?;
-        self.pos += 4 + compressed;
+        let at = BlockAt {
+            file: self.pos,
+            content: self.len - self.left,
+        };
+        let (file, end) = (&self.segment.file, self.segment.end);
+        self.pos = read_block(file, self.pos, end, &mut self.packed, &mut self.block)?;
+        self.loaded.push(at);
         self.blocks -= 1;
         self.at = 0;
         Ok(())
@@ -752,6 +867,178 @@ impl BufRead for RegionReader<'_> {
     fn consume(&mut self, n: usize) {
         self.at += n;
         self.left -= n as u64;
+    }
+}
+
+/// One document as a [`DocReader`] lends it: its ordinal, its id and its
+/// payload, borrowed from the reader until the next document.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredRef<'a> {
+    pub ordinal: u64,
+    pub id: &'a str,
+    pub payload: &'a [u8],
+}
+
+/// A segment's documents as a stream, the directory and the stored
+/// fields read side by side, each checked as [`read_segment`] checks it.
+/// A payload inside one block is lent from that block's buffer; one that
+/// straddles blocks is copied out. Ends with the [`PayloadFile`] of the
+/// payloads it passed.
+pub struct DocReader<'a> {
+    segment: &'a SegmentReader,
+    directory: RegionReader<'a>,
+    stored: RegionReader<'a>,
+    count: u64,
+    /// Each document's payload so far, as `(content offset, length)`.
+    docs: Vec<(u64, u64)>,
+    id: Vec<u8>,
+    /// The last payload, when it straddled blocks.
+    spill: Vec<u8>,
+    /// Bytes of the stored block the last payload was lent, consumed when
+    /// the reader moves on.
+    lent: usize,
+}
+
+impl DocReader<'_> {
+    /// The document count the directory declares.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The next document, or `None` after the last.
+    pub fn next_doc(&mut self) -> Result<Option<StoredRef<'_>>, StorageError> {
+        self.stored.consume(std::mem::take(&mut self.lent));
+        if self.docs.len() as u64 == self.count {
+            return Ok(None);
+        }
+        let segment = self.segment;
+        self.read_next().map(Some).map_err(|e| segment.error(e))
+    }
+
+    fn read_next(&mut self) -> io::Result<StoredRef<'_>> {
+        let ordinal = self.directory.entry(&mut self.id)?;
+        let len = self.stored.count(1, "doc payload length")?;
+        let offset = self.stored.len - self.stored.left;
+        self.docs.push((offset, len));
+        let payload = if self.stored.fill_buf()?.len() as u64 >= len {
+            self.lent = len as usize;
+            &self.stored.fill_buf()?[..self.lent]
+        } else {
+            self.spill.clear();
+            self.stored.copy(len, &mut self.spill)?;
+            &self.spill[..]
+        };
+        Ok(StoredRef {
+            ordinal,
+            id: std::str::from_utf8(&self.id).expect("checked by entry"),
+            payload,
+        })
+    }
+
+    /// Reads what documents are left, checks that both regions end with
+    /// the last, and locates every payload in the file, which the
+    /// [`PayloadFile`] keeps open.
+    pub fn finish(mut self) -> Result<PayloadFile, StorageError> {
+        while self.next_doc()?.is_some() {}
+        let segment = self.segment;
+        self.directory
+            .end("trailing bytes after directory")
+            .and_then(|()| self.stored.end("trailing bytes after stored docs"))
+            .map_err(|e| segment.error(e))?;
+        let table = PayloadTable {
+            // Every block was loaded: each holds content, and all of it
+            // was consumed.
+            blocks: self.stored.loaded,
+            docs: self.docs,
+            len: self.stored.len,
+        };
+        let file = Arc::clone(&segment.file);
+        Ok(PayloadFile::new(
+            segment.path.clone(),
+            file,
+            segment.end,
+            table,
+        ))
+    }
+}
+
+/// The stored payloads of one segment file, read from it by offset: the
+/// open file, where each block of its stored-fields region lies, and
+/// where each document's payload lies in that region's content. Holds
+/// no payload byte.
+///
+/// The file stays open as long as this does, so a file that a compaction
+/// has replaced and swept stays readable to whoever still holds it; its
+/// disk space comes back when the last holder drops it.
+#[derive(Debug)]
+pub struct PayloadFile {
+    path: PathBuf,
+    file: Arc<File>,
+    /// Where the file's footer starts.
+    end: u64,
+    /// The stored-fields region's blocks, in order.
+    blocks: Box<[BlockAt]>,
+    /// Per document, its payload's content offset and length.
+    docs: Box<[(u64, u64)]>,
+    /// The region's content length.
+    len: u64,
+}
+
+impl PayloadFile {
+    fn new(path: PathBuf, file: Arc<File>, end: u64, table: PayloadTable) -> PayloadFile {
+        PayloadFile {
+            path,
+            file,
+            end,
+            blocks: table.blocks.into_boxed_slice(),
+            docs: table.docs.into_boxed_slice(),
+            len: table.len,
+        }
+    }
+
+    /// The file this reads.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Documents in the file.
+    pub fn docs(&self) -> usize {
+        self.docs.len()
+    }
+
+    /// Document `doc`'s payload (`doc` < [`PayloadFile::docs`]): the one
+    /// or two blocks that hold it, read, CRC-checked and decompressed. A
+    /// block that does not read back, or no longer has the length it had
+    /// when the table was built, is an error naming the file.
+    pub fn get(&self, doc: usize) -> Result<Vec<u8>, StorageError> {
+        let (start, len) = self.docs[doc];
+        let end = start + len;
+        let mut payload = Vec::with_capacity(len as usize);
+        let (mut packed, mut block) = (Vec::new(), Vec::new());
+        let mut b = self.blocks.partition_point(|at| at.content <= start);
+        while (payload.len() as u64) < len {
+            // The table was built from blocks that held the payload.
+            let at = self.blocks[b.saturating_sub(1)];
+            let next = self.blocks.get(b).map_or(self.len, |next| next.content);
+            read_block(&self.file, at.file, self.end, &mut packed, &mut block)
+                .map_err(|e| read_error(&self.path, e))?;
+            if block.len() as u64 != next - at.content {
+                return Err(read_error(&self.path, corrupt("block length changed")));
+            }
+            let from = start + payload.len() as u64 - at.content;
+            let to = end.min(next) - at.content;
+            payload.extend_from_slice(&block[from as usize..to as usize]);
+            b += 1;
+        }
+        Ok(payload)
+    }
+
+    /// Heap bytes held: the file's `Arc`, the path and the two tables.
+    pub fn heap_bytes(&self) -> usize {
+        arc_slice_bytes(std::mem::size_of::<File>())
+            + self.path.capacity()
+            + std::mem::size_of_val(&*self.blocks)
+            + std::mem::size_of_val(&*self.docs)
     }
 }
 
@@ -1000,6 +1287,114 @@ mod tests {
         out.write_all(b"half a segment").unwrap();
         assert!(out.finish().is_err(), "finished after one region");
         assert!(!copy.exists(), "a refused finish removes the file");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes `data` as `write_segment` does, ending with the payloads the
+    /// writer located as it framed them.
+    fn write_payloads(path: &Path, data: &SegmentData) -> PayloadFile {
+        let mut out = SegmentWriter::create(path).unwrap();
+        out.next_region().unwrap();
+        out.doc_count(data.docs.len() as u64).unwrap();
+        for doc in &data.docs {
+            out.entry(doc.ordinal, doc.id.as_bytes()).unwrap();
+        }
+        out.next_region().unwrap();
+        for doc in &data.docs {
+            out.payload(&doc.payload).unwrap();
+        }
+        for content in [&data.postings, &data.facets] {
+            out.next_region().unwrap();
+            out.write_all(content).unwrap();
+        }
+        out.finish_payloads().unwrap().1
+    }
+
+    /// Documents over several stored blocks: an empty payload, ones that
+    /// straddle a block boundary and one longer than two blocks.
+    fn spread_sample() -> SegmentData {
+        let mut data = sample(700);
+        data.docs[3].payload.clear();
+        data.docs[350].payload = b"y".repeat(2 * BLOCK_TARGET + 77);
+        data
+    }
+
+    /// The payloads the writer locates and the ones a reader streaming
+    /// the file locates are the same table, and each reads back every
+    /// payload — also once the file is unlinked, through the descriptor.
+    #[test]
+    fn payload_files_read_every_payload_by_offset() {
+        let path = temp_path("payloads");
+        let data = spread_sample();
+        let written = write_payloads(&path, &data);
+        let segment = SegmentReader::open(&path).unwrap();
+        let mut reader = segment.docs().unwrap();
+        let mut streamed = Vec::new();
+        while let Some(doc) = reader.next_doc().unwrap() {
+            streamed.push((doc.ordinal, doc.id.to_string(), doc.payload.to_vec()));
+        }
+        let read = reader.finish().unwrap();
+        drop(segment);
+        assert!(written.blocks.len() >= 4, "{} blocks", written.blocks.len());
+        for file in [&written, &read] {
+            assert_eq!(file.docs(), data.docs.len());
+            assert_eq!(file.heap_bytes(), written.heap_bytes());
+        }
+        assert_eq!(
+            format!("{:?}", written.blocks),
+            format!("{:?}", read.blocks)
+        );
+        assert_eq!(written.docs, read.docs);
+        std::fs::remove_file(&path).unwrap();
+        for (i, doc) in data.docs.iter().enumerate() {
+            let streamed = &streamed[i];
+            assert_eq!((streamed.0, &streamed.1), (doc.ordinal, &doc.id));
+            assert_eq!(streamed.2, doc.payload, "doc {i} streamed");
+            assert_eq!(written.get(i).unwrap(), doc.payload, "doc {i} by offset");
+            assert_eq!(read.get(i).unwrap(), doc.payload, "doc {i} by offset");
+        }
+    }
+
+    /// A byte flipped in a stored block after the table was built fails
+    /// the reads of that block's documents as corruption naming the file;
+    /// a document in another block still reads back.
+    #[test]
+    fn a_flipped_stored_block_fails_only_its_documents() {
+        let path = temp_path("flipped");
+        let data = spread_sample();
+        let payloads = write_payloads(&path, &data);
+        let second = payloads.blocks[1];
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        // Past the block's header, inside its compressed bytes.
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, second.file + 12).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x20], second.file + 12)
+            .unwrap();
+        let block_of = |doc: usize| {
+            let start = payloads.docs[doc].0;
+            payloads.blocks.partition_point(|at| at.content <= start) - 1
+        };
+        let hit = (0..data.docs.len())
+            .find(|&doc| block_of(doc) == 1)
+            .unwrap();
+        let clear = (0..data.docs.len())
+            .find(|&doc| block_of(doc) == 0)
+            .unwrap();
+        match payloads.get(hit) {
+            Err(StorageError::Corrupt {
+                path: named,
+                message,
+            }) => {
+                assert_eq!(named, path);
+                assert!(message.contains("block"), "{message}");
+            }
+            other => panic!("doc {hit} in the flipped block: {other:?}"),
+        }
+        assert_eq!(payloads.get(clear).unwrap(), data.docs[clear].payload);
         std::fs::remove_file(&path).unwrap();
     }
 

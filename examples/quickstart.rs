@@ -54,6 +54,7 @@ fn main() {
     for hit in system.search(query, 5) {
         let title = system
             .report(&hit.report_id)
+            .unwrap()
             .and_then(|d| d.get("title").and_then(|t| t.as_str().map(String::from)))
             .unwrap_or_default();
         println!(

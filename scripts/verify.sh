@@ -248,6 +248,8 @@ same_stored_bodies() { # $1 id, $2 bodies before, $3 what happened since
     echo "  $1: /reports and /annotations bodies byte-equal after $3"
 }
 walonly_before="$(stored_bodies user:smoke-walonly)"
+# The sealed document's bodies, read from its segment file.
+flushed_before="$(stored_bodies user:smoke-flushed)"
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 start_rest
@@ -303,8 +305,10 @@ echo "$metrics" | grep -E '^create_recovery_replayed_records_total 2$' >/dev/nul
 }
 # Recovery through a compaction: /submit_batch + /flush rounds until
 # every shard has compacted (create_compaction_runs_total reaches the
-# shard count), then SIGKILL and reopen — the compacted segments must
-# serve the same report count and the same /search body.
+# shard count) — the live process then serves the sealed document's
+# bodies from the compacted file — then SIGKILL and reopen: the
+# compacted segments must serve the same report count, the same /search
+# body and the same stored bodies.
 stat_of() { curl -fsS "$base/stats" | python3 -c "import json,sys; print(json.load(sys.stdin)['$1'])"; }
 shards="$(stat_of shards)"
 compactions=0
@@ -322,9 +326,9 @@ if [ "${compactions:-0}" -lt "$shards" ]; then
     echo "verify: FAIL — $compactions compaction runs for $shards shards after 12 flushes" >&2
     exit 1
 fi
+same_stored_bodies user:smoke-flushed "$flushed_before" "$compactions compactions, live"
 reports_before="$(stat_of reports)"
 search_before="$(curl -fsS "$base/search?q=fever+and+cough&k=10")"
-flushed_before="$(stored_bodies user:smoke-flushed)"
 kill -9 "$rest_pid"
 wait "$rest_pid" 2>/dev/null || true
 start_rest

@@ -117,7 +117,16 @@
 //!   copies no segment. While every write went to a mutable tail that
 //!   only a `flush()` froze, the write copied the tail — the whole
 //!   index — and grew the heap by 2.30 / 2.78 / 4.17 MB at 250 / 500 /
-//!   1000 reports.
+//!   1000 reports;
+//! * (n) the 500 reports of (d) sealed into a disk-backed one-shard
+//!   instance and reopened: its payload column holds where each payload
+//!   lies in the segment file, not the payloads, so `docstore_bytes` —
+//!   what `/stats` and `create_resident_bytes{component="docstore"}`
+//!   report — is at most 64 bytes a document, and equals the live bytes
+//!   of that column as recovery builds it (each file's payloads located
+//!   by streaming its documents, in an `Arc`, in a list in manifest
+//!   order). While every sealed payload stayed in RAM the column held
+//!   its text, 3.96 KB a report.
 
 use create::core::graph_build::{add_report, report_graph, ReportMeta};
 use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
@@ -126,6 +135,8 @@ use create::index::codec::{adopt, merge_postings};
 use create::index::Index;
 use create::obs::names;
 use create::server::{build_api, Request, Status};
+use create::storage::segment::{PayloadFile, SegmentReader};
+use create::storage::Manifest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -244,10 +255,13 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
 /// on a shard sealed by one flush (j) and on an in-memory shard (m), at
-/// every size: 182 094 / 157 616 / 191 860 measured, both, at 250 / 500
-/// / 1000 reports — the merged segment of the batch and the one before
-/// it (the pinned snapshot keeps that one), postings and facets, the
-/// payloads, the graph's last chunks. 196 787 / 179 698 / 239 649 while
+/// every size: 178 726 / 149 520 / 176 204 and 182 750 / 157 640 /
+/// 192 516 measured at 250 / 500 / 1000 reports — the merged segment of
+/// the batch and the one before it (the pinned snapshot keeps that one),
+/// postings and facets, the payloads, the graph's last chunks; the
+/// sealed shard copies no chunk of sealed payload texts, which its
+/// column does not hold (182 726 / 157 616 / 192 492 while it held
+/// them). 196 787 / 179 698 / 239 649 while
 /// a shard-wide facet index beside the segments copied each run the
 /// write touched; on the sealed shard 0.51 / 0.44 / 0.47 MB while writes
 /// copied a mutable tail, 0.79 / 0.69 / 0.91 MB while the graph's key
@@ -291,6 +305,11 @@ const HIT_REPEATS: usize = 40;
 /// shard's `Arc`, the publish counters' label); 10 while it was a
 /// dropped graph write guard's, which had no tagger to share.
 const PUBLISH_BUDGET: usize = 12;
+/// Bytes a document may cost the payload column of a sealed instance
+/// (n): 16 measured (its payload's offset and length; a block's location
+/// per 256 KiB of payloads, the file's path and descriptor beside them);
+/// 3 959 while the column held every sealed payload's text.
+const SEALED_DOCSTORE_PER_DOC: usize = 64;
 /// Heap such a publish may hold above its start: 401 bytes measured (the
 /// tagger's `Arc` among them, 24 bytes larger since the CRF holds its row
 /// table), 161 while it was a dropped graph write guard's.
@@ -411,6 +430,13 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
          postings_bytes {flushed_postings}"
     );
     drop(flushed);
+    // (n) the same corpus sealed and reopened: the payload column holds
+    // where the payloads lie, not the payloads.
+    let (sealed_docstore, sealed_column) = sealed_column(&reports[..REPORTS]);
+    println!(
+        "a reopened disk-backed instance of {REPORTS} reports: docstore_bytes {sealed_docstore}, \
+         its column as recovery builds it holds {sealed_column} live bytes"
+    );
     // (f) a warmed query on two shards: what a hit does not do, and
     // what it allocates.
     let served = Arc::new(Create::new(CreateConfig { shards: 2 }));
@@ -640,6 +666,15 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
              bytes, budget {WRITE_BUDGET}"
         );
     }
+    assert!(
+        sealed_docstore <= SEALED_DOCSTORE_PER_DOC * REPORTS,
+        "the sealed instance's docstore_bytes is {sealed_docstore}, budget \
+         {SEALED_DOCSTORE_PER_DOC} a document"
+    );
+    assert_eq!(
+        sealed_docstore as isize, sealed_column,
+        "docstore_bytes against the live bytes of the column it counts"
+    );
     for (what, peaks) in [("sealing", &seal_peaks), ("compacting", &compaction_peaks)] {
         for (size, peak) in COMPACT_SIZES.iter().zip(peaks) {
             assert!(
@@ -776,4 +811,35 @@ fn in_memory_write_growth(reports: &[create::corpus::CaseReport]) -> isize {
     let grew = live_bytes() - before;
     drop(previous);
     grew
+}
+
+/// Seals `reports` into a fresh disk-backed one-shard instance with one
+/// flush and reopens it. Its `docstore_bytes`, and the live bytes of its
+/// payload column built as recovery builds it: each segment file's
+/// payloads, located by streaming its documents, in an `Arc`, in a list
+/// in manifest order (there is no unsealed document).
+fn sealed_column(reports: &[create::corpus::CaseReport]) -> (usize, isize) {
+    let dir = std::env::temp_dir().join(format!("create-alloc-column-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let system = Create::open(&dir, CreateConfig { shards: 1 }).unwrap();
+        system.ingest_gold_batch(reports, 1).unwrap();
+        system.flush().unwrap();
+    }
+    let system = Create::open(&dir, CreateConfig { shards: 1 }).unwrap();
+    let docstore = system.memory_stats().docstore_bytes;
+    let storage = dir.join(create::storage::STORAGE_DIR);
+    let manifest = Manifest::load(&storage).unwrap().expect("a manifest");
+    let shard = storage.join(create::storage::manifest::shard_dir_name(0));
+    let before = live_bytes();
+    let mut column: Vec<Arc<PayloadFile>> = Vec::new();
+    for meta in &manifest.shards[0].segments {
+        let segment = SegmentReader::open(&shard.join(&meta.file)).unwrap();
+        column.push(Arc::new(segment.docs().unwrap().finish().unwrap()));
+    }
+    let held = live_bytes() - before;
+    drop(column);
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+    (docstore, held)
 }

@@ -33,6 +33,12 @@
 //! would hide WAL records), and a MANIFEST number outside its field's
 //! range each fail the open as corruption naming the file, and the
 //! refused open changes nothing on disk.
+//!
+//! A sealed report's payload is read from its segment file on every
+//! request, so damage that lands after the open is found there: a stored
+//! block whose bytes change under an open instance answers `500` naming
+//! the file for the reports it holds, and every other report still
+//! answers as before.
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
@@ -41,6 +47,8 @@ use create::index::facets::{FacetIndex, ALL_FACET_FIELDS};
 use create::storage::manifest::Manifest;
 use create::storage::segment::{read_segment, write_segment, SegmentData};
 use create::storage::Wal;
+use create::util::varint;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 const K: usize = 10;
@@ -172,7 +180,7 @@ fn kill_and_reopen_recovers_every_acknowledged_write() {
             );
             for r in &reports {
                 assert!(
-                    recovered.report(&r.id).is_some(),
+                    recovered.report(&r.id).unwrap().is_some(),
                     "{shards} shards, cycle {cycle}: report {} lost",
                     r.id
                 );
@@ -187,14 +195,17 @@ fn kill_and_reopen_recovers_every_acknowledged_write() {
             // back byte-equal, from `storage/` and nothing else.
             for r in &reports {
                 assert_eq!(
-                    recovered.report(&r.id).map(|v| v.to_json()),
-                    never_crashed.report(&r.id).map(|v| v.to_json()),
+                    recovered.report(&r.id).unwrap().map(|v| v.to_json()),
+                    never_crashed.report(&r.id).unwrap().map(|v| v.to_json()),
                     "{shards} shards, cycle {cycle}: report {} differs",
                     r.id
                 );
                 assert_eq!(
-                    recovered.annotations(&r.id).map(|a| a.serialize()),
-                    never_crashed.annotations(&r.id).map(|a| a.serialize()),
+                    recovered.annotations(&r.id).unwrap().map(|a| a.serialize()),
+                    never_crashed
+                        .annotations(&r.id)
+                        .unwrap()
+                        .map(|a| a.serialize()),
                     "{shards} shards, cycle {cycle}: annotations of {} differ",
                     r.id
                 );
@@ -290,7 +301,7 @@ fn torn_wal_tail_loses_only_the_torn_suffix() {
             "case {case}: exactly the torn doc is lost"
         );
         assert!(
-            recovered.report(&reports[19].id).is_none(),
+            recovered.report(&reports[19].id).unwrap().is_none(),
             "case {case}: torn doc gone"
         );
         let never_crashed = reference(&reports[..19], 1);
@@ -325,10 +336,18 @@ fn corrupt_wal_byte_truncates_from_the_damage_point() {
     let survivors = 12 + 5; // sealed prefix + clean WAL records before the damage
     assert_eq!(recovered.stats().reports, survivors);
     for r in &reports[..survivors] {
-        assert!(recovered.report(&r.id).is_some(), "survivor {} lost", r.id);
+        assert!(
+            recovered.report(&r.id).unwrap().is_some(),
+            "survivor {} lost",
+            r.id
+        );
     }
     for r in &reports[survivors..] {
-        assert!(recovered.report(&r.id).is_none(), "{} should be gone", r.id);
+        assert!(
+            recovered.report(&r.id).unwrap().is_none(),
+            "{} should be gone",
+            r.id
+        );
     }
 
     let queries = query_panel(&reports[..survivors]);
@@ -401,12 +420,16 @@ fn pdf_metadata_survives_reopen_from_wal_tail_and_from_segment() {
             );
             system
                 .report("user:pdf1")
+                .unwrap()
                 .expect("served before the crash")
                 .to_json()
         };
         assert_eq!(served, STORED, "flush={flush}");
         let reopened = Create::open(&dir, single_shard()).expect("reopen");
-        let report = reopened.report("user:pdf1").expect("pdf report recovered");
+        let report = reopened
+            .report("user:pdf1")
+            .unwrap()
+            .expect("pdf report recovered");
         assert_eq!(report.to_json(), served, "flush={flush}");
         let authors: Vec<&str> = report
             .get("authors")
@@ -787,5 +810,103 @@ fn manifest_numbers_out_of_their_range_are_refused() {
         std::fs::write(manifest_path(&dir), &pristine).expect("restore MANIFEST");
     }
     Create::open(&dir, single_shard()).expect("the restored manifest opens");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The file offset and length of the compressed bytes of the first block
+/// of a segment file's stored-fields region: past the 8-byte header and
+/// every block of the directory region up to its end marker, then that
+/// block's two lengths and its CRC.
+fn first_stored_block(segment: &[u8]) -> (usize, usize) {
+    let mut pos = 8;
+    let next = |pos: &mut usize| varint::read_u64(segment, pos).expect("a varint") as usize;
+    while next(&mut pos) != 0 {
+        let compressed = next(&mut pos);
+        pos += 4 + compressed;
+    }
+    next(&mut pos);
+    let compressed = next(&mut pos);
+    (pos + 4, compressed)
+}
+
+#[test]
+fn a_stored_block_corrupted_after_open_fails_only_the_reports_it_holds() {
+    // 150 reports of ~4 KB in one segment: three stored blocks. The
+    // reopened instance located every payload while it streamed the file;
+    // a byte of the first block flipped afterwards is found by the read.
+    let reports = corpus(150, 20261017);
+    let dir = fresh_dir("stored-after-open");
+    {
+        let system = Create::open(&dir, single_shard()).expect("open");
+        system.ingest_gold_batch(&reports, 0).expect("ingest");
+        system.flush().expect("flush");
+    }
+    let api = create::server::build_api(std::sync::Arc::new(
+        Create::open(&dir, single_shard()).expect("reopen"),
+    ));
+    let get = |path: String| {
+        let request = create::server::Request {
+            method: "GET".to_string(),
+            path,
+            query: Default::default(),
+            headers: Default::default(),
+            body: Vec::new(),
+        };
+        let response = api.dispatch(&request);
+        (
+            response.status,
+            String::from_utf8(response.body).expect("UTF-8"),
+        )
+    };
+    let bodies = |id: &str| {
+        [
+            get(format!("/reports/{id}")),
+            get(format!("/reports/{id}/annotations")),
+        ]
+    };
+    let before: Vec<_> = reports.iter().map(|r| bodies(&r.id)).collect();
+    assert!(before
+        .iter()
+        .flatten()
+        .all(|(status, _)| *status == create::server::Status::Ok));
+
+    let segment = shard0_wal(&dir).with_file_name("seg-000000.seg");
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&segment)
+        .expect("open the segment in place");
+    let (at, len) = first_stored_block(&std::fs::read(&segment).expect("read segment"));
+    let mut byte = [0u8];
+    file.read_exact_at(&mut byte, (at + len / 2) as u64)
+        .expect("read");
+    file.write_all_at(&[byte[0] ^ 0x20], (at + len / 2) as u64)
+        .expect("flip");
+
+    let (mut failed, mut served) = (0, 0);
+    for (r, before) in reports.iter().zip(&before) {
+        let after = bodies(&r.id);
+        if after[0].0 == create::server::Status::Ok {
+            assert_eq!(&after, before, "{} still reads back", r.id);
+            served += 1;
+            continue;
+        }
+        for (status, body) in &after {
+            assert_eq!(*status, create::server::Status::InternalServerError);
+            assert!(
+                body.contains("seg-000000.seg") && body.contains("corruption"),
+                "{}: {body}",
+                r.id
+            );
+        }
+        failed += 1;
+    }
+    assert!(failed > 0, "no report lives in the flipped block");
+    assert!(served > 0, "every report lives in the flipped block");
+    assert_eq!(
+        get("/reports/no-such-report".to_string()).0,
+        create::server::Status::NotFound
+    );
+    drop(api);
     let _ = std::fs::remove_dir_all(&dir);
 }

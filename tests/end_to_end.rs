@@ -123,7 +123,7 @@ fn a_cypher_read_leaves_the_generation_unchanged() {
 fn annotations_export_is_valid_brat() {
     let (system, reports) = loaded(10, 8);
     for r in &reports {
-        let brat = system.annotations(&r.id).expect("annotation doc");
+        let brat = system.annotations(&r.id).unwrap().expect("annotation doc");
         brat.validate(&r.text).expect("valid standoff");
         // Round-trip through the parser.
         let reparsed = create::annotate::BratDocument::parse(&brat.serialize()).unwrap();
@@ -220,6 +220,6 @@ fn platform_persistence_round_trip() {
         .collect();
     assert_eq!(before_hits, after_hits, "search changed across restart");
     // Annotations survive too.
-    assert!(reopened.annotations(&reports[0].id).is_some());
+    assert!(reopened.annotations(&reports[0].id).unwrap().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }

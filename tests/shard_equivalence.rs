@@ -128,12 +128,12 @@ fn stats_and_lookups_match_the_single_shard_baseline() {
         // Every document is retrievable from its owning shard.
         for r in &reports {
             assert!(
-                system.report(&r.id).is_some(),
+                system.report(&r.id).unwrap().is_some(),
                 "report {} at {shards}",
                 r.id
             );
             assert!(
-                system.annotations(&r.id).is_some(),
+                system.annotations(&r.id).unwrap().is_some(),
                 "annotations {} at {shards}",
                 r.id
             );

@@ -12,6 +12,9 @@
 //! third shows that every read API finishes while an ingest holds the
 //! write lock, and a fourth that a snapshot pinned across a
 //! freeze, a tier merge and a compaction answers as it did when pinned.
+//! A fifth pins a snapshot across the flushes that compact its segment
+//! file away: the snapshot reads every stored body from the swept file
+//! through the descriptor it holds, and dropping it closes that file.
 
 use create::core::plan::parse_cohort_criteria;
 use create::core::{Create, CreateConfig, MergePolicy, Snapshot};
@@ -282,8 +285,8 @@ fn a_read_completes_while_a_write_operation_is_open() {
                 ranking(&system, "fever cough"),
                 ranking(&system, "chest pain"),
                 system.cohort_from_json(&criteria).map(|c| c.total_matched),
-                system.report(&id).is_some(),
-                system.annotations(&id).is_some(),
+                system.report(&id).unwrap().is_some(),
+                system.annotations(&id).unwrap().is_some(),
                 system.visualize(&id).is_some(),
             );
             let counters = (
@@ -396,7 +399,7 @@ fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
             .collect();
         let stored = held
             .iter()
-            .map(|id| snapshot.report(id).map(|r| r.to_json()))
+            .map(|id| snapshot.report(id).unwrap().map(|r| r.to_json()))
             .collect();
         (searches, cohorts, stored)
     };
@@ -441,6 +444,85 @@ fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
     // The live system sees the later documents too.
     assert_eq!(system.stats().reports, next);
     drop(pinned);
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// This process's open descriptors on deleted `seg-*.seg` files under
+/// `dir`, as `/proc/self/fd` lists them.
+fn deleted_segments_open_under(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list /proc/self/fd")
+        .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+        .map(|target| target.to_string_lossy().into_owned())
+        .filter(|target| {
+            target.starts_with(&*dir.to_string_lossy())
+                && target.contains("/seg-")
+                && target.ends_with(".seg (deleted)")
+        })
+        .collect()
+}
+
+/// A snapshot pinned before the flushes that compact its segment file
+/// away reads every report and annotation body, byte for byte, from the
+/// swept file it still holds open; once it drops, no descriptor on a
+/// deleted segment file is left.
+#[test]
+fn a_pinned_snapshot_reads_its_compacted_away_file_then_lets_it_go() {
+    let _turn = serial();
+    let reports = corpus(30, 20261017);
+    let dir = std::env::temp_dir().join(format!("create-pinned-files-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let system = Create::open(&dir, single_shard()).expect("open");
+    system.ingest_gold_batch(&reports[..12], 0).expect("ingest");
+    system.flush().expect("flush");
+    // Two unsealed documents beside the sealed ones: the pin holds both
+    // halves of the payload column.
+    system
+        .ingest_gold_batch(&reports[12..14], 0)
+        .expect("ingest");
+    let pinned = system.snapshot();
+    let bodies = |snapshot: &Snapshot| -> Vec<(String, String)> {
+        reports[..14]
+            .iter()
+            .map(|r| {
+                let report = snapshot.report(&r.id).expect("reads back");
+                let ann = snapshot.annotations(&r.id).expect("reads back");
+                (
+                    report.expect("stored").to_json(),
+                    ann.expect("annotated").serialize(),
+                )
+            })
+            .collect()
+    };
+    let pinned_bodies = bodies(&pinned);
+    let mut next = 14;
+    loop {
+        system.flush().expect("flush");
+        assert!(
+            bodies(&pinned) == pinned_bodies,
+            "the pinned bodies moved after the flush at {next} reports"
+        );
+        if system.storage_stats().expect("disk-backed").segments == 1 && next > 14 {
+            break;
+        }
+        assert!(next + 2 <= reports.len(), "no flush compacted the shard");
+        system
+            .ingest_gold_batch(&reports[next..next + 2], 0)
+            .expect("ingest");
+        next += 2;
+    }
+    assert!(
+        !deleted_segments_open_under(&dir).is_empty(),
+        "the pin holds the compacted-away files open"
+    );
+    assert_eq!(bodies(&system.snapshot()), pinned_bodies);
+    drop(pinned);
+    assert_eq!(
+        deleted_segments_open_under(&dir),
+        Vec::<String>::new(),
+        "a deleted segment file is still open once the pin dropped"
+    );
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
 }

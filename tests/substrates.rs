@@ -53,7 +53,10 @@ fn docstore_and_index_stay_consistent() {
     let hits = system.search(&wanted.title, 10);
     assert!(hits.iter().any(|hit| hit.report_id == wanted.id));
     for hit in &hits {
-        let doc = system.report(&hit.report_id).expect("a hit is stored");
+        let doc = system
+            .report(&hit.report_id)
+            .unwrap()
+            .expect("a hit is stored");
         let ingested = reports.iter().find(|r| r.id == hit.report_id).unwrap();
         assert_eq!(doc.get("_id").and_then(Value::as_str), Some(&*ingested.id));
         assert_eq!(
@@ -65,7 +68,7 @@ fn docstore_and_index_stay_consistent() {
             Some(&*ingested.text)
         );
     }
-    assert!(system.report("no-such-report").is_none());
+    assert!(system.report("no-such-report").unwrap().is_none());
 }
 
 #[test]
