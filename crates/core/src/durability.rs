@@ -4,24 +4,28 @@
 //! emitters.
 //!
 //! The durable unit everywhere is the **document payload** — one JSON
-//! object bundling the three documents a report contributes: the report
-//! itself, its BRAT export and its extraction:
+//! object bundling the two documents a report contributes: the report
+//! itself and its extraction, the one stored record of its annotations
+//! (the BRAT export is rendered from it on read,
+//! [`ExtractedAnnotations::to_brat`]):
 //!
 //! ```json
-//! {"ann": {...}, "extraction": {...}, "report": {...}}
+//! {"extraction": {"mentions": [...], "relations": [...]}, "report": {...}}
 //! ```
 //!
 //! A shard keeps each unsealed report's payload as text, by internal
 //! doc id (see [`crate::payloads`]); a sealed segment stores exactly
 //! those bytes per document, and serves them from then on, and a WAL
 //! `doc` record — the only record type — wraps the same members with the
-//! report's global ingest ordinal. The segments and the WAL are the only
-//! durable copies. Recovery re-applies payloads through the same
+//! report's global ingest ordinal: `{"extraction","ordinal","report","t"}`.
+//! The segments and the WAL are the only durable copies. Recovery re-applies payloads through the same
 //! `Writer::apply` / `Writer::merge` live ingestion uses, which is what
 //! makes post-crash rankings bit-identical. What recovery cannot read it
 //! refuses: every content error of a record or a payload, and a segment
 //! whose copies of a document's id disagree, is reported as
-//! [`StorageError::Corrupt`] naming the file.
+//! [`StorageError::Corrupt`] naming the file. Both members are required:
+//! a payload or record without its extraction is refused too, never read
+//! as a report without annotations.
 //!
 //! A seal ([`write_tail`], from the shard's unsealed payloads and its
 //! index's unsealed segment) and a compaction ([`compact_shard`], from
@@ -89,22 +93,19 @@ impl StorageRoot {
     }
 }
 
-/// The three members of one report's payload, as serialized text.
-/// `ann` / `extraction` are absent for documents that never had them.
-#[derive(Default)]
+/// The two members of one report's payload, as serialized text.
 pub(crate) struct DocPayload<'a> {
+    pub extraction: &'a str,
     pub report: &'a str,
-    pub ann: Option<&'a str>,
-    pub extraction: Option<&'a str>,
 }
 
 /// A payload read back from a WAL record or a segment: its documents'
-/// texts, borrowed from the record, and the two of them recovery reads —
-/// parsed in the pass that split the payload. `ann` is never parsed.
+/// texts, borrowed from the record, and both parsed in the pass that
+/// split the payload.
 pub(crate) struct RecoveredDoc<'a> {
     pub texts: DocPayload<'a>,
     report: Value,
-    extraction: Option<Value>,
+    extraction: Value,
 }
 
 impl RecoveredDoc<'_> {
@@ -113,7 +114,7 @@ impl RecoveredDoc<'_> {
     pub(crate) fn parts(&self) -> Result<(ReportFields<'_>, ExtractedAnnotations), String> {
         Ok((
             report_fields(&self.report)?,
-            stored_annotations(self.extraction.as_ref())?,
+            stored_annotations(&self.extraction)?,
         ))
     }
 }
@@ -151,35 +152,26 @@ fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
     })
 }
 
-/// The extraction a stored `extractions` document carries: empty when
-/// the report has no such document, an error when it has one that does
-/// not read back.
-fn stored_annotations(extraction: Option<&Value>) -> Result<ExtractedAnnotations, String> {
-    let Some(document) = extraction else {
-        return Ok(ExtractedAnnotations::default());
-    };
-    document
-        .get("extraction")
-        .and_then(ExtractedAnnotations::from_json)
+/// A stored extraction, which must read back.
+fn stored_annotations(extraction: &Value) -> Result<ExtractedAnnotations, String> {
+    ExtractedAnnotations::from_json(extraction)
         .ok_or_else(|| "stored extraction does not deserialize".to_string())
 }
 
 /// Serializes an object whose members' values are already serialized:
-/// `{"key":text,…}`, absent members left out. Given in key order — and
-/// only then — the bytes are what serializing the parsed object gives.
-fn splice_object(members: &[(&str, Option<&str>)]) -> String {
+/// `{"key":text,…}`. Given in key order — and only then — the bytes are
+/// what serializing the parsed object gives.
+fn splice_object(members: &[(&str, &str)]) -> String {
     debug_assert!(members.is_sorted_by_key(|(key, _)| key));
     let mut out = String::from("{");
     for (key, text) in members {
-        if let Some(text) = text {
-            if out.len() > 1 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":");
-            out.push_str(text);
+        if out.len() > 1 {
+            out.push(',');
         }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        out.push_str(text);
     }
     out.push('}');
     out
@@ -188,63 +180,61 @@ fn splice_object(members: &[(&str, Option<&str>)]) -> String {
 /// Builds a document payload: what the shard keeps and a segment stores.
 pub(crate) fn payload_text(payload: &DocPayload<'_>) -> String {
     splice_object(&[
-        ("ann", payload.ann),
         ("extraction", payload.extraction),
-        ("report", Some(payload.report)),
+        ("report", payload.report),
     ])
 }
 
 /// Builds a WAL `doc` record.
 pub(crate) fn doc_record(ordinal: u64, payload: &DocPayload<'_>) -> String {
     splice_object(&[
-        ("ann", payload.ann),
         ("extraction", payload.extraction),
-        ("ordinal", Some(&ordinal.to_string())),
-        ("report", Some(payload.report)),
-        ("t", Some("\"doc\"")),
+        ("ordinal", &ordinal.to_string()),
+        ("report", payload.report),
+        ("t", "\"doc\""),
     ])
 }
 
-/// Picks the three documents out of a split payload object (a repeated
-/// key's last member wins, as in a parse).
+/// Picks the two documents out of a split payload object (a repeated
+/// key's last member wins, as in a parse); a missing one is an error.
 fn take_payload(members: Vec<Member<'_>>) -> Result<RecoveredDoc<'_>, String> {
-    let mut texts = DocPayload::default();
-    let mut report = None;
-    let mut extraction = None;
+    let (mut report, mut extraction) = (None, None);
     for member in members {
+        let parsed = member.value.map(|value| (member.text, value));
         match member.key.as_str() {
-            "report" => (texts.report, report) = (member.text, member.value),
-            "ann" => texts.ann = Some(member.text),
-            "extraction" => (texts.extraction, extraction) = (Some(member.text), member.value),
+            "report" => report = parsed,
+            "extraction" => extraction = parsed,
             _ => {}
         }
     }
+    let (report_text, report) = report.ok_or("payload missing report")?;
+    let (extraction_text, extraction) = extraction.ok_or("payload missing extraction")?;
     Ok(RecoveredDoc {
-        texts,
-        report: report.ok_or("payload missing report")?,
+        texts: DocPayload {
+            extraction: extraction_text,
+            report: report_text,
+        },
+        report,
         extraction,
     })
 }
 
-/// Splits a serialized payload or WAL record into its members, building
-/// all but `ann` — the one document recovery only stores.
-fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a str, Vec<Member<'a>>), String> {
+/// Splits a serialized payload or WAL record into its members, each
+/// parsed.
+fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<Vec<Member<'a>>, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))?;
-    let members = object_members(text, |key| key != "ann")
-        .map_err(|e| format!("{what} is not a JSON object: {e}"))?;
-    Ok((text, members))
+    object_members(text, |_| true).map_err(|e| format!("{what} is not a JSON object: {e}"))
 }
 
 /// Splits a segment's stored payload into its documents.
 fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
-    let (_, members) = split_record(bytes, "payload")?;
-    take_payload(members)
+    take_payload(split_record(bytes, "payload")?)
 }
 
 /// Parses one WAL record — a `doc` record, the only type there is — into
 /// its global ingest ordinal and its payload.
 pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<(u64, RecoveredDoc<'_>), String> {
-    let (_, mut members) = split_record(bytes, "WAL record")?;
+    let mut members = split_record(bytes, "WAL record")?;
     let mut take = |key: &str| {
         let at = members.iter().rposition(|m| m.key == key)?;
         members[at].value.take()
@@ -261,8 +251,8 @@ pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<(u64, RecoveredDoc<'_>), 
     Ok((ordinal, take_payload(members)?))
 }
 
-/// A parsed member of a stored payload (`"report"`, `"ann"`, …), or
-/// `None` when the payload has no such member.
+/// A parsed member of a stored payload (`"report"` or `"extraction"`),
+/// or `None` when the payload has no such member.
 pub(crate) fn payload_member(payload: &str, key: &str) -> Option<Value> {
     let members = object_members(payload, |k| k == key).ok()?;
     members.into_iter().rfind(|member| member.key == key)?.value

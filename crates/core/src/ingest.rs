@@ -6,7 +6,6 @@ use crate::durability::{self, DocPayload, ReportFields};
 use crate::system::{shard_index, Create};
 use crate::writer::{Writer, Writers};
 use crate::{facet_build::index_doc, pipeline::ExtractedAnnotations};
-use create_annotate::{case_report_to_brat, BratDocument};
 use create_corpus::CaseReport;
 use create_docstore::{json::obj, Value};
 use create_grobid::{process_pdf, ExtractedDocument, PdfError};
@@ -23,7 +22,7 @@ use std::time::Instant;
 
 impl Create {
     /// Ingests a gold-annotated corpus report (the curated literature
-    /// path): stores the document and its BRAT export, projects the graph,
+    /// path): stores the document and its annotations, projects the graph,
     /// and indexes the text — all in the report's owning shard. A batch
     /// of one.
     pub fn ingest_gold(&self, report: &CaseReport) -> Result<(), IngestError> {
@@ -99,7 +98,6 @@ impl Create {
                 authors: report.metadata.authors.clone(),
                 pdf_affiliation: None,
                 annotations: ExtractedAnnotations::from_gold(report),
-                brat: case_report_to_brat(report),
             }
         })
     }
@@ -273,11 +271,10 @@ fn apply_batch(
             // acknowledges is recoverable from the log. The record
             // and the shard's payload splice the same member texts.
             let ordinal = base + i as u64;
-            let [report, ann, extraction] = doc.stored_texts();
+            let [extraction, report] = doc.stored_texts();
             let payload = DocPayload {
+                extraction: &extraction,
                 report: &report,
-                ann: Some(&ann),
-                extraction: Some(&extraction),
             };
             writer.wal_log(ordinal, &payload)?;
             writer.apply(
@@ -339,7 +336,6 @@ struct PreparedDoc {
     /// marks the stored report `source: "pdf"`.
     pdf_affiliation: Option<String>,
     annotations: ExtractedAnnotations,
-    brat: BratDocument,
 }
 
 impl PreparedDoc {
@@ -353,7 +349,6 @@ impl PreparedDoc {
         ontology: &Ontology,
     ) -> PreparedDoc {
         let annotations = ExtractedAnnotations::from_text(text, tagger, ontology);
-        let brat = annotations.to_brat();
         PreparedDoc {
             id: id.to_string(),
             title: title.to_string(),
@@ -363,7 +358,6 @@ impl PreparedDoc {
             authors: Vec::new(),
             pdf_affiliation: None,
             annotations,
-            brat,
         }
     }
 
@@ -377,13 +371,12 @@ impl PreparedDoc {
         }
     }
 
-    /// The three members of the report's payload (`report`, `ann`,
-    /// `extraction`), each serialized once: objects serialize key-sorted,
-    /// so a text is the same whichever order its fields were set in.
-    fn stored_texts(&self) -> [String; 3] {
-        let id = || Value::from(self.id.as_str());
+    /// The two members of the report's payload (`extraction`, `report`),
+    /// each serialized once: objects serialize key-sorted, so a text is
+    /// the same whichever order its fields were set in.
+    fn stored_texts(&self) -> [String; 2] {
         let mut report = obj([
-            ("_id", id()),
+            ("_id", self.id.as_str().into()),
             ("title", self.title.as_str().into()),
             ("text", self.text.as_str().into()),
             ("year", (self.year as i64).into()),
@@ -397,9 +390,7 @@ impl PreparedDoc {
             report.set("affiliation", affiliation.as_str());
             report.set("source", "pdf");
         }
-        let ann = obj([("_id", id()), ("ann", self.brat.serialize().into())]);
-        let extraction = obj([("_id", id()), ("extraction", self.annotations.to_json())]);
-        [report.to_json(), ann.to_json(), extraction.to_json()]
+        [self.annotations.to_json().to_json(), report.to_json()]
     }
 }
 

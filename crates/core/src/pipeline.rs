@@ -4,7 +4,10 @@
 //! annotations (literature depositions reviewed in BRAT) and automatic
 //! extraction for raw submissions. Both normalize to
 //! [`ExtractedAnnotations`]: concept-resolved mentions with timeline steps
-//! plus concept-level temporal relations.
+//! plus the relations between them. It is the one stored record of a
+//! report's annotations: the graph, the facets and the BRAT export
+//! ([`ExtractedAnnotations::to_brat`], the one renderer) are built from
+//! it.
 //!
 //! The query path (Section III-C) applies the same machinery to user
 //! queries: NER over the query text, ontology normalization, and rule
@@ -39,7 +42,9 @@ pub struct ResolvedMention {
 pub struct ExtractedAnnotations {
     /// Mentions in document order.
     pub mentions: Vec<ResolvedMention>,
-    /// Temporal relations between mention indices.
+    /// Relations between mention indices, every type: a gold report
+    /// keeps all its gold relations, of which the graph keeps three
+    /// (BEFORE, AFTER, OVERLAP).
     pub relations: Vec<(usize, usize, RelationType)>,
 }
 
@@ -60,7 +65,6 @@ impl ExtractedAnnotations {
         let relations = report
             .relations
             .iter()
-            .filter(|r| r.rtype.is_temporal())
             .map(|r| (r.source, r.target, r.rtype))
             .collect();
         ExtractedAnnotations {
@@ -153,18 +157,22 @@ impl ExtractedAnnotations {
 }
 
 impl ExtractedAnnotations {
-    /// Builds a BRAT standoff export from span-carrying mentions (the
-    /// automatic-extraction path; gold reports use
-    /// `create_annotate::case_report_to_brat` directly). Mentions without
-    /// spans are skipped; relations referencing skipped mentions are
-    /// dropped.
+    /// The BRAT standoff export, rendered on read (it is not stored): per
+    /// mention with a span a T line, an E line if it is an event and an
+    /// N line (`UMLS`, its cui, its text) if it is normalized; an R line
+    /// per relation between two of them. A gold report's is what
+    /// `create_annotate::case_report_to_brat` writes.
     pub fn to_brat(&self) -> create_annotate::BratDocument {
-        use create_annotate::{BratDocument, RelationAnn, TextBoundAnn};
+        use create_annotate::{
+            BratDocument, EventAnn, NormalizationAnn, RelationAnn, TextBoundAnn,
+        };
         let mut doc = BratDocument::default();
-        let mut mention_to_t: std::collections::HashMap<usize, u32> =
-            std::collections::HashMap::new();
-        for (i, m) in self.mentions.iter().enumerate() {
-            let Some(span) = m.span else { continue };
+        let mut t_ids = Vec::with_capacity(self.mentions.len());
+        for m in &self.mentions {
+            let Some(span) = m.span else {
+                t_ids.push(None);
+                continue;
+            };
             let t_id = doc.text_bounds.len() as u32 + 1;
             doc.text_bounds.push(TextBoundAnn {
                 id: t_id,
@@ -173,10 +181,28 @@ impl ExtractedAnnotations {
                 end: span.end,
                 text: m.text.clone(),
             });
-            mention_to_t.insert(i, t_id);
+            if m.etype.is_event() {
+                doc.events.push(EventAnn {
+                    id: doc.events.len() as u32 + 1,
+                    type_name: m.etype.label().to_string(),
+                    trigger: t_id,
+                    args: Vec::new(),
+                });
+            }
+            if let Some(cui) = m.concept {
+                doc.normalizations.push(NormalizationAnn {
+                    id: doc.normalizations.len() as u32 + 1,
+                    target: t_id,
+                    resource: "UMLS".to_string(),
+                    external_id: cui.to_string(),
+                    preferred: m.text.clone(),
+                });
+            }
+            t_ids.push(Some(t_id));
         }
+        let t_of = |i: usize| t_ids.get(i).copied().flatten();
         for &(s, t, rel) in &self.relations {
-            let (Some(&arg1), Some(&arg2)) = (mention_to_t.get(&s), mention_to_t.get(&t)) else {
+            let (Some(arg1), Some(arg2)) = (t_of(s), t_of(t)) else {
                 continue;
             };
             doc.relations.push(RelationAnn {
@@ -191,54 +217,29 @@ impl ExtractedAnnotations {
 
     /// Serializes to a JSON value for docstore persistence.
     pub fn to_json(&self) -> create_docstore::Value {
-        use create_docstore::Value;
+        use create_docstore::{json::obj, Value};
+        let or_null = |value: Option<Value>| value.unwrap_or(Value::Null);
         let mentions: Vec<Value> = self
             .mentions
             .iter()
             .map(|m| {
-                create_docstore::json::obj([
-                    ("text", m.text.clone().into()),
+                obj([
+                    ("text", m.text.as_str().into()),
                     ("type", m.etype.label().into()),
-                    (
-                        "concept",
-                        m.concept
-                            .map(|c| Value::String(c.to_string()))
-                            .unwrap_or(Value::Null),
-                    ),
-                    (
-                        "step",
-                        m.time_step
-                            .map(|s| Value::Number(s as f64))
-                            .unwrap_or(Value::Null),
-                    ),
-                    (
-                        "span",
-                        m.span
-                            .map(|sp| {
-                                Value::Array(vec![
-                                    Value::Number(sp.start as f64),
-                                    Value::Number(sp.end as f64),
-                                ])
-                            })
-                            .unwrap_or(Value::Null),
-                    ),
+                    ("concept", or_null(m.concept.map(|c| c.to_string().into()))),
+                    ("step", or_null(m.time_step.map(|s| f64::from(s).into()))),
+                    ("span", or_null(m.span.map(|s| vec![s.start, s.end].into()))),
                 ])
             })
             .collect();
         let relations: Vec<Value> = self
             .relations
             .iter()
-            .map(|&(s, t, rel)| {
-                Value::Array(vec![
-                    Value::Number(s as f64),
-                    Value::Number(t as f64),
-                    Value::String(rel.label().to_string()),
-                ])
-            })
+            .map(|&(s, t, rel)| vec![Value::from(s), t.into(), rel.label().into()].into())
             .collect();
-        create_docstore::json::obj([
-            ("mentions", Value::Array(mentions)),
-            ("relations", Value::Array(relations)),
+        obj([
+            ("mentions", mentions.into()),
+            ("relations", relations.into()),
         ])
     }
 
@@ -269,15 +270,11 @@ impl ExtractedAnnotations {
         }
         let mut relations = Vec::new();
         for r in value.get("relations")?.as_array()? {
-            let items = r.as_array()?;
-            if items.len() != 3 {
+            let [s, t, rel] = r.as_array()? else {
                 return None;
-            }
-            relations.push((
-                items[0].as_f64()? as usize,
-                items[1].as_f64()? as usize,
-                items[2].as_str()?.parse().ok()?,
-            ));
+            };
+            let index = |v: &Value| v.as_f64().map(|i| i as usize);
+            relations.push((index(s)?, index(t)?, rel.as_str()?.parse().ok()?));
         }
         Some(ExtractedAnnotations {
             mentions,
@@ -553,8 +550,68 @@ mod tests {
         .remove(0);
         let ann = ExtractedAnnotations::from_gold(&report);
         assert_eq!(ann.mentions.len(), report.entities.len());
+        assert_eq!(ann.relations.len(), report.relations.len());
         assert!(!ann.relations.is_empty());
         assert!(!ann.concepts().is_empty());
+    }
+
+    #[test]
+    fn extraction_round_trips_every_relation_type() {
+        let mention = |text: &str, etype, concept, time_step, span| ResolvedMention {
+            text: text.to_string(),
+            etype,
+            concept,
+            time_step,
+            span,
+        };
+        let ontology = create_ontology::clinical_ontology();
+        let fever = ontology.lookup("fever").unwrap().id;
+        let ann = ExtractedAnnotations {
+            mentions: vec![
+                mention(
+                    "fever",
+                    EntityType::SignSymptom,
+                    Some(fever),
+                    Some(2),
+                    Some(Span::new(4, 9)),
+                ),
+                mention("severe", EntityType::Severity, None, None, None),
+            ],
+            relations: RelationType::all()
+                .iter()
+                .enumerate()
+                .map(|(i, &rel)| (i % 2, 1 - i % 2, rel))
+                .collect(),
+        };
+        assert!(ann.relations.iter().any(|(.., rel)| !rel.is_temporal()));
+        let json = ann.to_json();
+        let back = ExtractedAnnotations::from_json(&json).expect("reads back");
+        assert_eq!(back.mentions, ann.mentions);
+        assert_eq!(back.relations, ann.relations);
+        assert_eq!(back.to_json().to_json(), json.to_json());
+    }
+
+    #[test]
+    fn stored_gold_extraction_renders_the_gold_export() {
+        let reports = Generator::new(CorpusConfig {
+            num_reports: 20,
+            seed: 3,
+            ..Default::default()
+        })
+        .generate();
+        assert!(reports
+            .iter()
+            .any(|r| r.relations.iter().any(|rel| !rel.rtype.is_temporal())));
+        for report in &reports {
+            let stored = ExtractedAnnotations::from_gold(report).to_json();
+            let brat = ExtractedAnnotations::from_json(&stored).unwrap().to_brat();
+            assert_eq!(
+                brat.serialize(),
+                create_annotate::case_report_to_brat(report).serialize(),
+                "{}",
+                report.id
+            );
+        }
     }
 
     #[test]

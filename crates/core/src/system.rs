@@ -32,7 +32,7 @@ use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use crate::stats::{count_policy, note_query, register_metrics, register_shard_metrics};
 use crate::{
     graph_build::report_node,
-    pipeline::QueryIE,
+    pipeline::{ExtractedAnnotations, QueryIE},
     writer::{empty_writer, Writers},
 };
 use create_annotate::BratDocument;
@@ -118,9 +118,9 @@ pub(crate) struct ShardSnapshot {
     pub(crate) generation: u64,
     /// Shard-local internal doc id → the report's stored payload, the
     /// exact text its segment stores (see [`crate::durability`]): the
-    /// report, its BRAT export and its extraction. Read by id through the
-    /// index's id map; a sealed document's from its segment file, an
-    /// unsealed one's from RAM (see [`crate::payloads`]).
+    /// report and its extraction. Read by id through the index's id map;
+    /// a sealed document's from its segment file, an unsealed one's
+    /// from RAM (see [`crate::payloads`]).
     pub(crate) docs: Arc<Payloads>,
     pub(crate) graph: Arc<PropertyGraph>,
     pub(crate) index: Arc<Index>,
@@ -185,9 +185,9 @@ impl Snapshot {
 
     /// One member of a report's stored payload, parsed, from its owning
     /// shard: the index maps the id to the doc id that indexes the
-    /// payload column. `Ok(None)` for an unknown id or a payload without
-    /// the member; an error when a sealed payload does not read back from
-    /// its segment file.
+    /// payload column. `Ok(None)` for an unknown id (every payload holds
+    /// both members); an error when a sealed payload does not read back
+    /// from its segment file.
     fn stored_member(&self, id: &str, key: &str) -> Result<Option<Value>, StorageError> {
         let shard = self.owner(id);
         let Some(doc) = shard.index.internal_id(id) else {
@@ -204,11 +204,15 @@ impl Snapshot {
     }
 
     /// The report's BRAT annotation export, as of this snapshot (see
-    /// [`Create::annotations`]).
+    /// [`Create::annotations`]): rendered from its stored extraction,
+    /// which ingest wrote and recovery read back, so it deserializes.
     pub fn annotations(&self, id: &str) -> Result<Option<BratDocument>, StorageError> {
-        let doc = self.stored_member(id, "ann")?;
-        let ann = doc.as_ref().and_then(|doc| doc.get("ann")?.as_str());
-        Ok(ann.and_then(|ann| BratDocument::parse(ann).ok()))
+        let extraction = self.stored_member(id, "extraction")?;
+        Ok(extraction.map(|extraction| {
+            ExtractedAnnotations::from_json(&extraction)
+                .expect("a stored extraction reads back")
+                .to_brat()
+        }))
     }
 
     /// Cohort retrieval against this snapshot (see [`Create::cohort`]).
@@ -481,8 +485,9 @@ impl Create {
         self.current.load().report(id)
     }
 
-    /// Fetches a report's BRAT annotation export from its owning shard,
-    /// as [`Create::report`] fetches the report.
+    /// Renders a report's BRAT annotation export from the extraction its
+    /// owning shard stores, fetched as [`Create::report`] fetches the
+    /// report.
     pub fn annotations(&self, id: &str) -> Result<Option<BratDocument>, StorageError> {
         self.current.load().annotations(id)
     }
@@ -580,14 +585,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn annotations_round_trip() {
+    fn annotations_render_the_gold_export() {
         let (system, reports) = loaded_system(3, 3);
-        let brat = system
-            .annotations(&reports[0].id)
-            .unwrap()
-            .expect("brat stored");
-        assert_eq!(brat.text_bounds.len(), reports[0].entities.len());
-        assert!(brat.validate(&reports[0].text).is_ok());
+        for report in &reports {
+            let brat = system
+                .annotations(&report.id)
+                .unwrap()
+                .expect("a known report");
+            assert_eq!(
+                brat.serialize(),
+                create_annotate::case_report_to_brat(report).serialize()
+            );
+            assert!(brat.validate(&report.text).is_ok());
+        }
+        assert!(system.annotations("no-such-report").unwrap().is_none());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   key-sorted serializer, so a stored text is what serializing its own
 //!   parse gives;
 //! * [`json::object_members`], which splits a serialized object into its
-//!   members' texts in one pass — how a payload's `report` / `ann` /
-//!   `extraction` are read without building the rest.
+//!   members' texts in one pass — how a payload's `report` or
+//!   `extraction` is read without building the other.
 
 pub mod json;
 

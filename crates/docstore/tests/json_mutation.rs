@@ -158,7 +158,7 @@ fn stored_text_is_canonical_and_mutants_parse_to_err_or_round_trip() {
             documents += 1;
         }
     }
-    assert_eq!(documents, 3 * REPORTS, "report, ann and extraction each");
+    assert_eq!(documents, 2 * REPORTS, "extraction and report each");
     let odd = obj([
         ("_id", "odd".into()),
         ("fraction", 0.1.into()),

@@ -19,8 +19,11 @@ use std::path::Path;
 /// Manifest file name inside the storage directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
-/// Bumped whenever the on-disk layout changes incompatibly.
-pub const FORMAT_VERSION: i64 = 1;
+/// Bumped whenever the on-disk layout changes incompatibly. Format 2
+/// stores a report's payload as its report and its extraction; a
+/// format-1 directory also stored a BRAT export, and its gold
+/// extractions lack their non-temporal relations, so it is refused.
+pub const FORMAT_VERSION: i64 = 2;
 
 /// One sealed, immutable segment file as registered in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]

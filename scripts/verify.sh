@@ -14,7 +14,8 @@
 # segment and create-docstore JSON mutation fuzzes among them) and the benchmark package's — then the
 # benchmark smoke (`create-benchmark all --quick`, every in-run check;
 # the two benchmark steps leave `benchmark/Cargo.lock` as they found it;
-# each workload's `result_digest` is pinned),
+# each workload's `result_digest` is pinned, and its
+# `disk_bytes_per_user_byte` bounded above),
 # the server, trace and observability smoke checks, E4's ranking-ablation
 # quality cells (`exp_ir_vs_solr`, ~15 s: the BM25 default and TF-IDF
 # rows EXPERIMENTS.md quotes, exactly), E8's recall cells
@@ -70,7 +71,14 @@ echo "== benchmark smoke: four workloads at 500 reports, every in-run check =="
 # a gold cohort, a hit ratio, compaction counts, reopen after ingest).
 # Each workload's `result_digest` at `--seed 1` (the default) is pinned:
 # a moved digest is a ranking or extraction change, re-pinned here with
-# its reason when the change is meant.
+# its reason when the change is meant. `ingest_interleaved`'s was
+# re-pinned (from 6dc110bb32f24cb8) when a stored payload lost its BRAT
+# copy: its `/flush` bodies report `segment_bytes`, which fell, and its
+# `/search` and `/submit_batch` bodies stayed byte-equal.
+# Each workload's `disk_bytes_per_user_byte` is bounded above by the
+# value it reads once a payload stores a report and its extraction only
+# (it reads the same in every run), so stored bytes cannot creep back
+# unnoticed.
 quick="$(mktemp)"
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- all --quick | tee "$quick"
 python3 - "$quick" <<'PY'
@@ -79,14 +87,24 @@ want = {
     "search_unique": "4850035d5432e973",
     "search_repeat": "0350d5838bae2b25",
     "cohort_mix": "f1e2e081a337a0db",
-    "ingest_interleaved": "6dc110bb32f24cb8",
+    "ingest_interleaved": "28fa50b7ca7bd58a",
+}
+disk_bound = {
+    "search_unique": 4.6895,
+    "search_repeat": 4.6895,
+    "cohort_mix": 4.6895,
+    "ingest_interleaved": 4.2995,
 }
 with open(sys.argv[1]) as out:
-    runs = [json.loads(line) for line in out if line.strip()]
-got = {run["workload"]: run.get("result_digest") for run in runs if "workload" in run}
+    runs = {run["workload"]: run for run in map(json.loads, filter(str.strip, out)) if "workload" in run}
+got = {w: run.get("result_digest") for w, run in runs.items()}
 bad = [f"{w}: {got.get(w)} (pinned {d})" for w, d in want.items() if got.get(w) != d]
 if bad:
     sys.exit("verify: FAIL — all --quick result_digest moved: " + "; ".join(bad))
+disk = {w: runs[w]["metrics"]["disk_bytes_per_user_byte"]["value"] for w in disk_bound}
+over = [f"{w}: {disk[w]:.4f} (bound {b})" for w, b in disk_bound.items() if disk[w] > b]
+if over:
+    sys.exit("verify: FAIL — all --quick disk_bytes_per_user_byte over its bound: " + "; ".join(over))
 PY
 rm -f "$quick"
 restore_bench_lock

@@ -198,10 +198,11 @@ const REPORTS: usize = 500;
 /// buckets' map, spread over the terms), and the figure repeats exactly;
 /// 181.3 while every list was decoded into a `PostingList` of its own.
 const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 8 464
+/// Allocations one 2-document batch may make at 500 reports: 8 047
 /// measured (tokens, the batch's own segment, its encoding and the
 /// frozen segment's tables, the merges the tier rule makes, the copies
-/// of the tables the published snapshot shares); 8 526 while a
+/// of the tables the published snapshot shares); 8 464 while ingest
+/// built and serialized a BRAT export of each report, 8 526 while a
 /// shard-wide facet index copied the runs a write touched, 13 498 while
 /// the write copied the index's mutable tail — on an instance never
 /// flushed, the whole index — 13 720 while the graph's properties were
@@ -213,7 +214,8 @@ const TERM_OVERHEAD: usize = 4;
 /// node per 11 stored documents, 209 179 with a `Vec` per posting.
 const SUBMIT_BUDGET: usize = 10_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 4.60 MB measured, its index frozen segments only; 11.07 MB while the
+/// 3.76 MB measured, its index frozen segments only; 4.60 MB while each
+/// payload held a BRAT copy of its extraction, 11.07 MB while the
 /// index was one mutable tail of posting lists, 14.38 MB while the
 /// graph's edges were 72 bytes and
 /// its properties `Value`s, 14.33 MB while the graph's index lists were one
@@ -223,13 +225,14 @@ const SUBMIT_BUDGET: usize = 10_000;
 /// 19.13 MB while the writer and the published snapshot held a copy of
 /// the tables each, and 32.28 MB before documents were text and the
 /// graph flat.
-const RESIDENT_BUDGET: isize = 5_000_000;
+const RESIDENT_BUDGET: isize = 4_100_000;
 /// Live bytes a one-shard `Create` loaded with the same 500 reports may
-/// hold after a `flush()` (k): 4.52 MB measured, as before the flush;
-/// 7.82 MB while the graph's edges were 72 bytes and its properties
+/// hold after a `flush()` (k): 3.68 MB measured, as before the flush;
+/// 4.52 MB while each payload held a BRAT copy of its extraction, 7.82
+/// MB while the graph's edges were 72 bytes and its properties
 /// `Value`s, 14.63 MB while a frozen segment kept the tail's posting
 /// lists.
-const FROZEN_RESIDENT_BUDGET: isize = 4_900_000;
+const FROZEN_RESIDENT_BUDGET: isize = 4_000_000;
 /// `Index::postings_bytes()` of the index of (b): 1 533 420 measured,
 /// 3 586 951 while recovery decoded every list, 5 310 279 while
 /// `body_ngram` stored positions.
@@ -255,13 +258,14 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
 /// on a shard sealed by one flush (j) and on an in-memory shard (m), at
-/// every size: 178 726 / 149 520 / 176 204 and 182 750 / 157 640 /
-/// 192 516 measured at 250 / 500 / 1000 reports — the merged segment of
+/// every size: 175 270 / 146 784 / 172 916 and 179 294 / 154 904 /
+/// 189 228 measured at 250 / 500 / 1000 reports — the merged segment of
 /// the batch and the one before it (the pinned snapshot keeps that one),
 /// postings and facets, the payloads, the graph's last chunks; the
 /// sealed shard copies no chunk of sealed payload texts, which its
 /// column does not hold (182 726 / 157 616 / 192 492 while it held
-/// them). 196 787 / 179 698 / 239 649 while
+/// them; 178 726 / 149 520 / 176 204 and 182 750 / 157 640 / 192 516
+/// while each payload held a BRAT copy of its extraction). 196 787 / 179 698 / 239 649 while
 /// a shard-wide facet index beside the segments copied each run the
 /// write touched; on the sealed shard 0.51 / 0.44 / 0.47 MB while writes
 /// copied a mutable tail, 0.79 / 0.69 / 0.91 MB while the graph's key

@@ -24,15 +24,17 @@
 //! What recovery cannot read it refuses: a WAL record whose frame is
 //! intact but whose content does not read back (an extraction that does
 //! not deserialize, a negative ordinal, an unknown record type, a
-//! missing member, a report without its category or with a year that is
-//! not a `u32`), the retired `update` record, a format-2, -3 or -4
-//! segment header, a segment whose directory, postings and payloads
-//! disagree on a document's id or whose facet region covers another
-//! number of documents, a segment file that is not the one its
+//! missing member — its report or its extraction — a report without its
+//! category or with a year that is not a `u32`), the retired `update`
+//! record, a format-2, -3 or -4 segment header, a segment payload
+//! without its extraction, a segment whose directory, postings and
+//! payloads disagree on a document's id or whose facet region covers
+//! another number of documents, a segment file that is not the one its
 //! manifest entry describes (swapped, or an entry whose `max_ordinal`
-//! would hide WAL records), and a MANIFEST number outside its field's
-//! range each fail the open as corruption naming the file, and the
-//! refused open changes nothing on disk.
+//! would hide WAL records), a MANIFEST number outside its field's range,
+//! and a MANIFEST of format 1, whose payloads carried a BRAT copy, each
+//! fail the open as corruption naming the file, and the refused open
+//! changes nothing on disk.
 //!
 //! A sealed report's payload is read from its segment file on every
 //! request, so damage that lands after the open is found there: a stored
@@ -42,7 +44,7 @@
 
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
-use create::docstore::json::{parse_json, Value};
+use create::docstore::json::{object_members, parse_json, Value};
 use create::index::facets::{FacetIndex, ALL_FACET_FIELDS};
 use create::storage::manifest::Manifest;
 use create::storage::segment::{read_segment, write_segment, SegmentData};
@@ -550,11 +552,23 @@ fn with_year(record: &str, year: &str) -> String {
     format!("{}{year}{}", &record[..key], &record[end..])
 }
 
+/// `record` — a WAL record or a payload — without its `extraction`
+/// member, its other members' texts as they were.
+fn without_extraction(record: &str) -> String {
+    let members: Vec<String> = object_members(record, |_| false)
+        .expect("a JSON object")
+        .into_iter()
+        .filter(|member| member.key != "extraction")
+        .map(|member| format!("\"{}\":{}", member.key, member.text))
+        .collect();
+    format!("{{{}}}", members.join(","))
+}
+
 #[test]
 fn wal_record_content_errors_are_corruption_naming_the_file() {
     let reports = corpus(2, 20261004);
     type Damage = fn(&str) -> String;
-    let cases: [(&str, Damage); 7] = [
+    let cases: [(&str, Damage); 8] = [
         ("unknown record type", |r| {
             r.replacen(r#""t":"doc""#, r#""t":"nope""#, 1)
         }),
@@ -562,6 +576,7 @@ fn wal_record_content_errors_are_corruption_naming_the_file() {
         ("no report member", |_| {
             r#"{"ordinal":1,"t":"doc"}"#.to_string()
         }),
+        ("no extraction member", without_extraction),
         ("not an object", |_| "[1,2]".to_string()),
         ("year -1", |r| with_year(r, "-1")),
         ("year 2019.5", |r| with_year(r, "2019.5")),
@@ -614,6 +629,23 @@ fn retired_formats_are_refused_as_corruption() {
         assert_open_refused(&dir, &[&refusal], &format!("format {format}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // A MANIFEST of format 1, whose payloads carried a BRAT copy of the
+    // annotations and whose gold extractions lacked the non-temporal
+    // relations the export now renders from them.
+    let dir = fresh_dir("manifest-format-1");
+    crash_with_wal_tail(&dir, &reports, 0);
+    edit_manifest(&dir, |manifest| {
+        let format = member(manifest, "format");
+        assert_eq!(format.as_i64(), Some(2), "the current format");
+        *format = Value::from(1i64);
+    });
+    assert_open_refused(
+        &dir,
+        &["MANIFEST", "unsupported manifest format 1"],
+        "manifest format 1",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -645,6 +677,26 @@ fn a_segment_whose_copies_of_an_id_disagree_is_corruption() {
         assert_open_refused(&dir, &["seg-000000.seg"], label);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_segment_payload_without_its_extraction_is_refused() {
+    // The extraction is a report's only stored record of its
+    // annotations: a payload without one would open as a report with no
+    // mentions and serve an empty export.
+    let reports = corpus(4, 20261018);
+    let dir = fresh_dir("payload-without-extraction");
+    crash_with_wal_tail(&dir, &reports, 0);
+    rewrite_sealed_segment(&dir, |data| {
+        let payload = std::str::from_utf8(&data.docs[2].payload).expect("UTF-8");
+        data.docs[2].payload = without_extraction(payload).into_bytes();
+    });
+    assert_open_refused(
+        &dir,
+        &["seg-000000.seg", "payload missing extraction"],
+        "payload without extraction",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Rewrites shard 0's first segment file with `edit` applied to its
@@ -813,28 +865,33 @@ fn manifest_numbers_out_of_their_range_are_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The file offset and length of the compressed bytes of the first block
-/// of a segment file's stored-fields region: past the 8-byte header and
-/// every block of the directory region up to its end marker, then that
-/// block's two lengths and its CRC.
-fn first_stored_block(segment: &[u8]) -> (usize, usize) {
+/// The file offset and length of the compressed bytes of each block of
+/// a segment file's stored-fields region: past the 8-byte header and
+/// every block of the directory region up to its end marker, then each
+/// block's two lengths and its CRC, up to the region's end marker.
+fn stored_blocks(segment: &[u8]) -> Vec<(usize, usize)> {
     let mut pos = 8;
     let next = |pos: &mut usize| varint::read_u64(segment, pos).expect("a varint") as usize;
     while next(&mut pos) != 0 {
         let compressed = next(&mut pos);
         pos += 4 + compressed;
     }
-    next(&mut pos);
-    let compressed = next(&mut pos);
-    (pos + 4, compressed)
+    let mut blocks = Vec::new();
+    while next(&mut pos) != 0 {
+        let compressed = next(&mut pos);
+        blocks.push((pos + 4, compressed));
+        pos += 4 + compressed;
+    }
+    blocks
 }
 
 #[test]
 fn a_stored_block_corrupted_after_open_fails_only_the_reports_it_holds() {
-    // 150 reports of ~4 KB in one segment: three stored blocks. The
-    // reopened instance located every payload while it streamed the file;
-    // a byte of the first block flipped afterwards is found by the read.
-    let reports = corpus(150, 20261017);
+    // 300 reports of ~2.2 KB in one segment: at least three stored
+    // blocks, as asserted below. The reopened instance located every
+    // payload while it streamed the file; a byte of the first block
+    // flipped afterwards is found by the read.
+    let reports = corpus(300, 20261017);
     let dir = fresh_dir("stored-after-open");
     {
         let system = Create::open(&dir, single_shard()).expect("open");
@@ -876,7 +933,9 @@ fn a_stored_block_corrupted_after_open_fails_only_the_reports_it_holds() {
         .write(true)
         .open(&segment)
         .expect("open the segment in place");
-    let (at, len) = first_stored_block(&std::fs::read(&segment).expect("read segment"));
+    let blocks = stored_blocks(&std::fs::read(&segment).expect("read segment"));
+    assert!(blocks.len() >= 3, "{} stored blocks", blocks.len());
+    let (at, len) = blocks[0];
     let mut byte = [0u8];
     file.read_exact_at(&mut byte, (at + len / 2) as u64)
         .expect("read");

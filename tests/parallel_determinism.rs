@@ -141,12 +141,19 @@ fn segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 /// its postings' end entries turned back into term counts and its
 /// regions re-framed behind block counts, is the format-4 file
 /// (`694623a8c6b3f29e`; `620d1958553531a2`, `b1a0babb77b3f7de`) byte
-/// for byte.
+/// for byte. Re-pinned a third time when a payload stopped storing a
+/// BRAT copy of the annotations beside the extraction, and the gold
+/// extraction began to keep every gold relation: each file's header,
+/// directory, postings and facet regions are those of the previous
+/// pins (`b7350e63abdace24`; `6b8d0903351cf4e2`, `fa66bb5396988247`)
+/// byte for byte, and only its stored-fields region — a payload of
+/// `{"extraction","report"}` where it was `{"ann","extraction","report"}`
+/// — and so its footer CRC differ.
 #[test]
 fn every_route_into_a_shard_seals_the_same_segment_bytes() {
     const EXPECTED: [(usize, &[&str]); 2] = [
-        (1, &["b7350e63abdace24"]),
-        (2, &["6b8d0903351cf4e2", "fa66bb5396988247"]),
+        (1, &["0176be81d9698bc0"]),
+        (2, &["531a47b16cf9c087", "ffba45193e900ea8"]),
     ];
     let reports = corpus(300, 20261002);
     for (shards, expected) in EXPECTED {
@@ -227,12 +234,12 @@ fn only_segment_digests(dir: &std::path::Path, shards: usize) -> Vec<String> {
 /// `every_route_into_a_shard_seals_the_same_segment_bytes`, ingested in
 /// four batches with a flush after each (the fourth flush reaches
 /// `COMPACT_SEGMENT_THRESHOLD` and compacts), leaves that test's
-/// single-seal digests (re-pinned with them for formats 4 and 5,
-/// unchanged here: the merge copies each posting's bytes after its doc
-/// gap as they are, positions or none, and writes in one pass what one
-/// seal writes). The splits put a 128-posting skip boundary
-/// inside a later input (100/100/50/50) and make the last input one
-/// document per shard.
+/// single-seal digests (re-pinned with them for formats 4 and 5 and for
+/// the payload without its BRAT copy, unchanged here: the merge copies
+/// each posting's bytes after its doc gap as they are, positions or
+/// none, and writes in one pass what one seal writes). The splits put a
+/// 128-posting skip boundary inside a later input (100/100/50/50) and
+/// make the last input one document per shard.
 #[test]
 fn a_compacted_shard_holds_the_single_seal_bytes() {
     /// Shard count, the per-shard digests, the batch splits.
@@ -240,12 +247,12 @@ fn a_compacted_shard_holds_the_single_seal_bytes() {
     const EXPECTED: [Case; 2] = [
         (
             1,
-            &["b7350e63abdace24"],
+            &["0176be81d9698bc0"],
             &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 39, 1]],
         ),
         (
             2,
-            &["6b8d0903351cf4e2", "fa66bb5396988247"],
+            &["531a47b16cf9c087", "ffba45193e900ea8"],
             &[&[200, 40, 30, 30], &[100, 100, 50, 50], &[200, 60, 38, 2]],
         ),
     ];
