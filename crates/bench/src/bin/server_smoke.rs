@@ -3,6 +3,8 @@
 //! ephemeral port and exercises the connection-layer contract directly:
 //! keep-alive reuse, pipelined ordering, `Connection: close`, malformed
 //! requests, and the request-body ceiling. Exits nonzero on any failure.
+//! Prints the served `create_pool_workers` line to stdout, which
+//! `scripts/verify.sh` compares with `nproc`: the process runs one pool.
 //!
 //! ```bash
 //! cargo run --release -p create-bench --bin server_smoke
@@ -50,6 +52,18 @@ fn main() {
     let again = client.get("/health").expect("socket reuse after pipeline");
     assert_eq!(again.status, 200);
     eprintln!("smoke: keep-alive reuse + pipelined ordering OK");
+
+    // The requests above ran on the process's pool, so its worker gauge
+    // is live by now.
+    let metrics = client.get("/metrics").expect("/metrics");
+    assert_eq!(metrics.status, 200);
+    let workers = metrics
+        .body_str()
+        .lines()
+        .find(|line| line.starts_with("create_pool_workers "))
+        .expect("/metrics has create_pool_workers")
+        .to_string();
+    println!("{workers}");
 
     // Connection: close is honored — the response says close and the
     // server actually closes the socket.

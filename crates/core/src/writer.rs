@@ -32,6 +32,15 @@ impl Create {
         })
     }
 
+    /// Holds the one write lock until the returned guard drops, as every
+    /// write operation does from start to publish: writes wait for it,
+    /// reads do not. For tests that read while a write is open.
+    #[doc(hidden)]
+    #[must_use = "the lock is released when the guard drops"]
+    pub fn hold_write_lock(&self) -> impl Sized + '_ {
+        self.lock_writers()
+    }
+
     /// Rebuilds the composite snapshot — sharing the state of exactly the
     /// shards in `touched` (reference counts, no table is copied) and
     /// reusing the published `Arc`s for the rest — and swaps it in

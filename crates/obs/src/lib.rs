@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_increments_sum_exactly() {
-        // Hammer one counter from the create-util work-stealing pool:
+        // Hammer one counter from the create-util thread pool:
         // every increment must land (satellite requirement).
         let registry = Registry::new();
         let counter = registry.counter("concurrent_total");

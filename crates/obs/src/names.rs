@@ -90,7 +90,7 @@ pub const HTTP_CONNECTIONS_ACCEPTED_TOTAL: &str = "create_http_connections_accep
 /// Admission-control rejections, labelled `reason=` (`connection_ceiling`,
 /// `route_limit`, `draining`) and, for route limits, `route=`.
 pub const HTTP_SHED_TOTAL: &str = "create_http_shed_total";
-/// Time a parsed request waited between admission and a dispatch worker
+/// Time a parsed request waited between admission and a pool worker
 /// picking it up, labelled `route=`.
 pub const HTTP_QUEUE_WAIT_SECONDS: &str = "create_http_queue_wait_seconds";
 /// Requests rejected with 413 because `Content-Length` exceeded the
@@ -105,9 +105,11 @@ pub const HTTP_TIMEOUTS_TOTAL: &str = "create_http_timeouts_total";
 /// Second-and-later requests served on a kept-alive connection.
 pub const HTTP_KEEPALIVE_REUSE_TOTAL: &str = "create_http_keepalive_reuse_total";
 
-/// Work-stealing pool series, maintained by `create-util::pool`:
-/// live worker threads across all pools, jobs currently queued but not
-/// yet picked up, and jobs handed to an executor since process start.
+/// Thread-pool series, maintained by `create-util::pool`: live worker
+/// threads across all pools (a serving process runs one, so this is its
+/// core count), jobs and scope tasks queued but not yet started, and
+/// jobs and scope tasks started since process start (a scope's ticket
+/// that finds no task left counts nothing).
 pub const POOL_WORKERS_GAUGE: &str = "create_pool_workers";
 pub const POOL_QUEUE_DEPTH_GAUGE: &str = "create_pool_queue_depth";
 pub const POOL_JOBS_EXECUTED_TOTAL: &str = "create_pool_jobs_executed_total";

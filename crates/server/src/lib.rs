@@ -9,9 +9,9 @@
 //!   response serialization;
 //! * [`router`] — path routing with `:param` captures;
 //! * [`api`] — the CREATe endpoint handlers over a shared [`create_core::Create`];
-//! * [`server`] — the evented serving loop (epoll/poll readiness, a
-//!   dispatch worker pool, keep-alive, admission control, graceful
-//!   drain);
+//! * [`server`] — the evented serving loop (epoll/poll readiness,
+//!   dispatch onto the process's work pool, keep-alive, admission
+//!   control, graceful drain);
 //! * [`client`] — a blocking keep-alive/pipelining client for tests and
 //!   benches.
 

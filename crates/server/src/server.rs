@@ -4,8 +4,9 @@
 //! fallback — see `create_util::poller`) owns every socket: the
 //! nonblocking listener, a self-pipe waker, and one state machine per
 //! connection (read header → read body → dispatch → write). Request
-//! execution fans out to a fixed `create_util::ThreadPool`; completed
-//! responses come back over a channel and a waker. HTTP/1.1 keep-alive
+//! execution runs on the process's one work pool,
+//! `create_util::ThreadPool::global()`; completed responses come back
+//! over a channel and a waker. HTTP/1.1 keep-alive
 //! and pipelining are supported, with admission control on top:
 //!
 //! * **connection ceiling** — accepts over [`ServerConfig::max_connections`]
@@ -17,7 +18,9 @@
 //!   renew them);
 //! * **graceful drain** — shutdown stops accepting, closes idle
 //!   connections, lets in-flight requests finish (bounded by
-//!   [`ServerConfig::drain_timeout`]), then flushes and exits.
+//!   [`ServerConfig::drain_timeout`]), flushes, and returns once every
+//!   dispatched request has run — past the timeout too, so a handler's
+//!   side effects are in place when [`Server::serve`] returns.
 
 use crate::conn::{Conn, Phase};
 use crate::http::{HttpLimits, Parse, ParseErrorKind, Response, Status};
@@ -27,6 +30,7 @@ use create_util::ThreadPool;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -35,10 +39,6 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the evented loop; `Default` matches production use.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dispatch workers. `0` sizes to the machine
-    /// (`available_parallelism`, floor 4 so a small host still overlaps
-    /// I/O-bound handlers).
-    pub worker_threads: usize,
     /// Open-connection ceiling; accepts beyond it are shed with `503`.
     pub max_connections: usize,
     /// From the first request byte until the blank line ending the
@@ -72,7 +72,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            worker_threads: 0,
             max_connections: 1024,
             header_timeout: Duration::from_secs(5),
             body_timeout: Duration::from_secs(10),
@@ -96,16 +95,6 @@ impl ServerConfig {
             .find(|(pattern, _)| pattern == label)
             .map(|(_, limit)| *limit)
             .unwrap_or(self.default_route_limit)
-    }
-
-    fn resolved_workers(&self) -> usize {
-        if self.worker_threads > 0 {
-            return self.worker_threads;
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .max(4)
     }
 }
 
@@ -197,7 +186,8 @@ impl Server {
     }
 
     /// Runs the event loop until the shutdown handle fires, then drains
-    /// in-flight requests and runs the shutdown hook.
+    /// in-flight requests, waits for every dispatched one to finish, and
+    /// runs the shutdown hook.
     pub fn serve(&self) {
         if let Err(e) = self.serve_evented() {
             create_obs::log(
@@ -225,7 +215,8 @@ impl Server {
             &self.shutdown,
         )?;
         let result = event_loop.run();
-        drop(event_loop); // joins the worker pool (drains queued jobs)
+        event_loop.await_dispatched();
+        drop(event_loop);
         self.listener.set_nonblocking(false)?;
         result
     }
@@ -257,13 +248,14 @@ struct EventLoop<'a> {
     poller: Poller,
     wake_rx: WakeRx,
     waker: Arc<Waker>,
-    pool: ThreadPool,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     tx: Sender<Completion>,
     rx: Receiver<Completion>,
     /// In-flight dispatch counts per route pattern (admission control).
     in_flight: HashMap<String, usize>,
+    /// Units handed to the pool whose completion has not come back yet.
+    dispatched: usize,
     draining: bool,
     drain_deadline: Option<Instant>,
 }
@@ -292,12 +284,12 @@ impl<'a> EventLoop<'a> {
             poller,
             wake_rx,
             waker: Arc::new(waker),
-            pool: ThreadPool::new(config.resolved_workers()),
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             tx,
             rx,
             in_flight: HashMap::new(),
+            dispatched: 0,
             draining: false,
             drain_deadline: None,
         })
@@ -552,8 +544,8 @@ impl<'a> EventLoop<'a> {
         true
     }
 
-    /// Hands a collected unit to the worker pool and takes its admission
-    /// slots.
+    /// Hands a collected unit to the process's pool and takes its
+    /// admission slots.
     fn dispatch_unit(
         &mut self,
         conn: &mut Conn,
@@ -565,6 +557,7 @@ impl<'a> EventLoop<'a> {
         for label in &labels {
             *self.in_flight.entry(label.clone()).or_insert(0) += 1;
         }
+        self.dispatched += 1;
         conn.in_flight = true;
         conn.phase = Phase::Dispatch;
         conn.deadline = None;
@@ -573,7 +566,7 @@ impl<'a> EventLoop<'a> {
         let waker = Arc::clone(&self.waker);
         let token = conn.token;
         let admitted = now;
-        self.pool.spawn(move || {
+        ThreadPool::global().spawn(move || {
             if create_obs::enabled() {
                 create_obs::histogram_with(
                     create_obs::names::HTTP_QUEUE_WAIT_SECONDS,
@@ -582,8 +575,17 @@ impl<'a> EventLoop<'a> {
                 .observe(admitted.elapsed().as_secs_f64());
             }
             let mut bytes = Vec::new();
+            let mut close_after = unit_closes;
             for (request, keep_alive) in &unit {
-                let response = router.dispatch(request);
+                // A panicking handler answers 500 and closes: the unit
+                // still completes, so the loop's count comes back to zero.
+                let Ok(response) = catch_unwind(AssertUnwindSafe(|| router.dispatch(request)))
+                else {
+                    let failure = Response::error(Status::InternalServerError, "handler panicked");
+                    bytes.extend_from_slice(&failure.serialize(false));
+                    close_after = true;
+                    break;
+                };
                 bytes.extend_from_slice(&response.serialize(*keep_alive));
             }
             // Send failures mean the loop already exited; nothing to do.
@@ -591,7 +593,7 @@ impl<'a> EventLoop<'a> {
                 token,
                 labels,
                 bytes,
-                close_after: unit_closes,
+                close_after,
             });
             waker.wake();
         });
@@ -608,6 +610,7 @@ impl<'a> EventLoop<'a> {
 
     fn drain_completions(&mut self, now: Instant) {
         while let Ok(completion) = self.rx.try_recv() {
+            self.dispatched -= 1;
             for label in &completion.labels {
                 if let Some(active) = self.in_flight.get_mut(label) {
                     *active -= 1;
@@ -723,6 +726,16 @@ impl<'a> EventLoop<'a> {
             if let Some(conn) = self.conns.remove(&token) {
                 self.close_conn(conn);
             }
+        }
+    }
+
+    /// Blocks until every dispatched unit has come back. A drain that hit
+    /// its deadline closed their connections, but the handlers still run
+    /// to the end; their responses go nowhere.
+    fn await_dispatched(&mut self) {
+        while self.dispatched > 0 {
+            let _unanswered = self.rx.recv().expect("the loop holds a sender itself");
+            self.dispatched -= 1;
         }
     }
 

@@ -1,14 +1,11 @@
-//! A std-only scoped work-stealing thread pool.
+//! A std-only scoped thread pool: one FIFO queue, one worker per core.
 //!
 //! The batch-ingestion and batch-query paths fan CPU-bound work (CRF
 //! tagging, analyzer tokenization, postings construction, BM25 scoring)
-//! across cores. The build environment has no network access, so this is
-//! built entirely on `std`: each worker owns a local deque and steals
-//! from the global injector or from its siblings when idle.
-//!
-//! Scheduling order per worker: newest local task (LIFO, cache-warm) →
-//! oldest injected task (FIFO, fair) → steal the oldest task from a
-//! sibling (FIFO, minimizes contention on the victim's hot end).
+//! across cores, and the HTTP server runs its requests on the same
+//! workers. The build environment has no network access, so this is built
+//! entirely on `std`: workers pop jobs oldest first from one shared queue
+//! and park on a condvar paired with that queue's lock while it is empty.
 //!
 //! Two entry points cover the workspace's needs:
 //!
@@ -17,23 +14,29 @@
 //! * [`ThreadPool::parallel_map`] — indexed map over a slice with
 //!   self-scheduling at item granularity, results in input order.
 //!
+//! A scope keeps its tasks in a queue of its own; the pool's queue gets
+//! one ticket per task, which runs one task of that scope if any is still
+//! waiting. The scope's caller, while it waits, runs tasks from its own
+//! queue and nothing else: a thread that holds a lock across a scope
+//! never picks up an unrelated job that wants the same lock.
+//!
 //! Determinism note: the pool never reorders *results* — `parallel_map`
 //! writes each result into its input slot — so callers that shard work
 //! deterministically (see `create-index`'s segment merge) observe output
 //! independent of thread count and scheduling.
 //!
 //! Observability: when `create-obs` is built with its `enabled`
-//! feature (any instrumented workspace build), every injected job is
+//! feature (any instrumented workspace build), every job and task is
 //! wrapped with `create_obs::carry_context` so the submitting thread's
-//! trace context follows the job onto the worker, and the pool
+//! trace context follows it onto the thread that runs it, and the pool
 //! maintains process-wide worker-count / queue-depth gauges plus a
 //! jobs-executed counter in the global registry. Stripped builds
 //! (`--no-default-features`) compile all of it out.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// A unit of work. The `'static` bound is erased for scoped tasks; the
@@ -61,8 +64,17 @@ fn pool_series() -> Option<&'static PoolSeries> {
     }))
 }
 
-/// A job left the queue and is about to run on some executor (a worker
-/// or a scope's drain loop).
+/// A job or task was queued; the queue-depth gauge counts it until it
+/// starts.
+fn note_job_queued() {
+    if let Some(series) = pool_series() {
+        series.queue_depth.add(1);
+    }
+}
+
+/// A job or task left its queue and is about to run (on a worker, or on
+/// the thread waiting for its scope). A ticket that finds its scope's
+/// queue empty runs nothing and counts nothing.
 fn note_job_executed() {
     if let Some(series) = pool_series() {
         series.queue_depth.add(-1);
@@ -70,44 +82,34 @@ fn note_job_executed() {
     }
 }
 
+/// Wraps `job` so the submitting thread's trace context is installed
+/// around it wherever it runs (a plain box-wrap in stripped builds, so
+/// gate on the const feature flag instead).
+fn carry(job: Job) -> Job {
+    if create_obs::enabled() {
+        Box::new(create_obs::carry_context(job))
+    } else {
+        job
+    }
+}
+
+/// What the pool's lock guards: the job queue and the shutdown flag.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+}
+
 struct Shared {
-    /// Global FIFO queue that `scope`/`parallel_map` push into.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker local deques, steal targets for idle siblings.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Wakes idle workers when work arrives or on shutdown.
+    queue: Mutex<Queue>,
+    /// Wakes idle workers. Signalled with `queue` locked, and a worker
+    /// checks for work and parks under that same lock, so no signal falls
+    /// between a worker's empty check and its wait.
     work_signal: Condvar,
-    /// Guards the sleep state for `work_signal`.
-    sleep_lock: Mutex<()>,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Pops a job: own local LIFO first, then the injector, then steal
-    /// FIFO from siblings.
-    fn find_job(&self, worker: usize) -> Option<Job> {
-        let job = self.find_job_inner(worker);
-        if job.is_some() {
-            note_job_executed();
-        }
-        job
-    }
-
-    fn find_job_inner(&self, worker: usize) -> Option<Job> {
-        if let Some(job) = self.locals[worker].lock().expect("pool lock").pop_back() {
-            return Some(job);
-        }
-        if let Some(job) = self.injector.lock().expect("pool lock").pop_front() {
-            return Some(job);
-        }
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(job) = self.locals[victim].lock().expect("pool lock").pop_front() {
-                return Some(job);
-            }
-        }
-        None
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("pool lock")
     }
 }
 
@@ -131,18 +133,18 @@ impl ThreadPool {
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             work_signal: Condvar::new(),
-            sleep_lock: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
         });
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("create-pool-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -152,20 +154,19 @@ impl ThreadPool {
         ThreadPool { shared, workers }
     }
 
-    /// Pool sized to the machine (`available_parallelism`, min 1).
-    pub fn for_machine() -> ThreadPool {
-        ThreadPool::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The process-wide shared pool, sized to the machine. Batch ingestion
-    /// and batch search both amortize their fan-out over this instance.
+    /// The process-wide pool, one worker per core
+    /// (`available_parallelism`, min 1). Every CPU job of the process
+    /// runs here: the server's requests, batch ingestion and batch
+    /// search.
     pub fn global() -> &'static ThreadPool {
         static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-        GLOBAL.get_or_init(ThreadPool::for_machine)
+        GLOBAL.get_or_init(|| {
+            ThreadPool::new(
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1),
+            )
+        })
     }
 
     /// Number of worker threads.
@@ -174,47 +175,43 @@ impl ThreadPool {
     }
 
     /// Submits a fire-and-forget job. Unlike [`ThreadPool::scope`] the
-    /// closure must be `'static`; nothing awaits its completion, but
-    /// dropping the pool drains every queued job before joining the
-    /// workers (the evented server relies on this for graceful drain).
+    /// closure must be `'static`, and nothing awaits its completion: a
+    /// caller that must know when it finished has the job say so (the
+    /// evented server counts its dispatched requests back in). Dropping
+    /// a pool still runs every queued job before joining the workers.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        self.inject(Box::new(f));
+        note_job_queued();
+        let job = carry(Box::new(f));
+        self.inject(Box::new(move || {
+            note_job_executed();
+            job()
+        }));
     }
 
     fn inject(&self, job: Job) {
-        // Capture the submitter's trace context so the worker installs
-        // it around the job (a no-op box-wrap in stripped builds, so
-        // gate on the const feature flag instead).
-        let job: Job = if create_obs::enabled() {
-            Box::new(create_obs::carry_context(job))
-        } else {
-            job
-        };
-        if let Some(series) = pool_series() {
-            series.queue_depth.add(1);
-        }
-        self.shared
-            .injector
-            .lock()
-            .expect("pool lock")
-            .push_back(job);
+        let mut queue = self.shared.lock();
+        queue.jobs.push_back(job);
         self.shared.work_signal.notify_one();
     }
 
     /// Runs `f` with a [`Scope`] that can spawn closures borrowing from
     /// the caller's stack. Returns once `f` and every spawned task have
-    /// completed. If any task panicked, the first panic is resumed on the
-    /// caller's thread after the scope drains (so borrowed data is never
-    /// touched after the caller unwinds).
+    /// completed; meanwhile the calling thread runs the scope's queued
+    /// tasks itself (never another job), so a scope completes even when
+    /// every worker is busy. If any task panicked, the first panic is
+    /// resumed on the caller's thread after the scope drains (so borrowed
+    /// data is never touched after the caller unwinds).
     pub fn scope<'scope, F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'scope, '_>) -> R,
     {
         let state = Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
+            tasks: Mutex::new(ScopeTasks {
+                queued: VecDeque::new(),
+                pending: 0,
+            }),
             done: Condvar::new(),
-            done_lock: Mutex::new(()),
+            panic: Mutex::new(None),
         });
         let scope = Scope {
             pool: self,
@@ -223,47 +220,14 @@ impl ThreadPool {
         };
         // The drain guard blocks until all tasks finish even when `f`
         // itself panics — spawned closures may borrow locals of `f`.
-        struct Drain<'a> {
-            pool: &'a ThreadPool,
-            state: Arc<ScopeState>,
-        }
+        struct Drain<'a>(&'a ScopeState);
         impl Drop for Drain<'_> {
             fn drop(&mut self) {
-                // Help run injected work while waiting: keeps a
-                // single-worker pool from deadlocking on nested scopes
-                // and puts the calling thread to productive use.
-                while self.state.pending.load(Ordering::Acquire) > 0 {
-                    let job = self
-                        .pool
-                        .shared
-                        .injector
-                        .lock()
-                        .expect("pool lock")
-                        .pop_front();
-                    match job {
-                        Some(job) => {
-                            note_job_executed();
-                            job()
-                        }
-                        None => {
-                            let guard = self.state.done_lock.lock().expect("pool lock");
-                            if self.state.pending.load(Ordering::Acquire) > 0 {
-                                let _unused = self
-                                    .state
-                                    .done
-                                    .wait_timeout(guard, std::time::Duration::from_millis(1))
-                                    .expect("pool lock");
-                            }
-                        }
-                    }
-                }
+                self.0.wait();
             }
         }
         let result = {
-            let _drain = Drain {
-                pool: self,
-                state: Arc::clone(&state),
-            };
+            let _drain = Drain(&state);
             f(&scope)
             // `_drain` drops here, blocking until every task completed.
         };
@@ -319,11 +283,11 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         let threads = self.workers.len();
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake everyone so they observe the flag.
-        let _guard = self.shared.sleep_lock.lock().expect("pool lock");
-        self.shared.work_signal.notify_all();
-        drop(_guard);
+        {
+            let mut queue = self.shared.lock();
+            queue.shutdown = true;
+            self.shared.work_signal.notify_all();
+        }
         for handle in self.workers.drain(..) {
             let _unused = handle.join();
         }
@@ -333,11 +297,58 @@ impl Drop for ThreadPool {
     }
 }
 
+/// What a scope's lock guards: its tasks not yet started, and the count
+/// of tasks spawned and not yet finished.
+struct ScopeTasks {
+    queued: VecDeque<Job>,
+    pending: usize,
+}
+
 struct ScopeState {
-    pending: AtomicUsize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    tasks: Mutex<ScopeTasks>,
+    /// Signalled, with `tasks` locked, when `pending` reaches zero.
     done: Condvar,
-    done_lock: Mutex<()>,
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+impl ScopeState {
+    fn lock(&self) -> MutexGuard<'_, ScopeTasks> {
+        self.tasks.lock().expect("pool lock")
+    }
+
+    /// Runs the oldest queued task of this scope, if one is left — what a
+    /// ticket does on a worker, and what the waiting caller does on its
+    /// own thread.
+    fn run_one(&self) {
+        let Some(task) = self.lock().queued.pop_front() else {
+            return;
+        };
+        note_job_executed();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+            self.panic.lock().expect("pool lock").get_or_insert(payload);
+        }
+        let mut tasks = self.lock();
+        tasks.pending -= 1;
+        if tasks.pending == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Blocks until every spawned task has finished, running the scope's
+    /// queued tasks on the calling thread meanwhile. Once none is queued
+    /// the rest are running on workers, and the last to finish wakes it.
+    fn wait(&self) {
+        let mut tasks = self.lock();
+        while tasks.pending > 0 {
+            if tasks.queued.is_empty() {
+                tasks = self.done.wait(tasks).expect("pool lock");
+            } else {
+                drop(tasks);
+                self.run_one();
+                tasks = self.lock();
+            }
+        }
+    }
 }
 
 /// Spawn handle passed to the closure of [`ThreadPool::scope`].
@@ -349,56 +360,44 @@ pub struct Scope<'scope, 'pool> {
 }
 
 impl<'scope> Scope<'scope, '_> {
-    /// Spawns a task that may borrow data outliving the scope.
+    /// Spawns a task that may borrow data outliving the scope: queues it
+    /// on the scope and puts one ticket for it on the pool.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = Arc::clone(&self.state);
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            if let Err(payload) = result {
-                let mut slot = state.panic.lock().expect("pool lock");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let remaining = state.pending.fetch_sub(1, Ordering::AcqRel);
-            if remaining == 1 {
-                let _guard = state.done_lock.lock().expect("pool lock");
-                state.done.notify_all();
-            }
-        });
+        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
         // SAFETY: the scope's drain guard blocks until `pending` reaches
-        // zero before the borrowed stack frame can unwind, so the closure
-        // never outlives its borrows; lifetime erasure to 'static is sound.
+        // zero before the borrowed stack frame can unwind, and a task is
+        // consumed before `pending` counts it finished, so the closure
+        // never outlives its borrows; lifetime erasure to 'static is
+        // sound. A ticket that outlives the scope finds its queue empty.
         let task: Job =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task) };
-        self.pool.inject(task);
+        note_job_queued();
+        {
+            let mut tasks = self.state.lock();
+            tasks.queued.push_back(carry(task));
+            tasks.pending += 1;
+        }
+        let state = Arc::clone(&self.state);
+        self.pool.inject(Box::new(move || state.run_one()));
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.lock();
     loop {
-        if let Some(job) = shared.find_job(worker) {
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
             // A panicking job must not kill the worker; scoped tasks
-            // already catch panics, but `find_job` may hand us any job.
+            // already catch their panics, but a spawned job may not.
             let _result = catch_unwind(AssertUnwindSafe(job));
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+            queue = shared.lock();
+        } else if queue.shutdown {
             return;
-        }
-        let guard = shared.sleep_lock.lock().expect("pool lock");
-        // Re-check under the lock to avoid missing a notify between the
-        // failed pop and the wait.
-        let has_work = !shared.injector.lock().expect("pool lock").is_empty();
-        if !has_work && !shared.shutdown.load(Ordering::Acquire) {
-            let _unused = shared
-                .work_signal
-                .wait_timeout(guard, std::time::Duration::from_millis(10))
-                .expect("pool lock");
+        } else {
+            queue = shared.work_signal.wait(queue).expect("pool lock");
         }
     }
 }
@@ -406,6 +405,25 @@ fn worker_loop(shared: &Shared, worker: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on a thread of its own and fails if it has not returned
+    /// within `limit`: a deadlock or a lost wakeup becomes a failure, not
+    /// a hang.
+    fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) = rx.recv_timeout(limit) {
+            panic!("still running after {limit:?}: the pool is stuck");
+        }
+        if let Err(payload) = watched.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -534,5 +552,61 @@ mod tests {
         let b = ThreadPool::global();
         assert!(std::ptr::eq(a, b));
         assert!(a.threads() >= 1);
+    }
+
+    #[test]
+    fn a_waiting_scope_runs_only_its_own_tasks() {
+        for threads in [1, 2] {
+            within(Duration::from_secs(30), move || {
+                // Leaked: the holder job borrows the pool for its nested
+                // map, so the pool must outlive every job on it.
+                let pool: &'static ThreadPool = Box::leak(Box::new(ThreadPool::new(threads)));
+                let lock = Arc::new(Mutex::new(0usize));
+                let (locked_tx, locked_rx) = mpsc::channel();
+                let (go_tx, go_rx) = mpsc::channel::<()>();
+                let (done_tx, done_rx) = mpsc::channel();
+                {
+                    let (lock, done_tx) = (Arc::clone(&lock), done_tx.clone());
+                    pool.spawn(move || {
+                        let mut held = lock.lock().expect("holder lock");
+                        locked_tx.send(()).expect("test waits");
+                        go_rx.recv().expect("test says go");
+                        let items: Vec<usize> = (0..8).collect();
+                        *held = pool.parallel_map(&items, |_, &x| x).iter().sum();
+                        done_tx.send("holder").expect("test waits");
+                    });
+                }
+                locked_rx.recv().expect("holder took the lock");
+                // One job per worker that wants the held lock: with the
+                // holder on a worker, at least one of them is still
+                // queued ahead of the holder's tickets when its map waits.
+                for _ in 0..threads {
+                    let (lock, done_tx) = (Arc::clone(&lock), done_tx.clone());
+                    pool.spawn(move || {
+                        let sum = *lock.lock().expect("waiter lock");
+                        assert_eq!(sum, 28, "the waiter ran after the holder's map");
+                        done_tx.send("waiter").expect("test waits");
+                    });
+                }
+                go_tx.send(()).expect("holder waits");
+                let finished: Vec<&str> = (0..=threads)
+                    .map(|_| done_rx.recv().expect("every job reports"))
+                    .collect();
+                assert_eq!(finished[0], "holder", "{threads} workers: {finished:?}");
+            });
+        }
+    }
+
+    #[test]
+    fn inject_round_trips_never_lose_a_wakeup() {
+        within(Duration::from_secs(60), || {
+            let pool = ThreadPool::new(1);
+            let (tx, rx) = mpsc::channel();
+            for i in 0..10_000 {
+                let tx = tx.clone();
+                pool.spawn(move || tx.send(i).expect("test waits"));
+                assert_eq!(rx.recv().expect("the job ran"), i);
+            }
+        });
     }
 }

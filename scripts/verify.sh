@@ -110,8 +110,17 @@ rm -f "$quick"
 restore_bench_lock
 trap - EXIT
 
-echo "== server smoke: keep-alive, pipelining, close, 400/413 (raw sockets) =="
-cargo run -q --release -p create-bench --bin server_smoke
+echo "== server smoke: keep-alive, pipelining, close, 400/413 (raw sockets), one pool =="
+smoke="$(mktemp)"
+cargo run -q --release -p create-bench --bin server_smoke > "$smoke"
+# Every CPU job of the process runs on one pool of one worker per core:
+# a second pool beside it would raise the served worker gauge past nproc.
+workers="$(sed -n 's/^create_pool_workers //p' "$smoke")"
+[ "$workers" = "$(nproc)" ] || {
+    echo "verify: FAIL — the smoke server runs '$workers' pool workers, nproc is $(nproc)" >&2
+    exit 1
+}
+rm -f "$smoke"
 
 echo "== trace smoke: /trace/{id} span tree over every shard, listed in /slowlog =="
 trace="$(mktemp)"

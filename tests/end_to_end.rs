@@ -182,6 +182,89 @@ fn rest_api_serves_the_whole_surface() {
     t.join().unwrap();
 }
 
+/// A tagger just good enough for `/submit_batch` to run its extraction.
+fn tiny_tagger(system: &Create) -> create::ner::CrfTagger {
+    let reports = Generator::new(CorpusConfig {
+        num_reports: 15,
+        seed: 20260813,
+        ..Default::default()
+    })
+    .generate();
+    let dataset =
+        create::ner::NerDataset::from_reports(&reports, create::ner::LabelSet::ner_targets());
+    create::ner::CrfTagger::train(
+        &dataset,
+        create::ner::CrfTaggerConfig {
+            feature_bits: 16,
+            train: create::ml::CrfTrainConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+            gazetteer_features: true,
+        },
+        Some(system.ontology()),
+        None,
+    )
+}
+
+#[test]
+fn concurrent_submit_batches_all_land() {
+    // Requests run on the process's one pool, and a batch holds the write
+    // lock across its own pool phases: eight batches at once must neither
+    // deadlock nor lose a document.
+    const CLIENTS: usize = 8;
+    const DOCS: usize = 4;
+    let (system, _) = loaded(10, 12);
+    system.attach_tagger(tiny_tagger(&system));
+    let system = Arc::new(system);
+    let server = Server::bind("127.0.0.1:0", build_api(Arc::clone(&system))).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let t = std::thread::spawn(move || server.serve());
+
+    let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let (answers, answered) = std::sync::mpsc::channel();
+    let mut clients = Vec::new();
+    for client in 0..CLIENTS {
+        let (start, answers) = (Arc::clone(&start), answers.clone());
+        clients.push(std::thread::spawn(move || {
+            let documents: Vec<String> = (0..DOCS)
+                .map(|d| {
+                    format!(
+                        r#"{{"id": "user:c{client}-d{d}", "title": "Case {client}.{d}", "text": "A patient presented with fever and cough. Pneumonia was treated with antibiotics.", "year": 2020}}"#
+                    )
+                })
+                .collect();
+            let body = format!(r#"{{"documents": [{}]}}"#, documents.join(", "));
+            start.wait();
+            let _ = answers.send((client, http_post(addr, "/submit_batch", &body)));
+        }));
+    }
+    for _ in 0..CLIENTS {
+        // A stuck server would never answer: fail, not hang.
+        let (client, answer) = answered
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("every /submit_batch is answered");
+        let (status, body) = answer.expect("the request went through");
+        assert!(
+            (200..300).contains(&status),
+            "client {client}: {status} {body}"
+        );
+    }
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    for client in 0..CLIENTS {
+        for d in 0..DOCS {
+            let id = format!("user:c{client}-d{d}");
+            assert!(system.report(&id).unwrap().is_some(), "{id} is not held");
+        }
+    }
+    assert_eq!(system.stats().reports, 10 + CLIENTS * DOCS);
+    handle.shutdown();
+    t.join().unwrap();
+}
+
 #[test]
 fn platform_persistence_round_trip() {
     // Ingest into a disk-backed platform, flush, reopen, and verify the

@@ -8,6 +8,8 @@ use create::server::server::{http_get, ServerConfig};
 use create::server::{Router, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn storm_router() -> Router {
@@ -23,6 +25,7 @@ fn storm_router() -> Router {
     r.route("POST", "/submit", |req, _| {
         Response::text(Status::Created, format!("got {}", req.body.len()))
     });
+    r.route("GET", "/boom", |_, _| panic!("handler failure"));
     r
 }
 
@@ -41,16 +44,9 @@ fn spawn_server(
     (addr, handle, join)
 }
 
-fn quick_config() -> ServerConfig {
-    ServerConfig {
-        worker_threads: 2,
-        ..ServerConfig::default()
-    }
-}
-
 #[test]
 fn keep_alive_socket_serves_many_requests() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let mut client = KeepAliveClient::connect(addr).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -70,7 +66,7 @@ fn keep_alive_socket_serves_many_requests() {
 
 #[test]
 fn pipelined_requests_answered_in_order() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let mut client = KeepAliveClient::connect(addr).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -93,7 +89,7 @@ fn pipelined_requests_answered_in_order() {
 
 #[test]
 fn connection_close_header_is_honored() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let mut client = KeepAliveClient::connect(addr).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -118,7 +114,7 @@ fn connection_close_header_is_honored() {
 
 #[test]
 fn keep_alive_and_close_responses_match() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let mut ka = KeepAliveClient::connect(addr).unwrap();
     ka.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let via_keep_alive = ka.get("/echo/xyz").unwrap();
@@ -136,7 +132,6 @@ fn keep_alive_and_close_responses_match() {
 #[test]
 fn slowloris_header_trickle_gets_timed_out() {
     let config = ServerConfig {
-        worker_threads: 2,
         header_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     };
@@ -163,7 +158,6 @@ fn slowloris_header_trickle_gets_timed_out() {
 #[test]
 fn idle_keep_alive_connection_is_reaped() {
     let config = ServerConfig {
-        worker_threads: 2,
         idle_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
     };
@@ -182,7 +176,6 @@ fn idle_keep_alive_connection_is_reaped() {
 #[test]
 fn route_limit_sheds_with_429_and_retry_after() {
     let config = ServerConfig {
-        worker_threads: 4,
         route_limits: vec![("/slow".to_string(), 1)],
         ..ServerConfig::default()
     };
@@ -219,7 +212,6 @@ fn route_limit_sheds_with_429_and_retry_after() {
 #[test]
 fn connection_ceiling_sheds_with_503() {
     let config = ServerConfig {
-        worker_threads: 2,
         max_connections: 2,
         ..ServerConfig::default()
     };
@@ -246,7 +238,7 @@ fn connection_ceiling_sheds_with_503() {
 
 #[test]
 fn oversized_body_rejected_with_413() {
-    let mut config = quick_config();
+    let mut config = ServerConfig::default();
     config.limits.max_body_bytes = 1024;
     let (addr, shutdown, join) = spawn_server(config);
     let mut client = KeepAliveClient::connect(addr).unwrap();
@@ -267,7 +259,7 @@ fn oversized_body_rejected_with_413() {
 
 #[test]
 fn malformed_request_gets_a_400_not_a_dropped_socket() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     for raw in [
         &b"GARBAGE\r\n\r\n"[..],
         b"GET /x HTTP/1.1 extra\r\n\r\n",
@@ -288,7 +280,7 @@ fn malformed_request_gets_a_400_not_a_dropped_socket() {
 
 #[test]
 fn graceful_drain_completes_in_flight_requests() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let mut client = KeepAliveClient::connect(addr).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -319,7 +311,7 @@ fn graceful_drain_completes_in_flight_requests() {
 
 #[test]
 fn requests_during_drain_are_shed_with_503() {
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let mut slow = KeepAliveClient::connect(addr).unwrap();
     slow.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
@@ -344,9 +336,60 @@ fn requests_during_drain_are_shed_with_503() {
 }
 
 #[test]
+fn serve_returns_after_a_handler_that_outlives_the_drain_timeout() {
+    // The handler sleeps past `drain_timeout`, so the drain gives up on
+    // its connection; `serve()` must still wait for the handler itself.
+    let (started_tx, started) = std::sync::mpsc::channel();
+    let finished = Arc::new(AtomicBool::new(false));
+    let mut router = Router::new();
+    {
+        let finished = Arc::clone(&finished);
+        router.route("GET", "/linger", move |_, _| {
+            let _ = started_tx.send(());
+            std::thread::sleep(Duration::from_millis(600));
+            finished.store(true, Ordering::SeqCst);
+            Response::text(Status::Ok, "done")
+        });
+    }
+    let config = ServerConfig {
+        drain_timeout: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", router, config).unwrap();
+    let addr = server.local_addr();
+    let shutdown = server.shutdown_handle();
+    let join = std::thread::spawn(move || server.serve());
+    let mut client = KeepAliveClient::connect(addr).unwrap();
+    client.send_get("/linger").unwrap();
+    started
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the handler started");
+    shutdown.shutdown();
+    join.join().unwrap();
+    assert!(
+        finished.load(Ordering::SeqCst),
+        "serve() returned before a dispatched handler finished"
+    );
+}
+
+#[test]
+fn a_panicking_handler_answers_500_and_serve_still_returns() {
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
+    let mut client = KeepAliveClient::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let resp = client.get("/boom").unwrap();
+    assert_eq!(resp.status, 500);
+    assert!(!resp.keep_alive(), "a failed unit closes its connection");
+    // The failed unit came back, so the drain has nothing to wait for.
+    shutdown.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn poll_backend_handles_keep_alive_and_pipelining() {
     let config = ServerConfig {
-        worker_threads: 2,
         use_poll_backend: true,
         ..ServerConfig::default()
     };
@@ -369,7 +412,7 @@ fn poll_backend_handles_keep_alive_and_pipelining() {
 fn connection_storm_smoke() {
     // A miniature version of the bench gate: many concurrent keep-alive
     // sockets, every request answered, zero errors.
-    let (addr, shutdown, join) = spawn_server(quick_config());
+    let (addr, shutdown, join) = spawn_server(ServerConfig::default());
     let clients: Vec<_> = (0..32)
         .map(|_| {
             std::thread::spawn(move || {

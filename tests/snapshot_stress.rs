@@ -9,8 +9,8 @@
 //! they observe never roll backwards, a separate test pins the cache
 //! contract: entries stamped with an old snapshot's generation survive the
 //! publish itself but die (as misses) on first touch afterwards, a
-//! third shows that every read API finishes while an ingest holds the
-//! write lock, and a fourth that a snapshot pinned across a
+//! third shows that every read API finishes while the write lock is
+//! held and an ingest waits for it, and a fourth that a snapshot pinned across a
 //! freeze, a tier merge and a compaction answers as it did when pinned.
 //! A fifth pins a snapshot across the flushes that compact its segment
 //! file away: the snapshot reads every stored body from the swept file
@@ -20,8 +20,7 @@ use create::core::plan::parse_cohort_criteria;
 use create::core::{Create, CreateConfig, MergePolicy, Snapshot};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::Duration;
+use std::sync::Arc;
 
 const BATCHES: usize = 5;
 const PER_BATCH: usize = 16;
@@ -46,13 +45,6 @@ fn single_shard() -> CreateConfig {
     CreateConfig { shards: 1 }
 }
 
-/// The tests of this binary take turns: every one ingests through the
-/// process-wide pool, which the read-under-write test parks.
-fn serial() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn ranking(system: &Create, query: &str) -> Ranking {
     system
         .search(query, K)
@@ -63,7 +55,6 @@ fn ranking(system: &Create, query: &str) -> Ranking {
 
 #[test]
 fn concurrent_readers_never_observe_torn_results() {
-    let _turn = serial();
     let reports = corpus(BATCHES * PER_BATCH, 20260806);
     let queries: Vec<String> = QuerySet::generate(&reports, 77, 6)
         .queries
@@ -175,7 +166,6 @@ fn concurrent_readers_never_observe_torn_results() {
 
 #[test]
 fn stale_cache_entries_die_on_first_touch_after_publish() {
-    let _turn = serial();
     let reports = corpus(30, 99);
     let system = Create::new(single_shard());
     system
@@ -230,7 +220,6 @@ fn stale_cache_entries_die_on_first_touch_after_publish() {
 
 #[test]
 fn a_read_completes_while_a_write_operation_is_open() {
-    let _turn = serial();
     let reports = corpus(24, 99);
     let (reports, more) = reports.split_at(20);
     let dir = std::env::temp_dir().join(format!("create-read-under-write-{}", std::process::id()));
@@ -245,35 +234,13 @@ fn a_read_completes_while_a_write_operation_is_open() {
     )
     .expect("criteria parse");
 
-    // An ingest holds the one write lock from start to publish, and
-    // fans its prepare phase out over the process-wide pool; a scope's
-    // caller runs queued jobs while it waits. With every worker parked
-    // on a gate and one more gate job queued ahead of the ingest's
-    // tasks, the ingest takes the lock and parks on that job: it stays
-    // open until the gate opens.
-    let pool = create::util::ThreadPool::global();
-    let gate = Arc::new(RwLock::new(()));
-    let closed = gate.write().expect("a fresh gate");
-    let (started, parked) = std::sync::mpsc::channel();
-    for _ in 0..=pool.threads() {
-        let (gate, started) = (Arc::clone(&gate), started.clone());
-        pool.spawn(move || {
-            started
-                .send(std::thread::current().id())
-                .expect("the test is waiting");
-            drop(gate.read());
-        });
-    }
+    // The test holds the one write lock, as an ingest does from start to
+    // publish; an ingest started meanwhile waits for it.
+    let held = system.hold_write_lock();
     let writer = {
         let (system, more) = (Arc::clone(&system), more.to_vec());
         std::thread::spawn(move || system.ingest_gold_batch(&more, 2))
     };
-    let writer_id = writer.thread().id();
-    while parked
-        .recv_timeout(Duration::from_secs(60))
-        .expect("the ingest reached its prepare phase")
-        != writer_id
-    {}
     let (sender, receiver) = std::sync::mpsc::channel();
     let reader = {
         let system = Arc::clone(&system);
@@ -306,8 +273,8 @@ fn a_read_completes_while_a_write_operation_is_open() {
         .expect("a read blocked on an open write operation");
     let (cached, computed, cohort, report, annotations, svg) = reads.0;
     let (reports, postings, segments, counts, shards) = reads.1;
-    assert!(!writer.is_finished(), "the ingest stayed open");
-    drop(closed);
+    assert!(!writer.is_finished(), "the ingest waited for the lock");
+    drop(held);
     reader.join().expect("reader thread");
     let ingested = writer.join().expect("writer thread");
     assert_eq!(ingested.expect("the ingest lands"), more.len());
@@ -342,7 +309,6 @@ type Answers = (Vec<String>, Vec<String>, Vec<Option<String>>);
 /// builds a new segment, neither touches a segment a reader holds.
 #[test]
 fn a_pinned_reader_is_untouched_by_a_freeze_a_merge_and_a_compaction() {
-    let _turn = serial();
     let reports = corpus(40, 20261016);
     let dir = std::env::temp_dir().join(format!("create-pinned-reader-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -469,7 +435,6 @@ fn deleted_segments_open_under(dir: &std::path::Path) -> Vec<String> {
 /// deleted segment file is left.
 #[test]
 fn a_pinned_snapshot_reads_its_compacted_away_file_then_lets_it_go() {
-    let _turn = serial();
     let reports = corpus(30, 20261017);
     let dir = std::env::temp_dir().join(format!("create-pinned-files-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
