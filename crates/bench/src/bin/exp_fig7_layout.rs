@@ -23,6 +23,7 @@ fn main() {
     );
     let svg = system
         .visualize(&top.report_id)
+        .expect("the stored extraction reads back")
         .expect("top hit has an event graph");
     let path = std::env::temp_dir().join("create_fig7.svg");
     std::fs::write(&path, &svg).expect("write svg");

@@ -3,7 +3,7 @@
 //! The demo paper hosts ~10k curated reports; this sweep measures how the
 //! reproduction's ingest throughput, store sizes, and query latency
 //! distribution behave as the corpus grows, using the full CREATe-IR path
-//! (gold ingest → graph + index + docstore → Neo4j-first search).
+//! (gold ingest → event records + index + docstore → Neo4j-first search).
 
 use create_bench::{loaded_create, Table};
 use create_corpus::QuerySet;
@@ -70,7 +70,7 @@ fn main() {
     }
     table.print("E10 extension — scalability sweep (gold ingest, Neo4j-first search)");
     println!(
-        "expected shape: near-linear ingest, sub-linear query latency growth \
-         (graph search is seeded from the rarest query concept's posting)"
+        "expected shape: near-linear ingest, sub-linear query latency growth; \
+         graph counts and bytes from the per-report event records"
     );
 }

@@ -1,7 +1,7 @@
 //! Observability smoke check: ingest a small corpus (gold and raw text),
-//! run a few facade searches, then assert the obs registry saw every
-//! layer (every pipeline and query stage, snapshot publishes, DAAT
-//! executor, query cache, graph executor) and print the
+//! run a few facade searches and one Cypher read, then assert the obs
+//! registry saw every layer (every pipeline and query stage, snapshot
+//! publishes, DAAT executor, query cache, graph executor) and print the
 //! Prometheus exposition to stdout for `scripts/verify.sh` to grep.
 //!
 //! ```bash
@@ -65,6 +65,14 @@ fn main() {
     )
     .expect("criteria json");
     let cohort = system.cohort_from_json(&criteria).expect("cohort query");
+    // Searches read event records; only Cypher walks the graph, which
+    // `Create::graph` builds on demand.
+    let graph = system.graph().expect("stored reports read back");
+    create_graphdb::exec::query(
+        &graph,
+        "MATCH (r:Report)-[:CONTAINS]->(e:Event)-[:BEFORE]->(f:Event) RETURN COUNT(*)",
+    )
+    .expect("cypher read");
 
     let registry = create_obs::Registry::global();
     for (counter, why) in [
@@ -79,7 +87,7 @@ fn main() {
         ),
         (
             names::GRAPH_EXEC_NODES_VISITED_TOTAL,
-            "graph searches walked nodes",
+            "the Cypher read walked the graph's nodes",
         ),
         (names::PLAN_NODES_TOTAL, "every query lowers to a plan"),
         (

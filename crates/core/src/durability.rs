@@ -226,8 +226,8 @@ fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<Vec<Member<'a>>, Stri
     object_members(text, |_| true).map_err(|e| format!("{what} is not a JSON object: {e}"))
 }
 
-/// Splits a segment's stored payload into its documents.
-fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
+/// Splits a stored payload into its documents.
+pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
     take_payload(split_record(bytes, "payload")?)
 }
 

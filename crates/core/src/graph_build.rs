@@ -1,4 +1,5 @@
-//! Projecting reports into the property graph.
+//! Projecting reports into the property graph, and the event record
+//! the read path keeps of each report instead.
 //!
 //! Graph schema (the "nodeId / label / entityType" model of Section III-D):
 //!
@@ -10,27 +11,26 @@
 //!   `(:Event)-[:INSTANCE_OF]->(:Concept)`,
 //!   `(:Report)-[:MENTIONS]->(:Concept)`,
 //!   `(:Event)-[:BEFORE|:OVERLAP]->(:Event)` within a report.
+//!
+//! The graph is a view: Cypher gets it built on demand
+//! ([`Create::graph`](crate::Create::graph)). A shard keeps one
+//! [`EventRecord`] per report — what the graph search, the temporal
+//! operators and the counts read of the report's part of the graph.
 
 use crate::pipeline::ExtractedAnnotations;
 use create_docstore::Value;
 use create_graphdb::{NodeId, PropertyGraph};
 use create_ontology::{ConceptId, Ontology, RelationType};
-use create_util::fxhash::{FxHashMap, FxHashSet};
+use create_util::fxhash::FxHashSet;
+use create_util::{arc_slice_bytes, Chunked};
+use std::sync::Arc;
 
 /// An empty report graph: the one `(label, key)` pair it indexes by
 /// value is `(Concept, cui)`, which [`add_report`] reads to share a
-/// concept's node between reports and the graph search seeds from.
-/// Every other property is found by scanning its label.
+/// concept's node between reports. Every other property is found by
+/// scanning its label.
 pub fn report_graph() -> PropertyGraph {
     PropertyGraph::with_indexes(&[("Concept", "cui")])
-}
-
-/// The `Report` node of shard-local doc `doc`. A shard's reports enter
-/// its graph in apply order, which is doc-id order (see
-/// `Writer::apply`), and nothing else creates a `Report` node there, so
-/// the `doc`-th one is the doc's.
-pub fn report_node(graph: &PropertyGraph, doc: u32) -> Option<NodeId> {
-    graph.label_node("Report", doc as usize)
 }
 
 /// The node of a concept, from the `(Concept, cui)` index of a
@@ -45,6 +45,114 @@ pub fn find_concept(graph: &PropertyGraph, cui: ConceptId) -> Option<NodeId> {
             node.prop("cui").is_some_and(|found| found == value)
         }),
     }
+}
+
+/// The mentions [`add_report`] makes `Event` nodes of, by mention
+/// index, in mention order: those with a concept and an event type.
+pub(crate) fn event_mentions(annotations: &ExtractedAnnotations) -> Vec<usize> {
+    (annotations.mentions.iter().enumerate())
+        .filter(|(_, m)| m.concept.is_some() && m.etype.is_event())
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// A temporal edge between two events of a report: source and target
+/// as positions in its [`event_mentions`], and `BEFORE` or `OVERLAP`.
+pub type TemporalEdge = (u32, u32, RelationType);
+
+/// The temporal edges [`add_report`] creates between a report's
+/// `events` (its [`event_mentions`]), in creation order: one per
+/// relation whose endpoints are both events — an `AFTER` reversed into
+/// a `BEFORE`, a relation that is not temporal dropped.
+pub(crate) fn temporal_edges(
+    annotations: &ExtractedAnnotations,
+    events: &[usize],
+) -> Vec<TemporalEdge> {
+    let at = |mention: usize| events.binary_search(&mention).ok().map(|i| i as u32);
+    (annotations.relations.iter())
+        .filter_map(|&(src, dst, rel)| {
+            let (a, b) = (at(src)?, at(dst)?);
+            match rel {
+                RelationType::Before => Some((a, b, RelationType::Before)),
+                RelationType::After => Some((b, a, RelationType::Before)),
+                RelationType::Overlap => Some((a, b, RelationType::Overlap)),
+                _ => None,
+            }
+        })
+        .collect()
+}
+
+/// `edges` in the order a walk of the graph meets them: by source
+/// event, then in creation order — each event's outgoing edges.
+pub(crate) fn walk_order(edges: &[TemporalEdge]) -> Vec<TemporalEdge> {
+    let mut walked = edges.to_vec();
+    walked.sort_by_key(|&(source, ..)| source);
+    walked
+}
+
+/// One report's part of the graph as the read path uses it, taken from
+/// its extraction as [`add_report`] takes it: a shard holds one per
+/// document, indexed by doc id, in place of the graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EventRecord {
+    /// The report's year.
+    pub year: u32,
+    /// The concepts the report `MENTIONS`: sorted, distinct.
+    pub concepts: Box<[ConceptId]>,
+    /// Its events, in mention order: each one's concept and timeline
+    /// step.
+    pub events: Box<[(ConceptId, Option<u32>)]>,
+    /// Its `BEFORE` / `OVERLAP` edges, in creation order.
+    pub edges: Box<[TemporalEdge]>,
+}
+
+impl EventRecord {
+    /// The record of a report of `year` with `annotations`.
+    pub fn new(year: u32, annotations: &ExtractedAnnotations) -> EventRecord {
+        let mentions = &annotations.mentions;
+        let mut concepts: Vec<ConceptId> = mentions.iter().filter_map(|m| m.concept).collect();
+        concepts.sort_unstable();
+        concepts.dedup();
+        let events = event_mentions(annotations);
+        EventRecord {
+            year,
+            concepts: concepts.into(),
+            events: (events.iter().map(|&i| &mentions[i]))
+                .map(|m| (m.concept.expect("events have concepts"), m.time_step))
+                .collect(),
+            edges: temporal_edges(annotations, &events).into(),
+        }
+    }
+}
+
+/// A shard's event records, by doc id.
+pub type EventColumn = Chunked<Arc<EventRecord>>;
+
+/// Heap bytes an event column holds: its chunks, and every record's
+/// `Arc` allocation and three lists.
+pub fn column_bytes(column: &EventColumn) -> usize {
+    let record = |r: &Arc<EventRecord>| {
+        arc_slice_bytes(size_of::<EventRecord>())
+            + size_of_val(&*r.concepts)
+            + size_of_val(&*r.events)
+            + size_of_val(&*r.edges)
+    };
+    column.heap_bytes() + column.iter().map(record).sum::<usize>()
+}
+
+/// The `(nodes, edges)` of the graph [`add_report`] builds from the
+/// reports of `column`: a node per report, per event and per distinct
+/// concept; `CONTAINS` and `INSTANCE_OF` per event, `MENTIONS` per
+/// report and concept, and the temporal edges.
+pub(crate) fn graph_counts(column: &EventColumn) -> (usize, usize) {
+    let mut concepts = FxHashSet::default();
+    let (mut events, mut edges) = (0, 0);
+    for record in column.iter() {
+        concepts.extend(record.concepts.iter().copied());
+        events += record.events.len();
+        edges += record.concepts.len() + record.edges.len();
+    }
+    (column.len() + events + concepts.len(), edges + 2 * events)
 }
 
 /// Metadata attached to the report node.
@@ -80,7 +188,8 @@ fn concept_node(graph: &mut PropertyGraph, ontology: &Ontology, cui: ConceptId) 
 }
 
 /// Adds one report's annotations to a [`report_graph`]; returns the
-/// report node.
+/// report node. Its event and temporal-edge order is the one of
+/// [`event_mentions`] and [`temporal_edges`].
 pub fn add_report(
     graph: &mut PropertyGraph,
     ontology: &Ontology,
@@ -96,14 +205,14 @@ pub fn add_report(
             ("category", Value::String(meta.category.clone())),
         ],
     );
-    // Event nodes per mention with a concept + step.
-    let mut event_nodes: FxHashMap<usize, NodeId> = FxHashMap::default();
+    // Event nodes per mention with a concept + step, in mention order.
+    let mut event_nodes: Vec<NodeId> = Vec::new();
     // MENTIONS edge once per (report, concept). The report node is
     // brand new, so a local set of linked concepts is equivalent to
     // scanning its outgoing edges — without rebuilding the adjacency
     // Vec on every mention.
     let mut mentioned: FxHashSet<NodeId> = FxHashSet::default();
-    for (mi, m) in annotations.mentions.iter().enumerate() {
+    for m in &annotations.mentions {
         let Some(cui) = m.concept else { continue };
         let concept_node = concept_node(graph, ontology, cui);
         if mentioned.insert(concept_node) {
@@ -127,26 +236,13 @@ pub fn add_report(
             );
             graph.create_edge::<&str>(report_node, event_node, "CONTAINS", vec![]);
             graph.create_edge::<&str>(event_node, concept_node, "INSTANCE_OF", vec![]);
-            event_nodes.insert(mi, event_node);
+            event_nodes.push(event_node);
         }
     }
     // Temporal edges between event nodes.
-    for &(src, dst, rel) in &annotations.relations {
-        let (Some(&a), Some(&b)) = (event_nodes.get(&src), event_nodes.get(&dst)) else {
-            continue;
-        };
-        match rel {
-            RelationType::Before => {
-                graph.create_edge::<&str>(a, b, "BEFORE", vec![]);
-            }
-            RelationType::After => {
-                graph.create_edge::<&str>(b, a, "BEFORE", vec![]);
-            }
-            RelationType::Overlap => {
-                graph.create_edge::<&str>(a, b, "OVERLAP", vec![]);
-            }
-            _ => {}
-        }
+    for (a, b, rel) in temporal_edges(annotations, &event_mentions(annotations)) {
+        let (a, b) = (event_nodes[a as usize], event_nodes[b as usize]);
+        graph.create_edge::<&str>(a, b, rel.label(), vec![]);
     }
     report_node
 }

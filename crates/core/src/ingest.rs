@@ -22,8 +22,8 @@ use std::time::Instant;
 
 impl Create {
     /// Ingests a gold-annotated corpus report (the curated literature
-    /// path): stores the document and its annotations, projects the graph,
-    /// and indexes the text — all in the report's owning shard. A batch
+    /// path): stores the document and its annotations, records its
+    /// events, and indexes the text — all in the report's owning shard. A batch
     /// of one.
     pub fn ingest_gold(&self, report: &CaseReport) -> Result<(), IngestError> {
         self.ingest_gold_batch(std::slice::from_ref(report), 1)?;
@@ -74,7 +74,7 @@ impl Create {
     /// `threads` contiguous worker ranges (0 = one per pool worker). The
     /// result is identical to calling [`Create::ingest_gold`] per report,
     /// for any thread count and any shard count: same
-    /// [`SystemStats`](crate::SystemStats), same graphs, same postings,
+    /// [`SystemStats`](crate::SystemStats), same event records, same postings,
     /// same ingest ordinals. Searches keep running against the previous
     /// snapshot throughout; the batch becomes visible in one composite
     /// publish at the end.
@@ -151,7 +151,7 @@ impl Create {
         let prepared = prepare_batch(template, &ranges, &routes, shards, &prepare);
         let base = writers.next_ordinal;
         let work = regroup(prepared, &routes, shards)?;
-        let touched = apply_batch(&self.ontology, &mut writers.shards, work, base)?;
+        let touched = apply_batch(&mut writers.shards, work, base)?;
         writers.next_ordinal = base + n as u64;
         self.publish_shards(&writers, touched);
         Ok(n)
@@ -245,7 +245,6 @@ fn regroup(
 /// [`Writer::apply`], per document; [`Writer::merge`] of the shard's
 /// segments; one fsync; a generation bump. Returns the touched shards.
 fn apply_batch(
-    ontology: &Ontology,
     writers: &mut [Writer],
     work: Vec<ShardWork>,
     base: u64,
@@ -278,7 +277,6 @@ fn apply_batch(
             };
             writer.wal_log(ordinal, &payload)?;
             writer.apply(
-                ontology,
                 ordinal,
                 &doc.fields(),
                 &doc.annotations,

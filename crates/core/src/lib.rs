@@ -5,8 +5,10 @@
 //! ingested (from gold-annotated corpus entries, raw text, or PDF
 //! submissions via the Grobid substrate), their entities and temporal
 //! relations extracted, then stored three ways — one stored JSON payload
-//! per report (MongoDB role), the property graph (Neo4j role), and the
-//! inverted index (ElasticSearch role). Queries run through the same information
+//! per report (MongoDB role), one event record per report, the part of
+//! the property graph the graph engine reads (Neo4j role; Cypher gets
+//! the graph itself built on demand), and the inverted index
+//! (ElasticSearch role). Queries run through the same information
 //! extraction ("A patient was admitted to the hospital because of fever
 //! and cough." → hospital/Nonbiological_location, fever+cough/Sign_symptom,
 //! OVERLAP(fever, cough)), are answered by both engines, and merged with
@@ -14,7 +16,8 @@
 //!
 //! * [`pipeline`] — ingestion: annotation sourcing (gold vs. automatic
 //!   tagging), sentence/timeline assignment, query information extraction;
-//! * [`graph_build`] — report → property-graph projection;
+//! * [`graph_build`] — report → event record, and the property graph
+//!   built from the stored reports;
 //! * [`search`] — keyword engine, graph engine, merge policies;
 //! * [`eval`] — retrieval metrics (P@k, MRR, nDCG@k);
 //! * [`cache`] — the one memo on the search path: a generation-stamped

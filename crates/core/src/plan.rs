@@ -20,9 +20,10 @@
 //!    union per field and intersect across fields into one eligible run
 //!    per shard. With no filter or temporal node (every `/search`),
 //!    every document is eligible and no run is built;
-//! 2. **Temporal** — a candidate's events are lifted into a
-//!    [`TemporalGraph`] where every [`PlanNode::Temporal`] constraint must
-//!    be realized (transitively, Fig. 5) by some event pair;
+//! 2. **Temporal** — a candidate's events, read from its event record,
+//!    are lifted into a [`TemporalGraph`] where every
+//!    [`PlanNode::Temporal`] constraint must be realized (transitively,
+//!    Fig. 5) by some event pair;
 //! 3. **GraphMatch / Keyword** — the graph engine's concept match, and
 //!    the one keyword leg: BM25 under *merged* corpus statistics over
 //!    every document or pushed down onto the eligible run;
@@ -33,19 +34,18 @@
 //!    of `k`); keyword rows gather under `(score desc, ingest ordinal
 //!    asc)`, then the [`PlanNode::Merge`] policy merges the two legs.
 
-use crate::graph_build::report_node;
+use crate::graph_build::{self, EventRecord};
 use crate::search::{self, MergePolicy, SearchHit};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
-use create_graphdb::NodeId;
 use create_index::facets::{intersect, intersect_count, union, FacetField};
 use create_index::{CorpusStats, Index, Scorer};
 use create_obs::names as obs_names;
 use create_obs::Span;
 use create_ontology::{ConceptId, Ontology, RelationType};
 use create_temporal::TemporalGraph;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One timeline step of the ingest pipeline's sentence clock spans about
@@ -544,77 +544,26 @@ impl CohortResult {
     }
 }
 
-/// One event of a report lifted out of the property graph for temporal
-/// checking.
-struct ReportEvent {
-    cui: Option<ConceptId>,
-    step: Option<f64>,
-}
-
-/// Loads a document's events and the temporal graph over them. The
-/// report's node is the doc's ([`report_node`]).
-fn events_of(shard: &ShardSnapshot, doc: u32) -> Option<(Vec<ReportEvent>, TemporalGraph)> {
-    let graph = &shard.graph;
-    let report = report_node(graph, doc)?;
-    let event_nodes: Vec<NodeId> = graph
-        .outgoing(report)
-        .into_iter()
-        .filter(|e| e.rel_type == "CONTAINS")
-        .map(|e| e.target)
-        .collect();
-    let index_of: HashMap<NodeId, usize> = event_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-    let mut events = Vec::with_capacity(event_nodes.len());
-    let mut tg = TemporalGraph::new(
-        event_nodes
-            .iter()
-            .map(|&n| format!("event-{n:?}"))
-            .collect(),
-    );
-    for (i, &node) in event_nodes.iter().enumerate() {
-        let n = graph.node(node)?;
-        events.push(ReportEvent {
-            cui: n
-                .prop("cui")
-                .and_then(|v| v.as_str())
-                .and_then(ConceptId::parse),
-            step: n.prop("step").and_then(|v| v.as_f64()),
-        });
-        for edge in graph.outgoing(node) {
-            let rel = match edge.rel_type {
-                "BEFORE" => RelationType::Before,
-                "OVERLAP" => RelationType::Overlap,
-                _ => continue,
-            };
-            if let Some(&j) = index_of.get(&edge.target) {
-                if i != j {
-                    tg.add_edge(i, j, rel);
-                }
-            }
+/// True when the report realizes every constraint: for each, some
+/// event pair mentioning the two concepts must satisfy the operator —
+/// derived transitively through the temporal graph over its events when
+/// possible, falling back to the events' timeline steps (the ground
+/// truth the graph's edges were built from) when the relation is not
+/// derivable from explicit edges. The graph's edges are added in the
+/// order a walk of the property graph meets them
+/// ([`graph_build::walk_order`]), a self loop left out.
+fn satisfies_all(record: &EventRecord, constraints: &[&TemporalConstraint]) -> bool {
+    let events = &record.events;
+    let mut tg = TemporalGraph::new(vec![String::new(); events.len()]);
+    for (a, b, rel) in graph_build::walk_order(&record.edges) {
+        if a != b {
+            tg.add_edge(a as usize, b as usize, rel);
         }
     }
-    Some((events, tg))
-}
-
-/// True when the document realizes every constraint: for each, some
-/// event pair mentioning the two concepts must satisfy the operator —
-/// derived transitively through the temporal graph when possible,
-/// falling back to the events' timeline steps (the ground truth the
-/// graph's edges were built from) when the relation is not derivable
-/// from explicit edges.
-fn satisfies_all(shard: &ShardSnapshot, doc: u32, constraints: &[&TemporalConstraint]) -> bool {
-    let Some((events, tg)) = events_of(shard, doc) else {
-        return false;
-    };
     constraints.iter().all(|c| {
         let of = |concept: ConceptId| -> Vec<usize> {
-            events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.cui == Some(concept))
+            (events.iter().enumerate())
+                .filter(|(_, &(cui, _))| cui == concept)
                 .map(|(i, _)| i)
                 .collect()
         };
@@ -622,9 +571,9 @@ fn satisfies_all(shard: &ShardSnapshot, doc: u32, constraints: &[&TemporalConstr
         let bz = of(c.b);
         az.iter().any(|&ia| {
             bz.iter().any(|&ib| match c.op {
-                TemporalOp::Within(days) => match (events[ia].step, events[ib].step) {
+                TemporalOp::Within(days) => match (events[ia].1, events[ib].1) {
                     (Some(sa), Some(sb)) => {
-                        (sa - sb).abs() * f64::from(STEP_DAYS) <= f64::from(days)
+                        f64::from(sa.abs_diff(sb)) * f64::from(STEP_DAYS) <= f64::from(days)
                     }
                     _ => false,
                 },
@@ -640,11 +589,11 @@ fn satisfies_all(shard: &ShardSnapshot, doc: u32, constraints: &[&TemporalConstr
                             return derived == rel;
                         }
                     }
-                    match (events[ia].step, events[ib].step) {
+                    match (events[ia].1, events[ib].1) {
                         (Some(sa), Some(sb)) => match rel {
                             RelationType::Before => sa < sb,
                             RelationType::After => sa > sb,
-                            RelationType::Overlap => (sa - sb).abs() < f64::EPSILON,
+                            RelationType::Overlap => sa == sb,
                             _ => false,
                         },
                         _ => false,
@@ -791,7 +740,7 @@ pub(crate) fn execute(
         let _span = Span::enter(obs_names::QUERY_STAGE_SECONDS, obs_names::QSTAGE_TEMPORAL);
         for (no, shard) in shards.iter().enumerate() {
             let _shard = create_obs::shard_span(obs_names::SPAN_COHORT_SHARD, no as u32);
-            runs[no].retain(|&doc| satisfies_all(shard, doc, &temporals));
+            runs[no].retain(|&doc| satisfies_all(&shard.events[doc as usize], &temporals));
         }
     }
 

@@ -8,7 +8,6 @@ use crate::system::{clamp_shards, Create, CreateConfig, MAX_SHARDS};
 use crate::writer::{empty_writer, Writer, Writers};
 use crate::{facet_build::index_doc, flush::seal_tails, ingest::IngestError};
 use create_obs::names as obs_names;
-use create_ontology::Ontology;
 use create_storage::{manifest::shard_dir_name, Manifest, SegmentMeta, StorageError, Wal};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -27,8 +26,9 @@ impl Create {
     ///    checked against its manifest entry (size, CRC, doc count, first
     ///    and last ordinal — the last is where WAL replay starts): every
     ///    stored payload is parsed where its block holds it and goes
-    ///    through `Writer::apply` — refilling the graph and the ordinals
-    ///    — and the file itself joins the shard's payload column, which
+    ///    through `Writer::apply` — refilling the event records and the
+    ///    ordinals; no graph is built — and the file itself joins the
+    ///    shard's payload column, which
     ///    reads the payloads from it from then on; the postings region is
     ///    checked and adopted undecoded, with the decoded facet region,
     ///    as one frozen in-RAM segment (`Index::adopt_frozen`), not
@@ -114,14 +114,14 @@ impl Create {
             let shard_dir = storage_dir.join(shard_dir_name(i));
             for meta in &entry.segments {
                 writer
-                    .recover_segment(&ontology, &shard_dir.join(&meta.file), meta)
+                    .recover_segment(&shard_dir.join(&meta.file), meta)
                     .map_err(IngestError::Storage)?;
             }
             let sealed_max = entry.segments.last().map(|s| s.max_ordinal);
             let (wal, wal_replay) = Wal::open(shard_dir.join(create_storage::WAL_FILE))
                 .map_err(IngestError::Storage)?;
             replayed += writer
-                .replay_wal(&ontology, wal.path(), &wal_replay.records, sealed_max)
+                .replay_wal(wal.path(), &wal_replay.records, sealed_max)
                 .map_err(IngestError::Storage)?;
             if let Some(&last) = writer.shard.ordinals.last() {
                 next_ordinal = next_ordinal.max(last + 1);
@@ -158,16 +158,11 @@ impl Writer {
     /// frozen segment of the shard's index with the facet region's
     /// bitmaps (the tier rule may merge it with the newest one before
     /// it). A document whose three ids disagree fails the segment.
-    fn recover_segment(
-        &mut self,
-        ontology: &Ontology,
-        path: &Path,
-        meta: &SegmentMeta,
-    ) -> Result<(), StorageError> {
+    fn recover_segment(&mut self, path: &Path, meta: &SegmentMeta) -> Result<(), StorageError> {
         let template = Arc::clone(&self.shard.index);
         let (segment, payloads) =
             durability::load_segment(path, meta, &template, |ordinal, fields, annotations| {
-                self.apply(ontology, ordinal, fields, annotations, None)
+                self.apply(ordinal, fields, annotations, None)
             })?;
         drop(template);
         Arc::make_mut(&mut self.shard.docs).push_file(payloads);
@@ -181,7 +176,6 @@ impl Writer {
     /// number of records replayed.
     fn replay_wal(
         &mut self,
-        ontology: &Ontology,
         path: &Path,
         records: &[Vec<u8>],
         sealed_max: Option<u64>,
@@ -199,7 +193,7 @@ impl Writer {
             let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
             index_doc(&mut segment, &fields, &annotations).map_err(corrupt_at(path))?;
             let text = durability::payload_text(&payload.texts);
-            self.apply(ontology, ordinal, &fields, &annotations, Some(&text));
+            self.apply(ordinal, &fields, &annotations, Some(&text));
             replayed += 1;
         }
         self.merge(segment).map_err(corrupt_at(path))?;

@@ -3,9 +3,11 @@
 //! * **Keyword engine** — BM25 over the inverted index (ElasticSearch's
 //!   role; with `MergePolicy::EsOnly` it *is* the Solr baseline the paper
 //!   compares against).
-//! * **Graph engine** — walks the property graph (Neo4j's role): a report
-//!   matches when it mentions every query concept; when the query carries
-//!   a temporal pattern, the report's event steps must realize it. Pattern
+//! * **Graph engine** — Neo4j's role, answered from each report's event
+//!   record (its part of the property graph, see
+//!   [`EventRecord`](crate::graph_build::EventRecord)): a report matches
+//!   when it mentions every query concept; when the query carries a
+//!   temporal pattern, the report's event steps must realize it. Pattern
 //!   realizations outrank concept-only matches.
 //! * **Merge** — "By default, Neo4j is the primary search engine in
 //!   CREATe-IR. The results returned by Neo4j will be placed on top,
@@ -18,12 +20,10 @@
 //! for `/search` and `/cohort` alike, as its plan's `GraphMatch`,
 //! `Keyword` and `Merge` nodes say.
 
-use crate::graph_build::find_concept;
 use crate::pipeline::QueryIE;
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
-use create_graphdb::{NodeId, PropertyGraph};
 use create_index::{Index, QueryNode, Scorer};
 use create_ontology::{ConceptId, RelationType};
 use std::sync::{Arc, OnceLock};
@@ -170,85 +170,32 @@ impl MergePolicy {
     }
 }
 
-/// Local traversal tally for one graph search, flushed to the obs
-/// registry in a single call.
-#[derive(Debug, Default)]
-struct Traversal {
-    nodes: u64,
-    edges: u64,
-}
-
-/// Reports (by node) mentioning a concept.
-fn reports_mentioning(
-    graph: &PropertyGraph,
-    concept: ConceptId,
-    traversal: &mut Traversal,
-) -> Vec<NodeId> {
-    let Some(cnode) = find_concept(graph, concept) else {
-        return Vec::new();
-    };
-    let incoming = graph.incoming(cnode);
-    traversal.edges += incoming.len() as u64;
-    incoming
-        .into_iter()
-        .filter(|e| e.rel_type == "MENTIONS")
-        .map(|e| e.source)
-        .collect()
-}
-
-/// Timeline steps at which `concept` occurs in the report.
-fn concept_steps(
-    graph: &PropertyGraph,
-    report: NodeId,
-    concept: ConceptId,
-    traversal: &mut Traversal,
-) -> Vec<f64> {
-    let cui = concept.to_string();
-    let outgoing = graph.outgoing(report);
-    traversal.edges += outgoing.len() as u64;
-    outgoing
-        .into_iter()
-        .filter(|e| e.rel_type == "CONTAINS")
-        .filter_map(|e| {
-            traversal.nodes += 1;
-            graph.node(e.target)
-        })
-        .filter(|event| event.prop("cui").and_then(|v| v.as_str()) == Some(&*cui))
-        .filter_map(|event| event.prop("step")?.as_f64())
-        .collect()
-}
-
-/// True when the report realizes `rel` between the two concepts.
+/// True when the events realize `rel` between the two concepts: some
+/// step of a `c1` event and some step of a `c2` event in that order.
 fn pattern_matches(
-    graph: &PropertyGraph,
-    report: NodeId,
+    events: &[(ConceptId, Option<u32>)],
     c1: ConceptId,
     c2: ConceptId,
     rel: RelationType,
-    traversal: &mut Traversal,
 ) -> bool {
-    let s1 = concept_steps(graph, report, c1, traversal);
-    let s2 = concept_steps(graph, report, c2, traversal);
-    for &a in &s1 {
-        for &b in &s2 {
-            let ok = match rel {
-                RelationType::Before => a < b,
-                RelationType::After => a > b,
-                RelationType::Overlap => (a - b).abs() < f64::EPSILON,
-                _ => false,
-            };
-            if ok {
-                return true;
-            }
-        }
-    }
-    false
+    let steps = |concept: ConceptId| {
+        (events.iter()).filter_map(move |&(cui, step)| step.filter(|_| cui == concept))
+    };
+    steps(c1).any(|a| {
+        steps(c2).any(|b| match rel {
+            RelationType::Before => a < b,
+            RelationType::After => a > b,
+            RelationType::Overlap => a == b,
+            _ => false,
+        })
+    })
 }
 
-/// Runs the graph query (a `GraphMatch` plan node): all concepts
-/// required; the temporal pattern, when there is one, scored on top.
-pub fn graph_search(
-    graph: &PropertyGraph,
+/// Runs the graph query (a `GraphMatch` plan node) over one shard's
+/// event records: a report matches when it mentions every concept; the
+/// temporal pattern, when there is one, scored on top.
+pub(crate) fn graph_search(
+    shard: &ShardSnapshot,
     concepts: &[ConceptId],
     pattern: Option<(ConceptId, ConceptId, RelationType)>,
     k: usize,
@@ -256,52 +203,37 @@ pub fn graph_search(
     if concepts.is_empty() {
         return Vec::new();
     }
-    let mut traversal = Traversal::default();
-    // Candidate reports: intersection over per-concept mention lists,
-    // seeded from the rarest concept.
-    let mut lists: Vec<Vec<NodeId>> = concepts
-        .iter()
-        .map(|&c| reports_mentioning(graph, c, &mut traversal))
-        .collect();
-    lists.sort_by_key(Vec::len);
-    let Some((seed, rest)) = lists.split_first() else {
-        return Vec::new();
-    };
     let mut hits = Vec::new();
-    for &report in seed {
-        traversal.nodes += 1;
-        if !rest.iter().all(|l| l.contains(&report)) {
+    for (doc, record) in shard.events.iter().enumerate() {
+        if !(concepts.iter()).all(|c| record.concepts.binary_search(c).is_ok()) {
             continue;
         }
-        let pattern_matched = match pattern {
-            Some((c1, c2, rel)) => pattern_matches(graph, report, c1, c2, rel, &mut traversal),
-            None => false,
-        };
-        let node = graph.node(report).expect("report node exists");
-        let report_id = node
-            .prop("reportId")
-            .and_then(|v| v.as_str())
-            .unwrap_or_default()
-            .to_string();
-        let year = node.prop("year").and_then(|v| v.as_f64()).unwrap_or(0.0);
+        let pattern_matched =
+            pattern.is_some_and(|(c1, c2, rel)| pattern_matches(&record.events, c1, c2, rel));
+        let report_id = shard.index.external_id(doc as u32).unwrap_or_default();
         // Pattern dominates; recency is a mild tiebreak.
-        let score = if pattern_matched { 10.0 } else { 1.0 } + year / 10_000.0;
+        let score = if pattern_matched { 10.0 } else { 1.0 } + f64::from(record.year) / 10_000.0;
         hits.push(SearchHit {
-            report_id,
+            report_id: report_id.to_string(),
             score,
             source: SearchSource::Graph,
             pattern_matched,
         });
     }
-    create_obs::record_graph_exec(traversal.nodes, traversal.edges);
+    sort_graph_hits(&mut hits);
+    hits.truncate(k);
+    hits
+}
+
+/// The graph engine's order: score descending, report id ascending —
+/// total over distinct report ids.
+fn sort_graph_hits(hits: &mut [SearchHit]) {
     hits.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
             .expect("finite scores")
             .then_with(|| a.report_id.cmp(&b.report_id))
     });
-    hits.truncate(k);
-    hits
 }
 
 /// Builds the standard multi-field keyword query over title/body (+ the
@@ -364,13 +296,13 @@ pub(crate) fn gather_keyword_hits(
 
 /// Scatter-gather graph search over every shard.
 ///
-/// A report's whole neighbourhood — its events, mentions, and temporal
-/// edges — lives in its owning shard, so a graph hit's score is computed
+/// A report's event record — its mentions, events and temporal edges —
+/// lives in its owning shard, so a graph hit's score is computed
 /// entirely from shard-local state and is independent of the shard
 /// count. Gathering concatenates the per-shard hit lists and re-applies
 /// the engine's own ordering (score descending, report id ascending),
 /// which is total over distinct report ids — the merged ranking is
-/// exactly the single-graph ranking.
+/// exactly the single-shard ranking.
 pub(crate) fn scatter_graph_search(
     shards: &[Arc<ShardSnapshot>],
     concepts: &[ConceptId],
@@ -380,14 +312,9 @@ pub(crate) fn scatter_graph_search(
     let mut hits: Vec<SearchHit> = Vec::new();
     for (shard_no, shard) in shards.iter().enumerate() {
         let _span = create_obs::shard_span(create_obs::names::SPAN_GRAPH_SHARD, shard_no as u32);
-        hits.extend(graph_search(&shard.graph, concepts, pattern, k));
+        hits.extend(graph_search(shard, concepts, pattern, k));
     }
-    hits.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then_with(|| a.report_id.cmp(&b.report_id))
-    });
+    sort_graph_hits(&mut hits);
     hits.truncate(k);
     hits
 }

@@ -2,7 +2,7 @@
 //! (each from the published snapshot or the live manifest, never under
 //! the write lock) and the metric series the facade pre-registers.
 
-use crate::{durability, search::MergePolicy, system::Create};
+use crate::{durability, graph_build, search::MergePolicy, system::Create};
 use create_index::Index;
 use create_ner::CrfTagger;
 use create_obs::names as obs_names;
@@ -15,9 +15,10 @@ use std::sync::{Arc, OnceLock};
 pub struct SystemStats {
     /// Stored reports.
     pub reports: usize,
-    /// Property-graph nodes.
+    /// Nodes of the property graph the reports project to, counted from
+    /// the event records (see [`graph_build::graph_counts`]).
     pub graph_nodes: usize,
-    /// Property-graph edges.
+    /// Edges of that graph.
     pub graph_edges: usize,
     /// Distinct index terms across fields.
     pub index_terms: usize,
@@ -42,7 +43,9 @@ pub struct MemoryStats {
     /// The inverted indexes' terms and posting arrays
     /// ([`Index::postings_bytes`](create_index::Index::postings_bytes)).
     pub postings_bytes: usize,
-    /// The property graphs.
+    /// The event records that stand in for the property graph
+    /// ([`graph_build::column_bytes`]); the component keeps the graph's
+    /// name.
     pub graph_bytes: usize,
     /// The stored payloads, exactly: each text with its `Arc` header,
     /// and the chunked slot array that indexes them by doc id.
@@ -107,8 +110,9 @@ impl Create {
         let mut stats = SystemStats::default();
         for shard in &snapshot.shards {
             stats.reports += shard.index.num_docs();
-            stats.graph_nodes += shard.graph.node_count();
-            stats.graph_edges += shard.graph.edge_count();
+            let (nodes, edges) = graph_build::graph_counts(&shard.events);
+            stats.graph_nodes += nodes;
+            stats.graph_edges += edges;
             stats.index_terms += shard.index.vocabulary_size("body")
                 + shard.index.vocabulary_size("title")
                 + shard.index.vocabulary_size("body_ngram");
@@ -132,10 +136,10 @@ impl Create {
     /// Heap bytes the published snapshot holds, by component and summed
     /// across shards — a structure shards share (the tagger) once — from
     /// the structures' own lengths and capacities
-    /// (see [`PropertyGraph::heap_bytes`](create_graphdb::PropertyGraph::heap_bytes)).
-    /// Walks every shard's graph, payloads, dictionary and bitmaps, so it
-    /// is for the stats and scrape paths. Also refreshes the
-    /// `create_resident_bytes` gauges.
+    /// (see [`graph_build::column_bytes`]). Walks every shard's event
+    /// records, payloads, dictionary and bitmaps, so it is for the stats
+    /// and scrape paths. Also refreshes the `create_resident_bytes`
+    /// gauges.
     pub fn memory_stats(&self) -> MemoryStats {
         let snapshot = self.snapshot();
         let mut stats = MemoryStats::default();
@@ -149,7 +153,7 @@ impl Create {
                 }
             }
             stats.postings_bytes += shard.index.postings_bytes();
-            stats.graph_bytes += shard.graph.heap_bytes();
+            stats.graph_bytes += graph_build::column_bytes(&shard.events);
             stats.docstore_bytes += shard.docs.heap_bytes();
             stats.facet_bytes += facet_bytes(&shard.index);
         }

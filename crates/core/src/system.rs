@@ -3,7 +3,7 @@
 //!
 //! State is partitioned into independent **shards** keyed by
 //! `hash(report_id) % N`: each shard owns its own stored documents,
-//! property graph, inverted index and generation stamp. All write state —
+//! event records, inverted index and generation stamp. All write state —
 //! every shard's [`Writer`](crate::writer::Writer) and the next global
 //! ingest ordinal — sits behind one `Mutex`, held by every write
 //! operation from start to publish; the heavy per-shard apply work of a
@@ -14,7 +14,7 @@
 //! publishes, its tables behind `Arc`s: a publish bumps reference counts,
 //! and the first write after it copies what it touches
 //! (`Arc::make_mut`) — the index's list of segment pointers, never a
-//! segment, and the last chunks of the graph and the columns. Reads can
+//! segment, and the last chunks of the columns. Reads can
 //! never observe a torn mix of shard generations. Scatter-gather search
 //! (see [`crate::search`]) merges per-shard top-k lists under globally
 //! merged corpus statistics, so rankings are bit-identical for any shard
@@ -31,7 +31,7 @@ use crate::plan::{self, CohortCriteria, CohortResult, PlanMode};
 use crate::search::{MergePolicy, SearchAnswer, SearchHit};
 use crate::stats::{count_policy, note_query, register_metrics, register_shard_metrics};
 use crate::{
-    graph_build::report_node,
+    graph_build::{self, EventColumn, ReportMeta},
     pipeline::{ExtractedAnnotations, QueryIE},
     writer::{empty_writer, Writers},
 };
@@ -122,7 +122,11 @@ pub(crate) struct ShardSnapshot {
     /// a sealed document's from its segment file, an unsealed one's
     /// from RAM (see [`crate::payloads`]).
     pub(crate) docs: Arc<Payloads>,
-    pub(crate) graph: Arc<PropertyGraph>,
+    /// Shard-local internal doc id → the report's event record: what
+    /// the graph search, the temporal operators and the graph counts
+    /// read (see [`graph_build::EventRecord`]). No shard holds a graph;
+    /// [`Snapshot::graph`] builds one for Cypher.
+    pub(crate) events: Arc<EventColumn>,
     pub(crate) index: Arc<Index>,
     pub(crate) tagger: Option<Arc<CrfTagger>>,
     /// Shard-local internal doc id → global ingest ordinal. The scatter
@@ -137,13 +141,15 @@ pub(crate) struct ShardSnapshot {
 ///
 /// Published by the write path after every completed write operation and
 /// held by readers for the duration of one operation: everything read
-/// through one snapshot — postings, graph neighbourhoods, stored
-/// documents — comes from the same moment, so a concurrent ingest can
+/// through one snapshot — postings, event records, stored documents —
+/// comes from the same moment, so a concurrent ingest can
 /// never produce a torn result (not even a torn mix of shard
 /// generations). Old snapshots stay valid (and allocated) until the last
 /// reader drops its `Arc`; reclamation is plain reference counting.
 pub struct Snapshot {
     pub(crate) shards: Vec<Arc<ShardSnapshot>>,
+    /// The platform's ontology, which names the graph's concept nodes.
+    pub(crate) ontology: Arc<Ontology>,
 }
 
 impl Snapshot {
@@ -167,9 +173,34 @@ impl Snapshot {
     }
 
     /// Shard 0's property graph (the whole graph in single-shard
-    /// deployments; Cypher-level access targets this shard).
-    pub fn graph(&self) -> &PropertyGraph {
-        &self.shards[0].graph
+    /// deployments; Cypher-level access targets this shard), built on
+    /// demand (see [`Snapshot::shard_graph`]).
+    pub fn graph(&self) -> Result<PropertyGraph, StorageError> {
+        self.shard_graph(0)
+    }
+
+    /// The property graph of shard `shard`'s reports, built on demand:
+    /// [`graph_build::add_report`] over the shard's stored payloads in
+    /// doc order, the order they entered the shard, so node and edge ids
+    /// follow ingest order. An error when a sealed payload does not read
+    /// back from its segment file.
+    pub fn shard_graph(&self, shard: usize) -> Result<PropertyGraph, StorageError> {
+        let shard = &self.shards[shard];
+        let mut graph = graph_build::report_graph();
+        for doc in 0..shard.docs.len() {
+            let payload = shard.docs.get(doc)?.expect("every doc has its payload");
+            let stored = durability::parse_payload_bytes(payload.as_bytes())
+                .expect("a stored payload reads back");
+            let (fields, annotations) = stored.parts().expect("a stored payload reads back");
+            let meta = ReportMeta {
+                report_id: fields.id.to_string(),
+                title: fields.title.to_string(),
+                year: fields.year,
+                category: fields.category.to_string(),
+            };
+            graph_build::add_report(&mut graph, &self.ontology, &meta, &annotations);
+        }
+        Ok(graph)
     }
 
     /// Shard 0's inverted index (the whole index in single-shard
@@ -299,10 +330,14 @@ impl Create {
             .iter()
             .map(|w| Arc::new(w.shard.clone()))
             .collect();
+        let snapshot = Snapshot {
+            shards: published,
+            ontology: Arc::clone(&ontology),
+        };
         Create {
             ontology,
             writers: Mutex::new(writers),
-            current: ArcCell::new(Arc::new(Snapshot { shards: published })),
+            current: ArcCell::new(Arc::new(snapshot)),
             cache: Mutex::new(QueryCache::new(QUERY_CACHE_CAPACITY)),
             storage,
         }
@@ -331,11 +366,17 @@ impl Create {
         Arc::clone(&self.ontology)
     }
 
-    /// Shard 0's property graph as of the current snapshot (for
-    /// Cypher-level read queries and diagnostics; the whole graph in
-    /// single-shard deployments).
-    pub fn graph(&self) -> Arc<PropertyGraph> {
-        Arc::clone(&self.current.load().shards[0].graph)
+    /// Shard 0's property graph as of the current snapshot, built on
+    /// demand (for Cypher-level read queries and diagnostics; the whole
+    /// graph in single-shard deployments; see [`Snapshot::graph`]).
+    pub fn graph(&self) -> Result<PropertyGraph, StorageError> {
+        self.current.load().graph()
+    }
+
+    /// Shard 0's event records as of the current snapshot, by doc id
+    /// (the whole column in single-shard deployments).
+    pub fn events(&self) -> Arc<EventColumn> {
+        Arc::clone(&self.current.load().shards[0].events)
     }
 
     /// Shard 0's inverted index as of the current snapshot (the whole
@@ -493,53 +534,37 @@ impl Create {
     }
 
     /// Renders the Fig-7 network-graph visualization of a report's events
-    /// (read from the report's owning shard — its events and temporal
-    /// edges all live there).
-    pub fn visualize(&self, id: &str) -> Option<String> {
-        let snapshot = self.current.load();
-        let shard = snapshot.owner(id);
-        let graph = &shard.graph;
-        let report = report_node(graph, shard.index.internal_id(id)?)?;
-        let events: Vec<_> = graph
-            .outgoing(report)
-            .into_iter()
-            .filter(|e| e.rel_type == "CONTAINS")
-            .map(|e| e.target)
-            .collect();
+    /// — its event mentions and the temporal edges between them — from
+    /// the extraction its owning shard stores, fetched as
+    /// [`Create::report`] fetches the report. `Ok(None)` for an unknown
+    /// id or a report without events.
+    pub fn visualize(&self, id: &str) -> Result<Option<String>, StorageError> {
+        let extraction = self.current.load().stored_member(id, "extraction")?;
+        let Some(extraction) = extraction else {
+            return Ok(None);
+        };
+        let annotations =
+            ExtractedAnnotations::from_json(&extraction).expect("a stored extraction reads back");
+        let events = graph_build::event_mentions(&annotations);
         if events.is_empty() {
-            return None;
+            return Ok(None);
         }
-        let mut viz = VizGraph::default();
-        let mut node_index = std::collections::HashMap::new();
-        for &ev in &events {
-            let node = graph.node(ev)?;
-            let prop = |key, absent| {
-                let value = node.prop(key).and_then(|v| v.as_str());
-                value.unwrap_or(absent).to_string()
-            };
-            node_index.insert(ev, viz.nodes.len());
-            viz.nodes.push(VizNode {
-                label: prop("label", "?"),
-                kind: prop("entityType", "Other"),
-            });
-        }
-        for &ev in &events {
-            for edge in graph.outgoing(ev) {
-                if edge.rel_type != "BEFORE" && edge.rel_type != "OVERLAP" {
-                    continue;
-                }
-                let (Some(&s), Some(&t)) = (node_index.get(&ev), node_index.get(&edge.target))
-                else {
-                    continue;
-                };
-                viz.edges.push(VizEdge {
-                    source: s,
-                    target: t,
-                    label: edge.rel_type.to_string(),
-                });
-            }
-        }
-        Some(render_svg(&viz, &SvgOptions::default()))
+        let nodes = (events.iter().map(|&i| &annotations.mentions[i]))
+            .map(|m| VizNode {
+                label: m.text.clone(),
+                kind: m.etype.label().to_string(),
+            })
+            .collect();
+        let edges = graph_build::temporal_edges(&annotations, &events);
+        let edges = (graph_build::walk_order(&edges).into_iter())
+            .map(|(source, target, rel)| VizEdge {
+                source: source as usize,
+                target: target as usize,
+                label: rel.label().to_string(),
+            })
+            .collect();
+        let viz = VizGraph { nodes, edges };
+        Ok(Some(render_svg(&viz, &SvgOptions::default())))
     }
 
     /// Query-cache counters (hits, misses, live entries) and the current
@@ -647,9 +672,10 @@ pub(crate) mod tests {
     #[test]
     fn visualize_produces_svg() {
         let (system, reports) = loaded_system(3, 6);
-        let svg = system.visualize(&reports[0].id).expect("svg");
+        let svg = system.visualize(&reports[0].id).unwrap().expect("svg");
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("<circle"));
+        assert_eq!(system.visualize("no-such-report").unwrap(), None);
     }
 
     /// `Create` is shared behind a plain `Arc` by the server and fanned
@@ -666,7 +692,7 @@ pub(crate) mod tests {
         let (system, _) = loaded_system(5, 30);
         let snapshot = system.snapshot();
         assert_eq!(snapshot.generation(), 5);
-        let nodes_before = snapshot.graph().node_count();
+        let nodes_before = snapshot.graph().unwrap().node_count();
         let mut extra = Generator::new(CorpusConfig {
             num_reports: 1,
             seed: 31,
@@ -678,7 +704,7 @@ pub(crate) mod tests {
         system.ingest_gold(&extra).unwrap();
         // The old snapshot still sees exactly the pre-ingest state...
         assert_eq!(snapshot.generation(), 5);
-        assert_eq!(snapshot.graph().node_count(), nodes_before);
+        assert_eq!(snapshot.graph().unwrap().node_count(), nodes_before);
         // ...while new reads observe the publish.
         assert_eq!(system.snapshot().generation(), 6);
         assert!(system.stats().graph_nodes > nodes_before);

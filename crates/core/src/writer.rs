@@ -4,13 +4,12 @@
 //! that is not an ingest, [`Create::attach_tagger`].
 
 use crate::durability::{self, DocPayload, ReportFields, ShardStorage};
-use crate::graph_build::{self, ReportMeta};
+use crate::graph_build::EventRecord;
 use crate::system::{Create, ShardSnapshot, Snapshot};
 use crate::{ingest::IngestError, pipeline::ExtractedAnnotations};
 use create_index::{index::IndexError, Index, Segment};
 use create_ner::CrfTagger;
 use create_obs::{names as obs_names, Span};
-use create_ontology::Ontology;
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
 
@@ -64,7 +63,10 @@ impl Create {
                 .inc();
             }
         }
-        self.current.store(Arc::new(Snapshot { shards }));
+        self.current.store(Arc::new(Snapshot {
+            shards,
+            ontology: Arc::clone(&self.ontology),
+        }));
         if create_obs::enabled() {
             create_obs::counter(obs_names::SNAPSHOT_PUBLISH_TOTAL).inc();
             create_obs::histogram(obs_names::SNAPSHOT_PUBLISH_SECONDS)
@@ -104,7 +106,7 @@ pub(crate) struct Writer {
     /// The shard's state. After a publish its tables are shared with the
     /// published snapshot, and every write reaches them through
     /// `Arc::make_mut`, so the first write copies what it touches — the
-    /// index's segment list, the graph's and the columns' last chunks —
+    /// index's segment list and the columns' last chunks —
     /// and readers never see a change.
     pub(crate) shard: ShardSnapshot,
     /// Durable state (WAL + sealed segments) — `None` for in-memory
@@ -135,9 +137,9 @@ impl Writer {
         Ok(())
     }
 
-    /// Puts one document into the shard: its graph projection, its
-    /// ordinal and — `Some` for a document no segment file holds yet —
-    /// its stored payload as it is, spliced from serialized member texts.
+    /// Puts one document into the shard: its event record, its ordinal
+    /// and — `Some` for a document no segment file holds yet — its
+    /// stored payload as it is, spliced from serialized member texts.
     /// A document read from a segment file passes `None`: the file serves
     /// its payload, and recovery appends the file to the column once its
     /// documents are in ([`Payloads::push_file`](crate::payloads::Payloads::push_file)).
@@ -147,7 +149,6 @@ impl Writer {
     /// [`Writer::merge`] or, read from a file, [`Index::adopt_frozen`].
     pub(crate) fn apply(
         &mut self,
-        ontology: &Ontology,
         ordinal: u64,
         fields: &ReportFields<'_>,
         annotations: &ExtractedAnnotations,
@@ -161,24 +162,8 @@ impl Writer {
                 obs_names::PIPELINE_STAGE_SECONDS,
                 obs_names::STAGE_GRAPH_BUILD,
             );
-            let graph = Arc::make_mut(&mut self.shard.graph);
-            let node = graph_build::add_report(
-                graph,
-                ontology,
-                &ReportMeta {
-                    report_id: fields.id.to_string(),
-                    title: fields.title.to_string(),
-                    year: fields.year,
-                    category: fields.category.to_string(),
-                },
-                annotations,
-            );
-            let doc = self.shard.ordinals.len() as u32;
-            debug_assert_eq!(
-                graph_build::report_node(graph, doc),
-                Some(node),
-                "the doc-th Report node is doc {doc}'s"
-            );
+            let record = EventRecord::new(fields.year, annotations);
+            Arc::make_mut(&mut self.shard.events).push(Arc::new(record));
         }
         Arc::make_mut(&mut self.shard.ordinals).push(ordinal);
     }
@@ -215,7 +200,7 @@ pub(crate) fn empty_writer() -> Writer {
         shard: ShardSnapshot {
             generation: 0,
             docs: Arc::default(),
-            graph: Arc::new(graph_build::report_graph()),
+            events: Arc::default(),
             index: Arc::new(Index::clinical()),
             tagger: None,
             ordinals: Arc::default(),

@@ -34,7 +34,7 @@
 
 use create_docstore::Value;
 use create_util::fxhash::FxHasher;
-use create_util::{arc_slice_bytes, varint, Chunked};
+use create_util::{varint, Chunked};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -345,16 +345,6 @@ impl Arena {
         let block = &self.blocks[(offset >> BLOCK_BITS) as usize];
         &block[(offset as usize) & (BLOCK - 1)..]
     }
-
-    /// The block table and each block's `Arc` and buffer at its capacity.
-    fn heap_bytes(&self) -> usize {
-        self.blocks.capacity() * std::mem::size_of::<Arc<Vec<u8>>>()
-            + self
-                .blocks
-                .iter()
-                .map(|block| arc_slice_bytes(std::mem::size_of::<Vec<u8>>()) + block.capacity())
-                .sum::<usize>()
-    }
 }
 
 /// Entries a trie leaf holds before it splits.
@@ -441,26 +431,6 @@ impl HashTrie {
             .filter(move |&&(h, _)| h == hash)
             .map(|&(_, id)| id)
     }
-
-    fn heap_bytes(&self) -> usize {
-        fn node_bytes(node: &TrieNode) -> usize {
-            arc_slice_bytes(std::mem::size_of::<TrieNode>())
-                + match node {
-                    TrieNode::Leaf(entries) => {
-                        entries.capacity() * std::mem::size_of::<(u64, u32)>()
-                    }
-                    TrieNode::Branch(children) => {
-                        std::mem::size_of_val(&**children)
-                            + children
-                                .iter()
-                                .flatten()
-                                .map(|c| node_bytes(c))
-                                .sum::<usize>()
-                    }
-                }
-        }
-        node_bytes(&self.root)
-    }
 }
 
 /// Values stored once and numbered in first-seen order: the graph's
@@ -508,15 +478,6 @@ where
 
     fn value(&self, id: u32) -> &T {
         &self.values[id as usize]
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.values.heap_bytes()
-            + self
-                .values
-                .iter()
-                .map(|value| arc_slice_bytes(std::mem::size_of_val(&**value)))
-                .sum::<usize>()
     }
 }
 
@@ -915,11 +876,6 @@ impl PropertyGraph {
             .flat_map(|ids| ids.iter().map(|&id| NodeId(id.into())))
     }
 
-    /// The `n`-th node (from 0) carrying `label`, in creation order.
-    pub fn label_node(&self, label: &str, n: usize) -> Option<NodeId> {
-        Some(NodeId((*self.label_list(label)?.get(n)?).into()))
-    }
-
     /// The nodes with `label` whose property `key` equals `value`, in
     /// creation order, from the pair's declared index — `None` when
     /// `(label, key)` is not declared: such a pair is found by scanning
@@ -966,32 +922,6 @@ impl PropertyGraph {
     /// Incoming edges of a node, in creation order.
     pub fn incoming(&self, node: NodeId) -> Vec<EdgeRef<'_>> {
         self.chain(node, 1)
-    }
-
-    /// Heap bytes the graph holds, from the lengths and capacities of
-    /// what it allocated: the columns and the arena at their capacities,
-    /// the symbols and label sets, the label lists and the declared
-    /// indexes' tries. Walks chunk tables and tries, not nodes.
-    pub fn heap_bytes(&self) -> usize {
-        let label_lists: usize = self
-            .label_index
-            .iter()
-            .map(|(_, ids)| ids.heap_bytes())
-            .sum();
-        let indexes: usize = self.indexes.iter().map(|i| i.nodes.heap_bytes()).sum();
-        self.nodes.heap_bytes()
-            + self.edges.heap_bytes()
-            + self.edge_types.heap_bytes()
-            + self.heads.heap_bytes()
-            + self.arena.heap_bytes()
-            + self.edge_props.heap_bytes()
-            + self.symbols.heap_bytes()
-            + self.types.heap_bytes()
-            + self.label_sets.heap_bytes()
-            + self.label_index.capacity() * std::mem::size_of::<(u32, Chunked<u32>)>()
-            + label_lists
-            + self.indexes.capacity() * std::mem::size_of::<PropIndex>()
-            + indexes
     }
 }
 
@@ -1049,8 +979,6 @@ mod tests {
         assert!(g.nodes_with_label("Concept").eq([fever, cough]));
         assert!(g.nodes_with_label("Report").eq([report]));
         assert_eq!(g.nodes_with_label("Missing").next(), None);
-        assert_eq!(g.label_node("Concept", 1), Some(cough));
-        assert_eq!(g.label_node("Concept", 2), None);
     }
 
     #[test]

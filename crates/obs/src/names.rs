@@ -15,6 +15,8 @@ pub const PIPELINE_STAGES: [&str; 5] = [
 pub const STAGE_SECTION_SPLIT: &str = "section_split";
 pub const STAGE_NER: &str = "ner";
 pub const STAGE_TEMPORAL_RE: &str = "temporal_re";
+/// Building a document's event record, which stands in for its part of
+/// the property graph; the stage keeps the graph's name.
 pub const STAGE_GRAPH_BUILD: &str = "graph_build";
 pub const STAGE_INDEX_WRITE: &str = "index_write";
 
@@ -54,7 +56,8 @@ pub const DAAT_HEAP_EVICTIONS_TOTAL: &str = "create_daat_heap_evictions_total";
 pub const QUERY_CACHE_HITS_TOTAL: &str = "create_query_cache_hits_total";
 pub const QUERY_CACHE_MISSES_TOTAL: &str = "create_query_cache_misses_total";
 
-/// Graph executor counters (flushed once per graph query).
+/// Graph executor counters (flushed once per Cypher query; the graph
+/// search reads event records and walks no node).
 pub const GRAPH_EXEC_NODES_VISITED_TOTAL: &str = "create_graph_exec_nodes_visited_total";
 pub const GRAPH_EXEC_EDGES_TRAVERSED_TOTAL: &str = "create_graph_exec_edges_traversed_total";
 
@@ -155,10 +158,13 @@ pub const RECOVERY_REPLAYED_RECORDS_TOTAL: &str = "create_recovery_replayed_reco
 
 /// Heap bytes the published snapshot holds, labelled `component=`
 /// (`postings`, `graph`, `docstore`, `facet`, `tagger`), computed from the
-/// structures' own lengths at `/metrics` scrape and `/stats` time.
+/// structures' own lengths at `/metrics` scrape and `/stats` time. The
+/// `graph` component is the event records, which stand in for the
+/// property graph and keep its name.
 pub const RESIDENT_BYTES_GAUGE: &str = "create_resident_bytes";
 
-/// Corpus/system size gauges, refreshed at `/metrics` scrape time.
+/// Corpus/system size gauges, refreshed at `/metrics` scrape time (the
+/// graph's node and edge counts from the event records).
 pub const REPORTS_GAUGE: &str = "create_reports";
 pub const GRAPH_NODES_GAUGE: &str = "create_graph_nodes";
 pub const GRAPH_EDGES_GAUGE: &str = "create_graph_edges";

@@ -193,8 +193,9 @@ pub fn build_api(system: Arc<Create>) -> Router {
             "GET",
             "/reports/:id/graph.svg",
             move |_, params| match system.visualize(&params["id"]) {
-                Some(svg) => Response::svg(svg),
-                None => Response::error(Status::NotFound, "no graph for report"),
+                Ok(Some(svg)) => Response::svg(svg),
+                Ok(None) => Response::error(Status::NotFound, "no graph for report"),
+                Err(e) => storage_error_response(&e),
             },
         );
     }

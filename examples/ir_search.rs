@@ -59,8 +59,10 @@ fn main() {
     // The graph store also answers Cypher directly (Section III-D:
     // "all nodes and edges are put into Neo4j via cypher query").
     println!("\nCypher: reports mentioning the concept 'fever':");
+    // The graph is built on demand from the stored reports.
+    let graph = system.graph().expect("stored reports read back");
     let output = query(
-        &system.graph(),
+        &graph,
         "MATCH (r:Report)-[:MENTIONS]->(c:Concept {label: 'fever'}) RETURN r.reportId LIMIT 5",
     )
     .expect("cypher");
@@ -70,7 +72,7 @@ fn main() {
 
     println!("\nCypher: temporal chains fever → … (BEFORE edges):");
     let output = query(
-        &system.graph(),
+        &graph,
         "MATCH (a:Event)-[:BEFORE]->(b:Event) WHERE a.label CONTAINS 'fever' \
          RETURN a.reportId, a.label, b.label LIMIT 5",
     )

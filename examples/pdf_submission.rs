@@ -79,7 +79,7 @@ fn main() {
     }
 
     // And has a temporal graph to visualize.
-    if let Some(svg) = system.visualize("user:000001") {
+    if let Some(svg) = system.visualize("user:000001").expect("stored extraction") {
         let path = std::env::temp_dir().join("create_pdf_submission.svg");
         std::fs::write(&path, &svg).expect("write svg");
         println!("\nwrote event-graph visualization to {}", path.display());

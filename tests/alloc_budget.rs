@@ -28,22 +28,25 @@
 //!   951 decoded, 5 310 279 with the n-gram positions;
 //! * (c) dropping the previous snapshot after a publish gives back what
 //!   the copy-on-write copied;
-//! * (d) everything the loaded `Create` holds — index, graph, stored
-//!   payloads, facets, ordinals, one copy of each, which the writer and
-//!   the published snapshot share — stays under a fixed number of live
-//!   bytes. While the index was one mutable tail of posting lists it
+//! * (d) everything the loaded `Create` holds — index, event records,
+//!   stored payloads, facets, ordinals, one copy of each, which the
+//!   writer and the published snapshot share — stays under a fixed
+//!   number of live bytes. While each shard held a property graph it
+//!   held 3.76 MB; while the index was one mutable tail of posting lists it
 //!   held 11.07 MB; with every stored document a tree of `BTreeMap`s and
 //!   `String`s and every graph node and edge an `Arc` of its own 30.8
 //!   MB, while a publish copied the tables 17.63 MB, while
 //!   `body_ngram` stored positions 16.57 MB, and while a document store
 //!   filed each report as three documents under three copies of its id
 //!   14.46 MB;
-//! * (e) the graph of the 500 reports, built as ingest builds it, holds
-//!   under a fixed number of live bytes, and `PropertyGraph::heap_bytes()`
-//!   — what `/stats` and the `create_resident_bytes` gauges report for
-//!   the graph — is within a tenth of what the allocator says building it
-//!   added (the stored payloads' figure is exact by construction: a text
-//!   and its `Arc` header each, and the slot array);
+//! * (e) the event column of the 504 generated reports, built as ingest
+//!   builds it, holds under a fixed number of live bytes, and
+//!   `graph_build::column_bytes()` — what `/stats` and the
+//!   `create_resident_bytes{component="graph"}` gauge report — is within
+//!   a tenth of what the allocator says building it added (the stored
+//!   payloads' figure is exact by construction: a text and its `Arc`
+//!   header each, and the slot array). The property graph of the same
+//!   reports, which each shard held before, took 832 424 bytes;
 //! * (f) on a two-shard copy of the same corpus, a warmed query is
 //!   answered without parsing or planning anything — the `parse` and
 //!   `plan` stage histograms and `create_plan_nodes_total` stay where
@@ -64,8 +67,8 @@
 //! * (h) a publish that writes no table — attaching a tagger to the
 //!   loaded shard, which republishes the shard with a new generation —
 //!   makes a fixed handful of allocations and holds a few hundred bytes:
-//!   the new shard shares the writer's tables (the same graph and index
-//!   `Arc`s) instead of copying them. Copying them made 103 allocations
+//!   the new shard shares the writer's tables (the same event column and
+//!   index `Arc`s) instead of copying them. Copying them made 103 allocations
 //!   and held 1 067 002 bytes above its start; copying the document
 //!   store's name map, 11 and 457;
 //! * (i) the sealing `flush()` of (g) — the first, which writes the
@@ -84,17 +87,17 @@
 //!   the previous snapshot pinned, grows the live heap by under 512 KiB
 //!   at every size: the write freezes its documents as one more segment
 //!   (merging it with the unsealed one before it), copies the index's
-//!   list of segment pointers and the last chunks of the graph and of
-//!   the columns, not the shard; its facets are the segment's own, so no
+//!   list of segment pointers and the last chunks of the columns, not
+//!   the shard; its facets are the segment's own, so no
 //!   facet run is copied either. While a shard-wide facet index sat
 //!   beside the segments, the write copied every run it touched, 196 787
 //!   / 179 698 / 239 649 bytes in all; while writes went to a mutable
 //!   tail it copied the tail's tables, 0.51 / 0.44 / 0.47 MB; while the
 //!   index was one dictionary, its tables and every touched list: 2.66 /
-//!   3.26 / 5.02 MB at 250 / 500 / 1000 reports. The graph's share of
-//!   the write — the same two reports added to a copy of the pinned
-//!   graph — has a bound of its own that does not grow with the shard
-//!   either;
+//!   3.26 / 5.02 MB at 250 / 500 / 1000 reports. The event column's
+//!   share of the write — the same two reports added to a copy of the
+//!   pinned column — has a bound of its own that does not grow with the
+//!   shard either;
 //! * (k) the 500 reports of (d) in a one-shard instance, `flush()`ed,
 //!   hold under a fixed number of live bytes: every write froze its
 //!   documents, so the index is frozen segments only and an in-memory
@@ -128,7 +131,7 @@
 //!   order). While every sealed payload stayed in RAM the column held
 //!   its text, 3.96 KB a report.
 
-use create::core::graph_build::{add_report, report_graph, ReportMeta};
+use create::core::graph_build::{column_bytes, EventColumn, EventRecord};
 use create::core::{Create, CreateConfig, ExtractedAnnotations, MergePolicy};
 use create::corpus::{CorpusConfig, Generator};
 use create::index::codec::{adopt, merge_postings};
@@ -198,10 +201,11 @@ const REPORTS: usize = 500;
 /// buckets' map, spread over the terms), and the figure repeats exactly;
 /// 181.3 while every list was decoded into a `PostingList` of its own.
 const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 8 047
+/// Allocations one 2-document batch may make at 500 reports: 7 734
 /// measured (tokens, the batch's own segment, its encoding and the
 /// frozen segment's tables, the merges the tier rule makes, the copies
-/// of the tables the published snapshot shares); 8 464 while ingest
+/// of the tables the published snapshot shares); 8 047 while each
+/// write added the documents to a property graph, 8 464 while ingest
 /// built and serialized a BRAT export of each report, 8 526 while a
 /// shard-wide facet index copied the runs a write touched, 13 498 while
 /// the write copied the index's mutable tail — on an instance never
@@ -212,9 +216,10 @@ const TERM_OVERHEAD: usize = 4;
 /// three times, 16 267–16 683 while `body_ngram` stored positions,
 /// 25 524 while a publish cloned a `String` per graph index key and a
 /// node per 11 stored documents, 209 179 with a `Vec` per posting.
-const SUBMIT_BUDGET: usize = 10_000;
+const SUBMIT_BUDGET: usize = 9_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 3.76 MB measured, its index frozen segments only; 4.60 MB while each
+/// 3.09 MB measured, its index frozen segments only; 3.76 MB while the
+/// shard held a property graph, 4.60 MB while each
 /// payload held a BRAT copy of its extraction, 11.07 MB while the
 /// index was one mutable tail of posting lists, 14.38 MB while the
 /// graph's edges were 72 bytes and
@@ -225,14 +230,15 @@ const SUBMIT_BUDGET: usize = 10_000;
 /// 19.13 MB while the writer and the published snapshot held a copy of
 /// the tables each, and 32.28 MB before documents were text and the
 /// graph flat.
-const RESIDENT_BUDGET: isize = 4_100_000;
+const RESIDENT_BUDGET: isize = 3_400_000;
 /// Live bytes a one-shard `Create` loaded with the same 500 reports may
-/// hold after a `flush()` (k): 3.68 MB measured, as before the flush;
-/// 4.52 MB while each payload held a BRAT copy of its extraction, 7.82
+/// hold after a `flush()` (k): 3.01 MB measured, as before the flush;
+/// 3.68 MB while the shard held a property graph, 4.52 MB while each
+/// payload held a BRAT copy of its extraction, 7.82
 /// MB while the graph's edges were 72 bytes and its properties
 /// `Value`s, 14.63 MB while a frozen segment kept the tail's posting
 /// lists.
-const FROZEN_RESIDENT_BUDGET: isize = 4_000_000;
+const FROZEN_RESIDENT_BUDGET: isize = 3_300_000;
 /// `Index::postings_bytes()` of the index of (b): 1 533 420 measured,
 /// 3 586 951 while recovery decoded every list, 5 310 279 while
 /// `body_ngram` stored positions.
@@ -258,31 +264,40 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
 /// on a shard sealed by one flush (j) and on an in-memory shard (m), at
-/// every size: 175 270 / 146 784 / 172 916 and 179 294 / 154 904 /
-/// 189 228 measured at 250 / 500 / 1000 reports — the merged segment of
+/// every size: 116 878 / 109 464 / 117 136 and 120 902 / 117 584 /
+/// 133 448 measured at 250 / 500 / 1000 reports — the merged segment of
 /// the batch and the one before it (the pinned snapshot keeps that one),
-/// postings and facets, the payloads, the graph's last chunks; the
+/// postings and facets, the payloads, the columns' last chunks; the
 /// sealed shard copies no chunk of sealed payload texts, which its
-/// column does not hold (182 726 / 157 616 / 192 492 while it held
-/// them; 178 726 / 149 520 / 176 204 and 182 750 / 157 640 / 192 516
-/// while each payload held a BRAT copy of its extraction). 196 787 / 179 698 / 239 649 while
+/// column does not hold. 175 270 / 146 784 / 172 916 and 179 294 /
+/// 154 904 / 189 228 while each write added its documents to a property
+/// graph and copied the graph's last chunks; with the graph, 182 726 /
+/// 157 616 / 192 492 on the sealed shard while its payload column held
+/// sealed texts, and 178 726 / 149 520 / 176 204 and 182 750 / 157 640
+/// / 192 516 while each payload held a BRAT copy of its extraction.
+/// 196 787 / 179 698 / 239 649 while
 /// a shard-wide facet index beside the segments copied each run the
 /// write touched; on the sealed shard 0.51 / 0.44 / 0.47 MB while writes
 /// copied a mutable tail, 0.79 / 0.69 / 0.91 MB while the graph's key
 /// tables grew with the corpus as well; on the in-memory one 2 303 885 /
 /// 2 784 385 / 4 165 349 bytes while the tail was the whole index.
 const WRITE_BUDGET: isize = 1 << 19;
-/// Live bytes the graph of (e) may hold: 832 424 measured, 4 142 390
-/// while every edge was 72 bytes, every node's properties an `Arc` slice
-/// of `Value`s and every `(label, key, value)` indexed.
-const GRAPH_BUDGET: isize = 900_000;
-/// Live bytes two reports may add to a copy of a sealed shard's graph
-/// (j), at every size: 60 896 / 41 792 / 64 416 measured at 250 / 500 /
-/// 1000 reports — the clone's chunk tables, the last chunk of each column
-/// and the arena's last block, the head chunks of the concepts the
-/// reports link to; about 318 000 / 300 000 / 465 000 while the clone
-/// copied key tables that grew with the corpus.
-const GRAPH_WRITE_BUDGET: isize = 1 << 17;
+/// Live bytes the event column of (e) may hold: 163 152 measured (a
+/// record's `Arc` and its three lists, 324 bytes a report); the property
+/// graph of the same reports held 832 424, and 4 142 390 while every
+/// edge was 72 bytes, every node's properties an `Arc` slice of
+/// `Value`s and every `(label, key, value)` indexed.
+const COLUMN_BUDGET: isize = 180_000;
+/// Live bytes two reports may add to a copy of a sealed shard's event
+/// column (j), at every size: 2 736 / 4 704 / 8 868 measured at 250 /
+/// 500 / 1000 reports — the clone's chunk table, its last chunk of
+/// record pointers (at most 1 024 of them), the two records. The
+/// property graph's share was 60 896 / 41 792 / 64 416 — the clone's
+/// chunk tables, the last chunk of each column and the arena's last
+/// block, the head chunks of the concepts the reports link to — and
+/// about 318 000 / 300 000 / 465 000 while the clone copied key tables
+/// that grew with the corpus.
+const COLUMN_WRITE_BUDGET: isize = 1 << 14;
 /// Reports the tagger of (l) is trained on, as the benchmark's is.
 const TAGGER_REPORTS: usize = 60;
 /// Live bytes the tagger of (l) may hold: 619 637 measured (2 788 rows
@@ -358,7 +373,7 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     // (h) a publish that writes no table: attaching a tagger republishes
     // the shard with every table it had.
     let tagger = tiny_tagger(&system, &reports[..20]);
-    let (graph_before, index_before) = (system.graph(), system.index());
+    let (events_before, index_before) = (system.events(), system.index());
     let generations_before = system.shard_generations();
     let (before, start) = (allocations(), live_bytes());
     PEAK_BYTES.store(start, Ordering::Relaxed);
@@ -370,28 +385,21 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
          allocations, heap high-water {publish_peak} bytes above its start"
     );
     let republished = system.shard_generations() != generations_before;
-    let shared =
-        Arc::ptr_eq(&graph_before, &system.graph()) && Arc::ptr_eq(&index_before, &system.index());
-    drop((graph_before, index_before));
+    let shared = Arc::ptr_eq(&events_before, &system.events())
+        && Arc::ptr_eq(&index_before, &system.index());
+    drop((events_before, index_before));
 
-    // (e) the graph as ingest builds it, on its own.
-    let ontology = system.ontology();
+    // (e) the event column as ingest builds it, on its own.
     let before = live_bytes();
-    let mut graph = report_graph();
+    let mut column = EventColumn::default();
     for report in &reports {
-        add_report(
-            &mut graph,
-            &ontology,
-            &meta(report),
-            &ExtractedAnnotations::from_gold(report),
-        );
+        push_record(&mut column, report);
     }
-    let graph_held = live_bytes() - before;
+    let column_held = live_bytes() - before;
     println!(
-        "graph of {} nodes / {} edges: {graph_held} live bytes, heap_bytes {}",
-        graph.node_count(),
-        graph.edge_count(),
-        graph.heap_bytes(),
+        "event column of {} reports: {column_held} live bytes, column_bytes {}",
+        reports.len(),
+        column_bytes(&column),
     );
 
     // (b) the index as `Create::open` builds it: a segment file's
@@ -566,15 +574,15 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
          above the live bytes before it; a compacting flush: {compaction_peaks:?}"
     );
     // (j) a write after a seal, the previous snapshot pinned, and the
-    // graph's share of it.
-    let (sealed_writes, graph_writes): (Vec<isize>, Vec<isize>) = COMPACT_SIZES
+    // event column's share of it.
+    let (sealed_writes, column_writes): (Vec<isize>, Vec<isize>) = COMPACT_SIZES
         .iter()
         .map(|&size| sealed_write_growth(&corpus[..size + 4]))
         .unzip();
     println!(
         "a 2-document submit on a shard sealed at {COMPACT_SIZES:?} reports, \
          the old snapshot pinned: {sealed_writes:?} live bytes added, \
-         {graph_writes:?} of them the graph's"
+         {column_writes:?} of them the event column's"
     );
     // (m) the same write on an in-memory shard, which nothing seals.
     let memory_writes: Vec<isize> = COMPACT_SIZES
@@ -613,8 +621,8 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
     );
     assert!(
         republished && shared,
-        "attaching a tagger republished the shard: {republished}, sharing its graph and \
-         index: {shared}"
+        "attaching a tagger republished the shard: {republished}, sharing its event column \
+         and index: {shared}"
     );
     assert!(
         publish_allocations <= PUBLISH_BUDGET && publish_peak <= PUBLISH_HEAP_BUDGET,
@@ -623,14 +631,16 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
          (budget {PUBLISH_HEAP_BUDGET})"
     );
     assert!(
-        graph_held <= GRAPH_BUDGET,
-        "the graph of {REPORTS} reports holds {graph_held} live bytes, budget {GRAPH_BUDGET}"
+        column_held <= COLUMN_BUDGET,
+        "the event column of {} reports holds {column_held} live bytes, budget {COLUMN_BUDGET}",
+        reports.len()
     );
-    let ratio = graph.heap_bytes() as f64 / graph_held as f64;
+    let ratio = column_bytes(&column) as f64 / column_held as f64;
     assert!(
         (0.9..=1.1).contains(&ratio),
-        "the graph holds {graph_held} live bytes but heap_bytes() says {} ({ratio:.3}x)",
-        graph.heap_bytes()
+        "the event column holds {column_held} live bytes but column_bytes() says {} \
+         ({ratio:.3}x)",
+        column_bytes(&column)
     );
     assert!(
         tagger_held <= TAGGER_BUDGET,
@@ -651,16 +661,16 @@ fn submit_and_index_stay_inside_their_allocation_budgets() {
         tag_allocations <= TAG_BUDGET,
         "a tag made {tag_allocations} allocations, budget {TAG_BUDGET}"
     );
-    for ((size, grew), graph) in COMPACT_SIZES.iter().zip(&sealed_writes).zip(&graph_writes) {
+    for ((size, grew), column) in COMPACT_SIZES.iter().zip(&sealed_writes).zip(&column_writes) {
         assert!(
             *grew <= WRITE_BUDGET,
             "a 2-document submit on a shard sealed at {size} reports added {grew} live bytes, \
              budget {WRITE_BUDGET}"
         );
         assert!(
-            *graph <= GRAPH_WRITE_BUDGET,
-            "a 2-document write to the graph of {size} reports added {graph} live bytes, \
-             budget {GRAPH_WRITE_BUDGET}"
+            *column <= COLUMN_WRITE_BUDGET,
+            "a 2-document write to the event column of {size} reports added {column} live \
+             bytes, budget {COLUMN_WRITE_BUDGET}"
         );
     }
     for (size, grew) in COMPACT_SIZES.iter().zip(&memory_writes) {
@@ -749,14 +759,13 @@ fn tiny_tagger(system: &Create, reports: &[create::corpus::CaseReport]) -> creat
     )
 }
 
-/// What the graph of a report holds.
-fn meta(report: &create::corpus::CaseReport) -> ReportMeta {
-    ReportMeta {
-        report_id: report.id.clone(),
-        title: report.title.clone(),
-        year: report.metadata.year,
-        category: report.category.coarse_label().to_string(),
-    }
+/// Appends a report's event record to `column`, as ingest does.
+fn push_record(column: &mut EventColumn, report: &create::corpus::CaseReport) {
+    let annotations = ExtractedAnnotations::from_gold(report);
+    column.push(Arc::new(EventRecord::new(
+        report.metadata.year,
+        &annotations,
+    )));
 }
 
 /// Seals all but the last four of `reports` into a fresh disk-backed
@@ -764,8 +773,9 @@ fn meta(report: &create::corpus::CaseReport) -> ReportMeta {
 /// index holds them unsealed), then — that snapshot pinned — the last
 /// two. The
 /// live bytes the last submit added, and the live bytes the same two
-/// reports add to a copy of the pinned snapshot's graph: the graph's
-/// share of the write, the clone and the copies `Writer::apply` makes.
+/// reports add to a copy of the pinned snapshot's event column: the
+/// column's share of the write, the clone and the copies `Writer::apply`
+/// makes.
 fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> (isize, isize) {
     let dir = std::env::temp_dir().join(format!(
         "create-alloc-sealed-{}-{}",
@@ -779,26 +789,21 @@ fn sealed_write_growth(reports: &[create::corpus::CaseReport]) -> (isize, isize)
     system.flush().unwrap();
     system.ingest_gold_batch(&small[..2], 1).unwrap();
     let previous = system.snapshot();
-    let ontology = system.ontology();
+    let pinned = system.events();
     let before = live_bytes();
-    let mut graph = previous.graph().clone();
+    let mut column = (*pinned).clone();
     for report in &small[2..] {
-        add_report(
-            &mut graph,
-            &ontology,
-            &meta(report),
-            &ExtractedAnnotations::from_gold(report),
-        );
+        push_record(&mut column, report);
     }
-    let graph_grew = live_bytes() - before;
-    drop(graph);
+    let column_grew = live_bytes() - before;
+    drop((column, pinned));
     let before = live_bytes();
     system.ingest_gold_batch(&small[2..], 1).unwrap();
     let grew = live_bytes() - before;
     drop(previous);
     drop(system);
     let _ = std::fs::remove_dir_all(&dir);
-    (grew, graph_grew)
+    (grew, column_grew)
 }
 
 /// Loads all but the last four of `reports` into an in-memory one-shard

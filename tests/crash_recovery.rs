@@ -890,7 +890,8 @@ fn a_stored_block_corrupted_after_open_fails_only_the_reports_it_holds() {
     // 300 reports of ~2.2 KB in one segment: at least three stored
     // blocks, as asserted below. The reopened instance located every
     // payload while it streamed the file; a byte of the first block
-    // flipped afterwards is found by the read.
+    // flipped afterwards is found by the read of each route that reads
+    // a stored payload: the report, its annotations and its graph.svg.
     let reports = corpus(300, 20261017);
     let dir = fresh_dir("stored-after-open");
     {
@@ -919,6 +920,7 @@ fn a_stored_block_corrupted_after_open_fails_only_the_reports_it_holds() {
         [
             get(format!("/reports/{id}")),
             get(format!("/reports/{id}/annotations")),
+            get(format!("/reports/{id}/graph.svg")),
         ]
     };
     let before: Vec<_> = reports.iter().map(|r| bodies(&r.id)).collect();

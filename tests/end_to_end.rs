@@ -71,7 +71,7 @@ fn full_pipeline_search_quality() {
 fn graph_is_cypher_queryable_after_ingest() {
     let (system, _) = loaded(30, 7);
     let out = query(
-        &system.graph(),
+        &system.graph().unwrap(),
         "MATCH (r:Report)-[:MENTIONS]->(c:Concept) RETURN COUNT(*)",
     )
     .expect("cypher");
@@ -83,7 +83,7 @@ fn graph_is_cypher_queryable_after_ingest() {
 
     // A relation-style query (the Fig-6 graph path) returns rows.
     let out = query(
-        &system.graph(),
+        &system.graph().unwrap(),
         "MATCH (a:Event)-[:BEFORE]->(b:Event) RETURN a.reportId LIMIT 5",
     )
     .expect("cypher");
@@ -94,7 +94,7 @@ fn graph_is_cypher_queryable_after_ingest() {
 fn a_cypher_read_leaves_the_generation_unchanged() {
     let (system, _) = loaded(12, 11);
     let before = (system.cache_stats().generation, system.stats());
-    let graph = system.graph();
+    let graph = system.graph().unwrap();
     let first = query(&graph, "MATCH (r:Report) RETURN r.reportId LIMIT 1").expect("cypher");
     let create::graphdb::ResultValue::Value(id) = &first.rows[0][0] else {
         panic!("a report id, got {first:?}");
@@ -135,7 +135,7 @@ fn annotations_export_is_valid_brat() {
 fn visualization_svg_is_wellformed_for_every_report() {
     let (system, reports) = loaded(10, 9);
     for r in &reports {
-        let svg = system.visualize(&r.id).expect("svg");
+        let svg = system.visualize(&r.id).unwrap().expect("svg");
         let parsed = create::grobid::parse_xml(&svg).expect("well-formed SVG");
         assert_eq!(parsed.name, "svg");
         assert!(!parsed.descendants("circle").is_empty());

@@ -254,7 +254,7 @@ fn a_read_completes_while_a_write_operation_is_open() {
                 system.cohort_from_json(&criteria).map(|c| c.total_matched),
                 system.report(&id).unwrap().is_some(),
                 system.annotations(&id).unwrap().is_some(),
-                system.visualize(&id).is_some(),
+                system.visualize(&id).unwrap().is_some(),
             );
             let counters = (
                 system.stats().reports,
