@@ -16,8 +16,11 @@
 //! ([`Create::graph`](crate::Create::graph)). A shard keeps one
 //! [`EventRecord`] per report — what the graph search, the temporal
 //! operators and the counts read of the report's part of the graph.
+//! Both searches ask a record one temporal question,
+//! [`EventRecord::realizes`], answered on the events' timeline steps.
 
 use crate::pipeline::ExtractedAnnotations;
+use crate::plan::{TemporalOp, STEP_DAYS};
 use create_docstore::Value;
 use create_graphdb::{NodeId, PropertyGraph};
 use create_ontology::{ConceptId, Ontology, RelationType};
@@ -64,28 +67,27 @@ pub type TemporalEdge = (u32, u32, RelationType);
 /// `events` (its [`event_mentions`]), in creation order: one per
 /// relation whose endpoints are both events — an `AFTER` reversed into
 /// a `BEFORE`, a relation that is not temporal dropped.
-pub(crate) fn temporal_edges(
-    annotations: &ExtractedAnnotations,
-    events: &[usize],
-) -> Vec<TemporalEdge> {
+pub(crate) fn temporal_edges<'a>(
+    annotations: &'a ExtractedAnnotations,
+    events: &'a [usize],
+) -> impl Iterator<Item = TemporalEdge> + 'a {
     let at = |mention: usize| events.binary_search(&mention).ok().map(|i| i as u32);
-    (annotations.relations.iter())
-        .filter_map(|&(src, dst, rel)| {
-            let (a, b) = (at(src)?, at(dst)?);
-            match rel {
-                RelationType::Before => Some((a, b, RelationType::Before)),
-                RelationType::After => Some((b, a, RelationType::Before)),
-                RelationType::Overlap => Some((a, b, RelationType::Overlap)),
-                _ => None,
-            }
-        })
-        .collect()
+    (annotations.relations.iter()).filter_map(move |&(src, dst, rel)| {
+        let (a, b) = (at(src)?, at(dst)?);
+        match rel {
+            RelationType::Before => Some((a, b, RelationType::Before)),
+            RelationType::After => Some((b, a, RelationType::Before)),
+            RelationType::Overlap => Some((a, b, RelationType::Overlap)),
+            _ => None,
+        }
+    })
 }
 
 /// `edges` in the order a walk of the graph meets them: by source
-/// event, then in creation order — each event's outgoing edges.
-pub(crate) fn walk_order(edges: &[TemporalEdge]) -> Vec<TemporalEdge> {
-    let mut walked = edges.to_vec();
+/// event, then in creation order — each event's outgoing edges, as
+/// `/graph.svg` draws them.
+pub(crate) fn walk_order(edges: impl Iterator<Item = TemporalEdge>) -> Vec<TemporalEdge> {
+    let mut walked: Vec<TemporalEdge> = edges.collect();
     walked.sort_by_key(|&(source, ..)| source);
     walked
 }
@@ -102,8 +104,8 @@ pub struct EventRecord {
     /// Its events, in mention order: each one's concept and timeline
     /// step.
     pub events: Box<[(ConceptId, Option<u32>)]>,
-    /// Its `BEFORE` / `OVERLAP` edges, in creation order.
-    pub edges: Box<[TemporalEdge]>,
+    /// How many `BEFORE` / `OVERLAP` edges its events have.
+    pub edges: u32,
 }
 
 impl EventRecord {
@@ -120,8 +122,30 @@ impl EventRecord {
             events: (events.iter().map(|&i| &mentions[i]))
                 .map(|m| (m.concept.expect("events have concepts"), m.time_step))
                 .collect(),
-            edges: temporal_edges(annotations, &events).into(),
+            edges: temporal_edges(annotations, &events).count() as u32,
         }
+    }
+
+    /// True when some event of `a` and some event of `b`, both with a
+    /// timeline step, satisfy `op` on their steps (`Within(days)` at
+    /// [`STEP_DAYS`] a step); an event without a step realizes nothing.
+    /// The one temporal predicate: `/search`'s pattern and `/cohort`'s
+    /// operators both ask it. A report's temporal edges agree with its
+    /// steps (`CaseReport::validate`), so their closure adds nothing.
+    pub fn realizes(&self, a: ConceptId, b: ConceptId, op: TemporalOp) -> bool {
+        let steps = |concept: ConceptId| {
+            (self.events.iter()).filter_map(move |&(cui, step)| step.filter(|_| cui == concept))
+        };
+        steps(a).any(|sa| {
+            steps(b).any(|sb| match op {
+                TemporalOp::Before => sa < sb,
+                TemporalOp::After => sa > sb,
+                TemporalOp::Overlaps => sa == sb,
+                TemporalOp::Within(days) => {
+                    u64::from(sa.abs_diff(sb)) * u64::from(STEP_DAYS) <= u64::from(days)
+                }
+            })
+        })
     }
 }
 
@@ -129,13 +153,12 @@ impl EventRecord {
 pub type EventColumn = Chunked<Arc<EventRecord>>;
 
 /// Heap bytes an event column holds: its chunks, and every record's
-/// `Arc` allocation and three lists.
+/// `Arc` allocation and two lists.
 pub fn column_bytes(column: &EventColumn) -> usize {
     let record = |r: &Arc<EventRecord>| {
         arc_slice_bytes(size_of::<EventRecord>())
             + size_of_val(&*r.concepts)
             + size_of_val(&*r.events)
-            + size_of_val(&*r.edges)
     };
     column.heap_bytes() + column.iter().map(record).sum::<usize>()
 }
@@ -150,7 +173,7 @@ pub(crate) fn graph_counts(column: &EventColumn) -> (usize, usize) {
     for record in column.iter() {
         concepts.extend(record.concepts.iter().copied());
         events += record.events.len();
-        edges += record.concepts.len() + record.edges.len();
+        edges += record.concepts.len() + record.edges as usize;
     }
     (column.len() + events + concepts.len(), edges + 2 * events)
 }
@@ -274,6 +297,92 @@ mod tests {
         let annotations = ExtractedAnnotations::from_gold(&report);
         add_report(&mut graph, &ontology, &meta(&report), &annotations);
         (graph, ontology, report)
+    }
+
+    /// Concept 1 at step 0; concept 2 at step 3; concept 3 at step 3
+    /// and without a step; concept 4 only without a step.
+    fn record() -> EventRecord {
+        let c = ConceptId;
+        EventRecord {
+            year: 2020,
+            concepts: [c(1), c(2), c(3), c(4)].into(),
+            events: [
+                (c(1), Some(0)),
+                (c(2), Some(3)),
+                (c(3), Some(3)),
+                (c(3), None),
+                (c(4), None),
+            ]
+            .into(),
+            edges: 0,
+        }
+    }
+
+    #[test]
+    fn every_operator_compares_timeline_steps() {
+        use TemporalOp::*;
+        let r = record();
+        let (a, b, c) = (ConceptId(1), ConceptId(2), ConceptId(3));
+        assert!(r.realizes(a, b, Before) && !r.realizes(b, a, Before));
+        assert!(r.realizes(b, a, After) && !r.realizes(a, b, After));
+        assert!(r.realizes(b, c, Overlaps) && !r.realizes(a, b, Overlaps));
+        assert!(!r.realizes(b, c, Before) && !r.realizes(b, c, After));
+        // Three steps are 90 days, either way round.
+        assert!(r.realizes(a, b, Within(90)) && r.realizes(b, a, Within(90)));
+        assert!(!r.realizes(a, b, Within(89)));
+        assert!(r.realizes(b, c, Within(0)) && !r.realizes(a, b, Within(0)));
+    }
+
+    #[test]
+    fn a_concept_overlaps_itself_and_does_not_precede_itself() {
+        use TemporalOp::*;
+        let r = record();
+        for c in [ConceptId(1), ConceptId(3)] {
+            assert!(r.realizes(c, c, Overlaps) && r.realizes(c, c, Within(0)));
+            assert!(!r.realizes(c, c, Before) && !r.realizes(c, c, After));
+        }
+    }
+
+    #[test]
+    fn events_without_a_step_never_match() {
+        let r = record();
+        let stepless = ConceptId(4);
+        let ops = [
+            TemporalOp::Before,
+            TemporalOp::After,
+            TemporalOp::Overlaps,
+            TemporalOp::Within(u32::MAX),
+        ];
+        for other in (1..=4).map(ConceptId) {
+            for op in ops {
+                assert!(!r.realizes(stepless, other, op), "{op:?} {other}");
+                assert!(!r.realizes(other, stepless, op), "{other} {op:?}");
+            }
+        }
+        // A concept not in the record realizes nothing either.
+        assert!(!r.realizes(ConceptId(9), ConceptId(1), TemporalOp::Within(u32::MAX)));
+    }
+
+    #[test]
+    fn within_is_exact_at_its_extremes() {
+        let c = ConceptId;
+        // u32::MAX days are 143 165 576 steps and 15 days.
+        let steps = 143_165_576;
+        let record = |gap: u32| EventRecord {
+            year: 2020,
+            concepts: [c(1), c(2)].into(),
+            events: [(c(1), Some(0)), (c(2), Some(gap))].into(),
+            edges: 0,
+        };
+        let within =
+            |gap: u32, days: u32| record(gap).realizes(c(1), c(2), TemporalOp::Within(days));
+        assert!(within(steps, u32::MAX) && !within(steps + 1, u32::MAX));
+        assert!(
+            !within(u32::MAX, u32::MAX),
+            "no overflow at the largest gap"
+        );
+        assert!(within(0, 0) && !within(1, 0) && !within(1, STEP_DAYS - 1));
+        assert!(within(1, STEP_DAYS));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!    union per field and intersect across fields into one eligible run
 //!    per shard. With no filter or temporal node (every `/search`),
 //!    every document is eligible and no run is built;
-//! 2. **Temporal** — a candidate's events, read from its event record,
-//!    are lifted into a [`TemporalGraph`] where every
-//!    [`PlanNode::Temporal`] constraint must be realized (transitively,
-//!    Fig. 5) by some event pair;
+//! 2. **Temporal** — a candidate's event record must realize every
+//!    [`PlanNode::Temporal`] constraint on its timeline steps
+//!    ([`EventRecord::realizes`], the predicate of `/search`'s pattern
+//!    too);
 //! 3. **GraphMatch / Keyword** — the graph engine's concept match, and
 //!    the one keyword leg: BM25 under *merged* corpus statistics over
 //!    every document or pushed down onto the eligible run;
@@ -34,7 +34,7 @@
 //!    of `k`); keyword rows gather under `(score desc, ingest ordinal
 //!    asc)`, then the [`PlanNode::Merge`] policy merges the two legs.
 
-use crate::graph_build::{self, EventRecord};
+use crate::graph_build::EventRecord;
 use crate::search::{self, MergePolicy, SearchHit};
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
@@ -44,7 +44,6 @@ use create_index::{CorpusStats, Index, Scorer};
 use create_obs::names as obs_names;
 use create_obs::Span;
 use create_ontology::{ConceptId, Ontology, RelationType};
-use create_temporal::TemporalGraph;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -544,64 +543,10 @@ impl CohortResult {
     }
 }
 
-/// True when the report realizes every constraint: for each, some
-/// event pair mentioning the two concepts must satisfy the operator —
-/// derived transitively through the temporal graph over its events when
-/// possible, falling back to the events' timeline steps (the ground
-/// truth the graph's edges were built from) when the relation is not
-/// derivable from explicit edges. The graph's edges are added in the
-/// order a walk of the property graph meets them
-/// ([`graph_build::walk_order`]), a self loop left out.
+/// True when the report realizes every constraint
+/// ([`EventRecord::realizes`]).
 fn satisfies_all(record: &EventRecord, constraints: &[&TemporalConstraint]) -> bool {
-    let events = &record.events;
-    let mut tg = TemporalGraph::new(vec![String::new(); events.len()]);
-    for (a, b, rel) in graph_build::walk_order(&record.edges) {
-        if a != b {
-            tg.add_edge(a as usize, b as usize, rel);
-        }
-    }
-    constraints.iter().all(|c| {
-        let of = |concept: ConceptId| -> Vec<usize> {
-            (events.iter().enumerate())
-                .filter(|(_, &(cui, _))| cui == concept)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let az = of(c.a);
-        let bz = of(c.b);
-        az.iter().any(|&ia| {
-            bz.iter().any(|&ib| match c.op {
-                TemporalOp::Within(days) => match (events[ia].1, events[ib].1) {
-                    (Some(sa), Some(sb)) => {
-                        f64::from(sa.abs_diff(sb)) * f64::from(STEP_DAYS) <= f64::from(days)
-                    }
-                    _ => false,
-                },
-                op => {
-                    let rel = match op {
-                        TemporalOp::Before => RelationType::Before,
-                        TemporalOp::After => RelationType::After,
-                        TemporalOp::Overlaps => RelationType::Overlap,
-                        TemporalOp::Within(_) => unreachable!("handled above"),
-                    };
-                    if ia != ib {
-                        if let Some(derived) = tg.infer(ia, ib) {
-                            return derived == rel;
-                        }
-                    }
-                    match (events[ia].1, events[ib].1) {
-                        (Some(sa), Some(sb)) => match rel {
-                            RelationType::Before => sa < sb,
-                            RelationType::After => sa > sb,
-                            RelationType::Overlap => sa == sb,
-                            _ => false,
-                        },
-                        _ => false,
-                    }
-                }
-            })
-        })
-    })
+    constraints.iter().all(|c| record.realizes(c.a, c.b, c.op))
 }
 
 /// Counts a bitmap intersection into `create_bitmap_intersections_total`.

@@ -7,7 +7,9 @@
 //!   record (its part of the property graph, see
 //!   [`EventRecord`](crate::graph_build::EventRecord)): a report matches
 //!   when it mentions every query concept; when the query carries a
-//!   temporal pattern, the report's event steps must realize it. Pattern
+//!   temporal pattern, the record must realize it
+//!   ([`EventRecord::realizes`](crate::graph_build::EventRecord::realizes),
+//!   the predicate `/cohort`'s temporal operators use too). Pattern
 //!   realizations outrank concept-only matches.
 //! * **Merge** — "By default, Neo4j is the primary search engine in
 //!   CREATe-IR. The results returned by Neo4j will be placed on top,
@@ -21,6 +23,7 @@
 //! `Keyword` and `Merge` nodes say.
 
 use crate::pipeline::QueryIE;
+use crate::plan::TemporalOp;
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
@@ -170,25 +173,15 @@ impl MergePolicy {
     }
 }
 
-/// True when the events realize `rel` between the two concepts: some
-/// step of a `c1` event and some step of a `c2` event in that order.
-fn pattern_matches(
-    events: &[(ConceptId, Option<u32>)],
-    c1: ConceptId,
-    c2: ConceptId,
-    rel: RelationType,
-) -> bool {
-    let steps = |concept: ConceptId| {
-        (events.iter()).filter_map(move |&(cui, step)| step.filter(|_| cui == concept))
-    };
-    steps(c1).any(|a| {
-        steps(c2).any(|b| match rel {
-            RelationType::Before => a < b,
-            RelationType::After => a > b,
-            RelationType::Overlap => a == b,
-            _ => false,
-        })
-    })
+/// The timeline operator a query pattern's relation asks for; a
+/// relation that is not temporal has none, and matches no report.
+fn pattern_op(rel: RelationType) -> Option<TemporalOp> {
+    match rel {
+        RelationType::Before => Some(TemporalOp::Before),
+        RelationType::After => Some(TemporalOp::After),
+        RelationType::Overlap => Some(TemporalOp::Overlaps),
+        _ => None,
+    }
 }
 
 /// Runs the graph query (a `GraphMatch` plan node) over one shard's
@@ -203,13 +196,13 @@ pub(crate) fn graph_search(
     if concepts.is_empty() {
         return Vec::new();
     }
+    let pattern = pattern.and_then(|(c1, c2, rel)| Some((c1, c2, pattern_op(rel)?)));
     let mut hits = Vec::new();
     for (doc, record) in shard.events.iter().enumerate() {
         if !(concepts.iter()).all(|c| record.concepts.binary_search(c).is_ok()) {
             continue;
         }
-        let pattern_matched =
-            pattern.is_some_and(|(c1, c2, rel)| pattern_matches(&record.events, c1, c2, rel));
+        let pattern_matched = pattern.is_some_and(|(c1, c2, op)| record.realizes(c1, c2, op));
         let report_id = shard.index.external_id(doc as u32).unwrap_or_default();
         // Pattern dominates; recency is a mild tiebreak.
         let score = if pattern_matched { 10.0 } else { 1.0 } + f64::from(record.year) / 10_000.0;

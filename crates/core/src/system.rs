@@ -556,7 +556,7 @@ impl Create {
             })
             .collect();
         let edges = graph_build::temporal_edges(&annotations, &events);
-        let edges = (graph_build::walk_order(&edges).into_iter())
+        let edges = (graph_build::walk_order(edges).into_iter())
             .map(|(source, target, rel)| VizEdge {
                 source: source as usize,
                 target: target as usize,

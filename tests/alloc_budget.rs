@@ -201,10 +201,11 @@ const REPORTS: usize = 500;
 /// buckets' map, spread over the terms), and the figure repeats exactly;
 /// 181.3 while every list was decoded into a `PostingList` of its own.
 const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 7 734
+/// Allocations one 2-document batch may make at 500 reports: 7 732
 /// measured (tokens, the batch's own segment, its encoding and the
 /// frozen segment's tables, the merges the tier rule makes, the copies
-/// of the tables the published snapshot shares); 8 047 while each
+/// of the tables the published snapshot shares); 7 734 while each event
+/// record held its edges as a list, 8 047 while each
 /// write added the documents to a property graph, 8 464 while ingest
 /// built and serialized a BRAT export of each report, 8 526 while a
 /// shard-wide facet index copied the runs a write touched, 13 498 while
@@ -218,7 +219,8 @@ const TERM_OVERHEAD: usize = 4;
 /// node per 11 stored documents, 209 179 with a `Vec` per posting.
 const SUBMIT_BUDGET: usize = 9_000;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 3.09 MB measured, its index frozen segments only; 3.76 MB while the
+/// 3.04 MB measured, its index frozen segments only; 3.09 MB while each
+/// event record held its edges as a list, 3.76 MB while the
 /// shard held a property graph, 4.60 MB while each
 /// payload held a BRAT copy of its extraction, 11.07 MB while the
 /// index was one mutable tail of posting lists, 14.38 MB while the
@@ -232,7 +234,8 @@ const SUBMIT_BUDGET: usize = 9_000;
 /// graph flat.
 const RESIDENT_BUDGET: isize = 3_400_000;
 /// Live bytes a one-shard `Create` loaded with the same 500 reports may
-/// hold after a `flush()` (k): 3.01 MB measured, as before the flush;
+/// hold after a `flush()` (k): 2.96 MB measured, as before the flush
+/// (3.01 MB while each event record held its edges as a list);
 /// 3.68 MB while the shard held a property graph, 4.52 MB while each
 /// payload held a BRAT copy of its extraction, 7.82
 /// MB while the graph's edges were 72 bytes and its properties
@@ -264,8 +267,8 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
 /// on a shard sealed by one flush (j) and on an in-memory shard (m), at
-/// every size: 116 878 / 109 464 / 117 136 and 120 902 / 117 584 /
-/// 133 448 measured at 250 / 500 / 1000 reports — the merged segment of
+/// every size: 116 642 / 109 264 / 116 912 and 120 666 / 117 384 /
+/// 133 224 measured at 250 / 500 / 1000 reports — the merged segment of
 /// the batch and the one before it (the pinned snapshot keeps that one),
 /// postings and facets, the payloads, the columns' last chunks; the
 /// sealed shard copies no chunk of sealed payload texts, which its
@@ -282,22 +285,24 @@ const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// tables grew with the corpus as well; on the in-memory one 2 303 885 /
 /// 2 784 385 / 4 165 349 bytes while the tail was the whole index.
 const WRITE_BUDGET: isize = 1 << 19;
-/// Live bytes the event column of (e) may hold: 163 152 measured (a
-/// record's `Arc` and its three lists, 324 bytes a report); the property
-/// graph of the same reports held 832 424, and 4 142 390 while every
-/// edge was 72 bytes, every node's properties an `Arc` slice of
-/// `Value`s and every `(label, key, value)` indexed.
-const COLUMN_BUDGET: isize = 180_000;
+/// Live bytes the event column of (e) may hold: 105 828 measured (a
+/// record's `Arc` and its two lists, 210 bytes a report); 163 152 while
+/// each record held its temporal edges as a list (324 bytes a report);
+/// the property graph of the same reports held 832 424, and 4 142 390
+/// while every edge was 72 bytes, every node's properties an `Arc` slice
+/// of `Value`s and every `(label, key, value)` indexed.
+const COLUMN_BUDGET: isize = 116_000;
 /// Live bytes two reports may add to a copy of a sealed shard's event
-/// column (j), at every size: 2 736 / 4 704 / 8 868 measured at 250 /
+/// column (j), at every size: 2 500 / 4 504 / 8 644 measured at 250 /
 /// 500 / 1000 reports — the clone's chunk table, its last chunk of
-/// record pointers (at most 1 024 of them), the two records. The
+/// record pointers (at most 1 024 of them), the two records; 2 736 /
+/// 4 704 / 8 868 while each record held its edges as a list. The
 /// property graph's share was 60 896 / 41 792 / 64 416 — the clone's
 /// chunk tables, the last chunk of each column and the arena's last
 /// block, the head chunks of the concepts the reports link to — and
 /// about 318 000 / 300 000 / 465 000 while the clone copied key tables
 /// that grew with the corpus.
-const COLUMN_WRITE_BUDGET: isize = 1 << 14;
+const COLUMN_WRITE_BUDGET: isize = 12_000;
 /// Reports the tagger of (l) is trained on, as the benchmark's is.
 const TAGGER_REPORTS: usize = 60;
 /// Live bytes the tagger of (l) may hold: 619 637 measured (2 788 rows

@@ -9,7 +9,9 @@
 //! E10 query set under every merge policy, every document against
 //! generated constraints of every temporal operator, and every report's
 //! SVG, byte for byte. `/stats`' graph node and edge counts, taken from
-//! the event records, equal the built graphs' counts.
+//! the event records, equal the built graphs' counts. And "before" means
+//! one thing: a graph hit realizes its query's pattern exactly when
+//! `/cohort`'s operator for the same pair holds for the report.
 
 mod support;
 
@@ -21,7 +23,7 @@ use create::core::{
 };
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use create::graphdb::PropertyGraph;
-use create::ontology::ConceptId;
+use create::ontology::{ConceptId, RelationType};
 use create::util::Rng;
 use std::collections::BTreeSet;
 
@@ -151,6 +153,61 @@ fn the_graph_leg_ranks_as_the_graph_walk_for_every_query_and_policy() {
         assert!(
             graph_hits > 0 && patterned > 0,
             "{graph_hits} / {patterned}"
+        );
+    }
+}
+
+/// The `/cohort` operator a query pattern's relation asks for.
+fn pattern_op(rel: RelationType) -> TemporalOp {
+    match rel {
+        RelationType::Before => TemporalOp::Before,
+        RelationType::After => TemporalOp::After,
+        RelationType::Overlap => TemporalOp::Overlaps,
+        other => panic!("a query pattern is temporal: {other:?}"),
+    }
+}
+
+#[test]
+fn a_graph_hit_matches_its_pattern_exactly_when_the_cohort_operator_holds() {
+    let reports = corpus(GOLD, 20261017);
+    let queries = QuerySet::generate(&reports, E10_QUERY_SEED, E10_QUERIES).queries;
+    for shards in [1, 2] {
+        let (system, ids) = fixture(&reports, shards);
+        let (mut patterns, mut matched, mut unmatched) = (0, 0, 0);
+        for query in &queries {
+            let q = query.text.as_str();
+            let Some((c1, c2, rel)) = system.parse_query(q).pattern else {
+                continue;
+            };
+            patterns += 1;
+            let cohort = system.cohort(&CohortCriteria {
+                filters: Vec::new(),
+                keywords: None,
+                temporal: vec![TemporalConstraint {
+                    a_text: c1.to_string(),
+                    a: c1,
+                    b_text: c2.to_string(),
+                    b: c2,
+                    op: pattern_op(rel),
+                }],
+                facet_counts: Vec::new(),
+                k: ids.len(),
+            });
+            let held: BTreeSet<&String> = cohort.hits.iter().map(|h| &h.report_id).collect();
+            for hit in system.search_with_policy(q, ids.len(), MergePolicy::GraphOnly) {
+                assert_eq!(
+                    hit.pattern_matched,
+                    held.contains(&hit.report_id),
+                    "{q:?}: {} at {shards} shards",
+                    hit.report_id
+                );
+                matched += usize::from(hit.pattern_matched);
+                unmatched += usize::from(!hit.pattern_matched);
+            }
+        }
+        assert!(
+            patterns > 0 && matched > 0 && unmatched > 0,
+            "{patterns} / {matched} / {unmatched}"
         );
     }
 }

@@ -4,8 +4,10 @@
 //! input generation so the workspace builds with no external deps).
 
 use create::annotate::BratDocument;
+use create::core::graph_build::EventRecord;
+use create::core::plan::{TemporalOp, STEP_DAYS};
 use create::docstore::{parse_json, Value};
-use create::ontology::RelationType;
+use create::ontology::{ConceptId, RelationType};
 use create::temporal::TemporalGraph;
 use create::text::stem::porter_stem;
 use create::text::{split_sentences, Span, StandardTokenizer, Tokenizer};
@@ -196,15 +198,65 @@ fn generated_temporal_gold_is_transitive() {
 
 // ---- Temporal graph ----
 
+/// What `/cohort`'s temporal operators answered for events `a` and `b`
+/// before the timeline steps became the one temporal semantics: for
+/// `before` / `after` / `overlaps`, the relation `infer` derives over
+/// the report's edges, falling back to the steps when none is derived
+/// (or `a == b`); for `within`, the steps.
+fn closure_rule(
+    g: &TemporalGraph,
+    steps: &[Option<u32>],
+    a: usize,
+    b: usize,
+    op: TemporalOp,
+) -> bool {
+    let rel = match op {
+        TemporalOp::Before => RelationType::Before,
+        TemporalOp::After => RelationType::After,
+        TemporalOp::Overlaps => RelationType::Overlap,
+        TemporalOp::Within(days) => {
+            return match (steps[a], steps[b]) {
+                (Some(sa), Some(sb)) => {
+                    f64::from(sa.abs_diff(sb)) * f64::from(STEP_DAYS) <= f64::from(days)
+                }
+                _ => false,
+            }
+        }
+    };
+    if a != b {
+        if let Some(derived) = g.infer(a, b) {
+            return derived == rel;
+        }
+    }
+    match (steps[a], steps[b]) {
+        (Some(sa), Some(sb)) => match rel {
+            RelationType::Before => sa < sb,
+            RelationType::After => sa > sb,
+            _ => sa == sb,
+        },
+        _ => false,
+    }
+}
+
 #[test]
 fn timeline_graphs_are_always_consistent() {
     let mut rng = Rng::seed_from_u64(0x4001);
+    let ops = [
+        TemporalOp::Before,
+        TemporalOp::After,
+        TemporalOp::Overlaps,
+        TemporalOp::Within(0),
+        TemporalOp::Within(30),
+        TemporalOp::Within(365),
+    ];
     for _ in 0..64 {
         // Build edges consistent with a latent step assignment; the graph
         // must be consistent and inference must agree with the steps.
         let n = 2 + rng.below(8);
         let steps: Vec<u32> = (0..n).map(|_| rng.below(5) as u32).collect();
-        let mut g = TemporalGraph::new((0..n).map(|i| format!("e{i}")).collect());
+        // Events without a step, and without edges, after the stepped ones.
+        let stepless = rng.below(3);
+        let mut g = TemporalGraph::new((0..n + stepless).map(|i| format!("e{i}")).collect());
         for i in 0..n {
             for j in (i + 1)..n {
                 if !rng.chance(0.5) {
@@ -230,6 +282,34 @@ fn timeline_graphs_are_always_consistent() {
                     Some(RelationType::After) => assert!(steps[a] > steps[b]),
                     Some(RelationType::Overlap) => assert_eq!(steps[a], steps[b]),
                     _ => {}
+                }
+            }
+        }
+        // So the closure never changes an operator's answer: over every
+        // ordered pair of events, itself included, the closure rule and
+        // the step rule (`EventRecord::realizes`, each event its own
+        // concept) agree.
+        let steps: Vec<Option<u32>> = (steps.into_iter().map(Some))
+            .chain(std::iter::repeat_n(None, stepless))
+            .collect();
+        let record = EventRecord {
+            year: 2020,
+            concepts: (0..steps.len() as u32).map(ConceptId).collect(),
+            events: (steps.iter().enumerate())
+                .map(|(i, &step)| (ConceptId(i as u32), step))
+                .collect(),
+            edges: g.edges().len() as u32,
+        };
+        for a in 0..steps.len() {
+            for b in 0..steps.len() {
+                for op in ops {
+                    let by_steps = record.realizes(ConceptId(a as u32), ConceptId(b as u32), op);
+                    assert_eq!(
+                        closure_rule(&g, &steps, a, b, op),
+                        by_steps,
+                        "{op:?} between e{a} and e{b}, steps {steps:?}, edges {:?}",
+                        g.edges()
+                    );
                 }
             }
         }
