@@ -29,6 +29,8 @@ use create_docstore::json::obj;
 use create_docstore::Value;
 use create_index::{Index, QueryNode, Scorer};
 use create_ontology::{ConceptId, RelationType};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 /// Which engine produced a hit.
@@ -197,25 +199,74 @@ pub(crate) fn graph_search(
         return Vec::new();
     }
     let pattern = pattern.and_then(|(c1, c2, rel)| Some((c1, c2, pattern_op(rel)?)));
-    let mut hits = Vec::new();
-    for (doc, record) in shard.events.iter().enumerate() {
+    let matches = shard.events.iter().enumerate().filter_map(|(doc, record)| {
         if !(concepts.iter()).all(|c| record.concepts.binary_search(c).is_ok()) {
-            continue;
+            return None;
         }
         let pattern_matched = pattern.is_some_and(|(c1, c2, op)| record.realizes(c1, c2, op));
         let report_id = shard.index.external_id(doc as u32).unwrap_or_default();
         // Pattern dominates; recency is a mild tiebreak.
         let score = if pattern_matched { 10.0 } else { 1.0 } + f64::from(record.year) / 10_000.0;
-        hits.push(SearchHit {
-            report_id: report_id.to_string(),
+        Some(Candidate {
             score,
-            source: SearchSource::Graph,
+            report_id,
             pattern_matched,
-        });
+        })
+    });
+    top_graph_hits(matches, k)
+}
+
+/// A graph match before its hit is built, borrowing its report id.
+/// Ordered as [`sort_graph_hits`] ranks hits: the greater one ranks
+/// first.
+struct Candidate<'a> {
+    score: f64,
+    report_id: &'a str,
+    pattern_matched: bool,
+}
+
+impl Ord for Candidate<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.score
+            .partial_cmp(&other.score)
+            .expect("finite scores")
+            .then_with(|| other.report_id.cmp(self.report_id))
     }
-    sort_graph_hits(&mut hits);
-    hits.truncate(k);
-    hits
+}
+
+impl PartialOrd for Candidate<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Candidate<'_> {}
+
+/// The k best matches in [`sort_graph_hits`]' order, kept in a bounded
+/// heap; only the survivors' report ids are copied into hits.
+fn top_graph_hits<'a>(matches: impl Iterator<Item = Candidate<'a>>, k: usize) -> Vec<SearchHit> {
+    let mut heap = BinaryHeap::new();
+    for m in matches {
+        heap.push(Reverse(m));
+        if heap.len() > k {
+            heap.pop();
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|Reverse(m)| SearchHit {
+            report_id: m.report_id.to_string(),
+            score: m.score,
+            source: SearchSource::Graph,
+            pattern_matched: m.pattern_matched,
+        })
+        .collect()
 }
 
 /// The graph engine's order: score descending, report id ascending —
@@ -364,6 +415,33 @@ mod tests {
             score: 1.0,
             source,
             pattern_matched: false,
+        }
+    }
+
+    /// The bounded heap keeps exactly the first k of the full sort, tied
+    /// scores broken by report id, for every k up to past the match count.
+    #[test]
+    fn graph_top_k_equals_the_truncated_full_sort() {
+        let ids: Vec<String> = (0..24).map(|i| format!("r{:02}", (i * 7) % 24)).collect();
+        let matches = || {
+            ids.iter().enumerate().map(|(i, id)| Candidate {
+                score: [1.2019, 10.2019, 1.2020][i % 3],
+                report_id: id,
+                pattern_matched: i % 3 == 1,
+            })
+        };
+        let mut full: Vec<SearchHit> = matches()
+            .map(|m| SearchHit {
+                report_id: m.report_id.to_string(),
+                score: m.score,
+                source: SearchSource::Graph,
+                pattern_matched: m.pattern_matched,
+            })
+            .collect();
+        sort_graph_hits(&mut full);
+        for k in 0..=ids.len() + 2 {
+            let top = top_graph_hits(matches(), k);
+            assert_eq!(top[..], full[..k.min(full.len())], "k = {k}");
         }
     }
 

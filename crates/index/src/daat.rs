@@ -1,31 +1,28 @@
-//! Document-at-a-time (DAAT) query execution with MaxScore top-k pruning.
+//! Document-at-a-time (DAAT) query execution, and a term-at-a-time
+//! accumulator for flat disjunctions.
 //!
 //! [`Index::search`](crate::Index::search) runs here, once per segment
-//! of the index (see [`crate::segment`]). The executor walks
-//! the already-sorted postings with per-term cursors (galloping seeks)
-//! instead of materializing per-clause `HashMap`s, intersects `Bool::must`
-//! and phrase terms by merge, and — for the flat disjunctions the query
-//! console actually sends (`query_string` over one or more fields) —
-//! prunes with per-term score upper bounds in the MaxScore style.
+//! of the index (see [`crate::segment`]). The flat disjunctions the
+//! query console actually sends (`query_string` over one or more
+//! fields, fuzzy expansions, should-only bools) add every posting's
+//! score into a per-document array of the segment, list by list, and
+//! scan the array once into a bounded top-k heap (Lucene's
+//! `BooleanScorer`). Everything else — `Bool::must`, `must_not` and
+//! phrases — walks the already-sorted postings with per-term cursors
+//! (galloping seeks) and intersects by merge instead of materializing
+//! per-clause `HashMap`s.
 //!
 //! **Equivalence invariant.** Every path returns rankings bit-identical to
 //! [`Index::search_exhaustive`](crate::Index::search_exhaustive):
-//!
-//! * per-document scores are accumulated in *clause order* (the order the
-//!   exhaustive walker visits clauses), so the floating-point fold is the
-//!   same sequence of rounded additions;
-//! * a per-term upper bound is the exact maximum of that term's per-doc
-//!   scores (same formula, same bits), so `score ≤ bound` holds under the
-//!   same fold order by rounding monotonicity;
-//! * pruning only ever skips a document whose bound is *strictly* below
-//!   the current k-th entry score — a tie can never be dropped, so the
-//!   score/doc-id ordering is preserved exactly.
-//!
-//! The upper-bound sums used for pruning (both the at-candidate bound and
-//! the non-essential-set bound) are folded in clause order too: if
-//! `u_i ≥ s_i ≥ 0` termwise, then every partial sum satisfies
-//! `fl(U + u_i) ≥ fl(S + s_i)` because rounding is monotone — so the
-//! bound provably dominates the score it stands in for, ULPs included.
+//! per-document scores are accumulated in *clause order* (the order the
+//! exhaustive walker visits clauses) through the same [`doc_score`], so
+//! the floating-point fold is the same sequence of rounded additions.
+//! The accumulator is the exhaustive walker's fold, in an array: a slot
+//! starts at `0.0` and takes one `+=` per posting, in clause order, as
+//! the walker's map entry does. Top-k selection keeps
+//! the walker's order — score descending, then doc id ascending — and
+//! drops a document only when it ranks strictly below the k-th one, so
+//! no tie is lost.
 
 use crate::frozen::FrozenSegment;
 use crate::index::FieldRef;
@@ -38,14 +35,18 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Reusable per-query scratch buffers, allocated once per `search` call
-/// and shared across all nodes in the query tree: the phrase matcher's,
-/// and the arrays a frozen segment's lists are decoded into as the query
-/// opens its terms.
+/// and shared by every segment it searches and every node of the query
+/// tree: the phrase matcher's, the arrays a frozen segment's lists are
+/// decoded into as the query opens its terms, and a flat disjunction's
+/// per-document score accumulator.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     starts: Vec<u32>,
     tmp: Vec<u32>,
     decoded: Decoded,
+    /// One score per document of the segment being searched, zeroed
+    /// before each segment's lists are added in.
+    acc: Vec<f64>,
 }
 
 /// Which of a segment's documents may enter its top k, beyond matching
@@ -58,43 +59,43 @@ pub(crate) struct Admit<'a> {
     /// The k-th score the segments before this one already gathered: a
     /// document of this segment scoring no higher cannot enter the
     /// index's top k, since it ties at best and loses on its higher
-    /// global doc id. The flat-disjunction path prunes with it as with
-    /// its own heap's k-th score; the general path ignores it.
+    /// global doc id. The flat-disjunction path refuses such a document
+    /// as it refuses one below its own heap's k-th entry; the general
+    /// path ignores it.
     pub(crate) floor: Option<f64>,
 }
 
-/// DAAT entry point over one segment: MaxScore pruning for flat
-/// disjunctions, merge-based evaluation for everything else. `global`,
-/// when present, supplies corpus statistics merged across segments and
-/// shards (idf / avg_len) in place of this segment's own — see
-/// [`crate::stats`]. Doc ids in `admit.allowed` and in the hits are the
-/// segment's local ones.
+/// DAAT entry point over one segment: a term-at-a-time accumulator for
+/// flat disjunctions, merge-based evaluation for everything else.
+/// `global`, when present, supplies corpus statistics merged across
+/// segments and shards (idf / avg_len) in place of this segment's own —
+/// see [`crate::stats`]. Doc ids in `admit.allowed` and in the hits are
+/// the segment's local ones. `scratch` is the query's, reused by every
+/// segment it searches.
 pub(crate) fn search_daat(
     index: &FrozenSegment,
     query: &QueryNode,
     k: usize,
     scorer: Scorer,
     global: Option<&CorpusStats>,
+    scratch: &mut Scratch,
     admit: Admit,
 ) -> Vec<ScoredDoc> {
     // Executor statistics, accumulated locally and flushed to the obs
     // registry in one call at the end (a no-op without the `obs` feature).
     let mut stats = DaatStats::default();
-    let mut scratch = Scratch::default();
     let mut specs = Vec::new();
     if flatten(index, query, &mut specs, &mut stats) {
-        let decoded = &mut scratch.decoded;
-        let opened: Vec<Opened> = specs
-            .iter()
-            .filter_map(|s| Opened::open(index, s.field, s.term, false, s.damp, global, decoded))
-            .collect();
-        let cursors = opened.into_iter().map(|o| o.cursor(decoded)).collect();
-        let hits = max_score_top_k(index, cursors, k, scorer, &mut stats, admit);
+        let hits = if k == 0 {
+            Vec::new()
+        } else {
+            accumulate(index, &specs, scorer, global, scratch, &mut stats);
+            select_top_k(index, &scratch.acc, k, &mut stats, admit)
+        };
         create_obs::record_daat(stats);
         return hits;
     }
-    let (mut scored, mut exclusions) =
-        eval_node(index, query, scorer, &mut scratch, &mut stats, global);
+    let (mut scored, mut exclusions) = eval_node(index, query, scorer, scratch, &mut stats, global);
     exclusions.sort_unstable();
     exclusions.dedup();
     if let Some(allowed) = admit.allowed {
@@ -253,21 +254,6 @@ impl<'a> TermCursor<'a> {
     fn score_at(&self, scorer: Scorer) -> f64 {
         self.score(scorer, self.docs[self.pos], self.postings.tf(self.pos))
     }
-
-    /// Exact per-term score upper bound: the maximum per-doc score over
-    /// the posting list (one cheap pass, same formula as `score_at`).
-    fn max_score(&self, scorer: Scorer) -> f64 {
-        let mut ub = 0.0_f64;
-        let mut start = 0;
-        for (&doc, &end) in self.docs.iter().zip(self.postings.ends()) {
-            let s = self.score(scorer, doc, end - start);
-            start = end;
-            if s > ub {
-                ub = s;
-            }
-        }
-        ub
-    }
 }
 
 /// A flattened scoring clause: one term cursor to open.
@@ -334,128 +320,85 @@ fn expand<'s>(
     expansions
 }
 
-/// MaxScore-pruned DAAT union over flat term cursors. With
-/// `admit.allowed` set, only docs in the (sorted) run are scored —
-/// candidates outside it are skipped *before* any score work, which is
-/// the filter pushdown the cohort planner relies on. Per-doc scores are
-/// independent sums, so surviving docs rank bit-identically to
-/// post-filtering an unfiltered search. With `admit.floor` set, pruning
-/// starts from it instead of from an empty heap.
-fn max_score_top_k(
+/// Term-at-a-time union over a flat disjunction's lists: every
+/// posting's score is added into its document's slot of `scratch.acc`,
+/// zeroed first and sized to the segment, list by list in clause order
+/// — the exhaustive walker's fold, in an array.
+fn accumulate(
     index: &FrozenSegment,
-    mut cursors: Vec<TermCursor>,
-    k: usize,
+    specs: &[CursorSpec],
     scorer: Scorer,
+    global: Option<&CorpusStats>,
+    scratch: &mut Scratch,
+    stats: &mut DaatStats,
+) {
+    let Scratch { decoded, acc, .. } = scratch;
+    acc.clear();
+    acc.resize(index.num_docs(), 0.0);
+    for s in specs {
+        decoded.clear();
+        let Some(opened) = Opened::open(index, s.field, s.term, false, s.damp, global, decoded)
+        else {
+            continue;
+        };
+        let cursor = opened.cursor(decoded);
+        let mut start = 0;
+        for (&doc, &end) in cursor.docs.iter().zip(cursor.postings.ends()) {
+            acc[doc as usize] += cursor.score(scorer, doc, end - start);
+            start = end;
+        }
+        stats.postings_advanced += cursor.docs.len() as u64;
+    }
+}
+
+/// The top k of the accumulated scores, offered to a bounded heap in doc
+/// order — only the slots of the (sorted) `admit.allowed` run when it is
+/// set, which is the filter pushdown the cohort planner relies on. A
+/// document enters only with a positive score above `admit.floor` that
+/// beats the heap's k-th entry. Per-doc scores are independent sums, so
+/// a filtered search ranks bit-identically to post-filtering an
+/// unfiltered one.
+fn select_top_k(
+    index: &FrozenSegment,
+    acc: &[f64],
+    k: usize,
     stats: &mut DaatStats,
     admit: Admit,
 ) -> Vec<ScoredDoc> {
-    if k == 0 || cursors.is_empty() {
-        return Vec::new();
-    }
-    let n = cursors.len();
-    // A lone list's bound is the score of one of its own postings: it
-    // could only ever prune docs that tie the k-th entry at that maximum
-    // and lose on doc id, which the heap drops anyway. So the pre-pass
-    // is skipped and an infinite bound keeps the cursor essential.
-    let ubs: Vec<f64> = if n == 1 {
-        vec![f64::INFINITY]
-    } else {
-        cursors.iter().map(|c| c.max_score(scorer)).collect()
-    };
-    // Ascending upper-bound order decides which cursors become
-    // non-essential first; ties break on clause index for determinism.
-    let mut by_ub: Vec<usize> = (0..n).collect();
-    by_ub.sort_by(|&a, &b| ubs[a].total_cmp(&ubs[b]).then(a.cmp(&b)));
-    let mut non_essential = vec![false; n];
-    let mut selected = vec![false; n];
-    let mut partition_theta = f64::NEG_INFINITY;
-    if let Some(floor) = admit.floor {
-        partition_theta = floor;
-        recompute_partition(&mut non_essential, &mut selected, &by_ub, &ubs, floor);
-    }
     // Sized by what can be returned, never by `k` alone: a caller's `k`
     // may be far beyond the index (a `/cohort` asking for every match).
-    let mut heap: BinaryHeap<Reverse<Entry>> =
-        BinaryHeap::with_capacity(k.min(index.num_docs()) + 1);
-    // Monotone cursor into the allowed run: candidates only increase.
-    let mut allowed_pos = 0usize;
-    loop {
-        // Candidate: smallest current doc across the essential cursors.
-        // Docs living only in non-essential lists are the pruned ones.
-        let mut candidate: Option<u32> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if non_essential[i] {
-                continue;
-            }
-            if let Some(d) = c.current() {
-                candidate = Some(match candidate {
-                    Some(cd) if cd <= d => cd,
-                    _ => d,
-                });
-            }
+    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k.min(acc.len()) + 1);
+    let mut offer = |doc: u32, score: f64| {
+        // `top_k`'s filter, NaN included: only positive scores rank.
+        if score <= 0.0 || score.is_nan() {
+            return;
         }
-        let Some(candidate) = candidate else { break };
-        if let Some(allowed) = admit.allowed {
-            allowed_pos += allowed[allowed_pos..].partition_point(|&d| d < candidate);
-            if allowed.get(allowed_pos) != Some(&candidate) {
-                // Filtered out: skip all score/bound work for this doc.
-                for c in cursors.iter_mut() {
-                    if c.current() == Some(candidate) {
-                        c.advance();
-                    }
-                }
-                continue;
-            }
+        let refused = admit.floor.is_some_and(|floor| score <= floor)
+            || heap.len() == k && heap.peek().is_some_and(|min| Entry(score, doc) <= min.0);
+        if refused {
+            stats.candidates_pruned += 1;
+            return;
         }
-        for (i, c) in cursors.iter_mut().enumerate() {
-            if non_essential[i] {
-                c.seek(candidate);
-            }
+        heap.push(Reverse(Entry(score, doc)));
+        if heap.len() > k {
+            heap.pop();
+            stats.heap_evictions += 1;
         }
-        // Clause-order upper bound for this doc (dominates the clause-order
-        // score fold — see the module docs).
-        let mut bound = 0.0;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.current() == Some(candidate) {
-                bound += ubs[i];
-            }
-        }
-        let full = heap.len() == k;
-        let prunable = admit.floor.is_some_and(|floor| bound <= floor)
-            || full
-                && heap
-                    .peek()
-                    .is_some_and(|min| Entry(bound, candidate) <= min.0);
-        stats.candidates_pruned += prunable as u64;
-        if !prunable {
-            let mut score = 0.0;
-            for c in cursors.iter() {
-                if c.current() == Some(candidate) {
-                    score += c.score_at(scorer);
-                }
-            }
-            if score > 0.0 {
-                heap.push(Reverse(Entry(score, candidate)));
-                if heap.len() > k {
-                    heap.pop();
-                    stats.heap_evictions += 1;
-                }
-                if heap.len() == k {
-                    let theta = heap.peek().expect("heap is full").0 .0;
-                    if theta > partition_theta {
-                        partition_theta = theta;
-                        recompute_partition(&mut non_essential, &mut selected, &by_ub, &ubs, theta);
-                    }
+    };
+    match admit.allowed {
+        Some(allowed) => {
+            for &doc in allowed {
+                if let Some(&score) = acc.get(doc as usize) {
+                    offer(doc, score);
                 }
             }
         }
-        for c in cursors.iter_mut() {
-            if c.current() == Some(candidate) {
-                c.advance();
+        None => {
+            for (doc, &score) in acc.iter().enumerate() {
+                offer(doc as u32, score);
             }
         }
     }
-    stats.postings_advanced += cursors.iter().map(|c| c.moves).sum::<u64>();
     let mut entries: Vec<Entry> = heap.into_iter().map(|r| r.0).collect();
     entries.sort_by(|a, b| b.cmp(a));
     entries
@@ -469,35 +412,6 @@ fn max_score_top_k(
             score,
         })
         .collect()
-}
-
-/// Greedily grows the non-essential set smallest-upper-bound-first, but
-/// admits each set only if its *clause-order* bound sum stays strictly
-/// below `theta` — the sound criterion (a pruned doc's score is a
-/// clause-order fold over a subset of that set).
-fn recompute_partition(
-    non_essential: &mut [bool],
-    selected: &mut [bool],
-    by_ub: &[usize],
-    ubs: &[f64],
-    theta: f64,
-) {
-    non_essential.fill(false);
-    selected.fill(false);
-    for &idx in by_ub {
-        selected[idx] = true;
-        let mut sum = 0.0;
-        for (i, &sel) in selected.iter().enumerate() {
-            if sel {
-                sum += ubs[i];
-            }
-        }
-        if sum < theta {
-            non_essential[idx] = true;
-        } else {
-            break;
-        }
-    }
 }
 
 /// Evaluates a node into `(sorted scored docs, exclusion docs)`. The
@@ -655,6 +569,7 @@ fn eval_phrase(
         starts,
         tmp,
         decoded,
+        ..
     } = scratch;
     if terms.is_empty() {
         return Vec::new();
@@ -800,4 +715,60 @@ fn union_sum(mut lists: Vec<Vec<(u32, f64)>>) -> Vec<(u32, f64)> {
         out.push((doc, total));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::{FieldConfig, Index};
+    use create_text::Analyzer;
+    use std::sync::Arc;
+
+    fn one_segment(docs: &[(&str, &str)]) -> Index {
+        let mut idx = Index::new(vec![FieldConfig {
+            name: "body".to_string(),
+            analyzer: Arc::new(Analyzer::clinical_standard()),
+            boost: 1.0,
+        }]);
+        let mut segment = idx.segment();
+        for (id, text) in docs {
+            segment.add_document(id, &[("body", text)], []).unwrap();
+        }
+        idx.merge_segment(segment).unwrap();
+        idx
+    }
+
+    /// Two segments searched through one scratch: the accumulator is
+    /// zeroed per segment, so segment 1's scores for its local doc 0 do
+    /// not leak into segment 2's doc 0, which matches nothing.
+    #[test]
+    fn the_accumulator_starts_from_zero_in_every_segment() {
+        let first = one_segment(&[("a0", "fever fever cough"), ("a1", "cough")]);
+        let second = one_segment(&[("b0", "rash"), ("b1", "fever"), ("b2", "cough")]);
+        let q = QueryNode::Bool {
+            must: Vec::new(),
+            should: vec![
+                QueryNode::term("body", "fever"),
+                QueryNode::term("body", "cough"),
+            ],
+            must_not: Vec::new(),
+        };
+        let admit = Admit {
+            allowed: None,
+            floor: None,
+        };
+        let search = |idx: &Index, scratch: &mut Scratch| {
+            let segment = idx.frozen().next().expect("one segment");
+            search_daat(segment, &q, 10, Scorer::default(), None, scratch, admit)
+        };
+        let mut shared = Scratch::default();
+        let ones = search(&first, &mut shared);
+        assert_eq!(ones.len(), 2);
+        let twos = search(&second, &mut shared);
+        assert_eq!(twos, search(&second, &mut Scratch::default()));
+        assert_eq!(twos, second.search_exhaustive(&q, 10, Scorer::default()));
+        let ids: Vec<&str> = twos.iter().map(|h| h.external_id.as_str()).collect();
+        assert_eq!(ids.len(), 2);
+        assert!(!ids.contains(&"b0"), "b0 matches nothing: {ids:?}");
+    }
 }

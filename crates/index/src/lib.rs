@@ -33,8 +33,9 @@
 //! * [`score`] — BM25 (default, k1=1.2, b=0.75) and TF-IDF scoring with
 //!   top-k heap retrieval;
 //! * [`daat`] — document-at-a-time execution with galloping cursor
-//!   intersection and MaxScore top-k pruning, bit-identical to the
-//!   exhaustive baseline kept in [`score`];
+//!   intersection, and flat disjunctions scored term at a time into one
+//!   per-document array, bit-identical to the exhaustive baseline kept
+//!   in [`score`];
 //! * [`stats`] — mergeable cross-shard corpus statistics so sharded
 //!   scatter-gather search — and the per-segment search inside one
 //!   index — scores bit-identically to one monolithic index.

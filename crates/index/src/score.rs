@@ -3,15 +3,15 @@
 //! BM25 with the Lucene-standard parameters (`k1 = 1.2`, `b = 0.75`) is the
 //! default; TF-IDF is provided for the ranking ablation (E4 extension).
 //!
-//! [`Index::search`] executes document-at-a-time via [`crate::daat`]:
-//! cursor intersection for `must` and phrases, MaxScore pruning for flat
+//! [`Index::search`] executes via [`crate::daat`]: cursor intersection
+//! for `must` and phrases, a per-document score array for flat
 //! disjunctions. [`Index::search_exhaustive`] is the original map-based
 //! walker, kept as the reference baseline — the equivalence suite asserts
 //! the two return bit-identical rankings. Both paths score through
 //! [`doc_score`], the single source of truth for the per-(term, doc)
 //! expression, so their floats cannot drift apart.
 
-use crate::daat::Admit;
+use crate::daat::{Admit, Scratch};
 use crate::frozen::FrozenSegment;
 use crate::index::Index;
 use crate::postings::{Decoded, Postings};
@@ -145,8 +145,9 @@ impl Index {
         scorer: Scorer,
         stats: Option<&CorpusStats>,
     ) -> Vec<ScoredDoc> {
+        let mut scratch = Scratch::default();
         self.gather(query, k, stats, None, |segment, stats, admit| {
-            crate::daat::search_daat(segment, query, k, scorer, stats, admit)
+            crate::daat::search_daat(segment, query, k, scorer, stats, &mut scratch, admit)
         })
     }
 
@@ -165,8 +166,9 @@ impl Index {
         stats: Option<&CorpusStats>,
         allowed: &[u32],
     ) -> Vec<ScoredDoc> {
+        let mut scratch = Scratch::default();
         self.gather(query, k, stats, Some(allowed), |segment, stats, admit| {
-            crate::daat::search_daat(segment, query, k, scorer, stats, admit)
+            crate::daat::search_daat(segment, query, k, scorer, stats, &mut scratch, admit)
         })
     }
 
@@ -203,7 +205,7 @@ impl Index {
         k: usize,
         stats: Option<&CorpusStats>,
         allowed: Option<&[u32]>,
-        search: impl Fn(&FrozenSegment, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
+        mut search: impl FnMut(&FrozenSegment, Option<&CorpusStats>, Admit) -> Vec<ScoredDoc>,
     ) -> Vec<ScoredDoc> {
         let filled: Vec<(u32, &FrozenSegment)> = self
             .segments()
@@ -238,7 +240,10 @@ impl Index {
             });
             let admit = Admit {
                 allowed: local.as_deref(),
-                floor: (hits.len() == k).then(|| hits[k - 1].score),
+                floor: k
+                    .checked_sub(1)
+                    .and_then(|last| hits.get(last))
+                    .map(|hit| hit.score),
             };
             hits.extend(
                 search(segment, Some(stats), admit)
@@ -591,6 +596,26 @@ mod tests {
         let term = idx.search(&q, 10, Scorer::default());
         assert_eq!(one.len(), 2);
         assert_eq!(one, term);
+    }
+
+    /// `k = 0` asks for nothing and gets nothing, from an index of
+    /// several segments too (the floor is the k-th hit, and there is
+    /// none).
+    #[test]
+    fn k_zero_returns_nothing_from_several_segments() {
+        let mut idx = index();
+        idx.add_document("d5", &[("body", "fever at night")])
+            .unwrap();
+        assert!(idx.segment_count() > 1);
+        for q in [
+            QueryNode::term("body", "fever"),
+            QueryNode::phrase("body", &["chest", "pain"]),
+        ] {
+            assert!(checked_search(&idx, &q, 0, Scorer::default()).is_empty());
+            assert!(idx
+                .search_filtered(&q, 0, Scorer::default(), None, &[0, 4])
+                .is_empty());
+        }
     }
 
     #[test]

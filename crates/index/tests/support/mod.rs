@@ -31,7 +31,7 @@ fn typo(word: &str) -> String {
 /// Queries over `words` (raw text, each analyzed by the index's own
 /// analyzers) of every kind: terms of each field, `body` phrases of
 /// neighbouring words, fuzzy terms at one and two edits, a flat
-/// disjunction (the MaxScore path) and `must` / `should` / `must_not`
+/// disjunction (the score-array path) and `must` / `should` / `must_not`
 /// combinations (the merge path).
 pub fn queries(index: &Index, words: &[&str]) -> Vec<QueryNode> {
     let body = |word: &str| analyzed(index, "body", word).into_iter().next();

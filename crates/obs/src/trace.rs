@@ -326,9 +326,13 @@ pub fn add_span_counter(name: &str, value: u64) {
 /// and the current span in a single flush per search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaatStats {
-    /// Postings positions cursors moved past (advance + seek deltas).
+    /// Postings read: every posting a flat disjunction's accumulator
+    /// scored (the sum of its opened lists' lengths), plus the postings
+    /// phrase cursors moved past (advance + seek deltas).
     pub postings_advanced: u64,
-    /// Candidates discarded by the MaxScore upper-bound test.
+    /// Matching documents a flat disjunction refused: a positive score
+    /// at or below the floor the earlier segments set, or not beating
+    /// its heap's k-th entry.
     pub candidates_pruned: u64,
     /// Dictionary terms produced by fuzzy expansion.
     pub fuzzy_expansions: u64,

@@ -1,8 +1,8 @@
 //! Pruned-vs-exhaustive query equivalence suite.
 //!
-//! The DAAT executor behind `Index::search` (galloping intersection,
-//! single-pass phrase scoring, MaxScore top-k pruning, bucketed fuzzy
-//! expansion) promises rankings *bit-identical* to the exhaustive
+//! The executor behind `Index::search` (galloping intersection,
+//! single-pass phrase scoring, a per-document score array for flat
+//! disjunctions, bucketed fuzzy expansion) promises rankings *bit-identical* to the exhaustive
 //! baseline `Index::search_exhaustive`. This suite drives both executors
 //! with 100 seeded queries mixed across every node type and asserts
 //! score-bit and order equality, pins the phrase path against captured
@@ -244,10 +244,24 @@ fn ngram_field_queries_are_bit_identical() {
     );
 }
 
+/// The keyword leg's query: one `query_string` per field, exactly what
+/// `keyword_search` sends.
+fn keyword_query(idx: &Index, text: &str) -> QueryNode {
+    QueryNode::Bool {
+        must: Vec::new(),
+        should: vec![
+            QueryNode::query_string(idx, "title", text),
+            QueryNode::query_string(idx, "body", text),
+            QueryNode::query_string(idx, "body_ngram", text),
+        ],
+        must_not: Vec::new(),
+    }
+}
+
 #[test]
 fn flat_disjunctions_prune_identically() {
-    // The MaxScore path proper: multi-field query_string disjunctions,
-    // exactly what `keyword_search` sends.
+    // The accumulator path proper: multi-field query_string
+    // disjunctions, exactly what `keyword_search` sends.
     let reports = corpus(250, 4242);
     let idx = clinical_index(&reports);
     let mut rng = Rng::seed_from_u64(661_331);
@@ -259,17 +273,183 @@ fn flat_disjunctions_prune_identically() {
             .map(|_| random_term(&mut rng, &analyzed))
             .collect::<Vec<_>>()
             .join(" ");
-        let q = QueryNode::Bool {
-            must: Vec::new(),
-            should: vec![
-                QueryNode::query_string(&idx, "title", &text),
-                QueryNode::query_string(&idx, "body", &text),
-                QueryNode::query_string(&idx, "body_ngram", &text),
-            ],
-            must_not: Vec::new(),
-        };
+        let q = keyword_query(&idx, &text);
         for k in [1, 3, 10] {
             assert_equivalent(&idx, &q, k, Scorer::default(), &format!("qs {i} k={k}"));
+        }
+    }
+}
+
+/// The same term twice in one disjunction — what a text repeating a word
+/// produces, and the n-gram field for every gram two words share — adds
+/// its score twice, in clause order, in both executors.
+#[test]
+fn a_repeated_term_adds_twice_in_both_executors() {
+    let reports = corpus(120, 4242);
+    let idx = clinical_index(&reports);
+    let analyzer = Analyzer::clinical_standard();
+    let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
+    let mut rng = Rng::seed_from_u64(52_125);
+    for i in 0..20 {
+        let (a, b) = (
+            random_term(&mut rng, &analyzed),
+            random_term(&mut rng, &analyzed),
+        );
+        let term = |t: &str| QueryNode::term("body", t);
+        let q = QueryNode::Bool {
+            must: Vec::new(),
+            should: vec![term(&a), term(&b), term(&a)],
+            must_not: Vec::new(),
+        };
+        let once = QueryNode::Bool {
+            must: Vec::new(),
+            should: vec![term(&a), term(&b)],
+            must_not: Vec::new(),
+        };
+        for k in [1, 5, 50] {
+            assert_equivalent(&idx, &q, k, Scorer::default(), &format!("twice {i} k={k}"));
+        }
+        // Every document holding `a` scores higher with it repeated.
+        let all = idx.num_docs();
+        let twice = idx.search(&q, all, Scorer::default());
+        let single = idx.search(&once, all, Scorer::default());
+        let score_of = |hits: &[create::index::ScoredDoc], doc: u32| {
+            hits.iter().find(|h| h.doc == doc).map(|h| h.score)
+        };
+        for hit in idx.search(&term(&a), all, Scorer::default()) {
+            assert!(
+                score_of(&twice, hit.doc) > score_of(&single, hit.doc),
+                "repeat {i}: {a:?} counted once in {}",
+                hit.external_id
+            );
+        }
+        let text = format!("{a} {b} {a}");
+        let q = keyword_query(&idx, &text);
+        assert_equivalent(&idx, &q, 10, Scorer::default(), &format!("{text:?}"));
+    }
+}
+
+/// Byte-identical documents in different segments of one index score the
+/// same bits, so the floor an earlier segment sets meets exact ties in a
+/// later one: the tie goes to the lower doc id in both executors.
+#[test]
+fn identical_documents_in_different_segments_tie_on_the_floor() {
+    let reports = corpus(41, 8181);
+    let twin = &reports[40];
+    let add = |idx: &mut Index, id: &str, r: &CaseReport| {
+        let fields = [("title", r.title.as_str()), ("body", r.text.as_str())];
+        idx.add_document(id, &[fields[0], fields[1], ("body_ngram", r.text.as_str())])
+            .unwrap();
+    };
+    let mut idx = Index::clinical();
+    let mut twins = Vec::new();
+    for r in &reports[..40] {
+        // One-at-a-time adds of 44 documents leave segments of 32, 8
+        // and 4: these global positions put twins in all three.
+        if [0, 20, 35, 41].contains(&idx.num_docs()) {
+            twins.push(format!("twin-{}", twins.len()));
+            add(&mut idx, twins.last().unwrap(), twin);
+        }
+        add(&mut idx, &r.id, r);
+    }
+    let holders: Vec<usize> = twins
+        .iter()
+        .map(|id| {
+            idx.frozen()
+                .position(|s| s.internal_id(id).is_some())
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(holders, [0, 0, 1, 2], "twins in three segments");
+    let q = keyword_query(&idx, &twin.text);
+    for k in 1..=6 {
+        let hits = assert_equivalent(&idx, &q, k, Scorer::default(), &format!("twins k={k}"));
+        let top = k.min(twins.len());
+        let ids: Vec<&str> = hits[..top].iter().map(|h| h.external_id.as_str()).collect();
+        assert_eq!(ids, twins[..top], "twins rank first, by doc id");
+        let bits = hits[0].score.to_bits();
+        assert!(
+            hits[..top].iter().all(|h| h.score.to_bits() == bits),
+            "twins tie"
+        );
+    }
+}
+
+/// A filtered flat disjunction asked for far more hits than match — as
+/// `/cohort` asks for 2000 — returns every allowed match, ranked exactly
+/// as the exhaustive search post-filtered to the allowed run.
+#[test]
+fn a_filtered_search_past_its_matches_is_the_post_filtered_exhaustive_one() {
+    let reports = corpus(250, 4242);
+    let idx = clinical_index(&reports);
+    let analyzer = Analyzer::clinical_standard();
+    let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
+    let mut rng = Rng::seed_from_u64(77_007);
+    let allowed: Vec<u32> = (0..idx.num_docs() as u32).filter(|d| d % 3 != 1).collect();
+    for i in 0..10 {
+        let text = format!(
+            "{} {}",
+            random_term(&mut rng, &analyzed),
+            random_term(&mut rng, &analyzed)
+        );
+        let q = keyword_query(&idx, &text);
+        let filtered = idx.search_filtered(&q, 2000, Scorer::default(), None, &allowed);
+        let mut expected = idx.search_exhaustive(&q, idx.num_docs(), Scorer::default());
+        expected.retain(|h| allowed.binary_search(&h.doc).is_ok());
+        assert!(filtered.len() < 2000, "{text:?} matches fewer than k");
+        assert!(!filtered.is_empty(), "{text:?} matches");
+        assert_eq!(filtered.len(), expected.len(), "{text:?}");
+        for (rank, (a, b)) in filtered.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                (a.doc, a.score.to_bits()),
+                (b.doc, b.score.to_bits()),
+                "query {i} rank {rank}"
+            );
+        }
+    }
+}
+
+/// A disjunction of one term — a bare term, and a should-only bool
+/// holding it — ranks as the exhaustive walker does.
+#[test]
+fn a_one_term_disjunction_is_bit_identical() {
+    let reports = corpus(250, 4242);
+    let idx = clinical_index(&reports);
+    let analyzer = Analyzer::clinical_standard();
+    let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
+    let mut rng = Rng::seed_from_u64(31_013);
+    for i in 0..20 {
+        let term = QueryNode::term("body", &random_term(&mut rng, &analyzed));
+        let wrapped = QueryNode::Bool {
+            must: Vec::new(),
+            should: vec![term.clone()],
+            must_not: Vec::new(),
+        };
+        for k in [1, 5, 50] {
+            let bare = assert_equivalent(&idx, &term, k, Scorer::default(), &format!("term {i}"));
+            let one = assert_equivalent(&idx, &wrapped, k, Scorer::default(), &format!("bool {i}"));
+            assert_eq!(bare, one, "term {i} k={k}");
+        }
+    }
+}
+
+/// The keyword leg's disjunctions under TF-IDF, the ranking ablation's
+/// scorer.
+#[test]
+fn flat_disjunctions_under_tf_idf_are_bit_identical() {
+    let reports = corpus(250, 4242);
+    let idx = clinical_index(&reports);
+    let analyzer = Analyzer::clinical_standard();
+    let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
+    let mut rng = Rng::seed_from_u64(13_931);
+    for i in 0..20 {
+        let text = (0..1 + rng.below(4))
+            .map(|_| random_term(&mut rng, &analyzed))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let q = keyword_query(&idx, &text);
+        for k in [1, 3, 10, 100] {
+            assert_equivalent(&idx, &q, k, Scorer::TfIdf, &format!("tf-idf {i} k={k}"));
         }
     }
 }
