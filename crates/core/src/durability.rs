@@ -43,18 +43,21 @@
 //! bytes are what serializing the whole object would give (its keys
 //! come out in the same sorted order).
 
-use crate::pipeline::ExtractedAnnotations;
+use crate::pipeline::{ExtractedAnnotations, ResolvedMention};
 use crate::system::ShardSnapshot;
-use create_docstore::json::{object_members, Member, Value};
+use create_docstore::json::{object_members, JsonError, Kind, Reader, Value};
 use create_index::codec::{self, MergeError};
 use create_index::facets::FacetIndex;
 use create_index::{FrozenSegment, Index};
 use create_obs::names as obs_names;
+use create_ontology::{ConceptId, EntityType, RelationType};
 use create_storage::manifest::segment_file_name;
 use create_storage::segment::{PayloadFile, Region, SegmentReader, SegmentWriter};
 use create_storage::{
     segment, Manifest, SegmentFileInfo, SegmentMeta, ShardManifest, StorageError, Wal,
 };
+use create_text::Span;
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -94,68 +97,41 @@ impl StorageRoot {
 }
 
 /// The two members of one report's payload, as serialized text.
-pub(crate) struct DocPayload<'a> {
+pub struct DocPayload<'a> {
+    /// The extraction, as stored.
     pub extraction: &'a str,
+    /// The report, as stored.
     pub report: &'a str,
 }
 
-/// A payload read back from a WAL record or a segment: its documents'
-/// texts, borrowed from the record, and both parsed in the pass that
-/// split the payload.
-pub(crate) struct RecoveredDoc<'a> {
+/// A payload read back from a WAL record or a segment, decoded in the
+/// pass that checked it ([`decode_payload`], [`decode_wal_record`]):
+/// its documents' texts, borrowed from the record, its report's core
+/// fields and its extraction.
+pub struct StoredDoc<'a> {
+    /// The payload's two members as they stand in the record.
     pub texts: DocPayload<'a>,
-    report: Value,
-    extraction: Value,
+    /// The report's core fields — what `index_doc` and `Writer::apply`
+    /// read of it.
+    pub fields: ReportFields<'a>,
+    /// The report's annotations.
+    pub annotations: ExtractedAnnotations,
 }
 
-impl RecoveredDoc<'_> {
-    /// The report's core fields and its extraction — what `index_doc`
-    /// and `Writer::apply` read of a document.
-    pub(crate) fn parts(&self) -> Result<(ReportFields<'_>, ExtractedAnnotations), String> {
-        Ok((
-            report_fields(&self.report)?,
-            stored_annotations(&self.extraction)?,
-        ))
-    }
-}
-
-/// The core fields of a stored report, borrowed from its document.
-pub(crate) struct ReportFields<'a> {
-    pub id: &'a str,
-    pub title: &'a str,
-    pub text: &'a str,
+/// The core fields of a stored report, borrowed from its document where
+/// the JSON string holds no escape.
+#[derive(Debug)]
+pub struct ReportFields<'a> {
+    /// `_id`
+    pub id: Cow<'a, str>,
+    /// `title`
+    pub title: Cow<'a, str>,
+    /// `text`
+    pub text: Cow<'a, str>,
+    /// `year`
     pub year: u32,
-    pub category: &'a str,
-}
-
-/// Reads the core fields of a stored report. Ingest always writes all
-/// five, so a missing one — or a `year` that is not an integer in `u32`
-/// range — is an error, never a default.
-fn report_fields(report: &Value) -> Result<ReportFields<'_>, String> {
-    let field = |key: &str| {
-        report
-            .get(key)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("stored report missing {key:?}"))
-    };
-    let year = report
-        .get("year")
-        .and_then(Value::as_i64)
-        .and_then(|year| u32::try_from(year).ok())
-        .ok_or("stored report's year is not an integer in 0..2^32")?;
-    Ok(ReportFields {
-        id: field("_id")?,
-        title: field("title")?,
-        text: field("text")?,
-        year,
-        category: field("category")?,
-    })
-}
-
-/// A stored extraction, which must read back.
-fn stored_annotations(extraction: &Value) -> Result<ExtractedAnnotations, String> {
-    ExtractedAnnotations::from_json(extraction)
-        .ok_or_else(|| "stored extraction does not deserialize".to_string())
+    /// `category`
+    pub category: Cow<'a, str>,
 }
 
 /// Serializes an object whose members' values are already serialized:
@@ -195,60 +171,325 @@ pub(crate) fn doc_record(ordinal: u64, payload: &DocPayload<'_>) -> String {
     ])
 }
 
-/// Picks the two documents out of a split payload object (a repeated
-/// key's last member wins, as in a parse); a missing one is an error.
-fn take_payload(members: Vec<Member<'_>>) -> Result<RecoveredDoc<'_>, String> {
-    let (mut report, mut extraction) = (None, None);
-    for member in members {
-        let parsed = member.value.map(|value| (member.text, value));
-        match member.key.as_str() {
-            "report" => report = parsed,
-            "extraction" => extraction = parsed,
-            _ => {}
-        }
-    }
-    let (report_text, report) = report.ok_or("payload missing report")?;
-    let (extraction_text, extraction) = extraction.ok_or("payload missing extraction")?;
-    Ok(RecoveredDoc {
-        texts: DocPayload {
-            extraction: extraction_text,
-            report: report_text,
-        },
-        report,
-        extraction,
-    })
+/// Decodes a stored payload — `{"extraction":…,"report":…}`, other
+/// members ignored — in one pass over its bytes.
+///
+/// What reads back is what a parse of the payload into a JSON tree
+/// would have read: the payload is one JSON object under the grammar and
+/// depth cap of [`create_docstore::parse_json`]; of a repeated key the
+/// last member counts, in the payload and in every object inside it;
+/// both members must be present. The report must be an object with
+/// string `_id`, `title`, `text` and `category` and an integral `year`
+/// in `u32` range. The extraction must be an object whose `mentions` and
+/// `relations` are arrays:
+///
+/// * a mention is an object with a string `text` and a `type` naming an
+///   entity type; a string `concept` must parse as a concept id, and any
+///   other `concept` means none; a numeric `step` is cast `as u32`
+///   (saturating, toward zero), any other means none; a `span` is an
+///   array whose first two items are numbers, start not past end, cast
+///   `as usize` — any other `span` means none;
+/// * a relation is an array of exactly three items: two numbers, cast
+///   `as usize`, and a string naming a relation type.
+///
+/// Anything else is an error, never a default.
+pub fn decode_payload(bytes: &[u8]) -> Result<StoredDoc<'_>, String> {
+    members(bytes, "payload")?.doc()
 }
 
-/// Splits a serialized payload or WAL record into its members, each
-/// parsed.
-fn split_record<'a>(bytes: &'a [u8], what: &str) -> Result<Vec<Member<'a>>, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))?;
-    object_members(text, |_| true).map_err(|e| format!("{what} is not a JSON object: {e}"))
-}
-
-/// Splits a stored payload into its documents.
-pub(crate) fn parse_payload_bytes(bytes: &[u8]) -> Result<RecoveredDoc<'_>, String> {
-    take_payload(split_record(bytes, "payload")?)
-}
-
-/// Parses one WAL record — a `doc` record, the only type there is — into
-/// its global ingest ordinal and its payload.
-pub(crate) fn parse_wal_record(bytes: &[u8]) -> Result<(u64, RecoveredDoc<'_>), String> {
-    let mut members = split_record(bytes, "WAL record")?;
-    let mut take = |key: &str| {
-        let at = members.iter().rposition(|m| m.key == key)?;
-        members[at].value.take()
-    };
-    match take("t").as_ref().and_then(Value::as_str) {
+/// Decodes one WAL record — a `doc` record, the only type there is — in
+/// one pass: its global ingest ordinal (the last `ordinal`, a
+/// non-negative integer) and its payload, decoded as
+/// [`decode_payload`] decodes one. The last `t` must be `"doc"`.
+pub fn decode_wal_record(bytes: &[u8]) -> Result<(u64, StoredDoc<'_>), String> {
+    let members = members(bytes, "WAL record")?;
+    match members.record_type.as_deref() {
         Some("doc") => {}
         other => return Err(format!("unknown WAL record type {other:?}")),
     }
-    let ordinal = take("ordinal")
-        .as_ref()
-        .and_then(Value::as_i64)
-        .and_then(|ordinal| u64::try_from(ordinal).ok())
+    let ordinal = members
+        .ordinal
         .ok_or("doc record's ordinal is not a non-negative integer")?;
-    Ok((ordinal, take_payload(members)?))
+    Ok((ordinal, members.doc()?))
+}
+
+/// The members a payload or a WAL record is read for, each as its last
+/// occurrence left it.
+#[derive(Default)]
+struct Members<'a> {
+    report: Option<(ReportSlots<'a>, &'a str)>,
+    extraction: Option<(Option<ExtractedAnnotations>, &'a str)>,
+    /// `t`, when a string.
+    record_type: Option<Cow<'a, str>>,
+    /// `ordinal`, when a non-negative integer.
+    ordinal: Option<u64>,
+}
+
+impl<'a> Members<'a> {
+    /// The payload, when both of its documents read back.
+    fn doc(self) -> Result<StoredDoc<'a>, String> {
+        let (report, report_text) = self.report.ok_or("payload missing report")?;
+        let (extraction, extraction_text) = self.extraction.ok_or("payload missing extraction")?;
+        let fields = report.fields()?;
+        let annotations = extraction.ok_or("stored extraction does not deserialize")?;
+        Ok(StoredDoc {
+            texts: DocPayload {
+                extraction: extraction_text,
+                report: report_text,
+            },
+            fields,
+            annotations,
+        })
+    }
+}
+
+/// Walks a serialized payload or WAL record once, decoding the members
+/// [`Members`] keeps and checking the rest.
+fn members<'a>(bytes: &'a [u8], what: &str) -> Result<Members<'a>, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))?;
+    let mut r = Reader::new(text);
+    let mut members = Members::default();
+    let mut walk = |r: &mut Reader<'a>| {
+        if r.kind() != Some(Kind::Object) {
+            return Err(r.err("expected an object"));
+        }
+        r.object(&mut |r, key| {
+            match &*key {
+                "report" => members.report = Some(r.spanned(read_report)?),
+                "extraction" => members.extraction = Some(r.spanned(read_extraction)?),
+                "t" => members.record_type = string(r)?,
+                "ordinal" => {
+                    members.ordinal = number(r)?
+                        .and_then(integral)
+                        .and_then(|ordinal| u64::try_from(ordinal).ok())
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()
+    };
+    walk(&mut r).map_err(|e| format!("{what} is not a JSON object: {e}"))?;
+    Ok(members)
+}
+
+/// A stored report's core fields, each as its last member left it:
+/// `None` where it is absent or of the wrong type.
+#[derive(Default)]
+struct ReportSlots<'a> {
+    id: Option<Cow<'a, str>>,
+    title: Option<Cow<'a, str>>,
+    text: Option<Cow<'a, str>>,
+    year: Option<u32>,
+    category: Option<Cow<'a, str>>,
+}
+
+impl<'a> ReportSlots<'a> {
+    /// Ingest always writes all five fields, so a missing one — or a
+    /// `year` that is not an integer in `u32` range — is an error, never
+    /// a default.
+    fn fields(self) -> Result<ReportFields<'a>, String> {
+        let field = |value: Option<Cow<'a, str>>, key: &str| {
+            value.ok_or_else(|| format!("stored report missing {key:?}"))
+        };
+        let year = self
+            .year
+            .ok_or("stored report's year is not an integer in 0..2^32")?;
+        Ok(ReportFields {
+            id: field(self.id, "_id")?,
+            title: field(self.title, "title")?,
+            text: field(self.text, "text")?,
+            year,
+            category: field(self.category, "category")?,
+        })
+    }
+}
+
+/// Reads a stored report's core fields; a report that is not an object
+/// has none.
+fn read_report<'a>(r: &mut Reader<'a>) -> Result<ReportSlots<'a>, JsonError> {
+    let mut slots = ReportSlots::default();
+    if r.kind() != Some(Kind::Object) {
+        r.skip()?;
+        return Ok(slots);
+    }
+    r.object(&mut |r, key| {
+        let slot = match &*key {
+            "_id" => &mut slots.id,
+            "title" => &mut slots.title,
+            "text" => &mut slots.text,
+            "category" => &mut slots.category,
+            "year" => {
+                slots.year = number(r)?
+                    .and_then(integral)
+                    .and_then(|year| u32::try_from(year).ok());
+                return Ok(());
+            }
+            _ => return r.skip(),
+        };
+        *slot = string(r)?;
+        Ok(())
+    })?;
+    Ok(slots)
+}
+
+/// Reads a stored extraction: `None` when it is not of the shape
+/// [`decode_payload`] describes.
+fn read_extraction(r: &mut Reader<'_>) -> Result<Option<ExtractedAnnotations>, JsonError> {
+    if r.kind() != Some(Kind::Object) {
+        r.skip()?;
+        return Ok(None);
+    }
+    let (mut mentions, mut relations) = (None, None);
+    r.object(&mut |r, key| {
+        match &*key {
+            "mentions" => mentions = list(r, read_mention)?,
+            "relations" => relations = list(r, read_relation)?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(mentions
+        .zip(relations)
+        .map(|(mentions, relations)| ExtractedAnnotations {
+            mentions,
+            relations,
+        }))
+}
+
+/// Reads an array with `item`: `None` when the value is not an array or
+/// any item is not of its shape (every item is read either way).
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<Option<T>, JsonError>,
+) -> Result<Option<Vec<T>>, JsonError> {
+    if r.kind() != Some(Kind::Array) {
+        r.skip()?;
+        return Ok(None);
+    }
+    let mut items = Some(Vec::new());
+    r.array(&mut |r| {
+        let read = item(r)?;
+        items = items.take().zip(read).map(|(mut items, read)| {
+            items.push(read);
+            items
+        });
+        Ok(())
+    })?;
+    Ok(items)
+}
+
+/// Reads one stored mention.
+fn read_mention(r: &mut Reader<'_>) -> Result<Option<ResolvedMention>, JsonError> {
+    if r.kind() != Some(Kind::Object) {
+        r.skip()?;
+        return Ok(None);
+    }
+    let (mut text, mut etype, mut concept, mut step, mut span) = (None, None, None, None, None);
+    r.object(&mut |r, key| {
+        match &*key {
+            "text" => text = string(r)?,
+            "type" => etype = string(r)?,
+            "concept" => concept = string(r)?,
+            "step" => step = number(r)?,
+            "span" => span = read_span(r)?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    let concept = match concept {
+        Some(cui) => match ConceptId::parse(&cui) {
+            Some(concept) => Some(concept),
+            None => return Ok(None),
+        },
+        None => None,
+    };
+    let (Some(text), Some(Ok(etype))) = (text, etype.map(|e| e.parse::<EntityType>())) else {
+        return Ok(None);
+    };
+    Ok(Some(ResolvedMention {
+        text: text.into_owned(),
+        etype,
+        concept,
+        time_step: step.map(|step| step as u32),
+        span,
+    }))
+}
+
+/// Reads a mention's `span`: the first two items of an array, when both
+/// are numbers and the start is not past the end.
+fn read_span(r: &mut Reader<'_>) -> Result<Option<Span>, JsonError> {
+    if r.kind() != Some(Kind::Array) {
+        r.skip()?;
+        return Ok(None);
+    }
+    let (mut bounds, mut at) = ([None, None], 0);
+    r.array(&mut |r| {
+        match bounds.get_mut(at) {
+            Some(bound) => *bound = number(r)?,
+            None => r.skip()?,
+        }
+        at += 1;
+        Ok(())
+    })?;
+    Ok(match bounds {
+        [Some(start), Some(end)] if start <= end => Some(Span::new(start as usize, end as usize)),
+        _ => None,
+    })
+}
+
+/// Reads one stored relation: `[source, target, type]`.
+fn read_relation(r: &mut Reader<'_>) -> Result<Option<(usize, usize, RelationType)>, JsonError> {
+    if r.kind() != Some(Kind::Array) {
+        r.skip()?;
+        return Ok(None);
+    }
+    let (mut source, mut target, mut rel, mut items) = (None, None, None, 0);
+    r.array(&mut |r| {
+        match items {
+            0 => source = number(r)?,
+            1 => target = number(r)?,
+            2 => rel = string(r)?,
+            _ => r.skip()?,
+        }
+        items += 1;
+        Ok(())
+    })?;
+    let (Some(source), Some(target), Some(Ok(rel)), 3) = (
+        source,
+        target,
+        rel.map(|r| r.parse::<RelationType>()),
+        items,
+    ) else {
+        return Ok(None);
+    };
+    Ok(Some((source as usize, target as usize, rel)))
+}
+
+/// The next value when it is a string; `None`, the value skipped, when
+/// it is not.
+fn string<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if r.kind() == Some(Kind::String) {
+        r.string().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
+}
+
+/// The next value when it is a number; `None`, the value skipped, when
+/// it is not.
+fn number(r: &mut Reader<'_>) -> Result<Option<f64>, JsonError> {
+    if r.kind() == Some(Kind::Number) {
+        r.number().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
+}
+
+/// A number as an integer when it is one: finite with no fraction, cast
+/// `as i64` (saturating).
+fn integral(n: f64) -> Option<i64> {
+    (n.fract() == 0.0 && n.is_finite()).then_some(n as i64)
 }
 
 /// A parsed member of a stored payload (`"report"` or `"extraction"`),
@@ -355,11 +596,10 @@ pub(crate) fn load_segment(
     check_doc_counts(path, docs.count() as usize, frozen.num_docs(), faceted)?;
     let (mut doc, mut first, mut last) = (0, 0, 0);
     while let Some(stored) = docs.next_doc()? {
-        let payload = parse_payload_bytes(stored.payload).map_err(corrupt_at(path))?;
-        let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
+        let payload = decode_payload(stored.payload).map_err(corrupt_at(path))?;
         let indexed = frozen.external_id(doc as u32);
-        check_ids(path, doc, stored.id, indexed, fields.id)?;
-        apply(stored.ordinal, &fields, &annotations);
+        check_ids(path, doc, stored.id, indexed, &payload.fields.id)?;
+        apply(stored.ordinal, &payload.fields, &payload.annotations);
         if doc == 0 {
             first = stored.ordinal;
         }

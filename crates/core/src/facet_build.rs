@@ -42,13 +42,13 @@ pub(crate) fn index_doc(
     annotations: &ExtractedAnnotations,
 ) -> Result<(), IndexError> {
     segment.add_document(
-        fields.id,
+        &fields.id,
         &[
-            ("title", fields.title),
-            ("body", fields.text),
-            ("body_ngram", fields.text),
+            ("title", &fields.title),
+            ("body", &fields.text),
+            ("body_ngram", &fields.text),
         ],
-        facet_values(fields.category, fields.year, fields.text, annotations),
+        facet_values(&fields.category, fields.year, &fields.text, annotations),
     )?;
     Ok(())
 }

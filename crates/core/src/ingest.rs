@@ -15,6 +15,7 @@ use create_obs::names as obs_names;
 use create_ontology::Ontology;
 use create_storage::StorageError;
 use create_util::ThreadPool;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -361,11 +362,11 @@ impl PreparedDoc {
 
     fn fields(&self) -> ReportFields<'_> {
         ReportFields {
-            id: &self.id,
-            title: &self.title,
-            text: &self.text,
+            id: Cow::Borrowed(&self.id),
+            title: Cow::Borrowed(&self.title),
+            text: Cow::Borrowed(&self.text),
             year: self.year,
-            category: &self.category,
+            category: Cow::Borrowed(&self.category),
         }
     }
 

@@ -55,6 +55,7 @@ pub use cache::CacheStats;
 /// The storage failure a write, an open or a read of a sealed report
 /// reports.
 pub use create_storage::StorageError;
+pub use durability::{decode_payload, decode_wal_record, DocPayload, ReportFields, StoredDoc};
 pub use ingest::{IngestError, TextSubmission};
 pub use pipeline::{ExtractedAnnotations, QueryIE};
 pub use plan::{

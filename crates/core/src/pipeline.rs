@@ -242,45 +242,6 @@ impl ExtractedAnnotations {
             ("relations", relations.into()),
         ])
     }
-
-    /// Deserializes from the persisted JSON form; returns `None` on any
-    /// shape mismatch (treated as corruption by the caller).
-    pub fn from_json(value: &create_docstore::Value) -> Option<ExtractedAnnotations> {
-        use create_docstore::Value;
-        let mut mentions = Vec::new();
-        for m in value.get("mentions")?.as_array()? {
-            mentions.push(ResolvedMention {
-                text: m.get("text")?.as_str()?.to_string(),
-                etype: m.get("type")?.as_str()?.parse().ok()?,
-                concept: match m.get("concept") {
-                    Some(Value::String(s)) => Some(ConceptId::parse(s)?),
-                    _ => None,
-                },
-                time_step: m.get("step").and_then(Value::as_f64).map(|s| s as u32),
-                span: m.get("span").and_then(Value::as_array).and_then(|a| {
-                    match (
-                        a.first().and_then(Value::as_f64),
-                        a.get(1).and_then(Value::as_f64),
-                    ) {
-                        (Some(s), Some(e)) if s <= e => Some(Span::new(s as usize, e as usize)),
-                        _ => None,
-                    }
-                }),
-            });
-        }
-        let mut relations = Vec::new();
-        for r in value.get("relations")?.as_array()? {
-            let [s, t, rel] = r.as_array()? else {
-                return None;
-            };
-            let index = |v: &Value| v.as_f64().map(|i| i as usize);
-            relations.push((index(s)?, index(t)?, rel.as_str()?.parse().ok()?));
-        }
-        Some(ExtractedAnnotations {
-            mentions,
-            relations,
-        })
-    }
 }
 
 /// Derives step-consistent temporal relations among event mentions.
@@ -585,10 +546,25 @@ mod tests {
         };
         assert!(ann.relations.iter().any(|(.., rel)| !rel.is_temporal()));
         let json = ann.to_json();
-        let back = ExtractedAnnotations::from_json(&json).expect("reads back");
+        let back = read_back(&json);
         assert_eq!(back.mentions, ann.mentions);
         assert_eq!(back.relations, ann.relations);
         assert_eq!(back.to_json().to_json(), json.to_json());
+    }
+
+    /// A serialized extraction as recovery reads it back: the
+    /// extraction member of a stored payload.
+    fn read_back(extraction: &create_docstore::Value) -> ExtractedAnnotations {
+        use crate::durability::{decode_payload, payload_text, DocPayload};
+        let extraction = extraction.to_json();
+        let report = r#"{"_id":"r","category":"c","text":"","title":"","year":1}"#;
+        let payload = payload_text(&DocPayload {
+            extraction: &extraction,
+            report,
+        });
+        decode_payload(payload.as_bytes())
+            .expect("reads back")
+            .annotations
     }
 
     #[test]
@@ -604,7 +580,7 @@ mod tests {
             .any(|r| r.relations.iter().any(|rel| !rel.rtype.is_temporal())));
         for report in &reports {
             let stored = ExtractedAnnotations::from_gold(report).to_json();
-            let brat = ExtractedAnnotations::from_json(&stored).unwrap().to_brat();
+            let brat = read_back(&stored).to_brat();
             assert_eq!(
                 brat.serialize(),
                 create_annotate::case_report_to_brat(report).serialize(),

@@ -603,10 +603,7 @@ fn keyword_rows(
     mode: PlanMode,
 ) -> Vec<(f64, u64, String)> {
     let q = search::keyword_query(&shards[0].index, text);
-    let mut stats = CorpusStats::default();
-    for shard in shards {
-        stats.merge(&CorpusStats::collect(&shard.index, &q));
-    }
+    let stats = CorpusStats::collect(shards.iter().map(|shard| &*shard.index), &q);
     let mut rows = Vec::new();
     for (no, shard) in shards.iter().enumerate() {
         let _shard = create_obs::shard_span(obs_names::SPAN_KEYWORD_SHARD, no as u32);

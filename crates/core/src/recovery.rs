@@ -184,16 +184,16 @@ impl Writer {
         let mut replayed = 0u64;
         for record in records {
             let (ordinal, payload) =
-                durability::parse_wal_record(record).map_err(corrupt_at(path))?;
+                durability::decode_wal_record(record).map_err(corrupt_at(path))?;
             // Already sealed: the crash hit between a seal and its WAL
             // reset.
             if sealed_max.is_some_and(|max| ordinal <= max) {
                 continue;
             }
-            let (fields, annotations) = payload.parts().map_err(corrupt_at(path))?;
-            index_doc(&mut segment, &fields, &annotations).map_err(corrupt_at(path))?;
+            let (fields, annotations) = (&payload.fields, &payload.annotations);
+            index_doc(&mut segment, fields, annotations).map_err(corrupt_at(path))?;
             let text = durability::payload_text(&payload.texts);
-            self.apply(ordinal, &fields, &annotations, Some(&text));
+            self.apply(ordinal, fields, annotations, Some(&text));
             replayed += 1;
         }
         self.merge(segment).map_err(corrupt_at(path))?;

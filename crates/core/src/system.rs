@@ -45,6 +45,7 @@ use create_ontology::Ontology;
 use create_storage::StorageError;
 use create_util::{ArcCell, Chunked, ThreadPool};
 use create_viz::{render_svg, SvgOptions, VizEdge, VizGraph, VizNode};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -189,16 +190,16 @@ impl Snapshot {
         let mut graph = graph_build::report_graph();
         for doc in 0..shard.docs.len() {
             let payload = shard.docs.get(doc)?.expect("every doc has its payload");
-            let stored = durability::parse_payload_bytes(payload.as_bytes())
+            let stored = durability::decode_payload(payload.as_bytes())
                 .expect("a stored payload reads back");
-            let (fields, annotations) = stored.parts().expect("a stored payload reads back");
+            let (fields, annotations) = (&stored.fields, &stored.annotations);
             let meta = ReportMeta {
                 report_id: fields.id.to_string(),
                 title: fields.title.to_string(),
                 year: fields.year,
                 category: fields.category.to_string(),
             };
-            graph_build::add_report(&mut graph, &self.ontology, &meta, &annotations);
+            graph_build::add_report(&mut graph, &self.ontology, &meta, annotations);
         }
         Ok(graph)
     }
@@ -214,36 +215,40 @@ impl Snapshot {
         &self.shards[shard_index(id, self.shards.len())]
     }
 
-    /// One member of a report's stored payload, parsed, from its owning
-    /// shard: the index maps the id to the doc id that indexes the
-    /// payload column. `Ok(None)` for an unknown id (every payload holds
-    /// both members); an error when a sealed payload does not read back
-    /// from its segment file.
-    fn stored_member(&self, id: &str, key: &str) -> Result<Option<Value>, StorageError> {
+    /// A report's stored payload, from its owning shard: the index maps
+    /// the id to the doc id that indexes the payload column. `Ok(None)`
+    /// for an unknown id; an error when a sealed payload does not read
+    /// back from its segment file.
+    fn stored_payload(&self, id: &str) -> Result<Option<Cow<'_, str>>, StorageError> {
         let shard = self.owner(id);
         let Some(doc) = shard.index.internal_id(id) else {
             return Ok(None);
         };
-        let payload = shard.docs.get(doc as usize)?;
-        Ok(payload.and_then(|payload| durability::payload_member(&payload, key)))
+        shard.docs.get(doc as usize)
     }
 
     /// The stored report document, as of this snapshot (see
     /// [`Create::report`]).
     pub fn report(&self, id: &str) -> Result<Option<Value>, StorageError> {
-        self.stored_member(id, "report")
+        let payload = self.stored_payload(id)?;
+        Ok(payload.and_then(|payload| durability::payload_member(&payload, "report")))
+    }
+
+    /// A report's stored extraction, which ingest wrote and recovery
+    /// read back, so it decodes.
+    fn stored_annotations(&self, id: &str) -> Result<Option<ExtractedAnnotations>, StorageError> {
+        let payload = self.stored_payload(id)?;
+        Ok(payload.map(|payload| {
+            durability::decode_payload(payload.as_bytes())
+                .expect("a stored payload reads back")
+                .annotations
+        }))
     }
 
     /// The report's BRAT annotation export, as of this snapshot (see
-    /// [`Create::annotations`]): rendered from its stored extraction,
-    /// which ingest wrote and recovery read back, so it deserializes.
+    /// [`Create::annotations`]): rendered from its stored extraction.
     pub fn annotations(&self, id: &str) -> Result<Option<BratDocument>, StorageError> {
-        let extraction = self.stored_member(id, "extraction")?;
-        Ok(extraction.map(|extraction| {
-            ExtractedAnnotations::from_json(&extraction)
-                .expect("a stored extraction reads back")
-                .to_brat()
-        }))
+        Ok(self.stored_annotations(id)?.map(|a| a.to_brat()))
     }
 
     /// Cohort retrieval against this snapshot (see [`Create::cohort`]).
@@ -539,12 +544,9 @@ impl Create {
     /// [`Create::report`] fetches the report. `Ok(None)` for an unknown
     /// id or a report without events.
     pub fn visualize(&self, id: &str) -> Result<Option<String>, StorageError> {
-        let extraction = self.current.load().stored_member(id, "extraction")?;
-        let Some(extraction) = extraction else {
+        let Some(annotations) = self.current.load().stored_annotations(id)? else {
             return Ok(None);
         };
-        let annotations =
-            ExtractedAnnotations::from_json(&extraction).expect("a stored extraction reads back");
         let events = graph_build::event_mentions(&annotations);
         if events.is_empty() {
             return Ok(None);

@@ -6,6 +6,7 @@
 //! `\uXXXX` and surrogate pairs, numbers, booleans, null. Object key order
 //! is preserved via an ordered map so serialized documents are stable.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -313,9 +314,9 @@ pub const MAX_DEPTH: usize = 128;
 /// assert_eq!(v.get("year").unwrap().as_i64(), Some(2020));
 /// ```
 pub fn parse_json(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser::new(input);
-    let value = p.parse_value()?;
-    p.finish()?;
+    let mut r = Reader::new(input);
+    let value = r.value()?;
+    r.finish()?;
     Ok(value)
 }
 
@@ -348,47 +349,92 @@ pub fn object_members(
     input: &str,
     build: impl Fn(&str) -> bool,
 ) -> Result<Vec<Member<'_>>, JsonError> {
-    let mut p = Parser::new(input);
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
-        return Err(p.err("expected an object"));
+    let mut r = Reader::new(input);
+    if r.kind() != Some(Kind::Object) {
+        return Err(r.err("expected an object"));
     }
     let mut members = Vec::new();
-    p.object(|p| {
-        let key = p.buf.clone();
-        p.skip_ws();
-        let start = p.pos;
-        let value = if build(&key) {
-            Some(p.parse_value()?)
-        } else {
-            p.skip_value()?;
-            None
-        };
+    r.object(&mut |r, key| {
+        let (value, text) = r.spanned(|r| {
+            if build(&key) {
+                r.value().map(Some)
+            } else {
+                r.skip().map(|()| None)
+            }
+        })?;
         members.push(Member {
-            key,
-            text: &input[start..p.pos],
+            key: key.into_owned(),
+            text,
             value,
         });
         Ok(())
     })?;
-    p.finish()?;
+    r.finish()?;
     Ok(members)
 }
 
-struct Parser<'a> {
+/// The kind of value a [`Reader`] stands before, read off its first
+/// byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `{`
+    Object,
+    /// `[`
+    Array,
+    /// `"`
+    String,
+    /// `-` or a digit
+    Number,
+    /// `t` or `f`
+    Bool,
+    /// `n`
+    Null,
+}
+
+/// What [`Reader::object`] calls with each member of an object: the
+/// reader before the member's value, and its key.
+pub type OnMember<'r, 'a> = dyn FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), JsonError> + 'r;
+
+/// A pull reader over one JSON text: the parser behind [`parse_json`],
+/// driven by its caller a value at a time, so a document of a known
+/// shape is read into the caller's own types with no [`Value`] tree
+/// between. Each reading method skips the whitespace before its value
+/// and consumes exactly that value; [`Reader::kind`] looks at the next
+/// value without consuming it. The grammar and the depth cap
+/// ([`MAX_DEPTH`]) are [`parse_json`]'s: a text the reader walks to
+/// [`Reader::finish`] without an error is one `parse_json` accepts.
+///
+/// ```
+/// use create_docstore::json::{Kind, Reader};
+/// let mut r = Reader::new(r#"{"year": 2020, "tags": ["a", "b"], "x": null}"#);
+/// let (mut year, mut tags) = (0.0, Vec::new());
+/// r.object(&mut |r, key| match &*key {
+///     "year" => Ok(year = r.number()?),
+///     "tags" => r.array(&mut |r| Ok(tags.push(r.string()?))),
+///     _ => r.skip(),
+/// })
+/// .unwrap();
+/// r.finish().unwrap();
+/// assert_eq!((year, tags), (2020.0, vec!["a".into(), "b".into()]));
+/// assert_eq!(Reader::new(" [1]").kind(), Some(Kind::Array));
+/// ```
+pub struct Reader<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Open arrays and objects around `pos`.
     depth: usize,
-    /// The string most recently parsed, unescaped. Reused from string to
-    /// string, so skipping a value allocates nothing and a built string
-    /// is copied out once at its exact size.
+    /// The string most recently unescaped. Reused from string to
+    /// string, so an escaped string is copied out once at its exact
+    /// size.
     buf: String,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Parser<'a> {
-        Parser {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Reader<'a> {
+        Reader {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -396,7 +442,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn err(&self, message: &str) -> JsonError {
+    /// An error at the reader's position.
+    pub fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
             position: self.pos,
@@ -428,8 +475,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The kind of the next value, after whitespace; `None` at the end
+    /// of the input or before a byte no value starts with.
+    pub fn kind(&mut self) -> Option<Kind> {
+        self.skip_ws();
+        Some(match self.peek()? {
+            b'{' => Kind::Object,
+            b'[' => Kind::Array,
+            b'"' => Kind::String,
+            b'-' | b'0'..=b'9' => Kind::Number,
+            b't' | b'f' => Kind::Bool,
+            b'n' => Kind::Null,
+            _ => return None,
+        })
+    }
+
     /// Only whitespace may follow the document's value.
-    fn finish(&mut self) -> Result<(), JsonError> {
+    pub fn finish(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(self.err("trailing characters after JSON value"));
@@ -437,48 +499,61 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_value(&mut self) -> Result<Value, JsonError> {
+    /// Runs `read` on the next value and returns what it returned with
+    /// the value's text as it stands in the input.
+    pub fn spanned<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<(T, &'a str), JsonError> {
+        self.skip_ws();
+        let start = self.pos;
+        let value = read(self)?;
+        Ok((value, &self.input[start..self.pos]))
+    }
+
+    /// Reads the next value into a tree.
+    fn value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {
                 let mut map = BTreeMap::new();
-                self.object(|p| {
-                    let key = p.buf.clone();
-                    map.insert(key, p.parse_value()?);
+                self.object(&mut |r, key| {
+                    map.insert(key.into_owned(), r.value()?);
                     Ok(())
                 })?;
                 Ok(Value::Object(map))
             }
             Some(b'[') => {
                 let mut items = Vec::new();
-                self.array(|p| {
-                    items.push(p.parse_value()?);
+                self.array(&mut |r| {
+                    items.push(r.value()?);
                     Ok(())
                 })?;
                 Ok(Value::Array(items))
             }
-            Some(b'"') => {
-                self.parse_string()?;
-                Ok(Value::String(self.buf.clone()))
-            }
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    /// Checks one value against the grammar without building it.
-    fn skip_value(&mut self) -> Result<(), JsonError> {
+    /// Checks the next value against the grammar without building or
+    /// copying any of it.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(|p| p.skip_value()),
-            Some(b'[') => self.array(|p| p.skip_value()),
-            Some(b'"') => self.parse_string(),
+            Some(b'{') => self.object(&mut |r, _| r.skip()),
+            Some(b'[') => self.array(&mut |r| r.skip()),
+            Some(b'"') => {
+                self.pos += 1;
+                self.string_rest(None)
+            }
             // Scalars build nothing on the heap.
-            _ => self.parse_value().map(drop),
+            _ => self.value().map(drop),
         }
     }
 
@@ -500,12 +575,11 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// Walks an object's members: `member` runs with the key in `buf`
-    /// and the cursor after the colon, and consumes the value.
-    fn object(
-        &mut self,
-        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
-    ) -> Result<(), JsonError> {
+    /// Walks an object's members: `member` runs with the key (borrowed
+    /// from the input unless it holds an escape) and the reader before
+    /// the value, and must consume the value.
+    pub fn object(&mut self, member: &mut OnMember<'_, 'a>) -> Result<(), JsonError> {
+        self.skip_ws();
         self.expect(b'{')?;
         self.descend()?;
         self.skip_ws();
@@ -514,10 +588,10 @@ impl<'a> Parser<'a> {
         } else {
             loop {
                 self.skip_ws();
-                self.parse_string()?;
+                let key = self.string()?;
                 self.skip_ws();
                 self.expect(b':')?;
-                member(self)?;
+                member(self, key)?;
                 self.skip_ws();
                 match self.bump() {
                     Some(b',') => continue,
@@ -530,11 +604,12 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// Walks an array's items: `item` consumes one value.
-    fn array(
+    /// Walks an array's items: `item` must consume one value.
+    pub fn array(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+        item: &mut dyn FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
+        self.skip_ws();
         self.expect(b'[')?;
         self.descend()?;
         self.skip_ws();
@@ -555,27 +630,48 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// Parses a string into `buf`.
-    fn parse_string(&mut self) -> Result<(), JsonError> {
+    /// Reads a string: borrowed from the input when it holds no escape,
+    /// unescaped into a `String` of its own, of its exact size, when it
+    /// does.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
         self.expect(b'"')?;
-        self.buf.clear();
-        loop {
-            // Bulk-copy the longest run free of terminators and escapes.
-            // The input is a `&str` and the delimiters are all ASCII, so
-            // a run never splits a multibyte sequence — copying it whole
-            // beats the byte-at-a-time loop by an order of magnitude on
-            // long report bodies.
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+        let start = self.pos;
+        self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.input[start..self.pos - 1]));
+        }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        buf.push_str(&self.input[start..self.pos]);
+        let read = self.string_rest(Some(&mut buf));
+        self.buf = buf;
+        read.map(|()| Cow::Owned(self.buf.clone()))
+    }
+
+    /// Moves past the longest run free of terminators and escapes. The
+    /// input is a `&str` and the delimiters are all ASCII, so a run
+    /// never splits a multibyte sequence: it slices the input as it
+    /// stands, and copying it whole beats the byte-at-a-time loop by an
+    /// order of magnitude on long report bodies.
+    fn run(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
             }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?;
-                self.buf.push_str(run);
+            self.pos += 1;
+        }
+    }
+
+    /// Reads the rest of a string, from inside it through its closing
+    /// quote, appending the unescaped text to `out` when one is given.
+    fn string_rest(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
+        loop {
+            let start = self.pos;
+            self.run();
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.input[start..self.pos]);
             }
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
@@ -593,7 +689,9 @@ impl<'a> Parser<'a> {
                         Some(b'u') => self.parse_unicode_escape()?,
                         _ => return Err(self.err("invalid escape")),
                     };
-                    self.buf.push(c);
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
+                    }
                 }
                 // The run above stops only at a quote, a backslash or a
                 // control byte.
@@ -638,7 +736,9 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
+    /// Reads a number.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        self.skip_ws();
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -661,10 +761,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
-            .map(Value::Number)
+        self.input[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.err("invalid number"))
     }
 }

@@ -11,9 +11,12 @@
 //! * [`Value`] with a full parser ([`parse_json`]) and a canonical,
 //!   key-sorted serializer, so a stored text is what serializing its own
 //!   parse gives;
+//! * [`json::Reader`], the same parser driven a value at a time, which
+//!   reads a document of a known shape into the caller's own types with
+//!   no tree between — how recovery decodes a stored payload;
 //! * [`json::object_members`], which splits a serialized object into its
-//!   members' texts in one pass — how a payload's `report` or
-//!   `extraction` is read without building the other.
+//!   members' texts in one pass — how a payload's `report` is read
+//!   without building its `extraction`.
 
 pub mod json;
 

@@ -383,8 +383,8 @@ impl FrozenSegment {
     }
 
     /// The segment's own BM25+ idf of a term, floored at a small positive
-    /// value — what [`CorpusStats::idf`](crate::CorpusStats) evaluates on
-    /// merged statistics.
+    /// value — what [`CorpusStats`](crate::CorpusStats) evaluates on
+    /// statistics summed over every segment and shard.
     pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
         let n = self.num_docs() as f64;
         let df = self.doc_freq(field, term) as f64;

@@ -58,33 +58,28 @@ impl FieldIndex {
     }
 
     /// Tokenizes `text` as document `doc` and appends its postings.
-    /// `doc` must be the newest id (postings stay sorted by doc).
+    /// `doc` must be the newest id (postings stay sorted by doc). A term
+    /// is copied only the first time the segment sees it.
     pub(crate) fn index_text(&mut self, doc: u32, text: &str) {
-        let tokens = self.analyzer.analyze(text);
-        self.doc_len[doc as usize] = tokens.len() as u32;
-        let positions = self.positions;
-        for token in tokens {
-            // Tokenizer-assigned positions survive filtering, so a
-            // dropped stopword still advances the position counter —
-            // phrase queries then respect the original word distance
-            // (Lucene's position-increment behaviour).
-            let pos = token.position as u32;
-            let record = |postings: &mut PostingList| {
-                if positions {
-                    postings.push(doc, pos)
-                } else {
-                    postings.push_freq(doc)
-                }
+        let (dict, positions) = (&mut self.dict, self.positions);
+        let mut len = 0u32;
+        // Tokenizer-assigned positions survive filtering, so a dropped
+        // stopword still advances the position counter — phrase queries
+        // then respect the original word distance (Lucene's
+        // position-increment behaviour).
+        self.analyzer.for_each_term(text, |term, position| {
+            len += 1;
+            let postings = match dict.get_mut(term) {
+                Some(postings) => postings,
+                None => dict.entry(term.into()).or_default(),
             };
-            match self.dict.get_mut(token.text.as_str()) {
-                Some(postings) => record(postings),
-                None => {
-                    let mut postings = PostingList::default();
-                    record(&mut postings);
-                    self.dict.insert(token.text.into_boxed_str(), postings);
-                }
+            if positions {
+                postings.push(doc, position as u32)
+            } else {
+                postings.push_freq(doc)
             }
-        }
+        });
+        self.doc_len[doc as usize] = len;
     }
 }
 

@@ -72,19 +72,14 @@ impl QueryNode {
     /// the field's analyzer splits the text and the resulting terms are
     /// OR-combined — exactly what Solr's default handler does.
     pub fn query_string(index: &Index, field: &str, text: &str) -> QueryNode {
-        let terms = index
-            .field(field)
-            .map(|f| f.analyzer.terms(text))
-            .unwrap_or_default();
+        let mut should = Vec::new();
+        if let Some(f) = index.field(field) {
+            f.analyzer
+                .for_each_term(text, |term, _| should.push(QueryNode::term(field, term)));
+        }
         QueryNode::Bool {
             must: Vec::new(),
-            should: terms
-                .into_iter()
-                .map(|t| QueryNode::Term {
-                    field: field.to_string(),
-                    term: t,
-                })
-                .collect(),
+            should,
             must_not: Vec::new(),
         }
     }

@@ -226,7 +226,7 @@ impl Index {
         let stats = match stats {
             Some(stats) => stats,
             None => {
-                collected = CorpusStats::collect(self, query);
+                collected = CorpusStats::collect([self], query);
                 &collected
             }
         };
@@ -305,7 +305,7 @@ pub(crate) fn term_scores(
 struct Walker<'s> {
     segment: &'s FrozenSegment,
     scorer: Scorer,
-    global: Option<&'s CorpusStats>,
+    global: Option<&'s CorpusStats<'s>>,
     decoded: Decoded,
 }
 
@@ -874,7 +874,7 @@ mod tests {
                         "{what} filtered"
                     );
                 }
-                let stats = CorpusStats::collect(&segmented, q);
+                let stats = CorpusStats::collect([&segmented], q);
                 assert_eq!(
                     bits(segmented.search_with_stats(q, 10, Scorer::default(), Some(&stats))),
                     bits(whole.search(q, 10, Scorer::default())),

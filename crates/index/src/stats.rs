@@ -4,159 +4,163 @@
 //! evidence (document frequency, average field length, total document
 //! count). When the corpus is partitioned into shards, a shard-local
 //! search would score with shard-local idf/avg_len and drift from the
-//! monolithic ranking. [`CorpusStats`] fixes that: each shard collects
-//! the corpus-level numbers *for the terms a query touches*, the
-//! searcher sums them across shards (integer sums, so the merge is
-//! order-independent), and every shard then scores with the merged
-//! stats via [`Index::search_with_stats`].
+//! monolithic ranking. [`CorpusStats`] fixes that: the corpus-level
+//! numbers *for the terms a query touches* are collected over every
+//! shard in one pass (integer sums, so the order the shards and their
+//! segments are visited in does not matter), and every shard then
+//! scores with them via [`Index::search_with_stats`].
 //!
-//! **Bit-exactness.** The merged statistics are integers (`usize`/`u64`)
-//! summed before a single cast to `f64`, and [`CorpusStats::idf`] /
-//! [`CorpusStats::avg_len`] evaluate the exact expressions
-//! `FrozenSegment::idf` and `FieldRef::avg_len` use. A one-shard system
-//! therefore produces bit-identical scores whether it scores through
-//! its own statistics or through a collected-and-merged `CorpusStats`,
-//! and an N-shard system reproduces the N=1 fold exactly: a document's
+//! **Bit-exactness.** The statistics are integers (`usize`/`u64`)
+//! summed before a single cast to `f64`, and each term's idf and each
+//! field's average length are evaluated once, with the exact
+//! expressions `FrozenSegment::idf` and `FieldRef::avg_len` use. A
+//! one-shard system therefore produces bit-identical scores whether it
+//! scores through its own statistics or through collected ones, and an
+//! N-shard system reproduces the N=1 fold exactly: a document's
 //! matching terms live only in its own shard, so the clause-order score
 //! fold visits the same contributions in the same order.
 //!
 //! The same argument makes an [`Index`]'s segments invisible: a segment
-//! is a sub-shard under the index's merged statistics, and
+//! is a sub-shard under the index's collected statistics, and
 //! [`Index::search`] scores each under them.
 
 use crate::index::Index;
 use crate::query::QueryNode;
-use std::collections::HashMap;
 
-/// Per-field corpus statistics: the raw integers behind `avg_len` and
-/// per-term document frequencies.
+/// Corpus-level statistics for one query over one or more indexes (the
+/// shards of a corpus): each term's idf and each field's average
+/// length, evaluated once from the integer sums. Field names and terms
+/// are borrowed from the query and the indexes.
 #[derive(Debug, Clone, Default)]
-struct FieldStats {
-    total_len: u64,
-    docs_with_field: usize,
-    /// Document frequency per analyzed term (only terms the query can
-    /// touch: query terms, phrase members, and fuzzy expansions).
-    df: HashMap<String, usize>,
+pub struct CorpusStats<'a> {
+    /// Each configured field the query names, sorted, with its average
+    /// length.
+    fields: Vec<(&'a str, f64)>,
+    /// Each term of a configured field the query names or a fuzzy node
+    /// expands to, sorted by `(field, term)`, with its idf.
+    terms: Vec<((&'a str, &'a str), f64)>,
 }
 
-/// Corpus-level statistics for one query, mergeable across shards.
-#[derive(Debug, Clone, Default)]
-pub struct CorpusStats {
-    num_docs: usize,
-    fields: HashMap<String, FieldStats>,
-}
-
-impl CorpusStats {
-    /// Collects this index's contribution to the corpus statistics for
-    /// `query`: total document count, per-field length sums, and the
+impl<'a> CorpusStats<'a> {
+    /// Collects the corpus statistics of `query` over `indexes`, in one
+    /// pass: the total document count, per-field length sums, and the
     /// document frequency of every term the query tree can touch
     /// (including fuzzy expansions — a term expanded by any segment is
-    /// counted by every segment whose dictionary holds it, so the merged
-    /// df is the exact global df). Each segment of the index contributes
-    /// as a shard would: its lengths once per field the query names, its
-    /// df once per term, summed — a frozen segment's read off its
-    /// dictionary entry, nothing decoded. The terms the query names are
-    /// resolved once; only fuzzy expansions differ from segment to
-    /// segment.
-    pub fn collect(index: &Index, query: &QueryNode) -> CorpusStats {
+    /// counted by every segment whose dictionary holds it, so the summed
+    /// df is the exact global df). Each segment contributes as a shard
+    /// would: its lengths once per field the query names, its df once
+    /// per term — read off its dictionary entry, nothing decoded — into
+    /// integer arrays aligned with the query's sorted terms. The terms
+    /// the query names are resolved once; only fuzzy expansions differ
+    /// from segment to segment.
+    pub fn collect(
+        indexes: impl IntoIterator<Item = &'a Index>,
+        query: &'a QueryNode,
+    ) -> CorpusStats<'a> {
         let (mut named, mut fuzzy) = (Vec::new(), Vec::new());
         names(query, &mut named, &mut fuzzy);
         named.sort_unstable();
         named.dedup();
-        // Each configured field the query names, with its length sums.
-        let mut lengths: Vec<(&str, u64, usize)> = Vec::new();
+        // Each field the query names, with its length sums and whether
+        // any index configures it.
+        let mut lengths: Vec<(&str, u64, usize, bool)> = Vec::new();
         for &(field, _) in &named {
-            if lengths.last().is_none_or(|l| l.0 != field) && index.field(field).is_some() {
-                lengths.push((field, 0, 0));
+            if lengths.last().is_none_or(|l| l.0 != field) {
+                lengths.push((field, 0, 0, false));
             }
         }
         let mut df = vec![0; named.len()];
-        let (mut expanded, mut extra) = (Vec::new(), HashMap::new());
-        for (_, segment) in index.segments() {
-            for (field, total_len, docs_with_field) in &mut lengths {
-                if let Some(fi) = segment.field(field) {
-                    *total_len += fi.total_len;
-                    *docs_with_field += fi.docs_with_field;
+        let (mut num_docs, mut expanded, mut extra) = (0, Vec::new(), Vec::new());
+        for index in indexes {
+            num_docs += index.num_docs();
+            for (field, .., configured) in &mut lengths {
+                *configured |= index.field(field).is_some();
+            }
+            for (_, segment) in index.segments() {
+                for (field, total_len, docs_with_field, _) in &mut lengths {
+                    if let Some(fi) = segment.field(field) {
+                        *total_len += fi.total_len;
+                        *docs_with_field += fi.docs_with_field;
+                    }
+                }
+                for (sum, &(field, term)) in df.iter_mut().zip(&named) {
+                    *sum += segment.doc_freq(field, term);
+                }
+                expanded.clear();
+                for &(field, term, max_edits) in &fuzzy {
+                    let terms = segment.fuzzy_candidates(field, term, max_edits);
+                    expanded.extend(terms.into_iter().map(|(t, _)| (field, t)));
+                }
+                expanded.sort_unstable();
+                expanded.dedup();
+                for &(field, term) in &expanded {
+                    if named.binary_search(&(field, term)).is_err() {
+                        extra.push(((field, term), segment.doc_freq(field, term)));
+                    }
                 }
             }
-            for (sum, &(field, term)) in df.iter_mut().zip(&named) {
-                *sum += segment.doc_freq(field, term);
-            }
-            expanded.clear();
-            for &(field, term, max_edits) in &fuzzy {
-                let terms = segment.fuzzy_candidates(field, term, max_edits);
-                expanded.extend(terms.into_iter().map(|(t, _)| (field, t)));
-            }
-            expanded.sort_unstable();
-            expanded.dedup();
-            for &(field, term) in &expanded {
-                if named.binary_search(&(field, term)).is_err() {
-                    *extra.entry((field, term)).or_insert(0) += segment.doc_freq(field, term);
-                }
-            }
         }
-        let mut stats = CorpusStats {
-            num_docs: index.num_docs(),
-            fields: HashMap::new(),
-        };
-        for (field, total_len, docs_with_field) in lengths {
-            let fs = FieldStats {
-                total_len,
-                docs_with_field,
-                df: HashMap::new(),
-            };
-            stats.fields.insert(field.to_string(), fs);
-        }
-        let terms = named.into_iter().zip(df).chain(extra);
-        for ((field, term), df) in terms.filter(|((_, term), _)| !term.is_empty()) {
-            if let Some(fs) = stats.fields.get_mut(field) {
-                fs.df.insert(term.to_string(), df);
+        lengths.retain(|&(.., configured)| configured);
+        let fields = lengths
+            .into_iter()
+            .map(|(field, total_len, docs_with_field, _)| {
+                (field, avg_len(total_len, docs_with_field))
+            })
+            .collect::<Vec<_>>();
+        let configured = |field: &str| fields.binary_search_by_key(&field, |f| f.0).is_ok();
+        // One sum per term: expansions of different segments name the
+        // same term, and no expansion is a named term.
+        let mut sums: Vec<((&str, &str), usize)> = named.into_iter().zip(df).collect();
+        sums.extend(extra);
+        sums.sort_unstable_by_key(|&(key, _)| key);
+        sums.dedup_by(|later, first| {
+            let same = later.0 == first.0;
+            if same {
+                first.1 += later.1;
             }
-        }
-        stats
+            same
+        });
+        let terms = sums
+            .into_iter()
+            .filter(|&((field, term), _)| !term.is_empty() && configured(field))
+            .map(|(key, df)| (key, idf(num_docs, df)))
+            .collect();
+        CorpusStats { fields, terms }
     }
 
-    /// Folds another shard's contribution in. Integer sums only, so the
-    /// result is independent of merge order.
-    pub fn merge(&mut self, other: &CorpusStats) {
-        self.num_docs += other.num_docs;
-        for (field, fs) in &other.fields {
-            let entry = self.fields.entry(field.clone()).or_default();
-            entry.total_len += fs.total_len;
-            entry.docs_with_field += fs.docs_with_field;
-            for (term, df) in &fs.df {
-                *entry.df.entry(term.clone()).or_insert(0) += df;
-            }
-        }
-    }
-
-    /// The BM25+ idf over the merged statistics — the same expression as
-    /// `FrozenSegment::idf`, evaluated on globally-summed integers.
+    /// The BM25+ idf of `term` in `field` — the same expression as
+    /// `FrozenSegment::idf`, evaluated on the summed integers; 0 for a
+    /// term the statistics do not hold.
     pub(crate) fn idf(&self, field: &str, term: &str) -> f64 {
-        let n = self.num_docs as f64;
-        let df = self
-            .fields
-            .get(field)
-            .and_then(|f| f.df.get(term))
-            .copied()
-            .unwrap_or(0) as f64;
-        if df == 0.0 {
-            return 0.0;
-        }
-        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+        self.terms
+            .binary_search_by_key(&(field, term), |&(key, _)| key)
+            .map_or(0.0, |at| self.terms[at].1)
     }
 
-    /// Average field length over the merged statistics — the same
-    /// expression as the per-field `avg_len`.
+    /// The average length of `field` — the same expression as the
+    /// per-field `avg_len`; 0 for a field the statistics do not hold.
     pub(crate) fn avg_len(&self, field: &str) -> f64 {
-        let Some(fs) = self.fields.get(field) else {
-            return 0.0;
-        };
-        if fs.docs_with_field == 0 {
-            0.0
-        } else {
-            fs.total_len as f64 / fs.docs_with_field as f64
-        }
+        self.fields
+            .binary_search_by_key(&field, |&(field, _)| field)
+            .map_or(0.0, |at| self.fields[at].1)
+    }
+}
+
+/// The BM25+ idf of a term in `df` of `num_docs` documents.
+fn idf(num_docs: usize, df: usize) -> f64 {
+    let (n, df) = (num_docs as f64, df as f64);
+    if df == 0.0 {
+        return 0.0;
+    }
+    ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+}
+
+/// The average token count of the documents that have a field.
+fn avg_len(total_len: u64, docs_with_field: usize) -> f64 {
+    if docs_with_field == 0 {
+        0.0
+    } else {
+        total_len as f64 / docs_with_field as f64
     }
 }
 
@@ -200,6 +204,7 @@ mod tests {
     use crate::index::{FieldConfig, Index};
     use crate::score::Scorer;
     use create_text::Analyzer;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn body_index() -> Index {
@@ -238,7 +243,7 @@ mod tests {
         }
         for q in queries() {
             let plain = idx.search(&q, 10, Scorer::default());
-            let stats = CorpusStats::collect(&idx, &q);
+            let stats = CorpusStats::collect([&idx], &q);
             let with = idx.search_with_stats(&q, 10, Scorer::default(), Some(&stats));
             assert_eq!(plain.len(), with.len());
             for (a, b) in plain.iter().zip(&with) {
@@ -249,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_shard_stats_reproduce_monolithic_scores() {
+    fn shard_stats_reproduce_monolithic_scores() {
         let mut whole = body_index();
         let mut even = body_index();
         let mut odd = body_index();
@@ -259,8 +264,7 @@ mod tests {
             shard.add_document(id, &[("body", text)]).unwrap();
         }
         for q in queries() {
-            let mut merged = CorpusStats::collect(&even, &q);
-            merged.merge(&CorpusStats::collect(&odd, &q));
+            let merged = CorpusStats::collect([&even, &odd], &q);
             let reference: HashMap<String, u64> = whole
                 .search(&q, 10, Scorer::default())
                 .into_iter()

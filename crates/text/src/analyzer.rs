@@ -13,7 +13,11 @@
 use crate::filter::{
     AsciiFoldingFilter, CharFilter, LowercaseFilter, StemFilter, StopFilter, TokenFilter,
 };
-use crate::token::{NGramTokenizer, StandardTokenizer, Token, Tokenizer, WhitespaceTokenizer};
+use crate::span::Span;
+use crate::token::{
+    for_each_word, NGramTokenizer, StandardTokenizer, Token, Tokenizer, WhitespaceTokenizer,
+};
+use std::any::{Any, TypeId};
 use std::sync::Arc;
 
 /// A complete, reusable analysis pipeline.
@@ -22,6 +26,11 @@ pub struct Analyzer {
     char_filters: Vec<Arc<dyn CharFilter>>,
     tokenizer: Arc<dyn Tokenizer>,
     filters: Vec<Arc<dyn TokenFilter>>,
+    /// `Some` when the pipeline is exactly an n-gram tokenizer followed
+    /// by `asciifolding` and `lowercase`, with no character filter — the
+    /// paper's n-gram analyzer — which [`Analyzer::for_each_term`] runs
+    /// on slices of one lowercased copy of each ASCII word.
+    grams: Option<NGramTokenizer>,
 }
 
 impl std::fmt::Debug for Analyzer {
@@ -44,7 +53,9 @@ impl Analyzer {
             name: name.into(),
             char_filters: Vec::new(),
             tokenizer: Arc::new(StandardTokenizer),
+            grams: None,
             filters: Vec::new(),
+            filter_types: Vec::new(),
         }
     }
 
@@ -98,8 +109,87 @@ impl Analyzer {
         self.tokenizer.word_positions()
     }
 
-    /// Runs the full pipeline over `text`.
+    /// Calls `term` with each term of `text` and its position, in
+    /// stream order — what [`Analyzer::analyze`] returns, without a
+    /// `String` per term: the one pass indexing and query parsing make.
+    ///
+    /// The paper's n-gram analyzer lowercases an ASCII word once and
+    /// hands out each gram as a slice of that copy; for ASCII text
+    /// `asciifolding` is the identity and `lowercase` the ASCII one, so
+    /// the terms are the chain's. A word with any other character goes
+    /// through the chain gram by gram, since folding can change a
+    /// word's character count (`æ` → `ae`) and lowercasing depends on
+    /// context (a word-final `Σ`).
+    ///
+    /// ```
+    /// use create_text::Analyzer;
+    /// let mut terms = Vec::new();
+    /// Analyzer::clinical_ngram().for_each_term("Cough", |term, position| {
+    ///     terms.push((term.to_string(), position))
+    /// });
+    /// assert_eq!(terms[..2], [("cou".to_string(), 0), ("coug".to_string(), 1)]);
+    /// ```
+    pub fn for_each_term(&self, text: &str, mut term: impl FnMut(&str, usize)) {
+        self.visit(text, &mut |text, _, position| term(text, position));
+    }
+
+    /// Runs the full pipeline over `text`: the terms
+    /// [`Analyzer::for_each_term`] visits, as tokens with their spans.
     pub fn analyze(&self, text: &str) -> Vec<Token> {
+        if self.grams.is_none() {
+            return self.chain(text);
+        }
+        let mut out = Vec::new();
+        self.visit(text, &mut |term, span, position| {
+            out.push(Token::new(term, span, position))
+        });
+        out
+    }
+
+    /// Analyzes and returns just the term strings — the common case for
+    /// query parsing.
+    pub fn terms(&self, text: &str) -> Vec<String> {
+        self.analyze(text).into_iter().map(|t| t.text).collect()
+    }
+
+    /// Calls `visit` with each term, its span in `text` and its position.
+    fn visit(&self, text: &str, visit: &mut dyn FnMut(&str, Span, usize)) {
+        let Some(grams) = self.grams else {
+            for token in self.chain(text) {
+                visit(&token.text, token.span, token.position);
+            }
+            return;
+        };
+        let mut lower = String::new();
+        let mut position = 0;
+        for_each_word(text, |word| {
+            let surface = word.slice(text);
+            if surface.is_ascii() {
+                lower.clear();
+                lower.push_str(surface);
+                lower.make_ascii_lowercase();
+                let n = lower.len();
+                for start in 0..n {
+                    for end in start + grams.min_gram..=(start + grams.max_gram).min(n) {
+                        let span = Span::new(word.start + start, word.start + end);
+                        visit(&lower[start..end], span, position);
+                        position += 1;
+                    }
+                }
+            } else {
+                grams.for_each_gram(surface, word.start, |gram, span| {
+                    if let Some(token) = self.filtered(Token::new(gram, span, position)) {
+                        visit(&token.text, token.span, token.position);
+                    }
+                    position += 1;
+                });
+            }
+        });
+    }
+
+    /// The general pipeline: character filters, the tokenizer, then each
+    /// token through the token filters.
+    fn chain(&self, text: &str) -> Vec<Token> {
         // Character filters (length-preserving) first.
         let mut filtered: Option<String> = None;
         for cf in &self.char_filters {
@@ -113,26 +203,19 @@ impl Analyzer {
             filtered = Some(next);
         }
         let tokens = self.tokenizer.tokenize(filtered.as_deref().unwrap_or(text));
-        let mut out = Vec::with_capacity(tokens.len());
-        'next_token: for token in tokens {
-            let mut t = token;
-            for f in &self.filters {
-                match f.apply(t) {
-                    Some(next) => t = next,
-                    None => continue 'next_token,
-                }
-            }
-            if !t.text.is_empty() {
-                out.push(t);
-            }
-        }
-        out
+        tokens
+            .into_iter()
+            .filter_map(|token| self.filtered(token))
+            .collect()
     }
 
-    /// Analyzes and returns just the term strings — the common case for
-    /// query parsing.
-    pub fn terms(&self, text: &str) -> Vec<String> {
-        self.analyze(text).into_iter().map(|t| t.text).collect()
+    /// One token through the token filters: `None` when a filter drops
+    /// it or its text ends up empty.
+    fn filtered(&self, mut token: Token) -> Option<Token> {
+        for f in &self.filters {
+            token = f.apply(token)?;
+        }
+        (!token.text.is_empty()).then_some(token)
     }
 }
 
@@ -141,7 +224,11 @@ pub struct AnalyzerBuilder {
     name: String,
     char_filters: Vec<Arc<dyn CharFilter>>,
     tokenizer: Arc<dyn Tokenizer>,
+    /// The tokenizer, when it is an [`NGramTokenizer`].
+    grams: Option<NGramTokenizer>,
     filters: Vec<Arc<dyn TokenFilter>>,
+    /// The concrete type of each filter, in order.
+    filter_types: Vec<TypeId>,
 }
 
 impl AnalyzerBuilder {
@@ -152,24 +239,33 @@ impl AnalyzerBuilder {
     }
 
     /// Sets the tokenizer (default: [`StandardTokenizer`]).
-    pub fn tokenizer(mut self, t: impl Tokenizer + 'static) -> Self {
+    pub fn tokenizer<T: Tokenizer + 'static>(mut self, t: T) -> Self {
+        self.grams = (&t as &dyn Any).downcast_ref::<NGramTokenizer>().copied();
         self.tokenizer = Arc::new(t);
         self
     }
 
     /// Adds a token filter (applied in insertion order).
-    pub fn filter(mut self, f: impl TokenFilter + 'static) -> Self {
+    pub fn filter<F: TokenFilter + 'static>(mut self, f: F) -> Self {
         self.filters.push(Arc::new(f));
+        self.filter_types.push(TypeId::of::<F>());
         self
     }
 
     /// Finalizes the analyzer.
     pub fn build(self) -> Analyzer {
+        let folds_then_lowercases = self.filter_types
+            == [
+                TypeId::of::<AsciiFoldingFilter>(),
+                TypeId::of::<LowercaseFilter>(),
+            ];
+        let sliced = folds_then_lowercases && self.char_filters.is_empty();
         Analyzer {
             name: self.name,
             char_filters: self.char_filters,
             tokenizer: self.tokenizer,
             filters: self.filters,
+            grams: self.grams.filter(|_| sliced),
         }
     }
 }
@@ -246,6 +342,34 @@ mod tests {
         assert!(Analyzer::clinical_standard().word_positions());
         assert!(Analyzer::simple().word_positions());
         assert!(!Analyzer::clinical_ngram().word_positions());
+    }
+
+    #[test]
+    fn only_the_fold_then_lowercase_ngram_chain_is_sliced() {
+        let ngram = |filters: &[&str], html: bool| {
+            let mut b = Analyzer::builder("g").tokenizer(NGramTokenizer::new(2, 4));
+            if html {
+                b = b.char_filter(HtmlStripCharFilter);
+            }
+            for f in filters {
+                b = match *f {
+                    "fold" => b.filter(AsciiFoldingFilter),
+                    _ => b.filter(LowercaseFilter),
+                };
+            }
+            b.build().grams.is_some()
+        };
+        assert!(Analyzer::clinical_ngram().grams.is_some());
+        assert!(ngram(&["fold", "lower"], false));
+        assert!(!ngram(&["fold", "lower"], true));
+        assert!(!ngram(&["lower", "fold"], false));
+        assert!(!ngram(&["lower"], false));
+        assert!(Analyzer::clinical_standard().grams.is_none());
+        let standard = Analyzer::builder("s")
+            .filter(AsciiFoldingFilter)
+            .filter(LowercaseFilter)
+            .build();
+        assert!(standard.grams.is_none());
     }
 
     #[test]

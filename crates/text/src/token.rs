@@ -64,40 +64,39 @@ fn is_word_char(c: char) -> bool {
     c.is_alphanumeric()
 }
 
+/// Calls `word` with the span of each word of `text`, as
+/// [`StandardTokenizer`] finds them: a maximal run of word characters,
+/// where a single `-`, `'` or `.` between two of them joins the run.
+pub(crate) fn for_each_word(text: &str, mut word: impl FnMut(Span)) {
+    let mut chars = text.char_indices();
+    while let Some((start, c)) = chars.next() {
+        if !is_word_char(c) {
+            continue;
+        }
+        let mut end = start + c.len_utf8();
+        loop {
+            let mut ahead = chars.clone();
+            match ahead.next() {
+                Some((at, cj)) if is_word_char(cj) => end = at + cj.len_utf8(),
+                Some((_, '-' | '\'' | '.')) => match ahead.next() {
+                    Some((at, ck)) if is_word_char(ck) => end = at + ck.len_utf8(),
+                    _ => break,
+                },
+                _ => break,
+            }
+            chars = ahead;
+        }
+        word(Span::new(start, end));
+    }
+}
+
 impl Tokenizer for StandardTokenizer {
     fn tokenize(&self, text: &str) -> Vec<Token> {
         let mut tokens = Vec::new();
-        let bytes: Vec<(usize, char)> = text.char_indices().collect();
-        let n = bytes.len();
-        let mut i = 0;
-        let mut position = 0;
-        while i < n {
-            let (start_byte, c) = bytes[i];
-            if !is_word_char(c) {
-                i += 1;
-                continue;
-            }
-            // Consume the word, allowing single joiners between word chars.
-            let mut j = i + 1;
-            while j < n {
-                let (_, cj) = bytes[j];
-                if is_word_char(cj) {
-                    j += 1;
-                } else if (cj == '-' || cj == '\'' || cj == '.')
-                    && j + 1 < n
-                    && is_word_char(bytes[j + 1].1)
-                {
-                    j += 2;
-                } else {
-                    break;
-                }
-            }
-            let end_byte = if j < n { bytes[j].0 } else { text.len() };
-            let span = Span::new(start_byte, end_byte);
+        for_each_word(text, |span| {
+            let position = tokens.len();
             tokens.push(Token::new(span.slice(text), span, position));
-            position += 1;
-            i = j;
-        }
+        });
         tokens
     }
 }
@@ -159,33 +158,40 @@ impl NGramTokenizer {
     }
 }
 
+impl NGramTokenizer {
+    /// Calls `gram` with each n-gram of `word` — all of one start
+    /// character's lengths, shortest first, then the next start's — and
+    /// its span, `word` lying at byte `offset` of the text.
+    pub(crate) fn for_each_gram(
+        &self,
+        word: &str,
+        offset: usize,
+        mut gram: impl FnMut(&str, Span),
+    ) {
+        let chars: Vec<usize> = word.char_indices().map(|(at, _)| at).collect();
+        let n = chars.len();
+        let byte = |char_index: usize| chars.get(char_index).copied().unwrap_or(word.len());
+        for (start, &from) in chars.iter().enumerate() {
+            for len in self.min_gram..=(n - start).min(self.max_gram) {
+                let to = byte(start + len);
+                gram(&word[from..to], Span::new(offset + from, offset + to));
+            }
+        }
+    }
+}
+
 impl Tokenizer for NGramTokenizer {
     fn tokenize(&self, text: &str) -> Vec<Token> {
         // First isolate words with the standard tokenizer, then emit grams
         // within each word; this is how ES's ngram tokenizer is typically
         // deployed for term matching (token_chars: letter,digit).
-        let words = StandardTokenizer.tokenize(text);
         let mut tokens = Vec::new();
-        let mut position = 0;
-        for word in &words {
-            let chars: Vec<(usize, char)> = word.text.char_indices().collect();
-            let n = chars.len();
-            for start in 0..n {
-                let max_len = (n - start).min(self.max_gram);
-                for len in self.min_gram..=max_len {
-                    let byte_start = chars[start].0;
-                    let byte_end = if start + len < n {
-                        chars[start + len].0
-                    } else {
-                        word.text.len()
-                    };
-                    let gram = &word.text[byte_start..byte_end];
-                    let span = Span::new(word.span.start + byte_start, word.span.start + byte_end);
-                    tokens.push(Token::new(gram, span, position));
-                    position += 1;
-                }
-            }
-        }
+        for_each_word(text, |word| {
+            self.for_each_gram(word.slice(text), word.start, |gram, span| {
+                let position = tokens.len();
+                tokens.push(Token::new(gram, span, position));
+            });
+        });
         tokens
     }
 
