@@ -173,23 +173,40 @@ impl Snapshot {
         self.shards.len()
     }
 
-    /// Shard 0's property graph (the whole graph in single-shard
-    /// deployments; Cypher-level access targets this shard), built on
-    /// demand (see [`Snapshot::shard_graph`]).
+    /// The property graph of every shard's reports, built on demand:
+    /// [`graph_build::add_report`] over the stored payloads in global
+    /// ingest order, so node and edge ids follow ingest order, a concept
+    /// is one node whichever shards its reports live on, and the graph is
+    /// the same at any shard count. An error when a sealed payload does
+    /// not read back from its segment file.
     pub fn graph(&self) -> Result<PropertyGraph, StorageError> {
-        self.shard_graph(0)
+        let mut docs: Vec<(u64, usize, usize)> = (self.shards.iter().enumerate())
+            .flat_map(|(s, shard)| {
+                (0..shard.docs.len()).map(move |doc| (shard.ordinals[doc], s, doc))
+            })
+            .collect();
+        docs.sort_unstable();
+        self.build_graph(docs.into_iter().map(|(_, shard, doc)| (shard, doc)))
     }
 
-    /// The property graph of shard `shard`'s reports, built on demand:
-    /// [`graph_build::add_report`] over the shard's stored payloads in
-    /// doc order, the order they entered the shard, so node and edge ids
-    /// follow ingest order. An error when a sealed payload does not read
-    /// back from its segment file.
+    /// The property graph of shard `shard`'s reports alone, built on
+    /// demand as [`Snapshot::graph`] is, over the shard's payloads in doc
+    /// order (the order they entered the shard).
     pub fn shard_graph(&self, shard: usize) -> Result<PropertyGraph, StorageError> {
-        let shard = &self.shards[shard];
+        let docs = 0..self.shards[shard].docs.len();
+        self.build_graph(docs.map(|doc| (shard, doc)))
+    }
+
+    /// [`graph_build::add_report`] over the stored payloads of `docs`,
+    /// `(shard, doc id)` pairs, in the order given.
+    fn build_graph(
+        &self,
+        docs: impl Iterator<Item = (usize, usize)>,
+    ) -> Result<PropertyGraph, StorageError> {
         let mut graph = graph_build::report_graph();
-        for doc in 0..shard.docs.len() {
-            let payload = shard.docs.get(doc)?.expect("every doc has its payload");
+        for (shard, doc) in docs {
+            let payload = self.shards[shard].docs.get(doc)?;
+            let payload = payload.expect("every doc has its payload");
             let stored = durability::decode_payload(payload.as_bytes())
                 .expect("a stored payload reads back");
             let (fields, annotations) = (&stored.fields, &stored.annotations);
@@ -371,9 +388,9 @@ impl Create {
         Arc::clone(&self.ontology)
     }
 
-    /// Shard 0's property graph as of the current snapshot, built on
-    /// demand (for Cypher-level read queries and diagnostics; the whole
-    /// graph in single-shard deployments; see [`Snapshot::graph`]).
+    /// The property graph of every report as of the current snapshot,
+    /// built on demand (for Cypher-level read queries and diagnostics;
+    /// see [`Snapshot::graph`]).
     pub fn graph(&self) -> Result<PropertyGraph, StorageError> {
         self.current.load().graph()
     }

@@ -5,7 +5,8 @@
 //! declared `(label, key)` index when the pattern names one, else from
 //! scanning its label (as Neo4j does for a property without `CREATE
 //! INDEX`); each hop expands along the adjacency lists, respecting
-//! direction, relationship type, and property constraints; `WHERE`
+//! direction, relationship type, and property constraints, and a path
+//! takes each relationship once (as in Cypher); `WHERE`
 //! filters evaluated bindings; `RETURN` projects. [`query`] only reads;
 //! [`run`] also `CREATE`s.
 
@@ -133,41 +134,33 @@ fn execute_read(graph: &PropertyGraph, query: &Query) -> Result<QueryOutput, Exe
     }
 }
 
+/// Creates the pattern's nodes and edges — none when a hop has no type.
 fn execute_create(
     graph: &mut PropertyGraph,
     pattern: &PathPattern,
 ) -> Result<QueryOutput, ExecError> {
-    let mut created_nodes = 0usize;
-    let mut created_edges = 0usize;
-    let mut prev = graph.create_node(
-        pattern.start.labels.iter().cloned(),
-        pattern.start.props.clone(),
-    );
-    created_nodes += 1;
+    if pattern.hops.iter().any(|(rel, _)| rel.rel_type.is_none()) {
+        return Err(ExecError::InvalidCreate(
+            "CREATE edges need a type".to_string(),
+        ));
+    }
+    let start = &pattern.start;
+    let mut prev = graph.create_node(&start.labels, start.props.clone());
     for (rel, node) in &pattern.hops {
-        let rel_type = rel
-            .rel_type
-            .clone()
-            .ok_or_else(|| ExecError::InvalidCreate("CREATE edges need a type".to_string()))?;
-        let next = graph.create_node(node.labels.iter().cloned(), node.props.clone());
-        created_nodes += 1;
-        match rel.direction {
-            Direction::Out | Direction::Both => {
-                graph.create_edge(prev, next, rel_type, rel.props.clone());
-            }
-            Direction::In => {
-                graph.create_edge(next, prev, rel_type, rel.props.clone());
-            }
-        }
-        created_edges += 1;
+        let next = graph.create_node(&node.labels, node.props.clone());
+        let (source, target) = match rel.direction {
+            Direction::Out | Direction::Both => (prev, next),
+            Direction::In => (next, prev),
+        };
+        let rel_type = rel.rel_type.as_deref().expect("checked above");
+        graph.create_edge(source, target, rel_type, rel.props.clone());
         prev = next;
     }
+    let count = |n: usize| ResultValue::Value(Value::Number(n as f64));
+    let edges = pattern.hops.len();
     Ok(QueryOutput {
         columns: vec!["nodes_created".to_string(), "edges_created".to_string()],
-        rows: vec![vec![
-            ResultValue::Value(Value::Number(created_nodes as f64)),
-            ResultValue::Value(Value::Number(created_edges as f64)),
-        ]],
+        rows: vec![vec![count(edges + 1), count(edges)]],
     })
 }
 
@@ -218,12 +211,17 @@ fn bind_node(bindings: &mut Bindings, var: &Option<String>, id: NodeId) -> bool 
     true
 }
 
-/// Recursively matches the hop list starting from `current`.
+/// Recursively matches the hop list starting from `current`. As in
+/// Cypher, a path traverses a relationship at most once: `path` holds the
+/// edges it has taken, so a pattern of more hops than the graph has edges
+/// matches nothing, and an undirected hop does not walk back along the
+/// edge it came by.
 fn match_hops(
     graph: &PropertyGraph,
     current: NodeId,
     hops: &[(RelPattern, NodePattern)],
     bindings: &Bindings,
+    path: &mut Vec<EdgeId>,
     out: &mut Vec<Bindings>,
     stats: &mut ExecStats,
 ) {
@@ -245,7 +243,7 @@ fn match_hops(
     stats.edges_traversed += candidates.len() as u64;
     for (edge, next_node) in candidates {
         let edge_id = edge.id;
-        if rel.rel_type.as_ref().is_some_and(|t| edge.rel_type != t) {
+        if path.contains(&edge_id) || rel.rel_type.as_ref().is_some_and(|t| edge.rel_type != t) {
             continue;
         }
         if !rel
@@ -272,7 +270,9 @@ fn match_hops(
             continue;
         }
         stats.nodes_visited += 1;
-        match_hops(graph, next_node, rest, &next_bindings, out, stats);
+        path.push(edge_id);
+        match_hops(graph, next_node, rest, &next_bindings, path, out, stats);
+        path.pop();
     }
 }
 
@@ -282,7 +282,7 @@ fn match_pattern(
     seeds: &[Bindings],
     stats: &mut ExecStats,
 ) -> Vec<Bindings> {
-    let mut results = Vec::new();
+    let (mut results, mut path) = (Vec::new(), Vec::new());
     for base in seeds {
         // If the start var is already bound, restrict to it.
         let candidates: Vec<NodeId> = match pattern.start.var.as_ref().and_then(|v| base.get(v)) {
@@ -295,7 +295,15 @@ fn match_pattern(
             if !bind_node(&mut bindings, &pattern.start.var, start) {
                 continue;
             }
-            match_hops(graph, start, &pattern.hops, &bindings, &mut results, stats);
+            match_hops(
+                graph,
+                start,
+                &pattern.hops,
+                &bindings,
+                &mut path,
+                &mut results,
+                stats,
+            );
         }
     }
     results
@@ -478,9 +486,9 @@ fn execute_match(
 }
 
 /// Parses and executes a query string that only reads — the "via cypher
-/// query" entry point over a shared graph. A `CREATE` is refused with
-/// [`ExecError::ReadOnly`]: the graph a shard serves is written by ingest
-/// alone.
+/// query" entry point over the graph the platform builds from its stored
+/// reports. A `CREATE` is refused with [`ExecError::ReadOnly`]: that
+/// graph is a function of the reports, written by ingest alone.
 ///
 /// ```
 /// use create_graphdb::{exec::{query, run, ExecError, QueryError}, PropertyGraph};
@@ -514,7 +522,7 @@ pub fn run(graph: &mut PropertyGraph, query: &str) -> Result<QueryOutput, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_query;
+    use crate::parser::{parse_query, MAX_DEPTH};
 
     fn sample_graph() -> PropertyGraph {
         sample_into(PropertyGraph::new())
@@ -805,6 +813,69 @@ mod tests {
             let a = query(&scanned, q).unwrap();
             assert_eq!(a, query(&indexed, q).unwrap(), "{q}");
             assert!(!a.rows.is_empty(), "{q}");
+        }
+    }
+
+    #[test]
+    fn a_where_clause_at_the_depth_cap_executes() {
+        let g = sample_graph();
+        let cmp = "c.label = 'fever'";
+        // An even number of NOTs is no NOT.
+        assert_eq!(MAX_DEPTH % 2, 0);
+        for clause in [
+            format!("{}{cmp}", "NOT ".repeat(MAX_DEPTH)),
+            format!("{}{cmp}{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH)),
+            format!("{cmp}{}", " OR c.label = 'none'".repeat(MAX_DEPTH)),
+            format!(
+                "{cmp}{}",
+                " AND c.entityType = 'Sign_symptom'".repeat(MAX_DEPTH)
+            ),
+        ] {
+            let q = format!("MATCH (c:Concept) WHERE {clause} RETURN c.label");
+            let out = query(&g, &q).unwrap();
+            let fever = ResultValue::Value(Value::String("fever".into()));
+            assert_eq!(out.rows, vec![vec![fever]], "{}", &q[..40]);
+        }
+    }
+
+    #[test]
+    fn a_path_takes_each_relationship_once() {
+        let g = sample_graph();
+        // Out along OVERLAP and straight back along it: no row.
+        let back =
+            "MATCH (c:Concept {label: 'cough'})-[:OVERLAP]-(x)-[:OVERLAP]-(y) RETURN y.label";
+        assert_eq!(
+            query(&g, back).unwrap().rows,
+            Vec::<Vec<ResultValue>>::new()
+        );
+        // A mutant the Cypher fuzz made: every hop could bounce on any
+        // edge, 2^hops paths and more. Each edge once, the graph's five
+        // edges end every path long before the pattern does.
+        let hops = format!("MATCH (c:Concept){} RETURN c", "-[]-()".repeat(MAX_DEPTH));
+        assert!(query(&g, &hops).unwrap().rows.is_empty());
+        let walk =
+            "MATCH (a:Concept {label: 'fever'})-[]-(b)-[]-(c) RETURN c.label ORDER BY c.label";
+        let labels: Vec<ResultValue> = query(&g, walk).unwrap().rows.concat();
+        let s = |x: &str| ResultValue::Value(Value::String(x.into()));
+        let null = ResultValue::Value(Value::Null);
+        // Never back to fever along the edge just taken.
+        assert_eq!(labels, [s("cough"), s("died"), null.clone(), null]);
+    }
+
+    #[test]
+    fn hundreds_of_relationship_types_each_match() {
+        let mut g = PropertyGraph::new();
+        for i in 0..300 {
+            run(&mut g, &format!("CREATE (a:A {{i: {i}}})-[:T{i}]->(b:B)")).unwrap();
+        }
+        for i in 0..300 {
+            let q = format!("MATCH (a:A)-[r:T{i}]->(b:B) RETURN a.i, r.type");
+            let out = query(&g, &q).unwrap();
+            let want = vec![
+                ResultValue::Value(Value::Number(i as f64)),
+                ResultValue::Value(Value::String(format!("T{i}"))),
+            ];
+            assert_eq!(out.rows, vec![want], "{q}");
         }
     }
 

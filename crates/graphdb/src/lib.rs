@@ -6,14 +6,17 @@
 //! implements that role from scratch:
 //!
 //! * [`store`] — the property graph: nodes and edges as fixed-size
-//!   records in id-indexed columns, their JSON properties encoded in one
+//!   records in id-indexed `Vec`s, their JSON properties encoded in one
 //!   byte arena, interned labels, types and keys, label lists and
-//!   declared `(label, key)` indexes, adjacency chains;
+//!   declared `(label, key)` indexes, adjacency chains. A graph owns its
+//!   storage, and a clone is a deep copy: the platform builds one per
+//!   Cypher call, from the stored reports, and shares none;
 //! * [`ast`], [`lexer`], [`parser`] — a Cypher-like query language
 //!   (`MATCH (a:Label {k: v})-[r:TYPE]->(b) WHERE … RETURN … LIMIT n`,
-//!   plus `CREATE`);
+//!   plus `CREATE`), its paths and `WHERE` nesting capped at
+//!   [`parser::MAX_DEPTH`];
 //! * [`exec`] — the backtracking pattern-match executor: [`exec::query`]
-//!   reads a shared graph, [`exec::run`] also writes one of its own.
+//!   only reads a graph, [`exec::run`] also writes one of its own.
 
 pub mod ast;
 pub mod exec;

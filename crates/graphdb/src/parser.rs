@@ -5,6 +5,13 @@ use crate::lexer::{lex, LexError, Tok};
 use create_docstore::Value;
 use std::fmt;
 
+/// How deep a query may nest: a path pattern has at most this many
+/// hops, and a `WHERE` clause at most this many `NOT`s and parentheses
+/// around any comparison and `NOT`, `AND` and `OR` operators above any
+/// comparison in the parsed tree. The parser, the executor's matching and
+/// evaluation and the tree's drop each recurse once a level.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
@@ -12,6 +19,9 @@ pub enum ParseError {
     Lex(LexError),
     /// Grammar violation.
     Syntax(String),
+    /// A path of more hops, or a `WHERE` clause nested deeper, than
+    /// [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -19,6 +29,7 @@ impl fmt::Display for ParseError {
         match self {
             ParseError::Lex(e) => write!(f, "{e}"),
             ParseError::Syntax(m) => write!(f, "syntax error: {m}"),
+            ParseError::TooDeep => write!(f, "query nests deeper than {MAX_DEPTH}"),
         }
     }
 }
@@ -28,7 +39,11 @@ impl std::error::Error for ParseError {}
 /// Parses one query.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let toks = lex(input).map_err(ParseError::Lex)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.query()?;
     if p.pos != p.toks.len() {
         return Err(ParseError::Syntax(format!(
@@ -42,6 +57,21 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// `NOT`s and parentheses around the expression being parsed.
+    depth: usize,
+}
+
+/// An expression and the number of operators on its deepest path.
+type Nested = (Expr, usize);
+
+/// `depth + 1`, refused past [`MAX_DEPTH`]: one more `NOT` or
+/// parenthesis around what is parsed next, or one more operator over an
+/// operand `depth` deep.
+fn deeper(depth: usize) -> Result<usize, ParseError> {
+    if depth == MAX_DEPTH {
+        return Err(ParseError::TooDeep);
+    }
+    Ok(depth + 1)
 }
 
 impl Parser {
@@ -95,7 +125,7 @@ impl Parser {
                 patterns.push(self.path_pattern()?);
             }
             let where_clause = if self.keyword("WHERE") {
-                Some(self.expr()?)
+                Some(self.expr()?.0)
             } else {
                 None
             };
@@ -208,6 +238,9 @@ impl Parser {
                 }
             };
             let node = self.node_pattern()?;
+            if hops.len() == MAX_DEPTH {
+                return Err(ParseError::TooDeep);
+            }
             hops.push((rel, node));
         }
         Ok(PathPattern { start, hops })
@@ -284,31 +317,38 @@ impl Parser {
     }
 
     /// expr := and_expr (OR and_expr)*
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.and_expr()?;
+    fn expr(&mut self) -> Result<Nested, ParseError> {
+        let (mut left, mut depth) = self.and_expr()?;
         while self.keyword("OR") {
-            let right = self.and_expr()?;
+            let (right, right_depth) = self.and_expr()?;
             left = Expr::Or(Box::new(left), Box::new(right));
+            depth = deeper(depth.max(right_depth))?;
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.unary_expr()?;
+    fn and_expr(&mut self) -> Result<Nested, ParseError> {
+        let (mut left, mut depth) = self.unary_expr()?;
         while self.keyword("AND") {
-            let right = self.unary_expr()?;
+            let (right, right_depth) = self.unary_expr()?;
             left = Expr::And(Box::new(left), Box::new(right));
+            depth = deeper(depth.max(right_depth))?;
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+    fn unary_expr(&mut self) -> Result<Nested, ParseError> {
         if self.keyword("NOT") {
-            return Ok(Expr::Not(Box::new(self.unary_expr()?)));
+            self.depth = deeper(self.depth)?;
+            let (inner, depth) = self.unary_expr()?;
+            self.depth -= 1;
+            return Ok((Expr::Not(Box::new(inner)), deeper(depth)?));
         }
         if matches!(self.peek(), Some(Tok::LParen)) {
             self.bump();
+            self.depth = deeper(self.depth)?;
             let inner = self.expr()?;
+            self.depth -= 1;
             self.expect(&Tok::RParen)?;
             return Ok(inner);
         }
@@ -331,12 +371,13 @@ impl Parser {
             }
         };
         let value = self.literal()?;
-        Ok(Expr::Cmp {
+        let cmp = Expr::Cmp {
             var,
             key,
             op,
             value,
-        })
+        };
+        Ok((cmp, 0))
     }
 }
 
@@ -467,6 +508,30 @@ mod tests {
         ] {
             assert!(parse_query(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_a_typed_error() {
+        let cmp = "a.x = 1";
+        for clause in [
+            format!("{}{cmp}", "NOT ".repeat(100_000)),
+            format!("{}{cmp}", "(".repeat(100_000)),
+            format!("{cmp}{}", " AND a.x = 1".repeat(100_000)),
+            format!("{}{cmp}", "NOT ".repeat(MAX_DEPTH + 1)),
+            format!(
+                "{}{cmp}{}",
+                "(".repeat(MAX_DEPTH + 1),
+                ")".repeat(MAX_DEPTH + 1)
+            ),
+            format!("{cmp}{}", " OR a.x = 1".repeat(MAX_DEPTH + 1)),
+        ] {
+            let q = format!("MATCH (a) WHERE {clause} RETURN a");
+            assert_eq!(parse_query(&q), Err(ParseError::TooDeep), "{}", &q[..40]);
+        }
+        let path = |hops: usize| format!("MATCH (a){} RETURN a", "-[]->()".repeat(hops));
+        assert!(parse_query(&path(MAX_DEPTH)).is_ok());
+        assert_eq!(parse_query(&path(MAX_DEPTH + 1)), Err(ParseError::TooDeep));
+        assert_eq!(parse_query(&path(100_000)), Err(ParseError::TooDeep));
     }
 
     #[test]

@@ -3,41 +3,35 @@
 //! Nodes carry labels (e.g. `Concept`, `Report`) and JSON properties;
 //! edges carry a relationship type (e.g. `BEFORE`, `MENTIONS`) and,
 //! rarely, properties. Ids are dense and nothing is ever removed, so the
-//! graph is a few id-indexed columns of fixed-size records in
-//! `Arc`-shared chunks ([`Chunked`]):
+//! graph is a few id-indexed `Vec`s of fixed-size records:
 //!
 //! * a node is two `u32`s: its label set's symbol and the offset of its
 //!   properties in the property arena;
-//! * an edge is four `u32`s — its two endpoints, and the previous edge
-//!   out of its source and into its target — plus a one-byte type symbol.
+//! * an edge is five `u32`s: its two endpoints, the previous edge out of
+//!   its source and into its target, and its relationship type's symbol.
 //!   Per node, `heads` holds the latest edge out and in, so adjacency is
 //!   threaded through the edges and a neighbourhood costs no allocation
 //!   of its own;
-//! * a node's properties are one record in a chunked, append-only byte
-//!   arena: a count, then per property, in key order, its key's symbol, a
-//!   tag and the value inline — the string's bytes, the `f64`, or an
-//!   array's or object's encoding. They are read in place, through
-//!   [`PropRef`]. Edge properties, which no ingest writes, are records in
-//!   the same arena, found through a side table;
+//! * a node's properties are one record in an append-only byte arena: a
+//!   count, then per property, in key order, its key's symbol, a tag and
+//!   the value inline — the string's bytes, the `f64`, or an array's or
+//!   object's encoding. They are read in place, through [`PropRef`].
+//!   Edge properties, which no ingest writes, are records in the same
+//!   arena, found through a side table;
 //! * labels, relationship types and property keys are symbols the graph
 //!   interns once.
 //!
 //! Every label lists its nodes in creation order. A `(label, key)` pair
-//! declared with [`PropertyGraph::with_indexes`] also maps each value to
-//! its nodes; as in Neo4j without `CREATE INDEX`, any other pair is found
-//! by scanning the label. The symbols and label sets, bounded by the
-//! schema, are looked up by scanning them; a declared index, which grows
-//! with the data, is a persistent hash trie. So a `Clone` (structural
-//! sharing) copies chunk tables and bumps reference counts, and a write
-//! after it copies the last chunk of each column it appends to and the
-//! trie paths it inserts on, never a table.
+//! declared with [`PropertyGraph::with_indexes`] also maps each value's
+//! hash to its nodes; as in Neo4j without `CREATE INDEX`, any other pair
+//! is found by scanning the label. The symbols and label sets, bounded by
+//! the schema, are looked up by scanning them.
 
 use create_docstore::Value;
-use create_util::fxhash::FxHasher;
-use create_util::{varint, Chunked};
+use create_util::fxhash::{FxHashMap, FxHasher};
+use create_util::varint;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// Node identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -244,19 +238,6 @@ impl fmt::Debug for PropRef<'_> {
     }
 }
 
-/// The hash of a hashable key: Fx, then a finalizer, so that every bit a
-/// trie level reads is mixed.
-fn hash_of<T: Hash + ?Sized>(key: &T) -> u64 {
-    let mut hasher = FxHasher::default();
-    key.hash(&mut hasher);
-    let mut h = hasher.finish();
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
 /// `Value` as a declared index files it: values equal under `==` hash
 /// alike (both zeros included).
 struct IndexKey<'a>(&'a Value);
@@ -291,239 +272,70 @@ impl Hash for IndexKey<'_> {
     }
 }
 
-/// Bits of an arena offset that place a record in its block; the bits
-/// above them number the block.
-const BLOCK_BITS: u32 = 14;
-/// Bytes a block holds (a record longer than this has a block of its
-/// own).
-const BLOCK: usize = 1 << BLOCK_BITS;
-
-/// An append-only byte arena in `Arc`-shared blocks of [`BLOCK`] bytes,
-/// addressed by `u32` offsets. A record never straddles two blocks, so it
-/// is read as one slice. A clone copies the block table; a write after
-/// it copies the last block. A block grows like a `Vec` up to [`BLOCK`]
-/// bytes and is copied at its capacity.
-#[derive(Debug, Clone, Default)]
-struct Arena {
-    blocks: Vec<Arc<Vec<u8>>>,
+/// The hash a declared index files `value` under.
+fn index_hash(value: &Value) -> u64 {
+    let mut hasher = FxHasher::default();
+    IndexKey(value).hash(&mut hasher);
+    hasher.finish()
 }
 
-impl Arena {
-    /// Appends a record; returns its offset.
-    fn push(&mut self, record: &[u8]) -> u32 {
-        let fits = self
-            .blocks
-            .last()
-            .is_some_and(|block| block.len() + record.len() <= BLOCK);
-        if !fits {
-            self.blocks.reserve_exact(1);
-            self.blocks.push(Arc::new(Vec::new()));
-        }
-        let index = self.blocks.len() - 1;
-        let block = &mut self.blocks[index];
-        if Arc::get_mut(block).is_none() {
-            let mut copy = Vec::with_capacity(block.capacity());
-            copy.extend_from_slice(block);
-            *block = Arc::new(copy);
-        }
-        let block = Arc::get_mut(block).expect("unshared above");
-        let at = block.len();
-        if block.capacity() - at < record.len() {
-            let need = at + record.len();
-            let grown = (2 * block.capacity()).clamp(need, BLOCK.max(need));
-            block.reserve_exact(grown - at);
-        }
-        block.extend_from_slice(record);
-        u32::try_from(index << BLOCK_BITS | at)
-            .ok()
-            .filter(|&offset| offset != NONE)
-            .expect("a graph's property arena holds under 4 GiB")
-    }
-
-    /// The bytes from `offset` to the end of its block.
-    fn at(&self, offset: u32) -> &[u8] {
-        let block = &self.blocks[(offset >> BLOCK_BITS) as usize];
-        &block[(offset as usize) & (BLOCK - 1)..]
-    }
+/// The number of `value` in `values`: the graph's symbols (`str`) or
+/// label sets (`[u32]`). Both are bounded by the schema — a few dozen
+/// labels, types and keys, a handful of label sets — so a lookup scans
+/// them, as `label_index` is scanned.
+fn find<T: ?Sized + PartialEq>(values: &[Box<T>], value: &T) -> Option<u32> {
+    let id = values.iter().position(|v| **v == *value)?;
+    Some(id as u32)
 }
 
-/// Entries a trie leaf holds before it splits.
-const LEAF_ENTRIES: usize = 8;
-/// Levels a hash has: 4 bits each.
-const TRIE_DEPTH: u32 = 16;
-
-/// A persistent hash trie from 64-bit hashes to `u32` ids: a declared
-/// index's table of values. The ids filed under one hash keep their
-/// insertion order; the caller compares the keys behind them. A clone
-/// bumps one reference count; an insert after it copies the path to its
-/// leaf — a few 16-way nodes and a leaf of at most a few entries — never
-/// the table.
-#[derive(Debug, Clone, Default)]
-struct HashTrie {
-    root: Arc<TrieNode>,
-}
-
-#[derive(Debug, Clone)]
-enum TrieNode {
-    Leaf(Vec<(u64, u32)>),
-    Branch(Box<[Option<Arc<TrieNode>>; 16]>),
-}
-
-impl Default for TrieNode {
-    fn default() -> Self {
-        TrieNode::Leaf(Vec::new())
-    }
-}
-
-/// The 4 bits of `hash` that choose a child at `depth`, high bits first.
-fn nibble(hash: u64, depth: u32) -> usize {
-    (hash >> (60 - 4 * depth)) as usize & 15
-}
-
-impl HashTrie {
-    fn insert(&mut self, hash: u64, id: u32) {
-        let mut node = Arc::make_mut(&mut self.root);
-        let mut depth = 0;
-        loop {
-            match node {
-                TrieNode::Branch(children) => {
-                    let child = children[nibble(hash, depth)].get_or_insert_with(Arc::default);
-                    node = Arc::make_mut(child);
-                    depth += 1;
-                }
-                TrieNode::Leaf(entries) => {
-                    entries.push((hash, id));
-                    if entries.len() > LEAF_ENTRIES && depth < TRIE_DEPTH {
-                        let mut children: Box<[Option<Arc<TrieNode>>; 16]> = Box::default();
-                        for (h, id) in entries.drain(..) {
-                            let child = children[nibble(h, depth)].get_or_insert_with(Arc::default);
-                            match Arc::get_mut(child).expect("a new leaf") {
-                                TrieNode::Leaf(leaf) => leaf.push((h, id)),
-                                TrieNode::Branch(_) => unreachable!("children start as leaves"),
-                            }
-                        }
-                        *node = TrieNode::Branch(children);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The ids filed under `hash`, in insertion order.
-    fn get(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
-        let mut node = &*self.root;
-        let mut depth = 0;
-        let entries: &[(u64, u32)] = loop {
-            match node {
-                TrieNode::Leaf(entries) => break entries,
-                TrieNode::Branch(children) => match &children[nibble(hash, depth)] {
-                    Some(child) => {
-                        node = child;
-                        depth += 1;
-                    }
-                    None => break &[],
-                },
-            }
-        };
-        entries
-            .iter()
-            .filter(move |&&(h, _)| h == hash)
-            .map(|&(_, id)| id)
-    }
-}
-
-/// Values stored once and numbered in first-seen order: the graph's
-/// symbols (`str`) and label sets (`[u32]`). Both are bounded by the
-/// schema — a few dozen labels, types and keys, a handful of label sets
-/// — so a lookup scans them, as `types` and `label_index` are scanned.
-#[derive(Debug)]
-struct Interner<T: ?Sized> {
-    values: Chunked<Arc<T>>,
-}
-
-impl<T: ?Sized> Default for Interner<T> {
-    fn default() -> Self {
-        Interner {
-            values: Chunked::default(),
-        }
-    }
-}
-
-impl<T: ?Sized> Clone for Interner<T> {
-    fn clone(&self) -> Self {
-        Interner {
-            values: self.values.clone(),
-        }
-    }
-}
-
-impl<T: ?Sized + PartialEq> Interner<T>
+/// [`find`], or `value` stored once more and numbered in first-seen
+/// order.
+fn intern<T: ?Sized + PartialEq>(values: &mut Vec<Box<T>>, value: &T) -> u32
 where
-    for<'a> Arc<T>: From<&'a T>,
+    for<'a> Box<T>: From<&'a T>,
 {
-    fn get(&self, value: &T) -> Option<u32> {
-        let id = self.values.iter().position(|v| **v == *value)?;
-        Some(id as u32)
+    if let Some(id) = find(values, value) {
+        return id;
     }
-
-    fn intern(&mut self, value: &T) -> u32 {
-        if let Some(id) = self.get(value) {
-            return id;
-        }
-        let id = next_id(self.values.len(), "symbols");
-        self.values.push(Arc::from(value));
-        id
-    }
-
-    fn value(&self, id: u32) -> &T {
-        &self.values[id as usize]
-    }
+    let id = next_id(values.len(), "symbols");
+    values.push(Box::from(value));
+    id
 }
 
 /// A declared `(label, key)` index: the value hash → the nodes with the
-/// label whose `key` has a value of that hash.
+/// label whose `key` has a value of that hash, in creation order.
 #[derive(Debug, Clone)]
 struct PropIndex {
     label: u32,
     key: u32,
-    nodes: HashTrie,
+    nodes: FxHashMap<u64, Vec<u32>>,
 }
 
 /// The in-memory property graph (see the module docs for the layout).
-///
-/// `Clone` is structural sharing: it copies chunk tables and bumps
-/// reference counts, and allocates nothing per node, edge, property or
-/// key. Nodes and edges are append-only; a write after a clone copies the
-/// last chunk of each column it appends to, the chunks holding the
-/// touched nodes' adjacency heads and the path to each trie leaf it
-/// inserts on.
+/// It owns its columns: a `Clone` is a deep copy.
 #[derive(Debug, Default, Clone)]
 pub struct PropertyGraph {
     /// Per node: `[label set, properties]` — the symbol of its label set
     /// and the arena offset of its properties ([`NONE`] for none).
-    nodes: Chunked<[u32; 2]>,
-    /// Per edge: `[source, target, prev_out, prev_in]` — the previous
-    /// edges ([`NONE`] for none) out of its source and into its target.
-    edges: Chunked<[u32; 4]>,
-    /// Per edge: its relationship type, a place in `types`.
-    edge_types: Chunked<u8>,
+    nodes: Vec<[u32; 2]>,
+    /// Per edge: `[source, target, prev_out, prev_in, type]` — the
+    /// previous edges ([`NONE`] for none) out of its source and into its
+    /// target, and its relationship type's symbol.
+    edges: Vec<[u32; 5]>,
     /// Per node: its latest outgoing and incoming edge ([`NONE`] for
     /// none), the heads of the chains through the edges' links.
-    heads: Chunked<[u32; 2]>,
-    /// Every property record.
-    arena: Arena,
+    heads: Vec<[u32; 2]>,
+    /// Every property record; a record's offset is its byte position.
+    arena: Vec<u8>,
     /// `[edge, properties]` for each edge that has properties, in edge
     /// order.
-    edge_props: Chunked<[u32; 2]>,
+    edge_props: Vec<[u32; 2]>,
     /// Labels, relationship types and property keys.
-    symbols: Interner<str>,
-    /// Relationship type → its symbol.
-    types: Chunked<u32>,
+    symbols: Vec<Box<str>>,
     /// Label symbols, sorted by name, per distinct set.
-    label_sets: Interner<[u32]>,
+    label_sets: Vec<Box<[u32]>>,
     /// Label symbol → its nodes in creation order.
-    label_index: Vec<(u32, Chunked<u32>)>,
+    label_index: Vec<(u32, Vec<u32>)>,
     /// The declared `(label, key)` indexes.
     indexes: Vec<PropIndex>,
 }
@@ -541,11 +353,9 @@ impl<'g> NodeRef<'g> {
     /// Labels, sorted.
     pub fn labels(&self) -> impl Iterator<Item = &'g str> + 'g {
         let graph = self.graph;
-        graph
-            .label_sets
-            .value(self.record[0])
+        graph.label_sets[self.record[0] as usize]
             .iter()
-            .map(move |&label| graph.symbols.value(label))
+            .map(move |&label| graph.symbol(label))
     }
 
     /// Whether the node carries `label`.
@@ -591,22 +401,9 @@ pub struct EdgeRef<'g> {
 impl<'g> EdgeRef<'g> {
     /// Properties, in key order.
     pub fn props(&self) -> Props<'g> {
-        let edge = self.id.0 as u32;
         let table = &self.graph.edge_props;
-        let (mut lo, mut hi) = (0, table.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let [at, offset] = table[mid];
-            if at == edge {
-                return self.graph.props_at(offset);
-            }
-            if at < edge {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        self.graph.props_at(NONE)
+        let found = table.binary_search_by_key(&(self.id.0 as u32), |&[edge, _]| edge);
+        self.graph.props_at(found.map_or(NONE, |i| table[i][1]))
     }
 
     /// The value of `key`.
@@ -630,20 +427,26 @@ impl fmt::Debug for EdgeRef<'_> {
 /// One node's or edge's properties, read in place in key order.
 #[derive(Clone)]
 pub struct Props<'g> {
-    symbols: &'g Interner<str>,
+    symbols: &'g [Box<str>],
     record: &'g [u8],
     pos: usize,
     left: usize,
 }
 
 impl<'g> Props<'g> {
+    /// The key symbol at `pos`, as its name.
+    fn key(&mut self) -> &'g str {
+        let symbols = self.symbols;
+        let symbol = varint::read_u32(self.record, &mut self.pos).expect("a key symbol");
+        &symbols[symbol as usize]
+    }
+
     /// The value of `key`. Keys are in order, so the walk stops at the
     /// first greater one, and skips the values before it unread.
     pub fn get(mut self, key: &str) -> Option<PropRef<'g>> {
         while self.left > 0 {
             self.left -= 1;
-            let symbol = varint::read_u32(self.record, &mut self.pos).expect("a key symbol");
-            match self.symbols.value(symbol).cmp(key) {
+            match self.key().cmp(key) {
                 std::cmp::Ordering::Less => skip_value(self.record, &mut self.pos),
                 std::cmp::Ordering::Equal => return Some(decode_value(self.record, &mut self.pos)),
                 std::cmp::Ordering::Greater => return None,
@@ -661,9 +464,8 @@ impl<'g> Iterator for Props<'g> {
             return None;
         }
         self.left -= 1;
-        let symbol = varint::read_u32(self.record, &mut self.pos).expect("a key symbol");
-        let value = decode_value(self.record, &mut self.pos);
-        Some((self.symbols.value(symbol), value))
+        let key = self.key();
+        Some((key, decode_value(self.record, &mut self.pos)))
     }
 }
 
@@ -683,48 +485,50 @@ impl PropertyGraph {
         self.edges.len()
     }
 
+    fn symbol(&self, id: u32) -> &str {
+        &self.symbols[id as usize]
+    }
+
     /// Key-sorted with interned keys, the last value given for a key
     /// kept: what collecting into a map makes of the pairs.
     fn key_props<K: AsRef<str>>(&mut self, mut props: Vec<(K, Value)>) -> Vec<(u32, Value)> {
-        // Stable, so a key's values stay in the order given.
+        // Reversed, then a stable sort: a key's last value comes first,
+        // and the dedup keeps it.
+        props.reverse();
         props.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
-        let mut kept = Vec::with_capacity(props.len());
-        let mut props = props.into_iter().peekable();
-        while let Some((key, value)) = props.next() {
-            if props
-                .peek()
-                .is_some_and(|(next, _)| next.as_ref() == key.as_ref())
-            {
-                continue;
-            }
-            kept.push((self.symbols.intern(key.as_ref()), value));
-        }
-        kept
+        props.dedup_by(|a, b| a.0.as_ref() == b.0.as_ref());
+        let symbols = &mut self.symbols;
+        let keyed = props
+            .into_iter()
+            .map(|(key, value)| (intern(symbols, key.as_ref()), value));
+        keyed.collect()
     }
 
-    /// Writes key-sorted properties to the arena as one record; returns
+    /// Appends key-sorted properties to the arena as one record; returns
     /// its offset ([`NONE`] for none, which writes nothing).
     fn store_props(&mut self, props: &[(u32, Value)]) -> u32 {
         if props.is_empty() {
             return NONE;
         }
-        let mut record = Vec::new();
-        varint::write_u64(&mut record, props.len() as u64);
+        let offset = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&offset| offset != NONE)
+            .expect("a graph's property arena holds under 4 GiB");
+        varint::write_u64(&mut self.arena, props.len() as u64);
         for (key, value) in props {
-            varint::write_u32(&mut record, *key);
-            encode_value(&mut record, value);
+            varint::write_u32(&mut self.arena, *key);
+            encode_value(&mut self.arena, value);
         }
-        self.arena.push(&record)
+        offset
     }
 
     fn props_at(&self, offset: u32) -> Props<'_> {
-        let (record, left, pos) = if offset == NONE {
-            (&[][..], 0, 0)
+        let record = self.arena.get(offset as usize..).filter(|_| offset != NONE);
+        let (record, mut pos) = (record.unwrap_or_default(), 0);
+        let left = if record.is_empty() {
+            0
         } else {
-            let record = self.arena.at(offset);
-            let mut pos = 0;
-            let left = read_len(record, &mut pos);
-            (record, left, pos)
+            read_len(record, &mut pos)
         };
         Props {
             symbols: &self.symbols,
@@ -744,23 +548,23 @@ impl PropertyGraph {
         let id = next_id(self.nodes.len(), "nodes");
         let mut set: Vec<u32> = labels
             .into_iter()
-            .map(|l| self.symbols.intern(l.as_ref()))
+            .map(|l| intern(&mut self.symbols, l.as_ref()))
             .collect();
-        set.sort_by(|&a, &b| self.symbols.value(a).cmp(self.symbols.value(b)));
+        set.sort_by(|&a, &b| self.symbol(a).cmp(self.symbol(b)));
         set.dedup();
-        let label_set = self.label_sets.intern(&set);
+        let label_set = intern(&mut self.label_sets, &set[..]);
         let props = self.key_props(props);
         let offset = self.store_props(&props);
         for &label in &set {
             match self.label_index.iter_mut().find(|(l, _)| *l == label) {
                 Some((_, ids)) => ids.push(id),
-                None => self.label_index.push((label, Chunked::from_iter([id]))),
+                None => self.label_index.push((label, vec![id])),
             }
         }
         for index in &mut self.indexes {
             let value = props.iter().find(|(key, _)| *key == index.key);
             if let Some((_, value)) = value.filter(|_| set.contains(&index.label)) {
-                index.nodes.insert(hash_of(&IndexKey(value)), id);
+                index.nodes.entry(index_hash(value)).or_default().push(id);
             }
         }
         self.nodes.push([label_set, offset]);
@@ -782,18 +586,11 @@ impl PropertyGraph {
         assert!(self.node(source).is_some(), "missing source node");
         assert!(self.node(target).is_some(), "missing target node");
         let id = next_id(self.edges.len(), "edges");
-        let symbol = self.symbols.intern(rel_type.as_ref());
-        let known = self.types.iter().position(|&t| t == symbol);
-        let rel = known.unwrap_or_else(|| {
-            self.types.push(symbol);
-            self.types.len() - 1
-        });
-        let rel = u8::try_from(rel).expect("a graph holds at most 256 relationship types");
+        let rel = intern(&mut self.symbols, rel_type.as_ref());
         let (source, target) = (source.0 as u32, target.0 as u32);
-        let prev_out = std::mem::replace(&mut self.heads.get_mut(source as usize)[0], id);
-        let prev_in = std::mem::replace(&mut self.heads.get_mut(target as usize)[1], id);
-        self.edges.push([source, target, prev_out, prev_in]);
-        self.edge_types.push(rel);
+        let prev_out = std::mem::replace(&mut self.heads[source as usize][0], id);
+        let prev_in = std::mem::replace(&mut self.heads[target as usize][1], id);
+        self.edges.push([source, target, prev_out, prev_in, rel]);
         let props = self.key_props(props);
         if !props.is_empty() {
             let offset = self.store_props(&props);
@@ -808,11 +605,10 @@ impl PropertyGraph {
     pub fn with_indexes(pairs: &[(&str, &str)]) -> PropertyGraph {
         let mut graph = PropertyGraph::new();
         for (label, key) in pairs {
-            let (label, key) = (graph.symbols.intern(label), graph.symbols.intern(key));
             graph.indexes.push(PropIndex {
-                label,
-                key,
-                nodes: HashTrie::default(),
+                label: intern(&mut graph.symbols, label),
+                key: intern(&mut graph.symbols, key),
+                nodes: FxHashMap::default(),
             });
         }
         graph
@@ -829,13 +625,12 @@ impl PropertyGraph {
     }
 
     fn edge_at(&self, i: usize) -> EdgeRef<'_> {
-        let [source, target, ..] = self.edges[i];
-        let rel = self.types[self.edge_types[i] as usize];
+        let [source, target, _, _, rel] = self.edges[i];
         EdgeRef {
             id: EdgeId(i as u64),
             source: NodeId(source.into()),
             target: NodeId(target.into()),
-            rel_type: self.symbols.value(rel),
+            rel_type: self.symbol(rel),
             graph: self,
         }
     }
@@ -863,17 +658,12 @@ impl PropertyGraph {
         (0..self.edges.len()).map(move |i| self.edge_at(i))
     }
 
-    fn label_list(&self, label: &str) -> Option<&Chunked<u32>> {
-        let label = self.symbols.get(label)?;
-        let (_, ids) = self.label_index.iter().find(|(l, _)| *l == label)?;
-        Some(ids)
-    }
-
     /// Nodes carrying a label, in creation order.
     pub fn nodes_with_label(&self, label: &str) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.label_list(label)
-            .into_iter()
-            .flat_map(|ids| ids.iter().map(|&id| NodeId(id.into())))
+        let label = find(&self.symbols, label);
+        let listed = self.label_index.iter().find(|(l, _)| Some(*l) == label);
+        let ids = listed.map_or(&[][..], |(_, ids)| ids);
+        ids.iter().map(|&id| NodeId(id.into()))
     }
 
     /// The nodes with `label` whose property `key` equals `value`, in
@@ -881,20 +671,19 @@ impl PropertyGraph {
     /// `(label, key)` is not declared: such a pair is found by scanning
     /// [`PropertyGraph::nodes_with_label`].
     pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<Vec<NodeId>> {
-        let (label, key_symbol) = (self.symbols.get(label)?, self.symbols.get(key)?);
+        let (label, key_symbol) = (find(&self.symbols, label)?, find(&self.symbols, key)?);
         let index = self
             .indexes
             .iter()
             .find(|i| i.label == label && i.key == key_symbol)?;
+        let filed = index.nodes.get(&index_hash(value));
         let equal = |id: &NodeId| {
             let node = self.node(*id).expect("indexed nodes exist");
             node.prop(key).is_some_and(|found| found == *value)
         };
         Some(
-            index
-                .nodes
-                .get(hash_of(&IndexKey(value)))
-                .map(|id| NodeId(id.into()))
+            (filed.map_or(&[][..], |ids| ids).iter())
+                .map(|&id| NodeId(id.into()))
                 .filter(equal)
                 .collect(),
         )
@@ -928,7 +717,6 @@ impl PropertyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use create_util::chunked::CHUNK;
 
     fn v(s: &str) -> Value {
         Value::String(s.to_string())
@@ -1097,50 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn records_never_straddle_a_block() {
-        let mut g = PropertyGraph::new();
-        let long = "x".repeat(BLOCK + 10);
-        let mut ids = Vec::new();
-        for i in 0..3 * BLOCK / 64 {
-            let text = if i == 100 {
-                long.clone()
-            } else {
-                format!("{i:060}")
-            };
-            ids.push((
-                g.create_node(["T"], vec![("s", Value::String(text.clone()))]),
-                text,
-            ));
-        }
-        assert!(g.arena.blocks.len() > 3);
-        for (id, text) in &ids {
-            assert_eq!(
-                g.node(*id).unwrap().prop("s").unwrap().as_str(),
-                Some(&**text)
-            );
-        }
-    }
-
-    #[test]
-    fn the_trie_splits_and_keeps_equal_hashes_in_order() {
-        let mut trie = HashTrie::default();
-        for id in 0..1000u32 {
-            trie.insert(hash_of(&(id % 300)), id);
-        }
-        for key in 0..300u32 {
-            let want: Vec<u32> = (0..1000).filter(|id| id % 300 == key).collect();
-            assert!(trie.get(hash_of(&key)).eq(want), "key {key}");
-        }
-        // Equal hashes past the last level stay in one leaf.
-        let mut same = HashTrie::default();
-        for id in 0..40 {
-            same.insert(7, id);
-        }
-        assert!(same.get(7).eq(0..40));
-        assert_eq!(same.get(8).next(), None);
-    }
-
-    #[test]
     fn an_index_append_after_a_snapshot_leaves_the_snapshot_as_it_was() {
         let mut g = PropertyGraph::with_indexes(&[("Event", "cui")]);
         let first = g.create_node(["Event"], vec![("cui", v("C1"))]);
@@ -1164,12 +908,12 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_keeps_creation_order_across_chunks_and_snapshots() {
+    fn adjacency_keeps_creation_order_across_snapshots() {
         let mut g = PropertyGraph::new();
         let hub = g.create_node(["Concept"], no_props());
         let mut sources = Vec::new();
-        for i in 0..2 * CHUNK + 7 {
-            let snapshot = (i == CHUNK + 3).then(|| g.clone());
+        for i in 0..2000 {
+            let snapshot = (i == 1000).then(|| g.clone());
             let n = g.create_node(["Report"], no_props());
             g.create_edge(n, hub, "MENTIONS", no_props());
             sources.push(n);

@@ -19,7 +19,8 @@ use std::collections::BTreeMap;
 
 const SEED: u64 = 20261017;
 /// Cases of [`OPS`] operations, then one of [`LONG_OPS`]: enough nodes,
-/// edges and bytes to cross chunk, arena-block and trie-leaf boundaries.
+/// edges and bytes that every column and index list grows many times
+/// over, and a declared index files many nodes under one value.
 const CASES: u64 = 24;
 const OPS: usize = 240;
 const LONG_OPS: usize = 2500;

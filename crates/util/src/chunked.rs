@@ -1,12 +1,11 @@
 //! An append-only vector in `Arc`-shared chunks: structural sharing for
 //! columns that only ever grow.
 //!
-//! A clone copies the chunk table, one pointer per [`CHUNK`] elements; a
-//! write after a clone copies the one chunk it lands in, and an append
-//! the last chunk. The graph's node, edge and adjacency arrays and its
-//! index id lists, and a shard's payload and ordinal columns, are each
-//! one of these, so the first write after a snapshot was published
-//! copies a chunk of each, not the column.
+//! A clone copies the chunk table, one pointer per [`CHUNK`] elements;
+//! an append after a clone copies the last chunk. A shard's unsealed
+//! payload, event and ordinal columns are each one of these, so the
+//! first write after a snapshot was published copies a chunk of each,
+//! not the column.
 
 use std::sync::Arc;
 
@@ -22,8 +21,8 @@ const ARC_VEC_BYTES: usize = 5 * std::mem::size_of::<usize>();
 /// chunk is copied element by element.
 ///
 /// A chunk grows like a `Vec` up to [`CHUNK`] elements and is copied at
-/// its capacity, so a short vector holds a short buffer: one id list of
-/// the graph's property index is a handful of bytes, not a chunk.
+/// its capacity, so a short vector holds a short buffer: a shard's first
+/// few unsealed payloads are a handful of pointers, not a chunk.
 #[derive(Debug, Clone)]
 pub struct Chunked<T> {
     chunks: Vec<Arc<Vec<T>>>,
@@ -59,23 +58,8 @@ impl<T: Clone> Chunked<T> {
         self.chunks.last()?.last()
     }
 
-    /// Mutable access to chunk `c`, copied first when a clone shares it.
-    fn chunk_mut(&mut self, c: usize) -> &mut Vec<T> {
-        let chunk = &mut self.chunks[c];
-        if Arc::get_mut(chunk).is_none() {
-            let mut copy = Vec::with_capacity(chunk.capacity());
-            copy.extend_from_slice(chunk);
-            *chunk = Arc::new(copy);
-        }
-        Arc::get_mut(chunk).expect("unshared above")
-    }
-
-    /// Mutable access to element `i`, which must exist.
-    pub fn get_mut(&mut self, i: usize) -> &mut T {
-        &mut self.chunk_mut(i / CHUNK)[i % CHUNK]
-    }
-
-    /// Appends an element.
+    /// Appends an element to the last chunk, copied first when a clone
+    /// shares it.
     pub fn push(&mut self, value: T) {
         if self.chunks.last().is_none_or(|last| last.len() == CHUNK) {
             // The table grows one pointer at a time: a chunk is a
@@ -83,8 +67,13 @@ impl<T: Clone> Chunked<T> {
             self.chunks.reserve_exact(1);
             self.chunks.push(Arc::new(Vec::new()));
         }
-        let last = self.chunks.len() - 1;
-        self.chunk_mut(last).push(value);
+        let last = self.chunks.last_mut().expect("pushed above");
+        if Arc::get_mut(last).is_none() {
+            let mut copy = Vec::with_capacity(last.capacity());
+            copy.extend_from_slice(last);
+            *last = Arc::new(copy);
+        }
+        Arc::get_mut(last).expect("unshared above").push(value);
     }
 
     /// The elements in order.
@@ -113,33 +102,25 @@ impl<T: Clone> std::ops::Index<usize> for Chunked<T> {
     }
 }
 
-impl<T: Clone> FromIterator<T> for Chunked<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
-        let mut out = Chunked::default();
-        for item in items {
-            out.push(item);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn a_write_after_a_clone_copies_one_chunk() {
-        let mut v: Chunked<u64> = (0..2 * CHUNK as u64 + 5).collect();
+        let mut v = Chunked::default();
+        for i in 0..2 * CHUNK as u64 + 5 {
+            v.push(i);
+        }
         assert_eq!(v.len(), 2 * CHUNK + 5);
         let snapshot = v.clone();
         v.push(7);
-        *v.get_mut(3) = 99;
-        assert_eq!((v[3], snapshot[3]), (99, 3));
+        assert_eq!((v[3], snapshot[3]), (3, 3));
         assert_eq!((v.len(), snapshot.len()), (2 * CHUNK + 6, 2 * CHUNK + 5));
         assert_eq!(v.last(), Some(&7));
-        // The middle chunk is still the snapshot's.
+        // The full chunks are still the snapshot's; the last was copied.
         assert!(Arc::ptr_eq(&v.chunks[1], &snapshot.chunks[1]));
-        assert!(!Arc::ptr_eq(&v.chunks[0], &snapshot.chunks[0]));
+        assert!(!Arc::ptr_eq(&v.chunks[2], &snapshot.chunks[2]));
         assert!(v.iter().copied().take(3).eq([0, 1, 2]));
         assert_eq!(v.get(2 * CHUNK + 6), None);
     }

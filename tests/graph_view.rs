@@ -343,6 +343,36 @@ fn graph_counts_are_the_built_graphs_counts() {
 }
 
 #[test]
+fn the_cypher_graph_holds_every_shard_and_is_the_same_at_one_and_two() {
+    let reports = corpus(GOLD, 20261019);
+    let graphs: Vec<PropertyGraph> = [1, 2]
+        .into_iter()
+        .map(|shards| {
+            fixture(&reports, shards)
+                .0
+                .graph()
+                .expect("stored reports read back")
+        })
+        .collect();
+    let (one, two) = (&graphs[0], &graphs[1]);
+    assert_eq!(
+        (one.node_count(), one.edge_count()),
+        (two.node_count(), two.edge_count())
+    );
+    for query in [
+        "MATCH (r:Report) RETURN r.reportId, r.year, r.category ORDER BY r.year DESC",
+        "MATCH (c:Concept) RETURN c.cui, c.label, c.entityType ORDER BY c.cui",
+        "MATCH (r:Report)-[:MENTIONS]->(c:Concept) RETURN r.reportId, c.cui ORDER BY c.label",
+        "MATCH (e:Event)-[:INSTANCE_OF]->(c:Concept) RETURN e.reportId, e.label, e.step, c.cui ORDER BY e.step",
+        "MATCH (a:Event)-[t]->(b:Event) RETURN a.reportId, a.label, t.type, b.label ORDER BY b.label DESC",
+    ] {
+        let rows = create::graphdb::exec::query(one, query).expect("cypher");
+        assert!(rows.rows.len() >= GOLD, "{query}: {} rows", rows.rows.len());
+        assert_eq!(rows, create::graphdb::exec::query(two, query).expect("cypher"), "{query}");
+    }
+}
+
+#[test]
 fn e10_graph_counts_at_500_reports_are_pinned() {
     // E10's first row: `loaded_create(500, 314159)`, gold ingest on one
     // shard.
