@@ -523,12 +523,13 @@ impl PropertyGraph {
     }
 
     fn props_at(&self, offset: u32) -> Props<'_> {
-        let record = self.arena.get(offset as usize..).filter(|_| offset != NONE);
-        let (record, mut pos) = (record.unwrap_or_default(), 0);
-        let left = if record.is_empty() {
-            0
+        let (record, left, pos) = if offset == NONE {
+            (&[][..], 0, 0)
         } else {
-            read_len(record, &mut pos)
+            let record = &self.arena[offset as usize..];
+            let mut pos = 0;
+            let left = read_len(record, &mut pos);
+            (record, left, pos)
         };
         Props {
             symbols: &self.symbols,
