@@ -6,7 +6,9 @@
 //! each covering the next run of doc ids; it holds each file open and
 //! where each payload lies in it, no payload byte. A read decompresses
 //! the one block (two, when the payload straddles a boundary) that holds
-//! the document. The suffix holds the text of every document no seal has
+//! the document; a [`PayloadsReader`] keeps the block it read last, so a
+//! pass over the documents in doc-id order decompresses each block once.
+//! The suffix holds the text of every document no seal has
 //! written yet, which is what the next seal writes; an in-memory
 //! instance is all suffix.
 //!
@@ -15,7 +17,7 @@
 //! ([`Payloads::compacted`]). A snapshot that still holds a replaced
 //! file keeps reading it through its open descriptor.
 
-use create_storage::segment::PayloadFile;
+use create_storage::segment::{PayloadCursor, PayloadFile};
 use create_storage::StorageError;
 use create_util::{arc_slice_bytes, Chunked};
 use std::borrow::Cow;
@@ -83,19 +85,15 @@ impl Payloads {
     /// sealed payload that does not read back from its file is an error
     /// naming the file.
     pub(crate) fn get(&self, doc: usize) -> Result<Option<Cow<'_, str>>, StorageError> {
-        let mut local = doc;
-        for file in &self.sealed {
-            if local < file.docs() {
-                let bytes = file.get(local)?;
-                let text = String::from_utf8(bytes).map_err(|_| StorageError::Corrupt {
-                    path: file.path().to_path_buf(),
-                    message: format!("doc {local}'s payload is not UTF-8"),
-                })?;
-                return Ok(Some(Cow::Owned(text)));
-            }
-            local -= file.docs();
+        self.reader().get(doc)
+    }
+
+    /// A reader of the column that keeps the block it read last.
+    pub(crate) fn reader(&self) -> PayloadsReader<'_> {
+        PayloadsReader {
+            payloads: self,
+            cursor: None,
         }
-        Ok(self.unsealed.get(local).map(|text| Cow::Borrowed(&**text)))
     }
 
     /// Heap bytes held: the file list and each file's `Arc` and tables,
@@ -113,5 +111,38 @@ impl Payloads {
                 .iter()
                 .map(|payload| arc_slice_bytes(payload.len()))
                 .sum::<usize>()
+    }
+}
+
+/// Reads a [`Payloads`] column through a [`PayloadCursor`] on the sealed
+/// file it read last, so documents read in doc-id order cost one read and
+/// one decompression per block.
+pub(crate) struct PayloadsReader<'a> {
+    payloads: &'a Payloads,
+    /// The cursor, and the index of its file in the sealed list.
+    cursor: Option<(usize, PayloadCursor<'a>)>,
+}
+
+impl<'a> PayloadsReader<'a> {
+    /// Document `doc`'s payload, as [`Payloads::get`] reads it.
+    pub(crate) fn get(&mut self, doc: usize) -> Result<Option<Cow<'a, str>>, StorageError> {
+        let mut local = doc;
+        for (i, file) in self.payloads.sealed.iter().enumerate() {
+            if local < file.docs() {
+                if self.cursor.as_ref().map(|(at, _)| *at) != Some(i) {
+                    self.cursor = Some((i, file.cursor()));
+                }
+                let (_, cursor) = self.cursor.as_mut().expect("set above");
+                let bytes = cursor.get(local)?;
+                let text = String::from_utf8(bytes).map_err(|_| StorageError::Corrupt {
+                    path: file.path().to_path_buf(),
+                    message: format!("doc {local}'s payload is not UTF-8"),
+                })?;
+                return Ok(Some(Cow::Owned(text)));
+            }
+            local -= file.docs();
+        }
+        let unsealed = &self.payloads.unsealed;
+        Ok(unsealed.get(local).map(|text| Cow::Borrowed(&**text)))
     }
 }

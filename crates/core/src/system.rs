@@ -198,14 +198,18 @@ impl Snapshot {
     }
 
     /// [`graph_build::add_report`] over the stored payloads of `docs`,
-    /// `(shard, doc id)` pairs, in the order given.
+    /// `(shard, doc id)` pairs, in the order given. Each shard's payloads
+    /// are read through one reader, which keeps the block it read last:
+    /// a shard's doc ids come in ascending order, so each sealed block is
+    /// read and decompressed once.
     fn build_graph(
         &self,
         docs: impl Iterator<Item = (usize, usize)>,
     ) -> Result<PropertyGraph, StorageError> {
         let mut graph = graph_build::report_graph();
+        let mut readers: Vec<_> = self.shards.iter().map(|s| s.docs.reader()).collect();
         for (shard, doc) in docs {
-            let payload = self.shards[shard].docs.get(doc)?;
+            let payload = readers[shard].get(doc)?;
             let payload = payload.expect("every doc has its payload");
             let stored = durability::decode_payload(payload.as_bytes())
                 .expect("a stored payload reads back");

@@ -5,8 +5,9 @@
 //! declared `(label, key)` index when the pattern names one, else from
 //! scanning its label (as Neo4j does for a property without `CREATE
 //! INDEX`); each hop expands along the adjacency lists, respecting
-//! direction, relationship type, and property constraints, and a path
-//! takes each relationship once (as in Cypher); `WHERE`
+//! direction, relationship type, and property constraints, and a `MATCH`
+//! takes each relationship once, across its comma-separated patterns as
+//! along each path (as in Cypher); `WHERE`
 //! filters evaluated bindings; `RETURN` projects. [`query`] only reads;
 //! [`run`] also `CREATE`s.
 
@@ -87,6 +88,14 @@ enum Binding {
 }
 
 type Bindings = HashMap<String, Binding>;
+
+/// A partial match: the variables bound so far and the relationships its
+/// paths have taken, which no later hop of the same `MATCH` takes again.
+#[derive(Default)]
+struct Row {
+    vars: Bindings,
+    edges: Vec<EdgeId>,
+}
 
 /// Traversal counters for one query, flushed to the obs registry in a
 /// single call when execution finishes.
@@ -212,21 +221,25 @@ fn bind_node(bindings: &mut Bindings, var: &Option<String>, id: NodeId) -> bool 
 }
 
 /// Recursively matches the hop list starting from `current`. As in
-/// Cypher, a path traverses a relationship at most once: `path` holds the
-/// edges it has taken, so a pattern of more hops than the graph has edges
-/// matches nothing, and an undirected hop does not walk back along the
-/// edge it came by.
+/// Cypher, a `MATCH` traverses a relationship at most once: `path` holds
+/// the edges its row has taken, in earlier patterns and on this path, so
+/// a pattern of more hops than the graph has edges matches nothing, an
+/// undirected hop does not walk back along the edge it came by, and two
+/// patterns never bind the same edge.
 fn match_hops(
     graph: &PropertyGraph,
     current: NodeId,
     hops: &[(RelPattern, NodePattern)],
     bindings: &Bindings,
     path: &mut Vec<EdgeId>,
-    out: &mut Vec<Bindings>,
+    out: &mut Vec<Row>,
     stats: &mut ExecStats,
 ) {
     let Some(((rel, node), rest)) = hops.split_first() else {
-        out.push(bindings.clone());
+        out.push(Row {
+            vars: bindings.clone(),
+            edges: path.clone(),
+        });
         return;
     };
     let mut candidates: Vec<(EdgeRef<'_>, NodeId)> = Vec::new();
@@ -279,22 +292,24 @@ fn match_hops(
 fn match_pattern(
     graph: &PropertyGraph,
     pattern: &PathPattern,
-    seeds: &[Bindings],
+    seeds: &[Row],
     stats: &mut ExecStats,
-) -> Vec<Bindings> {
+) -> Vec<Row> {
     let (mut results, mut path) = (Vec::new(), Vec::new());
     for base in seeds {
         // If the start var is already bound, restrict to it.
-        let candidates: Vec<NodeId> = match pattern.start.var.as_ref().and_then(|v| base.get(v)) {
+        let bound = pattern.start.var.as_ref().and_then(|v| base.vars.get(v));
+        let candidates: Vec<NodeId> = match bound {
             Some(Binding::Node(id)) if node_matches(graph, *id, &pattern.start) => vec![*id],
             Some(_) => Vec::new(),
             None => seed_candidates(graph, &pattern.start, stats),
         };
         for start in candidates {
-            let mut bindings = base.clone();
+            let mut bindings = base.vars.clone();
             if !bind_node(&mut bindings, &pattern.start.var, start) {
                 continue;
             }
+            path.clone_from(&base.edges);
             match_hops(
                 graph,
                 start,
@@ -375,15 +390,15 @@ fn execute_match(
     limit: Option<usize>,
     stats: &mut ExecStats,
 ) -> Result<QueryOutput, ExecError> {
-    let mut bindings: Vec<Bindings> = vec![Bindings::new()];
+    let mut matched = vec![Row::default()];
     for pattern in patterns {
-        bindings = match_pattern(graph, pattern, &bindings, stats);
-        if bindings.is_empty() {
+        matched = match_pattern(graph, pattern, &matched, stats);
+        if matched.is_empty() {
             break;
         }
     }
     let mut filtered = Vec::new();
-    for b in bindings {
+    for b in matched.into_iter().map(|row| row.vars) {
         match where_clause {
             Some(expr) => {
                 if eval_expr(graph, expr, &b)? {
@@ -436,18 +451,22 @@ fn execute_match(
         })
         .collect();
 
+    // `LIMIT` caps the rows returned, the one row of a `COUNT(*)` too.
+    let limit = limit.unwrap_or(usize::MAX);
     if ret.iter().any(|r| matches!(r, ReturnItem::CountStar)) {
+        let count = vec![ResultValue::Value(Value::Number(filtered.len() as f64))];
         return Ok(QueryOutput {
             columns,
-            rows: vec![vec![ResultValue::Value(Value::Number(
-                filtered.len() as f64
-            ))]],
+            rows: std::iter::once(count).take(limit).collect(),
         });
     }
 
     let mut rows = Vec::new();
     let mut seen_rows: std::collections::HashSet<String> = std::collections::HashSet::new();
     for b in filtered {
+        if rows.len() >= limit {
+            break;
+        }
         let mut row = Vec::with_capacity(ret.len());
         for item in ret {
             match item {
@@ -476,11 +495,6 @@ fn execute_match(
             }
         }
         rows.push(row);
-        if let Some(l) = limit {
-            if rows.len() >= l {
-                break;
-            }
-        }
     }
     Ok(QueryOutput { columns, rows })
 }
@@ -668,6 +682,49 @@ mod tests {
         let mut g = sample_graph();
         let out = run_q(&mut g, "MATCH (c:Concept) RETURN c LIMIT 2");
         assert_eq!(out.rows.len(), 2);
+    }
+
+    #[test]
+    fn limit_zero_returns_no_rows() {
+        let mut g = sample_graph();
+        for q in [
+            "MATCH (c:Concept) RETURN c LIMIT 0",
+            "MATCH (c:Concept) RETURN c.label ORDER BY c.label LIMIT 0",
+            "MATCH (c:Concept) RETURN COUNT(*) LIMIT 0",
+        ] {
+            assert!(run_q(&mut g, q).rows.is_empty(), "{q}");
+        }
+        let out = run_q(&mut g, "MATCH (c:Concept) RETURN COUNT(*) LIMIT 1");
+        assert_eq!(out.rows, vec![vec![ResultValue::Value(Value::Number(3.0))]]);
+    }
+
+    #[test]
+    fn a_match_takes_each_relationship_once_across_patterns() {
+        let mut g = sample_graph();
+        // `r` is fever's one outgoing edge; `s` any of the other four.
+        let out = run_q(
+            &mut g,
+            "MATCH (a {label: 'fever'})-[r]->(b), (c)-[s]->(d) RETURN r, s",
+        );
+        assert_eq!(out.rows.len(), 4);
+        assert!(out.rows.iter().all(|row| row[0] != row[1]), "{out:?}");
+        // Two mentions of one report are two relationships: a report
+        // pairs each concept it mentions with each other one, not itself.
+        let out = run_q(
+            &mut g,
+            "MATCH (r:Report)-[:MENTIONS]->(a), (r)-[:MENTIONS]->(b) RETURN a.label, b.label",
+        );
+        let pairs: Vec<(Value, Value)> = (out.rows.iter())
+            .map(|row| match (&row[0], &row[1]) {
+                (ResultValue::Value(a), ResultValue::Value(b)) => (a.clone(), b.clone()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let s = |x: &str| Value::String(x.to_string());
+        assert_eq!(
+            pairs,
+            vec![(s("fever"), s("cough")), (s("cough"), s("fever"))]
+        );
     }
 
     #[test]

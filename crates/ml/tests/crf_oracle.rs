@@ -10,10 +10,19 @@
 //! as zeros, the compact model not at all), for feature indices past the
 //! hashed space (both reduce them modulo `dim`), and across a second
 //! `train` call that brings new features. A failure names its seed.
+//!
+//! `Crf::train` runs each SGD step on two threads, the caller and a
+//! `Lane`; the oracle is one sequential step. Besides the small random
+//! models, the cases take the tagger's real shape — 27 labels, sentences
+//! of 1 to 60 positions — and the label counts at which the transition
+//! split leaves the caller no row (2, 3) or one (4), and three of them
+//! train at once, more threads than the host has CPUs, so that callers
+//! often run their lane's jobs themselves.
 
 use create_ml::crf::{log_sum_exp, Crf, CrfExample, CrfTrainConfig};
 use create_ml::SparseVec;
 use create_util::Rng;
+use std::ops::Range;
 
 /// The dense-matrix CRF: `emit[(feature % dim) * L + label]`.
 struct DenseCrf {
@@ -239,11 +248,21 @@ const DIM: usize = 1 << 10;
 /// Seeds of the random cases; each is one model pair trained twice.
 const SEEDS: std::ops::Range<u64> = 0..24;
 
-/// A random sequence over feature ids drawn from `ids` (plus, now and
-/// then, an index past the hashed space, which both models reduce
-/// modulo `DIM`), with values of either sign.
-fn sequence(rng: &mut Rng, ids: std::ops::Range<usize>, labels: usize) -> CrfExample {
-    let n = rng.range(1, 9);
+/// Sentence lengths of the small random cases.
+const SHORT: Range<usize> = 1..9;
+/// Sentence lengths of the cases at the tagger's shape: 1 to 60.
+const LONG: Range<usize> = 1..61;
+
+/// A random sequence of a length drawn from `positions`, over feature ids
+/// drawn from `ids` (plus, now and then, an index past the hashed space,
+/// which both models reduce modulo `DIM`), with values of either sign.
+fn sequence(
+    rng: &mut Rng,
+    positions: &Range<usize>,
+    ids: Range<usize>,
+    labels: usize,
+) -> CrfExample {
+    let n = rng.range(positions.start, positions.end);
     let features = (0..n)
         .map(|_| {
             let entries = (0..rng.range(1, 7))
@@ -300,12 +319,22 @@ fn compare(crf: &Crf, dense: &DenseCrf, probes: &[CrfExample]) -> Result<(), Str
     Ok(())
 }
 
-/// One seeded case: train both models on sequences over the lower half
-/// of the feature ids, compare on probes over all of them, train both
-/// again on sequences over the upper half, compare again.
+/// One seeded case of 2 to 5 labels and short sentences.
 fn case(seed: u64) -> Result<(), String> {
     let mut rng = Rng::seed_from_u64(seed);
     let labels = rng.range(2, 6);
+    train_and_compare(rng, seed, labels, SHORT)
+}
+
+/// Trains both models on sequences of `positions` over the lower half of
+/// the feature ids, compares them on probes over all of them, trains both
+/// again on sequences over the upper half, compares again.
+fn train_and_compare(
+    mut rng: Rng,
+    seed: u64,
+    labels: usize,
+    positions: Range<usize>,
+) -> Result<(), String> {
     let config = CrfTrainConfig {
         epochs: rng.range(1, 4),
         seed,
@@ -315,10 +344,10 @@ fn case(seed: u64) -> Result<(), String> {
     let mut dense = DenseCrf::new(DIM, labels);
     let half = DIM / 2;
     let probes: Vec<CrfExample> = (0..12)
-        .map(|_| sequence(&mut rng, 0..DIM, labels))
+        .map(|_| sequence(&mut rng, &positions, 0..DIM, labels))
         .collect();
     let first: Vec<CrfExample> = (0..16)
-        .map(|_| sequence(&mut rng, 0..half, labels))
+        .map(|_| sequence(&mut rng, &positions, 0..half, labels))
         .collect();
     let (a, b) = (crf.train(&first, &config), dense.train(&first, &config));
     if a.to_bits() != b.to_bits() {
@@ -331,7 +360,7 @@ fn case(seed: u64) -> Result<(), String> {
     }
     compare(&crf, &dense, &probes).map_err(|e| format!("after the first train: {e}"))?;
     let second: Vec<CrfExample> = (0..16)
-        .map(|_| sequence(&mut rng, half / 2..DIM, labels))
+        .map(|_| sequence(&mut rng, &positions, half / 2..DIM, labels))
         .collect();
     let (a, b) = (crf.train(&second, &config), dense.train(&second, &config));
     if a.to_bits() != b.to_bits() {
@@ -347,6 +376,38 @@ fn compact_crf_is_bit_identical_to_the_dense_matrix() {
             panic!("crf_oracle seed {seed}: {e}");
         }
     }
+}
+
+/// The tagger's 27 labels over sentences of up to 60 positions, and the
+/// label counts at which the caller's share of the transition rows is
+/// empty (2, 3) or one row (4).
+#[test]
+fn two_lane_steps_are_bit_identical_at_the_taggers_shape() {
+    for (seed, labels) in [(100, 27), (101, 27), (102, 2), (103, 3), (104, 4)] {
+        let rng = Rng::seed_from_u64(seed);
+        if let Err(e) = train_and_compare(rng, seed, labels, LONG) {
+            panic!("crf_oracle seed {seed}, {labels} labels: {e}");
+        }
+    }
+}
+
+/// Three trainings at once, each with its lane: six threads on a host of
+/// fewer CPUs, so that jobs are taken back and run by their callers as
+/// often as by their lanes; every one ends with the oracle's bits.
+#[test]
+fn concurrent_trainings_are_bit_identical() {
+    std::thread::scope(|s| {
+        let runs: Vec<_> = (105..108)
+            .map(|seed| {
+                s.spawn(move || train_and_compare(Rng::seed_from_u64(seed), seed, 27, LONG))
+            })
+            .collect();
+        for (seed, run) in (105..).zip(runs) {
+            if let Err(e) = run.join().expect("training thread") {
+                panic!("crf_oracle seed {seed}, concurrent: {e}");
+            }
+        }
+    });
 }
 
 #[test]

@@ -373,4 +373,50 @@ mod tests {
         let tagger = CrfTagger::train(&train, quick_config(), None, None);
         assert!(tagger.tag("").is_empty());
     }
+
+    /// FNV-1a over the bits of every weight of `crf`: each learned
+    /// emission row with its feature id, in id order, then the
+    /// transitions, the start and the end potentials.
+    fn weights_digest(crf: &Crf, dim: u32) -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for id in 0..dim {
+            if let Some(row) = crf.emission_row(id) {
+                eat(u64::from(id));
+                row.iter().for_each(|w| eat(w.to_bits()));
+            }
+        }
+        let fixed = [crf.transitions(), crf.start_weights(), crf.end_weights()];
+        fixed
+            .iter()
+            .flat_map(|ws| ws.iter())
+            .for_each(|w| eat(w.to_bits()));
+        digest
+    }
+
+    /// The tagger the benchmark trains — the first 60 reports of corpus
+    /// seed `0xC0FFEE`, the default configuration — has these weights to
+    /// the bit.
+    #[test]
+    fn benchmark_tagger_weights_are_pinned() {
+        let reports = Generator::new(CorpusConfig {
+            num_reports: 60,
+            seed: 0xC0FFEE,
+            ..Default::default()
+        })
+        .generate();
+        let dataset = NerDataset::from_reports(&reports, LabelSet::ner_targets());
+        let config = CrfTaggerConfig::default();
+        let dim = 1u32 << config.feature_bits;
+        let ontology = Arc::new(clinical_ontology());
+        let tagger = CrfTagger::train(&dataset, config, Some(ontology), None);
+        assert_eq!(
+            format!("{:016x}", weights_digest(&tagger.crf, dim)),
+            "d34a55d00a5a0420"
+        );
+    }
 }

@@ -56,9 +56,12 @@
 //! stored-fields region (each block's file offset, each document's
 //! content offset and length), and reads one by positional reads of the
 //! one or two blocks that hold it, each CRC-checked and decompressed by
-//! the code a [`RegionReader`] loads blocks with. The writer builds that
-//! table as it frames the region ([`SegmentWriter::finish_payloads`]),
-//! and so does the reader that streams it ([`DocReader::finish`]).
+//! the code a [`RegionReader`] loads blocks with. A [`PayloadCursor`]
+//! keeps the last block it loaded, so documents read in order cost one
+//! read and one decompression per block, not per document. The writer
+//! builds that table as it frames the region
+//! ([`SegmentWriter::finish_payloads`]), and so does the reader that
+//! streams it ([`DocReader::finish`]).
 //! Every count and length in a region is untrusted: it is checked
 //! against the bytes the region has left before anything is reserved or
 //! copied for it.
@@ -1011,26 +1014,18 @@ impl PayloadFile {
     /// block that does not read back, or no longer has the length it had
     /// when the table was built, is an error naming the file.
     pub fn get(&self, doc: usize) -> Result<Vec<u8>, StorageError> {
-        let (start, len) = self.docs[doc];
-        let end = start + len;
-        let mut payload = Vec::with_capacity(len as usize);
-        let (mut packed, mut block) = (Vec::new(), Vec::new());
-        let mut b = self.blocks.partition_point(|at| at.content <= start);
-        while (payload.len() as u64) < len {
-            // The table was built from blocks that held the payload.
-            let at = self.blocks[b.saturating_sub(1)];
-            let next = self.blocks.get(b).map_or(self.len, |next| next.content);
-            read_block(&self.file, at.file, self.end, &mut packed, &mut block)
-                .map_err(|e| read_error(&self.path, e))?;
-            if block.len() as u64 != next - at.content {
-                return Err(read_error(&self.path, corrupt("block length changed")));
-            }
-            let from = start + payload.len() as u64 - at.content;
-            let to = end.min(next) - at.content;
-            payload.extend_from_slice(&block[from as usize..to as usize]);
-            b += 1;
+        self.cursor().get(doc)
+    }
+
+    /// A reader of this file's payloads that keeps the last block it
+    /// decompressed (see [`PayloadCursor`]).
+    pub fn cursor(&self) -> PayloadCursor<'_> {
+        PayloadCursor {
+            file: self,
+            loaded: None,
+            packed: Vec::new(),
+            block: Vec::new(),
         }
-        Ok(payload)
     }
 
     /// Heap bytes held: the file's `Arc`, the path and the two tables.
@@ -1039,6 +1034,58 @@ impl PayloadFile {
             + self.path.capacity()
             + std::mem::size_of_val(&*self.blocks)
             + std::mem::size_of_val(&*self.docs)
+    }
+}
+
+/// Reads a [`PayloadFile`]'s payloads, keeping the block it last
+/// decompressed: a payload that starts in that block reads it from
+/// memory, so documents read in order cost one read and one
+/// decompression per block.
+pub struct PayloadCursor<'a> {
+    file: &'a PayloadFile,
+    /// Which block `block` holds, as an index into the file's blocks.
+    loaded: Option<usize>,
+    packed: Vec<u8>,
+    block: Vec<u8>,
+}
+
+impl PayloadCursor<'_> {
+    /// Document `doc`'s payload, as [`PayloadFile::get`] reads it.
+    pub fn get(&mut self, doc: usize) -> Result<Vec<u8>, StorageError> {
+        let file = self.file;
+        let (start, len) = file.docs[doc];
+        let end = start + len;
+        let mut payload = Vec::with_capacity(len as usize);
+        // The block that holds `start`: the table was built from blocks
+        // that held the payload.
+        let mut b = file
+            .blocks
+            .partition_point(|at| at.content <= start)
+            .saturating_sub(1);
+        while (payload.len() as u64) < len {
+            let at = file.blocks[b];
+            let next = file.blocks.get(b + 1).map_or(file.len, |next| next.content);
+            if self.loaded != Some(b) {
+                self.loaded = None;
+                read_block(
+                    &file.file,
+                    at.file,
+                    file.end,
+                    &mut self.packed,
+                    &mut self.block,
+                )
+                .map_err(|e| read_error(&file.path, e))?;
+                if self.block.len() as u64 != next - at.content {
+                    return Err(read_error(&file.path, corrupt("block length changed")));
+                }
+                self.loaded = Some(b);
+            }
+            let from = start + payload.len() as u64 - at.content;
+            let to = end.min(next) - at.content;
+            payload.extend_from_slice(&self.block[from as usize..to as usize]);
+            b += 1;
+        }
+        Ok(payload)
     }
 }
 
@@ -1395,6 +1442,61 @@ mod tests {
             other => panic!("doc {hit} in the flipped block: {other:?}"),
         }
         assert_eq!(payloads.get(clear).unwrap(), data.docs[clear].payload);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A cursor reads every payload as `get` does, in order and out of
+    /// order, and reads a block once while it keeps it: with a byte of
+    /// the block it holds flipped on disk, the documents that lie wholly
+    /// in that block still read back through it, while `get` and the
+    /// cursor's next load of the block fail.
+    #[test]
+    fn a_cursor_reads_each_block_once() {
+        let path = temp_path("cursor");
+        let data = spread_sample();
+        let payloads = write_payloads(&path, &data);
+        let mut cursor = payloads.cursor();
+        let order = (0..data.docs.len()).chain((0..data.docs.len()).rev().step_by(7));
+        for doc in order {
+            assert_eq!(
+                cursor.get(doc).unwrap(),
+                data.docs[doc].payload,
+                "doc {doc}"
+            );
+        }
+        let within = |doc: usize, block: usize| {
+            let (start, len) = payloads.docs[doc];
+            let at = payloads.blocks[block].content;
+            let next = payloads.blocks[block + 1].content;
+            len > 0 && at <= start && start + len <= next
+        };
+        let held: Vec<usize> = (0..data.docs.len()).filter(|&d| within(d, 1)).collect();
+        let other = (0..data.docs.len()).find(|&d| within(d, 0)).unwrap();
+        assert!(held.len() >= 2, "{held:?}");
+        let mut cursor = payloads.cursor();
+        cursor.get(held[0]).unwrap();
+        let second = payloads.blocks[1];
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        let mut byte = [0u8];
+        File::open(&path)
+            .unwrap()
+            .read_exact_at(&mut byte, second.file + 12)
+            .unwrap();
+        file.write_all_at(&[byte[0] ^ 0x20], second.file + 12)
+            .unwrap();
+        for &doc in &held {
+            assert_eq!(
+                cursor.get(doc).unwrap(),
+                data.docs[doc].payload,
+                "doc {doc}"
+            );
+        }
+        assert!(payloads.get(held[1]).is_err());
+        assert_eq!(cursor.get(other).unwrap(), data.docs[other].payload);
+        assert!(matches!(
+            cursor.get(held[1]),
+            Err(StorageError::Corrupt { .. })
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -8,6 +8,7 @@
 pub mod arc_cell;
 pub mod chunked;
 pub mod fxhash;
+pub mod lane;
 #[cfg(unix)]
 pub mod poller;
 pub mod pool;
@@ -42,6 +43,7 @@ pub fn release_free_heap() {
 
 pub use arc_cell::ArcCell;
 pub use chunked::Chunked;
+pub use lane::Lane;
 pub use pool::ThreadPool;
 pub use rng::Rng;
 pub use stats::Summary;

@@ -318,14 +318,18 @@ const TAGGER_REPORTS: usize = 60;
 /// matrix.
 const TAGGER_BUDGET: isize = 1 << 20;
 /// Heap training the tagger of (l) may hold above its start: a tenth
-/// over the 1 500 613 measured (every sentence's feature vectors, each
-/// entry's row, the distinct feature ids, the lattices of one example);
-/// 57 319 914 with the dense matrix.
+/// over the 1 500 613 measured while each SGD step allocated its own
+/// lattices (every sentence's feature vectors, each entry's row, the
+/// distinct feature ids, the lattices of one example); 1 501 705 since
+/// the step runs on two threads, its buffers allocated once for the
+/// longest example and the lane thread's handles beside them; 57 319 914
+/// with the dense matrix.
 const TAGGER_TRAIN_HEAP_BUDGET: isize = 1_651_000;
 /// Allocations one `CrfTagger::tag` of `TAGGED_SENTENCE` makes: the
 /// tokens, each token's feature strings and vector, the emission lattice
-/// and the Viterbi tables, the mentions — 193 measured, and the count
-/// repeats exactly; 205 while the lattice was a vector per token.
+/// and the Viterbi tables, the mentions — 190 measured, and the count
+/// repeats exactly (193 when the budget was set, 205 while the lattice
+/// was a vector per token).
 const TAG_BUDGET: usize = 193;
 /// The sentence (l) tags.
 const TAGGED_SENTENCE: &str = "A patient was admitted to the hospital because of fever and cough.";

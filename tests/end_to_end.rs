@@ -4,6 +4,7 @@
 use create::core::{Create, CreateConfig, MergePolicy};
 use create::corpus::{CorpusConfig, Generator, QueryFamily, QuerySet};
 use create::graphdb::exec::{query, ExecError, QueryError};
+use create::graphdb::PropertyGraph;
 use create::server::server::{http_get, http_post};
 use create::server::{build_api, Server};
 use std::sync::Arc;
@@ -305,4 +306,58 @@ fn platform_persistence_round_trip() {
     // Annotations survive too.
     assert!(reopened.annotations(&reports[0].id).unwrap().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The Cypher graph of a disk-backed instance — most reports sealed by
+/// flushes, one of which compacts, the rest left in the WAL tail, then
+/// reopened, so that each sealed payload is read from its segment file —
+/// is the graph of the same reports held in memory, node for node and
+/// edge for edge, and so is each shard's.
+#[test]
+fn a_flushed_and_reopened_instance_builds_the_in_memory_graph() {
+    let reports = Generator::new(CorpusConfig {
+        num_reports: 160,
+        seed: 20261019,
+        ..Default::default()
+    })
+    .generate();
+    let config = CreateConfig { shards: 2 };
+    let memory = Create::new(config.clone());
+    memory.ingest_gold_batch(&reports, 0).expect("ingest");
+    let dir = std::env::temp_dir().join(format!("create-e2e-graph-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let disk = Create::open(&dir, config.clone()).expect("open");
+        for (i, batch) in reports.chunks(32).enumerate() {
+            disk.ingest_gold_batch(batch, 0).expect("ingest");
+            if i < 4 {
+                disk.flush().expect("flush");
+            }
+        }
+        let segments: Vec<usize> = disk.shard_segments().iter().map(|s| s.disk).collect();
+        assert!(segments.iter().all(|&files| files < 4), "{segments:?}");
+    }
+    let disk = Create::open(&dir, config).expect("reopen");
+    let dump = |graph: PropertyGraph| {
+        let nodes: Vec<String> = graph.nodes().map(|n| format!("{n:?}")).collect();
+        let edges: Vec<String> = graph.edges().map(|e| format!("{e:?}")).collect();
+        (nodes, edges)
+    };
+    let (nodes, edges) = dump(disk.graph().expect("sealed payloads read back"));
+    assert!(nodes.len() > reports.len() && edges.len() > reports.len());
+    assert_eq!((nodes, edges), dump(memory.graph().expect("in memory")));
+    let (sealed, held) = (disk.snapshot(), memory.snapshot());
+    for shard in 0..2 {
+        assert_eq!(
+            dump(
+                sealed
+                    .shard_graph(shard)
+                    .expect("sealed payloads read back")
+            ),
+            dump(held.shard_graph(shard).expect("in memory")),
+            "shard {shard}"
+        );
+    }
+    drop(disk);
+    std::fs::remove_dir_all(&dir).expect("remove the data directory");
 }
