@@ -11,7 +11,7 @@ use create_bench::{corpus, f4, loaded_create, train_tagger, Table};
 use create_core::eval::{ndcg_at_k, precision_at_k, reciprocal_rank, IrMetrics};
 use create_core::MergePolicy;
 use create_corpus::{QueryFamily, QuerySet};
-use create_index::{QueryNode, Scorer};
+use create_index::{Query, Scorer};
 use std::time::Instant;
 
 fn main() {
@@ -153,16 +153,10 @@ fn main() {
         let scores: Vec<f64> = kw
             .iter()
             .map(|q| {
-                let node = QueryNode::Bool {
-                    must: vec![],
-                    should: vec![
-                        QueryNode::query_string(&system.index(), "title", &q.text),
-                        QueryNode::query_string(&system.index(), "body", &q.text),
-                    ],
-                    must_not: vec![],
-                };
-                let ids: Vec<String> = system
-                    .index()
+                let index = system.index();
+                let node = Query::query_string(&index, "title", &q.text)
+                    .or(Query::query_string(&index, "body", &q.text));
+                let ids: Vec<String> = index
                     .search(&node, 10, scorer)
                     .into_iter()
                     .map(|h| h.external_id)

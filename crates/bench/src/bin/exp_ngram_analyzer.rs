@@ -9,7 +9,7 @@
 //! bounds.
 
 use create_bench::{corpus, f4, Table};
-use create_index::{FieldConfig, Index, QueryNode, Scorer};
+use create_index::{FieldConfig, Index, Query, Scorer};
 use create_text::filter::{AsciiFoldingFilter, LowercaseFilter};
 use create_text::{Analyzer, NGramTokenizer};
 use create_util::Rng;
@@ -96,7 +96,7 @@ fn main() {
 
         // Probe sets: full term, prefix (first 6 chars), infix (middle 6).
         let probe = |probe_text: &str, want_id: &str, micros: &mut Vec<f64>| -> bool {
-            let q = QueryNode::query_string(&index, "body", probe_text);
+            let q = Query::query_string(&index, "body", probe_text);
             let t = Instant::now();
             let hits = index.search(&q, 10, Scorer::default());
             micros.push(t.elapsed().as_secs_f64() * 1e6);

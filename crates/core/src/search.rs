@@ -27,7 +27,7 @@ use crate::plan::TemporalOp;
 use crate::system::ShardSnapshot;
 use create_docstore::json::obj;
 use create_docstore::Value;
-use create_index::{Index, QueryNode, Scorer};
+use create_index::{Index, Query, Scorer};
 use create_ontology::{ConceptId, RelationType};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -280,20 +280,15 @@ fn sort_graph_hits(hits: &mut [SearchHit]) {
     });
 }
 
-/// Builds the standard multi-field keyword query over title/body (+ the
-/// n-gram field). Analysis depends only on the index's field
-/// configuration, which is identical across shards, so a query built
-/// against any shard's index works against all of them.
-pub(crate) fn keyword_query(index: &Index, query_text: &str) -> QueryNode {
-    QueryNode::Bool {
-        must: vec![],
-        should: vec![
-            QueryNode::query_string(index, "title", query_text),
-            QueryNode::query_string(index, "body", query_text),
-            QueryNode::query_string(index, "body_ngram", query_text),
-        ],
-        must_not: vec![],
-    }
+/// Builds the standard multi-field keyword query: the query strings of
+/// title, body and the n-gram field, one disjunction in that order.
+/// Analysis depends only on the index's field configuration, which is
+/// identical across shards, so a query built against any shard's index
+/// works against all of them.
+pub(crate) fn keyword_query(index: &Index, query_text: &str) -> Query {
+    Query::query_string(index, "title", query_text)
+        .or(Query::query_string(index, "body", query_text))
+        .or(Query::query_string(index, "body_ngram", query_text))
 }
 
 /// Runs the keyword engine: BM25 over title/body (+ n-gram field).

@@ -221,7 +221,6 @@ pub(crate) fn register_metrics() {
     for name in [
         obs_names::DAAT_POSTINGS_ADVANCED_TOTAL,
         obs_names::DAAT_CANDIDATES_PRUNED_TOTAL,
-        obs_names::DAAT_FUZZY_EXPANSIONS_TOTAL,
         obs_names::DAAT_HEAP_EVICTIONS_TOTAL,
         obs_names::QUERY_CACHE_HITS_TOTAL,
         obs_names::QUERY_CACHE_MISSES_TOTAL,

@@ -60,8 +60,8 @@
 //! kernel of disk compaction, of the in-RAM tier rule and of a seal.
 
 use crate::frozen::{FrozenField, FrozenSegment};
-use crate::index::{bucket_of, FieldIndex, Index, Segment};
-use crate::postings::{Decoded, PostingList, Span};
+use crate::index::{FieldIndex, Index, Segment};
+use crate::postings::{Decoded, PostingList, Postings};
 use create_util::fxhash::{map_with_capacity, FxHashMap};
 use create_util::varint;
 use std::io::{self, BufRead, Write};
@@ -583,22 +583,16 @@ pub fn adopt(blob: Vec<u8>, template: &Index) -> Result<FrozenSegment, CodecErro
             doc_len.push(r.u32("doc length")?);
         }
         let (mut text, mut ends, mut entries) = (String::new(), Vec::new(), Vec::new());
-        let mut buckets: FxHashMap<(u16, char), Vec<u32>> = FxHashMap::default();
         let mut terms = Terms::new(fi.positions);
         while terms.next(&mut r)? {
             positions.clear();
             terms.walk(&doc_len, &mut positions, |_| Ok(()))?;
-            let ordinal = ends.len() as u32;
-            buckets
-                .entry(bucket_of(terms.term()))
-                .or_default()
-                .push(ordinal);
             text.push_str(terms.term());
             let end = u32::try_from(text.len()).map_err(|_| err("terms of 4 GiB or more"))?;
             ends.push(end);
             entries.push((len as u64 - terms.entry) as u32);
         }
-        let frozen = FrozenField::new(fi, doc_len, text, ends, entries, buckets);
+        let frozen = FrozenField::new(fi, doc_len, text, ends, entries);
         fields.insert(name.to_string(), frozen);
     }
     if r.left() != 0 {
@@ -612,7 +606,7 @@ pub fn adopt(blob: Vec<u8>, template: &Index) -> Result<FrozenSegment, CodecErro
 pub(crate) enum Positions {
     /// The field stores none.
     Absent,
-    /// Stored, but the read needs none (only a phrase does): passed over.
+    /// Stored, but the read needs none (no query does): passed over.
     Skip,
     /// Stored and decoded.
     Keep,
@@ -620,20 +614,20 @@ pub(crate) enum Positions {
 
 /// Decodes the entry of an [`adopt`]ed blob whose posting count starts at
 /// byte `at` — a term's postings, their positions as `positions` says —
-/// onto the end of `decoded`, and returns where it lies there. `adopt`
-/// checked every entry, so nothing is checked again.
-pub(crate) fn decode_entry(
+/// into `decoded`, cleared first, and returns the list. `adopt` checked
+/// every entry, so nothing is checked again.
+pub(crate) fn decode_entry<'d>(
     blob: &[u8],
     mut at: usize,
     positions: Positions,
-    decoded: &mut Decoded,
-) -> Span {
+    decoded: &'d mut Decoded,
+) -> Postings<'d> {
     let count = trusted(blob, &mut at) as usize;
     // Two varints a skip entry, then the postings' byte length.
     for _ in 0..2 * trusted(blob, &mut at) + 1 {
         trusted(blob, &mut at);
     }
-    let opened = decoded.open();
+    decoded.clear();
     decoded.docs.reserve(count);
     decoded.ends.reserve(count);
     let (mut doc, mut tf_end) = (0u32, 0u32);
@@ -684,7 +678,7 @@ pub(crate) fn decode_entry(
             }
         }
     }
-    decoded.close(opened)
+    decoded.postings()
 }
 
 /// The varint at `*at` of an adopted blob, which `adopt` read as

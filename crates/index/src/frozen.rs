@@ -9,9 +9,8 @@
 //! find what a read asks for in those bytes without a pass over them:
 //! per field a sorted term table (one text arena, each term's end in it
 //! and the offset of its entry in the blob), a hash index of the terms'
-//! ordinals, the documents' lengths and fuzzy buckets of term ordinals;
-//! per document the offset of its id in the blob, and the documents in
-//! id order. Nothing is allocated per term. A term's document frequency
+//! ordinals and the documents' lengths; per document the offset of its
+//! id in the blob, and the documents in id order. Nothing is allocated per term. A term's document frequency
 //! is its entry's posting count, read in place, and its postings are
 //! decoded when a query opens it, into the query's [`Decoded`] scratch
 //! arrays — the way Lucene serves a flushed segment. Every read of an
@@ -27,8 +26,8 @@
 
 use crate::codec::{decode_entry, Positions};
 use crate::facets::{FacetCodecError, FacetIndex};
-use crate::index::{scan_buckets, sweep, FieldIndex, FieldRef, Index, Segment};
-use crate::postings::{Decoded, PostingList, Postings, Span};
+use crate::index::{FieldIndex, FieldRef, Index, Segment};
+use crate::postings::{Decoded, PostingList, Postings};
 use create_util::fxhash::{FxHashMap, FxHasher};
 use create_util::varint;
 use std::hash::Hasher;
@@ -68,22 +67,18 @@ pub(crate) struct FrozenField {
     /// empty. A lookup hashes the term once and compares it with a term
     /// or two of the table.
     slots: Box<[u32]>,
-    /// [`bucket_of`](crate::index::bucket_of) a term → the ordinals of
-    /// the field's terms in that bucket.
-    buckets: FxHashMap<(u16, char), Box<[u32]>>,
 }
 
 impl FrozenField {
     /// A field configured as `config`, of the documents' lengths
     /// `doc_len` and the term table `adopt` read: the terms' `text`, each
-    /// one's end in it and the offset of its entry, and their buckets.
+    /// one's end in it and the offset of its entry.
     pub(crate) fn new(
         config: &FieldIndex,
         doc_len: Vec<u32>,
         text: String,
         ends: Vec<u32>,
         entries: Vec<u32>,
-        buckets: FxHashMap<(u16, char), Vec<u32>>,
     ) -> FrozenField {
         let mut slots = vec![0u32; (ends.len() + ends.len() / 4 + 1).next_power_of_two().max(2)];
         let mut start = 0;
@@ -105,10 +100,6 @@ impl FrozenField {
             text: text.into_boxed_str(),
             ends: ends.into_boxed_slice(),
             entries: entries.into_boxed_slice(),
-            buckets: buckets
-                .into_iter()
-                .map(|(bucket, ordinals)| (bucket, ordinals.into_boxed_slice()))
-                .collect(),
         }
     }
 
@@ -140,10 +131,9 @@ impl FrozenField {
         }
     }
 
-    /// Bytes of the term table, its hash index and the buckets' ordinals.
+    /// Bytes of the term table and its hash index.
     fn table_bytes(&self) -> usize {
-        let ordinals: usize = self.buckets.values().map(|bucket| bucket.len()).sum();
-        let words = self.ends.len() + self.entries.len() + self.slots.len() + ordinals;
+        let words = self.ends.len() + self.entries.len() + self.slots.len();
         self.text.len() + 4 * words
     }
 }
@@ -219,12 +209,12 @@ impl FrozenSegment {
             .flat_map(|fi| (0..fi.ends.len()).map(move |ordinal| fi.term(ordinal)))
     }
 
-    /// One term's postings, decoded as a phrase opening the term decodes
-    /// them: positions included.
+    /// One term's postings as the segment stores them, positions
+    /// included.
     pub fn postings(&self, field: &str, term: &str) -> Option<PostingList> {
+        let (fi, at) = self.entry(field, term)?;
         let mut decoded = Decoded::default();
-        let span = self.open(field, term, true, &mut decoded)?;
-        Some(decoded.get(span).to_list())
+        Some(decode_entry(&self.blob, at, fi.stored(true), &mut decoded).to_list())
     }
 
     /// The id bytes of document `doc`, which must be in range.
@@ -262,10 +252,10 @@ impl FrozenSegment {
                 .expect("adopted under this configuration");
             fi.doc_len = frozen.doc_len.to_vec();
             for (ordinal, &at) in frozen.entries.iter().enumerate() {
-                decoded.clear();
-                let span = decode_entry(&self.blob, at as usize, frozen.stored(true), &mut decoded);
-                let list = decoded.get(span).to_list();
-                fi.dict.insert(frozen.term(ordinal).into(), list);
+                let postings =
+                    decode_entry(&self.blob, at as usize, frozen.stored(true), &mut decoded);
+                fi.dict
+                    .insert(frozen.term(ordinal).into(), postings.to_list());
             }
         }
         segment
@@ -299,7 +289,6 @@ impl FrozenSegment {
             total_len: fi.total_len,
             docs_with_field: fi.docs_with_field,
             boost: fi.boost,
-            positions: fi.positions,
         })
     }
 
@@ -316,64 +305,17 @@ impl FrozenSegment {
         })
     }
 
-    /// Opens a term's postings: decodes them onto the end of `decoded`
-    /// — without positions unless `positions` asks for them (only a
-    /// phrase reads them) — and returns where they lie there. `None`
-    /// when the field or the term is absent.
-    pub(crate) fn open(
-        &self,
-        field: &str,
-        term: &str,
-        positions: bool,
-        decoded: &mut Decoded,
-    ) -> Option<Span> {
-        let (fi, at) = self.entry(field, term)?;
-        Some(decode_entry(&self.blob, at, fi.stored(positions), decoded))
-    }
-
-    /// A term's postings without their positions, alone in `decoded`
-    /// (cleared first).
+    /// A term's postings without their positions, which no query reads,
+    /// decoded into `decoded`. `None` when the field or the term is
+    /// absent.
     pub(crate) fn read<'a>(
         &self,
         field: &str,
         term: &str,
         decoded: &'a mut Decoded,
     ) -> Option<Postings<'a>> {
-        decoded.clear();
-        let span = self.open(field, term, false, decoded)?;
-        Some(decoded.get(span))
-    }
-
-    /// Dictionary terms within `max_edits` of `term`, with their exact
-    /// distances, sorted by `(distance, term)`: [`scan_buckets`] over
-    /// the field's fuzzy buckets.
-    pub(crate) fn fuzzy_candidates(
-        &self,
-        field: &str,
-        term: &str,
-        max_edits: usize,
-    ) -> Vec<(&str, usize)> {
-        let Some(fi) = self.fields.get(field) else {
-            return Vec::new();
-        };
-        let buckets = fi.buckets.iter().map(move |(&bucket, ordinals)| {
-            let terms = ordinals
-                .iter()
-                .map(move |&ordinal| fi.term(ordinal as usize));
-            (bucket, terms)
-        });
-        scan_buckets(buckets, term, max_edits)
-    }
-
-    /// The same set by a [`sweep`] over every term of the field: the
-    /// reference baseline `fuzzy_candidates` is checked against.
-    pub(crate) fn fuzzy_sweep(
-        &self,
-        field: &str,
-        term: &str,
-        max_edits: usize,
-    ) -> Vec<(&str, usize)> {
-        sweep(self.terms(field), term, max_edits)
+        let (fi, at) = self.entry(field, term)?;
+        Some(decode_entry(&self.blob, at, fi.stored(false), decoded))
     }
 
     /// See [`Index::postings_bytes`].

@@ -38,7 +38,8 @@ pub(crate) struct FieldIndex {
     /// Whether the postings store token positions: the analyzer's
     /// [`Analyzer::word_positions`], read once when the field is built.
     /// Without them a posting is a doc id and a term frequency, which is
-    /// all BM25 reads; a phrase needs them.
+    /// all BM25 reads; segment format 5 stores them for every field whose
+    /// analyzer produces them, though no query reads them.
     pub(crate) positions: bool,
     /// term → postings sorted by doc id.
     pub(crate) dict: FxHashMap<Box<str>, PostingList>,
@@ -64,8 +65,7 @@ impl FieldIndex {
         let (dict, positions) = (&mut self.dict, self.positions);
         let mut len = 0u32;
         // Tokenizer-assigned positions survive filtering, so a dropped
-        // stopword still advances the position counter — phrase queries
-        // then respect the original word distance (Lucene's
+        // stopword still advances the position counter (Lucene's
         // position-increment behaviour).
         self.analyzer.for_each_term(text, |term, position| {
             len += 1;
@@ -92,8 +92,6 @@ pub(crate) struct FieldRef<'a> {
     /// Documents with at least one token in the field.
     pub(crate) docs_with_field: usize,
     pub(crate) boost: f64,
-    /// Whether the postings store token positions.
-    pub(crate) positions: bool,
 }
 
 impl FieldRef<'_> {
@@ -105,92 +103,6 @@ impl FieldRef<'_> {
             self.total_len as f64 / self.docs_with_field as f64
         }
     }
-}
-
-/// The fuzzy bucket of a term: its length in chars and its first char.
-pub(crate) fn bucket_of(term: &str) -> (u16, char) {
-    let len = term.chars().count().min(u16::MAX as usize) as u16;
-    (len, term.chars().next().unwrap_or('\0'))
-}
-
-/// The terms within `max_edits` of `term`, with their exact distances,
-/// sorted by `(distance, term)`, from a field's terms grouped by
-/// [`bucket_of`].
-///
-/// Only lengths in `[len - max_edits, len + max_edits]` can be within the
-/// bound, so most of the vocabulary is never touched. Within a bucket the
-/// first character routes each candidate to the cheapest sufficient
-/// check:
-///
-/// * first chars equal — the DP runs on the affix-stripped remainder;
-/// * first chars differ and `max_edits == 1` — the single edit must
-///   touch position 0, so the candidate must be exactly a leading
-///   substitution, deletion, or insertion (three `O(len)` comparisons,
-///   no DP at all);
-/// * otherwise — the bounded DP.
-///
-/// The result set is provably identical to a [`sweep`] of the whole
-/// dictionary with `levenshtein_bounded` (asserted by the equivalence
-/// suite).
-pub(crate) fn scan_buckets<'a, T>(
-    buckets: impl Iterator<Item = ((u16, char), T)>,
-    term: &str,
-    max_edits: usize,
-) -> Vec<(&'a str, usize)>
-where
-    T: Iterator<Item = &'a str>,
-{
-    use create_text::distance::levenshtein_bounded_slices;
-    let q: Vec<char> = term.chars().collect();
-    let lo = q.len().saturating_sub(max_edits);
-    let hi = q.len() + max_edits;
-    let mut t_chars: Vec<char> = Vec::new();
-    let mut out: Vec<(&str, usize)> = Vec::new();
-    for ((bucket_len, bucket_first), terms) in buckets {
-        let bucket_len = bucket_len as usize;
-        if bucket_len < lo || bucket_len > hi {
-            continue;
-        }
-        let same_first = q.first() == Some(&bucket_first);
-        for t in terms {
-            t_chars.clear();
-            t_chars.extend(t.chars());
-            let dist = if q.is_empty() || same_first {
-                levenshtein_bounded_slices(&q, &t_chars, max_edits)
-            } else if max_edits == 1 {
-                // Differing first chars under a budget of 1: the one
-                // edit must produce the candidate's first char, so the
-                // remainder is fixed by which edit it was.
-                let sub = t_chars.len() == q.len() && t_chars[1..] == q[1..];
-                let del = t_chars[..] == q[1..];
-                let ins = t_chars.len() == q.len() + 1 && t_chars[1..] == q[..];
-                (sub || del || ins).then_some(1)
-            } else {
-                levenshtein_bounded_slices(&q, &t_chars, max_edits)
-            };
-            if let Some(d) = dist {
-                out.push((t, d));
-            }
-        }
-    }
-    out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-    out
-}
-
-/// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
-/// `terms`, sorted by `(distance, term)` — the reference baseline
-/// [`scan_buckets`] is checked against.
-pub(crate) fn sweep<'a>(
-    terms: impl Iterator<Item = &'a str>,
-    term: &str,
-    max_edits: usize,
-) -> Vec<(&'a str, usize)> {
-    use create_text::distance::levenshtein_bounded;
-    let mut out: Vec<(&str, usize)> = terms
-        .filter_map(|t| levenshtein_bounded(term, t, max_edits).map(|d| (t, d)))
-        .collect();
-    out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-    out
 }
 
 /// One segment's documents as a builder holds them: per field a term
@@ -452,12 +364,11 @@ impl Index {
     /// segment holds its encoded blob — the ids, document lengths,
     /// front-coded terms and postings a segment file's postings region
     /// holds — and its term tables: each term's text, its end in the text
-    /// and its entry's offset in the blob (4 B each), its ordinal in a
-    /// fuzzy bucket (4 B) and the slots of the terms' hash index (4 B
-    /// each, more than 5/4 of a slot a term). A term two segments hold is
-    /// counted in each, as each holds a copy of its text. This is what
-    /// those bytes occupy, not an estimate; the id and length tables, the
-    /// buckets' maps and the `Arc` headers come on top. Used by the E8
+    /// and its entry's offset in the blob (4 B each) and the slots of the
+    /// terms' hash index (4 B each, more than 5/4 of a slot a term). A
+    /// term two segments hold is counted in each, as each holds a copy of
+    /// its text. This is what those bytes occupy, not an estimate; the id
+    /// and length tables and the `Arc` headers come on top. Used by the E8
     /// index-size comparison, `/stats`' `memory.postings_bytes` and
     /// `create_resident_bytes{component="postings"}`, and the benchmark's
     /// `index.ram_postings_bytes_per_doc`.

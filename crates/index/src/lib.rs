@@ -9,12 +9,10 @@
 //! * [`index`] — multi-field inverted index built over `create-text`
 //!   analyzers, with positional postings where the analyzer's tokens
 //!   carry word positions and doc ids plus term frequencies where they
-//!   do not (the n-gram field: BM25 reads only the frequency, and a
-//!   phrase over grams matches nothing);
+//!   do not (the n-gram field: BM25 reads only the frequency);
 //! * [`postings`] — the builder's posting representation, a flat
 //!   struct-of-arrays list per term shared by builder and encoder, and
-//!   the borrowed view cursors walk of a list decoded into a query's
-//!   scratch;
+//!   the borrowed view of a list decoded into a query's scratch;
 //! * [`segment`] — how documents enter an [`Index`]: workers build
 //!   [`Segment`]s over their own dense doc ids, and each is frozen as it
 //!   is merged — encoded, checked and pushed after the others — while a
@@ -28,14 +26,13 @@
 //!   only for the fields that keep them): a segment file's postings
 //!   region and a frozen segment's bytes, checked once when adopted and
 //!   merged, streamed, by compaction, the tier rule and a seal;
-//! * [`query`] — term, phrase, fuzzy, and boolean queries plus a
-//!   query-string convenience;
+//! * [`query`] — the query Solr's default handler sends: a flat
+//!   disjunction of analyzed terms, built from free text per field;
 //! * [`score`] — BM25 (default, k1=1.2, b=0.75) and TF-IDF scoring with
 //!   top-k heap retrieval;
-//! * [`daat`] — document-at-a-time execution with galloping cursor
-//!   intersection, and flat disjunctions scored term at a time into one
-//!   per-document array, bit-identical to the exhaustive baseline kept
-//!   in [`score`];
+//! * [`daat`] — the executor: a disjunction scored term at a time into
+//!   one per-document array, bit-identical to the exhaustive baseline
+//!   kept in [`score`];
 //! * [`stats`] — mergeable cross-shard corpus statistics so sharded
 //!   scatter-gather search — and the per-segment search inside one
 //!   index — scores bit-identically to one monolithic index.
@@ -55,6 +52,6 @@ pub use facets::{FacetField, FacetIndex};
 pub use frozen::FrozenSegment;
 pub use index::{FieldConfig, Index, Segment};
 pub use postings::PostingList;
-pub use query::QueryNode;
+pub use query::{Clause, Query};
 pub use score::{ScoredDoc, Scorer};
 pub use stats::CorpusStats;

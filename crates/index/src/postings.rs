@@ -92,7 +92,7 @@ impl PostingList {
 
 /// One term's postings as borrowed arrays, laid out as in a
 /// [`PostingList`]: a frozen segment's list decoded into a [`Decoded`],
-/// what cursors and scorers walk.
+/// what a query scores.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Postings<'a> {
     docs: &'a [u32],
@@ -113,36 +113,6 @@ impl<'a> Postings<'a> {
         self.ends
     }
 
-    #[inline]
-    fn start(&self, i: usize) -> u32 {
-        if i == 0 {
-            0
-        } else {
-            self.ends[i - 1]
-        }
-    }
-
-    /// Term frequency in posting `i`.
-    #[inline]
-    pub(crate) fn tf(&self, i: usize) -> u32 {
-        self.ends[i] - self.start(i)
-    }
-
-    /// Token positions of the term in posting `i`; empty in a list of a
-    /// field without word positions.
-    #[inline]
-    pub(crate) fn positions(&self, i: usize) -> &'a [u32] {
-        if self.positions.is_empty() {
-            return &[];
-        }
-        &self.positions[self.start(i) as usize..self.ends[i] as usize]
-    }
-
-    /// `(doc, term frequency, positions)` of every posting, in doc order.
-    pub(crate) fn iter(self) -> impl Iterator<Item = (u32, u32, &'a [u32])> {
-        (0..self.docs.len()).map(move |i| (self.docs[i], self.tf(i), self.positions(i)))
-    }
-
     /// A list of its own holding these postings.
     pub(crate) fn to_list(self) -> PostingList {
         PostingList {
@@ -153,11 +123,9 @@ impl<'a> Postings<'a> {
     }
 }
 
-/// The scratch arrays a query decodes frozen postings into: each list it
-/// opens is appended (a [`Span`]) and read back as [`Postings`] once the
-/// query has opened every list it walks at once. Cleared, not freed,
-/// between uses, so a query allocates them once however many terms it
-/// opens.
+/// The scratch arrays a query decodes a frozen segment's list into, read
+/// back as [`Postings`]. Cleared, not freed, between lists, so a query
+/// allocates them once however many terms it opens.
 #[derive(Default)]
 pub(crate) struct Decoded {
     pub(crate) docs: Vec<u32>,
@@ -165,45 +133,20 @@ pub(crate) struct Decoded {
     pub(crate) positions: Vec<u32>,
 }
 
-/// Where one decoded list lies in a [`Decoded`]: its postings, and its
-/// positions.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Span {
-    docs: (usize, usize),
-    positions: (usize, usize),
-}
-
 impl Decoded {
-    /// Forgets every list, keeping the buffers.
+    /// Forgets the list, keeping the buffers.
     pub(crate) fn clear(&mut self) {
         self.docs.clear();
         self.ends.clear();
         self.positions.clear();
     }
 
-    /// Where the list appended from here on starts; [`Decoded::close`]
-    /// ends it.
-    pub(crate) fn open(&self) -> Span {
-        Span {
-            docs: (self.docs.len(), self.docs.len()),
-            positions: (self.positions.len(), self.positions.len()),
-        }
-    }
-
-    /// The list `opened` started: everything appended since.
-    pub(crate) fn close(&self, opened: Span) -> Span {
-        Span {
-            docs: (opened.docs.0, self.docs.len()),
-            positions: (opened.positions.0, self.positions.len()),
-        }
-    }
-
-    /// The list at `span`.
-    pub(crate) fn get(&self, span: Span) -> Postings<'_> {
+    /// The list decoded here.
+    pub(crate) fn postings(&self) -> Postings<'_> {
         Postings {
-            docs: &self.docs[span.docs.0..span.docs.1],
-            ends: &self.ends[span.docs.0..span.docs.1],
-            positions: &self.positions[span.positions.0..span.positions.1],
+            docs: &self.docs,
+            ends: &self.ends,
+            positions: &self.positions,
         }
     }
 }
@@ -234,23 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn decoded_lists_read_back_by_span() {
+    fn a_decoded_list_reads_back() {
         let mut decoded = Decoded::default();
-        let mut spans = Vec::new();
-        for (docs, ends, positions) in [
-            (&[1u32, 4][..], &[2u32, 3][..], &[0u32, 5, 1][..]),
-            (&[0], &[1], &[7]),
-        ] {
-            let opened = decoded.open();
-            decoded.docs.extend_from_slice(docs);
-            decoded.ends.extend_from_slice(ends);
-            decoded.positions.extend_from_slice(positions);
-            spans.push(decoded.close(opened));
-        }
-        let first: Vec<_> = decoded.get(spans[0]).iter().collect();
-        assert_eq!(first, [(1, 2, &[0, 5][..]), (4, 1, &[1][..])]);
-        let second: Vec<_> = decoded.get(spans[1]).iter().collect();
-        assert_eq!(second, [(0, 1, &[7][..])]);
-        assert_eq!(decoded.get(spans[1]).to_list().docs(), [0]);
+        decoded.docs.extend_from_slice(&[1, 4]);
+        decoded.ends.extend_from_slice(&[2, 3]);
+        decoded.positions.extend_from_slice(&[0, 5, 1]);
+        let list = decoded.postings().to_list();
+        let postings: Vec<_> = list.iter().collect();
+        assert_eq!(postings, [(1, 2, &[0, 5][..]), (4, 1, &[1][..])]);
+        decoded.clear();
+        assert!(decoded.postings().to_list().is_empty());
     }
 }

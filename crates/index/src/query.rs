@@ -1,136 +1,65 @@
-//! Query model: term, phrase, fuzzy, and boolean composition.
+//! The query model: a flat disjunction of analyzed terms.
+//!
+//! The paper's keyword leg is ElasticSearch's default handler (Solr's
+//! too): the console's free text is analyzed, its terms are OR-combined
+//! and the result is BM25-ranked. A [`Query`] is exactly that — a list
+//! of `(field, term)` clauses. A document matches when it holds any of
+//! them, and its score is the sum of its matching clauses' scores, added
+//! in clause order; a clause listed twice adds twice.
 
 use crate::index::Index;
 
-/// A query tree node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryNode {
-    /// Single analyzed term in a field.
-    Term {
-        /// Field name.
-        field: String,
-        /// Analyzed term text.
-        term: String,
-    },
-    /// Exact phrase (consecutive positions) in a field. A field whose
-    /// tokenizer does not produce word positions (the n-gram field)
-    /// stores none, so there a phrase of two or more terms matches
-    /// nothing; a one-term phrase is that term, on any field.
-    Phrase {
-        /// Field name.
-        field: String,
-        /// Analyzed terms, in order.
-        terms: Vec<String>,
-    },
-    /// Term with edit-distance tolerance; expanded against the dictionary.
-    Fuzzy {
-        /// Field name.
-        field: String,
-        /// Analyzed term text.
-        term: String,
-        /// Maximum edit distance (1 or 2).
-        max_edits: usize,
-    },
-    /// Boolean combination.
-    Bool {
-        /// All must match (AND).
-        must: Vec<QueryNode>,
-        /// At least one should match and contributes score (OR).
-        should: Vec<QueryNode>,
-        /// None may match.
-        must_not: Vec<QueryNode>,
-    },
+/// One clause of a [`Query`]: an analyzed term in a field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Clause {
+    /// Field name.
+    pub field: String,
+    /// Analyzed term text.
+    pub term: String,
 }
 
-impl QueryNode {
-    /// Term convenience.
-    pub fn term(field: &str, term: &str) -> QueryNode {
-        QueryNode::Term {
-            field: field.to_string(),
-            term: term.to_string(),
-        }
-    }
+/// A flat disjunction of term clauses, scored in clause order. The empty
+/// disjunction matches nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Query {
+    /// The clauses, in the order their scores are added.
+    pub clauses: Vec<Clause>,
+}
 
-    /// Phrase convenience.
-    pub fn phrase(field: &str, terms: &[&str]) -> QueryNode {
-        QueryNode::Phrase {
-            field: field.to_string(),
-            terms: terms.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    /// Fuzzy convenience.
-    pub fn fuzzy(field: &str, term: &str, max_edits: usize) -> QueryNode {
-        QueryNode::Fuzzy {
-            field: field.to_string(),
-            term: term.to_string(),
-            max_edits,
+impl Query {
+    /// The one-clause disjunction of an analyzed `term` in `field`.
+    pub fn term(field: &str, term: &str) -> Query {
+        Query {
+            clauses: vec![Clause {
+                field: field.to_string(),
+                term: term.to_string(),
+            }],
         }
     }
 
     /// Builds the default keyword query for raw user text against a field:
     /// the field's analyzer splits the text and the resulting terms are
-    /// OR-combined — exactly what Solr's default handler does.
-    pub fn query_string(index: &Index, field: &str, text: &str) -> QueryNode {
-        let mut should = Vec::new();
+    /// OR-combined — exactly what Solr's default handler does. A field the
+    /// index does not configure gives the empty disjunction.
+    pub fn query_string(index: &Index, field: &str, text: &str) -> Query {
+        let mut clauses = Vec::new();
         if let Some(f) = index.field(field) {
-            f.analyzer
-                .for_each_term(text, |term, _| should.push(QueryNode::term(field, term)));
+            f.analyzer.for_each_term(text, |term, _| {
+                clauses.push(Clause {
+                    field: field.to_string(),
+                    term: term.to_string(),
+                })
+            });
         }
-        QueryNode::Bool {
-            must: Vec::new(),
-            should,
-            must_not: Vec::new(),
-        }
+        Query { clauses }
     }
 
-    /// Expands fuzzy nodes against the index dictionaries, returning the
-    /// matching `(term, distance)` pairs sorted by `(distance, term)`:
-    /// the union of every segment's expansions, each term once.
-    ///
-    /// Candidates are drawn from per-length dictionary buckets with a
-    /// first-character fast path (see `FrozenSegment::fuzzy_candidates`)
-    /// instead of sweeping the whole vocabulary; the result is identical
-    /// to [`QueryNode::expand_fuzzy_sweep`]. Terms are borrowed from the
-    /// index — expansion allocates nothing per matched term.
-    pub fn expand_fuzzy<'a>(
-        index: &'a Index,
-        field: &str,
-        term: &str,
-        max_edits: usize,
-    ) -> Vec<(&'a str, usize)> {
-        union(
-            index
-                .segments()
-                .map(|(_, segment)| segment.fuzzy_candidates(field, term, max_edits)),
-        )
+    /// This disjunction's clauses followed by `other`'s: a query over
+    /// several fields is the concatenation of each field's query string.
+    pub fn or(mut self, other: Query) -> Query {
+        self.clauses.extend(other.clauses);
+        self
     }
-
-    /// The exhaustive fuzzy expansion: a bounded-Levenshtein sweep over
-    /// every term of the field, sorted by `(distance, term)`. Kept as the
-    /// reference baseline for the equivalence suite; production queries
-    /// use [`QueryNode::expand_fuzzy`].
-    pub fn expand_fuzzy_sweep<'a>(
-        index: &'a Index,
-        field: &str,
-        term: &str,
-        max_edits: usize,
-    ) -> Vec<(&'a str, usize)> {
-        union(
-            index
-                .segments()
-                .map(|(_, segment)| segment.fuzzy_sweep(field, term, max_edits)),
-        )
-    }
-}
-
-/// The sorted `(distance, term)` union of per-segment expansions, a term
-/// two segments hold listed once.
-fn union<'a>(expansions: impl Iterator<Item = Vec<(&'a str, usize)>>) -> Vec<(&'a str, usize)> {
-    let mut out: Vec<(&str, usize)> = expansions.flatten().collect();
-    out.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-    out.dedup();
-    out
 }
 
 #[cfg(test)]
@@ -155,56 +84,26 @@ mod tests {
     #[test]
     fn query_string_analyzes_and_ors() {
         let idx = index();
-        let q = QueryNode::query_string(&idx, "body", "The Fevers");
-        let QueryNode::Bool { should, .. } = q else {
-            panic!()
-        };
+        let q = Query::query_string(&idx, "body", "The Fevers");
         // "the" is a stopword; "Fevers" normalizes to "fever".
-        assert_eq!(should.len(), 1);
-        assert_eq!(should[0], QueryNode::term("body", "fever"));
+        assert_eq!(q, Query::term("body", "fever"));
     }
 
     #[test]
-    fn fuzzy_expansion_finds_neighbors() {
+    fn or_concatenates_in_clause_order() {
         let idx = index();
-        let hits = QueryNode::expand_fuzzy(&idx, "body", "amiodaron", 1);
-        assert!(hits.iter().any(|(t, d)| *t == "amiodaron" || *d <= 1));
-        assert!(hits.iter().any(|(t, _)| t.starts_with("amiodaron")));
-    }
-
-    #[test]
-    fn pruned_expansion_matches_exhaustive_sweep() {
-        let idx = index();
-        for term in ["amiodaron", "fevr", "cough", "zzz", "", "a", "toxicty"] {
-            for max_edits in 0..=2 {
-                assert_eq!(
-                    QueryNode::expand_fuzzy(&idx, "body", term, max_edits),
-                    QueryNode::expand_fuzzy_sweep(&idx, "body", term, max_edits),
-                    "term {term:?} max_edits {max_edits}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fuzzy_expansion_respects_bound() {
-        let idx = index();
-        let hits = QueryNode::expand_fuzzy(&idx, "body", "zzzzzz", 1);
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn conveniences_build_expected_shapes() {
+        let q = Query::query_string(&idx, "body", "cough fever")
+            .or(Query::query_string(&idx, "title", "fever"))
+            .or(Query::term("body", "cough"));
+        let terms: Vec<(&str, &str)> = q
+            .clauses
+            .iter()
+            .map(|c| (c.field.as_str(), c.term.as_str()))
+            .collect();
+        // `title` is not configured: its query string is empty.
         assert_eq!(
-            QueryNode::phrase("body", &["chest", "pain"]),
-            QueryNode::Phrase {
-                field: "body".into(),
-                terms: vec!["chest".into(), "pain".into()]
-            }
+            terms,
+            [("body", "cough"), ("body", "fever"), ("body", "cough")]
         );
-        assert!(matches!(
-            QueryNode::fuzzy("body", "x", 2),
-            QueryNode::Fuzzy { max_edits: 2, .. }
-        ));
     }
 }

@@ -3,21 +3,20 @@
 //! BM25 with the Lucene-standard parameters (`k1 = 1.2`, `b = 0.75`) is the
 //! default; TF-IDF is provided for the ranking ablation (E4 extension).
 //!
-//! [`Index::search`] executes via [`crate::daat`]: cursor intersection
-//! for `must` and phrases, a per-document score array for flat
-//! disjunctions. [`Index::search_exhaustive`] is the original map-based
-//! walker, kept as the reference baseline — the equivalence suite asserts
-//! the two return bit-identical rankings. Both paths score through
-//! [`doc_score`], the single source of truth for the per-(term, doc)
-//! expression, so their floats cannot drift apart.
+//! [`Index::search`] executes via [`crate::daat`], a per-document score
+//! array. [`Index::search_exhaustive`] is the original map-based walker,
+//! kept as the reference baseline — the equivalence suite asserts the
+//! two return bit-identical rankings. Both fold [`term_scores`], which
+//! evaluates [`doc_score`], the single source of truth for the
+//! per-(term, doc) expression, so their floats cannot drift apart.
 
 use crate::daat::{Admit, Scratch};
 use crate::frozen::FrozenSegment;
 use crate::index::Index;
-use crate::postings::{Decoded, Postings};
-use crate::query::QueryNode;
+use crate::postings::Decoded;
+use crate::query::Query;
 use crate::stats::CorpusStats;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Ranking function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +50,8 @@ pub struct ScoredDoc {
 }
 
 /// The per-(term, document) score — the one expression both execution
-/// paths evaluate, so rankings agree bit-for-bit.
+/// paths evaluate (through [`term_scores`]), so rankings agree
+/// bit-for-bit.
 #[inline]
 pub(crate) fn doc_score(
     scorer: Scorer,
@@ -90,8 +90,8 @@ impl Ord for Entry {
     }
 }
 
-/// Top-k selection shared by both execution paths: keep positive scores,
-/// pop the k best from a max-heap over [`Entry`].
+/// The exhaustive walker's top-k selection: keep positive scores, pop
+/// the k best from a max-heap over [`Entry`].
 pub(crate) fn top_k(
     segment: &FrozenSegment,
     scored: impl IntoIterator<Item = (u32, f64)>,
@@ -123,9 +123,9 @@ impl Index {
     /// Runs a query and returns the top-`k` hits, highest score first.
     /// Ties break on internal doc id for determinism.
     ///
-    /// Executes document-at-a-time (see [`crate::daat`]); rankings are
-    /// bit-identical to [`Index::search_exhaustive`].
-    pub fn search(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
+    /// Scores into a per-document array (see [`crate::daat`]); rankings
+    /// are bit-identical to [`Index::search_exhaustive`].
+    pub fn search(&self, query: &Query, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
         self.search_with_stats(query, k, scorer, None)
     }
 
@@ -140,7 +140,7 @@ impl Index {
     /// this is exactly [`Index::search`].
     pub fn search_with_stats(
         &self,
-        query: &QueryNode,
+        query: &Query,
         k: usize,
         scorer: Scorer,
         stats: Option<&CorpusStats>,
@@ -160,7 +160,7 @@ impl Index {
     /// compare against).
     pub fn search_filtered(
         &self,
-        query: &QueryNode,
+        query: &Query,
         k: usize,
         scorer: Scorer,
         stats: Option<&CorpusStats>,
@@ -172,19 +172,21 @@ impl Index {
         })
     }
 
-    /// The original exhaustive executor: walks the query tree accumulating
-    /// per-document scores into a map, then heap-selects the top-k. Kept
-    /// as the reference baseline the DAAT path is verified against (the
+    /// The original exhaustive executor: adds every clause's scores into
+    /// a map, clause by clause, then heap-selects the top-k. Kept as the
+    /// reference baseline the accumulator is verified against (the
     /// equivalence suite runs it).
-    pub fn search_exhaustive(&self, query: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
+    pub fn search_exhaustive(&self, query: &Query, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
         self.gather(query, k, None, None, |segment, stats, _| {
-            let mut walker = Walker {
-                segment,
-                scorer,
-                global: stats,
-                decoded: Decoded::default(),
-            };
-            walker.search(query, k)
+            let mut scores: HashMap<u32, f64> = HashMap::new();
+            let mut decoded = Decoded::default();
+            for clause in &query.clauses {
+                let (field, term) = (&clause.field, &clause.term);
+                for (doc, score) in term_scores(segment, field, term, scorer, stats, &mut decoded) {
+                    *scores.entry(doc).or_insert(0.0) += score;
+                }
+            }
+            top_k(segment, scores, k)
         })
     }
 
@@ -201,7 +203,7 @@ impl Index {
     /// searched as it is, under `stats` as given.
     fn gather(
         &self,
-        query: &QueryNode,
+        query: &Query,
         k: usize,
         stats: Option<&CorpusStats>,
         allowed: Option<&[u32]>,
@@ -260,233 +262,39 @@ impl Index {
     }
 }
 
-/// Every posting's score of a term in one segment, with optional
-/// cross-shard statistics overriding the segment's own idf / avg_len (see
-/// [`crate::stats`]); the list is decoded into `decoded`.
-pub(crate) fn term_scores(
-    segment: &FrozenSegment,
+/// Every posting's score of a term in one segment, in doc order: its
+/// postings decoded into `decoded` (cleared first) and each scored by
+/// [`doc_score`], with optional cross-shard statistics overriding the
+/// segment's own idf / avg_len (see [`crate::stats`]). Empty when the
+/// field or the term is absent.
+pub(crate) fn term_scores<'a>(
+    segment: &'a FrozenSegment,
     field: &str,
     term: &str,
     scorer: Scorer,
     global: Option<&CorpusStats>,
-    decoded: &mut Decoded,
-) -> Vec<(u32, f64)> {
-    let Some(fi) = segment.field(field) else {
-        return Vec::new();
-    };
-    let Some(postings) = segment.read(field, term, decoded) else {
-        return Vec::new();
-    };
-    let (idf, avg_len) = match global {
-        Some(g) => (g.idf(field, term), g.avg_len(field)),
-        None => (segment.idf(field, term), fi.avg_len()),
-    };
-    let avg_len = avg_len.max(1.0);
-    postings
-        .iter()
-        .map(|(doc, tf, _)| {
-            (
-                doc,
-                doc_score(
-                    scorer,
-                    idf,
-                    tf as f64,
-                    fi.doc_len[doc as usize] as f64,
-                    avg_len,
-                    fi.boost,
-                ),
-            )
+    decoded: &'a mut Decoded,
+) -> impl Iterator<Item = (u32, f64)> + 'a {
+    let opened = segment.field(field).and_then(|fi| {
+        let postings = segment.read(field, term, decoded)?;
+        let (idf, avg_len) = match global {
+            Some(g) => (g.idf(field, term), g.avg_len(field)),
+            None => (segment.idf(field, term), fi.avg_len()),
+        };
+        Some((fi, postings, idf, avg_len.max(1.0)))
+    });
+    opened
+        .into_iter()
+        .flat_map(move |(fi, postings, idf, avg_len)| {
+            let mut start = 0;
+            let postings = postings.docs().iter().zip(postings.ends());
+            postings.map(move |(&doc, &end)| {
+                let (tf, len) = (end - start, fi.doc_len[doc as usize]);
+                start = end;
+                let score = doc_score(scorer, idf, tf as f64, len as f64, avg_len, fi.boost);
+                (doc, score)
+            })
         })
-        .collect()
-}
-
-/// [`Index::search_exhaustive`] over one segment's documents: the
-/// scorer, the statistics and the scratch a term's list is decoded into.
-struct Walker<'s> {
-    segment: &'s FrozenSegment,
-    scorer: Scorer,
-    global: Option<&'s CorpusStats<'s>>,
-    decoded: Decoded,
-}
-
-impl Walker<'_> {
-    fn search(&mut self, query: &QueryNode, k: usize) -> Vec<ScoredDoc> {
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        let mut exclusions: HashSet<u32> = HashSet::new();
-        self.score_node(query, &mut scores, &mut exclusions, true);
-        for doc in exclusions {
-            scores.remove(&doc);
-        }
-        top_k(self.segment, scores, k)
-    }
-
-    fn term_scores(&mut self, field: &str, term: &str) -> Vec<(u32, f64)> {
-        let (scorer, global) = (self.scorer, self.global);
-        term_scores(self.segment, field, term, scorer, global, &mut self.decoded)
-    }
-
-    /// Scores a node into `scores`. `positive` is false under `must_not`.
-    fn score_node(
-        &mut self,
-        node: &QueryNode,
-        scores: &mut HashMap<u32, f64>,
-        exclusions: &mut HashSet<u32>,
-        positive: bool,
-    ) {
-        match node {
-            QueryNode::Term { field, term } => {
-                for (doc, score) in self.term_scores(field, term) {
-                    if positive {
-                        *scores.entry(doc).or_insert(0.0) += score;
-                    } else {
-                        exclusions.insert(doc);
-                    }
-                }
-            }
-            QueryNode::Fuzzy {
-                field,
-                term,
-                max_edits,
-            } => {
-                for (expanded, dist) in self.segment.fuzzy_sweep(field, term, *max_edits) {
-                    // Damp matches by edit distance, like Lucene's fuzzy
-                    // similarity boost.
-                    let damp = 1.0 / (1.0 + dist as f64);
-                    for (doc, score) in self.term_scores(field, expanded) {
-                        if positive {
-                            *scores.entry(doc).or_insert(0.0) += score * damp;
-                        } else {
-                            exclusions.insert(doc);
-                        }
-                    }
-                }
-            }
-            QueryNode::Phrase { field, terms } => {
-                for (doc, score) in self.phrase_scores(field, terms) {
-                    if positive {
-                        *scores.entry(doc).or_insert(0.0) += score;
-                    } else {
-                        exclusions.insert(doc);
-                    }
-                }
-            }
-            QueryNode::Bool {
-                must,
-                should,
-                must_not,
-            } => {
-                if !positive {
-                    // Under must_not, every matching doc is excluded.
-                    for sub in must.iter().chain(should) {
-                        self.score_node(sub, scores, exclusions, false);
-                    }
-                    return;
-                }
-                // must: docs must match every clause — intersect.
-                if !must.is_empty() {
-                    let mut per_clause: Vec<HashMap<u32, f64>> = Vec::new();
-                    for sub in must {
-                        let mut sub_scores = HashMap::new();
-                        let mut sub_excl = HashSet::new();
-                        self.score_node(sub, &mut sub_scores, &mut sub_excl, true);
-                        for d in sub_excl {
-                            sub_scores.remove(&d);
-                        }
-                        per_clause.push(sub_scores);
-                    }
-                    if let Some((first, rest)) = per_clause.split_first() {
-                        for (doc, base) in first {
-                            let mut total = *base;
-                            let everywhere = rest
-                                .iter()
-                                .all(|m| m.get(doc).map(|s| total += s).is_some());
-                            if everywhere {
-                                *scores.entry(*doc).or_insert(0.0) += total;
-                            }
-                        }
-                    }
-                }
-                for sub in should {
-                    self.score_node(sub, scores, exclusions, true);
-                }
-                for sub in must_not {
-                    self.score_node(sub, scores, exclusions, false);
-                }
-            }
-        }
-    }
-
-    /// Phrase scoring for the exhaustive baseline: per-doc linear rescans
-    /// of every member posting list (the pre-DAAT implementation the
-    /// quadratic-blowup regression test pins down). A phrase of two or
-    /// more terms over a field without positions matches nothing.
-    fn phrase_scores(&mut self, field: &str, terms: &[String]) -> Vec<(u32, f64)> {
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        if terms.len() == 1 {
-            return self.term_scores(field, &terms[0]);
-        }
-        let segment = self.segment;
-        if !segment.field(field).is_some_and(|fi| fi.positions) {
-            return Vec::new();
-        }
-        // The member lists are read at once, so they are decoded apart
-        // from the per-doc rescans below.
-        let mut members = Decoded::default();
-        let mut spans = Vec::with_capacity(terms.len());
-        for t in terms {
-            match segment.open(field, t, true, &mut members) {
-                Some(span) => spans.push(span),
-                None => return Vec::new(),
-            }
-        }
-        let postings_lists: Vec<Postings> = spans.into_iter().map(|s| members.get(s)).collect();
-        // Intersect docs; check consecutive positions.
-        let mut out = Vec::new();
-        for (doc, _, first_positions) in postings_lists[0].iter() {
-            // The doc's positions under each member term, in phrase order.
-            let mut doc_positions = Vec::with_capacity(terms.len());
-            doc_positions.push(first_positions);
-            let mut all = true;
-            for list in &postings_lists[1..] {
-                match list.iter().find(|(d, _, _)| *d == doc) {
-                    Some((_, _, positions)) => doc_positions.push(positions),
-                    None => {
-                        all = false;
-                        break;
-                    }
-                }
-            }
-            if !all {
-                continue;
-            }
-            let matches = doc_positions[0]
-                .iter()
-                .filter(|&&start| {
-                    doc_positions[1..]
-                        .iter()
-                        .enumerate()
-                        .all(|(offset, positions)| positions.contains(&(start + offset as u32 + 1)))
-                })
-                .count();
-            if matches > 0 {
-                // Score the phrase as the sum of member-term scores plus a
-                // per-occurrence proximity bonus.
-                let mut score = 0.0;
-                for t in terms {
-                    score += self
-                        .term_scores(field, t)
-                        .into_iter()
-                        .find(|(d, _)| *d == doc)
-                        .map(|(_, s)| s)
-                        .unwrap_or(0.0);
-                }
-                out.push((doc, score * (1.0 + 0.5 * matches as f64)));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -515,7 +323,7 @@ mod tests {
 
     /// Runs through `search` and asserts the exhaustive baseline returns
     /// the bit-identical ranking before handing the hits back.
-    fn checked_search(idx: &Index, q: &QueryNode, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
+    fn checked_search(idx: &Index, q: &Query, k: usize, scorer: Scorer) -> Vec<ScoredDoc> {
         let daat = idx.search(q, k, scorer);
         let exhaustive = idx.search_exhaustive(q, k, scorer);
         assert_eq!(daat.len(), exhaustive.len(), "hit counts agree");
@@ -535,12 +343,7 @@ mod tests {
     #[test]
     fn term_search_ranks_by_tf() {
         let idx = index();
-        let hits = checked_search(
-            &idx,
-            &QueryNode::term("body", "fever"),
-            10,
-            Scorer::default(),
-        );
+        let hits = checked_search(&idx, &Query::term("body", "fever"), 10, Scorer::default());
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].external_id, "d1", "doc with tf=2 ranks first");
         assert!(hits[0].score > hits[1].score);
@@ -550,52 +353,8 @@ mod tests {
     fn missing_term_returns_empty() {
         let idx = index();
         assert!(
-            checked_search(&idx, &QueryNode::term("body", "zzz"), 10, Scorer::default()).is_empty()
+            checked_search(&idx, &Query::term("body", "zzz"), 10, Scorer::default()).is_empty()
         );
-    }
-
-    #[test]
-    fn phrase_requires_adjacency() {
-        let idx = index();
-        let hits = checked_search(
-            &idx,
-            &QueryNode::phrase("body", &["chest", "pain"]),
-            10,
-            Scorer::default(),
-        );
-        // d1 has "chest pain" consecutively; d4 has "pain chest" (reversed).
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].external_id, "d1");
-    }
-
-    /// `body_ngram` stores no positions: a phrase of two grams matches
-    /// nothing in either executor — not even "amio" "miod", whose grams
-    /// were emitted one after the other — and a one-gram phrase is that
-    /// gram's term query.
-    #[test]
-    fn a_phrase_over_the_ngram_field_matches_nothing() {
-        let mut idx = Index::clinical();
-        for (id, text) in [("a", "amiodarone toxicity"), ("b", "amiodarone")] {
-            idx.add_document(id, &[("body", text), ("body_ngram", text)])
-                .unwrap();
-        }
-        for terms in [&["amio", "miod"][..], &["amio", "amiod"], &["toxi", "amio"]] {
-            let q = QueryNode::phrase("body_ngram", terms);
-            assert!(
-                checked_search(&idx, &q, 10, Scorer::default()).is_empty(),
-                "{terms:?}"
-            );
-        }
-        let one = checked_search(
-            &idx,
-            &QueryNode::phrase("body_ngram", &["amio"]),
-            10,
-            Scorer::default(),
-        );
-        let q = QueryNode::term("body_ngram", "amio");
-        let term = idx.search(&q, 10, Scorer::default());
-        assert_eq!(one.len(), 2);
-        assert_eq!(one, term);
     }
 
     /// `k = 0` asks for nothing and gets nothing, from an index of
@@ -608,8 +367,8 @@ mod tests {
             .unwrap();
         assert!(idx.segment_count() > 1);
         for q in [
-            QueryNode::term("body", "fever"),
-            QueryNode::phrase("body", &["chest", "pain"]),
+            Query::term("body", "fever"),
+            Query::query_string(&idx, "body", "chest pain"),
         ] {
             assert!(checked_search(&idx, &q, 0, Scorer::default()).is_empty());
             assert!(idx
@@ -619,66 +378,17 @@ mod tests {
     }
 
     #[test]
-    fn bool_must_intersects() {
+    fn a_disjunction_unions() {
         let idx = index();
-        let q = QueryNode::Bool {
-            must: vec![
-                QueryNode::term("body", "fever"),
-                QueryNode::term("body", "cough"),
-            ],
-            should: vec![],
-            must_not: vec![],
-        };
-        let hits = checked_search(&idx, &q, 10, Scorer::default());
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].external_id, "d1");
-    }
-
-    #[test]
-    fn bool_should_unions() {
-        let idx = index();
-        let q = QueryNode::Bool {
-            must: vec![],
-            should: vec![
-                QueryNode::term("body", "fever"),
-                QueryNode::term("body", "cardiac"),
-            ],
-            must_not: vec![],
-        };
+        let q = Query::term("body", "fever").or(Query::term("body", "cardiac"));
         let hits = checked_search(&idx, &q, 10, Scorer::default());
         assert_eq!(hits.len(), 3);
     }
 
     #[test]
-    fn must_not_excludes() {
-        let idx = index();
-        let q = QueryNode::Bool {
-            must: vec![],
-            should: vec![QueryNode::term("body", "fever")],
-            must_not: vec![QueryNode::term("body", "cough")],
-        };
-        let hits = checked_search(&idx, &q, 10, Scorer::default());
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].external_id, "d2");
-    }
-
-    #[test]
-    fn fuzzy_matches_typos() {
-        let idx = index();
-        let hits = checked_search(
-            &idx,
-            &QueryNode::fuzzy("body", "fevr", 1),
-            10,
-            Scorer::default(),
-        );
-        assert!(!hits.is_empty());
-        assert_eq!(hits[0].external_id, "d1");
-    }
-
-    #[test]
     fn k_limits_results() {
         let idx = index();
-        let q = QueryNode::query_string(&idx, "body", "fever cough chest pain cardiac");
+        let q = Query::query_string(&idx, "body", "fever cough chest pain cardiac");
         let hits = checked_search(&idx, &q, 2, Scorer::default());
         assert_eq!(hits.len(), 2);
     }
@@ -686,7 +396,7 @@ mod tests {
     #[test]
     fn tfidf_scorer_works() {
         let idx = index();
-        let hits = checked_search(&idx, &QueryNode::term("body", "fever"), 10, Scorer::TfIdf);
+        let hits = checked_search(&idx, &Query::term("body", "fever"), 10, Scorer::TfIdf);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].external_id, "d1");
     }
@@ -700,12 +410,7 @@ mod tests {
         }]);
         idx.add_document("a", &[("body", "fever")]).unwrap();
         idx.add_document("b", &[("body", "fever")]).unwrap();
-        let hits = checked_search(
-            &idx,
-            &QueryNode::term("body", "fever"),
-            10,
-            Scorer::default(),
-        );
+        let hits = checked_search(&idx, &Query::term("body", "fever"), 10, Scorer::default());
         assert_eq!(hits[0].external_id, "a", "ties break by doc id");
     }
 
@@ -719,10 +424,9 @@ mod tests {
         for id in ["a", "b", "c", "d"] {
             idx.add_document(id, &[("body", "fever")]).unwrap();
         }
-        // One cursor, every posting at the list's maximum score: the
-        // short-circuit has no bound to prune with and must still drop
-        // the later docs on the tie-break.
-        let q = QueryNode::term("body", "fever");
+        // One list, every posting at the same score: the heap must still
+        // drop the later docs on the tie-break.
+        let q = Query::term("body", "fever");
         let hits = checked_search(&idx, &q, 2, Scorer::default());
         assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), [0, 1]);
         let filtered = idx.search_filtered(&q, 2, Scorer::default(), None, &[1, 3]);
@@ -732,14 +436,8 @@ mod tests {
     #[test]
     fn idf_prefers_rare_terms() {
         let idx = index();
-        let q = QueryNode::Bool {
-            must: vec![],
-            should: vec![
-                QueryNode::term("body", "fever"),   // df=2
-                QueryNode::term("body", "cardiac"), // df=1
-            ],
-            must_not: vec![],
-        };
+        // "fever" is in two documents, "cardiac" in one.
+        let q = Query::term("body", "fever").or(Query::term("body", "cardiac"));
         let hits = checked_search(&idx, &q, 10, Scorer::default());
         let d3 = hits.iter().find(|h| h.external_id == "d3").unwrap();
         let d2 = hits.iter().find(|h| h.external_id == "d2").unwrap();
@@ -747,53 +445,15 @@ mod tests {
     }
 
     #[test]
-    fn nested_bool_with_exclusions_matches_exhaustive() {
-        let idx = index();
-        // should-subtree with its own must_not: the exhaustive walker
-        // applies that exclusion globally; the DAAT path must too.
-        let q = QueryNode::Bool {
-            must: vec![],
-            should: vec![
-                QueryNode::Bool {
-                    must: vec![],
-                    should: vec![QueryNode::term("body", "fever")],
-                    must_not: vec![QueryNode::term("body", "cough")],
-                },
-                QueryNode::term("body", "chest"),
-            ],
-            must_not: vec![],
-        };
-        let hits = checked_search(&idx, &q, 10, Scorer::default());
-        // d1 matches "chest" but is excluded by the nested must_not.
-        assert!(hits.iter().all(|h| h.external_id != "d1"));
-        assert!(hits.iter().any(|h| h.external_id == "d2"));
-        assert!(hits.iter().any(|h| h.external_id == "d4"));
-    }
-
-    #[test]
-    fn must_with_should_matches_exhaustive() {
-        let idx = index();
-        let q = QueryNode::Bool {
-            must: vec![
-                QueryNode::term("body", "chest"),
-                QueryNode::term("body", "pain"),
-            ],
-            should: vec![QueryNode::term("body", "cardiac")],
-            must_not: vec![],
-        };
-        checked_search(&idx, &q, 10, Scorer::default());
-    }
-
-    #[test]
     fn k_zero_returns_empty() {
         let idx = index();
-        let q = QueryNode::query_string(&idx, "body", "fever chest");
+        let q = Query::query_string(&idx, "body", "fever chest");
         assert!(checked_search(&idx, &q, 0, Scorer::default()).is_empty());
     }
 
     /// An index built of batches of any sizes, so of several segments,
-    /// ranks every query kind bit-identically to one segment — by DAAT,
-    /// exhaustively and with a filter run — for every `k`.
+    /// ranks every query bit-identically to one segment — by the
+    /// accumulator, exhaustively and with a filter run — for every `k`.
     #[test]
     fn a_segmented_index_ranks_like_one_segment() {
         let docs = [
@@ -823,32 +483,18 @@ mod tests {
             assert_eq!(at, docs.len());
             idx
         };
+        let whole = build(&[docs.len()]);
         let queries = [
-            QueryNode::term("body", "fever"),
-            QueryNode::phrase("body", &["chest", "pain"]),
-            QueryNode::fuzzy("body", "fevr", 1),
-            QueryNode::fuzzy("body", "caugh", 2),
-            QueryNode::Bool {
-                must: vec![QueryNode::term("body", "chest")],
-                should: vec![QueryNode::term("body", "fever")],
-                must_not: vec![QueryNode::term("body", "cardiac")],
-            },
-            QueryNode::Bool {
-                must: vec![],
-                should: vec![
-                    QueryNode::term("body", "cough"),
-                    QueryNode::term("body", "cardiac"),
-                    QueryNode::fuzzy("body", "pian", 1),
-                ],
-                must_not: vec![],
-            },
+            Query::term("body", "fever"),
+            Query::query_string(&whole, "body", "chest pain"),
+            Query::term("body", "chest").or(Query::query_string(&whole, "body", "fever chest")),
+            Query::query_string(&whole, "body", "cough cardiac pain"),
         ];
         let bits = |hits: Vec<ScoredDoc>| -> Vec<(u32, String, u64)> {
             hits.into_iter()
                 .map(|h| (h.doc, h.external_id, h.score.to_bits()))
                 .collect()
         };
-        let whole = build(&[docs.len()]);
         assert_eq!(whole.segment_count(), 1);
         for cuts in [&[1usize; 7][..], &[4, 2, 1], &[6, 1], &[5, 2], &[3, 3, 1]] {
             let segmented = build(cuts);

@@ -25,59 +25,52 @@
 //! [`Index::search`] scores each under them.
 
 use crate::index::Index;
-use crate::query::QueryNode;
+use crate::query::Query;
 
 /// Corpus-level statistics for one query over one or more indexes (the
 /// shards of a corpus): each term's idf and each field's average
 /// length, evaluated once from the integer sums. Field names and terms
-/// are borrowed from the query and the indexes.
+/// are borrowed from the query.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusStats<'a> {
-    /// Each configured field the query names, sorted, with its average
-    /// length.
+    /// Each field the query names, sorted, with its average length.
     fields: Vec<(&'a str, f64)>,
-    /// Each term of a configured field the query names or a fuzzy node
-    /// expands to, sorted by `(field, term)`, with its idf.
+    /// Each `(field, term)` clause of the query, sorted, with its idf.
     terms: Vec<((&'a str, &'a str), f64)>,
 }
 
 impl<'a> CorpusStats<'a> {
     /// Collects the corpus statistics of `query` over `indexes`, in one
     /// pass: the total document count, per-field length sums, and the
-    /// document frequency of every term the query tree can touch
-    /// (including fuzzy expansions — a term expanded by any segment is
-    /// counted by every segment whose dictionary holds it, so the summed
-    /// df is the exact global df). Each segment contributes as a shard
-    /// would: its lengths once per field the query names, its df once
-    /// per term — read off its dictionary entry, nothing decoded — into
-    /// integer arrays aligned with the query's sorted terms. The terms
-    /// the query names are resolved once; only fuzzy expansions differ
-    /// from segment to segment.
+    /// document frequency of every term the query names. Each segment
+    /// contributes as a shard would: its lengths once per field the
+    /// query names, its df once per term — read off its dictionary
+    /// entry, nothing decoded — into integer arrays aligned with the
+    /// query's sorted terms.
     pub fn collect(
         indexes: impl IntoIterator<Item = &'a Index>,
-        query: &'a QueryNode,
+        query: &'a Query,
     ) -> CorpusStats<'a> {
-        let (mut named, mut fuzzy) = (Vec::new(), Vec::new());
-        names(query, &mut named, &mut fuzzy);
+        let mut named: Vec<(&str, &str)> = query
+            .clauses
+            .iter()
+            .map(|c| (c.field.as_str(), c.term.as_str()))
+            .collect();
         named.sort_unstable();
         named.dedup();
-        // Each field the query names, with its length sums and whether
-        // any index configures it.
-        let mut lengths: Vec<(&str, u64, usize, bool)> = Vec::new();
+        // Each field the query names, with its length sums.
+        let mut lengths: Vec<(&str, u64, usize)> = Vec::new();
         for &(field, _) in &named {
             if lengths.last().is_none_or(|l| l.0 != field) {
-                lengths.push((field, 0, 0, false));
+                lengths.push((field, 0, 0));
             }
         }
         let mut df = vec![0; named.len()];
-        let (mut num_docs, mut expanded, mut extra) = (0, Vec::new(), Vec::new());
+        let mut num_docs = 0;
         for index in indexes {
             num_docs += index.num_docs();
-            for (field, .., configured) in &mut lengths {
-                *configured |= index.field(field).is_some();
-            }
             for (_, segment) in index.segments() {
-                for (field, total_len, docs_with_field, _) in &mut lengths {
+                for (field, total_len, docs_with_field) in &mut lengths {
                     if let Some(fi) = segment.field(field) {
                         *total_len += fi.total_len;
                         *docs_with_field += fi.docs_with_field;
@@ -86,43 +79,15 @@ impl<'a> CorpusStats<'a> {
                 for (sum, &(field, term)) in df.iter_mut().zip(&named) {
                     *sum += segment.doc_freq(field, term);
                 }
-                expanded.clear();
-                for &(field, term, max_edits) in &fuzzy {
-                    let terms = segment.fuzzy_candidates(field, term, max_edits);
-                    expanded.extend(terms.into_iter().map(|(t, _)| (field, t)));
-                }
-                expanded.sort_unstable();
-                expanded.dedup();
-                for &(field, term) in &expanded {
-                    if named.binary_search(&(field, term)).is_err() {
-                        extra.push(((field, term), segment.doc_freq(field, term)));
-                    }
-                }
             }
         }
-        lengths.retain(|&(.., configured)| configured);
         let fields = lengths
             .into_iter()
-            .map(|(field, total_len, docs_with_field, _)| {
-                (field, avg_len(total_len, docs_with_field))
-            })
-            .collect::<Vec<_>>();
-        let configured = |field: &str| fields.binary_search_by_key(&field, |f| f.0).is_ok();
-        // One sum per term: expansions of different segments name the
-        // same term, and no expansion is a named term.
-        let mut sums: Vec<((&str, &str), usize)> = named.into_iter().zip(df).collect();
-        sums.extend(extra);
-        sums.sort_unstable_by_key(|&(key, _)| key);
-        sums.dedup_by(|later, first| {
-            let same = later.0 == first.0;
-            if same {
-                first.1 += later.1;
-            }
-            same
-        });
-        let terms = sums
+            .map(|(field, total_len, docs_with_field)| (field, avg_len(total_len, docs_with_field)))
+            .collect();
+        let terms = named
             .into_iter()
-            .filter(|&((field, term), _)| !term.is_empty() && configured(field))
+            .zip(df)
             .map(|(key, df)| (key, idf(num_docs, df)))
             .collect();
         CorpusStats { fields, terms }
@@ -164,40 +129,6 @@ fn avg_len(total_len: u64, docs_with_field: usize) -> f64 {
     }
 }
 
-/// The `(field, term)` pairs `node` names — its terms and phrase members,
-/// and `(field, "")` for the field of each fuzzy node, whose lengths
-/// count even where nothing expands — and its fuzzy nodes, which expand
-/// per segment.
-fn names<'q>(
-    node: &'q QueryNode,
-    named: &mut Vec<(&'q str, &'q str)>,
-    fuzzy: &mut Vec<(&'q str, &'q str, usize)>,
-) {
-    match node {
-        QueryNode::Term { field, term } => named.push((field, term)),
-        QueryNode::Phrase { field, terms } => {
-            named.extend(terms.iter().map(|t| (field.as_str(), t.as_str())))
-        }
-        QueryNode::Fuzzy {
-            field,
-            term,
-            max_edits,
-        } => {
-            named.push((field, ""));
-            fuzzy.push((field, term, *max_edits));
-        }
-        QueryNode::Bool {
-            must,
-            should,
-            must_not,
-        } => {
-            for sub in must.iter().chain(should).chain(must_not) {
-                names(sub, named, fuzzy);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,16 +153,16 @@ mod tests {
         ("d3", "pain chest discomfort persistent"),
     ];
 
-    fn queries() -> Vec<QueryNode> {
+    fn queries(index: &Index) -> Vec<Query> {
         vec![
-            QueryNode::term("body", "fever"),
-            QueryNode::phrase("body", &["chest", "pain"]),
-            QueryNode::fuzzy("body", "fevr", 1),
-            QueryNode::Bool {
-                must: vec![QueryNode::term("body", "chest")],
-                should: vec![QueryNode::term("body", "fever")],
-                must_not: vec![QueryNode::term("body", "cardiac")],
-            },
+            Query::term("body", "fever"),
+            Query::query_string(index, "body", "chest pain"),
+            Query::term("body", "chest")
+                .or(Query::term("body", "fever"))
+                .or(Query::term("body", "cardiac")),
+            // An unconfigured field and a term no document holds.
+            Query::term("title", "fever").or(Query::term("body", "zzz")),
+            Query::default(),
         ]
     }
 
@@ -241,7 +172,7 @@ mod tests {
         for (id, text) in DOCS {
             idx.add_document(id, &[("body", text)]).unwrap();
         }
-        for q in queries() {
+        for q in queries(&idx) {
             let plain = idx.search(&q, 10, Scorer::default());
             let stats = CorpusStats::collect([&idx], &q);
             let with = idx.search_with_stats(&q, 10, Scorer::default(), Some(&stats));
@@ -263,7 +194,7 @@ mod tests {
             let shard = if i % 2 == 0 { &mut even } else { &mut odd };
             shard.add_document(id, &[("body", text)]).unwrap();
         }
-        for q in queries() {
+        for q in queries(&whole) {
             let merged = CorpusStats::collect([&even, &odd], &q);
             let reference: HashMap<String, u64> = whole
                 .search(&q, 10, Scorer::default())

@@ -38,7 +38,7 @@ use create_index::codec::{
 };
 use create_index::facets::{FacetField, FacetIndex, ALL_FACET_FIELDS};
 use create_index::index::IndexError;
-use create_index::{FieldConfig, FrozenSegment, Index, QueryNode};
+use create_index::{FieldConfig, FrozenSegment, Index, Query};
 use create_text::Analyzer;
 use create_util::{varint, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -495,7 +495,7 @@ fn misplaced_ends_are_refused_alike(template: &Index) {
 /// `queries` as its decoded lists in the tail of another do.
 fn adoption_agrees<'a>(
     template: &'a Index,
-    queries: &'a [QueryNode],
+    queries: &'a [Query],
 ) -> impl Fn(&[u8], Option<FrozenSegment>, &str) + 'a {
     move |mutant, adopted, label| {
         let merged = merge(&[mutant], template);
@@ -526,7 +526,7 @@ fn adoption_agrees<'a>(
 /// `frozen` answers every query of `queries` as `decoded` does, with no
 /// panic, by [`support::assert_same_rankings`] at `k` = 10 and with every
 /// third document allowed.
-fn answer_alike(label: &str, frozen: &Index, decoded: &Index, queries: &[QueryNode]) {
+fn answer_alike(label: &str, frozen: &Index, decoded: &Index, queries: &[Query]) {
     let allowed: Vec<u32> = (0..decoded.num_docs() as u32).step_by(3).collect();
     // What the closure captures is only read, so observing it after a
     // panic is fine.
@@ -556,7 +556,7 @@ fn mutated_blobs_decode_to_err_or_round_trip() {
             encoded(&rebuilt)
         }),
     );
-    // "fever recurred" and "pulmonary toxicity" are phrases of the blob.
+    // Words of the blob: "fever recurred", "pulmonary toxicity".
     let words = ["fever", "recurred", "pulmonary", "toxicity"];
     let queries = support::queries(&template, &words);
     fuzz(

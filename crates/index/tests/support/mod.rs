@@ -1,87 +1,56 @@
-//! What the frozen-segment suites share: a query of every kind the
-//! executors know, and the check that two indexes rank each of them
-//! bit-identically through every entry point.
+//! What the frozen-segment suites share: queries of every shape the
+//! product sends — one term, a query string, a disjunction across the
+//! fields, a term repeated — and the check that two indexes rank each
+//! of them bit-identically through every entry point.
 
-use create_index::{Index, QueryNode, ScoredDoc, Scorer};
+use create_index::{Index, Query, ScoredDoc, Scorer};
 
 /// The analyzed terms of `text` in `field`, as a query string makes them.
 pub fn analyzed(index: &Index, field: &str, text: &str) -> Vec<String> {
-    match QueryNode::query_string(index, field, text) {
-        QueryNode::Bool { should, .. } => should
-            .into_iter()
-            .filter_map(|node| match node {
-                QueryNode::Term { term, .. } => Some(term),
-                _ => None,
-            })
-            .collect(),
-        other => panic!("a query string is a disjunction, not {other:?}"),
-    }
-}
-
-/// `word` without its second character: one edit away, or two from a
-/// word that differs from it elsewhere too.
-fn typo(word: &str) -> String {
-    word.chars()
-        .enumerate()
-        .filter(|&(i, _)| i != 1)
-        .map(|(_, c)| c)
+    let query = Query::query_string(index, field, text);
+    query
+        .clauses
+        .into_iter()
+        .map(|clause| clause.term)
         .collect()
 }
 
-/// Queries over `words` (raw text, each analyzed by the index's own
-/// analyzers) of every kind: terms of each field, `body` phrases of
-/// neighbouring words, fuzzy terms at one and two edits, a flat
-/// disjunction (the score-array path) and `must` / `should` / `must_not`
-/// combinations (the merge path).
-pub fn queries(index: &Index, words: &[&str]) -> Vec<QueryNode> {
+/// Flat disjunctions over `words` (raw text, each analyzed by the
+/// index's own analyzers): terms of each field, the `body` query string
+/// of every word, each word's query string over all three fields (what
+/// the keyword leg sends), a `body` term or'ed with the next one and with
+/// its `title` twin, and a term repeated around another.
+pub fn queries(index: &Index, words: &[&str]) -> Vec<Query> {
     let body = |word: &str| analyzed(index, "body", word).into_iter().next();
     let terms: Vec<String> = words.iter().filter_map(|w| body(w)).collect();
     let mut out = Vec::new();
     for term in &terms {
-        out.push(QueryNode::term("body", term));
-        out.push(QueryNode::fuzzy("body", &typo(term), 1));
-        out.push(QueryNode::fuzzy("body", &typo(&typo(term)), 2));
+        out.push(Query::term("body", term));
     }
     for word in words {
         for term in analyzed(index, "title", word) {
-            out.push(QueryNode::term("title", &term));
+            out.push(Query::term("title", &term));
         }
         // A word's first grams: short ones are common, long ones rare.
         for gram in analyzed(index, "body_ngram", word).into_iter().take(2) {
-            out.push(QueryNode::term("body_ngram", &gram));
+            out.push(Query::term("body_ngram", &gram));
         }
+        out.push(
+            Query::query_string(index, "title", word)
+                .or(Query::query_string(index, "body", word))
+                .or(Query::query_string(index, "body_ngram", word)),
+        );
     }
-    for pair in terms.windows(2) {
-        out.push(QueryNode::phrase("body", &[&pair[0], &pair[1]]));
-    }
-    out.push(QueryNode::query_string(index, "body", &words.join(" ")));
+    out.push(Query::query_string(index, "body", &words.join(" ")));
     for (i, term) in terms.iter().enumerate() {
         let next = &terms[(i + 1) % terms.len()];
-        let other = &terms[(i + 2) % terms.len()];
-        out.push(QueryNode::Bool {
-            must: vec![QueryNode::term("body", term)],
-            should: vec![
-                QueryNode::term("body", next),
-                QueryNode::fuzzy("body", &typo(other), 1),
-            ],
-            must_not: vec![QueryNode::term("body", other)],
-        });
-        out.push(QueryNode::Bool {
-            must: vec![
-                QueryNode::term("body", term),
-                QueryNode::phrase("body", &[next, other]),
-            ],
-            should: Vec::new(),
-            must_not: vec![QueryNode::fuzzy("body", &typo(next), 2)],
-        });
-        out.push(QueryNode::Bool {
-            must: Vec::new(),
-            should: vec![
-                QueryNode::term("body", term),
-                QueryNode::term("title", term),
-            ],
-            must_not: vec![QueryNode::phrase("body", &[other, term])],
-        });
+        out.push(Query::term("body", term).or(Query::term("body", next)));
+        out.push(Query::term("body", term).or(Query::term("title", term)));
+        out.push(
+            Query::term("body", term)
+                .or(Query::term("body", next))
+                .or(Query::term("body", term)),
+        );
     }
     out
 }
@@ -99,7 +68,7 @@ pub fn bits(hits: Vec<ScoredDoc>) -> Vec<(u32, String, u64)> {
 pub fn assert_same_rankings(
     label: &str,
     (got, want): (&Index, &Index),
-    queries: &[QueryNode],
+    queries: &[Query],
     allowed: &[u32],
     ks: &[usize],
 ) {

@@ -19,8 +19,9 @@
 //!   level and printed to stderr.
 //!
 //! The `enabled` feature (default on) compiles the recording paths
-//! in. Downstream crates forward it through their own `obs` feature,
-//! so `--no-default-features` builds the uninstrumented system;
+//! in. The top crates (`create-core`, `create-server`, `create-bench`)
+//! turn it on through their own `obs` feature, so
+//! `--no-default-features` builds the uninstrumented system;
 //! `scripts/verify.sh` checks that the stripped server still compiles
 //! and gates no timing (the benchmark's per-layer `trace.overhead_pct`
 //! reads a traced run's wall time against an untraced one). The

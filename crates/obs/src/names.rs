@@ -49,7 +49,6 @@ pub const QSTAGE_MERGE: &str = "merge";
 /// DAAT executor counters (flushed once per `Index::search`).
 pub const DAAT_POSTINGS_ADVANCED_TOTAL: &str = "create_daat_postings_advanced_total";
 pub const DAAT_CANDIDATES_PRUNED_TOTAL: &str = "create_daat_candidates_pruned_total";
-pub const DAAT_FUZZY_EXPANSIONS_TOTAL: &str = "create_daat_fuzzy_expansions_total";
 pub const DAAT_HEAP_EVICTIONS_TOTAL: &str = "create_daat_heap_evictions_total";
 
 /// Query-cache counters (mirror of the `/stats` fields).

@@ -326,16 +326,13 @@ pub fn add_span_counter(name: &str, value: u64) {
 /// and the current span in a single flush per search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaatStats {
-    /// Postings read: every posting a flat disjunction's accumulator
-    /// scored (the sum of its opened lists' lengths), plus the postings
-    /// phrase cursors moved past (advance + seek deltas).
+    /// Postings read: every posting the accumulator scored (the sum of
+    /// its opened lists' lengths).
     pub postings_advanced: u64,
-    /// Matching documents a flat disjunction refused: a positive score
-    /// at or below the floor the earlier segments set, or not beating
-    /// its heap's k-th entry.
+    /// Matching documents refused: a positive score at or below the
+    /// floor the earlier segments set, or not beating the heap's k-th
+    /// entry.
     pub candidates_pruned: u64,
-    /// Dictionary terms produced by fuzzy expansion.
-    pub fuzzy_expansions: u64,
     /// Top-k heap evictions (pops past capacity).
     pub heap_evictions: u64,
 }
@@ -346,25 +343,22 @@ pub fn record_daat(stats: DaatStats) {
     if !crate::enabled() || stats == DaatStats::default() {
         return;
     }
-    static COUNTERS: OnceLock<[Arc<crate::Counter>; 4]> = OnceLock::new();
-    let [advanced, pruned, fuzzy, evicted] = COUNTERS.get_or_init(|| {
+    static COUNTERS: OnceLock<[Arc<crate::Counter>; 3]> = OnceLock::new();
+    let [advanced, pruned, evicted] = COUNTERS.get_or_init(|| {
         let r = Registry::global();
         [
             r.counter(names::DAAT_POSTINGS_ADVANCED_TOTAL),
             r.counter(names::DAAT_CANDIDATES_PRUNED_TOTAL),
-            r.counter(names::DAAT_FUZZY_EXPANSIONS_TOTAL),
             r.counter(names::DAAT_HEAP_EVICTIONS_TOTAL),
         ]
     });
     advanced.inc_by(stats.postings_advanced);
     pruned.inc_by(stats.candidates_pruned);
-    fuzzy.inc_by(stats.fuzzy_expansions);
     evicted.inc_by(stats.heap_evictions);
     if let Some((sink, span)) = current_sink() {
         for (name, value) in [
             ("postings_advanced", stats.postings_advanced),
             ("candidates_pruned", stats.candidates_pruned),
-            ("fuzzy_expansions", stats.fuzzy_expansions),
             ("heap_evictions", stats.heap_evictions),
         ] {
             if value != 0 {

@@ -65,8 +65,6 @@ pub struct ServerConfig {
     /// a connection storm overflows — dropped SYNs retransmit seconds
     /// later and dominate tail latency.
     pub listen_backlog: usize,
-    /// Forces the portable `poll(2)` backend even where epoll exists.
-    pub use_poll_backend: bool,
 }
 
 impl Default for ServerConfig {
@@ -83,7 +81,6 @@ impl Default for ServerConfig {
             retry_after_seconds: 1,
             limits: HttpLimits::default(),
             listen_backlog: 1024,
-            use_poll_backend: false,
         }
     }
 }
@@ -267,11 +264,7 @@ impl<'a> EventLoop<'a> {
         config: &'a ServerConfig,
         shutdown: &'a AtomicBool,
     ) -> std::io::Result<EventLoop<'a>> {
-        let mut poller = if config.use_poll_backend {
-            Poller::with_poll_backend()?
-        } else {
-            Poller::new()?
-        };
+        let mut poller = Poller::new()?;
         let (wake_rx, waker) = wake_pipe()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         poller.register(wake_rx.fd(), WAKER_TOKEN, Interest::READ)?;
@@ -901,22 +894,6 @@ mod tests {
             let (status, body) = c.join().unwrap();
             assert_eq!((status, body.as_str()), (200, "pong"));
         }
-        handle.shutdown();
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn poll_backend_serves_requests() {
-        let config = ServerConfig {
-            use_poll_backend: true,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind_with("127.0.0.1:0", test_router(), config).unwrap();
-        let addr = server.local_addr();
-        let handle = server.shutdown_handle();
-        let t = std::thread::spawn(move || server.serve());
-        let (status, body) = http_get(addr, "/ping").unwrap();
-        assert_eq!((status, body.as_str()), (200, "pong"));
         handle.shutdown();
         t.join().unwrap();
     }

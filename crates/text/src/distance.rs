@@ -1,51 +1,17 @@
-//! String distances used for fuzzy matching and ontology normalization.
+//! The bounded edit distance ontology normalization matches concept
+//! names with.
 
-/// Levenshtein edit distance with the classic two-row dynamic program.
-/// Operates on Unicode scalar values.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    if a == b {
-        return 0;
-    }
-    let a_chars: Vec<char> = a.chars().collect();
-    let b_chars: Vec<char> = b.chars().collect();
-    if a_chars.is_empty() {
-        return b_chars.len();
-    }
-    if b_chars.is_empty() {
-        return a_chars.len();
-    }
-    let mut prev: Vec<usize> = (0..=b_chars.len()).collect();
-    let mut cur = vec![0usize; b_chars.len() + 1];
-    for (i, ca) in a_chars.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b_chars.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b_chars.len()]
-}
-
-/// Levenshtein distance with an early-exit bound: returns `None` when the
-/// distance certainly exceeds `max`. Much faster for dictionary scans.
+/// Levenshtein distance over Unicode scalar values with an early-exit
+/// bound: returns `None` when the distance certainly exceeds `max`.
 pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
-    let a_chars: Vec<char> = a.chars().collect();
-    let b_chars: Vec<char> = b.chars().collect();
-    levenshtein_bounded_slices(&a_chars, &b_chars, max)
-}
-
-/// [`levenshtein_bounded`] over pre-decoded character slices. Dictionary
-/// scans decode each candidate once and strip shared affixes before the
-/// dynamic program, so the per-call `Vec<char>` allocations of the `&str`
-/// form dominate; this entry point avoids them.
-pub fn levenshtein_bounded_slices(a: &[char], b: &[char], max: usize) -> Option<usize> {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
     if a.len().abs_diff(b.len()) > max {
         return None;
     }
     // Shared prefixes and suffixes never change the distance; stripping
     // them shrinks the DP table (typo corrections share most characters).
-    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let prefix = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
     let (a, b) = (&a[prefix..], &b[prefix..]);
     let suffix = a
         .iter()
@@ -79,36 +45,28 @@ pub fn levenshtein_bounded_slices(a: &[char], b: &[char], max: usize) -> Option<
     (d <= max).then_some(d)
 }
 
-/// Normalized similarity in `[0, 1]`: `1 - dist / max_len`. Two empty
-/// strings are identical (similarity 1).
-pub fn similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
-/// Jaccard similarity over character bigrams; cheap and robust for long
-/// medication names.
-pub fn bigram_jaccard(a: &str, b: &str) -> f64 {
-    use std::collections::HashSet;
-    fn bigrams(s: &str) -> HashSet<(char, char)> {
-        let chars: Vec<char> = s.chars().collect();
-        chars.windows(2).map(|w| (w[0], w[1])).collect()
-    }
-    let (sa, sb) = (bigrams(a), bigrams(b));
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    inter as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Levenshtein edit distance with the classic two-row dynamic
+    /// program, over Unicode scalar values: the oracle
+    /// [`levenshtein_bounded`] is checked against.
+    fn levenshtein(a: &str, b: &str) -> usize {
+        let a_chars: Vec<char> = a.chars().collect();
+        let b_chars: Vec<char> = b.chars().collect();
+        let mut prev: Vec<usize> = (0..=b_chars.len()).collect();
+        let mut cur = vec![0usize; b_chars.len() + 1];
+        for (i, ca) in a_chars.iter().enumerate() {
+            cur[0] = i + 1;
+            for (j, cb) in b_chars.iter().enumerate() {
+                let sub = prev[j] + usize::from(ca != cb);
+                cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[b_chars.len()]
+    }
 
     #[test]
     fn levenshtein_basics() {
@@ -118,14 +76,7 @@ mod tests {
         assert_eq!(levenshtein("", "ab"), 2);
         assert_eq!(levenshtein("kitten", "sitting"), 3);
         assert_eq!(levenshtein("flaw", "lawn"), 2);
-    }
-
-    #[test]
-    fn levenshtein_is_symmetric() {
-        assert_eq!(
-            levenshtein("amiodarone", "amiodarona"),
-            levenshtein("amiodarona", "amiodarone")
-        );
+        assert_eq!(levenshtein("fièvre", "fievre"), 1);
     }
 
     #[test]
@@ -141,7 +92,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_slices_matches_str_form() {
+    fn bounded_agrees_with_the_exact_distance() {
         let pairs = [
             ("kitten", "sitting"),
             ("fever", "fevr"),
@@ -151,42 +102,24 @@ mod tests {
             ("same", "same"),
             ("aaa", "aa"),
             ("fièvre", "fievre"),
+            ("flaw", "lawn"),
         ];
         for (a, b) in pairs {
+            let exact = levenshtein(a, b);
+            assert_eq!(exact, levenshtein(b, a), "{a:?} vs {b:?} is symmetric");
             for max in 0..4 {
-                let ac: Vec<char> = a.chars().collect();
-                let bc: Vec<char> = b.chars().collect();
+                let want = (exact <= max).then_some(exact);
                 assert_eq!(
-                    levenshtein_bounded_slices(&ac, &bc, max),
                     levenshtein_bounded(a, b, max),
+                    want,
                     "{a:?} vs {b:?} max {max}"
                 );
                 assert_eq!(
-                    levenshtein_bounded(a, b, max).is_some(),
-                    levenshtein(a, b) <= max,
-                    "{a:?} vs {b:?} max {max} agrees with exact"
+                    levenshtein_bounded(b, a, max),
+                    want,
+                    "{b:?} vs {a:?} max {max}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn similarity_range() {
-        assert_eq!(similarity("", ""), 1.0);
-        assert_eq!(similarity("abc", "abc"), 1.0);
-        assert!(similarity("fever", "feverish") > 0.5);
-        assert!(similarity("fever", "zzzzz") < 0.2);
-    }
-
-    #[test]
-    fn bigram_jaccard_behaviour() {
-        assert_eq!(bigram_jaccard("ab", "ab"), 1.0);
-        assert!(bigram_jaccard("amiodarone", "amiodaron") > 0.8);
-        assert_eq!(bigram_jaccard("ab", "cd"), 0.0);
-    }
-
-    #[test]
-    fn unicode_counts_scalars_not_bytes() {
-        assert_eq!(levenshtein("fièvre", "fievre"), 1);
     }
 }

@@ -6,7 +6,8 @@
 //! `lowercase`, `snowball`, `stop` and `stemmer` token filters and an N-gram
 //! tokenizer with `min_gram=3`, `max_gram=25`; all of those are implemented
 //! here from scratch, plus the sentence splitter used by the ingestion
-//! pipeline and the edit-distance used for fuzzy matching.
+//! pipeline and the bounded edit distance ontology normalization matches
+//! concept names with.
 
 pub mod analyzer;
 pub mod distance;

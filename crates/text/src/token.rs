@@ -23,7 +23,8 @@ pub struct Token {
     pub text: String,
     /// Source span in the original input (pre-filter offsets).
     pub span: Span,
-    /// Ordinal position in the token stream (for phrase queries).
+    /// Ordinal position in the token stream (stored as a posting's
+    /// positions).
     pub position: usize,
 }
 
@@ -44,8 +45,8 @@ pub trait Tokenizer: Send + Sync {
     fn tokenize(&self, text: &str) -> Vec<Token>;
 
     /// Whether [`Token::position`]s are word positions — consecutive
-    /// positions are adjacent words, so a phrase query can match them.
-    /// An index stores positions only for a tokenizer that says yes.
+    /// positions are adjacent words. An index stores positions only for
+    /// a tokenizer that says yes.
     fn word_positions(&self) -> bool {
         true
     }

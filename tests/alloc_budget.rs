@@ -16,16 +16,18 @@
 //!   term, which pins that figure to what the allocator really hands
 //!   out: the encoded blob and the term tables are exactly
 //!   `postings_bytes`; what comes on top is the documents' id offsets and
-//!   lengths and the fuzzy buckets' map, 2.8 bytes a term on 20 049
-//!   terms for 504 reports, and the whole-heap ratio is 1.04x. While
-//!   recovery decoded every list into a `PostingList` of its own, each
-//!   term added two `Arc` headers and the struct (104 bytes), a
-//!   dictionary slot and a fuzzy-bucket slot: 181.3 bytes a term, a
-//!   whole-heap ratio of 2.01x (1.68x while `body_ngram` stored
-//!   positions, 3.45x in requested bytes before malloc rounded each
-//!   one-position `Vec` up to a 32-byte chunk). The per-term remainder is
-//!   what is gated, with `postings_bytes` itself: 1 533 420 bytes, 3 586
-//!   951 decoded, 5 310 279 with the n-gram positions;
+//!   lengths, 0.5 bytes a term on 20 049 terms for 504 reports, and the
+//!   whole-heap ratio is 1.007x — 2.8 bytes a term and 1.04x while each
+//!   field kept its terms' ordinals in fuzzy buckets, a map of `Vec`s
+//!   beside the term table. While recovery decoded every list into a
+//!   `PostingList` of its own, each term added two `Arc` headers and the
+//!   struct (104 bytes), a dictionary slot and a fuzzy-bucket slot:
+//!   181.3 bytes a term, a whole-heap ratio of 2.01x (1.68x while
+//!   `body_ngram` stored positions, 3.45x in requested bytes before
+//!   malloc rounded each one-position `Vec` up to a 32-byte chunk). The
+//!   per-term remainder is what is gated, with `postings_bytes` itself:
+//!   1 453 224 bytes, 1 533 420 with the buckets' ordinals, 3 586 951
+//!   decoded, 5 310 279 with the n-gram positions;
 //! * (c) dropping the previous snapshot after a publish gives back what
 //!   the copy-on-write copied;
 //! * (d) everything the loaded `Create` holds — index, event records,
@@ -202,15 +204,18 @@ fn live_bytes() -> isize {
 
 const REPORTS: usize = 500;
 /// Heap bytes a term may cost beside what `postings_bytes` counts for
-/// it: 2.8 measured (the documents' id offsets and lengths and the fuzzy
-/// buckets' map, spread over the terms), and the figure repeats exactly;
-/// 181.3 while every list was decoded into a `PostingList` of its own.
-const TERM_OVERHEAD: usize = 4;
-/// Allocations one 2-document batch may make at 500 reports: 7 016
+/// it: 0.5 measured (the documents' id offsets and lengths, spread over
+/// the terms), and the figure repeats exactly; 2.8 while each field kept
+/// fuzzy buckets of its terms' ordinals (the bound was 4 then), 181.3
+/// while every list was decoded into a `PostingList` of its own.
+const TERM_OVERHEAD: usize = 1;
+/// Allocations one 2-document batch may make at 500 reports: 5 249
 /// measured (the standard analyzer's words, a key per term new to the
 /// batch's own segment, its encoding and the frozen segment's tables,
 /// the merges the tier rule makes, the copies of the tables the
-/// published snapshot shares); 7 726–7 732 while every n-gram was a
+/// published snapshot shares); 7 016 while every adopted segment built
+/// fuzzy buckets of its terms, a `Vec` a bucket (the bound was 7 400
+/// then), 7 726–7 732 while every n-gram was a
 /// `String` of its own, 7 734 while each event
 /// record held its edges as a list, 8 047 while each
 /// write added the documents to a property graph, 8 464 while ingest
@@ -224,9 +229,10 @@ const TERM_OVERHEAD: usize = 4;
 /// three times, 16 267–16 683 while `body_ngram` stored positions,
 /// 25 524 while a publish cloned a `String` per graph index key and a
 /// node per 11 stored documents, 209 179 with a `Vec` per posting.
-const SUBMIT_BUDGET: usize = 7_400;
+const SUBMIT_BUDGET: usize = 5_500;
 /// Live bytes the loaded one-shard `Create` may hold at 500 reports:
-/// 3.04 MB measured, its index frozen segments only; 3.09 MB while each
+/// 2.89 MB measured, its index frozen segments only; 3.04 MB while its
+/// segments kept fuzzy buckets, 3.09 MB while each
 /// event record held its edges as a list, 3.76 MB while the
 /// shard held a property graph, 4.60 MB while each
 /// payload held a BRAT copy of its extraction, 11.07 MB while the
@@ -241,18 +247,20 @@ const SUBMIT_BUDGET: usize = 7_400;
 /// graph flat.
 const RESIDENT_BUDGET: isize = 3_400_000;
 /// Live bytes a one-shard `Create` loaded with the same 500 reports may
-/// hold after a `flush()` (k): 2.96 MB measured, as before the flush
-/// (3.01 MB while each event record held its edges as a list);
+/// hold after a `flush()` (k): 2.83 MB measured, as before the flush
+/// (2.96 MB while its segments kept fuzzy buckets, 3.01 MB while each
+/// event record held its edges as a list);
 /// 3.68 MB while the shard held a property graph, 4.52 MB while each
 /// payload held a BRAT copy of its extraction, 7.82
 /// MB while the graph's edges were 72 bytes and its properties
 /// `Value`s, 14.63 MB while a frozen segment kept the tail's posting
 /// lists.
 const FROZEN_RESIDENT_BUDGET: isize = 3_300_000;
-/// `Index::postings_bytes()` of the index of (b): 1 533 420 measured,
-/// 3 586 951 while recovery decoded every list, 5 310 279 while
-/// `body_ngram` stored positions.
-const POSTINGS_BUDGET: usize = 1_700_000;
+/// `Index::postings_bytes()` of the index of (b): 1 453 224 measured,
+/// 1 533 420 while the term tables held each term's ordinal in a fuzzy
+/// bucket (the bound was 1 700 000 then), 3 586 951 while recovery
+/// decoded every list, 5 310 279 while `body_ngram` stored positions.
+const POSTINGS_BUDGET: usize = 1_600_000;
 /// Allocations a cache-hit `search_answer` may make: the lookup key's
 /// copy of the query text, which is all it makes.
 const HIT_ANSWER_BUDGET: usize = 1;
@@ -260,7 +268,7 @@ const HIT_ANSWER_BUDGET: usize = 1;
 /// fifth over the 12 it makes (the key, the `Vec` and ten report ids).
 const HIT_HITS_BUDGET: usize = 14;
 /// Allocations a cache-hit `GET /search` may make through
-/// `Router::dispatch`: a fifth over the 28–29 it makes, of which the
+/// `Router::dispatch`: a fifth over the 28–30 it makes, of which the
 /// handler's are two (the key and the body's copy into the response)
 /// and the rest the router's trace id, spans and headers.
 const HIT_REQUEST_BUDGET: usize = 34;
@@ -274,8 +282,10 @@ const COMPACT_SIZES: [usize; 3] = [250, 500, 1000];
 const COMPACTION_HEAP_BUDGET: isize = 6 << 20;
 /// Live bytes a 2-document batch may add, the previous snapshot pinned,
 /// on a shard sealed by one flush (j) and on an in-memory shard (m), at
-/// every size: 116 642 / 109 264 / 116 912 and 120 666 / 117 384 /
-/// 133 224 measured at 250 / 500 / 1000 reports — the merged segment of
+/// every size: 89 594 / 83 656 / 91 636 and 93 618 / 91 776 / 107 948
+/// measured at 250 / 500 / 1000 reports (116 642 / 109 264 / 116 912
+/// and 120 666 / 117 384 / 133 224 while each frozen segment kept fuzzy
+/// buckets of its terms) — the merged segment of
 /// the batch and the one before it (the pinned snapshot keeps that one),
 /// postings and facets, the payloads, the columns' last chunks; the
 /// sealed shard copies no chunk of sealed payload texts, which its
@@ -350,9 +360,10 @@ const SEALED_DOCSTORE_PER_DOC: usize = 64;
 /// table), 161 while it was a dropped graph write guard's.
 const PUBLISH_HEAP_BUDGET: isize = 1 << 10;
 /// Allocations a disk-backed `Create::open` of the 500 reports of (n),
-/// sealed, may make per document: 45.8 measured (each payload decoded in
+/// sealed, may make per document: 39.5 measured (each payload decoded in
 /// one pass — its mentions' texts, its event record — and, spread over
-/// the documents, the adopted segment's term tables); 242.5 while each
+/// the documents, the adopted segment's term tables); 45.8 while the
+/// adopted segment built fuzzy buckets of its terms, 242.5 while each
 /// payload was parsed into a `Value` tree of `BTreeMap`s first.
 const OPEN_ALLOCATIONS_PER_DOC: usize = 50;
 

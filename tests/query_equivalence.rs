@@ -1,22 +1,22 @@
-//! Pruned-vs-exhaustive query equivalence suite.
+//! Accumulator-vs-exhaustive query equivalence suite.
 //!
-//! The executor behind `Index::search` (galloping intersection,
-//! single-pass phrase scoring, a per-document score array for flat
-//! disjunctions, bucketed fuzzy expansion) promises rankings *bit-identical* to the exhaustive
-//! baseline `Index::search_exhaustive`. This suite drives both executors
-//! with 100 seeded queries mixed across every node type and asserts
-//! score-bit and order equality, pins the phrase path against captured
-//! expected output on a 200-document corpus (the quadratic-blowup
-//! regression), checks the bucketed fuzzy expansion against the
-//! full-dictionary sweep, proves the facade's query cache never serves
-//! stale results across an ingest or a tagger attachment, and pins the
+//! The executor behind `Index::search` (a per-document score array
+//! scanned into a bounded heap, with a floor carried across segments and
+//! a filter run) promises rankings *bit-identical* to the exhaustive
+//! baseline `Index::search_exhaustive`. A query is a flat disjunction of
+//! `(field, term)` clauses, what the product sends. This suite drives
+//! both executors with 100 seeded disjunctions and asserts score-bit and
+//! order equality, covers the shapes the keyword leg builds (one term,
+//! query strings over all three fields, repeated terms, the empty
+//! disjunction), proves the facade's query cache never serves stale
+//! results across an ingest or a tagger attachment, and pins the
 //! `/search` response bodies of all five merge policies to digests
 //! captured before the cache consolidation.
 
 use create::core::{Create, CreateConfig};
 use create::corpus::{CaseReport, CorpusConfig, Generator, QuerySet};
 use create::index::score::Scorer;
-use create::index::{Index, QueryNode};
+use create::index::{CorpusStats, Index, Query};
 use create::server::{build_api, Request, Status};
 use create::text::Analyzer;
 use create::util::Rng;
@@ -51,7 +51,7 @@ fn clinical_index(reports: &[CaseReport]) -> Index {
 /// score-bit-for-score-bit, and returns the hits.
 fn assert_equivalent(
     idx: &Index,
-    q: &QueryNode,
+    q: &Query,
     k: usize,
     scorer: Scorer,
     label: &str,
@@ -90,35 +90,6 @@ fn random_term(rng: &mut Rng, analyzed: &[Vec<String>]) -> String {
     }
 }
 
-/// A consecutive window of analyzed terms (a phrase that really occurs).
-fn random_phrase(rng: &mut Rng, analyzed: &[Vec<String>], len: usize) -> Vec<String> {
-    loop {
-        let doc = &analyzed[rng.below(analyzed.len())];
-        if doc.len() < len {
-            continue;
-        }
-        let start = rng.below(doc.len() - len + 1);
-        return doc[start..start + len].to_vec();
-    }
-}
-
-/// Mutates one character of a term to make a seeded typo.
-fn typo(rng: &mut Rng, term: &str) -> String {
-    let mut chars: Vec<char> = term.chars().collect();
-    if chars.is_empty() {
-        return "x".to_string();
-    }
-    let pos = rng.below(chars.len());
-    match rng.below(3) {
-        0 => chars[pos] = (b'a' + rng.below(26) as u8) as char, // substitute
-        1 => {
-            chars.remove(pos); // delete
-        }
-        _ => chars.insert(pos, (b'a' + rng.below(26) as u8) as char), // insert
-    }
-    chars.into_iter().collect()
-}
-
 #[test]
 fn hundred_seeded_queries_are_bit_identical() {
     let reports = corpus(250, 4242);
@@ -127,6 +98,9 @@ fn hundred_seeded_queries_are_bit_identical() {
     let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
     let mut rng = Rng::seed_from_u64(990_017);
     let ks = [1, 5, 10, 50];
+    let body = |rng: &mut Rng| Query::term("body", &random_term(rng, &analyzed));
+    let disjunction =
+        |rng: &mut Rng, n: usize| (0..n).fold(Query::default(), |q, _| q.or(body(rng)));
     for i in 0..100 {
         let k = ks[rng.below(ks.len())];
         let scorer = if rng.below(5) == 0 {
@@ -135,46 +109,25 @@ fn hundred_seeded_queries_are_bit_identical() {
             Scorer::default()
         };
         let q = match i % 4 {
-            0 => QueryNode::Term {
-                field: "body".to_string(),
-                term: random_term(&mut rng, &analyzed),
-            },
+            0 => body(&mut rng),
             1 => {
-                let len = 2 + rng.below(2);
-                QueryNode::Phrase {
-                    field: "body".to_string(),
-                    terms: random_phrase(&mut rng, &analyzed, len),
+                let n = 2 + rng.below(2);
+                disjunction(&mut rng, n)
+            }
+            2 => {
+                // Body terms, then maybe one of them again in the title.
+                let n = 1 + rng.below(2) + rng.below(3);
+                let q = disjunction(&mut rng, n);
+                if rng.below(3) == 0 {
+                    let title = Query::term("title", &q.clauses[0].term);
+                    q.or(title)
+                } else {
+                    q
                 }
             }
-            2 => QueryNode::Bool {
-                must: (0..1 + rng.below(2))
-                    .map(|_| QueryNode::Term {
-                        field: "body".to_string(),
-                        term: random_term(&mut rng, &analyzed),
-                    })
-                    .collect(),
-                should: (0..rng.below(3))
-                    .map(|_| QueryNode::Term {
-                        field: "body".to_string(),
-                        term: random_term(&mut rng, &analyzed),
-                    })
-                    .collect(),
-                must_not: if rng.below(3) == 0 {
-                    vec![QueryNode::Term {
-                        field: "body".to_string(),
-                        term: random_term(&mut rng, &analyzed),
-                    }]
-                } else {
-                    Vec::new()
-                },
-            },
             _ => {
-                let base = random_term(&mut rng, &analyzed);
-                QueryNode::Fuzzy {
-                    field: "body".to_string(),
-                    term: typo(&mut rng, &base),
-                    max_edits: 1 + rng.below(2),
-                }
+                let text = random_term(&mut rng, &analyzed);
+                keyword_query(&idx, &text)
             }
         };
         assert_equivalent(&idx, &q, k, scorer, &format!("query {i} ({q:?})"));
@@ -182,9 +135,8 @@ fn hundred_seeded_queries_are_bit_identical() {
 }
 
 /// `body_ngram` keeps doc ids and term frequencies, no positions:
-/// `Term`, `Bool` and `Fuzzy` over it score from the frequencies
-/// bit-identically in both executors, and a phrase of two grams — even
-/// two emitted one after the other — matches nothing in either.
+/// disjunctions of grams score from the frequencies bit-identically in
+/// both executors.
 #[test]
 fn ngram_field_queries_are_bit_identical() {
     let reports = corpus(120, 4242);
@@ -194,10 +146,8 @@ fn ngram_field_queries_are_bit_identical() {
         .iter()
         .map(|r| analyzer.terms(&r.text))
         .collect();
-    let gram = |rng: &mut Rng| QueryNode::Term {
-        field: "body_ngram".to_string(),
-        term: random_term(rng, &analyzed),
-    };
+    let gram = |rng: &mut Rng| Query::term("body_ngram", &random_term(rng, &analyzed));
+    let grams = |rng: &mut Rng, n: usize| (0..n).fold(Query::default(), |q, _| q.or(gram(rng)));
     let mut rng = Rng::seed_from_u64(240_024);
     let ks = [1, 5, 10, 50];
     let mut scored = 0;
@@ -210,52 +160,35 @@ fn ngram_field_queries_are_bit_identical() {
         };
         let q = match i % 4 {
             0 => gram(&mut rng),
-            1 => QueryNode::Bool {
-                must: (0..1 + rng.below(2)).map(|_| gram(&mut rng)).collect(),
-                should: (0..rng.below(3)).map(|_| gram(&mut rng)).collect(),
-                must_not: (0..rng.below(2)).map(|_| gram(&mut rng)).collect(),
-            },
-            2 => {
-                let base = random_term(&mut rng, &analyzed);
-                QueryNode::Fuzzy {
-                    field: "body_ngram".to_string(),
-                    term: typo(&mut rng, &base),
-                    max_edits: 1 + rng.below(2),
-                }
+            1 => {
+                let n = 1 + rng.below(2) + rng.below(3);
+                grams(&mut rng, n)
             }
-            _ => QueryNode::Phrase {
-                field: "body_ngram".to_string(),
-                terms: random_phrase(&mut rng, &analyzed, 2),
-            },
+            2 => {
+                // A gram repeated around another.
+                let (a, b) = (gram(&mut rng), gram(&mut rng));
+                a.clone().or(b).or(a)
+            }
+            _ => {
+                let word = random_term(&mut rng, &analyzed);
+                Query::query_string(&idx, "body_ngram", &word)
+            }
         };
         let hits = assert_equivalent(&idx, &q, k, scorer, &format!("ngram query {i} ({q:?})"));
-        if matches!(q, QueryNode::Phrase { .. }) {
-            assert!(
-                hits.is_empty(),
-                "ngram query {i}: a phrase over grams matched"
-            );
-        } else {
-            scored += usize::from(!hits.is_empty());
-        }
+        scored += usize::from(!hits.is_empty());
     }
-    assert!(
-        scored >= 25,
-        "only {scored} of 30 gram queries found anything"
+    assert_eq!(
+        scored, 40,
+        "every gram query finds the document it came from"
     );
 }
 
 /// The keyword leg's query: one `query_string` per field, exactly what
 /// `keyword_search` sends.
-fn keyword_query(idx: &Index, text: &str) -> QueryNode {
-    QueryNode::Bool {
-        must: Vec::new(),
-        should: vec![
-            QueryNode::query_string(idx, "title", text),
-            QueryNode::query_string(idx, "body", text),
-            QueryNode::query_string(idx, "body_ngram", text),
-        ],
-        must_not: Vec::new(),
-    }
+fn keyword_query(idx: &Index, text: &str) -> Query {
+    Query::query_string(idx, "title", text)
+        .or(Query::query_string(idx, "body", text))
+        .or(Query::query_string(idx, "body_ngram", text))
 }
 
 #[test]
@@ -295,17 +228,9 @@ fn a_repeated_term_adds_twice_in_both_executors() {
             random_term(&mut rng, &analyzed),
             random_term(&mut rng, &analyzed),
         );
-        let term = |t: &str| QueryNode::term("body", t);
-        let q = QueryNode::Bool {
-            must: Vec::new(),
-            should: vec![term(&a), term(&b), term(&a)],
-            must_not: Vec::new(),
-        };
-        let once = QueryNode::Bool {
-            must: Vec::new(),
-            should: vec![term(&a), term(&b)],
-            must_not: Vec::new(),
-        };
+        let term = |t: &str| Query::term("body", t);
+        let q = term(&a).or(term(&b)).or(term(&a));
+        let once = term(&a).or(term(&b));
         for k in [1, 5, 50] {
             assert_equivalent(&idx, &q, k, Scorer::default(), &format!("twice {i} k={k}"));
         }
@@ -409,8 +334,8 @@ fn a_filtered_search_past_its_matches_is_the_post_filtered_exhaustive_one() {
     }
 }
 
-/// A disjunction of one term — a bare term, and a should-only bool
-/// holding it — ranks as the exhaustive walker does.
+/// A disjunction of one term — alone, and beside a clause no document
+/// holds — ranks as the exhaustive walker does, and the same either way.
 #[test]
 fn a_one_term_disjunction_is_bit_identical() {
     let reports = corpus(250, 4242);
@@ -419,16 +344,12 @@ fn a_one_term_disjunction_is_bit_identical() {
     let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
     let mut rng = Rng::seed_from_u64(31_013);
     for i in 0..20 {
-        let term = QueryNode::term("body", &random_term(&mut rng, &analyzed));
-        let wrapped = QueryNode::Bool {
-            must: Vec::new(),
-            should: vec![term.clone()],
-            must_not: Vec::new(),
-        };
+        let term = Query::term("body", &random_term(&mut rng, &analyzed));
+        let padded = Query::term("body", "zzzzqx").or(term.clone());
         for k in [1, 5, 50] {
             let bare = assert_equivalent(&idx, &term, k, Scorer::default(), &format!("term {i}"));
-            let one = assert_equivalent(&idx, &wrapped, k, Scorer::default(), &format!("bool {i}"));
-            assert_eq!(bare, one, "term {i} k={k}");
+            let two = assert_equivalent(&idx, &padded, k, Scorer::default(), &format!("pad {i}"));
+            assert_eq!(bare, two, "term {i} k={k}");
         }
     }
 }
@@ -454,54 +375,77 @@ fn flat_disjunctions_under_tf_idf_are_bit_identical() {
     }
 }
 
-/// The quadratic-blowup regression (satellite 1): on a 200-document
-/// corpus, the phrase executor must return exactly the output the
-/// pre-DAAT implementation produced — captured below as literal expected
-/// data (external ids + f64 score bits) — while no longer rescanning
-/// every posting list per candidate document.
-#[test]
-fn phrase_search_matches_captured_expected_output() {
-    let reports = corpus(200, 7171);
-    let idx = clinical_index(&reports);
-    let analyzer = Analyzer::clinical_standard();
-    let phrase_terms = analyzer.terms("chest pain");
-    assert_eq!(phrase_terms.len(), 2, "analyzer keeps both phrase words");
-    let q = QueryNode::Phrase {
-        field: "body".to_string(),
-        terms: phrase_terms,
-    };
-    let hits = assert_equivalent(&idx, &q, 10, Scorer::default(), "phrase regression");
-    let got: Vec<(&str, u64)> = hits
-        .iter()
-        .map(|h| (h.external_id.as_str(), h.score.to_bits()))
-        .collect();
-    // Captured from the exhaustive implementation on this exact corpus;
-    // any ranking or scoring drift fails here.
-    let expected: &[(&str, u64)] = EXPECTED_PHRASE_TOP10;
-    assert_eq!(got, expected, "phrase top-10 drifted from captured output");
+/// One segment holding every report, and one document a segment.
+fn one_and_several_segments(reports: &[CaseReport]) -> [Index; 2] {
+    let mut one = Index::clinical();
+    let mut segment = one.segment();
+    for r in reports {
+        let fields = [("title", r.title.as_str()), ("body", r.text.as_str())];
+        let fields = [fields[0], fields[1], ("body_ngram", r.text.as_str())];
+        segment.add_document(&r.id, &fields, []).unwrap();
+    }
+    one.merge_segment(segment).unwrap();
+    assert_eq!(one.segment_count(), 1);
+    let several = clinical_index(reports);
+    assert!(several.segment_count() > 1);
+    [one, several]
 }
 
-// Captured expected data for `phrase_search_matches_captured_expected_output`.
-include!("data/query_equivalence_expected.rs");
-
+/// One disjunction spanning all three fields, with a term repeated
+/// across them — a body word asked in the title, the body and (as one
+/// gram) the n-gram field, and in the body again — ranks alike in both
+/// executors, over one segment and over several, and the two indexes
+/// rank it alike.
 #[test]
-fn bucketed_fuzzy_expansion_equals_dictionary_sweep() {
-    let reports = corpus(200, 7171);
-    let idx = clinical_index(&reports);
+fn a_term_repeated_across_all_three_fields_is_bit_identical() {
+    let reports = corpus(120, 4242);
     let analyzer = Analyzer::clinical_standard();
     let analyzed: Vec<Vec<String>> = reports.iter().map(|r| analyzer.terms(&r.text)).collect();
-    let mut rng = Rng::seed_from_u64(41_872);
-    for _ in 0..40 {
-        let base = random_term(&mut rng, &analyzed);
-        let probe = if rng.below(2) == 0 {
-            base
-        } else {
-            typo(&mut rng, &base)
-        };
-        for max_edits in 1..=2 {
-            let pruned = QueryNode::expand_fuzzy(&idx, "body", &probe, max_edits);
-            let sweep = QueryNode::expand_fuzzy_sweep(&idx, "body", &probe, max_edits);
-            assert_eq!(pruned, sweep, "term {probe:?} max_edits {max_edits}");
+    let [one, several] = one_and_several_segments(&reports);
+    let mut rng = Rng::seed_from_u64(73_331);
+    for i in 0..20 {
+        let (term, other) = (
+            random_term(&mut rng, &analyzed),
+            random_term(&mut rng, &analyzed),
+        );
+        let q = Query::term("title", &term)
+            .or(Query::term("body", &term))
+            .or(Query::term("body_ngram", &term))
+            .or(Query::term("body", &other))
+            .or(Query::term("body", &term));
+        let mut rankings = Vec::new();
+        for (idx, label) in [(&one, "one segment"), (&several, "several")] {
+            for k in [1, 10, idx.num_docs()] {
+                let what = format!("{label} query {i} ({q:?}) k={k}");
+                let hits = assert_equivalent(idx, &q, k, Scorer::default(), &what);
+                assert!(!hits.is_empty(), "{what}");
+                rankings.push(hits);
+            }
+        }
+        assert_eq!(rankings[..3], rankings[3..], "query {i}");
+    }
+}
+
+/// The keyword query of stopwords shorter than the smallest gram is the
+/// empty disjunction: every entry point returns nothing for it, at every
+/// `k`, over one segment and over several.
+#[test]
+fn the_empty_disjunction_matches_nothing() {
+    let reports = corpus(60, 4242);
+    for idx in one_and_several_segments(&reports) {
+        let q = keyword_query(&idx, "of a to in at on");
+        assert_eq!(q, Query::default());
+        let all = idx.num_docs();
+        let allowed: Vec<u32> = (0..all as u32).collect();
+        let stats = CorpusStats::collect([&idx], &q);
+        for k in [0, 1, 10, all] {
+            let what = format!("{} segment(s), k={k}", idx.segment_count());
+            assert!(assert_equivalent(&idx, &q, k, Scorer::default(), &what).is_empty());
+            assert!(idx.search(&q, k, Scorer::TfIdf).is_empty(), "{what}");
+            let filtered = idx.search_filtered(&q, k, Scorer::default(), None, &allowed);
+            assert!(filtered.is_empty(), "{what}");
+            let merged = idx.search_with_stats(&q, k, Scorer::default(), Some(&stats));
+            assert!(merged.is_empty(), "{what}");
         }
     }
 }

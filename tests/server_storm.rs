@@ -388,27 +388,6 @@ fn a_panicking_handler_answers_500_and_serve_still_returns() {
 }
 
 #[test]
-fn poll_backend_handles_keep_alive_and_pipelining() {
-    let config = ServerConfig {
-        use_poll_backend: true,
-        ..ServerConfig::default()
-    };
-    let (addr, shutdown, join) = spawn_server(config);
-    let mut client = KeepAliveClient::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    for _ in 0..10 {
-        assert_eq!(client.get("/ping").unwrap().status, 200);
-    }
-    let responses = client.pipeline_get(&["/echo/a", "/echo/b"]).unwrap();
-    assert_eq!(responses[0].body_str(), "a");
-    assert_eq!(responses[1].body_str(), "b");
-    shutdown.shutdown();
-    join.join().unwrap();
-}
-
-#[test]
 fn connection_storm_smoke() {
     // A miniature version of the bench gate: many concurrent keep-alive
     // sockets, every request answered, zero errors.

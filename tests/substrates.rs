@@ -7,7 +7,7 @@ use create::corpus::{CaseReport, CorpusConfig, Generator};
 use create::docstore::{json::obj, parse_json, Value};
 use create::graphdb::exec::run;
 use create::graphdb::{PropertyGraph, ResultValue};
-use create::index::{Index, QueryNode, Scorer};
+use create::index::{Index, Query, Scorer};
 
 #[test]
 fn cypher_create_then_match_round_trip() {
@@ -109,9 +109,9 @@ fn analyzer_choice_changes_match_behaviour() {
         )
         .unwrap();
     // Partial term: standard field misses, n-gram field hits.
-    let std_q = QueryNode::query_string(&index, "body", "amiodar");
+    let std_q = Query::query_string(&index, "body", "amiodar");
     assert!(index.search(&std_q, 5, Scorer::default()).is_empty());
-    let ngram_q = QueryNode::query_string(&index, "body_ngram", "amiodar");
+    let ngram_q = Query::query_string(&index, "body_ngram", "amiodar");
     assert_eq!(index.search(&ngram_q, 5, Scorer::default()).len(), 1);
 }
 
